@@ -33,7 +33,7 @@ pub struct ServerConfig {
     /// Durable WAL/snapshot directory. `None` disables persistence (the
     /// point rejoins empty after a crash, the paper's seed behaviour).
     pub data_dir: Option<PathBuf>,
-    /// Snapshot once this many operations sit in the WAL (0 = WAL only).
+    /// Snapshot cadence: [`dpstore::SnapshotPolicy::records`] of this.
     pub snapshot_records: u32,
     /// Self-clocked sync cadence. `None` floods only on `sync` control
     /// frames — what the deterministic tests use.

@@ -41,7 +41,7 @@ pub struct SpawnOpts {
     /// Per-process WAL/snapshot root: point `i` persists under
     /// `<root>/dp<i>`. `None` disables persistence.
     pub data_root: Option<PathBuf>,
-    /// Snapshot once this many operations sit in the WAL (0 = WAL only).
+    /// Snapshot cadence: [`dpstore::SnapshotPolicy::records`] of this.
     pub snapshot_records: u32,
     /// Per-process trace output: point `i` writes
     /// `<dir>/dp<i>.jsonl` on clean shutdown. `None` disables tracing.

@@ -11,9 +11,10 @@
 //!   mailbox — FIFO per connection, so a client's informs always precede
 //!   the sync control frame it sends afterwards;
 //! * the **node loop** is the only thread touching the node: it maps
-//!   mailbox messages to node inputs, node effects to socket writes
-//!   (query replies inline, floods via the per-peer senders), and owns
-//!   the WAL append + snapshot policy;
+//!   mailbox messages to inputs of the shared [`dpstore::NodeHost`] step
+//!   (which owns the WAL, the snapshot policy and recovery) and what the
+//!   step leaves over to socket writes — query replies inline, floods via
+//!   the per-peer senders;
 //! * **peer senders** (the `peer` module) own outbound flood connections
 //!   and their reconnect-with-backoff lifecycle.
 //!
@@ -27,13 +28,14 @@ use crate::peer::{self, PeerMsg, PeerSender};
 use crate::proto::{self, ClusterDpStats};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use dpnode::{delta_to_record, DpNode, Effect, FloodPayload, Input, NodeConfig};
-use dpstore::{FileStore, Store};
+use bytes::{BufMut, BytesMut};
+use dpnode::{FloodPayload, Input, NodeConfig};
+use dpstore::{Blueprint, FileStore, NodeHost, Routed, SnapshotPolicy, WireInput};
 use gruber_types::{DpId, SimTime};
 use obs::{Recorder, TraceEvent};
 use parking_lot::Mutex;
 use simnet::codec::{
-    decode_hello, decode_inform, encode_frame, encode_hello, FrameBuf, Hello, PeerKind,
+    decode_hello, encode_frame, encode_hello, FrameBuf, Hello, PeerKind, MAX_FRAME_BODY,
     WIRE_VERSION,
 };
 use std::io::{Read, Write};
@@ -48,8 +50,7 @@ use std::time::{Duration, Instant};
 type ConnWriter = Arc<Mutex<TcpStream>>;
 
 /// Typed messages the node loop consumes — the socket runtime's
-/// equivalent of `digruber::live`'s channel envelopes. Payload-bearing
-/// variants carry the exact `simnet::codec` wire bytes.
+/// equivalent of `digruber::live`'s channel envelopes.
 pub(crate) enum NodeMsg {
     /// Availability query; the reply frame goes back on `reply`.
     Query {
@@ -58,10 +59,9 @@ pub(crate) enum NodeMsg {
         /// Where to write the reply frame.
         reply: ConnWriter,
     },
-    /// A client's dispatch inform (`encode_inform` bytes).
-    Inform(Bytes),
-    /// A peer's flooded records (`encode_deltas` bytes).
-    PeerRecords(Bytes),
+    /// A client's inform or a peer's flood, as the exact `simnet::codec`
+    /// wire bytes.
+    Wire(WireInput),
     /// Flood the pending log to all peers.
     SyncTick,
     /// Install/replace the peer address table.
@@ -104,45 +104,37 @@ impl Server {
         // Open the store and recover *before* accepting traffic: a
         // recovering point must not answer queries from an empty view it
         // is about to replace.
-        let mut store = match &cfg.data_dir {
-            Some(dir) => {
-                std::fs::create_dir_all(dir)?;
-                Some(FileStore::open(dir)?)
-            }
-            None => None,
+        let store = cfg.data_dir.as_deref().map(FileStore::open).transpose()?;
+        let blueprint = Blueprint {
+            cfg: NodeConfig {
+                id: cfg.id,
+                topology: dpnode::Topology::FullMesh,
+                dissemination: dpnode::Dissemination::UsageOnly,
+                sync_every: None,
+                gossip_seed: 0,
+                persist: store.is_some(),
+            },
+            sites: cfg.sites.clone().into(),
+            uslas: Arc::new(cfg.uslas.clone()),
+            track_live: false,
         };
-        let node_cfg = NodeConfig {
-            id: cfg.id,
-            topology: dpnode::Topology::FullMesh,
-            dissemination: dpnode::Dissemination::UsageOnly,
-            sync_every: None,
-            gossip_seed: 0,
-            persist: store.is_some(),
-        };
-        let mut node = DpNode::new(node_cfg, &cfg.sites, &cfg.uslas);
-        let mut recoveries = 0u64;
-        let mut wal_records_replayed = 0u64;
-        if let Some(store) = &mut store {
-            let recovery = store.recover();
-            if recovery.snapshot.is_some() || !recovery.wal.is_empty() {
-                let start = Instant::now();
-                let replayed = node
-                    .recover(recovery.snapshot.as_deref(), &recovery.wal, now())
-                    .map_err(|e| std::io::Error::other(format!("recover: {e}")))?;
-                recoveries = 1;
-                wal_records_replayed = u64::from(replayed);
-                let at = now();
-                recorder.emit(at, || TraceEvent::DpRecovered { dp: cfg.id });
-                recorder.emit(at, || TraceEvent::RecoveryReplayed {
-                    dp: cfg.id,
-                    records: replayed,
-                    dur_ms: start.elapsed().as_millis() as u32,
-                });
-            }
+        let policy = SnapshotPolicy::records(cfg.snapshot_records);
+        let mut host = NodeHost::new(blueprint, store, policy, recorder.clone(), now());
+        // A store that holds anything means the previous incarnation of
+        // this process died: rebuild from it (a first boot restores nothing).
+        let start = Instant::now();
+        let restored = host
+            .restore(now())
+            .map_err(|e| std::io::Error::other(format!("recover: {e}")))?;
+        if host.rejoin() {
+            let at = now();
+            recorder.emit(at, || TraceEvent::DpRecovered { dp: cfg.id });
+            recorder.emit(at, || TraceEvent::RecoveryReplayed {
+                dp: cfg.id,
+                records: restored.records,
+                dur_ms: start.elapsed().as_millis() as u32,
+            });
         }
-        // Tracer after recover: replay must not re-emit the events the
-        // pre-crash incarnation already recorded.
-        node.set_tracer(recorder.clone());
 
         let listener = TcpListener::bind(&cfg.listen)?;
         let local_addr = listener.local_addr()?;
@@ -212,23 +204,9 @@ impl Server {
                 .collect();
             let recorder = recorder.clone();
             let n_dps = cfg.n_dps;
-            let snapshot_records = cfg.snapshot_records;
             std::thread::Builder::new()
                 .name(format!("node-{}", cfg.id.0))
-                .spawn(move || {
-                    node_loop(
-                        node,
-                        mail_rx,
-                        peer_txs,
-                        store,
-                        snapshot_records,
-                        n_dps,
-                        recorder,
-                        epoch,
-                        recoveries,
-                        wal_records_replayed,
-                    )
-                })
+                .spawn(move || node_loop(host, mail_rx, peer_txs, n_dps, recorder, epoch))
                 .expect("spawn node loop")
         };
 
@@ -351,7 +329,7 @@ fn serve_conn(
             match (hello.kind, kind) {
                 // Peer decision points only flood records.
                 (PeerKind::Dp, proto::FRAME_RECORDS) => {
-                    let _ = mailbox.send(NodeMsg::PeerRecords(payload));
+                    let _ = mailbox.send(NodeMsg::Wire(WireInput::PeerRecords(payload)));
                 }
                 (PeerKind::Client, proto::FRAME_QUERY) => {
                     let Ok(req) = simnet::codec::decode_query(payload) else {
@@ -363,7 +341,7 @@ fn serve_conn(
                     });
                 }
                 (PeerKind::Client, proto::FRAME_INFORM) => {
-                    let _ = mailbox.send(NodeMsg::Inform(payload));
+                    let _ = mailbox.send(NodeMsg::Wire(WireInput::Inform(payload)));
                 }
                 (PeerKind::Client, proto::FRAME_SYNC) => {
                     let _ = mailbox.send(NodeMsg::SyncTick);
@@ -398,47 +376,57 @@ fn serve_conn(
     }
 }
 
-/// The node loop: the socket runtime's equivalent of `live::dp_main`.
-/// Sole owner of the node and the store; every mutation funnels through
-/// the mailbox, so per-connection FIFO order is all the ordering there
-/// is — exactly the asynchrony the paper's deployment had.
-#[allow(clippy::too_many_arguments)]
+/// Most records one `RECORDS` frame carries: its body is the kind byte,
+/// the `u32` count and 36 bytes per record.
+const MAX_RECORDS_PER_FRAME: usize = (MAX_FRAME_BODY - 1 - 4) / 36;
+
+/// Splits a flood's wire bytes (`[u32 count][36-byte records]`) at record
+/// boundaries into payloads that each fit one frame — a slice behind a new
+/// count, no re-decode. A receiver's [`FrameBuf`] rejects a larger frame
+/// and the sender would requeue the whole payload forever; split, each
+/// chunk is sent, retried and requeued on its own. The node hashed the
+/// payload before the split, so flood hashes do not see it.
+fn frame_sized(records: &Bytes) -> Vec<Bytes> {
+    let body = records.as_ref().get(4..).unwrap_or_default();
+    if body.len() <= MAX_RECORDS_PER_FRAME * 36 {
+        return vec![records.clone()];
+    }
+    body.chunks(MAX_RECORDS_PER_FRAME * 36)
+        .map(|chunk| {
+            let mut buf = BytesMut::with_capacity(4 + chunk.len());
+            buf.put_u32_le((chunk.len() / 36) as u32);
+            buf.put_slice(chunk);
+            buf.freeze()
+        })
+        .collect()
+}
+
+/// The node loop: sole owner of the [`NodeHost`] (node and store); every
+/// mutation funnels through the mailbox, so per-connection FIFO order is
+/// all the ordering there is — exactly the asynchrony the paper's
+/// deployment had.
 fn node_loop(
-    mut node: DpNode,
+    mut host: NodeHost<FileStore>,
     mailbox: Receiver<NodeMsg>,
     peer_txs: Vec<Option<Sender<PeerMsg>>>,
-    mut store: Option<FileStore>,
-    snapshot_records: u32,
     n_dps: usize,
     recorder: Recorder,
     epoch: Instant,
-    recoveries: u64,
-    wal_records_replayed: u64,
 ) -> ClusterDpStats {
-    let id = node.id();
-    let now = || SimTime(epoch.elapsed().as_millis() as u64);
-    let mut fx: Vec<Effect> = Vec::new();
+    let id = host.node().id();
+    let mut fx: Vec<Routed> = Vec::new();
     let mut flood_requeues = 0u64;
     for msg in mailbox.iter() {
-        let input = match msg {
+        let at = SimTime(epoch.elapsed().as_millis() as u64);
+        let (input, reply) = match msg {
             NodeMsg::Query { token, reply } => {
-                node.handle(now(), Input::QueryArrived { admission: None }, &mut fx);
-                for effect in fx.drain(..) {
-                    if let Effect::Reply { free, .. } = effect {
-                        let frame =
-                            encode_frame(proto::FRAME_QUERY_REPLY, proto::encode_free(token, &free).as_ref());
-                        let mut w = reply.lock();
-                        let _ = w.write_all(frame.as_ref());
-                    }
-                }
-                continue;
+                (Input::QueryArrived { admission: None }, Some((token, reply)))
             }
-            NodeMsg::Inform(bytes) => match decode_inform(bytes) {
-                Ok(delta) => Input::Inform(delta_to_record(&delta)),
-                Err(_) => continue, // malformed inform: dropped whole
+            NodeMsg::Wire(wire) => match wire.decode() {
+                Some(input) => (input, None),
+                None => continue, // malformed inform: dropped whole
             },
-            NodeMsg::PeerRecords(bytes) => Input::PeerRecords(FloodPayload::from_wire(bytes)),
-            NodeMsg::SyncTick => Input::SyncTick { n_dps },
+            NodeMsg::SyncTick => (Input::SyncTick { n_dps }, None),
             NodeMsg::SetPeers(peers) => {
                 for (dp, addr) in peers {
                     if let Some(Some(tx)) = peer_txs.get(dp.index()) {
@@ -448,7 +436,7 @@ fn node_loop(
                 continue;
             }
             NodeMsg::Stats { reply } => {
-                let stats = snapshot_stats(&node, recoveries, wal_records_replayed, flood_requeues);
+                let stats = snapshot_stats(&host, flood_requeues);
                 let frame =
                     encode_frame(proto::FRAME_STATS_REPLY, proto::encode_stats(&stats).as_ref());
                 let mut w = reply.lock();
@@ -456,22 +444,32 @@ fn node_loop(
                 continue;
             }
             NodeMsg::FloodFailed(bytes) => {
-                node.requeue(&FloodPayload::from_wire(bytes));
+                host.node_mut().requeue(&FloodPayload::from_wire(bytes));
                 flood_requeues += 1;
                 continue;
             }
             NodeMsg::Crash => {
-                node.set_up(false);
-                recorder.emit(now(), || TraceEvent::DpFailed { dp: id });
+                host.crash();
+                recorder.emit(at, || TraceEvent::DpFailed { dp: id });
                 continue;
             }
             NodeMsg::Shutdown => break,
         };
-        let at = now();
-        node.handle(at, input, &mut fx);
+        host.handle(at, input, &mut fx, |_cost, event| recorder.emit(at, || event));
         for effect in fx.drain(..) {
             match effect {
-                Effect::FloodTo { peers, payload } => {
+                Routed::Reply { free, .. } => {
+                    if let Some((token, reply)) = &reply {
+                        let frame = encode_frame(
+                            proto::FRAME_QUERY_REPLY,
+                            proto::encode_free(*token, &free).as_ref(),
+                        );
+                        let mut w = reply.lock();
+                        let _ = w.write_all(frame.as_ref());
+                    }
+                }
+                Routed::FloodTo { peers, payload } => {
+                    let chunks = frame_sized(&payload.records);
                     for j in peers {
                         recorder.emit(at, || TraceEvent::ExchangeSent {
                             from: id,
@@ -479,43 +477,24 @@ fn node_loop(
                             records: payload.n_records,
                         });
                         if let Some(Some(tx)) = peer_txs.get(j) {
-                            let _ = tx.send(PeerMsg::Send(payload.records.clone()));
+                            for chunk in &chunks {
+                                let _ = tx.send(PeerMsg::Send(chunk.clone()));
+                            }
                         }
                     }
                 }
-                Effect::Persist(op) => {
-                    if let Some(store) = &mut store {
-                        store.append(at, &op);
-                        recorder.emit(at, || TraceEvent::WalAppended { dp: id });
-                    }
-                }
-                _ => {}
-            }
-        }
-        if let Some(store) = &mut store {
-            if snapshot_records > 0 && store.wal_len() >= snapshot_records as usize {
-                let folded = store.wal_len() as u32;
-                let (bytes, _) = node.snapshot_encode(at);
-                store.write_snapshot(&bytes);
-                recorder.emit(at, || TraceEvent::SnapshotWritten {
-                    dp: id,
-                    records: folded,
-                });
+                // The ticker clocks the rounds: the node never self-clocks.
+                Routed::SetTimer { .. } => {}
             }
         }
     }
-    snapshot_stats(&node, recoveries, wal_records_replayed, flood_requeues)
+    snapshot_stats(&host, flood_requeues)
 }
 
-fn snapshot_stats(
-    node: &DpNode,
-    recoveries: u64,
-    wal_records_replayed: u64,
-    flood_requeues: u64,
-) -> ClusterDpStats {
-    let s = node.stats();
+fn snapshot_stats(host: &NodeHost<FileStore>, flood_requeues: u64) -> ClusterDpStats {
+    let s = host.node().stats();
     ClusterDpStats {
-        dp: node.id(),
+        dp: host.node().id(),
         queries: s.queries,
         informs: s.informs,
         sync_rounds: s.sync_rounds,
@@ -526,8 +505,8 @@ fn snapshot_stats(
         decode_failures: s.decode_failures,
         crashes: s.crashes,
         flood_hash: s.flood_hash,
-        recoveries,
-        wal_records_replayed,
+        recoveries: host.recoveries(),
+        wal_records_replayed: host.wal_records_replayed(),
         flood_requeues,
     }
 }

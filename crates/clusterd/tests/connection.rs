@@ -237,6 +237,46 @@ fn peer_death_mid_flood_backs_off_requeues_and_redelivers() {
     assert_eq!(stats.floods_sent, 2);
 }
 
+/// A flood too big for one frame (above `(MAX_FRAME_BODY - 5) / 36` =
+/// 29 126 records the receiver's `FrameBuf` drops the connection) is
+/// split at record boundaries: every record arrives, nothing is requeued
+/// and nothing fails to decode. Sent whole it never arrived, and the
+/// sender requeued the same oversized payload round after round.
+#[test]
+fn oversized_flood_is_split_across_frames_and_fully_merged() {
+    const N: u32 = 30_000;
+    let receiver = server(1, 2);
+    let mut cfg = ServerConfig::new(DpId(0), 2, sites(), equal_shares(2, 2).unwrap());
+    cfg.peers = vec![(DpId(1), receiver.local_addr().to_string())];
+    let sender = Server::start(cfg, Recorder::OFF).expect("server start");
+
+    let mut to_sender =
+        ClusterClient::connect(&sender.local_addr().to_string(), ClientId(0)).expect("client");
+    for job in 0..N {
+        to_sender.inform(&record(job, job % 4, 1)).expect("inform");
+    }
+    to_sender.sync().expect("sync");
+
+    let mut to_receiver =
+        ClusterClient::connect(&receiver.local_addr().to_string(), ClientId(1)).expect("client");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = to_receiver.stats(Duration::from_secs(5)).expect("stats");
+        if stats.records_merged == u64::from(N) {
+            assert_eq!(stats.decode_failures, 0);
+            break;
+        }
+        assert!(Instant::now() < deadline, "flood never fully merged: {stats:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    sender.stop();
+    receiver.stop();
+    let sent = sender.join();
+    assert_eq!(sent.flood_requeues, 0);
+    assert_eq!((sent.sync_rounds, sent.records_flooded), (1, u64::from(N)));
+    assert_eq!(receiver.join().decode_failures, 0);
+}
+
 /// End-to-end sanity for the in-process server: queries, informs and the
 /// stats control frame over one client connection.
 #[test]

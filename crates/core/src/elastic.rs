@@ -33,17 +33,14 @@
 //! — `None` (the default) runs the paper's static binding with a byte-
 //! identical event stream to pre-membership builds.
 
-use crate::events::send_exchange;
-use crate::world::{make_node, DecisionPoint, World};
+use crate::events::{send_exchange, sync_dp};
+use crate::world::{DecisionPoint, World};
 use desim::{EventQueue, Scheduler};
-use dpnode::{Effect, Input};
-use dpstore::SimStore;
 use gruber_types::{ClientId, DpId};
 use membership::{
     Autoscaler, HashRing, MembershipConfig, MembershipTable, PoolSample, ScaleDecision,
 };
 use parking_lot::Mutex;
-use simnet::ServiceStation;
 use std::sync::Arc;
 
 /// Shared degraded-point flags: written by the [`HealthWatch`] trace
@@ -169,18 +166,8 @@ pub fn join_decision_point<Q: EventQueue>(
     w.membership.as_ref()?;
     let now = s.now();
     let new_id = DpId(w.dps.len() as u32);
-    let mut node = make_node(&w.cfg, &w.site_specs, &w.uslas, new_id);
-    let mut station = ServiceStation::new(w.cfg.service.profile());
-    node.set_tracer(w.trace.clone());
-    station.set_tracer(w.trace.clone(), new_id);
-    w.dps.push(DecisionPoint {
-        id: new_id,
-        node,
-        station,
-    });
+    w.dps.push(DecisionPoint::new(&w.cfg, &w.site_specs, &w.uslas, new_id, &w.trace, now));
     w.dp_strikes.push(0);
-    w.stores.push(SimStore::new());
-    w.last_snapshot.push(now);
     let sponsor = (0..w.dps.len() - 1).find(|&i| {
         w.dps[i].up() && w.membership.as_ref().is_some_and(|m| m.table.is_live(DpId(i as u32)))
     });
@@ -213,7 +200,7 @@ pub fn join_decision_point<Q: EventQueue>(
     // Warm the newcomer's view from a sponsor, as a normal peer flood.
     if let Some(sp) = sponsor {
         if w.exchanges_state() {
-            let payload = w.dps[sp].node.state_transfer(now);
+            let payload = w.dps[sp].host.node_mut().state_transfer(now);
             if payload.n_records > 0 {
                 send_exchange(w, s, sp, new_id.index(), payload, 0);
             }
@@ -241,22 +228,9 @@ pub fn leave_decision_point<Q: EventQueue>(
     let idx = leaver.index();
     if w.dps[idx].up() {
         // Final drain: flush the outgoing flood log before going dark.
-        // Persist effects are dropped — the leaver will never recover, so
-        // its durable state is moot.
-        let n_dps = w.dps.len();
-        let mut fx = Vec::new();
-        w.dps[idx]
-            .node
-            .handle(now, Input::SyncTick { n_dps }, &mut fx);
-        for effect in fx {
-            if let Effect::FloodTo { peers, payload } = effect {
-                for j in peers {
-                    send_exchange(w, s, idx, j, payload.clone(), 0);
-                }
-            }
-        }
+        sync_dp(w, s, idx);
     }
-    w.dps[idx].node.set_up(false);
+    w.dps[idx].host.crash();
     w.dps[idx].station.crash_at(now);
     let m = w.membership.as_mut().expect("checked above");
     let epoch = m.table.leave(leaver);

@@ -28,76 +28,55 @@
 //! retry/backoff ([`simnet::retry`]) and partition checks
 //! ([`crate::faults`]).
 
-use crate::config::RecoveryMode;
 use crate::faults::LinkScope;
 use crate::world::{client_node, dp_node, RequestState, World};
 use desim::{EventQueue, Scheduler};
 use diperf::RequestTrace;
-use dpnode::{Effect, FloodPayload, Input, WalOp};
-use dpstore::Store as _;
+use dpnode::{FloodPayload, Input};
+use dpstore::Routed;
 use gruber::DispatchRecord;
 use gruber_metrics::schedule_accuracy;
 use gruber_types::{ClientId, DpId, JobId, JobSpec, SiteId};
 use obs::FaultMsgClass;
 use simnet::MessageClass;
 
-/// Appends one WAL operation to a decision point's durable store. The IO
-/// is modeled as group-committed: the protocol path is not blocked, but
-/// the append's completion is a scheduled event at `now + cost` (where
-/// the `WalAppended` trace lands), so the desim clock carries the modeled
-/// fsync latency.
-fn persist_append<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, dp_idx: usize, op: &WalOp) {
-    let now = s.now();
-    let cost = w.stores[dp_idx].append(now, op);
-    let dp = DpId(dp_idx as u32);
-    s.schedule_in(cost, move |w: &mut World, s: &mut Scheduler<World, Q>| {
-        w.trace.emit(s.now(), || obs::TraceEvent::WalAppended { dp });
-    });
-}
-
-/// Folds a decision point's WAL into a snapshot when the configured
-/// [`dpstore::SnapshotPolicy`] says so. The write itself is atomic at
-/// trigger time (a crash never sees a half-written snapshot — `FileStore`
-/// gets the same guarantee from its tmp+rename); only the
-/// `SnapshotWritten` trace is deferred by the modeled write cost. Called
-/// after every batch of appends, so time-based policies fire on the next
-/// append past their deadline.
-pub fn persist_maybe_snapshot<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, dp_idx: usize) {
-    if w.cfg.persistence.mode != RecoveryMode::Persist {
-        return;
-    }
-    let now = s.now();
-    let since = now.since(w.last_snapshot[dp_idx]);
-    if !w.cfg.persistence.policy.due(w.stores[dp_idx].wal_len(), since) {
-        return;
-    }
-    let folded = w.stores[dp_idx].wal_len() as u32;
-    let (bytes, _live) = w.dps[dp_idx].node.snapshot_encode(now);
-    let cost = w.stores[dp_idx].write_snapshot(&bytes);
-    w.last_snapshot[dp_idx] = now;
-    let dp = DpId(dp_idx as u32);
-    s.schedule_in(cost, move |w: &mut World, s: &mut Scheduler<World, Q>| {
-        w.trace.emit(s.now(), || obs::TraceEvent::SnapshotWritten {
-            dp,
-            records: folded,
+/// Feeds one input to a decision point through the shared
+/// [`dpstore::NodeHost`] step. Store IO is modeled as group-committed: the
+/// protocol path is not blocked, but each append's or snapshot's trace
+/// lands on a scheduled event at `now + cost`, so the desim clock carries
+/// the modeled fsync latency. (The snapshot itself is atomic at trigger
+/// time — a crash never sees half of one, as `FileStore`'s tmp+rename
+/// guarantees on disk.)
+pub fn step_dp<Q: EventQueue>(
+    w: &mut World,
+    s: &mut Scheduler<World, Q>,
+    dp_idx: usize,
+    input: Input,
+    out: &mut Vec<Routed>,
+) {
+    w.dps[dp_idx].host.handle(s.now(), input, out, |cost, event| {
+        s.schedule_in(cost, move |w: &mut World, s: &mut Scheduler<World, Q>| {
+            w.trace.emit(s.now(), || event);
         });
     });
 }
 
-/// Applies every [`Effect::Persist`] a node emitted while handling one
-/// input: append each operation, then check the snapshot policy. Free
-/// when the node is not persisting (no effects, and the policy check is
-/// mode-gated), so Retain-mode runs stay byte-identical.
-fn apply_persist_effects<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, dp_idx: usize, fx: &[Effect]) {
-    let mut appended = false;
-    for e in fx {
-        if let Effect::Persist(op) = e {
-            persist_append(w, s, dp_idx, op);
-            appended = true;
+/// One decision point's exchange tick: the node drains its log and every
+/// resulting flood fans out over the WAN, one transmission per peer.
+pub fn sync_dp<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, i: usize) {
+    let n_dps = w.dps.len();
+    let mut fx = Vec::new();
+    step_dp(w, s, i, Input::SyncTick { n_dps }, &mut fx);
+    for effect in fx {
+        match effect {
+            Routed::FloodTo { peers, payload } => {
+                for j in peers {
+                    send_exchange(w, s, i, j, payload.clone(), 0);
+                }
+            }
+            // A tick answers no query, and the sim clocks its own rounds.
+            Routed::Reply { .. } | Routed::SetTimer { .. } => {}
         }
-    }
-    if appended {
-        persist_maybe_snapshot(w, s, dp_idx);
     }
 }
 
@@ -273,10 +252,8 @@ pub fn service_done<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, d
         None
     };
     let mut fx = Vec::new();
-    w.dps[dp_idx]
-        .node
-        .handle(now, Input::QueryArrived { admission }, &mut fx);
-    let Some(Effect::Reply { free, denied }) = fx.pop() else {
+    step_dp(w, s, dp_idx, Input::QueryArrived { admission }, &mut fx);
+    let Some(Routed::Reply { free, denied }) = fx.pop() else {
         return; // the point went down; the client's timeout covers it
     };
     let d = w.leg_disturbance(LinkScope::ClientDp, now);
@@ -403,15 +380,10 @@ pub fn response_arrives<Q: EventQueue>(
     let d = w.leg_disturbance(LinkScope::ClientDp, now);
     if d.loss == 0.0 || !w.net_rng.chance(d.loss) {
         s.schedule_in(l_inform, move |w, s| {
-            let now = s.now();
             if dp.index() < w.dps.len() {
                 // An inform reaching a crashed point is lost with it (the
                 // node drops inputs while down); the client never knows.
-                let mut fx = Vec::new();
-                w.dps[dp.index()]
-                    .node
-                    .handle(now, Input::Inform(record), &mut fx);
-                apply_persist_effects(w, s, dp.index(), &fx);
+                step_dp(w, s, dp.index(), Input::Inform(record), &mut Vec::new());
             }
         });
     } else {
@@ -523,9 +495,9 @@ pub fn job_complete<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, j
 /// in `UsageAndUslas` mode, its USLA deltas) to its topology peers.
 ///
 /// Peer selection and payload assembly live in the node
-/// ([`dpnode::sync_peers_of`] — shared with the live and replay
-/// runtimes); this event only turns each [`Effect::FloodTo`] into
-/// per-peer transmissions. A crashed point neither floods nor drains its
+/// ([`dpnode::sync_peers_of`] — shared with the other runtimes); this
+/// event only turns each flood into per-peer transmissions
+/// ([`sync_dp`]). A crashed point neither floods nor drains its
 /// log (the node checks its own liveness); what it brokered before the
 /// crash goes out when it recovers and rejoins the next round.
 ///
@@ -535,28 +507,8 @@ pub fn job_complete<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, j
 pub fn sync_round<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>) {
     let now = s.now();
     if w.exchanges_state() {
-        let n_dps = w.dps.len();
-        let mut fx = Vec::new();
-        for i in 0..n_dps {
-            w.dps[i].node.handle(now, Input::SyncTick { n_dps }, &mut fx);
-            let mut appended = false;
-            for effect in fx.drain(..) {
-                match effect {
-                    Effect::FloodTo { peers, payload } => {
-                        for j in peers {
-                            send_exchange(w, s, i, j, payload.clone(), 0);
-                        }
-                    }
-                    Effect::Persist(op) => {
-                        persist_append(w, s, i, &op);
-                        appended = true;
-                    }
-                    _ => {}
-                }
-            }
-            if appended {
-                persist_maybe_snapshot(w, s, i);
-            }
+        for i in 0..w.dps.len() {
+            sync_dp(w, s, i);
         }
     }
     if now < w.end {
@@ -595,7 +547,7 @@ pub fn send_exchange<Q: EventQueue>(
         // destroy it, which is what lets views reconverge within one
         // post-heal exchange round.
         if !retry_exchange(w, s, i, j, payload.clone(), attempt) {
-            w.dps[i].node.requeue(&payload);
+            w.dps[i].host.node_mut().requeue(&payload);
         }
         return;
     }
@@ -656,9 +608,7 @@ fn exchange_arrives<Q: EventQueue>(
         return;
     }
     if j < w.dps.len() {
-        let mut fx = Vec::new();
-        w.dps[j].node.handle(now, Input::PeerRecords(payload), &mut fx);
-        apply_persist_effects(w, s, j, &fx);
+        step_dp(w, s, j, Input::PeerRecords(payload), &mut Vec::new());
     }
 }
 
@@ -713,7 +663,7 @@ pub fn monitor_refresh<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>
     let now = s.now();
     let snapshot = w.grid.free_cpus_per_site();
     for dp in &mut w.dps {
-        dp.node.set_monitor_snapshot(snapshot.clone());
+        dp.host.node_mut().set_monitor_snapshot(snapshot.clone());
     }
     if now < w.end {
         s.schedule_in(interval.max(gruber_types::SimDuration::SECOND), monitor_refresh);
@@ -772,7 +722,7 @@ mod tests {
 
         // The decision point learned about each dispatch via the inform leg
         // (the last inform may still be in flight when the clock stops).
-        let (own, merged) = w.dps[0].node.engine().counters();
+        let (own, merged) = w.dps[0].host.node().engine().counters();
         assert!(own >= traces.len() as u64 - 1, "{own} informs for {} traces", traces.len());
         assert_eq!(merged, 0);
         // Accuracy was recorded for every handled placement.
@@ -782,7 +732,7 @@ mod tests {
     #[test]
     fn dead_decision_point_forces_timeout_and_random_placement() {
         let mut sim = Simulation::new(tiny_world(1));
-        sim.world_mut().dps[0].node.set_up(false);
+        sim.world_mut().dps[0].host.crash();
         sim.scheduler()
             .schedule_at(SimTime::ZERO, |w: &mut World, s| client_start(w, s, ClientId(0)));
         // Run past the 30 s timeout.
@@ -825,8 +775,8 @@ mod tests {
         let w = sim.world();
         let bound = w.clients[0].dp.index();
         let other = 1 - bound;
-        let (own_b, merged_b) = w.dps[bound].node.engine().counters();
-        let (own_o, merged_o) = w.dps[other].node.engine().counters();
+        let (own_b, merged_b) = w.dps[bound].host.node().engine().counters();
+        let (own_o, merged_o) = w.dps[other].host.node().engine().counters();
         assert!(own_b >= 1);
         assert_eq!(own_o, 0);
         assert!(merged_o >= 1, "peer never learned of the dispatch");

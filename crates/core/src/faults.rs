@@ -22,11 +22,9 @@
 //! Fault plans can be constructed programmatically or parsed from the
 //! compact clause DSL accepted by the `--faults` flag ([`FaultPlan::parse`]).
 
-use crate::config::RecoveryMode;
-use crate::world::{make_node, World};
+use crate::world::World;
 use desim::dist::Dist;
 use desim::{EventQueue, Scheduler};
-use dpstore::Store as _;
 use gruber_types::{ClientId, DpId, GridError, SimDuration, SimTime};
 use obs::TraceEvent;
 
@@ -560,7 +558,7 @@ pub fn crash_dp_now(w: &mut World, now: SimTime, dp_idx: usize) -> bool {
     if now >= w.end || dp_idx >= w.dps.len() || !w.dps[dp_idx].up() {
         return false;
     }
-    w.dps[dp_idx].node.set_up(false);
+    w.dps[dp_idx].host.crash();
     w.dps[dp_idx].station.crash_at(now);
     w.trace.emit(now, || TraceEvent::DpFailed {
         dp: DpId(dp_idx as u32),
@@ -571,33 +569,25 @@ pub fn crash_dp_now(w: &mut World, now: SimTime, dp_idx: usize) -> bool {
 
 /// Brings a crashed decision point back up *right now* with whatever node
 /// state it currently holds. This is the final step of every restart;
-/// what the node knows at this moment is decided by
-/// [`begin_restore_dp`]'s [`RecoveryMode`] dispatch. Returns whether the
-/// point actually recovered.
+/// what the node knows at this moment was decided by
+/// [`begin_restore_dp`]. Returns whether the point actually recovered.
 pub fn restore_dp_now(w: &mut World, now: SimTime, dp_idx: usize) -> bool {
-    if dp_idx >= w.dps.len() || w.dps[dp_idx].up() {
+    if dp_idx >= w.dps.len() || !w.dps[dp_idx].host.rejoin() {
         return false;
     }
-    w.dps[dp_idx].node.set_up(true);
-    w.dp_recoveries += 1;
     w.trace.emit(now, || TraceEvent::DpRecovered {
         dp: DpId(dp_idx as u32),
     });
     true
 }
 
-/// Begins a crashed decision point's restart, honouring the configured
-/// [`RecoveryMode`]:
-///
-/// * `Retain` — the node keeps its in-memory state and comes back
-///   immediately (the pre-durability behaviour, and the default: a crash
-///   pauses the point but loses nothing).
-/// * `EmptyRejoin` — the node is replaced by a fresh, empty one that
-///   rejoins the mesh knowing nothing (the PR 3 degradation baseline).
-/// * `Persist` — a fresh node restores the point's durable store
-///   (snapshot + WAL replay); the modeled recovery cost *delays the
-///   moment the point comes back up*, and a `RecoveryReplayed` trace
-///   records the replay size and duration at restart begin.
+/// Begins a crashed decision point's restart through the shared
+/// [`dpstore::NodeHost::restore`]. What the point comes back knowing is
+/// decided by the store its [`crate::config::RecoveryMode`] gave it
+/// ([`crate::world::DecisionPoint::new`]); a store with a modeled cost
+/// *delays the moment the point comes back up* by that cost, and a
+/// `RecoveryReplayed` trace records the replay size and duration at
+/// restart begin.
 ///
 /// Returns whether a restart actually began (the point may already be
 /// up).
@@ -606,42 +596,25 @@ pub fn begin_restore_dp<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q
         return false;
     }
     let now = s.now();
-    let id = DpId(dp_idx as u32);
-    match w.cfg.persistence.mode {
-        RecoveryMode::Retain => {
-            restore_dp_now(w, now, dp_idx);
-        }
-        RecoveryMode::EmptyRejoin => {
-            let mut node = make_node(&w.cfg, &w.site_specs, &w.uslas, id);
-            node.set_up(false);
-            node.set_tracer(w.trace.clone());
-            w.dps[dp_idx].node = node;
-            restore_dp_now(w, now, dp_idx);
-        }
-        RecoveryMode::Persist => {
-            // Recover before installing the tracer so replay does not
-            // re-emit trace events the original run already recorded.
-            let mut node = make_node(&w.cfg, &w.site_specs, &w.uslas, id);
-            node.set_up(false);
-            let recovery = w.stores[dp_idx].recover();
-            let records = node
-                .recover(recovery.snapshot.as_deref(), &recovery.wal, now)
-                .expect("a store's own snapshot must decode");
-            node.set_tracer(w.trace.clone());
-            w.dps[dp_idx].node = node;
-            w.wal_records_replayed += u64::from(records);
-            let dur_ms = recovery.cost.as_millis();
-            w.max_recovery_ms = w.max_recovery_ms.max(dur_ms);
-            w.trace.emit(now, || TraceEvent::RecoveryReplayed {
-                dp: id,
-                records,
-                dur_ms: dur_ms as u32,
-            });
-            s.schedule_in(recovery.cost, move |w: &mut World, s: &mut Scheduler<World, Q>| {
-                restore_dp_now(w, s.now(), dp_idx);
-            });
-        }
+    let restored = w.dps[dp_idx]
+        .host
+        .restore(now)
+        .expect("a store's own snapshot must decode");
+    if restored.cost.is_zero() {
+        // Nothing was loaded from a disk, modeled or otherwise.
+        restore_dp_now(w, now, dp_idx);
+        return true;
     }
+    let dur_ms = restored.cost.as_millis();
+    w.max_recovery_ms = w.max_recovery_ms.max(dur_ms);
+    w.trace.emit(now, || TraceEvent::RecoveryReplayed {
+        dp: DpId(dp_idx as u32),
+        records: restored.records,
+        dur_ms: dur_ms as u32,
+    });
+    s.schedule_in(restored.cost, move |w: &mut World, s: &mut Scheduler<World, Q>| {
+        restore_dp_now(w, s.now(), dp_idx);
+    });
     true
 }
 
@@ -874,7 +847,7 @@ mod tests {
         // flood's WAN delivery), so the in-flight exchange is lost.
         sim.scheduler().schedule_at(SimTime::from_secs(5), |w, s| {
             let now = s.now();
-            w.dps[0].node.engine_mut().record_dispatch(rec(1), now);
+            w.dps[0].host.node_mut().engine_mut().record_dispatch(rec(1), now);
         });
         sim.scheduler()
             .schedule_at(SimTime::from_secs(10), sync_round);
@@ -885,14 +858,14 @@ mod tests {
             .schedule_at(SimTime::from_secs(60), |w, s| dp_repair(w, s, 1));
         sim.scheduler().schedule_at(SimTime::from_secs(100), |w, s| {
             let now = s.now();
-            w.dps[0].node.engine_mut().record_dispatch(rec(2), now);
+            w.dps[0].host.node_mut().engine_mut().record_dispatch(rec(2), now);
         });
         sim.run_until(SimTime::from_secs(200));
         let w = sim.world();
         assert!(w.dps[1].up());
         // The crashed round's record never arrived; the post-recovery round
         // did. Exactly one merged record, and it is job 2's.
-        let (_, merged) = w.dps[1].node.engine().counters();
+        let (_, merged) = w.dps[1].host.node().engine().counters();
         assert_eq!(merged, 1, "recovered DP must rejoin the next round");
         let tl = w.trace.finish(SimTime::from_secs(200)).unwrap();
         let t1 = tl.dp_totals.iter().find(|t| t.dp == DpId(1)).unwrap();
@@ -992,24 +965,24 @@ mod tests {
         // it into an active partition.
         sim.scheduler().schedule_at(SimTime::from_secs(5), |w, s| {
             let now = s.now();
-            w.dps[0].node.engine_mut().record_dispatch(rec(1), now);
+            w.dps[0].host.node_mut().engine_mut().record_dispatch(rec(1), now);
         });
         sim.scheduler()
             .schedule_at(SimTime::from_secs(10), sync_round);
         // Mid-partition probe: nothing crossed the boundary — the views
         // have diverged (dp1 knows nothing of job 1).
         sim.scheduler().schedule_at(SimTime::from_secs(90), |w, _| {
-            let (_, merged) = w.dps[1].node.engine().counters();
+            let (_, merged) = w.dps[1].host.node().engine().counters();
             assert_eq!(merged, 0, "exchange crossed an active partition");
         });
         sim.run_until(SimTime::from_secs(300));
         let w = sim.world();
         // The blocked flood's records were requeued, so the first post-heal
         // round (t=190 s; heal at t=100 s) retransmits and reconverges.
-        let (_, merged) = w.dps[1].node.engine().counters();
+        let (_, merged) = w.dps[1].host.node().engine().counters();
         assert_eq!(merged, 1, "views must reconverge within one post-heal round");
         assert!(
-            w.dps[1].node.engine().last_merge_at().expect("merged post-heal")
+            w.dps[1].host.node().engine().last_merge_at().expect("merged post-heal")
                 >= SimTime::from_secs(190)
         );
         let tl = w.trace.finish(SimTime::from_secs(300)).unwrap();

@@ -18,22 +18,16 @@
 //! simulator: no grid emulation, no workload loop — integration tests and
 //! the `live_cluster` example drive it directly. The `clusterd` crate
 //! takes the same step again, hosting the node in one OS process per
-//! decision point with the frames on real TCP; its driver glue (mailbox,
-//! effect handling, snapshot policy) deliberately mirrors `dp_main`
-//! below so the three-way equivalence test can hold all of sim, threads
-//! and sockets to identical observables.
+//! decision point with the frames on real TCP.
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use dpnode::{
-    delta_to_record, record_to_delta, Dissemination, DpNode, Effect, FloodPayload, Input,
-    NodeConfig, Topology,
-};
-use dpstore::{SimStore, Store as _};
+use dpnode::{record_to_delta, Dissemination, Input, NodeConfig, Topology};
+use dpstore::{Blueprint, NodeHost, Routed, SimStore, SnapshotPolicy, WireInput};
 use gruber::DispatchRecord;
 use gruber_types::{ClientId, DpId, SimTime, SiteSpec};
 use obs::{Recorder, TraceEvent};
 use parking_lot::Mutex;
-use simnet::codec::{decode_inform, encode_inform};
+use simnet::codec::encode_inform;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -41,21 +35,17 @@ use std::time::{Duration, Instant};
 use usla::UslaSet;
 
 /// Messages a decision-point thread consumes. These are the channel
-/// envelopes only — protocol handling lives in [`DpNode`]; payload-bearing
-/// variants carry the exact `simnet::codec` wire bytes.
+/// envelopes only — protocol handling lives in [`dpnode::DpNode`].
 enum LiveMsg {
     /// Availability query; reply with believed free CPUs per site.
     Query {
         reply: Sender<Vec<u32>>,
     },
-    /// A client informs the point of its dispatch decision
-    /// ([`simnet::codec::encode_inform`] bytes).
-    Inform(bytes::Bytes),
+    /// A client's inform or a peer's flood, as the exact `simnet::codec`
+    /// wire bytes.
+    Wire(WireInput),
     /// Flood the pending dispatch log to all peers (sent by the ticker).
     SyncTick,
-    /// A peer's encoded dispatch records
-    /// ([`simnet::codec::encode_deltas`] bytes).
-    PeerRecords(bytes::Bytes),
     /// Elastic membership: the peer list changed (a point joined or the
     /// pool widened); replaces the thread's sender table so future floods
     /// reach the whole pool.
@@ -118,8 +108,8 @@ pub struct LiveCluster {
     /// grows it and broadcasts the new table to every thread.
     senders: Arc<Mutex<Vec<Sender<LiveMsg>>>>,
     /// Everything needed to spin up additional points after start.
-    sites: Vec<SiteSpec>,
-    uslas: UslaSet,
+    sites: Arc<[SiteSpec]>,
+    uslas: Arc<UslaSet>,
     persist: Option<u32>,
     /// Epoch-stamped elastic membership (every point starts live).
     table: membership::MembershipTable,
@@ -159,10 +149,8 @@ impl LiveCluster {
     }
 
     /// Like [`LiveCluster::start`], but every point journals applied
-    /// records to an in-thread [`SimStore`] and snapshots whenever the WAL
-    /// reaches `snapshot_records` operations. Live mode snapshots on
-    /// record count only — wall-clock time is nondeterministic here, and
-    /// the count policy is what the sim/live equivalence test can pin.
+    /// records to an in-thread [`SimStore`] and snapshots on the
+    /// record-count policy [`SnapshotPolicy::records`]`(snapshot_records)`.
     pub fn start_persistent(
         n_dps: usize,
         sites: Vec<SiteSpec>,
@@ -189,6 +177,8 @@ impl LiveCluster {
         recorder: Recorder,
     ) -> Self {
         assert!(n_dps > 0);
+        let sites: Arc<[SiteSpec]> = sites.into();
+        let uslas = Arc::new(uslas.clone());
         let stop = Arc::new(AtomicBool::new(false));
         let epoch = Instant::now();
 
@@ -203,32 +193,12 @@ impl LiveCluster {
             .into_iter()
             .enumerate()
             .map(|(i, (sender, receiver))| {
-                let cfg = NodeConfig {
-                    id: DpId(i as u32),
-                    // Live mode reproduces the paper's deployment: full
-                    // mesh, usage-only dissemination, ticker-clocked.
-                    topology: Topology::FullMesh,
-                    dissemination: Dissemination::UsageOnly,
-                    sync_every: None,
-                    gossip_seed: 0,
-                    persist: persist.is_some(),
-                };
-                let mut node = DpNode::new(cfg, &sites, uslas);
-                // Any member may sponsor a later joiner's state transfer.
-                node.set_track_live(true);
-                node.set_tracer(recorder.clone());
-                let durability = persist.map(|snapshot_records| LivePersist {
-                    store: SimStore::new(),
-                    snapshot_records,
-                    cfg,
-                    sites: sites.clone(),
-                    uslas: uslas.clone(),
-                });
+                let host = live_host(i, &sites, &uslas, persist, &recorder);
                 let peers = senders.clone();
                 let rec = recorder.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("dp-{i}"))
-                    .spawn(move || dp_main(node, receiver, peers, epoch, durability, rec))
+                    .spawn(move || dp_main(host, receiver, peers, epoch, rec))
                     .expect("spawn dp thread");
                 DpThread { sender, handle }
             })
@@ -269,7 +239,7 @@ impl LiveCluster {
             recorder,
             senders: shared_senders,
             sites,
-            uslas: uslas.clone(),
+            uslas,
             persist,
             table: membership::MembershipTable::with_initial(n_dps),
             ring: membership::HashRing::with_members(0, 64, n_dps),
@@ -343,7 +313,9 @@ impl LiveCluster {
     /// ([`simnet::codec::encode_inform`]).
     pub fn inform(&self, dp: DpId, record: DispatchRecord) {
         let bytes = encode_inform(&record_to_delta(&record));
-        let _ = self.dps[dp.index()].sender.send(LiveMsg::Inform(bytes));
+        let _ = self.dps[dp.index()]
+            .sender
+            .send(LiveMsg::Wire(WireInput::Inform(bytes)));
     }
 
     /// Forces an immediate sync round (useful in tests instead of waiting
@@ -379,30 +351,13 @@ impl LiveCluster {
     /// Elastic join: spawns one fresh decision point, broadcasts the
     /// widened peer list to every thread, bootstraps the newcomer's view
     /// from the lowest-indexed live member's records
-    /// ([`DpNode::state_transfer`] over the ordinary `PeerRecords` path)
+    /// ([`dpnode::DpNode::state_transfer`] over the ordinary `PeerRecords` path)
     /// and claims the newcomer's arcs on the client-homing ring. Returns
     /// the new id.
     pub fn join_dp(&mut self) -> DpId {
         let i = self.dps.len();
         let new_id = DpId(i as u32);
-        let cfg = NodeConfig {
-            id: new_id,
-            topology: Topology::FullMesh,
-            dissemination: Dissemination::UsageOnly,
-            sync_every: None,
-            gossip_seed: 0,
-            persist: self.persist.is_some(),
-        };
-        let mut node = DpNode::new(cfg, &self.sites, &self.uslas);
-        node.set_track_live(true);
-        node.set_tracer(self.recorder.clone());
-        let durability = self.persist.map(|snapshot_records| LivePersist {
-            store: SimStore::new(),
-            snapshot_records,
-            cfg,
-            sites: self.sites.clone(),
-            uslas: self.uslas.clone(),
-        });
+        let host = live_host(i, &self.sites, &self.uslas, self.persist, &self.recorder);
         let (sender, receiver) = unbounded();
         let peers = {
             let mut s = self.senders.lock();
@@ -414,7 +369,7 @@ impl LiveCluster {
         let thread_peers = peers.clone();
         let handle = std::thread::Builder::new()
             .name(format!("dp-{i}"))
-            .spawn(move || dp_main(node, receiver, thread_peers, epoch, durability, rec))
+            .spawn(move || dp_main(host, receiver, thread_peers, epoch, rec))
             .expect("spawn dp thread");
         // Existing threads learn the widened pool before the newcomer can
         // appear in anyone's flood fan-out.
@@ -437,7 +392,7 @@ impl LiveCluster {
             if let Ok(bytes) = reply_rx.recv_timeout(Duration::from_secs(5)) {
                 let _ = self.dps[new_id.index()]
                     .sender
-                    .send(LiveMsg::PeerRecords(bytes));
+                    .send(LiveMsg::Wire(WireInput::PeerRecords(bytes)));
             }
         }
         new_id
@@ -586,151 +541,130 @@ pub fn drive_workload(
     totals.into_inner()
 }
 
-/// Per-thread durability state of a persistent cluster: the store that
-/// outlives crashed node instances, plus everything needed to build the
-/// fresh node that recovers from it.
-struct LivePersist {
-    store: SimStore,
-    snapshot_records: u32,
-    cfg: NodeConfig,
-    sites: Vec<SiteSpec>,
-    uslas: UslaSet,
+/// Builds decision point `i`'s host. Live mode reproduces the paper's
+/// deployment: full mesh, usage-only dissemination, ticker-clocked. With
+/// `persist` the thread owns a store that outlives crashed node instances.
+fn live_host(
+    i: usize,
+    sites: &Arc<[SiteSpec]>,
+    uslas: &Arc<UslaSet>,
+    persist: Option<u32>,
+    recorder: &Recorder,
+) -> NodeHost<SimStore> {
+    let blueprint = Blueprint {
+        cfg: NodeConfig {
+            id: DpId(i as u32),
+            topology: Topology::FullMesh,
+            dissemination: Dissemination::UsageOnly,
+            sync_every: None,
+            gossip_seed: 0,
+            persist: persist.is_some(),
+        },
+        sites: Arc::clone(sites),
+        uslas: Arc::clone(uslas),
+        // Any member may sponsor a later joiner's state transfer.
+        track_live: true,
+    };
+    NodeHost::new(
+        blueprint,
+        persist.map(|_| SimStore::new()),
+        SnapshotPolicy::records(persist.unwrap_or(0)),
+        recorder.clone(),
+        SimTime::ZERO,
+    )
 }
 
 /// The thread body: driver glue only. Channel messages become node
-/// inputs; node effects become replies and peer sends. Any protocol
-/// change made in [`DpNode`] is picked up here with zero code changes.
-/// In a persistent cluster the thread also owns the point's durable
-/// store: it appends every [`Effect::Persist`], snapshots on the
-/// record-count policy, and rebuilds the node from the store on restore.
+/// inputs; what the [`NodeHost`] step leaves over becomes replies and
+/// peer sends. Any protocol change made in [`dpnode::DpNode`] — and any
+/// durability change made in the host — is picked up here with zero code
+/// changes.
 fn dp_main(
-    mut node: DpNode,
+    mut host: NodeHost<SimStore>,
     receiver: Receiver<LiveMsg>,
     mut peers: Vec<Sender<LiveMsg>>,
     epoch: Instant,
-    mut durability: Option<LivePersist>,
     recorder: Recorder,
 ) -> LiveDpStats {
-    let id = node.id();
-    let now = || SimTime(epoch.elapsed().as_millis() as u64);
-    let mut fx: Vec<Effect> = Vec::new();
-    let mut recoveries = 0u64;
-    let mut wal_records_replayed = 0u64;
+    let id = host.node().id();
+    let mut fx: Vec<Routed> = Vec::new();
     for msg in receiver.iter() {
-        let input = match msg {
-            LiveMsg::Query { reply } => {
-                node.handle(now(), Input::QueryArrived { admission: None }, &mut fx);
-                for effect in fx.drain(..) {
-                    if let Effect::Reply { free, .. } = effect {
-                        let _ = reply.send(free);
-                    }
-                }
-                continue;
-            }
-            LiveMsg::Inform(bytes) => match decode_inform(bytes) {
-                Ok(delta) => Input::Inform(delta_to_record(&delta)),
-                Err(_) => continue, // malformed inform: dropped whole
+        let at = SimTime(epoch.elapsed().as_millis() as u64);
+        let (input, reply) = match msg {
+            LiveMsg::Query { reply } => (Input::QueryArrived { admission: None }, Some(reply)),
+            LiveMsg::Wire(wire) => match wire.decode() {
+                Some(input) => (input, None),
+                None => continue, // malformed inform: dropped whole
             },
-            LiveMsg::SyncTick => Input::SyncTick {
-                n_dps: peers.len(),
-            },
-            LiveMsg::PeerRecords(bytes) => Input::PeerRecords(FloodPayload::from_wire(bytes)),
+            LiveMsg::SyncTick => (Input::SyncTick { n_dps: peers.len() }, None),
             LiveMsg::Peers(new_peers) => {
                 peers = new_peers;
                 continue;
             }
             LiveMsg::StateTransfer { reply } => {
-                let _ = reply.send(node.state_transfer(now()).records);
+                let _ = reply.send(host.node_mut().state_transfer(at).records);
                 continue;
             }
             LiveMsg::Crash => {
-                node.set_up(false);
-                recorder.emit(now(), || TraceEvent::DpFailed { dp: id });
+                host.crash();
+                recorder.emit(at, || TraceEvent::DpFailed { dp: id });
                 continue;
             }
             LiveMsg::Restore => {
-                let replayed = match &mut durability {
-                    Some(p) => {
-                        // Same recovery path as the sim and replay
-                        // drivers: fresh node, snapshot + WAL replay.
-                        // Tracer goes in *after* recover so the replay
-                        // itself is not re-emitted as protocol events.
-                        let recovery = p.store.recover();
-                        let mut fresh = DpNode::new(p.cfg, &p.sites, &p.uslas);
-                        let n = fresh
-                            .recover(recovery.snapshot.as_deref(), &recovery.wal, now())
-                            .expect("a store's own snapshot must decode");
-                        fresh.set_tracer(recorder.clone());
-                        wal_records_replayed += u64::from(n);
-                        node = fresh;
-                        n
-                    }
-                    None => {
-                        node.set_up(true);
-                        0
-                    }
-                };
-                recoveries += 1;
-                let at = now();
-                recorder.emit(at, || TraceEvent::DpRecovered { dp: id });
-                // Live recovery replays in-thread, so no modeled latency
-                // is charged: dur_ms is the actual (effectively zero)
-                // replay cost, not the sim's provisioned estimate.
-                recorder.emit(at, || TraceEvent::RecoveryReplayed {
-                    dp: id,
-                    records: replayed,
-                    dur_ms: 0,
-                });
+                let restored = host
+                    .restore(at)
+                    .expect("a store's own snapshot must decode");
+                if host.rejoin() {
+                    recorder.emit(at, || TraceEvent::DpRecovered { dp: id });
+                    // Live recovery replays in-thread, so no modeled
+                    // latency is charged: dur_ms is the actual
+                    // (effectively zero) replay cost, not the sim's
+                    // provisioned estimate.
+                    recorder.emit(at, || TraceEvent::RecoveryReplayed {
+                        dp: id,
+                        records: restored.records,
+                        dur_ms: 0,
+                    });
+                }
                 continue;
             }
             LiveMsg::Shutdown => break,
         };
-        let at = now();
-        node.handle(at, input, &mut fx);
+        host.handle(at, input, &mut fx, |_cost, event| recorder.emit(at, || event));
         for effect in fx.drain(..) {
             match effect {
-                Effect::FloodTo { peers: to, payload } => {
+                Routed::Reply { free, .. } => {
+                    if let Some(reply) = &reply {
+                        let _ = reply.send(free);
+                    }
+                }
+                Routed::FloodTo { peers: to, payload } => {
                     for j in to {
                         recorder.emit(at, || TraceEvent::ExchangeSent {
                             from: id,
                             to: DpId(j as u32),
                             records: payload.n_records,
                         });
-                        let _ = peers[j].send(LiveMsg::PeerRecords(payload.records.clone()));
+                        let wire = WireInput::PeerRecords(payload.records.clone());
+                        let _ = peers[j].send(LiveMsg::Wire(wire));
                     }
                 }
-                Effect::Persist(op) => {
-                    if let Some(p) = &mut durability {
-                        p.store.append(at, &op);
-                        recorder.emit(at, || TraceEvent::WalAppended { dp: id });
-                    }
-                }
-                _ => {}
-            }
-        }
-        if let Some(p) = &mut durability {
-            if p.store.wal_len() >= p.snapshot_records as usize {
-                let folded = p.store.wal_len() as u32;
-                let (bytes, _) = node.snapshot_encode(at);
-                p.store.write_snapshot(&bytes);
-                recorder.emit(at, || TraceEvent::SnapshotWritten {
-                    dp: id,
-                    records: folded,
-                });
+                // The ticker clocks the rounds: nodes never self-clock.
+                Routed::SetTimer { .. } => {}
             }
         }
     }
-    let s = node.stats();
+    let s = host.node().stats();
     LiveDpStats {
-        dp: node.id(),
+        dp: id,
         queries: s.queries,
         informs: s.informs,
         records_merged: s.records_merged,
         floods_sent: s.floods_sent,
         sync_rounds: s.sync_rounds,
         flood_hash: s.flood_hash,
-        recoveries,
-        wal_records_replayed,
+        recoveries: host.recoveries(),
+        wal_records_replayed: host.wal_records_replayed(),
     }
 }
 

@@ -364,8 +364,8 @@ fn finalize(
             // The worst gap between merges, or the tail gap to the end of
             // the run if that is longer (a point that never merged is
             // stale for the whole run).
-            let tail = end.since(dp.node.engine().last_merge_at().unwrap_or(SimTime::ZERO));
-            dp.node.engine().max_merge_gap().max(tail).as_millis()
+            let tail = end.since(dp.host.node().engine().last_merge_at().unwrap_or(SimTime::ZERO));
+            dp.host.node().engine().max_merge_gap().max(tail).as_millis()
         })
         .collect();
     let report = w.collector.report(label, end);
@@ -398,8 +398,8 @@ fn finalize(
         },
         events_executed,
         peak_pending,
-        recoveries: w.dp_recoveries,
-        wal_records_replayed: w.wal_records_replayed,
+        recoveries: w.dps.iter().map(|dp| dp.host.recoveries()).sum(),
+        wal_records_replayed: w.dps.iter().map(|dp| dp.host.wal_records_replayed()).sum(),
         max_recovery_ms: w.max_recovery_ms,
         sched_cancellations,
         dp_joins: w.membership.as_ref().map_or(0, |m| m.dp_joins),

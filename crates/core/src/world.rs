@@ -3,8 +3,8 @@
 use crate::config::{DigruberConfig, Dissemination, RecoveryMode};
 use desim::DetRng;
 use diperf::{Collector, RampSchedule};
-use dpnode::{DpNode, NodeConfig};
-use dpstore::SimStore;
+use dpnode::NodeConfig;
+use dpstore::{Blueprint, LatencyModel, NodeHost, SimStore};
 use gridemu::{grid3_times, Grid, SitePolicy};
 use gruber::SiteSelector;
 use gruber_types::{
@@ -13,27 +13,77 @@ use gruber_types::{
 use simnet::latency::NetNode;
 use simnet::{ServiceStation, WanTopology};
 use std::collections::HashMap;
+use std::sync::Arc;
 use usla::UslaSet;
 use workload::{uslas::equal_shares, JobFactory, WorkloadSpec};
 
 /// One decision point: the shared protocol state machine behind a
-/// web-service station. The simulation drives [`DpNode`] exactly like the
-/// live and replay runtimes do; only delivery (latency, loss, retries,
+/// web-service station. The simulation drives the [`NodeHost`] exactly
+/// like the other runtimes do; only delivery (latency, loss, retries,
 /// partitions) is simulated out here in the driver.
 pub struct DecisionPoint {
     /// The decision point's id.
     pub id: DpId,
     /// The sans-IO protocol core (engine + topology + flood log +
-    /// liveness).
-    pub node: DpNode,
+    /// liveness) and its durable store, which outlives crashed node
+    /// instances.
+    pub host: NodeHost<SimStore>,
     /// The GT service container in front of it.
     pub station: ServiceStation,
 }
 
 impl DecisionPoint {
+    /// Builds one decision point for this configuration. Shared by
+    /// initial construction, dynamic scale-up and elastic joins; the
+    /// host's blueprint makes every post-crash replacement identical to
+    /// the node built here.
+    ///
+    /// The [`RecoveryMode`] is nothing but which store the point gets:
+    /// none (a restarted node keeps what it held), one its non-persisting
+    /// node never writes to (the replacement comes back empty, free of
+    /// charge), or a journaled one with modeled IO cost.
+    pub fn new(
+        cfg: &DigruberConfig,
+        site_specs: &Arc<[SiteSpec]>,
+        uslas: &Arc<UslaSet>,
+        id: DpId,
+        trace: &obs::Recorder,
+        now: SimTime,
+    ) -> Self {
+        let blueprint = Blueprint {
+            cfg: NodeConfig {
+                id,
+                topology: cfg.topology,
+                dissemination: cfg.dissemination,
+                // The sim clocks exchanges itself (the `sync_round`
+                // event), so nodes never request timers.
+                sync_every: None,
+                gossip_seed: cfg.seed,
+                persist: cfg.persistence.mode == RecoveryMode::Persist,
+            },
+            sites: Arc::clone(site_specs),
+            uslas: Arc::clone(uslas),
+            // Elastic pools keep the live-record map on every node so any
+            // member can sponsor a joiner's state transfer.
+            track_live: cfg.membership.is_some(),
+        };
+        let store = match cfg.persistence.mode {
+            RecoveryMode::Retain => None,
+            RecoveryMode::EmptyRejoin => Some(SimStore::with_latency(LatencyModel::FREE)),
+            RecoveryMode::Persist => Some(SimStore::new()),
+        };
+        let mut station = ServiceStation::new(cfg.service.profile());
+        station.set_tracer(trace.clone(), id);
+        DecisionPoint {
+            id,
+            host: NodeHost::new(blueprint, store, cfg.persistence.policy, trace.clone(), now),
+            station,
+        }
+    }
+
     /// Whether the point is currently alive (failure injection).
     pub fn up(&self) -> bool {
-        self.node.up()
+        self.host.node().up()
     }
 }
 
@@ -87,9 +137,9 @@ pub struct World {
     /// Ground truth.
     pub grid: Grid,
     /// Static site specs (needed to spin up new decision points).
-    pub site_specs: Vec<SiteSpec>,
+    pub site_specs: Arc<[SiteSpec]>,
     /// The USLA set all decision points start from.
-    pub uslas: UslaSet,
+    pub uslas: Arc<UslaSet>,
     /// Job generator.
     pub factory: JobFactory,
     /// Decision points, indexed by `DpId`.
@@ -134,16 +184,6 @@ pub struct World {
     pub dp_failures: u64,
     /// Client failover re-bindings performed.
     pub failovers: u64,
-    /// Durable stores, indexed by `DpId` (empty unless
-    /// [`RecoveryMode::Persist`]; they outlive crashed node instances —
-    /// that is the whole point).
-    pub stores: Vec<SimStore>,
-    /// When each decision point last snapshotted, indexed by `DpId`.
-    pub last_snapshot: Vec<SimTime>,
-    /// Decision-point restarts that recovered state (any mode).
-    pub dp_recoveries: u64,
-    /// WAL records replayed across all recoveries.
-    pub wal_records_replayed: u64,
     /// Slowest single recovery (modeled IO cost), in milliseconds.
     pub max_recovery_ms: u64,
     /// Structured trace recorder ([`obs::Recorder::OFF`] unless
@@ -154,36 +194,6 @@ pub struct World {
     /// the epoch-stamped table, the consistent-hash ring the clients are
     /// homed on, the autoscaler, and the join/leave/re-home counters.
     pub membership: Option<crate::elastic::MembershipRuntime>,
-}
-
-/// Builds one decision-point protocol node for this configuration. Shared
-/// by initial construction, dynamic scale-up and crash recovery so every
-/// node instance (including post-crash replacements) is configured
-/// identically.
-pub fn make_node(
-    cfg: &DigruberConfig,
-    site_specs: &[SiteSpec],
-    uslas: &UslaSet,
-    id: DpId,
-) -> DpNode {
-    let mut node = DpNode::new(
-        NodeConfig {
-            id,
-            topology: cfg.topology,
-            dissemination: cfg.dissemination,
-            // The sim clocks exchanges itself (the `sync_round` event), so
-            // nodes never request timers.
-            sync_every: None,
-            gossip_seed: cfg.seed,
-            persist: cfg.persistence.mode == RecoveryMode::Persist,
-        },
-        site_specs,
-        uslas,
-    );
-    // Elastic pools keep the live-record map on every node so any member
-    // can sponsor a joiner's state transfer.
-    node.set_track_live(cfg.membership.is_some());
-    node
 }
 
 /// WAN address of a client.
@@ -201,25 +211,21 @@ impl World {
     pub fn new(cfg: DigruberConfig, workload: WorkloadSpec) -> GridResult<Self> {
         cfg.validate()?;
         workload.validate()?;
-        let site_specs = grid3_times(cfg.grid_factor, cfg.seed);
+        let site_specs: Arc<[SiteSpec]> = grid3_times(cfg.grid_factor, cfg.seed).into();
         let grid = Grid::with_discipline(
-            site_specs.clone(),
+            site_specs.to_vec(),
             SitePolicy::permissive(),
             cfg.site_discipline,
         )?;
-        let uslas = match &cfg.uslas {
+        let uslas = Arc::new(match &cfg.uslas {
             Some(set) => set.clone(),
             None => equal_shares(workload.n_vos, workload.groups_per_vo)?,
-        };
+        });
         let trace = obs::Recorder::from_config(cfg.trace);
         let dps: Vec<DecisionPoint> = (0..cfg.n_dps)
             .map(|i| {
                 let id = DpId(i as u32);
-                let mut node = make_node(&cfg, &site_specs, &uslas, id);
-                let mut station = ServiceStation::new(cfg.service.profile());
-                node.set_tracer(trace.clone());
-                station.set_tracer(trace.clone(), id);
-                DecisionPoint { id, node, station }
+                DecisionPoint::new(&cfg, &site_specs, &uslas, id, &trace, SimTime::ZERO)
             })
             .collect();
         let membership = cfg
@@ -287,10 +293,6 @@ impl World {
             rejected_dispatches: 0,
             dp_failures: 0,
             failovers: 0,
-            stores: vec![SimStore::new(); n_dps],
-            last_snapshot: vec![SimTime::ZERO; n_dps],
-            dp_recoveries: 0,
-            wal_records_replayed: 0,
             max_recovery_ms: 0,
             trace,
             membership,
@@ -337,22 +339,19 @@ impl World {
     /// new id.
     pub fn add_decision_point(&mut self, now: SimTime, overloaded: DpId) -> DpId {
         let new_id = DpId(self.dps.len() as u32);
-        let mut node = make_node(&self.cfg, &self.site_specs, &self.uslas, new_id);
-        let mut station = ServiceStation::new(self.cfg.service.profile());
-        node.set_tracer(self.trace.clone());
-        station.set_tracer(self.trace.clone(), new_id);
         self.trace.emit(now, || obs::TraceEvent::DpProvisioned {
             dp: new_id,
             trigger: overloaded,
         });
-        self.dps.push(DecisionPoint {
-            id: new_id,
-            node,
-            station,
-        });
+        self.dps.push(DecisionPoint::new(
+            &self.cfg,
+            &self.site_specs,
+            &self.uslas,
+            new_id,
+            &self.trace,
+            now,
+        ));
         self.dp_strikes.push(0);
-        self.stores.push(SimStore::new());
-        self.last_snapshot.push(now);
         let mut moved = false;
         for c in &mut self.clients {
             if c.dp == overloaded && self.misc_rng.chance(0.5) {
@@ -380,7 +379,7 @@ impl World {
         if last < self.cfg.n_dps || !self.dps[last].up() {
             return None;
         }
-        self.dps[last].node.set_up(false);
+        self.dps[last].host.crash();
         self.dps[last].station.crash_at(now);
         let retired = DpId(last as u32);
         self.trace

@@ -34,10 +34,11 @@
 //!   mode's ticker thread) simply feed [`Input::SyncTick`] instead.
 //! * **Durability** — a persisting node ([`NodeConfig::persist`]) emits
 //!   [`Effect::Persist`] write-ahead-log operations and serialises
-//!   snapshots on request ([`DpNode::snapshot_encode`]), but the driver
-//!   owns the store (`dpstore`) and its fsync/latency cost. Crash
-//!   recovery is [`DpNode::recover`]: restore the snapshot, replay the
-//!   [`WalOp`] log.
+//!   snapshots on request ([`DpNode::snapshot_encode`]); the store, its
+//!   fsync/latency cost and the snapshot cadence belong to
+//!   `dpstore::NodeHost`, the one step every runtime wraps around its
+//!   node. Crash recovery is [`DpNode::recover`]: restore the snapshot,
+//!   replay the [`WalOp`] log.
 //!
 //! Peer selection ([`sync_peers_of`]) lives here too, so FullMesh / Ring /
 //! Star / Gossip / Hierarchical / HybridEpidemic behave identically in every
@@ -51,6 +52,6 @@ mod topology;
 
 pub use node::{
     delta_to_record, record_to_delta, DpNode, DpNodeStats, Effect, FloodPayload, Input,
-    NodeConfig, NodeEvent, WalOp,
+    NodeConfig, WalOp,
 };
 pub use topology::{convergence_bound, sync_peers_of, Dissemination, Topology};

@@ -118,15 +118,6 @@ pub enum Input {
     },
     /// A peer's exchange flood arrived.
     PeerRecords(FloodPayload),
-    /// The point crashed (`up: false`) or restarted (`up: true`). What
-    /// survives the crash is the driver's recovery policy: keep this node
-    /// instance (in-memory state persists — the default), swap in a fresh
-    /// empty node (the paper's empty-rejoin baseline), or swap in a fresh
-    /// node and replay a durable snapshot + WAL via [`DpNode::recover`].
-    CrashRestart {
-        /// New liveness state.
-        up: bool,
-    },
 }
 
 /// Everything a decision point asks its driver to do.
@@ -155,9 +146,6 @@ pub enum Effect {
         /// Delay until the timer fires.
         after: SimDuration,
     },
-    /// A node-level observation for drivers that want it (the engine's
-    /// own `obs` events are emitted directly through its tracer).
-    TraceEmit(NodeEvent),
     /// Append one operation to the node's write-ahead log. Only emitted
     /// when [`NodeConfig::persist`] is set; the driver owns the store and
     /// charges its append/fsync cost — the node never does IO.
@@ -192,19 +180,6 @@ pub enum WalOp {
         /// The node's running flood hash *after* folding this payload.
         flood_hash: u64,
     },
-}
-
-/// Node-level observations surfaced via [`Effect::TraceEmit`]. Drivers may
-/// ignore these; the engine's structured `obs` events are unaffected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeEvent {
-    /// A sync round drained a non-empty log into a flood.
-    FloodPrepared {
-        /// Dispatch records in the flood.
-        records: u32,
-    },
-    /// An incoming peer payload failed to decode and was dropped whole.
-    PayloadRejected,
 }
 
 /// Protocol counters a node keeps about itself, identical across
@@ -357,8 +332,10 @@ impl<V: ViewStore> DpNode<V> {
         self.up
     }
 
-    /// Driver-side liveness toggle — equivalent to feeding
-    /// [`Input::CrashRestart`].
+    /// Liveness toggle: the point crashed (`false`) or restarted (`true`).
+    /// What survives the crash is the host's recovery policy: keep this
+    /// node instance, or swap in a fresh one and replay a durable
+    /// snapshot + WAL via [`DpNode::recover`].
     pub fn set_up(&mut self, up: bool) {
         if self.up && !up {
             self.stats.crashes += 1;
@@ -407,12 +384,10 @@ impl<V: ViewStore> DpNode<V> {
 
     /// Feeds one input at time `now`; effects are appended to `out`.
     ///
-    /// A down node consumes nothing except [`Input::CrashRestart`] (and a
-    /// [`Input::TimerFired`] still re-arms, so a self-clocked node
-    /// resumes flooding after a restart).
+    /// A down node consumes nothing (a [`Input::TimerFired`] still
+    /// re-arms, so a self-clocked node resumes flooding after a restart).
     pub fn handle(&mut self, now: SimTime, input: Input, out: &mut Vec<Effect>) {
         match input {
-            Input::CrashRestart { up } => self.set_up(up),
             Input::QueryArrived { admission } => {
                 if !self.up {
                     return;
@@ -458,7 +433,6 @@ impl<V: ViewStore> DpNode<V> {
                     Ok(records) => records,
                     Err(_) => {
                         self.stats.decode_failures += 1;
-                        out.push(Effect::TraceEmit(NodeEvent::PayloadRejected));
                         return;
                     }
                 };
@@ -518,9 +492,6 @@ impl<V: ViewStore> DpNode<V> {
         self.stats.sync_rounds += 1;
         self.stats.records_flooded += log.len() as u64;
         self.stats.flood_hash = fnv1a(self.stats.flood_hash, records.as_ref());
-        out.push(Effect::TraceEmit(NodeEvent::FloodPrepared {
-            records: log.len() as u32,
-        }));
         let peers = sync_peers_of(self.topology, self.id.index(), n_dps, &mut self.gossip_rng);
         if self.persist {
             // Logged even into-the-void: the drain itself must replay so
@@ -907,11 +878,7 @@ mod tests {
     fn truncated_payload_is_rejected_whole() {
         let mut n = node(0);
         let bad = FloodPayload::from_wire(Bytes::from_static(b"\x02\x00\x00\x00"));
-        let fx = drive(&mut n, Input::PeerRecords(bad));
-        assert!(matches!(
-            fx[..],
-            [Effect::TraceEmit(NodeEvent::PayloadRejected)]
-        ));
+        assert!(drive(&mut n, Input::PeerRecords(bad)).is_empty());
         assert_eq!(n.stats().decode_failures, 1);
         assert_eq!(n.stats().records_merged, 0);
     }
@@ -920,7 +887,7 @@ mod tests {
     fn down_node_consumes_nothing_but_restart() {
         let mut n = node(0);
         drive(&mut n, Input::Inform(rec(1, 0, 4)));
-        drive(&mut n, Input::CrashRestart { up: false });
+        n.set_up(false);
         assert!(!n.up());
         assert_eq!(n.stats().crashes, 1);
         assert!(drive(&mut n, Input::QueryArrived { admission: None }).is_empty());
@@ -929,7 +896,7 @@ mod tests {
         assert_eq!(n.stats().informs, 1, "inform to a crashed point is lost");
         // Engine state persists across the crash: the pre-crash record
         // floods out after the restart.
-        drive(&mut n, Input::CrashRestart { up: true });
+        n.set_up(true);
         let fx = drive(&mut n, Input::SyncTick { n_dps: 2 });
         assert!(fx.iter().any(|e| matches!(
             e,

@@ -5,33 +5,31 @@
 //! — the accuracy/staleness cliff the degradation study measured. This
 //! crate turns that cliff into a bounded replay cost: a persisting
 //! [`dpnode::DpNode`] emits [`dpnode::Effect::Persist`] for every applied
-//! record, the driver appends each [`dpnode::WalOp`] to a [`Store`], and
-//! on restart the driver replays `snapshot + log` into a fresh node via
-//! [`dpnode::DpNode::recover`] instead of rejoining with nothing.
+//! record, and [`NodeHost`] — the one step every runtime wraps around its
+//! node — appends each [`dpnode::WalOp`] to a [`Store`], cuts snapshots
+//! when the [`SnapshotPolicy`] says so, and on restart replays
+//! `snapshot + log` into a fresh node instead of rejoining with nothing.
 //!
 //! Two stores implement the same [`Store`] trait:
 //!
-//! * [`SimStore`] — in-memory, for the desim and trace-replay runtimes.
-//!   Every operation returns a modeled latency ([`LatencyModel`]) that
-//!   the driver charges to the simulated clock, so persistence has a
-//!   measurable (simulated) cost without doing IO.
+//! * [`SimStore`] — in-memory, for the desim, thread and trace-replay
+//!   runtimes. Every operation returns a modeled latency
+//!   ([`LatencyModel`]) that desim charges to the simulated clock, so
+//!   persistence has a measurable (simulated) cost without doing IO.
 //! * [`FileStore`] — real files: length-prefixed, CRC-framed WAL segments
 //!   reusing the `simnet::codec` record encoding, plus an atomically
 //!   replaced snapshot file. Opening tolerates torn tails by truncating
 //!   at the last valid frame.
-//!
-//! When to snapshot is policy, not mechanism: [`SnapshotPolicy`] says
-//! "every N records or every T of sim time", the driver asks
-//! [`SnapshotPolicy::due`] and then calls [`Store::write_snapshot`],
-//! which also truncates the log (a snapshot subsumes it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod file;
+mod host;
 mod sim;
 
 pub use file::FileStore;
+pub use host::{Blueprint, NodeHost, Restored, Routed, WireInput};
 pub use sim::{LatencyModel, SimStore};
 
 use dpnode::WalOp;
@@ -75,7 +73,7 @@ pub trait Store {
     fn wal_len(&self) -> usize;
 }
 
-/// When a driver should snapshot a persisting node: after `every_records`
+/// When [`NodeHost`] snapshots a persisting node: after `every_records`
 /// WAL appends, or after `every` of sim time since the last snapshot —
 /// whichever trips first. A field set to zero disables that trigger; both
 /// zero ([`SnapshotPolicy::DISABLED`]) means WAL-only persistence.
@@ -95,7 +93,18 @@ impl SnapshotPolicy {
         every: SimDuration::ZERO,
     };
 
-    /// Should the driver snapshot now, given the current WAL length and
+    /// The wall-clock runtimes' policy: record count only (their time is
+    /// nondeterministic, and the count is what the equivalence test can
+    /// pin). `records(0)` is [`SnapshotPolicy::DISABLED`]: a
+    /// `snapshot_records` of zero means *never*, in every runtime.
+    pub const fn records(every_records: u32) -> SnapshotPolicy {
+        SnapshotPolicy {
+            every_records,
+            every: SimDuration::ZERO,
+        }
+    }
+
+    /// Should the host snapshot now, given the current WAL length and
     /// the sim time elapsed since the last snapshot? Time alone never
     /// triggers a snapshot of an empty WAL (there is nothing new to
     /// subsume).

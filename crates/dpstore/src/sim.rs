@@ -21,6 +21,16 @@ pub struct LatencyModel {
     pub load: SimDuration,
 }
 
+impl LatencyModel {
+    /// A store that costs nothing: recovery from it delays no one.
+    pub const FREE: LatencyModel = LatencyModel {
+        append: SimDuration::ZERO,
+        snapshot: SimDuration::ZERO,
+        replay_per_record: SimDuration::ZERO,
+        load: SimDuration::ZERO,
+    };
+}
+
 impl Default for LatencyModel {
     fn default() -> Self {
         LatencyModel {

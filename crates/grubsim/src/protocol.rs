@@ -18,10 +18,11 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use diperf::RequestTrace;
-use dpnode::{Dissemination, DpNode, DpNodeStats, Effect, FloodPayload, Input, NodeConfig, Topology};
-use dpstore::{SimStore, Store as _};
+use dpnode::{Dissemination, DpNodeStats, FloodPayload, Input, NodeConfig, Topology};
+use dpstore::{Blueprint, NodeHost, Routed, SimStore, SnapshotPolicy};
 use gruber::DispatchRecord;
 use gruber_types::{ClientId, DpId, GroupId, JobId, SimDuration, SimTime, SiteId, SiteSpec, VoId};
 use obs::{Recorder, TraceEvent};
@@ -56,10 +57,8 @@ pub struct ProtocolReplayConfig {
     /// and rebuild a restored point from snapshot + log. Off, a restored
     /// point simply resumes with the state it held when it went down.
     pub persist: bool,
-    /// Snapshot (and truncate the WAL) once it holds this many records;
-    /// `0` never snapshots, so recovery replays the full log. The replay
-    /// driver has no wall clock worth modeling, so record count is its
-    /// only snapshot trigger. Only meaningful with `persist`.
+    /// Snapshot (and truncate the WAL) once it holds this many records
+    /// ([`SnapshotPolicy::records`]). Only meaningful with `persist`.
     pub snapshot_records: u32,
     /// Optional mid-replay crash/restore of one point.
     pub crash: Option<CrashPlan>,
@@ -152,24 +151,32 @@ pub fn replay_protocol_traced(
     let n_dps = cfg.n_dps;
     let n_sites = sites.len().max(1);
 
-    let node_cfg = |i: usize| NodeConfig {
-        id: DpId(i as u32),
-        topology: cfg.topology,
-        dissemination: Dissemination::UsageOnly,
-        sync_every: Some(cfg.sync_interval),
-        gossip_seed: cfg.seed,
-        persist: cfg.persist,
-    };
-    let mut nodes: Vec<DpNode> = (0..n_dps)
+    let sites: Arc<[SiteSpec]> = sites.into();
+    let uslas = Arc::new(uslas.clone());
+    let mut hosts: Vec<NodeHost<SimStore>> = (0..n_dps)
         .map(|i| {
-            let mut n = DpNode::new(node_cfg(i), sites, uslas);
-            n.set_tracer(tracer.clone());
-            n
+            let blueprint = Blueprint {
+                cfg: NodeConfig {
+                    id: DpId(i as u32),
+                    topology: cfg.topology,
+                    dissemination: Dissemination::UsageOnly,
+                    sync_every: Some(cfg.sync_interval),
+                    gossip_seed: cfg.seed,
+                    persist: cfg.persist,
+                },
+                sites: Arc::clone(&sites),
+                uslas: Arc::clone(&uslas),
+                track_live: false,
+            };
+            NodeHost::new(
+                blueprint,
+                cfg.persist.then(SimStore::new),
+                SnapshotPolicy::records(cfg.snapshot_records),
+                tracer.clone(),
+                SimTime::ZERO,
+            )
         })
         .collect();
-    let mut stores: Vec<SimStore> = (0..n_dps).map(|_| SimStore::new()).collect();
-    let mut recoveries = 0u64;
-    let mut wal_replayed = 0u64;
 
     let mut heap = BinaryHeap::new();
     let mut seq = 0u64;
@@ -234,7 +241,7 @@ pub fn replay_protocol_traced(
         push(&mut heap, &mut seq, SimTime(0) + cfg.sync_interval, Ev::Timer { dp });
     }
 
-    let mut fx: Vec<Effect> = Vec::new();
+    let mut fx: Vec<Routed> = Vec::new();
     while let Some(HeapEv { at, ev, .. }) = heap.pop() {
         match ev {
             Ev::Query { dp, client, timed_out } => {
@@ -246,7 +253,7 @@ pub fn replay_protocol_traced(
                     // expiry instant (see `replay_protocol_traced` docs).
                     tracer.emit(at, || TraceEvent::ClientTimeout { client, dp: dp_id });
                 }
-                nodes[dp].handle(at, Input::QueryArrived { admission: None }, &mut fx);
+                hosts[dp].handle(at, Input::QueryArrived { admission: None }, &mut fx, emit_at(tracer, at));
                 fx.clear(); // the reply has no consumer in a trace replay
             }
             Ev::Inform { dp, record, client, response_ms } => {
@@ -257,84 +264,31 @@ pub fn replay_protocol_traced(
                     client,
                     response_ms,
                 });
-                nodes[dp].handle(at, Input::Inform(record), &mut fx);
-                absorb_persist(
-                    &mut nodes[dp],
-                    &mut stores[dp],
-                    at,
-                    cfg.snapshot_records,
-                    &mut fx,
-                    tracer,
-                );
+                hosts[dp].handle(at, Input::Inform(record), &mut fx, emit_at(tracer, at));
             }
             Ev::Timer { dp } => {
-                nodes[dp].handle(at, Input::TimerFired { n_dps }, &mut fx);
-                let effects: Vec<Effect> = fx.drain(..).collect();
-                let mut appended = false;
-                for effect in effects {
-                    match effect {
-                        Effect::FloodTo { peers, payload } => {
-                            deliver(
-                                &mut nodes,
-                                &mut stores,
-                                dp,
-                                at,
-                                &peers,
-                                &payload,
-                                cfg.snapshot_records,
-                                tracer,
-                            );
-                        }
-                        Effect::SetTimer { after } => {
-                            let next = at + after;
-                            if next <= horizon {
-                                push(&mut heap, &mut seq, next, Ev::Timer { dp });
-                            }
-                        }
-                        Effect::Persist(op) => {
-                            stores[dp].append(at, &op);
-                            tracer.emit(at, || TraceEvent::WalAppended { dp: DpId(dp as u32) });
-                            appended = true;
-                        }
-                        _ => {}
+                // Timers stop re-arming past the horizon.
+                if let Some(after) = tick(&mut hosts, dp, at, Input::TimerFired { n_dps }, tracer) {
+                    if at + after <= horizon {
+                        push(&mut heap, &mut seq, at + after, Ev::Timer { dp });
                     }
-                }
-                if appended {
-                    maybe_snapshot(&mut nodes[dp], &mut stores[dp], at, cfg.snapshot_records, tracer);
                 }
             }
             Ev::Crash { dp } => {
-                nodes[dp].set_up(false);
+                hosts[dp].crash();
                 tracer.emit(at, || TraceEvent::DpFailed { dp: DpId(dp as u32) });
             }
             Ev::Restore { dp } => {
-                recoveries += 1;
-                let replayed = if cfg.persist {
-                    // Rebuild from durable state, exactly like the other
-                    // two drivers: fresh node, then snapshot + log replay.
-                    // Tracer goes in after the replay so recovered records
-                    // are not re-emitted as fresh protocol events.
-                    let recovery = stores[dp].recover();
-                    let mut fresh = DpNode::new(node_cfg(dp), sites, uslas);
-                    fresh.set_up(false);
-                    let replayed = fresh
-                        .recover(recovery.snapshot.as_deref(), &recovery.wal, at)
-                        .expect("a store's own snapshot must decode");
-                    fresh.set_tracer(tracer.clone());
-                    wal_replayed += u64::from(replayed);
-                    fresh.set_up(true);
-                    nodes[dp] = fresh;
-                    replayed
-                } else {
-                    nodes[dp].set_up(true);
-                    0
-                };
+                let restored = hosts[dp]
+                    .restore(at)
+                    .expect("a store's own snapshot must decode");
+                hosts[dp].rejoin();
                 let dp_id = DpId(dp as u32);
                 tracer.emit(at, || TraceEvent::DpRecovered { dp: dp_id });
                 // Replay happens in driver time: no modeled latency.
                 tracer.emit(at, || TraceEvent::RecoveryReplayed {
                     dp: dp_id,
-                    records: replayed,
+                    records: restored.records,
                     dur_ms: 0,
                 });
             }
@@ -347,51 +301,53 @@ pub fn replay_protocol_traced(
     for _ in 0..n_dps {
         t = t + cfg.sync_interval;
         for dp in 0..n_dps {
-            nodes[dp].handle(t, Input::SyncTick { n_dps }, &mut fx);
-            let effects: Vec<Effect> = fx.drain(..).collect();
-            let mut appended = false;
-            for effect in effects {
-                match effect {
-                    Effect::FloodTo { peers, payload } => {
-                        deliver(
-                            &mut nodes,
-                            &mut stores,
-                            dp,
-                            t,
-                            &peers,
-                            &payload,
-                            cfg.snapshot_records,
-                            tracer,
-                        );
-                    }
-                    Effect::Persist(op) => {
-                        stores[dp].append(t, &op);
-                        tracer.emit(t, || TraceEvent::WalAppended { dp: DpId(dp as u32) });
-                        appended = true;
-                    }
-                    _ => {}
-                }
-            }
-            if appended {
-                maybe_snapshot(&mut nodes[dp], &mut stores[dp], t, cfg.snapshot_records, tracer);
-            }
+            tick(&mut hosts, dp, t, Input::SyncTick { n_dps }, tracer);
         }
     }
 
-    let final_views: Vec<Vec<u32>> = nodes
+    let final_views: Vec<Vec<u32>> = hosts
         .iter_mut()
-        .map(|n| n.engine_mut().availability(t))
+        .map(|h| h.node_mut().engine_mut().availability(t))
         .collect();
     let converged = final_views.windows(2).all(|w| w[0] == w[1]);
     ProtocolReplayReport {
-        per_dp: nodes.iter().map(|n| n.stats()).collect(),
+        per_dp: hosts.iter().map(|h| h.node().stats()).collect(),
         final_views,
         converged,
         queries_replayed: queries,
         informs_replayed: informs,
-        recoveries,
-        wal_records_replayed: wal_replayed,
+        recoveries: hosts.iter().map(|h| h.recoveries()).sum(),
+        wal_records_replayed: hosts.iter().map(|h| h.wal_records_replayed()).sum(),
     }
+}
+
+/// A trace replay has no store latency to model: the host's store events
+/// are traced at once.
+fn emit_at(tracer: &Recorder, at: SimTime) -> impl FnMut(SimDuration, TraceEvent) + '_ {
+    move |_cost, event| tracer.emit(at, || event)
+}
+
+/// One exchange round of point `dp` (a node timer or a barrier tick):
+/// every flood is delivered in place. Returns the re-arm delay a
+/// self-clocked node asked for.
+fn tick(
+    hosts: &mut [NodeHost<SimStore>],
+    dp: usize,
+    at: SimTime,
+    input: Input,
+    tracer: &Recorder,
+) -> Option<SimDuration> {
+    let mut fx = Vec::new();
+    hosts[dp].handle(at, input, &mut fx, emit_at(tracer, at));
+    let mut rearm = None;
+    for effect in fx {
+        match effect {
+            Routed::FloodTo { peers, payload } => deliver(hosts, dp, at, &peers, &payload, tracer),
+            Routed::SetTimer { after } => rearm = Some(after),
+            Routed::Reply { .. } => {} // a tick answers no query
+        }
+    }
+    rearm
 }
 
 /// Zero-latency flood delivery: hand the payload to each peer in place.
@@ -401,18 +357,14 @@ pub fn replay_protocol_traced(
 /// the next round retransmits it — a crash delays state, it must not
 /// destroy it (same contract as the discrete-event driver's retry
 /// exhaustion path).
-#[allow(clippy::too_many_arguments)] // internal driver glue, not API
 fn deliver(
-    nodes: &mut [DpNode],
-    stores: &mut [SimStore],
+    hosts: &mut [NodeHost<SimStore>],
     from: usize,
     at: SimTime,
     peers: &[usize],
     payload: &FloodPayload,
-    snapshot_records: u32,
     tracer: &Recorder,
 ) {
-    let mut fx = Vec::new();
     let mut requeued = false;
     for &j in peers {
         tracer.emit(at, || TraceEvent::ExchangeSent {
@@ -420,57 +372,15 @@ fn deliver(
             to: DpId(j as u32),
             records: payload.n_records,
         });
-        if !nodes[j].up() {
+        if !hosts[j].node().up() {
             if !requeued {
-                nodes[from].requeue(payload);
+                hosts[from].node_mut().requeue(payload);
                 requeued = true;
             }
             continue;
         }
-        nodes[j].handle(at, Input::PeerRecords(payload.clone()), &mut fx);
-        absorb_persist(&mut nodes[j], &mut stores[j], at, snapshot_records, &mut fx, tracer);
-    }
-}
-
-/// Drains `fx`, appending any [`Effect::Persist`] ops to the node's store
-/// (all other effects at these call sites have no consumer), then snapshots
-/// if the WAL hit the configured count.
-fn absorb_persist(
-    node: &mut DpNode,
-    store: &mut SimStore,
-    at: SimTime,
-    snapshot_records: u32,
-    fx: &mut Vec<Effect>,
-    tracer: &Recorder,
-) {
-    let mut appended = false;
-    for effect in fx.drain(..) {
-        if let Effect::Persist(op) = effect {
-            store.append(at, &op);
-            tracer.emit(at, || TraceEvent::WalAppended { dp: node.id() });
-            appended = true;
-        }
-    }
-    if appended {
-        maybe_snapshot(node, store, at, snapshot_records, tracer);
-    }
-}
-
-fn maybe_snapshot(
-    node: &mut DpNode,
-    store: &mut SimStore,
-    at: SimTime,
-    snapshot_records: u32,
-    tracer: &Recorder,
-) {
-    if snapshot_records > 0 && store.wal_len() >= snapshot_records as usize {
-        let folded = store.wal_len() as u32;
-        let (bytes, _) = node.snapshot_encode(at);
-        store.write_snapshot(&bytes);
-        tracer.emit(at, || TraceEvent::SnapshotWritten {
-            dp: node.id(),
-            records: folded,
-        });
+        let input = Input::PeerRecords(payload.clone());
+        hosts[j].handle(at, input, &mut Vec::new(), emit_at(tracer, at));
     }
 }
 

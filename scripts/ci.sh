@@ -14,59 +14,17 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q (tier-1, whole workspace)"
 cargo test -q --workspace --offline
 
-echo "==> sim/live/socket equivalence (same script, byte-identical floods)"
-cargo test -q --offline --test sim_live_equivalence
+echo "==> perf/ builds against the workspace crates (the benchmark is its own workspace)"
+cargo build --release --offline --manifest-path perf/Cargo.toml
 
-echo "==> clusterd unit + connection state-machine tests (handshake, reassembly, requeue)"
-cargo test -q --offline -p clusterd
+echo "==> cargo doc --no-deps (warnings are errors; umbrella package + the crates whose docs are guides)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q \
+  -p di-gruber-repro -p dpnode -p dpstore -p desim -p obs -p clusterd -p membership
 
-echo "==> dpstore unit + proptests (WAL round-trip, torn-tail truncation)"
-cargo test -q --offline -p dpstore
-
-echo "==> desim unit + differential proptests (calendar queue vs reference heap)"
-cargo test -q --offline -p desim
-
-echo "==> gruber unit + differential proptests (SoA grid view vs reference view)"
-cargo test -q --offline -p gruber
-
-echo "==> membership unit tests (epoch table, hash ring, autoscaler hysteresis)"
-cargo test -q --offline -p membership
-
-echo "==> dpnode unit + convergence proptests (topologies vs convergence_bound)"
-cargo test -q --offline -p dpnode
-
-echo "==> cargo doc --no-deps (warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q
-
-echo "==> cargo doc -p dpnode (protocol core docs stay warning-clean)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q -p dpnode
-
-echo "==> cargo doc -p dpstore (persistence crate docs stay warning-clean)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q -p dpstore
-
-echo "==> cargo doc -p desim (engine + calendar-queue docs stay warning-clean)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q -p desim
-
-echo "==> cargo doc -p obs (trace-consumer + health-scorer docs stay warning-clean)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q -p obs
-
-echo "==> cargo doc -p clusterd (socket-runtime docs stay warning-clean)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q -p clusterd
-
-echo "==> cargo doc -p membership (elastic-membership docs stay warning-clean)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q -p membership
-
-echo "==> experiments degradation --fast (fault-injection smoke)"
-./target/release/experiments degradation --fast > /dev/null
-test -s BENCH_degradation.json || { echo "ci.sh: BENCH_degradation.json missing"; exit 1; }
-test -s results/timeline_degradation.txt || { echo "ci.sh: degradation timelines missing"; exit 1; }
-
-echo "==> experiments recovery --fast (crash-recovery smoke)"
-./target/release/experiments recovery --fast > /dev/null
-test -s BENCH_recovery.json || { echo "ci.sh: BENCH_recovery.json missing"; exit 1; }
-test -s results/timeline_recovery.txt || { echo "ci.sh: recovery timelines missing"; exit 1; }
-grep -q 'digruber-bench-recovery/1' BENCH_recovery.json \
-  || { echo "ci.sh: BENCH_recovery.json has wrong schema"; exit 1; }
+echo "==> experiments recovery health degradation topology (53 fingerprints, byte-identical)"
+./target/release/experiments recovery health degradation topology --jobs 1 > /dev/null
+git diff --exit-code -- BENCH_recovery.json BENCH_health.json BENCH_degradation.json BENCH_topology.json \
+  || { echo "ci.sh: a committed BENCH_* artifact moved"; exit 1; }
 
 echo "==> experiments scale --fast (paper-scale throughput + client-ramp memory smoke)"
 ./target/release/experiments scale --fast > /dev/null
@@ -78,22 +36,6 @@ grep -q '"n_clients": 100000' BENCH_scale.json \
   || { echo "ci.sh: BENCH_scale.json is missing the 100k-client cell"; exit 1; }
 grep -q '"bytes_per_client":' BENCH_scale.json \
   || { echo "ci.sh: BENCH_scale.json is missing the memory columns"; exit 1; }
-
-echo "==> experiments health --fast (online health-scoring smoke)"
-./target/release/experiments health --fast > /dev/null
-test -s BENCH_health.json || { echo "ci.sh: BENCH_health.json missing"; exit 1; }
-test -s results/timeline_health.txt || { echo "ci.sh: health timelines missing"; exit 1; }
-grep -q 'digruber-bench-health/1' BENCH_health.json \
-  || { echo "ci.sh: BENCH_health.json has wrong schema"; exit 1; }
-
-echo "==> experiments topology --fast (elastic-membership + topology smoke)"
-./target/release/experiments topology --fast > /dev/null
-test -s BENCH_topology.json || { echo "ci.sh: BENCH_topology.json missing"; exit 1; }
-test -s results/timeline_topology.txt || { echo "ci.sh: topology timelines missing"; exit 1; }
-grep -q 'digruber-bench-topology/1' BENCH_topology.json \
-  || { echo "ci.sh: BENCH_topology.json has wrong schema"; exit 1; }
-grep -q '"scenario": "flash-crowd"' BENCH_topology.json \
-  || { echo "ci.sh: BENCH_topology.json is missing the flash-crowd scenario cell"; exit 1; }
 
 echo "==> clusterd 3-process loopback smoke (real TCP, clean shutdown, state exchanged)"
 smoke_dir="$(mktemp -d)"

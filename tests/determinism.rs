@@ -8,9 +8,10 @@
 //! must agree field-for-field AND byte-for-byte, and the perf snapshot
 //! the sweep emits must carry equal fingerprints for equal specs.
 //!
-//! As a side effect, [`parallel_sweep_is_identical_to_serial`] writes the
-//! workspace's reference `BENCH_sweep.json` from its (≥4-spec) parallel
-//! sweep, so a plain `cargo test` leaves a current snapshot behind.
+//! [`parallel_sweep_is_identical_to_serial`] also runs the snapshot
+//! emitter end to end on its (≥4-spec) parallel sweep, into cargo's
+//! per-test scratch directory; the committed `BENCH_sweep.json` is
+//! written by `sweep --bench-out` only.
 
 use bench::{output_fingerprint, run_specs, SweepSnapshot};
 use digruber::config::DigruberConfig;
@@ -85,15 +86,14 @@ fn parallel_sweep_is_identical_to_serial() {
         assert!(out.report.issued > 0);
     }
 
-    // Leave the reference snapshot behind for tooling (and prove the
-    // emitter handles a real ≥4-run sweep end to end).
+    // Prove the emitter handles a real ≥4-run sweep end to end.
     let snap = SweepSnapshot::from_measurements(4, &parallel, parallel_wall);
     let json = snap.to_json();
     assert!(json.contains("\"n_runs\": 4"));
     assert!(json.contains("\"events_per_sec\""));
     assert!(json.contains("\"speedup_vs_serial\""));
     assert_eq!(json.matches("\"ok\": true").count(), 4);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_sweep.json");
+    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/BENCH_sweep.json");
     snap.write_to(std::path::Path::new(path))
         .expect("write BENCH_sweep.json");
 }

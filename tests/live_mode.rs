@@ -155,3 +155,34 @@ fn threaded_workload_drives_the_full_stack() {
     );
     g.check_invariants();
 }
+
+/// `snapshot_records = 0` means *never snapshot* — in every runtime
+/// ([`dpstore::SnapshotPolicy::records`]). The thread runtime used to read
+/// it as "after every message", truncating the WAL each time, so a
+/// recovery had (at most) one operation left to replay.
+#[test]
+fn zero_snapshot_records_means_wal_only_recovery() {
+    const N: u32 = 12;
+    let cluster = LiveCluster::start_persistent(
+        2,
+        sites(4, 64),
+        &equal_shares(2, 2).unwrap(),
+        Duration::from_secs(3600), // ticker effectively off
+        0,
+    );
+    // Channel FIFO orders informs → sync → crash → restore on point 0.
+    for j in 0..N {
+        cluster.inform(DpId(0), record(j, j % 4, 1, &cluster));
+    }
+    cluster.force_sync();
+    cluster.crash(DpId(0));
+    cluster.restore(DpId(0));
+    let free = cluster
+        .query(DpId(0), Duration::from_secs(5))
+        .expect("restored point answers");
+    assert_eq!(free.iter().sum::<u32>(), 4 * 64 - N, "the view came back");
+    let stats = cluster.shutdown();
+    assert_eq!(stats[0].recoveries, 1);
+    // Every appended operation replays: N own informs plus the drain.
+    assert_eq!(stats[0].wal_records_replayed, u64::from(N) + 1, "{:?}", stats[0]);
+}
