@@ -13,10 +13,11 @@
 
 use bench::SEED;
 use criterion::{criterion_group, criterion_main, Criterion};
-use digruber::config::{DigruberConfig, DynamicConfig, FailureConfig};
+use digruber::config::{DigruberConfig, FailureConfig};
 use digruber::{run_experiment, Dissemination, ExperimentOutput, ServiceKind, SyncTopology, WanKind};
 use gruber::SelectorKind;
 use gruber_types::SimDuration;
+use membership::MembershipConfig;
 use std::hint::black_box;
 use workload::WorkloadSpec;
 
@@ -121,7 +122,7 @@ fn bench_ablations(c: &mut Criterion) {
         b.iter(|| {
             let mut cfg = base_cfg();
             cfg.n_dps = 1;
-            cfg.dynamic = Some(DynamicConfig::default());
+            cfg.membership = Some(MembershipConfig::default());
             black_box(run(cfg, "dynamic"))
         });
     });

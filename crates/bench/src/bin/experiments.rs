@@ -84,21 +84,26 @@ fn run_one(spec: RunSpec) -> ExperimentOutput {
     run_list(vec![spec]).pop().expect("one spec, one output")
 }
 
-/// Appends each run's JSONL to the shared stream and writes the
-/// human-readable timeline summary for this id into `results/`.
-fn export_timelines(id: &str, outs: &[&ExperimentOutput]) {
-    if !tracing_on() {
-        return;
-    }
+/// Writes the human-readable summary of every timeline these runs carry
+/// into `results/timeline_<id>.txt`, and under `--trace` appends each one's
+/// JSONL to the shared stream. A run has a timeline iff it was traced: the
+/// paper artifacts only under `--trace`, the fault/scale/topology studies
+/// always — so those write their summary regardless of the flag.
+fn export_timelines(id: &str, outs: &[ExperimentOutput]) {
     let mut text = String::new();
     {
         let mut jsonl = TRACE_JSONL.lock().unwrap_or_else(|e| e.into_inner());
         for out in outs {
-            let tl = out.timeline.as_ref().expect("traced run has a timeline");
-            jsonl.push_str(&tl.to_jsonl(&out.label));
+            let Some(tl) = &out.timeline else { continue };
+            if tracing_on() {
+                jsonl.push_str(&tl.to_jsonl(&out.label));
+            }
             text.push_str(&tl.render(&out.label));
             text.push('\n');
         }
+    }
+    if text.is_empty() {
+        return;
     }
     std::fs::create_dir_all("results").expect("create results/");
     let path = format!("results/timeline_{id}.txt");
@@ -162,7 +167,7 @@ fn main() {
 fn scaling_figure(id: &str, service: ServiceKind, n_dps: usize) {
     let out = run_one(dp_scaling_spec(service, n_dps, SEED));
     save_traces(id, &out);
-    export_timelines(id, &[&out]);
+    export_timelines(id, std::slice::from_ref(&out));
     println!("[{id}]\n{}", render_figure(&out));
 }
 
@@ -176,7 +181,7 @@ fn overall_table(id: &str, service: ServiceKind) {
         .map(|&n| dp_scaling_spec(service, n, SEED))
         .collect();
     let outs = run_list(specs);
-    export_timelines(id, &outs.iter().collect::<Vec<_>>());
+    export_timelines(id, &outs);
     for (out, &n) in outs.iter().zip(&DP_COUNTS) {
         println!("{}", render_table_block(n, &out.table));
     }
@@ -184,7 +189,7 @@ fn overall_table(id: &str, service: ServiceKind) {
 
 fn accuracy_figure(id: &str, service: ServiceKind, title: &str) {
     let outs = run_list(accuracy_specs(service, &INTERVALS_MIN, SEED));
-    export_timelines(id, &outs.iter().collect::<Vec<_>>());
+    export_timelines(id, &outs);
     let rows = accuracy_rows(&INTERVALS_MIN, &outs);
     println!("[{id}]\n{}", render_accuracy(title, &rows));
 }
@@ -193,7 +198,7 @@ fn run(id: &str) {
     match id {
         "fig1" => {
             let out = run_one(fig1_spec(SEED));
-            export_timelines("fig1", &[&out]);
+            export_timelines("fig1", std::slice::from_ref(&out));
             println!("[fig1]\n{}", render_figure(&out));
         }
         "fig5" => scaling_figure("fig5", ServiceKind::Gt3, 1),
@@ -225,7 +230,7 @@ fn run(id: &str) {
                 .map(|&n| dp_scaling_spec(ServiceKind::Gt3, n, SEED))
                 .collect();
             let outs = run_list(specs);
-            export_timelines("crossover", &outs.iter().collect::<Vec<_>>());
+            export_timelines("crossover", &outs);
             let mut prev: Option<(usize, f64)> = None;
             for (n, thr, resp, handled) in crossover_rows(&dp_counts, &outs) {
                 let marginal = match prev {
@@ -246,7 +251,7 @@ fn run(id: &str) {
             // multiple loosely coupled GRUBER instances".
             println!("[fairness] per-VO consumed CPU share, 3 GT3 DPs, symmetric demand");
             let out = run_one(dp_scaling_spec(ServiceKind::Gt3, 3, SEED));
-            export_timelines("fairness", &[&out]);
+            export_timelines("fairness", std::slice::from_ref(&out));
             for (v, s) in out.vo_cpu_share.iter().enumerate() {
                 println!("  vo:{v}  {:5.2}%  (target 10.00%)", s * 100.0);
             }
@@ -264,10 +269,7 @@ fn run(id: &str) {
                     .map(|&n| dp_scaling_spec(service, n, SEED))
                     .collect();
                 let outs = run_list(specs);
-                export_timelines(
-                    &format!("table3_{name}"),
-                    &outs.iter().collect::<Vec<_>>(),
-                );
+                export_timelines(&format!("table3_{name}"), &outs);
                 let model = capacity_model(service);
                 for out in &outs {
                     // The replay gets its own recorder: its overload /
@@ -321,25 +323,7 @@ fn run(id: &str) {
             let json = degradation_json(jobs(), fast, &rows);
             std::fs::write("BENCH_degradation.json", json).expect("write BENCH_degradation.json");
             eprintln!("degradation snapshot -> BENCH_degradation.json");
-            // Degradation cells always trace, so their timelines are an
-            // output regardless of --trace (which only adds the shared
-            // JSONL stream).
-            let mut text = String::new();
-            {
-                let mut jsonl = TRACE_JSONL.lock().unwrap_or_else(|e| e.into_inner());
-                for out in &outs {
-                    let tl = out.timeline.as_ref().expect("degradation cells trace");
-                    if tracing_on() {
-                        jsonl.push_str(&tl.to_jsonl(&out.label));
-                    }
-                    text.push_str(&tl.render(&out.label));
-                    text.push('\n');
-                }
-            }
-            std::fs::create_dir_all("results").expect("create results/");
-            std::fs::write("results/timeline_degradation.txt", text)
-                .expect("write timeline summary");
-            eprintln!("saved timeline summary to results/timeline_degradation.txt");
+            export_timelines("degradation", &outs);
             println!("{}", render_degradation(&rows));
         }
         "recovery" => {
@@ -368,22 +352,7 @@ fn run(id: &str) {
             let json = recovery_json(jobs(), fast, &rows);
             std::fs::write("BENCH_recovery.json", json).expect("write BENCH_recovery.json");
             eprintln!("recovery snapshot -> BENCH_recovery.json");
-            let mut text = String::new();
-            {
-                let mut jsonl = TRACE_JSONL.lock().unwrap_or_else(|e| e.into_inner());
-                for out in &outs {
-                    let tl = out.timeline.as_ref().expect("recovery cells trace");
-                    if tracing_on() {
-                        jsonl.push_str(&tl.to_jsonl(&out.label));
-                    }
-                    text.push_str(&tl.render(&out.label));
-                    text.push('\n');
-                }
-            }
-            std::fs::create_dir_all("results").expect("create results/");
-            std::fs::write("results/timeline_recovery.txt", text)
-                .expect("write timeline summary");
-            eprintln!("saved timeline summary to results/timeline_recovery.txt");
+            export_timelines("recovery", &outs);
             println!("{}", render_recovery(&rows));
         }
         "health" => {
@@ -413,22 +382,7 @@ fn run(id: &str) {
             let json = health_json(jobs(), fast, &rows);
             std::fs::write("BENCH_health.json", json).expect("write BENCH_health.json");
             eprintln!("health snapshot -> BENCH_health.json");
-            let mut text = String::new();
-            {
-                let mut jsonl = TRACE_JSONL.lock().unwrap_or_else(|e| e.into_inner());
-                for out in &outs {
-                    let tl = out.timeline.as_ref().expect("health cells trace");
-                    if tracing_on() {
-                        jsonl.push_str(&tl.to_jsonl(&out.label));
-                    }
-                    text.push_str(&tl.render(&out.label));
-                    text.push('\n');
-                }
-            }
-            std::fs::create_dir_all("results").expect("create results/");
-            std::fs::write("results/timeline_health.txt", text)
-                .expect("write timeline summary");
-            eprintln!("saved timeline summary to results/timeline_health.txt");
+            export_timelines("health", &outs);
             println!("{}", render_health(&rows));
         }
         "scale" => {
@@ -487,22 +441,7 @@ fn run(id: &str) {
             let json = scale_json(jobs(), fast, &rows);
             std::fs::write("BENCH_scale.json", json).expect("write BENCH_scale.json");
             eprintln!("scale snapshot -> BENCH_scale.json");
-            let mut text = String::new();
-            {
-                let mut jsonl = TRACE_JSONL.lock().unwrap_or_else(|e| e.into_inner());
-                for out in &outs {
-                    let tl = out.timeline.as_ref().expect("scale cells trace");
-                    if tracing_on() {
-                        jsonl.push_str(&tl.to_jsonl(&out.label));
-                    }
-                    text.push_str(&tl.render(&out.label));
-                    text.push('\n');
-                }
-            }
-            std::fs::create_dir_all("results").expect("create results/");
-            std::fs::write("results/timeline_scale.txt", text)
-                .expect("write timeline summary");
-            eprintln!("saved timeline summary to results/timeline_scale.txt");
+            export_timelines("scale", &outs);
             println!("{}", render_scale(&rows));
         }
         "topology" => {
@@ -534,22 +473,7 @@ fn run(id: &str) {
             let json = topology_json(fast, &rows);
             std::fs::write("BENCH_topology.json", json).expect("write BENCH_topology.json");
             eprintln!("topology snapshot -> BENCH_topology.json");
-            let mut text = String::new();
-            {
-                let mut jsonl = TRACE_JSONL.lock().unwrap_or_else(|e| e.into_inner());
-                for out in &outs {
-                    let tl = out.timeline.as_ref().expect("topology cells trace");
-                    if tracing_on() {
-                        jsonl.push_str(&tl.to_jsonl(&out.label));
-                    }
-                    text.push_str(&tl.render(&out.label));
-                    text.push('\n');
-                }
-            }
-            std::fs::create_dir_all("results").expect("create results/");
-            std::fs::write("results/timeline_topology.txt", text)
-                .expect("write timeline summary");
-            eprintln!("saved timeline summary to results/timeline_topology.txt");
+            export_timelines("topology", &outs);
             println!("{}", render_topology(&rows));
         }
         other => {

@@ -32,7 +32,8 @@
 //!                       refreshed every N seconds          (default off)
 //! --lan                 LAN instead of PlanetLab WAN
 //! --enforce             enforce USLA admission verdicts
-//! --dynamic             enable dynamic provisioning
+//! --dynamic             elastic pool: ring homing + the `membership`
+//!                       autoscaler at its defaults (paper §5)
 //! --failures            inject decision-point failures (with failover)
 //! --jobs N              worker threads for the sweep       (default: all cores;
 //!                       1 = serial; results identical either way)
@@ -45,7 +46,7 @@
 //! ```
 
 use bench::{default_jobs, run_specs, SweepSnapshot};
-use digruber::config::{DigruberConfig, DynamicConfig, FailureConfig};
+use digruber::config::{DigruberConfig, FailureConfig};
 use digruber::faults::FaultPlan;
 use digruber::{RunSpec, ServiceKind, SyncTopology, WanKind};
 use gruber::SelectorKind;
@@ -183,7 +184,7 @@ fn main() {
             cfg.wan = WanKind::Lan;
         }
         if args.has("--dynamic") {
-            cfg.dynamic = Some(DynamicConfig::default());
+            cfg.membership = Some(membership::MembershipConfig::default());
         }
         if args.has("--failures") {
             cfg.failures = Some(FailureConfig::default());

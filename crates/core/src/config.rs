@@ -120,39 +120,6 @@ impl Default for PersistenceConfig {
     }
 }
 
-/// Dynamic-reconfiguration knobs (paper Section 5 enhancement).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DynamicConfig {
-    /// How often the third-party monitor samples decision-point load.
-    pub check_interval: SimDuration,
-    /// Backlog (queued requests beyond the worker pool) that counts as
-    /// saturation.
-    pub overload_backlog: usize,
-    /// Consecutive saturated samples before a new decision point is added.
-    pub consecutive_strikes: u32,
-    /// Hard cap on the number of decision points.
-    pub max_dps: usize,
-    /// Consecutive samples with every point idle (no backlog at all)
-    /// before the newest dynamically-added point is retired
-    /// (0 disables scale-down).
-    pub idle_strikes_to_retire: u32,
-    /// Never retire below this many points.
-    pub min_dps: usize,
-}
-
-impl Default for DynamicConfig {
-    fn default() -> Self {
-        DynamicConfig {
-            check_interval: SimDuration::from_secs(30),
-            overload_backlog: 8,
-            consecutive_strikes: 3,
-            max_dps: 16,
-            idle_strikes_to_retire: 0,
-            min_dps: 1,
-        }
-    }
-}
-
 /// Full configuration of a DI-GRUBER deployment/experiment.
 #[derive(Debug, Clone)]
 pub struct DigruberConfig {
@@ -177,8 +144,6 @@ pub struct DigruberConfig {
     /// paper's experiments use GRUBER "only as a site recommender" —
     /// `false`).
     pub enforce_uslas: bool,
-    /// Optional dynamic reconfiguration (Section 5).
-    pub dynamic: Option<DynamicConfig>,
     /// Optional decision-point failure injection (reliability study).
     pub failures: Option<FailureConfig>,
     /// Crash-recovery mode and snapshot policy (default
@@ -245,7 +210,6 @@ impl DigruberConfig {
             dissemination: Dissemination::UsageOnly,
             topology: SyncTopology::FullMesh,
             enforce_uslas: false,
-            dynamic: None,
             failures: None,
             persistence: PersistenceConfig::default(),
             fault_plan: None,

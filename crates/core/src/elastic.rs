@@ -1,10 +1,12 @@
 //! Elastic membership: the desim driver for the [`membership`] crate.
 //!
 //! The paper's deployment is static: a fixed pool of decision points and
-//! clients "selected randomly in the beginning". [`crate::dynamic`] is the
-//! Section 5 first cut (add a point when one saturates, retire the newest
-//! when everything idles). This module is the grown-up subsystem on top of
-//! the sans-IO `membership` crate:
+//! clients "selected randomly in the beginning". Its Section 5 proposes —
+//! "we do not have a DI-GRUBER implementation for such an approach" — a
+//! third-party observer that adds decision points or rebalances load as
+//! the points saturate. The sans-IO `membership` crate is that observer
+//! (the only pool-sizing mechanism in the workspace); this module executes
+//! its decisions on the simulated deployment:
 //!
 //! * **Epoch-stamped membership** — every join/leave bumps
 //!   [`membership::MembershipTable`]'s epoch; the traced
@@ -167,7 +169,6 @@ pub fn join_decision_point<Q: EventQueue>(
     let now = s.now();
     let new_id = DpId(w.dps.len() as u32);
     w.dps.push(DecisionPoint::new(&w.cfg, &w.site_specs, &w.uslas, new_id, &w.trace, now));
-    w.dp_strikes.push(0);
     let sponsor = (0..w.dps.len() - 1).find(|&i| {
         w.dps[i].up() && w.membership.as_ref().is_some_and(|m| m.table.is_live(DpId(i as u32)))
     });
@@ -388,6 +389,25 @@ mod tests {
             m.clients_rehomed,
             before.iter().filter(|&&d| d == DpId(3)).count() as u64
         );
+    }
+
+    #[test]
+    fn departed_point_is_not_resurrected_by_its_pending_restart() {
+        let mut cfg = elastic_cfg(3, None);
+        cfg.fault_plan = Some(crate::faults::FaultPlan::parse("crash@5=2+20").unwrap());
+        let mut sim = Simulation::new(World::new(cfg, WorkloadSpec::small()).unwrap());
+        sim.scheduler()
+            .schedule_at(SimTime::ZERO, crate::faults::seed_plan);
+        // dp-2 is down (5 s..25 s) when it leaves the pool.
+        sim.scheduler()
+            .schedule_at(SimTime::from_secs(10), |w: &mut World, s| {
+                assert!(!w.dps[2].up());
+                assert_eq!(leave_decision_point(w, s), Some(DpId(2)));
+            });
+        sim.run_until(SimTime::from_secs(40));
+        let w = sim.world();
+        assert!(!w.membership.as_ref().unwrap().table.is_live(DpId(2)));
+        assert!(!w.dps[2].up(), "planned restart brought a non-member back");
     }
 
     #[test]

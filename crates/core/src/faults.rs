@@ -590,9 +590,13 @@ pub fn restore_dp_now(w: &mut World, now: SimTime, dp_idx: usize) -> bool {
 /// restart begin.
 ///
 /// Returns whether a restart actually began (the point may already be
-/// up).
+/// up, or — in an elastic pool — may have left while it was down: a
+/// departed point's pending restart must not bring a non-member back).
 pub fn begin_restore_dp<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, dp_idx: usize) -> bool {
     if dp_idx >= w.dps.len() || w.dps[dp_idx].up() {
+        return false;
+    }
+    if w.membership.as_ref().is_some_and(|m| !m.table.is_live(DpId(dp_idx as u32))) {
         return false;
     }
     let now = s.now();
@@ -710,6 +714,12 @@ pub fn note_client_timeout(w: &mut World, client: ClientId, now: SimTime) {
     let candidates: Vec<usize> = (0..n)
         .filter(|&j| j != old.index() && w.dps[j].up())
         .collect();
+    if candidates.is_empty() && w.membership.is_some() {
+        // Blind rotation could land on a point that has left the pool (left
+        // points stay in `w.dps`, down for good). The client keeps its down
+        // member and retries failover on its next timeout.
+        return;
+    }
     let c = &mut w.clients[client.index()];
     let pick = if candidates.is_empty() {
         // Everything else looks down too; rotate blindly.

@@ -8,8 +8,7 @@
 //!
 //! * [`config`] — experiment/deployment configuration (number of decision
 //!   points, exchange interval, client timeout, GT3 vs GT4 service
-//!   profile, WAN vs LAN, dissemination strategy, dynamic
-//!   reconfiguration);
+//!   profile, WAN vs LAN, dissemination strategy, elastic membership);
 //! * [`world`] — the discrete-event world wiring clients, decision points,
 //!   the simulated WAN and the emulated grid together;
 //! * [`events`] — the event handlers implementing the protocol: query →
@@ -18,8 +17,9 @@
 //!   USLA-blind selection;
 //! * [`run`] — one-call experiment execution producing the paper's
 //!   figures/tables inputs ([`run::ExperimentOutput`]);
-//! * [`dynamic`] — the Section 5 enhancement: saturation detection and
-//!   on-the-fly decision-point provisioning with client rebalancing;
+//! * [`elastic`] — the paper's Section 5 third-party observer: the desim
+//!   driver of the `membership` crate (pool join/leave, ring re-homing,
+//!   the autoscaler tick);
 //! * [`live`] — the same decision-point protocol deployed on real OS
 //!   threads with crossbeam channels (transport-agnosticism proof; used by
 //!   integration tests and one example).
@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod dynamic;
 pub mod elastic;
 pub mod events;
 pub mod faults;

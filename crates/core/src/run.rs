@@ -73,11 +73,12 @@ pub struct ExperimentOutput {
     pub mean_handled_accuracy: Option<f64>,
     /// Raw request traces (GRUB-SIM input).
     pub traces: Vec<RequestTrace>,
-    /// Decision points at the end (differs from the start in dynamic mode).
+    /// Decision points ever created, departed ones included (differs
+    /// from the start once an elastic pool has grown).
     pub final_dps: usize,
-    /// Dynamic-reconfiguration events.
+    /// Pool joins: `(when, new decision point)`.
     pub reconfig_log: Vec<(SimTime, DpId)>,
-    /// Dynamic scale-down events.
+    /// Pool leaves: `(when, departed decision point)`.
     pub retire_log: Vec<(SimTime, DpId)>,
     /// Jobs that entered the grid.
     pub jobs_dispatched: usize,
@@ -217,6 +218,22 @@ pub fn run_experiment_with_queue<Q: EventQueue>(
     workload: WorkloadSpec,
     label: &str,
 ) -> GridResult<ExperimentOutput> {
+    let mut sim = run_to_end::<Q>(cfg, workload)?;
+    let events_executed = sim.events_executed();
+    let peak_pending = sim.peak_pending();
+    let sched_cancellations = sim.scheduler().cancellations();
+    let w = sim.into_world();
+    Ok(finalize(w, label, events_executed, peak_pending, sched_cancellations))
+}
+
+/// Builds the world, seeds every initial event and runs the simulation to
+/// the end of the experiment. [`run_experiment`] aggregates the result;
+/// tests call this directly to inspect the final [`World`] (client
+/// bindings, pool membership) that the aggregate does not carry.
+pub fn run_to_end<Q: EventQueue>(
+    cfg: DigruberConfig,
+    workload: WorkloadSpec,
+) -> GridResult<Simulation<World, Q>> {
     let arrival_batch = workload.arrival_batch;
     let world = World::new(cfg, workload)?;
     let mut sim = Simulation::<World, Q>::with_queue(world);
@@ -224,7 +241,7 @@ pub fn run_experiment_with_queue<Q: EventQueue>(
     sim.scheduler().set_tracer(tracer);
 
     // Seed the initial events: tester ramp, sync rounds, load sampling,
-    // and (when configured) the dynamic monitor.
+    // and (when configured) the fault clocks and the autoscaler tick.
     let schedule = sim.world().schedule;
     match arrival_batch {
         None => {
@@ -274,11 +291,6 @@ pub fn run_experiment_with_queue<Q: EventQueue>(
         sim.scheduler()
             .schedule_at(SimTime::ZERO, events::monitor_refresh);
     }
-    if sim.world().cfg.dynamic.is_some() {
-        let tick = sim.world().cfg.dynamic.expect("checked").check_interval;
-        sim.scheduler()
-            .schedule_at(SimTime(tick.as_millis()), crate::dynamic::monitor_tick);
-    }
     if let Some(m) = sim.world().cfg.membership {
         if m.scaler.is_some() {
             sim.scheduler().schedule_at(
@@ -290,11 +302,7 @@ pub fn run_experiment_with_queue<Q: EventQueue>(
 
     let end = sim.world().end;
     sim.run_until(end);
-    let events_executed = sim.events_executed();
-    let peak_pending = sim.peak_pending();
-    let sched_cancellations = sim.scheduler().cancellations();
-    let w = sim.into_world();
-    Ok(finalize(w, label, events_executed, peak_pending, sched_cancellations))
+    Ok(sim)
 }
 
 fn finalize(

@@ -34,9 +34,8 @@ pub struct DecisionPoint {
 
 impl DecisionPoint {
     /// Builds one decision point for this configuration. Shared by
-    /// initial construction, dynamic scale-up and elastic joins; the
-    /// host's blueprint makes every post-crash replacement identical to
-    /// the node built here.
+    /// initial construction and elastic joins; the host's blueprint makes
+    /// every post-crash replacement identical to the node built here.
     ///
     /// The [`RecoveryMode`] is nothing but which store the point gets:
     /// none (a restarted node keeps what it held), one its non-persisting
@@ -162,20 +161,16 @@ pub struct World {
     pub net_rng: DetRng,
     /// Service-time stream.
     pub svc_rng: DetRng,
-    /// Miscellaneous stream (client→DP binding, rebalancing).
+    /// Miscellaneous stream (client→DP binding, failure clocks).
     pub misc_rng: DetRng,
     /// Experiment end.
     pub end: SimTime,
     /// Currently joined clients.
     pub active_clients: u32,
-    /// Saturation strike counters (dynamic mode), indexed by `DpId`.
-    pub dp_strikes: Vec<u32>,
-    /// Reconfiguration events: `(when, new decision point)`.
+    /// Pool joins: `(when, new decision point)`.
     pub reconfig_log: Vec<(SimTime, DpId)>,
-    /// Scale-down events: `(when, retired decision point)`.
+    /// Pool leaves: `(when, departed decision point)`.
     pub retire_log: Vec<(SimTime, DpId)>,
-    /// Consecutive all-idle monitor samples (scale-down trigger).
-    pub idle_strikes: u32,
     /// Requests denied by USLA enforcement.
     pub denied_requests: u64,
     /// Placements rejected by sites (S-PEP or oversized).
@@ -264,7 +259,6 @@ impl World {
         }
         .with_departure(workload.departure_fraction);
         let end = schedule.end();
-        let n_dps = cfg.n_dps;
         Ok(World {
             wan: cfg.wan.topology(cfg.seed).with_loss(cfg.message_loss),
             factory: JobFactory::new(workload.clone(), cfg.seed),
@@ -285,10 +279,8 @@ impl World {
             next_req: 0,
             end,
             active_clients: 0,
-            dp_strikes: vec![0; n_dps],
             reconfig_log: Vec::new(),
             retire_log: Vec::new(),
-            idle_strikes: 0,
             denied_requests: 0,
             rejected_dispatches: 0,
             dp_failures: 0,
@@ -332,69 +324,6 @@ impl World {
             .fault_plan
             .as_ref()
             .is_some_and(|p| p.partitioned(a, b, now))
-    }
-
-    /// Adds a fresh decision point (dynamic reconfiguration) and rebinds
-    /// roughly half of the overloaded point's clients to it. Returns the
-    /// new id.
-    pub fn add_decision_point(&mut self, now: SimTime, overloaded: DpId) -> DpId {
-        let new_id = DpId(self.dps.len() as u32);
-        self.trace.emit(now, || obs::TraceEvent::DpProvisioned {
-            dp: new_id,
-            trigger: overloaded,
-        });
-        self.dps.push(DecisionPoint::new(
-            &self.cfg,
-            &self.site_specs,
-            &self.uslas,
-            new_id,
-            &self.trace,
-            now,
-        ));
-        self.dp_strikes.push(0);
-        let mut moved = false;
-        for c in &mut self.clients {
-            if c.dp == overloaded && self.misc_rng.chance(0.5) {
-                c.dp = new_id;
-                moved = true;
-            }
-        }
-        if !moved {
-            // Degenerate but possible with few clients: move one
-            // deterministically so the new point is not useless.
-            if let Some(c) = self.clients.iter_mut().find(|c| c.dp == overloaded) {
-                c.dp = new_id;
-            }
-        }
-        self.reconfig_log.push((now, new_id));
-        new_id
-    }
-
-    /// Retires the newest decision point (dynamic scale-down): its clients
-    /// re-bind across the remaining points. Only points beyond the initial
-    /// deployment are retired, and the point itself stays in the vector
-    /// (marked down, never again addressed) so ids remain stable.
-    pub fn retire_decision_point(&mut self, now: SimTime) -> Option<DpId> {
-        let last = self.dps.len() - 1;
-        if last < self.cfg.n_dps || !self.dps[last].up() {
-            return None;
-        }
-        self.dps[last].host.crash();
-        self.dps[last].station.crash_at(now);
-        let retired = DpId(last as u32);
-        self.trace
-            .emit(now, || obs::TraceEvent::DpRetired { dp: retired });
-        let targets: Vec<u32> = (0..last as u32)
-            .filter(|&j| self.dps[j as usize].up())
-            .collect();
-        if !targets.is_empty() {
-            for c in &mut self.clients {
-                if c.dp == retired {
-                    c.dp = DpId(targets[self.misc_rng.index(targets.len())]);
-                }
-            }
-        }
-        Some(retired)
     }
 
     /// Allocates a request tag.
@@ -449,25 +378,6 @@ mod tests {
         for (x, y) in a.clients.iter().zip(&b.clients) {
             assert_eq!(x.dp, y.dp);
         }
-    }
-
-    #[test]
-    fn add_decision_point_rebinds_clients() {
-        let mut w = World::new(
-            DigruberConfig::small(1, 7),
-            WorkloadSpec {
-                n_clients: 32,
-                ..WorkloadSpec::small()
-            },
-        )
-        .unwrap();
-        let new_id = w.add_decision_point(SimTime::from_secs(10), DpId(0));
-        assert_eq!(new_id, DpId(1));
-        assert_eq!(w.dps.len(), 2);
-        let moved = w.clients.iter().filter(|c| c.dp == new_id).count();
-        assert!(moved > 0, "no clients moved to the new DP");
-        assert!(moved < 32, "all clients moved");
-        assert_eq!(w.reconfig_log, vec![(SimTime::from_secs(10), DpId(1))]);
     }
 
     #[test]

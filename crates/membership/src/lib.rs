@@ -19,17 +19,19 @@
 //!   in `(seed, dp, replica)` and independent of insertion order, so a
 //!   join re-homes only the ~`1/n` clients whose arc the newcomer claims
 //!   and a leave re-homes only the leaver's own clients.
-//! * [`Autoscaler`] — the control loop grown from `core::dynamic`'s
-//!   first-cut script: it consumes pool samples (backlog per decision
-//!   point, degraded-point counts from the `obs` health scorer) and
-//!   answers grow / shrink / hold with hysteresis and a post-action
-//!   cooldown, so a noisy minute never flaps the pool.
+//! * [`Autoscaler`] — the observer's control loop: it consumes pool
+//!   samples (backlog per decision point, degraded-point counts from the
+//!   `obs` health scorer) and answers grow / shrink / hold with
+//!   hysteresis and a post-action cooldown, so a noisy minute never flaps
+//!   the pool.
 //!
-//! The desim integration (ring-based client homing, join bootstrap from a
-//! peer snapshot, drain-then-leave, the autoscaler tick) lives in
-//! `digruber::world` / `digruber::events`; the thread-runtime integration
-//! in `digruber::live`. `BENCH_topology.json` pins the measured behaviour
-//! by exchange topology × DP count.
+//! This crate is the workspace's only pool-sizing mechanism. The desim
+//! integration (ring-based client homing, join bootstrap from a peer
+//! snapshot, drain-then-leave, the autoscaler tick) lives in
+//! `digruber::elastic`; the thread-runtime integration in
+//! `digruber::live`; ARCHITECTURE.md "Elastic membership" describes both.
+//! `BENCH_topology.json` pins the measured behaviour by exchange
+//! topology × DP count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

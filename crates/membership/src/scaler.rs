@@ -1,13 +1,10 @@
 //! The autoscaler control loop.
 //!
-//! `core::dynamic` is the paper's Section 5 first cut: a script that adds
-//! a decision point when one stays saturated and retires the newest when
-//! everything idles. This is its grown-up replacement: a pure policy
-//! state machine that consumes periodic [`PoolSample`]s — backlog gauges
-//! plus how many points the `obs` health scorer currently flags as
-//! degrading — and answers [`ScaleDecision`]s. The runtime owns the
-//! mechanism (who joins, who drains, how clients re-home); the scaler
-//! owns only the *when*.
+//! The *when* of the paper's Section 5 observer: a pure policy state
+//! machine that consumes periodic [`PoolSample`]s — backlog gauges plus
+//! how many points the `obs` health scorer currently flags as degrading —
+//! and answers [`ScaleDecision`]s. The runtime owns the mechanism (who
+//! joins, who drains, how clients re-home).
 //!
 //! Stability comes from three guards, mirroring the health scorer's
 //! hysteresis style:
@@ -25,8 +22,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScalerConfig {
     /// A sample is **hot** when any point's backlog reaches this, or any
-    /// point is health-flagged degrading. Matches `core::dynamic`'s
-    /// per-point overload threshold by default.
+    /// point is health-flagged degrading.
     pub grow_backlog: u32,
     /// A sample is **idle** when the *pool-wide* backlog is at or below
     /// this and nothing is degraded.

@@ -207,18 +207,6 @@ pub enum TraceEvent {
         /// New binding.
         to: DpId,
     },
-    /// `digruber`: dynamic reconfiguration provisioned a fresh point.
-    DpProvisioned {
-        /// The new decision point.
-        dp: DpId,
-        /// The saturated point that triggered it.
-        trigger: DpId,
-    },
-    /// `digruber`: dynamic scale-down retired a point.
-    DpRetired {
-        /// The retired decision point.
-        dp: DpId,
-    },
     /// `simnet`/`digruber`: a transmission was dropped by injected or
     /// ambient message loss.
     MsgLost {
@@ -400,8 +388,6 @@ impl TraceEvent {
             TraceEvent::DpFailed { .. } => "dp_failed",
             TraceEvent::DpRecovered { .. } => "dp_recovered",
             TraceEvent::ClientRebound { .. } => "client_rebound",
-            TraceEvent::DpProvisioned { .. } => "dp_provisioned",
-            TraceEvent::DpRetired { .. } => "dp_retired",
             TraceEvent::MsgLost { .. } => "msg_lost",
             TraceEvent::MsgDuplicated { .. } => "msg_duplicated",
             TraceEvent::RetryScheduled { .. } => "retry_scheduled",

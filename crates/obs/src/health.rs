@@ -374,15 +374,6 @@ impl TraceConsumer for HealthScorer {
             TraceEvent::QueryIssued { dp, .. } => {
                 self.dp(dp);
             }
-            // A retired point leaves the scored set; a provisioned one
-            // joins it fresh.
-            TraceEvent::DpRetired { dp } => {
-                let d = self.dp(dp);
-                *d = DpHealth::default();
-            }
-            TraceEvent::DpProvisioned { dp, .. } => {
-                self.dp(dp);
-            }
             _ => {}
         }
     }
@@ -554,16 +545,5 @@ mod tests {
         // But the tail was scored: dp0 sampled down in every window.
         assert!(a.samples.iter().filter(|x| x.dp == DpId(0)).all(|x| x.down && x.score == 0));
         assert_eq!(a.samples.iter().filter(|x| x.dp == DpId(0)).count(), 10);
-    }
-
-    #[test]
-    fn retired_point_stops_being_scored() {
-        let mut s = scorer();
-        s.observe(0, &merged(0));
-        s.observe(0, &merged(1));
-        s.observe(10_000, &TraceEvent::DpRetired { dp: DpId(1) });
-        drive(&mut s, 0, 300, answered(0));
-        let rep = s.finish(300_000);
-        assert!(rep.samples.iter().all(|x| x.dp == DpId(0)), "{:?}", rep.samples);
     }
 }

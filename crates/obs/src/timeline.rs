@@ -601,13 +601,6 @@ impl TimelineBuilder {
                 self.dp(to).tot.rebinds_gained += 1;
                 self.totals.rebinds += 1;
             }
-            TraceEvent::DpProvisioned { dp, .. } => {
-                // Materialize the point so it shows up in samples from now on.
-                self.dp(dp);
-            }
-            TraceEvent::DpRetired { dp } => {
-                self.dp(dp).up = false;
-            }
             TraceEvent::MsgLost { dp, .. } => {
                 let st = self.dp(dp);
                 st.bin.lost += 1;

@@ -1,51 +1,59 @@
 //! Dynamic decision-point provisioning (the paper's Section 5 proposal,
-//! implemented).
+//! implemented by the `membership` crate — see ARCHITECTURE.md "Elastic
+//! membership").
 //!
 //! Starts the paper-scale workload against a SINGLE decision point with
-//! the third-party saturation monitor enabled, and shows the
-//! infrastructure growing itself until the load is served, then compares
-//! against the static 1-DP baseline.
+//! the autoscaler enabled, and shows the infrastructure growing itself
+//! until the load is served, then compares against the static 1-DP
+//! baseline.
 //!
 //! ```text
 //! cargo run --release --example dynamic_reconfiguration
 //! ```
 
-use digruber::config::{DigruberConfig, DynamicConfig};
+use digruber::config::DigruberConfig;
 use digruber::{run_experiment, ServiceKind};
+use membership::MembershipConfig;
 use workload::WorkloadSpec;
 
 fn main() {
     let workload = WorkloadSpec::paper_default();
 
-    // Static baseline: one decision point, no monitor.
+    // Static baseline: one decision point, fixed pool.
     let static_cfg = DigruberConfig::paper(1, ServiceKind::Gt3, 2005);
     let static_out = run_experiment(static_cfg, workload.clone(), "static, 1 DP")
         .expect("experiment failed");
 
-    // Dynamic: same starting point, saturation monitor on.
-    let mut dynamic_cfg = DigruberConfig::paper(1, ServiceKind::Gt3, 2005);
-    dynamic_cfg.dynamic = Some(DynamicConfig::default());
-    let dynamic_out = run_experiment(dynamic_cfg, workload, "dynamic, from 1 DP")
+    // Elastic: same starting point, autoscaler on.
+    let mut elastic_cfg = DigruberConfig::paper(1, ServiceKind::Gt3, 2005);
+    elastic_cfg.membership = Some(MembershipConfig::default());
+    let elastic_out = run_experiment(elastic_cfg, workload, "elastic, from 1 DP")
         .expect("experiment failed");
 
     println!("{}", static_out.report.render());
-    println!("{}", dynamic_out.report.render());
+    println!("{}", elastic_out.report.render());
 
-    println!("reconfiguration events:");
-    for (t, dp) in &dynamic_out.reconfig_log {
-        println!("  {t}  provisioned {dp}");
+    println!("pool changes:");
+    for (t, dp) in &elastic_out.reconfig_log {
+        println!("  {t}  joined {dp}");
+    }
+    for (t, dp) in &elastic_out.retire_log {
+        println!("  {t}  left   {dp}");
     }
     println!(
-        "\nfinal decision points: {} (started from 1)",
-        dynamic_out.final_dps
+        "\nfinal decision points: {} (started from 1; {} joins, {} leaves, {} clients re-homed)",
+        elastic_out.final_dps,
+        elastic_out.dp_joins,
+        elastic_out.dp_leaves,
+        elastic_out.clients_rehomed
     );
     println!(
-        "handled fraction: static {:.1}% -> dynamic {:.1}%",
+        "handled fraction: static {:.1}% -> elastic {:.1}%",
         static_out.report.handled_fraction() * 100.0,
-        dynamic_out.report.handled_fraction() * 100.0
+        elastic_out.report.handled_fraction() * 100.0
     );
     println!(
-        "peak throughput:  static {:.2} q/s -> dynamic {:.2} q/s",
-        static_out.report.peak_throughput_qps, dynamic_out.report.peak_throughput_qps
+        "peak throughput:  static {:.2} q/s -> elastic {:.2} q/s",
+        static_out.report.peak_throughput_qps, elastic_out.report.peak_throughput_qps
     );
 }

@@ -11,27 +11,28 @@
 //!    timeouts) — at this load the deployment is capacity-bound, so
 //!    failover merely spreads the pain: moving 40 clients onto the
 //!    survivors saturates *them* too;
-//! 4. failover **plus dynamic provisioning** (paper §5): the saturation
-//!    monitor adds decision points when the survivors overload — the
+//! 4. failover **plus dynamic provisioning** (paper §5, the `membership`
+//!    autoscaler): decision points join when the survivors overload — the
 //!    correct response when the problem is missing capacity.
 //!
 //! ```text
 //! cargo run --release --example reliability_failover
 //! ```
 
-use digruber::config::{DigruberConfig, DynamicConfig, FailureConfig};
+use digruber::config::{DigruberConfig, FailureConfig};
 use digruber::{run_experiment, ExperimentOutput, ServiceKind};
 use gruber_types::SimDuration;
+use membership::MembershipConfig;
 use workload::WorkloadSpec;
 
 fn run(
     failures: Option<FailureConfig>,
-    dynamic: Option<DynamicConfig>,
+    membership: Option<MembershipConfig>,
     label: &str,
 ) -> ExperimentOutput {
     let mut cfg = DigruberConfig::paper(3, ServiceKind::Gt3, 2005);
     cfg.failures = failures;
-    cfg.dynamic = dynamic;
+    cfg.membership = membership;
     run_experiment(cfg, WorkloadSpec::paper_default(), label).expect("experiment failed")
 }
 
@@ -49,7 +50,7 @@ fn main() {
     let failover = run(Some(faults(2)), None, "failures, failover only");
     let provisioned = run(
         Some(faults(2)),
-        Some(DynamicConfig::default()),
+        Some(MembershipConfig::default()),
         "failures, failover + dynamic provisioning",
     );
 

@@ -58,14 +58,18 @@ done
 grep -q '"exchanges_out":[1-9]' "$smoke_dir"/dp*.jsonl \
   || { echo "ci.sh: no decision point recorded an outgoing exchange"; exit 1; }
 
-echo "==> doc links (every file referenced from README/ARCHITECTURE/FAULTS/OBSERVABILITY/DEPLOYMENT exists)"
+echo "==> doc links (every file the top-level guides link to or name in back-ticks exists)"
 missing=0
-for doc in README.md ARCHITECTURE.md FAULTS.md OBSERVABILITY.md DEPLOYMENT.md; do
-  # Markdown link targets that look like local paths (skip URLs and anchors).
-  for target in $(grep -o '](\([^)#]*\))' "$doc" | sed 's/](\(.*\))/\1/' \
-                  | grep -v '^[a-z][a-z0-9+.-]*:' | sort -u); do
+for doc in README.md ARCHITECTURE.md FAULTS.md OBSERVABILITY.md DEPLOYMENT.md EXPERIMENTS.md DESIGN.md; do
+  # Markdown link targets that look like local paths (URLs skipped, anchors
+  # stripped), plus back-ticked source paths such as `crates/x/src/y.rs`,
+  # so deleting a file fails CI until the prose that names it is fixed.
+  for target in $( { grep -o '](\([^)]*\))' "$doc" | sed 's/](\([^)#]*\).*/\1/' \
+                       | grep -v '^[a-z][a-z0-9+.-]*:'
+                     grep -oE '`(crates|tests|examples|scripts)/[A-Za-z0-9_./-]+\.(rs|sh)`' "$doc" \
+                       | tr -d '`'; } | sort -u); do
     if [ ! -e "$target" ]; then
-      echo "ci.sh: $doc links to missing file: $target"
+      echo "ci.sh: $doc names a missing file: $target"
       missing=1
     fi
   done

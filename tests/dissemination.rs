@@ -83,22 +83,188 @@ fn whole_experiment_is_bit_deterministic() {
     assert_eq!(a.table, b.table);
 }
 
-#[test]
-fn dynamic_mode_provisions_under_overload() {
-    use digruber::config::DynamicConfig;
-    let out = run(|c| {
-        c.n_dps = 1;
-        c.dynamic = Some(DynamicConfig {
-            overload_backlog: 4,
-            consecutive_strikes: 2,
-            ..DynamicConfig::default()
+/// Paper Section 5's third-party observer — the `membership` autoscaler
+/// driven by `digruber::elastic` — exercised through the public run API.
+mod pool_sizing {
+    use super::*;
+    use desim::{DetRng, Simulation, TimerWheel};
+    use digruber::elastic::membership_tick;
+    use digruber::run::run_to_end;
+    use digruber::World;
+    use gruber_types::SimTime;
+    use membership::{MembershipConfig, ScalerConfig};
+
+    fn autoscaled(scaler: ScalerConfig) -> Option<MembershipConfig> {
+        Some(MembershipConfig {
+            scaler: Some(scaler),
+            ..MembershipConfig::default()
+        })
+    }
+
+    fn elastic(n_dps: usize, scaler: ScalerConfig) -> DigruberConfig {
+        let mut cfg = DigruberConfig::small(n_dps, 11);
+        cfg.membership = autoscaled(scaler);
+        cfg
+    }
+
+    /// One point whose container holds `n` requests nobody completes,
+    /// with the first autoscaler tick due at t = 0.
+    fn saturated_sim(scaler: ScalerConfig, n: u64) -> Simulation<World> {
+        let mut sim =
+            Simulation::new(World::new(elastic(1, scaler), WorkloadSpec::small()).unwrap());
+        let w = sim.world_mut();
+        for t in 0..n {
+            w.dps[0].station.arrive(t, 1.0, &mut w.svc_rng);
+        }
+        sim.scheduler().schedule_at(SimTime::ZERO, membership_tick);
+        sim
+    }
+
+    #[test]
+    fn overloaded_single_point_grows_the_pool() {
+        let out = run(|c| {
+            c.n_dps = 1;
+            c.membership = autoscaled(ScalerConfig {
+                grow_backlog: 4,
+                ..ScalerConfig::default()
+            });
         });
-    });
-    assert!(
-        out.final_dps > 1,
-        "overloaded single DP never triggered provisioning"
-    );
-    assert_eq!(out.reconfig_log.len(), out.final_dps - 1);
+        assert!(out.final_dps > 1, "overloaded single DP never grew the pool");
+        assert_eq!(out.reconfig_log.len(), out.final_dps - 1);
+        assert_eq!(out.dp_joins as usize, out.reconfig_log.len());
+    }
+
+    #[test]
+    fn transient_spike_does_not_grow_the_pool() {
+        let mut sim = saturated_sim(
+            ScalerConfig {
+                grow_backlog: 2,
+                cooldown: 0,
+                ..ScalerConfig::default()
+            },
+            10,
+        );
+        // One hot sample…
+        sim.run_until(SimTime::from_secs(1));
+        // …then the backlog drains before the second one.
+        let w = sim.world_mut();
+        let mut rng = DetRng::new(0, 0);
+        while w.dps[0].station.load() > 0 {
+            while w.dps[0].station.finish(&mut rng).is_some() {}
+        }
+        sim.run_until(SimTime::from_secs(120));
+        assert_eq!(sim.world().dps.len(), 1, "transient spike grew the pool");
+    }
+
+    #[test]
+    fn max_dps_is_honoured_through_the_tick() {
+        let mut sim = saturated_sim(
+            ScalerConfig {
+                grow_backlog: 1,
+                grow_windows: 1,
+                cooldown: 0,
+                max_dps: 3,
+                ..ScalerConfig::default()
+            },
+            50,
+        );
+        sim.run_until(SimTime::from_secs(600));
+        let w = sim.world();
+        assert_eq!(w.dps.len(), 3, "max_dps not honoured");
+        assert_eq!(w.membership.as_ref().unwrap().table.live_count(), 3);
+    }
+
+    /// A full experiment that grows under early pressure and shrinks
+    /// during the departure tail: no request vanishes with a departed
+    /// point, every client ends on a live member, and the run stays
+    /// deterministic through grow + shrink.
+    #[test]
+    fn grow_then_shrink_conserves_requests_and_rebinds_clients() {
+        let cfg = elastic(
+            1,
+            ScalerConfig {
+                grow_backlog: 2,
+                grow_windows: 1,
+                shrink_windows: 2,
+                cooldown: 0,
+                max_dps: 4,
+                ..ScalerConfig::default()
+            },
+        );
+        let wl = WorkloadSpec {
+            n_clients: 24,
+            departure_fraction: 0.5,
+            ..WorkloadSpec::small()
+        };
+        let out = run_experiment(cfg.clone(), wl.clone(), "updown").unwrap();
+        assert!(!out.reconfig_log.is_empty(), "pressure never grew the pool");
+        assert!(!out.retire_log.is_empty(), "departure tail never shrank it");
+        // Every issued request is in the trace set, answered or timed out.
+        assert_eq!(out.traces.len(), out.report.issued);
+        // Per-DP accounting covers departed points too.
+        assert_eq!(out.timeouts_by_dp.len(), out.final_dps);
+        let again = run_experiment(cfg.clone(), wl.clone(), "updown").unwrap();
+        assert_eq!(format!("{out:?}"), format!("{again:?}"));
+
+        let sim = run_to_end::<TimerWheel>(cfg, wl).unwrap();
+        let w = sim.world();
+        let table = &w.membership.as_ref().unwrap().table;
+        for &(_, left) in &out.retire_log {
+            assert!(!w.dps[left.index()].up(), "{left} departed but is up");
+        }
+        for c in &w.clients {
+            assert!(
+                w.dps[c.dp.index()].up() && table.is_live(c.dp),
+                "client {} ended on {}, which is down or departed",
+                c.id,
+                c.dp
+            );
+        }
+    }
+
+    /// Crashes and pool churn overlap: a point that leaves the pool while
+    /// it is down must stay gone when its repair clock fires.
+    #[test]
+    fn failures_plus_membership_never_resurrect_a_departed_point() {
+        use digruber::config::FailureConfig;
+        // Seed 1: a point leaves while crashed and its repair fires later.
+        // Seed 7: the last member crashes while its clients fail over.
+        for seed in [1, 7] {
+            let mut cfg = DigruberConfig::paper(3, ServiceKind::Gt3, seed);
+            cfg.grid_factor = 1;
+            cfg.failures = Some(FailureConfig {
+                dp_mtbf: SimDuration::from_mins(6),
+                dp_repair: SimDuration::from_mins(5),
+                failover_after: 2,
+            });
+            cfg.membership = Some(MembershipConfig::default());
+            let wl = WorkloadSpec {
+                n_clients: 40,
+                duration: SimDuration::from_mins(40),
+                departure_fraction: 0.5,
+                ..WorkloadSpec::paper_default()
+            };
+            let sim = run_to_end::<TimerWheel>(cfg, wl).unwrap();
+            let w = sim.world();
+            let m = w.membership.as_ref().unwrap();
+            assert!(w.dp_failures > 0 && m.dp_leaves > 0, "seed {seed}: no overlap");
+            for dp in &w.dps {
+                assert!(
+                    !dp.up() || m.table.is_live(dp.id),
+                    "seed {seed}: {} is up but left the pool",
+                    dp.id
+                );
+            }
+            for c in &w.clients {
+                assert!(
+                    m.table.is_live(c.dp),
+                    "seed {seed}: client {} bound to departed {}",
+                    c.id,
+                    c.dp
+                );
+            }
+        }
+    }
 }
 
 mod topology {
