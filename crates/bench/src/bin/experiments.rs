@@ -1,10 +1,16 @@
-//! Regenerates every table and figure of the paper's evaluation.
+//! Regenerates every table and figure of the paper's evaluation, and the
+//! post-paper studies.
 //!
 //! ```text
 //! cargo run --release -p bench --bin experiments -- <id>...
 //! ```
 //!
-//! Ids: `fig1 fig5 fig6 fig7 table1 fig8 fig9 fig10 fig11 table2 table3 all`.
+//! Ids come from two lists, and the usage string is built from the same
+//! two: the paper artifacts (`PAPER_IDS`: `fig1 fig5 fig6 fig7 table1
+//! fig8 fig9 fig10 fig11 table2 fig12 table3 fairness crossover`, or `all`
+//! for every one of them) and the studies (`bench::STUDIES`:
+//! `degradation recovery health scale topology`). Every id is checked
+//! before anything runs.
 //!
 //! `--trace PATH` switches structured tracing on for every run: the
 //! per-decision-point JSONL stream (schema `digruber-trace/5`, see the
@@ -13,18 +19,11 @@
 //! `results/timeline_<id>.txt`. Tracing never changes the figures — the
 //! timeline rides along as an extra output of the same deterministic run.
 
-use bench::degradation::DegradationRow;
-use bench::health::HealthRow;
-use bench::recovery::RecoveryRow;
 use bench::render::{render_accuracy, render_figure, render_table_block};
-use bench::scale::ScaleRow;
-use bench::topology::TopologyRow;
+use bench::study::{peak_rss_bytes, Cell, Fields};
 use bench::{
-    accuracy_rows, accuracy_specs, capacity_model, client_scale_cells, crossover_rows,
-    default_jobs, degradation_cells, degradation_json, dp_scaling_spec, fig1_spec, health_cells,
-    health_json, peak_rss_bytes, recovery_cells, recovery_json, render_degradation, render_health,
-    render_recovery, render_scale, render_topology, run_specs, scale_cells,
-    scale_json, topology_cells, topology_json, SEED,
+    accuracy_rows, accuracy_specs, capacity_model, crossover_rows, default_jobs, dp_scaling_spec,
+    fig1_spec, run_specs, Study, SEED, STUDIES,
 };
 use digruber::{ExperimentOutput, RunSpec, ServiceKind};
 use gruber_types::{SimDuration, SimTime};
@@ -32,6 +31,12 @@ use std::sync::{Mutex, OnceLock};
 
 const INTERVALS_MIN: [u64; 4] = [1, 3, 10, 30];
 const DP_COUNTS: [usize; 3] = [1, 3, 10];
+
+/// The paper's artifacts, in the order `all` runs them.
+const PAPER_IDS: [&str; 14] = [
+    "fig1", "fig5", "fig6", "fig7", "table1", "fig8", "fig9", "fig10", "fig11", "table2", "fig12",
+    "table3", "fairness", "crossover",
+];
 
 /// Directory traces are saved into when `--save-traces DIR` is passed.
 static TRACE_DIR: OnceLock<Option<String>> = OnceLock::new();
@@ -45,7 +50,7 @@ static TRACE_JSONL: Mutex<String> = Mutex::new(String::new());
 /// Worker threads for multi-run artifacts (`--jobs N`; default all cores).
 static JOBS: OnceLock<usize> = OnceLock::new();
 
-/// Trim the degradation sweep to its axis ends (`--fast`, for CI smoke).
+/// Trim every study to its CI-smoke cells (`--fast`).
 static FAST: OnceLock<bool> = OnceLock::new();
 
 fn jobs() -> usize {
@@ -143,19 +148,29 @@ fn main() {
     };
     FAST.set(fast).expect("set once");
     if args.is_empty() {
-        eprintln!("usage: experiments <fig1|fig5|fig6|fig7|table1|fig8|fig9|fig10|fig11|table2|fig12|table3|fairness|crossover|degradation|recovery|health|scale|topology|all>... [--save-traces DIR] [--jobs N] [--trace PATH] [--fast]");
+        let ids: Vec<&str> = PAPER_IDS.iter().copied().chain(STUDIES.iter().map(|s| s.id)).collect();
+        eprintln!(
+            "usage: experiments <{}|all>... [--save-traces DIR] [--jobs N] [--trace PATH] [--fast]",
+            ids.join("|")
+        );
+        std::process::exit(2);
+    }
+    let study = |id: &str| STUDIES.iter().find(|s| s.id == id);
+    let known = |id: &str| id == "all" || PAPER_IDS.contains(&id) || study(id).is_some();
+    if let Some(other) = args.iter().find(|a| !known(a)) {
+        eprintln!("unknown experiment id {other:?}");
         std::process::exit(2);
     }
     let ids: Vec<&str> = if args.iter().any(|a| a == "all") {
-        vec![
-            "fig1", "fig5", "fig6", "fig7", "table1", "fig8", "fig9", "fig10", "fig11", "table2",
-            "fig12", "table3", "fairness", "crossover",
-        ]
+        PAPER_IDS.to_vec()
     } else {
         args.iter().map(String::as_str).collect()
     };
     for id in ids {
-        run(id);
+        match study(id) {
+            Some(s) => run_study(s),
+            None => run(id),
+        }
     }
     if let Some(Some(path)) = TRACE_OUT.get() {
         let jsonl = TRACE_JSONL.lock().unwrap_or_else(|e| e.into_inner());
@@ -192,6 +207,43 @@ fn accuracy_figure(id: &str, service: ServiceKind, title: &str) {
     export_timelines(id, &outs);
     let rows = accuracy_rows(&INTERVALS_MIN, &outs);
     println!("[{id}]\n{}", render_accuracy(title, &rows));
+}
+
+/// Runs one study of [`STUDIES`]: cells → run (the parallel batch on the
+/// configured workers, then each sequential cell alone with `VmHWM` sampled
+/// around it) → measure → `BENCH_<id>.json` → timelines → table. Studies
+/// always trace, whatever `--trace` says: their rows reconcile against the
+/// timeline.
+fn run_study(study: &Study) {
+    let fast = *FAST.get().expect("set in main");
+    let id = study.id;
+    let (ramp, batch): (Vec<Cell>, Vec<Cell>) =
+        (study.cells)(fast, SEED).into_iter().partition(|c| c.sequential);
+    println!("[{id}] {} cells{}", batch.len(), if fast { " (--fast)" } else { "" });
+    let specs: Vec<RunSpec> = batch.iter().map(|c| c.spec.clone()).collect();
+    let mut rows: Vec<Fields> = Vec::new();
+    let mut outs: Vec<ExperimentOutput> = Vec::new();
+    for (cell, m) in batch.iter().zip(run_specs(&specs, jobs())) {
+        let out = m.output.unwrap_or_else(|e| panic!("{id} cell {:?} failed: {e}", m.label));
+        rows.push(study.row(cell, &out, m.wall, None));
+        outs.push(out);
+    }
+    if !ramp.is_empty() {
+        println!("[{id}] client ramp: {} cells, sequential", ramp.len());
+    }
+    for cell in &ramp {
+        let before = peak_rss_bytes();
+        let start = std::time::Instant::now();
+        let out = cell.spec.run().unwrap_or_else(|e| panic!("{id} cell {:?} failed: {e}", cell.spec.label));
+        let wall = start.elapsed();
+        rows.push(study.row(cell, &out, wall, Some((before, peak_rss_bytes()))));
+        outs.push(out);
+    }
+    let path = format!("BENCH_{id}.json");
+    std::fs::write(&path, study.json(jobs(), fast, &rows)).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    eprintln!("{id} snapshot -> {path}");
+    export_timelines(id, &outs);
+    println!("{}", (study.render)(&rows));
 }
 
 fn run(id: &str) {
@@ -298,187 +350,6 @@ fn run(id: &str) {
                 }
             }
         }
-        "degradation" => {
-            // The graceful-degradation study (FAULTS.md): loss, partition,
-            // and retry-policy sweeps over the scaled-down deployment.
-            // Always traced; always snapshotted into BENCH_degradation.json.
-            let fast = *FAST.get().expect("set in main");
-            let cells = degradation_cells(fast, SEED);
-            println!(
-                "[degradation] {} cells{}",
-                cells.len(),
-                if fast { " (--fast)" } else { "" }
-            );
-            let (metas, specs): (Vec<_>, Vec<_>) =
-                cells.into_iter().map(|c| (c.meta, c.spec)).unzip();
-            let outs: Vec<ExperimentOutput> = run_specs(&specs, jobs())
-                .into_iter()
-                .map(|m| m.output.expect("degradation cell failed"))
-                .collect();
-            let rows: Vec<DegradationRow> = metas
-                .iter()
-                .zip(&outs)
-                .map(|(m, o)| DegradationRow::from_output(m, o))
-                .collect();
-            let json = degradation_json(jobs(), fast, &rows);
-            std::fs::write("BENCH_degradation.json", json).expect("write BENCH_degradation.json");
-            eprintln!("degradation snapshot -> BENCH_degradation.json");
-            export_timelines("degradation", &outs);
-            println!("{}", render_degradation(&rows));
-        }
-        "recovery" => {
-            // The crash-recovery study (FAULTS.md § Crash recovery):
-            // empty-rejoin vs. dpstore persistence across snapshot
-            // intervals. Always traced; snapshotted into
-            // BENCH_recovery.json.
-            let fast = *FAST.get().expect("set in main");
-            let cells = recovery_cells(fast, SEED);
-            println!(
-                "[recovery] {} cells{}",
-                cells.len(),
-                if fast { " (--fast)" } else { "" }
-            );
-            let (metas, specs): (Vec<_>, Vec<_>) =
-                cells.into_iter().map(|c| (c.meta, c.spec)).unzip();
-            let outs: Vec<ExperimentOutput> = run_specs(&specs, jobs())
-                .into_iter()
-                .map(|m| m.output.expect("recovery cell failed"))
-                .collect();
-            let rows: Vec<RecoveryRow> = metas
-                .iter()
-                .zip(&outs)
-                .map(|(m, o)| RecoveryRow::from_output(m, o))
-                .collect();
-            let json = recovery_json(jobs(), fast, &rows);
-            std::fs::write("BENCH_recovery.json", json).expect("write BENCH_recovery.json");
-            eprintln!("recovery snapshot -> BENCH_recovery.json");
-            export_timelines("recovery", &outs);
-            println!("{}", render_recovery(&rows));
-        }
-        "health" => {
-            // The health-detection study (OBSERVABILITY.md § Detection
-            // latency): replay the fault plans from the degradation and
-            // recovery studies and measure how long the online scorer
-            // takes to flag the affected point. Always traced;
-            // snapshotted into BENCH_health.json.
-            let fast = *FAST.get().expect("set in main");
-            let cells = health_cells(fast, SEED);
-            println!(
-                "[health] {} cells{}",
-                cells.len(),
-                if fast { " (--fast)" } else { "" }
-            );
-            let (metas, specs): (Vec<_>, Vec<_>) =
-                cells.into_iter().map(|c| (c.meta, c.spec)).unzip();
-            let outs: Vec<ExperimentOutput> = run_specs(&specs, jobs())
-                .into_iter()
-                .map(|m| m.output.expect("health cell failed"))
-                .collect();
-            let rows: Vec<HealthRow> = metas
-                .iter()
-                .zip(&outs)
-                .map(|(m, o)| HealthRow::from_output(m, o))
-                .collect();
-            let json = health_json(jobs(), fast, &rows);
-            std::fs::write("BENCH_health.json", json).expect("write BENCH_health.json");
-            eprintln!("health snapshot -> BENCH_health.json");
-            export_timelines("health", &outs);
-            println!("{}", render_health(&rows));
-        }
-        "scale" => {
-            // The paper-scale throughput study: full-fidelity Grid3×10
-            // decision-point sweep plus a Grid3×100 smoke, timed per cell
-            // and snapshotted into BENCH_scale.json. Always traced (the
-            // rows reconcile scheduler counters against the timeline).
-            let fast = *FAST.get().expect("set in main");
-            let cells = scale_cells(fast, SEED);
-            println!(
-                "[scale] {} cells{}",
-                cells.len(),
-                if fast { " (--fast)" } else { "" }
-            );
-            let (metas, specs): (Vec<_>, Vec<_>) =
-                cells.into_iter().map(|c| (c.meta, c.spec)).unzip();
-            let measurements = run_specs(&specs, jobs());
-            let mut rows: Vec<ScaleRow> = metas
-                .iter()
-                .zip(&measurements)
-                .map(|(meta, m)| {
-                    let out = m.output.as_ref().expect("scale cell failed");
-                    ScaleRow::from_output(meta, out, m.wall)
-                })
-                .collect();
-            let mut outs: Vec<ExperimentOutput> = measurements
-                .into_iter()
-                .map(|m| m.output.expect("scale cell failed"))
-                .collect();
-            // The client-scale ramp runs sequentially, smallest first:
-            // VmHWM is process-monotone, so the per-cell growth is this
-            // cell's own footprint exactly because every earlier cell was
-            // smaller. Running it after the parallel grid sweep keeps the
-            // baseline sample honest about what was already resident.
-            let ccells = client_scale_cells(fast, SEED);
-            println!("[scale] client ramp: {} cells, sequential", ccells.len());
-            for c in ccells {
-                let before = peak_rss_bytes();
-                let start = std::time::Instant::now();
-                let out = c.spec.run().expect("client-scale cell failed");
-                let wall = start.elapsed();
-                let mut row = ScaleRow::from_output(&c.meta, &out, wall);
-                row.attach_memory(before, peak_rss_bytes());
-                eprintln!(
-                    "  {} clients: {:.1}s, {}",
-                    c.meta.n_clients,
-                    wall.as_secs_f64(),
-                    row.bytes_per_client
-                        .map_or("bytes/client unavailable".into(), |b| format!(
-                            "{b:.0} bytes/client"
-                        )),
-                );
-                rows.push(row);
-                outs.push(out);
-            }
-            let json = scale_json(jobs(), fast, &rows);
-            std::fs::write("BENCH_scale.json", json).expect("write BENCH_scale.json");
-            eprintln!("scale snapshot -> BENCH_scale.json");
-            export_timelines("scale", &outs);
-            println!("{}", render_scale(&rows));
-        }
-        "topology" => {
-            // The topology × elasticity study (EXPERIMENTS.md § Elastic
-            // membership): accuracy-vs-staleness per exchange topology ×
-            // pool size, plus the elastic scenario pack (flash crowd,
-            // diurnal, regional outage) with membership-counter
-            // reconciliation. Always traced; snapshotted into
-            // BENCH_topology.json — which is deterministic and carries no
-            // jobs field, so it is byte-identical across --jobs.
-            let fast = *FAST.get().expect("set in main");
-            let cells = topology_cells(fast, SEED);
-            println!(
-                "[topology] {} cells{}",
-                cells.len(),
-                if fast { " (--fast)" } else { "" }
-            );
-            let (metas, specs): (Vec<_>, Vec<_>) =
-                cells.into_iter().map(|c| (c.meta, c.spec)).unzip();
-            let outs: Vec<ExperimentOutput> = run_specs(&specs, jobs())
-                .into_iter()
-                .map(|m| m.output.expect("topology cell failed"))
-                .collect();
-            let rows: Vec<TopologyRow> = metas
-                .iter()
-                .zip(&outs)
-                .map(|(m, o)| TopologyRow::from_output(m, o))
-                .collect();
-            let json = topology_json(fast, &rows);
-            std::fs::write("BENCH_topology.json", json).expect("write BENCH_topology.json");
-            eprintln!("topology snapshot -> BENCH_topology.json");
-            export_timelines("topology", &outs);
-            println!("{}", render_topology(&rows));
-        }
-        other => {
-            eprintln!("unknown experiment id {other:?}");
-            std::process::exit(2);
-        }
+        other => unreachable!("{other:?} passed the id check in main"),
     }
 }

@@ -12,393 +12,208 @@
 //! * **policy** — retry policy comparison at a fixed loss rate: what do
 //!   retransmissions buy back?
 //!
-//! Every cell runs the scaled-down deployment (Grid3×1, 90 clients,
-//! 12 simulated minutes) with structured tracing forced on, so each run
-//! yields a timeline alongside its metrics; the whole sweep is snapshotted
-//! into `BENCH_degradation.json` (schema [`SCHEMA`]).
+//! Every cell runs the scaled-down deployment
+//! ([`fault_deployment`] + [`fault_workload`]), so each run yields a
+//! timeline alongside its metrics; the whole sweep is snapshotted into
+//! `BENCH_degradation.json`.
 
-use crate::snapshot::{json_f64, json_str, output_fingerprint};
-use digruber::config::DigruberConfig;
+use crate::snapshot::output_fingerprint;
+use crate::study::{fault_deployment, fault_workload, table, Cell, Fields, RssSpan, Study, RUN_SECS};
 use digruber::faults::FaultPlan;
-use digruber::{ExperimentOutput, RunSpec, ServiceKind};
+use digruber::ExperimentOutput;
 use gruber_types::SimDuration;
 use simnet::{RetryConfig, RetryPolicy};
-use std::fmt::Write as _;
-use workload::WorkloadSpec;
+use std::time::Duration;
 
-/// Schema identifier embedded in `BENCH_degradation.json`, bumped on
-/// breaking layout changes.
-pub const SCHEMA: &str = "digruber-bench-degradation/1";
-
-/// Duration of every degradation run, in whole seconds (12 minutes — the
-/// scaled-down bench deployment).
-const RUN_SECS: u64 = 720;
+/// The study's entry in [`crate::study::STUDIES`].
+pub const STUDY: Study = Study {
+    id: "degradation",
+    schema: "digruber-bench-degradation/1",
+    header: |jobs, fast| Fields::new().with("jobs", jobs).with("fast", fast),
+    cells,
+    measure,
+    render,
+};
 
 /// Partition windows open mid-run, after the DiPerF ramp has populated
 /// the views.
 const PARTITION_START_SECS: u64 = 240;
 
-/// The fault axes of one sweep cell (everything but the spec itself).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellMeta {
-    /// Sweep family: `loss`, `partition`, or `policy`.
-    pub family: &'static str,
-    /// Decision points in the deployment.
-    pub n_dps: usize,
-    /// Injected per-transmission loss probability (both legs).
-    pub loss: f64,
-    /// Length of the injected partition window (0 = no partition).
-    pub partition_secs: u64,
-    /// Retry policy name (`none` / `fixed` / `expjitter`), applied to
-    /// queries and exchanges alike.
-    pub policy: &'static str,
-}
-
-/// One runnable cell of the degradation sweep.
-#[derive(Debug, Clone)]
-pub struct DegradationCell {
-    /// The fault axes.
-    pub meta: CellMeta,
-    /// The run to execute for this cell.
-    pub spec: RunSpec,
-}
-
-fn base_cfg(n_dps: usize, seed: u64) -> DigruberConfig {
-    let mut cfg = DigruberConfig::paper(n_dps, ServiceKind::Gt3, seed);
-    cfg.grid_factor = 1;
-    // Timelines are an output of this study, not an option.
-    cfg.trace = Some(obs::TraceConfig::default());
-    cfg
-}
-
-fn base_wl() -> WorkloadSpec {
-    // 90 clients (vs. the 24 of the perf sweeps) so the long-running jobs
-    // actually fill the Grid3×1 CPUs within the 12 minutes: placement
-    // quality only shows up in queue time once the grid is contended.
-    WorkloadSpec {
-        n_clients: 90,
-        duration: SimDuration::from_mins(12),
-        ..WorkloadSpec::paper_default()
-    }
+/// One cell: `policy` is the retry policy's name (`none` / `fixed` /
+/// `expjitter`), applied to queries and exchanges alike; `plan` the fault
+/// plan, if the cell injects one.
+fn cell(
+    seed: u64,
+    family: &str,
+    n_dps: usize,
+    loss: f64,
+    partition_secs: u64,
+    (policy, retry): (&str, RetryConfig),
+    plan: Option<String>,
+) -> Cell {
+    let mut cfg = fault_deployment(n_dps, seed);
+    cfg.fault_plan = plan.map(|p| FaultPlan::parse(&p).expect("generated plan"));
+    cfg.retry = retry;
+    let label = match family {
+        "loss" => format!("loss={loss} dps={n_dps}"),
+        "partition" => format!("partition={partition_secs}s dps={n_dps}"),
+        _ => format!("policy={policy} loss={loss} dps={n_dps}"),
+    };
+    let axes = Fields::new()
+        .with("family", family)
+        .with("label", label)
+        .with("n_dps", n_dps)
+        .with("loss", loss)
+        .with("partition_secs", partition_secs)
+        .with("policy", policy);
+    Cell::new(axes, cfg, fault_workload())
 }
 
 /// Builds the sweep. `fast` trims each axis to its ends for CI smoke runs
 /// (4 + 4 + 2 = 10 cells instead of 12 + 9 + 3 = 24).
-pub fn degradation_cells(fast: bool, seed: u64) -> Vec<DegradationCell> {
+fn cells(fast: bool, seed: u64) -> Vec<Cell> {
     let (losses, dps): (&[f64], &[usize]) = if fast {
         (&[0.0, 0.2], &[1, 3])
     } else {
         (&[0.0, 0.1, 0.2, 0.3], &[1, 3, 10])
     };
+    let none = ("none", RetryConfig::NONE);
     let mut cells = Vec::new();
 
     for &n in dps {
         for &p in losses {
-            let mut cfg = base_cfg(n, seed);
-            if p > 0.0 {
-                let plan = format!("loss@0..{RUN_SECS}={p}");
-                cfg.fault_plan = Some(FaultPlan::parse(&plan).expect("generated plan"));
-            }
-            cells.push(DegradationCell {
-                meta: CellMeta {
-                    family: "loss",
-                    n_dps: n,
-                    loss: p,
-                    partition_secs: 0,
-                    policy: "none",
-                },
-                spec: RunSpec::new(format!("loss={p} dps={n}"), cfg, base_wl()),
-            });
+            let plan = (p > 0.0).then(|| format!("loss@0..{RUN_SECS}={p}"));
+            cells.push(cell(seed, "loss", n, p, 0, none, plan));
         }
     }
 
     let durations: &[u64] = if fast { &[0, 120] } else { &[0, 120, 300] };
     for &n in dps {
         for &d in durations {
-            let mut cfg = base_cfg(n, seed);
             // A single point has no peer to be partitioned from — its
             // row is the unperturbed baseline at every duration, which is
             // exactly the comparison the study wants to show.
-            if d > 0 && n > 1 {
+            let plan = (d > 0 && n > 1).then(|| {
                 let rest: Vec<String> = (1..n).map(|i| i.to_string()).collect();
-                let plan = format!(
+                format!(
                     "partition@{PARTITION_START_SECS}..{}=0|{}",
                     PARTITION_START_SECS + d,
                     rest.join(",")
-                );
-                cfg.fault_plan = Some(FaultPlan::parse(&plan).expect("generated plan"));
-            }
-            cells.push(DegradationCell {
-                meta: CellMeta {
-                    family: "partition",
-                    n_dps: n,
-                    loss: 0.0,
-                    partition_secs: d,
-                    policy: "none",
-                },
-                spec: RunSpec::new(format!("partition={d}s dps={n}"), cfg, base_wl()),
+                )
             });
+            cells.push(cell(seed, "partition", n, 0.0, d, none, plan));
         }
     }
 
-    let policies: &[(&'static str, RetryConfig)] = if fast {
-        &[
-            ("none", RetryConfig::NONE),
-            (
-                "expjitter",
-                RetryConfig {
-                    query: RetryPolicy::ExpJitter {
-                        base: SimDuration::from_millis(250),
-                        cap: SimDuration::from_secs(4),
-                        max_retries: 5,
-                    },
-                    exchange: RetryPolicy::ExpJitter {
-                        base: SimDuration::from_millis(250),
-                        cap: SimDuration::from_secs(4),
-                        max_retries: 5,
-                    },
-                },
-            ),
-        ]
-    } else {
-        &[
-            ("none", RetryConfig::NONE),
-            (
-                "fixed",
-                RetryConfig {
-                    query: RetryPolicy::Fixed {
-                        interval: SimDuration::from_millis(500),
-                        max_retries: 3,
-                    },
-                    exchange: RetryPolicy::Fixed {
-                        interval: SimDuration::from_millis(500),
-                        max_retries: 3,
-                    },
-                },
-            ),
-            (
-                "expjitter",
-                RetryConfig {
-                    query: RetryPolicy::ExpJitter {
-                        base: SimDuration::from_millis(250),
-                        cap: SimDuration::from_secs(4),
-                        max_retries: 5,
-                    },
-                    exchange: RetryPolicy::ExpJitter {
-                        base: SimDuration::from_millis(250),
-                        cap: SimDuration::from_secs(4),
-                        max_retries: 5,
-                    },
-                },
-            ),
-        ]
+    let fixed = RetryPolicy::Fixed {
+        interval: SimDuration::from_millis(500),
+        max_retries: 3,
     };
-    for (name, rc) in policies {
-        let mut cfg = base_cfg(3, seed);
-        cfg.fault_plan =
-            Some(FaultPlan::parse(&format!("loss@0..{RUN_SECS}=0.2")).expect("generated plan"));
-        cfg.retry = *rc;
-        cells.push(DegradationCell {
-            meta: CellMeta {
-                family: "policy",
-                n_dps: 3,
-                loss: 0.2,
-                partition_secs: 0,
-                policy: name,
-            },
-            spec: RunSpec::new(format!("policy={name} loss=0.2 dps=3"), cfg, base_wl()),
-        });
+    let policies = [
+        none,
+        ("fixed", RetryConfig { query: fixed, exchange: fixed }),
+        ("expjitter", RetryConfig::resilient()),
+    ];
+    for policy in policies.into_iter().filter(|p| !(fast && p.0 == "fixed")) {
+        let plan = format!("loss@0..{RUN_SECS}=0.2");
+        cells.push(cell(seed, "policy", 3, 0.2, 0, policy, Some(plan)));
     }
 
     cells
 }
 
-/// One finished cell: the fault axes plus the degradation-relevant slice
-/// of its [`ExperimentOutput`].
-#[derive(Debug, Clone)]
-pub struct DegradationRow {
-    /// The cell's fault axes.
-    pub meta: CellMeta,
-    /// Spec label.
-    pub label: String,
-    /// Mean scheduling accuracy over handled placements, if any were.
-    pub accuracy: Option<f64>,
-    /// Mean job queue time, seconds (all jobs).
-    pub qtime_secs: f64,
-    /// Fraction of requests answered in time.
-    pub handled_fraction: f64,
-    /// Mean response time, seconds.
-    pub mean_response_secs: f64,
-    /// Client-visible timeouts, summed over decision points.
-    pub timeouts: u64,
-    /// Worst view staleness over the run (max over decision points), ms.
-    pub max_staleness_ms: u64,
-    /// Transmissions dropped by injected loss.
-    pub msgs_lost: u64,
-    /// Retransmissions scheduled.
-    pub retries: u64,
-    /// Messages whose retry budget ran out.
-    pub retries_exhausted: u64,
-    /// Exchange floods blocked at partition boundaries.
-    pub partition_drops: u64,
-    /// Deterministic output fingerprint (FNV-1a, see
-    /// [`output_fingerprint`]).
-    pub fingerprint: String,
+/// The degradation-relevant slice of a finished (traced) cell run.
+fn measure(_axes: &Fields, out: &ExperimentOutput, _wall: Duration, _rss: Option<RssSpan>) -> Fields {
+    let totals = &out
+        .timeline
+        .as_ref()
+        .expect("degradation cells always trace")
+        .totals;
+    Fields::new()
+        // Mean scheduling accuracy over handled placements, if any were.
+        .with("accuracy", out.mean_handled_accuracy)
+        // Mean job queue time, all jobs.
+        .with("qtime_secs", out.table.all.qtime_secs)
+        .with("handled_fraction", out.report.handled_fraction())
+        .with("mean_response_secs", out.report.response.mean)
+        // Client-visible timeouts, summed over decision points.
+        .with("timeouts", out.timeouts_by_dp.iter().sum::<u64>())
+        // Worst view staleness over the run (max over decision points).
+        .with("max_staleness_ms", out.max_view_staleness_ms.iter().copied().max().unwrap_or(0))
+        .with("msgs_lost", totals.msgs_lost)
+        .with("retries", totals.retries)
+        .with("retries_exhausted", totals.retries_exhausted)
+        // Exchange floods blocked at partition boundaries.
+        .with("partition_drops", totals.partition_drops)
+        .with("fingerprint", output_fingerprint(out))
 }
 
-impl DegradationRow {
-    /// Extracts the row from a finished (traced) cell run.
-    pub fn from_output(meta: &CellMeta, out: &ExperimentOutput) -> Self {
-        let totals = &out
-            .timeline
-            .as_ref()
-            .expect("degradation cells always trace")
-            .totals;
-        DegradationRow {
-            meta: meta.clone(),
-            label: out.label.clone(),
-            accuracy: out.mean_handled_accuracy,
-            qtime_secs: out.table.all.qtime_secs,
-            handled_fraction: out.report.handled_fraction(),
-            mean_response_secs: out.report.response.mean,
-            timeouts: out.timeouts_by_dp.iter().sum(),
-            max_staleness_ms: out.max_view_staleness_ms.iter().copied().max().unwrap_or(0),
-            msgs_lost: totals.msgs_lost,
-            retries: totals.retries,
-            retries_exhausted: totals.retries_exhausted,
-            partition_drops: totals.partition_drops,
-            fingerprint: output_fingerprint(out),
-        }
-    }
+fn accuracy(r: &Fields) -> String {
+    r.opt_f64("accuracy").map_or_else(|| "n/a".to_string(), |a| format!("{a:.3}"))
 }
 
-/// Serializes the sweep into the `BENCH_degradation.json` document.
-pub fn degradation_json(jobs: usize, fast: bool, rows: &[DegradationRow]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": {},", json_str(SCHEMA));
-    let _ = writeln!(s, "  \"jobs\": {jobs},");
-    let _ = writeln!(s, "  \"fast\": {fast},");
-    let _ = writeln!(s, "  \"n_cells\": {},", rows.len());
-    s.push_str("  \"cells\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"family\": {},", json_str(r.meta.family));
-        let _ = writeln!(s, "      \"label\": {},", json_str(&r.label));
-        let _ = writeln!(s, "      \"n_dps\": {},", r.meta.n_dps);
-        let _ = writeln!(s, "      \"loss\": {},", json_f64(r.meta.loss));
-        let _ = writeln!(s, "      \"partition_secs\": {},", r.meta.partition_secs);
-        let _ = writeln!(s, "      \"policy\": {},", json_str(r.meta.policy));
-        let acc = r.accuracy.map_or_else(|| "null".to_string(), json_f64);
-        let _ = writeln!(s, "      \"accuracy\": {acc},");
-        let _ = writeln!(s, "      \"qtime_secs\": {},", json_f64(r.qtime_secs));
-        let _ = writeln!(s, "      \"handled_fraction\": {},", json_f64(r.handled_fraction));
-        let _ = writeln!(s, "      \"mean_response_secs\": {},", json_f64(r.mean_response_secs));
-        let _ = writeln!(s, "      \"timeouts\": {},", r.timeouts);
-        let _ = writeln!(s, "      \"max_staleness_ms\": {},", r.max_staleness_ms);
-        let _ = writeln!(s, "      \"msgs_lost\": {},", r.msgs_lost);
-        let _ = writeln!(s, "      \"retries\": {},", r.retries);
-        let _ = writeln!(s, "      \"retries_exhausted\": {},", r.retries_exhausted);
-        let _ = writeln!(s, "      \"partition_drops\": {},", r.partition_drops);
-        let _ = writeln!(s, "      \"fingerprint\": {}", json_str(&r.fingerprint));
-        s.push_str(if i + 1 < rows.len() { "    },\n" } else { "    }\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Formats a cell value as `accuracy / qtime` (the two headline metrics).
-fn cell(rows: &[DegradationRow], family: &str, n_dps: usize, x: impl Fn(&CellMeta) -> bool) -> String {
-    rows.iter()
-        .find(|r| r.meta.family == family && r.meta.n_dps == n_dps && x(&r.meta))
-        .map_or_else(
-            || "--".to_string(),
-            |r| {
-                format!(
-                    "{} / {:>6.1}s",
-                    r.accuracy
-                        .map_or_else(|| " n/a".to_string(), |a| format!("{a:.3}")),
-                    r.qtime_secs
-                )
-            },
-        )
+/// One pivot block: a row per distinct `key` of the `family` cells, a
+/// column per decision-point count, each value `accuracy / qtime` (the two
+/// headline metrics).
+fn pivot(rows: &[Fields], family: &str, axis: &str, key: fn(&Fields) -> u64, show: fn(u64) -> String) -> String {
+    let of_family = || rows.iter().filter(|r| r.str("family") == family);
+    let mut dps: Vec<u64> = rows.iter().map(|r| r.u64("n_dps")).collect();
+    dps.sort_unstable();
+    dps.dedup();
+    let mut keys: Vec<u64> = of_family().map(key).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let mut cols = vec![(axis.to_string(), 10)];
+    cols.extend(dps.iter().map(|n| (format!("{n} DP(s)"), 16)));
+    let lines: Vec<Vec<String>> = keys
+        .iter()
+        .map(|&k| {
+            let mut line = vec![show(k)];
+            line.extend(dps.iter().map(|&n| {
+                of_family()
+                    .find(|r| r.u64("n_dps") == n && key(r) == k)
+                    .map_or_else(
+                        || "--".to_string(),
+                        |r| format!("{} / {:>6.1}s", accuracy(r), r.f64("qtime_secs")),
+                    )
+            }));
+            line
+        })
+        .collect();
+    table("  ", &cols, &lines)
 }
 
 /// Renders the headline tables (the ones FAULTS.md quotes): accuracy and
 /// mean queue time vs. loss rate and vs. partition duration, per
 /// decision-point count, plus the retry-policy comparison.
-pub fn render_degradation(rows: &[DegradationRow]) -> String {
-    let mut dps: Vec<usize> = rows.iter().map(|r| r.meta.n_dps).collect();
-    dps.sort_unstable();
-    dps.dedup();
-    let mut s = String::new();
-
-    let _ = writeln!(s, "loss sweep (accuracy / mean qtime; fire-and-forget):");
-    let _ = write!(s, "  {:>10}", "loss");
-    for &n in &dps {
-        let _ = write!(s, "  {:>16}", format!("{n} DP(s)"));
-    }
-    s.push('\n');
-    let mut losses: Vec<u64> = rows
-        .iter()
-        .filter(|r| r.meta.family == "loss")
-        .map(|r| (r.meta.loss * 1000.0).round() as u64)
-        .collect();
-    losses.sort_unstable();
-    losses.dedup();
-    for &lm in &losses {
-        let _ = write!(s, "  {:>9.1}%", lm as f64 / 10.0);
-        for &n in &dps {
-            let v = cell(rows, "loss", n, |m| {
-                ((m.loss * 1000.0).round() as u64) == lm
-            });
-            let _ = write!(s, "  {v:>16}");
-        }
-        s.push('\n');
-    }
-
-    let _ = writeln!(s, "partition sweep (accuracy / mean qtime; DP 0 isolated):");
-    let _ = write!(s, "  {:>10}", "duration");
-    for &n in &dps {
-        let _ = write!(s, "  {:>16}", format!("{n} DP(s)"));
-    }
-    s.push('\n');
-    let mut durs: Vec<u64> = rows
-        .iter()
-        .filter(|r| r.meta.family == "partition")
-        .map(|r| r.meta.partition_secs)
-        .collect();
-    durs.sort_unstable();
-    durs.dedup();
-    for &d in &durs {
-        let _ = write!(s, "  {:>9}s", d);
-        for &n in &dps {
-            let v = cell(rows, "partition", n, |m| m.partition_secs == d);
-            let _ = write!(s, "  {v:>16}");
-        }
-        s.push('\n');
-    }
-
-    let _ = writeln!(s, "retry policies @ 20% loss, 3 DPs:");
-    let _ = writeln!(
-        s,
-        "  {:>10}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}",
-        "policy", "handled", "timeouts", "retries", "gave up", "accuracy"
+fn render(rows: &[Fields]) -> String {
+    let mut s = String::from("loss sweep (accuracy / mean qtime; fire-and-forget):\n");
+    s += &pivot(
+        rows,
+        "loss",
+        "loss",
+        |r| (r.f64("loss") * 1000.0).round() as u64,
+        |permille| format!("{:.1}%", permille as f64 / 10.0),
     );
-    for r in rows.iter().filter(|r| r.meta.family == "policy") {
-        let _ = writeln!(
-            s,
-            "  {:>10}  {:>8.1}%  {:>9}  {:>9}  {:>9}  {:>9}",
-            r.meta.policy,
-            r.handled_fraction * 100.0,
-            r.timeouts,
-            r.retries,
-            r.retries_exhausted,
-            r.accuracy
-                .map_or_else(|| "n/a".to_string(), |a| format!("{a:.3}")),
-        );
-    }
-    s
+    s += "partition sweep (accuracy / mean qtime; DP 0 isolated):\n";
+    s += &pivot(rows, "partition", "duration", |r| r.u64("partition_secs"), |d| format!("{d}s"));
+    s += "retry policies @ 20% loss, 3 DPs:\n";
+    let cols = [("policy", 10), ("handled", 9), ("timeouts", 9), ("retries", 9), ("gave up", 9), ("accuracy", 9)];
+    let lines: Vec<Vec<String>> = rows
+        .iter()
+        .filter(|r| r.str("family") == "policy")
+        .map(|r| {
+            vec![
+                r.str("policy").to_string(),
+                format!("{:.1}%", r.f64("handled_fraction") * 100.0),
+                r.u64("timeouts").to_string(),
+                r.u64("retries").to_string(),
+                r.u64("retries_exhausted").to_string(),
+                accuracy(r),
+            ]
+        })
+        .collect();
+    s + &table("  ", &cols, &lines)
 }
 
 #[cfg(test)]
@@ -406,49 +221,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cells_have_unique_labels_and_valid_plans() {
-        for fast in [false, true] {
-            let cells = degradation_cells(fast, 2005);
-            let mut labels: Vec<&str> = cells.iter().map(|c| c.spec.label.as_str()).collect();
-            labels.sort_unstable();
-            let before = labels.len();
-            labels.dedup();
-            assert_eq!(labels.len(), before, "duplicate cell labels");
-            assert_eq!(cells.len(), if fast { 10 } else { 24 });
-            for c in &cells {
-                c.spec.cfg.validate().expect("cell config invalid");
-                assert!(c.spec.cfg.trace.is_some(), "cells must trace");
-            }
-        }
-        // The full sweep exercises every family and every retry policy.
-        let cells = degradation_cells(false, 2005);
-        for family in ["loss", "partition", "policy"] {
-            assert!(cells.iter().any(|c| c.meta.family == family));
-        }
-        for policy in ["none", "fixed", "expjitter"] {
-            assert!(cells.iter().any(|c| c.meta.policy == policy));
-        }
-    }
-
-    #[test]
     fn snapshot_and_tables_render_from_a_fast_cell() {
         // One cheap lossy cell end-to-end: run it, extract the row, and
         // check both emitters mention it.
-        let cells = degradation_cells(true, 7);
-        let lossy = cells
+        let lossy = cells(true, 7)
             .into_iter()
-            .find(|c| c.meta.family == "loss" && c.meta.loss > 0.0 && c.meta.n_dps == 1)
+            .find(|c| {
+                c.axes.str("family") == "loss" && c.axes.f64("loss") > 0.0 && c.axes.u64("n_dps") == 1
+            })
             .expect("fast sweep has a lossy 1-DP cell");
-        let out = lossy.spec.clone().run().expect("cell runs");
-        let row = DegradationRow::from_output(&lossy.meta, &out);
-        assert!(row.msgs_lost > 0, "20% loss must drop transmissions");
-        assert!(row.timeouts > 0, "loss must surface as client timeouts");
-        let json = degradation_json(2, true, &[row.clone()]);
+        let out = lossy.spec.run().expect("cell runs");
+        let row = STUDY.row(&lossy, &out, Duration::ZERO, None);
+        assert!(row.u64("msgs_lost") > 0, "20% loss must drop transmissions");
+        assert!(row.u64("timeouts") > 0, "loss must surface as client timeouts");
+        let rows = [row];
+        let json = STUDY.json(2, true, &rows);
         assert!(json.contains("\"schema\": \"digruber-bench-degradation/1\""));
         assert!(json.contains("\"family\": \"loss\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let table = render_degradation(&[row]);
+        let table = render(&rows);
         assert!(table.contains("loss sweep"));
         assert!(table.contains("retry policies"));
+        // The full sweep exercises every family and every retry policy.
+        let cells = cells(false, 2005);
+        for family in ["loss", "partition", "policy"] {
+            assert!(cells.iter().any(|c| c.axes.str("family") == family));
+        }
+        for policy in ["none", "fixed", "expjitter"] {
+            assert!(cells.iter().any(|c| c.axes.str("policy") == policy));
+        }
     }
 }

@@ -1,15 +1,14 @@
-//! One driver per paper artifact.
+//! The specs and row extractors behind the paper's artifacts.
 //!
-//! Multi-run drivers (`accuracy_vs_interval`, `table3`, `crossover`) are
-//! built from [`RunSpec`] lists and take a `jobs` worker count — pass `1`
-//! for the historical serial behaviour; any value produces identical
-//! results (the runs only differ in which thread executed them).
+//! Every artifact is a [`RunSpec`] list the caller runs itself
+//! ([`crate::run_specs`], any worker count — the runs only differ in which
+//! thread executed them) plus a function that reads the rows out of the
+//! finished outputs.
 
-use crate::parallel::run_specs;
 use digruber::config::DigruberConfig;
 use digruber::{run_experiment, ExperimentOutput, RunSpec, ServiceKind};
 use gruber_types::{GridResult, SimDuration};
-use grubsim::{simulate_required_dps, CapacityModel, GrubSimReport};
+use grubsim::CapacityModel;
 use workload::WorkloadSpec;
 
 /// The GRUB-SIM capacity model matching a service stack.
@@ -23,7 +22,9 @@ pub fn capacity_model(service: ServiceKind) -> CapacityModel {
 /// Default experiment seed (any seed reproduces the same shapes).
 pub const SEED: u64 = 2005;
 
-/// The spec behind [`dp_scaling`], reusable by spec-list drivers.
+/// The scalability figure family (Figs 5–7 for GT3, 9–11 for GT4; also
+/// Tables 1–3 and the crossover study): the paper's workload against
+/// `n_dps` decision points.
 pub fn dp_scaling_spec(service: ServiceKind, n_dps: usize, seed: u64) -> RunSpec {
     let label = format!(
         "{} DI-GRUBER, {} decision point(s)",
@@ -41,28 +42,11 @@ pub fn dp_scaling_spec(service: ServiceKind, n_dps: usize, seed: u64) -> RunSpec
     )
 }
 
-/// The scalability figure family (Figs 5–7 for GT3, 9–11 for GT4): the
-/// paper's workload against `n_dps` decision points.
-pub fn dp_scaling(service: ServiceKind, n_dps: usize, seed: u64) -> GridResult<ExperimentOutput> {
-    dp_scaling_spec(service, n_dps, seed).run()
-}
-
-/// Runs a spec list on `jobs` workers and unwraps outputs in spec order.
-fn run_all(specs: &[RunSpec], jobs: usize) -> GridResult<Vec<ExperimentOutput>> {
-    run_specs(specs, jobs).into_iter().map(|m| m.output).collect()
-}
-
 /// Figure 1: GT3 service-instance creation under a DiPerF ramp. The
 /// brokering machinery is bypassed in spirit — requests carry a tiny
 /// payload and hit the cheap instance-creation profile — but the same
 /// client loop, WAN and collector are used, exactly like the paper's
 /// stand-alone DiPerF experiment.
-pub fn fig1_instance_creation(seed: u64) -> GridResult<ExperimentOutput> {
-    fig1_spec(seed).run()
-}
-
-/// The spec behind [`fig1_instance_creation`], reusable by callers that
-/// want to adjust it (e.g. to switch tracing on) before running.
 pub fn fig1_spec(seed: u64) -> RunSpec {
     let mut cfg = DigruberConfig::paper(1, ServiceKind::Gt3InstanceCreation, seed);
     // A tiny grid keeps the availability payload (and thus marshalling
@@ -74,19 +58,7 @@ pub fn fig1_spec(seed: u64) -> RunSpec {
 }
 
 /// Figures 8 / 12: scheduling accuracy as a function of the exchange
-/// interval, three decision points. Returns `(interval, mean accuracy)`
-/// rows, one per interval, in input order.
-pub fn accuracy_vs_interval(
-    service: ServiceKind,
-    intervals_min: &[u64],
-    seed: u64,
-    jobs: usize,
-) -> GridResult<Vec<(u64, f64)>> {
-    let outs = run_all(&accuracy_specs(service, intervals_min, seed), jobs)?;
-    Ok(accuracy_rows(intervals_min, &outs))
-}
-
-/// The spec list behind [`accuracy_vs_interval`], one per interval.
+/// interval, three decision points — one spec per interval.
 pub fn accuracy_specs(service: ServiceKind, intervals_min: &[u64], seed: u64) -> Vec<RunSpec> {
     intervals_min
         .iter()
@@ -111,43 +83,11 @@ pub fn accuracy_rows(intervals_min: &[u64], outs: &[ExperimentOutput]) -> Vec<(u
         .collect()
 }
 
-/// Table 3: GRUB-SIM replay of the scalability traces.
-pub fn table3(
-    service: ServiceKind,
-    dp_counts: &[usize],
-    seed: u64,
-    jobs: usize,
-) -> GridResult<Vec<GrubSimReport>> {
-    let model = capacity_model(service);
-    let specs: Vec<RunSpec> = dp_counts
-        .iter()
-        .map(|&n| dp_scaling_spec(service, n, seed))
-        .collect();
-    Ok(run_all(&specs, jobs)?
-        .iter()
-        .map(|out| simulate_required_dps(&out.traces, model, SimDuration::MINUTE))
-        .collect())
-}
-
-/// The crossover study: sweep the decision-point count and report where
-/// adding points stops paying ("for a certain grid configuration size,
-/// there is an appropriate number of decision points that can serve the
-/// scheduling purposes"). Returns `(n_dps, peak throughput, mean
-/// response, handled fraction)` rows.
-pub fn crossover(
-    service: ServiceKind,
-    dp_counts: &[usize],
-    seed: u64,
-    jobs: usize,
-) -> GridResult<Vec<(usize, f64, f64, f64)>> {
-    let specs: Vec<RunSpec> = dp_counts
-        .iter()
-        .map(|&n| dp_scaling_spec(service, n, seed))
-        .collect();
-    Ok(crossover_rows(dp_counts, &run_all(&specs, jobs)?))
-}
-
-/// Extracts the crossover rows from finished scaling-spec outputs.
+/// The crossover study: where adding decision points stops paying ("for a
+/// certain grid configuration size, there is an appropriate number of
+/// decision points that can serve the scheduling purposes"). Extracts
+/// `(n_dps, peak throughput, mean response, handled fraction)` rows from
+/// finished [`dp_scaling_spec`] outputs.
 pub fn crossover_rows(
     dp_counts: &[usize],
     outs: &[ExperimentOutput],

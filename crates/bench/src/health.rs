@@ -9,53 +9,29 @@
 //! `Degrading` flag for the affected point. The clean cell doubles as the
 //! false-positive guard: it must finish with zero flags.
 //!
-//! Every cell runs the scaled-down deployment (Grid3×1, 90 clients,
-//! 12 simulated minutes) with structured tracing (and therefore health
-//! scoring) forced on; the sweep is snapshotted into `BENCH_health.json`
-//! (schema [`SCHEMA`]) and the detection table is quoted by
+//! Every cell runs the scaled-down deployment
+//! ([`fault_deployment`] + [`fault_workload`]; the default trace config
+//! has the scorer on, 60 s windows); the sweep is snapshotted into
+//! `BENCH_health.json` and the detection table is quoted by
 //! OBSERVABILITY.md and EXPERIMENTS.md.
 
-use crate::snapshot::{json_f64, json_str, output_fingerprint};
-use digruber::config::DigruberConfig;
+use crate::snapshot::output_fingerprint;
+use crate::study::{fault_deployment, fault_workload, table, Cell, Fields, RssSpan, Study, RUN_SECS};
 use digruber::faults::FaultPlan;
-use digruber::{ExperimentOutput, RunSpec, ServiceKind};
-use gruber_types::{DpId, SimDuration};
+use digruber::ExperimentOutput;
+use gruber_types::DpId;
 use simnet::RetryConfig;
-use std::fmt::Write as _;
-use workload::WorkloadSpec;
+use std::time::Duration;
 
-/// Schema identifier embedded in `BENCH_health.json`, bumped on breaking
-/// layout changes.
-pub const SCHEMA: &str = "digruber-bench-health/1";
-
-/// Duration of every health run, in whole seconds (12 minutes — the
-/// scaled-down bench deployment shared with the other fault studies).
-const RUN_SECS: u64 = 720;
-
-/// The axes of one health-detection cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthCellMeta {
-    /// Fault label (`clean`, `partition`, `loss`, `slow`, `crash-single`,
-    /// `crash-double`).
-    pub fault: &'static str,
-    /// The fault-plan spec the cell injects (empty for `clean`).
-    pub plan_spec: &'static str,
-    /// The decision point the fault targets, when it targets one
-    /// (`None` for the clean baseline and for run-wide loss, where any
-    /// point may degrade first).
-    pub affected_dp: Option<u32>,
-    /// When the fault comes into effect, in run milliseconds.
-    pub inject_ms: u64,
-}
-
-/// One runnable cell of the health sweep.
-#[derive(Debug, Clone)]
-pub struct HealthCell {
-    /// The cell axes.
-    pub meta: HealthCellMeta,
-    /// The run to execute for this cell.
-    pub spec: RunSpec,
-}
+/// The study's entry in [`crate::study::STUDIES`].
+pub const STUDY: Study = Study {
+    id: "health",
+    schema: "digruber-bench-health/1",
+    header: |jobs, fast| Fields::new().with("jobs", jobs).with("fast", fast).with("run_secs", RUN_SECS),
+    cells,
+    measure,
+    render,
+};
 
 /// PR 3's partition plan, shifted to fire after the ramp: point 2 is cut
 /// off from {0, 1} for the rest of the run, so only its view goes stale.
@@ -69,213 +45,128 @@ const PLAN_CRASH_SINGLE: &str = "crash@240=1+120";
 /// PR 5's staggered double-crash plan.
 const PLAN_CRASH_DOUBLE: &str = "crash@240=1+120; crash@420=2+90";
 
-fn base_cfg(seed: u64) -> DigruberConfig {
-    let mut cfg = DigruberConfig::paper(3, ServiceKind::Gt3, seed);
-    cfg.grid_factor = 1;
-    // Health scores are the output of this study, not an option; the
-    // default trace config has the scorer on (60 s windows).
-    cfg.trace = Some(obs::TraceConfig::default());
-    cfg
-}
-
-fn base_wl() -> WorkloadSpec {
-    WorkloadSpec {
-        n_clients: 90,
-        duration: SimDuration::from_mins(12),
-        ..WorkloadSpec::paper_default()
-    }
-}
-
+/// One cell: `plan_spec` is empty for `clean`; `affected_dp` is the point
+/// the fault targets, when it targets one (`None` for the clean baseline
+/// and for run-wide loss, where any point may degrade first); the fault
+/// comes into effect `inject_secs` into the run.
 fn cell(
     seed: u64,
-    fault: &'static str,
-    plan_spec: &'static str,
+    fault: &str,
+    plan_spec: &str,
     affected_dp: Option<u32>,
-    inject_ms: u64,
+    inject_secs: u32,
     retry: RetryConfig,
-) -> HealthCell {
-    let mut cfg = base_cfg(seed);
+) -> Cell {
+    let mut cfg = fault_deployment(3, seed);
     if !plan_spec.is_empty() {
         cfg.fault_plan = Some(FaultPlan::parse(plan_spec).expect("generated plan"));
     }
     cfg.retry = retry;
-    HealthCell {
-        meta: HealthCellMeta {
-            fault,
-            plan_spec,
-            affected_dp,
-            inject_ms,
-        },
-        spec: RunSpec::new(format!("health fault={fault}"), cfg, base_wl()),
-    }
+    let axes = Fields::new()
+        .with("fault", fault)
+        .with("plan_spec", plan_spec)
+        .with("affected_dp", affected_dp)
+        .with("inject_secs", f64::from(inject_secs))
+        .with("label", format!("health fault={fault}"));
+    Cell::new(axes, cfg, fault_workload())
 }
 
 /// Builds the sweep: one cell per fault family plus the clean baseline.
-/// `fast` trims to clean + crash (3 cells instead of 6) for CI smoke runs.
-/// The loss cell keeps the resilient retry policy the degradation study
-/// pairs it with — detection must work *through* the retries, not because
-/// they were turned off.
-pub fn health_cells(fast: bool, seed: u64) -> Vec<HealthCell> {
+/// `fast` trims to clean + crash + partition (3 cells instead of 6) for CI
+/// smoke runs. The loss cell keeps the resilient retry policy the
+/// degradation study pairs it with — detection must work *through* the
+/// retries, not because they were turned off.
+fn cells(fast: bool, seed: u64) -> Vec<Cell> {
+    let none = RetryConfig::NONE;
     let mut cells = vec![
-        cell(seed, "clean", "", None, 0, RetryConfig::NONE),
-        cell(seed, "crash-single", PLAN_CRASH_SINGLE, Some(1), 240_000, RetryConfig::NONE),
+        cell(seed, "clean", "", None, 0, none),
+        cell(seed, "crash-single", PLAN_CRASH_SINGLE, Some(1), 240, none),
     ];
-    if fast {
-        cells.push(cell(seed, "partition", PLAN_PARTITION, Some(2), 240_000, RetryConfig::NONE));
-        return cells;
+    if !fast {
+        cells.push(cell(seed, "crash-double", PLAN_CRASH_DOUBLE, Some(1), 240, none));
     }
-    cells.push(cell(seed, "crash-double", PLAN_CRASH_DOUBLE, Some(1), 240_000, RetryConfig::NONE));
-    cells.push(cell(seed, "partition", PLAN_PARTITION, Some(2), 240_000, RetryConfig::NONE));
-    cells.push(cell(seed, "loss", PLAN_LOSS, None, 0, RetryConfig::resilient()));
-    cells.push(cell(seed, "slow", PLAN_SLOW, Some(1), 120_000, RetryConfig::NONE));
+    cells.push(cell(seed, "partition", PLAN_PARTITION, Some(2), 240, none));
+    if !fast {
+        cells.push(cell(seed, "loss", PLAN_LOSS, None, 0, RetryConfig::resilient()));
+        cells.push(cell(seed, "slow", PLAN_SLOW, Some(1), 120, none));
+    }
     cells
 }
 
-/// One finished cell: the axes plus the detection verdict extracted from
-/// the run's [`obs::HealthReport`].
-#[derive(Debug, Clone)]
-pub struct HealthRow {
-    /// The cell axes.
-    pub meta: HealthCellMeta,
-    /// Spec label.
-    pub label: String,
-    /// Whether the scorer flagged the affected point (any point, for
-    /// cells without a single target) at or after the injection instant.
-    pub detected: bool,
-    /// When the first qualifying `Degrading` flag fired, run ms.
-    pub first_flag_ms: Option<u64>,
-    /// `first_flag_ms - inject_ms`: how long degradation ran unflagged.
-    pub detection_latency_ms: Option<u64>,
-    /// All `Degrading` flags raised over the run (any point).
-    pub degrading_flags: u64,
-    /// All `Recovered` flags raised over the run (any point).
-    pub recovered_flags: u64,
-    /// Points still flagged degraded when the run ended.
-    pub still_degraded: u64,
-    /// Worst windowed score the affected point(s) hit.
-    pub min_score: u32,
-    /// Deterministic output fingerprint (FNV-1a, see
-    /// [`output_fingerprint`]).
-    pub fingerprint: String,
-}
-
-impl HealthRow {
-    /// Extracts the row from a finished cell run.
-    pub fn from_output(meta: &HealthCellMeta, out: &ExperimentOutput) -> Self {
-        let report = out.health().expect("health cells always trace");
-        let targets: Vec<DpId> = match meta.affected_dp {
-            Some(dp) => vec![DpId(dp)],
-            None => report
-                .samples
-                .iter()
-                .map(|s| s.dp)
-                .collect::<std::collections::BTreeSet<_>>()
-                .into_iter()
-                .collect(),
-        };
-        let first_flag_ms = targets
-            .iter()
-            .filter_map(|&dp| report.first_degrading_at_or_after(dp, meta.inject_ms))
-            .min();
-        let min_score = report
+/// The detection verdict extracted from the run's [`obs::HealthReport`].
+fn measure(axes: &Fields, out: &ExperimentOutput, _wall: Duration, _rss: Option<RssSpan>) -> Fields {
+    let report = out.health().expect("health cells always trace");
+    let inject_ms = (axes.f64("inject_secs") * 1000.0) as u64;
+    let targets: Vec<DpId> = match axes.opt_u64("affected_dp") {
+        Some(dp) => vec![DpId(dp as u32)],
+        None => report
             .samples
             .iter()
-            .filter(|s| targets.contains(&s.dp))
-            .map(|s| s.score)
-            .min()
-            .unwrap_or(100);
-        HealthRow {
-            meta: meta.clone(),
-            label: out.label.clone(),
-            detected: first_flag_ms.is_some(),
-            first_flag_ms,
-            detection_latency_ms: first_flag_ms.map(|t| t - meta.inject_ms),
-            degrading_flags: report.flags.iter().filter(|f| f.degrading).count() as u64,
-            recovered_flags: report.flags.iter().filter(|f| !f.degrading).count() as u64,
-            still_degraded: report.still_degraded().len() as u64,
-            min_score,
-            fingerprint: output_fingerprint(out),
-        }
-    }
-}
-
-/// Serializes the sweep into the `BENCH_health.json` document.
-pub fn health_json(jobs: usize, fast: bool, rows: &[HealthRow]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": {},", json_str(SCHEMA));
-    let _ = writeln!(s, "  \"jobs\": {jobs},");
-    let _ = writeln!(s, "  \"fast\": {fast},");
-    let _ = writeln!(s, "  \"run_secs\": {RUN_SECS},");
-    let _ = writeln!(s, "  \"n_cells\": {},", rows.len());
-    s.push_str("  \"cells\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"fault\": {},", json_str(r.meta.fault));
-        let _ = writeln!(s, "      \"plan_spec\": {},", json_str(r.meta.plan_spec));
-        let dp = r
-            .meta
-            .affected_dp
-            .map_or_else(|| "null".to_string(), |d| d.to_string());
-        let _ = writeln!(s, "      \"affected_dp\": {dp},");
-        let _ = writeln!(s, "      \"inject_secs\": {},", json_f64(r.meta.inject_ms as f64 / 1000.0));
-        let _ = writeln!(s, "      \"label\": {},", json_str(&r.label));
-        let _ = writeln!(s, "      \"detected\": {},", r.detected);
-        let flag = r
-            .first_flag_ms
-            .map_or_else(|| "null".to_string(), |t| json_f64(t as f64 / 1000.0));
-        let _ = writeln!(s, "      \"first_flag_secs\": {flag},");
-        let lat = r
-            .detection_latency_ms
-            .map_or_else(|| "null".to_string(), |t| json_f64(t as f64 / 1000.0));
-        let _ = writeln!(s, "      \"detection_latency_secs\": {lat},");
-        let _ = writeln!(s, "      \"degrading_flags\": {},", r.degrading_flags);
-        let _ = writeln!(s, "      \"recovered_flags\": {},", r.recovered_flags);
-        let _ = writeln!(s, "      \"still_degraded_at_end\": {},", r.still_degraded);
-        let _ = writeln!(s, "      \"min_score\": {},", r.min_score);
-        let _ = writeln!(s, "      \"fingerprint\": {}", json_str(&r.fingerprint));
-        s.push_str(if i + 1 < rows.len() { "    },\n" } else { "    }\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
+            .map(|s| s.dp)
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect(),
+    };
+    // The first qualifying `Degrading` flag: on the affected point (any
+    // point, for cells without a single target), at or after injection.
+    let first_flag_ms = targets
+        .iter()
+        .filter_map(|&dp| report.first_degrading_at_or_after(dp, inject_ms))
+        .min();
+    let min_score = report
+        .samples
+        .iter()
+        .filter(|s| targets.contains(&s.dp))
+        .map(|s| s.score)
+        .min()
+        .unwrap_or(100);
+    let secs = |ms: u64| ms as f64 / 1000.0;
+    Fields::new()
+        .with("detected", first_flag_ms.is_some())
+        .with("first_flag_secs", first_flag_ms.map(secs))
+        // How long degradation ran unflagged.
+        .with("detection_latency_secs", first_flag_ms.map(|t| secs(t - inject_ms)))
+        // All flags raised over the run, on any point.
+        .with("degrading_flags", report.flags.iter().filter(|f| f.degrading).count())
+        .with("recovered_flags", report.flags.iter().filter(|f| !f.degrading).count())
+        .with("still_degraded_at_end", report.still_degraded().len())
+        // Worst windowed score the affected point(s) hit.
+        .with("min_score", min_score)
+        .with("fingerprint", output_fingerprint(out))
 }
 
 /// Renders the detection-latency table OBSERVABILITY.md quotes: one row
 /// per fault family with the injection instant, the first flag, and the
 /// measured gap.
-pub fn render_health(rows: &[HealthRow]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:>14}  {:>8}  {:>9}  {:>10}  {:>9}  {:>6}  {:>9}  {:>10}",
-        "fault", "inject", "flagged", "latency", "min score", "flags", "recovered", "still down"
-    );
-    for r in rows {
-        let flagged = r
-            .first_flag_ms
-            .map_or_else(|| "-".to_string(), |t| format!("{} s", t / 1000));
-        let latency = r
-            .detection_latency_ms
-            .map_or_else(|| "-".to_string(), |t| format!("{} s", t / 1000));
-        let inject = if r.meta.plan_spec.is_empty() {
-            "-".to_string()
-        } else {
-            format!("{} s", r.meta.inject_ms / 1000)
-        };
-        let _ = writeln!(
-            s,
-            "{:>14}  {:>8}  {:>9}  {:>10}  {:>9}  {:>6}  {:>9}  {:>10}",
-            r.meta.fault,
-            inject,
-            flagged,
-            latency,
-            r.min_score,
-            r.degrading_flags,
-            r.recovered_flags,
-            r.still_degraded,
-        );
-    }
-    s
+fn render(rows: &[Fields]) -> String {
+    let cols = [
+        ("fault", 14),
+        ("inject", 8),
+        ("flagged", 9),
+        ("latency", 10),
+        ("min score", 9),
+        ("flags", 6),
+        ("recovered", 9),
+        ("still down", 10),
+    ];
+    let whole_secs = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |t| format!("{} s", t as u64));
+    let lines: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            let injected = !r.str("plan_spec").is_empty();
+            vec![
+                r.str("fault").to_string(),
+                whole_secs(r.opt_f64("inject_secs").filter(|_| injected)),
+                whole_secs(r.opt_f64("first_flag_secs")),
+                whole_secs(r.opt_f64("detection_latency_secs")),
+                r.u64("min_score").to_string(),
+                r.u64("degrading_flags").to_string(),
+                r.u64("recovered_flags").to_string(),
+                r.u64("still_degraded_at_end").to_string(),
+            ]
+        })
+        .collect();
+    table("", &cols, &lines)
 }
 
 #[cfg(test)]
@@ -283,62 +174,46 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cells_have_unique_labels_and_valid_configs() {
-        for fast in [false, true] {
-            let cells = health_cells(fast, 2005);
-            assert_eq!(cells.len(), if fast { 3 } else { 6 });
-            let mut labels: Vec<&str> = cells.iter().map(|c| c.spec.label.as_str()).collect();
-            labels.sort_unstable();
-            let before = labels.len();
-            labels.dedup();
-            assert_eq!(labels.len(), before, "duplicate cell labels");
-            for c in &cells {
-                c.spec.cfg.validate().expect("cell config invalid");
-                assert!(c.spec.cfg.trace.is_some(), "cells must trace");
-                assert_eq!(
-                    c.meta.fault == "clean",
-                    c.spec.cfg.fault_plan.is_none(),
-                    "exactly the clean cell runs fault-free"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn scorer_detects_the_fast_cells_and_stays_quiet_on_clean() {
         // The acceptance check, end-to-end on the fast sweep: the clean
         // baseline raises zero flags (no false positives), and both
         // injected faults — a crash and a partition — are flagged after
         // their injection instant with a finite latency.
-        let cells = health_cells(true, 7);
-        let rows: Vec<HealthRow> = cells
+        let rows: Vec<Fields> = cells(true, 7)
             .iter()
             .map(|c| {
-                let out = c.spec.clone().run().expect("cell runs");
-                HealthRow::from_output(&c.meta, &out)
+                let out = c.spec.run().expect("cell runs");
+                STUDY.row(c, &out, Duration::ZERO, None)
             })
             .collect();
-        let clean = rows.iter().find(|r| r.meta.fault == "clean").unwrap();
-        assert!(!clean.detected, "clean run flagged: {clean:?}");
-        assert_eq!(clean.degrading_flags, 0, "false positive: {clean:?}");
-        for r in rows.iter().filter(|r| r.meta.fault != "clean") {
-            assert!(r.detected, "{} not detected: {r:?}", r.meta.fault);
-            let lat = r.detection_latency_ms.unwrap();
+        let clean = rows.iter().find(|r| r.str("fault") == "clean").unwrap();
+        assert!(!clean.bool("detected"), "clean run flagged: {clean:?}");
+        assert_eq!(clean.u64("degrading_flags"), 0, "false positive: {clean:?}");
+        for r in rows.iter().filter(|r| r.str("fault") != "clean") {
+            assert!(r.bool("detected"), "{} not detected: {r:?}", r.str("fault"));
+            let lat = r.f64("detection_latency_secs");
             assert!(
-                lat < RUN_SECS * 1000,
-                "{}: latency {lat} ms outside the run",
-                r.meta.fault
+                lat < RUN_SECS as f64,
+                "{}: latency {lat} s outside the run",
+                r.str("fault")
             );
         }
         // The crashed point comes back and the scorer clears its flag.
-        let crash = rows.iter().find(|r| r.meta.fault == "crash-single").unwrap();
-        assert!(crash.recovered_flags >= 1, "no recovery flag: {crash:?}");
-        assert_eq!(crash.still_degraded, 0, "flag never cleared: {crash:?}");
-        let json = health_json(2, true, &rows);
+        let crash = rows.iter().find(|r| r.str("fault") == "crash-single").unwrap();
+        assert!(crash.u64("recovered_flags") >= 1, "no recovery flag: {crash:?}");
+        assert_eq!(crash.u64("still_degraded_at_end"), 0, "flag never cleared: {crash:?}");
+        let json = STUDY.json(2, true, &rows);
         assert!(json.contains("\"schema\": \"digruber-bench-health/1\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let table = render_health(&rows);
+        let table = render(&rows);
         assert!(table.contains("crash-single"));
         assert!(table.contains("partition"));
+        for c in cells(false, 2005) {
+            assert_eq!(
+                c.axes.str("fault") == "clean",
+                c.spec.cfg.fault_plan.is_none(),
+                "exactly the clean cell runs fault-free"
+            );
+        }
     }
 }

@@ -1,7 +1,10 @@
-//! Experiment drivers for the paper's tables and figures.
+//! Experiment drivers for the paper's tables and figures, and the
+//! post-paper studies.
 //!
-//! Each function regenerates one artifact from the paper's evaluation; the
-//! `experiments` binary exposes them behind a small CLI
+//! [`drivers`] holds the specs and row extractors of the paper's
+//! artifacts; [`study`] is the one framework the five studies
+//! ([`STUDIES`]) are entries of. The `experiments` binary exposes both
+//! behind a small CLI
 //! (`cargo run --release -p bench --bin experiments -- <id>`), and the
 //! Criterion benches reuse the same drivers on scaled-down configurations.
 
@@ -16,15 +19,10 @@ pub mod recovery;
 pub mod render;
 pub mod scale;
 pub mod snapshot;
+pub mod study;
 pub mod topology;
 
-pub use degradation::{degradation_cells, degradation_json, render_degradation, DegradationRow};
-pub use topology::{render_topology, topology_cells, topology_json, TopologyRow};
-pub use health::{health_cells, health_json, render_health, HealthRow};
-pub use recovery::{recovery_cells, recovery_json, render_recovery, RecoveryRow};
-pub use scale::{
-    client_scale_cells, peak_rss_bytes, render_scale, scale_cells, scale_json, ScaleRow,
-};
 pub use drivers::*;
 pub use parallel::{default_jobs, run_specs, RunMeasurement};
 pub use snapshot::{output_fingerprint, SweepSnapshot};
+pub use study::{Study, STUDIES};

@@ -8,49 +8,28 @@
 //! sweeping the snapshot interval to expose the replay-length/snapshot-cost
 //! trade (see FAULTS.md § Crash recovery for the operator view).
 //!
-//! Every cell runs the scaled-down deployment (Grid3×1, 90 clients,
-//! 12 simulated minutes) with structured tracing forced on; the whole sweep
-//! is snapshotted into `BENCH_recovery.json` (schema [`SCHEMA`]).
+//! Every cell runs the scaled-down deployment
+//! ([`fault_deployment`] + [`fault_workload`]); the whole sweep is
+//! snapshotted into `BENCH_recovery.json`.
 
-use crate::snapshot::{json_f64, json_str, output_fingerprint};
-use digruber::config::{DigruberConfig, PersistenceConfig, RecoveryMode};
+use crate::snapshot::output_fingerprint;
+use crate::study::{fault_deployment, fault_workload, table, Cell, Fields, RssSpan, Study, RUN_SECS};
+use digruber::config::{PersistenceConfig, RecoveryMode};
 use digruber::faults::FaultPlan;
-use digruber::{ExperimentOutput, RunSpec, ServiceKind};
+use digruber::ExperimentOutput;
 use dpstore::SnapshotPolicy;
 use gruber_types::SimDuration;
-use std::fmt::Write as _;
-use workload::WorkloadSpec;
+use std::time::Duration;
 
-/// Schema identifier embedded in `BENCH_recovery.json`, bumped on breaking
-/// layout changes.
-pub const SCHEMA: &str = "digruber-bench-recovery/1";
-
-/// Duration of every recovery run, in whole seconds (12 minutes — the
-/// scaled-down bench deployment shared with the degradation study).
-const RUN_SECS: u64 = 720;
-
-/// The axes of one recovery sweep cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryCellMeta {
-    /// Crash plan label (`single` or `double`).
-    pub plan: &'static str,
-    /// The fault-plan spec the cell injects.
-    pub plan_spec: &'static str,
-    /// Recovery mode label (`empty` or `persist`).
-    pub mode: &'static str,
-    /// Snapshot interval in WAL records (0 = never snapshot; only
-    /// meaningful for `persist`).
-    pub snapshot_records: u32,
-}
-
-/// One runnable cell of the recovery sweep.
-#[derive(Debug, Clone)]
-pub struct RecoveryCell {
-    /// The cell axes.
-    pub meta: RecoveryCellMeta,
-    /// The run to execute for this cell.
-    pub spec: RunSpec,
-}
+/// The study's entry in [`crate::study::STUDIES`].
+pub const STUDY: Study = Study {
+    id: "recovery",
+    schema: "digruber-bench-recovery/1",
+    header: |jobs, fast| Fields::new().with("jobs", jobs).with("fast", fast).with("run_secs", RUN_SECS),
+    cells,
+    measure,
+    render,
+};
 
 /// One decision point crashes mid-run, after the ramp has populated the
 /// views, and stays down for two minutes.
@@ -58,24 +37,11 @@ const PLAN_SINGLE: &str = "crash@240=1+120";
 /// Two staggered crashes on different points.
 const PLAN_DOUBLE: &str = "crash@240=1+120; crash@420=2+90";
 
-fn base_cfg(seed: u64) -> DigruberConfig {
-    let mut cfg = DigruberConfig::paper(3, ServiceKind::Gt3, seed);
-    cfg.grid_factor = 1;
-    // Timelines are an output of this study, not an option.
-    cfg.trace = Some(obs::TraceConfig::default());
-    cfg
-}
-
-fn base_wl() -> WorkloadSpec {
-    WorkloadSpec {
-        n_clients: 90,
-        duration: SimDuration::from_mins(12),
-        ..WorkloadSpec::paper_default()
-    }
-}
-
-fn cell(seed: u64, plan: &'static str, plan_spec: &'static str, mode: &'static str, snapshot_records: u32) -> RecoveryCell {
-    let mut cfg = base_cfg(seed);
+/// One cell: crash plan `plan` (its spec `plan_spec`), restored `empty` or
+/// from `persist`ence snapshotting every `snapshot_records` WAL records
+/// (0 = never snapshot; only meaningful for `persist`).
+fn cell(seed: u64, plan: &str, plan_spec: &str, mode: &str, snapshot_records: u32) -> Cell {
+    let mut cfg = fault_deployment(3, seed);
     cfg.fault_plan = Some(FaultPlan::parse(plan_spec).expect("generated plan"));
     cfg.persistence = match mode {
         "empty" => PersistenceConfig {
@@ -91,27 +57,28 @@ fn cell(seed: u64, plan: &'static str, plan_spec: &'static str, mode: &'static s
         },
         other => unreachable!("unknown recovery mode {other}"),
     };
-    let label = if mode == "persist" {
-        format!("recovery plan={plan} persist@{snapshot_records}")
+    let axes = Fields::new()
+        .with("plan", plan)
+        .with("plan_spec", plan_spec)
+        .with("mode", mode)
+        .with("snapshot_records", snapshot_records)
+        .with("label", format!("recovery plan={plan} {}", mode_name(mode, snapshot_records)));
+    Cell::new(axes, cfg, fault_workload())
+}
+
+fn mode_name(mode: &str, snapshot_records: impl std::fmt::Display) -> String {
+    if mode == "persist" {
+        format!("persist@{snapshot_records}")
     } else {
-        format!("recovery plan={plan} empty")
-    };
-    RecoveryCell {
-        meta: RecoveryCellMeta {
-            plan,
-            plan_spec,
-            mode,
-            snapshot_records,
-        },
-        spec: RunSpec::new(label, cfg, base_wl()),
+        mode.to_string()
     }
 }
 
 /// Builds the sweep: crash plan × recovery mode, with the snapshot
 /// interval swept for the persist rows. `fast` trims to one plan and one
 /// interval (2 cells instead of 8) for CI smoke runs.
-pub fn recovery_cells(fast: bool, seed: u64) -> Vec<RecoveryCell> {
-    let plans: &[(&'static str, &'static str)] = if fast {
+fn cells(fast: bool, seed: u64) -> Vec<Cell> {
+    let plans: &[(&str, &str)] = if fast {
         &[("single", PLAN_SINGLE)]
     } else {
         &[("single", PLAN_SINGLE), ("double", PLAN_DOUBLE)]
@@ -127,120 +94,58 @@ pub fn recovery_cells(fast: bool, seed: u64) -> Vec<RecoveryCell> {
     cells
 }
 
-/// One finished cell: the axes plus the recovery-relevant slice of its
-/// [`ExperimentOutput`].
-#[derive(Debug, Clone)]
-pub struct RecoveryRow {
-    /// The cell axes.
-    pub meta: RecoveryCellMeta,
-    /// Spec label.
-    pub label: String,
-    /// Crash restorations performed.
-    pub recoveries: u64,
-    /// WAL records replayed into fresh nodes across all recoveries.
-    pub wal_records_replayed: u64,
-    /// Slowest single recovery (modeled store I/O + replay), ms.
-    pub max_recovery_ms: u64,
-    /// Worst view staleness over the run (max over decision points), ms.
-    pub max_staleness_ms: u64,
-    /// Mean scheduling accuracy over handled placements, if any were.
-    pub accuracy: Option<f64>,
-    /// Fraction of requests answered in time.
-    pub handled_fraction: f64,
-    /// Client-visible timeouts, summed over decision points.
-    pub timeouts: u64,
-    /// Deterministic output fingerprint (FNV-1a, see
-    /// [`output_fingerprint`]).
-    pub fingerprint: String,
-}
-
-impl RecoveryRow {
-    /// Extracts the row from a finished cell run.
-    pub fn from_output(meta: &RecoveryCellMeta, out: &ExperimentOutput) -> Self {
-        RecoveryRow {
-            meta: meta.clone(),
-            label: out.label.clone(),
-            recoveries: out.recoveries,
-            wal_records_replayed: out.wal_records_replayed,
-            max_recovery_ms: out.max_recovery_ms,
-            max_staleness_ms: out.max_view_staleness_ms.iter().copied().max().unwrap_or(0),
-            accuracy: out.mean_handled_accuracy,
-            handled_fraction: out.report.handled_fraction(),
-            timeouts: out.timeouts_by_dp.iter().sum(),
-            fingerprint: output_fingerprint(out),
-        }
-    }
-}
-
-/// Serializes the sweep into the `BENCH_recovery.json` document.
-pub fn recovery_json(jobs: usize, fast: bool, rows: &[RecoveryRow]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": {},", json_str(SCHEMA));
-    let _ = writeln!(s, "  \"jobs\": {jobs},");
-    let _ = writeln!(s, "  \"fast\": {fast},");
-    let _ = writeln!(s, "  \"run_secs\": {RUN_SECS},");
-    let _ = writeln!(s, "  \"n_cells\": {},", rows.len());
-    s.push_str("  \"cells\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"plan\": {},", json_str(r.meta.plan));
-        let _ = writeln!(s, "      \"plan_spec\": {},", json_str(r.meta.plan_spec));
-        let _ = writeln!(s, "      \"mode\": {},", json_str(r.meta.mode));
-        let _ = writeln!(s, "      \"snapshot_records\": {},", r.meta.snapshot_records);
-        let _ = writeln!(s, "      \"label\": {},", json_str(&r.label));
-        let _ = writeln!(s, "      \"recoveries\": {},", r.recoveries);
-        let _ = writeln!(s, "      \"wal_records_replayed\": {},", r.wal_records_replayed);
-        let _ = writeln!(s, "      \"max_recovery_ms\": {},", r.max_recovery_ms);
-        let _ = writeln!(s, "      \"max_staleness_ms\": {},", r.max_staleness_ms);
-        let acc = r.accuracy.map_or_else(|| "null".to_string(), json_f64);
-        let _ = writeln!(s, "      \"accuracy\": {acc},");
-        let _ = writeln!(s, "      \"handled_fraction\": {},", json_f64(r.handled_fraction));
-        let _ = writeln!(s, "      \"timeouts\": {},", r.timeouts);
-        let _ = writeln!(s, "      \"fingerprint\": {}", json_str(&r.fingerprint));
-        s.push_str(if i + 1 < rows.len() { "    },\n" } else { "    }\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
+/// The recovery-relevant slice of a finished cell run.
+fn measure(_axes: &Fields, out: &ExperimentOutput, _wall: Duration, _rss: Option<RssSpan>) -> Fields {
+    Fields::new()
+        // Crash restorations performed.
+        .with("recoveries", out.recoveries)
+        // WAL records replayed into fresh nodes across all recoveries.
+        .with("wal_records_replayed", out.wal_records_replayed)
+        // Slowest single recovery (modeled store I/O + replay).
+        .with("max_recovery_ms", out.max_recovery_ms)
+        // Worst view staleness over the run (max over decision points).
+        .with("max_staleness_ms", out.max_view_staleness_ms.iter().copied().max().unwrap_or(0))
+        .with("accuracy", out.mean_handled_accuracy)
+        .with("handled_fraction", out.report.handled_fraction())
+        // Client-visible timeouts, summed over decision points.
+        .with("timeouts", out.timeouts_by_dp.iter().sum::<u64>())
+        .with("fingerprint", output_fingerprint(out))
 }
 
 /// Renders the headline table FAULTS.md quotes: per crash plan, one row
 /// per recovery mode with staleness, replay length, recovery time, and
 /// the client-visible metrics.
-pub fn render_recovery(rows: &[RecoveryRow]) -> String {
-    let mut plans: Vec<&str> = rows.iter().map(|r| r.meta.plan).collect();
+fn render(rows: &[Fields]) -> String {
+    let cols = [
+        ("mode", 12),
+        ("recovered", 9),
+        ("replayed", 9),
+        ("recovery", 11),
+        ("staleness", 12),
+        ("handled", 8),
+        ("accuracy", 8),
+    ];
+    let mut plans: Vec<&str> = rows.iter().map(|r| r.str("plan")).collect();
     plans.dedup();
     let mut s = String::new();
     for plan in plans {
-        let spec = rows
+        let of_plan: Vec<&Fields> = rows.iter().filter(|r| r.str("plan") == plan).collect();
+        s += &format!("crash plan {plan} ({}):\n", of_plan[0].str("plan_spec"));
+        let lines: Vec<Vec<String>> = of_plan
             .iter()
-            .find(|r| r.meta.plan == plan)
-            .map_or("", |r| r.meta.plan_spec);
-        let _ = writeln!(s, "crash plan {plan} ({spec}):");
-        let _ = writeln!(
-            s,
-            "  {:>12}  {:>9}  {:>9}  {:>11}  {:>12}  {:>8}  {:>8}",
-            "mode", "recovered", "replayed", "recovery", "staleness", "handled", "accuracy"
-        );
-        for r in rows.iter().filter(|r| r.meta.plan == plan) {
-            let mode = if r.meta.mode == "persist" {
-                format!("persist@{}", r.meta.snapshot_records)
-            } else {
-                r.meta.mode.to_string()
-            };
-            let _ = writeln!(
-                s,
-                "  {:>12}  {:>9}  {:>9}  {:>9}ms  {:>10}ms  {:>7.1}%  {:>8}",
-                mode,
-                r.recoveries,
-                r.wal_records_replayed,
-                r.max_recovery_ms,
-                r.max_staleness_ms,
-                r.handled_fraction * 100.0,
-                r.accuracy
-                    .map_or_else(|| "n/a".to_string(), |a| format!("{a:.3}")),
-            );
-        }
+            .map(|r| {
+                vec![
+                    mode_name(r.str("mode"), r.u64("snapshot_records")),
+                    r.u64("recoveries").to_string(),
+                    r.u64("wal_records_replayed").to_string(),
+                    format!("{}ms", r.u64("max_recovery_ms")),
+                    format!("{}ms", r.u64("max_staleness_ms")),
+                    format!("{:.1}%", r.f64("handled_fraction") * 100.0),
+                    r.opt_f64("accuracy").map_or_else(|| "n/a".to_string(), |a| format!("{a:.3}")),
+                ]
+            })
+            .collect();
+        s += &table("  ", &cols, &lines);
     }
     s
 }
@@ -250,62 +155,47 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cells_have_unique_labels_and_valid_configs() {
-        for fast in [false, true] {
-            let cells = recovery_cells(fast, 2005);
-            assert_eq!(cells.len(), if fast { 2 } else { 8 });
-            let mut labels: Vec<&str> = cells.iter().map(|c| c.spec.label.as_str()).collect();
-            labels.sort_unstable();
-            let before = labels.len();
-            labels.dedup();
-            assert_eq!(labels.len(), before, "duplicate cell labels");
-            for c in &cells {
-                c.spec.cfg.validate().expect("cell config invalid");
-                assert!(c.spec.cfg.trace.is_some(), "cells must trace");
-                assert!(c.spec.cfg.fault_plan.is_some(), "cells must crash");
-            }
-        }
-        let cells = recovery_cells(false, 2005);
-        for mode in ["empty", "persist"] {
-            assert!(cells.iter().any(|c| c.meta.mode == mode));
-        }
-        for plan in ["single", "double"] {
-            assert!(cells.iter().any(|c| c.meta.plan == plan));
-        }
-    }
-
-    #[test]
     fn persistence_beats_empty_rejoin_on_staleness() {
         // The acceptance check, end-to-end on the fast sweep: with
         // persistence on, the restarted point resumes from WAL + snapshot
         // and its worst-case view staleness stays strictly below the
         // empty-rejoin baseline (whose fresh engine has never merged).
-        let cells = recovery_cells(true, 7);
-        let rows: Vec<RecoveryRow> = cells
+        let rows: Vec<Fields> = cells(true, 7)
             .iter()
             .map(|c| {
-                let out = c.spec.clone().run().expect("cell runs");
-                RecoveryRow::from_output(&c.meta, &out)
+                let out = c.spec.run().expect("cell runs");
+                STUDY.row(c, &out, Duration::ZERO, None)
             })
             .collect();
-        let empty = rows.iter().find(|r| r.meta.mode == "empty").unwrap();
-        let persist = rows.iter().find(|r| r.meta.mode == "persist").unwrap();
-        assert_eq!(empty.recoveries, 1);
-        assert_eq!(persist.recoveries, 1);
-        assert_eq!(empty.wal_records_replayed, 0);
-        assert!(persist.wal_records_replayed > 0, "{persist:?}");
-        assert!(persist.max_recovery_ms > 0, "{persist:?}");
+        let empty = rows.iter().find(|r| r.str("mode") == "empty").unwrap();
+        let persist = rows.iter().find(|r| r.str("mode") == "persist").unwrap();
+        assert_eq!(empty.u64("recoveries"), 1);
+        assert_eq!(persist.u64("recoveries"), 1);
+        assert_eq!(empty.u64("wal_records_replayed"), 0);
+        assert!(persist.u64("wal_records_replayed") > 0, "{persist:?}");
+        assert!(persist.u64("max_recovery_ms") > 0, "{persist:?}");
         assert!(
-            persist.max_staleness_ms < empty.max_staleness_ms,
+            persist.u64("max_staleness_ms") < empty.u64("max_staleness_ms"),
             "persistence did not reduce staleness: {} vs {}",
-            persist.max_staleness_ms,
-            empty.max_staleness_ms
+            persist.u64("max_staleness_ms"),
+            empty.u64("max_staleness_ms")
         );
-        let json = recovery_json(2, true, &rows);
+        let json = STUDY.json(2, true, &rows);
         assert!(json.contains("\"schema\": \"digruber-bench-recovery/1\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let table = render_recovery(&rows);
+        let table = render(&rows);
         assert!(table.contains("crash plan single"));
         assert!(table.contains("persist@64"));
+        // The full sweep crashes every cell, in both modes and both plans.
+        let cells = cells(false, 2005);
+        for c in &cells {
+            assert!(c.spec.cfg.fault_plan.is_some(), "cells must crash");
+        }
+        for mode in ["empty", "persist"] {
+            assert!(cells.iter().any(|c| c.axes.str("mode") == mode));
+        }
+        for plan in ["single", "double"] {
+            assert!(cells.iter().any(|c| c.axes.str("plan") == plan));
+        }
     }
 }

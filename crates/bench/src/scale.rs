@@ -6,7 +6,7 @@
 //! budget item. This study runs exactly that, headlined by the Grid3×10
 //! decision-point sweep plus a Grid3×100 smoke (ten times the paper's
 //! grid again), and snapshots wall-clock, events/second and queue
-//! high-water marks into `BENCH_scale.json` (schema [`SCHEMA`]).
+//! high-water marks into `BENCH_scale.json`.
 //!
 //! Every cell runs traced, and the driver cross-checks the scheduler's
 //! own counters against the structured timeline: events executed and
@@ -18,351 +18,221 @@
 //! batching reorders same-millisecond seeding sequence numbers and would
 //! therefore move their pinned fingerprints.
 //!
-//! Alongside the paper-shaped grid sweep, a **client-scale ramp**
-//! ([`client_scale_cells`]) runs 10k/100k (and, in full mode, 1M)
-//! submission hosts over Grid3×10 using [`WorkloadSpec::scaled`], whose
-//! think-time-dominated shape keeps the footprint proportional to the
-//! client population rather than to closed-loop depth. Those cells run
-//! sequentially so per-cell peak-RSS growth (`VmHWM`) is attributable,
-//! and the snapshot pins **bytes per client** next to events/second —
-//! the memory half of the struct-of-arrays grid-view story.
+//! Alongside the paper-shaped grid sweep, a **client-scale ramp** runs
+//! 10k/100k (and, in full mode, 1M) submission hosts over Grid3×10 using
+//! [`WorkloadSpec::scaled`], whose think-time-dominated shape keeps the
+//! footprint proportional to the client population rather than to
+//! closed-loop depth. Those cells are marked [`Cell::sequential`] so
+//! per-cell peak-RSS growth (`VmHWM`) is attributable, and the snapshot
+//! pins **bytes per client** next to events/second — the memory half of
+//! the struct-of-arrays grid-view story.
 
-use crate::snapshot::{json_f64, json_str, output_fingerprint};
+use crate::snapshot::output_fingerprint;
+use crate::study::{table, Cell, Fields, RssSpan, Study};
 use digruber::config::DigruberConfig;
-use digruber::{ExperimentOutput, RunSpec, ServiceKind};
-use std::fmt::Write as _;
+use digruber::{ExperimentOutput, ServiceKind};
 use std::time::Duration;
 use workload::WorkloadSpec;
 
-/// Schema identifier embedded in `BENCH_scale.json`, bumped on breaking
-/// layout changes. `/2` added the client-scale cells and the per-cell
-/// memory columns (`n_clients`, `peak_rss_bytes`, `rss_growth_bytes`,
-/// `bytes_per_client`).
-pub const SCHEMA: &str = "digruber-bench-scale/2";
+/// The study's entry in [`crate::study::STUDIES`]. Schema `/2` added the
+/// client-scale cells and the per-cell memory columns (`n_clients`,
+/// `peak_rss_bytes`, `rss_growth_bytes`, `bytes_per_client`).
+pub const STUDY: Study = Study {
+    id: "scale",
+    schema: "digruber-bench-scale/2",
+    header: |jobs, fast| {
+        Fields::new().with("jobs", jobs).with("fast", fast).with("arrival_batch", ARRIVAL_BATCH)
+    },
+    cells,
+    measure,
+    render,
+};
 
 /// Clients seeded per arrival batch (paper-shaped grid cells; the
 /// client-scale cells use [`WorkloadSpec::scaled`]'s own batch size).
 const ARRIVAL_BATCH: u32 = 16;
 
-/// The axes of one scale cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScaleCellMeta {
-    /// Grid multiplier over Grid3 (10 = the paper's environment).
-    pub grid_factor: usize,
-    /// Decision points deployed.
-    pub n_dps: usize,
-    /// Submission hosts (120 = the paper's workload; the client-scale
-    /// cells ramp this to 10k/100k/1M).
-    pub n_clients: u32,
-}
-
-/// One runnable cell of the scale study.
-#[derive(Debug, Clone)]
-pub struct ScaleCell {
-    /// The cell axes.
-    pub meta: ScaleCellMeta,
-    /// The run to execute for this cell.
-    pub spec: RunSpec,
-}
-
-fn cell(seed: u64, grid_factor: usize, n_dps: usize) -> ScaleCell {
+/// A Grid3×`grid_factor` cell. `ramp_clients` makes it a sequential
+/// client-scale cell with that many submission hosts; otherwise it runs
+/// the paper's 120-host workload with batched arrivals.
+fn cell(seed: u64, grid_factor: usize, n_dps: usize, ramp_clients: Option<u32>) -> Cell {
     let mut cfg = DigruberConfig::paper(n_dps, ServiceKind::Gt3, seed);
     cfg.grid_factor = grid_factor;
-    // The counter reconciliation below needs the timeline.
+    // The counter reconciliation in `measure` needs the timeline.
     cfg.trace = Some(obs::TraceConfig::default());
-    let wl = WorkloadSpec {
-        arrival_batch: Some(ARRIVAL_BATCH),
-        ..WorkloadSpec::paper_default()
+    let mut label = format!("scale: Grid3x{grid_factor} {n_dps} DPs");
+    let wl = match ramp_clients {
+        Some(n) => {
+            label += &format!(" {n} clients");
+            WorkloadSpec::scaled(n)
+        }
+        None => WorkloadSpec {
+            arrival_batch: Some(ARRIVAL_BATCH),
+            ..WorkloadSpec::paper_default()
+        },
     };
-    ScaleCell {
-        meta: ScaleCellMeta {
-            grid_factor,
-            n_dps,
-            n_clients: wl.n_clients,
-        },
-        spec: RunSpec::new(
-            format!("scale: Grid3x{grid_factor} {n_dps} DPs"),
-            cfg,
-            wl,
-        ),
+    let axes = Fields::new()
+        .with("grid_factor", grid_factor)
+        .with("n_dps", n_dps)
+        .with("n_clients", wl.n_clients)
+        .with("label", label);
+    Cell {
+        sequential: ramp_clients.is_some(),
+        ..Cell::new(axes, cfg, wl)
     }
-}
-
-fn client_cell(seed: u64, grid_factor: usize, n_dps: usize, n_clients: u32) -> ScaleCell {
-    let mut cfg = DigruberConfig::paper(n_dps, ServiceKind::Gt3, seed);
-    cfg.grid_factor = grid_factor;
-    // Client cells reconcile against the timeline too.
-    cfg.trace = Some(obs::TraceConfig::default());
-    let wl = WorkloadSpec::scaled(n_clients);
-    ScaleCell {
-        meta: ScaleCellMeta {
-            grid_factor,
-            n_dps,
-            n_clients,
-        },
-        spec: RunSpec::new(
-            format!("scale: Grid3x{grid_factor} {n_dps} DPs {n_clients} clients"),
-            cfg,
-            wl,
-        ),
-    }
-}
-
-/// Builds the client-scale ramp: 10k and 100k submission hosts over the
-/// full-fidelity Grid3×10 grid with 3 decision points, plus a 1M-client
-/// smoke when not `fast`. The cells are returned in increasing client
-/// order and the driver runs them **sequentially on one thread**: peak
-/// RSS (`VmHWM`) is process-monotone, so the per-cell RSS growth is only
-/// attributable if each cell's footprint eclipses everything run before
-/// it — which increasing client counts guarantee for the cells that
-/// matter.
-pub fn client_scale_cells(fast: bool, seed: u64) -> Vec<ScaleCell> {
-    let mut counts = vec![10_000u32, 100_000];
-    if !fast {
-        counts.push(1_000_000);
-    }
-    counts
-        .into_iter()
-        .map(|n| client_cell(seed, 10, 3, n))
-        .collect()
 }
 
 /// Builds the study: the full-fidelity Grid3×10 decision-point sweep
-/// (1/3/10 DPs, the paper's Figures 5–7 grid) plus the Grid3×100 smoke.
-/// `fast` trims to one Grid3×10 cell and the Grid3×100 smoke for CI.
-pub fn scale_cells(fast: bool, seed: u64) -> Vec<ScaleCell> {
-    let mut cells = Vec::new();
-    if fast {
-        cells.push(cell(seed, 10, 3));
+/// (1/3/10 DPs, the paper's Figures 5–7 grid) plus the Grid3×100 smoke,
+/// then the client-scale ramp — 10k and 100k submission hosts over
+/// Grid3×10 with 3 decision points, plus a 1M-client smoke. `fast` trims
+/// to one Grid3×10 cell, the Grid3×100 smoke and the two smaller ramp
+/// cells for CI. The ramp is in increasing client order: peak RSS
+/// (`VmHWM`) is process-monotone, so the per-cell RSS growth is only
+/// attributable if each cell's footprint eclipses everything run before
+/// it — which increasing client counts guarantee for the cells that
+/// matter.
+fn cells(fast: bool, seed: u64) -> Vec<Cell> {
+    let (dps, ramp): (&[usize], &[u32]) = if fast {
+        (&[3], &[10_000, 100_000])
     } else {
-        for n_dps in [1usize, 3, 10] {
-            cells.push(cell(seed, 10, n_dps));
-        }
-    }
-    cells.push(cell(seed, 100, 3));
+        (&[1, 3, 10], &[10_000, 100_000, 1_000_000])
+    };
+    let mut cells: Vec<Cell> = dps.iter().map(|&n| cell(seed, 10, n, None)).collect();
+    cells.push(cell(seed, 100, 3, None));
+    cells.extend(ramp.iter().map(|&n| cell(seed, 10, 3, Some(n))));
     cells
 }
 
-/// One finished cell: the axes plus throughput measurements.
-#[derive(Debug, Clone)]
-pub struct ScaleRow {
-    /// The cell axes.
-    pub meta: ScaleCellMeta,
-    /// Spec label.
-    pub label: String,
-    /// Simulation events executed.
-    pub events: u64,
-    /// Wall-clock of the run on its worker thread, milliseconds.
-    pub wall_ms: f64,
-    /// Events per wall-clock second.
-    pub events_per_sec: f64,
-    /// Pending-queue high-water mark.
-    pub peak_pending: usize,
-    /// Fraction of requests answered in time.
-    pub handled_fraction: f64,
-    /// Peak throughput, queries/second.
-    pub peak_qps: f64,
-    /// Scheduler events executed minus timeline-counted executions
-    /// (must be 0).
-    pub executed_delta: i64,
-    /// Scheduler cancellations minus timeline-counted cancellations
-    /// (must be 0).
-    pub cancel_delta: i64,
-    /// Deterministic output fingerprint (FNV-1a, see
-    /// [`output_fingerprint`]).
-    pub fingerprint: String,
-    /// Process peak RSS (`VmHWM`) right after the cell, bytes. `None`
-    /// for cells run in parallel (growth not attributable) or off Linux.
-    pub peak_rss_bytes: Option<u64>,
-    /// Peak-RSS growth across the cell, bytes. `VmHWM` is monotone for
-    /// the process, so this is the cell's own footprint only when cells
-    /// run sequentially in increasing size (see [`client_scale_cells`]).
-    pub rss_growth_bytes: Option<u64>,
-    /// [`ScaleRow::rss_growth_bytes`] divided by the client count — the
-    /// headline memory metric for the client-scale ramp.
-    pub bytes_per_client: Option<f64>,
-}
-
-/// This process's peak resident set (`VmHWM` from `/proc/self/status`),
-/// in bytes. `None` when the field is unavailable (non-Linux).
-pub fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
-}
-
-impl ScaleRow {
-    /// Extracts the row from a finished cell run, reconciling the
-    /// scheduler counters against the structured timeline. Panics on a
-    /// nonzero delta: a wheel that dropped or duplicated an event is not
-    /// a measurement, it is a bug.
-    pub fn from_output(meta: &ScaleCellMeta, out: &ExperimentOutput, wall: Duration) -> Self {
-        let totals = &out
-            .timeline
-            .as_ref()
-            .expect("scale cells always trace")
-            .totals;
-        let executed_delta = out.events_executed as i64 - totals.events_executed as i64;
-        let cancel_delta = out.sched_cancellations as i64 - totals.cancellations as i64;
-        assert_eq!(
-            executed_delta, 0,
-            "{}: scheduler executed {} events, timeline saw {}",
-            out.label, out.events_executed, totals.events_executed
+/// The throughput and memory measurements of a finished cell run,
+/// reconciling the scheduler counters against the structured timeline.
+/// Panics on a nonzero delta: a wheel that dropped or duplicated an event
+/// is not a measurement, it is a bug.
+fn measure(axes: &Fields, out: &ExperimentOutput, wall: Duration, rss: Option<RssSpan>) -> Fields {
+    let totals = &out
+        .timeline
+        .as_ref()
+        .expect("scale cells always trace")
+        .totals;
+    let executed_delta = out.events_executed as i64 - totals.events_executed as i64;
+    let cancel_delta = out.sched_cancellations as i64 - totals.cancellations as i64;
+    assert_eq!(
+        executed_delta, 0,
+        "{}: scheduler executed {} events, timeline saw {}",
+        out.label, out.events_executed, totals.events_executed
+    );
+    assert_eq!(
+        cancel_delta, 0,
+        "{}: scheduler cancelled {} events, timeline saw {}",
+        out.label, out.sched_cancellations, totals.cancellations
+    );
+    // Memory columns are `null` for cells run in parallel (growth not
+    // attributable) or off Linux. Growth clamps at zero: a cell smaller
+    // than everything run before it never raises `VmHWM`, and a zero
+    // growth honestly says "fits in memory already spent".
+    let (before, after) = rss.unwrap_or((None, None));
+    let growth = before.zip(after).map(|(b, a)| a.saturating_sub(b));
+    let n_clients = axes.u64("n_clients");
+    let bytes_per_client = growth.map(|g| g as f64 / n_clients.max(1) as f64);
+    // Progress for the sequential ramp, whose last cell takes seconds.
+    if rss.is_some() {
+        eprintln!(
+            "  {n_clients} clients: {:.1}s, {}",
+            wall.as_secs_f64(),
+            bytes_per_client
+                .map_or("bytes/client unavailable".into(), |b| format!("{b:.0} bytes/client")),
         );
-        assert_eq!(
-            cancel_delta, 0,
-            "{}: scheduler cancelled {} events, timeline saw {}",
-            out.label, out.sched_cancellations, totals.cancellations
-        );
-        let wall_ms = wall.as_secs_f64() * 1e3;
-        ScaleRow {
-            meta: meta.clone(),
-            label: out.label.clone(),
-            events: out.events_executed,
-            wall_ms,
-            events_per_sec: out.events_executed as f64 / wall.as_secs_f64().max(1e-9),
-            peak_pending: out.peak_pending,
-            handled_fraction: out.report.handled_fraction(),
-            peak_qps: out.report.peak_throughput_qps,
-            executed_delta,
-            cancel_delta,
-            fingerprint: output_fingerprint(out),
-            peak_rss_bytes: None,
-            rss_growth_bytes: None,
-            bytes_per_client: None,
-        }
     }
-
-    /// Attaches the peak-RSS samples taken around a sequentially-run
-    /// cell. Growth clamps at zero: a cell smaller than everything run
-    /// before it never raises `VmHWM`, and a zero growth honestly says
-    /// "fits in memory already spent".
-    pub fn attach_memory(&mut self, before: Option<u64>, after: Option<u64>) {
-        self.peak_rss_bytes = after;
-        if let (Some(b), Some(a)) = (before, after) {
-            let growth = a.saturating_sub(b);
-            self.rss_growth_bytes = Some(growth);
-            self.bytes_per_client = Some(growth as f64 / f64::from(self.meta.n_clients.max(1)));
-        }
-    }
-}
-
-/// Serializes the study into the `BENCH_scale.json` document.
-pub fn scale_json(jobs: usize, fast: bool, rows: &[ScaleRow]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": {},", json_str(SCHEMA));
-    let _ = writeln!(s, "  \"jobs\": {jobs},");
-    let _ = writeln!(s, "  \"fast\": {fast},");
-    let _ = writeln!(s, "  \"arrival_batch\": {ARRIVAL_BATCH},");
-    let _ = writeln!(s, "  \"n_cells\": {},", rows.len());
-    s.push_str("  \"cells\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"grid_factor\": {},", r.meta.grid_factor);
-        let _ = writeln!(s, "      \"n_dps\": {},", r.meta.n_dps);
-        let _ = writeln!(s, "      \"n_clients\": {},", r.meta.n_clients);
-        let _ = writeln!(s, "      \"label\": {},", json_str(&r.label));
-        let _ = writeln!(s, "      \"events\": {},", r.events);
-        let _ = writeln!(s, "      \"wall_ms\": {},", json_f64(r.wall_ms));
-        let _ = writeln!(s, "      \"events_per_sec\": {},", json_f64(r.events_per_sec));
-        let _ = writeln!(s, "      \"peak_pending\": {},", r.peak_pending);
-        let _ = writeln!(s, "      \"handled_fraction\": {},", json_f64(r.handled_fraction));
-        let _ = writeln!(s, "      \"peak_qps\": {},", json_f64(r.peak_qps));
-        let _ = writeln!(s, "      \"executed_delta\": {},", r.executed_delta);
-        let _ = writeln!(s, "      \"cancel_delta\": {},", r.cancel_delta);
-        let opt_u64 = |v: Option<u64>| v.map_or("null".into(), |v| v.to_string());
-        let _ = writeln!(s, "      \"peak_rss_bytes\": {},", opt_u64(r.peak_rss_bytes));
-        let _ = writeln!(s, "      \"rss_growth_bytes\": {},", opt_u64(r.rss_growth_bytes));
-        let _ = writeln!(
-            s,
-            "      \"bytes_per_client\": {},",
-            r.bytes_per_client.map_or("null".into(), json_f64)
-        );
-        let _ = writeln!(s, "      \"fingerprint\": {}", json_str(&r.fingerprint));
-        s.push_str(if i + 1 < rows.len() { "    },\n" } else { "    }\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
+    Fields::new()
+        .with("events", out.events_executed)
+        // Wall-clock of the run on its worker thread.
+        .with("wall_ms", wall.as_secs_f64() * 1e3)
+        .with("events_per_sec", out.events_executed as f64 / wall.as_secs_f64().max(1e-9))
+        // Pending-queue high-water mark.
+        .with("peak_pending", out.peak_pending)
+        .with("handled_fraction", out.report.handled_fraction())
+        .with("peak_qps", out.report.peak_throughput_qps)
+        .with("executed_delta", executed_delta)
+        .with("cancel_delta", cancel_delta)
+        // Process peak RSS right after the cell.
+        .with("peak_rss_bytes", after)
+        .with("rss_growth_bytes", growth)
+        // The headline memory metric of the client-scale ramp.
+        .with("bytes_per_client", bytes_per_client)
+        .with("fingerprint", output_fingerprint(out))
 }
 
 /// Renders the headline table: one row per cell with scale, throughput
 /// and the reconciliation verdict.
-pub fn render_scale(rows: &[ScaleRow]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "  {:>10}  {:>4}  {:>8}  {:>9}  {:>9}  {:>11}  {:>12}  {:>7}  {:>9}  {:>9}",
-        "grid", "DPs", "clients", "events", "wall", "events/s", "peak_pending", "handled",
-        "B/client", "reconcile"
-    );
-    for r in rows {
-        let _ = writeln!(
-            s,
-            "  {:>10}  {:>4}  {:>8}  {:>9}  {:>7.0}ms  {:>11.0}  {:>12}  {:>6.1}%  {:>9}  {:>9}",
-            format!("Grid3x{}", r.meta.grid_factor),
-            r.meta.n_dps,
-            r.meta.n_clients,
-            r.events,
-            r.wall_ms,
-            r.events_per_sec,
-            r.peak_pending,
-            r.handled_fraction * 100.0,
-            r.bytes_per_client
-                .map_or("-".to_string(), |b| format!("{b:.0}")),
-            if r.executed_delta == 0 && r.cancel_delta == 0 {
-                "±0"
-            } else {
-                "BROKEN"
-            },
-        );
-    }
-    s
+fn render(rows: &[Fields]) -> String {
+    let cols = [
+        ("grid", 10),
+        ("DPs", 4),
+        ("clients", 8),
+        ("events", 9),
+        ("wall", 9),
+        ("events/s", 11),
+        ("peak_pending", 12),
+        ("handled", 7),
+        ("B/client", 9),
+        ("reconcile", 9),
+    ];
+    let lines: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            let reconciled = r.i64("executed_delta") == 0 && r.i64("cancel_delta") == 0;
+            vec![
+                format!("Grid3x{}", r.u64("grid_factor")),
+                r.u64("n_dps").to_string(),
+                r.u64("n_clients").to_string(),
+                r.u64("events").to_string(),
+                format!("{:.0}ms", r.f64("wall_ms")),
+                format!("{:.0}", r.f64("events_per_sec")),
+                r.u64("peak_pending").to_string(),
+                format!("{:.1}%", r.f64("handled_fraction") * 100.0),
+                r.opt_f64("bytes_per_client").map_or("-".to_string(), |b| format!("{b:.0}")),
+                if reconciled { "±0" } else { "BROKEN" }.to_string(),
+            ]
+        })
+        .collect();
+    table("  ", &cols, &lines)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::peak_rss_bytes;
 
     #[test]
     fn cells_cover_both_grid_scales() {
         for fast in [false, true] {
-            let cells = scale_cells(fast, 2005);
+            let cells: Vec<Cell> = cells(fast, 2005).into_iter().filter(|c| !c.sequential).collect();
             assert_eq!(cells.len(), if fast { 2 } else { 4 });
-            assert!(cells.iter().any(|c| c.meta.grid_factor == 10));
-            assert!(cells.iter().any(|c| c.meta.grid_factor == 100));
-            let mut labels: Vec<&str> = cells.iter().map(|c| c.spec.label.as_str()).collect();
-            labels.sort_unstable();
-            let before = labels.len();
-            labels.dedup();
-            assert_eq!(labels.len(), before, "duplicate cell labels");
+            assert!(cells.iter().any(|c| c.axes.u64("grid_factor") == 10));
+            assert!(cells.iter().any(|c| c.axes.u64("grid_factor") == 100));
             for c in &cells {
-                c.spec.cfg.validate().expect("cell config invalid");
-                c.spec.workload.validate().expect("cell workload invalid");
-                assert!(c.spec.cfg.trace.is_some(), "cells must trace");
                 assert_eq!(c.spec.workload.arrival_batch, Some(ARRIVAL_BATCH));
-                assert_eq!(c.meta.n_clients, c.spec.workload.n_clients);
-                assert_eq!(c.meta.n_clients, 120, "grid cells are paper-shaped");
+                assert_eq!(c.axes.u64("n_clients"), u64::from(c.spec.workload.n_clients));
+                assert_eq!(c.axes.u64("n_clients"), 120, "grid cells are paper-shaped");
             }
         }
     }
 
     #[test]
     fn client_cells_ramp_in_increasing_order() {
-        // Sequential increasing order is what makes per-cell VmHWM growth
-        // attributable (the helper's doc contract).
+        // Sequential increasing order, after every parallel cell, is what
+        // makes per-cell VmHWM growth attributable.
         for fast in [false, true] {
-            let cells = client_scale_cells(fast, 2005);
+            let cells = cells(fast, 2005);
+            let first = cells.iter().position(|c| c.sequential).expect("a ramp");
+            assert!(cells[first..].iter().all(|c| c.sequential), "ramp runs last");
+            let cells = &cells[first..];
             assert_eq!(cells.len(), if fast { 2 } else { 3 });
-            let counts: Vec<u32> = cells.iter().map(|c| c.meta.n_clients).collect();
+            let counts: Vec<u64> = cells.iter().map(|c| c.axes.u64("n_clients")).collect();
             assert!(counts.windows(2).all(|w| w[0] < w[1]));
             assert_eq!(counts[0], 10_000);
             assert_eq!(*counts.last().unwrap(), if fast { 100_000 } else { 1_000_000 });
-            for c in &cells {
-                c.spec.cfg.validate().expect("cell config invalid");
-                c.spec.workload.validate().expect("cell workload invalid");
-                assert!(c.spec.cfg.trace.is_some(), "cells must trace");
+            for c in cells {
                 assert!(c.spec.workload.arrival_batch.is_some(), "wide ramps batch");
             }
         }
@@ -373,19 +243,18 @@ mod tests {
         // A trimmed client-scale cell end-to-end: the scaled() workload
         // must drive real traffic, the reconciliation must hold, and the
         // VmHWM plumbing must produce a bytes-per-client figure on Linux.
-        let c = client_cell(2005, 10, 3, 2_000);
+        let c = cell(2005, 10, 3, Some(2_000));
         let before = peak_rss_bytes();
         let start = std::time::Instant::now();
         let out = c.spec.run().expect("client cell runs");
-        let mut row = ScaleRow::from_output(&c.meta, &out, start.elapsed());
-        row.attach_memory(before, peak_rss_bytes());
-        assert_eq!(row.meta.n_clients, 2_000);
-        assert!(row.events > 2_000, "only {} events", row.events);
+        let row = STUDY.row(&c, &out, start.elapsed(), Some((before, peak_rss_bytes())));
+        assert_eq!(row.u64("n_clients"), 2_000);
+        assert!(row.u64("events") > 2_000, "only {} events", row.u64("events"));
         if before.is_some() {
-            assert!(row.peak_rss_bytes.is_some());
-            assert!(row.bytes_per_client.is_some());
+            assert!(row.opt_u64("peak_rss_bytes").is_some());
+            assert!(row.opt_f64("bytes_per_client").is_some());
         }
-        let json = scale_json(1, true, &[row]);
+        let json = STUDY.json(1, true, &[row]);
         assert!(json.contains("\"n_clients\": 2000"));
         assert!(json.contains("\"bytes_per_client\":"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -396,16 +265,16 @@ mod tests {
         // One full-fidelity Grid3×10 run end-to-end: the row extraction
         // asserts executed/cancellation deltas are ±0, and the numbers
         // must be paper-shaped (hundreds of sites, real traffic).
-        let cells = scale_cells(true, 2005);
+        let cells = cells(true, 2005);
         let c = &cells[0];
-        assert_eq!(c.meta.grid_factor, 10);
+        assert_eq!(c.axes.u64("grid_factor"), 10);
         let start = std::time::Instant::now();
         let out = c.spec.run().expect("scale cell runs");
-        let row = ScaleRow::from_output(&c.meta, &out, start.elapsed());
-        assert!(row.events > 10_000, "only {} events", row.events);
-        assert!(row.peak_pending > 1_000);
-        assert!(row.handled_fraction > 0.0);
-        let json = scale_json(1, true, &[row]);
+        let row = STUDY.row(c, &out, start.elapsed(), None);
+        assert!(row.u64("events") > 10_000, "only {} events", row.u64("events"));
+        assert!(row.u64("peak_pending") > 1_000);
+        assert!(row.f64("handled_fraction") > 0.0);
+        let json = STUDY.json(1, true, &[row]);
         assert!(json.contains("\"schema\": \"digruber-bench-scale/2\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }

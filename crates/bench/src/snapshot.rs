@@ -7,14 +7,14 @@
 //! execution, and the headline paper metrics so a snapshot is comparable
 //! across commits without re-parsing table output.
 //!
-//! The JSON is hand-rolled: `serde_json` is deliberately not in the tree
-//! (DESIGN §7), and the document is flat enough that an emitter is ~60
-//! lines. Nothing here parses JSON back — snapshots are for external
-//! tooling (CI trend lines, `jq`).
+//! The JSON is hand-rolled ([`crate::study::document`]): `serde_json` is
+//! deliberately not in the tree (DESIGN §7), and the document is flat.
+//! Nothing here parses JSON back — snapshots are for external tooling (CI
+//! trend lines, `jq`).
 
 use crate::parallel::RunMeasurement;
+use crate::study::{document, Fields};
 use digruber::ExperimentOutput;
-use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Schema identifier embedded in every snapshot, bumped on breaking
@@ -134,50 +134,42 @@ impl SweepSnapshot {
 
     /// Serializes the snapshot (pretty-printed, trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": {},", json_str(SCHEMA));
-        let _ = writeln!(s, "  \"jobs\": {},", self.jobs);
-        let _ = writeln!(s, "  \"n_runs\": {},", self.runs.len());
-        let _ = writeln!(s, "  \"total_wall_secs\": {},", json_f64(self.total_wall.as_secs_f64()));
-        let _ = writeln!(s, "  \"serial_wall_secs\": {},", json_f64(self.serial_wall.as_secs_f64()));
-        let _ = writeln!(s, "  \"speedup_vs_serial\": {},", json_f64(self.speedup_vs_serial()));
-        s.push_str("  \"runs\": [\n");
-        for (i, run) in self.runs.iter().enumerate() {
-            s.push_str("    {\n");
-            let _ = writeln!(s, "      \"label\": {},", json_str(&run.label));
-            let _ = writeln!(s, "      \"spec_index\": {},", run.spec_index);
-            let wall = run.wall.as_secs_f64();
-            let _ = writeln!(s, "      \"wall_secs\": {},", json_f64(wall));
-            match &run.outcome {
-                Ok(m) => {
-                    let _ = writeln!(s, "      \"ok\": true,");
-                    let _ = writeln!(s, "      \"events_executed\": {},", m.events_executed);
-                    let eps = if wall > 0.0 { m.events_executed as f64 / wall } else { 0.0 };
-                    let _ = writeln!(s, "      \"events_per_sec\": {},", json_f64(eps));
-                    let _ = writeln!(s, "      \"peak_pending\": {},", m.peak_pending);
-                    let _ = writeln!(s, "      \"fingerprint\": {},", json_str(&m.fingerprint));
-                    let _ = writeln!(s, "      \"peak_throughput_qps\": {},", json_f64(m.peak_throughput_qps));
-                    let _ = writeln!(s, "      \"mean_response_secs\": {},", json_f64(m.mean_response_secs));
-                    let _ = writeln!(s, "      \"handled_fraction\": {},", json_f64(m.handled_fraction));
-                    let acc = m
-                        .mean_handled_accuracy
-                        .map_or_else(|| "null".to_string(), json_f64);
-                    let _ = writeln!(s, "      \"mean_handled_accuracy\": {acc},");
-                    let _ = writeln!(s, "      \"utilization\": {},", json_f64(m.utilization));
-                    let _ = writeln!(s, "      \"jobs_dispatched\": {},", m.jobs_dispatched);
-                    let _ = writeln!(s, "      \"final_dps\": {},", m.final_dps);
-                    let _ = writeln!(s, "      \"traced\": {}", m.traced);
+        let head = Fields::new()
+            .with("schema", SCHEMA)
+            .with("jobs", self.jobs)
+            .with("n_runs", self.runs.len())
+            .with("total_wall_secs", self.total_wall.as_secs_f64())
+            .with("serial_wall_secs", self.serial_wall.as_secs_f64())
+            .with("speedup_vs_serial", self.speedup_vs_serial());
+        let rows: Vec<Fields> = self
+            .runs
+            .iter()
+            .map(|run| {
+                let wall = run.wall.as_secs_f64();
+                let row = Fields::new()
+                    .with("label", run.label.as_str())
+                    .with("spec_index", run.spec_index)
+                    .with("wall_secs", wall);
+                match &run.outcome {
+                    Ok(m) => row
+                        .with("ok", true)
+                        .with("events_executed", m.events_executed)
+                        .with("events_per_sec", if wall > 0.0 { m.events_executed as f64 / wall } else { 0.0 })
+                        .with("peak_pending", m.peak_pending)
+                        .with("fingerprint", m.fingerprint.as_str())
+                        .with("peak_throughput_qps", m.peak_throughput_qps)
+                        .with("mean_response_secs", m.mean_response_secs)
+                        .with("handled_fraction", m.handled_fraction)
+                        .with("mean_handled_accuracy", m.mean_handled_accuracy)
+                        .with("utilization", m.utilization)
+                        .with("jobs_dispatched", m.jobs_dispatched)
+                        .with("final_dps", m.final_dps)
+                        .with("traced", m.traced),
+                    Err(e) => row.with("ok", false).with("error", e.as_str()),
                 }
-                Err(e) => {
-                    let _ = writeln!(s, "      \"ok\": false,");
-                    let _ = writeln!(s, "      \"error\": {}", json_str(e));
-                }
-            }
-            s.push_str(if i + 1 < self.runs.len() { "    },\n" } else { "    }\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
+            })
+            .collect();
+        document(&head, "runs", &rows)
     }
 
     /// Writes the snapshot to `path` (atomically enough for a bench
@@ -202,47 +194,18 @@ pub fn output_fingerprint(out: &ExperimentOutput) -> String {
     format!("{hash:016x}")
 }
 
-/// JSON string escaping (control chars, quote, backslash).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number formatting: finite floats as-is, non-finite as `null`
-/// (JSON has no NaN/Inf).
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parallel::run_specs;
+    use crate::study::Value;
     use digruber::config::DigruberConfig;
     use digruber::RunSpec;
     use workload::WorkloadSpec;
 
     #[test]
     fn json_str_escapes() {
+        let json_str = |s: &str| Value::from(s).json();
         assert_eq!(json_str("plain"), "\"plain\"");
         assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
         assert_eq!(json_str("line\nbreak"), "\"line\\nbreak\"");
@@ -251,6 +214,7 @@ mod tests {
 
     #[test]
     fn json_f64_handles_nonfinite() {
+        let json_f64 = |v: f64| Value::from(v).json();
         assert_eq!(json_f64(1.5), "1.5");
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(f64::INFINITY), "null");

@@ -18,30 +18,35 @@
 //!   crashing a slice of a 100-point pool. Their rows pin the autoscaler
 //!   and re-homing reaction — joins, drain-and-leaves, clients re-homed —
 //!   and every counter must reconcile ±0 against the traced timeline's
-//!   totals ([`TopologyRow::from_output`] panics otherwise).
+//!   totals (`measure` panics otherwise).
 //!
 //! Every cell runs traced. The sweep is snapshotted into
-//! `BENCH_topology.json` (schema [`SCHEMA`]); the document deliberately
-//! carries **no** `jobs` field — every run is deterministic per spec, so
-//! the snapshot must be byte-identical across `--jobs` values, and CI may
-//! diff it directly.
+//! `BENCH_topology.json`; the document deliberately carries **no** `jobs`
+//! field — it depends only on the cell outputs (all deterministic per
+//! spec), never on `--jobs`, wall-clock or thread identity, so CI diffs it
+//! byte-for-byte across worker counts.
 
-use crate::snapshot::{json_f64, json_str, output_fingerprint};
-use digruber::config::{DigruberConfig, SyncTopology};
+use crate::snapshot::output_fingerprint;
+use crate::study::{fault_deployment, table, Cell, Fields, RssSpan, Study, RUN_SECS};
+use digruber::config::SyncTopology;
 use digruber::faults::FaultPlan;
-use digruber::{ExperimentOutput, RunSpec, ServiceKind};
+use digruber::ExperimentOutput;
 use gruber_types::{SimDuration, SimTime};
 use membership::{MembershipConfig, ScalerConfig};
-use std::fmt::Write as _;
+use std::time::Duration;
 use workload::WorkloadSpec;
 
-/// Schema identifier embedded in `BENCH_topology.json`, bumped on
-/// breaking layout changes.
-pub const SCHEMA: &str = "digruber-bench-topology/1";
-
-/// Duration of every cell, in whole seconds (12 simulated minutes, the
-/// scaled-down bench deployment shared with the fault studies).
-const RUN_SECS: u64 = 720;
+/// The study's entry in [`crate::study::STUDIES`].
+pub const STUDY: Study = Study {
+    id: "topology",
+    schema: "digruber-bench-topology/1",
+    header: |_jobs, fast| {
+        Fields::new().with("fast", fast).with("run_secs", RUN_SECS).with("sync_secs", SYNC_SECS)
+    },
+    cells,
+    measure,
+    render,
+};
 
 /// Exchange interval for the sweep cells: one minute, so a 12-minute run
 /// gives every topology 12 rounds to converge in (the paper's 3-minute
@@ -58,43 +63,27 @@ pub const TOPOLOGIES: [(&str, SyncTopology); 4] = [
     ("hybrid-epidemic", SyncTopology::HybridEpidemic { fanout: 2 }),
 ];
 
-/// The axes of one cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopologyCellMeta {
-    /// `"sweep"` (static pool, topology axis) or `"scenario"` (elastic
-    /// pool, membership on).
-    pub family: &'static str,
-    /// Topology label (sweep cells: one of [`TOPOLOGIES`]; scenario
-    /// cells always run the paper's full mesh).
-    pub topology: &'static str,
-    /// Decision points at the start of the run.
-    pub n_dps: usize,
-    /// Submission hosts.
-    pub n_clients: u32,
-    /// Scenario label (`None` for sweep cells).
-    pub scenario: Option<&'static str>,
-    /// Deterministic worst-case exchange rounds to full convergence
-    /// (`None` only for topologies without a bound; every swept topology
-    /// has one).
-    pub convergence_rounds: Option<usize>,
+/// The axes shared by both families: `family` is `"sweep"` (static pool,
+/// topology axis) or `"scenario"` (elastic pool, membership on; always the
+/// paper's full mesh, `scenario` names it); `n_dps` counts the points at
+/// the start of the run; `convergence_rounds` is the deterministic
+/// worst-case exchange rounds to full convergence (`null` only for
+/// topologies without a bound; every swept topology has one).
+fn axes(family: &str, topo: (&str, SyncTopology), n_dps: usize, n_clients: u32, scenario: Option<&str>, label: String) -> Fields {
+    Fields::new()
+        .with("family", family)
+        .with("topology", topo.0)
+        .with("n_dps", n_dps)
+        .with("n_clients", n_clients)
+        .with("scenario", scenario)
+        .with("convergence_rounds", dpnode::convergence_bound(topo.1, n_dps))
+        .with("label", label)
 }
 
-/// One runnable cell of the study.
-#[derive(Debug, Clone)]
-pub struct TopologyCell {
-    /// The cell axes.
-    pub meta: TopologyCellMeta,
-    /// The run to execute for this cell.
-    pub spec: RunSpec,
-}
-
-fn sweep_cell(seed: u64, topo_label: &'static str, topo: SyncTopology, n_dps: usize) -> TopologyCell {
-    let mut cfg = DigruberConfig::paper(n_dps, ServiceKind::Gt3, seed);
-    cfg.grid_factor = 1;
-    cfg.topology = topo;
+fn sweep_cell(seed: u64, topo: (&'static str, SyncTopology), n_dps: usize) -> Cell {
+    let mut cfg = fault_deployment(n_dps, seed);
+    cfg.topology = topo.1;
     cfg.sync_interval = SimDuration::from_secs(SYNC_SECS);
-    // The reconciliation and staleness columns need the timeline.
-    cfg.trace = Some(obs::TraceConfig::default());
     // Hold per-point load constant across pool sizes: three closed-loop
     // clients per decision point (floored so the smallest pools still
     // produce enough placements for a stable accuracy figure).
@@ -104,17 +93,8 @@ fn sweep_cell(seed: u64, topo_label: &'static str, topo: SyncTopology, n_dps: us
         duration: SimDuration::from_secs(RUN_SECS),
         ..WorkloadSpec::paper_default()
     };
-    TopologyCell {
-        meta: TopologyCellMeta {
-            family: "sweep",
-            topology: topo_label,
-            n_dps,
-            n_clients,
-            scenario: None,
-            convergence_rounds: dpnode::convergence_bound(topo, n_dps),
-        },
-        spec: RunSpec::new(format!("topology: {topo_label} {n_dps} DPs"), cfg, wl),
-    }
+    let label = format!("topology: {} {n_dps} DPs", topo.0);
+    Cell::new(axes("sweep", topo, n_dps, n_clients, None, label), cfg, wl)
 }
 
 fn scenario_cell(
@@ -124,34 +104,22 @@ fn scenario_cell(
     wl: WorkloadSpec,
     scaler: ScalerConfig,
     plan: Option<FaultPlan>,
-) -> TopologyCell {
-    let mut cfg = DigruberConfig::paper(n_dps, ServiceKind::Gt3, seed);
-    cfg.grid_factor = 1;
+) -> Cell {
+    let mut cfg = fault_deployment(n_dps, seed);
     cfg.fault_plan = plan;
-    cfg.trace = Some(obs::TraceConfig::default());
     cfg.membership = Some(MembershipConfig {
         vnodes: 64,
         check_interval: SimDuration::from_secs(30),
         scaler: Some(scaler),
     });
-    let n_clients = wl.n_clients;
-    TopologyCell {
-        meta: TopologyCellMeta {
-            family: "scenario",
-            topology: "full-mesh",
-            n_dps,
-            n_clients,
-            scenario: Some(scenario),
-            convergence_rounds: dpnode::convergence_bound(SyncTopology::FullMesh, n_dps),
-        },
-        spec: RunSpec::new(format!("membership: {scenario} {n_dps} DPs"), cfg, wl),
-    }
+    let label = format!("membership: {scenario} {n_dps} DPs");
+    Cell::new(axes("scenario", TOPOLOGIES[0], n_dps, wl.n_clients, Some(scenario), label), cfg, wl)
 }
 
 /// A flash crowd slamming a two-point pool: the whole population arrives
 /// in the first ~36 s, the backlog explodes, and the autoscaler must grow
 /// the pool through joins + re-homing.
-fn flash_crowd_cell(seed: u64) -> TopologyCell {
+fn flash_crowd_cell(seed: u64) -> Cell {
     scenario_cell(
         seed,
         "flash-crowd",
@@ -175,7 +143,7 @@ fn flash_crowd_cell(seed: u64) -> TopologyCell {
 
 /// A diurnal ramp-hold-drain over a three-point pool: one grow phase on
 /// the ramp, one shrink phase on the drain tail.
-fn diurnal_cell(seed: u64) -> TopologyCell {
+fn diurnal_cell(seed: u64) -> Cell {
     scenario_cell(
         seed,
         "diurnal",
@@ -202,7 +170,7 @@ fn diurnal_cell(seed: u64) -> TopologyCell {
 /// heavily over-provisioned for the load), so growth can only come from
 /// the health scorer's degraded flags — this is the cell that measures
 /// the `obs`-driven half of the autoscaler at 100+ points.
-fn outage_cell(seed: u64, n_dps: usize, crashed: usize) -> TopologyCell {
+fn outage_cell(seed: u64, n_dps: usize, crashed: usize) -> Cell {
     let first = n_dps / 2;
     let plan_spec = (first..first + crashed)
         .map(|dp| format!("crash@240={dp}+240"))
@@ -236,12 +204,12 @@ fn outage_cell(seed: u64, n_dps: usize, crashed: usize) -> TopologyCell {
 /// pack. `fast` trims the sweep to its two small pool sizes and the
 /// outage to a 12-point pool (CI smoke); the full study runs pool sizes
 /// {4, 12, 100} and the outage at 100 points.
-pub fn topology_cells(fast: bool, seed: u64) -> Vec<TopologyCell> {
+fn cells(fast: bool, seed: u64) -> Vec<Cell> {
     let dp_counts: &[usize] = if fast { &[4, 12] } else { &[4, 12, 100] };
     let mut cells = Vec::new();
     for &n in dp_counts {
-        for (label, topo) in TOPOLOGIES {
-            cells.push(sweep_cell(seed, label, topo, n));
+        for topo in TOPOLOGIES {
+            cells.push(sweep_cell(seed, topo, n));
         }
     }
     cells.push(flash_crowd_cell(seed));
@@ -254,182 +222,91 @@ pub fn topology_cells(fast: bool, seed: u64) -> Vec<TopologyCell> {
     cells
 }
 
-/// One finished cell: the axes plus the measured verdict.
-#[derive(Debug, Clone)]
-pub struct TopologyRow {
-    /// The cell axes.
-    pub meta: TopologyCellMeta,
-    /// Spec label.
-    pub label: String,
-    /// Mean scheduling accuracy over handled placements.
-    pub accuracy: Option<f64>,
-    /// Worst view-staleness gap any decision point saw, milliseconds.
-    pub max_staleness_ms: u64,
-    /// Fraction of requests answered in time.
-    pub handled_fraction: f64,
-    /// Peak throughput, queries/second.
-    pub peak_qps: f64,
-    /// Decision points at the end of the run.
-    pub final_dps: usize,
-    /// Elastic joins executed (0 for sweep cells).
-    pub dp_joins: u64,
-    /// Elastic drain-and-leaves executed.
-    pub dp_leaves: u64,
-    /// Clients moved by consistent-hash re-homing.
-    pub clients_rehomed: u64,
-    /// Run-summary joins minus timeline-counted joins (must be 0).
-    pub join_delta: i64,
-    /// Run-summary leaves minus timeline-counted leaves (must be 0).
-    pub leave_delta: i64,
-    /// Run-summary re-homings minus timeline-counted ones (must be 0).
-    pub rehome_delta: i64,
-    /// Deterministic output fingerprint (FNV-1a, see
-    /// [`output_fingerprint`]).
-    pub fingerprint: String,
-}
-
-impl TopologyRow {
-    /// Extracts the row from a finished cell run, reconciling the
-    /// membership counters against the structured timeline. Panics on a
-    /// nonzero delta: a join the trace stream did not see (or vice
-    /// versa) is not a measurement, it is a bug.
-    pub fn from_output(meta: &TopologyCellMeta, out: &ExperimentOutput) -> Self {
-        let totals = &out
-            .timeline
-            .as_ref()
-            .expect("topology cells always trace")
-            .totals;
-        let join_delta = out.dp_joins as i64 - totals.dp_joins as i64;
-        let leave_delta = out.dp_leaves as i64 - totals.dp_leaves as i64;
-        let rehome_delta = out.clients_rehomed as i64 - totals.clients_rehomed as i64;
-        assert_eq!(
-            join_delta, 0,
-            "{}: run summary saw {} joins, timeline {}",
-            out.label, out.dp_joins, totals.dp_joins
-        );
-        assert_eq!(
-            leave_delta, 0,
-            "{}: run summary saw {} leaves, timeline {}",
-            out.label, out.dp_leaves, totals.dp_leaves
-        );
-        assert_eq!(
-            rehome_delta, 0,
-            "{}: run summary saw {} re-homings, timeline {}",
-            out.label, out.clients_rehomed, totals.clients_rehomed
-        );
-        TopologyRow {
-            meta: meta.clone(),
-            label: out.label.clone(),
-            accuracy: out.mean_handled_accuracy,
-            max_staleness_ms: out.max_view_staleness_ms.iter().copied().max().unwrap_or(0),
-            handled_fraction: out.report.handled_fraction(),
-            peak_qps: out.report.peak_throughput_qps,
-            final_dps: out.final_dps,
-            dp_joins: out.dp_joins,
-            dp_leaves: out.dp_leaves,
-            clients_rehomed: out.clients_rehomed,
-            join_delta,
-            leave_delta,
-            rehome_delta,
-            fingerprint: output_fingerprint(out),
-        }
-    }
-}
-
-/// Serializes the study into the `BENCH_topology.json` document. The
-/// document depends only on the cell outputs (all deterministic per
-/// spec), never on `--jobs`, wall-clock or thread identity — CI diffs it
-/// byte-for-byte across worker counts.
-pub fn topology_json(fast: bool, rows: &[TopologyRow]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": {},", json_str(SCHEMA));
-    let _ = writeln!(s, "  \"fast\": {fast},");
-    let _ = writeln!(s, "  \"run_secs\": {RUN_SECS},");
-    let _ = writeln!(s, "  \"sync_secs\": {SYNC_SECS},");
-    let _ = writeln!(s, "  \"n_cells\": {},", rows.len());
-    s.push_str("  \"cells\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"family\": {},", json_str(r.meta.family));
-        let _ = writeln!(s, "      \"topology\": {},", json_str(r.meta.topology));
-        let _ = writeln!(s, "      \"n_dps\": {},", r.meta.n_dps);
-        let _ = writeln!(s, "      \"n_clients\": {},", r.meta.n_clients);
-        let scenario = r
-            .meta
-            .scenario
-            .map_or_else(|| "null".to_string(), json_str);
-        let _ = writeln!(s, "      \"scenario\": {scenario},");
-        let conv = r
-            .meta
-            .convergence_rounds
-            .map_or_else(|| "null".to_string(), |c| c.to_string());
-        let _ = writeln!(s, "      \"convergence_rounds\": {conv},");
-        let _ = writeln!(s, "      \"label\": {},", json_str(&r.label));
-        let acc = r.accuracy.map_or_else(|| "null".to_string(), json_f64);
-        let _ = writeln!(s, "      \"accuracy\": {acc},");
-        let _ = writeln!(
-            s,
-            "      \"max_staleness_secs\": {},",
-            json_f64(r.max_staleness_ms as f64 / 1000.0)
-        );
-        let _ = writeln!(s, "      \"handled_fraction\": {},", json_f64(r.handled_fraction));
-        let _ = writeln!(s, "      \"peak_qps\": {},", json_f64(r.peak_qps));
-        let _ = writeln!(s, "      \"final_dps\": {},", r.final_dps);
-        let _ = writeln!(s, "      \"dp_joins\": {},", r.dp_joins);
-        let _ = writeln!(s, "      \"dp_leaves\": {},", r.dp_leaves);
-        let _ = writeln!(s, "      \"clients_rehomed\": {},", r.clients_rehomed);
-        let _ = writeln!(s, "      \"join_delta\": {},", r.join_delta);
-        let _ = writeln!(s, "      \"leave_delta\": {},", r.leave_delta);
-        let _ = writeln!(s, "      \"rehome_delta\": {},", r.rehome_delta);
-        let _ = writeln!(s, "      \"fingerprint\": {}", json_str(&r.fingerprint));
-        s.push_str(if i + 1 < rows.len() { "    },\n" } else { "    }\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
+/// The measured verdict of a finished cell run, reconciling the
+/// membership counters against the structured timeline. Panics on a
+/// nonzero delta: a join the trace stream did not see (or vice versa) is
+/// not a measurement, it is a bug.
+fn measure(_axes: &Fields, out: &ExperimentOutput, _wall: Duration, _rss: Option<RssSpan>) -> Fields {
+    let totals = &out
+        .timeline
+        .as_ref()
+        .expect("topology cells always trace")
+        .totals;
+    let join_delta = out.dp_joins as i64 - totals.dp_joins as i64;
+    let leave_delta = out.dp_leaves as i64 - totals.dp_leaves as i64;
+    let rehome_delta = out.clients_rehomed as i64 - totals.clients_rehomed as i64;
+    assert_eq!(
+        join_delta, 0,
+        "{}: run summary saw {} joins, timeline {}",
+        out.label, out.dp_joins, totals.dp_joins
+    );
+    assert_eq!(
+        leave_delta, 0,
+        "{}: run summary saw {} leaves, timeline {}",
+        out.label, out.dp_leaves, totals.dp_leaves
+    );
+    assert_eq!(
+        rehome_delta, 0,
+        "{}: run summary saw {} re-homings, timeline {}",
+        out.label, out.clients_rehomed, totals.clients_rehomed
+    );
+    // Worst view-staleness gap any decision point saw.
+    let max_staleness_ms = out.max_view_staleness_ms.iter().copied().max().unwrap_or(0);
+    Fields::new()
+        .with("accuracy", out.mean_handled_accuracy)
+        .with("max_staleness_secs", max_staleness_ms as f64 / 1000.0)
+        .with("handled_fraction", out.report.handled_fraction())
+        .with("peak_qps", out.report.peak_throughput_qps)
+        // Decision points at the end of the run.
+        .with("final_dps", out.final_dps)
+        // Elastic joins / drain-and-leaves executed (0 for sweep cells).
+        .with("dp_joins", out.dp_joins)
+        .with("dp_leaves", out.dp_leaves)
+        // Clients moved by consistent-hash re-homing.
+        .with("clients_rehomed", out.clients_rehomed)
+        .with("join_delta", join_delta)
+        .with("leave_delta", leave_delta)
+        .with("rehome_delta", rehome_delta)
+        .with("fingerprint", output_fingerprint(out))
 }
 
 /// Renders the headline table EXPERIMENTS.md quotes: the sweep block
 /// (accuracy vs staleness vs convergence bound per topology × pool
 /// size), then the scenario block (autoscaler + re-homing reaction).
-pub fn render_topology(rows: &[TopologyRow]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:>16}  {:>4}  {:>5}  {:>9}  {:>8}  {:>7}  {:>5}  {:>6}  {:>7}  {:>7}  {:>9}",
-        "cell", "DPs", "conv", "staleness", "accuracy", "handled", "final", "joins", "leaves",
-        "rehomed", "reconcile"
-    );
-    for r in rows {
-        let name = r.meta.scenario.unwrap_or(r.meta.topology);
-        let conv = r
-            .meta
-            .convergence_rounds
-            .map_or_else(|| "-".to_string(), |c| c.to_string());
-        let acc = r
-            .accuracy
-            .map_or_else(|| "-".to_string(), |a| format!("{:.1}%", a * 100.0));
-        let _ = writeln!(
-            s,
-            "{:>16}  {:>4}  {:>5}  {:>7} s  {:>8}  {:>6.1}%  {:>5}  {:>6}  {:>7}  {:>7}  {:>9}",
-            name,
-            r.meta.n_dps,
-            conv,
-            r.max_staleness_ms / 1000,
-            acc,
-            r.handled_fraction * 100.0,
-            r.final_dps,
-            r.dp_joins,
-            r.dp_leaves,
-            r.clients_rehomed,
-            if r.join_delta == 0 && r.leave_delta == 0 && r.rehome_delta == 0 {
-                "±0"
-            } else {
-                "BROKEN"
-            },
-        );
-    }
-    s
+fn render(rows: &[Fields]) -> String {
+    let cols = [
+        ("cell", 16),
+        ("DPs", 4),
+        ("conv", 5),
+        ("staleness", 9),
+        ("accuracy", 8),
+        ("handled", 7),
+        ("final", 5),
+        ("joins", 6),
+        ("leaves", 7),
+        ("rehomed", 7),
+        ("reconcile", 9),
+    ];
+    let lines: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            let reconciled = ["join_delta", "leave_delta", "rehome_delta"].iter().all(|d| r.i64(d) == 0);
+            vec![
+                r.opt_str("scenario").unwrap_or(r.str("topology")).to_string(),
+                r.u64("n_dps").to_string(),
+                r.opt_u64("convergence_rounds").map_or_else(|| "-".to_string(), |c| c.to_string()),
+                format!("{} s", r.f64("max_staleness_secs") as u64),
+                r.opt_f64("accuracy").map_or_else(|| "-".to_string(), |a| format!("{:.1}%", a * 100.0)),
+                format!("{:.1}%", r.f64("handled_fraction") * 100.0),
+                r.u64("final_dps").to_string(),
+                r.u64("dp_joins").to_string(),
+                r.u64("dp_leaves").to_string(),
+                r.u64("clients_rehomed").to_string(),
+                if reconciled { "±0" } else { "BROKEN" }.to_string(),
+            ]
+        })
+        .collect();
+    table("", &cols, &lines)
 }
 
 /// The first membership event of a traced scenario run, for eyeballing
@@ -448,57 +325,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cells_have_unique_labels_and_valid_configs() {
+    fn sweep_cell_measures_staleness_against_the_bound() {
+        // Ring at 4 points: the bound is 3 rounds and the run must
+        // produce a staleness figure, an accuracy figure, and a clean
+        // reconciliation (no membership events on a static pool).
+        let cell = sweep_cell(7, TOPOLOGIES[1], 4);
+        assert_eq!(cell.axes.opt_u64("convergence_rounds"), Some(3));
+        let out = cell.spec.run().expect("sweep cell runs");
+        let row = STUDY.row(&cell, &out, Duration::ZERO, None);
+        assert!(row.f64("max_staleness_secs") > 0.0, "exchanging pool never went stale");
+        assert!(row.opt_f64("accuracy").is_some(), "no handled placements");
+        assert_eq!(row.u64("dp_joins") + row.u64("dp_leaves") + row.u64("clients_rehomed"), 0);
+        assert_eq!(row.u64("final_dps"), 4);
+        let rows = [row];
+        let json = STUDY.json(1, true, &rows);
+        assert!(json.contains("\"schema\": \"digruber-bench-topology/1\""));
+        assert!(!json.contains("\"jobs\""), "snapshot must not depend on --jobs");
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let table = render(&rows);
+        assert!(table.contains("ring"));
         for fast in [false, true] {
-            let cells = topology_cells(fast, 2005);
-            // 4 topologies × pool sizes, plus the scenario pack.
-            assert_eq!(cells.len(), if fast { 10 } else { 15 });
-            let mut labels: Vec<&str> = cells.iter().map(|c| c.spec.label.as_str()).collect();
-            labels.sort_unstable();
-            let before = labels.len();
-            labels.dedup();
-            assert_eq!(labels.len(), before, "duplicate cell labels");
+            let cells = cells(fast, 2005);
             for c in &cells {
-                c.spec.cfg.validate().expect("cell config invalid");
-                c.spec.workload.validate().expect("cell workload invalid");
-                assert!(c.spec.cfg.trace.is_some(), "cells must trace");
+                let family = c.axes.str("family");
                 assert_eq!(
-                    c.meta.family == "scenario",
+                    family == "scenario",
                     c.spec.cfg.membership.is_some(),
                     "exactly the scenario cells run elastic"
                 );
-                if c.meta.family == "sweep" {
+                if family == "sweep" {
                     assert!(
-                        c.meta.convergence_rounds.is_some(),
+                        c.axes.opt_u64("convergence_rounds").is_some(),
                         "every swept topology has a deterministic bound"
                     );
                 }
             }
             // The full sweep measures a 100+ point pool; fast trims it.
-            let widest = cells.iter().map(|c| c.meta.n_dps).max().unwrap();
+            let widest = cells.iter().map(|c| c.axes.u64("n_dps")).max().unwrap();
             assert_eq!(widest >= 100, !fast);
         }
-    }
-
-    #[test]
-    fn sweep_cell_measures_staleness_against_the_bound() {
-        // Ring at 4 points: the bound is 3 rounds and the run must
-        // produce a staleness figure, an accuracy figure, and a clean
-        // reconciliation (no membership events on a static pool).
-        let cell = sweep_cell(7, "ring", SyncTopology::Ring, 4);
-        assert_eq!(cell.meta.convergence_rounds, Some(3));
-        let out = cell.spec.run().expect("sweep cell runs");
-        let row = TopologyRow::from_output(&cell.meta, &out);
-        assert!(row.max_staleness_ms > 0, "exchanging pool never went stale");
-        assert!(row.accuracy.is_some(), "no handled placements");
-        assert_eq!(row.dp_joins + row.dp_leaves + row.clients_rehomed, 0);
-        assert_eq!(row.final_dps, 4);
-        let json = topology_json(true, &[row.clone()]);
-        assert!(json.contains("\"schema\": \"digruber-bench-topology/1\""));
-        assert!(!json.contains("\"jobs\""), "snapshot must not depend on --jobs");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let table = render_topology(&[row]);
-        assert!(table.contains("ring"));
     }
 
     #[test]
@@ -506,13 +371,13 @@ mod tests {
         // The acceptance check on the elastic half, end-to-end: a flash
         // crowd on two points must drive autoscaler joins, consistent-hash
         // re-homing, and counters that reconcile ±0 with the timeline
-        // (from_output asserts the deltas).
+        // (measure asserts the deltas).
         let cell = flash_crowd_cell(7);
         let out = cell.spec.run().expect("flash-crowd cell runs");
-        let row = TopologyRow::from_output(&cell.meta, &out);
-        assert!(row.dp_joins >= 1, "flash crowd never grew the pool: {row:?}");
-        assert!(row.clients_rehomed >= 1, "joins re-homed nobody: {row:?}");
-        assert_eq!(row.final_dps, 2 + row.dp_joins as usize - row.dp_leaves as usize);
+        let row = STUDY.row(&cell, &out, Duration::ZERO, None);
+        assert!(row.u64("dp_joins") >= 1, "flash crowd never grew the pool: {row:?}");
+        assert!(row.u64("clients_rehomed") >= 1, "joins re-homed nobody: {row:?}");
+        assert_eq!(row.u64("final_dps"), 2 + row.u64("dp_joins") - row.u64("dp_leaves"));
         let (at, kind) = first_pool_change(&out).expect("pool changed");
         assert_eq!(kind, "join");
         assert!(
@@ -529,13 +394,13 @@ mod tests {
         // the health-scorer path (degraded flags → PoolSample → Grow).
         let cell = outage_cell(7, 12, 2);
         let out = cell.spec.run().expect("outage cell runs");
-        let row = TopologyRow::from_output(&cell.meta, &out);
+        let row = STUDY.row(&cell, &out, Duration::ZERO, None);
         assert!(out.dp_failures >= 2, "plan injected no crashes");
         assert!(
-            row.dp_joins >= 1,
+            row.u64("dp_joins") >= 1,
             "outage never grew the pool via degraded flags: {row:?}"
         );
-        assert!(row.clients_rehomed >= 1, "joins re-homed nobody: {row:?}");
+        assert!(row.u64("clients_rehomed") >= 1, "joins re-homed nobody: {row:?}");
         let (at, _) = first_pool_change(&out).expect("pool changed");
         assert!(at.0 >= 240_000, "pool grew before the outage at {} ms", at.0);
     }

@@ -1,0 +1,44 @@
+//! The `experiments` command line, driven as a process in a scratch cwd.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+/// Runs `experiments <args>` in a fresh directory and returns its output
+/// plus the names of the files it left there.
+fn experiments(test: &str, args: &[&str]) -> (Output, Vec<String>) {
+    let cwd = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("cli-{test}"));
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).expect("create scratch cwd");
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .current_dir(&cwd)
+        .output()
+        .expect("spawn experiments");
+    let left = std::fs::read_dir(&cwd)
+        .expect("list scratch cwd")
+        .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    (out, left)
+}
+
+#[test]
+fn unknown_id_is_rejected_before_anything_runs() {
+    let (out, left) = experiments("bogus", &["fig1", "bogus"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "ran something: {}", String::from_utf8_lossy(&out.stdout));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment id \"bogus\""));
+    assert!(left.is_empty(), "wrote {left:?}");
+}
+
+#[test]
+fn usage_lists_every_study_and_paper_id() {
+    let (out, left) = experiments("usage", &[]);
+    assert_eq!(out.status.code(), Some(2));
+    let usage = String::from_utf8_lossy(&out.stderr).into_owned();
+    let listed = usage.split_once('<').and_then(|(_, rest)| rest.split_once('>'));
+    let listed: Vec<&str> = listed.expect("usage has an <id|...> list").0.split('|').collect();
+    for id in bench::STUDIES.iter().map(|s| s.id).chain(["fig1", "fig12", "crossover", "all"]) {
+        assert!(listed.contains(&id), "{id} missing: {usage}");
+    }
+    assert!(left.is_empty(), "wrote {left:?}");
+}

@@ -21,25 +21,27 @@ echo "==> cargo doc --no-deps (warnings are errors; umbrella package + the crate
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q \
   -p di-gruber-repro -p dpnode -p dpstore -p desim -p obs -p clusterd -p membership
 
-echo "==> experiments recovery health degradation topology (53 fingerprints, byte-identical)"
-./target/release/experiments recovery health degradation topology --jobs 1 > /dev/null
-git diff --exit-code -- BENCH_recovery.json BENCH_health.json BENCH_degradation.json BENCH_topology.json \
-  || { echo "ci.sh: a committed BENCH_* artifact moved"; exit 1; }
+echo "==> experiments recovery health degradation topology (53 fingerprints + the four tables, byte-identical)"
+./target/release/experiments recovery health degradation topology --jobs 1 > results/experiments_studies.txt
+
+# Everything below writes into a scratch directory: a smoke run from the
+# repo root would overwrite the committed full-size artifacts.
+root="$PWD"
+smoke_dir="$(mktemp -d)"
+trap 'rm -rf "$smoke_dir"' EXIT
 
 echo "==> experiments scale --fast (paper-scale throughput + client-ramp memory smoke)"
-./target/release/experiments scale --fast > /dev/null
-test -s BENCH_scale.json || { echo "ci.sh: BENCH_scale.json missing"; exit 1; }
-test -s results/timeline_scale.txt || { echo "ci.sh: scale timelines missing"; exit 1; }
-grep -q 'digruber-bench-scale/2' BENCH_scale.json \
+(cd "$smoke_dir" && "$root/target/release/experiments" scale --fast > /dev/null)
+test -s "$smoke_dir/BENCH_scale.json" || { echo "ci.sh: BENCH_scale.json missing"; exit 1; }
+test -s "$smoke_dir/results/timeline_scale.txt" || { echo "ci.sh: scale timelines missing"; exit 1; }
+grep -q 'digruber-bench-scale/2' "$smoke_dir/BENCH_scale.json" \
   || { echo "ci.sh: BENCH_scale.json has wrong schema"; exit 1; }
-grep -q '"n_clients": 100000' BENCH_scale.json \
+grep -q '"n_clients": 100000' "$smoke_dir/BENCH_scale.json" \
   || { echo "ci.sh: BENCH_scale.json is missing the 100k-client cell"; exit 1; }
-grep -q '"bytes_per_client":' BENCH_scale.json \
+grep -q '"bytes_per_client":' "$smoke_dir/BENCH_scale.json" \
   || { echo "ci.sh: BENCH_scale.json is missing the memory columns"; exit 1; }
 
 echo "==> clusterd 3-process loopback smoke (real TCP, clean shutdown, state exchanged)"
-smoke_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir"' EXIT
 # Bounded wall-clock: a wedged cluster (half-open peer, lost shutdown)
 # must fail CI loudly, not hang it.
 timeout 120 ./target/release/clusterd --spawn-local 3 --jobs 8 \
@@ -75,5 +77,9 @@ for doc in README.md ARCHITECTURE.md FAULTS.md OBSERVABILITY.md DEPLOYMENT.md EX
   done
 done
 [ "$missing" -eq 0 ] || exit 1
+
+echo "==> committed artifacts (BENCH_*.json, results/) are what this tree regenerates"
+git diff --exit-code -- 'BENCH_*.json' results/ \
+  || { echo "ci.sh: a committed BENCH_* / results/ artifact moved"; exit 1; }
 
 echo "ci.sh: all green"
