@@ -94,7 +94,7 @@ fn bench_engine(c: &mut Criterion) {
             .collect();
         b.iter_batched(
             || engine_with_load(1000),
-            |mut e| e.merge_peer_records(black_box(&records), SimTime::from_secs(1)),
+            |mut e| e.merge_peer_records(black_box(&records), SimTime::from_secs(1), false, None),
             BatchSize::SmallInput,
         );
     });

@@ -37,7 +37,7 @@
 
 use crate::events::{send_exchange, sync_dp};
 use crate::world::{DecisionPoint, World};
-use desim::{EventQueue, Scheduler};
+use desim::Scheduler;
 use gruber_types::{ClientId, DpId};
 use membership::{
     Autoscaler, HashRing, MembershipConfig, MembershipTable, PoolSample, ScaleDecision,
@@ -161,10 +161,7 @@ pub fn pool_sample(w: &World) -> PoolSample {
 /// arcs on the ring and re-homes exactly the clients whose home the ring
 /// now maps to the newcomer. Returns the new id, or `None` when
 /// membership is off.
-pub fn join_decision_point<Q: EventQueue>(
-    w: &mut World,
-    s: &mut Scheduler<World, Q>,
-) -> Option<DpId> {
+pub fn join_decision_point(w: &mut World, s: &mut Scheduler<World>) -> Option<DpId> {
     w.membership.as_ref()?;
     let now = s.now();
     let new_id = DpId(w.dps.len() as u32);
@@ -216,10 +213,7 @@ pub fn join_decision_point<Q: EventQueue>(
 /// arcs leave the ring and its clients re-home to their new ring homes.
 /// Returns the leaver, or `None` when membership is off or the pool is a
 /// single point.
-pub fn leave_decision_point<Q: EventQueue>(
-    w: &mut World,
-    s: &mut Scheduler<World, Q>,
-) -> Option<DpId> {
+pub fn leave_decision_point(w: &mut World, s: &mut Scheduler<World>) -> Option<DpId> {
     let m = w.membership.as_ref()?;
     if m.table.live_count() <= 1 {
         return None;
@@ -265,7 +259,7 @@ pub fn leave_decision_point<Q: EventQueue>(
 /// The autoscaler's periodic tick: sample the pool, consult the policy,
 /// execute the decision, reschedule. Seeded by the runner iff
 /// [`crate::config::DigruberConfig::membership`] carries a scaler.
-pub fn membership_tick<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>) {
+pub fn membership_tick(w: &mut World, s: &mut Scheduler<World>) {
     let Some(m) = &w.membership else {
         return;
     };
@@ -408,6 +402,30 @@ mod tests {
         let w = sim.world();
         assert!(!w.membership.as_ref().unwrap().table.is_live(DpId(2)));
         assert!(!w.dps[2].up(), "planned restart brought a non-member back");
+    }
+
+    #[test]
+    fn repair_rebalances_over_live_members_only() {
+        let mut world = elastic_world(4, 64);
+        world.cfg.failures = Some(crate::config::FailureConfig::default());
+        let mut sim = Simulation::new(world);
+        sim.scheduler()
+            .schedule_at(SimTime::from_secs(5), |w: &mut World, s| {
+                // 4 -> 2: the leavers stay in `w.dps`, down for good.
+                assert_eq!(leave_decision_point(w, s), Some(DpId(3)));
+                assert_eq!(leave_decision_point(w, s), Some(DpId(2)));
+                for c in &mut w.clients {
+                    c.dp = DpId(0);
+                }
+                assert!(crate::faults::crash_dp_now(w, s.now(), 1));
+                crate::faults::dp_repair(w, s, 1);
+            });
+        sim.run_until(SimTime::from_secs(6));
+        let w = sim.world();
+        assert!(w.dps[1].up());
+        // Half of a two-member pool's 64 clients, not a quarter.
+        let rebound = w.clients.iter().filter(|c| c.dp == DpId(1)).count();
+        assert!(rebound >= 24, "repair pulled back only {rebound} of 64");
     }
 
     #[test]

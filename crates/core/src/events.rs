@@ -30,7 +30,7 @@
 
 use crate::faults::LinkScope;
 use crate::world::{client_node, dp_node, RequestState, World};
-use desim::{EventQueue, Scheduler};
+use desim::Scheduler;
 use diperf::RequestTrace;
 use dpnode::{FloodPayload, Input};
 use dpstore::Routed;
@@ -47,15 +47,15 @@ use simnet::MessageClass;
 /// the modeled fsync latency. (The snapshot itself is atomic at trigger
 /// time — a crash never sees half of one, as `FileStore`'s tmp+rename
 /// guarantees on disk.)
-pub fn step_dp<Q: EventQueue>(
+pub fn step_dp(
     w: &mut World,
-    s: &mut Scheduler<World, Q>,
+    s: &mut Scheduler<World>,
     dp_idx: usize,
     input: Input,
     out: &mut Vec<Routed>,
 ) {
     w.dps[dp_idx].host.handle(s.now(), input, out, |cost, event| {
-        s.schedule_in(cost, move |w: &mut World, s: &mut Scheduler<World, Q>| {
+        s.schedule_in(cost, move |w: &mut World, s: &mut Scheduler<World>| {
             w.trace.emit(s.now(), || event);
         });
     });
@@ -63,7 +63,7 @@ pub fn step_dp<Q: EventQueue>(
 
 /// One decision point's exchange tick: the node drains its log and every
 /// resulting flood fans out over the WAN, one transmission per peer.
-pub fn sync_dp<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, i: usize) {
+pub fn sync_dp(w: &mut World, s: &mut Scheduler<World>, i: usize) {
     let n_dps = w.dps.len();
     let mut fx = Vec::new();
     step_dp(w, s, i, Input::SyncTick { n_dps }, &mut fx);
@@ -81,7 +81,7 @@ pub fn sync_dp<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, i: usi
 }
 
 /// A client joins the experiment and issues its first query.
-pub fn client_start<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, client: ClientId) {
+pub fn client_start(w: &mut World, s: &mut Scheduler<World>, client: ClientId) {
     let c = &mut w.clients[client.index()];
     debug_assert!(!c.active, "client started twice");
     c.active = true;
@@ -90,7 +90,7 @@ pub fn client_start<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, c
 }
 
 /// The closed loop: build the next job and query the bound decision point.
-pub fn client_issue<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, client: ClientId) {
+pub fn client_issue(w: &mut World, s: &mut Scheduler<World>, client: ClientId) {
     let now = s.now();
     if now >= w.end || !w.clients[client.index()].active {
         return;
@@ -137,7 +137,7 @@ pub fn client_issue<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, c
 /// the query retry policy for a backoff, so under `RetryPolicy::None`
 /// (the paper's fire-and-forget default) this reduces to exactly the old
 /// single `delivered()` check — same RNG draws, same trace.
-pub fn send_query<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, tag: u64, attempt: u32) {
+pub fn send_query(w: &mut World, s: &mut Scheduler<World>, tag: u64, attempt: u32) {
     let now = s.now();
     let Some(req) = w.requests.get(&tag) else {
         return;
@@ -197,7 +197,7 @@ pub fn send_query<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, tag
 }
 
 /// The query reaches the decision point's service container.
-pub fn request_arrives<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, tag: u64) {
+pub fn request_arrives(w: &mut World, s: &mut Scheduler<World>, tag: u64) {
     let Some(req) = w.requests.get(&tag) else {
         return;
     };
@@ -231,7 +231,7 @@ pub fn request_arrives<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>
 ///
 /// `gen` is the container generation at scheduling time; completions from
 /// before a crash are stale and ignored.
-pub fn service_done<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, dp_idx: usize, tag: u64, gen: u64) {
+pub fn service_done(w: &mut World, s: &mut Scheduler<World>, dp_idx: usize, tag: u64, gen: u64) {
     if w.dps[dp_idx].station.generation() != gen {
         return; // the container crashed since; this request was lost
     }
@@ -295,9 +295,9 @@ pub fn service_done<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, d
 
 /// The availability response reaches the client: select a site, dispatch
 /// the job, inform the decision point.
-pub fn response_arrives<Q: EventQueue>(
+pub fn response_arrives(
     w: &mut World,
-    s: &mut Scheduler<World, Q>,
+    s: &mut Scheduler<World>,
     tag: u64,
     free: Vec<u32>,
     denied: bool,
@@ -411,7 +411,7 @@ pub fn response_arrives<Q: EventQueue>(
 }
 
 /// The client's timeout fired before the response: random USLA-blind site.
-pub fn request_timeout<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, tag: u64) {
+pub fn request_timeout(w: &mut World, s: &mut Scheduler<World>, tag: u64) {
     let Some(req) = w.requests.get_mut(&tag) else {
         return;
     };
@@ -439,9 +439,9 @@ pub fn request_timeout<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>
 
 /// Sends a job to a site in ground truth, recording scheduling accuracy
 /// for placements a decision point produced.
-pub fn dispatch_job<Q: EventQueue>(
+pub fn dispatch_job(
     w: &mut World,
-    s: &mut Scheduler<World, Q>,
+    s: &mut Scheduler<World>,
     job: JobSpec,
     site: SiteId,
     handled: bool,
@@ -471,7 +471,7 @@ pub fn dispatch_job<Q: EventQueue>(
 
 /// A running job finished; queued jobs may start in its place, and a
 /// queue-manager-blocked host gets its slot back.
-pub fn job_complete<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, job: JobId) {
+pub fn job_complete(w: &mut World, s: &mut Scheduler<World>, job: JobId) {
     let now = s.now();
     let client = w.grid.record(job).expect("scheduled completion").spec.client;
     match w.grid.complete(job, now) {
@@ -504,7 +504,7 @@ pub fn job_complete<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, j
 /// Under the paper's full mesh, receivers merge without re-flooding; under
 /// ring/star/gossip they forward transitively so records still reach every
 /// point within a few rounds.
-pub fn sync_round<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>) {
+pub fn sync_round(w: &mut World, s: &mut Scheduler<World>) {
     let now = s.now();
     if w.exchanges_state() {
         for i in 0..w.dps.len() {
@@ -523,9 +523,9 @@ pub fn sync_round<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>) {
 /// dropped on arrival — no exchange ever crosses a partition boundary.
 /// `ExchangeSent` is emitted only for delivered sends, so the exchange
 /// counters keep their pre-fault meaning.
-pub fn send_exchange<Q: EventQueue>(
+pub fn send_exchange(
     w: &mut World,
-    s: &mut Scheduler<World, Q>,
+    s: &mut Scheduler<World>,
     i: usize,
     j: usize,
     payload: FloodPayload,
@@ -592,9 +592,9 @@ pub fn send_exchange<Q: EventQueue>(
 /// it was in flight, in which case it is dropped at the boundary. The
 /// receiving node owns the rest (liveness check, decode, merge,
 /// transitive forwarding under non-mesh topologies).
-fn exchange_arrives<Q: EventQueue>(
+fn exchange_arrives(
     w: &mut World,
-    s: &mut Scheduler<World, Q>,
+    s: &mut Scheduler<World>,
     i: usize,
     j: usize,
     payload: FloodPayload,
@@ -617,9 +617,9 @@ fn exchange_arrives<Q: EventQueue>(
 /// decides the payload's fate (a lost flood stays lost — the paper's
 /// fire-and-forget staleness hit — while a partition-blocked one is
 /// requeued for the next round).
-fn retry_exchange<Q: EventQueue>(
+fn retry_exchange(
     w: &mut World,
-    s: &mut Scheduler<World, Q>,
+    s: &mut Scheduler<World>,
     i: usize,
     j: usize,
     payload: FloodPayload,
@@ -656,7 +656,7 @@ fn retry_exchange<Q: EventQueue>(
 /// decision point receives a fresh ground-truth snapshot. Modeled as an
 /// out-of-band data feed (MonALISA-style publish/subscribe), so it does
 /// not occupy the GT container.
-pub fn monitor_refresh<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>) {
+pub fn monitor_refresh(w: &mut World, s: &mut Scheduler<World>) {
     let Some(interval) = w.cfg.monitor_refresh else {
         return;
     };
@@ -671,7 +671,7 @@ pub fn monitor_refresh<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>
 }
 
 /// Periodic load sampling for the DiPerF load series.
-pub fn load_sample<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>) {
+pub fn load_sample(w: &mut World, s: &mut Scheduler<World>) {
     let now = s.now();
     w.collector.sample_load(now, w.active_clients);
     if now < w.end {

@@ -24,7 +24,7 @@
 
 use crate::world::World;
 use desim::dist::Dist;
-use desim::{EventQueue, Scheduler};
+use desim::Scheduler;
 use gruber_types::{ClientId, DpId, GridError, SimDuration, SimTime};
 use obs::TraceEvent;
 
@@ -478,31 +478,31 @@ fn parse_range(s: &str, clause: &str) -> Result<(SimTime, SimTime), GridError> {
 /// link-window marker events (the timeline flips state on these),
 /// slowdown application/reset, and planned crash-restarts. No-op when no
 /// plan is configured.
-pub fn seed_plan<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>) {
+pub fn seed_plan(w: &mut World, s: &mut Scheduler<World>) {
     let Some(plan) = w.cfg.fault_plan.clone() else {
         return;
     };
     for (idx, p) in plan.partitions.iter().enumerate() {
         let win = idx as u32;
         let islands = p.islands.len() as u32;
-        s.schedule_at(p.start, move |w: &mut World, s: &mut Scheduler<World, Q>| {
+        s.schedule_at(p.start, move |w: &mut World, s: &mut Scheduler<World>| {
             w.trace.emit(s.now(), || TraceEvent::PartitionStarted {
                 window: win,
                 islands,
             });
         });
-        s.schedule_at(p.end, move |w: &mut World, s: &mut Scheduler<World, Q>| {
+        s.schedule_at(p.end, move |w: &mut World, s: &mut Scheduler<World>| {
             w.trace
                 .emit(s.now(), || TraceEvent::PartitionHealed { window: win });
         });
     }
     for (idx, lf) in plan.link_faults.iter().enumerate() {
         let win = idx as u32;
-        s.schedule_at(lf.start, move |w: &mut World, s: &mut Scheduler<World, Q>| {
+        s.schedule_at(lf.start, move |w: &mut World, s: &mut Scheduler<World>| {
             w.trace
                 .emit(s.now(), || TraceEvent::LinkFaultStarted { window: win });
         });
-        s.schedule_at(lf.end, move |w: &mut World, s: &mut Scheduler<World, Q>| {
+        s.schedule_at(lf.end, move |w: &mut World, s: &mut Scheduler<World>| {
             w.trace
                 .emit(s.now(), || TraceEvent::LinkFaultEnded { window: win });
         });
@@ -510,7 +510,7 @@ pub fn seed_plan<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>) {
     for sl in &plan.slowdowns {
         let dp = sl.dp as usize;
         let factor = sl.factor;
-        s.schedule_at(sl.start, move |w: &mut World, s: &mut Scheduler<World, Q>| {
+        s.schedule_at(sl.start, move |w: &mut World, s: &mut Scheduler<World>| {
             if dp < w.dps.len() {
                 w.dps[dp].station.set_slowdown(factor);
                 let permille = (factor * 1000.0).round() as u32;
@@ -520,7 +520,7 @@ pub fn seed_plan<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>) {
                 });
             }
         });
-        s.schedule_at(sl.end, move |w: &mut World, s: &mut Scheduler<World, Q>| {
+        s.schedule_at(sl.end, move |w: &mut World, s: &mut Scheduler<World>| {
             if dp < w.dps.len() {
                 w.dps[dp].station.set_slowdown(1.0);
                 w.trace
@@ -531,12 +531,12 @@ pub fn seed_plan<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>) {
     for c in &plan.crashes {
         let dp = c.dp as usize;
         let down = c.down_for;
-        s.schedule_at(c.at, move |w: &mut World, s: &mut Scheduler<World, Q>| {
+        s.schedule_at(c.at, move |w: &mut World, s: &mut Scheduler<World>| {
             let now = s.now();
             if crash_dp_now(w, now, dp) {
                 // Planned restart: unlike the exponential repair clock this
                 // neither rebalances clients nor schedules a next failure.
-                s.schedule_in(down, move |w: &mut World, s: &mut Scheduler<World, Q>| {
+                s.schedule_in(down, move |w: &mut World, s: &mut Scheduler<World>| {
                     begin_restore_dp(w, s, dp);
                 });
             }
@@ -592,7 +592,7 @@ pub fn restore_dp_now(w: &mut World, now: SimTime, dp_idx: usize) -> bool {
 /// Returns whether a restart actually began (the point may already be
 /// up, or — in an elastic pool — may have left while it was down: a
 /// departed point's pending restart must not bring a non-member back).
-pub fn begin_restore_dp<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, dp_idx: usize) -> bool {
+pub fn begin_restore_dp(w: &mut World, s: &mut Scheduler<World>, dp_idx: usize) -> bool {
     if dp_idx >= w.dps.len() || w.dps[dp_idx].up() {
         return false;
     }
@@ -616,7 +616,7 @@ pub fn begin_restore_dp<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q
         records: restored.records,
         dur_ms: dur_ms as u32,
     });
-    s.schedule_in(restored.cost, move |w: &mut World, s: &mut Scheduler<World, Q>| {
+    s.schedule_in(restored.cost, move |w: &mut World, s: &mut Scheduler<World>| {
         restore_dp_now(w, s.now(), dp_idx);
     });
     true
@@ -635,7 +635,7 @@ fn exp_delay(mean: SimDuration, w: &mut World) -> SimDuration {
 }
 
 /// Schedules the first failure of every initial decision point.
-pub fn seed_failures<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>) {
+pub fn seed_failures(w: &mut World, s: &mut Scheduler<World>) {
     let Some(fc) = w.cfg.failures else {
         return;
     };
@@ -647,7 +647,7 @@ pub fn seed_failures<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>) 
 
 /// A decision point crashes on its exponential clock and schedules its
 /// own repair.
-pub fn dp_fail<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, dp_idx: usize) {
+pub fn dp_fail(w: &mut World, s: &mut Scheduler<World>, dp_idx: usize) {
     let now = s.now();
     if !crash_dp_now(w, now, dp_idx) {
         return;
@@ -662,15 +662,16 @@ pub fn dp_fail<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, dp_idx
 /// When failover is enabled, the third-party observer also *rebalances on
 /// repair*: roughly `1/n` of all clients re-bind to the recovered point,
 /// undoing the pile-up failover caused on the survivors (without this,
-/// a repaired point sits idle while the rest stay saturated).
-pub fn dp_repair<Q: EventQueue>(w: &mut World, s: &mut Scheduler<World, Q>, dp_idx: usize) {
+/// a repaired point sits idle while the rest stay saturated). `n` counts
+/// live members: points that left an elastic pool stay in `w.dps`.
+pub fn dp_repair(w: &mut World, s: &mut Scheduler<World>, dp_idx: usize) {
     let now = s.now();
     if !begin_restore_dp(w, s, dp_idx) {
         return;
     }
     let fc = w.cfg.failures.expect("failures configured");
     if fc.failover_after > 0 {
-        let n = w.dps.len();
+        let n = w.membership.as_ref().map_or(w.dps.len(), |m| m.table.live_count());
         let share = 1.0 / n as f64;
         for ci in 0..w.clients.len() {
             let c = &mut w.clients[ci];

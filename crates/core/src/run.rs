@@ -3,7 +3,7 @@
 use crate::config::DigruberConfig;
 use crate::events;
 use crate::world::World;
-use desim::{EventQueue, Simulation};
+use desim::Simulation;
 use diperf::{DiPerfReport, RequestTrace};
 use gruber_metrics::jobs::{AvailableCapacity, JobObservation, TableRows};
 use gruber_metrics::JobMetricsAccumulator;
@@ -47,13 +47,6 @@ impl RunSpec {
     /// Runs the experiment this spec describes.
     pub fn run(&self) -> GridResult<ExperimentOutput> {
         run_experiment(self.cfg.clone(), self.workload.clone(), &self.label)
-    }
-
-    /// Runs the experiment on an explicit scheduler backend — e.g.
-    /// `run_with_queue::<desim::HeapQueue>()` replays the whole run on
-    /// the reference heap for differential/divergence diagnosis.
-    pub fn run_with_queue<Q: EventQueue>(&self) -> GridResult<ExperimentOutput> {
-        run_experiment_with_queue::<Q>(self.cfg.clone(), self.workload.clone(), &self.label)
     }
 }
 
@@ -199,26 +192,13 @@ fn consumed_within(rec: &JobRecord, end: SimTime) -> SimDuration {
     until.since(start) * u64::from(rec.spec.cpus)
 }
 
-/// Runs one experiment to completion and aggregates its outputs, on the
-/// default [`desim::TimerWheel`] calendar-queue backend.
+/// Runs one experiment to completion and aggregates its outputs.
 pub fn run_experiment(
     cfg: DigruberConfig,
     workload: WorkloadSpec,
     label: &str,
 ) -> GridResult<ExperimentOutput> {
-    run_experiment_with_queue::<desim::TimerWheel>(cfg, workload, label)
-}
-
-/// [`run_experiment`] generic over the scheduler's queue backend. The
-/// backend changes nothing observable — the determinism suite pins wheel
-/// and heap runs to identical fingerprints — so this exists for
-/// differential testing and first-divergence diagnosis.
-pub fn run_experiment_with_queue<Q: EventQueue>(
-    cfg: DigruberConfig,
-    workload: WorkloadSpec,
-    label: &str,
-) -> GridResult<ExperimentOutput> {
-    let mut sim = run_to_end::<Q>(cfg, workload)?;
+    let mut sim = run_to_end(cfg, workload)?;
     let events_executed = sim.events_executed();
     let peak_pending = sim.peak_pending();
     let sched_cancellations = sim.scheduler().cancellations();
@@ -230,13 +210,13 @@ pub fn run_experiment_with_queue<Q: EventQueue>(
 /// the end of the experiment. [`run_experiment`] aggregates the result;
 /// tests call this directly to inspect the final [`World`] (client
 /// bindings, pool membership) that the aggregate does not carry.
-pub fn run_to_end<Q: EventQueue>(
+pub fn run_to_end(
     cfg: DigruberConfig,
     workload: WorkloadSpec,
-) -> GridResult<Simulation<World, Q>> {
+) -> GridResult<Simulation<World>> {
     let arrival_batch = workload.arrival_batch;
     let world = World::new(cfg, workload)?;
-    let mut sim = Simulation::<World, Q>::with_queue(world);
+    let mut sim = Simulation::new(world);
     let tracer = sim.world().trace.clone();
     sim.scheduler().set_tracer(tracer);
 

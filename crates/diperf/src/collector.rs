@@ -8,10 +8,9 @@
 use crate::trace::RequestTrace;
 use gruber_metrics::{SummaryStats, TimeSeries};
 use gruber_types::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Aggregated results of one DiPerF run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiPerfReport {
     /// Label (e.g. "GT3 DI-GRUBER, 3 DPs").
     pub label: String,

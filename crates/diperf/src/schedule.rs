@@ -1,14 +1,13 @@
 //! Tester ramp schedules.
 
 use gruber_types::{ClientId, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// When each tester client joins the experiment.
 ///
 /// DiPerF "varies slowly the participation of clients": client `i` joins at
 /// `i * ramp_span / n_clients` and stays until the end (the paper's load
 /// curves climb roughly linearly and then hold).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RampSchedule {
     /// Number of tester clients.
     pub n_clients: u32,

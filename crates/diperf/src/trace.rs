@@ -1,11 +1,10 @@
 //! Request-level traces.
 
 use gruber_types::{ClientId, DpId, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The outcome of one tester request — DiPerF's unit of record, and the
 /// input GRUB-SIM replays.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestTrace {
     /// Issuing tester client.
     pub client: ClientId,

@@ -3,7 +3,7 @@
 use crate::topology::{sync_peers_of, Dissemination, Topology};
 use bytes::Bytes;
 use desim::DetRng;
-use gruber::{DispatchRecord, GridView, GruberEngine, ViewStore};
+use gruber::{DispatchRecord, GruberEngine};
 use gruber_types::{DpId, GridError, JobId, JobSpec, SimDuration, SimTime, SiteSpec};
 use simnet::codec::{decode_deltas, encode_deltas, DispatchDelta};
 use std::collections::BTreeMap;
@@ -258,15 +258,10 @@ pub struct NodeConfig {
 /// One decision point's protocol state machine: the GRUBER engine (view +
 /// USLA store + outgoing flood log) plus topology, liveness and counters.
 /// Pure sans-IO — see the crate docs for the driver contract.
-///
-/// Generic over the engine's view backend (the struct-of-arrays
-/// [`GridView`] by default); the snapshot wire format is backend-agnostic
-/// — it carries dispatch records, not view internals — so snapshots
-/// round-trip across backends.
 #[derive(Debug)]
-pub struct DpNode<V: ViewStore = GridView> {
+pub struct DpNode {
     id: DpId,
-    engine: GruberEngine<V>,
+    engine: GruberEngine,
     topology: Topology,
     dissemination: Dissemination,
     sync_every: Option<SimDuration>,
@@ -286,22 +281,12 @@ pub struct DpNode<V: ViewStore = GridView> {
     live: BTreeMap<JobId, DispatchRecord>,
 }
 
-impl DpNode<GridView> {
-    /// Builds a node over full static site knowledge and a USLA set,
-    /// using the default struct-of-arrays view backend.
+impl DpNode {
+    /// Builds a node over full static site knowledge and a USLA set.
     pub fn new(cfg: NodeConfig, sites: &[SiteSpec], uslas: &UslaSet) -> Self {
-        DpNode::with_backend(cfg, sites, uslas)
-    }
-}
-
-impl<V: ViewStore> DpNode<V> {
-    /// Builds a node over an explicit view backend (the differential and
-    /// snapshot cross-backend suites run `gruber::RefView` through the
-    /// whole protocol state machine).
-    pub fn with_backend(cfg: NodeConfig, sites: &[SiteSpec], uslas: &UslaSet) -> Self {
         DpNode {
             id: cfg.id,
-            engine: GruberEngine::with_backend(sites, uslas),
+            engine: GruberEngine::new(sites, uslas),
             topology: cfg.topology,
             dissemination: cfg.dissemination,
             sync_every: cfg.sync_every,
@@ -349,13 +334,13 @@ impl<V: ViewStore> DpNode<V> {
     }
 
     /// Read access to the brokering engine (counters, staleness probes).
-    pub fn engine(&self) -> &GruberEngine<V> {
+    pub fn engine(&self) -> &GruberEngine {
         &self.engine
     }
 
     /// Mutable access to the brokering engine. Driver glue and tests
     /// only — protocol steps must go through [`DpNode::handle`].
-    pub fn engine_mut(&mut self) -> &mut GruberEngine<V> {
+    pub fn engine_mut(&mut self) -> &mut GruberEngine {
         &mut self.engine
     }
 
@@ -440,26 +425,15 @@ impl<V: ViewStore> DpNode<V> {
                 // this node re-enter its own outgoing log (de-duplication
                 // by job id terminates forwarding loops).
                 let forward = self.topology != Topology::FullMesh;
-                let fresh = if self.track_live {
-                    let mut fresh_recs = Vec::new();
-                    let n = self.engine.merge_peer_records_collect(
-                        &records,
-                        now,
-                        forward,
-                        &mut fresh_recs,
-                    );
-                    for rec in fresh_recs {
-                        self.live.insert(rec.job, rec);
-                        if self.persist {
-                            out.push(Effect::Persist(WalOp::Peer(rec)));
-                        }
+                let mut fresh_recs = Vec::new();
+                let sink = self.track_live.then_some(&mut fresh_recs);
+                let fresh = self.engine.merge_peer_records(&records, now, forward, sink);
+                for rec in fresh_recs {
+                    self.live.insert(rec.job, rec);
+                    if self.persist {
+                        out.push(Effect::Persist(WalOp::Peer(rec)));
                     }
-                    n
-                } else if forward {
-                    self.engine.merge_peer_records_forwarding(&records, now)
-                } else {
-                    self.engine.merge_peer_records(&records, now)
-                };
+                }
                 self.stats.floods_merged += 1;
                 self.stats.records_merged += fresh as u64;
                 self.engine.uslas_mut().merge_delta(&payload.uslas);
@@ -635,7 +609,6 @@ impl<V: ViewStore> DpNode<V> {
     /// replay is pure state reconstruction. Returns the number of
     /// operations replayed.
     pub fn replay_wal(&mut self, wal: &[(SimTime, WalOp)]) -> u32 {
-        let mut scratch = Vec::new();
         for &(at, op) in wal {
             match op {
                 WalOp::Own(rec) => {
@@ -645,14 +618,10 @@ impl<V: ViewStore> DpNode<V> {
                     }
                 }
                 WalOp::Peer(rec) => {
-                    scratch.clear();
                     let forward = self.topology != Topology::FullMesh;
-                    let fresh =
-                        self.engine
-                            .merge_peer_records_collect(&[rec], at, forward, &mut scratch);
-                    self.stats.records_merged += fresh as u64;
-                    for r in &scratch {
-                        self.live.insert(r.job, *r);
+                    if self.engine.merge_peer_records(&[rec], at, forward, None) == 1 {
+                        self.stats.records_merged += 1;
+                        self.live.insert(rec.job, rec);
                     }
                 }
                 WalOp::Drained {
@@ -1149,93 +1118,6 @@ mod tests {
             b.engine_mut().availability(SimTime::from_secs(7200)),
             vec![16, 16, 16, 16]
         );
-    }
-
-    fn pnode_ref(id: u32) -> DpNode<gruber::RefView> {
-        DpNode::with_backend(
-            NodeConfig {
-                id: DpId(id),
-                topology: Topology::FullMesh,
-                dissemination: Dissemination::UsageOnly,
-                sync_every: None,
-                gossip_seed: 7,
-                persist: true,
-            },
-            &sites(),
-            &equal_shares(2, 2).unwrap(),
-        )
-    }
-
-    #[test]
-    fn snapshot_round_trips_across_view_backends() {
-        // The snapshot format carries dispatch records, not view
-        // internals, so a snapshot written by a RefView-backed node must
-        // restore into a SoA-backed node (and vice versa) with identical
-        // counters, availability and next-flood bytes. This is the
-        // compatibility guarantee that let the SoA backend ship without a
-        // format bump: snapshots written before the refactor restore
-        // unchanged.
-        let mut a = pnode_ref(0);
-        let mut wal = Vec::new();
-        drive_logged_ref(&mut a, Input::Inform(rec(1, 0, 2)), &mut wal);
-        drive_logged_ref(&mut a, Input::Inform(rec(2, 1, 3)), &mut wal);
-        drive_logged_ref(&mut a, Input::SyncTick { n_dps: 3 }, &mut wal);
-        drive_logged_ref(&mut a, Input::Inform(rec(3, 2, 4)), &mut wal);
-        let (snap, live) = a.snapshot_encode(SimTime::from_secs(1));
-        assert_eq!(live, 3);
-
-        // RefView snapshot -> SoA node.
-        let mut b = pnode(0);
-        b.recover(Some(&snap), &[], SimTime::from_secs(2)).unwrap();
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.engine().counters(), b.engine().counters());
-        assert_eq!(
-            a.engine_mut().availability(SimTime::from_secs(2)),
-            b.engine_mut().availability(SimTime::from_secs(2))
-        );
-
-        // SoA snapshot -> RefView node: the bytes are identical, so the
-        // reverse direction restores the same state too.
-        let (snap2, _) = b.snapshot_encode(SimTime::from_secs(2));
-        let mut c = pnode_ref(0);
-        c.recover(Some(&snap2), &[], SimTime::from_secs(2)).unwrap();
-        assert_eq!(c.stats(), b.stats());
-        assert_eq!(
-            c.engine_mut().availability(SimTime::from_secs(2)),
-            b.engine_mut().availability(SimTime::from_secs(2))
-        );
-
-        // Same subsequent flood from either recovered node.
-        let mut fb = Vec::new();
-        let mut fc = Vec::new();
-        b.handle(SimTime::from_secs(3), Input::SyncTick { n_dps: 3 }, &mut fb);
-        c.handle(SimTime::from_secs(3), Input::SyncTick { n_dps: 3 }, &mut fc);
-        let bytes = |fx: &[Effect]| {
-            fx.iter()
-                .find_map(|e| match e {
-                    Effect::FloodTo { payload, .. } => Some(payload.records.clone()),
-                    _ => None,
-                })
-                .unwrap()
-        };
-        assert_eq!(bytes(&fb).as_ref(), bytes(&fc).as_ref());
-        assert_eq!(b.stats().flood_hash, c.stats().flood_hash);
-    }
-
-    /// `drive_logged` for a RefView-backed node.
-    fn drive_logged_ref(
-        n: &mut DpNode<gruber::RefView>,
-        input: Input,
-        wal: &mut Vec<(SimTime, WalOp)>,
-    ) -> Vec<Effect> {
-        let mut fx = Vec::new();
-        n.handle(SimTime::from_secs(1), input, &mut fx);
-        for e in &fx {
-            if let Effect::Persist(op) = e {
-                wal.push((SimTime::from_secs(1), *op));
-            }
-        }
-        fx
     }
 
     #[test]

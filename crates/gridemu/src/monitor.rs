@@ -8,10 +8,9 @@
 
 use crate::grid::Grid;
 use gruber_types::{SimTime, SiteId};
-use serde::{Deserialize, Serialize};
 
 /// One site's load at a moment in time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteLoad {
     /// Site.
     pub site: SiteId,

@@ -8,11 +8,10 @@
 //! policy admits everything, reproducing the paper's assumption.
 
 use gruber_types::{JobSpec, VoId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A site-local admission policy.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SitePolicy {
     /// Max fraction of the site's CPUs any single VO may hold at once
     /// (`None` = unlimited — the paper's configuration).

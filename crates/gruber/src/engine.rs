@@ -9,19 +9,15 @@
 //! * *admission* — may this job start another CPU, under the USLAs, given
 //!   the believed per-VO/group usage?
 
-use crate::view::{DispatchRecord, GridView, ViewStore};
+use crate::view::{DispatchRecord, GridView};
 use gruber_types::{DpId, JobSpec, SimDuration, SimTime, SiteSpec};
 use obs::{Recorder, TraceEvent, TraceVerdict};
 use usla::{AdmissionVerdict, EntitlementEngine, Principal, ResourceKind, UslaSet, UslaStore};
 
 /// A decision point's brokering core.
-///
-/// Generic over the view backend: the struct-of-arrays [`GridView`] by
-/// default, or any other [`ViewStore`] (the differential suites run the
-/// reference backend through the same engine).
 #[derive(Debug)]
-pub struct GruberEngine<V: ViewStore = GridView> {
-    view: V,
+pub struct GruberEngine {
+    view: GridView,
     uslas: UslaStore,
     outgoing: Vec<DispatchRecord>,
     dispatches_recorded: u64,
@@ -36,20 +32,11 @@ pub struct GruberEngine<V: ViewStore = GridView> {
     dp: DpId,
 }
 
-impl GruberEngine<GridView> {
-    /// Builds an engine with full static site knowledge and a USLA set,
-    /// over the default struct-of-arrays view backend.
+impl GruberEngine {
+    /// Builds an engine with full static site knowledge and a USLA set.
     pub fn new(sites: &[SiteSpec], uslas: &UslaSet) -> Self {
-        GruberEngine::with_backend(sites, uslas)
-    }
-}
-
-impl<V: ViewStore> GruberEngine<V> {
-    /// Builds an engine over an explicit view backend (the differential
-    /// suites run [`crate::view::RefView`] through the full engine).
-    pub fn with_backend(sites: &[SiteSpec], uslas: &UslaSet) -> Self {
         GruberEngine {
-            view: V::new(sites),
+            view: GridView::new(sites),
             uslas: UslaStore::from_set(uslas),
             outgoing: Vec::new(),
             dispatches_recorded: 0,
@@ -71,13 +58,6 @@ impl<V: ViewStore> GruberEngine<V> {
     /// Believed free CPUs per site — the availability response payload.
     pub fn availability(&mut self, now: SimTime) -> Vec<u32> {
         self.view.free_per_site(now)
-    }
-
-    /// Writes the availability vector into `out` (cleared first) — the
-    /// allocation-free form for callers that serve many queries from a
-    /// reusable buffer.
-    pub fn availability_into(&mut self, now: SimTime, out: &mut Vec<u32>) {
-        self.view.free_per_site_into(now, out);
     }
 
     /// Records a dispatch this decision point just brokered: folds it into
@@ -104,56 +84,22 @@ impl<V: ViewStore> GruberEngine<V> {
 
     /// Folds a batch of peer dispatch records (received in a sync round)
     /// into the view. Returns how many were new.
-    pub fn merge_peer_records(&mut self, records: &[DispatchRecord], now: SimTime) -> usize {
-        let new = self.view.merge(records, now);
-        self.note_merge(now);
-        self.peers_merged += new as u64;
-        self.tracer.emit(now, || TraceEvent::ExchangeMerged {
-            dp: self.dp,
-            received: records.len() as u32,
-            fresh: new as u32,
-        });
-        new
-    }
-
-    /// Like [`GruberEngine::merge_peer_records`], but also queues the
-    /// records that were new for this engine onto its own outgoing log —
-    /// transitive forwarding for non-mesh exchange topologies (ring, star,
-    /// gossip). Forwarding loops terminate because the view de-duplicates
-    /// by job id: a record seen before is not "new" and is not re-queued.
-    pub fn merge_peer_records_forwarding(
-        &mut self,
-        records: &[DispatchRecord],
-        now: SimTime,
-    ) -> usize {
-        let mut new = 0;
-        for rec in records {
-            if self.view.observe(rec, now) {
-                self.outgoing.push(*rec);
-                new += 1;
-            }
-        }
-        self.note_merge(now);
-        self.peers_merged += new as u64;
-        self.tracer.emit(now, || TraceEvent::ExchangeMerged {
-            dp: self.dp,
-            received: records.len() as u32,
-            fresh: new as u32,
-        });
-        new
-    }
-
-    /// Like [`GruberEngine::merge_peer_records`] (or the forwarding
-    /// variant when `forward` is true), but additionally collects the
-    /// records that were fresh for this engine into `fresh_out`. Drivers
-    /// that persist applied records need the exact accepted set — the
-    /// count alone is not enough to rebuild the view on recovery.
-    pub fn merge_peer_records_collect(
+    ///
+    /// With `forward`, the records that were new for this engine are also
+    /// queued onto its own outgoing log — transitive forwarding for
+    /// non-mesh exchange topologies (ring, star, gossip). Forwarding loops
+    /// terminate because the view de-duplicates by job id: a record seen
+    /// before is not "new" and is not re-queued.
+    ///
+    /// With a `fresh_out` sink, the new records are collected there too:
+    /// drivers that persist applied records need the exact accepted set —
+    /// the count alone is not enough to rebuild the view on recovery.
+    pub fn merge_peer_records(
         &mut self,
         records: &[DispatchRecord],
         now: SimTime,
         forward: bool,
-        fresh_out: &mut Vec<DispatchRecord>,
+        mut fresh_out: Option<&mut Vec<DispatchRecord>>,
     ) -> usize {
         let mut new = 0;
         for rec in records {
@@ -161,7 +107,9 @@ impl<V: ViewStore> GruberEngine<V> {
                 if forward {
                     self.outgoing.push(*rec);
                 }
-                fresh_out.push(*rec);
+                if let Some(sink) = fresh_out.as_deref_mut() {
+                    sink.push(*rec);
+                }
                 new += 1;
             }
         }
@@ -234,7 +182,7 @@ impl<V: ViewStore> GruberEngine<V> {
     }
 
     /// The underlying grid view.
-    pub fn view_mut(&mut self) -> &mut V {
+    pub fn view_mut(&mut self) -> &mut GridView {
         &mut self.view
     }
 
@@ -309,14 +257,14 @@ mod tests {
         let mut e = engine();
         assert_eq!(e.last_merge_at(), None);
         assert_eq!(e.max_merge_gap(), SimDuration::ZERO);
-        e.merge_peer_records(&[], SimTime::from_secs(10));
+        e.merge_peer_records(&[], SimTime::from_secs(10), false, None);
         assert_eq!(e.last_merge_at(), Some(SimTime::from_secs(10)));
         assert_eq!(e.max_merge_gap(), SimDuration::from_secs(10));
         // A long quiet spell (a partition, say) stretches the gap…
-        e.merge_peer_records(&[], SimTime::from_secs(400));
+        e.merge_peer_records(&[], SimTime::from_secs(400), false, None);
         assert_eq!(e.max_merge_gap(), SimDuration::from_secs(390));
         // …and prompt merges afterwards never shrink the high-water mark.
-        e.merge_peer_records(&[], SimTime::from_secs(401));
+        e.merge_peer_records(&[], SimTime::from_secs(401), false, None);
         assert_eq!(e.max_merge_gap(), SimDuration::from_secs(390));
         assert_eq!(e.last_merge_at(), Some(SimTime::from_secs(401)));
     }
@@ -378,13 +326,40 @@ mod tests {
         let now = SimTime::ZERO;
         a.record_dispatch(rec(1, 0, 4, 100), now);
         let log = a.drain_log();
-        assert_eq!(b.merge_peer_records(&log, now), 1);
+        assert_eq!(b.merge_peer_records(&log, now, false, None), 1);
         assert_eq!(b.availability(now), vec![6, 10]);
         // b must NOT re-flood what it learned from a.
         assert_eq!(b.pending_log_len(), 0);
         assert_eq!(b.counters(), (0, 1));
         // Merging the same log again is a no-op.
-        assert_eq!(b.merge_peer_records(&log, now), 0);
+        assert_eq!(b.merge_peer_records(&log, now, false, None), 0);
+    }
+
+    #[test]
+    fn merge_forward_and_sink_are_independent() {
+        // One duplicate (job 1 again) and one record already expired at
+        // `now` (job 3): two of the four are fresh, in batch order.
+        let now = SimTime::from_secs(50);
+        let batch = [rec(1, 0, 2, 100), rec(2, 1, 3, 100), rec(1, 0, 2, 100), rec(3, 0, 1, 40)];
+        let fresh = [batch[0], batch[1]];
+        for (forward, with_sink) in [(false, false), (false, true), (true, false), (true, true)] {
+            let mut e = engine();
+            let tracer = Recorder::new(obs::TraceConfig::default());
+            e.set_tracer(tracer.clone(), DpId(7));
+            let mut sink = Vec::new();
+            let n = e.merge_peer_records(&batch, now, forward, with_sink.then_some(&mut sink));
+            assert_eq!(n, 2);
+            assert_eq!(e.counters(), (0, 2));
+            assert_eq!(e.outgoing(), if forward { &fresh[..] } else { &[] });
+            assert_eq!(sink, if with_sink { &fresh[..] } else { &[] });
+            assert_eq!(e.max_merge_gap(), SimDuration::from_secs(50));
+            let merged = TraceEvent::ExchangeMerged {
+                dp: DpId(7),
+                received: 4,
+                fresh: 2,
+            };
+            assert_eq!(tracer.finish(now).unwrap().recent, vec![(50_000, merged)]);
+        }
     }
 
     #[test]

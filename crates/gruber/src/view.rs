@@ -37,13 +37,12 @@
 //! byte-identical across backends.
 
 use gruber_types::{GroupId, JobId, SimTime, SiteId, SiteSpec, VoId};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
 
 /// One observed dispatch: the unit of inter-decision-point exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchRecord {
     /// The dispatched job (used for de-duplication across floods).
     pub job: JobId,

@@ -5,10 +5,9 @@
 //! per time interval. When this upper bound is reached, a decision point
 //! can trigger a saturation signal to a third party monitoring service."
 
-use serde::{Deserialize, Serialize};
 
 /// An upper bound on what one decision point absorbs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapacityModel {
     /// Sustainable throughput, queries/second (the DiPerF plateau).
     pub qps: f64,

@@ -6,18 +6,16 @@
 //! machines — the exact code the discrete-event simulator and the live
 //! thread cluster drive — and report what each point believed at the end.
 //!
-//! The driver here is the simplest of the three: a single binary-heap
-//! time loop, zero-latency flood delivery, no loss/partitions/retries.
-//! Every answered request becomes a query to its bound decision point
-//! plus a synthetic dispatch inform (the client told the point where the
-//! job landed); sync rounds are self-clocked by the node's
-//! `SetTimer` effect. After the trace horizon the driver runs `n_dps`
+//! The driver here is the simplest of the three: one pass over the
+//! time-sorted trace events, zero-latency flood delivery, no
+//! loss/partitions/retries. Every answered request becomes a query to its
+//! bound decision point plus a synthetic dispatch inform (the client told
+//! the point where the job landed); a sync round fires on every point each
+//! `sync_interval`. After the trace horizon the driver runs `n_dps`
 //! barrier sync rounds so sparse topologies (ring, star) finish
 //! propagating transitively-forwarded records, then compares the final
 //! availability views for convergence.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use diperf::RequestTrace;
@@ -47,7 +45,7 @@ pub struct ProtocolReplayConfig {
     pub n_dps: usize,
     /// Exchange topology between the points.
     pub topology: Topology,
-    /// Sync-round period (each node self-clocks via its timer effect).
+    /// Sync-round period: every point's timer fires each `sync_interval`.
     pub sync_interval: SimDuration,
     /// Runtime assumed for every synthetic dispatched job.
     pub job_runtime: SimDuration,
@@ -83,9 +81,9 @@ pub struct ProtocolReplayReport {
     pub wal_records_replayed: u64,
 }
 
-/// One scheduled driver event. Ordering is `(at, seq)` so ties resolve in
+/// One driver event. Replayed in `(at, seq)` order so ties resolve in
 /// insertion order and the replay is deterministic.
-struct HeapEv {
+struct TimedEv {
     at: SimTime,
     seq: u64,
     ev: Ev,
@@ -94,27 +92,8 @@ struct HeapEv {
 enum Ev {
     Query { dp: usize, client: ClientId, timed_out: bool },
     Inform { dp: usize, record: DispatchRecord, client: ClientId, response_ms: u64 },
-    Timer { dp: usize },
     Crash { dp: usize },
     Restore { dp: usize },
-}
-
-impl PartialEq for HeapEv {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for HeapEv {}
-impl PartialOrd for HeapEv {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEv {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
-    }
 }
 
 /// Replays a DiPerF trace through `n_dps` real decision-point state
@@ -178,12 +157,7 @@ pub fn replay_protocol_traced(
         })
         .collect();
 
-    let mut heap = BinaryHeap::new();
-    let mut seq = 0u64;
-    let push = |heap: &mut BinaryHeap<HeapEv>, seq: &mut u64, at: SimTime, ev: Ev| {
-        *seq += 1;
-        heap.push(HeapEv { at, seq: *seq, ev });
-    };
+    let mut events: Vec<TimedEv> = Vec::new();
 
     // Trace entries become queries; answered ones also become synthetic
     // informs at completion time (job id = entry index, round-robin site).
@@ -192,12 +166,11 @@ pub fn replay_protocol_traced(
     let mut last_event = SimTime(0);
     for (i, t) in traces.iter().enumerate() {
         let dp = t.dp.index() % n_dps;
-        push(
-            &mut heap,
-            &mut seq,
-            t.sent_at,
-            Ev::Query { dp, client: t.client, timed_out: t.timed_out },
-        );
+        events.push(TimedEv {
+            at: t.sent_at,
+            seq: events.len() as u64,
+            ev: Ev::Query { dp, client: t.client, timed_out: t.timed_out },
+        });
         last_event = last_event.max(t.sent_at);
         if !t.handled() {
             continue;
@@ -213,36 +186,46 @@ pub fn replay_protocol_traced(
             dispatched_at: at,
             est_finish: at + cfg.job_runtime,
         };
-        push(
-            &mut heap,
-            &mut seq,
+        events.push(TimedEv {
             at,
-            Ev::Inform {
+            seq: events.len() as u64,
+            ev: Ev::Inform {
                 dp,
                 record,
                 client: t.client,
                 response_ms: t.response.map_or(0, |r| r.as_millis()),
             },
-        );
+        });
     }
 
     if let Some(plan) = cfg.crash {
         let dp = plan.dp as usize % n_dps;
-        push(&mut heap, &mut seq, plan.at, Ev::Crash { dp });
+        events.push(TimedEv { at: plan.at, seq: events.len() as u64, ev: Ev::Crash { dp } });
         let back = plan.at + plan.down_for;
-        push(&mut heap, &mut seq, back, Ev::Restore { dp });
+        events.push(TimedEv { at: back, seq: events.len() as u64, ev: Ev::Restore { dp } });
         last_event = last_event.max(back);
     }
 
-    // Each node self-clocks after the first driver-seeded timer; timers
-    // stop re-arming past the horizon so the loop terminates.
+    // Sorted in place: a replay's peak memory is this one buffer.
+    events.sort_unstable_by_key(|e| (e.at, e.seq));
+
+    // Every point's timer fires each `sync_interval` (a down point's too:
+    // its node re-arms without flooding) until the horizon. A round due at
+    // the instant of a trace event runs after it.
     let horizon = last_event + cfg.sync_interval + cfg.sync_interval;
-    for dp in 0..n_dps {
-        push(&mut heap, &mut seq, SimTime(0) + cfg.sync_interval, Ev::Timer { dp });
-    }
+    let mut next_tick = SimTime(0) + cfg.sync_interval;
+    let timer_round = |hosts: &mut [NodeHost<SimStore>], at: SimTime| {
+        for dp in 0..n_dps {
+            tick(hosts, dp, at, Input::TimerFired { n_dps }, tracer);
+        }
+    };
 
     let mut fx: Vec<Routed> = Vec::new();
-    while let Some(HeapEv { at, ev, .. }) = heap.pop() {
+    for TimedEv { at, ev, .. } in events {
+        while next_tick < at {
+            timer_round(&mut hosts, next_tick);
+            next_tick += cfg.sync_interval;
+        }
         match ev {
             Ev::Query { dp, client, timed_out } => {
                 queries += 1;
@@ -266,14 +249,6 @@ pub fn replay_protocol_traced(
                 });
                 hosts[dp].handle(at, Input::Inform(record), &mut fx, emit_at(tracer, at));
             }
-            Ev::Timer { dp } => {
-                // Timers stop re-arming past the horizon.
-                if let Some(after) = tick(&mut hosts, dp, at, Input::TimerFired { n_dps }, tracer) {
-                    if at + after <= horizon {
-                        push(&mut heap, &mut seq, at + after, Ev::Timer { dp });
-                    }
-                }
-            }
             Ev::Crash { dp } => {
                 hosts[dp].crash();
                 tracer.emit(at, || TraceEvent::DpFailed { dp: DpId(dp as u32) });
@@ -293,6 +268,10 @@ pub fn replay_protocol_traced(
                 });
             }
         }
+    }
+    while next_tick <= horizon {
+        timer_round(&mut hosts, next_tick);
+        next_tick += cfg.sync_interval;
     }
 
     // Barrier rounds: in a ring, a record crosses one hop per sync round,
@@ -328,26 +307,17 @@ fn emit_at(tracer: &Recorder, at: SimTime) -> impl FnMut(SimDuration, TraceEvent
 }
 
 /// One exchange round of point `dp` (a node timer or a barrier tick):
-/// every flood is delivered in place. Returns the re-arm delay a
-/// self-clocked node asked for.
-fn tick(
-    hosts: &mut [NodeHost<SimStore>],
-    dp: usize,
-    at: SimTime,
-    input: Input,
-    tracer: &Recorder,
-) -> Option<SimDuration> {
+/// every flood is delivered in place.
+fn tick(hosts: &mut [NodeHost<SimStore>], dp: usize, at: SimTime, input: Input, tracer: &Recorder) {
     let mut fx = Vec::new();
     hosts[dp].handle(at, input, &mut fx, emit_at(tracer, at));
-    let mut rearm = None;
     for effect in fx {
         match effect {
             Routed::FloodTo { peers, payload } => deliver(hosts, dp, at, &peers, &payload, tracer),
-            Routed::SetTimer { after } => rearm = Some(after),
+            Routed::SetTimer { .. } => {} // always `sync_interval`: the driver's step
             Routed::Reply { .. } => {} // a tick answers no query
         }
     }
-    rearm
 }
 
 /// Zero-latency flood delivery: hand the payload to each peer in place.
@@ -597,6 +567,32 @@ mod tests {
         let rec = Recorder::new(obs::TraceConfig::default());
         let traced = replay_protocol_traced(&traces, &s, &u, crashy_cfg(3, 2), &rec);
         assert_eq!(plain, traced);
+    }
+
+    /// Pins the order of `handle` calls (values recorded when every sync
+    /// round still went through an event heap): trace entries land on exact
+    /// multiples of the sync interval, where the round due then runs after
+    /// them; point 1 crashes between two rounds and recovers from
+    /// snapshot + WAL.
+    #[test]
+    fn ring_crash_replay_is_pinned() {
+        let c = ProtocolReplayConfig { topology: Topology::Ring, ..crashy_cfg(4, 16) };
+        let r = replay_protocol(&answered_trace(200, 4), &sites(4, 64), &equal_shares(2, 2).unwrap(), c);
+        let per_dp: Vec<(u64, u64, u64)> = r
+            .per_dp
+            .iter()
+            .map(|s| (s.flood_hash, s.records_merged, s.sync_rounds))
+            .collect();
+        assert_eq!(
+            per_dp,
+            [
+                (0x6bdd1521a6a827a5, 147, 21),
+                (0x0cd585de0a46dce3, 150, 20),
+                (0xeaafb29f65fcc439, 147, 21),
+                (0xf83a1284a38103fb, 147, 20),
+            ]
+        );
+        assert_eq!((r.recoveries, r.wal_records_replayed), (1, 7));
     }
 
     #[test]

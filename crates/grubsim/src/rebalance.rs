@@ -13,10 +13,9 @@
 use crate::capacity::CapacityModel;
 use diperf::RequestTrace;
 use gruber_types::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a rebalancing replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RebalanceReport {
     /// Decision points in the trace.
     pub dps: usize,

@@ -4,10 +4,9 @@ use crate::capacity::CapacityModel;
 use diperf::RequestTrace;
 use gruber_types::{SimDuration, SimTime};
 use obs::{Recorder, TraceEvent};
-use serde::{Deserialize, Serialize};
 
 /// What GRUB-SIM concluded from one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GrubSimReport {
     /// Decision points the traced experiment ran with.
     pub initial_dps: usize,

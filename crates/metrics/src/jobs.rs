@@ -7,10 +7,9 @@
 //! with the handled flag and produces the three [`JobAggregate`] rows.
 
 use gruber_types::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One job's contribution to the table metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobObservation {
     /// Whether a decision point served the site selection.
     pub handled_by_gruber: bool,
@@ -23,7 +22,7 @@ pub struct JobObservation {
 }
 
 /// Aggregated metrics for one row of Table 1/2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct JobAggregate {
     /// Number of requests in this class.
     pub requests: usize,
@@ -142,7 +141,7 @@ impl JobMetricsAccumulator {
 
 /// Total CPU capacity available during the measurement window
 /// (`#cpus × window`), the denominator of Util.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AvailableCapacity {
     /// Total CPUs in the grid.
     pub cpus: u64,
@@ -166,7 +165,7 @@ impl AvailableCapacity {
 }
 
 /// The three rows of a Table 1/2 block.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TableRows {
     /// Requests handled by GRUBER decision points.
     pub handled: JobAggregate,

@@ -7,16 +7,15 @@
 //! completion events with `count` aggregation.
 
 use gruber_types::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A `(time, value)` point stream with fixed-window aggregation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }
 
 /// One aggregated bin.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bin {
     /// Start of the window.
     pub start: SimTime,

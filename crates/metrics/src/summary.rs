@@ -1,10 +1,9 @@
 //! Summary statistics (the min/median/average/maximum/std-dev rows shown
 //! under every DiPerF figure in the paper).
 
-use serde::{Deserialize, Serialize};
 
 /// Order statistics and moments of a sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SummaryStats {
     /// Number of samples.
     pub count: usize,

@@ -15,14 +15,13 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gruber_types::{ClientId, DpId, GridError, GroupId, JobId, SimTime, SiteId, VoId};
-use serde::{Deserialize, Serialize};
 
 /// XML/SOAP inflates payloads ~8× over our binary framing; marshalling cost
 /// is charged on the inflated size.
 pub const SOAP_OVERHEAD_FACTOR: f64 = 8.0;
 
 /// One site's load entry in an availability response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteLoadEntry {
     /// Site.
     pub site: SiteId,
@@ -38,7 +37,7 @@ pub struct SiteLoadEntry {
 /// exchange with other decision points of information about recent job
 /// dispatch operations". Peers expire records independently using the
 /// estimated finish time, so no completion messages are needed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchDelta {
     /// The dispatched job (peers use this to de-duplicate floods).
     pub job: JobId,
@@ -141,7 +140,7 @@ pub fn decode_deltas(mut buf: Bytes) -> Result<Vec<DispatchDelta>, GridError> {
 /// The availability-query request a client sends a decision point: who is
 /// asking, for which job, and how many CPUs it wants. Small and
 /// fixed-size — the *response* is the heavy payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryRequest {
     /// The querying client.
     pub client: ClientId,

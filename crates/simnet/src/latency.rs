@@ -9,10 +9,9 @@
 
 use desim::DetRng;
 use gruber_types::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A one-way latency distribution for a link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyModel {
     /// Fixed latency.
     Constant(SimDuration),
@@ -48,7 +47,7 @@ impl LatencyModel {
 
 /// A node in the network (client hosts and decision points share one
 /// namespace here; crates map their own ids onto it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NetNode(pub u32);
 
 /// The WAN: per-pair base latency plus jitter.

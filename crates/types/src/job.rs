@@ -8,10 +8,9 @@
 
 use crate::id::{ClientId, GroupId, JobId, SiteId, UserId, VoId};
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Immutable description of a job as produced by the workload generator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
     /// Unique id.
     pub id: JobId,
@@ -43,7 +42,7 @@ impl JobSpec {
 }
 
 /// The paper's four-state job lifecycle (plus `Failed`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobState {
     /// (1) Submitted by a user to a submission host; awaiting site selection.
     AtSubmissionHost,
@@ -84,7 +83,7 @@ impl JobState {
 /// The timestamps feed the paper's metrics: `dispatched_at → started_at` is
 /// the per-job queue time (QTime), `started_at → completed_at` the execution
 /// time used for utilization.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobRecord {
     /// The job's immutable spec.
     pub spec: JobSpec,

@@ -6,10 +6,9 @@
 //! configured after Grid3's real CPU-count distribution.
 
 use crate::id::{ClusterId, SiteId};
-use serde::{Deserialize, Serialize};
 
 /// A homogeneous cluster within a site.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterSpec {
     /// Id, unique within the owning site.
     pub id: ClusterId,
@@ -20,7 +19,7 @@ pub struct ClusterSpec {
 }
 
 /// A grid site: a named collection of clusters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteSpec {
     /// Unique id.
     pub id: SiteId,

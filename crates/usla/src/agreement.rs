@@ -3,12 +3,11 @@
 use crate::principal::Principal;
 use crate::share::FairShare;
 use gruber_types::GridError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The resource dimensions the paper's allocations cover: "allocations are
 /// made for processor time, permanent storage, or network bandwidth".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// Processor time.
     Cpu,
@@ -44,7 +43,7 @@ impl std::str::FromStr for ResourceKind {
 ///
 /// "We extended the semantics by associating both a consumer and a provider
 /// with each entry."
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UslaEntry {
     /// The granting party.
     pub provider: Principal,
@@ -71,7 +70,7 @@ impl UslaEntry {
 }
 
 /// A validated collection of USLA entries.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UslaSet {
     entries: Vec<UslaEntry>,
 }

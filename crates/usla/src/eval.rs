@@ -25,7 +25,6 @@
 use crate::agreement::{ResourceKind, UslaSet};
 use crate::principal::Principal;
 use crate::share::{FairShare, ShareKind};
-use serde::{Deserialize, Serialize};
 
 /// Distributes `total` units among children according to their rules.
 ///
@@ -119,7 +118,7 @@ pub fn distribute(total: f64, rules: &[FairShare]) -> Vec<f64> {
 }
 
 /// The verdict GRUBER returns for "may this principal start one more unit?".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionVerdict {
     /// Usage is below the guaranteed (lower-limit) share: always admit.
     Guaranteed,

@@ -5,12 +5,11 @@
 //! specification in a recursive way to VOs, groups, and users."
 
 use gruber_types::{GridError, GroupId, UserId, VoId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// A party that can provide or consume resource shares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Principal {
     /// The grid as a whole (the resource owners collectively).
     Grid,

@@ -5,12 +5,11 @@
 //! value is a target (no sign), upper limit (+), or lower limit (-)."
 
 use gruber_types::GridError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// The three Maui fair-share flavours.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShareKind {
     /// A target: the scheduler aims for this share, above and below allowed.
     Target,
@@ -21,7 +20,7 @@ pub enum ShareKind {
 }
 
 /// A fair-share rule: a percentage plus its flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FairShare {
     /// Percentage in `[0, 100]`.
     pub percent: f64,

@@ -10,10 +10,9 @@
 use crate::agreement::{ResourceKind, UslaEntry, UslaSet};
 use crate::principal::Principal;
 use gruber_types::GridError;
-use serde::{Deserialize, Serialize};
 
 /// A USLA entry tagged with the epoch it was last modified in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VersionedEntry {
     /// The agreement goal.
     pub entry: UslaEntry,
@@ -22,7 +21,7 @@ pub struct VersionedEntry {
 }
 
 /// A store of USLA goals with monotonically increasing epochs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct UslaStore {
     entries: Vec<VersionedEntry>,
     epoch: u64,

@@ -14,6 +14,21 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q (tier-1, whole workspace)"
 cargo test -q --workspace --offline
 
+echo "==> the Criterion benches compile (harness = false: cargo test never builds them)"
+cargo build --release --offline --benches -p bench
+
+echo "==> reference backends stay inside the crate that owns the oracle"
+# HeapQueue / RefView are differential oracles for desim's and
+# gruber::view's own tests (and the two head-to-head benches); a type
+# parameter or a twin entry point that threads them further fails here.
+{ ! grep -rn 'EventQueue\|HeapQueue\|with_queue' --include=*.rs crates tests examples src \
+      | grep -v '^crates/desim/\|^crates/bench/benches/wheel.rs:' \
+  && ! grep -rn 'ViewStore\|RefView\|with_backend' --include=*.rs crates tests examples src \
+      | grep -v '^crates/gruber/src/view.rs:\|^crates/gruber/src/lib.rs:\|^crates/bench/benches/view.rs:' \
+  && ! grep -n 'availability_into\|pub fn merge_peer_records_' crates/gruber/src/engine.rs \
+  && ! grep -n 'fn run_' crates/core/src/run.rs | grep -v 'fn run_experiment(\|fn run_to_end('; } \
+  || { echo "ci.sh: a reference backend or a twin entry point escaped its crate (lines above)"; exit 1; }
+
 echo "==> perf/ builds against the workspace crates (the benchmark is its own workspace)"
 cargo build --release --offline --manifest-path perf/Cargo.toml
 

@@ -341,31 +341,10 @@ const PINNED_FINGERPRINTS: [(&str, &str); 7] = [
     ("faults: kitchen-sink+fixed", "af70df36a21018d7"),
 ];
 
-/// Reports the first line where two JSONL timelines diverge — the first
-/// event the wheel got wrong, which is worth far more than "fingerprint
-/// mismatch" when debugging a queue bug.
-fn first_divergence(wheel: &str, reference: &str) -> String {
-    for (i, (w, r)) in wheel.lines().zip(reference.lines()).enumerate() {
-        if w != r {
-            return format!(
-                "first divergent event at JSONL line {}:\n  wheel: {w}\n  heap:  {r}",
-                i + 1
-            );
-        }
-    }
-    let (wn, rn) = (wheel.lines().count(), reference.lines().count());
-    if wn == rn {
-        "timelines identical — divergence is outside the traced stream".into()
-    } else {
-        format!("timelines are prefixes: wheel has {wn} JSONL lines, heap has {rn}")
-    }
-}
-
 #[test]
 fn wheel_reproduces_pinned_heap_fingerprints() {
     // The seven runs recorded before the calendar queue landed, replayed
-    // on today's default backend. On a mismatch, rerun the spec on the
-    // reference heap and name the first event that moved.
+    // on the calendar queue.
     let mut specs = traced_sweep_specs();
     specs.extend(fault_plan_specs());
     assert_eq!(specs.len(), PINNED_FINGERPRINTS.len());
@@ -378,18 +357,7 @@ fn wheel_reproduces_pinned_heap_fingerprints() {
         assert_eq!(out.events_executed, tl.totals.events_executed, "{label}");
         assert_eq!(out.sched_cancellations, tl.totals.cancellations, "{label}");
         let fp = output_fingerprint(&out);
-        if fp != pin {
-            let heap = spec
-                .run_with_queue::<desim::HeapQueue>()
-                .expect("reference heap run failed");
-            let heap_tl = heap.timeline.as_ref().expect("traced");
-            panic!(
-                "{label}: fingerprint {fp} != pinned {pin} \
-                 (reference heap reproduces {})\n{}",
-                output_fingerprint(&heap),
-                first_divergence(&tl.to_jsonl(label), &heap_tl.to_jsonl(label)),
-            );
-        }
+        assert_eq!(fp, pin, "{label}: fingerprint {fp} != pinned {pin}");
     }
 }
 

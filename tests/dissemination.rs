@@ -87,7 +87,7 @@ fn whole_experiment_is_bit_deterministic() {
 /// driven by `digruber::elastic` — exercised through the public run API.
 mod pool_sizing {
     use super::*;
-    use desim::{DetRng, Simulation, TimerWheel};
+    use desim::{DetRng, Simulation};
     use digruber::elastic::membership_tick;
     use digruber::run::run_to_end;
     use digruber::World;
@@ -206,7 +206,7 @@ mod pool_sizing {
         let again = run_experiment(cfg.clone(), wl.clone(), "updown").unwrap();
         assert_eq!(format!("{out:?}"), format!("{again:?}"));
 
-        let sim = run_to_end::<TimerWheel>(cfg, wl).unwrap();
+        let sim = run_to_end(cfg, wl).unwrap();
         let w = sim.world();
         let table = &w.membership.as_ref().unwrap().table;
         for &(_, left) in &out.retire_log {
@@ -244,7 +244,7 @@ mod pool_sizing {
                 departure_fraction: 0.5,
                 ..WorkloadSpec::paper_default()
             };
-            let sim = run_to_end::<TimerWheel>(cfg, wl).unwrap();
+            let sim = run_to_end(cfg, wl).unwrap();
             let w = sim.world();
             let m = w.membership.as_ref().unwrap();
             assert!(w.dp_failures > 0 && m.dp_leaves > 0, "seed {seed}: no overlap");
