@@ -11,10 +11,17 @@
 //!   * `demand_probe` — per-site demand lookups between dispatches, the
 //!     USLA-aware selector's inner loop.
 //!
+//! `expire_deep` is the trace-replay shape the three above do not reach:
+//! a ten-point full mesh in steady state, 300 k records live at every
+//! point (one-hour runtimes), each step merging one dispatch everywhere,
+//! finishing one everywhere and answering one query. What it prices is an
+//! expiry structure that is deep *and* out of cache, which is where a
+//! comparison heap hurt.
+//!
 //! The same driver runs both backends, so a regression in either shows
 //! up as a ratio change, not just a slowdown.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use gruber::{DispatchRecord, GridView, RefView, ViewStore};
 use gruber_types::{GroupId, JobId, SimTime, SiteId, SiteSpec, VoId};
 
@@ -98,6 +105,54 @@ fn demand_probe<V: ViewStore>(n_sites: usize) {
     assert!(acc > 0);
 }
 
+const DEEP_LIVE: u64 = 300_000;
+const DEEP_STEPS: u64 = 100_000;
+const DEEP_POINTS: usize = 10;
+const DEEP_SITES: usize = 300;
+const HOUR_MS: u64 = 3_600_000;
+/// One dispatch every 12 ms, each running one hour: `DEEP_LIVE` live.
+const DEEP_SPACING_MS: u64 = HOUR_MS / DEEP_LIVE;
+
+fn deep_record(i: u64) -> DispatchRecord {
+    let at = i * DEEP_SPACING_MS;
+    DispatchRecord {
+        dispatched_at: SimTime(at),
+        est_finish: SimTime(at + HOUR_MS),
+        ..record(i, DEEP_SITES)
+    }
+}
+
+/// A full mesh an hour into a replay, in steady state: every point has
+/// merged every dispatch, so each holds `DEEP_LIVE` live records, the
+/// oldest about to finish.
+fn deep_mesh<V: ViewStore>() -> Vec<V> {
+    let s = sites(DEEP_SITES);
+    let mut mesh: Vec<V> = (0..DEEP_POINTS).map(|_| V::new(&s)).collect();
+    for i in 0..DEEP_LIVE {
+        let rec = deep_record(i);
+        for v in &mut mesh {
+            v.observe(&rec, rec.dispatched_at);
+        }
+    }
+    mesh
+}
+
+/// Walks the steady state: every step one record arrives at all ten
+/// points and one finishes at each, and the step's home point answers a
+/// query. Ten expiry structures take turns, so none stays in cache; one
+/// view alone fits the last-level cache and hides what trace replay pays.
+fn expire_deep<V: ViewStore>(mut mesh: Vec<V>) {
+    let mut buf = Vec::new();
+    for i in DEEP_LIVE..DEEP_LIVE + DEEP_STEPS {
+        let rec = deep_record(i);
+        for v in &mut mesh {
+            assert!(v.observe(&rec, rec.dispatched_at));
+        }
+        mesh[i as usize % DEEP_POINTS].free_per_site_into(rec.dispatched_at, &mut buf);
+    }
+    assert_eq!(buf.len(), DEEP_SITES);
+}
+
 fn bench_backends(c: &mut Criterion) {
     let mut g = c.benchmark_group("soa_vs_ref_view");
     g.throughput(Throughput::Elements(N));
@@ -121,6 +176,13 @@ fn bench_backends(c: &mut Criterion) {
             b.iter(|| demand_probe::<RefView>(n_sites))
         });
     }
+    g.throughput(Throughput::Elements(DEEP_STEPS));
+    g.bench_function(format!("expire_deep/{DEEP_SITES}/soa"), |b| {
+        b.iter_batched(deep_mesh::<GridView>, expire_deep, BatchSize::LargeInput)
+    });
+    g.bench_function(format!("expire_deep/{DEEP_SITES}/ref"), |b| {
+        b.iter_batched(deep_mesh::<RefView>, expire_deep, BatchSize::LargeInput)
+    });
     g.finish();
 }
 

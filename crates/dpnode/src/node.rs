@@ -279,6 +279,9 @@ pub struct DpNode {
     /// exposing its internals. A `BTreeMap` keeps snapshot encoding
     /// order deterministic (sorted by job id).
     live: BTreeMap<JobId, DispatchRecord>,
+    /// How many records survived the last prune of `live`; the map is
+    /// pruned again on the insert that doubles it.
+    live_floor: usize,
 }
 
 impl DpNode {
@@ -297,6 +300,7 @@ impl DpNode {
             persist: cfg.persist,
             track_live: cfg.persist,
             live: BTreeMap::new(),
+            live_floor: 0,
         }
     }
 
@@ -310,6 +314,24 @@ impl DpNode {
     /// member can sponsor a joiner; it is implied by `persist`.
     pub fn set_track_live(&mut self, on: bool) {
         self.track_live = on || self.persist;
+    }
+
+    /// Drops the records of `live` that have expired by `now`.
+    fn prune_live(&mut self, now: SimTime) {
+        self.live.retain(|_, rec| rec.est_finish > now);
+        self.live_floor = self.live.len();
+    }
+
+    /// Adds an accepted record to `live`, pruning once the map has doubled
+    /// since the last prune (amortised O(1) per record): nothing else
+    /// bounds it on a node that never snapshots or sponsors a joiner.
+    fn keep_live(&mut self, rec: DispatchRecord, now: SimTime) {
+        // Below this size a prune is not worth its walk.
+        const MIN_PRUNE_LEN: usize = 64;
+        self.live.insert(rec.job, rec);
+        if self.live.len() >= (2 * self.live_floor).max(MIN_PRUNE_LEN) {
+            self.prune_live(now);
+        }
     }
 
     /// Whether the point is currently alive.
@@ -397,7 +419,7 @@ impl DpNode {
                 self.stats.informs += 1;
                 let accepted = self.engine.record_dispatch(record, now);
                 if accepted && self.track_live {
-                    self.live.insert(record.job, record);
+                    self.keep_live(record, now);
                 }
                 if self.persist {
                     out.push(Effect::Persist(WalOp::Own(record)));
@@ -429,7 +451,7 @@ impl DpNode {
                 let sink = self.track_live.then_some(&mut fresh_recs);
                 let fresh = self.engine.merge_peer_records(&records, now, forward, sink);
                 for rec in fresh_recs {
-                    self.live.insert(rec.job, rec);
+                    self.keep_live(rec, now);
                     if self.persist {
                         out.push(Effect::Persist(WalOp::Peer(rec)));
                     }
@@ -498,7 +520,7 @@ impl DpNode {
     /// history. Returns the encoded bytes and the number of live records
     /// included. Only meaningful under [`NodeConfig::persist`].
     pub fn snapshot_encode(&mut self, now: SimTime) -> (Vec<u8>, u32) {
-        self.live.retain(|_, rec| rec.est_finish > now);
+        self.prune_live(now);
         let s = &self.stats;
         let (dispatched, merged) = self.engine.counters();
         let mut buf = Vec::with_capacity(128 + 36 * self.live.len());
@@ -542,7 +564,7 @@ impl DpNode {
     /// only, so the newcomer's own counters and staleness accounting
     /// start from its join time. Expired records are pruned first.
     pub fn state_transfer(&mut self, now: SimTime) -> FloodPayload {
-        self.live.retain(|_, rec| rec.est_finish > now);
+        self.prune_live(now);
         let deltas: Vec<DispatchDelta> = self.live.values().map(record_to_delta).collect();
         FloodPayload {
             n_records: deltas.len() as u32,
@@ -594,7 +616,7 @@ impl DpNode {
         for d in &live {
             let rec = delta_to_record(d);
             if self.engine.view_mut().observe(&rec, now) {
-                self.live.insert(rec.job, rec);
+                self.keep_live(rec, now);
                 restored += 1;
             }
         }
@@ -614,14 +636,14 @@ impl DpNode {
                 WalOp::Own(rec) => {
                     self.stats.informs += 1;
                     if self.engine.record_dispatch(rec, at) {
-                        self.live.insert(rec.job, rec);
+                        self.keep_live(rec, at);
                     }
                 }
                 WalOp::Peer(rec) => {
                     let forward = self.topology != Topology::FullMesh;
                     if self.engine.merge_peer_records(&[rec], at, forward, None) == 1 {
                         self.stats.records_merged += 1;
-                        self.live.insert(rec.job, rec);
+                        self.keep_live(rec, at);
                     }
                 }
                 WalOp::Drained {
@@ -1140,5 +1162,36 @@ mod tests {
         assert!(pnode(0)
             .snapshot_decode(&trailing, SimTime::from_secs(1))
             .is_err());
+    }
+
+    #[test]
+    fn live_map_is_pruned_without_a_snapshot() {
+        // A thread cluster without persistence, or an elastic run between
+        // joins: nothing ever calls snapshot_encode / state_transfer.
+        let mut n = node(0);
+        n.set_track_live(true);
+        let inputs: Vec<DispatchRecord> = (0..20_000u32)
+            .map(|i| DispatchRecord {
+                dispatched_at: SimTime::from_secs(u64::from(i)),
+                est_finish: SimTime::from_secs(u64::from(i) + 1),
+                ..rec(i, i % 4, 1)
+            })
+            .collect();
+        let mut out = Vec::new();
+        for r in &inputs {
+            n.handle(r.dispatched_at, Input::Inform(*r), &mut out);
+            assert!(n.live.len() <= 64, "live map grew to {}", n.live.len());
+        }
+        // Pruning early must not change what a joiner is sent.
+        for now in [SimTime::from_secs(19_999), SimTime::from_secs(20_000)] {
+            let oracle: Vec<DispatchDelta> = inputs
+                .iter()
+                .filter(|r| r.est_finish > now)
+                .map(record_to_delta)
+                .collect();
+            let sent = n.state_transfer(now);
+            assert_eq!(sent.n_records as usize, oracle.len());
+            assert_eq!(sent.records.as_ref(), encode_deltas(&oracle).as_ref());
+        }
     }
 }

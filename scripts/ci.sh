@@ -14,6 +14,12 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q (tier-1, whole workspace)"
 cargo test -q --workspace --offline
 
+echo "==> cargo test --release (gruber, dpnode: the expiry queue as the benchmark runs it)"
+# Debug builds trap integer overflow and keep debug_assert!; release
+# wraps and drops them, which is exactly where a hand-rolled bucket
+# queue would differ. The differential proptests judge both builds.
+cargo test --release --offline -q -p gruber -p dpnode
+
 echo "==> the Criterion benches compile (harness = false: cargo test never builds them)"
 cargo build --release --offline --benches -p bench
 
