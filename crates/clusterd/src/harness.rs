@@ -17,6 +17,7 @@
 
 use crate::client::ClusterClient;
 use crate::proto::ClusterDpStats;
+use dpstore::{mailbox, RunStats};
 use gruber::DispatchRecord;
 use gruber_types::{ClientId, DpId};
 use parking_lot::Mutex;
@@ -66,7 +67,8 @@ impl SpawnOpts {
 }
 
 /// A running loopback cluster of `clusterd` processes, with one client
-/// connection per decision point.
+/// connection per decision point. Dropping it without
+/// [`LocalCluster::shutdown`] kills the processes.
 pub struct LocalCluster {
     bin: PathBuf,
     opts: SpawnOpts,
@@ -205,6 +207,19 @@ impl LocalCluster {
     }
 }
 
+/// An early exit (a panicking test, an `?` in the caller) must not leave
+/// children holding their ports and the inherited stderr pipe.
+/// [`LocalCluster::shutdown`] drains `children` first, so the clean path
+/// finds nothing to kill.
+impl Drop for LocalCluster {
+    fn drop(&mut self) {
+        for child in &mut self.children {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
 /// Spawns one serve-mode child and reads its `LISTEN <addr>` banner.
 fn spawn_dp(
     bin: &Path,
@@ -252,23 +267,11 @@ fn spawn_dp(
     Ok((child, reader, addr))
 }
 
-/// Statistics from [`drive_workload`] (the socket twin of
-/// `digruber::live::drive_workload`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SocketRunStats {
-    /// Jobs placed via decision-point answers.
-    pub placed_via_broker: u64,
-    /// Jobs placed randomly after a client-side timeout.
-    pub placed_randomly: u64,
-    /// Placements a site rejected.
-    pub rejected: u64,
-}
-
-/// Drives a closed-loop workload against the cluster from one client
-/// thread per decision point, dispatching every job into the shared
-/// ground-truth grid: query over the socket, select a site, dispatch in
-/// ground truth, inform the point. On timeout the job places at random —
-/// the paper's client behaviour, end to end over TCP.
+/// Drives [`mailbox::drive_workload`]'s closed-loop clients against the
+/// cluster from one client thread per decision point, dispatching every
+/// job into the shared ground-truth grid — the paper's client behaviour,
+/// end to end over TCP. Job ids start at `job_offset`; a query that
+/// errors counts as a timeout and an inform that errors is lost.
 pub fn drive_workload(
     cluster: &LocalCluster,
     grid: &Mutex<gridemu::Grid>,
@@ -276,81 +279,11 @@ pub fn drive_workload(
     job_offset: u32,
     timeout: Duration,
     seed: u64,
-) -> SocketRunStats {
-    use gruber::{LeastUsedSelector, SiteSelector};
-    use gruber_types::{GroupId, JobId, JobSpec, SimDuration, SimTime, UserId, VoId};
-
-    let epoch = std::time::Instant::now();
-    let totals = Mutex::new(SocketRunStats::default());
-    std::thread::scope(|scope| {
-        for t in 0..cluster.n_dps() as u32 {
-            let totals = &totals;
-            scope.spawn(move || {
-                let dp = DpId(t);
-                let mut selector = LeastUsedSelector::new(seed, u64::from(t));
-                let mut rng = desim::DetRng::new(seed, 0x50C7 ^ u64::from(t));
-                let mut local = SocketRunStats::default();
-                for k in 0..jobs_per_dp {
-                    let now = SimTime(epoch.elapsed().as_millis() as u64);
-                    let job = JobSpec {
-                        id: JobId(job_offset + t * jobs_per_dp + k),
-                        vo: VoId(t % 2),
-                        group: GroupId(0),
-                        user: UserId(t),
-                        client: ClientId(t),
-                        cpus: 1,
-                        storage_mb: 0,
-                        runtime: SimDuration::from_secs(3600),
-                        submitted_at: now,
-                    };
-                    let est_finish = now + job.runtime;
-                    let (site, handled) = match cluster.query(dp, timeout) {
-                        Ok(Some(free)) => {
-                            let site = selector
-                                .select(&free, &job, now)
-                                .expect("non-empty grid");
-                            (site, true)
-                        }
-                        _ => {
-                            let n = grid.lock().n_sites();
-                            (gruber_types::SiteId::from_index(rng.index(n)), false)
-                        }
-                    };
-                    let dispatched = {
-                        let mut g = grid.lock();
-                        g.submit(job.clone()).expect("unique ids");
-                        g.dispatch(job.id, site, now, handled).is_ok()
-                    };
-                    if !dispatched {
-                        local.rejected += 1;
-                        continue;
-                    }
-                    if handled {
-                        local.placed_via_broker += 1;
-                        let _ = cluster.inform(
-                            dp,
-                            &DispatchRecord {
-                                job: job.id,
-                                site,
-                                vo: job.vo,
-                                group: job.group,
-                                cpus: job.cpus,
-                                dispatched_at: now,
-                                est_finish,
-                            },
-                        );
-                    } else {
-                        local.placed_randomly += 1;
-                    }
-                }
-                let mut acc = totals.lock();
-                acc.placed_via_broker += local.placed_via_broker;
-                acc.placed_randomly += local.placed_randomly;
-                acc.rejected += local.rejected;
-            });
-        }
-    });
-    totals.into_inner()
+) -> RunStats {
+    let query = |dp| cluster.query(dp, timeout).ok().flatten();
+    let inform = |dp, record: DispatchRecord| drop(cluster.inform(dp, &record));
+    let n = cluster.n_dps() as u32;
+    mailbox::drive_workload(grid, n, n, jobs_per_dp, job_offset, seed, query, inform)
 }
 
 /// The `clusterd` binary a development checkout runs — resolved from the

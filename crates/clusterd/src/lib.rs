@@ -12,8 +12,10 @@
 //! ## Shape
 //!
 //! * [`server`] — one decision point as a TCP server: an accept loop,
-//!   thread-per-connection readers feeding one mailbox, and a node loop
-//!   that owns the [`dpnode::DpNode`] and its `dpstore::FileStore` WAL.
+//!   thread-per-connection readers feeding one mailbox, and the TCP
+//!   transport under [`dpstore::mailbox::node_loop`] — the loop
+//!   `digruber::live` runs too — which owns the [`dpnode::DpNode`] and
+//!   its `dpstore::FileStore` WAL.
 //! * `peer` (internal) — per-peer flood senders with lazy connect and
 //!   reconnect-with-backoff (`simnet::retry` policies on real sleeps);
 //!   a send that exhausts its budget requeues into the next sync round.
@@ -53,6 +55,7 @@ pub mod server;
 
 pub use client::ClusterClient;
 pub use config::{default_retry, parse_toml, uniform_sites, ServerConfig, TomlValue};
-pub use harness::{drive_workload, LocalCluster, SocketRunStats, SpawnOpts};
+pub use dpstore::RunStats;
+pub use harness::{drive_workload, LocalCluster, SpawnOpts};
 pub use proto::ClusterDpStats;
 pub use server::Server;

@@ -14,10 +14,11 @@
 //! loop forwards a [`PeerMsg::SetAddr`] here, which drops any cached
 //! connection and points future sends at the new address.
 
-use crate::server::NodeMsg;
+use crate::server::Tcp;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 use desim::DetRng;
+use dpstore::NodeMsg;
 use gruber_types::DpId;
 use obs::{FaultMsgClass, Recorder, TraceEvent};
 use simnet::codec::{decode_hello, encode_hello, Hello, PeerKind, WIRE_VERSION};
@@ -49,7 +50,7 @@ pub(crate) fn spawn(
     me: DpId,
     to: DpId,
     rx: Receiver<PeerMsg>,
-    mailbox: Sender<NodeMsg>,
+    mailbox: Sender<NodeMsg<Tcp>>,
     retry: RetryPolicy,
     retry_seed: u64,
     recorder: Recorder,
@@ -61,7 +62,7 @@ pub(crate) fn spawn(
             let mut rng = DetRng::new(retry_seed, 0x5EED ^ u64::from(to.0));
             let mut addr: Option<String> = None;
             let mut conn: Option<TcpStream> = None;
-            let now = || gruber_types::SimTime(epoch.elapsed().as_millis() as u64);
+            let now = || dpstore::mailbox::since(epoch);
             for msg in rx.iter() {
                 match msg {
                     PeerMsg::SetAddr(a) => {

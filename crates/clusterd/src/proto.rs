@@ -110,43 +110,10 @@ pub fn decode_peers(mut buf: Bytes) -> Result<Vec<(DpId, String)>, GridError> {
     Ok(out)
 }
 
-/// End-of-run statistics one socket decision point reports: the node's
-/// own protocol counters ([`dpnode::DpNodeStats`], identical across
-/// runtimes) plus the driver-level durability and transport counters the
-/// socket runtime adds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterDpStats {
-    /// The decision point.
-    pub dp: DpId,
-    /// Availability queries served.
-    pub queries: u64,
-    /// Client informs folded into the view.
-    pub informs: u64,
-    /// Sync rounds that produced a flood (empty-log rounds are silent).
-    pub sync_rounds: u64,
-    /// Per-peer flood sends (one round to two peers counts two).
-    pub floods_sent: u64,
-    /// Dispatch records shipped in flood payloads.
-    pub records_flooded: u64,
-    /// Peer floods merged.
-    pub floods_merged: u64,
-    /// Peer records that were new to this point's view when merged.
-    pub records_merged: u64,
-    /// Incoming payloads dropped because they failed to decode.
-    pub decode_failures: u64,
-    /// Crash transitions observed by the node (in-process crash ctl).
-    pub crashes: u64,
-    /// FNV-1a 64 over the wire bytes of every flood payload this point
-    /// produced, in order (the cross-runtime byte-identity probe).
-    pub flood_hash: u64,
-    /// Process restarts that recovered state from the on-disk store.
-    pub recoveries: u64,
-    /// WAL records replayed across those recoveries.
-    pub wal_records_replayed: u64,
-    /// Floods whose send exhausted the retry budget and were requeued
-    /// into the next sync round.
-    pub flood_requeues: u64,
-}
+/// The statistics a `STATS` frame carries: the one per-point stats
+/// struct of the mailbox runtimes, under the name this crate has always
+/// exported it by.
+pub use dpstore::DpStats as ClusterDpStats;
 
 /// Wire size of an encoded [`ClusterDpStats`] (14 × u64).
 pub const STATS_WIRE_LEN: usize = 14 * 8;

@@ -1,20 +1,19 @@
 //! One decision point as a TCP server: accept loop, per-connection
-//! readers, and the node loop that drives the shared [`dpnode::DpNode`].
+//! readers, and the TCP [`Transport`] under the shared node loop.
 //!
-//! The structure is thread-per-connection feeding one mailbox (the shape
-//! `digruber::live` proved out, with sockets in place of channels):
+//! The structure is thread-per-connection feeding one mailbox:
 //!
 //! * the **accept loop** takes connections, runs the acceptor side of the
 //!   handshake, and spawns a reader per connection;
 //! * each **connection reader** reassembles length-prefixed frames
-//!   ([`simnet::codec::FrameBuf`]) and posts typed `NodeMsg`s to the
+//!   ([`simnet::codec::FrameBuf`]) and posts typed [`NodeMsg`]s to the
 //!   mailbox — FIFO per connection, so a client's informs always precede
 //!   the sync control frame it sends afterwards;
-//! * the **node loop** is the only thread touching the node: it maps
-//!   mailbox messages to inputs of the shared [`dpstore::NodeHost`] step
-//!   (which owns the WAL, the snapshot policy and recovery) and what the
-//!   step leaves over to socket writes — query replies inline, floods via
-//!   the per-peer senders;
+//! * the **node thread** runs [`dpstore::mailbox::node_loop`], the loop
+//!   `digruber::live` runs too (that module is the home of how a
+//!   wall-clock runtime hosts a node), over the `Tcp` transport: query
+//!   and stats replies are written inline as frames, floods are cut to
+//!   frame size and handed to the per-peer senders;
 //! * **peer senders** (the `peer` module) own outbound flood connections
 //!   and their reconnect-with-backoff lifecycle.
 //!
@@ -26,13 +25,12 @@
 use crate::config::ServerConfig;
 use crate::peer::{self, PeerMsg, PeerSender};
 use crate::proto::{self, ClusterDpStats};
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use bytes::{BufMut, BytesMut};
-use dpnode::{FloodPayload, Input, NodeConfig};
-use dpstore::{Blueprint, FileStore, NodeHost, Routed, SnapshotPolicy, WireInput};
-use gruber_types::{DpId, SimTime};
-use obs::{Recorder, TraceEvent};
+use bytes::{BufMut, Bytes, BytesMut};
+use crossbeam::channel::{unbounded, Sender};
+use dpstore::mailbox::{self, node_loop, Answer, NodeMsg, Transport};
+use dpstore::{Blueprint, FileStore, NodeHost, SnapshotPolicy, WireInput};
+use gruber_types::DpId;
+use obs::Recorder;
 use parking_lot::Mutex;
 use simnet::codec::{
     decode_hello, encode_frame, encode_hello, FrameBuf, Hello, PeerKind, MAX_FRAME_BODY,
@@ -49,42 +47,63 @@ use std::time::{Duration, Instant};
 /// (which owns the read half) and the node loop (which writes replies).
 type ConnWriter = Arc<Mutex<TcpStream>>;
 
-/// Typed messages the node loop consumes — the socket runtime's
-/// equivalent of `digruber::live`'s channel envelopes.
-pub(crate) enum NodeMsg {
-    /// Availability query; the reply frame goes back on `reply`.
-    Query {
-        /// Correlation token echoed into the reply (the request job id).
-        token: u32,
-        /// Where to write the reply frame.
-        reply: ConnWriter,
-    },
-    /// A client's inform or a peer's flood, as the exact `simnet::codec`
-    /// wire bytes.
-    Wire(WireInput),
-    /// Flood the pending log to all peers.
-    SyncTick,
-    /// Install/replace the peer address table.
-    SetPeers(Vec<(DpId, String)>),
-    /// Stats snapshot request; the reply frame goes back on `reply`.
-    Stats {
-        /// Where to write the reply frame.
-        reply: ConnWriter,
-    },
-    /// A flood send exhausted its retry budget: requeue these records.
-    FloodFailed(Bytes),
-    /// In-process crash: mark the node down (the binary hard-exits
-    /// instead; see [`proto::FRAME_CRASH`]).
-    Crash,
-    /// Clean shutdown.
-    Shutdown,
+/// The TCP transport: a reply is a frame on the requester's connection,
+/// a flood is frame-sized chunks queued on the peer's sender thread
+/// (`None` at this point's own index), which owns connect/backoff and
+/// posts [`NodeMsg::FloodFailed`] back when it gives up.
+pub(crate) struct Tcp {
+    peers: Vec<Option<Sender<PeerMsg>>>,
+}
+
+impl Transport for Tcp {
+    /// The request's correlation token (a query's job id, echoed into
+    /// its reply; 0 for a stats request, whose reply carries none) and
+    /// the connection to answer on.
+    type Reply = (u32, ConnWriter);
+    type Peers = Vec<(DpId, String)>;
+
+    fn reply(&mut self, (token, conn): Self::Reply, answer: Answer) {
+        let frame = match answer {
+            Answer::Free(free) => encode_frame(
+                proto::FRAME_QUERY_REPLY,
+                proto::encode_free(token, &free).as_ref(),
+            ),
+            Answer::Stats(stats) => encode_frame(
+                proto::FRAME_STATS_REPLY,
+                proto::encode_stats(&stats).as_ref(),
+            ),
+            // No frame asks for a state transfer, so none answers one.
+            Answer::Records(_) => return,
+        };
+        let _ = conn.lock().write_all(frame.as_ref());
+    }
+
+    fn flood(&mut self, peer: usize, records: &Bytes) {
+        if let Some(Some(tx)) = self.peers.get(peer) {
+            for chunk in frame_sized(records) {
+                let _ = tx.send(PeerMsg::Send(chunk));
+            }
+        }
+    }
+
+    fn set_peers(&mut self, peers: Self::Peers) {
+        for (dp, addr) in peers {
+            if let Some(Some(tx)) = self.peers.get(dp.index()) {
+                let _ = tx.send(PeerMsg::SetAddr(addr));
+            }
+        }
+    }
+
+    fn n_dps(&self) -> usize {
+        self.peers.len()
+    }
 }
 
 /// A running socket decision point. Dropping the handle does not stop the
 /// server; call [`Server::stop`] and/or [`Server::join`].
 pub struct Server {
     local_addr: SocketAddr,
-    mailbox: Sender<NodeMsg>,
+    mailbox: Sender<NodeMsg<Tcp>>,
     node: Option<JoinHandle<ClusterDpStats>>,
     accept: Option<JoinHandle<()>>,
     ticker: Option<JoinHandle<()>>,
@@ -99,47 +118,25 @@ impl Server {
     /// recoveries, retries) and the node's own engine events.
     pub fn start(cfg: ServerConfig, recorder: Recorder) -> std::io::Result<Server> {
         let epoch = Instant::now();
-        let now = move || SimTime(epoch.elapsed().as_millis() as u64);
 
         // Open the store and recover *before* accepting traffic: a
         // recovering point must not answer queries from an empty view it
         // is about to replace.
         let store = cfg.data_dir.as_deref().map(FileStore::open).transpose()?;
-        let blueprint = Blueprint {
-            cfg: NodeConfig {
-                id: cfg.id,
-                topology: dpnode::Topology::FullMesh,
-                dissemination: dpnode::Dissemination::UsageOnly,
-                sync_every: None,
-                gossip_seed: 0,
-                persist: store.is_some(),
-            },
-            sites: cfg.sites.clone().into(),
-            uslas: Arc::new(cfg.uslas.clone()),
-            track_live: false,
-        };
+        let (sites, uslas) = (cfg.sites.clone().into(), Arc::new(cfg.uslas.clone()));
+        let blueprint = Blueprint::paper_mesh(cfg.id, sites, uslas, store.is_some(), false);
         let policy = SnapshotPolicy::records(cfg.snapshot_records);
-        let mut host = NodeHost::new(blueprint, store, policy, recorder.clone(), now());
+        let started = mailbox::since(epoch);
+        let mut host = NodeHost::new(blueprint, store, policy, recorder.clone(), started);
         // A store that holds anything means the previous incarnation of
         // this process died: rebuild from it (a first boot restores nothing).
-        let start = Instant::now();
-        let restored = host
-            .restore(now())
+        mailbox::recover(&mut host, epoch, &recorder)
             .map_err(|e| std::io::Error::other(format!("recover: {e}")))?;
-        if host.rejoin() {
-            let at = now();
-            recorder.emit(at, || TraceEvent::DpRecovered { dp: cfg.id });
-            recorder.emit(at, || TraceEvent::RecoveryReplayed {
-                dp: cfg.id,
-                records: restored.records,
-                dur_ms: start.elapsed().as_millis() as u32,
-            });
-        }
 
         let listener = TcpListener::bind(&cfg.listen)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let (mail_tx, mail_rx) = unbounded::<NodeMsg>();
+        let (mail_tx, mail_rx) = unbounded::<NodeMsg<Tcp>>();
 
         let peers: Vec<Option<PeerSender>> = (0..cfg.n_dps)
             .map(|j| {
@@ -160,11 +157,13 @@ impl Server {
                 Some(PeerSender { tx, handle })
             })
             .collect();
-        for (dp, addr) in &cfg.peers {
-            if let Some(Some(p)) = peers.get(dp.index()) {
-                let _ = p.tx.send(PeerMsg::SetAddr(addr.clone()));
-            }
-        }
+        let mut tcp = Tcp {
+            peers: peers
+                .iter()
+                .map(|p| p.as_ref().map(|p| p.tx.clone()))
+                .collect(),
+        };
+        tcp.set_peers(cfg.peers.clone());
 
         let accept = {
             let mail_tx = mail_tx.clone();
@@ -177,38 +176,17 @@ impl Server {
                 .expect("spawn accept loop")
         };
 
-        let ticker = cfg.sync_interval.map(|interval| {
+        let ticker = cfg.sync_interval.and_then(|interval| {
             let mail_tx = mail_tx.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name(format!("ticker-{}", cfg.id.0))
-                .spawn(move || {
-                    let step = Duration::from_millis(10).min(interval);
-                    let mut elapsed = Duration::ZERO;
-                    while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(step);
-                        elapsed += step;
-                        if elapsed >= interval {
-                            elapsed = Duration::ZERO;
-                            let _ = mail_tx.send(NodeMsg::SyncTick);
-                        }
-                    }
-                })
-                .expect("spawn ticker")
+            mailbox::ticker(interval, Arc::clone(&stop), move || {
+                let _ = mail_tx.send(NodeMsg::SyncTick);
+            })
         });
 
-        let node_handle = {
-            let peer_txs: Vec<Option<Sender<PeerMsg>>> = peers
-                .iter()
-                .map(|p| p.as_ref().map(|p| p.tx.clone()))
-                .collect();
-            let recorder = recorder.clone();
-            let n_dps = cfg.n_dps;
-            std::thread::Builder::new()
-                .name(format!("node-{}", cfg.id.0))
-                .spawn(move || node_loop(host, mail_rx, peer_txs, n_dps, recorder, epoch))
-                .expect("spawn node loop")
-        };
+        let node_handle = std::thread::Builder::new()
+            .name(format!("node-{}", cfg.id.0))
+            .spawn(move || node_loop(&mut host, &mail_rx, &mut tcp, &recorder, epoch))
+            .expect("spawn node loop");
 
         Ok(Server {
             local_addr,
@@ -263,7 +241,7 @@ impl Server {
 /// socket closes; they are not joined.
 fn accept_loop(
     listener: TcpListener,
-    mailbox: Sender<NodeMsg>,
+    mailbox: Sender<NodeMsg<Tcp>>,
     stop: Arc<AtomicBool>,
     me: DpId,
     allow_exit: bool,
@@ -290,7 +268,7 @@ fn accept_loop(
 /// (the behaviour the connection tests pin). Only then write our hello.
 fn serve_conn(
     mut stream: TcpStream,
-    mailbox: Sender<NodeMsg>,
+    mailbox: Sender<NodeMsg<Tcp>>,
     me: DpId,
     allow_exit: bool,
 ) -> std::io::Result<()> {
@@ -336,8 +314,7 @@ fn serve_conn(
                         return Ok(());
                     };
                     let _ = mailbox.send(NodeMsg::Query {
-                        token: req.job.0,
-                        reply: Arc::clone(&writer),
+                        reply: (req.job.0, Arc::clone(&writer)),
                     });
                 }
                 (PeerKind::Client, proto::FRAME_INFORM) => {
@@ -350,11 +327,11 @@ fn serve_conn(
                     let Ok(peers) = proto::decode_peers(payload) else {
                         return Ok(());
                     };
-                    let _ = mailbox.send(NodeMsg::SetPeers(peers));
+                    let _ = mailbox.send(NodeMsg::Peers(peers));
                 }
                 (PeerKind::Client, proto::FRAME_STATS) => {
                     let _ = mailbox.send(NodeMsg::Stats {
-                        reply: Arc::clone(&writer),
+                        reply: (0, Arc::clone(&writer)),
                     });
                 }
                 (PeerKind::Client, proto::FRAME_CRASH) => {
@@ -399,114 +376,4 @@ fn frame_sized(records: &Bytes) -> Vec<Bytes> {
             buf.freeze()
         })
         .collect()
-}
-
-/// The node loop: sole owner of the [`NodeHost`] (node and store); every
-/// mutation funnels through the mailbox, so per-connection FIFO order is
-/// all the ordering there is — exactly the asynchrony the paper's
-/// deployment had.
-fn node_loop(
-    mut host: NodeHost<FileStore>,
-    mailbox: Receiver<NodeMsg>,
-    peer_txs: Vec<Option<Sender<PeerMsg>>>,
-    n_dps: usize,
-    recorder: Recorder,
-    epoch: Instant,
-) -> ClusterDpStats {
-    let id = host.node().id();
-    let mut fx: Vec<Routed> = Vec::new();
-    let mut flood_requeues = 0u64;
-    for msg in mailbox.iter() {
-        let at = SimTime(epoch.elapsed().as_millis() as u64);
-        let (input, reply) = match msg {
-            NodeMsg::Query { token, reply } => {
-                (Input::QueryArrived { admission: None }, Some((token, reply)))
-            }
-            NodeMsg::Wire(wire) => match wire.decode() {
-                Some(input) => (input, None),
-                None => continue, // malformed inform: dropped whole
-            },
-            NodeMsg::SyncTick => (Input::SyncTick { n_dps }, None),
-            NodeMsg::SetPeers(peers) => {
-                for (dp, addr) in peers {
-                    if let Some(Some(tx)) = peer_txs.get(dp.index()) {
-                        let _ = tx.send(PeerMsg::SetAddr(addr));
-                    }
-                }
-                continue;
-            }
-            NodeMsg::Stats { reply } => {
-                let stats = snapshot_stats(&host, flood_requeues);
-                let frame =
-                    encode_frame(proto::FRAME_STATS_REPLY, proto::encode_stats(&stats).as_ref());
-                let mut w = reply.lock();
-                let _ = w.write_all(frame.as_ref());
-                continue;
-            }
-            NodeMsg::FloodFailed(bytes) => {
-                host.node_mut().requeue(&FloodPayload::from_wire(bytes));
-                flood_requeues += 1;
-                continue;
-            }
-            NodeMsg::Crash => {
-                host.crash();
-                recorder.emit(at, || TraceEvent::DpFailed { dp: id });
-                continue;
-            }
-            NodeMsg::Shutdown => break,
-        };
-        host.handle(at, input, &mut fx, |_cost, event| recorder.emit(at, || event));
-        for effect in fx.drain(..) {
-            match effect {
-                Routed::Reply { free, .. } => {
-                    if let Some((token, reply)) = &reply {
-                        let frame = encode_frame(
-                            proto::FRAME_QUERY_REPLY,
-                            proto::encode_free(*token, &free).as_ref(),
-                        );
-                        let mut w = reply.lock();
-                        let _ = w.write_all(frame.as_ref());
-                    }
-                }
-                Routed::FloodTo { peers, payload } => {
-                    let chunks = frame_sized(&payload.records);
-                    for j in peers {
-                        recorder.emit(at, || TraceEvent::ExchangeSent {
-                            from: id,
-                            to: DpId(j as u32),
-                            records: payload.n_records,
-                        });
-                        if let Some(Some(tx)) = peer_txs.get(j) {
-                            for chunk in &chunks {
-                                let _ = tx.send(PeerMsg::Send(chunk.clone()));
-                            }
-                        }
-                    }
-                }
-                // The ticker clocks the rounds: the node never self-clocks.
-                Routed::SetTimer { .. } => {}
-            }
-        }
-    }
-    snapshot_stats(&host, flood_requeues)
-}
-
-fn snapshot_stats(host: &NodeHost<FileStore>, flood_requeues: u64) -> ClusterDpStats {
-    let s = host.node().stats();
-    ClusterDpStats {
-        dp: host.node().id(),
-        queries: s.queries,
-        informs: s.informs,
-        sync_rounds: s.sync_rounds,
-        floods_sent: s.floods_sent,
-        records_flooded: s.records_flooded,
-        floods_merged: s.floods_merged,
-        records_merged: s.records_merged,
-        decode_failures: s.decode_failures,
-        crashes: s.crashes,
-        flood_hash: s.flood_hash,
-        recoveries: host.recoveries(),
-        wal_records_replayed: host.wal_records_replayed(),
-        flood_requeues,
-    }
 }

@@ -8,21 +8,19 @@
 //! with a real timeout (`recv_timeout`), mirroring the paper's client
 //! behaviour.
 //!
-//! The thread body is pure driver glue: it maps channel messages to node
-//! inputs and node effects back to channel sends — every protocol
-//! decision (what to flood, to whom, what merges, liveness) happens
-//! inside the node, so sim and live behaviour are structurally identical
-//! (see `tests/sim_live_equivalence.rs` for the proof obligation).
-//!
-//! This is deliberately a small deployment harness, not a second
-//! simulator: no grid emulation, no workload loop — integration tests and
-//! the `live_cluster` example drive it directly. The `clusterd` crate
-//! takes the same step again, hosting the node in one OS process per
-//! decision point with the frames on real TCP.
+//! Each thread runs [`dpstore::mailbox::node_loop`] — the loop the socket
+//! runtime (`clusterd`) runs too; that module is the home of how a
+//! wall-clock runtime hosts a node. What is this module's own is the
+//! channel [`Transport`] (a reply is a `Sender`, a peer is another
+//! thread's mailbox) and [`LiveCluster`], the in-process harness around
+//! it: start, query/inform, crash/restore, elastic join/leave, shutdown.
+//! `tests/sim_live_equivalence.rs` holds the proof obligation that sim
+//! and live behaviour are identical.
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use dpnode::{record_to_delta, Dissemination, Input, NodeConfig, Topology};
-use dpstore::{Blueprint, NodeHost, Routed, SimStore, SnapshotPolicy, WireInput};
+use dpnode::record_to_delta;
+use dpstore::mailbox::{self, node_loop, Answer, Transport};
+use dpstore::{Blueprint, NodeHost, SimStore, SnapshotPolicy, WireInput};
 use gruber::DispatchRecord;
 use gruber_types::{ClientId, DpId, SimTime, SiteSpec};
 use obs::{Recorder, TraceEvent};
@@ -34,65 +32,41 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use usla::UslaSet;
 
-/// Messages a decision-point thread consumes. These are the channel
-/// envelopes only — protocol handling lives in [`dpnode::DpNode`].
-enum LiveMsg {
-    /// Availability query; reply with believed free CPUs per site.
-    Query {
-        reply: Sender<Vec<u32>>,
-    },
-    /// A client's inform or a peer's flood, as the exact `simnet::codec`
-    /// wire bytes.
-    Wire(WireInput),
-    /// Flood the pending dispatch log to all peers (sent by the ticker).
-    SyncTick,
-    /// Elastic membership: the peer list changed (a point joined or the
-    /// pool widened); replaces the thread's sender table so future floods
-    /// reach the whole pool.
-    Peers(Vec<Sender<LiveMsg>>),
-    /// Elastic membership: reply with this point's live records in wire
-    /// form ([`dpnode::DpNode::state_transfer`]) to bootstrap a newcomer.
-    StateTransfer { reply: Sender<bytes::Bytes> },
-    /// Crash the point: it drops every input until restored.
-    Crash,
-    /// Restart the point. In a persistent cluster
-    /// ([`LiveCluster::start_persistent`]) a fresh node replays snapshot +
-    /// WAL from the thread's store; otherwise the node retains its state.
-    Restore,
-    /// Terminate the thread.
-    Shutdown,
+pub use dpstore::{DpStats as LiveDpStats, RunStats};
+
+/// The channel transport: replies go down the requester's one-shot
+/// channel, floods into the peers' mailboxes (indexed by decision-point
+/// id, the index a flood names its peers by).
+struct Channels {
+    peers: Vec<Sender<Msg>>,
 }
 
-/// Statistics a decision-point thread reports at shutdown — the node's
-/// own protocol counters ([`dpnode::DpNodeStats`]), so live runs
-/// reconcile against the sim's obs timeline totals (`floods_sent` ≙
-/// `exchanges_out`, `records_merged` ≙ fresh `exchange_records_in`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LiveDpStats {
-    /// The decision point.
-    pub dp: DpId,
-    /// Queries served.
-    pub queries: u64,
-    /// Informs folded in.
-    pub informs: u64,
-    /// Peer records merged that were new to this point's view.
-    pub records_merged: u64,
-    /// Per-peer flood sends (one sync round to two peers counts two).
-    pub floods_sent: u64,
-    /// Sync rounds that produced a flood (empty-log ticks are silent).
-    pub sync_rounds: u64,
-    /// FNV-1a 64 over the wire bytes of every flood payload this point
-    /// produced, in order (byte-identity probe for the sim/live
-    /// equivalence test).
-    pub flood_hash: u64,
-    /// Restarts that recovered state from the thread's durable store.
-    pub recoveries: u64,
-    /// WAL records replayed across those recoveries.
-    pub wal_records_replayed: u64,
+type Msg = dpstore::NodeMsg<Channels>;
+
+impl Transport for Channels {
+    type Reply = Sender<Answer>;
+    type Peers = Vec<Sender<Msg>>;
+
+    fn reply(&mut self, to: Sender<Answer>, answer: Answer) {
+        let _ = to.send(answer);
+    }
+
+    fn flood(&mut self, peer: usize, records: &bytes::Bytes) {
+        let wire = WireInput::PeerRecords(records.clone());
+        let _ = self.peers[peer].send(Msg::Wire(wire));
+    }
+
+    fn set_peers(&mut self, peers: Vec<Sender<Msg>>) {
+        self.peers = peers;
+    }
+
+    fn n_dps(&self) -> usize {
+        self.peers.len()
+    }
 }
 
 struct DpThread {
-    sender: Sender<LiveMsg>,
+    sender: Sender<Msg>,
     handle: JoinHandle<LiveDpStats>,
 }
 
@@ -106,7 +80,7 @@ pub struct LiveCluster {
     recorder: Recorder,
     /// The live peer list, shared with the ticker; [`LiveCluster::join_dp`]
     /// grows it and broadcasts the new table to every thread.
-    senders: Arc<Mutex<Vec<Sender<LiveMsg>>>>,
+    senders: Arc<Mutex<Vec<Sender<Msg>>>>,
     /// Everything needed to spin up additional points after start.
     sites: Arc<[SiteSpec]>,
     uslas: Arc<UslaSet>,
@@ -185,21 +159,16 @@ impl LiveCluster {
         // Create all channels first so every thread can hold every peer's
         // sender (indexed by decision-point id, as `Effect::FloodTo`
         // names peers by index).
-        let channels: Vec<(Sender<LiveMsg>, Receiver<LiveMsg>)> =
+        let channels: Vec<(Sender<Msg>, Receiver<Msg>)> =
             (0..n_dps).map(|_| unbounded()).collect();
-        let senders: Vec<Sender<LiveMsg>> = channels.iter().map(|(s, _)| s.clone()).collect();
+        let senders: Vec<Sender<Msg>> = channels.iter().map(|(s, _)| s.clone()).collect();
 
         let dps = channels
             .into_iter()
             .enumerate()
             .map(|(i, (sender, receiver))| {
                 let host = live_host(i, &sites, &uslas, persist, &recorder);
-                let peers = senders.clone();
-                let rec = recorder.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("dp-{i}"))
-                    .spawn(move || dp_main(host, receiver, peers, epoch, rec))
-                    .expect("spawn dp thread");
+                let handle = spawn_dp(host, receiver, senders.clone(), epoch, recorder.clone());
                 DpThread { sender, handle }
             })
             .collect::<Vec<_>>();
@@ -209,30 +178,17 @@ impl LiveCluster {
         // join later get ticked too.
         let shared_senders = Arc::new(Mutex::new(senders));
         let ticker = {
-            let stop = Arc::clone(&stop);
             let senders = Arc::clone(&shared_senders);
-            std::thread::Builder::new()
-                .name("sync-ticker".into())
-                .spawn(move || {
-                    let step = Duration::from_millis(10).min(sync_interval);
-                    let mut elapsed = Duration::ZERO;
-                    while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(step);
-                        elapsed += step;
-                        if elapsed >= sync_interval {
-                            elapsed = Duration::ZERO;
-                            for s in senders.lock().iter() {
-                                let _ = s.send(LiveMsg::SyncTick);
-                            }
-                        }
-                    }
-                })
-                .expect("spawn ticker")
+            mailbox::ticker(sync_interval, Arc::clone(&stop), move || {
+                for s in senders.lock().iter() {
+                    let _ = s.send(Msg::SyncTick);
+                }
+            })
         };
 
         LiveCluster {
             dps,
-            ticker: Some(ticker),
+            ticker,
             stop,
             epoch,
             queries_sent: AtomicU64::new(0),
@@ -256,7 +212,7 @@ impl LiveCluster {
 
     /// Milliseconds since cluster start, as the shared simulated clock.
     pub fn now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed().as_millis() as u64)
+        mailbox::since(self.epoch)
     }
 
     /// Number of decision points.
@@ -287,12 +243,11 @@ impl LiveCluster {
         let (reply_tx, reply_rx) = bounded(1);
         let sent_ok = self.dps[dp.index()]
             .sender
-            .send(LiveMsg::Query { reply: reply_tx })
+            .send(Msg::Query { reply: reply_tx })
             .is_ok();
-        let reply = if sent_ok {
-            reply_rx.recv_timeout(timeout).ok()
-        } else {
-            None
+        let reply = match sent_ok.then(|| reply_rx.recv_timeout(timeout)) {
+            Some(Ok(Answer::Free(free))) => Some(free),
+            _ => None,
         };
         match &reply {
             Some(_) => self.recorder.emit(self.now(), || TraceEvent::ResponseAnswered {
@@ -315,27 +270,27 @@ impl LiveCluster {
         let bytes = encode_inform(&record_to_delta(&record));
         let _ = self.dps[dp.index()]
             .sender
-            .send(LiveMsg::Wire(WireInput::Inform(bytes)));
+            .send(Msg::Wire(WireInput::Inform(bytes)));
     }
 
     /// Forces an immediate sync round (useful in tests instead of waiting
     /// for the ticker).
     pub fn force_sync(&self) {
         for dp in &self.dps {
-            let _ = dp.sender.send(LiveMsg::SyncTick);
+            let _ = dp.sender.send(Msg::SyncTick);
         }
     }
 
     /// Crashes a decision point: it drops every input until
     /// [`LiveCluster::restore`].
     pub fn crash(&self, dp: DpId) {
-        let _ = self.dps[dp.index()].sender.send(LiveMsg::Crash);
+        let _ = self.dps[dp.index()].sender.send(Msg::Crash);
     }
 
     /// Restarts a crashed decision point (recovering from its store in a
     /// persistent cluster).
     pub fn restore(&self, dp: DpId) {
-        let _ = self.dps[dp.index()].sender.send(LiveMsg::Restore);
+        let _ = self.dps[dp.index()].sender.send(Msg::Restore);
     }
 
     /// The membership table's current epoch (bumped by every join/leave).
@@ -364,17 +319,17 @@ impl LiveCluster {
             s.push(sender.clone());
             s.clone()
         };
-        let epoch = self.epoch;
-        let rec = self.recorder.clone();
-        let thread_peers = peers.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("dp-{i}"))
-            .spawn(move || dp_main(host, receiver, thread_peers, epoch, rec))
-            .expect("spawn dp thread");
+        let handle = spawn_dp(
+            host,
+            receiver,
+            peers.clone(),
+            self.epoch,
+            self.recorder.clone(),
+        );
         // Existing threads learn the widened pool before the newcomer can
         // appear in anyone's flood fan-out.
         for dp in &self.dps {
-            let _ = dp.sender.send(LiveMsg::Peers(peers.clone()));
+            let _ = dp.sender.send(Msg::Peers(peers.clone()));
         }
         self.dps.push(DpThread { sender, handle });
         let epoch_no = self.table.join(new_id);
@@ -388,11 +343,11 @@ impl LiveCluster {
             let (reply_tx, reply_rx) = bounded(1);
             let _ = self.dps[sponsor.index()]
                 .sender
-                .send(LiveMsg::StateTransfer { reply: reply_tx });
-            if let Ok(bytes) = reply_rx.recv_timeout(Duration::from_secs(5)) {
+                .send(Msg::StateTransfer { reply: reply_tx });
+            if let Ok(Answer::Records(bytes)) = reply_rx.recv_timeout(Duration::from_secs(5)) {
                 let _ = self.dps[new_id.index()]
                     .sender
-                    .send(LiveMsg::Wire(WireInput::PeerRecords(bytes)));
+                    .send(Msg::Wire(WireInput::PeerRecords(bytes)));
             }
         }
         new_id
@@ -400,18 +355,19 @@ impl LiveCluster {
 
     /// Elastic leave: the highest-indexed live member flushes its
     /// outgoing flood log with a final sync tick, then goes dark (its
-    /// thread keeps draining the channel but drops every input, exactly
-    /// like a crash), and its arcs leave the client-homing ring. Returns
-    /// the leaver, or `None` when the pool is a single point.
+    /// thread keeps draining the channel but drops every input, like a
+    /// crash — but traced as `dp_left`, not as a failure), and its arcs
+    /// leave the client-homing ring. Returns the leaver, or `None` when
+    /// the pool is a single point.
     pub fn leave_dp(&mut self) -> Option<DpId> {
         if self.table.live_count() <= 1 {
             return None;
         }
         let leaver = *self.table.live().last()?;
         let s = &self.dps[leaver.index()].sender;
-        // Channel order guarantees the drain lands before the crash.
-        let _ = s.send(LiveMsg::SyncTick);
-        let _ = s.send(LiveMsg::Crash);
+        // Channel order guarantees the drain lands before the point goes dark.
+        let _ = s.send(Msg::SyncTick);
+        let _ = s.send(Msg::Leave);
         let epoch_no = self.table.leave(leaver);
         self.ring.remove(leaver);
         self.recorder.emit(self.now(), || TraceEvent::DpLeft {
@@ -429,7 +385,7 @@ impl LiveCluster {
         }
         let mut stats = Vec::new();
         for dp in self.dps.drain(..) {
-            let _ = dp.sender.send(LiveMsg::Shutdown);
+            let _ = dp.sender.send(Msg::Shutdown);
             if let Ok(s) = dp.handle.join() {
                 stats.push(s);
             }
@@ -438,26 +394,10 @@ impl LiveCluster {
     }
 }
 
-/// Statistics from [`drive_workload`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LiveRunStats {
-    /// Jobs placed via decision-point answers.
-    pub placed_via_broker: u64,
-    /// Jobs placed randomly after a client-side timeout.
-    pub placed_randomly: u64,
-    /// Placements a site rejected.
-    pub rejected: u64,
-}
-
-/// Drives a closed-loop workload against a live cluster from
-/// `n_threads` concurrent client threads, dispatching every job into the
-/// shared ground-truth grid — the whole brokering stack (views, wire
-/// codec, selectors, grid bookkeeping) exercised under real parallelism.
-///
-/// Each thread behaves like a paper client: query its bound decision
-/// point (static binding by thread id), select a site over the response,
-/// dispatch in ground truth, inform the point. On timeout it places the
-/// job at random.
+/// Drives [`mailbox::drive_workload`]'s closed-loop clients against a
+/// live cluster from `n_threads` concurrent client threads (thread `t`
+/// bound to point `t % n_dps`), dispatching every job into the shared
+/// ground-truth grid.
 pub fn drive_workload(
     cluster: &LiveCluster,
     grid: &Mutex<gridemu::Grid>,
@@ -465,85 +405,24 @@ pub fn drive_workload(
     jobs_per_thread: u32,
     timeout: Duration,
     seed: u64,
-) -> LiveRunStats {
-    use gruber::{LeastUsedSelector, SiteSelector};
-    use gruber_types::{ClientId, GroupId, JobId, JobSpec, SimDuration, UserId, VoId};
-
-    let totals = Mutex::new(LiveRunStats::default());
-    std::thread::scope(|scope| {
-        for t in 0..n_threads {
-            let totals = &totals;
-            scope.spawn(move || {
-                let dp = DpId(t % cluster.n_dps() as u32);
-                let mut selector = LeastUsedSelector::new(seed, u64::from(t));
-                let mut rng = desim::DetRng::new(seed, 0x11FE ^ u64::from(t));
-                let mut local = LiveRunStats::default();
-                for k in 0..jobs_per_thread {
-                    let now = cluster.now();
-                    let job = JobSpec {
-                        id: JobId(t * jobs_per_thread + k),
-                        vo: VoId(t % 2),
-                        group: GroupId(0),
-                        user: UserId(t),
-                        client: ClientId(t),
-                        cpus: 1,
-                        storage_mb: 0,
-                        runtime: SimDuration::from_secs(3600),
-                        submitted_at: now,
-                    };
-                    let est_finish = now + job.runtime;
-                    let (site, handled) = match cluster.query(dp, timeout) {
-                        Some(free) => {
-                            let site = selector
-                                .select(&free, &job, now)
-                                .expect("non-empty grid");
-                            (site, true)
-                        }
-                        None => {
-                            let n = grid.lock().n_sites();
-                            (gruber_types::SiteId::from_index(rng.index(n)), false)
-                        }
-                    };
-                    let dispatched = {
-                        let mut g = grid.lock();
-                        g.submit(job.clone()).expect("unique ids");
-                        g.dispatch(job.id, site, now, handled).is_ok()
-                    };
-                    if !dispatched {
-                        local.rejected += 1;
-                        continue;
-                    }
-                    if handled {
-                        local.placed_via_broker += 1;
-                        cluster.inform(
-                            dp,
-                            DispatchRecord {
-                                job: job.id,
-                                site,
-                                vo: job.vo,
-                                group: job.group,
-                                cpus: job.cpus,
-                                dispatched_at: now,
-                                est_finish,
-                            },
-                        );
-                    } else {
-                        local.placed_randomly += 1;
-                    }
-                }
-                let mut acc = totals.lock();
-                acc.placed_via_broker += local.placed_via_broker;
-                acc.placed_randomly += local.placed_randomly;
-                acc.rejected += local.rejected;
-            });
-        }
-    });
-    totals.into_inner()
+) -> RunStats {
+    let query = |dp| cluster.query(dp, timeout);
+    let inform = |dp, record| cluster.inform(dp, record);
+    let n_dps = cluster.n_dps() as u32;
+    mailbox::drive_workload(
+        grid,
+        n_threads,
+        n_dps,
+        jobs_per_thread,
+        0,
+        seed,
+        query,
+        inform,
+    )
 }
 
-/// Builds decision point `i`'s host. Live mode reproduces the paper's
-/// deployment: full mesh, usage-only dissemination, ticker-clocked. With
-/// `persist` the thread owns a store that outlives crashed node instances.
+/// Builds decision point `i`'s host. With `persist` the thread owns a
+/// store that outlives crashed node instances.
 fn live_host(
     i: usize,
     sites: &Arc<[SiteSpec]>,
@@ -551,22 +430,10 @@ fn live_host(
     persist: Option<u32>,
     recorder: &Recorder,
 ) -> NodeHost<SimStore> {
-    let blueprint = Blueprint {
-        cfg: NodeConfig {
-            id: DpId(i as u32),
-            topology: Topology::FullMesh,
-            dissemination: Dissemination::UsageOnly,
-            sync_every: None,
-            gossip_seed: 0,
-            persist: persist.is_some(),
-        },
-        sites: Arc::clone(sites),
-        uslas: Arc::clone(uslas),
-        // Any member may sponsor a later joiner's state transfer.
-        track_live: true,
-    };
+    // `track_live`: any member may sponsor a later joiner's state transfer.
+    let (sites, uslas) = (Arc::clone(sites), Arc::clone(uslas));
     NodeHost::new(
-        blueprint,
+        Blueprint::paper_mesh(DpId(i as u32), sites, uslas, persist.is_some(), true),
         persist.map(|_| SimStore::new()),
         SnapshotPolicy::records(persist.unwrap_or(0)),
         recorder.clone(),
@@ -574,98 +441,20 @@ fn live_host(
     )
 }
 
-/// The thread body: driver glue only. Channel messages become node
-/// inputs; what the [`NodeHost`] step leaves over becomes replies and
-/// peer sends. Any protocol change made in [`dpnode::DpNode`] — and any
-/// durability change made in the host — is picked up here with zero code
-/// changes.
-fn dp_main(
+/// Spawns decision point `host`'s thread: the shared node loop over the
+/// channel transport.
+fn spawn_dp(
     mut host: NodeHost<SimStore>,
-    receiver: Receiver<LiveMsg>,
-    mut peers: Vec<Sender<LiveMsg>>,
+    receiver: Receiver<Msg>,
+    peers: Vec<Sender<Msg>>,
     epoch: Instant,
     recorder: Recorder,
-) -> LiveDpStats {
-    let id = host.node().id();
-    let mut fx: Vec<Routed> = Vec::new();
-    for msg in receiver.iter() {
-        let at = SimTime(epoch.elapsed().as_millis() as u64);
-        let (input, reply) = match msg {
-            LiveMsg::Query { reply } => (Input::QueryArrived { admission: None }, Some(reply)),
-            LiveMsg::Wire(wire) => match wire.decode() {
-                Some(input) => (input, None),
-                None => continue, // malformed inform: dropped whole
-            },
-            LiveMsg::SyncTick => (Input::SyncTick { n_dps: peers.len() }, None),
-            LiveMsg::Peers(new_peers) => {
-                peers = new_peers;
-                continue;
-            }
-            LiveMsg::StateTransfer { reply } => {
-                let _ = reply.send(host.node_mut().state_transfer(at).records);
-                continue;
-            }
-            LiveMsg::Crash => {
-                host.crash();
-                recorder.emit(at, || TraceEvent::DpFailed { dp: id });
-                continue;
-            }
-            LiveMsg::Restore => {
-                let restored = host
-                    .restore(at)
-                    .expect("a store's own snapshot must decode");
-                if host.rejoin() {
-                    recorder.emit(at, || TraceEvent::DpRecovered { dp: id });
-                    // Live recovery replays in-thread, so no modeled
-                    // latency is charged: dur_ms is the actual
-                    // (effectively zero) replay cost, not the sim's
-                    // provisioned estimate.
-                    recorder.emit(at, || TraceEvent::RecoveryReplayed {
-                        dp: id,
-                        records: restored.records,
-                        dur_ms: 0,
-                    });
-                }
-                continue;
-            }
-            LiveMsg::Shutdown => break,
-        };
-        host.handle(at, input, &mut fx, |_cost, event| recorder.emit(at, || event));
-        for effect in fx.drain(..) {
-            match effect {
-                Routed::Reply { free, .. } => {
-                    if let Some(reply) = &reply {
-                        let _ = reply.send(free);
-                    }
-                }
-                Routed::FloodTo { peers: to, payload } => {
-                    for j in to {
-                        recorder.emit(at, || TraceEvent::ExchangeSent {
-                            from: id,
-                            to: DpId(j as u32),
-                            records: payload.n_records,
-                        });
-                        let wire = WireInput::PeerRecords(payload.records.clone());
-                        let _ = peers[j].send(LiveMsg::Wire(wire));
-                    }
-                }
-                // The ticker clocks the rounds: nodes never self-clock.
-                Routed::SetTimer { .. } => {}
-            }
-        }
-    }
-    let s = host.node().stats();
-    LiveDpStats {
-        dp: id,
-        queries: s.queries,
-        informs: s.informs,
-        records_merged: s.records_merged,
-        floods_sent: s.floods_sent,
-        sync_rounds: s.sync_rounds,
-        flood_hash: s.flood_hash,
-        recoveries: host.recoveries(),
-        wal_records_replayed: host.wal_records_replayed(),
-    }
+) -> JoinHandle<LiveDpStats> {
+    let mut channels = Channels { peers };
+    std::thread::Builder::new()
+        .name(format!("dp-{}", host.node().id().0))
+        .spawn(move || node_loop(&mut host, &receiver, &mut channels, &recorder, epoch))
+        .expect("spawn dp thread")
 }
 
 #[cfg(test)]
@@ -903,6 +692,39 @@ mod tests {
         assert_eq!(stats.len(), 3);
         // The bootstrap arrived as an ordinary peer merge.
         assert_eq!(stats[2].records_merged, 1);
+    }
+
+    /// A graceful leave is not a failure: the leaver goes dark without a
+    /// `dp_failed`, so the timeline counts a leave and the health scorer
+    /// never sees the point go down.
+    #[test]
+    fn leave_is_traced_as_a_leave_not_a_crash() {
+        use obs::{HealthConfig, TraceConfig};
+        let rec = Recorder::new(TraceConfig {
+            health: Some(HealthConfig::default()),
+            ..TraceConfig::default()
+        });
+        let mut cluster = LiveCluster::start_traced(
+            2,
+            sites(),
+            &equal_shares(2, 2).unwrap(),
+            Duration::from_secs(3600),
+            rec.clone(),
+        );
+        let joined = cluster.join_dp();
+        assert_eq!(cluster.leave_dp(), Some(joined));
+        let end = cluster.now();
+        // Joining every thread orders the leaver's last message before `finish`.
+        cluster.shutdown();
+        let tl = rec.finish(end).unwrap();
+        assert_eq!(tl.totals.failures, 0, "a leave must not count as a failure");
+        assert_eq!(tl.totals.dp_joins, 1);
+        assert_eq!(tl.totals.dp_leaves, 1);
+        let flags = &tl.health.as_ref().expect("health scorer was on").flags;
+        assert!(
+            !flags.iter().any(|f| f.dp == joined && f.degrading),
+            "the leaver must not be flagged degrading: {flags:?}"
+        );
     }
 
     #[test]

@@ -11,8 +11,10 @@
 
 use crate::{SnapshotPolicy, Store};
 use bytes::Bytes;
-use dpnode::{delta_to_record, DpNode, Effect, FloodPayload, Input, NodeConfig};
-use gruber_types::{GridError, SimDuration, SimTime, SiteSpec};
+use dpnode::{
+    delta_to_record, Dissemination, DpNode, Effect, FloodPayload, Input, NodeConfig, Topology,
+};
+use gruber_types::{DpId, GridError, SimDuration, SimTime, SiteSpec};
 use obs::{Recorder, TraceEvent};
 use simnet::codec::decode_inform;
 use std::sync::Arc;
@@ -36,6 +38,32 @@ pub struct Blueprint {
 }
 
 impl Blueprint {
+    /// The paper's deployment as both mailbox runtimes host it: full
+    /// mesh, usage-only dissemination, sync rounds clocked from outside
+    /// the node (a ticker or a control frame).
+    pub fn paper_mesh(
+        id: DpId,
+        sites: Arc<[SiteSpec]>,
+        uslas: Arc<UslaSet>,
+        persist: bool,
+        track_live: bool,
+    ) -> Blueprint {
+        let cfg = NodeConfig {
+            id,
+            topology: Topology::FullMesh,
+            dissemination: Dissemination::UsageOnly,
+            sync_every: None,
+            gossip_seed: 0,
+            persist,
+        };
+        Blueprint {
+            cfg,
+            sites,
+            uslas,
+            track_live,
+        }
+    }
+
     fn build(&self) -> DpNode {
         let mut node = DpNode::new(self.cfg, &self.sites, &self.uslas);
         node.set_track_live(self.track_live);

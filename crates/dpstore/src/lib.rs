@@ -1,4 +1,6 @@
-//! Durable storage for decision-point state: write-ahead log + snapshots.
+//! How a runtime hosts a decision point: durable storage for its state
+//! (write-ahead log + snapshots) behind [`NodeHost`], and the [`mailbox`]
+//! node loop the two wall-clock runtimes run around that host.
 //!
 //! DI-GRUBER's decision points originally tolerated crashes only by
 //! rejoining the exchange mesh empty and waiting for the next sync round
@@ -26,10 +28,12 @@
 
 mod file;
 mod host;
+pub mod mailbox;
 mod sim;
 
 pub use file::FileStore;
 pub use host::{Blueprint, NodeHost, Restored, Routed, WireInput};
+pub use mailbox::{DpStats, NodeMsg, RunStats};
 pub use sim::{LatencyModel, SimStore};
 
 use dpnode::WalOp;

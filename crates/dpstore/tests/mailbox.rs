@@ -1,0 +1,216 @@
+//! The mailbox node loop ([`dpstore::mailbox::node_loop`]), driven
+//! deterministically: a pre-filled mailbox ending in `Shutdown`, a
+//! recording transport, a `SimStore`, the current thread. No sleeps, no
+//! sockets, no threads — what the thread and socket runtimes share is
+//! tested without either.
+
+use bytes::Bytes;
+use crossbeam::channel::unbounded;
+use dpnode::{record_to_delta, Dissemination, NodeConfig, Topology};
+use dpstore::mailbox::{node_loop, Answer, DpStats, NodeMsg, Transport};
+use dpstore::{Blueprint, NodeHost, SimStore, SnapshotPolicy, WireInput};
+use gruber::DispatchRecord;
+use gruber_types::{DpId, GroupId, JobId, SimTime, SiteId, SiteSpec, VoId};
+use obs::Recorder;
+use simnet::codec::{decode_deltas, encode_inform};
+use std::time::Instant;
+use workload::uslas::equal_shares;
+
+const N_DPS: usize = 3;
+
+/// Records everything the loop sends out.
+#[derive(Default)]
+struct Recording {
+    replies: Vec<(&'static str, Answer)>,
+    floods: Vec<(usize, Bytes)>,
+}
+
+impl Transport for Recording {
+    type Reply = &'static str;
+    type Peers = ();
+
+    fn reply(&mut self, to: &'static str, answer: Answer) {
+        self.replies.push((to, answer));
+    }
+
+    fn flood(&mut self, peer: usize, records: &Bytes) {
+        self.floods.push((peer, records.clone()));
+    }
+
+    fn set_peers(&mut self, _peers: ()) {}
+
+    fn n_dps(&self) -> usize {
+        N_DPS
+    }
+}
+
+type Msg = NodeMsg<Recording>;
+
+fn host(persist: bool) -> NodeHost<SimStore> {
+    let blueprint = Blueprint {
+        cfg: NodeConfig {
+            id: DpId(0),
+            topology: Topology::FullMesh,
+            dissemination: Dissemination::UsageOnly,
+            sync_every: None,
+            gossip_seed: 0,
+            persist,
+        },
+        sites: (0..4)
+            .map(|i| SiteSpec::single_cluster(SiteId(i), 16))
+            .collect(),
+        uslas: equal_shares(2, 2).unwrap().into(),
+        track_live: false,
+    };
+    let store = persist.then(SimStore::new);
+    NodeHost::new(
+        blueprint,
+        store,
+        SnapshotPolicy::DISABLED,
+        Recorder::OFF,
+        SimTime::ZERO,
+    )
+}
+
+fn inform(job: u32, site: u32, cpus: u32) -> Msg {
+    let record = DispatchRecord {
+        job: JobId(job),
+        site: SiteId(site),
+        vo: VoId(0),
+        group: GroupId(0),
+        cpus,
+        dispatched_at: SimTime::ZERO,
+        est_finish: SimTime::from_secs(1_000_000),
+    };
+    Msg::Wire(WireInput::Inform(encode_inform(&record_to_delta(&record))))
+}
+
+/// Runs the loop on this thread over `script` + `Shutdown`.
+fn run(host: &mut NodeHost<SimStore>, script: Vec<Msg>) -> (Recording, DpStats) {
+    let (tx, rx) = unbounded();
+    for msg in script.into_iter().chain([Msg::Shutdown]) {
+        assert!(tx.send(msg).is_ok(), "the receiver is alive");
+    }
+    let mut transport = Recording::default();
+    let stats = node_loop(host, &rx, &mut transport, &Recorder::OFF, Instant::now());
+    (transport, stats)
+}
+
+#[test]
+fn query_gets_exactly_one_reply_with_static_capacities() {
+    let (sent, stats) = run(&mut host(false), vec![Msg::Query { reply: "client" }]);
+    assert_eq!(sent.replies, vec![("client", Answer::Free(vec![16; 4]))]);
+    assert!(sent.floods.is_empty());
+    assert_eq!(stats.queries, 1);
+}
+
+#[test]
+fn sync_tick_floods_each_mesh_peer_and_stats_mirror_the_node() {
+    let mut host = host(false);
+    let script = vec![inform(1, 0, 8), Msg::SyncTick, Msg::Stats { reply: "ops" }];
+    let (sent, stats) = run(&mut host, script);
+
+    let peers: Vec<usize> = sent.floods.iter().map(|(peer, _)| *peer).collect();
+    assert_eq!(peers, vec![1, 2], "one flood per mesh peer, none to self");
+    assert_eq!(
+        sent.floods[0].1, sent.floods[1].1,
+        "every peer gets the same bytes"
+    );
+    assert_eq!(decode_deltas(sent.floods[0].1.clone()).unwrap().len(), 1);
+    // A stats request is answered with what the loop returns at the end.
+    assert_eq!(sent.replies, vec![("ops", Answer::Stats(stats))]);
+
+    let node = host.node().stats();
+    assert_eq!(stats.dp, DpId(0));
+    assert_eq!(stats.queries, node.queries);
+    assert_eq!(stats.informs, node.informs);
+    assert_eq!(stats.sync_rounds, node.sync_rounds);
+    assert_eq!(stats.floods_sent, node.floods_sent);
+    assert_eq!(stats.records_flooded, node.records_flooded);
+    assert_eq!(stats.floods_merged, node.floods_merged);
+    assert_eq!(stats.records_merged, node.records_merged);
+    assert_eq!(stats.decode_failures, node.decode_failures);
+    assert_eq!(stats.crashes, node.crashes);
+    assert_eq!(stats.flood_hash, node.flood_hash);
+    assert_eq!(
+        (stats.informs, stats.sync_rounds, stats.floods_sent),
+        (1, 1, 2)
+    );
+    assert_eq!(
+        (
+            stats.recoveries,
+            stats.wal_records_replayed,
+            stats.flood_requeues
+        ),
+        (0, 0, 0)
+    );
+}
+
+/// The behaviour threads inherit from sockets: records a transport gave
+/// up on ride the next round instead of being lost.
+#[test]
+fn failed_flood_is_requeued_into_the_next_round() {
+    let (first, _) = run(&mut host(false), vec![inform(1, 0, 8), Msg::SyncTick]);
+    let lost = first.floods[0].1.clone();
+
+    // A second point that never saw the inform: all it can flood is the
+    // requeued payload.
+    let script = vec![Msg::SyncTick, Msg::FloodFailed(lost.clone()), Msg::SyncTick];
+    let (sent, stats) = run(&mut host(false), script);
+    assert_eq!(stats.flood_requeues, 1);
+    assert_eq!(stats.sync_rounds, 1, "the empty-log tick is silent");
+    assert_eq!(sent.floods.len(), N_DPS - 1);
+    assert_eq!(
+        decode_deltas(sent.floods[0].1.clone()).unwrap(),
+        decode_deltas(lost).unwrap(),
+        "the requeued records are what the next flood carries"
+    );
+}
+
+#[test]
+fn crash_drops_inputs_and_restore_replays_the_wal() {
+    let mut host = host(true);
+    let script = vec![
+        inform(1, 0, 8),
+        inform(2, 1, 4),
+        Msg::Query { reply: "before" },
+        Msg::Crash,
+        inform(3, 2, 2),
+        Msg::Query { reply: "down" },
+        Msg::Restore,
+        Msg::Query { reply: "after" },
+    ];
+    let (sent, stats) = run(&mut host, script);
+    let view = Answer::Free(vec![8, 12, 16, 16]);
+    assert_eq!(
+        sent.replies,
+        vec![("before", view.clone()), ("after", view)],
+        "a down point answers nothing; the recovered view is the pre-crash view"
+    );
+    assert_eq!(stats.recoveries, 1);
+    assert_eq!(stats.wal_records_replayed, 2, "the two journaled informs");
+    assert_eq!(
+        stats.queries, 1,
+        "the replacement node served only the last query"
+    );
+}
+
+#[test]
+fn leave_goes_dark_like_a_crash() {
+    let script = vec![Msg::Leave, inform(1, 0, 8), Msg::Query { reply: "gone" }];
+    let (sent, stats) = run(&mut host(false), script);
+    assert!(sent.replies.is_empty());
+    assert_eq!((stats.crashes, stats.informs, stats.queries), (1, 0, 0));
+}
+
+#[test]
+fn malformed_inform_is_dropped_whole_and_the_loop_continues() {
+    let garbage = Msg::Wire(WireInput::Inform(Bytes::copy_from_slice(&[1, 2, 3])));
+    let script = vec![garbage, inform(1, 0, 8), Msg::Query { reply: "client" }];
+    let (sent, stats) = run(&mut host(false), script);
+    assert_eq!(stats.informs, 1);
+    assert_eq!(
+        sent.replies,
+        vec![("client", Answer::Free(vec![8, 16, 16, 16]))]
+    );
+}

@@ -35,8 +35,20 @@ echo "==> reference backends stay inside the crate that owns the oracle"
   && ! grep -n 'fn run_' crates/core/src/run.rs | grep -v 'fn run_experiment(\|fn run_to_end('; } \
   || { echo "ci.sh: a reference backend or a twin entry point escaped its crate (lines above)"; exit 1; }
 
+echo "==> one mailbox node loop: the thread and socket runtimes only supply a Transport"
+# dpstore::mailbox::node_loop is the one interpreter of `Routed` both
+# wall-clock runtimes run; a second loop, a second per-point stats struct
+# or a `match` on `Routed::` in either runtime is the fork growing back.
+{ ! grep -rn 'Routed::' crates/core/src/live.rs crates/clusterd/src \
+  && ! grep -rn 'fn node_loop\|fn dp_main' --include=*.rs crates tests examples src \
+      | grep -v '^crates/dpstore/src/mailbox.rs:' \
+  && [ "$(grep -rn 'pub struct .*DpStats' --include=*.rs crates src | grep -vc '^crates/dpnode/')" -eq 1 ]; } \
+  || { echo "ci.sh: a second node loop, Routed interpreter or DpStats struct (lines above)"; exit 1; }
+
 echo "==> perf/ builds against the workspace crates (the benchmark is its own workspace)"
 cargo build --release --offline --manifest-path perf/Cargo.toml
+# An offline build rewrites perf's lock file; perf/** is not this tree's to change.
+git checkout -- perf/Cargo.lock
 
 echo "==> cargo doc --no-deps (warnings are errors; umbrella package + the crates whose docs are guides)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q \
