@@ -5,7 +5,7 @@ use bytes::Bytes;
 use desim::DetRng;
 use gruber::{DispatchRecord, GruberEngine};
 use gruber_types::{DpId, GridError, JobId, JobSpec, SimDuration, SimTime, SiteSpec};
-use simnet::codec::{decode_deltas, encode_deltas, DispatchDelta};
+use simnet::codec::{decode_deltas, encode_deltas, iter_deltas, DispatchDelta};
 use std::collections::BTreeMap;
 use usla::store::VersionedEntry;
 use usla::UslaSet;
@@ -83,8 +83,9 @@ impl FloodPayload {
     /// Decodes the dispatch records. Truncated or malformed payloads
     /// error; they never half-merge.
     pub fn decode(&self) -> Result<Vec<DispatchRecord>, gruber_types::GridError> {
-        let deltas = decode_deltas(self.records.clone())?;
-        Ok(deltas.iter().map(delta_to_record).collect())
+        Ok(iter_deltas(self.records.as_ref())?
+            .map(|d| delta_to_record(&d))
+            .collect())
     }
 }
 

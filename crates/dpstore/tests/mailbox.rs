@@ -12,7 +12,7 @@ use dpstore::{Blueprint, NodeHost, SimStore, SnapshotPolicy, WireInput};
 use gruber::DispatchRecord;
 use gruber_types::{DpId, GroupId, JobId, SimTime, SiteId, SiteSpec, VoId};
 use obs::Recorder;
-use simnet::codec::{decode_deltas, encode_inform};
+use simnet::codec::{decode_deltas, encode_deltas, encode_inform};
 use std::time::Instant;
 use workload::uslas::equal_shares;
 
@@ -72,8 +72,8 @@ fn host(persist: bool) -> NodeHost<SimStore> {
     )
 }
 
-fn inform(job: u32, site: u32, cpus: u32) -> Msg {
-    let record = DispatchRecord {
+fn record(job: u32, site: u32, cpus: u32) -> DispatchRecord {
+    DispatchRecord {
         job: JobId(job),
         site: SiteId(site),
         vo: VoId(0),
@@ -81,8 +81,12 @@ fn inform(job: u32, site: u32, cpus: u32) -> Msg {
         cpus,
         dispatched_at: SimTime::ZERO,
         est_finish: SimTime::from_secs(1_000_000),
-    };
-    Msg::Wire(WireInput::Inform(encode_inform(&record_to_delta(&record))))
+    }
+}
+
+fn inform(job: u32, site: u32, cpus: u32) -> Msg {
+    let delta = record_to_delta(&record(job, site, cpus));
+    Msg::Wire(WireInput::Inform(encode_inform(&delta)))
 }
 
 /// Runs the loop on this thread over `script` + `Shutdown`.
@@ -213,4 +217,27 @@ fn malformed_inform_is_dropped_whole_and_the_loop_continues() {
         sent.replies,
         vec![("client", Answer::Free(vec![8, 16, 16, 16]))]
     );
+}
+
+/// A well-formed frame naming a site the grid does not have — one past the
+/// last, from a client and from a peer — must not take the node thread
+/// down: nothing is counted, nothing is forwarded, the next query is
+/// answered.
+#[test]
+fn records_for_an_unknown_site_leave_the_views_unchanged() {
+    let flood = encode_deltas(&[record_to_delta(&record(3, 4, 8))]);
+    let script = vec![
+        inform(1, 0, 8),
+        inform(2, 4, 8),
+        Msg::Wire(WireInput::PeerRecords(flood)),
+        Msg::Query { reply: "client" },
+        Msg::SyncTick,
+    ];
+    let (sent, stats) = run(&mut host(false), script);
+    assert_eq!(
+        sent.replies,
+        vec![("client", Answer::Free(vec![8, 16, 16, 16]))]
+    );
+    assert_eq!((stats.records_merged, stats.decode_failures), (0, 0));
+    assert_eq!(stats.records_flooded, 1, "only job 1 goes out");
 }

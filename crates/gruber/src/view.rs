@@ -19,11 +19,16 @@
 //! Two implementations share the [`ViewStore`] trait, mirroring the
 //! calendar-queue-vs-reference-heap pattern in `desim`:
 //!
-//! * [`GridView`] — the default: a struct-of-arrays layout with flat
-//!   `SiteId`-indexed demand columns, dense `(VoId, GroupId)`-indexed
-//!   principal tables, a paged-bitset job-dedup set and one merged expiry
-//!   queue (see *Expiry* below). Built for 3000-site grids and
-//!   million-job runs: the availability hot path is two array scans.
+//! * [`GridView`] — the default: a struct-of-arrays layout with three flat
+//!   `SiteId`-indexed columns (`totals`, `demand`, `free`), dense
+//!   `(VoId, GroupId)`-indexed principal tables, a paged-bitset job-dedup
+//!   set and one merged expiry queue (see *Expiry* below). Built for
+//!   3000-site grids and million-job runs. `free[s]` is
+//!   `totals[s] - demand[s]` floored at zero, stored again at the only two
+//!   places `demand[s]` changes (a record observed, a record expired), so
+//!   the availability reply is a copy of the `free` column. Nothing
+//!   invalidates it: it is the same arithmetic moved from the read of
+//!   every site to the write of one.
 //! * [`RefView`] — the original `HashMap`/`HashSet`/per-site-`BinaryHeap`
 //!   model, kept as the executable specification. The differential tests
 //!   (unit + proptest below) drive both backends op-for-op and require
@@ -64,9 +69,10 @@
 //! **Order does not matter.** One call expires exactly the set of keys
 //! `<= now` — the same set a min-heap pops — but not in key order.
 //! Expiring a record subtracts its CPUs from three counters (site, VO,
-//! group); subtractions commute and nothing reads the counters until the
-//! call returns, so no answer, fingerprint or flood hash can depend on the
-//! order. `RefView` and the differential tests below are the judge.
+//! group) and stores the site's `free` entry from the new demand;
+//! subtractions commute, the last store per site sees the final demand,
+//! and nothing reads either until the call returns, so no answer,
+//! fingerprint or flood hash can depend on the order. `RefView` and the differential tests below are the judge.
 //!
 //! **The clock is the view's own.** `last` is a high-water mark, not the
 //! caller's word: `expire(now)` with `now < last` does nothing, and
@@ -387,11 +393,11 @@ impl std::fmt::Debug for JobSet {
 /// A (possibly stale) model of grid utilization — the struct-of-arrays
 /// default backend.
 ///
-/// Layout: per-site `totals`/`demand` as flat `SiteId`-indexed columns
-/// (availability is a two-column scan, no pointer chasing), per-principal
-/// demand as dense `VoId`/`GroupId`-indexed tables, job dedup as a paged
-/// bitset, and a single merged expiry queue whose entries decrement all
-/// three at once — a monotone radix queue, exact but unordered within one
+/// Layout: per-site `totals`/`demand`/`free` as flat `SiteId`-indexed
+/// columns (availability is a copy of `free`, which every change to
+/// `demand` keeps current), per-principal demand as dense
+/// `VoId`/`GroupId`-indexed tables, job dedup as a paged bitset, and a
+/// single merged expiry queue whose entries decrement all three at once — a monotone radix queue, exact but unordered within one
 /// call, keyed against the view's own high-water clock. The module docs
 /// (*Expiry*) give the bucket argument, why the order cannot be observed,
 /// and what a caller whose clock steps back sees.
@@ -401,6 +407,9 @@ pub struct GridView {
     totals: Vec<u32>,
     /// Believed per-site demand column (parallel to `totals`).
     demand: Vec<u64>,
+    /// Believed per-site free CPUs: `free_of(totals[s], demand[s])`,
+    /// stored wherever `demand[s]` is.
+    free: Vec<u32>,
     /// Cached sum of `totals`.
     grid_total: u64,
     /// Dense per-VO demand, indexed by `VoId::index()`.
@@ -411,6 +420,11 @@ pub struct GridView {
     seen: JobSet,
     /// The merged expiry queue; owns the view's clock.
     expiries: ExpiryQueue,
+}
+
+/// Free CPUs of a site with `total` CPUs and `demand` CPUs asked of it.
+fn free_of(total: u32, demand: u64) -> u32 {
+    u64::from(total).saturating_sub(demand) as u32
 }
 
 fn dense_slot(v: &mut Vec<i64>, idx: usize) -> &mut i64 {
@@ -427,6 +441,7 @@ impl GridView {
         let grid_total = totals.iter().map(|&c| u64::from(c)).sum();
         GridView {
             demand: vec![0; totals.len()],
+            free: totals.clone(),
             totals,
             grid_total,
             vo_demand: Vec::new(),
@@ -459,13 +474,21 @@ impl GridView {
     /// Folds one dispatch record into the view (idempotent per job id).
     /// Returns `true` if the record was new. A record finishing at or
     /// before the latest instant the view has seen — `now` or an earlier
-    /// call's later `now` — is already expired.
+    /// call's later `now` — is already expired. A record naming a site the
+    /// view does not cover is refused before its job id is remembered:
+    /// records arrive as socket bytes, and every index `expire` later uses
+    /// was range-checked here.
     pub fn observe(&mut self, rec: &DispatchRecord, now: SimTime) -> bool {
         self.expire(now); // the queue's clock is now `max(now, last)`
-        if rec.est_finish.0 <= self.expiries.last || !self.seen.insert(rec.job) {
-            return false; // already expired or already known
+        let s = rec.site.index();
+        if s >= self.totals.len()
+            || rec.est_finish.0 <= self.expiries.last
+            || !self.seen.insert(rec.job)
+        {
+            return false; // no such site, already expired or already known
         }
-        self.demand[rec.site.index()] += u64::from(rec.cpus);
+        self.demand[s] += u64::from(rec.cpus);
+        self.free[s] = free_of(self.totals[s], self.demand[s]);
         *dense_slot(&mut self.vo_demand, rec.vo.index()) += i64::from(rec.cpus);
         let vo_groups = {
             let idx = rec.vo.index();
@@ -491,17 +514,21 @@ impl GridView {
     }
 
     /// Advances expiry bookkeeping to `now`: drains every queued entry
-    /// with `est_finish <= now` and decrements the site and principal
-    /// columns it was counted in. A `now` earlier than one already seen
-    /// does nothing.
+    /// with `est_finish <= now`, decrements the site and principal
+    /// columns it was counted in and stores the site's `free` entry. A
+    /// `now` earlier than one already seen does nothing.
     pub fn expire(&mut self, now: SimTime) {
-        let (demand, vo_demand, group_demand) = (
+        let (totals, demand, free, vo_demand, group_demand) = (
+            &self.totals,
             &mut self.demand,
+            &mut self.free,
             &mut self.vo_demand,
             &mut self.group_demand,
         );
         self.expiries.drain_due(now.0, |e| {
-            demand[e.site as usize] -= u64::from(e.cpus);
+            let s = e.site as usize;
+            demand[s] -= u64::from(e.cpus);
+            free[s] = free_of(totals[s], demand[s]);
             vo_demand[e.vo as usize] -= i64::from(e.cpus);
             group_demand[e.vo as usize][e.group as usize] -= i64::from(e.cpus);
         });
@@ -515,8 +542,8 @@ impl GridView {
 
     /// Believed free CPUs at a site.
     pub fn free_cpus(&mut self, site: SiteId, now: SimTime) -> u32 {
-        let total = u64::from(self.totals[site.index()]);
-        total.saturating_sub(self.demand(site, now)) as u32
+        self.expire(now);
+        self.free[site.index()]
     }
 
     /// Believed queued jobs at a site (demand beyond capacity, in CPUs;
@@ -550,24 +577,15 @@ impl GridView {
     /// Believed grid-wide idle CPUs.
     pub fn idle_cpus(&mut self, now: SimTime) -> u64 {
         self.expire(now);
-        self.totals
-            .iter()
-            .zip(&self.demand)
-            .map(|(&t, &d)| u64::from(t).saturating_sub(d))
-            .sum()
+        self.free.iter().map(|&f| u64::from(f)).sum()
     }
 
     /// Writes the believed per-site free-CPU vector into `out` (cleared
-    /// first): one expiry advance, then a two-column scan.
+    /// first): one expiry advance, then a copy of the `free` column.
     pub fn free_per_site_into(&mut self, now: SimTime, out: &mut Vec<u32>) {
         self.expire(now);
         out.clear();
-        out.extend(
-            self.totals
-                .iter()
-                .zip(&self.demand)
-                .map(|(&t, &d)| u64::from(t).saturating_sub(d) as u32),
-        );
+        out.extend_from_slice(&self.free);
     }
 
     /// Full believed per-site free-CPU vector (the availability response).
@@ -575,6 +593,19 @@ impl GridView {
         let mut out = Vec::with_capacity(self.totals.len());
         self.free_per_site_into(now, &mut out);
         out
+    }
+
+    /// The `free` column is what a scan of the other two would compute.
+    #[cfg(test)]
+    fn check_columns(&self) {
+        assert_eq!(self.free.len(), self.totals.len());
+        for (s, &free) in self.free.iter().enumerate() {
+            assert_eq!(
+                free,
+                free_of(self.totals[s], self.demand[s]),
+                "free column stale at site {s}"
+            );
+        }
     }
 }
 
@@ -680,8 +711,11 @@ impl RefView {
     /// Returns `true` if the record was new.
     pub fn observe(&mut self, rec: &DispatchRecord, now: SimTime) -> bool {
         self.expire(now);
-        if rec.est_finish <= now || !self.seen.insert(rec.job) {
-            return false; // already expired or already known
+        if rec.site.index() >= self.sites.len()
+            || rec.est_finish <= now
+            || !self.seen.insert(rec.job)
+        {
+            return false; // no such site, already expired or already known
         }
         let site = &mut self.sites[rec.site.index()];
         site.demand += u64::from(rec.cpus);
@@ -833,6 +867,55 @@ mod tests {
         assert_eq!(v.demand(SiteId(0), now), 13);
     }
 
+    fn a_site_driven_past_capacity_expires_back_to_free<V: ViewStore>() {
+        let mut v = V::new(&sites());
+        // 14 CPUs asked of a 10-CPU site, finishing one a second from 100 s.
+        for j in 0..14u32 {
+            assert!(v.observe(&rec(j, 0, 1, 0, 100 + u64::from(j)), SimTime::ZERO));
+        }
+        let now = SimTime::from_secs(50);
+        assert_eq!(
+            (v.demand(SiteId(0), now), v.queued(SiteId(0), now)),
+            (14, 4)
+        );
+        assert_eq!(v.free_per_site(now), vec![0, 20]);
+        assert_eq!(v.idle_cpus(now), 20);
+        // Four expire: demand meets capacity, still nothing free.
+        let now = SimTime::from_secs(103);
+        assert_eq!(
+            (v.free_cpus(SiteId(0), now), v.queued(SiteId(0), now)),
+            (0, 0)
+        );
+        // One more and the first CPU frees; then all of them.
+        assert_eq!(v.free_cpus(SiteId(0), SimTime::from_secs(104)), 1);
+        let end = SimTime::from_secs(200);
+        assert_eq!(v.free_per_site(end), vec![10, 20]);
+        assert_eq!((v.demand(SiteId(0), end), v.idle_cpus(end)), (0, 30));
+    }
+
+    fn a_record_for_an_unknown_site_is_refused<V: ViewStore>() {
+        let mut v = V::new(&sites());
+        let now = SimTime::ZERO;
+        // Site 2 on a 2-site view: what one malformed frame can carry.
+        assert!(!v.observe(&rec(7, 2, 4, 0, 100), now));
+        assert!(!v.observe(&rec(8, u32::MAX, 4, 0, 100), now));
+        assert_eq!(
+            v.merge(&[rec(9, 2, 1, 0, 100), rec(10, 1, 1, 0, 100)], now),
+            1
+        );
+        assert_eq!(v.free_per_site(now), vec![10, 19]);
+        assert_eq!(
+            v.vo_demand(VoId(1), now),
+            0,
+            "nothing of job 7 or 9 was counted"
+        );
+        // The refusal did not poison the job id: the same job at a real
+        // site is new.
+        assert!(v.observe(&rec(7, 0, 4, 0, 100), now));
+        assert_eq!(v.free_per_site(now), vec![6, 19]);
+        assert_eq!(v.free_per_site(SimTime::from_secs(101)), vec![10, 20]);
+    }
+
     fn principal_demand_tracks_vo_and_group<V: ViewStore>() {
         let mut v = V::new(&sites());
         let now = SimTime::ZERO;
@@ -875,6 +958,8 @@ mod tests {
             observe_is_idempotent_per_job,
             already_expired_records_are_ignored,
             demand_beyond_capacity_shows_as_queue,
+            a_site_driven_past_capacity_expires_back_to_free,
+            a_record_for_an_unknown_site_is_refused,
             principal_demand_tracks_vo_and_group,
             idle_and_free_vectors,
         );
@@ -1037,6 +1122,7 @@ mod tests {
                     assert_eq!(soa.idle_cpus(now), ViewStore::idle_cpus(&mut refv, now));
                 }
             }
+            soa.check_columns();
             if step % 16 == 0 {
                 assert_eq!(
                     soa.free_per_site(now),

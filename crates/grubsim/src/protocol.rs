@@ -6,15 +6,26 @@
 //! machines — the exact code the discrete-event simulator and the live
 //! thread cluster drive — and report what each point believed at the end.
 //!
-//! The driver here is the simplest of the three: one pass over the
-//! time-sorted trace events, zero-latency flood delivery, no
-//! loss/partitions/retries. Every answered request becomes a query to its
-//! bound decision point plus a synthetic dispatch inform (the client told
-//! the point where the job landed); a sync round fires on every point each
-//! `sync_interval`. After the trace horizon the driver runs `n_dps`
-//! barrier sync rounds so sparse topologies (ring, star) finish
-//! propagating transitively-forwarded records, then compares the final
-//! availability views for convergence.
+//! The driver here is the simplest of the three: one pass over the trace
+//! in time order, zero-latency flood delivery, no loss/partitions/retries.
+//! Every answered request becomes a query to its bound decision point plus
+//! a synthetic dispatch inform (the client told the point where the job
+//! landed); a sync round fires on every point each `sync_interval`. After
+//! the trace horizon the driver runs `n_dps` barrier sync rounds so sparse
+//! topologies (ring, star) finish propagating transitively-forwarded
+//! records, then compares the final availability views for convergence.
+//!
+//! # Order
+//!
+//! The trace need not be sorted. The driver never materialises its events:
+//! it sorts one 16-byte `(at, seq)` key per event, where `seq` both names
+//! the event — `2·i` is entry `i`'s query, `2·i + 1` its inform, `2·n` and
+//! `2·n + 1` the [`CrashPlan`]'s crash and restore — and breaks ties, so
+//! events at one instant replay in trace order, an entry's query before
+//! its inform, the crash plan last. Each query, and each inform with its
+//! synthetic dispatch record, is built from `traces[seq / 2]` at the
+//! moment it is replayed. Two keys per entry is all the driver allocates:
+//! a replay's peak memory is the views, not the driver.
 
 use std::sync::Arc;
 
@@ -81,19 +92,35 @@ pub struct ProtocolReplayReport {
     pub wal_records_replayed: u64,
 }
 
-/// One driver event. Replayed in `(at, seq)` order so ties resolve in
-/// insertion order and the replay is deterministic.
-struct TimedEv {
-    at: SimTime,
-    seq: u64,
-    ev: Ev,
-}
-
+/// One driver event, built from its trace entry (or the crash plan) at
+/// the moment it is replayed.
 enum Ev {
     Query { dp: usize, client: ClientId, timed_out: bool },
     Inform { dp: usize, record: DispatchRecord, client: ClientId, response_ms: u64 },
     Crash { dp: usize },
     Restore { dp: usize },
+}
+
+/// The replay order (module docs, *Order*): one `(at, seq)` key per driver
+/// event, sorted. `seq` names the event — `2·i` entry `i`'s query, `2·i + 1`
+/// its inform, `2·n` / `2·n + 1` the crash plan's crash / restore — and
+/// breaks ties at one instant in that order.
+fn replay_order(traces: &[RequestTrace], crash: Option<CrashPlan>) -> Vec<(SimTime, u64)> {
+    let mut order = Vec::with_capacity(2 * traces.len() + 2);
+    for (i, t) in traces.iter().enumerate() {
+        order.push((t.sent_at, 2 * i as u64));
+        // Answered in time: the client dispatched, so an inform follows.
+        if let Some(at) = t.completed_at().filter(|_| t.handled()) {
+            order.push((at, 2 * i as u64 + 1));
+        }
+    }
+    if let Some(plan) = crash {
+        let n = traces.len() as u64;
+        order.push((plan.at, 2 * n));
+        order.push((plan.at + plan.down_for, 2 * n + 1));
+    }
+    order.sort_unstable();
+    order
 }
 
 /// Replays a DiPerF trace through `n_dps` real decision-point state
@@ -157,57 +184,39 @@ pub fn replay_protocol_traced(
         })
         .collect();
 
-    let mut events: Vec<TimedEv> = Vec::new();
-
-    // Trace entries become queries; answered ones also become synthetic
-    // informs at completion time (job id = entry index, round-robin site).
+    let order = replay_order(traces, cfg.crash);
+    let last_event = order.last().map_or(SimTime(0), |&(at, _)| at);
+    let n = traces.len() as u64;
+    let crash_dp = cfg.crash.map_or(0, |plan| plan.dp as usize % n_dps);
+    // Entry `seq / 2`'s query or synthetic inform (job id = entry index,
+    // round-robin site), or the crash plan's crash / restore.
+    let event = |at: SimTime, seq: u64| -> Ev {
+        if seq >= 2 * n {
+            return if seq == 2 * n { Ev::Crash { dp: crash_dp } } else { Ev::Restore { dp: crash_dp } };
+        }
+        let i = (seq / 2) as usize;
+        let t = &traces[i];
+        let dp = t.dp.index() % n_dps;
+        if seq.is_multiple_of(2) {
+            return Ev::Query { dp, client: t.client, timed_out: t.timed_out };
+        }
+        Ev::Inform {
+            dp,
+            record: DispatchRecord {
+                job: JobId(i as u32),
+                site: SiteId((i % n_sites) as u32),
+                vo: VoId((i % 2) as u32),
+                group: GroupId(0),
+                cpus: 1,
+                dispatched_at: at,
+                est_finish: at + cfg.job_runtime,
+            },
+            client: t.client,
+            response_ms: t.response.map_or(0, |r| r.as_millis()),
+        }
+    };
     let mut queries = 0u64;
     let mut informs = 0u64;
-    let mut last_event = SimTime(0);
-    for (i, t) in traces.iter().enumerate() {
-        let dp = t.dp.index() % n_dps;
-        events.push(TimedEv {
-            at: t.sent_at,
-            seq: events.len() as u64,
-            ev: Ev::Query { dp, client: t.client, timed_out: t.timed_out },
-        });
-        last_event = last_event.max(t.sent_at);
-        if !t.handled() {
-            continue;
-        }
-        let at = t.completed_at().unwrap_or(t.sent_at);
-        last_event = last_event.max(at);
-        let record = DispatchRecord {
-            job: JobId(i as u32),
-            site: SiteId((i % n_sites) as u32),
-            vo: VoId((i % 2) as u32),
-            group: GroupId(0),
-            cpus: 1,
-            dispatched_at: at,
-            est_finish: at + cfg.job_runtime,
-        };
-        events.push(TimedEv {
-            at,
-            seq: events.len() as u64,
-            ev: Ev::Inform {
-                dp,
-                record,
-                client: t.client,
-                response_ms: t.response.map_or(0, |r| r.as_millis()),
-            },
-        });
-    }
-
-    if let Some(plan) = cfg.crash {
-        let dp = plan.dp as usize % n_dps;
-        events.push(TimedEv { at: plan.at, seq: events.len() as u64, ev: Ev::Crash { dp } });
-        let back = plan.at + plan.down_for;
-        events.push(TimedEv { at: back, seq: events.len() as u64, ev: Ev::Restore { dp } });
-        last_event = last_event.max(back);
-    }
-
-    // Sorted in place: a replay's peak memory is this one buffer.
-    events.sort_unstable_by_key(|e| (e.at, e.seq));
 
     // Every point's timer fires each `sync_interval` (a down point's too:
     // its node re-arms without flooding) until the horizon. A round due at
@@ -221,12 +230,12 @@ pub fn replay_protocol_traced(
     };
 
     let mut fx: Vec<Routed> = Vec::new();
-    for TimedEv { at, ev, .. } in events {
+    for (at, seq) in order {
         while next_tick < at {
             timer_round(&mut hosts, next_tick);
             next_tick += cfg.sync_interval;
         }
-        match ev {
+        match event(at, seq) {
             Ev::Query { dp, client, timed_out } => {
                 queries += 1;
                 let dp_id = DpId(dp as u32);
@@ -593,6 +602,153 @@ mod tests {
             ]
         );
         assert_eq!((r.recoveries, r.wal_records_replayed), (1, 7));
+    }
+
+    /// What one driver event is, whichever way the order was built.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Step {
+        Query(usize),
+        Inform(usize),
+        Crash,
+        Restore,
+    }
+
+    /// The driver's event list as it was built before the key sort: every
+    /// event materialised, `seq` its position at insertion.
+    struct TimedEv {
+        at: SimTime,
+        seq: u64,
+        step: Step,
+    }
+
+    /// The reference order: push in trace order (query, then inform if
+    /// answered), then the crash plan, and sort by `(at, insertion seq)`.
+    fn reference_order(traces: &[RequestTrace], crash: Option<CrashPlan>) -> Vec<(SimTime, Step)> {
+        let mut events: Vec<TimedEv> = Vec::new();
+        for (i, t) in traces.iter().enumerate() {
+            events.push(TimedEv { at: t.sent_at, seq: events.len() as u64, step: Step::Query(i) });
+            if !t.handled() {
+                continue;
+            }
+            let at = t.completed_at().unwrap_or(t.sent_at);
+            events.push(TimedEv { at, seq: events.len() as u64, step: Step::Inform(i) });
+        }
+        if let Some(plan) = crash {
+            events.push(TimedEv { at: plan.at, seq: events.len() as u64, step: Step::Crash });
+            let back = plan.at + plan.down_for;
+            events.push(TimedEv { at: back, seq: events.len() as u64, step: Step::Restore });
+        }
+        events.sort_unstable_by_key(|e| (e.at, e.seq));
+        events.into_iter().map(|e| (e.at, e.step)).collect()
+    }
+
+    /// [`replay_order`]'s keys, decoded the way the driver decodes them.
+    fn key_order(traces: &[RequestTrace], crash: Option<CrashPlan>) -> Vec<(SimTime, Step)> {
+        let n = traces.len() as u64;
+        replay_order(traces, crash)
+            .into_iter()
+            .map(|(at, seq)| {
+                let step = match seq {
+                    s if s == 2 * n => Step::Crash,
+                    s if s == 2 * n + 1 => Step::Restore,
+                    s if s % 2 == 0 => Step::Query((s / 2) as usize),
+                    s => Step::Inform((s / 2) as usize),
+                };
+                (at, step)
+            })
+            .collect()
+    }
+
+    fn answered(client: u32, dp: u32, sent_ms: u64, response_ms: u64) -> RequestTrace {
+        RequestTrace::answered(ClientId(client), DpId(dp), SimTime(sent_ms), SimDuration(response_ms))
+    }
+
+    /// Entry 0's inform and entry 1's query fall in the same millisecond
+    /// on the same point; entry 2 was sent before both (unsorted trace).
+    fn tied_trace() -> Vec<RequestTrace> {
+        vec![answered(0, 0, 1_000, 500), answered(1, 0, 1_500, 250), answered(2, 1, 400, 1_100)]
+    }
+
+    #[test]
+    fn key_order_is_the_old_insertion_order() {
+        // (i) unsorted, with duplicates of one instant.
+        let unsorted: Vec<RequestTrace> = (0..40u64)
+            .map(|i| answered(i as u32, (i % 3) as u32, (i * 7_919) % 10_000, (i * 31) % 2_000))
+            .collect();
+        assert!(unsorted.windows(2).any(|w| w[0].sent_at > w[1].sent_at));
+        assert_eq!(key_order(&unsorted, None), reference_order(&unsorted, None));
+
+        // (ii) inform of one entry ties with the query of a later one.
+        let tied = tied_trace();
+        assert_eq!(key_order(&tied, None), reference_order(&tied, None));
+        assert_eq!(
+            key_order(&tied, None),
+            [
+                (SimTime(400), Step::Query(2)),
+                (SimTime(1_000), Step::Query(0)),
+                (SimTime(1_500), Step::Inform(0)),
+                (SimTime(1_500), Step::Query(1)),
+                (SimTime(1_500), Step::Inform(2)),
+                (SimTime(1_750), Step::Inform(1)),
+            ]
+        );
+
+        // (iii) timed-out entries query and never inform, late responses
+        // included; the seq numbering keeps its gap.
+        let mut gaps = tied_trace();
+        gaps.insert(1, RequestTrace::timed_out(ClientId(9), DpId(0), SimTime(1_500)));
+        gaps.push(RequestTrace::late(ClientId(8), DpId(1), SimTime(1_000), SimDuration(500)));
+        let order = key_order(&gaps, None);
+        assert_eq!(order, reference_order(&gaps, None));
+        assert_eq!(order.len(), 2 * gaps.len() - 2);
+        assert!(!order.iter().any(|&(_, s)| s == Step::Inform(1) || s == Step::Inform(4)));
+
+        // (iv) crash and restore coincide with trace events: the plan
+        // goes last at its instant.
+        let plan = CrashPlan { at: SimTime(1_000), dp: 0, down_for: SimDuration(500) };
+        let order = key_order(&tied, Some(plan));
+        assert_eq!(order, reference_order(&tied, Some(plan)));
+        assert_eq!(order[1..3], [(SimTime(1_000), Step::Query(0)), (SimTime(1_000), Step::Crash)]);
+        assert_eq!(order[5..7], [(SimTime(1_500), Step::Inform(2)), (SimTime(1_500), Step::Restore)]);
+        // A restore at the crash instant (down for zero) still follows it.
+        let blip = CrashPlan { down_for: SimDuration(0), ..plan };
+        assert_eq!(key_order(&unsorted, Some(blip)), reference_order(&unsorted, Some(blip)));
+    }
+
+    /// The tie of `tied_trace`, as the recorder saw it: issue and answer
+    /// events in replay order, literally.
+    #[test]
+    fn traced_replay_of_a_tie_is_in_key_order() {
+        let rec = Recorder::new(obs::TraceConfig::default());
+        replay_protocol_traced(
+            &tied_trace(),
+            &sites(4, 64),
+            &equal_shares(2, 2).unwrap(),
+            cfg(2, Topology::FullMesh),
+            &rec,
+        );
+        let tl = rec.finish(SimTime::from_secs(60)).unwrap();
+        assert_eq!(tl.dropped_raw, 0, "the raw ring must hold the whole replay");
+        let seen: Vec<(u64, &str, u32)> = tl
+            .recent
+            .iter()
+            .filter_map(|&(at_ms, ref event)| match *event {
+                TraceEvent::QueryIssued { client, .. } => Some((at_ms, "issued", client.0)),
+                TraceEvent::ResponseAnswered { client, .. } => Some((at_ms, "answered", client.0)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                (400, "issued", 2),
+                (1_000, "issued", 0),
+                (1_500, "answered", 0),
+                (1_500, "issued", 1),
+                (1_500, "answered", 2),
+                (1_750, "answered", 1),
+            ]
+        );
     }
 
     #[test]

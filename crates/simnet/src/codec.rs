@@ -110,31 +110,41 @@ pub fn encode_deltas(deltas: &[DispatchDelta]) -> Bytes {
 }
 
 /// Decodes a sync payload.
-pub fn decode_deltas(mut buf: Bytes) -> Result<Vec<DispatchDelta>, GridError> {
-    if buf.remaining() < 4 {
+pub fn decode_deltas(buf: Bytes) -> Result<Vec<DispatchDelta>, GridError> {
+    Ok(iter_deltas(buf.as_ref())?.collect())
+}
+
+/// Walks a sync payload's records without collecting them: the length is
+/// checked once, here, and each record is then read from its own 36-byte
+/// window. Errors are [`decode_deltas`]'s — a short header, or a body
+/// shorter than the header's count says; trailing bytes are ignored.
+pub fn iter_deltas(
+    payload: &[u8],
+) -> Result<impl ExactSizeIterator<Item = DispatchDelta> + '_, GridError> {
+    let Some((head, body)) = payload.split_first_chunk::<4>() else {
         return Err(GridError::InvalidConfig("deltas: short header".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n * 36 {
+    };
+    let n = u32::from_le_bytes(*head) as usize;
+    let Some(records) = n.checked_mul(36).and_then(|len| body.get(..len)) else {
         return Err(GridError::InvalidConfig(format!(
             "deltas: want {} bytes, have {}",
-            n * 36,
-            buf.remaining()
+            n as u64 * 36,
+            body.len()
         )));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(DispatchDelta {
-            job: JobId(buf.get_u32_le()),
-            site: SiteId(buf.get_u32_le()),
-            vo: VoId(buf.get_u32_le()),
-            group: GroupId(buf.get_u32_le()),
-            cpus: buf.get_u32_le(),
-            dispatched_at: SimTime(buf.get_u64_le()),
-            est_finish: SimTime(buf.get_u64_le()),
-        });
-    }
-    Ok(out)
+    };
+    let u32_at =
+        |r: &[u8], at: usize| u32::from_le_bytes(r[at..at + 4].try_into().expect("4 bytes"));
+    let u64_at =
+        |r: &[u8], at: usize| u64::from_le_bytes(r[at..at + 8].try_into().expect("8 bytes"));
+    Ok(records.chunks_exact(36).map(move |r| DispatchDelta {
+        job: JobId(u32_at(r, 0)),
+        site: SiteId(u32_at(r, 4)),
+        vo: VoId(u32_at(r, 8)),
+        group: GroupId(u32_at(r, 12)),
+        cpus: u32_at(r, 16),
+        dispatched_at: SimTime(u64_at(r, 20)),
+        est_finish: SimTime(u64_at(r, 28)),
+    }))
 }
 
 /// The availability-query request a client sends a decision point: who is
@@ -447,6 +457,31 @@ mod tests {
             assert!(decode_availability(full.slice(0..cut)).is_err(), "cut {cut}");
         }
         assert!(decode_deltas(Bytes::from_static(b"\x02\x00\x00\x00")).is_err());
+    }
+
+    #[test]
+    fn deltas_decode_by_count_not_by_length() {
+        let one = DispatchDelta {
+            job: JobId(1),
+            site: SiteId(2),
+            vo: VoId(3),
+            group: GroupId(4),
+            cpus: 5,
+            dispatched_at: SimTime(6),
+            est_finish: SimTime(7),
+        };
+        // Bytes past the counted records are not records.
+        let mut padded = encode_deltas(&[one]).to_vec();
+        padded.extend_from_slice(&[0xAB; 40]);
+        assert_eq!(
+            decode_deltas(Bytes::from(padded.clone())).unwrap(),
+            vec![one]
+        );
+        assert_eq!(iter_deltas(&padded).unwrap().len(), 1);
+        // A count the body cannot hold is refused before anything is read
+        // or reserved.
+        padded[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_deltas(Bytes::from(padded)).is_err());
     }
 
     #[test]

@@ -14,11 +14,12 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q (tier-1, whole workspace)"
 cargo test -q --workspace --offline
 
-echo "==> cargo test --release (gruber, dpnode: the expiry queue as the benchmark runs it)"
+echo "==> cargo test --release (gruber, dpnode, grubsim: the expiry queue and the replay order as the benchmark runs them)"
 # Debug builds trap integer overflow and keep debug_assert!; release
 # wraps and drops them, which is exactly where a hand-rolled bucket
-# queue would differ. The differential proptests judge both builds.
-cargo test --release --offline -q -p gruber -p dpnode
+# queue would differ. The differential proptests and grubsim's reference
+# replay order judge both builds.
+cargo test --release --offline -q -p gruber -p dpnode -p grubsim
 
 echo "==> the Criterion benches compile (harness = false: cargo test never builds them)"
 cargo build --release --offline --benches -p bench
@@ -62,6 +63,12 @@ echo "==> experiments recovery health degradation topology (53 fingerprints + th
 root="$PWD"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
+
+echo "==> the sampling profiler builds (scripts/sample-profile.sh: sigprof.c preload + profile.py)"
+gcc -O2 -Wall -shared -fPIC -o "$smoke_dir/sigprof.so" scripts/sigprof.c
+python3 -c 'import py_compile, sys; py_compile.compile(sys.argv[1], cfile=sys.argv[2], doraise=True)' \
+  scripts/profile.py "$smoke_dir/profile.pyc"
+bash -n scripts/sample-profile.sh
 
 echo "==> experiments scale --fast (paper-scale throughput + client-ramp memory smoke)"
 (cd "$smoke_dir" && "$root/target/release/experiments" scale --fast > /dev/null)

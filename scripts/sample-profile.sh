@@ -1,0 +1,27 @@
+#!/usr/bin/env bash
+# Sampling profile of one BENCHMARK.json workload, for a container with
+# neither perf nor valgrind: builds scripts/sigprof.c, preloads it into the
+# benchmark binary and prints scripts/profile.py's self/inclusive table.
+#
+#   scripts/sample-profile.sh <workload> [seed] [seconds]
+#   TOP=60 scripts/sample-profile.sh replay-mesh 1 8
+set -euo pipefail
+cd "$(dirname "$0")/.."
+workload="${1:?usage: scripts/sample-profile.sh <workload> [seed] [seconds]}"
+seed="${2:-1}"
+seconds="${3:-8}"
+
+out="$(mktemp -d)"
+trap 'rm -rf "$out"' EXIT
+gcc -O2 -shared -fPIC -o "$out/sigprof.so" scripts/sigprof.c
+cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
+git checkout -- perf/Cargo.lock # an offline build rewrites it; perf/** is not ours to change
+
+# The binary itself, not `cargo run`: cargo would be profiled too. Children
+# the workload spawns inherit the preload and write their own files.
+LD_PRELOAD="$out/sigprof.so" PROF_OUT="$out/prof" ./perf/target/release/perf \
+    --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 > "$out/stdout" &
+pid=$!
+wait "$pid" || { cat "$out/stdout"; echo "sample-profile.sh: the benchmark failed"; exit 1; }
+grep '^# ' "$out/stdout" | grep 'model_fingerprint' || true
+python3 scripts/profile.py "$out/prof.$pid" --top "${TOP:-25}"
