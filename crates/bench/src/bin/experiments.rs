@@ -20,7 +20,7 @@
 //! timeline rides along as an extra output of the same deterministic run.
 
 use bench::render::{render_accuracy, render_figure, render_table_block};
-use bench::study::{peak_rss_bytes, Cell, Fields};
+use bench::study::Fields;
 use bench::{
     accuracy_rows, accuracy_specs, capacity_model, crossover_rows, default_jobs, dp_scaling_spec,
     fig1_spec, run_specs, Study, SEED, STUDIES,
@@ -79,9 +79,10 @@ fn run_list(mut specs: Vec<RunSpec>) -> Vec<ExperimentOutput> {
             s.cfg.trace = Some(obs::TraceConfig::default());
         }
     }
-    run_specs(&specs, jobs())
-        .into_iter()
-        .map(|m| m.output.expect("experiment failed"))
+    specs
+        .iter()
+        .zip(run_specs(&specs, jobs()))
+        .map(|(spec, out)| out.unwrap_or_else(|e| panic!("experiment {:?} failed: {e}", spec.label)))
         .collect()
 }
 
@@ -209,38 +210,18 @@ fn accuracy_figure(id: &str, service: ServiceKind, title: &str) {
     println!("[{id}]\n{}", render_accuracy(title, &rows));
 }
 
-/// Runs one study of [`STUDIES`]: cells → run (the parallel batch on the
-/// configured workers, then each sequential cell alone with `VmHWM` sampled
-/// around it) → measure → `BENCH_<id>.json` → timelines → table. Studies
-/// always trace, whatever `--trace` says: their rows reconcile against the
-/// timeline.
+/// Runs one study of [`STUDIES`]: cells → run → measure →
+/// `BENCH_<id>.json` → timelines → table. Studies always trace, whatever
+/// `--trace` says: their rows reconcile against the timeline.
 fn run_study(study: &Study) {
     let fast = *FAST.get().expect("set in main");
     let id = study.id;
-    let (ramp, batch): (Vec<Cell>, Vec<Cell>) =
-        (study.cells)(fast, SEED).into_iter().partition(|c| c.sequential);
-    println!("[{id}] {} cells{}", batch.len(), if fast { " (--fast)" } else { "" });
-    let specs: Vec<RunSpec> = batch.iter().map(|c| c.spec.clone()).collect();
-    let mut rows: Vec<Fields> = Vec::new();
-    let mut outs: Vec<ExperimentOutput> = Vec::new();
-    for (cell, m) in batch.iter().zip(run_specs(&specs, jobs())) {
-        let out = m.output.unwrap_or_else(|e| panic!("{id} cell {:?} failed: {e}", m.label));
-        rows.push(study.row(cell, &out, m.wall, None));
-        outs.push(out);
-    }
-    if !ramp.is_empty() {
-        println!("[{id}] client ramp: {} cells, sequential", ramp.len());
-    }
-    for cell in &ramp {
-        let before = peak_rss_bytes();
-        let start = std::time::Instant::now();
-        let out = cell.spec.run().unwrap_or_else(|e| panic!("{id} cell {:?} failed: {e}", cell.spec.label));
-        let wall = start.elapsed();
-        rows.push(study.row(cell, &out, wall, Some((before, peak_rss_bytes()))));
-        outs.push(out);
-    }
+    let cells = (study.cells)(fast, SEED);
+    println!("[{id}] {} cells{}", cells.len(), if fast { " (--fast)" } else { "" });
+    let outs = run_list(cells.iter().map(|c| c.spec.clone()).collect());
+    let rows: Vec<Fields> = cells.iter().zip(&outs).map(|(c, out)| study.row(c, out)).collect();
     let path = format!("BENCH_{id}.json");
-    std::fs::write(&path, study.json(jobs(), fast, &rows)).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    std::fs::write(&path, study.json(fast, &rows)).unwrap_or_else(|e| panic!("write {path}: {e}"));
     eprintln!("{id} snapshot -> {path}");
     export_timelines(id, &outs);
     println!("{}", (study.render)(&rows));

@@ -37,15 +37,13 @@
 //! --failures            inject decision-point failures (with failover)
 //! --jobs N              worker threads for the sweep       (default: all cores;
 //!                       1 = serial; results identical either way)
-//! --bench-out PATH      perf snapshot destination          (default BENCH_sweep.json;
-//!                       "none" disables)
 //! --trace PATH          structured tracing: per-decision-point JSONL
 //!                       (schema digruber-trace/5, one run per `meta` line)
 //!                       appended for every run, byte-identical for any
 //!                       --jobs value                       (default off)
 //! ```
 
-use bench::{default_jobs, run_specs, SweepSnapshot};
+use bench::{default_jobs, run_specs};
 use digruber::config::{DigruberConfig, FailureConfig};
 use digruber::faults::FaultPlan;
 use digruber::{RunSpec, ServiceKind, SyncTopology, WanKind};
@@ -205,18 +203,18 @@ fn main() {
         specs.push(RunSpec::new(format!("{n} DPs"), cfg, workload.clone()));
     }
 
-    let start = std::time::Instant::now();
-    let measurements = run_specs(&specs, jobs);
-    let total_wall = start.elapsed();
+    let outs: Vec<_> = specs
+        .iter()
+        .zip(run_specs(&specs, jobs))
+        .map(|(spec, out)| {
+            out.unwrap_or_else(|e| die(&format!("experiment {:?} failed: {e}", spec.label)))
+        })
+        .collect();
 
     println!(
         "  DPs  peak thr(q/s)  mean resp(s)  handled   accuracy    util   jobs  failovers"
     );
-    for m in &measurements {
-        let out = m
-            .output
-            .as_ref()
-            .unwrap_or_else(|e| die(&format!("experiment {:?} failed: {e}", m.label)));
+    for out in &outs {
         println!(
             "  {:>3}  {:>12.2}  {:>11.1}  {:>6.1}%   {:>7}  {:>5.1}%  {:>5}  {:>9}",
             out.final_dps,
@@ -234,28 +232,12 @@ fn main() {
 
     if let Some(path) = &trace_out {
         let mut jsonl = String::new();
-        for m in &measurements {
-            if let Ok(out) = &m.output {
-                let tl = out.timeline.as_ref().expect("traced spec has a timeline");
-                jsonl.push_str(&tl.to_jsonl(&m.label));
-            }
+        for out in &outs {
+            let tl = out.timeline.as_ref().expect("traced spec has a timeline");
+            jsonl.push_str(&tl.to_jsonl(&out.label));
         }
         std::fs::write(path, &jsonl)
             .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        eprintln!("sweep: trace JSONL for {} run(s) -> {path}", measurements.len());
-    }
-
-    let bench_out = args.value_of("--bench-out").unwrap_or("BENCH_sweep.json");
-    if bench_out != "none" {
-        let snap = SweepSnapshot::from_measurements(jobs, &measurements, total_wall);
-        snap.write_to(std::path::Path::new(bench_out))
-            .unwrap_or_else(|e| die(&format!("writing {bench_out}: {e}")));
-        eprintln!(
-            "sweep: {} runs on {} worker(s) in {:.2}s ({:.2}x vs serial); snapshot -> {bench_out}",
-            measurements.len(),
-            jobs.min(specs.len().max(1)),
-            total_wall.as_secs_f64(),
-            snap.speedup_vs_serial(),
-        );
+        eprintln!("sweep: trace JSONL for {} run(s) -> {path}", outs.len());
     }
 }

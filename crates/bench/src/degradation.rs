@@ -17,19 +17,17 @@
 //! timeline alongside its metrics; the whole sweep is snapshotted into
 //! `BENCH_degradation.json`.
 
-use crate::snapshot::output_fingerprint;
-use crate::study::{fault_deployment, fault_workload, table, Cell, Fields, RssSpan, Study, RUN_SECS};
+use crate::study::{fault_deployment, fault_workload, output_fingerprint, table, Cell, Fields, Study, RUN_SECS};
 use digruber::faults::FaultPlan;
 use digruber::ExperimentOutput;
 use gruber_types::SimDuration;
 use simnet::{RetryConfig, RetryPolicy};
-use std::time::Duration;
 
 /// The study's entry in [`crate::study::STUDIES`].
 pub const STUDY: Study = Study {
     id: "degradation",
-    schema: "digruber-bench-degradation/1",
-    header: |jobs, fast| Fields::new().with("jobs", jobs).with("fast", fast),
+    schema: "digruber-bench-degradation/2",
+    header: |fast| Fields::new().with("fast", fast),
     cells,
     measure,
     render,
@@ -123,7 +121,7 @@ fn cells(fast: bool, seed: u64) -> Vec<Cell> {
 }
 
 /// The degradation-relevant slice of a finished (traced) cell run.
-fn measure(_axes: &Fields, out: &ExperimentOutput, _wall: Duration, _rss: Option<RssSpan>) -> Fields {
+fn measure(_axes: &Fields, out: &ExperimentOutput) -> Fields {
     let totals = &out
         .timeline
         .as_ref()
@@ -231,12 +229,12 @@ mod tests {
             })
             .expect("fast sweep has a lossy 1-DP cell");
         let out = lossy.spec.run().expect("cell runs");
-        let row = STUDY.row(&lossy, &out, Duration::ZERO, None);
+        let row = STUDY.row(&lossy, &out);
         assert!(row.u64("msgs_lost") > 0, "20% loss must drop transmissions");
         assert!(row.u64("timeouts") > 0, "loss must surface as client timeouts");
         let rows = [row];
-        let json = STUDY.json(2, true, &rows);
-        assert!(json.contains("\"schema\": \"digruber-bench-degradation/1\""));
+        let json = STUDY.json(true, &rows);
+        assert!(json.contains("\"schema\": \"digruber-bench-degradation/2\""));
         assert!(json.contains("\"family\": \"loss\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         let table = render(&rows);

@@ -6,8 +6,8 @@
 //! finished outputs.
 
 use digruber::config::DigruberConfig;
-use digruber::{run_experiment, ExperimentOutput, RunSpec, ServiceKind};
-use gruber_types::{GridResult, SimDuration};
+use digruber::{ExperimentOutput, RunSpec, ServiceKind};
+use gruber_types::SimDuration;
 use grubsim::CapacityModel;
 use workload::WorkloadSpec;
 
@@ -103,17 +103,4 @@ pub fn crossover_rows(
             )
         })
         .collect()
-}
-
-/// A scaled-down configuration for Criterion benches and smoke tests:
-/// Grid3×1, 24 clients, 12 minutes.
-pub fn scaled_down(service: ServiceKind, n_dps: usize, seed: u64) -> GridResult<ExperimentOutput> {
-    let mut cfg = DigruberConfig::paper(n_dps, service, seed);
-    cfg.grid_factor = 1;
-    let wl = WorkloadSpec {
-        n_clients: 24,
-        duration: SimDuration::from_mins(12),
-        ..WorkloadSpec::paper_default()
-    };
-    run_experiment(cfg, wl, &format!("scaled-down {n_dps} DPs"))
 }

@@ -15,19 +15,17 @@
 //! `BENCH_health.json` and the detection table is quoted by
 //! OBSERVABILITY.md and EXPERIMENTS.md.
 
-use crate::snapshot::output_fingerprint;
-use crate::study::{fault_deployment, fault_workload, table, Cell, Fields, RssSpan, Study, RUN_SECS};
+use crate::study::{fault_deployment, fault_workload, output_fingerprint, table, Cell, Fields, Study, RUN_SECS};
 use digruber::faults::FaultPlan;
 use digruber::ExperimentOutput;
 use gruber_types::DpId;
 use simnet::RetryConfig;
-use std::time::Duration;
 
 /// The study's entry in [`crate::study::STUDIES`].
 pub const STUDY: Study = Study {
     id: "health",
-    schema: "digruber-bench-health/1",
-    header: |jobs, fast| Fields::new().with("jobs", jobs).with("fast", fast).with("run_secs", RUN_SECS),
+    schema: "digruber-bench-health/2",
+    header: |fast| Fields::new().with("fast", fast).with("run_secs", RUN_SECS),
     cells,
     measure,
     render,
@@ -94,7 +92,7 @@ fn cells(fast: bool, seed: u64) -> Vec<Cell> {
 }
 
 /// The detection verdict extracted from the run's [`obs::HealthReport`].
-fn measure(axes: &Fields, out: &ExperimentOutput, _wall: Duration, _rss: Option<RssSpan>) -> Fields {
+fn measure(axes: &Fields, out: &ExperimentOutput) -> Fields {
     let report = out.health().expect("health cells always trace");
     let inject_ms = (axes.f64("inject_secs") * 1000.0) as u64;
     let targets: Vec<DpId> = match axes.opt_u64("affected_dp") {
@@ -183,7 +181,7 @@ mod tests {
             .iter()
             .map(|c| {
                 let out = c.spec.run().expect("cell runs");
-                STUDY.row(c, &out, Duration::ZERO, None)
+                STUDY.row(c, &out)
             })
             .collect();
         let clean = rows.iter().find(|r| r.str("fault") == "clean").unwrap();
@@ -202,8 +200,8 @@ mod tests {
         let crash = rows.iter().find(|r| r.str("fault") == "crash-single").unwrap();
         assert!(crash.u64("recovered_flags") >= 1, "no recovery flag: {crash:?}");
         assert_eq!(crash.u64("still_degraded_at_end"), 0, "flag never cleared: {crash:?}");
-        let json = STUDY.json(2, true, &rows);
-        assert!(json.contains("\"schema\": \"digruber-bench-health/1\""));
+        let json = STUDY.json(true, &rows);
+        assert!(json.contains("\"schema\": \"digruber-bench-health/2\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         let table = render(&rows);
         assert!(table.contains("crash-single"));

@@ -5,8 +5,15 @@
 //! artifacts; [`study`] is the one framework the five studies
 //! ([`STUDIES`]) are entries of. The `experiments` binary exposes both
 //! behind a small CLI
-//! (`cargo run --release -p bench --bin experiments -- <id>`), and the
-//! Criterion benches reuse the same drivers on scaled-down configurations.
+//! (`cargo run --release -p bench --bin experiments -- <id>`).
+//!
+//! Everything this crate writes is a function of specs and seeds: no
+//! module reads a clock or the process's memory. Timing and memory are
+//! measured by the `perf/` harness (`perf/README.md`: `sim-paper`,
+//! `sim-clients`, and the per-layer kernels), with repetitions and a
+//! bound; the two Criterion benches left here (`wheel`, `view`) are the
+//! head-to-heads against the reference backends only `desim` and
+//! `gruber::view` own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,11 +25,9 @@ pub mod parallel;
 pub mod recovery;
 pub mod render;
 pub mod scale;
-pub mod snapshot;
 pub mod study;
 pub mod topology;
 
 pub use drivers::*;
-pub use parallel::{default_jobs, run_specs, RunMeasurement};
-pub use snapshot::{output_fingerprint, SweepSnapshot};
-pub use study::{Study, STUDIES};
+pub use parallel::{default_jobs, run_specs};
+pub use study::{output_fingerprint, Study, STUDIES};

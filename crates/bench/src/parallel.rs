@@ -15,20 +15,6 @@ use digruber::{ExperimentOutput, RunSpec};
 use gruber_types::GridResult;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-/// One executed spec: its result plus the executor's measurements.
-#[derive(Debug)]
-pub struct RunMeasurement {
-    /// Index of the spec in the submitted slice.
-    pub spec_index: usize,
-    /// Label copied from the spec (outputs of failed runs have no label).
-    pub label: String,
-    /// Wall-clock time this single run took on its worker thread.
-    pub wall: Duration,
-    /// The experiment's output, or the error it died with.
-    pub output: GridResult<ExperimentOutput>,
-}
 
 /// Default worker count: every core.
 pub fn default_jobs() -> usize {
@@ -37,29 +23,26 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs every spec and returns measurements in spec order.
+/// Runs every spec and returns each one's output — or the error it died
+/// with — in spec order.
 ///
 /// `jobs` is clamped to `[1, specs.len()]`; `1` runs serially on the
 /// calling thread.
-pub fn run_specs(specs: &[RunSpec], jobs: usize) -> Vec<RunMeasurement> {
+pub fn run_specs(specs: &[RunSpec], jobs: usize) -> Vec<GridResult<ExperimentOutput>> {
     let jobs = jobs.clamp(1, specs.len().max(1));
     if jobs <= 1 {
-        return specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| measure(i, spec))
-            .collect();
+        return specs.iter().map(RunSpec::run).collect();
     }
 
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RunMeasurement>>> =
+    let slots: Vec<Mutex<Option<GridResult<ExperimentOutput>>>> =
         specs.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(spec) = specs.get(i) else { break };
-                *slots[i].lock().expect("slot lock") = Some(measure(i, spec));
+                *slots[i].lock().expect("slot lock") = Some(spec.run());
             });
         }
     });
@@ -71,17 +54,6 @@ pub fn run_specs(specs: &[RunSpec], jobs: usize) -> Vec<RunMeasurement> {
                 .expect("every index claimed exactly once")
         })
         .collect()
-}
-
-fn measure(spec_index: usize, spec: &RunSpec) -> RunMeasurement {
-    let start = Instant::now();
-    let output = spec.run();
-    RunMeasurement {
-        spec_index,
-        label: spec.label.clone(),
-        wall: start.elapsed(),
-        output,
-    }
 }
 
 #[cfg(test)]
@@ -108,9 +80,7 @@ mod tests {
         let out = run_specs(&specs, 4);
         assert_eq!(out.len(), 5);
         for (i, m) in out.iter().enumerate() {
-            assert_eq!(m.spec_index, i);
-            assert_eq!(m.label, format!("spec {i}"));
-            assert!(m.output.is_ok());
+            assert_eq!(m.as_ref().unwrap().label, format!("spec {i}"));
         }
     }
 
@@ -119,12 +89,11 @@ mod tests {
         let specs = small_specs(4);
         let serial = run_specs(&specs, 1);
         let parallel = run_specs(&specs, 4);
-        for (s, p) in serial.iter().zip(&parallel) {
+        for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
             assert_eq!(
-                s.output.as_ref().unwrap(),
-                p.output.as_ref().unwrap(),
-                "spec {} diverged between serial and parallel execution",
-                s.spec_index
+                s.as_ref().unwrap(),
+                p.as_ref().unwrap(),
+                "spec {i} diverged between serial and parallel execution"
             );
         }
     }
@@ -134,7 +103,7 @@ mod tests {
         let specs = small_specs(2);
         let out = run_specs(&specs, 64);
         assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|m| m.output.is_ok()));
+        assert!(out.iter().all(Result::is_ok));
     }
 
     #[test]

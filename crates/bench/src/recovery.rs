@@ -12,20 +12,18 @@
 //! ([`fault_deployment`] + [`fault_workload`]); the whole sweep is
 //! snapshotted into `BENCH_recovery.json`.
 
-use crate::snapshot::output_fingerprint;
-use crate::study::{fault_deployment, fault_workload, table, Cell, Fields, RssSpan, Study, RUN_SECS};
+use crate::study::{fault_deployment, fault_workload, output_fingerprint, table, Cell, Fields, Study, RUN_SECS};
 use digruber::config::{PersistenceConfig, RecoveryMode};
 use digruber::faults::FaultPlan;
 use digruber::ExperimentOutput;
 use dpstore::SnapshotPolicy;
 use gruber_types::SimDuration;
-use std::time::Duration;
 
 /// The study's entry in [`crate::study::STUDIES`].
 pub const STUDY: Study = Study {
     id: "recovery",
-    schema: "digruber-bench-recovery/1",
-    header: |jobs, fast| Fields::new().with("jobs", jobs).with("fast", fast).with("run_secs", RUN_SECS),
+    schema: "digruber-bench-recovery/2",
+    header: |fast| Fields::new().with("fast", fast).with("run_secs", RUN_SECS),
     cells,
     measure,
     render,
@@ -95,7 +93,7 @@ fn cells(fast: bool, seed: u64) -> Vec<Cell> {
 }
 
 /// The recovery-relevant slice of a finished cell run.
-fn measure(_axes: &Fields, out: &ExperimentOutput, _wall: Duration, _rss: Option<RssSpan>) -> Fields {
+fn measure(_axes: &Fields, out: &ExperimentOutput) -> Fields {
     Fields::new()
         // Crash restorations performed.
         .with("recoveries", out.recoveries)
@@ -164,7 +162,7 @@ mod tests {
             .iter()
             .map(|c| {
                 let out = c.spec.run().expect("cell runs");
-                STUDY.row(c, &out, Duration::ZERO, None)
+                STUDY.row(c, &out)
             })
             .collect();
         let empty = rows.iter().find(|r| r.str("mode") == "empty").unwrap();
@@ -180,8 +178,8 @@ mod tests {
             persist.u64("max_staleness_ms"),
             empty.u64("max_staleness_ms")
         );
-        let json = STUDY.json(2, true, &rows);
-        assert!(json.contains("\"schema\": \"digruber-bench-recovery/1\""));
+        let json = STUDY.json(true, &rows);
+        assert!(json.contains("\"schema\": \"digruber-bench-recovery/2\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         let table = render(&rows);
         assert!(table.contains("crash plan single"));

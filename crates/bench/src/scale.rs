@@ -1,12 +1,15 @@
-//! The paper-scale throughput study (`experiments scale`).
+//! The paper-scale study (`experiments scale`).
 //!
 //! The calendar-queue scheduler exists so the *full-fidelity* paper
 //! deployment — Grid3×10 (~300 sites, tens of thousands of CPUs), 120
 //! submission hosts, one simulated hour — is a routine run rather than a
 //! budget item. This study runs exactly that, headlined by the Grid3×10
 //! decision-point sweep plus a Grid3×100 smoke (ten times the paper's
-//! grid again), and snapshots wall-clock, events/second and queue
-//! high-water marks into `BENCH_scale.json`.
+//! grid again), and snapshots event counts, queue high-water marks and
+//! fingerprints into `BENCH_scale.json`. What it proves is that those
+//! runs *complete and reconcile*; how fast they are and how much memory
+//! they take is measured, with repetitions and a bound, by the `perf/`
+//! harness (`sim-paper` and `sim-clients` in `perf/README.md`).
 //!
 //! Every cell runs traced, and the driver cross-checks the scheduler's
 //! own counters against the structured timeline: events executed and
@@ -22,27 +25,20 @@
 //! 10k/100k (and, in full mode, 1M) submission hosts over Grid3×10 using
 //! [`WorkloadSpec::scaled`], whose think-time-dominated shape keeps the
 //! footprint proportional to the client population rather than to
-//! closed-loop depth. Those cells are marked [`Cell::sequential`] so
-//! per-cell peak-RSS growth (`VmHWM`) is attributable, and the snapshot
-//! pins **bytes per client** next to events/second — the memory half of
-//! the struct-of-arrays grid-view story.
+//! closed-loop depth.
 
-use crate::snapshot::output_fingerprint;
-use crate::study::{table, Cell, Fields, RssSpan, Study};
+use crate::study::{output_fingerprint, table, Cell, Fields, Study};
 use digruber::config::DigruberConfig;
 use digruber::{ExperimentOutput, ServiceKind};
-use std::time::Duration;
 use workload::WorkloadSpec;
 
 /// The study's entry in [`crate::study::STUDIES`]. Schema `/2` added the
-/// client-scale cells and the per-cell memory columns (`n_clients`,
-/// `peak_rss_bytes`, `rss_growth_bytes`, `bytes_per_client`).
+/// client-scale cells; `/3` dropped every wall-clock and memory column
+/// (and `jobs`), so the document is byte-reproducible.
 pub const STUDY: Study = Study {
     id: "scale",
-    schema: "digruber-bench-scale/2",
-    header: |jobs, fast| {
-        Fields::new().with("jobs", jobs).with("fast", fast).with("arrival_batch", ARRIVAL_BATCH)
-    },
+    schema: "digruber-bench-scale/3",
+    header: |fast| Fields::new().with("fast", fast).with("arrival_batch", ARRIVAL_BATCH),
     cells,
     measure,
     render,
@@ -52,9 +48,9 @@ pub const STUDY: Study = Study {
 /// client-scale cells use [`WorkloadSpec::scaled`]'s own batch size).
 const ARRIVAL_BATCH: u32 = 16;
 
-/// A Grid3×`grid_factor` cell. `ramp_clients` makes it a sequential
-/// client-scale cell with that many submission hosts; otherwise it runs
-/// the paper's 120-host workload with batched arrivals.
+/// A Grid3×`grid_factor` cell. `ramp_clients` makes it a client-scale
+/// cell with that many submission hosts; otherwise it runs the paper's
+/// 120-host workload with batched arrivals.
 fn cell(seed: u64, grid_factor: usize, n_dps: usize, ramp_clients: Option<u32>) -> Cell {
     let mut cfg = DigruberConfig::paper(n_dps, ServiceKind::Gt3, seed);
     cfg.grid_factor = grid_factor;
@@ -76,10 +72,7 @@ fn cell(seed: u64, grid_factor: usize, n_dps: usize, ramp_clients: Option<u32>) 
         .with("n_dps", n_dps)
         .with("n_clients", wl.n_clients)
         .with("label", label);
-    Cell {
-        sequential: ramp_clients.is_some(),
-        ..Cell::new(axes, cfg, wl)
-    }
+    Cell::new(axes, cfg, wl)
 }
 
 /// Builds the study: the full-fidelity Grid3×10 decision-point sweep
@@ -87,11 +80,7 @@ fn cell(seed: u64, grid_factor: usize, n_dps: usize, ramp_clients: Option<u32>) 
 /// then the client-scale ramp — 10k and 100k submission hosts over
 /// Grid3×10 with 3 decision points, plus a 1M-client smoke. `fast` trims
 /// to one Grid3×10 cell, the Grid3×100 smoke and the two smaller ramp
-/// cells for CI. The ramp is in increasing client order: peak RSS
-/// (`VmHWM`) is process-monotone, so the per-cell RSS growth is only
-/// attributable if each cell's footprint eclipses everything run before
-/// it — which increasing client counts guarantee for the cells that
-/// matter.
+/// cells for CI.
 fn cells(fast: bool, seed: u64) -> Vec<Cell> {
     let (dps, ramp): (&[usize], &[u32]) = if fast {
         (&[3], &[10_000, 100_000])
@@ -104,11 +93,10 @@ fn cells(fast: bool, seed: u64) -> Vec<Cell> {
     cells
 }
 
-/// The throughput and memory measurements of a finished cell run,
-/// reconciling the scheduler counters against the structured timeline.
-/// Panics on a nonzero delta: a wheel that dropped or duplicated an event
-/// is not a measurement, it is a bug.
-fn measure(axes: &Fields, out: &ExperimentOutput, wall: Duration, rss: Option<RssSpan>) -> Fields {
+/// The counters of a finished cell run, reconciling the scheduler
+/// against the structured timeline. Panics on a nonzero delta: a wheel
+/// that dropped or duplicated an event is not a result, it is a bug.
+fn measure(_axes: &Fields, out: &ExperimentOutput) -> Fields {
     let totals = &out
         .timeline
         .as_ref()
@@ -126,43 +114,18 @@ fn measure(axes: &Fields, out: &ExperimentOutput, wall: Duration, rss: Option<Rs
         "{}: scheduler cancelled {} events, timeline saw {}",
         out.label, out.sched_cancellations, totals.cancellations
     );
-    // Memory columns are `null` for cells run in parallel (growth not
-    // attributable) or off Linux. Growth clamps at zero: a cell smaller
-    // than everything run before it never raises `VmHWM`, and a zero
-    // growth honestly says "fits in memory already spent".
-    let (before, after) = rss.unwrap_or((None, None));
-    let growth = before.zip(after).map(|(b, a)| a.saturating_sub(b));
-    let n_clients = axes.u64("n_clients");
-    let bytes_per_client = growth.map(|g| g as f64 / n_clients.max(1) as f64);
-    // Progress for the sequential ramp, whose last cell takes seconds.
-    if rss.is_some() {
-        eprintln!(
-            "  {n_clients} clients: {:.1}s, {}",
-            wall.as_secs_f64(),
-            bytes_per_client
-                .map_or("bytes/client unavailable".into(), |b| format!("{b:.0} bytes/client")),
-        );
-    }
     Fields::new()
         .with("events", out.events_executed)
-        // Wall-clock of the run on its worker thread.
-        .with("wall_ms", wall.as_secs_f64() * 1e3)
-        .with("events_per_sec", out.events_executed as f64 / wall.as_secs_f64().max(1e-9))
         // Pending-queue high-water mark.
         .with("peak_pending", out.peak_pending)
         .with("handled_fraction", out.report.handled_fraction())
         .with("peak_qps", out.report.peak_throughput_qps)
         .with("executed_delta", executed_delta)
         .with("cancel_delta", cancel_delta)
-        // Process peak RSS right after the cell.
-        .with("peak_rss_bytes", after)
-        .with("rss_growth_bytes", growth)
-        // The headline memory metric of the client-scale ramp.
-        .with("bytes_per_client", bytes_per_client)
         .with("fingerprint", output_fingerprint(out))
 }
 
-/// Renders the headline table: one row per cell with scale, throughput
+/// Renders the headline table: one row per cell with scale, event counts
 /// and the reconciliation verdict.
 fn render(rows: &[Fields]) -> String {
     let cols = [
@@ -170,11 +133,8 @@ fn render(rows: &[Fields]) -> String {
         ("DPs", 4),
         ("clients", 8),
         ("events", 9),
-        ("wall", 9),
-        ("events/s", 11),
         ("peak_pending", 12),
         ("handled", 7),
-        ("B/client", 9),
         ("reconcile", 9),
     ];
     let lines: Vec<Vec<String>> = rows
@@ -186,11 +146,8 @@ fn render(rows: &[Fields]) -> String {
                 r.u64("n_dps").to_string(),
                 r.u64("n_clients").to_string(),
                 r.u64("events").to_string(),
-                format!("{:.0}ms", r.f64("wall_ms")),
-                format!("{:.0}", r.f64("events_per_sec")),
                 r.u64("peak_pending").to_string(),
                 format!("{:.1}%", r.f64("handled_fraction") * 100.0),
-                r.opt_f64("bytes_per_client").map_or("-".to_string(), |b| format!("{b:.0}")),
                 if reconciled { "±0" } else { "BROKEN" }.to_string(),
             ]
         })
@@ -201,31 +158,33 @@ fn render(rows: &[Fields]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::peak_rss_bytes;
+
+    /// The paper-shaped grid cells run the paper's 120 submission hosts;
+    /// everything wider is the client ramp.
+    fn is_ramp(c: &Cell) -> bool {
+        c.axes.u64("n_clients") != 120
+    }
 
     #[test]
     fn cells_cover_both_grid_scales() {
         for fast in [false, true] {
-            let cells: Vec<Cell> = cells(fast, 2005).into_iter().filter(|c| !c.sequential).collect();
+            let cells: Vec<Cell> = cells(fast, 2005).into_iter().filter(|c| !is_ramp(c)).collect();
             assert_eq!(cells.len(), if fast { 2 } else { 4 });
             assert!(cells.iter().any(|c| c.axes.u64("grid_factor") == 10));
             assert!(cells.iter().any(|c| c.axes.u64("grid_factor") == 100));
             for c in &cells {
                 assert_eq!(c.spec.workload.arrival_batch, Some(ARRIVAL_BATCH));
                 assert_eq!(c.axes.u64("n_clients"), u64::from(c.spec.workload.n_clients));
-                assert_eq!(c.axes.u64("n_clients"), 120, "grid cells are paper-shaped");
             }
         }
     }
 
     #[test]
     fn client_cells_ramp_in_increasing_order() {
-        // Sequential increasing order, after every parallel cell, is what
-        // makes per-cell VmHWM growth attributable.
         for fast in [false, true] {
             let cells = cells(fast, 2005);
-            let first = cells.iter().position(|c| c.sequential).expect("a ramp");
-            assert!(cells[first..].iter().all(|c| c.sequential), "ramp runs last");
+            let first = cells.iter().position(is_ramp).expect("a ramp");
+            assert!(cells[first..].iter().all(is_ramp), "ramp comes last");
             let cells = &cells[first..];
             assert_eq!(cells.len(), if fast { 2 } else { 3 });
             let counts: Vec<u64> = cells.iter().map(|c| c.axes.u64("n_clients")).collect();
@@ -239,24 +198,16 @@ mod tests {
     }
 
     #[test]
-    fn client_cell_runs_and_reports_memory() {
+    fn client_cell_runs_and_reconciles() {
         // A trimmed client-scale cell end-to-end: the scaled() workload
-        // must drive real traffic, the reconciliation must hold, and the
-        // VmHWM plumbing must produce a bytes-per-client figure on Linux.
+        // must drive real traffic and the reconciliation must hold.
         let c = cell(2005, 10, 3, Some(2_000));
-        let before = peak_rss_bytes();
-        let start = std::time::Instant::now();
         let out = c.spec.run().expect("client cell runs");
-        let row = STUDY.row(&c, &out, start.elapsed(), Some((before, peak_rss_bytes())));
+        let row = STUDY.row(&c, &out);
         assert_eq!(row.u64("n_clients"), 2_000);
         assert!(row.u64("events") > 2_000, "only {} events", row.u64("events"));
-        if before.is_some() {
-            assert!(row.opt_u64("peak_rss_bytes").is_some());
-            assert!(row.opt_f64("bytes_per_client").is_some());
-        }
-        let json = STUDY.json(1, true, &[row]);
+        let json = STUDY.json(true, &[row]);
         assert!(json.contains("\"n_clients\": 2000"));
-        assert!(json.contains("\"bytes_per_client\":"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
@@ -268,14 +219,13 @@ mod tests {
         let cells = cells(true, 2005);
         let c = &cells[0];
         assert_eq!(c.axes.u64("grid_factor"), 10);
-        let start = std::time::Instant::now();
         let out = c.spec.run().expect("scale cell runs");
-        let row = STUDY.row(c, &out, start.elapsed(), None);
+        let row = STUDY.row(c, &out);
         assert!(row.u64("events") > 10_000, "only {} events", row.u64("events"));
         assert!(row.u64("peak_pending") > 1_000);
         assert!(row.f64("handled_fraction") > 0.0);
-        let json = STUDY.json(1, true, &[row]);
-        assert!(json.contains("\"schema\": \"digruber-bench-scale/2\""));
+        let json = STUDY.json(true, &[row]);
+        assert!(json.contains("\"schema\": \"digruber-bench-scale/3\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

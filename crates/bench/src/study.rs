@@ -6,16 +6,19 @@
 //! table reads (`render`). Everything else is shared and lives here: a row
 //! is an ordered [`Fields`] list — the cell's axes followed by what
 //! `measure` returned, each column named exactly once — [`document`] is the
-//! only JSON emitter in the crate (`BENCH_sweep.json` goes through it too),
-//! [`table`] the only aligned-table formatter, and the `experiments` binary
-//! runs every entry through the same cells → run → measure → `BENCH_<id>.json`
-//! → timelines → table sequence.
+//! only JSON emitter in the crate, [`table`] the only aligned-table
+//! formatter, and the `experiments` binary runs every entry through the same
+//! cells → run → measure → `BENCH_<id>.json` → timelines → table sequence.
+//!
+//! Nothing here reads a clock or the process's memory: a document depends
+//! on the cell list and the seed only, never on `--jobs`, wall-clock or
+//! thread identity, so CI regenerates every `BENCH_<id>.json` and diffs it
+//! byte-for-byte.
 
 use digruber::config::DigruberConfig;
 use digruber::{ExperimentOutput, RunSpec, ServiceKind};
 use gruber_types::SimDuration;
 use std::fmt::Write as _;
-use std::time::Duration;
 use workload::WorkloadSpec;
 
 /// One JSON-representable column value.
@@ -213,18 +216,20 @@ pub fn table<S: AsRef<str>>(indent: &str, cols: &[(S, usize)], rows: &[Vec<Strin
     s
 }
 
-/// This process's peak resident set (`VmHWM` from `/proc/self/status`),
-/// in bytes. `None` when the field is unavailable (non-Linux).
-pub fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
+/// A deterministic fingerprint of everything an [`ExperimentOutput`]
+/// contains: 64-bit FNV-1a over the `Debug` rendering (which covers
+/// every field, including traces and figure rows). Two runs of the same
+/// spec — serial or parallel, any thread — must produce equal
+/// fingerprints; the determinism test pins this.
+pub fn output_fingerprint(out: &ExperimentOutput) -> String {
+    let repr = format!("{out:?}");
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in repr.as_bytes() {
+        hash ^= u64::from(*b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{hash:016x}")
 }
-
-/// [`peak_rss_bytes`] sampled right before and right after a
-/// sequentially-run cell.
-pub type RssSpan = (Option<u64>, Option<u64>);
 
 /// One runnable cell of a study.
 #[derive(Debug, Clone)]
@@ -234,19 +239,13 @@ pub struct Cell {
     pub axes: Fields,
     /// The run to execute for this cell.
     pub spec: RunSpec,
-    /// Run after the parallel batch, one at a time and in list order, with
-    /// `VmHWM` sampled around the run (`scale`'s client ramp: peak RSS is
-    /// process-monotone, so a cell's growth is only its own when nothing
-    /// runs beside it and everything before it was smaller).
-    pub sequential: bool,
 }
 
 impl Cell {
-    /// A parallel-batch cell whose spec is labelled by the axes' `label`
-    /// column.
+    /// A cell whose spec is labelled by the axes' `label` column.
     pub fn new(axes: Fields, cfg: DigruberConfig, workload: WorkloadSpec) -> Self {
         let spec = RunSpec::new(axes.str("label"), cfg, workload);
-        Cell { axes, spec, sequential: false }
+        Cell { axes, spec }
     }
 }
 
@@ -258,28 +257,27 @@ pub struct Study {
     /// layout changes.
     pub schema: &'static str,
     /// The document's own header columns, between `schema` and `n_cells`.
-    pub header: fn(jobs: usize, fast: bool) -> Fields,
+    pub header: fn(fast: bool) -> Fields,
     /// Builds the cells; `fast` trims the study for CI smoke runs.
     pub cells: fn(fast: bool, seed: u64) -> Vec<Cell>,
     /// Extracts the measured columns of a finished cell (and asserts the
-    /// study's reconciliations). `wall` is the run's wall-clock on its
-    /// worker; `rss` is present for sequential cells only.
-    pub measure: fn(&Fields, &ExperimentOutput, Duration, Option<RssSpan>) -> Fields,
+    /// study's reconciliations).
+    pub measure: fn(&Fields, &ExperimentOutput) -> Fields,
     /// Renders the study's headline tables from the finished rows.
     pub render: fn(&[Fields]) -> String,
 }
 
 impl Study {
     /// The finished row of `cell`: its axes, then its measured columns.
-    pub fn row(&self, cell: &Cell, out: &ExperimentOutput, wall: Duration, rss: Option<RssSpan>) -> Fields {
-        cell.axes.clone().extend((self.measure)(&cell.axes, out, wall, rss))
+    pub fn row(&self, cell: &Cell, out: &ExperimentOutput) -> Fields {
+        cell.axes.clone().extend((self.measure)(&cell.axes, out))
     }
 
     /// The `BENCH_<id>.json` document for finished rows.
-    pub fn json(&self, jobs: usize, fast: bool, rows: &[Fields]) -> String {
+    pub fn json(&self, fast: bool, rows: &[Fields]) -> String {
         let head = Fields::new()
             .with("schema", self.schema)
-            .extend((self.header)(jobs, fast))
+            .extend((self.header)(fast))
             .with("n_cells", rows.len());
         document(&head, "cells", rows)
     }
@@ -345,6 +343,48 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert_eq!(document(&Fields::new(), "runs", &[]), "{\n  \"runs\": [\n  ]\n}\n");
+    }
+
+    #[test]
+    fn json_str_escapes() {
+        let json_str = |s: &str| Value::from(s).json();
+        assert_eq!(json_str("plain"), "\"plain\"");
+        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(json_str("line\nbreak"), "\"line\\nbreak\"");
+        assert_eq!(json_str("bell\u{7}"), "\"bell\\u0007\"");
+    }
+
+    #[test]
+    fn json_f64_handles_nonfinite() {
+        let json_f64 = |v: f64| Value::from(v).json();
+        assert_eq!(json_f64(1.5), "1.5");
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn fingerprint_is_stable_and_discriminating() {
+        let run = |seed| {
+            RunSpec::new("fp", DigruberConfig::small(1, seed), WorkloadSpec::small())
+                .run()
+                .unwrap()
+        };
+        let a = run(9);
+        let b = run(9);
+        let c = run(10);
+        assert_eq!(output_fingerprint(&a), output_fingerprint(&b));
+        assert_ne!(output_fingerprint(&a), output_fingerprint(&c));
+    }
+
+    #[test]
+    fn no_document_carries_the_worker_count() {
+        // A header that named `--jobs` would dirty the committed artifact
+        // on every host with a different core count.
+        for study in STUDIES {
+            let json = study.json(true, &[]);
+            assert!(json.contains(study.schema), "{}: {json}", study.id);
+            assert!(!json.contains("\"jobs\""), "{}: document depends on --jobs", study.id);
+        }
     }
 
     #[test]

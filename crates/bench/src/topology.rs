@@ -21,26 +21,23 @@
 //!   totals (`measure` panics otherwise).
 //!
 //! Every cell runs traced. The sweep is snapshotted into
-//! `BENCH_topology.json`; the document deliberately carries **no** `jobs`
-//! field — it depends only on the cell outputs (all deterministic per
-//! spec), never on `--jobs`, wall-clock or thread identity, so CI diffs it
+//! `BENCH_topology.json`, which — like every study document (see
+//! [`crate::study`]) — depends only on the cell outputs, so CI diffs it
 //! byte-for-byte across worker counts.
 
-use crate::snapshot::output_fingerprint;
-use crate::study::{fault_deployment, table, Cell, Fields, RssSpan, Study, RUN_SECS};
+use crate::study::{fault_deployment, output_fingerprint, table, Cell, Fields, Study, RUN_SECS};
 use digruber::config::SyncTopology;
 use digruber::faults::FaultPlan;
 use digruber::ExperimentOutput;
 use gruber_types::{SimDuration, SimTime};
 use membership::{MembershipConfig, ScalerConfig};
-use std::time::Duration;
 use workload::WorkloadSpec;
 
 /// The study's entry in [`crate::study::STUDIES`].
 pub const STUDY: Study = Study {
     id: "topology",
     schema: "digruber-bench-topology/1",
-    header: |_jobs, fast| {
+    header: |fast| {
         Fields::new().with("fast", fast).with("run_secs", RUN_SECS).with("sync_secs", SYNC_SECS)
     },
     cells,
@@ -226,7 +223,7 @@ fn cells(fast: bool, seed: u64) -> Vec<Cell> {
 /// membership counters against the structured timeline. Panics on a
 /// nonzero delta: a join the trace stream did not see (or vice versa) is
 /// not a measurement, it is a bug.
-fn measure(_axes: &Fields, out: &ExperimentOutput, _wall: Duration, _rss: Option<RssSpan>) -> Fields {
+fn measure(_axes: &Fields, out: &ExperimentOutput) -> Fields {
     let totals = &out
         .timeline
         .as_ref()
@@ -332,15 +329,14 @@ mod tests {
         let cell = sweep_cell(7, TOPOLOGIES[1], 4);
         assert_eq!(cell.axes.opt_u64("convergence_rounds"), Some(3));
         let out = cell.spec.run().expect("sweep cell runs");
-        let row = STUDY.row(&cell, &out, Duration::ZERO, None);
+        let row = STUDY.row(&cell, &out);
         assert!(row.f64("max_staleness_secs") > 0.0, "exchanging pool never went stale");
         assert!(row.opt_f64("accuracy").is_some(), "no handled placements");
         assert_eq!(row.u64("dp_joins") + row.u64("dp_leaves") + row.u64("clients_rehomed"), 0);
         assert_eq!(row.u64("final_dps"), 4);
         let rows = [row];
-        let json = STUDY.json(1, true, &rows);
+        let json = STUDY.json(true, &rows);
         assert!(json.contains("\"schema\": \"digruber-bench-topology/1\""));
-        assert!(!json.contains("\"jobs\""), "snapshot must not depend on --jobs");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         let table = render(&rows);
         assert!(table.contains("ring"));
@@ -374,7 +370,7 @@ mod tests {
         // (measure asserts the deltas).
         let cell = flash_crowd_cell(7);
         let out = cell.spec.run().expect("flash-crowd cell runs");
-        let row = STUDY.row(&cell, &out, Duration::ZERO, None);
+        let row = STUDY.row(&cell, &out);
         assert!(row.u64("dp_joins") >= 1, "flash crowd never grew the pool: {row:?}");
         assert!(row.u64("clients_rehomed") >= 1, "joins re-homed nobody: {row:?}");
         assert_eq!(row.u64("final_dps"), 2 + row.u64("dp_joins") - row.u64("dp_leaves"));
@@ -394,7 +390,7 @@ mod tests {
         // the health-scorer path (degraded flags → PoolSample → Grow).
         let cell = outage_cell(7, 12, 2);
         let out = cell.spec.run().expect("outage cell runs");
-        let row = STUDY.row(&cell, &out, Duration::ZERO, None);
+        let row = STUDY.row(&cell, &out);
         assert!(out.dp_failures >= 2, "plan injected no crashes");
         assert!(
             row.u64("dp_joins") >= 1,

@@ -3,10 +3,15 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+/// The scratch cwd of the `experiments` run named `test`.
+fn scratch(test: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("cli-{test}"))
+}
+
 /// Runs `experiments <args>` in a fresh directory and returns its output
 /// plus the names of the files it left there.
 fn experiments(test: &str, args: &[&str]) -> (Output, Vec<String>) {
-    let cwd = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("cli-{test}"));
+    let cwd = scratch(test);
     let _ = std::fs::remove_dir_all(&cwd);
     std::fs::create_dir_all(&cwd).expect("create scratch cwd");
     let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
@@ -41,4 +46,26 @@ fn usage_lists_every_study_and_paper_id() {
         assert!(listed.contains(&id), "{id} missing: {usage}");
     }
     assert!(left.is_empty(), "wrote {left:?}");
+}
+
+#[test]
+fn scale_artifacts_are_byte_identical_across_jobs() {
+    // Both artifacts depend on nothing but the cells: no worker count,
+    // clock or memory reading reaches them.
+    let artifacts = |test: &str, jobs: &str| {
+        let (out, _) = experiments(test, &["scale", "--fast", "--jobs", jobs]);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        ["BENCH_scale.json", "results/timeline_scale.txt"]
+            .map(|f| std::fs::read_to_string(scratch(test).join(f)).unwrap_or_else(|e| panic!("{f}: {e}")))
+    };
+    let serial = artifacts("scale-j1", "1");
+    assert_eq!(serial, artifacts("scale-j4", "4"));
+    let [json, timelines] = serial;
+    assert!(!timelines.is_empty());
+    assert!(json.contains("\"schema\": \"digruber-bench-scale/3\""), "{json}");
+    assert!(json.contains("\"n_clients\": 100000"), "{json}");
+    let cells = json.matches("\"fingerprint\":").count();
+    assert_eq!(cells, 4);
+    assert_eq!(json.matches("\"executed_delta\": 0,").count(), cells, "{json}");
+    assert_eq!(json.matches("\"cancel_delta\": 0,").count(), cells, "{json}");
 }

@@ -182,16 +182,23 @@ mod tests {
 
     #[test]
     fn weaker_service_needs_more_points() {
-        let traces = steady_trace(5, 600, 1);
-        let gt3 = simulate_required_dps(&traces, CapacityModel::gt3(), SimDuration::MINUTE);
-        let gt4 =
-            simulate_required_dps(&traces, CapacityModel::gt4_prerelease(), SimDuration::MINUTE);
-        assert!(
-            gt4.required_dps() > gt3.required_dps(),
-            "GT4-pre {} !> GT3 {}",
-            gt4.required_dps(),
-            gt3.required_dps()
-        );
+        // Never fewer on the same trace, whatever the load (1 q/s fits one
+        // point of either stack); strictly more once GT3 itself overloads.
+        for rate in [1, 2, 5, 9] {
+            let traces = steady_trace(rate, 600, 1);
+            let gt3 = simulate_required_dps(&traces, CapacityModel::gt3(), SimDuration::MINUTE);
+            let gt4 = simulate_required_dps(
+                &traces,
+                CapacityModel::gt4_prerelease(),
+                SimDuration::MINUTE,
+            );
+            assert!(
+                gt4.required_dps() >= gt3.required_dps() + usize::from(rate >= 5),
+                "{rate} q/s: GT4-pre {} vs GT3 {}",
+                gt4.required_dps(),
+                gt3.required_dps()
+            );
+        }
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   cloneable reference to a shared sink, or — the common case — the
 //!   `static`-constructible no-op [`Recorder::OFF`]. Emission takes a
 //!   closure, so when no sink is installed the cost is one branch and the
-//!   event is never even constructed. The sweep perf snapshot
-//!   (`BENCH_sweep.json`) pins the resulting events/sec headline.
+//!   event is never even constructed. The `perf/` harness measures
+//!   what that costs (`obs.emit_off_ns`, `obs.trace_overhead_share`).
 //! * The sink is a **streaming fan-out** over [`TraceConsumer`]s (see
 //!   [`consume`]): the online [`TimelineBuilder`](timeline::TimelineBuilder)
 //!   aggregator, the bounded [`RawRing`] of recent raw events, the

@@ -21,7 +21,7 @@ echo "==> cargo test --release (gruber, dpnode, grubsim: the expiry queue and th
 # replay order judge both builds.
 cargo test --release --offline -q -p gruber -p dpnode -p grubsim
 
-echo "==> the Criterion benches compile (harness = false: cargo test never builds them)"
+echo "==> the two oracle head-to-head benches (wheel, view) compile (harness = false: cargo test never builds them)"
 cargo build --release --offline --benches -p bench
 
 echo "==> reference backends stay inside the crate that owns the oracle"
@@ -46,6 +46,12 @@ echo "==> one mailbox node loop: the thread and socket runtimes only supply a Tr
   && [ "$(grep -rn 'pub struct .*DpStats' --include=*.rs crates src | grep -vc '^crates/dpnode/')" -eq 1 ]; } \
   || { echo "ci.sh: a second node loop, Routed interpreter or DpStats struct (lines above)"; exit 1; }
 
+echo "==> one stopwatch: crates/bench reads no clock and no /proc (timing and memory are perf/'s)"
+# Every BENCH_*.json is diffed byte-for-byte below; a wall-clock or RSS
+# column in one of them is a committed artifact that drifts unnoticed.
+{ ! grep -rn 'Instant\|VmHWM\|peak_rss' crates/bench/src; } \
+  || { echo "ci.sh: a stopwatch grew back in crates/bench (lines above)"; exit 1; }
+
 echo "==> perf/ builds against the workspace crates (the benchmark is its own workspace)"
 cargo build --release --offline --manifest-path perf/Cargo.toml
 # An offline build rewrites perf's lock file; perf/** is not this tree's to change.
@@ -55,12 +61,10 @@ echo "==> cargo doc --no-deps (warnings are errors; umbrella package + the crate
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q \
   -p di-gruber-repro -p dpnode -p dpstore -p desim -p obs -p clusterd -p membership
 
-echo "==> experiments recovery health degradation topology (53 fingerprints + the four tables, byte-identical)"
-./target/release/experiments recovery health degradation topology --jobs 1 > results/experiments_studies.txt
+echo "==> experiments recovery health degradation topology scale (60 fingerprints + the five tables, byte-identical)"
+./target/release/experiments recovery health degradation topology scale > results/experiments_studies.txt
 
-# Everything below writes into a scratch directory: a smoke run from the
-# repo root would overwrite the committed full-size artifacts.
-root="$PWD"
+# The build and smoke outputs below go into a scratch directory, not the tree.
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 
@@ -69,17 +73,6 @@ gcc -O2 -Wall -shared -fPIC -o "$smoke_dir/sigprof.so" scripts/sigprof.c
 python3 -c 'import py_compile, sys; py_compile.compile(sys.argv[1], cfile=sys.argv[2], doraise=True)' \
   scripts/profile.py "$smoke_dir/profile.pyc"
 bash -n scripts/sample-profile.sh
-
-echo "==> experiments scale --fast (paper-scale throughput + client-ramp memory smoke)"
-(cd "$smoke_dir" && "$root/target/release/experiments" scale --fast > /dev/null)
-test -s "$smoke_dir/BENCH_scale.json" || { echo "ci.sh: BENCH_scale.json missing"; exit 1; }
-test -s "$smoke_dir/results/timeline_scale.txt" || { echo "ci.sh: scale timelines missing"; exit 1; }
-grep -q 'digruber-bench-scale/2' "$smoke_dir/BENCH_scale.json" \
-  || { echo "ci.sh: BENCH_scale.json has wrong schema"; exit 1; }
-grep -q '"n_clients": 100000' "$smoke_dir/BENCH_scale.json" \
-  || { echo "ci.sh: BENCH_scale.json is missing the 100k-client cell"; exit 1; }
-grep -q '"bytes_per_client":' "$smoke_dir/BENCH_scale.json" \
-  || { echo "ci.sh: BENCH_scale.json is missing the memory columns"; exit 1; }
 
 echo "==> clusterd 3-process loopback smoke (real TCP, clean shutdown, state exchanged)"
 # Bounded wall-clock: a wedged cluster (half-open peer, lost shutdown)

@@ -5,15 +5,10 @@
 //! threads changes wall-clock and nothing else. These tests pin that
 //! claim at reduced fig5 scale (Grid3×1, 24 clients, 12 simulated
 //! minutes) — serial (`jobs = 1`) and parallel (`jobs = 4`) executions
-//! must agree field-for-field AND byte-for-byte, and the perf snapshot
-//! the sweep emits must carry equal fingerprints for equal specs.
-//!
-//! [`parallel_sweep_is_identical_to_serial`] also runs the snapshot
-//! emitter end to end on its (≥4-spec) parallel sweep, into cargo's
-//! per-test scratch directory; the committed `BENCH_sweep.json` is
-//! written by `sweep --bench-out` only.
+//! must agree field-for-field AND byte-for-byte, and the fingerprints
+//! the `BENCH_*.json` documents carry must be equal for equal specs.
 
-use bench::{output_fingerprint, run_specs, SweepSnapshot};
+use bench::{output_fingerprint, run_specs};
 use digruber::config::DigruberConfig;
 use digruber::{RunSpec, ServiceKind};
 use gruber_types::SimDuration;
@@ -52,16 +47,14 @@ fn parallel_sweep_is_identical_to_serial() {
     let specs = sweep_specs();
 
     let serial = run_specs(&specs, 1);
-    let start = std::time::Instant::now();
     let parallel = run_specs(&specs, 4);
-    let parallel_wall = start.elapsed();
 
     assert_eq!(serial.len(), specs.len());
     assert_eq!(parallel.len(), specs.len());
 
     for ((s, p), spec) in serial.iter().zip(&parallel).zip(&specs) {
-        let s_out = s.output.as_ref().expect("serial run failed");
-        let p_out = p.output.as_ref().expect("parallel run failed");
+        let s_out = s.as_ref().expect("serial run failed");
+        let p_out = p.as_ref().expect("parallel run failed");
 
         // Field-for-field: ExperimentOutput derives PartialEq over every
         // field, traces and figure rows included.
@@ -73,29 +66,18 @@ fn parallel_sweep_is_identical_to_serial() {
 
         // Byte-for-byte: the full Debug rendering covers every field in
         // declaration order; equal strings mean equal bytes, which is the
-        // property the snapshot fingerprint compresses.
+        // property the fingerprint compresses.
         assert_eq!(format!("{s_out:?}"), format!("{p_out:?}"));
         assert_eq!(output_fingerprint(s_out), output_fingerprint(p_out));
     }
 
     // The runs did real work, deterministically counted.
-    for m in &parallel {
-        let out = m.output.as_ref().unwrap();
-        assert!(out.events_executed > 1_000, "{}: only {} events", m.label, out.events_executed);
+    for out in &parallel {
+        let out = out.as_ref().unwrap();
+        assert!(out.events_executed > 1_000, "{}: only {} events", out.label, out.events_executed);
         assert!(out.peak_pending > 0);
         assert!(out.report.issued > 0);
     }
-
-    // Prove the emitter handles a real ≥4-run sweep end to end.
-    let snap = SweepSnapshot::from_measurements(4, &parallel, parallel_wall);
-    let json = snap.to_json();
-    assert!(json.contains("\"n_runs\": 4"));
-    assert!(json.contains("\"events_per_sec\""));
-    assert!(json.contains("\"speedup_vs_serial\""));
-    assert_eq!(json.matches("\"ok\": true").count(), 4);
-    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/BENCH_sweep.json");
-    snap.write_to(std::path::Path::new(path))
-        .expect("write BENCH_sweep.json");
 }
 
 #[test]
@@ -105,12 +87,8 @@ fn repeated_serial_sweeps_are_identical() {
     let a = run_specs(&sweep_specs()[..2], 1);
     let b = run_specs(&sweep_specs()[..2], 1);
     for (x, y) in a.iter().zip(&b) {
-        assert_eq!(
-            x.output.as_ref().unwrap(),
-            y.output.as_ref().unwrap(),
-            "two serial executions of {:?} differ",
-            x.label
-        );
+        let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
+        assert_eq!(x, y, "two serial executions of {:?} differ", x.label);
     }
 }
 
@@ -132,8 +110,8 @@ fn trace_jsonl_byte_identical_across_jobs() {
     let serial = run_specs(&specs, 1);
     let parallel = run_specs(&specs, 8);
     for ((s, p), spec) in serial.iter().zip(&parallel).zip(&specs) {
-        let s_out = s.output.as_ref().expect("serial run failed");
-        let p_out = p.output.as_ref().expect("parallel run failed");
+        let s_out = s.as_ref().expect("serial run failed");
+        let p_out = p.as_ref().expect("parallel run failed");
         let s_tl = s_out.timeline.as_ref().expect("traced run has a timeline");
         let p_tl = p_out.timeline.as_ref().expect("traced run has a timeline");
         assert_eq!(s_tl, p_tl, "{:?}: timeline diverged across --jobs", spec.label);
@@ -147,8 +125,8 @@ fn trace_jsonl_byte_identical_across_jobs() {
     // And tracing changes nothing outside the timeline field: the rest of
     // the output matches an untraced run of the same underlying spec.
     let untraced = run_specs(&sweep_specs()[..1], 1);
-    let base = untraced[0].output.as_ref().unwrap();
-    let traced = serial[0].output.as_ref().unwrap();
+    let base = untraced[0].as_ref().unwrap();
+    let traced = serial[0].as_ref().unwrap();
     assert_eq!(base.report, traced.report);
     assert_eq!(base.traces, traced.traces);
     assert_eq!(base.events_executed, traced.events_executed);
@@ -160,7 +138,7 @@ fn trace_totals_reconcile_with_report() {
     // summary metrics the experiment already reports — same stream, two
     // independent counting paths.
     for m in run_specs(&traced_sweep_specs(), 4) {
-        let out = m.output.as_ref().expect("run failed");
+        let out = m.as_ref().expect("run failed");
         let tl = out.timeline.as_ref().expect("timeline present");
         let t = &tl.totals;
         assert_eq!(t.answered as usize, out.report.answered, "{}", out.label);
@@ -226,7 +204,7 @@ fn snapshot_fingerprints_discriminate_specs() {
     let ms = run_specs(&sweep_specs(), 2);
     let fps: Vec<String> = ms
         .iter()
-        .map(|m| output_fingerprint(m.output.as_ref().unwrap()))
+        .map(|m| output_fingerprint(m.as_ref().unwrap()))
         .collect();
     for i in 0..fps.len() {
         for j in i + 1..fps.len() {
@@ -236,7 +214,7 @@ fn snapshot_fingerprints_discriminate_specs() {
     let again = run_specs(&sweep_specs()[..1], 1);
     assert_eq!(
         fps[0],
-        output_fingerprint(again[0].output.as_ref().unwrap())
+        output_fingerprint(again[0].as_ref().unwrap())
     );
 }
 
@@ -282,8 +260,8 @@ fn fault_plans_stay_deterministic_across_jobs() {
     let serial = run_specs(&specs, 1);
     let parallel = run_specs(&specs, 4);
     for ((s, p), spec) in serial.iter().zip(&parallel).zip(&specs) {
-        let s_out = s.output.as_ref().expect("serial run failed");
-        let p_out = p.output.as_ref().expect("parallel run failed");
+        let s_out = s.as_ref().expect("serial run failed");
+        let p_out = p.as_ref().expect("parallel run failed");
         assert_eq!(s_out, p_out, "{:?} diverged across --jobs", spec.label);
         assert_eq!(output_fingerprint(s_out), output_fingerprint(p_out));
         let s_tl = s_out.timeline.as_ref().expect("traced");
@@ -308,7 +286,7 @@ fn fault_plans_stay_deterministic_across_jobs() {
     // trace totals (a plan that never fires pins nothing).
     let totals: Vec<_> = serial
         .iter()
-        .map(|m| m.output.as_ref().unwrap().timeline.as_ref().unwrap().totals.clone())
+        .map(|m| m.as_ref().unwrap().timeline.as_ref().unwrap().totals.clone())
         .collect();
     assert_eq!(totals[0].partitions_started, 1);
     assert_eq!(totals[0].partitions_healed, 1);
@@ -389,7 +367,7 @@ fn recovery_counters_reconcile_with_trace() {
     let mut specs = traced_sweep_specs();
     specs.push(persist_crash_spec());
     for m in run_specs(&specs, 2) {
-        let out = m.output.as_ref().expect("run failed");
+        let out = m.as_ref().expect("run failed");
         let tl = out.timeline.as_ref().expect("timeline present");
         let t = &tl.totals;
         assert_eq!(out.recoveries, t.recoveries, "{}", out.label);
@@ -399,7 +377,7 @@ fn recovery_counters_reconcile_with_trace() {
         assert_eq!(tl.sum_dp(|d| d.wal_appends), t.wal_appends, "{}", out.label);
         assert_eq!(tl.sum_dp(|d| d.snapshots), t.snapshots, "{}", out.label);
         assert_eq!(tl.sum_dp(|d| d.wal_replayed), t.wal_replayed, "{}", out.label);
-        if m.label == "faults: crash + persist recovery" {
+        if out.label == "faults: crash + persist recovery" {
             // The crash spec did real durable work.
             assert_eq!(out.recoveries, 1, "planned restart missing");
             assert!(out.wal_records_replayed > 0, "recovery replayed nothing");
