@@ -92,6 +92,14 @@ pub fn decode_peers(mut buf: Bytes) -> Result<Vec<(DpId, String)>, GridError> {
         return Err(GridError::InvalidConfig("peers: short header".into()));
     }
     let n = buf.get_u32_le() as usize;
+    // The count is the sender's claim: hold it against the bytes that
+    // actually arrived (6 per entry at least) before reserving for it.
+    if n > buf.remaining() / 6 {
+        return Err(GridError::InvalidConfig(format!(
+            "peers: {n} entries claimed in {} bytes",
+            buf.remaining()
+        )));
+    }
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         if buf.remaining() < 6 {
@@ -184,6 +192,17 @@ mod tests {
         ];
         assert_eq!(decode_peers(encode_peers(&peers)).unwrap(), peers);
         assert!(decode_peers(Bytes::copy_from_slice(&[9, 0, 0, 0, 1])).is_err());
+    }
+
+    #[test]
+    fn peers_count_is_held_against_the_payload_before_reserving() {
+        // A 4-byte payload claiming u32::MAX entries used to reserve
+        // 137 GB and abort the process.
+        assert!(decode_peers(Bytes::copy_from_slice(&[0xFF; 4])).is_err());
+        // One entry too many for the bytes behind it.
+        let mut two = encode_peers(&[(DpId(1), String::new())]).to_vec();
+        two[0] = 2;
+        assert!(decode_peers(Bytes::from(two)).is_err());
     }
 
     #[test]

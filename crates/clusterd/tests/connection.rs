@@ -147,6 +147,47 @@ fn frames_reassemble_across_one_byte_writes() {
     assert_eq!(stats.decode_failures, 0);
 }
 
+#[test]
+fn peers_frame_with_an_inflated_count_drops_the_connection_not_the_process() {
+    let server = server(0, 1);
+    let addr = server.local_addr();
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let hello = encode_hello(&Hello {
+        version: WIRE_VERSION,
+        kind: PeerKind::Client,
+        dp: DpId(0),
+    });
+    stream.write_all(hello.as_ref()).unwrap();
+    let mut hello_buf = [0u8; Hello::WIRE_LEN];
+    stream.read_exact(&mut hello_buf).unwrap();
+
+    // [05 00 00 00][05][FF FF FF FF]: a PEERS table claiming u32::MAX
+    // entries in four bytes of payload.
+    let hostile = encode_frame(clusterd::proto::FRAME_PEERS, &[0xFF; 4]);
+    stream.write_all(hostile.as_ref()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut buf = [0u8; 16];
+    assert_eq!(
+        stream.read(&mut buf).expect("read after hostile frame"),
+        0,
+        "a malformed frame must close the connection"
+    );
+
+    // The decision point is still serving.
+    let mut client = ClusterClient::connect(&addr.to_string(), ClientId(1)).expect("client");
+    let view = client
+        .query(Duration::from_secs(5))
+        .expect("query io")
+        .expect("query timed out");
+    assert_eq!(view, vec![16, 16, 16, 16]);
+
+    server.stop();
+    server.join();
+}
+
 /// The full peer-death cycle: the first flood exhausts its reconnect
 /// budget against a dead address and requeues; after the peer "recovers"
 /// at a new address (a rebroadcast peer table), the next sync round

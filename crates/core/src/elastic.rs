@@ -35,9 +35,8 @@
 //! — `None` (the default) runs the paper's static binding with a byte-
 //! identical event stream to pre-membership builds.
 
-use crate::events::{send_exchange, sync_dp};
+use crate::events::{send_exchange, sync_dp, Ev, Sched};
 use crate::world::{DecisionPoint, World};
-use desim::Scheduler;
 use gruber_types::{ClientId, DpId};
 use membership::{
     Autoscaler, HashRing, MembershipConfig, MembershipTable, PoolSample, ScaleDecision,
@@ -161,7 +160,7 @@ pub fn pool_sample(w: &World) -> PoolSample {
 /// arcs on the ring and re-homes exactly the clients whose home the ring
 /// now maps to the newcomer. Returns the new id, or `None` when
 /// membership is off.
-pub fn join_decision_point(w: &mut World, s: &mut Scheduler<World>) -> Option<DpId> {
+pub fn join_decision_point(w: &mut World, s: &mut Sched) -> Option<DpId> {
     w.membership.as_ref()?;
     let now = s.now();
     let new_id = DpId(w.dps.len() as u32);
@@ -178,22 +177,7 @@ pub fn join_decision_point(w: &mut World, s: &mut Scheduler<World>) -> Option<Dp
         epoch: epoch as u32,
     });
     // Re-home exactly the clients whose arc the newcomer claimed.
-    let mut moved = 0u64;
-    for ci in 0..w.clients.len() {
-        let id = w.clients[ci].id;
-        let home = w.membership.as_ref().expect("checked").home_of(id);
-        let from = w.clients[ci].dp;
-        if home == new_id && from != new_id {
-            w.clients[ci].dp = new_id;
-            moved += 1;
-            w.trace.emit(now, || obs::TraceEvent::ClientRehomed {
-                client: id,
-                from,
-                to: new_id,
-            });
-        }
-    }
-    w.membership.as_mut().expect("checked").clients_rehomed += moved;
+    rehome(w, now, |from, home| home == new_id && from != new_id);
     w.reconfig_log.push((now, new_id));
     // Warm the newcomer's view from a sponsor, as a normal peer flood.
     if let Some(sp) = sponsor {
@@ -207,13 +191,30 @@ pub fn join_decision_point(w: &mut World, s: &mut Scheduler<World>) -> Option<Dp
     Some(new_id)
 }
 
+/// Moves every client for which `moves(current point, ring home)` holds to
+/// its ring home, traced and counted. Membership must be on.
+fn rehome(w: &mut World, now: gruber_types::SimTime, moves: impl Fn(DpId, DpId) -> bool) {
+    let mut moved = 0u64;
+    for ci in 0..w.clients.len() {
+        let (client, from) = (w.clients[ci].id, w.clients[ci].dp);
+        let to = w.membership.as_ref().expect("membership on").home_of(client);
+        if moves(from, to) {
+            w.clients[ci].dp = to;
+            moved += 1;
+            w.trace
+                .emit(now, || obs::TraceEvent::ClientRehomed { client, from, to });
+        }
+    }
+    w.membership.as_mut().expect("membership on").clients_rehomed += moved;
+}
+
 /// Drains and removes the highest-indexed live member: its outgoing flood
 /// log is flushed with a final sync tick (through the normal exchange
 /// path — latency, loss and partitions apply), the point goes dark, its
 /// arcs leave the ring and its clients re-home to their new ring homes.
 /// Returns the leaver, or `None` when membership is off or the pool is a
 /// single point.
-pub fn leave_decision_point(w: &mut World, s: &mut Scheduler<World>) -> Option<DpId> {
+pub fn leave_decision_point(w: &mut World, s: &mut Sched) -> Option<DpId> {
     let m = w.membership.as_ref()?;
     if m.table.live_count() <= 1 {
         return None;
@@ -236,22 +237,7 @@ pub fn leave_decision_point(w: &mut World, s: &mut Scheduler<World>) -> Option<D
         epoch: epoch as u32,
     });
     // Only the leaver's own clients move; everyone else's home is stable.
-    let mut moved = 0u64;
-    for ci in 0..w.clients.len() {
-        if w.clients[ci].dp != leaver {
-            continue;
-        }
-        let id = w.clients[ci].id;
-        let home = w.membership.as_ref().expect("checked").home_of(id);
-        w.clients[ci].dp = home;
-        moved += 1;
-        w.trace.emit(now, || obs::TraceEvent::ClientRehomed {
-            client: id,
-            from: leaver,
-            to: home,
-        });
-    }
-    w.membership.as_mut().expect("checked").clients_rehomed += moved;
+    rehome(w, now, |from, _| from == leaver);
     w.retire_log.push((now, leaver));
     Some(leaver)
 }
@@ -259,7 +245,7 @@ pub fn leave_decision_point(w: &mut World, s: &mut Scheduler<World>) -> Option<D
 /// The autoscaler's periodic tick: sample the pool, consult the policy,
 /// execute the decision, reschedule. Seeded by the runner iff
 /// [`crate::config::DigruberConfig::membership`] carries a scaler.
-pub fn membership_tick(w: &mut World, s: &mut Scheduler<World>) {
+pub fn membership_tick(w: &mut World, s: &mut Sched) {
     let Some(m) = &w.membership else {
         return;
     };
@@ -286,7 +272,7 @@ pub fn membership_tick(w: &mut World, s: &mut Scheduler<World>) {
         }
     }
     if s.now() < w.end {
-        s.schedule_in(interval, membership_tick);
+        s.post_in(interval, Ev::MembershipTick);
     }
 }
 
@@ -294,7 +280,7 @@ pub fn membership_tick(w: &mut World, s: &mut Scheduler<World>) {
 mod tests {
     use super::*;
     use crate::config::DigruberConfig;
-    use desim::Simulation;
+    use crate::events::Sim;
     use gruber_types::SimTime;
     use membership::ScalerConfig;
     use workload::WorkloadSpec;
@@ -334,12 +320,11 @@ mod tests {
 
     #[test]
     fn join_rehomes_a_minority_and_counts_them() {
-        let mut sim = Simulation::new(elastic_world(4, 64));
-        sim.scheduler()
-            .schedule_at(SimTime::from_secs(5), |w: &mut World, s| {
-                let id = join_decision_point(w, s).unwrap();
-                assert_eq!(id, DpId(4));
-            });
+        let mut sim = Sim::with_events(elastic_world(4, 64));
+        sim.run_until(SimTime::from_secs(5));
+        let (w, s) = sim.parts();
+        let id = join_decision_point(w, s).unwrap();
+        assert_eq!(id, DpId(4));
         sim.run_until(SimTime::from_secs(6));
         let w = sim.world();
         assert_eq!(w.dps.len(), 5);
@@ -361,12 +346,11 @@ mod tests {
 
     #[test]
     fn leave_moves_only_the_leavers_clients() {
-        let mut sim = Simulation::new(elastic_world(4, 64));
+        let mut sim = Sim::with_events(elastic_world(4, 64));
         let before: Vec<DpId> = sim.world().clients.iter().map(|c| c.dp).collect();
-        sim.scheduler()
-            .schedule_at(SimTime::from_secs(5), |w: &mut World, s| {
-                assert_eq!(leave_decision_point(w, s), Some(DpId(3)));
-            });
+        sim.run_until(SimTime::from_secs(5));
+        let (w, s) = sim.parts();
+        assert_eq!(leave_decision_point(w, s), Some(DpId(3)));
         sim.run_until(SimTime::from_secs(6));
         let w = sim.world();
         let m = w.membership.as_ref().unwrap();
@@ -389,15 +373,13 @@ mod tests {
     fn departed_point_is_not_resurrected_by_its_pending_restart() {
         let mut cfg = elastic_cfg(3, None);
         cfg.fault_plan = Some(crate::faults::FaultPlan::parse("crash@5=2+20").unwrap());
-        let mut sim = Simulation::new(World::new(cfg, WorkloadSpec::small()).unwrap());
-        sim.scheduler()
-            .schedule_at(SimTime::ZERO, crate::faults::seed_plan);
+        let mut sim = Sim::with_events(World::new(cfg, WorkloadSpec::small()).unwrap());
+        sim.scheduler().post_at(SimTime::ZERO, Ev::SeedPlan);
         // dp-2 is down (5 s..25 s) when it leaves the pool.
-        sim.scheduler()
-            .schedule_at(SimTime::from_secs(10), |w: &mut World, s| {
-                assert!(!w.dps[2].up());
-                assert_eq!(leave_decision_point(w, s), Some(DpId(2)));
-            });
+        sim.run_until(SimTime::from_secs(10));
+        let (w, s) = sim.parts();
+        assert!(!w.dps[2].up());
+        assert_eq!(leave_decision_point(w, s), Some(DpId(2)));
         sim.run_until(SimTime::from_secs(40));
         let w = sim.world();
         assert!(!w.membership.as_ref().unwrap().table.is_live(DpId(2)));
@@ -408,18 +390,17 @@ mod tests {
     fn repair_rebalances_over_live_members_only() {
         let mut world = elastic_world(4, 64);
         world.cfg.failures = Some(crate::config::FailureConfig::default());
-        let mut sim = Simulation::new(world);
-        sim.scheduler()
-            .schedule_at(SimTime::from_secs(5), |w: &mut World, s| {
-                // 4 -> 2: the leavers stay in `w.dps`, down for good.
-                assert_eq!(leave_decision_point(w, s), Some(DpId(3)));
-                assert_eq!(leave_decision_point(w, s), Some(DpId(2)));
-                for c in &mut w.clients {
-                    c.dp = DpId(0);
-                }
-                assert!(crate::faults::crash_dp_now(w, s.now(), 1));
-                crate::faults::dp_repair(w, s, 1);
-            });
+        let mut sim = Sim::with_events(world);
+        sim.run_until(SimTime::from_secs(5));
+        let (w, s) = sim.parts();
+        // 4 -> 2: the leavers stay in `w.dps`, down for good.
+        assert_eq!(leave_decision_point(w, s), Some(DpId(3)));
+        assert_eq!(leave_decision_point(w, s), Some(DpId(2)));
+        for c in &mut w.clients {
+            c.dp = DpId(0);
+        }
+        assert!(crate::faults::crash_dp_now(w, s.now(), 1));
+        crate::faults::dp_repair(w, s, 1);
         sim.run_until(SimTime::from_secs(6));
         let w = sim.world();
         assert!(w.dps[1].up());
@@ -430,11 +411,10 @@ mod tests {
 
     #[test]
     fn leave_refuses_to_empty_the_pool() {
-        let mut sim = Simulation::new(elastic_world(1, 8));
-        sim.scheduler()
-            .schedule_at(SimTime::from_secs(5), |w: &mut World, s| {
-                assert_eq!(leave_decision_point(w, s), None);
-            });
+        let mut sim = Sim::with_events(elastic_world(1, 8));
+        sim.run_until(SimTime::from_secs(5));
+        let (w, s) = sim.parts();
+        assert_eq!(leave_decision_point(w, s), None);
         sim.run_until(SimTime::from_secs(6));
         assert!(sim.world().dps[0].up());
     }
@@ -452,15 +432,14 @@ mod tests {
         );
         cfg.membership.as_mut().unwrap().check_interval =
             gruber_types::SimDuration::from_secs(10);
-        let mut sim = Simulation::new(World::new(cfg, WorkloadSpec::small()).unwrap());
+        let mut sim = Sim::with_events(World::new(cfg, WorkloadSpec::small()).unwrap());
         {
             let w = sim.world_mut();
             for t in 0..10 {
                 w.dps[0].station.arrive(t, 1.0, &mut w.svc_rng);
             }
         }
-        sim.scheduler()
-            .schedule_at(SimTime::ZERO, membership_tick);
+        sim.scheduler().post_at(SimTime::ZERO, Ev::MembershipTick);
         sim.run_until(SimTime::from_secs(45));
         let w = sim.world();
         assert!(
@@ -484,7 +463,7 @@ mod tests {
         );
         cfg.membership.as_mut().unwrap().check_interval =
             gruber_types::SimDuration::from_secs(10);
-        let mut sim = Simulation::new(
+        let mut sim = Sim::with_events(
             World::new(
                 cfg,
                 WorkloadSpec {
@@ -494,8 +473,7 @@ mod tests {
             )
             .unwrap(),
         );
-        sim.scheduler()
-            .schedule_at(SimTime::ZERO, membership_tick);
+        sim.scheduler().post_at(SimTime::ZERO, Ev::MembershipTick);
         sim.run_until(SimTime::from_secs(120));
         let w = sim.world();
         let m = w.membership.as_ref().unwrap();

@@ -27,18 +27,189 @@
 //! own everything about delivery — WAN latency, loss/duplication/reorder,
 //! retry/backoff ([`simnet::retry`]) and partition checks
 //! ([`crate::faults`]).
+//!
+//! What gets scheduled is data: every pending event is an [`Ev`] value,
+//! and [`World::fire`] maps each variant to its handler.
 
-use crate::faults::LinkScope;
+use crate::faults::{self, LinkDisturbance, LinkScope};
 use crate::world::{client_node, dp_node, RequestState, World};
-use desim::Scheduler;
 use diperf::RequestTrace;
 use dpnode::{FloodPayload, Input};
 use dpstore::Routed;
 use gruber::DispatchRecord;
 use gruber_metrics::schedule_accuracy;
-use gruber_types::{ClientId, DpId, JobId, JobSpec, SiteId};
-use obs::FaultMsgClass;
+use gruber_types::{ClientId, DpId, JobId, JobSpec, SimDuration, SiteId};
+use obs::{FaultMsgClass, TraceEvent};
+use simnet::latency::NetNode;
 use simnet::MessageClass;
+
+/// Every event the simulated deployment schedules. A pending event is one
+/// of these values in desim's slab — the large payloads are boxed inside
+/// their variants so the slot stays small — and [`World::fire`] is the
+/// only place a variant is matched.
+#[derive(Debug, Clone)]
+pub enum Ev {
+    /// A tester joins the experiment: [`client_start`].
+    ClientStart(ClientId),
+    /// A client's think time is over: [`client_issue`].
+    ClientIssue(ClientId),
+    /// Retry `attempt` of a lost query: [`send_query`].
+    SendQuery {
+        /// Request tag.
+        tag: u64,
+        /// Transmission attempt (≥ 1; the original send is a direct call).
+        attempt: u32,
+    },
+    /// A query reaches its decision point's container: [`request_arrives`].
+    RequestArrives(u64),
+    /// A container worker finishes a request: [`service_done`].
+    ServiceDone {
+        /// Index of the serving decision point.
+        dp_idx: usize,
+        /// Request tag.
+        tag: u64,
+        /// Container generation at admission (stale after a crash).
+        gen: u64,
+    },
+    /// The availability response reaches the client: [`response_arrives`].
+    ResponseArrives {
+        /// Request tag.
+        tag: u64,
+        /// Believed free CPUs per site.
+        free: Box<[u32]>,
+        /// USLA enforcement refused the placement.
+        denied: bool,
+    },
+    /// The client's timeout expires: [`request_timeout`].
+    RequestTimeout(u64),
+    /// The client's inform reaches the decision point: [`inform_arrives`].
+    InformArrives {
+        /// The informed decision point.
+        dp: DpId,
+        /// The dispatch it is told about.
+        record: Box<DispatchRecord>,
+    },
+    /// A running job finishes at its site: [`job_complete`].
+    JobComplete(JobId),
+    /// The periodic exchange round: [`sync_round`].
+    SyncRound,
+    /// Retry `attempt` of a lost or blocked flood: [`send_exchange`].
+    SendExchange {
+        /// Sending decision point.
+        i: usize,
+        /// Receiving decision point.
+        j: usize,
+        /// The flood.
+        payload: Box<FloodPayload>,
+        /// Transmission attempt (≥ 1).
+        attempt: u32,
+    },
+    /// A flood reaches its receiver: [`exchange_arrives`].
+    ExchangeArrives {
+        /// Sending decision point.
+        i: usize,
+        /// Receiving decision point.
+        j: usize,
+        /// The flood.
+        payload: Box<FloodPayload>,
+    },
+    /// The periodic site-monitor feed: [`monitor_refresh`].
+    MonitorRefresh,
+    /// The periodic DiPerF load sample: [`load_sample`].
+    LoadSample,
+    /// A trace marker due at a set time: a store operation's modeled cost
+    /// has elapsed, or a fault-plan window opens or closes.
+    Emit(TraceEvent),
+    /// One chunk of batched tester seeding: [`crate::run::seed_clients`].
+    SeedClients {
+        /// First client of the chunk.
+        lo: u32,
+        /// One past its last.
+        hi: u32,
+    },
+    /// Start the exponential failure clocks: [`faults::seed_failures`].
+    SeedFailures,
+    /// Schedule the fault plan's clauses: [`faults::seed_plan`].
+    SeedPlan,
+    /// A `slow@` window opens or closes: [`faults::set_slowdown`].
+    Slowdown {
+        /// The degraded decision point.
+        dp: usize,
+        /// Service-time multiplier while the window is open; `None`
+        /// closes it.
+        factor: Option<f64>,
+    },
+    /// A `crash@` clause: [`faults::planned_crash`].
+    PlannedCrash {
+        /// The decision point to crash.
+        dp: usize,
+        /// Outage before the planned restart.
+        down_for: SimDuration,
+    },
+    /// A decision point's MTBF clock fires: [`faults::dp_fail`].
+    DpFail(usize),
+    /// A decision point's repair clock fires: [`faults::dp_repair`].
+    DpRepair(usize),
+    /// A planned restart begins: [`faults::begin_restore_dp`].
+    BeginRestore(usize),
+    /// A restart's modeled replay cost has elapsed:
+    /// [`faults::restore_dp_now`].
+    FinishRestore(usize),
+    /// The autoscaler's periodic tick: [`crate::elastic::membership_tick`].
+    MembershipTick,
+}
+
+/// The scheduler every handler is handed: desim's default queue, storing
+/// [`Ev`] values (it has no closure-taking methods).
+pub type Sched = desim::Scheduler<World, desim::TimerWheel, Ev>;
+
+/// A [`World`] and its [`Sched`].
+pub type Sim = desim::Simulation<World, desim::TimerWheel, Ev>;
+
+impl desim::Event<World> for Ev {
+    fn fire(self, w: &mut World, s: &mut Sched) {
+        w.fire(self, s)
+    }
+}
+
+impl World {
+    /// Fires one event: the event catalogue's dispatch table.
+    pub fn fire(&mut self, ev: Ev, s: &mut Sched) {
+        match ev {
+            Ev::ClientStart(client) => client_start(self, s, client),
+            Ev::ClientIssue(client) => client_issue(self, s, client),
+            Ev::SendQuery { tag, attempt } => send_query(self, s, tag, attempt),
+            Ev::RequestArrives(tag) => request_arrives(self, s, tag),
+            Ev::ServiceDone { dp_idx, tag, gen } => service_done(self, s, dp_idx, tag, gen),
+            Ev::ResponseArrives { tag, free, denied } => {
+                response_arrives(self, s, tag, free, denied)
+            }
+            Ev::RequestTimeout(tag) => request_timeout(self, s, tag),
+            Ev::InformArrives { dp, record } => inform_arrives(self, s, dp, *record),
+            Ev::JobComplete(job) => job_complete(self, s, job),
+            Ev::SyncRound => sync_round(self, s),
+            Ev::SendExchange { i, j, payload, attempt } => {
+                send_exchange(self, s, i, j, *payload, attempt)
+            }
+            Ev::ExchangeArrives { i, j, payload } => exchange_arrives(self, s, i, j, *payload),
+            Ev::MonitorRefresh => monitor_refresh(self, s),
+            Ev::LoadSample => load_sample(self, s),
+            Ev::Emit(event) => self.trace.emit(s.now(), || event),
+            Ev::SeedClients { lo, hi } => crate::run::seed_clients(self, s, lo, hi),
+            Ev::SeedFailures => faults::seed_failures(self, s),
+            Ev::SeedPlan => faults::seed_plan(self, s),
+            Ev::Slowdown { dp, factor } => faults::set_slowdown(self, s, dp, factor),
+            Ev::PlannedCrash { dp, down_for } => faults::planned_crash(self, s, dp, down_for),
+            Ev::DpFail(dp) => faults::dp_fail(self, s, dp),
+            Ev::DpRepair(dp) => faults::dp_repair(self, s, dp),
+            Ev::BeginRestore(dp) => {
+                faults::begin_restore_dp(self, s, dp);
+            }
+            Ev::FinishRestore(dp) => faults::restore_dp_now(self, s.now(), dp),
+            Ev::MembershipTick => crate::elastic::membership_tick(self, s),
+        }
+    }
+}
 
 /// Feeds one input to a decision point through the shared
 /// [`dpstore::NodeHost`] step. Store IO is modeled as group-committed: the
@@ -49,21 +220,19 @@ use simnet::MessageClass;
 /// guarantees on disk.)
 pub fn step_dp(
     w: &mut World,
-    s: &mut Scheduler<World>,
+    s: &mut Sched,
     dp_idx: usize,
     input: Input,
     out: &mut Vec<Routed>,
 ) {
     w.dps[dp_idx].host.handle(s.now(), input, out, |cost, event| {
-        s.schedule_in(cost, move |w: &mut World, s: &mut Scheduler<World>| {
-            w.trace.emit(s.now(), || event);
-        });
+        s.post_in(cost, Ev::Emit(event));
     });
 }
 
 /// One decision point's exchange tick: the node drains its log and every
 /// resulting flood fans out over the WAN, one transmission per peer.
-pub fn sync_dp(w: &mut World, s: &mut Scheduler<World>, i: usize) {
+pub fn sync_dp(w: &mut World, s: &mut Sched, i: usize) {
     let n_dps = w.dps.len();
     let mut fx = Vec::new();
     step_dp(w, s, i, Input::SyncTick { n_dps }, &mut fx);
@@ -81,7 +250,7 @@ pub fn sync_dp(w: &mut World, s: &mut Scheduler<World>, i: usize) {
 }
 
 /// A client joins the experiment and issues its first query.
-pub fn client_start(w: &mut World, s: &mut Scheduler<World>, client: ClientId) {
+pub fn client_start(w: &mut World, s: &mut Sched, client: ClientId) {
     let c = &mut w.clients[client.index()];
     debug_assert!(!c.active, "client started twice");
     c.active = true;
@@ -90,7 +259,7 @@ pub fn client_start(w: &mut World, s: &mut Scheduler<World>, client: ClientId) {
 }
 
 /// The closed loop: build the next job and query the bound decision point.
-pub fn client_issue(w: &mut World, s: &mut Scheduler<World>, client: ClientId) {
+pub fn client_issue(w: &mut World, s: &mut Sched, client: ClientId) {
     let now = s.now();
     if now >= w.end || !w.clients[client.index()].active {
         return;
@@ -114,19 +283,22 @@ pub fn client_issue(w: &mut World, s: &mut Scheduler<World>, client: ClientId) {
     }
     let job = w.factory.make_job(client, now);
     let dp = w.clients[client.index()].dp;
-    let tag = w.alloc_request(RequestState {
-        client,
-        dp,
-        job,
-        sent_at: now,
-        timed_out: false,
-        responded: false,
-        timeout_token: None,
-    });
+    let tag = w.next_req;
+    w.next_req += 1;
+    let timeout_token = s.post_in(w.cfg.client_timeout, Ev::RequestTimeout(tag));
+    w.requests.insert(
+        tag,
+        RequestState {
+            client,
+            dp,
+            job,
+            sent_at: now,
+            timed_out: false,
+            timeout_token,
+        },
+    );
     w.trace
         .emit(now, || obs::TraceEvent::QueryIssued { client, dp });
-    let timeout_token = s.schedule_in(w.cfg.client_timeout, move |w, s| request_timeout(w, s, tag));
-    w.requests.get_mut(&tag).expect("just inserted").timeout_token = Some(timeout_token);
 
     send_query(w, s, tag, 0);
 }
@@ -137,32 +309,20 @@ pub fn client_issue(w: &mut World, s: &mut Scheduler<World>, client: ClientId) {
 /// the query retry policy for a backoff, so under `RetryPolicy::None`
 /// (the paper's fire-and-forget default) this reduces to exactly the old
 /// single `delivered()` check — same RNG draws, same trace.
-pub fn send_query(w: &mut World, s: &mut Scheduler<World>, tag: u64, attempt: u32) {
+pub fn send_query(w: &mut World, s: &mut Sched, tag: u64, attempt: u32) {
     let now = s.now();
     let Some(req) = w.requests.get(&tag) else {
         return;
     };
-    if req.responded || req.timed_out {
-        return; // a retry outlived the request
+    if req.timed_out {
+        return; // a retry outlived the request's patience
     }
     let (client, dp) = (req.client, req.dp);
     let d = w.leg_disturbance(LinkScope::ClientDp, now);
     if d.loss == 0.0 || !w.net_rng.chance(d.loss) {
-        let mut lat = w.wan.sample(client_node(client), dp_node(dp), &mut w.net_rng);
-        if d.reorder > 0.0 && w.net_rng.chance(d.reorder) {
-            // Held back and re-jittered: this query can now arrive after
-            // ones sent later (reordering).
-            lat = lat + w.wan.sample(client_node(client), dp_node(dp), &mut w.net_rng);
-        }
-        if d.duplicate > 0.0 && w.net_rng.chance(d.duplicate) {
-            w.trace.emit(now, || obs::TraceEvent::MsgDuplicated {
-                class: FaultMsgClass::Query,
-                dp,
-            });
-            let lat2 = w.wan.sample(client_node(client), dp_node(dp), &mut w.net_rng);
-            s.schedule_in(lat2, move |w, s| request_arrives(w, s, tag));
-        }
-        s.schedule_in(lat, move |w, s| request_arrives(w, s, tag));
+        // A query is a small control message: no serialization delay.
+        let (dup, leg) = ((FaultMsgClass::Query, dp), (client_node(client), dp_node(dp)));
+        deliver(w, s, &d, dup, leg, 0, Ev::RequestArrives(tag));
         return;
     }
     // Lost in transit.
@@ -171,33 +331,43 @@ pub fn send_query(w: &mut World, s: &mut Scheduler<World>, tag: u64, attempt: u3
         dp,
         attempt,
     });
-    let policy = w.cfg.retry.policy(MessageClass::Query);
-    match policy.backoff(attempt, &mut w.net_rng) {
-        Some(wait) => {
-            let next = attempt + 1;
-            w.trace.emit(now, || obs::TraceEvent::RetryScheduled {
-                class: FaultMsgClass::Query,
-                dp,
-                attempt: next,
-            });
-            s.schedule_in(wait, move |w, s| send_query(w, s, tag, next));
-        }
-        None => {
-            if policy.retries() {
-                w.trace.emit(now, || obs::TraceEvent::RetryExhausted {
-                    class: FaultMsgClass::Query,
-                    dp,
-                    attempts: attempt + 1,
-                });
-            }
-            // Fire-and-forget (or budget spent): the client's timeout is
-            // the only thing that notices.
-        }
+    // Under fire-and-forget, or with the budget spent, the client's timeout
+    // is the only thing that notices.
+    schedule_retry(w, s, MessageClass::Query, dp, attempt, |attempt| Ev::SendQuery { tag, attempt });
+}
+
+/// Puts `ev` on the wire across `leg` (sender, receiver): transit time for
+/// `bytes` of payload, plus whatever reordering and duplication `d` holds
+/// for the leg — a duplicate is traced as `dup` (message class, decision
+/// point) and is the same event posted twice. The loss draw stays with
+/// the caller: what a lost message means differs by leg.
+fn deliver(
+    w: &mut World,
+    s: &mut Sched,
+    d: &LinkDisturbance,
+    dup: (FaultMsgClass, DpId),
+    (from, to): (NetNode, NetNode),
+    bytes: u64,
+    ev: Ev,
+) {
+    let mut lat = w.wan.transfer_time(from, to, bytes, &mut w.net_rng);
+    if d.reorder > 0.0 && w.net_rng.chance(d.reorder) {
+        // Held back and re-jittered: this message can now arrive after
+        // ones sent later (reordering).
+        lat += w.wan.sample(from, to, &mut w.net_rng);
     }
+    if d.duplicate > 0.0 && w.net_rng.chance(d.duplicate) {
+        let (class, dp) = dup;
+        w.trace
+            .emit(s.now(), || TraceEvent::MsgDuplicated { class, dp });
+        let lat2 = w.wan.transfer_time(from, to, bytes, &mut w.net_rng);
+        s.post_in(lat2, ev.clone());
+    }
+    s.post_in(lat, ev);
 }
 
 /// The query reaches the decision point's service container.
-pub fn request_arrives(w: &mut World, s: &mut Scheduler<World>, tag: u64) {
+pub fn request_arrives(w: &mut World, s: &mut Sched, tag: u64) {
     let Some(req) = w.requests.get(&tag) else {
         return;
     };
@@ -209,20 +379,15 @@ pub fn request_arrives(w: &mut World, s: &mut Scheduler<World>, tag: u64) {
     }
     let payload_kb = simnet::codec::availability_payload_kb(w.grid.n_sites());
     let gen = w.dps[dp_idx].station.generation();
-    match w.dps[dp_idx]
+    let admission = w.dps[dp_idx]
         .station
-        .arrive_at(s.now(), tag, payload_kb, &mut w.svc_rng)
-    {
-        simnet::service::Admission::Started(started) => {
-            s.schedule_in(started.service_time, move |w, s| {
-                service_done(w, s, dp_idx, started.tag, gen)
-            });
-        }
-        simnet::service::Admission::Queued => {}
-        simnet::service::Admission::Rejected => {
-            // The container refused the connection; the client will only
-            // notice through its timeout. Nothing more happens server-side.
-        }
+        .arrive_at(s.now(), tag, payload_kb, &mut w.svc_rng);
+    // Queued waits for a worker. Rejected: the container refused the
+    // connection; the client will only notice through its timeout, and
+    // nothing more happens server-side.
+    if let simnet::service::Admission::Started(started) = admission {
+        let tag = started.tag;
+        s.post_in(started.service_time, Ev::ServiceDone { dp_idx, tag, gen });
     }
 }
 
@@ -231,15 +396,14 @@ pub fn request_arrives(w: &mut World, s: &mut Scheduler<World>, tag: u64) {
 ///
 /// `gen` is the container generation at scheduling time; completions from
 /// before a crash are stale and ignored.
-pub fn service_done(w: &mut World, s: &mut Scheduler<World>, dp_idx: usize, tag: u64, gen: u64) {
+pub fn service_done(w: &mut World, s: &mut Sched, dp_idx: usize, tag: u64, gen: u64) {
     if w.dps[dp_idx].station.generation() != gen {
         return; // the container crashed since; this request was lost
     }
     let now = s.now();
     if let Some(next) = w.dps[dp_idx].station.finish_at(now, &mut w.svc_rng) {
-        s.schedule_in(next.service_time, move |w, s| {
-            service_done(w, s, dp_idx, next.tag, gen)
-        });
+        let tag = next.tag;
+        s.post_in(next.service_time, Ev::ServiceDone { dp_idx, tag, gen });
     }
     let Some(req) = w.requests.get(&tag) else {
         return; // request state already retired
@@ -272,48 +436,36 @@ pub fn service_done(w: &mut World, s: &mut Scheduler<World>, dp_idx: usize, tag:
     // significant state"): charge its serialization over the link.
     let payload_bytes =
         (simnet::codec::availability_payload_kb(free.len()) * 1024.0) as u64;
-    let mut lat = w
-        .wan
-        .transfer_time(dp_node(dp), client_node(client), payload_bytes, &mut w.net_rng);
-    if d.reorder > 0.0 && w.net_rng.chance(d.reorder) {
-        lat = lat + w.wan.sample(dp_node(dp), client_node(client), &mut w.net_rng);
-    }
-    if d.duplicate > 0.0 && w.net_rng.chance(d.duplicate) {
-        w.trace.emit(now, || obs::TraceEvent::MsgDuplicated {
-            class: FaultMsgClass::Response,
-            dp,
-        });
-        let free2 = free.clone();
-        let lat2 = w
-            .wan
-            .transfer_time(dp_node(dp), client_node(client), payload_bytes, &mut w.net_rng);
-        // The duplicate finds the request already retired and is ignored.
-        s.schedule_in(lat2, move |w, s| response_arrives(w, s, tag, free2, denied));
-    }
-    s.schedule_in(lat, move |w, s| response_arrives(w, s, tag, free, denied));
+    let (dup, leg) = ((FaultMsgClass::Response, dp), (dp_node(dp), client_node(client)));
+    let free = free.into_boxed_slice();
+    // A duplicate finds the request already retired and is ignored.
+    let arrives = Ev::ResponseArrives { tag, free, denied };
+    deliver(w, s, &d, dup, leg, payload_bytes, arrives);
 }
 
 /// The availability response reaches the client: select a site, dispatch
 /// the job, inform the decision point.
 pub fn response_arrives(
     w: &mut World,
-    s: &mut Scheduler<World>,
+    s: &mut Sched,
     tag: u64,
-    free: Vec<u32>,
+    free: Box<[u32]>,
     denied: bool,
 ) {
     let now = s.now();
-    let Some(req) = w.requests.get_mut(&tag) else {
+    // Either way the request retires here: a duplicate response, or a
+    // retry still in flight, finds its tag gone and is ignored.
+    let Some(req) = w.requests.remove(&tag) else {
         return;
     };
+    let (client, dp, job, sent_at) = (req.client, req.dp, req.job, req.sent_at);
     if req.timed_out {
         // The client gave up long ago and placed the job randomly; the
         // service still completed the request, so DiPerF's service-side
         // throughput counts it as a (late) completion.
-        let trace = RequestTrace::late(req.client, req.dp, req.sent_at, now - req.sent_at);
-        let (client, dp, late_by) = (req.client, req.dp, now - req.sent_at);
-        w.requests.remove(&tag);
-        w.collector.record(trace);
+        let late_by = now - sent_at;
+        w.collector
+            .record(RequestTrace::late(client, dp, sent_at, late_by));
         w.trace.emit(now, || obs::TraceEvent::ResponseLate {
             dp,
             client,
@@ -321,17 +473,8 @@ pub fn response_arrives(
         });
         return;
     }
-    req.responded = true;
-    let timeout_token = req.timeout_token;
-    let client = req.client;
-    let dp = req.dp;
-    let job = req.job.clone();
-    let sent_at = req.sent_at;
-    w.requests.remove(&tag);
     w.clients[client.index()].consecutive_timeouts = 0;
-    if let Some(token) = timeout_token {
-        s.cancel(token);
-    }
+    s.cancel(req.timeout_token);
 
     if denied {
         // USLA enforcement refused the placement; the client backs off and
@@ -345,7 +488,7 @@ pub fn response_arrives(
             response_ms: (now - sent_at).as_millis(),
         });
         let think = w.factory.think_time(client);
-        s.schedule_in(think, move |w, s| client_issue(w, s, client));
+        s.post_in(think, Ev::ClientIssue(client));
         return;
     }
 
@@ -355,7 +498,7 @@ pub fn response_arrives(
     let Some(site) = site else {
         // Empty grid view — configuration error territory; retry later.
         let think = w.factory.think_time(client);
-        s.schedule_in(think, move |w, s| client_issue(w, s, client));
+        s.post_in(think, Ev::ClientIssue(client));
         return;
     };
 
@@ -379,13 +522,8 @@ pub fn response_arrives(
     let l_ack = w.wan.sample(dp_node(dp), client_node(client), &mut w.net_rng);
     let d = w.leg_disturbance(LinkScope::ClientDp, now);
     if d.loss == 0.0 || !w.net_rng.chance(d.loss) {
-        s.schedule_in(l_inform, move |w, s| {
-            if dp.index() < w.dps.len() {
-                // An inform reaching a crashed point is lost with it (the
-                // node drops inputs while down); the client never knows.
-                step_dp(w, s, dp.index(), Input::Inform(record), &mut Vec::new());
-            }
-        });
+        let record = Box::new(record);
+        s.post_in(l_inform, Ev::InformArrives { dp, record });
     } else {
         w.trace.emit(now, || obs::TraceEvent::MsgLost {
             class: FaultMsgClass::Response,
@@ -405,19 +543,23 @@ pub fn response_arrives(
     });
 
     let think = w.factory.think_time(client);
-    s.schedule_in(l_inform + l_ack + think, move |w, s| {
-        client_issue(w, s, client)
-    });
+    s.post_in(l_inform + l_ack + think, Ev::ClientIssue(client));
+}
+
+/// The inform reaches the decision point, which folds the dispatch into
+/// its view and its flood log. An inform reaching a crashed point is lost
+/// with it (the node drops inputs while down); the client never knows.
+pub fn inform_arrives(w: &mut World, s: &mut Sched, dp: DpId, record: DispatchRecord) {
+    if dp.index() < w.dps.len() {
+        step_dp(w, s, dp.index(), Input::Inform(record), &mut Vec::new());
+    }
 }
 
 /// The client's timeout fired before the response: random USLA-blind site.
-pub fn request_timeout(w: &mut World, s: &mut Scheduler<World>, tag: u64) {
+pub fn request_timeout(w: &mut World, s: &mut Sched, tag: u64) {
     let Some(req) = w.requests.get_mut(&tag) else {
         return;
     };
-    if req.responded {
-        return;
-    }
     req.timed_out = true;
     let now = s.now();
     let client = req.client;
@@ -434,14 +576,14 @@ pub fn request_timeout(w: &mut World, s: &mut Scheduler<World>, tag: u64) {
     let site = SiteId::from_index(w.clients[client.index()].fallback_rng.index(n_sites));
     dispatch_job(w, s, job, site, false);
     let think = w.factory.think_time(client);
-    s.schedule_in(think, move |w, s| client_issue(w, s, client));
+    s.post_in(think, Ev::ClientIssue(client));
 }
 
 /// Sends a job to a site in ground truth, recording scheduling accuracy
 /// for placements a decision point produced.
 pub fn dispatch_job(
     w: &mut World,
-    s: &mut Scheduler<World>,
+    s: &mut Sched,
     job: JobSpec,
     site: SiteId,
     handled: bool,
@@ -459,7 +601,7 @@ pub fn dispatch_job(
         Ok(started) => {
             w.clients[client.index()].jobs_in_flight += 1;
             for st in started {
-                s.schedule_at(st.finish_at, move |w, s| job_complete(w, s, st.job));
+                s.post_at(st.finish_at, Ev::JobComplete(st.job));
             }
         }
         Err(_) => {
@@ -471,13 +613,13 @@ pub fn dispatch_job(
 
 /// A running job finished; queued jobs may start in its place, and a
 /// queue-manager-blocked host gets its slot back.
-pub fn job_complete(w: &mut World, s: &mut Scheduler<World>, job: JobId) {
+pub fn job_complete(w: &mut World, s: &mut Sched, job: JobId) {
     let now = s.now();
     let client = w.grid.record(job).expect("scheduled completion").spec.client;
     match w.grid.complete(job, now) {
         Ok(started) => {
             for st in started {
-                s.schedule_at(st.finish_at, move |w, s| job_complete(w, s, st.job));
+                s.post_at(st.finish_at, Ev::JobComplete(st.job));
             }
         }
         Err(e) => unreachable!("completion of {job} failed: {e}"),
@@ -487,7 +629,7 @@ pub fn job_complete(w: &mut World, s: &mut Scheduler<World>, job: JobId) {
     if c.blocked_on_queue {
         c.blocked_on_queue = false;
         let think = w.factory.think_time(client);
-        s.schedule_in(think, move |w, s| client_issue(w, s, client));
+        s.post_in(think, Ev::ClientIssue(client));
     }
 }
 
@@ -504,7 +646,7 @@ pub fn job_complete(w: &mut World, s: &mut Scheduler<World>, job: JobId) {
 /// Under the paper's full mesh, receivers merge without re-flooding; under
 /// ring/star/gossip they forward transitively so records still reach every
 /// point within a few rounds.
-pub fn sync_round(w: &mut World, s: &mut Scheduler<World>) {
+pub fn sync_round(w: &mut World, s: &mut Sched) {
     let now = s.now();
     if w.exchanges_state() {
         for i in 0..w.dps.len() {
@@ -512,7 +654,7 @@ pub fn sync_round(w: &mut World, s: &mut Scheduler<World>) {
         }
     }
     if now < w.end {
-        s.schedule_in(w.cfg.sync_interval.max(gruber_types::SimDuration::SECOND), sync_round);
+        s.post_in(w.cfg.sync_interval.max(SimDuration::SECOND), Ev::SyncRound);
     }
 }
 
@@ -525,7 +667,7 @@ pub fn sync_round(w: &mut World, s: &mut Scheduler<World>) {
 /// counters keep their pre-fault meaning.
 pub fn send_exchange(
     w: &mut World,
-    s: &mut Scheduler<World>,
+    s: &mut Sched,
     i: usize,
     j: usize,
     payload: FloodPayload,
@@ -537,6 +679,10 @@ pub fn send_exchange(
     }
     let from = DpId(i as u32);
     let to = DpId(j as u32);
+    let resend = |attempt| {
+        let payload = Box::new(payload.clone());
+        Ev::SendExchange { i, j, payload, attempt }
+    };
     if w.partitioned(i, j, now) {
         w.trace
             .emit(now, || obs::TraceEvent::ExchangeBlocked { from, to });
@@ -546,7 +692,7 @@ pub fn send_exchange(
         // retransmits them — a partition delays state, it must not
         // destroy it, which is what lets views reconverge within one
         // post-heal exchange round.
-        if !retry_exchange(w, s, i, j, payload.clone(), attempt) {
+        if !schedule_retry(w, s, MessageClass::Exchange, to, attempt, resend) {
             w.dps[i].host.node_mut().requeue(&payload);
         }
         return;
@@ -558,34 +704,21 @@ pub fn send_exchange(
             dp: to,
             attempt,
         });
-        retry_exchange(w, s, i, j, payload, attempt);
+        // A lost flood stays lost once the budget is out: the paper's
+        // fire-and-forget staleness hit.
+        schedule_retry(w, s, MessageClass::Exchange, to, attempt, resend);
         return;
     }
     let flood_bytes =
         (simnet::codec::deltas_payload_kb(payload.n_records as usize) * 1024.0) as u64;
-    let mut lat = w
-        .wan
-        .transfer_time(dp_node(from), dp_node(to), flood_bytes, &mut w.net_rng);
-    if d.reorder > 0.0 && w.net_rng.chance(d.reorder) {
-        lat = lat + w.wan.sample(dp_node(from), dp_node(to), &mut w.net_rng);
-    }
     let records = payload.n_records;
     w.trace
         .emit(now, || obs::TraceEvent::ExchangeSent { from, to, records });
-    if d.duplicate > 0.0 && w.net_rng.chance(d.duplicate) {
-        w.trace.emit(now, || obs::TraceEvent::MsgDuplicated {
-            class: FaultMsgClass::Exchange,
-            dp: to,
-        });
-        let payload2 = payload.clone();
-        let lat2 = w
-            .wan
-            .transfer_time(dp_node(from), dp_node(to), flood_bytes, &mut w.net_rng);
-        // The duplicate merge is idempotent (views de-duplicate by job
-        // id); its cost is the second container-side merge.
-        s.schedule_in(lat2, move |w, s| exchange_arrives(w, s, i, j, payload2));
-    }
-    s.schedule_in(lat, move |w, s| exchange_arrives(w, s, i, j, payload));
+    // A duplicate's merge is idempotent (views de-duplicate by job id);
+    // its cost is the second container-side merge.
+    let arrives = Ev::ExchangeArrives { i, j, payload: Box::new(payload) };
+    let (dup, leg) = ((FaultMsgClass::Exchange, to), (dp_node(from), dp_node(to)));
+    deliver(w, s, &d, dup, leg, flood_bytes, arrives);
 }
 
 /// A flood reaches its receiver — unless a partition window opened while
@@ -594,7 +727,7 @@ pub fn send_exchange(
 /// transitive forwarding under non-mesh topologies).
 fn exchange_arrives(
     w: &mut World,
-    s: &mut Scheduler<World>,
+    s: &mut Sched,
     i: usize,
     j: usize,
     payload: FloodPayload,
@@ -612,39 +745,42 @@ fn exchange_arrives(
     }
 }
 
-/// Consults the exchange retry policy after a failed transmission
-/// attempt. Returns whether a retry was scheduled; on `false` the caller
-/// decides the payload's fate (a lost flood stays lost — the paper's
-/// fire-and-forget staleness hit — while a partition-blocked one is
-/// requeued for the next round).
-fn retry_exchange(
+/// Consults `class`'s retry policy after a failed transmission attempt
+/// to `dp` and, if it grants a backoff, posts `next(attempt + 1)` after
+/// it. Returns whether a retry was scheduled; on `false` the caller
+/// decides the message's fate.
+fn schedule_retry(
     w: &mut World,
-    s: &mut Scheduler<World>,
-    i: usize,
-    j: usize,
-    payload: FloodPayload,
+    s: &mut Sched,
+    class: MessageClass,
+    dp: DpId,
     attempt: u32,
+    next: impl FnOnce(u32) -> Ev,
 ) -> bool {
     let now = s.now();
-    let to = DpId(j as u32);
-    let policy = w.cfg.retry.policy(MessageClass::Exchange);
+    let traced = match class {
+        MessageClass::Query => FaultMsgClass::Query,
+        MessageClass::Exchange => FaultMsgClass::Exchange,
+    };
+    let policy = w.cfg.retry.policy(class);
     match policy.backoff(attempt, &mut w.net_rng) {
         Some(wait) => {
-            let next = attempt + 1;
-            w.trace.emit(now, || obs::TraceEvent::RetryScheduled {
-                class: FaultMsgClass::Exchange,
-                dp: to,
-                attempt: next,
+            let attempt = attempt + 1;
+            w.trace.emit(now, || TraceEvent::RetryScheduled {
+                class: traced,
+                dp,
+                attempt,
             });
-            s.schedule_in(wait, move |w, s| send_exchange(w, s, i, j, payload, next));
+            s.post_in(wait, next(attempt));
             true
         }
         None => {
             if policy.retries() {
-                w.trace.emit(now, || obs::TraceEvent::RetryExhausted {
-                    class: FaultMsgClass::Exchange,
-                    dp: to,
-                    attempts: attempt + 1,
+                let attempts = attempt + 1;
+                w.trace.emit(now, || TraceEvent::RetryExhausted {
+                    class: traced,
+                    dp,
+                    attempts,
                 });
             }
             false
@@ -656,7 +792,7 @@ fn retry_exchange(
 /// decision point receives a fresh ground-truth snapshot. Modeled as an
 /// out-of-band data feed (MonALISA-style publish/subscribe), so it does
 /// not occupy the GT container.
-pub fn monitor_refresh(w: &mut World, s: &mut Scheduler<World>) {
+pub fn monitor_refresh(w: &mut World, s: &mut Sched) {
     let Some(interval) = w.cfg.monitor_refresh else {
         return;
     };
@@ -666,16 +802,16 @@ pub fn monitor_refresh(w: &mut World, s: &mut Scheduler<World>) {
         dp.host.node_mut().set_monitor_snapshot(snapshot.clone());
     }
     if now < w.end {
-        s.schedule_in(interval.max(gruber_types::SimDuration::SECOND), monitor_refresh);
+        s.post_in(interval.max(SimDuration::SECOND), Ev::MonitorRefresh);
     }
 }
 
 /// Periodic load sampling for the DiPerF load series.
-pub fn load_sample(w: &mut World, s: &mut Scheduler<World>) {
+pub fn load_sample(w: &mut World, s: &mut Sched) {
     let now = s.now();
     w.collector.sample_load(now, w.active_clients);
     if now < w.end {
-        s.schedule_in(gruber_types::SimDuration::from_secs(10), load_sample);
+        s.post_in(SimDuration::from_secs(10), Ev::LoadSample);
     }
 }
 
@@ -683,8 +819,7 @@ pub fn load_sample(w: &mut World, s: &mut Scheduler<World>) {
 mod tests {
     use super::*;
     use crate::config::DigruberConfig;
-    use desim::Simulation;
-    use gruber_types::{JobState, SimDuration, SimTime};
+    use gruber_types::{JobState, SimTime};
     use workload::WorkloadSpec;
 
     fn tiny_world(n_dps: usize) -> World {
@@ -697,10 +832,18 @@ mod tests {
     }
 
     #[test]
+    fn events_are_small() {
+        // One slab slot per pending event (a million of them on the
+        // `sim-clients` workload): the availability vector, the dispatch
+        // record and the flood are boxed inside their variants.
+        assert!(std::mem::size_of::<Ev>() <= 32);
+    }
+
+    #[test]
     fn single_query_walkthrough() {
-        let mut sim = Simulation::new(tiny_world(1));
+        let mut sim = Sim::with_events(tiny_world(1));
         sim.scheduler()
-            .schedule_at(SimTime::ZERO, |w: &mut World, s| client_start(w, s, ClientId(0)));
+            .post_at(SimTime::ZERO, Ev::ClientStart(ClientId(0)));
         // One full protocol exchange comfortably fits in 30 s.
         sim.run_until(SimTime::from_secs(30));
         let w = sim.world();
@@ -731,10 +874,10 @@ mod tests {
 
     #[test]
     fn dead_decision_point_forces_timeout_and_random_placement() {
-        let mut sim = Simulation::new(tiny_world(1));
+        let mut sim = Sim::with_events(tiny_world(1));
         sim.world_mut().dps[0].host.crash();
         sim.scheduler()
-            .schedule_at(SimTime::ZERO, |w: &mut World, s| client_start(w, s, ClientId(0)));
+            .post_at(SimTime::ZERO, Ev::ClientStart(ClientId(0)));
         // Run past the 30 s timeout.
         sim.run_until(SimTime::from_secs(40));
         let w = sim.world();
@@ -749,9 +892,9 @@ mod tests {
 
     #[test]
     fn closed_loop_issues_repeatedly() {
-        let mut sim = Simulation::new(tiny_world(1));
+        let mut sim = Sim::with_events(tiny_world(1));
         sim.scheduler()
-            .schedule_at(SimTime::ZERO, |w: &mut World, s| client_start(w, s, ClientId(0)));
+            .post_at(SimTime::ZERO, Ev::ClientStart(ClientId(0)));
         let end = sim.world().end;
         sim.run_until(end);
         let w = sim.world();
@@ -766,11 +909,11 @@ mod tests {
     fn sync_round_carries_dispatches_between_points() {
         // Two DPs; client 0 is bound to one of them. After a sync round the
         // OTHER point must know the dispatch too.
-        let mut sim = Simulation::new(tiny_world(2));
+        let mut sim = Sim::with_events(tiny_world(2));
         sim.scheduler()
-            .schedule_at(SimTime::ZERO, |w: &mut World, s| client_start(w, s, ClientId(0)));
+            .post_at(SimTime::ZERO, Ev::ClientStart(ClientId(0)));
         sim.scheduler()
-            .schedule_at(SimTime::from_secs(30), sync_round);
+            .post_at(SimTime::from_secs(30), Ev::SyncRound);
         sim.run_until(SimTime::from_secs(60));
         let w = sim.world();
         let bound = w.clients[0].dp.index();

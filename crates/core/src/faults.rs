@@ -22,9 +22,9 @@
 //! Fault plans can be constructed programmatically or parsed from the
 //! compact clause DSL accepted by the `--faults` flag ([`FaultPlan::parse`]).
 
+use crate::events::{Ev, Sched};
 use crate::world::World;
 use desim::dist::Dist;
-use desim::Scheduler;
 use gruber_types::{ClientId, DpId, GridError, SimDuration, SimTime};
 use obs::TraceEvent;
 
@@ -47,15 +47,6 @@ pub enum LinkScope {
 impl LinkScope {
     fn covers(self, leg: LinkScope) -> bool {
         self == LinkScope::All || self == leg
-    }
-
-    /// Stable lowercase name (matches the DSL scope suffix).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            LinkScope::All => "all",
-            LinkScope::ClientDp => "client",
-            LinkScope::DpDp => "dpdp",
-        }
     }
 }
 
@@ -371,7 +362,7 @@ impl FaultPlan {
                 for group in args.split('|') {
                     let mut g = Vec::new();
                     for dp in group.split(',') {
-                        g.push(parse_u32(dp.trim(), clause, "dp index")?);
+                        g.push(parse_num(dp.trim(), clause, "dp index")?);
                     }
                     islands.push(g);
                 }
@@ -403,21 +394,21 @@ impl FaultPlan {
                 self.slowdowns.push(SlowdownWindow {
                     start,
                     end,
-                    dp: parse_u32(dp.trim(), clause, "dp index")?,
+                    dp: parse_num(dp.trim(), clause, "dp index")?,
                     factor: factor.trim().parse().map_err(|_| {
                         bad(format!("clause {clause:?}: bad factor {factor:?}"))
                     })?,
                 });
             }
             "crash" => {
-                let at = SimTime::from_secs(parse_u64(timespec.trim(), clause, "time")?);
+                let at = SimTime::from_secs(parse_num(timespec.trim(), clause, "time")?);
                 let (dp, down) = args
                     .split_once('+')
                     .ok_or_else(|| bad(format!("clause {clause:?}: expected DP+SECS")))?;
                 self.crashes.push(CrashEvent {
                     at,
-                    dp: parse_u32(dp.trim(), clause, "dp index")?,
-                    down_for: SimDuration::from_secs(parse_u64(
+                    dp: parse_num(dp.trim(), clause, "dp index")?,
+                    down_for: SimDuration::from_secs(parse_num(
                         down.trim(),
                         clause,
                         "outage seconds",
@@ -442,12 +433,7 @@ fn island_of(p: &PartitionWindow, dp: usize) -> usize {
         .unwrap_or(usize::MAX)
 }
 
-fn parse_u64(s: &str, clause: &str, what: &str) -> Result<u64, GridError> {
-    s.parse()
-        .map_err(|_| GridError::InvalidConfig(format!("clause {clause:?}: bad {what} {s:?}")))
-}
-
-fn parse_u32(s: &str, clause: &str, what: &str) -> Result<u32, GridError> {
+fn parse_num<T: std::str::FromStr>(s: &str, clause: &str, what: &str) -> Result<T, GridError> {
     s.parse()
         .map_err(|_| GridError::InvalidConfig(format!("clause {clause:?}: bad {what} {s:?}")))
 }
@@ -469,8 +455,8 @@ fn parse_range(s: &str, clause: &str) -> Result<(SimTime, SimTime), GridError> {
         GridError::InvalidConfig(format!("clause {clause:?}: expected START..END seconds"))
     })?;
     Ok((
-        SimTime::from_secs(parse_u64(a.trim(), clause, "start time")?),
-        SimTime::from_secs(parse_u64(b.trim(), clause, "end time")?),
+        SimTime::from_secs(parse_num(a.trim(), clause, "start time")?),
+        SimTime::from_secs(parse_num(b.trim(), clause, "end time")?),
     ))
 }
 
@@ -478,69 +464,52 @@ fn parse_range(s: &str, clause: &str) -> Result<(SimTime, SimTime), GridError> {
 /// link-window marker events (the timeline flips state on these),
 /// slowdown application/reset, and planned crash-restarts. No-op when no
 /// plan is configured.
-pub fn seed_plan(w: &mut World, s: &mut Scheduler<World>) {
+pub fn seed_plan(w: &mut World, s: &mut Sched) {
     let Some(plan) = w.cfg.fault_plan.clone() else {
         return;
     };
     for (idx, p) in plan.partitions.iter().enumerate() {
-        let win = idx as u32;
+        let window = idx as u32;
         let islands = p.islands.len() as u32;
-        s.schedule_at(p.start, move |w: &mut World, s: &mut Scheduler<World>| {
-            w.trace.emit(s.now(), || TraceEvent::PartitionStarted {
-                window: win,
-                islands,
-            });
-        });
-        s.schedule_at(p.end, move |w: &mut World, s: &mut Scheduler<World>| {
-            w.trace
-                .emit(s.now(), || TraceEvent::PartitionHealed { window: win });
-        });
+        s.post_at(p.start, Ev::Emit(TraceEvent::PartitionStarted { window, islands }));
+        s.post_at(p.end, Ev::Emit(TraceEvent::PartitionHealed { window }));
     }
     for (idx, lf) in plan.link_faults.iter().enumerate() {
-        let win = idx as u32;
-        s.schedule_at(lf.start, move |w: &mut World, s: &mut Scheduler<World>| {
-            w.trace
-                .emit(s.now(), || TraceEvent::LinkFaultStarted { window: win });
-        });
-        s.schedule_at(lf.end, move |w: &mut World, s: &mut Scheduler<World>| {
-            w.trace
-                .emit(s.now(), || TraceEvent::LinkFaultEnded { window: win });
-        });
+        let window = idx as u32;
+        s.post_at(lf.start, Ev::Emit(TraceEvent::LinkFaultStarted { window }));
+        s.post_at(lf.end, Ev::Emit(TraceEvent::LinkFaultEnded { window }));
     }
     for sl in &plan.slowdowns {
         let dp = sl.dp as usize;
-        let factor = sl.factor;
-        s.schedule_at(sl.start, move |w: &mut World, s: &mut Scheduler<World>| {
-            if dp < w.dps.len() {
-                w.dps[dp].station.set_slowdown(factor);
-                let permille = (factor * 1000.0).round() as u32;
-                w.trace.emit(s.now(), || TraceEvent::DpSlowdown {
-                    dp: DpId(dp as u32),
-                    permille,
-                });
-            }
-        });
-        s.schedule_at(sl.end, move |w: &mut World, s: &mut Scheduler<World>| {
-            if dp < w.dps.len() {
-                w.dps[dp].station.set_slowdown(1.0);
-                w.trace
-                    .emit(s.now(), || TraceEvent::DpSlowdownEnded { dp: DpId(dp as u32) });
-            }
-        });
+        s.post_at(sl.start, Ev::Slowdown { dp, factor: Some(sl.factor) });
+        s.post_at(sl.end, Ev::Slowdown { dp, factor: None });
     }
     for c in &plan.crashes {
-        let dp = c.dp as usize;
-        let down = c.down_for;
-        s.schedule_at(c.at, move |w: &mut World, s: &mut Scheduler<World>| {
-            let now = s.now();
-            if crash_dp_now(w, now, dp) {
-                // Planned restart: unlike the exponential repair clock this
-                // neither rebalances clients nor schedules a next failure.
-                s.schedule_in(down, move |w: &mut World, s: &mut Scheduler<World>| {
-                    begin_restore_dp(w, s, dp);
-                });
-            }
-        });
+        let (dp, down_for) = (c.dp as usize, c.down_for);
+        s.post_at(c.at, Ev::PlannedCrash { dp, down_for });
+    }
+}
+
+/// A `slow@` window opens (the point's container serves `factor`× slower)
+/// or, on `None`, closes (back to full speed).
+pub fn set_slowdown(w: &mut World, s: &mut Sched, dp: usize, factor: Option<f64>) {
+    if dp >= w.dps.len() {
+        return;
+    }
+    w.dps[dp].station.set_slowdown(factor.unwrap_or(1.0));
+    let dp = DpId(dp as u32);
+    w.trace.emit(s.now(), || match factor {
+        Some(f) => TraceEvent::DpSlowdown { dp, permille: (f * 1000.0).round() as u32 },
+        None => TraceEvent::DpSlowdownEnded { dp },
+    });
+}
+
+/// A `crash@` clause fires. Planned restart: unlike the exponential
+/// repair clock this neither rebalances clients nor schedules a next
+/// failure.
+pub fn planned_crash(w: &mut World, s: &mut Sched, dp: usize, down_for: SimDuration) {
+    if crash_dp_now(w, s.now(), dp) {
+        s.post_in(down_for, Ev::BeginRestore(dp));
     }
 }
 
@@ -570,15 +539,14 @@ pub fn crash_dp_now(w: &mut World, now: SimTime, dp_idx: usize) -> bool {
 /// Brings a crashed decision point back up *right now* with whatever node
 /// state it currently holds. This is the final step of every restart;
 /// what the node knows at this moment was decided by
-/// [`begin_restore_dp`]. Returns whether the point actually recovered.
-pub fn restore_dp_now(w: &mut World, now: SimTime, dp_idx: usize) -> bool {
-    if dp_idx >= w.dps.len() || !w.dps[dp_idx].host.rejoin() {
-        return false;
+/// [`begin_restore_dp`]. A point that is already up (or not there) is
+/// left alone.
+pub fn restore_dp_now(w: &mut World, now: SimTime, dp_idx: usize) {
+    if dp_idx < w.dps.len() && w.dps[dp_idx].host.rejoin() {
+        w.trace.emit(now, || TraceEvent::DpRecovered {
+            dp: DpId(dp_idx as u32),
+        });
     }
-    w.trace.emit(now, || TraceEvent::DpRecovered {
-        dp: DpId(dp_idx as u32),
-    });
-    true
 }
 
 /// Begins a crashed decision point's restart through the shared
@@ -592,7 +560,7 @@ pub fn restore_dp_now(w: &mut World, now: SimTime, dp_idx: usize) -> bool {
 /// Returns whether a restart actually began (the point may already be
 /// up, or — in an elastic pool — may have left while it was down: a
 /// departed point's pending restart must not bring a non-member back).
-pub fn begin_restore_dp(w: &mut World, s: &mut Scheduler<World>, dp_idx: usize) -> bool {
+pub fn begin_restore_dp(w: &mut World, s: &mut Sched, dp_idx: usize) -> bool {
     if dp_idx >= w.dps.len() || w.dps[dp_idx].up() {
         return false;
     }
@@ -616,9 +584,7 @@ pub fn begin_restore_dp(w: &mut World, s: &mut Scheduler<World>, dp_idx: usize) 
         records: restored.records,
         dur_ms: dur_ms as u32,
     });
-    s.schedule_in(restored.cost, move |w: &mut World, s: &mut Scheduler<World>| {
-        restore_dp_now(w, s.now(), dp_idx);
-    });
+    s.post_in(restored.cost, Ev::FinishRestore(dp_idx));
     true
 }
 
@@ -635,26 +601,26 @@ fn exp_delay(mean: SimDuration, w: &mut World) -> SimDuration {
 }
 
 /// Schedules the first failure of every initial decision point.
-pub fn seed_failures(w: &mut World, s: &mut Scheduler<World>) {
+pub fn seed_failures(w: &mut World, s: &mut Sched) {
     let Some(fc) = w.cfg.failures else {
         return;
     };
     for i in 0..w.dps.len() {
         let delay = exp_delay(fc.dp_mtbf, w);
-        s.schedule_in(delay, move |w, s| dp_fail(w, s, i));
+        s.post_in(delay, Ev::DpFail(i));
     }
 }
 
 /// A decision point crashes on its exponential clock and schedules its
 /// own repair.
-pub fn dp_fail(w: &mut World, s: &mut Scheduler<World>, dp_idx: usize) {
+pub fn dp_fail(w: &mut World, s: &mut Sched, dp_idx: usize) {
     let now = s.now();
     if !crash_dp_now(w, now, dp_idx) {
         return;
     }
     let fc = w.cfg.failures.expect("failures configured");
     let repair = exp_delay(fc.dp_repair, w);
-    s.schedule_in(repair, move |w, s| dp_repair(w, s, dp_idx));
+    s.post_in(repair, Ev::DpRepair(dp_idx));
 }
 
 /// A decision point comes back on its repair clock.
@@ -664,7 +630,7 @@ pub fn dp_fail(w: &mut World, s: &mut Scheduler<World>, dp_idx: usize) {
 /// undoing the pile-up failover caused on the survivors (without this,
 /// a repaired point sits idle while the rest stay saturated). `n` counts
 /// live members: points that left an elastic pool stay in `w.dps`.
-pub fn dp_repair(w: &mut World, s: &mut Scheduler<World>, dp_idx: usize) {
+pub fn dp_repair(w: &mut World, s: &mut Sched, dp_idx: usize) {
     let now = s.now();
     if !begin_restore_dp(w, s, dp_idx) {
         return;
@@ -676,21 +642,13 @@ pub fn dp_repair(w: &mut World, s: &mut Scheduler<World>, dp_idx: usize) {
         for ci in 0..w.clients.len() {
             let c = &mut w.clients[ci];
             if c.dp.index() != dp_idx && c.fallback_rng.chance(share) {
-                let from = c.dp;
-                c.dp = DpId(dp_idx as u32);
-                c.consecutive_timeouts = 0;
-                w.failovers += 1;
-                w.trace.emit(now, || TraceEvent::ClientRebound {
-                    client: ClientId(ci as u32),
-                    from,
-                    to: DpId(dp_idx as u32),
-                });
+                rebind(w, now, ClientId(ci as u32), DpId(dp_idx as u32));
             }
         }
     }
     if now < w.end {
         let next = exp_delay(fc.dp_mtbf, w);
-        s.schedule_in(next, move |w, s| dp_fail(w, s, dp_idx));
+        s.post_in(next, Ev::DpFail(dp_idx));
     }
 }
 
@@ -728,22 +686,48 @@ pub fn note_client_timeout(w: &mut World, client: ClientId, now: SimTime) {
     } else {
         candidates[c.fallback_rng.index(candidates.len())]
     };
-    c.dp = DpId(pick as u32);
+    rebind(w, now, client, DpId(pick as u32));
+}
+
+/// One failover re-binding: the client forgets its timeouts against the
+/// point it leaves.
+fn rebind(w: &mut World, now: SimTime, client: ClientId, to: DpId) {
+    let c = &mut w.clients[client.index()];
+    let from = std::mem::replace(&mut c.dp, to);
     c.consecutive_timeouts = 0;
     w.failovers += 1;
-    w.trace.emit(now, || TraceEvent::ClientRebound {
-        client,
-        from: old,
-        to: DpId(pick as u32),
-    });
+    w.trace
+        .emit(now, || TraceEvent::ClientRebound { client, from, to });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{DigruberConfig, FailureConfig};
+    use crate::events::Sim;
     use crate::{run_experiment, ServiceKind};
+    use gruber::DispatchRecord;
+    use gruber_types::{GroupId, JobId, SiteId, VoId};
     use workload::WorkloadSpec;
+
+    fn rec(job: u32) -> DispatchRecord {
+        DispatchRecord {
+            job: JobId(job),
+            site: SiteId(0),
+            vo: VoId(0),
+            group: GroupId(0),
+            cpus: 1,
+            dispatched_at: SimTime::ZERO,
+            est_finish: SimTime::from_secs(4000),
+        }
+    }
+
+    /// Runs up to `at_secs`, then has dp0 broker the dispatch of `job`.
+    fn broker_at(sim: &mut Sim, at_secs: u64, job: u32) {
+        sim.run_until(SimTime::from_secs(at_secs));
+        let now = sim.now();
+        sim.world_mut().dps[0].host.node_mut().engine_mut().record_dispatch(rec(job), now);
+    }
 
     fn faulty_cfg(failover_after: u32, seed: u64) -> DigruberConfig {
         let mut cfg = DigruberConfig::paper(3, ServiceKind::Gt3, seed);
@@ -808,9 +792,8 @@ mod tests {
             w.dps[0].station.arrive(t, 1.0, &mut w.svc_rng);
         }
         assert_eq!(w.dps[0].station.load(), 7);
-        let mut sim = desim::Simulation::new(w);
-        sim.scheduler()
-            .schedule_at(SimTime::from_secs(1), |w, s| dp_fail(w, s, 0));
+        let mut sim = Sim::with_events(w);
+        sim.scheduler().post_at(SimTime::from_secs(1), Ev::DpFail(0));
         sim.run_until(SimTime::from_secs(2));
         let w = sim.world();
         assert_eq!(w.dps[0].station.load(), 0);
@@ -830,47 +813,21 @@ mod tests {
 
     #[test]
     fn recovered_dp_rejoins_the_next_exchange_round() {
-        use crate::events::sync_round;
-        use gruber::DispatchRecord;
-        use gruber_types::{DpId, GroupId, JobId, SimTime, SiteId, VoId};
-
-        fn rec(job: u32) -> DispatchRecord {
-            DispatchRecord {
-                job: JobId(job),
-                site: SiteId(0),
-                vo: VoId(0),
-                group: GroupId(0),
-                cpus: 1,
-                dispatched_at: SimTime::ZERO,
-                est_finish: SimTime::from_secs(4000),
-            }
-        }
-
         let mut cfg = faulty_cfg(2, 5);
         cfg.n_dps = 2;
         cfg.trace = Some(obs::TraceConfig::default());
-        let mut sim =
-            desim::Simulation::new(crate::world::World::new(cfg, wl()).unwrap());
+        let mut sim = Sim::with_events(crate::world::World::new(cfg, wl()).unwrap());
         let tracer = sim.world().trace.clone();
         sim.scheduler().set_tracer(tracer);
         // dp0 brokers a dispatch, then a sync round floods it — but dp1
         // crashes at the same instant (FIFO: the crash fires before the
         // flood's WAN delivery), so the in-flight exchange is lost.
-        sim.scheduler().schedule_at(SimTime::from_secs(5), |w, s| {
-            let now = s.now();
-            w.dps[0].host.node_mut().engine_mut().record_dispatch(rec(1), now);
-        });
-        sim.scheduler()
-            .schedule_at(SimTime::from_secs(10), sync_round);
-        sim.scheduler()
-            .schedule_at(SimTime::from_secs(10), |w, s| dp_fail(w, s, 1));
+        sim.scheduler().post_at(SimTime::from_secs(10), Ev::SyncRound);
+        sim.scheduler().post_at(SimTime::from_secs(10), Ev::DpFail(1));
         // Repair well before the next (auto-rescheduled) round at t=190 s.
-        sim.scheduler()
-            .schedule_at(SimTime::from_secs(60), |w, s| dp_repair(w, s, 1));
-        sim.scheduler().schedule_at(SimTime::from_secs(100), |w, s| {
-            let now = s.now();
-            w.dps[0].host.node_mut().engine_mut().record_dispatch(rec(2), now);
-        });
+        sim.scheduler().post_at(SimTime::from_secs(60), Ev::DpRepair(1));
+        broker_at(&mut sim, 5, 1);
+        broker_at(&mut sim, 100, 2);
         sim.run_until(SimTime::from_secs(200));
         let w = sim.world();
         assert!(w.dps[1].up());
@@ -948,44 +905,23 @@ mod tests {
 
     #[test]
     fn partition_blocks_exchange_then_reconverges_after_heal() {
-        use crate::events::sync_round;
-        use gruber::DispatchRecord;
-        use gruber_types::{GroupId, JobId, SiteId, VoId};
-
-        fn rec(job: u32) -> DispatchRecord {
-            DispatchRecord {
-                job: JobId(job),
-                site: SiteId(0),
-                vo: VoId(0),
-                group: GroupId(0),
-                cpus: 1,
-                dispatched_at: SimTime::ZERO,
-                est_finish: SimTime::from_secs(4000),
-            }
-        }
-
         let mut cfg = DigruberConfig::paper(2, ServiceKind::Gt3, 11);
         cfg.grid_factor = 1;
         cfg.trace = Some(obs::TraceConfig::default());
         cfg.fault_plan = Some(FaultPlan::parse("partition@0..100=0|1").unwrap());
-        let mut sim = desim::Simulation::new(crate::world::World::new(cfg, wl()).unwrap());
+        let mut sim = Sim::with_events(crate::world::World::new(cfg, wl()).unwrap());
         let tracer = sim.world().trace.clone();
         sim.scheduler().set_tracer(tracer);
-        sim.scheduler().schedule_at(SimTime::ZERO, seed_plan);
+        sim.scheduler().post_at(SimTime::ZERO, Ev::SeedPlan);
         // dp0 brokers a dispatch, then the t=10 s sync round tries to flood
         // it into an active partition.
-        sim.scheduler().schedule_at(SimTime::from_secs(5), |w, s| {
-            let now = s.now();
-            w.dps[0].host.node_mut().engine_mut().record_dispatch(rec(1), now);
-        });
-        sim.scheduler()
-            .schedule_at(SimTime::from_secs(10), sync_round);
+        sim.scheduler().post_at(SimTime::from_secs(10), Ev::SyncRound);
+        broker_at(&mut sim, 5, 1);
         // Mid-partition probe: nothing crossed the boundary — the views
         // have diverged (dp1 knows nothing of job 1).
-        sim.scheduler().schedule_at(SimTime::from_secs(90), |w, _| {
-            let (_, merged) = w.dps[1].host.node().engine().counters();
-            assert_eq!(merged, 0, "exchange crossed an active partition");
-        });
+        sim.run_until(SimTime::from_secs(90));
+        let (_, merged) = sim.world().dps[1].host.node().engine().counters();
+        assert_eq!(merged, 0, "exchange crossed an active partition");
         sim.run_until(SimTime::from_secs(300));
         let w = sim.world();
         // The blocked flood's records were requeued, so the first post-heal

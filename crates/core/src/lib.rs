@@ -11,7 +11,8 @@
 //!   profile, WAN vs LAN, dissemination strategy, elastic membership);
 //! * [`world`] — the discrete-event world wiring clients, decision points,
 //!   the simulated WAN and the emulated grid together;
-//! * [`events`] — the event handlers implementing the protocol: query →
+//! * [`events`] — [`events::Ev`], the catalogue of every event a run
+//!   schedules, and the handlers implementing the protocol: query →
 //!   service queue → availability response → client-side site selection →
 //!   dispatch + inform, with client-side timeouts falling back to random
 //!   USLA-blind selection;

@@ -1,9 +1,8 @@
 //! One-call experiment execution.
 
 use crate::config::DigruberConfig;
-use crate::events;
+use crate::events::{Ev, Sched, Sim};
 use crate::world::World;
-use desim::Simulation;
 use diperf::{DiPerfReport, RequestTrace};
 use gruber_metrics::jobs::{AvailableCapacity, JobObservation, TableRows};
 use gruber_metrics::JobMetricsAccumulator;
@@ -132,12 +131,6 @@ impl ExperimentOutput {
     pub fn health(&self) -> Option<&obs::HealthReport> {
         self.timeline.as_ref()?.health.as_ref()
     }
-
-    /// Decision points still flagged `Degrading` when the run ended
-    /// (empty when health scoring was off or everything recovered).
-    pub fn degraded_dps(&self) -> Vec<gruber_types::DpId> {
-        self.health().map(|h| h.still_degraded()).unwrap_or_default()
-    }
 }
 
 // Manual `Debug` mirroring the old derive field-for-field, with the
@@ -213,10 +206,10 @@ pub fn run_experiment(
 pub fn run_to_end(
     cfg: DigruberConfig,
     workload: WorkloadSpec,
-) -> GridResult<Simulation<World>> {
+) -> GridResult<Sim> {
     let arrival_batch = workload.arrival_batch;
     let world = World::new(cfg, workload)?;
-    let mut sim = Simulation::new(world);
+    let mut sim = Sim::with_events(world);
     let tracer = sim.world().trace.clone();
     sim.scheduler().set_tracer(tracer);
 
@@ -228,29 +221,18 @@ pub fn run_to_end(
             for c in 0..schedule.n_clients {
                 let client = gruber_types::ClientId(c);
                 let at = schedule.start_of(client);
-                sim.scheduler()
-                    .schedule_at(at, move |w: &mut World, s| events::client_start(w, s, client));
+                sim.scheduler().post_at(at, Ev::ClientStart(client));
             }
         }
         Some(batch) => {
             // One seeder event per chunk of clients, fired at the chunk's
-            // earliest ramp start (start_of is monotone in client id); it
-            // then schedules each client_start at its exact ramp time, so
-            // arrival times match unbatched seeding millisecond-for-
-            // millisecond while the up-front queue stays O(n/batch).
+            // earliest ramp start (start_of is monotone in client id), so
+            // the up-front queue stays O(n/batch).
             let mut c = 0u32;
             while c < schedule.n_clients {
                 let hi = (c + batch).min(schedule.n_clients);
                 let at = schedule.start_of(gruber_types::ClientId(c));
-                sim.scheduler().schedule_at(at, move |w: &mut World, s| {
-                    for c in c..hi {
-                        let client = gruber_types::ClientId(c);
-                        let at = w.schedule.start_of(client);
-                        s.schedule_at(at, move |w: &mut World, s| {
-                            events::client_start(w, s, client)
-                        });
-                    }
-                });
+                sim.scheduler().post_at(at, Ev::SeedClients { lo: c, hi });
                 c = hi;
             }
         }
@@ -258,31 +240,38 @@ pub fn run_to_end(
     let sync_interval = sim.world().cfg.sync_interval;
     if sim.world().exchanges_state() {
         sim.scheduler()
-            .schedule_at(SimTime(sync_interval.as_millis()), events::sync_round);
+            .post_at(SimTime(sync_interval.as_millis()), Ev::SyncRound);
     }
-    sim.scheduler().schedule_at(SimTime::ZERO, events::load_sample);
+    sim.scheduler().post_at(SimTime::ZERO, Ev::LoadSample);
     if sim.world().cfg.failures.is_some() {
-        sim.scheduler().schedule_at(SimTime::ZERO, crate::faults::seed_failures);
+        sim.scheduler().post_at(SimTime::ZERO, Ev::SeedFailures);
     }
     if sim.world().cfg.fault_plan.is_some() {
-        sim.scheduler().schedule_at(SimTime::ZERO, crate::faults::seed_plan);
+        sim.scheduler().post_at(SimTime::ZERO, Ev::SeedPlan);
     }
     if sim.world().cfg.monitor_refresh.is_some() {
-        sim.scheduler()
-            .schedule_at(SimTime::ZERO, events::monitor_refresh);
+        sim.scheduler().post_at(SimTime::ZERO, Ev::MonitorRefresh);
     }
     if let Some(m) = sim.world().cfg.membership {
         if m.scaler.is_some() {
-            sim.scheduler().schedule_at(
-                SimTime(m.check_interval.as_millis()),
-                crate::elastic::membership_tick,
-            );
+            sim.scheduler()
+                .post_at(SimTime(m.check_interval.as_millis()), Ev::MembershipTick);
         }
     }
 
     let end = sim.world().end;
     sim.run_until(end);
     Ok(sim)
+}
+
+/// One chunk of batched tester seeding: posts each client's start at its
+/// exact ramp time, so arrival times match unbatched seeding millisecond
+/// for millisecond.
+pub fn seed_clients(w: &mut World, s: &mut Sched, lo: u32, hi: u32) {
+    for c in lo..hi {
+        let client = gruber_types::ClientId(c);
+        s.post_at(w.schedule.start_of(client), Ev::ClientStart(client));
+    }
 }
 
 fn finalize(
@@ -299,7 +288,7 @@ fn finalize(
     let mut unfinished: Vec<(u64, RequestTrace)> = w
         .requests
         .iter()
-        .filter(|(_, r)| r.timed_out && !r.responded)
+        .filter(|(_, r)| r.timed_out)
         .map(|(&tag, r)| (tag, RequestTrace::timed_out(r.client, r.dp, r.sent_at)))
         .collect();
     unfinished.sort_unstable_by_key(|&(tag, _)| tag);

@@ -121,10 +121,8 @@ pub struct RequestState {
     pub sent_at: SimTime,
     /// The client's timeout fired before a response arrived.
     pub timed_out: bool,
-    /// A response reached the client.
-    pub responded: bool,
     /// Token of the scheduled timeout event (cancelled on response).
-    pub timeout_token: Option<desim::EventToken>,
+    pub timeout_token: desim::EventToken,
 }
 
 /// The full simulation state.
@@ -324,14 +322,6 @@ impl World {
             .fault_plan
             .as_ref()
             .is_some_and(|p| p.partitioned(a, b, now))
-    }
-
-    /// Allocates a request tag.
-    pub fn alloc_request(&mut self, state: RequestState) -> u64 {
-        let tag = self.next_req;
-        self.next_req += 1;
-        self.requests.insert(tag, state);
-        tag
     }
 }
 

@@ -2,7 +2,11 @@
 //!
 //! All DI-GRUBER experiments run on this engine: a priority queue of timed
 //! events over a generic *world* type `W`. Event handlers receive `&mut W`
-//! plus a [`Scheduler`] through which they enqueue further events. Two
+//! plus a [`Scheduler`] through which they enqueue further events. What
+//! an event is — its *payload* — is the caller's choice: any type that
+//! implements [`Event`] (a world's own `enum`, posted with
+//! [`Scheduler::post_at`]), or the default [`Closure`], a boxed `FnOnce`
+//! that [`Scheduler::schedule_at`] builds, as in the example below. Two
 //! properties matter for reproducibility:
 //!
 //! 1. **Total event order.** Events fire in `(time, sequence)` order; the
@@ -44,6 +48,6 @@ pub mod engine;
 pub mod rng;
 pub mod wheel;
 
-pub use engine::{EventToken, Scheduler, Simulation};
+pub use engine::{Closure, Event, EventToken, Scheduler, Simulation};
 pub use rng::DetRng;
 pub use wheel::{EventQueue, HeapQueue, TimerWheel};

@@ -65,13 +65,6 @@ impl SimStore {
             ..SimStore::default()
         }
     }
-
-    /// Whether a snapshot has been written (and not lost to truncation —
-    /// which never happens in memory; this is `false` only before the
-    /// first [`Store::write_snapshot`]).
-    pub fn has_snapshot(&self) -> bool {
-        self.snapshot.is_some()
-    }
 }
 
 impl Store for SimStore {

@@ -130,11 +130,6 @@ impl SiteState {
         self.queue.len()
     }
 
-    /// Jobs currently running.
-    pub fn running_jobs(&self) -> usize {
-        self.running.len()
-    }
-
     /// Accepts a dispatch (S-PEP checked), queues it, and starts whatever
     /// now fits. Returns the jobs that started immediately.
     pub fn enqueue(&mut self, job: &JobSpec, now: SimTime) -> GridResult<Vec<SiteStarted>> {

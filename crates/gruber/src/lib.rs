@@ -13,10 +13,10 @@
 //! * **site selectors** ([`selectors`]) — answer "which is the best site at
 //!   which I can run this job?", with round-robin, least-used, least
 //!   recently used, random and USLA-aware task-assignment policies;
-//! * the **queue manager** ([`queue::QueueManager`]) — sits on a submission
-//!   host, "monitors VO policies and decides how many jobs to start and
-//!   when" (unused by the paper's experiments, provided for completeness
-//!   and exercised by the Euryale pipeline).
+//! * the **queue manager** — sits on a submission host, "monitors VO
+//!   policies and decides how many jobs to start and when". Not in this
+//!   crate: the simulated submission hosts throttle themselves with
+//!   `max_jobs_in_flight` (`digruber::events::client_issue`).
 //!
 //! [`view::GridView`] is the engine's model of the grid: complete static
 //! knowledge of site capacities (the paper's dissemination assumption) plus
@@ -54,12 +54,10 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod queue;
 pub mod selectors;
 pub mod view;
 
 pub use engine::GruberEngine;
-pub use queue::QueueManager;
 pub use selectors::{
     LeastRecentlyUsedSelector, LeastUsedSelector, RandomSelector, RoundRobinSelector,
     SelectorKind, SiteSelector, UslaAwareSelector,

@@ -375,10 +375,6 @@ impl JobSet {
             None => false,
         }
     }
-
-    fn len(&self) -> usize {
-        self.len
-    }
 }
 
 impl std::fmt::Debug for JobSet {
@@ -464,11 +460,6 @@ impl GridView {
     /// Grid-wide CPU total.
     pub fn grid_cpus(&self) -> u64 {
         self.grid_total
-    }
-
-    /// Number of distinct jobs ever folded in (dedup set cardinality).
-    pub fn jobs_seen(&self) -> usize {
-        self.seen.len()
     }
 
     /// Folds one dispatch record into the view (idempotent per job id).
@@ -975,7 +966,7 @@ mod tests {
             assert!(!s.insert(JobId(id)), "second insert of {id}");
             assert!(s.contains(JobId(id)));
         }
-        assert_eq!(s.len(), 7);
+        assert_eq!(s.len, 7);
         // Untouched ids in materialized and unmaterialized pages.
         assert!(!s.contains(JobId(2)));
         assert!(!s.contains(JobId(1_000_000)));

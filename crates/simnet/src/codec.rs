@@ -20,19 +20,6 @@ use gruber_types::{ClientId, DpId, GridError, GroupId, JobId, SimTime, SiteId, V
 /// is charged on the inflated size.
 pub const SOAP_OVERHEAD_FACTOR: f64 = 8.0;
 
-/// One site's load entry in an availability response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SiteLoadEntry {
-    /// Site.
-    pub site: SiteId,
-    /// Total CPUs at the site.
-    pub total_cpus: u32,
-    /// CPUs the decision point believes are busy.
-    pub busy_cpus: u32,
-    /// Jobs it believes are queued at the site.
-    pub queued_jobs: u32,
-}
-
 /// A dispatch record flooded between decision points: "the periodic
 /// exchange with other decision points of information about recent job
 /// dispatch operations". Peers expire records independently using the
@@ -53,44 +40,6 @@ pub struct DispatchDelta {
     pub dispatched_at: SimTime,
     /// When the dispatcher estimates the job will finish.
     pub est_finish: SimTime,
-}
-
-/// Encodes an availability response.
-pub fn encode_availability(entries: &[SiteLoadEntry]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + entries.len() * 16);
-    buf.put_u32_le(entries.len() as u32);
-    for e in entries {
-        buf.put_u32_le(e.site.0);
-        buf.put_u32_le(e.total_cpus);
-        buf.put_u32_le(e.busy_cpus);
-        buf.put_u32_le(e.queued_jobs);
-    }
-    buf.freeze()
-}
-
-/// Decodes an availability response.
-pub fn decode_availability(mut buf: Bytes) -> Result<Vec<SiteLoadEntry>, GridError> {
-    if buf.remaining() < 4 {
-        return Err(GridError::InvalidConfig("availability: short header".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n * 16 {
-        return Err(GridError::InvalidConfig(format!(
-            "availability: want {} bytes, have {}",
-            n * 16,
-            buf.remaining()
-        )));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(SiteLoadEntry {
-            site: SiteId(buf.get_u32_le()),
-            total_cpus: buf.get_u32_le(),
-            busy_cpus: buf.get_u32_le(),
-            queued_jobs: buf.get_u32_le(),
-        });
-    }
-    Ok(out)
 }
 
 /// Encodes a sync payload (dispatch records).
@@ -390,6 +339,7 @@ impl FrameBuf {
 /// The on-the-wire size, in KB, of an availability response for `n_sites`
 /// sites, after SOAP inflation — the number fed to the marshalling model.
 pub fn availability_payload_kb(n_sites: usize) -> f64 {
+    // 16 bytes a site: its id, total CPUs, believed-busy CPUs and queued jobs, each a `u32`.
     (4.0 + n_sites as f64 * 16.0) * SOAP_OVERHEAD_FACTOR / 1024.0
 }
 
@@ -403,26 +353,6 @@ pub fn deltas_payload_kb(n_deltas: usize) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn availability_roundtrip() {
-        let entries = vec![
-            SiteLoadEntry {
-                site: SiteId(1),
-                total_cpus: 64,
-                busy_cpus: 10,
-                queued_jobs: 3,
-            },
-            SiteLoadEntry {
-                site: SiteId(2),
-                total_cpus: 128,
-                busy_cpus: 128,
-                queued_jobs: 40,
-            },
-        ];
-        let decoded = decode_availability(encode_availability(&entries)).unwrap();
-        assert_eq!(decoded, entries);
-    }
 
     #[test]
     fn deltas_roundtrip() {
@@ -441,21 +371,11 @@ mod tests {
 
     #[test]
     fn empty_payloads_roundtrip() {
-        assert!(decode_availability(encode_availability(&[])).unwrap().is_empty());
         assert!(decode_deltas(encode_deltas(&[])).unwrap().is_empty());
     }
 
     #[test]
     fn truncated_payloads_error() {
-        let full = encode_availability(&[SiteLoadEntry {
-            site: SiteId(1),
-            total_cpus: 1,
-            busy_cpus: 0,
-            queued_jobs: 0,
-        }]);
-        for cut in [0, 3, 5, full.len() - 1] {
-            assert!(decode_availability(full.slice(0..cut)).is_err(), "cut {cut}");
-        }
         assert!(decode_deltas(Bytes::from_static(b"\x02\x00\x00\x00")).is_err());
     }
 
@@ -581,23 +501,6 @@ mod tests {
         }
 
         #[test]
-        fn availability_roundtrips_any(entries in proptest::collection::vec(
-            (0u32..10_000, 0u32..100_000, 0u32..100_000, 0u32..10_000), 0..200)
-        ) {
-            let entries: Vec<SiteLoadEntry> = entries
-                .into_iter()
-                .map(|(s, t, b, q)| SiteLoadEntry {
-                    site: SiteId(s),
-                    total_cpus: t,
-                    busy_cpus: b,
-                    queued_jobs: q,
-                })
-                .collect();
-            let decoded = decode_availability(encode_availability(&entries)).unwrap();
-            prop_assert_eq!(decoded, entries);
-        }
-
-        #[test]
         fn deltas_roundtrip_any(deltas in proptest::collection::vec(
             (0u32..10_000, 0u32..100, 0u32..100, 1u32..64, 0u64..10_000_000), 0..200)
         ) {
@@ -665,21 +568,6 @@ mod tests {
             let full = encode_deltas(&deltas);
             let cut = ((full.len() as f64 - 1.0) * cut_frac) as usize;
             prop_assert!(decode_deltas(full.slice(0..cut)).is_err(), "cut {} of {}", cut, full.len());
-        }
-
-        #[test]
-        fn truncated_availability_never_decodes(n in 1usize..20, cut_frac in 0.0f64..1.0) {
-            let entries: Vec<SiteLoadEntry> = (0..n as u32)
-                .map(|i| SiteLoadEntry {
-                    site: SiteId(i),
-                    total_cpus: 16,
-                    busy_cpus: i,
-                    queued_jobs: 0,
-                })
-                .collect();
-            let full = encode_availability(&entries);
-            let cut = ((full.len() as f64 - 1.0) * cut_frac) as usize;
-            prop_assert!(decode_availability(full.slice(0..cut)).is_err(), "cut {} of {}", cut, full.len());
         }
 
         #[test]

@@ -177,11 +177,6 @@ impl WanTopology {
         };
         base + jitter
     }
-
-    /// Mean one-way latency across the base range (for capacity planning).
-    pub fn mean_base(&self) -> SimDuration {
-        SimDuration::from_millis((self.base_lo_ms + self.base_hi_ms) / 2)
-    }
 }
 
 #[cfg(test)]

@@ -36,6 +36,14 @@ echo "==> reference backends stay inside the crate that owns the oracle"
   && ! grep -n 'fn run_' crates/core/src/run.rs | grep -v 'fn run_experiment(\|fn run_to_end('; } \
   || { echo "ci.sh: a reference backend or a twin entry point escaped its crate (lines above)"; exit 1; }
 
+echo "==> events are data: the boxed closure is desim's default payload and nobody else's"
+# core schedules `digruber::events::Ev` values through a scheduler type that
+# has no closure-taking methods; a boxed FnOnce anywhere but desim's own
+# `Closure` is an anonymous event growing back.
+{ ! grep -rn 'Box<dyn FnOnce' --include=*.rs crates src tests examples \
+      | grep -v '^crates/desim/src/engine.rs:'; } \
+  || { echo "ci.sh: a boxed closure outside crates/desim/src/engine.rs (lines above)"; exit 1; }
+
 echo "==> one mailbox node loop: the thread and socket runtimes only supply a Transport"
 # dpstore::mailbox::node_loop is the one interpreter of `Routed` both
 # wall-clock runtimes run; a second loop, a second per-point stats struct

@@ -87,8 +87,8 @@ fn whole_experiment_is_bit_deterministic() {
 /// driven by `digruber::elastic` — exercised through the public run API.
 mod pool_sizing {
     use super::*;
-    use desim::{DetRng, Simulation};
-    use digruber::elastic::membership_tick;
+    use desim::DetRng;
+    use digruber::events::{Ev, Sim};
     use digruber::run::run_to_end;
     use digruber::World;
     use gruber_types::SimTime;
@@ -109,14 +109,14 @@ mod pool_sizing {
 
     /// One point whose container holds `n` requests nobody completes,
     /// with the first autoscaler tick due at t = 0.
-    fn saturated_sim(scaler: ScalerConfig, n: u64) -> Simulation<World> {
+    fn saturated_sim(scaler: ScalerConfig, n: u64) -> Sim {
         let mut sim =
-            Simulation::new(World::new(elastic(1, scaler), WorkloadSpec::small()).unwrap());
+            Sim::with_events(World::new(elastic(1, scaler), WorkloadSpec::small()).unwrap());
         let w = sim.world_mut();
         for t in 0..n {
             w.dps[0].station.arrive(t, 1.0, &mut w.svc_rng);
         }
-        sim.scheduler().schedule_at(SimTime::ZERO, membership_tick);
+        sim.scheduler().post_at(SimTime::ZERO, Ev::MembershipTick);
         sim
     }
 
