@@ -37,7 +37,7 @@ use diperf::RequestTrace;
 use dpnode::{FloodPayload, Input};
 use dpstore::Routed;
 use gruber::DispatchRecord;
-use gruber_metrics::schedule_accuracy;
+use gruber_metrics::accuracy_vs_best;
 use gruber_types::{ClientId, DpId, JobId, JobSpec, SimDuration, SiteId};
 use obs::{FaultMsgClass, TraceEvent};
 use simnet::latency::NetNode;
@@ -283,20 +283,16 @@ pub fn client_issue(w: &mut World, s: &mut Sched, client: ClientId) {
     }
     let job = w.factory.make_job(client, now);
     let dp = w.clients[client.index()].dp;
-    let tag = w.next_req;
-    w.next_req += 1;
+    let tag = w.requests.next_tag();
     let timeout_token = s.post_in(w.cfg.client_timeout, Ev::RequestTimeout(tag));
-    w.requests.insert(
-        tag,
-        RequestState {
-            client,
-            dp,
-            job,
-            sent_at: now,
-            timed_out: false,
-            timeout_token,
-        },
-    );
+    w.requests.insert(RequestState {
+        client,
+        dp,
+        job,
+        sent_at: now,
+        timed_out: false,
+        timeout_token,
+    });
     w.trace
         .emit(now, || obs::TraceEvent::QueryIssued { client, dp });
 
@@ -311,7 +307,7 @@ pub fn client_issue(w: &mut World, s: &mut Sched, client: ClientId) {
 /// single `delivered()` check — same RNG draws, same trace.
 pub fn send_query(w: &mut World, s: &mut Sched, tag: u64, attempt: u32) {
     let now = s.now();
-    let Some(req) = w.requests.get(&tag) else {
+    let Some(req) = w.requests.get(tag) else {
         return;
     };
     if req.timed_out {
@@ -368,7 +364,7 @@ fn deliver(
 
 /// The query reaches the decision point's service container.
 pub fn request_arrives(w: &mut World, s: &mut Sched, tag: u64) {
-    let Some(req) = w.requests.get(&tag) else {
+    let Some(req) = w.requests.get(tag) else {
         return;
     };
     let dp_idx = req.dp.index();
@@ -405,7 +401,7 @@ pub fn service_done(w: &mut World, s: &mut Sched, dp_idx: usize, tag: u64, gen: 
         let tag = next.tag;
         s.post_in(next.service_time, Ev::ServiceDone { dp_idx, tag, gen });
     }
-    let Some(req) = w.requests.get(&tag) else {
+    let Some(req) = w.requests.get(tag) else {
         return; // request state already retired
     };
     let client = req.client;
@@ -455,7 +451,7 @@ pub fn response_arrives(
     let now = s.now();
     // Either way the request retires here: a duplicate response, or a
     // retry still in flight, finds its tag gone and is ignored.
-    let Some(req) = w.requests.remove(&tag) else {
+    let Some(req) = w.requests.remove(tag) else {
         return;
     };
     let (client, dp, job, sent_at) = (req.client, req.dp, req.job, req.sent_at);
@@ -557,7 +553,7 @@ pub fn inform_arrives(w: &mut World, s: &mut Sched, dp: DpId, record: DispatchRe
 
 /// The client's timeout fired before the response: random USLA-blind site.
 pub fn request_timeout(w: &mut World, s: &mut Sched, tag: u64) {
-    let Some(req) = w.requests.get_mut(&tag) else {
+    let Some(req) = w.requests.get_mut(tag) else {
         return;
     };
     req.timed_out = true;
@@ -567,7 +563,7 @@ pub fn request_timeout(w: &mut World, s: &mut Sched, tag: u64) {
     let job = req.job.clone();
     w.trace
         .emit(now, || obs::TraceEvent::ClientTimeout { client, dp });
-    // The request state stays in the map: if the service completes the
+    // The request state stays in the table: if the service completes the
     // request later, `response_arrives` records it as a late completion;
     // requests the service never finishes are recorded as pure timeouts
     // when the run is finalized.
@@ -590,9 +586,9 @@ pub fn dispatch_job(
 ) {
     let now = s.now();
     if handled {
-        let truth = w.grid.free_cpus_per_site();
-        let acc = schedule_accuracy(truth[site.index()], &truth);
-        w.accuracy_by_job.insert(job.id, acc);
+        let at_site = w.grid.sites()[site.index()].free_cpus();
+        let acc = accuracy_vs_best(at_site, w.grid.max_free_cpus());
+        w.accuracy_by_job.record(job.id, acc);
     }
     let id = job.id;
     let client = job.client;
@@ -888,6 +884,50 @@ mod tests {
         assert!(w.accuracy_by_job.is_empty(), "random placements have no accuracy");
         // The station never saw the request.
         assert_eq!(w.dps[0].station.counters().0, 0);
+    }
+
+    #[test]
+    fn duplicated_responses_retire_each_tag_once() {
+        // Every message on the client↔DP leg arrives twice: each query is
+        // served twice and each response is delivered twice, so up to
+        // three late `ResponseArrives` per tag find it retired — while
+        // other clients' newer requests are re-using its slab slot.
+        let mut w = World::new(DigruberConfig::small(1, 3), WorkloadSpec::small()).unwrap();
+        // Past `FaultPlan::validate` (probabilities in [0, 1)) on purpose:
+        // at exactly 1 the counts below are exact for any seed.
+        w.cfg.fault_plan = Some(faults::FaultPlan {
+            link_faults: vec![faults::LinkFaultWindow {
+                start: SimTime::ZERO,
+                end: w.end,
+                scope: LinkScope::ClientDp,
+                loss: 0.0,
+                duplicate: 1.0,
+                reorder: 0.0,
+            }],
+            ..faults::FaultPlan::empty()
+        });
+        let mut sim = Sim::with_events(w);
+        for c in 0..sim.world().clients.len() as u32 {
+            sim.scheduler()
+                .post_at(SimTime::ZERO, Ev::ClientStart(ClientId(c)));
+        }
+        let end = sim.world().end;
+        sim.run_until(end);
+        let w = sim.world();
+
+        let issued = w.requests.next_tag();
+        let in_flight = w.requests.iter().count() as u64;
+        assert!(issued > 100, "only {issued} requests");
+        assert!(in_flight <= w.clients.len() as u64);
+        // The duplicates really happened: the station served every
+        // answered query twice.
+        let traces = w.collector.traces();
+        assert!(w.dps[0].station.counters().1 >= 2 * traces.len() as u64);
+        // One trace and one brokered job per answered tag, no more.
+        assert_eq!(traces.len() as u64, issued - in_flight);
+        assert!(traces.iter().all(|t| t.handled()));
+        assert_eq!(w.grid.n_jobs(), traces.len());
+        assert_eq!(w.accuracy_by_job.len(), traces.len());
     }
 
     #[test]

@@ -283,25 +283,17 @@ fn finalize(
 ) -> ExperimentOutput {
     let end = w.end;
     // Requests whose clients timed out and that the service never finished
-    // within the run are pure timeouts. Sorted by tag: HashMap iteration
-    // order must not leak into the (deterministic) outputs.
-    let mut unfinished: Vec<(u64, RequestTrace)> = w
-        .requests
-        .iter()
-        .filter(|(_, r)| r.timed_out)
-        .map(|(&tag, r)| (tag, RequestTrace::timed_out(r.client, r.dp, r.sent_at)))
-        .collect();
-    unfinished.sort_unstable_by_key(|&(tag, _)| tag);
-    for (_, t) in unfinished {
-        w.collector.record(t);
+    // within the run are pure timeouts, recorded in tag order.
+    for (_, r) in w.requests.iter().filter(|(_, r)| r.timed_out) {
+        w.collector
+            .record(RequestTrace::timed_out(r.client, r.dp, r.sent_at));
     }
     let mut acc = JobMetricsAccumulator::new();
     let mut jobs_dispatched = 0usize;
     let mut vo_consumed = vec![0.0f64; w.workload.n_vos as usize];
-    // Sort by job id so the floating-point reductions are order-stable.
-    let mut records: Vec<&JobRecord> = w.grid.records().collect();
-    records.sort_unstable_by_key(|r| r.spec.id);
-    for rec in records {
+    // `records()` is in job-id order, so the floating-point reductions
+    // are order-stable.
+    for rec in w.grid.records() {
         if rec.dispatched_at.is_none() {
             continue;
         }
@@ -313,7 +305,7 @@ fn finalize(
             queue_time: rec.queue_time(),
             consumed_cpu_time: consumed_within(rec, end),
             accuracy: if rec.handled_by_gruber {
-                w.accuracy_by_job.get(&rec.spec.id).copied()
+                w.accuracy_by_job.get(rec.spec.id)
             } else {
                 None
             },

@@ -12,7 +12,6 @@ use gruber_types::{
 };
 use simnet::latency::NetNode;
 use simnet::{ServiceStation, WanTopology};
-use std::collections::HashMap;
 use std::sync::Arc;
 use usla::UslaSet;
 use workload::{uslas::equal_shares, JobFactory, WorkloadSpec};
@@ -125,6 +124,154 @@ pub struct RequestState {
     pub timeout_token: desim::EventToken,
 }
 
+/// Index entry of a tag whose request has retired.
+const RETIRED: u32 = u32::MAX;
+
+/// The in-flight requests, by tag: a dense ledger instead of a hashed map.
+///
+/// Tags are a never-reused counter the table hands out ([`insert`]), so a
+/// tag is an index — into `index`, four bytes per tag ever issued, which
+/// names the slab slot holding the request's state or says `RETIRED`.
+/// The states themselves sit in a slab whose slots are reused through a
+/// free list, so the slab is as long as the most requests ever in flight
+/// at once, not as long as the run.
+///
+/// *Why tags are not slab slots.* A tag must outlive its request: a
+/// duplicated response, a query retry still backing off, or a timeout that
+/// lost its race all look their tag up after [`remove`] and must miss. A
+/// slot is reused by a later request, so a stale event holding a slot
+/// number would find a stranger's state (ABA) unless every slot carried a
+/// generation. The index entry is that tombstone: an old tag reads
+/// `RETIRED` forever, and a reused slot is reachable only through the tag
+/// that now owns it.
+///
+/// *Why not a tag-indexed `Vec<Option<RequestState>>`.* It needs no
+/// indirection and is as fast, but keeps a full state-sized hole for
+/// every request ever answered; on a long run where requests retire as
+/// fast as they are issued that is the whole memory footprint of the
+/// table, for nothing.
+///
+/// [`insert`]: RequestTable::insert
+/// [`remove`]: RequestTable::remove
+#[derive(Default)]
+pub struct RequestTable {
+    /// Per issued tag: the slab slot of its live state, or `RETIRED`.
+    index: Vec<u32>,
+    /// Request states; `None` slots are on the free list.
+    slab: Vec<Option<RequestState>>,
+    /// Vacant slab slots, reused last-freed-first.
+    free: Vec<u32>,
+}
+
+impl RequestTable {
+    /// The tag the next [`insert`](RequestTable::insert) will return (the
+    /// number of tags issued so far) — for the caller that must name the
+    /// tag in the state it is about to insert.
+    pub fn next_tag(&self) -> u64 {
+        self.index.len() as u64
+    }
+
+    /// Files a new request and returns its tag.
+    pub fn insert(&mut self, state: RequestState) -> u64 {
+        let tag = self.next_tag();
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(state);
+                slot
+            }
+            None => {
+                let slot = self.slab.len();
+                assert!(slot < RETIRED as usize, "u32::MAX requests in flight");
+                self.slab.push(Some(state));
+                slot as u32
+            }
+        };
+        self.index.push(slot);
+        tag
+    }
+
+    /// The slab slot of a live tag; `None` for a retired tag and for one
+    /// never issued.
+    fn slot_of(&self, tag: u64) -> Option<usize> {
+        let slot = *self.index.get(usize::try_from(tag).ok()?)?;
+        (slot != RETIRED).then_some(slot as usize)
+    }
+
+    /// The state of an in-flight request.
+    pub fn get(&self, tag: u64) -> Option<&RequestState> {
+        self.slab[self.slot_of(tag)?].as_ref()
+    }
+
+    /// The state of an in-flight request, mutably.
+    pub fn get_mut(&mut self, tag: u64) -> Option<&mut RequestState> {
+        let slot = self.slot_of(tag)?;
+        self.slab[slot].as_mut()
+    }
+
+    /// Retires a tag for good and returns its request's state; `None` if
+    /// it had retired already or was never issued.
+    pub fn remove(&mut self, tag: u64) -> Option<RequestState> {
+        let slot = self.slot_of(tag)?;
+        self.index[tag as usize] = RETIRED;
+        self.free.push(slot as u32);
+        self.slab[slot].take()
+    }
+
+    /// The in-flight requests, in tag (= issue) order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &RequestState)> {
+        self.index
+            .iter()
+            .enumerate()
+            .filter(|&(_, &slot)| slot != RETIRED)
+            .map(|(tag, &slot)| {
+                let state = self.slab[slot as usize].as_ref();
+                (tag as u64, state.expect("a live tag's slot is occupied"))
+            })
+    }
+}
+
+/// Scheduling accuracy per job: a dense table over the job factory's
+/// sequential ids (the argument `gridemu`'s job ledger makes), with NaN
+/// for "not recorded" — timed-out placements never are.
+#[derive(Default)]
+pub struct AccuracyLedger {
+    by_job: Vec<f64>,
+}
+
+impl AccuracyLedger {
+    /// Records the accuracy of one handled dispatch.
+    ///
+    /// # Panics
+    /// If `accuracy` is NaN, which would read back as "not recorded".
+    pub fn record(&mut self, job: JobId, accuracy: f64) {
+        assert!(!accuracy.is_nan(), "NaN accuracy for {job}");
+        let idx = job.index();
+        if idx >= self.by_job.len() {
+            self.by_job.resize(idx + 1, f64::NAN);
+        }
+        self.by_job[idx] = accuracy;
+    }
+
+    /// The accuracy recorded for `job`, if any.
+    pub fn get(&self, job: JobId) -> Option<f64> {
+        self.by_job
+            .get(job.index())
+            .copied()
+            .filter(|a| !a.is_nan())
+    }
+
+    /// Number of jobs with a recorded accuracy (a scan: for inspection,
+    /// not for the per-dispatch path).
+    pub fn len(&self) -> usize {
+        self.by_job.iter().filter(|a| !a.is_nan()).count()
+    }
+
+    /// Whether no accuracy has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// The full simulation state.
 pub struct World {
     /// Experiment configuration.
@@ -150,11 +297,9 @@ pub struct World {
     /// Tester ramp schedule.
     pub schedule: RampSchedule,
     /// Scheduling accuracy recorded at each handled dispatch.
-    pub accuracy_by_job: HashMap<JobId, f64>,
-    /// In-flight requests by tag.
-    pub requests: HashMap<u64, RequestState>,
-    /// Next request tag.
-    pub next_req: u64,
+    pub accuracy_by_job: AccuracyLedger,
+    /// In-flight requests by tag; the table issues the tags.
+    pub requests: RequestTable,
     /// Network jitter stream.
     pub net_rng: DetRng,
     /// Service-time stream.
@@ -272,9 +417,8 @@ impl World {
             clients,
             collector: Collector::new(),
             schedule,
-            accuracy_by_job: HashMap::new(),
-            requests: HashMap::new(),
-            next_req: 0,
+            accuracy_by_job: AccuracyLedger::default(),
+            requests: RequestTable::default(),
             end,
             active_clients: 0,
             reconfig_log: Vec::new(),
@@ -328,6 +472,8 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn world(n_dps: usize) -> World {
         World::new(DigruberConfig::small(n_dps, 7), WorkloadSpec::small()).unwrap()
@@ -376,6 +522,137 @@ mod tests {
         let mut wl = WorkloadSpec::small();
         wl.n_clients = 0;
         assert!(World::new(DigruberConfig::small(1, 7), wl).is_err());
+    }
+
+    /// A request state recognisable by `n`. The timeout token is a real
+    /// one (only a scheduler mints them); the table never looks at it.
+    fn state(n: u32) -> RequestState {
+        let mut sim = desim::Simulation::new(());
+        let timeout_token = sim.scheduler().schedule_at(SimTime::ZERO, |_, _| {});
+        RequestState {
+            client: ClientId(n),
+            dp: DpId(0),
+            job: JobFactory::new(WorkloadSpec::small(), 7).make_job(ClientId(0), SimTime::ZERO),
+            sent_at: SimTime::ZERO,
+            timed_out: false,
+            timeout_token,
+        }
+    }
+
+    #[test]
+    fn retired_tag_misses_after_its_slot_is_reused() {
+        let mut t = RequestTable::default();
+        let old = t.insert(state(10));
+        assert_eq!(t.remove(old).map(|r| r.client), Some(ClientId(10)));
+        let new = t.insert(state(11));
+        assert_ne!(old, new, "tags are never reused");
+        assert_eq!(t.slab.len(), 1, "the freed slot was reused");
+        assert!(t.get(old).is_none());
+        assert!(t.get_mut(old).is_none());
+        assert!(t.remove(old).is_none(), "a second remove is a miss");
+        // The stale tag's misses left the slot's new owner alone.
+        assert_eq!(t.get(new).map(|r| r.client), Some(ClientId(11)));
+        assert_eq!(t.iter().map(|(tag, _)| tag).collect::<Vec<_>>(), [new]);
+    }
+
+    #[test]
+    fn never_issued_tag_misses() {
+        let mut t = RequestTable::default();
+        assert!(t.get(0).is_none());
+        let tag = t.insert(state(1));
+        for unissued in [tag + 1, t.next_tag(), u64::from(RETIRED), u64::MAX] {
+            assert!(t.get(unissued).is_none());
+            assert!(t.get_mut(unissued).is_none());
+            assert!(t.remove(unissued).is_none());
+        }
+        assert!(t.get(tag).is_some());
+    }
+
+    #[test]
+    fn answered_requests_leave_no_slab_behind() {
+        // One client, every query answered: the slab is as long as the most
+        // requests ever in flight at once (one per client), however many
+        // were issued. Only the four-byte index grows with the run.
+        use crate::events::{Ev, Sim};
+        let wl = WorkloadSpec {
+            n_clients: 1,
+            duration: gruber_types::SimDuration::from_mins(5),
+            ..WorkloadSpec::small()
+        };
+        let n_clients = wl.n_clients as usize;
+        let mut sim = Sim::with_events(World::new(DigruberConfig::small(1, 3), wl).unwrap());
+        sim.scheduler()
+            .post_at(SimTime::ZERO, Ev::ClientStart(ClientId(0)));
+        let end = sim.world().end;
+        sim.run_until(end);
+        let w = sim.world();
+        let issued = w.requests.next_tag();
+        assert!(issued >= 10, "only {issued} requests");
+        assert!(w.collector.traces().iter().all(|t| t.handled()));
+        assert_eq!(w.requests.index.len() as u64, issued);
+        let slots = w.requests.slab.len();
+        assert!(slots <= n_clients, "{slots} slab slots");
+        assert!(w.requests.iter().count() <= n_clients);
+    }
+
+    #[test]
+    fn accuracy_ledger_counts_what_it_holds() {
+        let mut a = AccuracyLedger::default();
+        assert!(a.is_empty());
+        a.record(JobId(5), 0.25);
+        a.record(JobId(2), 0.0);
+        assert_eq!(a.len(), 2);
+        assert_eq!(a.get(JobId(5)), Some(0.25));
+        assert_eq!(a.get(JobId(2)), Some(0.0));
+        // Holes below the highest id, and ids beyond it, are unrecorded.
+        assert_eq!(a.get(JobId(3)), None);
+        assert_eq!(a.get(JobId(6)), None);
+    }
+
+    proptest! {
+        /// The table against the map it replaced: any sequence of inserts,
+        /// lookups, mutations and (repeated) removes over issued and
+        /// unissued tags gets the same answers from both.
+        #[test]
+        fn request_table_matches_a_hash_map(
+            ops in proptest::collection::vec((0u8..5, 0u64..1000), 0..200),
+        ) {
+            let mut table = RequestTable::default();
+            let mut model: HashMap<u64, (ClientId, bool)> = HashMap::new();
+            let mut next = 0u64;
+            let view = |r: &RequestState| (r.client, r.timed_out);
+            for (n, (op, pick)) in ops.into_iter().enumerate() {
+                // Mostly issued tags (live or retired), sometimes one or
+                // two past the last.
+                let tag = pick % (next + 2);
+                match op {
+                    0 | 1 => {
+                        prop_assert_eq!(table.next_tag(), next);
+                        prop_assert_eq!(table.insert(state(n as u32)), next);
+                        model.insert(next, (ClientId(n as u32), false));
+                        next += 1;
+                    }
+                    2 => prop_assert_eq!(table.get(tag).map(view), model.get(&tag).copied()),
+                    3 => {
+                        let (got, want) = (table.get_mut(tag), model.get_mut(&tag));
+                        prop_assert_eq!(got.is_some(), want.is_some());
+                        if let (Some(got), Some(want)) = (got, want) {
+                            got.timed_out = true;
+                            want.1 = true;
+                        }
+                    }
+                    _ => prop_assert_eq!(
+                        table.remove(tag).as_ref().map(view),
+                        model.remove(&tag)
+                    ),
+                }
+                prop_assert_eq!(table.slab.len() - table.free.len(), model.len());
+            }
+            let mut want: Vec<_> = model.into_iter().collect();
+            want.sort_unstable_by_key(|&(tag, _)| tag);
+            let got: Vec<_> = table.iter().map(|(tag, r)| (tag, view(r))).collect();
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -128,6 +128,12 @@ impl Grid {
         self.sites.iter().map(|s| s.free_cpus()).collect()
     }
 
+    /// The largest ground-truth free-CPU count over all sites: the best
+    /// single placement right now, without building the per-site list.
+    pub fn max_free_cpus(&self) -> u32 {
+        self.sites.iter().map(|s| s.free_cpus()).max().unwrap_or(0)
+    }
+
     /// Access to one site's state.
     pub fn site(&self, id: SiteId) -> GridResult<&SiteState> {
         self.sites.get(id.index()).ok_or(GridError::UnknownSite(id))
@@ -423,6 +429,7 @@ mod tests {
         g.submit(job(1, 2, 10)).unwrap();
         g.dispatch(JobId(1), SiteId(0), SimTime::ZERO, true).unwrap();
         assert_eq!(g.free_cpus_per_site(), vec![0, 3]);
+        assert_eq!(g.max_free_cpus(), 3);
         assert_eq!(g.total_cpus(), 5);
     }
 

@@ -22,6 +22,12 @@
 /// as 1.0.
 pub fn schedule_accuracy(free_at_selected: u32, free_per_site: &[u32]) -> f64 {
     let best = free_per_site.iter().copied().max().unwrap_or(0);
+    accuracy_vs_best(free_at_selected, best)
+}
+
+/// [`schedule_accuracy`] for a caller that already holds `best`, the
+/// largest free-CPU count over all sites, and so need not build the list.
+pub fn accuracy_vs_best(free_at_selected: u32, best: u32) -> f64 {
     if best == 0 {
         return 1.0;
     }

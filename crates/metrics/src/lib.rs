@@ -39,7 +39,7 @@ pub mod jobs;
 pub mod series;
 pub mod summary;
 
-pub use accuracy::schedule_accuracy;
+pub use accuracy::{accuracy_vs_best, schedule_accuracy};
 pub use jobs::{JobAggregate, JobMetricsAccumulator};
 pub use series::TimeSeries;
 pub use summary::{timeouts_by_dp, SummaryStats};

@@ -14,12 +14,12 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q (tier-1, whole workspace)"
 cargo test -q --workspace --offline
 
-echo "==> cargo test --release (gruber, dpnode, grubsim: the expiry queue and the replay order as the benchmark runs them)"
+echo "==> cargo test --release (gruber, dpnode, grubsim, digruber: the expiry queue, the replay order and the request table as the benchmark runs them)"
 # Debug builds trap integer overflow and keep debug_assert!; release
 # wraps and drops them, which is exactly where a hand-rolled bucket
-# queue would differ. The differential proptests and grubsim's reference
-# replay order judge both builds.
-cargo test --release --offline -q -p gruber -p dpnode -p grubsim
+# queue or an index-addressed ledger would differ. The differential
+# proptests and grubsim's reference replay order judge both builds.
+cargo test --release --offline -q -p gruber -p dpnode -p grubsim -p digruber
 
 echo "==> the two oracle head-to-head benches (wheel, view) compile (harness = false: cargo test never builds them)"
 cargo build --release --offline --benches -p bench
@@ -43,6 +43,15 @@ echo "==> events are data: the boxed closure is desim's default payload and nobo
 { ! grep -rn 'Box<dyn FnOnce' --include=*.rs crates src tests examples \
       | grep -v '^crates/desim/src/engine.rs:'; } \
   || { echo "ci.sh: a boxed closure outside crates/desim/src/engine.rs (lines above)"; exit 1; }
+
+echo "==> requests are a ledger: no hashed table on the simulator's per-request path"
+# Tags and job ids are dense counters, so World's per-request state is
+# index-addressed (world::RequestTable, world::AccuracyLedger). Test
+# modules may keep a HashMap: it is the model the table is checked against.
+for f in crates/core/src/world.rs crates/core/src/events.rs crates/core/src/run.rs; do
+  { ! sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'HashMap'; } \
+    || { echo "ci.sh: a HashMap grew back in $f (lines above)"; exit 1; }
+done
 
 echo "==> one mailbox node loop: the thread and socket runtimes only supply a Transport"
 # dpstore::mailbox::node_loop is the one interpreter of `Routed` both
