@@ -9,7 +9,6 @@
 
 use crate::proto::{self, ClusterDpStats};
 use bytes::Bytes;
-use dpnode::record_to_delta;
 use gruber::DispatchRecord;
 use gruber_types::{ClientId, DpId, JobId, SimTime};
 use obs::{Recorder, TraceEvent};
@@ -169,7 +168,7 @@ impl ClusterClient {
     /// Informs the point of a dispatch decision (fire-and-forget, like
     /// the paper's clients).
     pub fn inform(&mut self, record: &DispatchRecord) -> std::io::Result<()> {
-        let bytes = encode_inform(&record_to_delta(record));
+        let bytes = encode_inform(record);
         self.send_frame(proto::FRAME_INFORM, bytes.as_ref())
     }
 

@@ -9,8 +9,9 @@
 //! encodings byte-for-byte, which is what makes the three-way
 //! equivalence test's flood hashes comparable at all.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use gruber_types::{DpId, GridError};
+use simnet::codec::Reader;
 
 /// Client → DP: availability query ([`simnet::codec::encode_query`]
 /// payload; the job id doubles as the reply correlation token).
@@ -53,22 +54,13 @@ pub fn encode_free(token: u32, free: &[u32]) -> Bytes {
 }
 
 /// Decodes a query reply into `(token, free)`.
-pub fn decode_free(mut buf: Bytes) -> Result<(u32, Vec<u32>), GridError> {
-    if buf.remaining() < 8 {
-        return Err(GridError::InvalidConfig("free: short header".into()));
-    }
-    let token = buf.get_u32_le();
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n * 4 {
-        return Err(GridError::InvalidConfig(format!(
-            "free: want {} bytes, have {}",
-            n * 4,
-            buf.remaining()
-        )));
-    }
+pub fn decode_free(buf: Bytes) -> Result<(u32, Vec<u32>), GridError> {
+    let mut r = Reader::new("free", buf.as_ref());
+    let token = r.u32()?;
+    let n = r.count(4)?;
     let mut free = Vec::with_capacity(n);
     for _ in 0..n {
-        free.push(buf.get_u32_le());
+        free.push(r.u32()?);
     }
     Ok((token, free))
 }
@@ -87,32 +79,16 @@ pub fn encode_peers(peers: &[(DpId, String)]) -> Bytes {
 }
 
 /// Decodes a peer address table.
-pub fn decode_peers(mut buf: Bytes) -> Result<Vec<(DpId, String)>, GridError> {
-    if buf.remaining() < 4 {
-        return Err(GridError::InvalidConfig("peers: short header".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    // The count is the sender's claim: hold it against the bytes that
-    // actually arrived (6 per entry at least) before reserving for it.
-    if n > buf.remaining() / 6 {
-        return Err(GridError::InvalidConfig(format!(
-            "peers: {n} entries claimed in {} bytes",
-            buf.remaining()
-        )));
-    }
+pub fn decode_peers(buf: Bytes) -> Result<Vec<(DpId, String)>, GridError> {
+    let mut r = Reader::new("peers", buf.as_ref());
+    // An entry is at least its id and its address length.
+    let n = r.count(6)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        if buf.remaining() < 6 {
-            return Err(GridError::InvalidConfig("peers: truncated entry".into()));
-        }
-        let dp = DpId(buf.get_u32_le());
-        let len = buf.get_u16_le() as usize;
-        if buf.remaining() < len {
-            return Err(GridError::InvalidConfig("peers: truncated address".into()));
-        }
-        let raw: Vec<u8> = (0..len).map(|_| buf.get_u8()).collect();
-        let addr = String::from_utf8(raw)
-            .map_err(|_| GridError::InvalidConfig("peers: address not UTF-8".into()))?;
+        let dp = DpId(r.u32()?);
+        let len = r.u16()? as usize;
+        let addr = String::from_utf8(r.take(len)?.to_vec())
+            .map_err(|_| r.malformed("address not UTF-8"))?;
         out.push((dp, addr));
     }
     Ok(out)
@@ -147,28 +123,25 @@ pub fn encode_stats(s: &ClusterDpStats) -> Bytes {
 }
 
 /// Decodes a stats snapshot.
-pub fn decode_stats(mut buf: Bytes) -> Result<ClusterDpStats, GridError> {
-    if buf.remaining() < STATS_WIRE_LEN {
-        return Err(GridError::InvalidConfig(format!(
-            "stats: want {STATS_WIRE_LEN} bytes, have {}",
-            buf.remaining()
-        )));
-    }
+pub fn decode_stats(buf: Bytes) -> Result<ClusterDpStats, GridError> {
+    let mut r = Reader::new("stats", buf.as_ref());
+    let dp = r.u64()?;
+    let dp = u32::try_from(dp).map_err(|_| r.malformed(format!("dp id {dp} is no u32")))?;
     Ok(ClusterDpStats {
-        dp: DpId(buf.get_u64_le() as u32),
-        queries: buf.get_u64_le(),
-        informs: buf.get_u64_le(),
-        sync_rounds: buf.get_u64_le(),
-        floods_sent: buf.get_u64_le(),
-        records_flooded: buf.get_u64_le(),
-        floods_merged: buf.get_u64_le(),
-        records_merged: buf.get_u64_le(),
-        decode_failures: buf.get_u64_le(),
-        crashes: buf.get_u64_le(),
-        flood_hash: buf.get_u64_le(),
-        recoveries: buf.get_u64_le(),
-        wal_records_replayed: buf.get_u64_le(),
-        flood_requeues: buf.get_u64_le(),
+        dp: DpId(dp),
+        queries: r.u64()?,
+        informs: r.u64()?,
+        sync_rounds: r.u64()?,
+        floods_sent: r.u64()?,
+        records_flooded: r.u64()?,
+        floods_merged: r.u64()?,
+        records_merged: r.u64()?,
+        decode_failures: r.u64()?,
+        crashes: r.u64()?,
+        flood_hash: r.u64()?,
+        recoveries: r.u64()?,
+        wal_records_replayed: r.u64()?,
+        flood_requeues: r.u64()?,
     })
 }
 
@@ -224,5 +197,12 @@ mod tests {
             flood_requeues: 12,
         };
         assert_eq!(decode_stats(encode_stats(&s)).unwrap(), s);
+        // The id travels as a u64; a claim past u32 used to be truncated.
+        let mut wide = encode_stats(&s).to_vec();
+        wide[4] = 1;
+        assert!(matches!(
+            decode_stats(Bytes::from(wide)),
+            Err(GridError::Malformed { what: "stats", .. })
+        ));
     }
 }

@@ -29,7 +29,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Sender};
 use dpstore::mailbox::{self, node_loop, Answer, NodeMsg, Transport};
 use dpstore::{Blueprint, FileStore, NodeHost, SnapshotPolicy, WireInput};
-use gruber_types::DpId;
+use gruber_types::{DispatchRecord, DpId};
 use obs::Recorder;
 use parking_lot::Mutex;
 use simnet::codec::{
@@ -354,8 +354,8 @@ fn serve_conn(
 }
 
 /// Most records one `RECORDS` frame carries: its body is the kind byte,
-/// the `u32` count and 36 bytes per record.
-const MAX_RECORDS_PER_FRAME: usize = (MAX_FRAME_BODY - 1 - 4) / 36;
+/// the `u32` count and the records.
+const MAX_RECORDS_PER_FRAME: usize = (MAX_FRAME_BODY - 1 - 4) / DispatchRecord::WIRE_LEN;
 
 /// Splits a flood's wire bytes (`[u32 count][36-byte records]`) at record
 /// boundaries into payloads that each fit one frame — a slice behind a new
@@ -365,13 +365,13 @@ const MAX_RECORDS_PER_FRAME: usize = (MAX_FRAME_BODY - 1 - 4) / 36;
 /// payload before the split, so flood hashes do not see it.
 fn frame_sized(records: &Bytes) -> Vec<Bytes> {
     let body = records.as_ref().get(4..).unwrap_or_default();
-    if body.len() <= MAX_RECORDS_PER_FRAME * 36 {
+    if body.len() <= MAX_RECORDS_PER_FRAME * DispatchRecord::WIRE_LEN {
         return vec![records.clone()];
     }
-    body.chunks(MAX_RECORDS_PER_FRAME * 36)
+    body.chunks(MAX_RECORDS_PER_FRAME * DispatchRecord::WIRE_LEN)
         .map(|chunk| {
             let mut buf = BytesMut::with_capacity(4 + chunk.len());
-            buf.put_u32_le((chunk.len() / 36) as u32);
+            buf.put_u32_le((chunk.len() / DispatchRecord::WIRE_LEN) as u32);
             buf.put_slice(chunk);
             buf.freeze()
         })

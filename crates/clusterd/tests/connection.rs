@@ -6,7 +6,6 @@
 
 use bytes::Bytes;
 use clusterd::{ClusterClient, Server, ServerConfig};
-use dpnode::record_to_delta;
 use gruber::DispatchRecord;
 use gruber_types::{ClientId, DpId, GroupId, JobId, SimDuration, SimTime, SiteId, SiteSpec, VoId};
 use obs::Recorder;
@@ -116,7 +115,7 @@ fn frames_reassemble_across_one_byte_writes() {
     // land in the worst possible places and the frame must still apply.
     let inform = encode_frame(
         clusterd::proto::FRAME_INFORM,
-        encode_inform(&record_to_delta(&record(1, 0, 4))).as_ref(),
+        encode_inform(&record(1, 0, 4)).as_ref(),
     );
     for byte in inform.as_ref() {
         stream.write_all(&[*byte]).unwrap();
@@ -186,6 +185,47 @@ fn peers_frame_with_an_inflated_count_drops_the_connection_not_the_process() {
 
     server.stop();
     server.join();
+}
+
+/// One `INFORM` naming `VoId(u32::MAX)` used to grow the view's dense
+/// principal table to 32 GB. The point's USLA set names VOs and groups 0
+/// and 1: anything past them is counted as an inform and left out of the
+/// view, and the point goes on answering.
+#[test]
+fn inform_naming_a_principal_past_the_usla_set_is_refused_not_allocated() {
+    let server = server(0, 1);
+    let addr = server.local_addr().to_string();
+    let mut client = ClusterClient::connect(&addr, ClientId(0)).expect("client");
+
+    for (job, vo, group) in [(1, u32::MAX, 0), (2, 2, 0), (3, 0, u32::MAX), (4, 0, 2)] {
+        let hostile = DispatchRecord {
+            vo: VoId(vo),
+            group: GroupId(group),
+            ..record(job, 0, 4)
+        };
+        client.inform(&hostile).expect("inform");
+    }
+    // An honest inform behind them on the same connection: once the view
+    // shows it, the four before it have been handled.
+    client.inform(&record(5, 1, 8)).expect("inform");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let view = client
+            .query(Duration::from_secs(5))
+            .expect("query io")
+            .expect("query timed out");
+        if view == vec![16, 8, 16, 16] {
+            break; // site 0 untouched: the view took none of the four
+        }
+        assert_eq!(view, vec![16, 16, 16, 16], "a refused inform reached the view");
+        assert!(Instant::now() < deadline, "honest inform never applied");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    server.stop();
+    let stats = server.join();
+    assert_eq!(stats.informs, 5);
+    assert_eq!(stats.decode_failures, 0);
 }
 
 /// The full peer-death cycle: the first flood exhausts its reconnect

@@ -104,7 +104,7 @@ pub enum Ev {
         /// Transmission attempt (≥ 1).
         attempt: u32,
     },
-    /// A flood reaches its receiver: [`exchange_arrives`].
+    /// A flood reaches its receiver: `exchange_arrives`.
     ExchangeArrives {
         /// Sending decision point.
         i: usize,

@@ -18,7 +18,6 @@
 //! and live behaviour are identical.
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use dpnode::record_to_delta;
 use dpstore::mailbox::{self, node_loop, Answer, Transport};
 use dpstore::{Blueprint, NodeHost, SimStore, SnapshotPolicy, WireInput};
 use gruber::DispatchRecord;
@@ -267,7 +266,7 @@ impl LiveCluster {
     /// crosses the channel in its wire form
     /// ([`simnet::codec::encode_inform`]).
     pub fn inform(&self, dp: DpId, record: DispatchRecord) {
-        let bytes = encode_inform(&record_to_delta(&record));
+        let bytes = encode_inform(&record);
         let _ = self.dps[dp.index()]
             .sender
             .send(Msg::Wire(WireInput::Inform(bytes)));

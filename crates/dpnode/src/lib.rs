@@ -51,7 +51,6 @@ mod node;
 mod topology;
 
 pub use node::{
-    delta_to_record, record_to_delta, DpNode, DpNodeStats, Effect, FloodPayload, Input,
-    NodeConfig, WalOp,
+    record_to_delta, DpNode, DpNodeStats, Effect, FloodPayload, Input, NodeConfig, WalOp,
 };
 pub use topology::{convergence_bound, sync_peers_of, Dissemination, Topology};

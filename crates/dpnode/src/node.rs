@@ -3,9 +3,11 @@
 use crate::topology::{sync_peers_of, Dissemination, Topology};
 use bytes::Bytes;
 use desim::DetRng;
-use gruber::{DispatchRecord, GruberEngine};
-use gruber_types::{DpId, GridError, JobId, JobSpec, SimDuration, SimTime, SiteSpec};
-use simnet::codec::{decode_deltas, encode_deltas, iter_deltas, DispatchDelta};
+use gruber::GruberEngine;
+use gruber_types::{
+    DispatchRecord, DpId, GridError, JobId, JobSpec, SimDuration, SimTime, SiteSpec,
+};
+use simnet::codec::{encode_deltas, iter_deltas, Reader};
 use std::collections::BTreeMap;
 use usla::store::VersionedEntry;
 use usla::UslaSet;
@@ -23,31 +25,8 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Converts an in-memory dispatch record to its wire form.
-pub fn record_to_delta(r: &DispatchRecord) -> DispatchDelta {
-    DispatchDelta {
-        job: r.job,
-        site: r.site,
-        vo: r.vo,
-        group: r.group,
-        cpus: r.cpus,
-        dispatched_at: r.dispatched_at,
-        est_finish: r.est_finish,
-    }
-}
-
-/// Converts a wire dispatch delta back to the in-memory record.
-pub fn delta_to_record(d: &DispatchDelta) -> DispatchRecord {
-    DispatchRecord {
-        job: d.job,
-        site: d.site,
-        vo: d.vo,
-        group: d.group,
-        cpus: d.cpus,
-        dispatched_at: d.dispatched_at,
-        est_finish: d.est_finish,
-    }
-}
+/// Identity: `perf/src/kernels.rs` (frozen) still calls it; ROADMAP item 4(a) drops it.
+pub fn record_to_delta(r: &DispatchRecord) -> DispatchRecord { *r }
 
 /// One exchange flood, as it leaves a node: the dispatch records already
 /// in wire form (every runtime ships these exact bytes), plus the typed
@@ -67,12 +46,7 @@ impl FloodPayload {
     /// count header is read opportunistically for accounting; a malformed
     /// payload still fails properly at decode time.
     pub fn from_wire(records: Bytes) -> Self {
-        let head = records.as_ref();
-        let n_records = if head.len() >= 4 {
-            u32::from_le_bytes([head[0], head[1], head[2], head[3]])
-        } else {
-            0
-        };
+        let n_records = Reader::new("deltas", records.as_ref()).u32().unwrap_or(0);
         FloodPayload {
             records,
             n_records,
@@ -82,10 +56,8 @@ impl FloodPayload {
 
     /// Decodes the dispatch records. Truncated or malformed payloads
     /// error; they never half-merge.
-    pub fn decode(&self) -> Result<Vec<DispatchRecord>, gruber_types::GridError> {
-        Ok(iter_deltas(self.records.as_ref())?
-            .map(|d| delta_to_record(&d))
-            .collect())
+    pub fn decode(&self) -> Result<Vec<DispatchRecord>, GridError> {
+        Ok(iter_deltas(self.records.as_ref())?.collect())
     }
 }
 
@@ -484,8 +456,7 @@ impl DpNode {
         if log.is_empty() && uslas.is_empty() {
             return;
         }
-        let deltas: Vec<DispatchDelta> = log.iter().map(record_to_delta).collect();
-        let records = encode_deltas(&deltas);
+        let records = encode_deltas(&log);
         self.stats.sync_rounds += 1;
         self.stats.records_flooded += log.len() as u64;
         self.stats.flood_hash = fnv1a(self.stats.flood_hash, records.as_ref());
@@ -524,7 +495,7 @@ impl DpNode {
         self.prune_live(now);
         let s = &self.stats;
         let (dispatched, merged) = self.engine.counters();
-        let mut buf = Vec::with_capacity(128 + 36 * self.live.len());
+        let mut buf = Vec::with_capacity(128 + DispatchRecord::WIRE_LEN * self.live.len());
         buf.push(SNAPSHOT_VERSION);
         for v in [
             s.queries,
@@ -544,16 +515,15 @@ impl DpNode {
         ] {
             buf.extend_from_slice(&v.to_le_bytes());
         }
-        let live: Vec<DispatchDelta> = self.live.values().map(record_to_delta).collect();
-        let live_bytes = encode_deltas(&live);
-        buf.extend_from_slice(&(live_bytes.len() as u32).to_le_bytes());
-        buf.extend_from_slice(live_bytes.as_ref());
-        let outgoing: Vec<DispatchDelta> =
-            self.engine.outgoing().iter().map(record_to_delta).collect();
-        let out_bytes = encode_deltas(&outgoing);
-        buf.extend_from_slice(&(out_bytes.len() as u32).to_le_bytes());
-        buf.extend_from_slice(out_bytes.as_ref());
-        (buf, live.len() as u32)
+        let blocks = [
+            encode_deltas(self.live.values()),
+            encode_deltas(self.engine.outgoing()),
+        ];
+        for block in blocks {
+            buf.extend_from_slice(&(block.len() as u32).to_le_bytes());
+            buf.extend_from_slice(block.as_ref());
+        }
+        (buf, self.live.len() as u32)
     }
 
     /// Packages the node's live (unexpired) dispatch records as a
@@ -566,10 +536,9 @@ impl DpNode {
     /// start from its join time. Expired records are pruned first.
     pub fn state_transfer(&mut self, now: SimTime) -> FloodPayload {
         self.prune_live(now);
-        let deltas: Vec<DispatchDelta> = self.live.values().map(record_to_delta).collect();
         FloodPayload {
-            n_records: deltas.len() as u32,
-            records: encode_deltas(&deltas),
+            n_records: self.live.len() as u32,
+            records: encode_deltas(self.live.values()),
             uslas: Vec::new(),
         }
     }
@@ -580,24 +549,20 @@ impl DpNode {
     /// that expired while the point was down (`est_finish <= now`) are
     /// dropped on restore. Returns how many live records were restored.
     pub fn snapshot_decode(&mut self, bytes: &[u8], now: SimTime) -> Result<u32, GridError> {
-        let mut pos = 0usize;
-        let version = take(bytes, &mut pos, 1)?[0];
+        let mut r = Reader::new("snapshot", bytes);
+        let version = r.u8()?;
         if version != SNAPSHOT_VERSION {
-            return Err(GridError::InvalidConfig(format!(
-                "snapshot: unknown version {version}"
-            )));
+            return Err(r.malformed(format!("unknown version {version}")));
         }
         let mut words = [0u64; 14];
         for w in &mut words {
-            *w = take_u64(bytes, &mut pos)?;
+            *w = r.u64()?;
         }
-        let live_len = take_u32(bytes, &mut pos)? as usize;
-        let live = decode_deltas(Bytes::copy_from_slice(take(bytes, &mut pos, live_len)?))?;
-        let out_len = take_u32(bytes, &mut pos)? as usize;
-        let outgoing = decode_deltas(Bytes::copy_from_slice(take(bytes, &mut pos, out_len)?))?;
-        if pos != bytes.len() {
-            return Err(GridError::InvalidConfig("snapshot: trailing bytes".into()));
-        }
+        let live_len = r.u32()? as usize;
+        let live = iter_deltas(r.take(live_len)?)?;
+        let out_len = r.u32()? as usize;
+        let outgoing = iter_deltas(r.take(out_len)?)?;
+        r.finish()?;
         self.stats = DpNodeStats {
             queries: words[0],
             informs: words[1],
@@ -614,15 +579,13 @@ impl DpNode {
         self.engine
             .restore_counters(words[10], words[11], last_merge, SimDuration(words[13]));
         let mut restored = 0u32;
-        for d in &live {
-            let rec = delta_to_record(d);
+        for rec in live {
             if self.engine.view_mut().observe(&rec, now) {
                 self.keep_live(rec, now);
                 restored += 1;
             }
         }
-        self.engine
-            .requeue_outgoing(outgoing.iter().map(delta_to_record).collect());
+        self.engine.requeue_outgoing(outgoing.collect());
         Ok(restored)
     }
 
@@ -683,24 +646,6 @@ impl DpNode {
 
 /// Snapshot wire-format version ([`DpNode::snapshot_encode`]).
 const SNAPSHOT_VERSION: u8 = 1;
-
-fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], GridError> {
-    let end = pos
-        .checked_add(n)
-        .filter(|&end| end <= bytes.len())
-        .ok_or_else(|| GridError::InvalidConfig("snapshot: truncated".into()))?;
-    let slice = &bytes[*pos..end];
-    *pos = end;
-    Ok(slice)
-}
-
-fn take_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, GridError> {
-    Ok(u64::from_le_bytes(take(bytes, pos, 8)?.try_into().unwrap()))
-}
-
-fn take_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, GridError> {
-    Ok(u32::from_le_bytes(take(bytes, pos, 4)?.try_into().unwrap()))
-}
 
 #[cfg(test)]
 mod tests {
@@ -1185,10 +1130,10 @@ mod tests {
         }
         // Pruning early must not change what a joiner is sent.
         for now in [SimTime::from_secs(19_999), SimTime::from_secs(20_000)] {
-            let oracle: Vec<DispatchDelta> = inputs
+            let oracle: Vec<DispatchRecord> = inputs
                 .iter()
                 .filter(|r| r.est_finish > now)
-                .map(record_to_delta)
+                .copied()
                 .collect();
             let sent = n.state_transfer(now);
             assert_eq!(sent.n_records as usize, oracle.len());

@@ -1,11 +1,9 @@
 //! The on-disk store: CRC-framed WAL segments + an atomic snapshot file.
 
 use crate::{Recovery, Store};
-use bytes::Bytes;
-use dpnode::{delta_to_record, record_to_delta, WalOp};
-use gruber::DispatchRecord;
-use gruber_types::{SimDuration, SimTime};
-use simnet::codec::{decode_inform, encode_inform};
+use dpnode::WalOp;
+use gruber_types::{DispatchRecord, GridError, SimDuration, SimTime};
+use simnet::codec::Reader;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -15,10 +13,10 @@ const KIND_OWN: u8 = 0;
 const KIND_PEER: u8 = 1;
 const KIND_DRAINED: u8 = 2;
 
-/// Longest legal frame body: kind + timestamp + a 36-byte record. A
+/// Longest legal frame body: kind + timestamp + one dispatch record. A
 /// length header above this is garbage (a torn or corrupted frame), not
 /// a record we have yet to understand.
-const MAX_BODY: usize = 1 + 8 + 36;
+const MAX_BODY: usize = 1 + 8 + DispatchRecord::WIRE_LEN;
 
 /// CRC-32 (IEEE 802.3, reflected), bit-at-a-time — small and dependency
 /// free; WAL frames are tens of bytes, so table-driven speed buys
@@ -37,32 +35,27 @@ fn crc32(bytes: &[u8]) -> u32 {
 
 /// Encodes one WAL operation into a frame: `[u32 body_len][u32 crc(body)]`
 /// then `body = [u8 kind][u64 at_ms][payload]`, everything little-endian.
-/// Record payloads reuse the 36-byte `simnet::codec` inform encoding —
-/// the WAL speaks the same wire dialect as the exchange mesh.
+/// A record payload is the record's 36 wire bytes — the WAL speaks the
+/// same dialect as the exchange mesh.
 fn encode_frame(at: SimTime, op: &WalOp) -> Vec<u8> {
     let mut body = Vec::with_capacity(MAX_BODY);
-    let (kind, rec): (u8, Option<&DispatchRecord>) = match op {
-        WalOp::Own(rec) => (KIND_OWN, Some(rec)),
-        WalOp::Peer(rec) => (KIND_PEER, Some(rec)),
-        WalOp::Drained { .. } => (KIND_DRAINED, None),
-    };
-    body.push(kind);
+    body.push(match op {
+        WalOp::Own(_) => KIND_OWN,
+        WalOp::Peer(_) => KIND_PEER,
+        WalOp::Drained { .. } => KIND_DRAINED,
+    });
     body.extend_from_slice(&at.as_millis().to_le_bytes());
-    match (rec, op) {
-        (Some(rec), _) => body.extend_from_slice(encode_inform(&record_to_delta(rec)).as_ref()),
-        (
-            None,
-            WalOp::Drained {
-                records,
-                peers,
-                flood_hash,
-            },
-        ) => {
+    match op {
+        WalOp::Own(rec) | WalOp::Peer(rec) => body.extend_from_slice(&rec.to_wire()),
+        WalOp::Drained {
+            records,
+            peers,
+            flood_hash,
+        } => {
             body.extend_from_slice(&records.to_le_bytes());
             body.extend_from_slice(&peers.to_le_bytes());
             body.extend_from_slice(&flood_hash.to_le_bytes());
         }
-        _ => unreachable!(),
     }
     let mut frame = Vec::with_capacity(8 + body.len());
     frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
@@ -71,40 +64,40 @@ fn encode_frame(at: SimTime, op: &WalOp) -> Vec<u8> {
     frame
 }
 
-/// Decodes a frame body whose CRC already checked out. `None` means the
-/// body is malformed despite the CRC match (wrong size for its kind, or
-/// an unknown kind) — the scan treats it like a torn tail.
-fn decode_body(body: &[u8]) -> Option<(SimTime, WalOp)> {
-    if body.len() < 9 {
-        return None;
+/// Reads the next frame of a WAL. Any error — a header or body cut short,
+/// a length no frame has, a CRC mismatch, a body [`decode_body`] refuses —
+/// is where the scan stops: the torn tail.
+fn read_frame(r: &mut Reader<'_>) -> Result<(SimTime, WalOp), GridError> {
+    let len = r.u32()? as usize;
+    let crc = r.u32()?;
+    if len > MAX_BODY {
+        return Err(r.malformed(format!("body length {len}")));
     }
-    let at = SimTime(u64::from_le_bytes(body[1..9].try_into().ok()?));
-    let payload = &body[9..];
-    let op = match body[0] {
-        KIND_OWN | KIND_PEER => {
-            if payload.len() != 36 {
-                return None;
-            }
-            let rec = delta_to_record(&decode_inform(Bytes::copy_from_slice(payload)).ok()?);
-            if body[0] == KIND_OWN {
-                WalOp::Own(rec)
-            } else {
-                WalOp::Peer(rec)
-            }
-        }
-        KIND_DRAINED => {
-            if payload.len() != 16 {
-                return None;
-            }
-            WalOp::Drained {
-                records: u32::from_le_bytes(payload[0..4].try_into().ok()?),
-                peers: u32::from_le_bytes(payload[4..8].try_into().ok()?),
-                flood_hash: u64::from_le_bytes(payload[8..16].try_into().ok()?),
-            }
-        }
-        _ => return None,
+    let body = r.take(len)?;
+    if crc32(body) != crc {
+        return Err(r.malformed("CRC mismatch"));
+    }
+    decode_body(body)
+}
+
+/// Decodes a frame body whose CRC already checked out; it can still be
+/// malformed (an unknown kind, the wrong size for its kind).
+fn decode_body(body: &[u8]) -> Result<(SimTime, WalOp), GridError> {
+    let mut r = Reader::new("WAL frame body", body);
+    let kind = r.u8()?;
+    let at = SimTime(r.u64()?);
+    let op = match kind {
+        KIND_OWN => WalOp::Own(r.record()?),
+        KIND_PEER => WalOp::Peer(r.record()?),
+        KIND_DRAINED => WalOp::Drained {
+            records: r.u32()?,
+            peers: r.u32()?,
+            flood_hash: r.u64()?,
+        },
+        _ => return Err(r.malformed(format!("unknown kind {kind}"))),
     };
-    Some((at, op))
+    r.finish()?;
+    Ok((at, op))
 }
 
 /// A real on-disk [`Store`]: `wal.log` holds CRC-framed operations,
@@ -137,22 +130,10 @@ impl FileStore {
         let mut valid_end = 0u64;
         if wal_path.exists() {
             let data = fs::read(&wal_path)?;
-            let mut pos = 0usize;
-            while data.len() - pos >= 8 {
-                let len =
-                    u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-                if len == 0 || len > MAX_BODY || pos + 8 + len > data.len() {
-                    break;
-                }
-                let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap());
-                let body = &data[pos + 8..pos + 8 + len];
-                if crc32(body) != crc {
-                    break;
-                }
-                let Some(op) = decode_body(body) else { break };
+            let mut r = Reader::new("WAL frame", &data);
+            while let Ok(op) = read_frame(&mut r) {
                 wal.push(op);
-                pos += 8 + len;
-                valid_end = pos as u64;
+                valid_end = (data.len() - r.remaining()) as u64;
             }
             if valid_end < data.len() as u64 {
                 // Torn or corrupt tail: drop it so appends resume from
@@ -185,16 +166,12 @@ impl FileStore {
 /// Anything short, long or CRC-mismatched is a torn write: `None`.
 fn read_snapshot(path: &Path) -> Option<Vec<u8>> {
     let data = fs::read(path).ok()?;
-    if data.len() < 8 {
-        return None;
-    }
-    let len = u32::from_le_bytes(data[0..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(data[4..8].try_into().unwrap());
-    let body = &data[8..];
-    if body.len() != len || crc32(body) != crc {
-        return None;
-    }
-    Some(body.to_vec())
+    let mut r = Reader::new("snapshot file", &data);
+    let len = r.u32().ok()? as usize;
+    let crc = r.u32().ok()?;
+    let body = r.take(len).ok()?;
+    r.finish().ok()?;
+    (crc32(body) == crc).then(|| body.to_vec())
 }
 
 impl Store for FileStore {

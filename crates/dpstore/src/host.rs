@@ -11,9 +11,7 @@
 
 use crate::{SnapshotPolicy, Store};
 use bytes::Bytes;
-use dpnode::{
-    delta_to_record, Dissemination, DpNode, Effect, FloodPayload, Input, NodeConfig, Topology,
-};
+use dpnode::{Dissemination, DpNode, Effect, FloodPayload, Input, NodeConfig, Topology};
 use gruber_types::{DpId, GridError, SimDuration, SimTime, SiteSpec};
 use obs::{Recorder, TraceEvent};
 use simnet::codec::decode_inform;
@@ -102,9 +100,7 @@ impl WireInput {
     /// `decode_failures`).
     pub fn decode(self) -> Option<Input> {
         Some(match self {
-            WireInput::Inform(bytes) => {
-                Input::Inform(delta_to_record(&decode_inform(bytes).ok()?))
-            }
+            WireInput::Inform(bytes) => Input::Inform(decode_inform(bytes).ok()?),
             WireInput::PeerRecords(bytes) => Input::PeerRecords(FloodPayload::from_wire(bytes)),
         })
     }

@@ -101,7 +101,7 @@ fn run_script<S: Store>(h: &mut NodeHost<S>) -> usize {
     };
     let wire = WireInput::PeerRecords(payload.records).decode().unwrap();
     cut += snapshots(&step(h, SimTime::from_secs(12), wire).1);
-    let inform = WireInput::Inform(encode_inform(&dpnode::record_to_delta(&rec(5))));
+    let inform = WireInput::Inform(encode_inform(&rec(5)));
     cut += snapshots(&step(h, SimTime::from_secs(13), inform.decode().unwrap()).1);
     cut
 }
@@ -144,6 +144,70 @@ fn sim_and_file_stores_agree_before_and_after_recovery() {
     assert_eq!(after.0.informs, before.0.informs);
     assert_eq!(after.0.records_merged, before.0.records_merged);
     assert_eq!(after.0.floods_sent, before.0.floods_sent);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+/// The on-disk formats did not move when the dispatch record and its
+/// 36-byte layout became one definition: a data directory written by the
+/// commit before (two informs, a sync round, a third inform, a snapshot;
+/// then an own record, a peer's record, a drain and one more own record
+/// in the WAL) restores to the counters, the view and the next flood that
+/// commit reported for the node that wrote it.
+#[test]
+fn a_data_directory_written_by_the_previous_format_owner_still_recovers() {
+    const SNAPSHOT_BIN: &str = "11010000ca0ce516010000000000000000030000000000000001000000000000\
+        0002000000000000000200000000000000000000000000000000000000000000\
+        000000000000000000000000000000000058f86456838b7f8003000000000000\
+        000000000000000000ffffffffffffffff000000000000000070000000030000\
+        000100000000000000010000000100000002000000e80300000000000068f236\
+        00000000000200000001000000000000000000000003000000d0070000000000\
+        0050f63600000000000300000002000000010000000100000004000000b80b00\
+        000000000038fa36000000000028000000010000000300000002000000010000\
+        000100000004000000b80b00000000000038fa360000000000";
+    const WAL_LOG: &str = "2d0000008b3d4252001027000000000000040000000300000000000000000000\
+        0005000000a00f00000000000020fe3600000000002d0000008ecbaa01011027\
+        0000000000000900000002000000010000000100000005000000282300000000\
+        0000a8113700000000001900000027982d5d0210270000000000000200000002\
+        0000002d3761214cfe63f62d000000b0bafae700102700000000000005000000\
+        0000000001000000010000000100000088130000000000000802370000000000";
+    const NEXT_FLOOD: &str = "0100000005000000000000000100000001000000010000008813000000000000\
+        0802370000000000";
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("host-parent-fixture");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("snapshot.bin"), unhex(SNAPSHOT_BIN)).unwrap();
+    std::fs::write(dir.join("wal.log"), unhex(WAL_LOG)).unwrap();
+
+    // A process restart over that directory.
+    let mut h = host(FileStore::open(&dir).unwrap(), SnapshotPolicy::DISABLED);
+    assert_eq!(h.restore(SimTime::from_secs(20)).unwrap().records, 4);
+    assert!(h.rejoin());
+    let stats = h.node().stats();
+    assert_eq!(
+        (stats.informs, stats.sync_rounds, stats.floods_sent),
+        (5, 2, 4)
+    );
+    assert_eq!((stats.records_flooded, stats.records_merged), (4, 1));
+    assert_eq!(stats.flood_hash, 17_754_313_758_955_616_045);
+    assert_eq!(h.node().engine().counters(), (5, 1));
+    assert_eq!(
+        h.node_mut().engine_mut().availability(SimTime::from_secs(20)),
+        vec![13, 13, 7, 11]
+    );
+    let (out, _) = step(&mut h, SimTime::from_secs(20), Input::SyncTick { n_dps: 3 });
+    let [Routed::FloodTo { peers, payload }] = &out[..] else {
+        panic!("the unflooded record must go out: {out:?}");
+    };
+    assert_eq!(peers, &[1, 2]);
+    assert_eq!(payload.records.as_ref(), &unhex(NEXT_FLOOD)[..]);
+    assert_eq!(h.node().stats().flood_hash, 16_776_405_676_117_206_636);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

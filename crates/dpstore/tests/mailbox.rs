@@ -6,7 +6,7 @@
 
 use bytes::Bytes;
 use crossbeam::channel::unbounded;
-use dpnode::{record_to_delta, Dissemination, NodeConfig, Topology};
+use dpnode::{Dissemination, NodeConfig, Topology};
 use dpstore::mailbox::{node_loop, Answer, DpStats, NodeMsg, Transport};
 use dpstore::{Blueprint, NodeHost, SimStore, SnapshotPolicy, WireInput};
 use gruber::DispatchRecord;
@@ -85,8 +85,7 @@ fn record(job: u32, site: u32, cpus: u32) -> DispatchRecord {
 }
 
 fn inform(job: u32, site: u32, cpus: u32) -> Msg {
-    let delta = record_to_delta(&record(job, site, cpus));
-    Msg::Wire(WireInput::Inform(encode_inform(&delta)))
+    Msg::Wire(WireInput::Inform(encode_inform(&record(job, site, cpus))))
 }
 
 /// Runs the loop on this thread over `script` + `Shutdown`.
@@ -225,7 +224,7 @@ fn malformed_inform_is_dropped_whole_and_the_loop_continues() {
 /// answered.
 #[test]
 fn records_for_an_unknown_site_leave_the_views_unchanged() {
-    let flood = encode_deltas(&[record_to_delta(&record(3, 4, 8))]);
+    let flood = encode_deltas(&[record(3, 4, 8)]);
     let script = vec![
         inform(1, 0, 8),
         inform(2, 4, 8),

@@ -9,8 +9,8 @@
 //! * *admission* — may this job start another CPU, under the USLAs, given
 //!   the believed per-VO/group usage?
 
-use crate::view::{DispatchRecord, GridView};
-use gruber_types::{DpId, JobSpec, SimDuration, SimTime, SiteSpec};
+use crate::view::GridView;
+use gruber_types::{DispatchRecord, DpId, JobSpec, SimDuration, SimTime, SiteSpec};
 use obs::{Recorder, TraceEvent, TraceVerdict};
 use usla::{AdmissionVerdict, EntitlementEngine, Principal, ResourceKind, UslaSet, UslaStore};
 
@@ -34,9 +34,26 @@ pub struct GruberEngine {
 
 impl GruberEngine {
     /// Builds an engine with full static site knowledge and a USLA set.
+    /// The view accounts for the VO and group ids the set names (one past
+    /// the highest of each; [`GridView::DEFAULT_PRINCIPALS`] for a level
+    /// the set is silent on) and refuses dispatch records naming any other.
     pub fn new(sites: &[SiteSpec], uslas: &UslaSet) -> Self {
+        let (mut n_vos, mut n_groups) = (None, None);
+        for p in uslas.entries().iter().flat_map(|e| [e.provider, e.consumer]) {
+            let (vo, group) = match p {
+                Principal::Grid => continue,
+                Principal::Vo(v) => (v, None),
+                Principal::Group(v, g) | Principal::User(v, g, _) => (v, Some(g)),
+            };
+            n_vos = n_vos.max(Some(vo.index() + 1));
+            n_groups = n_groups.max(group.map(|g| g.index() + 1));
+        }
         GruberEngine {
-            view: GridView::new(sites),
+            view: GridView::with_principals(
+                sites,
+                n_vos.unwrap_or(GridView::DEFAULT_PRINCIPALS),
+                n_groups.unwrap_or(GridView::DEFAULT_PRINCIPALS),
+            ),
             uslas: UslaStore::from_set(uslas),
             outgoing: Vec::new(),
             dispatches_recorded: 0,
@@ -393,6 +410,39 @@ mod tests {
         }
         let v = e.admission(&job(1, 1), now);
         assert_eq!(v, AdmissionVerdict::Denied);
+    }
+
+    #[test]
+    fn the_usla_set_bounds_the_principals_the_view_accounts_for() {
+        use usla::{FairShare, UslaEntry};
+        let named = |job, vo, group| DispatchRecord {
+            vo: VoId(vo),
+            group: GroupId(group),
+            ..rec(job, 0, 1, 1000)
+        };
+        let now = SimTime::ZERO;
+        // VOs 0-1 with groups 0-1: one past either is nobody's.
+        let mut e = engine();
+        assert!(e.record_dispatch(named(1, 1, 1), now));
+        assert!(!e.record_dispatch(named(2, 2, 0), now));
+        assert!(!e.record_dispatch(named(3, 0, 2), now));
+        assert!(!e.record_dispatch(named(4, u32::MAX, u32::MAX), now));
+        assert_eq!((e.availability(now), e.pending_log_len()), (vec![9, 10], 1));
+        // A set that grants VOs and says nothing of groups bounds the VOs
+        // only; an empty set bounds neither past the view's default.
+        let vo_only = UslaSet::from_entries(vec![UslaEntry {
+            provider: Principal::Grid,
+            consumer: Principal::Vo(VoId(4)),
+            resource: ResourceKind::Cpu,
+            share: FairShare::target(100.0),
+        }])
+        .unwrap();
+        let mut e = GruberEngine::new(&sites(), &vo_only);
+        assert!(e.record_dispatch(named(1, 4, 900), now));
+        assert!(!e.record_dispatch(named(2, 5, 0), now));
+        let mut e = GruberEngine::new(&sites(), &UslaSet::new());
+        assert!(e.record_dispatch(named(1, 900, 900), now));
+        assert!(!e.record_dispatch(named(2, GridView::DEFAULT_PRINCIPALS as u32, 0), now));
     }
 
     #[test]

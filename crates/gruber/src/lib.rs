@@ -62,4 +62,5 @@ pub use selectors::{
     LeastRecentlyUsedSelector, LeastUsedSelector, RandomSelector, RoundRobinSelector,
     SelectorKind, SiteSelector, UslaAwareSelector,
 };
-pub use view::{DispatchRecord, GridView, RefView, ViewStore};
+pub use gruber_types::DispatchRecord;
+pub use view::{GridView, RefView, ViewStore};

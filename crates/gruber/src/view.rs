@@ -90,29 +90,10 @@
 //! replay it measured 45–53 % more peak RSS than the binary heap this
 //! queue replaced, where chunks measure 20 % less.
 
-use gruber_types::{GroupId, JobId, SimTime, SiteId, SiteSpec, VoId};
+use gruber_types::{DispatchRecord, GroupId, JobId, SimTime, SiteId, SiteSpec, VoId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
-
-/// One observed dispatch: the unit of inter-decision-point exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DispatchRecord {
-    /// The dispatched job (used for de-duplication across floods).
-    pub job: JobId,
-    /// Destination site.
-    pub site: SiteId,
-    /// Job's VO.
-    pub vo: VoId,
-    /// Job's group.
-    pub group: GroupId,
-    /// CPUs occupied.
-    pub cpus: u32,
-    /// Dispatch time.
-    pub dispatched_at: SimTime,
-    /// Estimated completion time (dispatch + declared runtime).
-    pub est_finish: SimTime,
-}
 
 /// The contract a grid-view backend fulfils: fold dispatch records in,
 /// expire them at their estimated finish, answer demand/availability
@@ -408,10 +389,16 @@ pub struct GridView {
     free: Vec<u32>,
     /// Cached sum of `totals`.
     grid_total: u64,
-    /// Dense per-VO demand, indexed by `VoId::index()`.
+    /// Dense per-VO demand, indexed by `VoId::index()`; grows on demand,
+    /// never past `n_vos`.
     vo_demand: Vec<i64>,
-    /// Dense per-group demand, indexed `[vo][group]`.
+    /// Dense per-group demand, indexed `[vo][group]`; each row grows on
+    /// demand, never past `n_groups`.
     group_demand: Vec<Vec<i64>>,
+    /// VO ids the view accounts for are `0..n_vos`.
+    n_vos: usize,
+    /// Group ids the view accounts for are `0..n_groups`.
+    n_groups: usize,
     /// Jobs already folded in (idempotent merging across floods).
     seen: JobSet,
     /// The merged expiry queue; owns the view's clock.
@@ -431,8 +418,20 @@ fn dense_slot(v: &mut Vec<i64>, idx: usize) -> &mut i64 {
 }
 
 impl GridView {
-    /// Builds a view with full static knowledge of the given sites.
+    /// VO and group ids a view accepts when nothing sizes it more tightly.
+    pub const DEFAULT_PRINCIPALS: usize = 1024;
+
+    /// Builds a view with full static knowledge of the given sites and
+    /// [`GridView::DEFAULT_PRINCIPALS`] VOs and groups.
     pub fn new(sites: &[SiteSpec]) -> Self {
+        Self::with_principals(sites, Self::DEFAULT_PRINCIPALS, Self::DEFAULT_PRINCIPALS)
+    }
+
+    /// Builds a view that accounts for VO ids `0..n_vos` and group ids
+    /// `0..n_groups`. The principal tables are indexed by id, and ids
+    /// arrive in socket bytes: the bounds are what one record can make
+    /// the view allocate.
+    pub fn with_principals(sites: &[SiteSpec], n_vos: usize, n_groups: usize) -> Self {
         let totals: Vec<u32> = sites.iter().map(|s| s.total_cpus()).collect();
         let grid_total = totals.iter().map(|&c| u64::from(c)).sum();
         GridView {
@@ -442,6 +441,8 @@ impl GridView {
             grid_total,
             vo_demand: Vec::new(),
             group_demand: Vec::new(),
+            n_vos,
+            n_groups,
             seen: JobSet::default(),
             expiries: ExpiryQueue::new(),
         }
@@ -465,30 +466,29 @@ impl GridView {
     /// Folds one dispatch record into the view (idempotent per job id).
     /// Returns `true` if the record was new. A record finishing at or
     /// before the latest instant the view has seen — `now` or an earlier
-    /// call's later `now` — is already expired. A record naming a site the
-    /// view does not cover is refused before its job id is remembered:
-    /// records arrive as socket bytes, and every index `expire` later uses
-    /// was range-checked here.
+    /// call's later `now` — is already expired. A record naming a site, VO
+    /// or group the view does not cover is refused before its job id is
+    /// remembered: records arrive as socket bytes, every index `expire`
+    /// later uses was range-checked here, and no table grows past its
+    /// bound.
     pub fn observe(&mut self, rec: &DispatchRecord, now: SimTime) -> bool {
         self.expire(now); // the queue's clock is now `max(now, last)`
-        let s = rec.site.index();
+        let (s, vo, group) = (rec.site.index(), rec.vo.index(), rec.group.index());
         if s >= self.totals.len()
+            || vo >= self.n_vos
+            || group >= self.n_groups
             || rec.est_finish.0 <= self.expiries.last
             || !self.seen.insert(rec.job)
         {
-            return false; // no such site, already expired or already known
+            return false; // no such site or principal, already expired or already known
         }
         self.demand[s] += u64::from(rec.cpus);
         self.free[s] = free_of(self.totals[s], self.demand[s]);
-        *dense_slot(&mut self.vo_demand, rec.vo.index()) += i64::from(rec.cpus);
-        let vo_groups = {
-            let idx = rec.vo.index();
-            if idx >= self.group_demand.len() {
-                self.group_demand.resize_with(idx + 1, Vec::new);
-            }
-            &mut self.group_demand[idx]
-        };
-        *dense_slot(vo_groups, rec.group.index()) += i64::from(rec.cpus);
+        *dense_slot(&mut self.vo_demand, vo) += i64::from(rec.cpus);
+        if vo >= self.group_demand.len() {
+            self.group_demand.resize_with(vo + 1, Vec::new);
+        }
+        *dense_slot(&mut self.group_demand[vo], group) += i64::from(rec.cpus);
         self.expiries.push(Expiry {
             at: rec.est_finish.0,
             site: rec.site.0,
@@ -703,10 +703,12 @@ impl RefView {
     pub fn observe(&mut self, rec: &DispatchRecord, now: SimTime) -> bool {
         self.expire(now);
         if rec.site.index() >= self.sites.len()
+            || rec.vo.index() >= GridView::DEFAULT_PRINCIPALS
+            || rec.group.index() >= GridView::DEFAULT_PRINCIPALS
             || rec.est_finish <= now
             || !self.seen.insert(rec.job)
         {
-            return false; // no such site, already expired or already known
+            return false; // no such site or principal, already expired or already known
         }
         let site = &mut self.sites[rec.site.index()];
         site.demand += u64::from(rec.cpus);
@@ -907,6 +909,32 @@ mod tests {
         assert_eq!(v.free_per_site(SimTime::from_secs(101)), vec![10, 20]);
     }
 
+    fn a_record_for_an_unknown_principal_is_refused<V: ViewStore>() {
+        let mut v = V::new(&sites());
+        let now = SimTime::ZERO;
+        let edge = GridView::DEFAULT_PRINCIPALS as u32;
+        // One INFORM naming `VoId(u32::MAX)` used to ask for a 32 GB table.
+        for (vo, group) in [(u32::MAX, 0), (edge, 0), (0, u32::MAX), (0, edge)] {
+            let hostile = DispatchRecord {
+                vo: VoId(vo),
+                group: GroupId(group),
+                ..rec(7, 0, 4, 0, 100)
+            };
+            assert!(!v.observe(&hostile, now), "vo {vo} group {group}");
+        }
+        assert_eq!(v.free_per_site(now), vec![10, 20]);
+        // The refusal did not poison the job id, and the last id inside
+        // the bounds is an ordinary principal.
+        let inside = DispatchRecord {
+            vo: VoId(edge - 1),
+            group: GroupId(edge - 1),
+            ..rec(7, 0, 4, 0, 100)
+        };
+        assert!(v.observe(&inside, now));
+        assert_eq!(v.free_per_site(now), vec![6, 20]);
+        assert_eq!(v.group_demand(VoId(edge - 1), GroupId(edge - 1), now), 4);
+    }
+
     fn principal_demand_tracks_vo_and_group<V: ViewStore>() {
         let mut v = V::new(&sites());
         let now = SimTime::ZERO;
@@ -951,9 +979,33 @@ mod tests {
             demand_beyond_capacity_shows_as_queue,
             a_site_driven_past_capacity_expires_back_to_free,
             a_record_for_an_unknown_site_is_refused,
+            a_record_for_an_unknown_principal_is_refused,
             principal_demand_tracks_vo_and_group,
             idle_and_free_vectors,
         );
+    }
+
+    #[test]
+    fn principal_tables_never_grow_past_their_bounds() {
+        // What `GruberEngine::new` builds for a 2-VO, 3-group USLA set.
+        let mut v = GridView::with_principals(&sites(), 2, 3);
+        let now = SimTime::ZERO;
+        let named = |job, vo, group| DispatchRecord {
+            vo: VoId(vo),
+            group: GroupId(group),
+            ..rec(job, 1, 1, 0, 100)
+        };
+        assert!(!v.observe(&named(1, 2, 0), now));
+        assert!(!v.observe(&named(2, 0, 3), now));
+        assert!(!v.observe(&named(3, u32::MAX, u32::MAX), now));
+        assert!(v.observe(&named(4, 1, 2), now));
+        assert_eq!(v.free_per_site(now), vec![10, 19]);
+        assert_eq!(v.vo_demand.len(), 2);
+        assert!(v.group_demand.iter().all(|groups| groups.len() <= 3));
+        // Nothing refused was queued for expiry.
+        assert_eq!(v.expiries.entries().len(), 1);
+        v.expire(SimTime::from_secs(200));
+        v.check_columns();
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!
 //! * [`MembershipTable`] — the epoch-stamped member list. Joins and
 //!   leaves are first-class protocol inputs: each bumps the epoch, so two
-//!   runtimes can compare tables by `(epoch, members)` alone. The table
-//!   is encodable to a flat wire form for bootstrap snapshots.
+//!   runtimes can compare tables by `(epoch, members)` alone.
 //! * [`HashRing`] — consistent hashing with virtual nodes, replacing the
 //!   paper's static client→DP binding. Vnode positions are deterministic
 //!   in `(seed, dp, replica)` and independent of insertion order, so a

@@ -3,8 +3,7 @@
 //! One table per runtime, all driven by the same join/leave inputs. The
 //! epoch is a plain counter bumped by every mutation: two replicas that
 //! agree on the epoch agree on the whole table (mutations are applied in
-//! event order, which every runtime already totally orders), and a
-//! bootstrap snapshot is just `(epoch, states)` in flat bytes.
+//! event order, which every runtime already totally orders).
 
 use gruber_types::DpId;
 
@@ -114,42 +113,6 @@ impl MembershipTable {
         self.members.is_empty()
     }
 
-    /// Flat wire form for bootstrap snapshots: 8-byte LE epoch, 4-byte LE
-    /// slot count, then one state byte per slot (0 absent, 1 up, 2 left).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + self.members.len());
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&(self.members.len() as u32).to_le_bytes());
-        out.extend(self.members.iter().map(|s| match s {
-            None => 0u8,
-            Some(MemberState::Up) => 1,
-            Some(MemberState::Left) => 2,
-        }));
-        out
-    }
-
-    /// Decodes a table produced by [`MembershipTable::encode`].
-    pub fn decode(bytes: &[u8]) -> Result<Self, gruber_types::GridError> {
-        let bad = || gruber_types::GridError::InvalidConfig("bad membership snapshot".into());
-        if bytes.len() < 12 {
-            return Err(bad());
-        }
-        let epoch = u64::from_le_bytes(bytes[0..8].try_into().map_err(|_| bad())?);
-        let n = u32::from_le_bytes(bytes[8..12].try_into().map_err(|_| bad())?) as usize;
-        if bytes.len() != 12 + n {
-            return Err(bad());
-        }
-        let members = bytes[12..]
-            .iter()
-            .map(|b| match b {
-                0 => Ok(None),
-                1 => Ok(Some(MemberState::Up)),
-                2 => Ok(Some(MemberState::Left)),
-                _ => Err(bad()),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(MembershipTable { epoch, members })
-    }
 }
 
 #[cfg(test)]
@@ -203,30 +166,5 @@ mod tests {
         let mut t = MembershipTable::with_initial(2);
         t.leave(DpId(1));
         t.leave(DpId(1));
-    }
-
-    #[test]
-    fn encode_decode_round_trips() {
-        let mut t = MembershipTable::with_initial(3);
-        t.leave(DpId(1));
-        t.join(DpId(5)); // leaves a hole at index 3..4
-        let bytes = t.encode();
-        let back = MembershipTable::decode(&bytes).unwrap();
-        assert_eq!(back, t);
-        assert_eq!(back.epoch(), t.epoch());
-        assert_eq!(back.state(DpId(3)), None, "hole survives the round trip");
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(MembershipTable::decode(&[]).is_err());
-        assert!(MembershipTable::decode(&[0; 11]).is_err());
-        let mut bytes = MembershipTable::with_initial(2).encode();
-        bytes.push(9); // trailing junk: length mismatch
-        assert!(MembershipTable::decode(&bytes).is_err());
-        let mut bytes = MembershipTable::with_initial(2).encode();
-        let last = bytes.len() - 1;
-        bytes[last] = 7; // bad state byte
-        assert!(MembershipTable::decode(&bytes).is_err());
     }
 }

@@ -1,99 +1,162 @@
-//! Wire encoding of the brokering protocol payloads.
+//! Wire encoding of the brokering protocol payloads, and the one way this
+//! workspace reads bytes it did not produce.
 //!
-//! Two payloads dominate DI-GRUBER's traffic:
-//!
-//! * the **availability response** a decision point returns to a site
-//!   selector (one entry per site — "the transport of significant state");
-//! * the **sync payload** decision points flood to each other every
-//!   exchange interval (the recent job-dispatch deltas).
+//! DEPLOYMENT.md, *Frames*, is the home of the layouts: the query, the
+//! inform (one dispatch record), the flood (a counted run of dispatch
+//! records), the handshake and the frame envelope. The record's own 36
+//! bytes are written and read in one place,
+//! [`DispatchRecord::to_wire`]/[`DispatchRecord::from_wire`]; everything
+//! here that carries a record calls that pair.
 //!
 //! The discrete-event simulator only needs the *sizes* (they feed the SOAP
-//! marshalling cost); `digruber::live` uses the actual bytes on its
-//! channels. A compact little-endian framing stands in for the paper's SOAP
+//! marshalling cost); the thread and socket runtimes ship the actual
+//! bytes. A compact little-endian framing stands in for the paper's SOAP
 //! envelope; we keep a constant [`SOAP_OVERHEAD_FACTOR`] to account for XML
 //! bloat when converting to marshalling cost.
+//!
+//! Every decoder of socket or disk bytes — here, in `clusterd::proto`, in
+//! `dpnode`'s snapshot and in `dpstore::file` — reads through [`Reader`]
+//! and fails with [`GridError::Malformed`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use gruber_types::{ClientId, DpId, GridError, GroupId, JobId, SimTime, SiteId, VoId};
+use bytes::{BufMut, Bytes, BytesMut};
+use gruber_types::{ClientId, DispatchRecord, DpId, GridError, JobId};
 
 /// XML/SOAP inflates payloads ~8× over our binary framing; marshalling cost
 /// is charged on the inflated size.
 pub const SOAP_OVERHEAD_FACTOR: f64 = 8.0;
 
-/// A dispatch record flooded between decision points: "the periodic
-/// exchange with other decision points of information about recent job
-/// dispatch operations". Peers expire records independently using the
-/// estimated finish time, so no completion messages are needed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DispatchDelta {
-    /// The dispatched job (peers use this to de-duplicate floods).
-    pub job: JobId,
-    /// Site the job was sent to.
-    pub site: SiteId,
-    /// VO of the job.
-    pub vo: VoId,
-    /// Group of the job.
-    pub group: GroupId,
-    /// CPUs the job occupies.
-    pub cpus: u32,
-    /// When the decision point dispatched the job.
-    pub dispatched_at: SimTime,
-    /// When the dispatcher estimates the job will finish.
-    pub est_finish: SimTime,
+/// `perf/src/kernels.rs` (frozen) still names the record by this alias; ROADMAP item 4(a) drops it.
+pub type DispatchDelta = DispatchRecord;
+
+/// A bounds-checked cursor over bytes from a socket or a disk. Every read
+/// either yields its value and advances or fails with
+/// [`GridError::Malformed`] naming the payload; nothing indexes, nothing
+/// panics, and a count is believed only as far as the bytes behind it go.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    what: &'static str,
+    rest: &'a [u8],
 }
 
-/// Encodes a sync payload (dispatch records).
-pub fn encode_deltas(deltas: &[DispatchDelta]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + deltas.len() * 36);
-    buf.put_u32_le(deltas.len() as u32);
-    for d in deltas {
-        buf.put_u32_le(d.job.0);
-        buf.put_u32_le(d.site.0);
-        buf.put_u32_le(d.vo.0);
-        buf.put_u32_le(d.group.0);
-        buf.put_u32_le(d.cpus);
-        buf.put_u64_le(d.dispatched_at.as_millis());
-        buf.put_u64_le(d.est_finish.as_millis());
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `bytes`; `what` names the payload in errors.
+    pub fn new(what: &'static str, bytes: &'a [u8]) -> Self {
+        Reader { what, rest: bytes }
+    }
+
+    /// A [`GridError::Malformed`] for this payload: for what a decoder
+    /// finds wrong in bytes that were all there (a bad magic, an unknown
+    /// kind).
+    pub fn malformed(&self, why: impl Into<String>) -> GridError {
+        GridError::Malformed {
+            what: self.what,
+            why: why.into(),
+        }
+    }
+
+    fn short(&self, want: usize) -> GridError {
+        self.malformed(format!("want {want} bytes, have {}", self.rest.len()))
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], GridError> {
+        let (head, rest) = self.rest.split_at_checked(n).ok_or_else(|| self.short(n))?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], GridError> {
+        let (head, rest) = self.rest.split_first_chunk().ok_or_else(|| self.short(N))?;
+        self.rest = rest;
+        Ok(*head)
+    }
+
+    /// The next byte.
+    pub fn u8(&mut self) -> Result<u8, GridError> {
+        Ok(u8::from_le_bytes(self.array()?))
+    }
+
+    /// The next little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, GridError> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+
+    /// The next little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, GridError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// The next little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, GridError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// The next dispatch record.
+    pub fn record(&mut self) -> Result<DispatchRecord, GridError> {
+        Ok(DispatchRecord::from_wire(&self.array()?))
+    }
+
+    /// A `u32` entry count. The count is the sender's claim: it is held
+    /// against the bytes that actually arrived — `min_entry_len` (nonzero)
+    /// for each entry at least — before anyone reserves for it.
+    pub fn count(&mut self, min_entry_len: usize) -> Result<usize, GridError> {
+        let n = self.u32()? as usize;
+        if n > self.rest.len() / min_entry_len {
+            return Err(self.malformed(format!(
+                "{n} entries claimed in {} bytes",
+                self.rest.len()
+            )));
+        }
+        Ok(n)
+    }
+
+    /// Ends the read; bytes left over are an error.
+    pub fn finish(self) -> Result<(), GridError> {
+        if !self.rest.is_empty() {
+            return Err(self.malformed(format!("{} trailing bytes", self.rest.len())));
+        }
+        Ok(())
+    }
+}
+
+/// Encodes a sync payload: a `u32` count, then that many dispatch records.
+pub fn encode_deltas<'a, I>(records: I) -> Bytes
+where
+    I: IntoIterator<Item = &'a DispatchRecord, IntoIter: ExactSizeIterator>,
+{
+    let records = records.into_iter();
+    let mut buf = BytesMut::with_capacity(4 + records.len() * DispatchRecord::WIRE_LEN);
+    buf.put_u32_le(records.len() as u32);
+    for r in records {
+        buf.put_slice(&r.to_wire());
     }
     buf.freeze()
 }
 
 /// Decodes a sync payload.
-pub fn decode_deltas(buf: Bytes) -> Result<Vec<DispatchDelta>, GridError> {
+pub fn decode_deltas(buf: Bytes) -> Result<Vec<DispatchRecord>, GridError> {
     Ok(iter_deltas(buf.as_ref())?.collect())
 }
 
-/// Walks a sync payload's records without collecting them: the length is
-/// checked once, here, and each record is then read from its own 36-byte
-/// window. Errors are [`decode_deltas`]'s — a short header, or a body
-/// shorter than the header's count says; trailing bytes are ignored.
+/// Walks a sync payload's records without collecting them: the count is
+/// checked against the payload's length once, here, and each record is
+/// then read from its own 36-byte window. Errors are [`decode_deltas`]'s —
+/// a short header, or a body shorter than the header's count says;
+/// trailing bytes are ignored.
 pub fn iter_deltas(
     payload: &[u8],
-) -> Result<impl ExactSizeIterator<Item = DispatchDelta> + '_, GridError> {
-    let Some((head, body)) = payload.split_first_chunk::<4>() else {
-        return Err(GridError::InvalidConfig("deltas: short header".into()));
-    };
-    let n = u32::from_le_bytes(*head) as usize;
-    let Some(records) = n.checked_mul(36).and_then(|len| body.get(..len)) else {
-        return Err(GridError::InvalidConfig(format!(
-            "deltas: want {} bytes, have {}",
-            n as u64 * 36,
-            body.len()
-        )));
-    };
-    let u32_at =
-        |r: &[u8], at: usize| u32::from_le_bytes(r[at..at + 4].try_into().expect("4 bytes"));
-    let u64_at =
-        |r: &[u8], at: usize| u64::from_le_bytes(r[at..at + 8].try_into().expect("8 bytes"));
-    Ok(records.chunks_exact(36).map(move |r| DispatchDelta {
-        job: JobId(u32_at(r, 0)),
-        site: SiteId(u32_at(r, 4)),
-        vo: VoId(u32_at(r, 8)),
-        group: GroupId(u32_at(r, 12)),
-        cpus: u32_at(r, 16),
-        dispatched_at: SimTime(u64_at(r, 20)),
-        est_finish: SimTime(u64_at(r, 28)),
-    }))
+) -> Result<impl ExactSizeIterator<Item = DispatchRecord> + '_, GridError> {
+    let mut r = Reader::new("deltas", payload);
+    let n = r.count(DispatchRecord::WIRE_LEN)?;
+    let (records, _) = r
+        .take(n * DispatchRecord::WIRE_LEN)?
+        .as_chunks::<{ DispatchRecord::WIRE_LEN }>();
+    Ok(records.iter().map(DispatchRecord::from_wire))
 }
 
 /// The availability-query request a client sends a decision point: who is
@@ -119,51 +182,24 @@ pub fn encode_query(q: &QueryRequest) -> Bytes {
 }
 
 /// Decodes a query request. Truncated payloads error.
-pub fn decode_query(mut buf: Bytes) -> Result<QueryRequest, GridError> {
-    if buf.remaining() < 12 {
-        return Err(GridError::InvalidConfig(format!(
-            "query: want 12 bytes, have {}",
-            buf.remaining()
-        )));
-    }
+pub fn decode_query(buf: Bytes) -> Result<QueryRequest, GridError> {
+    let mut r = Reader::new("query", buf.as_ref());
     Ok(QueryRequest {
-        client: ClientId(buf.get_u32_le()),
-        job: JobId(buf.get_u32_le()),
-        cpus: buf.get_u32_le(),
+        client: ClientId(r.u32()?),
+        job: JobId(r.u32()?),
+        cpus: r.u32()?,
     })
 }
 
 /// Encodes an inform payload — the single dispatch record a client
 /// reports back after placing its job (36 bytes, no count header).
-pub fn encode_inform(d: &DispatchDelta) -> Bytes {
-    let mut buf = BytesMut::with_capacity(36);
-    buf.put_u32_le(d.job.0);
-    buf.put_u32_le(d.site.0);
-    buf.put_u32_le(d.vo.0);
-    buf.put_u32_le(d.group.0);
-    buf.put_u32_le(d.cpus);
-    buf.put_u64_le(d.dispatched_at.as_millis());
-    buf.put_u64_le(d.est_finish.as_millis());
-    buf.freeze()
+pub fn encode_inform(record: &DispatchRecord) -> Bytes {
+    Bytes::copy_from_slice(&record.to_wire())
 }
 
 /// Decodes an inform payload. Truncated payloads error.
-pub fn decode_inform(mut buf: Bytes) -> Result<DispatchDelta, GridError> {
-    if buf.remaining() < 36 {
-        return Err(GridError::InvalidConfig(format!(
-            "inform: want 36 bytes, have {}",
-            buf.remaining()
-        )));
-    }
-    Ok(DispatchDelta {
-        job: JobId(buf.get_u32_le()),
-        site: SiteId(buf.get_u32_le()),
-        vo: VoId(buf.get_u32_le()),
-        group: GroupId(buf.get_u32_le()),
-        cpus: buf.get_u32_le(),
-        dispatched_at: SimTime(buf.get_u64_le()),
-        est_finish: SimTime(buf.get_u64_le()),
-    })
+pub fn decode_inform(buf: Bytes) -> Result<DispatchRecord, GridError> {
+    Reader::new("inform", buf.as_ref()).record()
 }
 
 // ---------------------------------------------------------------------------
@@ -229,35 +265,23 @@ pub fn encode_hello(h: &Hello) -> Bytes {
 /// peer kinds; the *version* is returned as-is — whether to accept a
 /// mismatched version is the caller's policy (the `clusterd` acceptor
 /// drops the connection).
-pub fn decode_hello(mut buf: Bytes) -> Result<Hello, GridError> {
-    if buf.remaining() < Hello::WIRE_LEN {
-        return Err(GridError::InvalidConfig(format!(
-            "hello: want {} bytes, have {}",
-            Hello::WIRE_LEN,
-            buf.remaining()
-        )));
-    }
-    let magic = buf.get_u32_le();
+pub fn decode_hello(buf: Bytes) -> Result<Hello, GridError> {
+    let mut r = Reader::new("hello", buf.as_ref());
+    let magic = r.u32()?;
     if magic != WIRE_MAGIC {
-        return Err(GridError::InvalidConfig(format!(
-            "hello: bad magic {magic:#010x}"
-        )));
+        return Err(r.malformed(format!("bad magic {magic:#010x}")));
     }
-    let version = buf.get_u16_le();
-    let kind = match buf.get_u8() {
+    let version = r.u16()?;
+    let kind = match r.u8()? {
         0 => PeerKind::Dp,
         1 => PeerKind::Client,
-        k => {
-            return Err(GridError::InvalidConfig(format!(
-                "hello: unknown peer kind {k}"
-            )))
-        }
+        k => return Err(r.malformed(format!("unknown peer kind {k}"))),
     };
-    let _reserved = buf.get_u8();
+    let _reserved = r.u8()?;
     Ok(Hello {
         version,
         kind,
-        dp: DpId(buf.get_u32_le()),
+        dp: DpId(r.u32()?),
     })
 }
 
@@ -316,21 +340,22 @@ impl FrameBuf {
     /// more bytes are needed. `Err` means the stream is not speaking the
     /// protocol (zero or oversized length header) and must be dropped.
     pub fn next_frame(&mut self) -> Result<Option<(u8, Bytes)>, GridError> {
-        let avail = &self.buf[self.start..];
-        if avail.len() < 4 {
+        // A short buffer is a frame still arriving, not a malformed one.
+        let Some((head, rest)) = self.buf[self.start..].split_first_chunk::<4>() else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[0..4].try_into().unwrap()) as usize;
+        };
+        let len = u32::from_le_bytes(*head) as usize;
         if len == 0 || len > MAX_FRAME_BODY {
-            return Err(GridError::InvalidConfig(format!(
-                "frame: invalid body length {len}"
-            )));
+            return Err(GridError::Malformed {
+                what: "frame",
+                why: format!("invalid body length {len}"),
+            });
         }
-        if avail.len() < 4 + len {
+        // `len >= 1`: a body that is all here always has its kind byte.
+        let Some((&kind, payload)) = rest.get(..len).and_then(<[u8]>::split_first) else {
             return Ok(None);
-        }
-        let kind = avail[4];
-        let payload = Bytes::copy_from_slice(&avail[5..4 + len]);
+        };
+        let payload = Bytes::copy_from_slice(payload);
         self.start += 4 + len;
         Ok(Some((kind, payload)))
     }
@@ -346,17 +371,101 @@ pub fn availability_payload_kb(n_sites: usize) -> f64 {
 /// The on-the-wire size, in KB, of a sync payload with `n_deltas` records,
 /// after SOAP inflation.
 pub fn deltas_payload_kb(n_deltas: usize) -> f64 {
-    (4.0 + n_deltas as f64 * 36.0) * SOAP_OVERHEAD_FACTOR / 1024.0
+    (4.0 + (n_deltas * DispatchRecord::WIRE_LEN) as f64) * SOAP_OVERHEAD_FACTOR / 1024.0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gruber_types::{GroupId, SimTime, SiteId, VoId};
     use proptest::prelude::*;
+
+    fn why(e: GridError) -> String {
+        match e {
+            GridError::Malformed { what: "test", why } => why,
+            other => panic!("not a Malformed test error: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reader_reads_every_width_and_refuses_every_short_read() {
+        let bytes: Vec<u8> = (1..=15).collect();
+        let mut r = Reader::new("test", &bytes);
+        assert_eq!(r.u8().unwrap(), 0x01);
+        assert_eq!(r.u16().unwrap(), 0x0302);
+        assert_eq!(r.u32().unwrap(), 0x0706_0504);
+        assert_eq!(r.u64().unwrap(), 0x0F0E_0D0C_0B0A_0908);
+        assert_eq!(r.remaining(), 0);
+        r.finish().unwrap();
+        // One byte short of each width; a failed read consumes nothing.
+        let mut r = Reader::new("test", &bytes[..7]);
+        assert_eq!(why(r.u64().unwrap_err()), "want 8 bytes, have 7");
+        assert_eq!(why(r.take(8).unwrap_err()), "want 8 bytes, have 7");
+        assert_eq!(why(r.record().unwrap_err()), "want 36 bytes, have 7");
+        assert_eq!(r.take(4).unwrap(), &[1, 2, 3, 4]);
+        assert_eq!(why(r.u32().unwrap_err()), "want 4 bytes, have 3");
+        assert_eq!(r.u16().unwrap(), 0x0605);
+        assert_eq!(why(r.u16().unwrap_err()), "want 2 bytes, have 1");
+        assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(why(r.u8().unwrap_err()), "want 1 bytes, have 0");
+        assert!(r.take(0).unwrap().is_empty());
+        assert!(r.take(usize::MAX).is_err());
+    }
+
+    #[test]
+    fn reader_count_is_held_against_the_bytes_behind_it() {
+        let claim = |n: u32, tail: usize, entry: usize| {
+            let mut bytes = n.to_le_bytes().to_vec();
+            bytes.resize(4 + tail, 0);
+            Reader::new("test", &bytes).count(entry)
+        };
+        assert_eq!(claim(0, 0, 36).unwrap(), 0);
+        assert_eq!(claim(2, 72, 36).unwrap(), 2);
+        assert_eq!(claim(2, 100, 36).unwrap(), 2, "a tail is not an entry");
+        assert_eq!(why(claim(3, 107, 36).unwrap_err()), "3 entries claimed in 107 bytes");
+        // A count whose byte length overflows is refused like any other.
+        assert!(claim(u32::MAX, 4, usize::MAX).is_err());
+        assert!(claim(u32::MAX, 64, 1).is_err());
+        assert!(Reader::new("test", &[1, 0, 0]).count(1).is_err(), "short header");
+    }
+
+    #[test]
+    fn reader_finish_refuses_a_tail() {
+        let mut r = Reader::new("test", &[9, 8, 7]);
+        assert_eq!(r.u8().unwrap(), 9);
+        assert_eq!(why(r.finish().unwrap_err()), "2 trailing bytes");
+        assert_eq!(
+            Reader::new("hello", &[]).malformed("bad magic").to_string(),
+            "malformed hello: bad magic"
+        );
+    }
+
+    /// Flood, inform, WAL frame and snapshot block all carry
+    /// `DispatchRecord::to_wire`; this is the flood and the inform against
+    /// bytes written by hand.
+    #[test]
+    fn record_payloads_are_pinned_to_the_byte() {
+        let rec = DispatchRecord {
+            job: JobId(42),
+            site: SiteId(7),
+            vo: VoId(2),
+            group: GroupId(1),
+            cpus: 3,
+            dispatched_at: SimTime::from_secs(17),
+            est_finish: SimTime::from_secs(917),
+        };
+        let wire: &[u8] = b"\x2a\0\0\0\x07\0\0\0\x02\0\0\0\x01\0\0\0\x03\0\0\0\
+                            \x68\x42\0\0\0\0\0\0\x08\xfe\x0d\0\0\0\0\0";
+        assert_eq!(encode_inform(&rec).as_ref(), wire);
+        assert_eq!(decode_inform(Bytes::copy_from_slice(wire)).unwrap(), rec);
+        let flood = [b"\x02\0\0\0", wire, wire].concat();
+        assert_eq!(encode_deltas(&[rec, rec]).as_ref(), &flood[..]);
+        assert_eq!(decode_deltas(Bytes::from(flood)).unwrap(), vec![rec, rec]);
+    }
 
     #[test]
     fn deltas_roundtrip() {
-        let deltas = vec![DispatchDelta {
+        let deltas = vec![DispatchRecord {
             job: JobId(42),
             site: SiteId(7),
             vo: VoId(2),
@@ -381,7 +490,7 @@ mod tests {
 
     #[test]
     fn deltas_decode_by_count_not_by_length() {
-        let one = DispatchDelta {
+        let one = DispatchRecord {
             job: JobId(1),
             site: SiteId(2),
             vo: VoId(3),
@@ -504,10 +613,10 @@ mod tests {
         fn deltas_roundtrip_any(deltas in proptest::collection::vec(
             (0u32..10_000, 0u32..100, 0u32..100, 1u32..64, 0u64..10_000_000), 0..200)
         ) {
-            let deltas: Vec<DispatchDelta> = deltas
+            let deltas: Vec<DispatchRecord> = deltas
                 .into_iter()
                 .enumerate()
-                .map(|(i, (s, v, g, c, t))| DispatchDelta {
+                .map(|(i, (s, v, g, c, t))| DispatchRecord {
                     job: JobId(i as u32),
                     site: SiteId(s),
                     vo: VoId(v),
@@ -536,7 +645,7 @@ mod tests {
             (job, site, vo, group, cpus) in (0u32..u32::MAX, 0u32..10_000, 0u32..100, 0u32..100, 1u32..64),
             t in 0u64..10_000_000,
         ) {
-            let d = DispatchDelta {
+            let d = DispatchRecord {
                 job: JobId(job),
                 site: SiteId(site),
                 vo: VoId(vo),
@@ -554,8 +663,8 @@ mod tests {
         // header-short or body-short.)
         #[test]
         fn truncated_deltas_never_decode(n in 1usize..20, cut_frac in 0.0f64..1.0) {
-            let deltas: Vec<DispatchDelta> = (0..n as u32)
-                .map(|i| DispatchDelta {
+            let deltas: Vec<DispatchRecord> = (0..n as u32)
+                .map(|i| DispatchRecord {
                     job: JobId(i),
                     site: SiteId(i),
                     vo: VoId(0),
@@ -578,7 +687,7 @@ mod tests {
                 cpus: 3,
             });
             prop_assert!(decode_query(q.slice(0..cut_q)).is_err());
-            let d = encode_inform(&DispatchDelta {
+            let d = encode_inform(&DispatchRecord {
                 job: JobId(1),
                 site: SiteId(2),
                 vo: VoId(0),

@@ -14,7 +14,7 @@
 //! constants below are calibrated to the prose and to the companion DiPerF
 //! paper: a GT3 GRUBER decision point saturates at roughly **2 queries/s**
 //! and the GT 3.9.4 prerelease at roughly **1.2 queries/s** ("plateaus just
-//! above [one] query per second"); bare GT3 service-instance creation
+//! above \[one\] query per second"); bare GT3 service-instance creation
 //! (Figure 1) is several times cheaper than a full GRUBER query, which
 //! involves "several round trips and the transport of significant state".
 

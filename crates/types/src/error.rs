@@ -35,6 +35,14 @@ pub enum GridError {
     InvalidConfig(String),
     /// USLA text could not be parsed.
     UslaParse(String),
+    /// Bytes from a socket or a disk do not decode: the peer, the file or
+    /// the link is at fault, never this process's configuration.
+    Malformed {
+        /// Which payload was being read ("query", "snapshot", ...).
+        what: &'static str,
+        /// What was wrong with it.
+        why: String,
+    },
 }
 
 impl fmt::Display for GridError {
@@ -52,6 +60,7 @@ impl fmt::Display for GridError {
             }
             GridError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             GridError::UslaParse(msg) => write!(f, "USLA parse error: {msg}"),
+            GridError::Malformed { what, why } => write!(f, "malformed {what}: {why}"),
         }
     }
 }

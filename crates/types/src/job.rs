@@ -5,6 +5,8 @@
 //! submission host to a site but queued or held, (3) running at a site, and
 //! (4) completed. [`JobState`] captures exactly that progression (plus a
 //! terminal `Failed` state used by the Euryale planner's replanning logic).
+//! [`DispatchRecord`] is what the brokers tell each other about a job once
+//! it has been dispatched, and the one place its wire layout is written.
 
 use crate::id::{ClientId, GroupId, JobId, SiteId, UserId, VoId};
 use crate::time::{SimDuration, SimTime};
@@ -135,6 +137,68 @@ impl JobRecord {
     }
 }
 
+/// One observed dispatch: the unit of inter-decision-point exchange — "the
+/// periodic exchange with other decision points of information about
+/// recent job dispatch operations" (§3.5). The same record is what a client
+/// informs its point of, what points flood to each other, and what the WAL
+/// and snapshots store. Peers expire records independently at
+/// `est_finish`, so no completion messages are needed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DispatchRecord {
+    /// The dispatched job (used for de-duplication across floods).
+    pub job: JobId,
+    /// Destination site.
+    pub site: SiteId,
+    /// Job's VO.
+    pub vo: VoId,
+    /// Job's group.
+    pub group: GroupId,
+    /// CPUs occupied.
+    pub cpus: u32,
+    /// Dispatch time.
+    pub dispatched_at: SimTime,
+    /// Estimated completion time (dispatch + declared runtime).
+    pub est_finish: SimTime,
+}
+
+impl DispatchRecord {
+    /// Encoded size: `job, site, vo, group, cpus` as `u32`, then
+    /// `dispatched_at, est_finish` as `u64` milliseconds, little-endian
+    /// (DEPLOYMENT.md, *Frames*). Every socket payload, WAL frame and
+    /// snapshot block that carries a record carries these bytes.
+    pub const WIRE_LEN: usize = 36;
+
+    /// The record's wire bytes.
+    pub fn to_wire(&self) -> [u8; Self::WIRE_LEN] {
+        let mut wire = [0u8; Self::WIRE_LEN];
+        wire[0..4].copy_from_slice(&self.job.0.to_le_bytes());
+        wire[4..8].copy_from_slice(&self.site.0.to_le_bytes());
+        wire[8..12].copy_from_slice(&self.vo.0.to_le_bytes());
+        wire[12..16].copy_from_slice(&self.group.0.to_le_bytes());
+        wire[16..20].copy_from_slice(&self.cpus.to_le_bytes());
+        wire[20..28].copy_from_slice(&self.dispatched_at.0.to_le_bytes());
+        wire[28..36].copy_from_slice(&self.est_finish.0.to_le_bytes());
+        wire
+    }
+
+    /// Reads a record back from its wire bytes. Any 36 bytes are a
+    /// record: whether its ids name anything is the view's to judge.
+    pub fn from_wire(wire: &[u8; Self::WIRE_LEN]) -> Self {
+        let word =
+            |at: usize| u32::from_le_bytes([wire[at], wire[at + 1], wire[at + 2], wire[at + 3]]);
+        let long = |at: usize| u64::from(word(at)) | u64::from(word(at + 4)) << 32;
+        DispatchRecord {
+            job: JobId(word(0)),
+            site: SiteId(word(4)),
+            vo: VoId(word(8)),
+            group: GroupId(word(12)),
+            cpus: word(16),
+            dispatched_at: SimTime(long(20)),
+            est_finish: SimTime(long(28)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,5 +253,32 @@ mod tests {
         // 100 s of wall time on 2 CPUs.
         assert_eq!(r.consumed_cpu_time(), Some(SimDuration::from_secs(200)));
         assert_eq!(r.makespan(), Some(SimDuration::from_secs(120)));
+    }
+
+    /// The layout every socket payload, WAL frame and snapshot block
+    /// shares, against bytes written out by hand.
+    #[test]
+    fn dispatch_record_wire_layout_is_pinned() {
+        let rec = DispatchRecord {
+            job: JobId(0x0403_0201),
+            site: SiteId(7),
+            vo: VoId(2),
+            group: GroupId(u32::MAX),
+            cpus: 3,
+            dispatched_at: SimTime(0x0807_0605_0403_0201),
+            est_finish: SimTime::from_secs(917),
+        };
+        let wire: [u8; 36] = [
+            1, 2, 3, 4, // job
+            7, 0, 0, 0, // site
+            2, 0, 0, 0, // vo
+            0xFF, 0xFF, 0xFF, 0xFF, // group
+            3, 0, 0, 0, // cpus
+            1, 2, 3, 4, 5, 6, 7, 8, // dispatched_at, ms
+            0x08, 0xFE, 0x0D, 0, 0, 0, 0, 0, // est_finish = 917 000 ms
+        ];
+        assert_eq!(DispatchRecord::WIRE_LEN, wire.len());
+        assert_eq!(rec.to_wire(), wire);
+        assert_eq!(DispatchRecord::from_wire(&wire), rec);
     }
 }

@@ -30,6 +30,6 @@ pub mod time;
 
 pub use error::{GridError, GridResult};
 pub use id::{ClientId, ClusterId, DpId, GroupId, JobId, SiteId, UserId, VoId};
-pub use job::{JobRecord, JobSpec, JobState};
+pub use job::{DispatchRecord, JobRecord, JobSpec, JobState};
 pub use site::{ClusterSpec, SiteSpec};
 pub use time::{SimDuration, SimTime};

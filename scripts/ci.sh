@@ -69,6 +69,25 @@ echo "==> one stopwatch: crates/bench reads no clock and no /proc (timing and me
 { ! grep -rn 'Instant\|VmHWM\|peak_rss' crates/bench/src; } \
   || { echo "ci.sh: a stopwatch grew back in crates/bench (lines above)"; exit 1; }
 
+echo "==> one dispatch record, one wire reader"
+# gruber_types::DispatchRecord and its to_wire/from_wire are the record and
+# its 36-byte layout. Two names survive for perf/src/kernels.rs (frozen
+# until the next [benchmark] PR): the `DispatchDelta` alias and the identity
+# `record_to_delta`; nothing in this tree may use them.
+{ ! grep -rn 'DispatchDelta\|record_to_delta\|delta_to_record' --include=*.rs crates src tests examples \
+      | grep -v '^crates/simnet/src/codec.rs:[0-9]*:pub type DispatchDelta = DispatchRecord;$' \
+      | grep -v '^crates/dpnode/src/node.rs:[0-9]*:pub fn record_to_delta(r: &DispatchRecord) -> DispatchRecord ' \
+      | grep -v '^crates/dpnode/src/lib.rs:[0-9]*: *record_to_delta, '; } \
+  || { echo "ci.sh: the second dispatch record or its converters are back (lines above)"; exit 1; }
+# Socket and disk bytes are read through simnet::codec::Reader and fail as
+# GridError::Malformed; InvalidConfig is for configuration. Test modules may
+# build hostile bytes however they like.
+for f in crates/simnet/src/codec.rs crates/clusterd/src/proto.rs crates/dpnode/src/node.rs crates/dpstore/src/file.rs; do
+  { ! sed '/^#\[cfg(test)\]/,$d' "$f" \
+      | grep -n 'get_u8()\|get_u16_le()\|get_u32_le()\|get_u64_le()\|fn take_u\|GridError::InvalidConfig'; } \
+    || { echo "ci.sh: a hand-rolled read or an InvalidConfig for malformed bytes in $f (lines above)"; exit 1; }
+done
+
 echo "==> perf/ builds against the workspace crates (the benchmark is its own workspace)"
 cargo build --release --offline --manifest-path perf/Cargo.toml
 # An offline build rewrites perf's lock file; perf/** is not this tree's to change.
@@ -76,7 +95,8 @@ git checkout -- perf/Cargo.lock
 
 echo "==> cargo doc --no-deps (warnings are errors; umbrella package + the crates whose docs are guides)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q \
-  -p di-gruber-repro -p dpnode -p dpstore -p desim -p obs -p clusterd -p membership
+  -p di-gruber-repro -p dpnode -p dpstore -p desim -p obs -p clusterd -p membership \
+  -p digruber -p simnet -p gruber-types
 
 echo "==> experiments recovery health degradation topology scale (60 fingerprints + the five tables, byte-identical)"
 ./target/release/experiments recovery health degradation topology scale > results/experiments_studies.txt
