@@ -27,9 +27,9 @@
 //!   loss and partitions all apply) before going dark; records it learned
 //!   are not lost with it.
 //! * **Autoscaler** — [`membership_tick`] samples the pool (service
-//!   backlogs plus the `obs` health scorer's degraded flags, via the
-//!   attached [`HealthWatch`] consumer) and executes
-//!   [`membership::Autoscaler`] decisions.
+//!   backlogs plus the `obs` health flags, read in place through
+//!   [`obs::Recorder::degraded`]) and executes [`membership::Autoscaler`]
+//!   decisions.
 //!
 //! Everything here is gated on [`crate::config::DigruberConfig::membership`]
 //! — `None` (the default) runs the paper's static binding with a byte-
@@ -41,41 +41,6 @@ use gruber_types::{ClientId, DpId};
 use membership::{
     Autoscaler, HashRing, MembershipConfig, MembershipTable, PoolSample, ScaleDecision,
 };
-use parking_lot::Mutex;
-use std::sync::Arc;
-
-/// Shared degraded-point flags: written by the [`HealthWatch`] trace
-/// consumer (under the recorder lock), read by the autoscaler tick.
-pub type DegradedFlags = Arc<Mutex<Vec<bool>>>;
-
-/// A [`obs::TraceConsumer`] that mirrors the online health scorer's
-/// `Degrading`/`Recovered` flag transitions into a bitmap the autoscaler
-/// samples. Attached to the recorder iff membership is configured; when
-/// tracing (or health scoring) is off it simply never observes a flag and
-/// the scaler runs on backlog alone.
-pub struct HealthWatch {
-    degraded: DegradedFlags,
-}
-
-impl HealthWatch {
-    /// A watcher feeding the given shared bitmap.
-    pub fn new(degraded: DegradedFlags) -> Self {
-        HealthWatch { degraded }
-    }
-}
-
-impl obs::TraceConsumer for HealthWatch {
-    fn observe(&mut self, _at_ms: u64, ev: &obs::TraceEvent) {
-        if let obs::TraceEvent::HealthFlag { dp, degrading, .. } = ev {
-            let mut flags = self.degraded.lock();
-            let i = dp.index();
-            if flags.len() <= i {
-                flags.resize(i + 1, false);
-            }
-            flags[i] = *degrading;
-        }
-    }
-}
 
 /// The elastic-membership state a [`World`] carries when
 /// [`crate::config::DigruberConfig::membership`] is set.
@@ -89,8 +54,6 @@ pub struct MembershipRuntime {
     /// The control loop (`None` keeps the pool fixed; explicit
     /// [`join_decision_point`]/[`leave_decision_point`] still work).
     pub scaler: Option<Autoscaler>,
-    /// Degraded flags shared with the attached [`HealthWatch`].
-    pub degraded: DegradedFlags,
     /// Joins executed.
     pub dp_joins: u64,
     /// Leaves executed.
@@ -106,7 +69,6 @@ impl MembershipRuntime {
             table: MembershipTable::with_initial(n_dps),
             ring: HashRing::with_members(seed, cfg.vnodes, n_dps),
             scaler: cfg.scaler.map(Autoscaler::new),
-            degraded: Arc::new(Mutex::new(vec![false; n_dps])),
             dp_joins: 0,
             dp_leaves: 0,
             clients_rehomed: 0,
@@ -124,8 +86,9 @@ impl MembershipRuntime {
 }
 
 /// Reads one [`PoolSample`] off the world: live membership count, service
-/// backlogs over live-and-up points, and the health scorer's current
-/// degraded count.
+/// backlogs over live-and-up points, and how many of those points the
+/// trace's health scoring currently flags (none when tracing is off, so
+/// the scaler then runs on backlog alone).
 pub fn pool_sample(w: &World) -> PoolSample {
     let Some(m) = &w.membership else {
         return PoolSample::default();
@@ -133,7 +96,6 @@ pub fn pool_sample(w: &World) -> PoolSample {
     let mut max_backlog = 0u32;
     let mut total_backlog = 0u32;
     let mut degraded = 0u32;
-    let flags = m.degraded.lock();
     for dp in m.table.live() {
         let i = dp.index();
         if i >= w.dps.len() || !w.dps[i].up() {
@@ -142,7 +104,7 @@ pub fn pool_sample(w: &World) -> PoolSample {
         let b = w.dps[i].station.backlog_len() as u32;
         max_backlog = max_backlog.max(b);
         total_backlog += b;
-        if flags.get(i).copied().unwrap_or(false) {
+        if w.trace.degraded(dp) {
             degraded += 1;
         }
     }

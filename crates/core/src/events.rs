@@ -243,8 +243,7 @@ pub fn sync_dp(w: &mut World, s: &mut Sched, i: usize) {
                     send_exchange(w, s, i, j, payload.clone(), 0);
                 }
             }
-            // A tick answers no query, and the sim clocks its own rounds.
-            Routed::Reply { .. } | Routed::SetTimer { .. } => {}
+            Routed::Reply { .. } => {} // a tick answers no query
         }
     }
 }

@@ -574,19 +574,14 @@ mod tests {
     /// The full streaming obs path on real threads: a traced cluster
     /// feeds the recorder from the query path, the crash/restore driver
     /// glue, and the nodes' own engine tracers — and the online health
-    /// scorer flags the crashed point. Assertions are deliberately loose
+    /// scoring flags the crashed point. Assertions are deliberately loose
     /// (wall-clock timestamps are nondeterministic); the deterministic
-    /// scorer behaviour is pinned by `obs::health`'s own tests.
+    /// scoring behaviour is pinned by `obs::health`'s own tests.
     #[test]
     fn traced_cluster_scores_a_crashed_dp_as_degrading() {
-        use obs::{HealthConfig, TraceConfig};
-        let rec = Recorder::new(TraceConfig {
-            health: Some(HealthConfig {
-                // Tiny windows so a ~300 ms run spans several of them.
-                window: gruber_types::SimDuration(50),
-                ..HealthConfig::default()
-            }),
-            ..TraceConfig::default()
+        let rec = Recorder::new(obs::TraceConfig {
+            // Tiny bins (= scoring windows) so a ~300 ms run spans several.
+            cadence: gruber_types::SimDuration(50),
         });
         let cluster = LiveCluster::start_traced(
             2,
@@ -694,15 +689,11 @@ mod tests {
     }
 
     /// A graceful leave is not a failure: the leaver goes dark without a
-    /// `dp_failed`, so the timeline counts a leave and the health scorer
+    /// `dp_failed`, so the timeline counts a leave and the health scoring
     /// never sees the point go down.
     #[test]
     fn leave_is_traced_as_a_leave_not_a_crash() {
-        use obs::{HealthConfig, TraceConfig};
-        let rec = Recorder::new(TraceConfig {
-            health: Some(HealthConfig::default()),
-            ..TraceConfig::default()
-        });
+        let rec = Recorder::new(obs::TraceConfig::default());
         let mut cluster = LiveCluster::start_traced(
             2,
             sites(),

@@ -123,11 +123,10 @@ pub struct ExperimentOutput {
 }
 
 impl ExperimentOutput {
-    /// The online health scorer's report: windowed per-DP scores and
+    /// The online health report: windowed per-DP scores and
     /// `Degrading`/`Recovered` flag transitions. Present iff the run was
-    /// traced with [`obs::TraceConfig::health`] enabled (the default for
-    /// traced runs). Rides inside [`ExperimentOutput::timeline`], so it
-    /// adds nothing to the untraced `Debug` fingerprint.
+    /// traced. Rides inside [`ExperimentOutput::timeline`], so it adds
+    /// nothing to the untraced `Debug` fingerprint.
     pub fn health(&self) -> Option<&obs::HealthReport> {
         self.timeline.as_ref()?.health.as_ref()
     }
@@ -347,7 +346,7 @@ fn finalize(
         figure_rows,
         table,
         mean_handled_accuracy: table.handled.accuracy,
-        traces: w.collector.traces().to_vec(),
+        traces: w.collector.into_traces(),
         final_dps: w.dps.len(),
         reconfig_log: w.reconfig_log,
         retire_log: w.retire_log,

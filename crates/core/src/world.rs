@@ -53,8 +53,6 @@ impl DecisionPoint {
                 id,
                 topology: cfg.topology,
                 dissemination: cfg.dissemination,
-                // The sim clocks exchanges itself (the `sync_round`
-                // event), so nodes never request timers.
                 sync_every: None,
                 gossip_seed: cfg.seed,
                 persist: cfg.persistence.mode == RecoveryMode::Persist,
@@ -369,13 +367,6 @@ impl World {
         let membership = cfg
             .membership
             .map(|mc| crate::elastic::MembershipRuntime::new(mc, cfg.seed, cfg.n_dps));
-        if let Some(m) = &membership {
-            // Mirror the health scorer's degraded flags into the bitmap
-            // the autoscaler samples (no-op on a disabled recorder).
-            trace.attach(Box::new(crate::elastic::HealthWatch::new(
-                m.degraded.clone(),
-            )));
-        }
         let mut misc_rng = DetRng::new(cfg.seed, 0xB1AD);
         let clients: Vec<ClientState> = (0..workload.n_clients)
             .map(|c| ClientState {

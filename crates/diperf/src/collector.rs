@@ -1,11 +1,12 @@
 //! The controller/collector.
 //!
-//! Gathers request traces plus the three co-sampled series every figure in
-//! the paper plots — load (concurrent clients), per-request response time,
-//! and throughput — and renders the summary block printed under each
-//! figure.
+//! Gathers request traces plus the load samples, from which it derives the
+//! three co-sampled series every figure in the paper plots — load
+//! (concurrent clients), per-request response time, and throughput — and
+//! renders the summary block printed under each figure.
 
 use crate::trace::RequestTrace;
+use gruber_metrics::series::bins;
 use gruber_metrics::{SummaryStats, TimeSeries};
 use gruber_types::{SimDuration, SimTime};
 
@@ -60,12 +61,8 @@ impl DiPerfReport {
 #[derive(Debug, Default)]
 pub struct Collector {
     traces: Vec<RequestTrace>,
-    /// (time, response seconds) per answered request, at completion time.
-    response_series: TimeSeries,
-    /// One point per answered request at completion time (throughput).
-    completion_events: TimeSeries,
     /// Sampled concurrent-client counts.
-    load_series: TimeSeries,
+    load: TimeSeries,
 }
 
 impl Collector {
@@ -76,16 +73,12 @@ impl Collector {
 
     /// Records one finished request (answered or timed out).
     pub fn record(&mut self, trace: RequestTrace) {
-        if let (Some(resp), Some(done)) = (trace.response, trace.completed_at()) {
-            self.response_series.push(done, resp.as_secs_f64());
-            self.completion_events.push(done, 1.0);
-        }
         self.traces.push(trace);
     }
 
     /// Records a load sample (active clients at `t`).
     pub fn sample_load(&mut self, t: SimTime, active_clients: u32) {
-        self.load_series.push(t, f64::from(active_clients));
+        self.load.push(t, f64::from(active_clients));
     }
 
     /// All request traces.
@@ -93,14 +86,18 @@ impl Collector {
         &self.traces
     }
 
-    /// The response-time series (completion time, seconds).
-    pub fn response_series(&self) -> &TimeSeries {
-        &self.response_series
+    /// Hands the request traces over, in record order.
+    pub fn into_traces(self) -> Vec<RequestTrace> {
+        self.traces
     }
 
-    /// The load series.
-    pub fn load_series(&self) -> &TimeSeries {
-        &self.load_series
+    /// `(completion time, response seconds)` of every request that got a
+    /// response, in record order. Binned, a bin's mean is the mean
+    /// response time and its count the completions (throughput × width).
+    fn responses(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
+        self.traces
+            .iter()
+            .filter_map(|t| Some((t.completed_at()?, t.response?.as_secs_f64())))
     }
 
     /// Per-bin mean response and throughput plus load, for figure printing:
@@ -110,13 +107,12 @@ impl Collector {
         bin: SimDuration,
         horizon: SimTime,
     ) -> Vec<(SimTime, f64, f64, f64)> {
-        let resp = self.response_series.bins(bin, horizon);
-        let thr = self.completion_events.rate_per_second(bin, horizon);
-        let load = self.load_series.bins(bin, horizon);
+        let width = bin.as_secs_f64();
+        let resp = bins(self.responses(), bin, horizon);
+        let load = self.load.bins(bin, horizon);
         resp.iter()
-            .zip(&thr)
             .zip(&load)
-            .map(|((r, t), l)| (r.start, l.mean, r.mean, t.1))
+            .map(|(r, l)| (r.start, l.mean, r.mean, r.count as f64 / width))
             .collect()
     }
 
@@ -130,11 +126,20 @@ impl Collector {
         } else {
             0.0
         };
+        let per_minute = bins(self.responses(), minute, horizon);
+        let responses: Vec<f64> = self.responses().map(|(_, secs)| secs).collect();
         DiPerfReport {
             label: label.to_string(),
-            response: SummaryStats::from_samples(&self.response_series.values()),
-            peak_response_secs: self.response_series.peak_bin_mean(minute, horizon),
-            peak_throughput_qps: self.completion_events.peak_rate_per_second(minute, horizon),
+            response: SummaryStats::from_samples(&responses),
+            peak_response_secs: per_minute
+                .iter()
+                .filter(|b| b.count > 0)
+                .map(|b| b.mean)
+                .fold(0.0, f64::max),
+            peak_throughput_qps: per_minute
+                .iter()
+                .map(|b| b.count as f64 / minute.as_secs_f64())
+                .fold(0.0, f64::max),
             mean_throughput_qps: mean_thr,
             issued: self.traces.len(),
             answered,
@@ -203,7 +208,23 @@ mod tests {
     fn timed_out_requests_do_not_pollute_response_series() {
         let mut c = Collector::new();
         c.record(RequestTrace::timed_out(ClientId(0), DpId(0), SimTime::ZERO));
-        assert!(c.response_series().is_empty());
+        assert_eq!(c.responses().count(), 0);
         assert_eq!(c.traces().len(), 1);
+    }
+
+    /// Peaks are taken over per-minute bins of completion time: response
+    /// over non-empty bins only, throughput over every bin.
+    #[test]
+    fn peaks_come_from_minute_bins() {
+        let mut c = Collector::new();
+        c.record(answered(0, 5)); // completes at 5 s
+        c.record(answered(60, 50)); // 110 s
+        c.record(answered(70, 30)); // 100 s
+        c.record(answered(200, 100)); // 300 s: past the horizon, binned nowhere
+        let r = c.report("peaks", SimTime::from_secs(180));
+        assert_eq!(r.peak_response_secs, 40.0);
+        assert!((r.peak_throughput_qps - 2.0 / 60.0).abs() < 1e-12);
+        assert_eq!(r.response.count, 4, "the summary takes every response");
+        assert_eq!(c.into_traces().len(), 4);
     }
 }

@@ -29,9 +29,9 @@
 //! * **Delivery** — [`Effect::FloodTo`] names peer indices; the driver
 //!   decides latency, loss, retry/backoff, partitions ([`simnet::retry`]
 //!   and `digruber::faults` live at the driver layer).
-//! * **Timers** — the node *requests* re-arming via [`Effect::SetTimer`];
-//!   drivers with their own cadence (the sim's `sync_round` event, live
-//!   mode's ticker thread) simply feed [`Input::SyncTick`] instead.
+//! * **Timers** — the node never clocks itself: every driver runs its own
+//!   cadence (the sim's `sync_round` event, the mailbox runtimes' ticker,
+//!   a replay's rounds) and feeds [`Input::SyncTick`].
 //! * **Durability** — a persisting node ([`NodeConfig::persist`]) emits
 //!   [`Effect::Persist`] write-ahead-log operations and serialises
 //!   snapshots on request ([`DpNode::snapshot_encode`]); the store, its

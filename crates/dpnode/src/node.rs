@@ -77,16 +77,10 @@ pub enum Input {
     },
     /// A client informs the point of the dispatch it just performed.
     Inform(DispatchRecord),
-    /// An externally-clocked exchange round fired (the sim's `sync_round`
-    /// event, live mode's ticker thread).
+    /// An exchange round fired, clocked by the driver (the sim's
+    /// `sync_round` event, live mode's ticker thread, a replay's round).
     SyncTick {
         /// Current deployment size (dynamic mode grows it at runtime).
-        n_dps: usize,
-    },
-    /// A node-requested timer (armed via [`Effect::SetTimer`]) fired.
-    /// Floods like [`Input::SyncTick`], then requests re-arming.
-    TimerFired {
-        /// Current deployment size.
         n_dps: usize,
     },
     /// A peer's exchange flood arrived.
@@ -110,14 +104,6 @@ pub enum Effect {
         peers: Vec<usize>,
         /// The payload every peer receives (identical bytes).
         payload: FloodPayload,
-    },
-    /// Arm a timer that feeds back [`Input::TimerFired`] after `after`.
-    /// Only requested when the node is configured to self-clock
-    /// ([`NodeConfig::sync_every`]); externally-clocked drivers never see
-    /// it.
-    SetTimer {
-        /// Delay until the timer fires.
-        after: SimDuration,
     },
     /// Append one operation to the node's write-ahead log. Only emitted
     /// when [`NodeConfig::persist`] is set; the driver owns the store and
@@ -212,10 +198,7 @@ pub struct NodeConfig {
     pub topology: Topology,
     /// What the node disseminates each round.
     pub dissemination: Dissemination,
-    /// When `Some`, the node self-clocks: its first
-    /// [`Input::TimerFired`] must be scheduled by the driver, after which
-    /// every flood round requests the next via [`Effect::SetTimer`].
-    /// `None` for externally-clocked drivers feeding [`Input::SyncTick`].
+    /// Read by nothing; `perf/src/kernels.rs` (frozen) still writes it; ROADMAP item 4(a) drops it.
     pub sync_every: Option<SimDuration>,
     /// Seed for the gossip peer-selection stream (only drawn from under
     /// `Topology::Gossip` with a sub-mesh fanout).
@@ -237,7 +220,6 @@ pub struct DpNode {
     engine: GruberEngine,
     topology: Topology,
     dissemination: Dissemination,
-    sync_every: Option<SimDuration>,
     gossip_rng: DetRng,
     monitor_free: Option<Vec<u32>>,
     up: bool,
@@ -265,7 +247,6 @@ impl DpNode {
             engine: GruberEngine::new(sites, uslas),
             topology: cfg.topology,
             dissemination: cfg.dissemination,
-            sync_every: cfg.sync_every,
             gossip_rng: DetRng::new(cfg.gossip_seed, 0xD15C ^ u64::from(cfg.id.0)),
             monitor_free: None,
             up: true,
@@ -364,8 +345,7 @@ impl DpNode {
 
     /// Feeds one input at time `now`; effects are appended to `out`.
     ///
-    /// A down node consumes nothing (a [`Input::TimerFired`] still
-    /// re-arms, so a self-clocked node resumes flooding after a restart).
+    /// A down node consumes nothing.
     pub fn handle(&mut self, now: SimTime, input: Input, out: &mut Vec<Effect>) {
         match input {
             Input::QueryArrived { admission } => {
@@ -399,12 +379,6 @@ impl DpNode {
                 }
             }
             Input::SyncTick { n_dps } => self.flood(now, n_dps, out),
-            Input::TimerFired { n_dps } => {
-                self.flood(now, n_dps, out);
-                if let Some(every) = self.sync_every {
-                    out.push(Effect::SetTimer { after: every });
-                }
-            }
             Input::PeerRecords(payload) => {
                 if !self.up {
                     return; // flood arrived at a crashed point
@@ -839,29 +813,6 @@ mod tests {
             e,
             Effect::FloodTo { payload, .. } if payload.n_records == 1
         )));
-    }
-
-    #[test]
-    fn timer_fired_rearms_when_self_clocked() {
-        let mut n = DpNode::new(
-            NodeConfig {
-                id: DpId(0),
-                topology: Topology::FullMesh,
-                dissemination: Dissemination::UsageOnly,
-                sync_every: Some(SimDuration::from_secs(180)),
-                gossip_seed: 7,
-                persist: false,
-            },
-            &sites(),
-            &equal_shares(2, 2).unwrap(),
-        );
-        let fx = drive(&mut n, Input::TimerFired { n_dps: 2 });
-        assert!(matches!(
-            fx[..],
-            [Effect::SetTimer { after }] if after == SimDuration::from_secs(180)
-        ));
-        // Externally-clocked ticks never re-arm.
-        assert!(drive(&mut n, Input::SyncTick { n_dps: 2 }).is_empty());
     }
 
     #[test]

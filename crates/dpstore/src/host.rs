@@ -80,8 +80,6 @@ pub enum Routed {
     Reply { free: Vec<u32>, denied: bool },
     /// Send one flood to each listed peer.
     FloodTo { peers: Vec<usize>, payload: FloodPayload },
-    /// Feed back [`Input::TimerFired`] after `after`.
-    SetTimer { after: SimDuration },
 }
 
 /// A protocol input as a mailbox runtime receives it: `simnet::codec` wire
@@ -202,7 +200,6 @@ impl<S: Store> NodeHost<S> {
             out.push(match effect {
                 Effect::Reply { free, denied } => Routed::Reply { free, denied },
                 Effect::FloodTo { peers, payload } => Routed::FloodTo { peers, payload },
-                Effect::SetTimer { after } => Routed::SetTimer { after },
                 Effect::Persist(op) => {
                     if let Some(store) = &mut self.store {
                         emit(store.append(now, &op), TraceEvent::WalAppended { dp });

@@ -292,8 +292,6 @@ pub fn node_loop<S: Store, T: Transport>(
                         transport.flood(j, &payload.records);
                     }
                 }
-                // The ticker clocks the rounds: nodes never self-clock.
-                Routed::SetTimer { .. } => {}
             }
         }
     }

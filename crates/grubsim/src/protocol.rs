@@ -56,7 +56,7 @@ pub struct ProtocolReplayConfig {
     pub n_dps: usize,
     /// Exchange topology between the points.
     pub topology: Topology,
-    /// Sync-round period: every point's timer fires each `sync_interval`.
+    /// Sync-round period: every point ticks each `sync_interval`.
     pub sync_interval: SimDuration,
     /// Runtime assumed for every synthetic dispatched job.
     pub job_runtime: SimDuration,
@@ -166,7 +166,7 @@ pub fn replay_protocol_traced(
                     id: DpId(i as u32),
                     topology: cfg.topology,
                     dissemination: Dissemination::UsageOnly,
-                    sync_every: Some(cfg.sync_interval),
+                    sync_every: None,
                     gossip_seed: cfg.seed,
                     persist: cfg.persist,
                 },
@@ -218,14 +218,14 @@ pub fn replay_protocol_traced(
     let mut queries = 0u64;
     let mut informs = 0u64;
 
-    // Every point's timer fires each `sync_interval` (a down point's too:
-    // its node re-arms without flooding) until the horizon. A round due at
-    // the instant of a trace event runs after it.
+    // Every point ticks each `sync_interval` (a down point's tick floods
+    // nothing) until the horizon. A round due at the instant of a trace
+    // event runs after it.
     let horizon = last_event + cfg.sync_interval + cfg.sync_interval;
     let mut next_tick = SimTime(0) + cfg.sync_interval;
     let timer_round = |hosts: &mut [NodeHost<SimStore>], at: SimTime| {
         for dp in 0..n_dps {
-            tick(hosts, dp, at, Input::TimerFired { n_dps }, tracer);
+            tick(hosts, dp, at, Input::SyncTick { n_dps }, tracer);
         }
     };
 
@@ -315,7 +315,7 @@ fn emit_at(tracer: &Recorder, at: SimTime) -> impl FnMut(SimDuration, TraceEvent
     move |_cost, event| tracer.emit(at, || event)
 }
 
-/// One exchange round of point `dp` (a node timer or a barrier tick):
+/// One exchange round of point `dp` (a timed round or a barrier round):
 /// every flood is delivered in place.
 fn tick(hosts: &mut [NodeHost<SimStore>], dp: usize, at: SimTime, input: Input, tracer: &Recorder) {
     let mut fx = Vec::new();
@@ -323,7 +323,6 @@ fn tick(hosts: &mut [NodeHost<SimStore>], dp: usize, at: SimTime, input: Input, 
     for effect in fx {
         match effect {
             Routed::FloodTo { peers, payload } => deliver(hosts, dp, at, &peers, &payload, tracer),
-            Routed::SetTimer { .. } => {} // always `sync_interval`: the driver's step
             Routed::Reply { .. } => {} // a tick answers no query
         }
     }

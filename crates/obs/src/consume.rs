@@ -1,52 +1,29 @@
-//! The streaming consumer API: anything that folds the trace online.
+//! The flight recorder: the last N raw events of a run, verbatim.
 //!
-//! [`crate::Recorder`] used to assume a single end-of-run exporter: every
-//! emission went into one ring + one timeline, and nothing else could see
-//! the stream until `finish`. This module inverts that. A [`TraceConsumer`]
-//! is fed **every** emission, in timestamp order, while the run is still
-//! going; the recorder's sink is now a fan-out over consumers:
+//! The sink calls two in-crate types directly on every emission — the
+//! [`crate::timeline::TimelineBuilder`] (one clock: bins, totals and the
+//! health scores on those bins) and this [`RawRing`]:
 //!
 //! ```text
-//!                        ┌─> TimelineBuilder  (bins + totals → JSONL/render)
-//!   Recorder::emit ──────┼─> RawRing          (last-N raw events)
-//!                        ├─> HealthScorer     (windowed per-DP scores + flags)
-//!                        └─> Box<dyn TraceConsumer>  (attached extras)
+//!                        ┌─> TimelineBuilder  (cadence bins → samples + totals
+//!   Recorder::emit ──────┤                      + health scores → flags)
+//!                        └─> RawRing          (last-N raw events, flags
+//!                                              ahead of the event that
+//!                                              closed their bin)
 //! ```
 //!
-//! The first two consumers are the re-homed PR-2 pipeline (their output is
-//! byte-identical to the pre-refactor sink); [`crate::HealthScorer`] is the
-//! first *online* consumer — it emits derived [`TraceEvent::HealthFlag`]
-//! events back into the stream. External consumers attach through
-//! [`crate::Recorder::attach`].
-//!
-//! Contract for implementors: `observe` is called with nondecreasing
-//! `at_ms` within one run (simulated or wall-clock milliseconds), must not
-//! panic on unknown event kinds (match with a `_` arm — the vocabulary
-//! grows), and must be cheap: it sits on the hot path of every traced
-//! emission, under the recorder's lock.
+//! Both are called with nondecreasing `at_ms` within one run (simulated
+//! or wall-clock milliseconds), under the recorder's lock.
 
 use std::collections::VecDeque;
 
 use crate::event::TraceEvent;
 
-/// An online observer of the trace stream.
+/// The last-N raw events, verbatim.
 ///
-/// Implemented by the in-tree consumers ([`crate::timeline::TimelineBuilder`],
-/// [`RawRing`], [`crate::HealthScorer`]) and by anything a driver attaches
-/// via [`crate::Recorder::attach`].
-pub trait TraceConsumer {
-    /// Folds one emission. `at_ms` is the emission time in milliseconds
-    /// (simulated time in the two simulators, wall-clock since cluster
-    /// start in live mode); calls arrive in nondecreasing `at_ms` order.
-    fn observe(&mut self, at_ms: u64, ev: &TraceEvent);
-}
-
-/// The last-N raw events, verbatim — the "flight recorder" consumer.
-///
-/// Re-homed from the pre-refactor sink: a bounded ring of `(at_ms, event)`
-/// pairs, evicting the oldest on overflow and counting what it dropped.
-/// [`crate::RunTimeline::recent`] and the render's raw-event tail read
-/// from here.
+/// A bounded ring of `(at_ms, event)` pairs, evicting the oldest on
+/// overflow and counting what it dropped. [`crate::RunTimeline::recent`]
+/// and the render's raw-event tail read from here.
 #[derive(Debug, Clone, Default)]
 pub struct RawRing {
     ring: VecDeque<(u64, TraceEvent)>,
@@ -73,10 +50,9 @@ impl RawRing {
     pub fn snapshot(&self) -> Vec<(u64, TraceEvent)> {
         self.ring.iter().copied().collect()
     }
-}
 
-impl TraceConsumer for RawRing {
-    fn observe(&mut self, at_ms: u64, ev: &TraceEvent) {
+    /// Keeps one emission, evicting the oldest when full.
+    pub fn observe(&mut self, at_ms: u64, ev: &TraceEvent) {
         if self.capacity == 0 {
             self.dropped += 1;
             return;

@@ -348,12 +348,13 @@ pub enum TraceEvent {
         /// New home.
         to: DpId,
     },
-    /// `obs::health`: the online scorer flipped a decision point's flag.
+    /// `obs::health`: the online scoring flipped a decision point's flag.
     ///
-    /// A *derived* event: the [`crate::HealthScorer`] consumer emits it
-    /// back into the stream when a scoring window closes, stamped at the
-    /// window boundary, so downstream consumers (ring, timeline, JSONL)
-    /// see flag transitions like any other event.
+    /// A *derived* event: the timeline raises it when a cadence bin (the
+    /// scoring window, see [`crate::health`]) closes, stamped at the bin
+    /// boundary, and the sink writes it into the ring ahead of the event
+    /// that closed the bin, so the ring, the timeline counters and the
+    /// JSONL see flag transitions like any other event.
     HealthFlag {
         /// The flagged decision point.
         dp: DpId,

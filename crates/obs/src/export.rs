@@ -33,8 +33,8 @@
 //!
 //! Lines are ordered: `meta`, then per-bin `sim` followed by that bin's
 //! `dp` lines (time-ascending), then `dp_total` lines (dp-ascending),
-//! then `health` / `health_flag` lines (present only when the health
-//! consumer ran), then `run_total`. Every line carries the `run` label so
+//! then `health` / `health_flag` lines (one `health` line per scored
+//! point per closed full bin), then `run_total`. Every line carries the `run` label so
 //! multiple runs can share one file.
 
 use crate::timeline::{DpSample, DpTotals, ResponseHistogram, RunTimeline};
@@ -456,8 +456,6 @@ mod tests {
     fn sample_timeline() -> RunTimeline {
         let rec = Recorder::new(TraceConfig {
             cadence: SimDuration::from_secs(60),
-            ring_capacity: 8,
-            ..TraceConfig::default()
         });
         let dp = DpId(0);
         let client = ClientId(3);

@@ -1,10 +1,11 @@
 //! Online per-DP health scoring over the trace stream.
 //!
-//! The paper evaluates decision points only after the fact; this consumer
+//! The paper evaluates decision points only after the fact; this scoring
 //! flags a degrading point *while the run is going*, from the trace stream
-//! alone — no access to simulator internals. [`HealthScorer`] folds the
-//! per-DP events into a rolling **feature vector** per fixed scoring
-//! window (default 60 s):
+//! alone — no access to simulator internals. It runs on the timeline's
+//! own clock: every cadence bin [`crate::timeline::TimelineBuilder`]
+//! closes is one scoring window (60 s by default), and the bin's counters
+//! and gauges are the point's **feature vector**:
 //!
 //! | feature          | fed by                                   |
 //! |------------------|------------------------------------------|
@@ -15,10 +16,11 @@
 //! | recovery time    | `recovery_replayed` (modeled latency)     |
 //! | liveness         | `dp_failed` / `dp_recovered`              |
 //!
-//! When a window closes, each seen point gets a **score** in 0–100
-//! (integer arithmetic only — scoring is bit-deterministic across `--jobs`
-//! and platforms): a point that is down scores 0; otherwise penalties are
-//! subtracted from 100, saturating:
+//! A point is scored from the first of those events (or a `query_issued`
+//! against it) on. When a window closes, each scored point gets a
+//! **score** in 0–100 (integer arithmetic only — scoring is
+//! bit-deterministic across `--jobs` and platforms): a point that is down
+//! scores 0; otherwise penalties are subtracted from 100, saturating:
 //!
 //! ```text
 //! p_timeout = min(60, 200·timeouts / (answered+late+timeouts))
@@ -30,65 +32,42 @@
 //! ```
 //!
 //! Flag transitions use hysteresis so a point never flaps at a window
-//! edge: `Degrading` is raised only after [`HealthConfig::degrade_windows`]
-//! *consecutive* windows score below [`HealthConfig::degrade_below`], and
-//! `Recovered` only after [`HealthConfig::recover_windows`] consecutive
-//! windows score at or above [`HealthConfig::recover_at`]. Scores in the
-//! dead band between the two thresholds reset both streaks. Each
-//! transition is emitted back into the stream as a derived
+//! edge: `Degrading` is raised only after [`DEGRADE_WINDOWS`]
+//! *consecutive* windows score below [`DEGRADE_BELOW`], and `Recovered`
+//! only after [`RECOVER_WINDOWS`] consecutive windows score at or above
+//! [`RECOVER_AT`]. Scores in the dead band between the two thresholds
+//! reset both streaks. Each transition enters the stream as a derived
 //! [`TraceEvent::HealthFlag`] stamped at the window boundary, so the
 //! timeline counts it (`health_degrades` / `health_recovers`) and the ring
 //! and JSONL export carry it like any first-class event.
 //!
 //! Windows close when the event stream advances past their boundary
-//! (there is no wall-clock inside the scorer). At `finish` the remaining
-//! stream tail is scored into trailing [`HealthSample`]s, but **no flag
-//! transitions** are evaluated there: flags are live signals and exist
-//! only where the stream itself crossed the boundary — which is also what
-//! keeps `HealthReport::flags` reconciling ±0 with the timeline counters.
+//! (there is no wall-clock inside the timeline). At `finish` the full
+//! windows of the stream tail are scored into trailing [`HealthSample`]s,
+//! but **no flag transitions** are evaluated there, and the partial last
+//! bin is not a window: flags are live signals and exist only where the
+//! stream itself crossed the boundary — which is also what keeps
+//! `HealthReport::flags` reconciling ±0 with the timeline counters.
 //!
 //! The operator-facing walkthrough (worked scores from a fault run,
 //! window sizing vs the 180 s sync interval) lives in `OBSERVABILITY.md`.
 
-use gruber_types::{DpId, SimDuration};
+use gruber_types::DpId;
 
-use crate::consume::TraceConsumer;
 use crate::event::TraceEvent;
 
-/// Tuning for the online scorer. The defaults are sized for the paper
-/// deployment (180 s sync interval, 30 s client timeout): one scoring
-/// window per third of a sync interval, a staleness budget of two sync
-/// intervals, and two-window hysteresis on both edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthConfig {
-    /// Scoring window length. Every seen point is scored once per window.
-    pub window: SimDuration,
-    /// Staleness that earns the full 40-point penalty. Healthy points
-    /// under the paper's 180 s sync interval peak at half this budget,
-    /// i.e. a 20-point penalty — never enough to flag on its own.
-    pub staleness_budget: SimDuration,
-    /// Scores strictly below this are "bad" windows.
-    pub degrade_below: u32,
-    /// Scores at or above this are "good" windows.
-    pub recover_at: u32,
-    /// Consecutive bad windows before `Degrading` is raised.
-    pub degrade_windows: u32,
-    /// Consecutive good windows before `Recovered` clears the flag.
-    pub recover_windows: u32,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            window: SimDuration::from_secs(60),
-            staleness_budget: SimDuration::from_secs(360),
-            degrade_below: 65,
-            recover_at: 80,
-            degrade_windows: 2,
-            recover_windows: 2,
-        }
-    }
-}
+/// Staleness that earns the full 40-point penalty, ms: two of the paper's
+/// 180 s sync intervals. Healthy points peak at half this budget, i.e. a
+/// 20-point penalty — never enough to flag on its own.
+pub const STALENESS_BUDGET_MS: u64 = 360_000;
+/// Scores strictly below this are "bad" windows.
+pub const DEGRADE_BELOW: u32 = 65;
+/// Scores at or above this are "good" windows.
+pub const RECOVER_AT: u32 = 80;
+/// Consecutive bad windows before `Degrading` is raised.
+pub const DEGRADE_WINDOWS: u32 = 2;
+/// Consecutive good windows before `Recovered` clears the flag.
+pub const RECOVER_WINDOWS: u32 = 2;
 
 /// One point's score for one closed window, with the penalty breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,10 +105,21 @@ pub struct HealthFlagRow {
     pub score: u32,
 }
 
-/// Everything the scorer concluded, carried on [`crate::RunTimeline`].
+impl HealthFlagRow {
+    /// The derived event this transition puts into the stream.
+    pub(crate) fn event(&self) -> TraceEvent {
+        TraceEvent::HealthFlag {
+            dp: self.dp,
+            degrading: self.degrading,
+            score: self.score,
+        }
+    }
+}
+
+/// Everything the scoring concluded, carried on [`crate::RunTimeline`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HealthReport {
-    /// Scoring window length, milliseconds.
+    /// Scoring window length, milliseconds (the timeline's cadence).
     pub window_ms: u64,
     /// Every windowed score, ordered by `(t_ms, dp)`.
     pub samples: Vec<HealthSample>,
@@ -162,219 +152,87 @@ impl HealthReport {
     }
 }
 
-/// Per-point rolling state: window accumulators + gauges + hysteresis.
-#[derive(Debug, Clone, Default)]
-struct DpHealth {
-    seen: bool,
-    // Window accumulators (reset when a window closes).
-    answered: u32,
-    late: u32,
-    timeouts: u32,
-    retries: u32,
-    exhausted: u32,
-    recovery_ms: u32,
-    // Gauges (carried across windows).
-    queue_depth: u32,
-    last_exchange_ms: Option<u64>,
-    down: bool,
-    // Hysteresis.
-    bad_streak: u32,
-    good_streak: u32,
-    degraded: bool,
+/// One point's feature vector for one window: the bin's counters and the
+/// gauges at its close.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Features {
+    pub answered: u64,
+    pub late: u64,
+    pub timeouts: u64,
+    pub retries: u64,
+    pub exhausted: u64,
+    pub recovery_ms: u64,
+    pub queue_depth: u32,
+    pub last_exchange_ms: Option<u64>,
+    pub down: bool,
 }
 
-/// The online health consumer. Feed it the stream (it is wired into the
-/// recorder's fan-out whenever [`crate::TraceConfig::health`] is set);
-/// read windowed scores and flags back via [`HealthScorer::finish`].
-#[derive(Debug, Clone)]
-pub struct HealthScorer {
-    window_ms: u64,
-    staleness_budget_ms: u64,
-    degrade_below: u32,
-    recover_at: u32,
-    degrade_windows: u32,
-    recover_windows: u32,
-    window_start_ms: u64,
-    dps: Vec<DpHealth>,
-    samples: Vec<HealthSample>,
-    flags: Vec<HealthFlagRow>,
-    pending: Vec<(u64, TraceEvent)>,
-}
-
-impl HealthScorer {
-    /// A scorer with windows starting at t=0.
-    pub fn new(cfg: HealthConfig) -> Self {
-        let window_ms = cfg.window.as_millis().max(1);
-        HealthScorer {
-            window_ms,
-            staleness_budget_ms: cfg.staleness_budget.as_millis().max(1),
-            degrade_below: cfg.degrade_below,
-            recover_at: cfg.recover_at,
-            degrade_windows: cfg.degrade_windows.max(1),
-            recover_windows: cfg.recover_windows.max(1),
-            window_start_ms: 0,
-            dps: Vec::new(),
-            samples: Vec::new(),
-            flags: Vec::new(),
-            pending: Vec::new(),
-        }
-    }
-
-    fn dp(&mut self, dp: DpId) -> &mut DpHealth {
-        let i = dp.index();
-        if i >= self.dps.len() {
-            self.dps.resize_with(i + 1, DpHealth::default);
-        }
-        let slot = &mut self.dps[i];
-        slot.seen = true;
-        slot
-    }
-
-    /// Scores one point against the window closing at `end_ms`.
-    fn score(&self, d: &DpHealth, end_ms: u64) -> HealthSample {
-        let demand = u64::from(d.answered) + u64::from(d.late) + u64::from(d.timeouts);
-        let p_timeout = if demand > 0 {
-            ((200 * u64::from(d.timeouts)) / demand).min(60) as u32
-        } else {
-            0
-        };
+impl Features {
+    /// Scores `dp` against the window closing at `end_ms`.
+    pub(crate) fn score(&self, dp: DpId, end_ms: u64) -> HealthSample {
+        let demand = self.answered + self.late + self.timeouts;
+        let p_timeout = (200 * self.timeouts)
+            .checked_div(demand)
+            .map_or(0, |p| p.min(60) as u32);
         // A point that never merged has been stale since the run began.
-        let staleness = end_ms.saturating_sub(d.last_exchange_ms.unwrap_or(0));
-        let p_stale = ((40 * staleness.min(self.staleness_budget_ms)) / self.staleness_budget_ms) as u32;
-        let p_retry = (d.retries + 5 * d.exhausted).min(20);
-        let p_queue = d.queue_depth.min(10);
-        let p_recover = (d.recovery_ms / 30).min(15);
-        let score = if d.down {
+        let staleness = end_ms.saturating_sub(self.last_exchange_ms.unwrap_or(0));
+        let p_stale = ((40 * staleness.min(STALENESS_BUDGET_MS)) / STALENESS_BUDGET_MS) as u32;
+        let p_retry = (self.retries + 5 * self.exhausted).min(20) as u32;
+        let p_queue = self.queue_depth.min(10);
+        let p_recover = (self.recovery_ms / 30).min(15) as u32;
+        let score = if self.down {
             0
         } else {
             100u32.saturating_sub(p_timeout + p_stale + p_retry + p_queue + p_recover)
         };
         HealthSample {
             t_ms: end_ms,
-            dp: DpId(0), // caller fills in
+            dp,
             score,
             p_timeout,
             p_stale,
             p_retry,
             p_queue,
             p_recover,
-            down: d.down,
-        }
-    }
-
-    /// Closes every window whose boundary is at or before `at_ms`. With
-    /// `emit_flags`, hysteresis runs and transitions are queued as derived
-    /// events; without (the `finish` tail), only samples are recorded.
-    fn close_windows_until(&mut self, at_ms: u64, emit_flags: bool) {
-        while at_ms >= self.window_start_ms + self.window_ms {
-            let end_ms = self.window_start_ms + self.window_ms;
-            for i in 0..self.dps.len() {
-                if !self.dps[i].seen {
-                    continue;
-                }
-                let mut sample = self.score(&self.dps[i], end_ms);
-                sample.dp = DpId(i as u32);
-                self.samples.push(sample);
-                let d = &mut self.dps[i];
-                if sample.score < self.degrade_below {
-                    d.bad_streak += 1;
-                    d.good_streak = 0;
-                } else if sample.score >= self.recover_at {
-                    d.good_streak += 1;
-                    d.bad_streak = 0;
-                } else {
-                    // Dead band: evidence for neither edge.
-                    d.bad_streak = 0;
-                    d.good_streak = 0;
-                }
-                if emit_flags {
-                    let transition = if !d.degraded && d.bad_streak >= self.degrade_windows {
-                        d.degraded = true;
-                        Some(true)
-                    } else if d.degraded && d.good_streak >= self.recover_windows {
-                        d.degraded = false;
-                        Some(false)
-                    } else {
-                        None
-                    };
-                    if let Some(degrading) = transition {
-                        let row = HealthFlagRow {
-                            t_ms: end_ms,
-                            dp: sample.dp,
-                            degrading,
-                            score: sample.score,
-                        };
-                        self.flags.push(row);
-                        self.pending.push((
-                            end_ms,
-                            TraceEvent::HealthFlag {
-                                dp: row.dp,
-                                degrading,
-                                score: row.score,
-                            },
-                        ));
-                    }
-                }
-                // Reset window accumulators; gauges carry over.
-                let d = &mut self.dps[i];
-                d.answered = 0;
-                d.late = 0;
-                d.timeouts = 0;
-                d.retries = 0;
-                d.exhausted = 0;
-                d.recovery_ms = 0;
-            }
-            self.window_start_ms = end_ms;
-        }
-    }
-
-    /// Derived [`TraceEvent::HealthFlag`] events queued by window closes
-    /// since the last drain. The sink re-feeds these to every other
-    /// consumer, stamped at their window boundary.
-    pub fn take_pending(&mut self) -> Vec<(u64, TraceEvent)> {
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Scores the stream tail (samples only — see the module docs for why
-    /// no flags fire here) and returns the report. Non-destructive: works
-    /// on a clone, so repeated calls agree.
-    pub fn finish(&self, end_ms: u64) -> HealthReport {
-        let mut tail = self.clone();
-        tail.close_windows_until(end_ms, false);
-        HealthReport {
-            window_ms: self.window_ms,
-            samples: tail.samples,
-            flags: tail.flags,
+            down: self.down,
         }
     }
 }
 
-impl TraceConsumer for HealthScorer {
-    fn observe(&mut self, at_ms: u64, ev: &TraceEvent) {
-        self.close_windows_until(at_ms, true);
-        match *ev {
-            TraceEvent::ResponseAnswered { dp, .. } => self.dp(dp).answered += 1,
-            TraceEvent::ResponseLate { dp, .. } => self.dp(dp).late += 1,
-            TraceEvent::ClientTimeout { dp, .. } => self.dp(dp).timeouts += 1,
-            TraceEvent::RetryScheduled { dp, .. } => self.dp(dp).retries += 1,
-            TraceEvent::RetryExhausted { dp, .. } => self.dp(dp).exhausted += 1,
-            TraceEvent::SvcQueued { dp, depth, .. } => self.dp(dp).queue_depth = depth,
-            TraceEvent::SvcCompleted { dp, depth, .. } => self.dp(dp).queue_depth = depth,
-            TraceEvent::SvcCrashDropped { dp, .. } => self.dp(dp).queue_depth = 0,
-            TraceEvent::ExchangeMerged { dp, .. } => self.dp(dp).last_exchange_ms = Some(at_ms),
-            TraceEvent::DpFailed { dp } => self.dp(dp).down = true,
-            TraceEvent::DpRecovered { dp } => self.dp(dp).down = false,
-            TraceEvent::RecoveryReplayed { dp, dur_ms, .. } => {
-                let d = self.dp(dp);
-                d.recovery_ms = d.recovery_ms.max(dur_ms);
-            }
-            // A query against a point marks it as under observation even
-            // before any response resolves (so a point that only ever
-            // times out is still scored).
-            TraceEvent::QueryIssued { dp, .. } => {
-                self.dp(dp);
-            }
-            _ => {}
+/// One point's flag state: the two streaks and whether it is flagged.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Hysteresis {
+    bad_streak: u32,
+    good_streak: u32,
+    pub degraded: bool,
+}
+
+impl Hysteresis {
+    /// Folds one window's score into the streaks. With `raise` (the stream
+    /// crossed the boundary), returns the transition it trips, if any:
+    /// `Some(true)` = `Degrading`, `Some(false)` = `Recovered`.
+    pub(crate) fn step(&mut self, score: u32, raise: bool) -> Option<bool> {
+        if score < DEGRADE_BELOW {
+            self.bad_streak += 1;
+            self.good_streak = 0;
+        } else if score >= RECOVER_AT {
+            self.good_streak += 1;
+            self.bad_streak = 0;
+        } else {
+            // Dead band: evidence for neither edge.
+            self.bad_streak = 0;
+            self.good_streak = 0;
+        }
+        if !raise {
+            None
+        } else if !self.degraded && self.bad_streak >= DEGRADE_WINDOWS {
+            self.degraded = true;
+            Some(true)
+        } else if self.degraded && self.good_streak >= RECOVER_WINDOWS {
+            self.degraded = false;
+            Some(false)
+        } else {
+            None
         }
     }
 }
@@ -382,10 +240,212 @@ impl TraceConsumer for HealthScorer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gruber_types::ClientId;
+    use crate::event::FaultMsgClass;
+    use crate::sink::{Recorder, TraceConfig};
+    use crate::timeline::TimelineBuilder;
+    use gruber_types::{ClientId, SimTime};
+    use proptest::prelude::*;
 
-    fn scorer() -> HealthScorer {
-        HealthScorer::new(HealthConfig::default())
+    /// The standalone scorer this module replaced, kept verbatim (its
+    /// tuning fixed at the old defaults, its consumer trait gone) as the
+    /// reference the timeline's scoring is held to.
+    #[derive(Debug, Clone, Default)]
+    struct DpHealth {
+        seen: bool,
+        answered: u32,
+        late: u32,
+        timeouts: u32,
+        retries: u32,
+        exhausted: u32,
+        recovery_ms: u32,
+        queue_depth: u32,
+        last_exchange_ms: Option<u64>,
+        down: bool,
+        bad_streak: u32,
+        good_streak: u32,
+        degraded: bool,
+    }
+
+    #[derive(Debug, Clone)]
+    struct RefScorer {
+        window_ms: u64,
+        staleness_budget_ms: u64,
+        degrade_below: u32,
+        recover_at: u32,
+        degrade_windows: u32,
+        recover_windows: u32,
+        window_start_ms: u64,
+        dps: Vec<DpHealth>,
+        samples: Vec<HealthSample>,
+        flags: Vec<HealthFlagRow>,
+        pending: Vec<(u64, TraceEvent)>,
+    }
+
+    impl RefScorer {
+        fn new() -> Self {
+            RefScorer {
+                window_ms: 60_000,
+                staleness_budget_ms: 360_000,
+                degrade_below: 65,
+                recover_at: 80,
+                degrade_windows: 2,
+                recover_windows: 2,
+                window_start_ms: 0,
+                dps: Vec::new(),
+                samples: Vec::new(),
+                flags: Vec::new(),
+                pending: Vec::new(),
+            }
+        }
+
+        fn dp(&mut self, dp: DpId) -> &mut DpHealth {
+            let i = dp.index();
+            if i >= self.dps.len() {
+                self.dps.resize_with(i + 1, DpHealth::default);
+            }
+            let slot = &mut self.dps[i];
+            slot.seen = true;
+            slot
+        }
+
+        fn score(&self, d: &DpHealth, end_ms: u64) -> HealthSample {
+            let demand = u64::from(d.answered) + u64::from(d.late) + u64::from(d.timeouts);
+            let p_timeout = if demand > 0 {
+                ((200 * u64::from(d.timeouts)) / demand).min(60) as u32
+            } else {
+                0
+            };
+            let staleness = end_ms.saturating_sub(d.last_exchange_ms.unwrap_or(0));
+            let p_stale =
+                ((40 * staleness.min(self.staleness_budget_ms)) / self.staleness_budget_ms) as u32;
+            let p_retry = (d.retries + 5 * d.exhausted).min(20);
+            let p_queue = d.queue_depth.min(10);
+            let p_recover = (d.recovery_ms / 30).min(15);
+            let score = if d.down {
+                0
+            } else {
+                100u32.saturating_sub(p_timeout + p_stale + p_retry + p_queue + p_recover)
+            };
+            HealthSample {
+                t_ms: end_ms,
+                dp: DpId(0),
+                score,
+                p_timeout,
+                p_stale,
+                p_retry,
+                p_queue,
+                p_recover,
+                down: d.down,
+            }
+        }
+
+        fn close_windows_until(&mut self, at_ms: u64, emit_flags: bool) {
+            while at_ms >= self.window_start_ms + self.window_ms {
+                let end_ms = self.window_start_ms + self.window_ms;
+                for i in 0..self.dps.len() {
+                    if !self.dps[i].seen {
+                        continue;
+                    }
+                    let mut sample = self.score(&self.dps[i], end_ms);
+                    sample.dp = DpId(i as u32);
+                    self.samples.push(sample);
+                    let d = &mut self.dps[i];
+                    if sample.score < self.degrade_below {
+                        d.bad_streak += 1;
+                        d.good_streak = 0;
+                    } else if sample.score >= self.recover_at {
+                        d.good_streak += 1;
+                        d.bad_streak = 0;
+                    } else {
+                        d.bad_streak = 0;
+                        d.good_streak = 0;
+                    }
+                    if emit_flags {
+                        let transition = if !d.degraded && d.bad_streak >= self.degrade_windows {
+                            d.degraded = true;
+                            Some(true)
+                        } else if d.degraded && d.good_streak >= self.recover_windows {
+                            d.degraded = false;
+                            Some(false)
+                        } else {
+                            None
+                        };
+                        if let Some(degrading) = transition {
+                            let row = HealthFlagRow {
+                                t_ms: end_ms,
+                                dp: sample.dp,
+                                degrading,
+                                score: sample.score,
+                            };
+                            self.flags.push(row);
+                            self.pending.push((
+                                end_ms,
+                                TraceEvent::HealthFlag {
+                                    dp: row.dp,
+                                    degrading,
+                                    score: row.score,
+                                },
+                            ));
+                        }
+                    }
+                    let d = &mut self.dps[i];
+                    d.answered = 0;
+                    d.late = 0;
+                    d.timeouts = 0;
+                    d.retries = 0;
+                    d.exhausted = 0;
+                    d.recovery_ms = 0;
+                }
+                self.window_start_ms = end_ms;
+            }
+        }
+
+        fn take_pending(&mut self) -> Vec<(u64, TraceEvent)> {
+            std::mem::take(&mut self.pending)
+        }
+
+        fn finish(&self, end_ms: u64) -> HealthReport {
+            let mut tail = self.clone();
+            tail.close_windows_until(end_ms, false);
+            HealthReport {
+                window_ms: self.window_ms,
+                samples: tail.samples,
+                flags: tail.flags,
+            }
+        }
+
+        fn observe(&mut self, at_ms: u64, ev: &TraceEvent) {
+            self.close_windows_until(at_ms, true);
+            match *ev {
+                TraceEvent::ResponseAnswered { dp, .. } => self.dp(dp).answered += 1,
+                TraceEvent::ResponseLate { dp, .. } => self.dp(dp).late += 1,
+                TraceEvent::ClientTimeout { dp, .. } => self.dp(dp).timeouts += 1,
+                TraceEvent::RetryScheduled { dp, .. } => self.dp(dp).retries += 1,
+                TraceEvent::RetryExhausted { dp, .. } => self.dp(dp).exhausted += 1,
+                TraceEvent::SvcQueued { dp, depth, .. } => self.dp(dp).queue_depth = depth,
+                TraceEvent::SvcCompleted { dp, depth, .. } => self.dp(dp).queue_depth = depth,
+                TraceEvent::SvcCrashDropped { dp, .. } => self.dp(dp).queue_depth = 0,
+                TraceEvent::ExchangeMerged { dp, .. } => self.dp(dp).last_exchange_ms = Some(at_ms),
+                TraceEvent::DpFailed { dp } => self.dp(dp).down = true,
+                TraceEvent::DpRecovered { dp } => self.dp(dp).down = false,
+                TraceEvent::RecoveryReplayed { dp, dur_ms, .. } => {
+                    let d = self.dp(dp);
+                    d.recovery_ms = d.recovery_ms.max(dur_ms);
+                }
+                TraceEvent::QueryIssued { dp, .. } => {
+                    self.dp(dp);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn scorer() -> TimelineBuilder {
+        TimelineBuilder::new(60_000)
+    }
+
+    fn report(s: &TimelineBuilder, end_ms: u64) -> HealthReport {
+        s.finish(end_ms).health.expect("scoring is always on")
     }
 
     fn merged(dp: u32) -> TraceEvent {
@@ -412,7 +472,7 @@ mod tests {
     }
 
     /// Drives `ev` every second from `from_s` to `to_s` (exclusive).
-    fn drive(s: &mut HealthScorer, from_s: u64, to_s: u64, ev: TraceEvent) {
+    fn drive(s: &mut TimelineBuilder, from_s: u64, to_s: u64, ev: TraceEvent) {
         for t in from_s..to_s {
             s.observe(t * 1000, &ev);
         }
@@ -427,8 +487,8 @@ mod tests {
                 s.observe(t * 1000, &merged(0));
             }
         }
-        assert!(s.take_pending().is_empty());
-        let rep = s.finish(720_000);
+        assert!(s.flags().is_empty());
+        let rep = report(&s, 720_000);
         assert!(rep.flags.is_empty(), "{:?}", rep.flags);
         assert!(rep.samples.iter().all(|x| x.score >= 80), "{:?}", rep.samples);
     }
@@ -442,7 +502,7 @@ mod tests {
         // Keep the stream moving via a healthy sibling.
         s.observe(100_000, &merged(1));
         drive(&mut s, 100, 300, answered(1));
-        let rep = s.finish(300_000);
+        let rep = report(&s, 300_000);
         // Windows close at 120 s and 180 s with dp0 down → flag at 180 s.
         let flag = rep.flags.iter().find(|f| f.dp == DpId(0)).expect("no flag");
         assert!(flag.degrading);
@@ -469,7 +529,7 @@ mod tests {
                 s.observe(t * 1000, &merged(1));
             }
         }
-        let rep = s.finish(600_000);
+        let rep = report(&s, 600_000);
         let flags: Vec<_> = rep.flags.iter().filter(|f| f.dp == DpId(0)).collect();
         assert_eq!(flags.len(), 2, "{flags:?}");
         assert!(flags[0].degrading);
@@ -493,7 +553,7 @@ mod tests {
                 s.observe(t * 1000, &answered(0));
             }
         }
-        let rep = s.finish(600_000);
+        let rep = report(&s, 600_000);
         assert!(
             rep.flags.is_empty(),
             "one bad window must not flag: {:?}",
@@ -521,7 +581,7 @@ mod tests {
                 s.observe(t * 1000, &merged(0));
             }
         }
-        let rep = s.finish(900_000);
+        let rep = report(&s, 900_000);
         assert!(rep.flags.iter().all(|f| f.dp != DpId(0)), "{:?}", rep.flags);
         let when = rep
             .first_degrading_at_or_after(DpId(1), 180_000)
@@ -537,13 +597,80 @@ mod tests {
         s.observe(0, &TraceEvent::DpFailed { dp: DpId(0) });
         s.observe(30_000, &answered(1));
         // The stream never crosses a boundary → no live flags possible.
-        assert!(s.take_pending().is_empty());
-        let a = s.finish(600_000);
-        let b = s.finish(600_000);
+        assert!(s.flags().is_empty());
+        let a = report(&s, 600_000);
+        let b = report(&s, 600_000);
         assert_eq!(a, b);
         assert!(a.flags.is_empty());
         // But the tail was scored: dp0 sampled down in every window.
         assert!(a.samples.iter().filter(|x| x.dp == DpId(0)).all(|x| x.down && x.score == 0));
         assert_eq!(a.samples.iter().filter(|x| x.dp == DpId(0)).count(), 10);
+    }
+
+    /// The 13 kinds the reference scorer marks a point on, then four the
+    /// timeline alone marks a point on.
+    #[rustfmt::skip]
+    fn event(kind: u32, dp: DpId, x: u32) -> TraceEvent {
+        let client = ClientId(0);
+        let (depth, response_ms) = (x % 16, u64::from(x));
+        let (query, exchange) = (FaultMsgClass::Query, FaultMsgClass::Exchange);
+        match kind {
+            0 => TraceEvent::ResponseAnswered { dp, client, response_ms },
+            1 => TraceEvent::ResponseLate { dp, client, response_ms },
+            2 => TraceEvent::ClientTimeout { client, dp },
+            3 => TraceEvent::RetryScheduled { class: query, dp, attempt: 1 },
+            4 => TraceEvent::RetryExhausted { class: exchange, dp, attempts: 3 },
+            5 => TraceEvent::SvcQueued { dp, tag: 0, depth },
+            6 => TraceEvent::SvcCompleted { dp, tag: 0, depth },
+            7 => TraceEvent::SvcCrashDropped { dp, in_service: 1, queued: depth },
+            8 => TraceEvent::ExchangeMerged { dp, received: x, fresh: x },
+            9 => TraceEvent::DpFailed { dp },
+            10 => TraceEvent::DpRecovered { dp },
+            11 => TraceEvent::RecoveryReplayed { dp, records: x, dur_ms: x },
+            12 => TraceEvent::QueryIssued { client, dp },
+            13 => TraceEvent::ExchangeSent { from: dp, to: DpId(0), records: x },
+            14 => TraceEvent::DpJoined { dp, epoch: x },
+            15 => TraceEvent::DpLeft { dp, epoch: x },
+            _ => TraceEvent::WalAppended { dp },
+        }
+    }
+
+    proptest! {
+        /// Scoring on the timeline's bins reproduces the standalone
+        /// scorer: the same report, and every derived flag in the ring
+        /// exactly where the old sink put it — before the event that
+        /// closed its window.
+        #[test]
+        fn timeline_scoring_matches_the_reference_scorer(
+            stream in proptest::collection::vec(
+                (0u64..40_000, 0u32..17, 0u32..6, 0u32..700),
+                1..600,
+            ),
+            tail_ms in 0u64..400_000,
+        ) {
+            let rec = Recorder::new(TraceConfig::default());
+            let mut reference = RefScorer::new();
+            let mut ring = Vec::new();
+            let mut at_ms = 0u64;
+            for &(step, kind, dp, x) in &stream {
+                // Mostly small steps, now and then a jump over windows.
+                at_ms += if step < 38_000 { step / 100 } else { step * 9 };
+                let ev = event(kind, DpId(dp), x);
+                rec.emit(SimTime(at_ms), || ev);
+                reference.observe(at_ms, &ev);
+                ring.extend(reference.take_pending());
+                ring.push((at_ms, ev));
+            }
+            let end_ms = at_ms + tail_ms;
+            let tl = rec.finish(SimTime(end_ms)).unwrap();
+            prop_assert_eq!(tl.health.as_ref(), Some(&reference.finish(end_ms)));
+            let kept = ring.len().min(512);
+            prop_assert_eq!(&tl.recent[..], &ring[ring.len() - kept..]);
+            prop_assert_eq!(tl.dropped_raw, (ring.len() - kept) as u64);
+            let flags = &tl.health.as_ref().unwrap().flags;
+            let degrades = flags.iter().filter(|f| f.degrading).count() as u64;
+            prop_assert_eq!(tl.totals.health_degrades, degrades);
+            prop_assert_eq!(tl.totals.health_recovers, flags.len() as u64 - degrades);
+        }
     }
 }

@@ -15,24 +15,26 @@
 //!   admission decide / reject, peer exchange), `digruber`'s protocol and
 //!   fault layers (issue/response/timeout, dp_fail/recover, client
 //!   re-bind) and `grubsim` replay (overload, point added) — plus the
-//!   derived [`TraceEvent::HealthFlag`] the scorer feeds back in.
+//!   derived [`TraceEvent::HealthFlag`] the health scoring raises.
 //! * [`Recorder`] is the handle the instrumented code holds. It is a
 //!   cloneable reference to a shared sink, or — the common case — the
 //!   `static`-constructible no-op [`Recorder::OFF`]. Emission takes a
 //!   closure, so when no sink is installed the cost is one branch and the
 //!   event is never even constructed. The `perf/` harness measures
 //!   what that costs (`obs.emit_off_ns`, `obs.trace_overhead_share`).
-//! * The sink is a **streaming fan-out** over [`TraceConsumer`]s (see
-//!   [`consume`]): the online [`TimelineBuilder`](timeline::TimelineBuilder)
-//!   aggregator, the bounded [`RawRing`] of recent raw events, the
-//!   [`HealthScorer`], and any consumer a driver attaches via
-//!   [`Recorder::attach`]. Aggregates are exact even when the ring has
-//!   rotated, and nothing assumes a single end-of-run exporter.
-//! * [`health`] scores every decision point online: rolling per-window
-//!   feature vectors (timeout share, view staleness, retries, queue
-//!   depth, recovery time) folded into 0–100 scores with hysteresis-gated
-//!   `Degrading` / `Recovered` flags, emitted back into the stream as
-//!   `health_flag` events. See `OBSERVABILITY.md` for the operator guide.
+//! * The sink has **one clock**: the online
+//!   [`TimelineBuilder`](timeline::TimelineBuilder) closes fixed-cadence
+//!   bins as the stream advances, and each closing bin yields both the
+//!   timeline samples and the health scores; next to it sits the bounded
+//!   [`RawRing`] of recent raw events (see [`consume`]). Aggregates are
+//!   exact even when the ring has rotated, and nothing assumes a single
+//!   end-of-run exporter.
+//! * [`health`] holds the scoring formula: per-bin feature vectors
+//!   (timeout share, view staleness, retries, queue depth, recovery time)
+//!   folded into 0–100 scores with hysteresis-gated `Degrading` /
+//!   `Recovered` flags, written into the ring as `health_flag` events and
+//!   readable live through [`Recorder::degraded`]. See `OBSERVABILITY.md`
+//!   for the operator guide.
 //! * Everything is keyed by simulated time and derives `PartialEq`:
 //!   a seeded run produces one byte-identical [`RunTimeline`] no matter
 //!   which worker thread executed it (`--jobs N` determinism).
@@ -42,7 +44,7 @@
 //! [`RunTimeline`] carries per-bin samples (fixed sim-time cadence:
 //! queries served, response-time log-histogram, queue depth, staleness of
 //! the last peer exchange), whole-run totals, and the [`HealthReport`]
-//! when the scorer ran. [`RunTimeline::to_jsonl`] renders the
+//! scored on the same bins. [`RunTimeline::to_jsonl`] renders the
 //! machine-readable JSONL (schema `digruber-trace/5`) consumed by
 //! `--trace out.jsonl` on the `sweep`/`experiments` binaries;
 //! [`RunTimeline::render`] produces the human-readable timeline summary
@@ -58,8 +60,8 @@ pub mod health;
 pub mod sink;
 pub mod timeline;
 
-pub use consume::{RawRing, TraceConsumer};
+pub use consume::RawRing;
 pub use event::{FaultMsgClass, TraceEvent, TraceVerdict};
-pub use health::{HealthConfig, HealthFlagRow, HealthReport, HealthSample, HealthScorer};
+pub use health::{HealthFlagRow, HealthReport, HealthSample};
 pub use sink::{Recorder, TraceConfig};
 pub use timeline::{DpSample, DpTotals, ResponseHistogram, RunTimeline, RunTotals, SimSample};

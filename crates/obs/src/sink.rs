@@ -5,16 +5,14 @@
 //! to one run's shared sink. Emission takes a closure so the
 //! disabled path costs a single branch and never constructs the event.
 //!
-//! Since the streaming refactor, the sink is a **fan-out over
-//! [`TraceConsumer`]s** (see [`crate::consume`]): every emission feeds the
-//! online timeline, the raw-event ring, the optional [`HealthScorer`], and
-//! any consumers a driver attached via [`Recorder::attach`]. The health
-//! scorer is special-cased because it is the one consumer that produces
-//! *derived* events ([`TraceEvent::HealthFlag`]): the sink drains its
-//! pending flags after each emission and re-feeds them — stamped at their
-//! window boundary — to every other consumer, so flags show up in the
-//! timeline counters, the ring, and the JSONL export like first-class
-//! events.
+//! The sink is two fields it calls directly: the online
+//! [`TimelineBuilder`] — the run's one clock, whose cadence bins are both
+//! the timeline samples and the health scoring windows — and the
+//! [`RawRing`] of recent raw events. A bin closed by an emission may raise
+//! *derived* [`TraceEvent::HealthFlag`]s, stamped at the bin boundary;
+//! the sink writes them into the ring ahead of the emission that closed
+//! the bin, so the ring stays in nondecreasing time order. Whether a point
+//! is flagged right now is [`Recorder::degraded`].
 //!
 //! The sink is `Arc<Mutex<..>>` only because the live-mode harness moves
 //! engines across threads (`GruberEngine` must stay `Send`); within a
@@ -22,77 +20,46 @@
 //! uncontended and the sweep's `--jobs N` parallelism — one recorder per
 //! run — never shares a sink between workers.
 
-use crate::consume::{RawRing, TraceConsumer};
+use crate::consume::RawRing;
 use crate::event::TraceEvent;
-use crate::health::{HealthConfig, HealthScorer};
 use crate::timeline::{RunTimeline, TimelineBuilder};
-use gruber_types::{SimDuration, SimTime};
+use gruber_types::{DpId, SimDuration, SimTime};
 use std::sync::{Arc, Mutex};
+
+/// Raw events the ring keeps for debugging. Aggregates are exact
+/// regardless of ring size.
+const RING_CAPACITY: usize = 512;
 
 /// Configuration for one run's trace sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Sampling cadence for per-decision-point metrics, in sim-time.
+    /// Sampling cadence for per-decision-point metrics, in sim-time; also
+    /// the health scoring window.
     pub cadence: SimDuration,
-    /// Capacity of the bounded ring of recent raw events kept for
-    /// debugging. Aggregates are exact regardless of ring size.
-    pub ring_capacity: usize,
-    /// Online health scoring over the stream (`None` disables the
-    /// consumer entirely). On by default: any traced run gets windowed
-    /// per-DP scores and `Degrading`/`Recovered` flags for free.
-    pub health: Option<HealthConfig>,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             cadence: SimDuration::MINUTE,
-            ring_capacity: 512,
-            health: Some(HealthConfig::default()),
         }
     }
 }
 
-/// The shared sink one traced run appends into: the consumer fan-out.
+/// The shared sink one traced run appends into.
 struct TraceLog {
     ring: RawRing,
     timeline: TimelineBuilder,
-    health: Option<HealthScorer>,
-    extras: Vec<Box<dyn TraceConsumer + Send>>,
-    cadence_ms: u64,
 }
 
 impl TraceLog {
     fn push(&mut self, at_ms: u64, ev: TraceEvent) {
-        // Health first: this event may close a scoring window, and the
-        // derived flag events it queues are stamped at that (earlier)
-        // boundary — feeding them before the triggering event keeps every
-        // consumer's input in nondecreasing timestamp order.
-        if let Some(health) = &mut self.health {
-            health.observe(at_ms, &ev);
-            for (t, flag) in health.take_pending() {
-                self.timeline.observe(t, &flag);
-                self.ring.observe(t, &flag);
-                for c in &mut self.extras {
-                    c.observe(t, &flag);
-                }
-            }
-        }
+        let raised = self.timeline.flags().len();
         self.timeline.observe(at_ms, &ev);
-        self.ring.observe(at_ms, &ev);
-        for c in &mut self.extras {
-            c.observe(at_ms, &ev);
+        for flag in &self.timeline.flags()[raised..] {
+            self.ring.observe(flag.t_ms, &flag.event());
         }
-    }
-}
-
-impl std::fmt::Debug for TraceLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceLog")
-            .field("cadence_ms", &self.cadence_ms)
-            .field("health", &self.health.is_some())
-            .field("extras", &self.extras.len())
-            .finish_non_exhaustive()
+        self.ring.observe(at_ms, &ev);
     }
 }
 
@@ -101,7 +68,7 @@ impl std::fmt::Debug for TraceLog {
 ///
 /// Cloning shares the sink: the world hands clones to every scheduler,
 /// engine and service station of one run, and they all append to the same
-/// consumer fan-out.
+/// timeline and ring.
 #[derive(Clone)]
 pub struct Recorder {
     inner: Option<Arc<Mutex<TraceLog>>>,
@@ -114,14 +81,10 @@ impl Recorder {
 
     /// A live recorder backed by a fresh sink.
     pub fn new(cfg: TraceConfig) -> Recorder {
-        let cadence_ms = cfg.cadence.as_millis().max(1);
         Recorder {
             inner: Some(Arc::new(Mutex::new(TraceLog {
-                ring: RawRing::new(cfg.ring_capacity),
-                timeline: TimelineBuilder::new(cadence_ms),
-                health: cfg.health.map(HealthScorer::new),
-                extras: Vec::new(),
-                cadence_ms,
+                ring: RawRing::new(RING_CAPACITY),
+                timeline: TimelineBuilder::new(cfg.cadence.as_millis()),
             }))),
         }
     }
@@ -141,24 +104,26 @@ impl Recorder {
         self.inner.is_some()
     }
 
-    /// Attaches an external consumer to the fan-out. It observes every
-    /// emission from this point on (plus derived health flags). No-op on
-    /// a disabled recorder.
-    pub fn attach(&self, consumer: Box<dyn TraceConsumer + Send>) {
-        if let Some(log) = &self.inner {
-            let mut log = log.lock().unwrap_or_else(|e| e.into_inner());
-            log.extras.push(consumer);
-        }
+    fn log(&self) -> Option<std::sync::MutexGuard<'_, TraceLog>> {
+        let log = self.inner.as_ref()?;
+        Some(log.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Records one event at simulated time `at`. The closure only runs —
     /// and the event is only constructed — when a sink is installed.
     #[inline]
     pub fn emit(&self, at: SimTime, build: impl FnOnce() -> TraceEvent) {
+        // The disabled check stays here, inlined at every call site.
         if let Some(log) = &self.inner {
             let mut log = log.lock().unwrap_or_else(|e| e.into_inner());
             log.push(at.as_millis(), build());
         }
+    }
+
+    /// Whether `dp` is flagged `Degrading` as of the last emission: raised
+    /// and not yet `Recovered`. `false` on a disabled recorder.
+    pub fn degraded(&self, dp: DpId) -> bool {
+        self.log().is_some_and(|log| log.timeline.degraded(dp))
     }
 
     /// Snapshots the run's timeline through `end`. `None` when disabled.
@@ -166,21 +131,11 @@ impl Recorder {
     /// Non-destructive: the sink keeps accepting events and `finish` may
     /// be called again.
     pub fn finish(&self, end: SimTime) -> Option<RunTimeline> {
-        let log = self.inner.as_ref()?;
-        let log = log.lock().unwrap_or_else(|e| e.into_inner());
-        let (dp_samples, sim_samples, dp_totals, totals) =
-            log.timeline.finish(end.as_millis());
-        Some(RunTimeline {
-            cadence_ms: log.cadence_ms,
-            end_ms: end.as_millis(),
-            dp_samples,
-            sim_samples,
-            dp_totals,
-            totals,
-            recent: log.ring.snapshot(),
-            dropped_raw: log.ring.dropped(),
-            health: log.health.as_ref().map(|h| h.finish(end.as_millis())),
-        })
+        let log = self.log()?;
+        let mut tl = log.timeline.finish(end.as_millis());
+        tl.recent = log.ring.snapshot();
+        tl.dropped_raw = log.ring.dropped();
+        Some(tl)
     }
 }
 
@@ -203,7 +158,7 @@ impl std::fmt::Debug for Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gruber_types::{ClientId, DpId};
+    use gruber_types::ClientId;
 
     #[test]
     fn off_recorder_never_runs_the_closure() {
@@ -232,21 +187,21 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_but_aggregates_are_exact() {
-        let rec = Recorder::new(TraceConfig {
-            cadence: SimDuration::from_secs(60),
-            ring_capacity: 4,
-            ..TraceConfig::default()
-        });
-        for i in 0..10u64 {
+        let rec = Recorder::new(TraceConfig::default());
+        for i in 0..RING_CAPACITY as u64 + 6 {
             rec.emit(SimTime(i), || TraceEvent::QueryIssued {
                 client: ClientId(0),
                 dp: DpId(0),
             });
         }
-        let tl = rec.finish(SimTime(100)).unwrap();
-        assert_eq!(tl.recent.len(), 4);
+        let tl = rec.finish(SimTime(1000)).unwrap();
+        assert_eq!(tl.recent.len(), RING_CAPACITY);
         assert_eq!(tl.dropped_raw, 6);
-        assert_eq!(tl.totals.issued, 10, "aggregates survive ring eviction");
+        assert_eq!(
+            tl.totals.issued,
+            RING_CAPACITY as u64 + 6,
+            "aggregates survive ring eviction"
+        );
         assert_eq!(tl.recent[0].0, 6, "ring keeps the most recent events");
     }
 
@@ -261,27 +216,20 @@ mod tests {
         assert_eq!(rec.finish(SimTime(50)).unwrap().totals.recoveries, 1);
     }
 
-    /// An attached consumer sees primary events *and* derived flags.
+    /// A derived flag enters the ring at its window boundary, ahead of the
+    /// event that closed the window, and reaches the counters and report.
     #[test]
-    fn attached_consumer_observes_stream_and_derived_flags() {
-        #[derive(Default)]
-        struct Tap(Arc<Mutex<Vec<(u64, &'static str)>>>);
-        impl TraceConsumer for Tap {
-            fn observe(&mut self, at_ms: u64, ev: &TraceEvent) {
-                self.0.lock().unwrap().push((at_ms, ev.kind()));
-            }
-        }
+    fn derived_flags_enter_the_ring_before_the_closing_event() {
         let rec = Recorder::new(TraceConfig::default());
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        rec.attach(Box::new(Tap(seen.clone())));
         rec.emit(SimTime(1_000), || TraceEvent::DpFailed { dp: DpId(0) });
         // Advance the stream across two 60 s scoring windows so the
-        // scorer raises a Degrading flag for the downed point.
+        // downed point is flagged Degrading.
         rec.emit(SimTime(130_000), || TraceEvent::QueryIssued {
             client: ClientId(0),
             dp: DpId(1),
         });
-        let seen = seen.lock().unwrap().clone();
+        let tl = rec.finish(SimTime(130_000)).unwrap();
+        let seen: Vec<(u64, &str)> = tl.recent.iter().map(|(t, ev)| (*t, ev.kind())).collect();
         assert_eq!(
             seen,
             vec![
@@ -290,23 +238,46 @@ mod tests {
                 (130_000, "query_issued"),
             ]
         );
-        // And the same flag reached the timeline counters and the report.
-        let tl = rec.finish(SimTime(130_000)).unwrap();
         assert_eq!(tl.totals.health_degrades, 1);
         assert_eq!(tl.health.as_ref().unwrap().flags.len(), 1);
     }
 
-    /// `health: None` switches the consumer off: no report, no flags.
+    /// The flag the autoscaler reads: off is never degraded; a point is
+    /// degraded from its `Degrading` flag until its `Recovered` one.
     #[test]
-    fn health_can_be_disabled() {
-        let rec = Recorder::new(TraceConfig {
-            health: None,
-            ..TraceConfig::default()
-        });
-        rec.emit(SimTime(1_000), || TraceEvent::DpFailed { dp: DpId(0) });
-        rec.emit(SimTime(200_000), || TraceEvent::DpRecovered { dp: DpId(0) });
-        let tl = rec.finish(SimTime(300_000)).unwrap();
-        assert!(tl.health.is_none());
-        assert_eq!(tl.totals.health_degrades, 0);
+    fn degraded_follows_the_flags() {
+        assert!(!Recorder::OFF.degraded(DpId(0)));
+        let rec = Recorder::new(TraceConfig::default());
+        let answered = |t: u64| {
+            rec.emit(SimTime(t), || TraceEvent::ResponseAnswered {
+                dp: DpId(0),
+                client: ClientId(0),
+                response_ms: 5,
+            });
+            rec.emit(SimTime(t), || TraceEvent::ExchangeMerged {
+                dp: DpId(0),
+                received: 1,
+                fresh: 1,
+            });
+        };
+        rec.emit(SimTime(0), || TraceEvent::DpFailed { dp: DpId(0) });
+        assert!(!rec.degraded(DpId(0)));
+        // Windows closing at 60 s and 120 s score the downed point 0.
+        answered(120_000);
+        assert!(rec.degraded(DpId(0)));
+        assert!(!rec.degraded(DpId(1)), "an unknown point is not degraded");
+        rec.emit(SimTime(120_000), || TraceEvent::DpRecovered { dp: DpId(0) });
+        answered(180_000);
+        assert!(rec.degraded(DpId(0)), "one good window is not a recovery");
+        answered(240_000);
+        assert!(!rec.degraded(DpId(0)));
+        let flags = rec.finish(SimTime(240_000)).unwrap().health.unwrap().flags;
+        assert_eq!(
+            flags
+                .iter()
+                .map(|f| (f.t_ms, f.degrading))
+                .collect::<Vec<_>>(),
+            vec![(120_000, true), (240_000, false)]
+        );
     }
 }

@@ -1,4 +1,5 @@
-//! Online per-decision-point aggregation over the event stream.
+//! Online per-decision-point aggregation over the event stream — the one
+//! clock of a traced run.
 //!
 //! The sink feeds every emission through [`TimelineBuilder::observe`];
 //! because the simulation emits in nondecreasing sim-time order, the
@@ -7,8 +8,15 @@
 //! a per-bin set that resets at each cadence boundary (the samples) and a
 //! cumulative set (the totals), so the exported aggregates stay exact even
 //! when the debugging ring has rotated old events away.
+//!
+//! Each closing bin is also a health scoring window: every point the
+//! stream has marked as scored gets a [`crate::HealthSample`] from
+//! [`crate::health`]'s formula, and its hysteresis may raise a
+//! `Degrading`/`Recovered` flag, counted here and collected in the
+//! [`HealthReport`] the sink reads back.
 
 use crate::event::{TraceEvent, TraceVerdict};
+use crate::health::{Features, HealthFlagRow, HealthReport, Hysteresis};
 use gruber_types::DpId;
 
 /// Log₂-bucketed response-time histogram over milliseconds.
@@ -80,6 +88,9 @@ struct BinCounters {
     retries: u64,
     sum_response_ms: u64,
     max_response_ms: u64,
+    // Scoring inputs only, not part of the sample.
+    exhausted: u64,
+    recovery_ms: u64,
 }
 
 /// One decision point's sample for one cadence bin.
@@ -381,10 +392,29 @@ struct DpState {
     queue_depth: u32,
     last_exchange_ms: Option<u64>,
     seen: bool,
+    /// Marked by the events [`crate::health`] scores on — a narrower set
+    /// than `seen` (an outgoing flood or a WAL append alone is not
+    /// evidence about a point's health).
+    scored: bool,
+    /// Liveness as `dp_failed`/`dp_recovered` set it; unlike `up`, a
+    /// join or a leave does not move it.
+    down: bool,
+    hysteresis: Hysteresis,
+}
+
+/// How a closing bin is scored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Close {
+    /// The stream crossed the boundary: score, and raise flags.
+    Live,
+    /// `finish` closes a full bin of the tail: score, raise nothing.
+    Tail,
+    /// `finish` closes the partial last bin: not a window, not scored.
+    Partial,
 }
 
 /// The online aggregator the sink drives.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TimelineBuilder {
     cadence_ms: u64,
     bin_start_ms: u64,
@@ -393,13 +423,16 @@ pub struct TimelineBuilder {
     dp_samples: Vec<DpSample>,
     sim_samples: Vec<SimSample>,
     totals: RunTotals,
+    health: HealthReport,
 }
 
 impl TimelineBuilder {
-    /// A builder flushing samples every `cadence_ms` of sim-time.
+    /// A builder flushing samples (and scoring) every `cadence_ms` of
+    /// sim-time.
     pub fn new(cadence_ms: u64) -> Self {
+        let cadence_ms = cadence_ms.max(1);
         TimelineBuilder {
-            cadence_ms: cadence_ms.max(1),
+            cadence_ms,
             bin_start_ms: 0,
             dps: Vec::new(),
             sim_bin: SimSample {
@@ -410,7 +443,23 @@ impl TimelineBuilder {
             dp_samples: Vec::new(),
             sim_samples: Vec::new(),
             totals: RunTotals::default(),
+            health: HealthReport {
+                window_ms: cadence_ms,
+                ..HealthReport::default()
+            },
         }
+    }
+
+    /// Every flag raised so far, in emission order.
+    pub(crate) fn flags(&self) -> &[HealthFlagRow] {
+        &self.health.flags
+    }
+
+    /// Whether `dp` is currently flagged `Degrading`.
+    pub(crate) fn degraded(&self, dp: DpId) -> bool {
+        self.dps
+            .get(dp.index())
+            .is_some_and(|st| st.hysteresis.degraded)
     }
 
     fn dp(&mut self, dp: DpId) -> &mut DpState {
@@ -427,16 +476,23 @@ impl TimelineBuilder {
         st
     }
 
+    /// [`TimelineBuilder::dp`] for an event the health scoring reads.
+    fn scored(&mut self, dp: DpId) -> &mut DpState {
+        let st = self.dp(dp);
+        st.scored = true;
+        st
+    }
+
     /// Closes every bin ending at or before `at_ms`, emitting samples.
-    fn flush_until(&mut self, at_ms: u64) {
+    fn flush_until(&mut self, at_ms: u64, close: Close) {
         while self.bin_start_ms + self.cadence_ms <= at_ms {
             let bin_end = self.bin_start_ms + self.cadence_ms;
-            self.close_bin(bin_end);
+            self.close_bin(bin_end, close);
             self.bin_start_ms = bin_end;
         }
     }
 
-    fn close_bin(&mut self, bin_end: u64) {
+    fn close_bin(&mut self, bin_end: u64, close: Close) {
         self.sim_samples.push(SimSample {
             t_ms: bin_end,
             executed: self.sim_bin.executed,
@@ -446,6 +502,36 @@ impl TimelineBuilder {
         self.sim_bin.cancelled = 0;
         for st in self.dps.iter_mut().filter(|s| s.seen) {
             let b = st.bin;
+            if st.scored && close != Close::Partial {
+                let sample = Features {
+                    answered: b.answered,
+                    late: b.late,
+                    timeouts: b.timeouts,
+                    retries: b.retries,
+                    exhausted: b.exhausted,
+                    recovery_ms: b.recovery_ms,
+                    queue_depth: st.queue_depth,
+                    last_exchange_ms: st.last_exchange_ms,
+                    down: st.down,
+                }
+                .score(st.tot.dp, bin_end);
+                self.health.samples.push(sample);
+                if let Some(degrading) = st.hysteresis.step(sample.score, close == Close::Live) {
+                    self.health.flags.push(HealthFlagRow {
+                        t_ms: bin_end,
+                        dp: sample.dp,
+                        degrading,
+                        score: sample.score,
+                    });
+                    if degrading {
+                        st.tot.health_degrades += 1;
+                        self.totals.health_degrades += 1;
+                    } else {
+                        st.tot.health_recovers += 1;
+                        self.totals.health_recovers += 1;
+                    }
+                }
+            }
             self.dp_samples.push(DpSample {
                 t_ms: bin_end,
                 dp: st.tot.dp,
@@ -470,9 +556,10 @@ impl TimelineBuilder {
         }
     }
 
-    /// Feeds one event, closing any bins the stream has moved past.
+    /// Feeds one event, closing (and scoring) any bins the stream has
+    /// moved past.
     pub fn observe(&mut self, at_ms: u64, ev: &TraceEvent) {
-        self.flush_until(at_ms);
+        self.flush_until(at_ms, Close::Live);
         match *ev {
             TraceEvent::EventExecuted { .. } => {
                 self.sim_bin.executed += 1;
@@ -488,7 +575,7 @@ impl TimelineBuilder {
                 st.tot.started += 1;
             }
             TraceEvent::SvcQueued { dp, depth, .. } => {
-                let st = self.dp(dp);
+                let st = self.scored(dp);
                 st.bin.queued += 1;
                 st.tot.queued += 1;
                 st.queue_depth = depth;
@@ -499,7 +586,7 @@ impl TimelineBuilder {
                 st.tot.rejected += 1;
             }
             TraceEvent::SvcCompleted { dp, depth, .. } => {
-                let st = self.dp(dp);
+                let st = self.scored(dp);
                 st.bin.completed += 1;
                 st.tot.completed += 1;
                 st.queue_depth = depth;
@@ -510,13 +597,16 @@ impl TimelineBuilder {
                 queued,
             } => {
                 let dropped = u64::from(in_service) + u64::from(queued);
-                let st = self.dp(dp);
+                let st = self.scored(dp);
                 st.tot.dropped_requests += dropped;
                 st.queue_depth = 0;
                 self.totals.dropped_requests += dropped;
             }
             TraceEvent::QueryIssued { dp, .. } => {
-                let st = self.dp(dp);
+                // A query marks a point as under observation even before
+                // any response resolves (so a point that only ever times
+                // out is still scored).
+                let st = self.scored(dp);
                 st.bin.issued += 1;
                 st.tot.issued += 1;
                 self.totals.issued += 1;
@@ -547,7 +637,7 @@ impl TimelineBuilder {
                 received,
                 fresh: _,
             } => {
-                let st = self.dp(dp);
+                let st = self.scored(dp);
                 st.tot.exchanges_in += 1;
                 st.tot.exchange_records_in += u64::from(received);
                 st.last_exchange_ms = Some(at_ms);
@@ -555,7 +645,7 @@ impl TimelineBuilder {
             TraceEvent::ResponseAnswered {
                 dp, response_ms, ..
             } => {
-                let st = self.dp(dp);
+                let st = self.scored(dp);
                 st.bin.answered += 1;
                 st.bin.sum_response_ms += response_ms;
                 st.bin.max_response_ms = st.bin.max_response_ms.max(response_ms);
@@ -568,7 +658,7 @@ impl TimelineBuilder {
             TraceEvent::ResponseLate {
                 dp, response_ms, ..
             } => {
-                let st = self.dp(dp);
+                let st = self.scored(dp);
                 st.bin.late += 1;
                 st.bin.sum_response_ms += response_ms;
                 st.bin.max_response_ms = st.bin.max_response_ms.max(response_ms);
@@ -579,20 +669,22 @@ impl TimelineBuilder {
                 self.totals.late += 1;
             }
             TraceEvent::ClientTimeout { dp, .. } => {
-                let st = self.dp(dp);
+                let st = self.scored(dp);
                 st.bin.timeouts += 1;
                 st.tot.timeouts += 1;
                 self.totals.timed_out += 1;
             }
             TraceEvent::DpFailed { dp } => {
-                let st = self.dp(dp);
+                let st = self.scored(dp);
                 st.up = false;
+                st.down = true;
                 st.tot.failures += 1;
                 self.totals.failures += 1;
             }
             TraceEvent::DpRecovered { dp } => {
-                let st = self.dp(dp);
+                let st = self.scored(dp);
                 st.up = true;
+                st.down = false;
                 st.tot.recoveries += 1;
                 self.totals.recoveries += 1;
             }
@@ -612,13 +704,15 @@ impl TimelineBuilder {
                 self.totals.msgs_duplicated += 1;
             }
             TraceEvent::RetryScheduled { dp, .. } => {
-                let st = self.dp(dp);
+                let st = self.scored(dp);
                 st.bin.retries += 1;
                 st.tot.retries += 1;
                 self.totals.retries += 1;
             }
             TraceEvent::RetryExhausted { dp, .. } => {
-                self.dp(dp).tot.retries_exhausted += 1;
+                let st = self.scored(dp);
+                st.bin.exhausted += 1;
+                st.tot.retries_exhausted += 1;
                 self.totals.retries_exhausted += 1;
             }
             TraceEvent::PartitionStarted { .. } => {
@@ -654,7 +748,8 @@ impl TimelineBuilder {
                 self.totals.snapshots += 1;
             }
             TraceEvent::RecoveryReplayed { dp, records, dur_ms } => {
-                let st = self.dp(dp);
+                let st = self.scored(dp);
+                st.bin.recovery_ms = st.bin.recovery_ms.max(u64::from(dur_ms));
                 st.tot.wal_replayed += u64::from(records);
                 st.tot.recovery_ms = st.tot.recovery_ms.max(u64::from(dur_ms));
                 self.totals.wal_replayed += u64::from(records);
@@ -673,43 +768,33 @@ impl TimelineBuilder {
             TraceEvent::ClientRehomed { .. } => {
                 self.totals.clients_rehomed += 1;
             }
-            TraceEvent::HealthFlag { dp, degrading, .. } => {
-                let st = self.dp(dp);
-                if degrading {
-                    st.tot.health_degrades += 1;
-                    self.totals.health_degrades += 1;
-                } else {
-                    st.tot.health_recovers += 1;
-                    self.totals.health_recovers += 1;
-                }
-            }
+            // Raised and counted by `close_bin` alone, so the counters
+            // reconcile ±0 with the report's flag list.
+            TraceEvent::HealthFlag { .. } => {}
         }
     }
 
-    /// Closes the final (possibly partial) bin and snapshots the run.
-    pub fn finish(&self, end_ms: u64) -> (Vec<DpSample>, Vec<SimSample>, Vec<DpTotals>, RunTotals) {
+    /// Closes the final (possibly partial) bin and snapshots the run. The
+    /// raw-event ring is the sink's: `recent` comes back empty.
+    pub fn finish(&self, end_ms: u64) -> RunTimeline {
         // Work on a clone: `finish` must not disturb the live builder (the
         // recorder may be asked to finish more than once).
-        let mut b = TimelineBuilder {
-            cadence_ms: self.cadence_ms,
-            bin_start_ms: self.bin_start_ms,
-            dps: self.dps.clone(),
-            sim_bin: self.sim_bin,
-            dp_samples: self.dp_samples.clone(),
-            sim_samples: self.sim_samples.clone(),
-            totals: self.totals,
-        };
-        b.flush_until(end_ms);
+        let mut b = self.clone();
+        b.flush_until(end_ms, Close::Tail);
         if b.bin_start_ms < end_ms {
-            b.close_bin(end_ms);
+            b.close_bin(end_ms, Close::Partial);
         }
-        let dp_totals: Vec<DpTotals> = b
-            .dps
-            .iter()
-            .filter(|s| s.seen)
-            .map(|s| s.tot)
-            .collect();
-        (b.dp_samples, b.sim_samples, dp_totals, b.totals)
+        RunTimeline {
+            cadence_ms: b.cadence_ms,
+            end_ms,
+            dp_samples: b.dp_samples,
+            sim_samples: b.sim_samples,
+            dp_totals: b.dps.iter().filter(|s| s.seen).map(|s| s.tot).collect(),
+            totals: b.totals,
+            recent: Vec::new(),
+            dropped_raw: 0,
+            health: Some(b.health),
+        }
     }
 }
 
@@ -736,9 +821,10 @@ pub struct RunTimeline {
     pub recent: Vec<(u64, TraceEvent)>,
     /// Raw events the ring evicted (aggregates above still include them).
     pub dropped_raw: u64,
-    /// The online health scorer's report (`None` when the consumer was
-    /// disabled via [`crate::TraceConfig::health`]).
-    pub health: Option<crate::health::HealthReport>,
+    /// The health scores of these bins. Always `Some` — scoring is on
+    /// whenever tracing is; an `Option` so the `Debug` rendering traced
+    /// fingerprints hash is the one it always was.
+    pub health: Option<HealthReport>,
 }
 
 impl RunTimeline {
@@ -798,7 +884,8 @@ mod tests {
         );
         // Crossing into the second bin flushes the first.
         b.observe(1500, &TraceEvent::QueryIssued { client, dp });
-        let (samples, sim, totals, run) = b.finish(2000);
+        let tl = b.finish(2000);
+        let (samples, sim, totals, run) = (tl.dp_samples, tl.sim_samples, tl.dp_totals, tl.totals);
         assert_eq!(samples.len(), 2);
         assert_eq!(sim.len(), 2);
         assert_eq!(samples[0].t_ms, 1000);
@@ -826,7 +913,8 @@ mod tests {
                 fresh: 4,
             },
         );
-        let (samples, _, totals, _) = b.finish(3000);
+        let tl = b.finish(3000);
+        let (samples, totals) = (tl.dp_samples, tl.dp_totals);
         let mine: Vec<&DpSample> = samples.iter().filter(|s| s.dp == dp).collect();
         assert_eq!(mine.len(), 3);
         assert_eq!(mine[0].staleness_ms, Some(700));
@@ -848,7 +936,8 @@ mod tests {
         );
         b.observe(100, &TraceEvent::DpFailed { dp });
         b.observe(2500, &TraceEvent::DpRecovered { dp });
-        let (samples, _, _, run) = b.finish(3000);
+        let tl = b.finish(3000);
+        let (samples, run) = (tl.dp_samples, tl.totals);
         let mine: Vec<&DpSample> = samples.iter().filter(|s| s.dp == dp).collect();
         assert!(!mine[0].up);
         assert!(!mine[1].up);

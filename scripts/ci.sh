@@ -88,6 +88,18 @@ for f in crates/simnet/src/codec.rs crates/clusterd/src/proto.rs crates/dpnode/s
     || { echo "ci.sh: a hand-rolled read or an InvalidConfig for malformed bytes in $f (lines above)"; exit 1; }
 done
 
+echo "==> one trace clock: health is scored on the timeline's bins, nodes never self-clock"
+# obs::timeline's cadence bins are the health scoring windows, the sink
+# calls its two in-crate folds directly and the autoscaler reads
+# Recorder::degraded. A second scorer or config, a consumer trait or
+# fan-out, a mirror of the flags, or a node-requested timer is the
+# duplicate growing back. (obs::health's tests keep the old scorer as
+# `RefScorer`, the reference they compare against.)
+{ ! grep -rnE 'HealthScorer\b|HealthConfig|TraceConsumer|fn attach|HealthWatch|DegradedFlags|TimerFired|SetTimer' \
+      --include=*.rs crates src tests examples \
+  && ! grep -rn 'sync_every: Some' --include=*.rs crates src tests examples perf; } \
+  || { echo "ci.sh: a second trace clock, consumer fan-out or node timer is back (lines above)"; exit 1; }
+
 echo "==> perf/ builds against the workspace crates (the benchmark is its own workspace)"
 cargo build --release --offline --manifest-path perf/Cargo.toml
 # An offline build rewrites perf's lock file; perf/** is not this tree's to change.
@@ -96,7 +108,7 @@ git checkout -- perf/Cargo.lock
 echo "==> cargo doc --no-deps (warnings are errors; umbrella package + the crates whose docs are guides)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q \
   -p di-gruber-repro -p dpnode -p dpstore -p desim -p obs -p clusterd -p membership \
-  -p digruber -p simnet -p gruber-types
+  -p digruber -p simnet -p gruber-types -p grubsim -p diperf -p gruber-metrics
 
 echo "==> experiments recovery health degradation topology scale (60 fingerprints + the five tables, byte-identical)"
 ./target/release/experiments recovery health degradation topology scale > results/experiments_studies.txt
