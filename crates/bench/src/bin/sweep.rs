@@ -6,7 +6,8 @@
 //!     --sync-mins 10 --clients 120 --duration-mins 60 --topology ring
 //! ```
 //!
-//! Flags (all optional; defaults reproduce the paper's setup):
+//! Flags (all optional; defaults reproduce the paper's setup; any other
+//! flag is refused with exit code 2 before anything runs):
 //!
 //! ```text
 //! --dps N[,N..]         decision-point counts to sweep     (default 1,3,10)
@@ -19,10 +20,9 @@
 //! --seed N              RNG seed                           (default 2005)
 //! --topology mesh|ring|star[:H]|gossip:K|tree:B|hybrid:K   (default mesh)
 //! --selector least-used|round-robin|random|lru|usla-aware  (default least-used)
-//! --discipline fifo|backfill|fairshare                     (default fifo)
-//! --loss P              per-message loss probability       (default 0)
 //! --faults SPEC         timed fault-injection plan (see FAULTS.md), e.g.
-//!                       "partition@120..300=0|1,2; loss@0..600=0.2"
+//!                       "partition@120..300=0|1,2; loss@0..600=0.2";
+//!                       message loss is a `loss@` clause here
 //! --retry none|fixed|expjitter
 //!                       retransmission policy for lost queries and
 //!                       exchange floods (default none; see FAULTS.md)
@@ -52,9 +52,32 @@ use gruber_types::SimDuration;
 use simnet::{RetryConfig, RetryPolicy};
 use workload::WorkloadSpec;
 
+/// Flags that take a value, as documented above.
+const VALUE_FLAGS: &[&str] = &[
+    "--dps", "--service", "--sync-mins", "--timeout-secs", "--clients", "--duration-mins",
+    "--grid-factor", "--seed", "--topology", "--selector", "--faults", "--retry", "--departure",
+    "--max-in-flight", "--monitor-secs", "--jobs", "--trace",
+];
+/// Switches, as documented above.
+const SWITCHES: &[&str] = &["--lan", "--enforce", "--dynamic", "--failures", "--help", "-h"];
+
 struct Args(Vec<String>);
 
 impl Args {
+    /// Refuses the first argument that is not a documented flag (or the
+    /// value after one), so a misspelt or retired flag never runs the
+    /// default configuration in silence.
+    fn check_known(&self) {
+        let mut it = self.0.iter();
+        while let Some(a) = it.next() {
+            if VALUE_FLAGS.contains(&a.as_str()) {
+                it.next();
+            } else if !SWITCHES.contains(&a.as_str()) {
+                die(&format!("unknown flag {a:?} (see the module docs for the list)"));
+            }
+        }
+    }
+
     fn value_of(&self, flag: &str) -> Option<&str> {
         self.0
             .iter()
@@ -82,6 +105,7 @@ fn die(msg: &str) -> ! {
 
 fn main() {
     let args = Args(std::env::args().skip(1).collect());
+    args.check_known();
     if args.has("--help") || args.has("-h") {
         eprintln!("see the module docs: cargo doc -p bench --bin sweep");
         return;
@@ -132,12 +156,6 @@ fn main() {
         "usla-aware" => SelectorKind::UslaAware,
         other => die(&format!("unknown selector {other:?}")),
     };
-    let discipline = match args.value_of("--discipline").unwrap_or("fifo") {
-        "fifo" => gridemu::SiteDiscipline::Fifo,
-        "backfill" => gridemu::SiteDiscipline::EasyBackfill,
-        "fairshare" => gridemu::SiteDiscipline::FairShare,
-        other => die(&format!("unknown discipline {other:?}")),
-    };
 
     let seed: u64 = args.parsed("--seed", 2005);
     let workload = WorkloadSpec {
@@ -161,8 +179,6 @@ fn main() {
         cfg.grid_factor = args.parsed("--grid-factor", 10usize);
         cfg.topology = topology;
         cfg.selector = selector;
-        cfg.site_discipline = discipline;
-        cfg.message_loss = args.parsed("--loss", 0.0f64);
         if let Some(spec) = args.value_of("--faults") {
             cfg.fault_plan = Some(
                 FaultPlan::parse(spec).unwrap_or_else(|e| die(&format!("bad --faults: {e}"))),

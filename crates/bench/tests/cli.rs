@@ -1,4 +1,5 @@
-//! The `experiments` command line, driven as a process in a scratch cwd.
+//! The `experiments` and `sweep` command lines, driven as processes
+//! (`experiments` in a scratch cwd).
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -46,6 +47,24 @@ fn usage_lists_every_study_and_paper_id() {
         assert!(listed.contains(&id), "{id} missing: {usage}");
     }
     assert!(left.is_empty(), "wrote {left:?}");
+}
+
+#[test]
+fn sweep_refuses_a_flag_it_does_not_know() {
+    // A retired flag and a made-up one: neither may fall back to running
+    // the default configuration.
+    for unknown in ["--loss 0.1", "--bogus 1"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(["--dps", "1", "--clients", "2", "--duration-mins", "1"])
+            .args(unknown.split(' '))
+            .output()
+            .expect("spawn sweep");
+        let flag = unknown.split(' ').next().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(out.stdout.is_empty(), "ran something: {}", String::from_utf8_lossy(&out.stdout));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag \"{flag}\"")), "{stderr}");
+    }
 }
 
 #[test]

@@ -158,10 +158,6 @@ pub struct DigruberConfig {
     /// ([`simnet::RetryConfig::NONE`]) reproduces the paper's
     /// fire-and-forget behaviour.
     pub retry: simnet::RetryConfig,
-    /// Local scheduling discipline at every site.
-    pub site_discipline: gridemu::SiteDiscipline,
-    /// Per-message WAN loss probability (0.0 = lossless, the default).
-    pub message_loss: f64,
     /// Optional GRUBER queue-manager limit: max jobs a submission host may
     /// have in flight (dispatched but unfinished). `None` reproduces the
     /// paper's experiments, which bypass the queue manager.
@@ -214,8 +210,6 @@ impl DigruberConfig {
             persistence: PersistenceConfig::default(),
             fault_plan: None,
             retry: simnet::RetryConfig::NONE,
-            site_discipline: gridemu::SiteDiscipline::Fifo,
-            message_loss: 0.0,
             max_jobs_in_flight: None,
             uslas: None,
             monitor_refresh: None,
@@ -254,11 +248,6 @@ impl DigruberConfig {
         if self.grid_factor == 0 {
             return Err(gruber_types::GridError::InvalidConfig(
                 "zero grid factor".into(),
-            ));
-        }
-        if !(0.0..1.0).contains(&self.message_loss) {
-            return Err(gruber_types::GridError::InvalidConfig(
-                "message loss out of [0,1)".into(),
             ));
         }
         match self.topology {

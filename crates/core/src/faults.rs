@@ -52,8 +52,8 @@ impl LinkScope {
 
 /// The combined link disturbance in effect on one leg at one instant.
 ///
-/// Produced by [`FaultPlan::disturbance`] (and composed with the base WAN
-/// loss by `World::leg_disturbance`). All three fields are probabilities.
+/// Produced by [`FaultPlan::disturbance`] and read through
+/// `World::leg_disturbance`. All three fields are probabilities.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkDisturbance {
     /// Per-message loss probability.
@@ -287,7 +287,7 @@ impl FaultPlan {
 
     /// The combined disturbance active on one leg class at `now`. Clean
     /// (all-zero) when no window covers the leg — callers must then make
-    /// no RNG draw beyond the base WAN loss check.
+    /// no RNG draw.
     pub fn disturbance(&self, leg: LinkScope, now: SimTime) -> LinkDisturbance {
         let mut d = LinkDisturbance::NONE;
         for w in &self.link_faults {

@@ -348,11 +348,7 @@ impl World {
         cfg.validate()?;
         workload.validate()?;
         let site_specs: Arc<[SiteSpec]> = grid3_times(cfg.grid_factor, cfg.seed).into();
-        let grid = Grid::with_discipline(
-            site_specs.to_vec(),
-            SitePolicy::permissive(),
-            cfg.site_discipline,
-        )?;
+        let grid = Grid::new(site_specs.to_vec(), SitePolicy::permissive())?;
         let uslas = Arc::new(match &cfg.uslas {
             Some(set) => set.clone(),
             None => equal_shares(workload.n_vos, workload.groups_per_vo)?,
@@ -394,7 +390,7 @@ impl World {
         .with_departure(workload.departure_fraction);
         let end = schedule.end();
         Ok(World {
-            wan: cfg.wan.topology(cfg.seed).with_loss(cfg.message_loss),
+            wan: cfg.wan.topology(cfg.seed),
             factory: JobFactory::new(workload.clone(), cfg.seed),
             net_rng: DetRng::new(cfg.seed, 0x4E77),
             svc_rng: DetRng::new(cfg.seed, 0x5E2C),
@@ -429,21 +425,20 @@ impl World {
         self.cfg.dissemination != Dissemination::NoExchange
     }
 
-    /// The combined disturbance on one message-leg class right now: the
-    /// base WAN loss stacked with every active fault-plan window covering
-    /// the leg. Clean (zero-probability) legs must make no RNG draw —
+    /// The combined disturbance on one message-leg class right now: every
+    /// active fault-plan window covering the leg, stacked. Clean
+    /// (zero-probability) legs must make no RNG draw —
     /// [`crate::faults::LinkDisturbance::is_clean`] is the guard — so a
     /// run without faults consumes exactly the RNG stream it always did.
+    /// The plan's disturbance is folded into `NONE` rather than returned
+    /// as is: `combine` computes `1 - (1 - 0)(1 - p)`, which is not `p`
+    /// to the last bit, and the traced fingerprints run through it.
     pub fn leg_disturbance(
         &self,
         leg: crate::faults::LinkScope,
         now: SimTime,
     ) -> crate::faults::LinkDisturbance {
-        let mut d = crate::faults::LinkDisturbance {
-            loss: self.wan.loss(),
-            duplicate: 0.0,
-            reorder: 0.0,
-        };
+        let mut d = crate::faults::LinkDisturbance::NONE;
         if let Some(plan) = &self.cfg.fault_plan {
             d.combine(&plan.disturbance(leg, now));
         }

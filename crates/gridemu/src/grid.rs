@@ -8,7 +8,7 @@
 //! peer exchanges) — the gap between view and ground truth is exactly what
 //! the paper's Accuracy metric measures.
 
-use crate::site::{SiteDiscipline, SiteStarted, SiteState};
+use crate::site::{SiteStarted, SiteState};
 use crate::spep::SitePolicy;
 use gruber_types::{
     GridError, GridResult, JobId, JobRecord, JobSpec, JobState, SimTime, SiteId, SiteSpec, VoId,
@@ -77,15 +77,6 @@ pub struct Grid {
 impl Grid {
     /// Builds a grid with one shared site policy and FIFO local scheduling.
     pub fn new(specs: Vec<SiteSpec>, policy: SitePolicy) -> GridResult<Self> {
-        Self::with_discipline(specs, policy, SiteDiscipline::Fifo)
-    }
-
-    /// Builds a grid with an explicit local scheduling discipline.
-    pub fn with_discipline(
-        specs: Vec<SiteSpec>,
-        policy: SitePolicy,
-        discipline: SiteDiscipline,
-    ) -> GridResult<Self> {
         if specs.is_empty() {
             return Err(GridError::InvalidConfig("grid with no sites".into()));
         }
@@ -101,7 +92,7 @@ impl Grid {
         Ok(Grid {
             sites: specs
                 .into_iter()
-                .map(|s| SiteState::with_discipline(s, policy.clone(), discipline))
+                .map(|s| SiteState::new(s, policy.clone()))
                 .collect(),
             jobs: JobLedger::default(),
             total_cpus,

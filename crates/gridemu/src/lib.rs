@@ -52,5 +52,5 @@ pub mod spep;
 pub use config::grid3_times;
 pub use grid::{Grid, Started};
 pub use monitor::{SiteLoad, SiteMonitor};
-pub use site::{SiteDiscipline, SiteState};
+pub use site::SiteState;
 pub use spep::SitePolicy;

@@ -1,32 +1,13 @@
 //! One site's runtime state: a space-shared batch scheduler.
 //!
-//! Jobs dispatched to a site queue up; whenever CPUs free, the local
-//! scheduling discipline decides what starts. The paper's sites ran
-//! Condor/PBS/Maui-style local schedulers; three disciplines are
-//! implemented (see [`SiteDiscipline`]): plain FIFO (the baseline, crisp
-//! queue-time semantics), EASY backfilling (small jobs may jump ahead if
-//! they provably do not delay the head job's earliest start), and
-//! site-local VO fair-share (the queued job of the currently
-//! least-served VO starts first — a single-site Maui flavour).
+//! Jobs dispatched to a site queue up and start in strict FIFO order
+//! whenever CPUs free; no job overtakes the queue head. That is the
+//! per-site FIFO scheduler `PAPER.md` maps the paper's Grid3 sites onto,
+//! and the one space-shared queue GridSim puts under a broker.
 
 use crate::spep::SitePolicy;
 use gruber_types::{GridError, GridResult, JobId, JobSpec, SimTime, SiteSpec, VoId};
 use std::collections::{HashMap, VecDeque};
-
-/// Local scheduling discipline of a site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SiteDiscipline {
-    /// Strict FIFO, no job overtakes the queue head.
-    #[default]
-    Fifo,
-    /// EASY backfilling: the head reserves its earliest possible start
-    /// (the shadow time); later jobs may start out of order iff they fit
-    /// the free CPUs now *and* finish before the shadow time.
-    EasyBackfill,
-    /// Site-local VO fair-share: among queued jobs that fit, start the one
-    /// whose VO currently holds the fewest running CPUs at this site.
-    FairShare,
-}
 
 /// A job occupying CPUs at the site.
 #[derive(Debug, Clone)]
@@ -35,7 +16,6 @@ struct RunningJob {
     vo: VoId,
     cpus: u32,
     storage_mb: u32,
-    finish_at: SimTime,
 }
 
 /// A queued dispatch.
@@ -62,7 +42,6 @@ pub struct SiteStarted {
 pub struct SiteState {
     spec: SiteSpec,
     policy: SitePolicy,
-    discipline: SiteDiscipline,
     free_cpus: u32,
     /// Storage not currently reserved, in MB. Storage is reserved from
     /// dispatch (the prescript stages inputs before the job runs) until
@@ -77,32 +56,17 @@ pub struct SiteState {
 impl SiteState {
     /// Builds an idle FIFO site.
     pub fn new(spec: SiteSpec, policy: SitePolicy) -> Self {
-        Self::with_discipline(spec, policy, SiteDiscipline::Fifo)
-    }
-
-    /// Builds an idle site with an explicit local discipline.
-    pub fn with_discipline(
-        spec: SiteSpec,
-        policy: SitePolicy,
-        discipline: SiteDiscipline,
-    ) -> Self {
         let free = spec.total_cpus();
         let free_storage = spec.total_storage_mb();
         SiteState {
             spec,
             policy,
-            discipline,
             free_cpus: free,
             free_storage_mb: free_storage,
             running: Vec::new(),
             queue: VecDeque::new(),
             vo_cpus: HashMap::new(),
         }
-    }
-
-    /// The site's local discipline.
-    pub fn discipline(&self) -> SiteDiscipline {
-        self.discipline
     }
 
     /// The static spec.
@@ -174,15 +138,6 @@ impl SiteState {
         Ok(self.start_ready(now))
     }
 
-    /// Starts queued jobs according to the local discipline.
-    fn start_ready(&mut self, now: SimTime) -> Vec<SiteStarted> {
-        match self.discipline {
-            SiteDiscipline::Fifo => self.start_fifo(now),
-            SiteDiscipline::EasyBackfill => self.start_backfill(now),
-            SiteDiscipline::FairShare => self.start_fairshare(now),
-        }
-    }
-
     fn launch(&mut self, q: QueuedJob, now: SimTime) -> SiteStarted {
         let finish_at = now + gruber_types::SimDuration::from_millis(q.runtime_ms);
         self.free_cpus -= q.cpus;
@@ -191,7 +146,6 @@ impl SiteState {
             vo: q.vo,
             cpus: q.cpus,
             storage_mb: q.storage_mb,
-            finish_at,
         });
         SiteStarted {
             job: q.job,
@@ -199,8 +153,8 @@ impl SiteState {
         }
     }
 
-    /// FIFO: start from the head while it fits.
-    fn start_fifo(&mut self, now: SimTime) -> Vec<SiteStarted> {
+    /// Starts queued jobs from the head while it fits.
+    fn start_ready(&mut self, now: SimTime) -> Vec<SiteStarted> {
         let mut started = Vec::new();
         while let Some(head) = self.queue.front() {
             if head.cpus > self.free_cpus {
@@ -208,85 +162,6 @@ impl SiteState {
             }
             let head = self.queue.pop_front().expect("peeked");
             started.push(self.launch(head, now));
-        }
-        started
-    }
-
-    /// The earliest instant at which `cpus` CPUs will be free, assuming no
-    /// new work: free now, or after enough running jobs finish.
-    fn shadow_time(&self, cpus: u32, now: SimTime) -> SimTime {
-        if cpus <= self.free_cpus {
-            return now;
-        }
-        let mut finishes: Vec<(SimTime, u32)> = self
-            .running
-            .iter()
-            .map(|r| (r.finish_at, r.cpus))
-            .collect();
-        finishes.sort_unstable();
-        let mut free = self.free_cpus;
-        for (at, freed) in finishes {
-            free += freed;
-            if free >= cpus {
-                return at.max(now);
-            }
-        }
-        // Unreachable in practice (enqueue rejects jobs larger than the
-        // site), but stay total.
-        SimTime(u64::MAX)
-    }
-
-    /// EASY backfilling: drain the head FIFO-style, then let later jobs
-    /// jump ahead if they fit now and finish before the head's shadow
-    /// time.
-    fn start_backfill(&mut self, now: SimTime) -> Vec<SiteStarted> {
-        let mut started = self.start_fifo(now);
-        let Some(head) = self.queue.front() else {
-            return started;
-        };
-        debug_assert!(head.cpus > self.free_cpus);
-        let shadow = self.shadow_time(head.cpus, now);
-        let mut i = 1; // never backfill the head itself
-        while i < self.queue.len() {
-            let cand = &self.queue[i];
-            let fits = cand.cpus <= self.free_cpus;
-            let ends_before_shadow =
-                now + gruber_types::SimDuration::from_millis(cand.runtime_ms) <= shadow;
-            if fits && ends_before_shadow {
-                let cand = self.queue.remove(i).expect("indexed");
-                started.push(self.launch(cand, now));
-                // Backfilled jobs consume only CPUs that were idle until
-                // the shadow time, so the reservation still holds.
-            } else {
-                i += 1;
-            }
-        }
-        started
-    }
-
-    /// Site-local VO fair-share: repeatedly start the fitting queued job
-    /// whose VO currently runs the fewest CPUs here.
-    fn start_fairshare(&mut self, now: SimTime) -> Vec<SiteStarted> {
-        let mut started = Vec::new();
-        loop {
-            let mut running_per_vo: HashMap<VoId, u32> = HashMap::new();
-            for r in &self.running {
-                *running_per_vo.entry(r.vo).or_insert(0) += r.cpus;
-            }
-            let pick = self
-                .queue
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| q.cpus <= self.free_cpus)
-                .min_by_key(|(i, q)| (running_per_vo.get(&q.vo).copied().unwrap_or(0), *i))
-                .map(|(i, _)| i);
-            match pick {
-                Some(i) => {
-                    let q = self.queue.remove(i).expect("indexed");
-                    started.push(self.launch(q, now));
-                }
-                None => break,
-            }
         }
         started
     }
@@ -534,103 +409,21 @@ mod tests {
         s.check_invariants();
     }
 
-    fn site_with(cpus: u32, d: SiteDiscipline) -> SiteState {
-        SiteState::with_discipline(
-            SiteSpec::single_cluster(SiteId(0), cpus),
-            SitePolicy::permissive(),
-            d,
-        )
-    }
-
-    #[test]
-    fn backfill_lets_small_jobs_jump_without_delaying_head() {
-        let mut s = site_with(4, SiteDiscipline::EasyBackfill);
-        // Job 1 occupies the site until t=100.
-        s.enqueue(&job(1, 4, 100), SimTime::ZERO).unwrap();
-        // Head of queue needs the whole site: shadow time = 100.
-        s.enqueue(&job(2, 4, 50), SimTime::ZERO).unwrap();
-        // Small short job: fits 0 free CPUs? No - site is full, nothing
-        // backfills yet.
-        assert!(s
-            .enqueue(&job(3, 1, 10), SimTime::from_secs(1))
-            .unwrap()
-            .is_empty());
-
-        // Free the site partially: kill nothing; complete job 1 at t=100.
-        let started = s.complete(JobId(1), SimTime::from_secs(100)).unwrap();
-        // Head (4 cpus) starts right away; no backfill needed.
-        assert_eq!(started[0].job, JobId(2));
-
-        // Now rebuild a backfill-specific scenario.
-        let mut s = site_with(4, SiteDiscipline::EasyBackfill);
-        s.enqueue(&job(10, 3, 100), SimTime::ZERO).unwrap(); // running, 3 cpus, ends t=100
-        s.enqueue(&job(11, 4, 50), SimTime::ZERO).unwrap(); // head, needs 4, shadow=100
-        // 1-cpu job ending before t=100 backfills immediately.
-        let started = s.enqueue(&job(12, 1, 50), SimTime::from_secs(10)).unwrap();
-        assert_eq!(started.len(), 1);
-        assert_eq!(started[0].job, JobId(12));
-        // 1-cpu job ending after the shadow time must NOT backfill.
-        let started = s.enqueue(&job(13, 1, 500), SimTime::from_secs(11)).unwrap();
-        assert!(started.is_empty());
-        s.check_invariants();
-        // The backfilled job ends before the shadow time...
-        let started = s.complete(JobId(12), SimTime::from_secs(60)).unwrap();
-        assert!(started.is_empty(), "head must not start early");
-        // ...so the head still starts at its shadow time once CPUs free.
-        let started = s.complete(JobId(10), SimTime::from_secs(100)).unwrap();
-        assert!(started.iter().any(|st| st.job == JobId(11)));
-    }
-
     #[test]
     fn fifo_never_backfills_in_same_scenario() {
-        let mut s = site_with(4, SiteDiscipline::Fifo);
+        let mut s = site(4);
         s.enqueue(&job(10, 3, 100), SimTime::ZERO).unwrap();
         s.enqueue(&job(11, 4, 50), SimTime::ZERO).unwrap();
         let started = s.enqueue(&job(12, 1, 50), SimTime::from_secs(10)).unwrap();
         assert!(started.is_empty(), "FIFO must not backfill");
     }
 
-    #[test]
-    fn fairshare_prefers_underserved_vo() {
-        let mut s = site_with(2, SiteDiscipline::FairShare);
-        let j = |id: u32, vo: u32| JobSpec {
-            vo: VoId(vo),
-            ..job(id, 1, 100)
-        };
-        // VO 0 occupies both CPUs.
-        s.enqueue(&j(1, 0), SimTime::ZERO).unwrap();
-        s.enqueue(&j(2, 0), SimTime::ZERO).unwrap();
-        // Queue: another VO-0 job first, then a VO-1 job.
-        s.enqueue(&j(3, 0), SimTime::ZERO).unwrap();
-        s.enqueue(&j(4, 1), SimTime::ZERO).unwrap();
-        // When a CPU frees, fair-share starts VO 1's job even though VO 0's
-        // is ahead in the queue.
-        let started = s.complete(JobId(1), SimTime::from_secs(100)).unwrap();
-        assert_eq!(started.len(), 1);
-        assert_eq!(started[0].job, JobId(4), "fair-share must pick VO 1");
-        s.check_invariants();
-    }
-
-    #[test]
-    fn disciplines_report_themselves() {
-        assert_eq!(site_with(1, SiteDiscipline::Fifo).discipline(), SiteDiscipline::Fifo);
-        assert_eq!(
-            site_with(1, SiteDiscipline::EasyBackfill).discipline(),
-            SiteDiscipline::EasyBackfill
-        );
-    }
-
     proptest! {
         #[test]
         fn invariants_hold_under_random_ops(
             ops in proptest::collection::vec((0u8..2, 1u32..5, 1u64..100), 1..60),
-            disc in 0u8..3,
         ) {
-            let mut s = site_with(8, match disc {
-                0 => SiteDiscipline::Fifo,
-                1 => SiteDiscipline::EasyBackfill,
-                _ => SiteDiscipline::FairShare,
-            });
+            let mut s = site(8);
             let mut next_id = 0u32;
             let mut live: Vec<JobId> = Vec::new();
             let mut now = SimTime::ZERO;

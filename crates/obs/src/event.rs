@@ -207,8 +207,8 @@ pub enum TraceEvent {
         /// New binding.
         to: DpId,
     },
-    /// `simnet`/`digruber`: a transmission was dropped by injected or
-    /// ambient message loss.
+    /// `digruber`: a transmission was dropped by a fault-plan loss
+    /// window.
     MsgLost {
         /// Which leg lost the message.
         class: FaultMsgClass,

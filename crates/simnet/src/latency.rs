@@ -60,8 +60,6 @@ pub struct WanTopology {
     base_hi_ms: u64,
     /// Jitter: each message adds `U[0, jitter_ms]`.
     jitter_ms: u64,
-    /// Probability that any single message is lost in transit.
-    loss: f64,
     /// Link bandwidth in Mb/s (payload serialization delay for large
     /// messages; PlanetLab nodes were "connected via 10 Mb/s network
     /// links").
@@ -77,7 +75,6 @@ impl WanTopology {
             base_lo_ms: 20,
             base_hi_ms: 150,
             jitter_ms: 20,
-            loss: 0.0,
             bandwidth_mbps: 10.0,
         }
     }
@@ -91,46 +88,8 @@ impl WanTopology {
             base_lo_ms: 0,
             base_hi_ms: 1,
             jitter_ms: 1,
-            loss: 0.0,
             bandwidth_mbps: 1000.0,
         }
-    }
-
-    /// A custom topology.
-    pub fn custom(seed: u64, base_lo_ms: u64, base_hi_ms: u64, jitter_ms: u64) -> Self {
-        assert!(base_hi_ms >= base_lo_ms);
-        WanTopology {
-            seed,
-            base_lo_ms,
-            base_hi_ms,
-            jitter_ms,
-            loss: 0.0,
-            bandwidth_mbps: 10.0,
-        }
-    }
-
-    /// Sets the per-message loss probability (builder style).
-    pub fn with_loss(mut self, loss: f64) -> Self {
-        assert!((0.0..1.0).contains(&loss), "loss probability out of range");
-        self.loss = loss;
-        self
-    }
-
-    /// The configured per-message loss probability.
-    pub fn loss(&self) -> f64 {
-        self.loss
-    }
-
-    /// Draws whether one message survives transit.
-    pub fn delivered(&self, rng: &mut DetRng) -> bool {
-        self.loss == 0.0 || !rng.chance(self.loss)
-    }
-
-    /// Sets the link bandwidth (builder style).
-    pub fn with_bandwidth_mbps(mut self, mbps: f64) -> Self {
-        assert!(mbps > 0.0, "bandwidth must be positive");
-        self.bandwidth_mbps = mbps;
-        self
     }
 
     /// One message's total transit time: propagation latency plus the
@@ -159,23 +118,13 @@ impl WanTopology {
         // One draw from a per-pair stream: stable, storage-free.
         let mut rng = DetRng::new(self.seed, (u64::from(lo.0) << 32) | u64::from(hi.0));
         let span = self.base_hi_ms - self.base_lo_ms;
-        let ms = if span == 0 {
-            self.base_lo_ms
-        } else {
-            self.base_lo_ms + rng.next_u64() % (span + 1)
-        };
-        SimDuration::from_millis(ms)
+        SimDuration::from_millis(self.base_lo_ms + rng.next_u64() % (span + 1))
     }
 
     /// One message's latency: base plus jitter.
     pub fn sample(&self, from: NetNode, to: NetNode, rng: &mut DetRng) -> SimDuration {
-        let base = self.base_latency(from, to);
-        let jitter = if self.jitter_ms == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_millis(rng.next_u64() % (self.jitter_ms + 1))
-        };
-        base + jitter
+        let jitter = SimDuration::from_millis(rng.next_u64() % (self.jitter_ms + 1));
+        self.base_latency(from, to) + jitter
     }
 }
 
@@ -231,32 +180,16 @@ mod tests {
     }
 
     #[test]
-    fn loss_draws_respect_probability() {
-        let t = WanTopology::planetlab(1).with_loss(0.3);
-        let mut rng = DetRng::new(9, 9);
-        let lost = (0..10_000).filter(|_| !t.delivered(&mut rng)).count();
-        assert!((2_500..3_500).contains(&lost), "lost {lost}/10000");
-        let perfect = WanTopology::planetlab(1);
-        assert!((0..50).all(|_| perfect.delivered(&mut rng)));
-        assert_eq!(perfect.loss(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn loss_of_one_is_rejected() {
-        WanTopology::lan(0).with_loss(1.0);
-    }
-
-    #[test]
     fn transfer_time_adds_serialization_delay() {
-        let t = WanTopology::lan(3).with_bandwidth_mbps(1.0); // 1 Mb/s
+        let t = WanTopology::planetlab(3); // 10 Mb/s links
         let mut rng = DetRng::new(0, 0);
-        // 125 KB at 1 Mb/s = 1 s of serialization.
-        let d = t.transfer_time(NetNode(0), NetNode(1), 125_000, &mut rng);
-        assert!((1_000..1_100).contains(&d.as_millis()), "{d:?}");
+        // 1.25 MB at 10 Mb/s = 1 s of serialization, plus at most 150 ms
+        // of base latency and 20 ms of jitter.
+        let d = t.transfer_time(NetNode(0), NetNode(1), 1_250_000, &mut rng);
+        assert!((1_000..=1_170).contains(&d.as_millis()), "{d:?}");
         // A tiny payload is latency-dominated.
         let d = t.transfer_time(NetNode(0), NetNode(1), 100, &mut rng);
-        assert!(d.as_millis() <= 5, "{d:?}");
+        assert!(d.as_millis() <= 170, "{d:?}");
     }
 
     #[test]
@@ -273,9 +206,9 @@ mod tests {
             seed in 0u64..1000, a in 0u32..500, b in 0u32..500,
         ) {
             prop_assume!(a != b);
-            let t = WanTopology::custom(seed, 30, 90, 0);
+            let t = WanTopology::planetlab(seed);
             let l = t.base_latency(NetNode(a), NetNode(b)).as_millis();
-            prop_assert!((30..=90).contains(&l), "latency {l}");
+            prop_assert!((20..=150).contains(&l), "latency {l}");
         }
 
         #[test]

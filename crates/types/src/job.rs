@@ -36,13 +36,6 @@ pub struct JobSpec {
     pub submitted_at: SimTime,
 }
 
-impl JobSpec {
-    /// Total CPU time the job will consume (`cpus * runtime`).
-    pub fn cpu_time(&self) -> SimDuration {
-        self.runtime * u64::from(self.cpus)
-    }
-}
-
 /// The paper's four-state job lifecycle (plus `Failed`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobState {
@@ -215,11 +208,6 @@ mod tests {
             runtime: SimDuration::from_secs(100),
             submitted_at: SimTime::from_secs(5),
         }
-    }
-
-    #[test]
-    fn cpu_time_multiplies_cpus() {
-        assert_eq!(spec().cpu_time(), SimDuration::from_secs(200));
     }
 
     #[test]

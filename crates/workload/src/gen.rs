@@ -78,11 +78,6 @@ impl JobFactory {
         self.spec.think_time.sample_secs(rng)
     }
 
-    /// Jobs allocated so far.
-    pub fn jobs_created(&self) -> u32 {
-        self.next_id
-    }
-
     /// Seed the factory was built with (for provenance in traces).
     pub fn seed(&self) -> u64 {
         self.seed
@@ -105,8 +100,8 @@ mod tests {
         for i in 0..500u32 {
             let j = f.make_job(ClientId(i % 120), SimTime::ZERO);
             assert!(seen.insert(j.id), "duplicate id {:?}", j.id);
+            assert_eq!(j.id, JobId(i), "ids must be handed out densely");
         }
-        assert_eq!(f.jobs_created(), 500);
     }
 
     #[test]

@@ -158,13 +158,6 @@ impl WorkloadSpec {
         }
         Ok(())
     }
-
-    /// Rough open-loop demand if every client cycled with zero response
-    /// time: `n_clients / mean_think_time` queries/second. Used by capacity
-    /// planning in `grubsim`.
-    pub fn peak_demand_qps(&self) -> f64 {
-        f64::from(self.n_clients) / self.think_time.mean()
-    }
 }
 
 #[cfg(test)]
@@ -179,9 +172,10 @@ mod tests {
         assert_eq!(w.groups_per_vo, 10);
         assert_eq!(w.n_clients, 120);
         assert_eq!(w.duration, SimDuration::HOUR);
-        // Demand must exceed a single GT3 decision point's ~2 q/s capacity
-        // (that is what drives the paper's 1-DP saturation).
-        assert!(w.peak_demand_qps() > 5.0);
+        // Open-loop demand (every client cycling with zero response time)
+        // must exceed a single GT3 decision point's ~2 q/s capacity: that
+        // is what drives the paper's 1-DP saturation.
+        assert!(f64::from(w.n_clients) / w.think_time.mean() > 5.0);
     }
 
     #[test]
