@@ -17,8 +17,9 @@
 //! | liveness         | `dp_failed` / `dp_recovered`              |
 //!
 //! A point is scored from the first of those events (or a `query_issued`
-//! against it) on. When a window closes, each scored point gets a
-//! **score** in 0–100 (integer arithmetic only — scoring is
+//! against it) on, until it leaves the pool (`dp_left`); a point that
+//! joins again is scored afresh. When a window closes, each scored point
+//! gets a **score** in 0–100 (integer arithmetic only — scoring is
 //! bit-deterministic across `--jobs` and platforms): a point that is down
 //! scores 0; otherwise penalties are subtracted from 100, saturating:
 //!
@@ -248,10 +249,13 @@ mod tests {
 
     /// The standalone scorer this module replaced, kept verbatim (its
     /// tuning fixed at the old defaults, its consumer trait gone) as the
-    /// reference the timeline's scoring is held to.
+    /// reference the timeline's scoring is held to — plus one rule it
+    /// never had: a point that left the pool is not scored until it
+    /// joins again, and then from scratch.
     #[derive(Debug, Clone, Default)]
     struct DpHealth {
         seen: bool,
+        left: bool,
         answered: u32,
         late: u32,
         timeouts: u32,
@@ -298,14 +302,24 @@ mod tests {
             }
         }
 
-        fn dp(&mut self, dp: DpId) -> &mut DpHealth {
+        fn slot(&mut self, dp: DpId) -> &mut DpHealth {
             let i = dp.index();
             if i >= self.dps.len() {
                 self.dps.resize_with(i + 1, DpHealth::default);
             }
-            let slot = &mut self.dps[i];
-            slot.seen = true;
+            &mut self.dps[i]
+        }
+
+        fn dp(&mut self, dp: DpId) -> &mut DpHealth {
+            let slot = self.slot(dp);
+            slot.seen |= !slot.left;
             slot
+        }
+
+        fn set_left(&mut self, dp: DpId, left: bool) {
+            let d = self.slot(dp);
+            (d.left, d.seen) = (left, false);
+            (d.bad_streak, d.good_streak, d.degraded) = (0, 0, false);
         }
 
         fn score(&self, d: &DpHealth, end_ms: u64) -> HealthSample {
@@ -344,6 +358,11 @@ mod tests {
                 let end_ms = self.window_start_ms + self.window_ms;
                 for i in 0..self.dps.len() {
                     if !self.dps[i].seen {
+                        // Unscored, but its window closes all the same: a
+                        // departed point's late events do not carry over.
+                        let d = &mut self.dps[i];
+                        (d.answered, d.late, d.timeouts) = (0, 0, 0);
+                        (d.retries, d.exhausted, d.recovery_ms) = (0, 0, 0);
                         continue;
                     }
                     let mut sample = self.score(&self.dps[i], end_ms);
@@ -435,6 +454,8 @@ mod tests {
                 TraceEvent::QueryIssued { dp, .. } => {
                     self.dp(dp);
                 }
+                TraceEvent::DpJoined { dp, .. } => self.set_left(dp, false),
+                TraceEvent::DpLeft { dp, .. } => self.set_left(dp, true),
                 _ => {}
             }
         }

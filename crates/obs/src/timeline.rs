@@ -396,10 +396,24 @@ struct DpState {
     /// than `seen` (an outgoing flood or a WAL append alone is not
     /// evidence about a point's health).
     scored: bool,
+    /// Left the pool (`dp_left`) and not rejoined: not scored, whatever
+    /// late events still name it.
+    left: bool,
     /// Liveness as `dp_failed`/`dp_recovered` set it; unlike `up`, a
     /// join or a leave does not move it.
     down: bool,
     hysteresis: Hysteresis,
+}
+
+impl DpState {
+    /// Leaves (`true`) or joins the pool: either way the point is scored
+    /// afresh, if at all, with no flag streaks carried over.
+    fn set_left(&mut self, left: bool) {
+        self.up = !left;
+        self.left = left;
+        self.scored = false;
+        self.hysteresis = Hysteresis::default();
+    }
 }
 
 /// How a closing bin is scored.
@@ -479,7 +493,7 @@ impl TimelineBuilder {
     /// [`TimelineBuilder::dp`] for an event the health scoring reads.
     fn scored(&mut self, dp: DpId) -> &mut DpState {
         let st = self.dp(dp);
-        st.scored = true;
+        st.scored |= !st.left;
         st
     }
 
@@ -756,13 +770,15 @@ impl TimelineBuilder {
                 self.totals.max_recovery_ms =
                     self.totals.max_recovery_ms.max(u64::from(dur_ms));
             }
+            // A point that left the pool is not a degrading point: it is
+            // not scored until it joins again, and then from scratch.
             TraceEvent::DpJoined { dp, .. } => {
                 // Materialize the point so it appears in samples from now on.
-                self.dp(dp).up = true;
+                self.dp(dp).set_left(false);
                 self.totals.dp_joins += 1;
             }
             TraceEvent::DpLeft { dp, .. } => {
-                self.dp(dp).up = false;
+                self.dp(dp).set_left(true);
                 self.totals.dp_leaves += 1;
             }
             TraceEvent::ClientRehomed { .. } => {
@@ -945,6 +961,53 @@ mod tests {
         assert_eq!(run.dropped_requests, 7);
         assert_eq!(run.failures, 1);
         assert_eq!(run.recoveries, 1);
+    }
+
+    /// The `membership: diurnal` leaver: dp 4 joins at 360 s with one
+    /// bootstrap merge, leaves at 510 s, and a query dropped by its
+    /// departure times out at 540 s. Scored on, its staleness would climb
+    /// to a `Degrading` flag at 780 s; a departed point is not scored.
+    #[test]
+    fn a_departed_point_is_not_scored() {
+        let mut b = TimelineBuilder::new(60_000);
+        let (client, member, leaver) = (ClientId(0), DpId(0), DpId(4));
+        let answered = |dp| TraceEvent::ResponseAnswered {
+            dp,
+            client,
+            response_ms: 5,
+        };
+        let merged = |dp| TraceEvent::ExchangeMerged {
+            dp,
+            received: 1,
+            fresh: 1,
+        };
+        b.observe(360_000, &TraceEvent::DpJoined { dp: leaver, epoch: 1 });
+        b.observe(360_000, &merged(leaver));
+        for t in 0..1080u64 {
+            let at = t * 1000;
+            if t % 180 == 0 {
+                b.observe(at, &merged(member));
+            }
+            b.observe(at, &answered(member));
+            if (360..510).contains(&t) {
+                b.observe(at, &answered(leaver));
+            }
+            if t == 510 {
+                b.observe(at, &TraceEvent::DpLeft { dp: leaver, epoch: 2 });
+            }
+            if t == 540 {
+                b.observe(at, &TraceEvent::ClientTimeout { client, dp: leaver });
+            }
+        }
+        assert!(b.flags().iter().all(|f| f.dp != leaver), "{:?}", b.flags());
+        let health = b.finish(1_080_000).health.unwrap();
+        let scored: Vec<u64> = health
+            .samples
+            .iter()
+            .filter(|s| s.dp == leaver)
+            .map(|s| s.t_ms)
+            .collect();
+        assert_eq!(scored, [420_000, 480_000], "scored only while a member");
     }
 
     #[test]
