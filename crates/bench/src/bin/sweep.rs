@@ -13,7 +13,6 @@
 //! --dps N[,N..]         decision-point counts to sweep     (default 1,3,10)
 //! --service gt3|gt4     service stack                      (default gt3)
 //! --sync-mins N         exchange interval, minutes         (default 3)
-//! --timeout-secs N      client timeout, seconds            (default 30)
 //! --clients N           submission hosts                   (default 120)
 //! --duration-mins N     experiment length, minutes         (default 60)
 //! --grid-factor N       Grid3 × N sites                    (default 10)
@@ -54,9 +53,9 @@ use workload::WorkloadSpec;
 
 /// Flags that take a value, as documented above.
 const VALUE_FLAGS: &[&str] = &[
-    "--dps", "--service", "--sync-mins", "--timeout-secs", "--clients", "--duration-mins",
-    "--grid-factor", "--seed", "--topology", "--selector", "--faults", "--retry", "--departure",
-    "--max-in-flight", "--monitor-secs", "--jobs", "--trace",
+    "--dps", "--service", "--sync-mins", "--clients", "--duration-mins", "--grid-factor",
+    "--seed", "--topology", "--selector", "--faults", "--retry", "--departure", "--max-in-flight",
+    "--monitor-secs", "--jobs", "--trace",
 ];
 /// Switches, as documented above.
 const SWITCHES: &[&str] = &["--lan", "--enforce", "--dynamic", "--failures", "--help", "-h"];
@@ -175,7 +174,6 @@ fn main() {
     for &n in &dps {
         let mut cfg = DigruberConfig::paper(n, service, seed);
         cfg.sync_interval = SimDuration::from_mins(args.parsed("--sync-mins", 3u64));
-        cfg.client_timeout = SimDuration::from_secs(args.parsed("--timeout-secs", 30u64));
         cfg.grid_factor = args.parsed("--grid-factor", 10usize);
         cfg.topology = topology;
         cfg.selector = selector;

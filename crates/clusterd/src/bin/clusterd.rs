@@ -20,7 +20,7 @@ use workload::uslas::equal_shares;
 fn usage() -> ! {
     eprintln!(
         "usage:
-  clusterd [--config FILE] [--id N] [--n-dps N] [--bind ADDR]
+  clusterd [--config FILE] [--id N] [--n-dps N] [--listen ADDR]
            [--sites N] [--cpus N] [--vos N] [--groups N]
            [--data-dir DIR] [--snapshot-records N] [--sync-ms N]
            [--trace FILE] [--allow-crash-exit]
@@ -30,107 +30,154 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// Flat flag parser: every option takes one value except the listed
-/// booleans. Unknown flags abort with usage.
+fn die(msg: &str) -> ! {
+    eprintln!("clusterd: {msg}");
+    std::process::exit(2)
+}
+
+/// What a setting holds.
+#[derive(Clone, Copy)]
+enum Kind {
+    Num,
+    Str,
+    Switch,
+}
+
+/// Every setting, by its one name: the flag is `--` plus the name with
+/// `_` turned into `-`, and a `--config` file sets it under the name
+/// itself. Numbers are `u32`.
+const SETTINGS: &[(&str, Kind)] = &[
+    ("id", Kind::Num),
+    ("n_dps", Kind::Num),
+    ("listen", Kind::Str),
+    ("sites", Kind::Num),
+    ("cpus", Kind::Num),
+    ("vos", Kind::Num),
+    ("groups", Kind::Num),
+    ("data_dir", Kind::Str),
+    ("snapshot_records", Kind::Num),
+    ("sync_ms", Kind::Num),
+    ("trace", Kind::Str),
+    ("allow_crash_exit", Kind::Switch),
+];
+
+/// Settings only the command line carries: the file itself, and the
+/// spawn-local driver's.
+const FLAG_ONLY: &[(&str, Kind)] = &[
+    ("config", Kind::Str),
+    ("help", Kind::Switch),
+    ("spawn_local", Kind::Num),
+    ("jobs", Kind::Num),
+    ("crash", Kind::Switch),
+    ("data_root", Kind::Str),
+    ("trace_dir", Kind::Str),
+];
+
+/// A checked setting value.
+enum Value {
+    Num(u32),
+    Str(String),
+    Switch(bool),
+}
+
+/// The flags over the `--config` file, each value checked against its
+/// setting's [`Kind`]. An unknown flag or file key, or a value of the
+/// wrong type, exits 2 naming it.
 struct Args {
-    kv: Vec<(String, String)>,
+    kv: Vec<(&'static str, Value)>,
 }
 
 impl Args {
     fn parse() -> Args {
-        let mut kv = Vec::new();
+        let mut flags = Vec::new();
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
-            let key = match flag.strip_prefix("--") {
-                Some(k) => k.to_string(),
-                None => usage(),
+            let setting = flag.strip_prefix("--").and_then(|f| {
+                let mut all = SETTINGS.iter().chain(FLAG_ONLY);
+                all.find(|(n, _)| n.replace('_', "-") == f)
+            });
+            let Some(&(name, kind)) = setting else {
+                die(&format!("unknown flag {flag:?} (--help lists them)"))
             };
-            match key.as_str() {
-                "allow-crash-exit" | "crash" | "help" => {
-                    if key == "help" {
-                        usage();
-                    }
-                    kv.push((key, "true".to_string()));
+            let mut next = || {
+                it.next()
+                    .unwrap_or_else(|| die(&format!("{flag} wants a value")))
+            };
+            let value = match kind {
+                Kind::Switch => Value::Switch(true),
+                Kind::Str => Value::Str(next()),
+                Kind::Num => {
+                    let v = next();
+                    let bad = |_| die(&format!("{flag} wants a number, got {v:?}"));
+                    Value::Num(v.parse().unwrap_or_else(bad))
                 }
-                _ => match it.next() {
-                    Some(v) => kv.push((key, v)),
-                    None => usage(),
-                },
-            }
+            };
+            flags.push((name, value));
         }
-        Args { kv }
+        let mut args = Args { kv: flags };
+        if args.flag("help") {
+            usage();
+        }
+        if let Some(path) = args.str("config") {
+            let mut kv = load_file(path);
+            kv.append(&mut args.kv);
+            args.kv = kv;
+        }
+        args
     }
 
-    fn get(&self, key: &str) -> Option<&str> {
-        self.kv
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+    fn get(&self, name: &str) -> Option<&Value> {
+        let mut latest = self.kv.iter().rev();
+        latest.find(|(n, _)| *n == name).map(|(_, v)| v)
     }
 
-    fn flag(&self, key: &str) -> bool {
-        self.get(key).is_some()
+    fn flag(&self, name: &str) -> bool {
+        matches!(self.get(name), Some(Value::Switch(true)))
     }
 
-    fn num(&self, key: &str) -> Option<u64> {
-        self.get(key).map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("clusterd: --{key} wants a number, got {v:?}");
-                std::process::exit(2)
-            })
-        })
+    fn num(&self, name: &str) -> Option<u32> {
+        match self.get(name) {
+            Some(Value::Num(n)) => Some(*n),
+            _ => None,
+        }
+    }
+
+    fn str(&self, name: &str) -> Option<&str> {
+        match self.get(name) {
+            Some(Value::Str(s)) => Some(s),
+            _ => None,
+        }
     }
 }
 
-/// Key-value view over a parsed `--config` file, merged under the flags.
-struct FileConfig {
-    kv: Vec<(String, config::TomlValue)>,
-}
-
-impl FileConfig {
-    fn load(path: Option<&str>) -> FileConfig {
-        let kv = match path {
-            Some(p) => {
-                let text = std::fs::read_to_string(p).unwrap_or_else(|e| {
-                    eprintln!("clusterd: cannot read {p}: {e}");
-                    std::process::exit(2)
-                });
-                config::parse_toml(&text).unwrap_or_else(|e| {
-                    eprintln!("clusterd: {p}: {e}");
-                    std::process::exit(2)
-                })
-            }
-            None => Vec::new(),
-        };
-        FileConfig { kv }
-    }
-
-    fn num(&self, key: &str) -> Option<u64> {
-        self.kv.iter().rev().find_map(|(k, v)| match (k == key, v) {
-            (true, config::TomlValue::Int(n)) => Some(*n),
-            _ => None,
+/// Reads a `--config` file: every key must name a [`SETTINGS`] entry and
+/// hold a value of its kind.
+fn load_file(path: &str) -> Vec<(&'static str, Value)> {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
+    let kv = config::parse_toml(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+    kv.into_iter()
+        .map(|(key, value)| {
+            let Some(&(name, kind)) = SETTINGS.iter().find(|(n, _)| *n == key) else {
+                die(&format!("{path}: unknown key {key:?}"))
+            };
+            let value = match (kind, value) {
+                (Kind::Num, config::TomlValue::Int(n)) => match u32::try_from(n) {
+                    Ok(n) => Value::Num(n),
+                    Err(_) => die(&format!("{path}: {key} = {n} is out of range")),
+                },
+                (Kind::Str, config::TomlValue::Str(s)) => Value::Str(s),
+                (Kind::Switch, config::TomlValue::Bool(b)) => Value::Switch(b),
+                (_, v) => die(&format!("{path}: {key} has the wrong type ({v:?})")),
+            };
+            (name, value)
         })
-    }
-
-    fn str(&self, key: &str) -> Option<&str> {
-        self.kv.iter().rev().find_map(|(k, v)| match (k == key, v) {
-            (true, config::TomlValue::Str(s)) => Some(s.as_str()),
-            _ => None,
-        })
-    }
-
-    fn bool(&self, key: &str) -> Option<bool> {
-        self.kv.iter().rev().find_map(|(k, v)| match (k == key, v) {
-            (true, config::TomlValue::Bool(b)) => Some(*b),
-            _ => None,
-        })
-    }
+        .collect()
 }
 
 fn main() {
     let args = Args::parse();
-    if let Some(n) = args.num("spawn-local") {
+    if let Some(n) = args.num("spawn_local") {
         spawn_local(&args, n as usize);
         return;
     }
@@ -139,36 +186,21 @@ fn main() {
 
 /// Serve one decision point until shutdown.
 fn serve(args: &Args) {
-    let file = FileConfig::load(args.get("config"));
-    let pick_num = |key: &str, default: u64| args.num(key).or_else(|| file.num(key)).unwrap_or(default);
-    let id = DpId(pick_num("id", 0) as u32);
-    let n_dps = pick_num("n-dps", 1).max(1) as usize;
-    let sites = config::uniform_sites(pick_num("sites", 4) as u32, pick_num("cpus", 16) as u32);
-    let uslas = equal_shares(pick_num("vos", 2) as u32, pick_num("groups", 2) as u32)
-        .expect("equal_shares");
+    let num = |name: &str, default: u32| args.num(name).unwrap_or(default);
+    let id = DpId(num("id", 0));
+    let n_dps = num("n_dps", 1).max(1) as usize;
+    let sites = config::uniform_sites(num("sites", 4), num("cpus", 16));
+    let uslas = equal_shares(num("vos", 2), num("groups", 2)).expect("equal_shares");
     let mut cfg = ServerConfig::new(id, n_dps, sites, uslas);
-    // `--bind` is the documented spelling; `--listen` stays as an alias
-    // for older wrappers, and both override the config file's `listen`.
-    if let Some(listen) = args
-        .get("bind")
-        .or_else(|| args.get("listen"))
-        .or_else(|| file.str("listen"))
-    {
+    if let Some(listen) = args.str("listen") {
         cfg.listen = listen.to_string();
     }
-    cfg.data_dir = args
-        .get("data-dir")
-        .or_else(|| file.str("data_dir"))
-        .map(PathBuf::from);
-    cfg.snapshot_records = pick_num("snapshot-records", 0) as u32;
-    let sync_ms = pick_num("sync-ms", 0);
-    cfg.sync_interval = (sync_ms > 0).then(|| Duration::from_millis(sync_ms));
-    cfg.allow_process_exit =
-        args.flag("allow-crash-exit") || file.bool("allow_crash_exit").unwrap_or(false);
-    let trace_path = args
-        .get("trace")
-        .or_else(|| file.str("trace"))
-        .map(PathBuf::from);
+    cfg.data_dir = args.str("data_dir").map(PathBuf::from);
+    cfg.snapshot_records = num("snapshot_records", 0);
+    let sync_ms = num("sync_ms", 0);
+    cfg.sync_interval = (sync_ms > 0).then(|| Duration::from_millis(u64::from(sync_ms)));
+    cfg.allow_process_exit = args.flag("allow_crash_exit");
+    let trace_path = args.str("trace").map(PathBuf::from);
     let recorder = match &trace_path {
         Some(_) => Recorder::new(TraceConfig::default()),
         None => Recorder::OFF,
@@ -217,23 +249,23 @@ fn spawn_local(args: &Args, n_dps: usize) {
     let bin = std::env::current_exe().expect("current_exe");
     let opts = SpawnOpts {
         n_dps,
-        sites: args.num("sites").unwrap_or(4) as u32,
-        cpus: args.num("cpus").unwrap_or(16) as u32,
-        vos: args.num("vos").unwrap_or(2) as u32,
-        groups: args.num("groups").unwrap_or(2) as u32,
-        data_root: args.get("data-root").map(PathBuf::from).or_else(|| {
+        sites: args.num("sites").unwrap_or(4),
+        cpus: args.num("cpus").unwrap_or(16),
+        vos: args.num("vos").unwrap_or(2),
+        groups: args.num("groups").unwrap_or(2),
+        data_root: args.str("data_root").map(PathBuf::from).or_else(|| {
             // A crash cycle needs durable state; default under the temp dir.
             args.flag("crash").then(|| {
                 std::env::temp_dir().join(format!("clusterd-{}", std::process::id()))
             })
         }),
-        snapshot_records: args.num("snapshot-records").unwrap_or(0) as u32,
-        trace_dir: args.get("trace-dir").map(PathBuf::from),
+        snapshot_records: args.num("snapshot_records").unwrap_or(0),
+        trace_dir: args.str("trace_dir").map(PathBuf::from),
     };
     if let Some(dir) = &opts.trace_dir {
         std::fs::create_dir_all(dir).expect("create trace dir");
     }
-    let jobs = args.num("jobs").unwrap_or(8) as u32;
+    let jobs = args.num("jobs").unwrap_or(8);
     let timeout = Duration::from_secs(5);
 
     let mut cluster = harness::LocalCluster::spawn(&bin, opts.clone()).unwrap_or_else(|e| {

@@ -72,8 +72,6 @@ impl Transport for Tcp {
                 proto::FRAME_STATS_REPLY,
                 proto::encode_stats(&stats).as_ref(),
             ),
-            // No frame asks for a state transfer, so none answers one.
-            Answer::Records(_) => return,
         };
         let _ = conn.lock().write_all(frame.as_ref());
     }
@@ -124,7 +122,7 @@ impl Server {
         // is about to replace.
         let store = cfg.data_dir.as_deref().map(FileStore::open).transpose()?;
         let (sites, uslas) = (cfg.sites.clone().into(), Arc::new(cfg.uslas.clone()));
-        let blueprint = Blueprint::paper_mesh(cfg.id, sites, uslas, store.is_some(), false);
+        let blueprint = Blueprint::paper_mesh(cfg.id, sites, uslas, store.is_some());
         let policy = SnapshotPolicy::records(cfg.snapshot_records);
         let started = mailbox::since(epoch);
         let mut host = NodeHost::new(blueprint, store, policy, recorder.clone(), started);

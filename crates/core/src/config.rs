@@ -46,6 +46,10 @@ impl WanKind {
     }
 }
 
+/// Client-side query timeout (the paper's 30 s): on expiry the client
+/// selects a site at random without considering USLAs.
+pub const CLIENT_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+
 // The dissemination strategy and exchange topology are protocol-level
 // concepts and live in the sans-IO protocol core, shared by every runtime;
 // re-exported here so `digruber::SyncTopology` / `digruber::Dissemination`
@@ -127,9 +131,6 @@ pub struct DigruberConfig {
     pub n_dps: usize,
     /// Peer state-exchange interval (the paper's default is 3 minutes).
     pub sync_interval: SimDuration,
-    /// Client-side query timeout; on expiry the client selects a site at
-    /// random without considering USLAs.
-    pub client_timeout: SimDuration,
     /// Service stack of the decision points.
     pub service: ServiceKind,
     /// Network the deployment runs over.
@@ -192,14 +193,13 @@ pub struct DigruberConfig {
 
 impl DigruberConfig {
     /// The paper's Section 4 setup with `n_dps` decision points on the
-    /// given service stack: 3-minute exchanges, 30 s client timeout,
-    /// PlanetLab WAN, least-used selection, usage-only dissemination,
-    /// Grid3×10.
+    /// given service stack: 3-minute exchanges, PlanetLab WAN, least-used
+    /// selection, usage-only dissemination, Grid3×10 (the 30 s client
+    /// timeout is [`CLIENT_TIMEOUT`]).
     pub fn paper(n_dps: usize, service: ServiceKind, seed: u64) -> Self {
         DigruberConfig {
             n_dps,
             sync_interval: SimDuration::from_mins(3),
-            client_timeout: SimDuration::from_secs(30),
             service,
             wan: WanKind::PlanetLab,
             selector: SelectorKind::LeastUsed,
@@ -238,11 +238,6 @@ impl DigruberConfig {
         if self.sync_interval.is_zero() && self.dissemination != Dissemination::NoExchange {
             return Err(gruber_types::GridError::InvalidConfig(
                 "zero sync interval".into(),
-            ));
-        }
-        if self.client_timeout.is_zero() {
-            return Err(gruber_types::GridError::InvalidConfig(
-                "zero client timeout".into(),
             ));
         }
         if self.grid_factor == 0 {
@@ -299,9 +294,6 @@ mod tests {
         let mut c = DigruberConfig::paper(0, ServiceKind::Gt3, 1);
         assert!(c.validate().is_err());
         c.n_dps = 1;
-        c.client_timeout = SimDuration::ZERO;
-        assert!(c.validate().is_err());
-        c.client_timeout = SimDuration::from_secs(30);
         c.grid_factor = 0;
         assert!(c.validate().is_err());
     }

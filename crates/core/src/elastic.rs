@@ -306,6 +306,36 @@ mod tests {
         }
     }
 
+    /// The sponsor's records reach the newcomer as an ordinary flood over
+    /// the WAN, so its first view already matches the sponsor's.
+    #[test]
+    fn join_warms_the_newcomer_from_a_sponsor() {
+        use gruber::DispatchRecord;
+        use gruber_types::{GroupId, JobId, SiteId, VoId};
+        let mut sim = Sim::with_events(elastic_world(2, 8));
+        let (w, s) = sim.parts();
+        let record = DispatchRecord {
+            job: JobId(1),
+            site: SiteId(0),
+            vo: VoId(0),
+            group: GroupId(0),
+            cpus: 1,
+            dispatched_at: SimTime::ZERO,
+            est_finish: SimTime::from_secs(3600),
+        };
+        crate::events::inform_arrives(w, s, DpId(0), record);
+        let id = join_decision_point(w, s).unwrap();
+        // Past WAN delivery; nothing else is scheduled.
+        let now = SimTime::from_secs(60);
+        sim.run_until(now);
+        let w = sim.world_mut();
+        assert!(w.dps[id.index()].host.node().stats().records_merged >= 1);
+        let mut free = |i: usize| w.dps[i].host.node_mut().engine_mut().availability(now);
+        let (sponsor, newcomer, untouched) = (free(0), free(id.index()), free(1));
+        assert_eq!(newcomer, sponsor);
+        assert_ne!(untouched, sponsor, "the record must move availability");
+    }
+
     #[test]
     fn leave_moves_only_the_leavers_clients() {
         let mut sim = Sim::with_events(elastic_world(4, 64));

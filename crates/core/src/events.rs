@@ -31,6 +31,7 @@
 //! What gets scheduled is data: every pending event is an [`Ev`] value,
 //! and [`World::fire`] maps each variant to its handler.
 
+use crate::config::CLIENT_TIMEOUT;
 use crate::faults::{self, LinkDisturbance, LinkScope};
 use crate::world::{client_node, dp_node, RequestState, World};
 use diperf::RequestTrace;
@@ -283,7 +284,7 @@ pub fn client_issue(w: &mut World, s: &mut Sched, client: ClientId) {
     let job = w.factory.make_job(client, now);
     let dp = w.clients[client.index()].dp;
     let tag = w.requests.next_tag();
-    let timeout_token = s.post_in(w.cfg.client_timeout, Ev::RequestTimeout(tag));
+    let timeout_token = s.post_in(CLIENT_TIMEOUT, Ev::RequestTimeout(tag));
     w.requests.insert(RequestState {
         client,
         dp,

@@ -13,7 +13,8 @@
 //! wall-clock runtime hosts a node. What is this module's own is the
 //! channel [`Transport`] (a reply is a `Sender`, a peer is another
 //! thread's mailbox) and [`LiveCluster`], the in-process harness around
-//! it: start, query/inform, crash/restore, elastic join/leave, shutdown.
+//! it: start, query/inform, crash/restore, shutdown. The pool is fixed;
+//! the one join/leave path is desim's (`core::elastic`).
 //! `tests/sim_live_equivalence.rs` holds the proof obligation that sim
 //! and live behaviour are identical.
 
@@ -25,7 +26,7 @@ use gruber_types::{ClientId, DpId, SimTime, SiteSpec};
 use obs::{Recorder, TraceEvent};
 use parking_lot::Mutex;
 use simnet::codec::encode_inform;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -75,19 +76,7 @@ pub struct LiveCluster {
     ticker: Option<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
     epoch: Instant,
-    queries_sent: AtomicU64,
     recorder: Recorder,
-    /// The live peer list, shared with the ticker; [`LiveCluster::join_dp`]
-    /// grows it and broadcasts the new table to every thread.
-    senders: Arc<Mutex<Vec<Sender<Msg>>>>,
-    /// Everything needed to spin up additional points after start.
-    sites: Arc<[SiteSpec]>,
-    uslas: Arc<UslaSet>,
-    persist: Option<u32>,
-    /// Epoch-stamped elastic membership (every point starts live).
-    table: membership::MembershipTable,
-    /// Consistent-hash client homing for [`LiveCluster::home_of`].
-    ring: membership::HashRing,
 }
 
 impl LiveCluster {
@@ -166,47 +155,44 @@ impl LiveCluster {
             .into_iter()
             .enumerate()
             .map(|(i, (sender, receiver))| {
-                let host = live_host(i, &sites, &uslas, persist, &recorder);
-                let handle = spawn_dp(host, receiver, senders.clone(), epoch, recorder.clone());
+                let (sites, uslas) = (Arc::clone(&sites), Arc::clone(&uslas));
+                let blueprint =
+                    Blueprint::paper_mesh(DpId(i as u32), sites, uslas, persist.is_some());
+                // With `persist` the thread owns a store that outlives
+                // crashed node instances.
+                let mut host = NodeHost::new(
+                    blueprint,
+                    persist.map(|_| SimStore::new()),
+                    SnapshotPolicy::records(persist.unwrap_or(0)),
+                    recorder.clone(),
+                    SimTime::ZERO,
+                );
+                let mut channels = Channels {
+                    peers: senders.clone(),
+                };
+                let recorder = recorder.clone();
+                let handle = std::thread::Builder::new()
+                    .name(format!("dp-{i}"))
+                    .spawn(move || node_loop(&mut host, &receiver, &mut channels, &recorder, epoch))
+                    .expect("spawn dp thread");
                 DpThread { sender, handle }
             })
             .collect::<Vec<_>>();
 
         // The sync ticker stands in for each container's periodic task.
-        // It reads the peer list through the shared handle so points that
-        // join later get ticked too.
-        let shared_senders = Arc::new(Mutex::new(senders));
-        let ticker = {
-            let senders = Arc::clone(&shared_senders);
-            mailbox::ticker(sync_interval, Arc::clone(&stop), move || {
-                for s in senders.lock().iter() {
-                    let _ = s.send(Msg::SyncTick);
-                }
-            })
-        };
+        let ticker = mailbox::ticker(sync_interval, Arc::clone(&stop), move || {
+            for s in &senders {
+                let _ = s.send(Msg::SyncTick);
+            }
+        });
 
         LiveCluster {
             dps,
             ticker,
             stop,
             epoch,
-            queries_sent: AtomicU64::new(0),
             recorder,
-            senders: shared_senders,
-            sites,
-            uslas,
-            persist,
-            table: membership::MembershipTable::with_initial(n_dps),
-            ring: membership::HashRing::with_members(0, 64, n_dps),
         }
-    }
-
-    /// The recorder the cluster emits into ([`Recorder::OFF`] unless
-    /// started via [`LiveCluster::start_traced`]). Call
-    /// [`Recorder::finish`] on it — at any time, or after
-    /// [`LiveCluster::shutdown`] — for the timeline and health report.
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
     }
 
     /// Milliseconds since cluster start, as the shared simulated clock.
@@ -219,11 +205,6 @@ impl LiveCluster {
         self.dps.len()
     }
 
-    /// Queries issued through this handle.
-    pub fn queries_sent(&self) -> u64 {
-        self.queries_sent.load(Ordering::Relaxed)
-    }
-
     /// Blocking availability query with a client-side timeout. `None`
     /// means the timeout fired (the caller should fall back to a random
     /// site, like the paper's clients).
@@ -233,7 +214,6 @@ impl LiveCluster {
     /// at the outcome — under the anonymous `ClientId(0)`: this handle is
     /// the client, and callers multiplex it freely across threads.
     pub fn query(&self, dp: DpId, timeout: Duration) -> Option<Vec<u32>> {
-        self.queries_sent.fetch_add(1, Ordering::Relaxed);
         self.recorder.emit(self.now(), || TraceEvent::QueryIssued {
             client: ClientId(0),
             dp,
@@ -292,90 +272,6 @@ impl LiveCluster {
         let _ = self.dps[dp.index()].sender.send(Msg::Restore);
     }
 
-    /// The membership table's current epoch (bumped by every join/leave).
-    pub fn membership_epoch(&self) -> u64 {
-        self.table.epoch()
-    }
-
-    /// The consistent-hash home for a client over the current pool.
-    pub fn home_of(&self, client: ClientId) -> DpId {
-        self.ring.home_of(client).expect("non-empty pool")
-    }
-
-    /// Elastic join: spawns one fresh decision point, broadcasts the
-    /// widened peer list to every thread, bootstraps the newcomer's view
-    /// from the lowest-indexed live member's records
-    /// ([`dpnode::DpNode::state_transfer`] over the ordinary `PeerRecords` path)
-    /// and claims the newcomer's arcs on the client-homing ring. Returns
-    /// the new id.
-    pub fn join_dp(&mut self) -> DpId {
-        let i = self.dps.len();
-        let new_id = DpId(i as u32);
-        let host = live_host(i, &self.sites, &self.uslas, self.persist, &self.recorder);
-        let (sender, receiver) = unbounded();
-        let peers = {
-            let mut s = self.senders.lock();
-            s.push(sender.clone());
-            s.clone()
-        };
-        let handle = spawn_dp(
-            host,
-            receiver,
-            peers.clone(),
-            self.epoch,
-            self.recorder.clone(),
-        );
-        // Existing threads learn the widened pool before the newcomer can
-        // appear in anyone's flood fan-out.
-        for dp in &self.dps {
-            let _ = dp.sender.send(Msg::Peers(peers.clone()));
-        }
-        self.dps.push(DpThread { sender, handle });
-        let epoch_no = self.table.join(new_id);
-        self.ring.insert(new_id);
-        self.recorder.emit(self.now(), || TraceEvent::DpJoined {
-            dp: new_id,
-            epoch: epoch_no as u32,
-        });
-        // Warm the newcomer from a sponsor's live records.
-        if let Some(sponsor) = self.table.live().iter().find(|&&d| d != new_id) {
-            let (reply_tx, reply_rx) = bounded(1);
-            let _ = self.dps[sponsor.index()]
-                .sender
-                .send(Msg::StateTransfer { reply: reply_tx });
-            if let Ok(Answer::Records(bytes)) = reply_rx.recv_timeout(Duration::from_secs(5)) {
-                let _ = self.dps[new_id.index()]
-                    .sender
-                    .send(Msg::Wire(WireInput::PeerRecords(bytes)));
-            }
-        }
-        new_id
-    }
-
-    /// Elastic leave: the highest-indexed live member flushes its
-    /// outgoing flood log with a final sync tick, then goes dark (its
-    /// thread keeps draining the channel but drops every input, like a
-    /// crash — but traced as `dp_left`, not as a failure), and its arcs
-    /// leave the client-homing ring. Returns the leaver, or `None` when
-    /// the pool is a single point.
-    pub fn leave_dp(&mut self) -> Option<DpId> {
-        if self.table.live_count() <= 1 {
-            return None;
-        }
-        let leaver = *self.table.live().last()?;
-        let s = &self.dps[leaver.index()].sender;
-        // Channel order guarantees the drain lands before the point goes dark.
-        let _ = s.send(Msg::SyncTick);
-        let _ = s.send(Msg::Leave);
-        let epoch_no = self.table.leave(leaver);
-        self.ring.remove(leaver);
-        self.recorder.emit(self.now(), || TraceEvent::DpLeft {
-            dp: leaver,
-            epoch: epoch_no as u32,
-        });
-        Some(leaver)
-    }
-
     /// Stops every thread and returns their statistics.
     pub fn shutdown(mut self) -> Vec<LiveDpStats> {
         self.stop.store(true, Ordering::Relaxed);
@@ -418,42 +314,6 @@ pub fn drive_workload(
         query,
         inform,
     )
-}
-
-/// Builds decision point `i`'s host. With `persist` the thread owns a
-/// store that outlives crashed node instances.
-fn live_host(
-    i: usize,
-    sites: &Arc<[SiteSpec]>,
-    uslas: &Arc<UslaSet>,
-    persist: Option<u32>,
-    recorder: &Recorder,
-) -> NodeHost<SimStore> {
-    // `track_live`: any member may sponsor a later joiner's state transfer.
-    let (sites, uslas) = (Arc::clone(sites), Arc::clone(uslas));
-    NodeHost::new(
-        Blueprint::paper_mesh(DpId(i as u32), sites, uslas, persist.is_some(), true),
-        persist.map(|_| SimStore::new()),
-        SnapshotPolicy::records(persist.unwrap_or(0)),
-        recorder.clone(),
-        SimTime::ZERO,
-    )
-}
-
-/// Spawns decision point `host`'s thread: the shared node loop over the
-/// channel transport.
-fn spawn_dp(
-    mut host: NodeHost<SimStore>,
-    receiver: Receiver<Msg>,
-    peers: Vec<Sender<Msg>>,
-    epoch: Instant,
-    recorder: Recorder,
-) -> JoinHandle<LiveDpStats> {
-    let mut channels = Channels { peers };
-    std::thread::Builder::new()
-        .name(format!("dp-{}", host.node().id().0))
-        .spawn(move || node_loop(&mut host, &receiver, &mut channels, &recorder, epoch))
-        .expect("spawn dp thread")
 }
 
 #[cfg(test)]
@@ -626,98 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn join_bootstraps_view_and_leave_goes_dark() {
-        let mut cluster = LiveCluster::start(
-            2,
-            sites(),
-            &equal_shares(2, 2).unwrap(),
-            Duration::from_secs(3600), // ticker effectively off
-        );
-        assert_eq!(cluster.membership_epoch(), 2, "each seed member is one join");
-        cluster.inform(DpId(0), record(1, 0, 8, cluster.now()));
-        // Wait until DP 0 holds the record, so the join bootstrap has
-        // something to transfer.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let free = cluster.query(DpId(0), Duration::from_secs(5)).unwrap();
-            if free[0] == 8 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "inform never applied");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        // Join: the newcomer's very first answer must already reflect the
-        // sponsor's record — the state transfer, not a later sync round.
-        let new_id = cluster.join_dp();
-        assert_eq!(new_id, DpId(2));
-        assert_eq!(cluster.n_dps(), 3);
-        assert_eq!(cluster.membership_epoch(), 3);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let free = cluster.query(new_id, Duration::from_secs(5)).unwrap();
-            if free[0] == 8 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "join bootstrap never arrived");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        // The ring homes clients somewhere live, including the newcomer's
-        // arcs.
-        for c in 0..64 {
-            assert!(cluster.home_of(ClientId(c)).index() < 3);
-        }
-        // Leave: the newcomer drains and goes dark; queries to it now
-        // time out and its arcs leave the ring.
-        assert_eq!(cluster.leave_dp(), Some(DpId(2)));
-        assert_eq!(cluster.membership_epoch(), 4);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            if cluster.query(DpId(2), Duration::from_millis(20)).is_none() {
-                break;
-            }
-            assert!(Instant::now() < deadline, "left point still answering");
-        }
-        for c in 0..64 {
-            assert!(cluster.home_of(ClientId(c)).index() < 2, "client homed on leaver");
-        }
-        // The survivors still answer.
-        assert!(cluster.query(DpId(0), Duration::from_secs(5)).is_some());
-        let stats = cluster.shutdown();
-        assert_eq!(stats.len(), 3);
-        // The bootstrap arrived as an ordinary peer merge.
-        assert_eq!(stats[2].records_merged, 1);
-    }
-
-    /// A graceful leave is not a failure: the leaver goes dark without a
-    /// `dp_failed`, so the timeline counts a leave and the health scoring
-    /// never sees the point go down.
-    #[test]
-    fn leave_is_traced_as_a_leave_not_a_crash() {
-        let rec = Recorder::new(obs::TraceConfig::default());
-        let mut cluster = LiveCluster::start_traced(
-            2,
-            sites(),
-            &equal_shares(2, 2).unwrap(),
-            Duration::from_secs(3600),
-            rec.clone(),
-        );
-        let joined = cluster.join_dp();
-        assert_eq!(cluster.leave_dp(), Some(joined));
-        let end = cluster.now();
-        // Joining every thread orders the leaver's last message before `finish`.
-        cluster.shutdown();
-        let tl = rec.finish(end).unwrap();
-        assert_eq!(tl.totals.failures, 0, "a leave must not count as a failure");
-        assert_eq!(tl.totals.dp_joins, 1);
-        assert_eq!(tl.totals.dp_leaves, 1);
-        let flags = &tl.health.as_ref().expect("health scorer was on").flags;
-        assert!(
-            !flags.iter().any(|f| f.dp == joined && f.degrading),
-            "the leaver must not be flagged degrading: {flags:?}"
-        );
-    }
-
-    #[test]
     fn shutdown_is_clean_and_counts_queries() {
         let cluster = LiveCluster::start(
             1,
@@ -728,7 +496,6 @@ mod tests {
         for _ in 0..5 {
             cluster.query(DpId(0), Duration::from_secs(5)).unwrap();
         }
-        assert_eq!(cluster.queries_sent(), 5);
         let stats = cluster.shutdown();
         assert_eq!(stats[0].queries, 5);
     }

@@ -226,7 +226,7 @@ pub struct DpNode {
     stats: DpNodeStats,
     persist: bool,
     /// Maintain [`DpNode::state_transfer`]'s live-record map even without
-    /// durability (elastic membership needs it to bootstrap joiners).
+    /// durability (desim's elastic pool needs it to bootstrap joiners).
     track_live: bool,
     /// The unexpired dispatch records currently backing the view —
     /// maintained only under [`NodeConfig::persist`] (always empty
@@ -264,8 +264,8 @@ impl DpNode {
     }
 
     /// Maintains the live-record map behind [`DpNode::state_transfer`]
-    /// even without durability. Elastic runtimes switch this on so any
-    /// member can sponsor a joiner; it is implied by `persist`.
+    /// even without durability. Only desim's elastic pool switches this
+    /// on, so any member can sponsor a joiner; it is implied by `persist`.
     pub fn set_track_live(&mut self, on: bool) {
         self.track_live = on || self.persist;
     }

@@ -31,7 +31,8 @@ pub struct Blueprint {
     /// The USLA set the node starts from.
     pub uslas: Arc<UslaSet>,
     /// [`DpNode::set_track_live`]: keep the live-record map even without
-    /// durability (elastic pools sponsor joiners from it).
+    /// durability. Only desim's elastic pool sets it, so any member can
+    /// sponsor a joiner; the mailbox runtimes' pools are fixed.
     pub track_live: bool,
 }
 
@@ -44,7 +45,6 @@ impl Blueprint {
         sites: Arc<[SiteSpec]>,
         uslas: Arc<UslaSet>,
         persist: bool,
-        track_live: bool,
     ) -> Blueprint {
         let cfg = NodeConfig {
             id,
@@ -58,7 +58,7 @@ impl Blueprint {
             cfg,
             sites,
             uslas,
-            track_live,
+            track_live: false,
         }
     }
 

@@ -78,9 +78,6 @@ pub trait Transport {
 pub enum Answer {
     /// Believed-free CPUs per site, to [`NodeMsg::Query`].
     Free(Vec<u32>),
-    /// The point's live records in flood wire form, to
-    /// [`NodeMsg::StateTransfer`].
-    Records(Bytes),
     /// To [`NodeMsg::Stats`].
     Stats(DpStats),
 }
@@ -98,15 +95,9 @@ pub enum NodeMsg<T: Transport> {
     Wire(WireInput),
     /// Flood the pending dispatch log to the mesh.
     SyncTick,
-    /// Install/replace the peer table (a point joined, or respawned at a
-    /// new address).
+    /// Install/replace the peer table (a peer respawned at a new
+    /// address).
     Peers(T::Peers),
-    /// Elastic membership: answer with this point's live records
-    /// ([`dpnode::DpNode::state_transfer`]) to bootstrap a newcomer.
-    StateTransfer {
-        /// Where the [`Answer::Records`] goes.
-        reply: T::Reply,
-    },
     /// Stats snapshot request.
     Stats {
         /// Where the [`Answer::Stats`] goes.
@@ -117,9 +108,6 @@ pub enum NodeMsg<T: Transport> {
     FloodFailed(Bytes),
     /// Crash the point: it drops every input until restored.
     Crash,
-    /// Graceful leave: the point goes dark like a crash, but it is not a
-    /// failure and is not traced as one (the caller emits `dp_left`).
-    Leave,
     /// Restart the point. Over a store, a fresh node replays snapshot +
     /// WAL; otherwise the node retains its state.
     Restore,
@@ -243,11 +231,6 @@ pub fn node_loop<S: Store, T: Transport>(
                 transport.set_peers(peers);
                 continue;
             }
-            NodeMsg::StateTransfer { reply } => {
-                let records = host.node_mut().state_transfer(at).records;
-                transport.reply(reply, Answer::Records(records));
-                continue;
-            }
             NodeMsg::Stats { reply } => {
                 transport.reply(reply, Answer::Stats(stats(host, flood_requeues)));
                 continue;
@@ -260,10 +243,6 @@ pub fn node_loop<S: Store, T: Transport>(
             NodeMsg::Crash => {
                 host.crash();
                 recorder.emit(at, || TraceEvent::DpFailed { dp: id });
-                continue;
-            }
-            NodeMsg::Leave => {
-                host.crash();
                 continue;
             }
             NodeMsg::Restore => {

@@ -199,14 +199,6 @@ fn crash_drops_inputs_and_restore_replays_the_wal() {
 }
 
 #[test]
-fn leave_goes_dark_like_a_crash() {
-    let script = vec![Msg::Leave, inform(1, 0, 8), Msg::Query { reply: "gone" }];
-    let (sent, stats) = run(&mut host(false), script);
-    assert!(sent.replies.is_empty());
-    assert_eq!((stats.crashes, stats.informs, stats.queries), (1, 0, 0));
-}
-
-#[test]
 fn malformed_inform_is_dropped_whole_and_the_loop_continues() {
     let garbage = Msg::Wire(WireInput::Inform(Bytes::copy_from_slice(&[1, 2, 3])));
     let script = vec![garbage, inform(1, 0, 8), Msg::Query { reply: "client" }];

@@ -20,17 +20,6 @@ pub enum TraceVerdict {
     Denied,
 }
 
-impl TraceVerdict {
-    /// Stable lowercase name (used by the JSONL export).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TraceVerdict::Admitted => "admitted",
-            TraceVerdict::Opportunistic => "opportunistic",
-            TraceVerdict::Denied => "denied",
-        }
-    }
-}
-
 /// Message class of a fault-injected or retried transmission — a
 /// dependency-free mirror of `simnet::retry::MessageClass` (obs sits below
 /// the network stack).
@@ -43,17 +32,6 @@ pub enum FaultMsgClass {
     /// A decision-point → client leg (availability response, dispatch
     /// inform). Never retried — the client timeout covers it.
     Response,
-}
-
-impl FaultMsgClass {
-    /// Stable lowercase name (used by the JSONL export).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FaultMsgClass::Query => "query",
-            FaultMsgClass::Exchange => "exchange",
-            FaultMsgClass::Response => "response",
-        }
-    }
 }
 
 /// One structured event on a hot path of the simulation.
@@ -365,72 +343,9 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// Stable snake_case name of the variant (JSONL `event` field and the
-    /// human-readable ring rendering).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::EventExecuted { .. } => "event_executed",
-            TraceEvent::EventCancelled { .. } => "event_cancelled",
-            TraceEvent::SvcStarted { .. } => "svc_started",
-            TraceEvent::SvcQueued { .. } => "svc_queued",
-            TraceEvent::SvcRejected { .. } => "svc_rejected",
-            TraceEvent::SvcCompleted { .. } => "svc_completed",
-            TraceEvent::SvcCrashDropped { .. } => "svc_crash_dropped",
-            TraceEvent::QueryIssued { .. } => "query_issued",
-            TraceEvent::QueryAccepted { .. } => "query_accepted",
-            TraceEvent::QueryDuplicate { .. } => "query_duplicate",
-            TraceEvent::Decision { .. } => "decision",
-            TraceEvent::ExchangeSent { .. } => "exchange_sent",
-            TraceEvent::ExchangeMerged { .. } => "exchange_merged",
-            TraceEvent::ResponseAnswered { .. } => "response_answered",
-            TraceEvent::ResponseLate { .. } => "response_late",
-            TraceEvent::ClientTimeout { .. } => "client_timeout",
-            TraceEvent::DpFailed { .. } => "dp_failed",
-            TraceEvent::DpRecovered { .. } => "dp_recovered",
-            TraceEvent::ClientRebound { .. } => "client_rebound",
-            TraceEvent::MsgLost { .. } => "msg_lost",
-            TraceEvent::MsgDuplicated { .. } => "msg_duplicated",
-            TraceEvent::RetryScheduled { .. } => "retry_scheduled",
-            TraceEvent::RetryExhausted { .. } => "retry_exhausted",
-            TraceEvent::PartitionStarted { .. } => "partition_started",
-            TraceEvent::PartitionHealed { .. } => "partition_healed",
-            TraceEvent::ExchangeBlocked { .. } => "exchange_blocked",
-            TraceEvent::LinkFaultStarted { .. } => "link_fault_started",
-            TraceEvent::LinkFaultEnded { .. } => "link_fault_ended",
-            TraceEvent::DpSlowdown { .. } => "dp_slowdown",
-            TraceEvent::DpSlowdownEnded { .. } => "dp_slowdown_ended",
-            TraceEvent::ReplayOverload { .. } => "replay_overload",
-            TraceEvent::ReplayDpAdded { .. } => "replay_dp_added",
-            TraceEvent::WalAppended { .. } => "wal_appended",
-            TraceEvent::SnapshotWritten { .. } => "snapshot_written",
-            TraceEvent::RecoveryReplayed { .. } => "recovery_replayed",
-            TraceEvent::DpJoined { .. } => "dp_joined",
-            TraceEvent::DpLeft { .. } => "dp_left",
-            TraceEvent::ClientRehomed { .. } => "client_rehomed",
-            TraceEvent::HealthFlag { .. } => "health_flag",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kinds_are_stable_snake_case() {
-        let ev = TraceEvent::SvcQueued {
-            dp: DpId(1),
-            tag: 7,
-            depth: 3,
-        };
-        assert_eq!(ev.kind(), "svc_queued");
-        assert_eq!(
-            TraceEvent::EventExecuted { seq: 0 }.kind(),
-            "event_executed"
-        );
-        assert_eq!(TraceVerdict::Opportunistic.as_str(), "opportunistic");
-    }
 
     #[test]
     fn events_are_small_and_copy() {

@@ -229,15 +229,21 @@ mod tests {
             dp: DpId(1),
         });
         let tl = rec.finish(SimTime(130_000)).unwrap();
-        let seen: Vec<(u64, &str)> = tl.recent.iter().map(|(t, ev)| (*t, ev.kind())).collect();
-        assert_eq!(
-            seen,
-            vec![
-                (1_000, "dp_failed"),
-                (120_000, "health_flag"),
-                (130_000, "query_issued"),
-            ]
-        );
+        let times: Vec<u64> = tl.recent.iter().map(|(t, _)| *t).collect();
+        assert_eq!(times, vec![1_000, 120_000, 130_000]);
+        assert!(matches!(
+            tl.recent[0].1,
+            TraceEvent::DpFailed { dp: DpId(0) }
+        ));
+        assert!(matches!(
+            tl.recent[1].1,
+            TraceEvent::HealthFlag {
+                dp: DpId(0),
+                degrading: true,
+                ..
+            }
+        ));
+        assert!(matches!(tl.recent[2].1, TraceEvent::QueryIssued { .. }));
         assert_eq!(tl.totals.health_degrades, 1);
         assert_eq!(tl.health.as_ref().unwrap().flags.len(), 1);
     }

@@ -100,13 +100,19 @@ echo "==> one trace clock: health is scored on the timeline's bins, nodes never 
   && ! grep -rn 'sync_every: Some' --include=*.rs crates src tests examples perf; } \
   || { echo "ci.sh: a second trace clock, consumer fan-out or node timer is back (lines above)"; exit 1; }
 
-echo "==> every capability earns its keep: sites are FIFO, loss is a fault-plan clause"
+echo "==> every capability earns its keep: sites are FIFO, loss is a fault-plan clause, one join/leave path"
 # Site disciplines and the base WAN loss rate had no paper claim, study
 # cell, test or workload behind them and were deleted; a second site
 # scheduler or a second loss path is the unused option growing back.
 # (`\b` lets the test `message_loss_degrades_but_does_not_wedge` keep its
 # name; it runs on a `loss@` clause.)
 { ! grep -rnE 'SiteDiscipline|with_discipline|EasyBackfill|\bmessage_loss\b|with_loss|"--discipline"|"--loss"' \
+      --include=*.rs crates src tests examples; } \
+  || { echo "ci.sh: a deleted capability is back (lines above)"; exit 1; }
+# desim's `core::elastic` is the one join/leave path (the thread runtime's
+# pool is fixed); the client timeout is a constant; the serve address is
+# `--listen`, one name per clusterd setting.
+{ ! grep -rnE '\b(join_dp|leave_dp)\b|Msg::(StateTransfer|Leave)\b|Answer::Records|client_timeout:|"--timeout-secs"|"bind"' \
       --include=*.rs crates src tests examples; } \
   || { echo "ci.sh: a deleted capability is back (lines above)"; exit 1; }
 

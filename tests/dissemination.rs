@@ -249,7 +249,11 @@ mod pool_sizing {
         };
         let out = run_experiment(cfg, wl, "leavers").unwrap();
         assert!(!out.retire_log.is_empty(), "the drain never shrank the pool");
-        let health = out.timeline.as_ref().unwrap().health.as_ref().unwrap();
+        let tl = out.timeline.as_ref().unwrap();
+        // A leave is traced as a leave, not as a crash.
+        assert_eq!(tl.totals.failures, 0);
+        assert_eq!(tl.totals.dp_leaves, out.retire_log.len() as u64);
+        let health = tl.health.as_ref().unwrap();
         for f in &health.flags {
             let left = out.retire_log.iter().find(|&&(_, dp)| dp == f.dp);
             assert!(
