@@ -88,13 +88,13 @@ impl ClusterClient {
         self.stream.write_all(frame.as_ref())
     }
 
-    /// Reads frames until `want` arrives or the deadline passes.
-    /// Off-kind or stale frames are discarded (a late query reply from a
-    /// timed-out request, for example).
+    /// Reads frames until `want` arrives or the deadline passes (`None`:
+    /// no deadline). Off-kind or stale frames are discarded (a late query
+    /// reply from a timed-out request, for example).
     fn read_frame(
         &mut self,
         want: u8,
-        deadline: Instant,
+        deadline: Option<Instant>,
     ) -> std::io::Result<Option<Bytes>> {
         let mut chunk = [0u8; 8192];
         loop {
@@ -107,11 +107,11 @@ impl ClusterClient {
                     return Ok(Some(payload));
                 }
             }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
+            let left = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|left| left.is_zero()) {
                 return Ok(None);
             }
-            self.stream.set_read_timeout(Some(left))?;
+            self.stream.set_read_timeout(left)?;
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
@@ -130,7 +130,7 @@ impl ClusterClient {
 
     /// Blocking availability query with a client-side timeout. `None`
     /// means the timeout fired — the caller falls back to a random site,
-    /// like the paper's clients.
+    /// like the paper's clients. `Duration::MAX` waits without a deadline.
     pub fn query(&mut self, timeout: Duration) -> std::io::Result<Option<Vec<u32>>> {
         self.next_token = self.next_token.wrapping_add(1);
         let token = self.next_token;
@@ -144,7 +144,7 @@ impl ClusterClient {
             .emit(self.now(), || TraceEvent::QueryIssued { client, dp });
         let sent = Instant::now();
         self.send_frame(proto::FRAME_QUERY, req.as_ref())?;
-        let deadline = sent + timeout;
+        let deadline = sent.checked_add(timeout);
         loop {
             let Some(payload) = self.read_frame(proto::FRAME_QUERY_REPLY, deadline)? else {
                 self.recorder
@@ -183,10 +183,11 @@ impl ClusterClient {
         self.send_frame(proto::FRAME_PEERS, payload.as_ref())
     }
 
-    /// Fetches the point's statistics snapshot.
+    /// Fetches the point's statistics snapshot (`Duration::MAX`: no
+    /// deadline).
     pub fn stats(&mut self, timeout: Duration) -> std::io::Result<ClusterDpStats> {
         self.send_frame(proto::FRAME_STATS, &[])?;
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         match self.read_frame(proto::FRAME_STATS_REPLY, deadline)? {
             Some(payload) => proto::decode_stats(payload)
                 .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, format!("{e}"))),

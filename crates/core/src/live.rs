@@ -207,7 +207,8 @@ impl LiveCluster {
 
     /// Blocking availability query with a client-side timeout. `None`
     /// means the timeout fired (the caller should fall back to a random
-    /// site, like the paper's clients).
+    /// site, like the paper's clients). `Duration::MAX` waits without a
+    /// deadline.
     ///
     /// Traced clusters emit the client-side protocol events here —
     /// `query_issued` at send and `response_answered` / `client_timeout`

@@ -279,8 +279,11 @@ pub fn node_loop<S: Store, T: Transport>(
 
 /// Spawns the thread that stands in for each container's periodic sync
 /// task: it calls `tick` every `interval` until `stop` is set, sleeping
-/// in steps of at most 10 ms so a stop is noticed promptly. A zero
-/// interval means no ticker (`None`), not a busy loop.
+/// at most 10 ms at a time so a stop is noticed promptly. Ticks keep to
+/// deadlines `interval` apart from the start, so neither a late wake-up
+/// nor the time spent in `tick` delays the ones after it; a tick missed
+/// outright is skipped, not fired in a burst. A zero interval means no
+/// ticker (`None`), not a busy loop.
 pub fn ticker(
     interval: Duration,
     stop: Arc<AtomicBool>,
@@ -290,14 +293,20 @@ pub fn ticker(
         return None;
     }
     let body = move || {
-        let step = Duration::from_millis(10).min(interval);
-        let mut elapsed = Duration::ZERO;
+        let poll = Duration::from_millis(10);
+        // `None`: the next deadline is past `Instant`'s range, never due.
+        let mut next = Instant::now().checked_add(interval);
         while !stop.load(Ordering::Relaxed) {
-            std::thread::sleep(step);
-            elapsed += step;
-            if elapsed >= interval {
-                elapsed = Duration::ZERO;
-                tick();
+            let now = Instant::now();
+            let Some(due) = next.filter(|&at| at <= now) else {
+                std::thread::sleep(next.map_or(poll, |at| (at - now).min(poll)));
+                continue;
+            };
+            tick();
+            let now = Instant::now();
+            next = due.checked_add(interval);
+            while let Some(missed) = next.filter(|&at| at <= now) {
+                next = missed.checked_add(interval);
             }
         }
     };
@@ -426,5 +435,24 @@ mod tests {
             panic!("a zero interval must never tick")
         });
         assert!(spawned.is_none());
+    }
+
+    /// The ticker used to add a fixed step per sleep, so every oversleep
+    /// and the whole of each `tick` pushed the later ticks back: about 11
+    /// ticks here where the deadlines allow about 20.
+    #[test]
+    fn ticks_keep_to_their_deadlines() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let ticks = Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let counted = Arc::clone(&ticks);
+        let spawned = ticker(Duration::from_millis(20), Arc::clone(&stop), move || {
+            counted.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(Duration::from_millis(15));
+        });
+        std::thread::sleep(Duration::from_millis(400));
+        stop.store(true, Ordering::Relaxed);
+        spawned.expect("a ticker").join().expect("ticker thread");
+        let n = ticks.load(Ordering::Relaxed);
+        assert!(n >= 15, "{n} ticks in 400 ms at a 20 ms interval");
     }
 }

@@ -14,12 +14,13 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q (tier-1, whole workspace)"
 cargo test -q --workspace --offline
 
-echo "==> cargo test --release (gruber, dpnode, grubsim, digruber: the expiry queue, the replay order and the request table as the benchmark runs them)"
+echo "==> cargo test --release (gruber, dpnode, grubsim, digruber, crossbeam: the expiry queue, the replay order, the request table and the channel hand-off as the benchmark runs them)"
 # Debug builds trap integer overflow and keep debug_assert!; release
 # wraps and drops them, which is exactly where a hand-rolled bucket
 # queue or an index-addressed ledger would differ. The differential
 # proptests and grubsim's reference replay order judge both builds.
-cargo test --release --offline -q -p gruber -p dpnode -p grubsim -p digruber
+# A lost wake-up in the channel stand-in shows at release speed.
+cargo test --release --offline -q -p gruber -p dpnode -p grubsim -p digruber -p crossbeam
 
 echo "==> the two oracle head-to-head benches (wheel, view) compile (harness = false: cargo test never builds them)"
 cargo build --release --offline --benches -p bench
@@ -115,6 +116,12 @@ echo "==> every capability earns its keep: sites are FIFO, loss is a fault-plan 
 { ! grep -rnE '\b(join_dp|leave_dp)\b|Msg::(StateTransfer|Leave)\b|Answer::Records|client_timeout:|"--timeout-secs"|"bind"' \
       --include=*.rs crates src tests examples; } \
   || { echo "ci.sh: a deleted capability is back (lines above)"; exit 1; }
+
+echo "==> channels wake only a parked thread: no always-notify condvar in the crossbeam stand-in"
+# std's Condvar::notify_* makes a futex_wake syscall whether or not a
+# thread waits; the stand-in lists parked threads and unparks only those.
+{ ! grep -n 'Condvar' vendor/crossbeam/src/lib.rs; } \
+  || { echo "ci.sh: a condvar is back in the channel stand-in (lines above)"; exit 1; }
 
 echo "==> perf/ builds against the workspace crates (the benchmark is its own workspace)"
 cargo build --release --offline --manifest-path perf/Cargo.toml

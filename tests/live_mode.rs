@@ -90,8 +90,11 @@ fn duplicate_floods_are_idempotent() {
     assert_eq!(stats[1].records_merged, 1);
 }
 
+/// Enough hand-offs (a query, its reply and an inform each) that a lost
+/// wake-up in the mailbox or the reply channel shows as a failed query.
 #[test]
 fn live_queries_are_concurrent_safe() {
+    const PER_THREAD: u32 = 2_500;
     let cluster = std::sync::Arc::new(LiveCluster::start(
         2,
         sites(4, 8),
@@ -102,10 +105,11 @@ fn live_queries_are_concurrent_safe() {
         for t in 0..8u32 {
             let cluster = std::sync::Arc::clone(&cluster);
             scope.spawn(move || {
-                for i in 0..25u32 {
+                for i in 0..PER_THREAD {
                     let dp = DpId((t + i) % 2);
                     let free = cluster.query(dp, Duration::from_secs(10)).expect("query");
                     assert_eq!(free.len(), 4);
+                    cluster.inform(dp, record(t * PER_THREAD + i, i % 4, 1, &cluster));
                 }
             });
         }
@@ -114,8 +118,22 @@ fn live_queries_are_concurrent_safe() {
         .ok()
         .expect("sole owner")
         .shutdown();
-    let total: u64 = stats.iter().map(|s| s.queries).sum();
-    assert_eq!(total, 200);
+    let queries: u64 = stats.iter().map(|s| s.queries).sum();
+    let informs: u64 = stats.iter().map(|s| s.informs).sum();
+    assert_eq!((queries, informs), (20_000, 20_000));
+}
+
+/// `Instant::now() + Duration::MAX` overflows; it used to panic.
+#[test]
+fn a_max_timeout_query_is_answered() {
+    let cluster = LiveCluster::start(
+        1,
+        sites(2, 8),
+        &equal_shares(2, 2).unwrap(),
+        Duration::from_secs(3600),
+    );
+    assert_eq!(cluster.query(DpId(0), Duration::MAX), Some(vec![8, 8]));
+    cluster.shutdown();
 }
 
 #[test]
