@@ -5,25 +5,22 @@
 //! and carries the operator control frames (sync, peer table, stats,
 //! crash, shutdown). One request is outstanding at a time; replies are
 //! correlated by the echoed query token so a reply that arrives after
-//! its timeout is discarded instead of answering the wrong query.
+//! its timeout is discarded instead of answering the wrong query. The
+//! handshake, the deadlines and the frame reader are [`crate::conn`]'s.
 
+use crate::conn::{self, Conn};
 use crate::proto::{self, ClusterDpStats};
 use bytes::Bytes;
 use gruber::DispatchRecord;
 use gruber_types::{ClientId, DpId, JobId, SimTime};
 use obs::{Recorder, TraceEvent};
-use simnet::codec::{
-    decode_hello, encode_frame, encode_hello, encode_inform, encode_query, FrameBuf, Hello,
-    PeerKind, QueryRequest, WIRE_VERSION,
-};
-use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+use simnet::codec::{encode_frame, encode_inform, encode_query, PeerKind, QueryRequest};
+use std::io::{ErrorKind, Write};
 use std::time::{Duration, Instant};
 
 /// A handshaken client connection to one decision point.
 pub struct ClusterClient {
-    stream: TcpStream,
-    fb: FrameBuf,
+    conn: Conn,
     dp: DpId,
     client: ClientId,
     next_token: u32,
@@ -36,29 +33,9 @@ impl ClusterClient {
     /// a protocol-speaking decision point of the same wire version (a
     /// mismatched server drops us without a hello, seen here as EOF).
     pub fn connect(addr: &str, client: ClientId) -> std::io::Result<ClusterClient> {
-        let mut stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let hello = encode_hello(&Hello {
-            version: WIRE_VERSION,
-            kind: PeerKind::Client,
-            dp: DpId(client.0),
-        });
-        stream.write_all(hello.as_ref())?;
-        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-        let mut buf = [0u8; Hello::WIRE_LEN];
-        stream.read_exact(&mut buf)?;
-        let theirs = decode_hello(Bytes::copy_from_slice(&buf))
-            .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, format!("hello: {e}")))?;
-        if theirs.version != WIRE_VERSION {
-            return Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                "server speaks a different wire version",
-            ));
-        }
-        stream.set_read_timeout(None)?;
+        let (theirs, conn) = conn::dial(addr, conn::hello(PeerKind::Client, DpId(client.0)))?;
         Ok(ClusterClient {
-            stream,
-            fb: FrameBuf::new(),
+            conn,
             dp: theirs.dp,
             client,
             next_token: 0,
@@ -85,7 +62,7 @@ impl ClusterClient {
 
     fn send_frame(&mut self, kind: u8, payload: &[u8]) -> std::io::Result<()> {
         let frame = encode_frame(kind, payload);
-        self.stream.write_all(frame.as_ref())
+        self.conn.stream().write_all(frame.as_ref())
     }
 
     /// Reads frames until `want` arrives or the deadline passes (`None`:
@@ -96,36 +73,12 @@ impl ClusterClient {
         want: u8,
         deadline: Option<Instant>,
     ) -> std::io::Result<Option<Bytes>> {
-        let mut chunk = [0u8; 8192];
-        loop {
-            while let Some((kind, payload)) = self
-                .fb
-                .next_frame()
-                .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, format!("{e}")))?
-            {
-                if kind == want {
-                    return Ok(Some(payload));
-                }
-            }
-            let left = deadline.map(|at| at.saturating_duration_since(Instant::now()));
-            if left.is_some_and(|left| left.is_zero()) {
-                return Ok(None);
-            }
-            self.stream.set_read_timeout(left)?;
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    ))
-                }
-                Ok(n) => self.fb.extend(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    return Ok(None)
-                }
-                Err(e) => return Err(e),
+        while let Some((kind, payload)) = self.conn.next(deadline)? {
+            if kind == want {
+                return Ok(Some(payload));
             }
         }
+        Ok(None)
     }
 
     /// Blocking availability query with a client-side timeout. `None`

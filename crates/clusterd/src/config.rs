@@ -40,8 +40,6 @@ pub struct ServerConfig {
     pub sync_interval: Option<Duration>,
     /// Reconnect/retransmit policy for peer flood sends.
     pub retry: RetryPolicy,
-    /// Seed for the retry jitter (deterministic backoff schedules).
-    pub retry_seed: u64,
     /// Whether a `crash` control frame hard-kills the process
     /// (`exit(9)`). Only the binary sets this; in-process servers mark
     /// the node down instead so tests survive.
@@ -64,7 +62,6 @@ impl ServerConfig {
             snapshot_records: 0,
             sync_interval: None,
             retry: default_retry(),
-            retry_seed: 0,
             allow_process_exit: false,
         }
     }

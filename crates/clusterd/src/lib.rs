@@ -16,6 +16,10 @@
 //!   transport under [`dpstore::mailbox::node_loop`] — the loop
 //!   `digruber::live` runs too — which owns the [`dpnode::DpNode`] and
 //!   its `dpstore::FileStore` WAL.
+//! * [`conn`] — the connection edge the server, `peer` and [`client`]
+//!   share: the hello exchange for both roles, the handshake and write
+//!   deadlines, the one frame reader, the frame → mailbox message
+//!   mapping, and the [`conn::CloseReason`] every connection ends with.
 //! * `peer` (internal) — per-peer flood senders with lazy connect and
 //!   reconnect-with-backoff (`simnet::retry` policies on real sleeps);
 //!   a send that exhausts its budget requeues into the next sync round.
@@ -25,8 +29,8 @@
 //! * [`harness`] — the `--spawn-local n` driver: forks an n-process
 //!   loopback cluster, broadcasts the peer table, drives a ground-truth
 //!   workload, injects crashes, respawns, and collects stats.
-//! * [`proto`] — frame kinds and the socket-only payloads; the
-//!   handshake and frame envelope live in [`simnet::codec`], and every
+//! * [`proto`] — frame kinds and the socket-only payloads; the hello and
+//!   frame envelope encodings live in [`simnet::codec`], and every
 //!   shared payload (informs, floods, queries) reuses the existing
 //!   codec byte-for-byte.
 //!
@@ -48,6 +52,7 @@
 
 pub mod client;
 pub mod config;
+pub mod conn;
 pub mod harness;
 mod peer;
 pub mod proto;

@@ -2,10 +2,14 @@
 //!
 //! The node loop hands each `FloodTo` effect to the target peer's
 //! sender; the sender owns that peer's outbound TCP connection and its
-//! lifecycle — lazy connect on first send, the handshake, and
-//! reconnect-with-backoff (the `simnet::retry` policy, driven by real
-//! sleeps instead of simulated timers). When the retry budget runs out
-//! the flood's wire bytes go back to the node loop as a `FloodFailed`
+//! lifecycle — lazy dial on first send (the dial, the handshake and the
+//! deadlines are [`crate::conn`]'s), and reconnect-with-backoff (the
+//! `simnet::retry` policy, driven by real sleeps instead of simulated
+//! timers; its jitter is seeded by both the sender and the peer, so two
+//! points retrying toward one restarted peer do not retry in step). A
+//! peer that stops reading fails the write at its deadline, and the send
+//! retries like any other loss. When the retry budget runs out the
+//! flood's wire bytes go back to the node loop as a `FloodFailed`
 //! message and the node requeues the records for the next sync round —
 //! the same lost-then-retransmitted semantics the simulator models.
 //!
@@ -14,6 +18,7 @@
 //! loop forwards a [`PeerMsg::SetAddr`] here, which drops any cached
 //! connection and points future sends at the new address.
 
+use crate::conn::{self, Conn};
 use crate::server::Tcp;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
@@ -21,10 +26,9 @@ use desim::DetRng;
 use dpstore::NodeMsg;
 use gruber_types::DpId;
 use obs::{FaultMsgClass, Recorder, TraceEvent};
-use simnet::codec::{decode_hello, encode_hello, Hello, PeerKind, WIRE_VERSION};
+use simnet::codec::PeerKind;
 use simnet::RetryPolicy;
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::time::{Duration, Instant};
 
 /// Messages the node loop sends a peer sender.
@@ -52,22 +56,21 @@ pub(crate) fn spawn(
     rx: Receiver<PeerMsg>,
     mailbox: Sender<NodeMsg<Tcp>>,
     retry: RetryPolicy,
-    retry_seed: u64,
     recorder: Recorder,
     epoch: Instant,
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("peer-{}-{}", me.0, to.0))
         .spawn(move || {
-            let mut rng = DetRng::new(retry_seed, 0x5EED ^ u64::from(to.0));
+            let mut rng = retry_rng(me, to);
             let mut addr: Option<String> = None;
-            let mut conn: Option<TcpStream> = None;
+            let mut link: Option<Conn> = None;
             let now = || dpstore::mailbox::since(epoch);
             for msg in rx.iter() {
                 match msg {
                     PeerMsg::SetAddr(a) => {
                         addr = Some(a);
-                        conn = None;
+                        link = None;
                     }
                     PeerMsg::Send(bytes) => {
                         let Some(target) = addr.clone() else {
@@ -79,32 +82,24 @@ pub(crate) fn spawn(
                         let frame =
                             simnet::codec::encode_frame(crate::proto::FRAME_RECORDS, bytes.as_ref());
                         let mut attempt = 0u32;
-                        loop {
-                            let sent = try_send(&mut conn, &target, me, frame.as_ref());
-                            if sent {
+                        while try_send(&mut link, &target, me, frame.as_ref()).is_none() {
+                            link = None;
+                            let Some(delay) = retry.backoff(attempt, &mut rng) else {
+                                recorder.emit(now(), || TraceEvent::RetryExhausted {
+                                    class: FaultMsgClass::Exchange,
+                                    dp: to,
+                                    attempts: attempt + 1,
+                                });
+                                let _ = mailbox.send(NodeMsg::FloodFailed(bytes));
                                 break;
-                            }
-                            conn = None;
-                            match retry.backoff(attempt, &mut rng) {
-                                Some(delay) => {
-                                    attempt += 1;
-                                    recorder.emit(now(), || TraceEvent::RetryScheduled {
-                                        class: FaultMsgClass::Exchange,
-                                        dp: to,
-                                        attempt,
-                                    });
-                                    std::thread::sleep(Duration::from_millis(delay.as_millis()));
-                                }
-                                None => {
-                                    recorder.emit(now(), || TraceEvent::RetryExhausted {
-                                        class: FaultMsgClass::Exchange,
-                                        dp: to,
-                                        attempts: attempt + 1,
-                                    });
-                                    let _ = mailbox.send(NodeMsg::FloodFailed(bytes));
-                                    break;
-                                }
-                            }
+                            };
+                            attempt += 1;
+                            recorder.emit(now(), || TraceEvent::RetryScheduled {
+                                class: FaultMsgClass::Exchange,
+                                dp: to,
+                                attempt,
+                            });
+                            std::thread::sleep(Duration::from_millis(delay.as_millis()));
                         }
                     }
                     PeerMsg::Shutdown => break,
@@ -114,40 +109,29 @@ pub(crate) fn spawn(
         .expect("spawn peer sender")
 }
 
-/// One send attempt: ensure a handshaken connection, write the frame.
-/// Returns `false` on any failure (the caller backs off and retries).
-fn try_send(conn: &mut Option<TcpStream>, target: &str, me: DpId, frame: &[u8]) -> bool {
-    if conn.is_none() {
-        *conn = connect(target, me);
-    }
-    match conn {
-        Some(stream) => stream.write_all(frame).and_then(|_| stream.flush()).is_ok(),
-        None => false,
-    }
+/// The retry jitter of `me`'s sender toward `to`: seeded by both, so
+/// every sender draws its own backoffs.
+fn retry_rng(me: DpId, to: DpId) -> DetRng {
+    DetRng::new(u64::from(me.0), 0x5EED ^ u64::from(to.0))
 }
 
-/// Dials the peer and runs the initiator side of the handshake: write our
-/// hello, read and validate the acceptor's. A version-mismatched or
-/// non-protocol acceptor drops us without replying, which surfaces here
-/// as a short read.
-fn connect(target: &str, me: DpId) -> Option<TcpStream> {
-    let mut stream = TcpStream::connect(target).ok()?;
-    stream.set_nodelay(true).ok()?;
-    let hello = encode_hello(&Hello {
-        version: WIRE_VERSION,
-        kind: PeerKind::Dp,
-        dp: me,
-    });
-    stream.write_all(hello.as_ref()).ok()?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(2)))
-        .ok()?;
-    let mut buf = [0u8; Hello::WIRE_LEN];
-    stream.read_exact(&mut buf).ok()?;
-    let theirs = decode_hello(Bytes::copy_from_slice(&buf)).ok()?;
-    if theirs.version != WIRE_VERSION || theirs.kind != PeerKind::Dp {
-        return None;
+/// One send attempt: ensure a handshaken connection, write the frame.
+/// Returns `None` on any failure (the caller backs off and retries).
+fn try_send(link: &mut Option<Conn>, target: &str, me: DpId, frame: &[u8]) -> Option<()> {
+    if link.is_none() {
+        *link = Some(conn::dial(target, conn::hello(PeerKind::Dp, me)).ok()?.1);
     }
-    stream.set_read_timeout(None).ok()?;
-    Some(stream)
+    link.as_mut()?.stream().write_all(frame).ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn two_senders_toward_one_peer_draw_different_backoffs() {
+        let retry = crate::config::default_retry();
+        let first = |me| retry.backoff(0, &mut retry_rng(DpId(me), DpId(1)));
+        assert_ne!(first(0), first(2));
+    }
 }

@@ -3,17 +3,20 @@
 //!
 //! The structure is thread-per-connection feeding one mailbox:
 //!
-//! * the **accept loop** takes connections, runs the acceptor side of the
-//!   handshake, and spawns a reader per connection;
-//! * each **connection reader** reassembles length-prefixed frames
-//!   ([`simnet::codec::FrameBuf`]) and posts typed [`NodeMsg`]s to the
-//!   mailbox — FIFO per connection, so a client's informs always precede
-//!   the sync control frame it sends afterwards;
+//! * the **accept loop** takes connections and spawns a reader per
+//!   connection;
+//! * each **connection reader** runs the acceptor's handshake and reads
+//!   frames through [`crate::conn`], posting each request to the mailbox
+//!   — FIFO per connection, so a client's informs always precede the sync
+//!   control frame it sends afterwards — until the connection ends with
+//!   a [`CloseReason`];
 //! * the **node thread** runs [`dpstore::mailbox::node_loop`], the loop
 //!   `digruber::live` runs too (that module is the home of how a
 //!   wall-clock runtime hosts a node), over the `Tcp` transport: query
-//!   and stats replies are written inline as frames, floods are cut to
-//!   frame size and handed to the per-peer senders;
+//!   and stats replies are written inline as frames under the connection's
+//!   write deadline, so a client that stops reading loses its connection
+//!   instead of stalling the point; floods are cut to frame size and
+//!   handed to the per-peer senders;
 //! * **peer senders** (the `peer` module) own outbound flood connections
 //!   and their reconnect-with-backoff lifecycle.
 //!
@@ -23,25 +26,24 @@
 //! thread driver (`tests/sim_live_equivalence.rs` pins it).
 
 use crate::config::ServerConfig;
+use crate::conn::{self, CloseReason, Role};
 use crate::peer::{self, PeerMsg, PeerSender};
 use crate::proto::{self, ClusterDpStats};
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Sender};
 use dpstore::mailbox::{self, node_loop, Answer, NodeMsg, Transport};
-use dpstore::{Blueprint, FileStore, NodeHost, SnapshotPolicy, WireInput};
+use dpstore::{Blueprint, FileStore, NodeHost, SnapshotPolicy};
 use gruber_types::{DispatchRecord, DpId};
 use obs::Recorder;
 use parking_lot::Mutex;
-use simnet::codec::{
-    decode_hello, encode_frame, encode_hello, FrameBuf, Hello, PeerKind, MAX_FRAME_BODY,
-    WIRE_VERSION,
-};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use simnet::codec::{encode_frame, PeerKind, MAX_FRAME_BODY};
+use std::convert::Infallible;
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A connection's reply handle: the write half shared between its reader
 /// (which owns the read half) and the node loop (which writes replies).
@@ -63,17 +65,17 @@ impl Transport for Tcp {
     type Peers = Vec<(DpId, String)>;
 
     fn reply(&mut self, (token, conn): Self::Reply, answer: Answer) {
-        let frame = match answer {
-            Answer::Free(free) => encode_frame(
-                proto::FRAME_QUERY_REPLY,
-                proto::encode_free(token, &free).as_ref(),
-            ),
-            Answer::Stats(stats) => encode_frame(
-                proto::FRAME_STATS_REPLY,
-                proto::encode_stats(&stats).as_ref(),
-            ),
+        let (kind, payload) = match answer {
+            Answer::Free(free) => (proto::FRAME_QUERY_REPLY, proto::encode_free(token, &free)),
+            Answer::Stats(stats) => (proto::FRAME_STATS_REPLY, proto::encode_stats(&stats)),
         };
-        let _ = conn.lock().write_all(frame.as_ref());
+        let frame = encode_frame(kind, payload.as_ref());
+        let mut stream = conn.lock();
+        // A missed write deadline leaves a half-written frame: end the
+        // stream, and with it the connection's reader.
+        if stream.write_all(frame.as_ref()).is_err() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
     }
 
     fn flood(&mut self, peer: usize, records: &Bytes) {
@@ -148,7 +150,6 @@ impl Server {
                     rx,
                     mail_tx.clone(),
                     cfg.retry,
-                    cfg.retry_seed,
                     recorder.clone(),
                     epoch,
                 );
@@ -234,9 +235,8 @@ impl Server {
     }
 }
 
-/// Accepts connections, runs the acceptor half of the handshake, and
-/// spawns a detached reader per connection. Readers exit when their
-/// socket closes; they are not joined.
+/// Accepts connections and spawns a detached reader per connection.
+/// Readers exit when their connection closes; they are not joined.
 fn accept_loop(
     listener: TcpListener,
     mailbox: Sender<NodeMsg<Tcp>>,
@@ -252,101 +252,38 @@ fn accept_loop(
         let mailbox = mailbox.clone();
         let _ = std::thread::Builder::new()
             .name(format!("conn-{}", me.0))
-            .spawn(move || {
-                let _ = serve_conn(stream, mailbox, me, allow_exit);
-            });
+            .spawn(move || serve_conn(stream, mailbox, me, allow_exit));
     }
 }
 
-/// The acceptor-side connection state machine: handshake, then frames.
-///
-/// Handshake: read the initiator's 12-byte hello first and validate it
-/// *before* replying — a wrong magic, unknown kind or mismatched version
-/// drops the connection without a reply, so a bad initiator observes EOF
-/// (the behaviour the connection tests pin). Only then write our hello.
+/// One accepted connection: the acceptor's handshake, then each frame
+/// the far end sends handed to the mailbox in arrival order. It ends only
+/// when the connection does, with the reason why.
 fn serve_conn(
-    mut stream: TcpStream,
+    stream: TcpStream,
     mailbox: Sender<NodeMsg<Tcp>>,
     me: DpId,
     allow_exit: bool,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let mut hello_buf = [0u8; Hello::WIRE_LEN];
-    stream.read_exact(&mut hello_buf)?;
-    let Ok(hello) = decode_hello(Bytes::copy_from_slice(&hello_buf)) else {
-        return Ok(()); // bad magic/kind: drop silently
-    };
-    if hello.version != WIRE_VERSION {
-        return Ok(()); // version mismatch: drop silently
-    }
-    let ours = encode_hello(&Hello {
-        version: WIRE_VERSION,
-        kind: PeerKind::Dp,
-        dp: me,
-    });
-    stream.write_all(ours.as_ref())?;
-    stream.set_read_timeout(None)?;
-
-    let writer: ConnWriter = Arc::new(Mutex::new(stream.try_clone()?));
-    let mut fb = FrameBuf::new();
-    let mut chunk = [0u8; 8192];
+) -> Result<Infallible, CloseReason> {
+    let (theirs, mut link) = conn::open(stream, conn::hello(PeerKind::Dp, me), Role::Acceptor)?;
+    let writer: ConnWriter = Arc::new(Mutex::new(link.stream().try_clone()?));
     loop {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Ok(()); // peer closed
-        }
-        fb.extend(&chunk[..n]);
-        loop {
-            let Ok(frame) = fb.next_frame() else {
-                return Ok(()); // stream lost sync: drop
-            };
-            let Some((kind, payload)) = frame else { break };
-            match (hello.kind, kind) {
-                // Peer decision points only flood records.
-                (PeerKind::Dp, proto::FRAME_RECORDS) => {
-                    let _ = mailbox.send(NodeMsg::Wire(WireInput::PeerRecords(payload)));
-                }
-                (PeerKind::Client, proto::FRAME_QUERY) => {
-                    let Ok(req) = simnet::codec::decode_query(payload) else {
-                        return Ok(());
-                    };
-                    let _ = mailbox.send(NodeMsg::Query {
-                        reply: (req.job.0, Arc::clone(&writer)),
-                    });
-                }
-                (PeerKind::Client, proto::FRAME_INFORM) => {
-                    let _ = mailbox.send(NodeMsg::Wire(WireInput::Inform(payload)));
-                }
-                (PeerKind::Client, proto::FRAME_SYNC) => {
-                    let _ = mailbox.send(NodeMsg::SyncTick);
-                }
-                (PeerKind::Client, proto::FRAME_PEERS) => {
-                    let Ok(peers) = proto::decode_peers(payload) else {
-                        return Ok(());
-                    };
-                    let _ = mailbox.send(NodeMsg::Peers(peers));
-                }
-                (PeerKind::Client, proto::FRAME_STATS) => {
-                    let _ = mailbox.send(NodeMsg::Stats {
-                        reply: (0, Arc::clone(&writer)),
-                    });
-                }
-                (PeerKind::Client, proto::FRAME_CRASH) => {
-                    if allow_exit {
-                        // A hard crash: no trace flush, no WAL fsync
-                        // beyond what already happened, no goodbye. The
-                        // respawned process proves recovery works.
-                        std::process::exit(9);
-                    }
-                    let _ = mailbox.send(NodeMsg::Crash);
-                }
-                (PeerKind::Client, proto::FRAME_SHUTDOWN) => {
-                    let _ = mailbox.send(NodeMsg::Shutdown);
-                    return Ok(());
-                }
-                _ => return Ok(()), // protocol violation: drop
+        let Some(frame) = link.next(None)? else {
+            continue;
+        };
+        match conn::request(theirs.kind, frame, |token| (token, Arc::clone(&writer))) {
+            // A hard crash: no trace flush, no WAL fsync beyond what
+            // already happened, no goodbye. The respawned process proves
+            // recovery works.
+            Ok(NodeMsg::Crash) if allow_exit => std::process::exit(9),
+            Ok(msg) => {
+                let _ = mailbox.send(msg);
             }
+            Err(CloseReason::Shutdown) => {
+                let _ = mailbox.send(NodeMsg::Shutdown);
+                return Err(CloseReason::Shutdown);
+            }
+            Err(reason) => return Err(reason),
         }
     }
 }
@@ -357,7 +294,7 @@ const MAX_RECORDS_PER_FRAME: usize = (MAX_FRAME_BODY - 1 - 4) / DispatchRecord::
 
 /// Splits a flood's wire bytes (`[u32 count][36-byte records]`) at record
 /// boundaries into payloads that each fit one frame — a slice behind a new
-/// count, no re-decode. A receiver's [`FrameBuf`] rejects a larger frame
+/// count, no re-decode. A receiver's [`simnet::codec::FrameBuf`] rejects a larger frame
 /// and the sender would requeue the whole payload forever; split, each
 /// chunk is sent, retried and requeued on its own. The node hashed the
 /// payload before the split, so flood hashes do not see it.

@@ -3,18 +3,21 @@
 //! `dpnode` snapshot and flood payload, and `dpstore::FileStore` opened
 //! over a damaged directory. The shape is [`refuses_hostile_input`]; each
 //! `proptest!` below is one decoder, its valid sample and where that
-//! sample keeps its length and count fields.
+//! sample keeps its length and count fields. A second property holds the
+//! connection edge (`clusterd::conn`) to the same bytes, whatever cut.
 
 // `&[0..4]` here is a list of one byte range, not a typo for `0..4`.
 #![allow(clippy::single_range_in_vec_init)]
 
 use bytes::Bytes;
+use clusterd::conn::{self, check_hello, pop, request, CloseReason, Role};
 use clusterd::proto::{
     decode_free, decode_peers, decode_stats, encode_free, encode_peers, encode_stats,
     ClusterDpStats,
 };
 use dpnode::{Dissemination, DpNode, FloodPayload, Input, NodeConfig, Topology, WalOp};
-use dpstore::{FileStore, Store};
+use dpstore::mailbox::{Answer, NodeMsg, Transport};
+use dpstore::{FileStore, Store, WireInput};
 use gruber_types::{
     ClientId, DispatchRecord, DpId, GridError, GroupId, JobId, SimTime, SiteId, SiteSpec, VoId,
 };
@@ -55,7 +58,10 @@ fn refuses_hostile_input(
         Err(GridError::Malformed { .. }) => Ok(()),
         Err(other) => Err(TestCaseError::fail(format!("{case}: {other:?}"))),
     };
-    prop_assert!(decode(valid) == Ok(entries), "the sample itself must decode");
+    prop_assert!(
+        decode(valid) == Ok(entries),
+        "the sample itself must decode"
+    );
     check("arbitrary bytes", garbage)?;
     for cut in 0..valid.len() {
         check("truncation", &valid[..cut])?;
@@ -122,7 +128,9 @@ impl TempDir {
     fn recover(&self, file: &str, bytes: &[u8]) -> dpstore::Recovery {
         std::fs::create_dir_all(&self.0).expect("scratch dir");
         std::fs::write(self.0.join(file), bytes).expect("scratch file");
-        FileStore::open(&self.0).expect("open never fails on bad bytes").recover()
+        FileStore::open(&self.0)
+            .expect("open never fails on bad bytes")
+            .recover()
     }
 
     /// The bytes a [`FileStore`] leaves in `file` after `write`.
@@ -292,5 +300,96 @@ proptest! {
         refuses_hostile_input(&valid, 1, &[0..4], 8, (&garbage, flip), |b| {
             Ok(usize::from(dir.recover("snapshot.bin", b).snapshot.is_some()))
         })?;
+    }
+}
+
+/// A transport whose reply handle is the request's token.
+struct Tokens;
+
+impl Transport for Tokens {
+    type Reply = u32;
+    type Peers = Vec<(DpId, String)>;
+    fn reply(&mut self, _: u32, _: Answer) {}
+    fn flood(&mut self, _: usize, _: &Bytes) {}
+    fn set_peers(&mut self, _: Self::Peers) {}
+    fn n_dps(&self) -> usize {
+        1
+    }
+}
+
+fn describe(msg: NodeMsg<Tokens>) -> String {
+    match msg {
+        NodeMsg::Query { reply } => format!("query {reply}"),
+        NodeMsg::Stats { reply } => format!("stats {reply}"),
+        NodeMsg::Wire(WireInput::Inform(bytes)) => format!("inform {bytes:?}"),
+        NodeMsg::Wire(WireInput::PeerRecords(bytes)) => format!("records {bytes:?}"),
+        NodeMsg::Peers(peers) => format!("peers {peers:?}"),
+        NodeMsg::SyncTick => "sync".into(),
+        NodeMsg::Crash => "crash".into(),
+        NodeMsg::FloodFailed(_) | NodeMsg::Restore | NodeMsg::Shutdown => {
+            unreachable!("no frame asks for this")
+        }
+    }
+}
+
+/// What an acceptor makes of `bytes` read in pieces cut at `cuts`: the
+/// requests it hands the mailbox, in order, then why it closed (`None`:
+/// it waits for more bytes).
+fn accept(bytes: &[u8], cuts: &[usize]) -> (Vec<String>, Option<CloseReason>) {
+    let Some((theirs, rest)) = bytes.split_first_chunk() else {
+        return (Vec::new(), None);
+    };
+    let peer = match check_hello(theirs, Role::Acceptor) {
+        Ok(theirs) => theirs.kind,
+        Err(reason) => return (Vec::new(), Some(reason)),
+    };
+    let ends = cuts.iter().map(|cut| cut % (rest.len() + 1));
+    let mut cuts: Vec<usize> = ends.chain([0, rest.len()]).collect();
+    cuts.sort_unstable();
+    let (mut fb, mut delivered) = (FrameBuf::new(), Vec::new());
+    for piece in cuts.windows(2) {
+        fb.extend(&rest[piece[0]..piece[1]]);
+        loop {
+            let frame = pop(&mut fb).and_then(|frame| {
+                frame
+                    .map(|frame| request::<Tokens>(peer, frame, |token| token))
+                    .transpose()
+            });
+            match frame {
+                Ok(Some(msg)) => delivered.push(describe(msg)),
+                Ok(None) => break,
+                Err(reason) => return (delivered, Some(reason)),
+            }
+        }
+    }
+    (delivered, None)
+}
+
+proptest! {
+    #[test]
+    fn connection_bytes_mean_the_same_however_they_are_cut(
+        (who, frames, tail) in (
+            0u8..3,
+            proptest::collection::vec((0u8..12, proptest::collection::vec(0u8..=255, 0..40)), 0..8),
+            proptest::collection::vec(0u8..=255, 0..12),
+        ),
+        (garbage, cuts) in (
+            proptest::collection::vec(0u8..=255, 12..13),
+            proptest::collection::vec(0..usize::MAX, 0..8),
+        ),
+    ) {
+        let mut bytes = match who {
+            0 => encode_hello(&conn::hello(PeerKind::Client, DpId(1))).to_vec(),
+            1 => encode_hello(&conn::hello(PeerKind::Dp, DpId(1))).to_vec(),
+            _ => garbage,
+        };
+        for (kind, payload) in &frames {
+            bytes.extend_from_slice(encode_frame(*kind, payload).as_ref());
+        }
+        bytes.extend_from_slice(&tail);
+        let whole = accept(&bytes, &[]);
+        prop_assert_eq!(accept(&bytes, &cuts), whole.clone());
+        let bytewise: Vec<usize> = (0..bytes.len()).collect();
+        prop_assert_eq!(accept(&bytes, &bytewise), whole);
     }
 }

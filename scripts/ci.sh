@@ -123,6 +123,14 @@ echo "==> channels wake only a parked thread: no always-notify condvar in the cr
 { ! grep -n 'Condvar' vendor/crossbeam/src/lib.rs; } \
   || { echo "ci.sh: a condvar is back in the channel stand-in (lines above)"; exit 1; }
 
+echo "==> one handshake, one frame reader: the socket runtime's connection edge is clusterd::conn"
+# The hello exchange, its deadlines and frame reassembly live in one module
+# that the acceptor, the peer sender and the client all call; a hello coded
+# by hand or a second read loop is the triplicate growing back.
+{ ! grep -rnE 'encode_hello|decode_hello|FrameBuf::new|set_read_timeout' crates/clusterd/src \
+      | grep -v '^crates/clusterd/src/conn.rs:'; } \
+  || { echo "ci.sh: a second handshake or frame reader in clusterd (lines above)"; exit 1; }
+
 echo "==> perf/ builds against the workspace crates (the benchmark is its own workspace)"
 cargo build --release --offline --manifest-path perf/Cargo.toml
 # An offline build rewrites perf's lock file; perf/** is not this tree's to change.
