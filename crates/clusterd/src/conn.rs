@@ -1,5 +1,5 @@
 //! The connection edge: everything a `clusterd` socket does between
-//! `connect`/`accept` and the mailbox, for all three of its users — the
+//! `connect`/`accept` and the node's step, for all three of its users — the
 //! acceptor (`server`), the peer flood sender (`peer`) and the client.
 //!
 //! * `open` runs the 12-byte hello exchange in the role's order: the
@@ -11,8 +11,8 @@
 //!   fails a write instead of wedging the thread that writes to it.
 //!   `dial` connects under the handshake deadline, then opens.
 //! * `Conn::next` is the one frame reader, blocking or until a deadline.
-//! * [`request`] turns one inbound frame into what the node's mailbox
-//!   gets.
+//! * [`request`] turns one inbound frame into the message the node is
+//!   stepped with.
 //!
 //! Every way a connection ends is a [`CloseReason`]. Those decided by the
 //! bytes alone come from the pure [`check_hello`], [`pop`] and
@@ -124,10 +124,10 @@ pub fn pop(fb: &mut FrameBuf) -> Result<Option<(u8, Bytes)>, CloseReason> {
     fb.next_frame().map_err(|_| CloseReason::BadLength)
 }
 
-/// What the mailbox gets for one frame from a `peer` kind of far end. A
-/// query or stats request is answered through `reply(token)`: the query's
-/// job id, or 0 for stats. `SHUTDOWN` is a close: the caller passes the
-/// node [`NodeMsg::Shutdown`] and ends the connection.
+/// What the node is stepped with for one frame from a `peer` kind of far
+/// end. A query or stats request is answered through `reply(token)`: the
+/// query's job id, or 0 for stats. `SHUTDOWN` is a close: the caller steps
+/// the node with [`NodeMsg::Shutdown`] and ends the connection.
 pub fn request<T: Transport<Peers = Vec<(DpId, String)>>>(
     peer: PeerKind,
     (kind, payload): (u8, Bytes),

@@ -11,15 +11,15 @@
 //!
 //! ## Shape
 //!
-//! * [`server`] — one decision point as a TCP server: an accept loop,
-//!   thread-per-connection readers feeding one mailbox, and the TCP
-//!   transport under [`dpstore::mailbox::node_loop`] — the loop
-//!   `digruber::live` runs too — which owns the [`dpnode::DpNode`] and
-//!   its `dpstore::FileStore` WAL.
+//! * [`server`] — one decision point as a TCP server: an accept loop and
+//!   thread-per-connection readers that step a [`dpstore::mailbox::Point`]
+//!   — the step `digruber::live` runs too, which owns the
+//!   [`dpnode::DpNode`] and its `dpstore::FileStore` WAL — behind one
+//!   lock, over the TCP transport.
 //! * [`conn`] — the connection edge the server, `peer` and [`client`]
 //!   share: the hello exchange for both roles, the handshake and write
-//!   deadlines, the one frame reader, the frame → mailbox message
-//!   mapping, and the [`conn::CloseReason`] every connection ends with.
+//!   deadlines, the one frame reader, the frame → `NodeMsg` mapping, and
+//!   the [`conn::CloseReason`] every connection ends with.
 //! * `peer` (internal) — per-peer flood senders with lazy connect and
 //!   reconnect-with-backoff (`simnet::retry` policies on real sleeps);
 //!   a send that exhausts its budget requeues into the next sync round.
@@ -36,9 +36,9 @@
 //!
 //! ## Guarantees
 //!
-//! The node loop is the only thread touching the node, and each
-//! connection's frames reach it in FIFO order — the same per-link
-//! ordering the simulator and thread drivers provide. That is why
+//! The point's lock orders every state change, and each connection's
+//! frames are stepped in FIFO order — the same per-link ordering the
+//! simulator and thread drivers provide. That is why
 //! `tests/sim_live_equivalence.rs` can demand byte-identical flood
 //! hashes across all three interactive drivers, crash-and-WAL-recovery
 //! included. A crashed process (`exit(9)`, no goodbye) recovers by

@@ -8,18 +8,18 @@
 //! with a real timeout (`recv_timeout`), mirroring the paper's client
 //! behaviour.
 //!
-//! Each thread runs [`dpstore::mailbox::node_loop`] — the loop the socket
-//! runtime (`clusterd`) runs too; that module is the home of how a
-//! wall-clock runtime hosts a node. What is this module's own is the
-//! channel [`Transport`] (a reply is a `Sender`, a peer is another
-//! thread's mailbox) and [`LiveCluster`], the in-process harness around
-//! it: start, query/inform, crash/restore, shutdown. The pool is fixed;
+//! Each thread runs [`dpstore::mailbox::node_loop`], a loop of the
+//! `Point::step` the socket runtime (`clusterd`) runs too; that module is
+//! the home of how a wall-clock runtime hosts a node. What is this
+//! module's own is the channel [`Transport`] (a reply is a `Sender`, a
+//! peer is another thread's mailbox) and [`LiveCluster`], the in-process
+//! harness around it: start, query/inform, crash/restore, shutdown. The pool is fixed;
 //! the one join/leave path is desim's (`core::elastic`).
 //! `tests/sim_live_equivalence.rs` holds the proof obligation that sim
 //! and live behaviour are identical.
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use dpstore::mailbox::{self, node_loop, Answer, Transport};
+use dpstore::mailbox::{self, node_loop, Answer, Point, Transport};
 use dpstore::{Blueprint, NodeHost, SimStore, SnapshotPolicy, WireInput};
 use gruber::DispatchRecord;
 use gruber_types::{ClientId, DpId, SimTime, SiteSpec};
@@ -160,20 +160,20 @@ impl LiveCluster {
                     Blueprint::paper_mesh(DpId(i as u32), sites, uslas, persist.is_some());
                 // With `persist` the thread owns a store that outlives
                 // crashed node instances.
-                let mut host = NodeHost::new(
+                let host = NodeHost::new(
                     blueprint,
                     persist.map(|_| SimStore::new()),
                     SnapshotPolicy::records(persist.unwrap_or(0)),
                     recorder.clone(),
                     SimTime::ZERO,
                 );
-                let mut channels = Channels {
+                let channels = Channels {
                     peers: senders.clone(),
                 };
-                let recorder = recorder.clone();
+                let mut point = Point::new(host, channels, recorder.clone(), epoch);
                 let handle = std::thread::Builder::new()
                     .name(format!("dp-{i}"))
-                    .spawn(move || node_loop(&mut host, &receiver, &mut channels, &recorder, epoch))
+                    .spawn(move || node_loop(&mut point, &receiver))
                     .expect("spawn dp thread");
                 DpThread { sender, handle }
             })

@@ -1,6 +1,6 @@
 //! How a runtime hosts a decision point: durable storage for its state
 //! (write-ahead log + snapshots) behind [`NodeHost`], and the [`mailbox`]
-//! node loop the two wall-clock runtimes run around that host.
+//! step the two wall-clock runtimes run around that host.
 //!
 //! DI-GRUBER's decision points originally tolerated crashes only by
 //! rejoining the exchange mesh empty and waiting for the next sync round

@@ -7,7 +7,7 @@
 use bytes::Bytes;
 use crossbeam::channel::unbounded;
 use dpnode::{Dissemination, NodeConfig, Topology};
-use dpstore::mailbox::{node_loop, Answer, DpStats, NodeMsg, Transport};
+use dpstore::mailbox::{node_loop, Answer, DpStats, NodeMsg, Point, Transport};
 use dpstore::{Blueprint, NodeHost, SimStore, SnapshotPolicy, WireInput};
 use gruber::DispatchRecord;
 use gruber_types::{DpId, GroupId, JobId, SimTime, SiteId, SiteSpec, VoId};
@@ -94,9 +94,13 @@ fn run(host: &mut NodeHost<SimStore>, script: Vec<Msg>) -> (Recording, DpStats) 
     for msg in script.into_iter().chain([Msg::Shutdown]) {
         assert!(tx.send(msg).is_ok(), "the receiver is alive");
     }
-    let mut transport = Recording::default();
-    let stats = node_loop(host, &rx, &mut transport, &Recorder::OFF, Instant::now());
-    (transport, stats)
+    // The point owns its host: lend it `host` for the run, then take it back.
+    let taken = std::mem::replace(host, self::host(false));
+    let transport = Recording::default();
+    let mut point = Point::new(taken, transport, Recorder::OFF, Instant::now());
+    let stats = node_loop(&mut point, &rx);
+    *host = point.host;
+    (point.transport, stats)
 }
 
 #[test]

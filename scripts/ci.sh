@@ -54,15 +54,19 @@ for f in crates/core/src/world.rs crates/core/src/events.rs crates/core/src/run.
     || { echo "ci.sh: a HashMap grew back in $f (lines above)"; exit 1; }
 done
 
-echo "==> one mailbox node loop: the thread and socket runtimes only supply a Transport"
-# dpstore::mailbox::node_loop is the one interpreter of `Routed` both
-# wall-clock runtimes run; a second loop, a second per-point stats struct
-# or a `match` on `Routed::` in either runtime is the fork growing back.
+echo "==> one step: the thread and socket runtimes only supply a Transport, and sockets have no mailbox"
+# dpstore::mailbox::Point::step is the one interpreter of `NodeMsg` and
+# `Routed` both wall-clock runtimes run (threads loop it over a mailbox in
+# node_loop; socket readers, the ticker and peer senders step it under one
+# lock); a second loop, a second per-point stats struct or a `match` on
+# `Routed::` in either runtime is the fork growing back. A clusterd node
+# loop or a channel of NodeMsg is the mailbox hop per query growing back.
 { ! grep -rn 'Routed::' crates/core/src/live.rs crates/clusterd/src \
   && ! grep -rn 'fn node_loop\|fn dp_main' --include=*.rs crates tests examples src \
       | grep -v '^crates/dpstore/src/mailbox.rs:' \
+  && ! grep -rn 'node_loop\|NodeMsg<Tcp>>\|unbounded::<NodeMsg' crates/clusterd/src \
   && [ "$(grep -rn 'pub struct .*DpStats' --include=*.rs crates src | grep -vc '^crates/dpnode/')" -eq 1 ]; } \
-  || { echo "ci.sh: a second node loop, Routed interpreter or DpStats struct (lines above)"; exit 1; }
+  || { echo "ci.sh: a second node loop, Routed interpreter, DpStats struct or socket mailbox (lines above)"; exit 1; }
 
 echo "==> one stopwatch: crates/bench reads no clock and no /proc (timing and memory are perf/'s)"
 # Every BENCH_*.json is diffed byte-for-byte below; a wall-clock or RSS
