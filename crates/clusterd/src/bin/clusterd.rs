@@ -12,8 +12,8 @@
 use clusterd::{config, harness, Server, ServerConfig, SpawnOpts};
 use gruber_types::{DpId, SimTime};
 use obs::{Recorder, TraceConfig};
-use parking_lot::Mutex;
 use std::path::PathBuf;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use workload::uslas::equal_shares;
 

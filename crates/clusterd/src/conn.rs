@@ -125,30 +125,28 @@ pub fn pop(fb: &mut FrameBuf) -> Result<Option<(u8, Bytes)>, CloseReason> {
 }
 
 /// What the node is stepped with for one frame from a `peer` kind of far
-/// end. A query or stats request is answered through `reply(token)`: the
-/// query's job id, or 0 for stats. `SHUTDOWN` is a close: the caller steps
-/// the node with [`NodeMsg::Shutdown`] and ends the connection.
+/// end, and the token its answer's frame carries: a query's job id, 0 for
+/// every other request. `SHUTDOWN` is a close: the caller ends the point
+/// and the connection.
 pub fn request<T: Transport<Peers = Vec<(DpId, String)>>>(
     peer: PeerKind,
     (kind, payload): (u8, Bytes),
-    reply: impl FnOnce(u32) -> T::Reply,
-) -> Result<NodeMsg<T>, CloseReason> {
+) -> Result<(NodeMsg<T>, u32), CloseReason> {
     use crate::proto::*;
     Ok(match (peer, kind) {
-        (PeerKind::Dp, FRAME_RECORDS) => NodeMsg::Wire(WireInput::PeerRecords(payload)),
+        (PeerKind::Dp, FRAME_RECORDS) => (NodeMsg::Wire(WireInput::PeerRecords(payload)), 0),
         (PeerKind::Client, FRAME_QUERY) => {
             let req = decode_query(payload).map_err(|_| CloseReason::MalformedQuery)?;
-            NodeMsg::Query {
-                reply: reply(req.job.0),
-            }
+            (NodeMsg::Query, req.job.0)
         }
-        (PeerKind::Client, FRAME_INFORM) => NodeMsg::Wire(WireInput::Inform(payload)),
-        (PeerKind::Client, FRAME_SYNC) => NodeMsg::SyncTick,
+        (PeerKind::Client, FRAME_INFORM) => (NodeMsg::Wire(WireInput::Inform(payload)), 0),
+        (PeerKind::Client, FRAME_SYNC) => (NodeMsg::SyncTick, 0),
         (PeerKind::Client, FRAME_PEERS) => {
-            NodeMsg::Peers(decode_peers(payload).map_err(|_| CloseReason::MalformedPeers)?)
+            let peers = decode_peers(payload).map_err(|_| CloseReason::MalformedPeers)?;
+            (NodeMsg::Peers(peers), 0)
         }
-        (PeerKind::Client, FRAME_STATS) => NodeMsg::Stats { reply: reply(0) },
-        (PeerKind::Client, FRAME_CRASH) => NodeMsg::Crash,
+        (PeerKind::Client, FRAME_STATS) => (NodeMsg::Stats, 0),
+        (PeerKind::Client, FRAME_CRASH) => (NodeMsg::Crash, 0),
         (PeerKind::Client, FRAME_SHUTDOWN) => return Err(CloseReason::Shutdown),
         // Kinds are numbered densely, 0 through SHUTDOWN.
         (_, kind) if kind > FRAME_SHUTDOWN => return Err(CloseReason::UnknownFrame(kind)),
@@ -243,16 +241,13 @@ impl Conn {
 mod tests {
     use super::*;
     use crate::proto::*;
-    use dpstore::mailbox::Answer;
     use simnet::codec::{encode_query, MAX_FRAME_BODY};
 
-    /// A transport whose reply handle is the request's token.
+    /// A transport with the socket runtime's peer table.
     struct Tokens;
 
     impl Transport for Tokens {
-        type Reply = u32;
         type Peers = Vec<(DpId, String)>;
-        fn reply(&mut self, _: u32, _: Answer) {}
         fn flood(&mut self, _: usize, _: &Bytes) {}
         fn set_peers(&mut self, _: Self::Peers) {}
         fn n_dps(&self) -> usize {
@@ -260,16 +255,16 @@ mod tests {
         }
     }
 
-    fn to_mailbox(
+    fn to_step(
         peer: PeerKind,
         kind: u8,
         payload: &[u8],
-    ) -> Result<NodeMsg<Tokens>, CloseReason> {
-        request(peer, (kind, Bytes::copy_from_slice(payload)), |token| token)
+    ) -> Result<(NodeMsg<Tokens>, u32), CloseReason> {
+        request(peer, (kind, Bytes::copy_from_slice(payload)))
     }
 
     fn closes(peer: PeerKind, kind: u8, payload: &[u8]) -> Option<CloseReason> {
-        to_mailbox(peer, kind, payload).err()
+        to_step(peer, kind, payload).err()
     }
 
     fn wire(h: &Hello) -> [u8; Hello::WIRE_LEN] {
@@ -404,29 +399,29 @@ mod tests {
     }
 
     #[test]
-    fn every_other_request_reaches_the_mailbox() {
+    fn every_other_request_is_stepped() {
         use PeerKind::{Client, Dp};
         let table = vec![(DpId(2), "h:1".to_string())];
         let peers = encode_peers(&table).to_vec();
-        let ok = |peer, kind, payload: &[u8]| to_mailbox(peer, kind, payload).expect("a request");
+        let ok = |peer, kind, payload: &[u8]| to_step(peer, kind, payload).expect("a request");
         assert!(matches!(
             ok(Client, FRAME_QUERY, &query_payload(5)),
-            NodeMsg::Query { reply: 5 }
+            (NodeMsg::Query, 5)
         ));
+        assert!(matches!(ok(Client, FRAME_STATS, &[]), (NodeMsg::Stats, 0)));
+        assert!(matches!(ok(Client, FRAME_SYNC, &[]), (NodeMsg::SyncTick, 0)));
+        assert!(matches!(ok(Client, FRAME_CRASH, &[]), (NodeMsg::Crash, 0)));
         assert!(matches!(
-            ok(Client, FRAME_STATS, &[]),
-            NodeMsg::Stats { reply: 0 }
+            ok(Client, FRAME_PEERS, &peers),
+            (NodeMsg::Peers(got), 0) if got == table
         ));
-        assert!(matches!(ok(Client, FRAME_SYNC, &[]), NodeMsg::SyncTick));
-        assert!(matches!(ok(Client, FRAME_CRASH, &[]), NodeMsg::Crash));
-        assert!(matches!(ok(Client, FRAME_PEERS, &peers), NodeMsg::Peers(got) if got == table));
         assert!(matches!(
             ok(Client, FRAME_INFORM, b"inform"),
-            NodeMsg::Wire(WireInput::Inform(bytes)) if bytes.as_ref() == b"inform"
+            (NodeMsg::Wire(WireInput::Inform(bytes)), 0) if bytes.as_ref() == b"inform"
         ));
         assert!(matches!(
             ok(Dp, FRAME_RECORDS, b"records"),
-            NodeMsg::Wire(WireInput::PeerRecords(bytes)) if bytes.as_ref() == b"records"
+            (NodeMsg::Wire(WireInput::PeerRecords(bytes)), 0) if bytes.as_ref() == b"records"
         ));
     }
 }

@@ -20,10 +20,10 @@ use crate::proto::ClusterDpStats;
 use dpstore::{mailbox, RunStats};
 use gruber::DispatchRecord;
 use gruber_types::{ClientId, DpId};
-use parking_lot::Mutex;
 use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// What each spawned decision point serves (mirrors the binary's flags).
@@ -130,38 +130,38 @@ impl LocalCluster {
     pub fn broadcast_peers(&self) -> std::io::Result<()> {
         let table = self.peer_table();
         for c in &self.clients {
-            c.lock().set_peers(&table)?;
+            locked(c).set_peers(&table)?;
         }
         Ok(())
     }
 
     /// Availability query against point `dp`.
     pub fn query(&self, dp: DpId, timeout: Duration) -> std::io::Result<Option<Vec<u32>>> {
-        self.clients[dp.index()].lock().query(timeout)
+        locked(&self.clients[dp.index()]).query(timeout)
     }
 
     /// Informs point `dp` of a dispatch decision.
     pub fn inform(&self, dp: DpId, record: &DispatchRecord) -> std::io::Result<()> {
-        self.clients[dp.index()].lock().inform(record)
+        locked(&self.clients[dp.index()]).inform(record)
     }
 
     /// Forces a sync round on every point.
     pub fn force_sync(&self) -> std::io::Result<()> {
         for c in &self.clients {
-            c.lock().sync()?;
+            locked(c).sync()?;
         }
         Ok(())
     }
 
     /// Stats snapshot of point `dp`.
     pub fn stats(&self, dp: DpId, timeout: Duration) -> std::io::Result<ClusterDpStats> {
-        self.clients[dp.index()].lock().stats(timeout)
+        locked(&self.clients[dp.index()]).stats(timeout)
     }
 
     /// Hard-crashes point `dp` (`exit(9)`) and reaps the process. The
     /// point stays down until [`LocalCluster::respawn`].
     pub fn crash(&mut self, dp: DpId) -> std::io::Result<()> {
-        let _ = self.clients[dp.index()].lock().crash();
+        let _ = locked(&self.clients[dp.index()]).crash();
         let status = self.children[dp.index()].wait()?;
         let mut rest = String::new();
         let _ = self.stdouts[dp.index()].read_to_string(&mut rest);
@@ -191,7 +191,7 @@ impl LocalCluster {
     /// processes. Errors if any child exits nonzero.
     pub fn shutdown(mut self) -> std::io::Result<()> {
         for c in &self.clients {
-            let _ = c.lock().shutdown();
+            let _ = locked(c).shutdown();
         }
         for (i, mut child) in self.children.drain(..).enumerate() {
             let mut report = String::new();
@@ -265,6 +265,12 @@ fn spawn_dp(
         })?
         .to_string();
     Ok((child, reader, addr))
+}
+
+/// A point's client, locked for one request.
+fn locked(client: &Mutex<ClusterClient>) -> MutexGuard<'_, ClusterClient> {
+    // Poisoned only if a request panicked mid-frame: the stream is unusable.
+    client.lock().expect("client lock")
 }
 
 /// Drives [`mailbox::drive_workload`]'s closed-loop clients against the

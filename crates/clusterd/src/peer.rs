@@ -25,7 +25,6 @@
 use crate::conn::{self, Conn};
 use crate::server::Node;
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
 use desim::DetRng;
 use dpstore::NodeMsg;
 use gruber_types::DpId;
@@ -34,6 +33,7 @@ use simnet::codec::PeerKind;
 use simnet::RetryPolicy;
 use std::io::Write;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -48,9 +48,9 @@ pub(crate) enum PeerMsg {
 }
 
 /// Spawns the sender thread for peer `to` of decision point `me`. It ends
-/// once `node` has stepped `Shutdown`, which drops the transport and with
-/// it every sender of `rx`: when it has sent what is queued, or at the
-/// first send that fails.
+/// once `node` has ended, which drops the transport and with it every
+/// sender of `rx`: when it has sent what is queued, or at the first send
+/// that fails.
 pub(crate) fn spawn(
     me: DpId,
     to: DpId,

@@ -95,7 +95,7 @@ pub fn decode_peers(buf: Bytes) -> Result<Vec<(DpId, String)>, GridError> {
 }
 
 /// The statistics a `STATS` frame carries: the one per-point stats
-/// struct of the mailbox runtimes, under the name this crate has always
+/// struct of the wall-clock runtimes, under the name this crate has always
 /// exported it by.
 pub use dpstore::DpStats as ClusterDpStats;
 

@@ -1,11 +1,10 @@
 //! One decision point as a TCP server: accept loop, per-connection
-//! readers, and the TCP [`Transport`] of a [`Point`] behind one lock.
+//! readers, and the TCP [`Transport`] of a [`SharedPoint`].
 //!
 //! There is no node thread and no mailbox. The point is a
-//! [`dpstore::mailbox::Point`] — the step `digruber::live`'s threads run
+//! [`dpstore::mailbox::SharedPoint`] — the host `digruber::live` uses
 //! too (that module is the home of how a wall-clock runtime hosts a
-//! node) — behind one lock, and every source of input steps it on its
-//! own thread:
+//! node) — and every source of input steps it on its own thread:
 //!
 //! * the **accept loop** takes connections and spawns a reader per
 //!   connection;
@@ -14,21 +13,21 @@
 //!   reads the next, until the connection ends with a [`CloseReason`]. A
 //!   client's informs therefore precede the sync control frame it sends
 //!   afterwards, and a client that sends faster than the point answers
-//!   is held back by TCP. A query or stats reply is parked by the `Tcp`
-//!   transport as a frame; the reader takes it before the lock is
-//!   released and writes it after, under the connection's write
-//!   deadline, so a client that stops reading holds only its own reader
-//!   and then loses its connection;
+//!   is held back by TCP. A query or stats step returns its answer; the
+//!   reader encodes it with the request's token and writes it after the
+//!   lock is released, under the connection's write deadline, so a client
+//!   that stops reading holds only its own reader and then loses its
+//!   connection;
 //! * the **ticker** steps each sync round; floods are cut to frame size
 //!   and queued to the per-peer senders without blocking;
 //! * **peer senders** (the `peer` module) own outbound flood connections
 //!   and their reconnect-with-backoff lifecycle, and step a flood they
 //!   give up on back in.
 //!
-//! The lock's order is the order of every state change. `Shutdown` (a
-//! `SHUTDOWN` frame or [`Server::stop`]) is the last step: every later
-//! one is refused. A step that panics stops the point too: every later
-//! step is refused, and [`Server::join`] panics instead of waiting.
+//! The lock's order is the order of every state change. A shutdown (a
+//! `SHUTDOWN` frame or [`Server::stop`]) ends the point: every later step
+//! is refused. A step that panics ends it too: every later step is
+//! refused, and [`Server::join`] panics instead of waiting.
 //!
 //! Every protocol decision — what to flood, what merges, admission —
 //! happens inside [`dpnode::DpNode`]; this file is transport glue, which
@@ -40,8 +39,7 @@ use crate::conn::{self, CloseReason, Role};
 use crate::peer::{self, PeerMsg};
 use crate::proto::{self, ClusterDpStats};
 use bytes::{BufMut, Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Sender};
-use dpstore::mailbox::{self, Answer, NodeMsg, Point, Transport};
+use dpstore::mailbox::{self, Answer, NodeMsg, Point, SharedPoint, Transport};
 use dpstore::{Blueprint, FileStore, NodeHost, SnapshotPolicy};
 use gruber_types::{DispatchRecord, DpId};
 use obs::Recorder;
@@ -49,34 +47,21 @@ use simnet::codec::{encode_frame, PeerKind, MAX_FRAME_BODY};
 use std::convert::Infallible;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// The TCP transport: a reply is parked as a frame for the requester's
-/// reader to take and write, a flood is frame-sized chunks queued on the
-/// peer's sender thread (`None` at this point's own index), which owns
+/// The TCP transport: a flood is frame-sized chunks queued on the peer's
+/// sender thread (`None` at this point's own index), which owns
 /// connect/backoff and steps [`NodeMsg::FloodFailed`] when it gives up.
 pub(crate) struct Tcp {
     peers: Vec<Option<Sender<PeerMsg>>>,
-    parked: Option<Bytes>,
 }
 
 impl Transport for Tcp {
-    /// The request's correlation token: a query's job id, echoed into its
-    /// reply; 0 for a stats request, whose reply carries none.
-    type Reply = u32;
     type Peers = Vec<(DpId, String)>;
-
-    fn reply(&mut self, token: u32, answer: Answer) {
-        let (kind, payload) = match answer {
-            Answer::Free(free) => (proto::FRAME_QUERY_REPLY, proto::encode_free(token, &free)),
-            Answer::Stats(stats) => (proto::FRAME_STATS_REPLY, proto::encode_stats(&stats)),
-        };
-        self.parked = Some(encode_frame(kind, payload.as_ref()));
-    }
 
     fn flood(&mut self, peer: usize, records: &Bytes) {
         if let Some(Some(tx)) = self.peers.get(peer) {
@@ -99,47 +84,17 @@ impl Transport for Tcp {
     }
 }
 
-/// The point behind its one lock, which every source of input steps.
-pub(crate) struct Node {
-    /// `Err` once `Shutdown` has been stepped: the final statistics.
-    point: Mutex<Result<Point<FileStore, Tcp>, ClusterDpStats>>,
-    /// Notified when `Shutdown` is stepped.
-    shut: Condvar,
-    /// Set when `Shutdown` is stepped: the accept loop, the ticker and
-    /// the peer senders stop.
-    pub(crate) stop: Arc<AtomicBool>,
-}
+/// The point every source of input steps.
+pub(crate) type Node = SharedPoint<FileStore, Tcp>;
 
-impl Node {
-    /// Steps `msg`; returns the reply it parked, for the caller to write
-    /// after the lock is released. Refused once `Shutdown` has been
-    /// stepped — and after a step panicked: `std`'s lock poisons, so a
-    /// half-stepped host serves nobody.
-    pub(crate) fn step(&self, msg: NodeMsg<Tcp>) -> Option<Bytes> {
-        let mut slot = self.point.lock().ok()?;
-        let point = slot.as_mut().ok()?;
-        let stepped = catch_unwind(AssertUnwindSafe(|| point.step(msg)));
-        if let Ok(true) = stepped {
-            return point.transport.parked.take();
-        }
-        // `Shutdown` or a panic: the point's threads stop and `join` wakes.
-        // A panic goes on unwinding, so the lock poisons and `join` meets
-        // the poison.
-        self.stop.store(true, Ordering::Relaxed);
-        self.shut.notify_all();
-        let stats = stepped.map(|_| point.stats()).unwrap_or_else(|p| resume_unwind(p));
-        // Dropping the transport disconnects the peer senders' queues.
-        *slot = Err(stats);
-        None
-    }
-
-    /// Waits until `Shutdown` has been stepped; the final statistics.
-    /// Panics if a step panicked.
-    fn final_stats(&self) -> ClusterDpStats {
-        let slot = (self.point.lock()).and_then(|p| self.shut.wait_while(p, |p| p.is_ok()));
-        let stats = slot.expect("a step panicked").as_ref().err().copied();
-        stats.expect("waited until Shutdown was stepped")
-    }
+/// The frame that carries `answer` back to a client: a query's reply
+/// echoes the request's `token` (its job id); a stats reply carries none.
+fn reply_frame(token: u32, answer: Answer) -> Bytes {
+    let (kind, payload) = match answer {
+        Answer::Free(free) => (proto::FRAME_QUERY_REPLY, proto::encode_free(token, &free)),
+        Answer::Stats(stats) => (proto::FRAME_STATS_REPLY, proto::encode_stats(&stats)),
+    };
+    encode_frame(kind, payload.as_ref())
 }
 
 /// A running socket decision point. Dropping the handle does not stop the
@@ -176,19 +131,14 @@ impl Server {
         let listener = TcpListener::bind(&cfg.listen)?;
         let local_addr = listener.local_addr()?;
         let queues: Vec<_> = (0..cfg.n_dps)
-            .map(|j| (j != cfg.id.index()).then(unbounded::<PeerMsg>))
+            .map(|j| (j != cfg.id.index()).then(channel::<PeerMsg>))
             .collect();
         let peers = queues.iter().map(|q| q.as_ref().map(|(tx, _)| tx.clone()));
         let mut tcp = Tcp {
             peers: peers.collect(),
-            parked: None,
         };
         tcp.set_peers(cfg.peers.clone());
-        let node = Arc::new(Node {
-            point: Mutex::new(Ok(Point::new(host, tcp, recorder.clone(), epoch))),
-            shut: Condvar::new(),
-            stop: Arc::new(AtomicBool::new(false)),
-        });
+        let node = Arc::new(Node::new(Point::new(host, tcp, recorder.clone(), epoch)));
 
         let mut threads: Vec<_> = (queues.into_iter().enumerate())
             .filter_map(|(j, queue)| {
@@ -227,15 +177,15 @@ impl Server {
 
     /// Requests a clean shutdown (same as a `shutdown` control frame).
     pub fn stop(&self) {
-        self.node.step(NodeMsg::Shutdown);
+        self.node.shutdown();
     }
 
-    /// Blocks until `Shutdown` has been stepped (a `shutdown` control
-    /// frame or [`Server::stop`]), joins the accept loop, the ticker and
+    /// Blocks until the point has ended (a `shutdown` control frame or
+    /// [`Server::stop`]), joins the accept loop, the ticker and
     /// the peer senders, and returns the point's final statistics. Panics
     /// if a step panicked.
     pub fn join(self) -> ClusterDpStats {
-        let stats = self.node.final_stats();
+        let stats = self.node.join().expect("a step panicked");
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         for thread in self.threads {
@@ -275,20 +225,20 @@ fn serve_conn(
         let Some(frame) = link.next(None)? else {
             continue;
         };
-        match conn::request(theirs.kind, frame, |token| token) {
+        match conn::request(theirs.kind, frame) {
             // A hard crash: no trace flush, no WAL fsync beyond what
             // already happened, no goodbye. The respawned process proves
             // recovery works.
-            Ok(NodeMsg::Crash) if allow_exit => std::process::exit(9),
-            Ok(msg) => {
-                if let Some(reply) = node.step(msg) {
+            Ok((NodeMsg::Crash, _)) if allow_exit => std::process::exit(9),
+            Ok((msg, token)) => {
+                if let Some(answer) = node.step(msg) {
                     // A missed write deadline leaves a half-written
                     // frame: the connection ends.
-                    link.stream().write_all(reply.as_ref())?;
+                    link.stream().write_all(reply_frame(token, answer).as_ref())?;
                 }
             }
             Err(CloseReason::Shutdown) => {
-                node.step(NodeMsg::Shutdown);
+                node.shutdown();
                 return Err(CloseReason::Shutdown);
             }
             Err(reason) => return Err(reason),
@@ -319,55 +269,4 @@ fn frame_sized(records: &Bytes) -> Vec<Bytes> {
             buf.freeze()
         })
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dpstore::Store;
-    use gruber_types::SimTime;
-    use std::time::Duration;
-
-    /// A step that panics ends the point: a `join` already waiting for
-    /// `Shutdown` wakes and panics too, instead of waiting for a step that
-    /// no thread will take, and no later step is taken.
-    #[test]
-    fn a_panicking_step_ends_the_point() {
-        let dir = std::env::temp_dir().join(format!("clusterd-panic-{}", std::process::id()));
-        let mut store = FileStore::open(&dir).expect("store");
-        // A snapshot that does not decode: restoring from it panics.
-        store.write_snapshot(&[0xFF; 8]);
-        let sites = crate::uniform_sites(4, 16).into();
-        let uslas = Arc::new(workload::uslas::equal_shares(2, 2).unwrap());
-        let blueprint = Blueprint::paper_mesh(DpId(0), sites, uslas, true);
-        let policy = SnapshotPolicy::records(0);
-        let host = NodeHost::new(blueprint, Some(store), policy, Recorder::OFF, SimTime::ZERO);
-        let tcp = Tcp {
-            peers: vec![None],
-            parked: None,
-        };
-        let node = Arc::new(Node {
-            point: Mutex::new(Ok(Point::new(host, tcp, Recorder::OFF, Instant::now()))),
-            shut: Condvar::new(),
-            stop: Arc::new(AtomicBool::new(false)),
-        });
-
-        let waiting = Arc::clone(&node);
-        let join = std::thread::spawn(move || waiting.final_stats());
-        std::thread::sleep(Duration::from_millis(100));
-        let stepping = Arc::clone(&node);
-        let step = std::thread::spawn(move || stepping.step(NodeMsg::Restore));
-        assert!(step.join().is_err(), "restoring an undecodable snapshot");
-
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !join.is_finished() {
-            assert!(Instant::now() < deadline, "join still waits after a step panicked");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(join.join().is_err(), "join returned stats from a panicked point");
-        assert!(node.stop.load(Ordering::Relaxed));
-        let stats = node.step(NodeMsg::Stats { reply: 0 });
-        assert!(stats.is_none(), "a panicked point answered");
-        let _ = std::fs::remove_dir_all(dir);
-    }
 }

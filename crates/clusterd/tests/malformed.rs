@@ -16,7 +16,7 @@ use clusterd::proto::{
     ClusterDpStats,
 };
 use dpnode::{Dissemination, DpNode, FloodPayload, Input, NodeConfig, Topology, WalOp};
-use dpstore::mailbox::{Answer, NodeMsg, Transport};
+use dpstore::mailbox::{NodeMsg, Transport};
 use dpstore::{FileStore, Store, WireInput};
 use gruber_types::{
     ClientId, DispatchRecord, DpId, GridError, GroupId, JobId, SimTime, SiteId, SiteSpec, VoId,
@@ -166,12 +166,20 @@ proptest! {
         })?;
     }
 
+    /// What a node merges of a flood, which it reads record by record off
+    /// the bytes: all of it, or nothing and one decode failure.
     #[test]
     fn flood_payload((garbage, flip) in hostile()) {
         let valid = encode_deltas(&[record(1), record(2)]);
         refuses_hostile_input(valid.as_ref(), 2, &[0..4], 36, (&garbage, flip), |b| {
+            let mut node = persisting_node();
             let payload = FloodPayload::from_wire(Bytes::copy_from_slice(b));
-            payload.decode().map(|records| records.len())
+            node.handle(SimTime::ZERO, Input::PeerRecords(payload), &mut Vec::new());
+            let s = node.stats();
+            let decoded = iter_deltas(b).map(|records| records.len());
+            let refused = (s.decode_failures, s.floods_merged, s.records_merged) == (1, 0, 0);
+            assert_eq!(decoded.is_err(), refused, "{s:?}");
+            decoded.map(|_| s.records_merged as usize)
         })?;
     }
 
@@ -303,13 +311,11 @@ proptest! {
     }
 }
 
-/// A transport whose reply handle is the request's token.
+/// A transport with the socket runtime's peer table.
 struct Tokens;
 
 impl Transport for Tokens {
-    type Reply = u32;
     type Peers = Vec<(DpId, String)>;
-    fn reply(&mut self, _: u32, _: Answer) {}
     fn flood(&mut self, _: usize, _: &Bytes) {}
     fn set_peers(&mut self, _: Self::Peers) {}
     fn n_dps(&self) -> usize {
@@ -317,23 +323,23 @@ impl Transport for Tokens {
     }
 }
 
-fn describe(msg: NodeMsg<Tokens>) -> String {
+fn describe((msg, token): (NodeMsg<Tokens>, u32)) -> String {
     match msg {
-        NodeMsg::Query { reply } => format!("query {reply}"),
-        NodeMsg::Stats { reply } => format!("stats {reply}"),
+        NodeMsg::Query => format!("query {token}"),
+        NodeMsg::Stats => format!("stats {token}"),
         NodeMsg::Wire(WireInput::Inform(bytes)) => format!("inform {bytes:?}"),
         NodeMsg::Wire(WireInput::PeerRecords(bytes)) => format!("records {bytes:?}"),
         NodeMsg::Peers(peers) => format!("peers {peers:?}"),
         NodeMsg::SyncTick => "sync".into(),
         NodeMsg::Crash => "crash".into(),
-        NodeMsg::FloodFailed(_) | NodeMsg::Restore | NodeMsg::Shutdown => {
+        NodeMsg::FloodFailed(_) | NodeMsg::Restore => {
             unreachable!("no frame asks for this")
         }
     }
 }
 
 /// What an acceptor makes of `bytes` read in pieces cut at `cuts`: the
-/// requests it hands the mailbox, in order, then why it closed (`None`:
+/// requests it steps the point with, in order, then why it closed (`None`:
 /// it waits for more bytes).
 fn accept(bytes: &[u8], cuts: &[usize]) -> (Vec<String>, Option<CloseReason>) {
     let Some((theirs, rest)) = bytes.split_first_chunk() else {
@@ -352,7 +358,7 @@ fn accept(bytes: &[u8], cuts: &[usize]) -> (Vec<String>, Option<CloseReason>) {
         loop {
             let frame = pop(&mut fb).and_then(|frame| {
                 frame
-                    .map(|frame| request::<Tokens>(peer, frame, |token| token))
+                    .map(|frame| request::<Tokens>(peer, frame))
                     .transpose()
             });
             match frame {

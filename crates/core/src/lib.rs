@@ -21,9 +21,10 @@
 //! * [`elastic`] — the paper's Section 5 third-party observer: the desim
 //!   driver of the `membership` crate (pool join/leave, ring re-homing,
 //!   the autoscaler tick);
-//! * [`live`] — the same decision-point protocol deployed on real OS
-//!   threads with crossbeam channels (transport-agnosticism proof; used by
-//!   integration tests and one example).
+//! * [`live`] — the same decision-point protocol under real OS-thread
+//!   concurrency, each call a locked step on the caller's thread
+//!   (transport-agnosticism proof; used by integration tests and one
+//!   example).
 
 //! # Example
 //!

@@ -2,77 +2,102 @@
 //!
 //! The discrete-event simulator proves the *scaling* claims; this module
 //! proves the protocol logic is transport-agnostic by running **the same
-//! [`dpnode::DpNode`] state machine the simulator drives** on one thread
-//! per decision point, exchanging the exact wire payloads
-//! (`simnet::codec`) over crossbeam channels. Queries block the caller
-//! with a real timeout (`recv_timeout`), mirroring the paper's client
-//! behaviour.
+//! [`dpnode::DpNode`] state machine the simulator drives** under real
+//! concurrency, exchanging the exact wire payloads (`simnet::codec`).
 //!
-//! Each thread runs [`dpstore::mailbox::node_loop`], a loop of the
-//! `Point::step` the socket runtime (`clusterd`) runs too; that module is
-//! the home of how a wall-clock runtime hosts a node. What is this
-//! module's own is the channel [`Transport`] (a reply is a `Sender`, a
-//! peer is another thread's mailbox) and [`LiveCluster`], the in-process
-//! harness around it: start, query/inform, crash/restore, shutdown. The pool is fixed;
-//! the one join/leave path is desim's (`core::elastic`).
-//! `tests/sim_live_equivalence.rs` holds the proof obligation that sim
-//! and live behaviour are identical.
+//! A point is a [`SharedPoint`] — the host the socket runtime
+//! (`clusterd`) uses too, and [`dpstore::mailbox`] is the home of how a
+//! wall-clock runtime hosts a node — so there is no point thread: a
+//! query, an inform, a crash or a restore is a locked call on the
+//! caller's thread, and the ticker steps each sync round on its own. What
+//! is this module's own is the channel [`Transport`] and [`LiveCluster`],
+//! the in-process harness around it: start, query/inform, crash/restore,
+//! shutdown. The pool is fixed; the one join/leave path is desim's
+//! (`core::elastic`). `tests/sim_live_equivalence.rs` holds the proof
+//! obligation that sim and live behaviour are identical.
+//!
+//! **Floods.** A step floods under its point's lock, so a flood cannot
+//! enter the peer there: a thread never holds two points' locks, and two
+//! points flooding each other cannot deadlock. The transport queues the
+//! flood on the peer's inbox instead, and the peer merges its inbox in
+//! queue order under its own lock — before any other input it is
+//! stepped with, and right after a sync round by the thread that ran it.
+//! So one peer's floods merge in the order they were sent.
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use dpstore::mailbox::{self, node_loop, Answer, Point, Transport};
+use bytes::Bytes;
+use dpstore::mailbox::{self, Answer, Point, SharedPoint, Transport};
 use dpstore::{Blueprint, NodeHost, SimStore, SnapshotPolicy, WireInput};
 use gruber::DispatchRecord;
 use gruber_types::{ClientId, DpId, SimTime, SiteSpec};
 use obs::{Recorder, TraceEvent};
-use parking_lot::Mutex;
 use simnet::codec::encode_inform;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use usla::UslaSet;
 
 pub use dpstore::{DpStats as LiveDpStats, RunStats};
 
-/// The channel transport: replies go down the requester's one-shot
-/// channel, floods into the peers' mailboxes (indexed by decision-point
-/// id, the index a flood names its peers by).
+/// The channel transport: a flood goes on the peer's inbox (indexed by
+/// decision-point id, the index a flood names its peers by); this point's
+/// own inbox is merged by whoever next holds its lock.
 struct Channels {
-    peers: Vec<Sender<Msg>>,
+    peers: Vec<Sender<Bytes>>,
+    inbox: Receiver<Bytes>,
 }
 
 type Msg = dpstore::NodeMsg<Channels>;
+type Live = SharedPoint<SimStore, Channels>;
 
 impl Transport for Channels {
-    type Reply = Sender<Answer>;
-    type Peers = Vec<Sender<Msg>>;
+    /// The pool is fixed: there is no table to replace.
+    type Peers = ();
 
-    fn reply(&mut self, to: Sender<Answer>, answer: Answer) {
-        let _ = to.send(answer);
+    fn flood(&mut self, peer: usize, records: &Bytes) {
+        let _ = self.peers[peer].send(records.clone());
     }
 
-    fn flood(&mut self, peer: usize, records: &bytes::Bytes) {
-        let wire = WireInput::PeerRecords(records.clone());
-        let _ = self.peers[peer].send(Msg::Wire(wire));
-    }
-
-    fn set_peers(&mut self, peers: Vec<Sender<Msg>>) {
-        self.peers = peers;
-    }
+    fn set_peers(&mut self, (): ()) {}
 
     fn n_dps(&self) -> usize {
         self.peers.len()
     }
 }
 
-struct DpThread {
-    sender: Sender<Msg>,
-    handle: JoinHandle<LiveDpStats>,
+/// Merges every flood on `point`'s inbox, in the order they were sent.
+fn merge_inbox(point: &mut Point<SimStore, Channels>) {
+    while let Ok(records) = point.transport.inbox.try_recv() {
+        point.step(Msg::Wire(WireInput::PeerRecords(records)));
+    }
 }
 
-/// A running cluster of decision-point threads plus the sync ticker.
+/// Steps `msg` into `point` after its inbox; the answer, `None` if there
+/// is none or the point has ended.
+fn call(point: &Live, msg: Msg) -> Option<Answer> {
+    point
+        .with(|point| {
+            merge_inbox(point);
+            point.step(msg)
+        })
+        .flatten()
+}
+
+/// One sync round: each point in turn floods, and its peers merge the
+/// flood at once, so one flood's bytes are alive at a time.
+fn sync_all(points: &[Live]) {
+    for point in points {
+        call(point, Msg::SyncTick);
+        for peer in points {
+            peer.with(merge_inbox);
+        }
+    }
+}
+
+/// A running cluster of decision points plus the sync ticker.
 pub struct LiveCluster {
-    dps: Vec<DpThread>,
+    points: Arc<[Live]>,
     ticker: Option<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
     epoch: Instant,
@@ -80,7 +105,7 @@ pub struct LiveCluster {
 }
 
 impl LiveCluster {
-    /// Spawns `n_dps` decision points over the given sites/USLAs, flooding
+    /// Starts `n_dps` decision points over the given sites/USLAs, flooding
     /// every `sync_interval`.
     pub fn start(
         n_dps: usize,
@@ -91,7 +116,7 @@ impl LiveCluster {
         LiveCluster::start_inner(n_dps, sites, uslas, sync_interval, None, Recorder::OFF)
     }
 
-    /// Like [`LiveCluster::start`], but every thread and the query path
+    /// Like [`LiveCluster::start`], but every point and the query path
     /// emit into the given [`obs::Recorder`] — the same streaming fan-out
     /// (timeline, ring, health scorer) the simulator feeds, stamped with
     /// wall-clock milliseconds since cluster start. The recorder is also
@@ -111,8 +136,8 @@ impl LiveCluster {
     }
 
     /// Like [`LiveCluster::start`], but every point journals applied
-    /// records to an in-thread [`SimStore`] and snapshots on the
-    /// record-count policy [`SnapshotPolicy::records`]`(snapshot_records)`.
+    /// records to its own [`SimStore`] and snapshots on the record-count
+    /// policy [`SnapshotPolicy::records`]`(snapshot_records)`.
     pub fn start_persistent(
         n_dps: usize,
         sites: Vec<SiteSpec>,
@@ -144,21 +169,17 @@ impl LiveCluster {
         let stop = Arc::new(AtomicBool::new(false));
         let epoch = Instant::now();
 
-        // Create all channels first so every thread can hold every peer's
-        // sender (indexed by decision-point id, as `Effect::FloodTo`
-        // names peers by index).
-        let channels: Vec<(Sender<Msg>, Receiver<Msg>)> =
-            (0..n_dps).map(|_| unbounded()).collect();
-        let senders: Vec<Sender<Msg>> = channels.iter().map(|(s, _)| s.clone()).collect();
-
-        let dps = channels
-            .into_iter()
-            .enumerate()
-            .map(|(i, (sender, receiver))| {
+        // Create every inbox first so each point can hold every peer's
+        // sender (indexed by decision-point id, as `Effect::FloodTo` names
+        // peers by index).
+        let (senders, inboxes): (Vec<Sender<Bytes>>, Vec<Receiver<Bytes>>) =
+            (0..n_dps).map(|_| channel()).unzip();
+        let points: Arc<[Live]> = (inboxes.into_iter().enumerate())
+            .map(|(i, inbox)| {
                 let (sites, uslas) = (Arc::clone(&sites), Arc::clone(&uslas));
                 let blueprint =
                     Blueprint::paper_mesh(DpId(i as u32), sites, uslas, persist.is_some());
-                // With `persist` the thread owns a store that outlives
+                // With `persist` the point owns a store that outlives
                 // crashed node instances.
                 let host = NodeHost::new(
                     blueprint,
@@ -167,27 +188,20 @@ impl LiveCluster {
                     recorder.clone(),
                     SimTime::ZERO,
                 );
-                let channels = Channels {
-                    peers: senders.clone(),
-                };
-                let mut point = Point::new(host, channels, recorder.clone(), epoch);
-                let handle = std::thread::Builder::new()
-                    .name(format!("dp-{i}"))
-                    .spawn(move || node_loop(&mut point, &receiver))
-                    .expect("spawn dp thread");
-                DpThread { sender, handle }
+                let peers = senders.clone();
+                let channels = Channels { peers, inbox };
+                SharedPoint::new(Point::new(host, channels, recorder.clone(), epoch))
             })
-            .collect::<Vec<_>>();
+            .collect();
 
         // The sync ticker stands in for each container's periodic task.
+        let ticking = Arc::clone(&points);
         let ticker = mailbox::ticker(sync_interval, Arc::clone(&stop), move || {
-            for s in &senders {
-                let _ = s.send(Msg::SyncTick);
-            }
+            sync_all(&ticking)
         });
 
         LiveCluster {
-            dps,
+            points,
             ticker,
             stop,
             epoch,
@@ -202,31 +216,28 @@ impl LiveCluster {
 
     /// Number of decision points.
     pub fn n_dps(&self) -> usize {
-        self.dps.len()
+        self.points.len()
     }
 
-    /// Blocking availability query with a client-side timeout. `None`
-    /// means the timeout fired (the caller should fall back to a random
-    /// site, like the paper's clients). `Duration::MAX` waits without a
-    /// deadline.
+    /// Availability query with a client-side timeout, answered on the
+    /// caller's thread. `None` means no answer in time — the point is
+    /// crashed or stopped (known at once), or the answer took longer than
+    /// `timeout` — and the caller should fall back to a random site, like
+    /// the paper's clients. `Duration::MAX` has no deadline.
     ///
     /// Traced clusters emit the client-side protocol events here —
-    /// `query_issued` at send and `response_answered` / `client_timeout`
-    /// at the outcome — under the anonymous `ClientId(0)`: this handle is
-    /// the client, and callers multiplex it freely across threads.
+    /// `query_issued` before the step and `response_answered` /
+    /// `client_timeout` at the outcome — under the anonymous `ClientId(0)`:
+    /// this handle is the client, and callers multiplex it freely across
+    /// threads.
     pub fn query(&self, dp: DpId, timeout: Duration) -> Option<Vec<u32>> {
         self.recorder.emit(self.now(), || TraceEvent::QueryIssued {
             client: ClientId(0),
             dp,
         });
         let sent = Instant::now();
-        let (reply_tx, reply_rx) = bounded(1);
-        let sent_ok = self.dps[dp.index()]
-            .sender
-            .send(Msg::Query { reply: reply_tx })
-            .is_ok();
-        let reply = match sent_ok.then(|| reply_rx.recv_timeout(timeout)) {
-            Some(Ok(Answer::Free(free))) => Some(free),
+        let reply = match call(&self.points[dp.index()], Msg::Query) {
+            Some(Answer::Free(free)) if sent.elapsed() <= timeout => Some(free),
             _ => None,
         };
         match &reply {
@@ -243,50 +254,44 @@ impl LiveCluster {
         reply
     }
 
-    /// Informs a decision point of a dispatch decision. The record
-    /// crosses the channel in its wire form
-    /// ([`simnet::codec::encode_inform`]).
+    /// Informs a decision point of a dispatch decision. The record is
+    /// stepped in its wire form ([`simnet::codec::encode_inform`]).
     pub fn inform(&self, dp: DpId, record: DispatchRecord) {
         let bytes = encode_inform(&record);
-        let _ = self.dps[dp.index()]
-            .sender
-            .send(Msg::Wire(WireInput::Inform(bytes)));
+        call(&self.points[dp.index()], Msg::Wire(WireInput::Inform(bytes)));
     }
 
-    /// Forces an immediate sync round (useful in tests instead of waiting
-    /// for the ticker).
+    /// Runs a sync round now (useful in tests instead of waiting for the
+    /// ticker): when it returns, every flood it sent has been merged.
     pub fn force_sync(&self) {
-        for dp in &self.dps {
-            let _ = dp.sender.send(Msg::SyncTick);
-        }
+        sync_all(&self.points);
     }
 
     /// Crashes a decision point: it drops every input until
     /// [`LiveCluster::restore`].
     pub fn crash(&self, dp: DpId) {
-        let _ = self.dps[dp.index()].sender.send(Msg::Crash);
+        call(&self.points[dp.index()], Msg::Crash);
     }
 
     /// Restarts a crashed decision point (recovering from its store in a
     /// persistent cluster).
     pub fn restore(&self, dp: DpId) {
-        let _ = self.dps[dp.index()].sender.send(Msg::Restore);
+        call(&self.points[dp.index()], Msg::Restore);
     }
 
-    /// Stops every thread and returns their statistics.
+    /// Stops the ticker, merges what is still in flight and ends every
+    /// point; their statistics, omitting any point a panicking step ended.
     pub fn shutdown(mut self) -> Vec<LiveDpStats> {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.ticker.take() {
             let _ = t.join();
         }
-        let mut stats = Vec::new();
-        for dp in self.dps.drain(..) {
-            let _ = dp.sender.send(Msg::Shutdown);
-            if let Ok(s) = dp.handle.join() {
-                stats.push(s);
-            }
-        }
-        stats
+        (self.points.iter())
+            .filter_map(|point| {
+                point.with(merge_inbox);
+                point.shutdown()
+            })
+            .collect()
     }
 }
 
@@ -338,6 +343,49 @@ mod tests {
             cpus,
             dispatched_at: now,
             est_finish: now + gruber_types::SimDuration::from_secs(3600),
+        }
+    }
+
+    /// Two threads tick point 0 while point 1 is held, so both floods wait
+    /// to enter it: they must merge in the order point 0 sent them (one
+    /// record, then two), whichever thread takes point 1's lock first.
+    #[test]
+    fn floods_held_up_by_a_busy_peer_merge_in_the_order_sent() {
+        for _ in 0..20 {
+            let rec = Recorder::new(obs::TraceConfig::default());
+            let uslas = equal_shares(2, 2).unwrap();
+            let hour = Duration::from_secs(3600);
+            let cluster = LiveCluster::start_traced(2, sites(), &uslas, hour, rec.clone());
+            let sync_rounds = || {
+                let stats = cluster.points[0].with(|p| p.stats());
+                stats.expect("point 0 is up").sync_rounds
+            };
+            std::thread::scope(|scope| {
+                cluster.points[1].with(|_| {
+                    for (round, jobs) in [(1, 0..1), (2, 1..3)] {
+                        for job in jobs {
+                            cluster.inform(DpId(0), record(job, 0, 1, cluster.now()));
+                        }
+                        scope.spawn(|| cluster.force_sync());
+                        while sync_rounds() < round {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            });
+            let end = cluster.now();
+            cluster.shutdown();
+            let merged: Vec<u32> = (rec.finish(end).expect("traced").recent.iter())
+                .filter_map(|(_, ev)| match ev {
+                    TraceEvent::ExchangeMerged {
+                        dp: DpId(1),
+                        received,
+                        ..
+                    } => Some(*received),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(merged, [1, 2]);
         }
     }
 

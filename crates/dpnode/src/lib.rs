@@ -16,7 +16,7 @@
 //!   desim events ────▶ │                           │ ────▶ scheduled events
 //!   (digruber::events) │                           │       (retry/faults in driver)
 //!                      │   DpNode::handle(now,     │
-//!   crossbeam msgs ──▶ │        Input) -> Effects  │ ────▶ channel sends
+//!   locked calls ────▶ │        Input) -> Effects  │ ────▶ peer inboxes
 //!   (digruber::live)   │                           │
 //!                      │  (engine + topology +     │
 //!   trace records ───▶ │   flood log + stats)      │ ────▶ replay report
@@ -30,7 +30,7 @@
 //!   decides latency, loss, retry/backoff, partitions ([`simnet::retry`]
 //!   and `digruber::faults` live at the driver layer).
 //! * **Timers** — the node never clocks itself: every driver runs its own
-//!   cadence (the sim's `sync_round` event, the mailbox runtimes' ticker,
+//!   cadence (the sim's `sync_round` event, the wall-clock runtimes' ticker,
 //!   a replay's rounds) and feeds [`Input::SyncTick`].
 //! * **Durability** — a persisting node ([`NodeConfig::persist`]) emits
 //!   [`Effect::Persist`] write-ahead-log operations and serialises

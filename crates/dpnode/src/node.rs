@@ -44,7 +44,7 @@ pub struct FloodPayload {
 impl FloodPayload {
     /// Wraps raw wire bytes received from a peer (no USLA deltas). The
     /// count header is read opportunistically for accounting; a malformed
-    /// payload still fails properly at decode time.
+    /// payload still fails, whole, when the node reads it.
     pub fn from_wire(records: Bytes) -> Self {
         let n_records = Reader::new("deltas", records.as_ref()).u32().unwrap_or(0);
         FloodPayload {
@@ -52,12 +52,6 @@ impl FloodPayload {
             n_records,
             uslas: Vec::new(),
         }
-    }
-
-    /// Decodes the dispatch records. Truncated or malformed payloads
-    /// error; they never half-merge.
-    pub fn decode(&self) -> Result<Vec<DispatchRecord>, GridError> {
-        Ok(iter_deltas(self.records.as_ref())?.collect())
     }
 }
 
@@ -338,7 +332,7 @@ impl DpNode {
     /// budget ran out — a partition delays state, it must not destroy
     /// it).
     pub fn requeue(&mut self, payload: &FloodPayload) {
-        if let Ok(records) = payload.decode() {
+        if let Ok(records) = iter_deltas(payload.records.as_ref()) {
             self.engine.requeue_outgoing(records);
         }
     }
@@ -383,12 +377,11 @@ impl DpNode {
                 if !self.up {
                     return; // flood arrived at a crashed point
                 }
-                let records = match payload.decode() {
-                    Ok(records) => records,
-                    Err(_) => {
-                        self.stats.decode_failures += 1;
-                        return;
-                    }
+                // The count is checked against the bytes before the first
+                // record is read, so a malformed flood merges nothing.
+                let Ok(records) = iter_deltas(payload.records.as_ref()) else {
+                    self.stats.decode_failures += 1;
+                    return;
                 };
                 // Non-mesh topologies forward transitively: records new to
                 // this node re-enter its own outgoing log (de-duplication
@@ -396,7 +389,7 @@ impl DpNode {
                 let forward = self.topology != Topology::FullMesh;
                 let mut fresh_recs = Vec::new();
                 let sink = self.track_live.then_some(&mut fresh_recs);
-                let fresh = self.engine.merge_peer_records(&records, now, forward, sink);
+                let fresh = self.engine.merge_peer_records(records, now, forward, sink);
                 for rec in fresh_recs {
                     self.keep_live(rec, now);
                     if self.persist {
@@ -421,25 +414,25 @@ impl DpNode {
             // brokered before the crash goes out when it rejoins.
             return;
         }
-        let log = self.engine.drain_log();
+        let n_records = self.engine.pending_log_len() as u32;
         let uslas = if self.dissemination == Dissemination::UsageAndUslas {
             self.engine.uslas().delta_since(0)
         } else {
             Vec::new()
         };
-        if log.is_empty() && uslas.is_empty() {
+        if n_records == 0 && uslas.is_empty() {
             return;
         }
-        let records = encode_deltas(&log);
+        let records = self.engine.drain_log();
         self.stats.sync_rounds += 1;
-        self.stats.records_flooded += log.len() as u64;
+        self.stats.records_flooded += u64::from(n_records);
         self.stats.flood_hash = fnv1a(self.stats.flood_hash, records.as_ref());
         let peers = sync_peers_of(self.topology, self.id.index(), n_dps, &mut self.gossip_rng);
         if self.persist {
             // Logged even into-the-void: the drain itself must replay so
             // a recovered log does not resurrect already-flooded records.
             out.push(Effect::Persist(WalOp::Drained {
-                records: log.len() as u32,
+                records: n_records,
                 peers: peers.len() as u32,
                 flood_hash: self.stats.flood_hash,
             }));
@@ -451,7 +444,7 @@ impl DpNode {
         out.push(Effect::FloodTo {
             peers,
             payload: FloodPayload {
-                n_records: log.len() as u32,
+                n_records,
                 records,
                 uslas,
             },
@@ -489,13 +482,10 @@ impl DpNode {
         ] {
             buf.extend_from_slice(&v.to_le_bytes());
         }
-        let blocks = [
-            encode_deltas(self.live.values()),
-            encode_deltas(self.engine.outgoing()),
-        ];
-        for block in blocks {
+        let live = encode_deltas(self.live.values());
+        for block in [live.as_ref(), self.engine.outgoing()] {
             buf.extend_from_slice(&(block.len() as u32).to_le_bytes());
-            buf.extend_from_slice(block.as_ref());
+            buf.extend_from_slice(block);
         }
         (buf, self.live.len() as u32)
     }
@@ -559,7 +549,7 @@ impl DpNode {
                 restored += 1;
             }
         }
-        self.engine.requeue_outgoing(outgoing.collect());
+        self.engine.requeue_outgoing(outgoing);
         Ok(restored)
     }
 
@@ -579,7 +569,7 @@ impl DpNode {
                 }
                 WalOp::Peer(rec) => {
                     let forward = self.topology != Topology::FullMesh;
-                    if self.engine.merge_peer_records(&[rec], at, forward, None) == 1 {
+                    if self.engine.merge_peer_records([rec], at, forward, None) == 1 {
                         self.stats.records_merged += 1;
                         self.keep_live(rec, at);
                     }
@@ -707,7 +697,8 @@ mod tests {
         let (peers, payload) = flood.expect("no FloodTo");
         assert_eq!(peers, vec![1, 2]);
         assert_eq!(payload.n_records, 2);
-        assert_eq!(payload.decode().unwrap(), vec![rec(1, 0, 2), rec(2, 1, 3)]);
+        let records: Vec<_> = iter_deltas(payload.records.as_ref()).unwrap().collect();
+        assert_eq!(records, vec![rec(1, 0, 2), rec(2, 1, 3)]);
         assert_eq!(n.stats().sync_rounds, 1);
         assert_eq!(n.stats().floods_sent, 2);
         assert_eq!(n.stats().records_flooded, 2);

@@ -32,12 +32,12 @@ pub struct Blueprint {
     pub uslas: Arc<UslaSet>,
     /// [`DpNode::set_track_live`]: keep the live-record map even without
     /// durability. Only desim's elastic pool sets it, so any member can
-    /// sponsor a joiner; the mailbox runtimes' pools are fixed.
+    /// sponsor a joiner; the wall-clock runtimes' pools are fixed.
     pub track_live: bool,
 }
 
 impl Blueprint {
-    /// The paper's deployment as both mailbox runtimes host it: full
+    /// The paper's deployment as both wall-clock runtimes host it: full
     /// mesh, usage-only dissemination, sync rounds clocked from outside
     /// the node (a ticker or a control frame).
     pub fn paper_mesh(
@@ -82,7 +82,7 @@ pub enum Routed {
     FloodTo { peers: Vec<usize>, payload: FloodPayload },
 }
 
-/// A protocol input as a mailbox runtime receives it: `simnet::codec` wire
+/// A protocol input as a wall-clock runtime receives it: `simnet::codec` wire
 /// bytes off a channel or a socket.
 #[derive(Debug, Clone)]
 pub enum WireInput {

@@ -1,33 +1,40 @@
-//! How a wall-clock runtime hosts a node: one [`Point::step`], a
+//! How a wall-clock runtime hosts a node: a [`Point`] behind one lock
+//! ([`SharedPoint`]), stepped on whatever thread holds an input, and a
 //! [`Transport`] for what leaves.
 //!
 //! desim and trace replay call [`NodeHost::handle`] from their own event
 //! loops because they own the clock. The thread runtime
 //! (`digruber::live`) and the socket runtime (`clusterd`) do not: they
-//! stamp every message with the wall clock and hand it to
-//! [`Point::step`], the same code in both. The runtimes differ only in
-//! who steps and in the [`Transport`] the step writes to. A thread
-//! point is a thread that blocks on a crossbeam mailbox ([`node_loop`]),
-//! filled by client calls and peer threads; a socket point is a
-//! [`Point`] behind one lock, stepped by each connection's reader, the
-//! ticker and the peer senders on their own threads.
+//! stamp every message with the wall clock and step it through
+//! [`SharedPoint::step`] — the same host, lock and [`Point::step`] in
+//! both. There is no point thread and no mailbox: a thread-runtime client
+//! steps the point on its own thread, as does a socket connection's
+//! reader, and so do the ticker and (on sockets) the peer senders. The
+//! runtimes differ only in the [`Transport`] the step writes floods to.
 //!
 //! **Ordering.** Stepping is the only code touching the [`NodeHost`], so
-//! the mailbox's order, or the lock's order on sockets, is the order of
-//! every state change. Either is FIFO per sender and nothing more: one
-//! client's informs precede the [`NodeMsg::SyncTick`] it sends
-//! afterwards, one peer's floods arrive in the order they were sent, and
-//! messages of different senders interleave freely — the asynchrony the
-//! paper's deployment had. A step's reply is handed to the transport
-//! before the next message is stepped.
+//! the lock's order is the order of every state change. It is FIFO per
+//! sender and nothing more: one client's informs precede the
+//! [`NodeMsg::SyncTick`] it sends afterwards, one peer's floods are
+//! merged in the order they were sent (the transport's business: a
+//! per-peer queue drained in order), and messages of different senders
+//! interleave freely — the asynchrony the paper's deployment had. A
+//! step's [`Answer`] is returned to the thread that stepped it, which
+//! writes or hands it on after the lock is released.
 //!
-//! **What a transport provides** is the outbound half only: answer the
-//! requester, hand one flood to one peer, replace the peer table, and say
-//! how wide the mesh is. Delivery is its business — the socket transport
-//! splits a flood into frames and owns connect/backoff — and a flood it
-//! gives up on comes back as a [`NodeMsg::FloodFailed`] step, so the
-//! records ride the next round instead of being lost. *Receive is not in
-//! the trait*: whoever holds the point steps it.
+//! **Ending.** [`SharedPoint::shutdown`] ends a point and keeps its final
+//! statistics. A step that panics ends it too, with none: a half-stepped
+//! host serves nobody. Either way every later step is refused, the
+//! threads feeding the point see [`SharedPoint::stop`], and
+//! [`SharedPoint::join`] wakes.
+//!
+//! **What a transport provides** is the outbound half only: hand one flood
+//! to one peer, replace the peer table, and say how wide the mesh is.
+//! Delivery is its business — the socket transport splits a flood into
+//! frames and owns connect/backoff — and a flood it gives up on comes back
+//! as a [`NodeMsg::FloodFailed`] step, so the records ride the next round
+//! instead of being lost. *Receive is not in the trait*: whoever holds an
+//! input steps the point.
 //!
 //! The same reasoning makes the sync [`ticker`] and the closed-loop
 //! client ([`drive_workload`]) live here: a load generator that differs
@@ -35,33 +42,26 @@
 
 use crate::{NodeHost, Routed, Store, WireInput};
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
 use dpnode::{FloodPayload, Input};
 use gruber::{DispatchRecord, LeastUsedSelector, SiteSelector};
 use gruber_types::{
     ClientId, DpId, GridError, GroupId, JobId, JobSpec, SimDuration, SimTime, SiteId, UserId, VoId,
 };
 use obs::{Recorder, TraceEvent};
-use parking_lot::Mutex;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The outbound half of a mailbox runtime.
+/// The outbound half of a wall-clock runtime.
 pub trait Transport {
-    /// Where an answer goes: a channel sender, or a connection's write
-    /// half plus the request's correlation token.
-    type Reply;
     /// The peer table [`NodeMsg::Peers`] installs.
     type Peers;
 
-    /// Delivers `answer` to the requester. Best effort: a requester that
-    /// went away is not an error.
-    fn reply(&mut self, to: Self::Reply, answer: Answer);
-
     /// Hands one flood's wire bytes ([`simnet::codec::encode_deltas`]) to
-    /// mesh peer `peer`.
+    /// mesh peer `peer`. Called under the point's lock, so it must not
+    /// block on another point.
     fn flood(&mut self, peer: usize, records: &Bytes);
 
     /// Replaces the peer table.
@@ -72,7 +72,7 @@ pub trait Transport {
     fn n_dps(&self) -> usize;
 }
 
-/// What [`Transport::reply`] carries back.
+/// What a step answers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Answer {
     /// Believed-free CPUs per site, to [`NodeMsg::Query`].
@@ -81,14 +81,12 @@ pub enum Answer {
     Stats(DpStats),
 }
 
-/// Everything a decision point's mailbox carries. These are envelopes
+/// Every input a wall-clock point is stepped with. These are envelopes
 /// only — protocol handling lives in [`dpnode::DpNode`].
 pub enum NodeMsg<T: Transport> {
-    /// Availability query.
-    Query {
-        /// Where the [`Answer::Free`] goes.
-        reply: T::Reply,
-    },
+    /// Availability query, answered with [`Answer::Free`] (nothing while
+    /// the point is crashed).
+    Query,
     /// A client's inform or a peer's flood, as the exact `simnet::codec`
     /// wire bytes.
     Wire(WireInput),
@@ -97,11 +95,8 @@ pub enum NodeMsg<T: Transport> {
     /// Install/replace the peer table (a peer respawned at a new
     /// address).
     Peers(T::Peers),
-    /// Stats snapshot request.
-    Stats {
-        /// Where the [`Answer::Stats`] goes.
-        reply: T::Reply,
-    },
+    /// Stats snapshot request, answered with [`Answer::Stats`].
+    Stats,
     /// The transport gave up on a flood: requeue these records into the
     /// next sync round.
     FloodFailed(Bytes),
@@ -110,8 +105,6 @@ pub enum NodeMsg<T: Transport> {
     /// Restart the point. Over a store, a fresh node replays snapshot +
     /// WAL; otherwise the node retains its state.
     Restore,
-    /// Leave the loop.
-    Shutdown,
 }
 
 /// Statistics one decision point reports: the node's own protocol
@@ -178,13 +171,13 @@ pub fn recover<S: Store>(
     Ok(())
 }
 
-/// One decision point as a wall-clock runtime hosts it: the host, the
-/// transport its effects leave by, and what stepping keeps between
+/// One decision point as a wall-clock runtime steps it: the host, the
+/// transport its floods leave by, and what stepping keeps between
 /// messages.
 pub struct Point<S: Store, T: Transport> {
     /// The node and its durability.
     pub host: NodeHost<S>,
-    /// Where replies and floods go.
+    /// Where floods go.
     pub transport: T,
     fx: Vec<Routed>,
     flood_requeues: u64,
@@ -205,60 +198,50 @@ impl<S: Store, T: Transport> Point<S, T> {
         }
     }
 
-    /// Turns one message into a [`NodeHost`] input and routes what the
-    /// step leaves over to the transport; `false` once the message was
-    /// [`NodeMsg::Shutdown`]. The one interpreter of [`NodeMsg`] and
-    /// [`Routed`]: any protocol change made in [`dpnode::DpNode`] — and any
-    /// durability change made in the host — is picked up here, and so by
-    /// both runtimes, with no code change.
-    pub fn step(&mut self, msg: NodeMsg<T>) -> bool {
+    /// Turns one message into a [`NodeHost`] input, routes the floods the
+    /// step leaves to the transport and returns its answer, if any. The
+    /// one interpreter of [`NodeMsg`] and [`Routed`]: any protocol change
+    /// made in [`dpnode::DpNode`] — and any durability change made in the
+    /// host — is picked up here, and so by both runtimes, with no code
+    /// change.
+    pub fn step(&mut self, msg: NodeMsg<T>) -> Option<Answer> {
         let (at, id) = (since(self.epoch), self.host.node().id());
-        let (input, mut reply) = match msg {
-            NodeMsg::Query { reply } => (Input::QueryArrived { admission: None }, Some(reply)),
-            NodeMsg::Wire(wire) => match wire.decode() {
-                Some(input) => (input, None),
-                None => return true, // malformed inform: dropped whole
+        let input = match msg {
+            NodeMsg::Query => Input::QueryArrived { admission: None },
+            // `None`: a malformed inform, dropped whole.
+            NodeMsg::Wire(wire) => wire.decode()?,
+            NodeMsg::SyncTick => Input::SyncTick {
+                n_dps: self.transport.n_dps(),
             },
-            NodeMsg::SyncTick => {
-                let n_dps = self.transport.n_dps();
-                (Input::SyncTick { n_dps }, None)
-            }
             NodeMsg::Peers(peers) => {
                 self.transport.set_peers(peers);
-                return true;
+                return None;
             }
-            NodeMsg::Stats { reply } => {
-                self.transport.reply(reply, Answer::Stats(self.stats()));
-                return true;
-            }
+            NodeMsg::Stats => return Some(Answer::Stats(self.stats())),
             NodeMsg::FloodFailed(bytes) => {
                 self.host.node_mut().requeue(&FloodPayload::from_wire(bytes));
                 self.flood_requeues += 1;
-                return true;
+                return None;
             }
             NodeMsg::Crash => {
                 self.host.crash();
                 self.recorder.emit(at, || TraceEvent::DpFailed { dp: id });
-                return true;
+                return None;
             }
             NodeMsg::Restore => {
                 recover(&mut self.host, self.epoch, &self.recorder)
                     .expect("a store's own snapshot must decode");
-                return true;
+                return None;
             }
-            NodeMsg::Shutdown => return false,
         };
         let recorder = &self.recorder;
         self.host.handle(at, input, &mut self.fx, |_cost, event| {
             recorder.emit(at, || event)
         });
+        let mut answer = None;
         for effect in self.fx.drain(..) {
             match effect {
-                Routed::Reply { free, .. } => {
-                    if let Some(to) = reply.take() {
-                        self.transport.reply(to, Answer::Free(free));
-                    }
-                }
+                Routed::Reply { free, .. } => answer = Some(Answer::Free(free)),
                 Routed::FloodTo { peers, payload } => {
                     for j in peers {
                         recorder.emit(at, || TraceEvent::ExchangeSent {
@@ -271,7 +254,7 @@ impl<S: Store, T: Transport> Point<S, T> {
                 }
             }
         }
-        true
+        answer
     }
 
     /// The point's statistics so far.
@@ -296,15 +279,74 @@ impl<S: Store, T: Transport> Point<S, T> {
     }
 }
 
-/// The decision-point thread's body: steps `point` with each message off
-/// `mailbox` until [`NodeMsg::Shutdown`] (or every sender is gone), then
-/// returns its final statistics.
-pub fn node_loop<S: Store, T: Transport>(
-    point: &mut Point<S, T>,
-    mailbox: &Receiver<NodeMsg<T>>,
-) -> DpStats {
-    while mailbox.recv().is_ok_and(|msg| point.step(msg)) {}
-    point.stats()
+/// A [`Point`] behind one lock: the one way both wall-clock runtimes host
+/// a decision point. Every thread that holds an input steps it.
+pub struct SharedPoint<S: Store, T: Transport> {
+    /// `Err` once the point has ended: its final statistics after
+    /// [`SharedPoint::shutdown`], `None` after a step panicked.
+    point: Mutex<Result<Point<S, T>, Option<DpStats>>>,
+    /// Notified when the point ends.
+    ended: Condvar,
+    /// Set when the point ends: the threads feeding it stop.
+    pub stop: Arc<AtomicBool>,
+}
+
+impl<S: Store, T: Transport> SharedPoint<S, T> {
+    /// Puts `point` behind its lock.
+    pub fn new(point: Point<S, T>) -> Self {
+        SharedPoint {
+            point: Mutex::new(Ok(point)),
+            ended: Condvar::new(),
+            stop: Arc::new(AtomicBool::new(false)),
+        }
+    }
+
+    /// Runs `f` on the point under its lock; `None` once the point has
+    /// ended. A panic in `f` ends the point, and this call returns `None`.
+    pub fn with<R>(&self, f: impl FnOnce(&mut Point<S, T>) -> R) -> Option<R> {
+        // The lock poisons only if `stats` or a drop panicked while ending
+        // the point: it has ended either way.
+        let mut slot = self.point.lock().ok()?;
+        let point = slot.as_mut().ok()?;
+        let done = catch_unwind(AssertUnwindSafe(|| f(point)));
+        if done.is_err() {
+            self.end(&mut slot, None);
+        }
+        done.ok()
+    }
+
+    /// Steps `msg`; its answer, `None` if it has none or the point has
+    /// ended.
+    pub fn step(&self, msg: NodeMsg<T>) -> Option<Answer> {
+        self.with(|point| point.step(msg)).flatten()
+    }
+
+    /// Ends the point if it has not ended; its final statistics, `None` if
+    /// a step panicked.
+    pub fn shutdown(&self) -> Option<DpStats> {
+        let mut slot = self.point.lock().ok()?;
+        if let Ok(point) = slot.as_ref() {
+            let stats = point.stats();
+            self.end(&mut slot, Some(stats));
+        }
+        slot.as_ref().err().copied().flatten()
+    }
+
+    /// Waits until the point has ended; its final statistics, `None` if a
+    /// step panicked.
+    pub fn join(&self) -> Option<DpStats> {
+        let slot = self.point.lock().ok()?;
+        let slot = self.ended.wait_while(slot, |p| p.is_ok()).ok()?;
+        slot.as_ref().err().copied().flatten()
+    }
+
+    /// Drops the point — and with it the transport, which disconnects
+    /// whatever it fed — and wakes the threads waiting on the end.
+    fn end(&self, slot: &mut Result<Point<S, T>, Option<DpStats>>, stats: Option<DpStats>) {
+        *slot = Err(stats);
+        self.stop.store(true, Ordering::Relaxed);
+        self.ended.notify_all();
+    }
 }
 
 /// Spawns the thread that stands in for each container's periodic sync
@@ -405,7 +447,8 @@ pub fn drive_workload(
                     (site.expect("non-empty grid"), true)
                 }
                 None => {
-                    let n = grid.lock().n_sites();
+                    // Poisoned only if another client panicked mid-dispatch.
+                    let n = grid.lock().expect("grid lock").n_sites();
                     (SiteId::from_index(rng.index(n)), false)
                 }
             };
@@ -419,7 +462,8 @@ pub fn drive_workload(
                 est_finish: now + job.runtime,
             };
             let dispatched = {
-                let mut g = grid.lock();
+                // Poisoned only if another client panicked mid-dispatch.
+                let mut g = grid.lock().expect("grid lock");
                 g.submit(job).expect("unique ids");
                 g.dispatch(record.job, site, now, handled).is_ok()
             };

@@ -2,7 +2,9 @@
 //!
 //! One engine instance backs one decision point. It owns the point's
 //! [`GridView`], its USLA store, and the outgoing dispatch log that the
-//! DI-GRUBER layer floods to peers. The engine answers two questions:
+//! DI-GRUBER layer floods to peers, kept in the flood's wire form
+//! ([`DeltaLog`]) so a flood is the log itself. The engine answers two
+//! questions:
 //!
 //! * *availability* — the believed free CPUs per site (the "significant
 //!   state" shipped back to the client's site selector);
@@ -10,8 +12,10 @@
 //!   the believed per-VO/group usage?
 
 use crate::view::GridView;
+use bytes::Bytes;
 use gruber_types::{DispatchRecord, DpId, JobSpec, SimDuration, SimTime, SiteSpec};
 use obs::{Recorder, TraceEvent, TraceVerdict};
+use simnet::codec::DeltaLog;
 use usla::{AdmissionVerdict, EntitlementEngine, Principal, ResourceKind, UslaSet, UslaStore};
 
 /// A decision point's brokering core.
@@ -19,7 +23,7 @@ use usla::{AdmissionVerdict, EntitlementEngine, Principal, ResourceKind, UslaSet
 pub struct GruberEngine {
     view: GridView,
     uslas: UslaStore,
-    outgoing: Vec<DispatchRecord>,
+    outgoing: DeltaLog,
     dispatches_recorded: u64,
     peers_merged: u64,
     /// When the last peer exchange was folded in (`None` until the first).
@@ -55,7 +59,7 @@ impl GruberEngine {
                 n_groups.unwrap_or(GridView::DEFAULT_PRINCIPALS),
             ),
             uslas: UslaStore::from_set(uslas),
-            outgoing: Vec::new(),
+            outgoing: DeltaLog::default(),
             dispatches_recorded: 0,
             peers_merged: 0,
             last_merge_at: None,
@@ -87,7 +91,7 @@ impl GruberEngine {
                 dp: self.dp,
                 job: rec.job,
             });
-            self.outgoing.push(rec);
+            self.outgoing.push(&rec);
             self.dispatches_recorded += 1;
             true
         } else {
@@ -100,7 +104,9 @@ impl GruberEngine {
     }
 
     /// Folds a batch of peer dispatch records (received in a sync round)
-    /// into the view. Returns how many were new.
+    /// into the view, one at a time as `records` yields them — a flood is
+    /// merged straight off its wire bytes (`simnet::codec::iter_deltas`),
+    /// never collected first. Returns how many were new.
     ///
     /// With `forward`, the records that were new for this engine are also
     /// queued onto its own outgoing log — transitive forwarding for
@@ -113,19 +119,20 @@ impl GruberEngine {
     /// the count alone is not enough to rebuild the view on recovery.
     pub fn merge_peer_records(
         &mut self,
-        records: &[DispatchRecord],
+        records: impl IntoIterator<Item = DispatchRecord>,
         now: SimTime,
         forward: bool,
         mut fresh_out: Option<&mut Vec<DispatchRecord>>,
     ) -> usize {
-        let mut new = 0;
+        let (mut received, mut new) = (0, 0);
         for rec in records {
-            if self.view.observe(rec, now) {
+            received += 1;
+            if self.view.observe(&rec, now) {
                 if forward {
-                    self.outgoing.push(*rec);
+                    self.outgoing.push(&rec);
                 }
                 if let Some(sink) = fresh_out.as_deref_mut() {
-                    sink.push(*rec);
+                    sink.push(rec);
                 }
                 new += 1;
             }
@@ -134,15 +141,16 @@ impl GruberEngine {
         self.peers_merged += new as u64;
         self.tracer.emit(now, || TraceEvent::ExchangeMerged {
             dp: self.dp,
-            received: records.len() as u32,
+            received,
             fresh: new as u32,
         });
         new
     }
 
-    /// Drains the outgoing dispatch log (called once per sync round).
-    pub fn drain_log(&mut self) -> Vec<DispatchRecord> {
-        std::mem::take(&mut self.outgoing)
+    /// Drains the outgoing dispatch log (called once per sync round), as
+    /// the flood's wire bytes ([`simnet::codec::encode_deltas`] form).
+    pub fn drain_log(&mut self) -> Bytes {
+        self.outgoing.take()
     }
 
     /// Puts undeliverable records back on the outgoing log so the next
@@ -150,8 +158,10 @@ impl GruberEngine {
     /// blocks a flood: a partition delays state, it must not destroy it.
     /// (Receivers de-duplicate by job id, so peers that already hold a
     /// record pay only the merge cost of seeing it again.)
-    pub fn requeue_outgoing(&mut self, records: Vec<DispatchRecord>) {
-        self.outgoing.extend(records);
+    pub fn requeue_outgoing(&mut self, records: impl IntoIterator<Item = DispatchRecord>) {
+        for rec in records {
+            self.outgoing.push(&rec);
+        }
     }
 
     /// Size of the pending outgoing log.
@@ -208,11 +218,12 @@ impl GruberEngine {
         (self.dispatches_recorded, self.peers_merged)
     }
 
-    /// Read access to the pending outgoing dispatch log, in queue order.
-    /// Snapshots capture this so a recovered point retransmits records it
-    /// had accepted but not yet flooded.
-    pub fn outgoing(&self) -> &[DispatchRecord] {
-        &self.outgoing
+    /// The pending outgoing dispatch log, in queue order, as a sync
+    /// payload ([`simnet::codec::encode_deltas`] form). Snapshots capture
+    /// this so a recovered point retransmits records it had accepted but
+    /// not yet flooded.
+    pub fn outgoing(&self) -> &[u8] {
+        self.outgoing.as_bytes()
     }
 
     /// Restores lifetime counters and merge-gap bookkeeping from a
@@ -256,6 +267,7 @@ impl GruberEngine {
 mod tests {
     use super::*;
     use gruber_types::{ClientId, GroupId, JobId, SimDuration, SiteId, UserId, VoId};
+    use simnet::codec::{decode_deltas, iter_deltas};
     use workload::uslas::equal_shares;
 
     fn sites() -> Vec<SiteSpec> {
@@ -274,14 +286,14 @@ mod tests {
         let mut e = engine();
         assert_eq!(e.last_merge_at(), None);
         assert_eq!(e.max_merge_gap(), SimDuration::ZERO);
-        e.merge_peer_records(&[], SimTime::from_secs(10), false, None);
+        e.merge_peer_records([], SimTime::from_secs(10), false, None);
         assert_eq!(e.last_merge_at(), Some(SimTime::from_secs(10)));
         assert_eq!(e.max_merge_gap(), SimDuration::from_secs(10));
         // A long quiet spell (a partition, say) stretches the gap…
-        e.merge_peer_records(&[], SimTime::from_secs(400), false, None);
+        e.merge_peer_records([], SimTime::from_secs(400), false, None);
         assert_eq!(e.max_merge_gap(), SimDuration::from_secs(390));
         // …and prompt merges afterwards never shrink the high-water mark.
-        e.merge_peer_records(&[], SimTime::from_secs(401), false, None);
+        e.merge_peer_records([], SimTime::from_secs(401), false, None);
         assert_eq!(e.max_merge_gap(), SimDuration::from_secs(390));
         assert_eq!(e.last_merge_at(), Some(SimTime::from_secs(401)));
     }
@@ -320,8 +332,8 @@ mod tests {
         e.record_dispatch(rec(2, 1, 3, 100), now);
         assert_eq!(e.pending_log_len(), 2);
         assert_eq!(e.availability(now), vec![8, 7]);
-        let log = e.drain_log();
-        assert_eq!(log.len(), 2);
+        let log = decode_deltas(e.drain_log()).unwrap();
+        assert_eq!(log, [rec(1, 0, 2, 100), rec(2, 1, 3, 100)]);
         assert_eq!(e.pending_log_len(), 0);
         // Draining does not forget the view.
         assert_eq!(e.availability(now), vec![8, 7]);
@@ -343,13 +355,14 @@ mod tests {
         let now = SimTime::ZERO;
         a.record_dispatch(rec(1, 0, 4, 100), now);
         let log = a.drain_log();
-        assert_eq!(b.merge_peer_records(&log, now, false, None), 1);
+        let flood = || iter_deltas(log.as_ref()).unwrap();
+        assert_eq!(b.merge_peer_records(flood(), now, false, None), 1);
         assert_eq!(b.availability(now), vec![6, 10]);
         // b must NOT re-flood what it learned from a.
         assert_eq!(b.pending_log_len(), 0);
         assert_eq!(b.counters(), (0, 1));
         // Merging the same log again is a no-op.
-        assert_eq!(b.merge_peer_records(&log, now, false, None), 0);
+        assert_eq!(b.merge_peer_records(flood(), now, false, None), 0);
     }
 
     #[test]
@@ -364,10 +377,12 @@ mod tests {
             let tracer = Recorder::new(obs::TraceConfig::default());
             e.set_tracer(tracer.clone(), DpId(7));
             let mut sink = Vec::new();
-            let n = e.merge_peer_records(&batch, now, forward, with_sink.then_some(&mut sink));
+            let sink_or_not = with_sink.then_some(&mut sink);
+            let n = e.merge_peer_records(batch.iter().copied(), now, forward, sink_or_not);
             assert_eq!(n, 2);
             assert_eq!(e.counters(), (0, 2));
-            assert_eq!(e.outgoing(), if forward { &fresh[..] } else { &[] });
+            let logged = decode_deltas(Bytes::copy_from_slice(e.outgoing())).unwrap();
+            assert_eq!(logged, if forward { &fresh[..] } else { &[] });
             assert_eq!(sink, if with_sink { &fresh[..] } else { &[] });
             assert_eq!(e.max_merge_gap(), SimDuration::from_secs(50));
             let merged = TraceEvent::ExchangeMerged {

@@ -138,6 +138,52 @@ where
     buf.freeze()
 }
 
+/// A sync payload built one record at a time: its bytes are always the
+/// [`encode_deltas`] payload of the records pushed so far, so a flood is
+/// the log itself — [`DeltaLog::take`] hands the buffer over without a
+/// copy.
+#[derive(Debug, Clone)]
+pub struct DeltaLog {
+    buf: Vec<u8>,
+}
+
+impl Default for DeltaLog {
+    fn default() -> Self {
+        DeltaLog {
+            buf: 0u32.to_le_bytes().to_vec(),
+        }
+    }
+}
+
+impl DeltaLog {
+    /// Records pushed since the last take.
+    pub fn len(&self) -> usize {
+        (self.buf.len() - 4) / DispatchRecord::WIRE_LEN
+    }
+
+    /// Whether nothing was pushed since the last take.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Appends one record.
+    pub fn push(&mut self, record: &DispatchRecord) {
+        self.buf.extend_from_slice(&record.to_wire());
+        let count = (self.len() as u32).to_le_bytes();
+        self.buf[..4].copy_from_slice(&count);
+    }
+
+    /// The payload so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// The payload, leaving the log empty.
+    pub fn take(&mut self) -> Bytes {
+        Bytes::from(std::mem::take(self).buf)
+    }
+}
+
 /// Decodes a sync payload.
 pub fn decode_deltas(buf: Bytes) -> Result<Vec<DispatchRecord>, GridError> {
     Ok(iter_deltas(buf.as_ref())?.collect())
@@ -441,8 +487,9 @@ mod tests {
     }
 
     /// Flood, inform, WAL frame and snapshot block all carry
-    /// `DispatchRecord::to_wire`; this is the flood and the inform against
-    /// bytes written by hand.
+    /// `DispatchRecord::to_wire`; this is the flood (encoded whole and
+    /// logged record by record) and the inform against bytes written by
+    /// hand.
     #[test]
     fn record_payloads_are_pinned_to_the_byte() {
         let rec = DispatchRecord {
@@ -460,6 +507,13 @@ mod tests {
         assert_eq!(decode_inform(Bytes::copy_from_slice(wire)).unwrap(), rec);
         let flood = [b"\x02\0\0\0", wire, wire].concat();
         assert_eq!(encode_deltas(&[rec, rec]).as_ref(), &flood[..]);
+        let mut log = DeltaLog::default();
+        log.push(&rec);
+        log.push(&rec);
+        assert_eq!(log.as_bytes(), &flood[..]);
+        let buffer = log.as_bytes().as_ptr();
+        assert_eq!(log.take().as_ref().as_ptr(), buffer, "taken without a copy");
+        assert_eq!(log.as_bytes(), encode_deltas(&[]).as_ref());
         assert_eq!(decode_deltas(Bytes::from(flood)).unwrap(), vec![rec, rec]);
     }
 

@@ -1,9 +1,9 @@
-//! Live mode: decision points on real OS threads.
+//! Live mode: decision points under real OS-thread concurrency.
 //!
-//! Spawns three decision-point threads exchanging dispatch floods over
-//! crossbeam channels (the exact wire payloads from `simnet::codec`),
-//! drives a burst of queries/informs against them from the main thread,
-//! and shows the views converging after sync rounds.
+//! Starts three decision points exchanging dispatch floods (the exact
+//! wire payloads from `simnet::codec`), drives a burst of queries/informs
+//! against them from the main thread — each a locked step on that thread
+//! — and shows the views converging after sync rounds.
 //!
 //! ```text
 //! cargo run --release --example live_cluster

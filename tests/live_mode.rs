@@ -1,5 +1,6 @@
 //! Live (threaded) deployment integration: the same brokering semantics as
-//! the simulator, over real channels and the real wire codec.
+//! the simulator, as locked calls on the callers' threads over the real
+//! wire codec.
 
 use digruber::live::LiveCluster;
 use gruber::DispatchRecord;
@@ -90,8 +91,8 @@ fn duplicate_floods_are_idempotent() {
     assert_eq!(stats[1].records_merged, 1);
 }
 
-/// Enough hand-offs (a query, its reply and an inform each) that a lost
-/// wake-up in the mailbox or the reply channel shows as a failed query.
+/// Enough locked calls (a query and an inform each, from eight threads)
+/// that a lost or doubled step shows in the counts.
 #[test]
 fn live_queries_are_concurrent_safe() {
     const PER_THREAD: u32 = 2_500;
@@ -139,7 +140,7 @@ fn a_max_timeout_query_is_answered() {
 #[test]
 fn threaded_workload_drives_the_full_stack() {
     use digruber::live::drive_workload;
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
 
     let sites = sites(10, 64); // 640 CPUs
     let grid = Mutex::new(
@@ -164,7 +165,7 @@ fn threaded_workload_drives_the_full_stack() {
     );
     // Ground truth agrees with the placement count (1-CPU jobs, none
     // completed during the run).
-    let g = grid.lock();
+    let g = grid.lock().expect("no client panicked");
     let busy: u64 = 640 - g.idle_cpus();
     assert_eq!(
         busy,
@@ -203,4 +204,78 @@ fn zero_snapshot_records_means_wal_only_recovery() {
     assert_eq!(stats[0].recoveries, 1);
     // Every appended operation replays: N own informs plus the drain.
     assert_eq!(stats[0].wal_records_replayed, u64::from(N) + 1, "{:?}", stats[0]);
+}
+
+/// A crashed point answers nothing, and says so at once: the query is a
+/// step on the caller's thread, not a wait for a reply that never comes.
+#[test]
+fn a_query_to_a_crashed_point_returns_none_at_once() {
+    let cluster = LiveCluster::start(
+        2,
+        sites(2, 8),
+        &equal_shares(2, 2).unwrap(),
+        Duration::from_secs(3600),
+    );
+    cluster.crash(DpId(1));
+    let asked = Instant::now();
+    assert_eq!(cluster.query(DpId(1), Duration::from_secs(5)), None);
+    let waited = asked.elapsed();
+    assert!(waited < Duration::from_millis(50), "waited {waited:?}");
+    cluster.restore(DpId(1));
+    assert_eq!(
+        cluster.query(DpId(1), Duration::from_secs(5)),
+        Some(vec![8, 8])
+    );
+    cluster.shutdown();
+}
+
+/// A thread never holds two points' locks: a flood enters its peer only
+/// after the sender's lock is released. So two threads running sync
+/// rounds while two clients query and inform both points can neither
+/// deadlock nor lose or double-count a step or a record.
+#[test]
+fn two_tickers_and_clients_on_both_points_lose_nothing() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const ROUNDS: u32 = 10_000;
+    let cluster = LiveCluster::start(
+        2,
+        sites(4, 1_000_000),
+        &equal_shares(2, 2).unwrap(),
+        Duration::from_secs(3600),
+    );
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    cluster.force_sync();
+                }
+            });
+        }
+        let clients: Vec<_> = (0..2u32)
+            .map(|t| {
+                let cluster = &cluster;
+                scope.spawn(move || {
+                    for k in 0..ROUNDS {
+                        let dp = DpId((t + k) % 2);
+                        let free = cluster.query(dp, Duration::from_secs(10));
+                        assert_eq!(free.map(|free| free.len()), Some(4));
+                        cluster.inform(dp, record(t * ROUNDS + k, k % 4, 1, cluster));
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().expect("client thread");
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    cluster.force_sync();
+    let stats = cluster.shutdown();
+    let sum = |f: fn(&digruber::live::LiveDpStats) -> u64| stats.iter().map(f).sum::<u64>();
+    let total = u64::from(2 * ROUNDS);
+    assert_eq!((sum(|s| s.queries), sum(|s| s.informs)), (total, total));
+    assert_eq!(stats[0].records_merged, stats[1].informs);
+    assert_eq!(stats[1].records_merged, stats[0].informs);
+    assert_eq!(sum(|s| s.decode_failures), 0);
 }
