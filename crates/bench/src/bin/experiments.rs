@@ -38,9 +38,6 @@ const PAPER_IDS: [&str; 14] = [
     "table3", "fairness", "crossover",
 ];
 
-/// Directory traces are saved into when `--save-traces DIR` is passed.
-static TRACE_DIR: OnceLock<Option<String>> = OnceLock::new();
-
 /// Destination of the structured-trace JSONL (`--trace PATH`).
 static TRACE_OUT: OnceLock<Option<String>> = OnceLock::new();
 
@@ -59,16 +56,6 @@ fn jobs() -> usize {
 
 fn tracing_on() -> bool {
     matches!(TRACE_OUT.get(), Some(Some(_)))
-}
-
-fn save_traces(id: &str, out: &ExperimentOutput) {
-    if let Some(Some(dir)) = TRACE_DIR.get() {
-        std::fs::create_dir_all(dir).expect("create trace dir");
-        let path = format!("{dir}/{id}.trace");
-        std::fs::write(&path, diperf::trace::to_lines(&out.traces))
-            .expect("write trace file");
-        eprintln!("saved {} traces to {path}", out.traces.len());
-    }
 }
 
 /// Runs a spec list on the configured workers, with tracing applied when
@@ -129,7 +116,6 @@ fn main() {
             v
         })
     };
-    TRACE_DIR.set(drain_value("--save-traces")).expect("set once");
     TRACE_OUT.set(drain_value("--trace")).expect("set once");
     let n_jobs = drain_value("--jobs")
         .map(|v| {
@@ -151,7 +137,7 @@ fn main() {
     if args.is_empty() {
         let ids: Vec<&str> = PAPER_IDS.iter().copied().chain(STUDIES.iter().map(|s| s.id)).collect();
         eprintln!(
-            "usage: experiments <{}|all>... [--save-traces DIR] [--jobs N] [--trace PATH] [--fast]",
+            "usage: experiments <{}|all>... [--jobs N] [--trace PATH] [--fast]",
             ids.join("|")
         );
         std::process::exit(2);
@@ -182,7 +168,6 @@ fn main() {
 
 fn scaling_figure(id: &str, service: ServiceKind, n_dps: usize) {
     let out = run_one(dp_scaling_spec(service, n_dps, SEED));
-    save_traces(id, &out);
     export_timelines(id, std::slice::from_ref(&out));
     println!("[{id}]\n{}", render_figure(&out));
 }
@@ -304,7 +289,7 @@ fn run(id: &str) {
                 let outs = run_list(specs);
                 export_timelines(&format!("table3_{name}"), &outs);
                 let model = capacity_model(service);
-                for out in &outs {
+                for (out, &n_dps) in outs.iter().zip(&DP_COUNTS) {
                     // The replay gets its own recorder: its overload /
                     // provisioning events live on the replay clock, not the
                     // traced run's.
@@ -313,12 +298,8 @@ fn run(id: &str) {
                     } else {
                         None
                     });
-                    let report = grubsim::simulate_required_dps_traced(
-                        &out.traces,
-                        model,
-                        interval,
-                        &rec,
-                    );
+                    let report =
+                        grubsim::simulate_required_dps(&out.traces, n_dps, model, interval, &rec);
                     let end = SimTime(report.intervals as u64 * interval.as_millis());
                     if let Some(tl) = rec.finish(end) {
                         let label = format!("{}/grubsim", out.label);

@@ -7,7 +7,8 @@
 //! ```
 //!
 //! Flags (all optional; defaults reproduce the paper's setup; any other
-//! flag is refused with exit code 2 before anything runs):
+//! flag, a value flag without its value and a value flag given twice are
+//! refused with exit code 2 before anything runs):
 //!
 //! ```text
 //! --dps N[,N..]         decision-point counts to sweep     (default 1,3,10)
@@ -18,7 +19,6 @@
 //! --grid-factor N       Grid3 × N sites                    (default 10)
 //! --seed N              RNG seed                           (default 2005)
 //! --topology mesh|ring|star[:H]|gossip:K|tree:B|hybrid:K   (default mesh)
-//! --selector least-used|round-robin|random|lru|usla-aware  (default least-used)
 //! --faults SPEC         timed fault-injection plan (see FAULTS.md), e.g.
 //!                       "partition@120..300=0|1,2; loss@0..600=0.2";
 //!                       message loss is a `loss@` clause here
@@ -46,7 +46,6 @@ use bench::{default_jobs, run_specs};
 use digruber::config::{DigruberConfig, FailureConfig};
 use digruber::faults::FaultPlan;
 use digruber::{RunSpec, ServiceKind, SyncTopology, WanKind};
-use gruber::SelectorKind;
 use gruber_types::SimDuration;
 use simnet::{RetryConfig, RetryPolicy};
 use workload::WorkloadSpec;
@@ -54,7 +53,7 @@ use workload::WorkloadSpec;
 /// Flags that take a value, as documented above.
 const VALUE_FLAGS: &[&str] = &[
     "--dps", "--service", "--sync-mins", "--clients", "--duration-mins", "--grid-factor",
-    "--seed", "--topology", "--selector", "--faults", "--retry", "--departure", "--max-in-flight",
+    "--seed", "--topology", "--faults", "--retry", "--departure", "--max-in-flight",
     "--monitor-secs", "--jobs", "--trace",
 ];
 /// Switches, as documented above.
@@ -64,13 +63,21 @@ struct Args(Vec<String>);
 
 impl Args {
     /// Refuses the first argument that is not a documented flag (or the
-    /// value after one), so a misspelt or retired flag never runs the
-    /// default configuration in silence.
+    /// value after one), a value flag with no value after it and a value
+    /// flag given twice, so a misspelt, retired or half-typed flag never
+    /// runs the default configuration in silence.
     fn check_known(&self) {
+        let mut seen: Vec<&str> = Vec::new();
         let mut it = self.0.iter();
         while let Some(a) = it.next() {
             if VALUE_FLAGS.contains(&a.as_str()) {
-                it.next();
+                if seen.contains(&a.as_str()) {
+                    die(&format!("{a} given twice"));
+                }
+                seen.push(a);
+                if it.next().is_none() {
+                    die(&format!("{a} needs a value"));
+                }
             } else if !SWITCHES.contains(&a.as_str()) {
                 die(&format!("unknown flag {a:?} (see the module docs for the list)"));
             }
@@ -147,14 +154,6 @@ fn main() {
         },
         other => die(&format!("unknown topology {other:?}")),
     };
-    let selector = match args.value_of("--selector").unwrap_or("least-used") {
-        "least-used" => SelectorKind::LeastUsed,
-        "round-robin" => SelectorKind::RoundRobin,
-        "random" => SelectorKind::Random,
-        "lru" => SelectorKind::LeastRecentlyUsed,
-        "usla-aware" => SelectorKind::UslaAware,
-        other => die(&format!("unknown selector {other:?}")),
-    };
 
     let seed: u64 = args.parsed("--seed", 2005);
     let workload = WorkloadSpec {
@@ -176,7 +175,6 @@ fn main() {
         cfg.sync_interval = SimDuration::from_mins(args.parsed("--sync-mins", 3u64));
         cfg.grid_factor = args.parsed("--grid-factor", 10usize);
         cfg.topology = topology;
-        cfg.selector = selector;
         if let Some(spec) = args.value_of("--faults") {
             cfg.fault_plan = Some(
                 FaultPlan::parse(spec).unwrap_or_else(|e| die(&format!("bad --faults: {e}"))),

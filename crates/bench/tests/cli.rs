@@ -68,6 +68,27 @@ fn sweep_refuses_a_flag_it_does_not_know() {
 }
 
 #[test]
+fn sweep_refuses_a_value_flag_without_its_value_or_given_twice() {
+    // Each of these used to run a default (all three DP counts, no faults)
+    // or the first of two values, and exit 0.
+    for (tail, why) in [
+        ("--dps", "--dps needs a value"),
+        ("--dps 1 --faults", "--faults needs a value"),
+        ("--dps 1 --dps 3", "--dps given twice"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(["--clients", "2", "--duration-mins", "1"])
+            .args(tail.split(' '))
+            .output()
+            .expect("spawn sweep");
+        assert_eq!(out.status.code(), Some(2), "{tail}");
+        assert!(out.stdout.is_empty(), "ran something: {}", String::from_utf8_lossy(&out.stdout));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(why), "{tail}: {stderr}");
+    }
+}
+
+#[test]
 fn scale_artifacts_are_byte_identical_across_jobs() {
     // Both artifacts depend on nothing but the cells: no worker count,
     // clock or memory reading reaches them.

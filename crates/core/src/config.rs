@@ -1,6 +1,5 @@
 //! Experiment and deployment configuration.
 
-use gruber::SelectorKind;
 use gruber_types::SimDuration;
 use simnet::{ServiceProfile, WanTopology};
 
@@ -135,8 +134,6 @@ pub struct DigruberConfig {
     pub service: ServiceKind,
     /// Network the deployment runs over.
     pub wan: WanKind,
-    /// Client-side site-selection policy.
-    pub selector: SelectorKind,
     /// Dissemination strategy.
     pub dissemination: Dissemination,
     /// Exchange topology.
@@ -202,7 +199,6 @@ impl DigruberConfig {
             sync_interval: SimDuration::from_mins(3),
             service,
             wan: WanKind::PlanetLab,
-            selector: SelectorKind::LeastUsed,
             dissemination: Dissemination::UsageOnly,
             topology: SyncTopology::FullMesh,
             enforce_uslas: false,

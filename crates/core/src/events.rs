@@ -37,7 +37,7 @@ use crate::world::{client_node, dp_node, RequestState, World};
 use diperf::RequestTrace;
 use dpnode::{FloodPayload, Input};
 use dpstore::Routed;
-use gruber::DispatchRecord;
+use gruber::{DispatchRecord, SiteSelector};
 use gruber_metrics::accuracy_vs_best;
 use gruber_types::{ClientId, DpId, JobId, JobSpec, SimDuration, SiteId};
 use obs::{FaultMsgClass, TraceEvent};

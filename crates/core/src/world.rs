@@ -6,7 +6,7 @@ use diperf::{Collector, RampSchedule};
 use dpnode::NodeConfig;
 use dpstore::{Blueprint, LatencyModel, NodeHost, SimStore};
 use gridemu::{grid3_times, Grid, SitePolicy};
-use gruber::SiteSelector;
+use gruber::LeastUsedSelector;
 use gruber_types::{
     ClientId, DpId, GridResult, JobId, JobSpec, SimTime, SiteSpec,
 };
@@ -90,7 +90,7 @@ pub struct ClientState {
     /// The decision point this client is statically bound to.
     pub dp: DpId,
     /// Client-side site selector (runs over availability responses).
-    pub selector: Box<dyn SiteSelector>,
+    pub selector: LeastUsedSelector,
     /// Random stream for the timeout fallback ("selects a site at random,
     /// without considering USLAs").
     pub fallback_rng: DetRng,
@@ -375,7 +375,7 @@ impl World {
                     Some(m) => m.home_of(ClientId(c)),
                     None => DpId(misc_rng.index(cfg.n_dps) as u32),
                 },
-                selector: cfg.selector.build(cfg.seed, u64::from(c)),
+                selector: LeastUsedSelector::new(cfg.seed, u64::from(c)),
                 fallback_rng: DetRng::new(cfg.seed, 0xFA11 ^ (u64::from(c) << 16)),
                 active: false,
                 consecutive_timeouts: 0,

@@ -11,8 +11,8 @@
 //!   client-side selector logic lives in [`selectors`]; transport is the
 //!   caller's concern — `digruber` drives it over the simulated WAN);
 //! * **site selectors** ([`selectors`]) — answer "which is the best site at
-//!   which I can run this job?", with round-robin, least-used, least
-//!   recently used, random and USLA-aware task-assignment policies;
+//!   which I can run this job?": the [`SiteSelector`] trait is the
+//!   extension point, and least-used is the policy every experiment runs;
 //! * the **queue manager** — sits on a submission host, "monitors VO
 //!   policies and decides how many jobs to start and when". Not in this
 //!   crate: the simulated submission hosts throttle themselves with
@@ -58,9 +58,6 @@ pub mod selectors;
 pub mod view;
 
 pub use engine::GruberEngine;
-pub use selectors::{
-    LeastRecentlyUsedSelector, LeastUsedSelector, RandomSelector, RoundRobinSelector,
-    SelectorKind, SiteSelector, UslaAwareSelector,
-};
+pub use selectors::{LeastUsedSelector, SiteSelector};
 pub use gruber_types::DispatchRecord;
 pub use view::{GridView, RefView, ViewStore};

@@ -7,8 +7,9 @@
 //! assignment policies."
 //!
 //! Selectors run *client-side* over the availability snapshot a decision
-//! point returned (believed free CPUs per site). The USLA-aware selector
-//! additionally honours admission verdicts computed by the engine.
+//! point returned (believed free CPUs per site). [`SiteSelector`] is the
+//! extension point; every experiment of the paper, and every one here, runs
+//! the least-used policy, [`LeastUsedSelector`].
 
 use desim::DetRng;
 use gruber_types::{JobSpec, SimTime, SiteId};
@@ -18,67 +19,6 @@ pub trait SiteSelector {
     /// Picks a site for `job` given believed free CPUs per site.
     /// Returns `None` only when no site could possibly fit the job.
     fn select(&mut self, free_per_site: &[u32], job: &JobSpec, now: SimTime) -> Option<SiteId>;
-
-    /// Policy name (for traces and tables).
-    fn name(&self) -> &'static str;
-}
-
-/// Uniform random choice among all sites — also the degraded mode used when
-/// a decision-point query times out ("the client's site selector then
-/// selects a site at random, without considering USLAs").
-#[derive(Debug)]
-pub struct RandomSelector {
-    rng: DetRng,
-}
-
-impl RandomSelector {
-    /// A random selector with its own stream.
-    pub fn new(seed: u64, stream: u64) -> Self {
-        RandomSelector {
-            rng: DetRng::new(seed, stream ^ 0x5E1E_C704),
-        }
-    }
-}
-
-impl SiteSelector for RandomSelector {
-    fn select(&mut self, free_per_site: &[u32], _job: &JobSpec, _now: SimTime) -> Option<SiteId> {
-        if free_per_site.is_empty() {
-            return None;
-        }
-        Some(SiteId::from_index(self.rng.index(free_per_site.len())))
-    }
-
-    fn name(&self) -> &'static str {
-        "random"
-    }
-}
-
-/// Cycles through sites in id order.
-#[derive(Debug, Default)]
-pub struct RoundRobinSelector {
-    next: usize,
-}
-
-impl RoundRobinSelector {
-    /// Starts the cycle at site 0.
-    pub fn new() -> Self {
-        RoundRobinSelector::default()
-    }
-}
-
-impl SiteSelector for RoundRobinSelector {
-    fn select(&mut self, free_per_site: &[u32], _job: &JobSpec, _now: SimTime) -> Option<SiteId> {
-        if free_per_site.is_empty() {
-            return None;
-        }
-        let pick = self.next % free_per_site.len();
-        self.next = (self.next + 1) % free_per_site.len();
-        Some(SiteId::from_index(pick))
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
 }
 
 /// Picks uniformly among the sites whose believed free CPUs are within
@@ -121,115 +61,6 @@ impl SiteSelector for LeastUsedSelector {
             near_best[self.rng.index(near_best.len())],
         ))
     }
-
-    fn name(&self) -> &'static str {
-        "least-used"
-    }
-}
-
-/// Picks the site this selector dispatched to least recently.
-#[derive(Debug, Default)]
-pub struct LeastRecentlyUsedSelector {
-    last_used: Vec<SimTime>,
-}
-
-impl LeastRecentlyUsedSelector {
-    /// An LRU selector.
-    pub fn new() -> Self {
-        LeastRecentlyUsedSelector::default()
-    }
-}
-
-impl SiteSelector for LeastRecentlyUsedSelector {
-    fn select(&mut self, free_per_site: &[u32], _job: &JobSpec, now: SimTime) -> Option<SiteId> {
-        if free_per_site.is_empty() {
-            return None;
-        }
-        if self.last_used.len() < free_per_site.len() {
-            self.last_used.resize(free_per_site.len(), SimTime::ZERO);
-        }
-        let (idx, _) = self
-            .last_used
-            .iter()
-            .enumerate()
-            .take(free_per_site.len())
-            .min_by_key(|&(i, &t)| (t, i))?;
-        self.last_used[idx] = now + gruber_types::SimDuration::MILLISECOND;
-        Some(SiteId::from_index(idx))
-    }
-
-    fn name(&self) -> &'static str {
-        "least-recently-used"
-    }
-}
-
-/// Least-used restricted to sites where the job actually fits; this is the
-/// placement the decision point's USLA admission has already vetted (the
-/// engine filters the availability snapshot before the client selects).
-#[derive(Debug)]
-pub struct UslaAwareSelector {
-    inner: LeastUsedSelector,
-}
-
-impl UslaAwareSelector {
-    /// A USLA-aware selector.
-    pub fn new(seed: u64, stream: u64) -> Self {
-        UslaAwareSelector {
-            inner: LeastUsedSelector::new(seed, stream ^ 0x051A),
-        }
-    }
-}
-
-impl SiteSelector for UslaAwareSelector {
-    fn select(&mut self, free_per_site: &[u32], job: &JobSpec, now: SimTime) -> Option<SiteId> {
-        // Prefer sites with room for the whole job; if none, fall back to
-        // the least-loaded site (the job will queue there).
-        let fitting: Vec<(usize, u32)> = free_per_site
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(_, free)| free >= job.cpus)
-            .collect();
-        if fitting.is_empty() {
-            return self.inner.select(free_per_site, job, now);
-        }
-        fitting
-            .into_iter()
-            .max_by_key(|&(i, free)| (free, std::cmp::Reverse(i)))
-            .map(|(i, _)| SiteId::from_index(i))
-    }
-
-    fn name(&self) -> &'static str {
-        "usla-aware"
-    }
-}
-
-/// Selector choice as plain data (for experiment configs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SelectorKind {
-    /// [`RandomSelector`].
-    Random,
-    /// [`RoundRobinSelector`].
-    RoundRobin,
-    /// [`LeastUsedSelector`].
-    LeastUsed,
-    /// [`LeastRecentlyUsedSelector`].
-    LeastRecentlyUsed,
-    /// [`UslaAwareSelector`].
-    UslaAware,
-}
-
-impl SelectorKind {
-    /// Instantiates the selector (random selectors get `seed`/`stream`).
-    pub fn build(self, seed: u64, stream: u64) -> Box<dyn SiteSelector> {
-        match self {
-            SelectorKind::Random => Box::new(RandomSelector::new(seed, stream)),
-            SelectorKind::RoundRobin => Box::new(RoundRobinSelector::new()),
-            SelectorKind::LeastUsed => Box::new(LeastUsedSelector::new(seed, stream)),
-            SelectorKind::LeastRecentlyUsed => Box::new(LeastRecentlyUsedSelector::new()),
-            SelectorKind::UslaAware => Box::new(UslaAwareSelector::new(seed, stream)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -270,70 +101,5 @@ mod tests {
             .collect();
         assert!(picks.len() >= 3, "no spreading: {picks:?}");
         assert!(!picks.contains(&SiteId(3)), "picked a clearly-worse site");
-    }
-
-    #[test]
-    fn round_robin_cycles() {
-        let mut s = RoundRobinSelector::new();
-        let picks: Vec<u32> = (0..5)
-            .map(|_| s.select(&[1, 1, 1], &job(1), SimTime::ZERO).unwrap().0)
-            .collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1]);
-    }
-
-    #[test]
-    fn random_is_deterministic_and_in_range() {
-        let mut a = RandomSelector::new(7, 1);
-        let mut b = RandomSelector::new(7, 1);
-        for _ in 0..50 {
-            let pa = a.select(&[0, 0, 0, 0, 0], &job(1), SimTime::ZERO).unwrap();
-            let pb = b.select(&[0, 0, 0, 0, 0], &job(1), SimTime::ZERO).unwrap();
-            assert_eq!(pa, pb);
-            assert!(pa.index() < 5);
-        }
-    }
-
-    #[test]
-    fn lru_rotates_through_all_sites() {
-        let mut s = LeastRecentlyUsedSelector::new();
-        let mut picks = std::collections::HashSet::new();
-        for i in 0..4u64 {
-            picks.insert(
-                s.select(&[1, 1, 1, 1], &job(1), SimTime::from_secs(i))
-                    .unwrap(),
-            );
-        }
-        assert_eq!(picks.len(), 4, "LRU must visit every site once");
-        // Fifth pick revisits the first-used site.
-        let fifth = s.select(&[1, 1, 1, 1], &job(1), SimTime::from_secs(9)).unwrap();
-        assert_eq!(fifth, SiteId(0));
-    }
-
-    #[test]
-    fn usla_aware_prefers_fitting_sites() {
-        let mut s = UslaAwareSelector::new(0, 0);
-        // Site 1 has most free but job needs 4; site 2 fits exactly.
-        assert_eq!(
-            s.select(&[0, 3, 4], &job(4), SimTime::ZERO),
-            Some(SiteId(2))
-        );
-        // Nothing fits: fall back to least-used (site 1).
-        assert_eq!(
-            s.select(&[0, 3, 2], &job(4), SimTime::ZERO),
-            Some(SiteId(1))
-        );
-    }
-
-    #[test]
-    fn kind_builds_matching_selector() {
-        for (kind, name) in [
-            (SelectorKind::Random, "random"),
-            (SelectorKind::RoundRobin, "round-robin"),
-            (SelectorKind::LeastUsed, "least-used"),
-            (SelectorKind::LeastRecentlyUsed, "least-recently-used"),
-            (SelectorKind::UslaAware, "usla-aware"),
-        ] {
-            assert_eq!(kind.build(0, 0).name(), name);
-        }
     }
 }

@@ -20,8 +20,9 @@
 //! use diperf::RequestTrace;
 //! use gruber_types::*;
 //! use grubsim::{simulate_required_dps, CapacityModel};
+//! use obs::Recorder;
 //!
-//! // 5 q/s of demand against 2 q/s GT3 decision points.
+//! // 5 q/s of demand on a one-point deployment of 2 q/s GT3 decision points.
 //! let traces: Vec<RequestTrace> = (0..3000u32)
 //!     .map(|i| RequestTrace::answered(
 //!         ClientId(i % 50), DpId(0),
@@ -29,7 +30,8 @@
 //!         SimDuration::from_secs(1),
 //!     ))
 //!     .collect();
-//! let report = simulate_required_dps(&traces, CapacityModel::gt3(), SimDuration::MINUTE);
+//! let report =
+//!     simulate_required_dps(&traces, 1, CapacityModel::gt3(), SimDuration::MINUTE, &Recorder::OFF);
 //! assert!(report.required_dps() >= 3);
 //! ```
 
@@ -38,10 +40,8 @@
 
 pub mod capacity;
 pub mod protocol;
-pub mod rebalance;
 pub mod replay;
 
 pub use capacity::CapacityModel;
 pub use protocol::{replay_protocol, ProtocolReplayConfig, ProtocolReplayReport};
-pub use rebalance::{simulate_rebalancing, RebalanceReport};
-pub use replay::{simulate_required_dps, simulate_required_dps_traced, GrubSimReport};
+pub use replay::{simulate_required_dps, GrubSimReport};

@@ -51,35 +51,24 @@ impl GrubSimReport {
 /// Replays a DiPerF trace against a capacity model, adding decision points
 /// whenever the offered load saturates the current set.
 ///
-/// The replay walks fixed intervals; in each it offers the interval's
-/// requests (answered *and* timed out — timeouts are demand the saturated
-/// service shed) plus any backlog carried over. When the backlog exceeds
-/// the burst allowance of the current decision-point set, an overload
-/// event fires and one decision point is added (the paper's monitor adds
-/// points one at a time as saturation signals arrive).
+/// `initial_dps` is the size of the deployment the trace was recorded on:
+/// a point whose clients sent nothing still counts. The replay walks fixed
+/// intervals; in each it offers the interval's requests (answered *and*
+/// timed out — timeouts are demand the saturated service shed) plus any
+/// backlog carried over. When the backlog exceeds the burst allowance of
+/// the current decision-point set, an overload event fires and one
+/// decision point is added (the paper's monitor adds points one at a time
+/// as saturation signals arrive). Every overload event and addition is
+/// emitted to `tracer`, timestamped at the start of the replay interval
+/// that triggered it.
 pub fn simulate_required_dps(
     traces: &[RequestTrace],
-    model: CapacityModel,
-    interval: SimDuration,
-) -> GrubSimReport {
-    simulate_required_dps_traced(traces, model, interval, &Recorder::OFF)
-}
-
-/// [`simulate_required_dps`] with a trace recorder: every overload event
-/// and decision-point addition is emitted, timestamped at the start of the
-/// replay interval that triggered it.
-pub fn simulate_required_dps_traced(
-    traces: &[RequestTrace],
+    initial_dps: usize,
     model: CapacityModel,
     interval: SimDuration,
     tracer: &Recorder,
 ) -> GrubSimReport {
     assert!(!interval.is_zero(), "zero replay interval");
-    let initial_dps = traces
-        .iter()
-        .map(|t| t.dp.index() + 1)
-        .max()
-        .unwrap_or(1);
     if traces.is_empty() {
         return GrubSimReport {
             initial_dps,
@@ -159,11 +148,15 @@ mod tests {
         out
     }
 
+    /// Replays `traces` on an `initial_dps`-point deployment, untraced.
+    fn replay(traces: &[RequestTrace], initial_dps: usize, model: CapacityModel) -> GrubSimReport {
+        simulate_required_dps(traces, initial_dps, model, SimDuration::MINUTE, &Recorder::OFF)
+    }
+
     #[test]
     fn underloaded_trace_needs_no_additions() {
         // 1 q/s against a 2 q/s point.
-        let traces = steady_trace(1, 300, 1);
-        let r = simulate_required_dps(&traces, CapacityModel::gt3(), SimDuration::MINUTE);
+        let r = replay(&steady_trace(1, 300, 1), 1, CapacityModel::gt3());
         assert_eq!(r.added_dps, 0);
         assert_eq!(r.required_dps(), 1);
         assert_eq!(r.overload_events, 0);
@@ -172,8 +165,7 @@ mod tests {
     #[test]
     fn overloaded_trace_provisions_until_capacity_matches() {
         // 7 q/s against 2 q/s points starting from one: needs ~4 total.
-        let traces = steady_trace(7, 600, 1);
-        let r = simulate_required_dps(&traces, CapacityModel::gt3(), SimDuration::MINUTE);
+        let r = replay(&steady_trace(7, 600, 1), 1, CapacityModel::gt3());
         assert!(r.required_dps() >= 4, "{r:?}");
         assert!(r.required_dps() <= 6, "{r:?}");
         assert!(r.overload_events > 0);
@@ -186,12 +178,8 @@ mod tests {
         // point of either stack); strictly more once GT3 itself overloads.
         for rate in [1, 2, 5, 9] {
             let traces = steady_trace(rate, 600, 1);
-            let gt3 = simulate_required_dps(&traces, CapacityModel::gt3(), SimDuration::MINUTE);
-            let gt4 = simulate_required_dps(
-                &traces,
-                CapacityModel::gt4_prerelease(),
-                SimDuration::MINUTE,
-            );
+            let gt3 = replay(&traces, 1, CapacityModel::gt3());
+            let gt4 = replay(&traces, 1, CapacityModel::gt4_prerelease());
             assert!(
                 gt4.required_dps() >= gt3.required_dps() + usize::from(rate >= 5),
                 "{rate} q/s: GT4-pre {} vs GT3 {}",
@@ -202,15 +190,18 @@ mod tests {
     }
 
     #[test]
-    fn initial_dps_comes_from_trace() {
-        let traces = steady_trace(1, 60, 3);
-        let r = simulate_required_dps(&traces, CapacityModel::gt3(), SimDuration::MINUTE);
+    fn a_point_whose_clients_sent_nothing_still_counts() {
+        // 3 q/s, all on DP 0 of a 3-point GT3 deployment: three points
+        // absorb it, so none is added, though the trace names only DP 0.
+        let r = replay(&steady_trace(3, 600, 1), 3, CapacityModel::gt3());
         assert_eq!(r.initial_dps, 3);
+        assert_eq!(r.added_dps, 0, "{r:?}");
+        assert_eq!(r.overload_events, 0);
     }
 
     #[test]
     fn empty_trace_is_harmless() {
-        let r = simulate_required_dps(&[], CapacityModel::gt3(), SimDuration::MINUTE);
+        let r = replay(&[], 1, CapacityModel::gt3());
         assert_eq!(r.required_dps(), 1);
         assert_eq!(r.intervals, 0);
     }
@@ -228,13 +219,13 @@ mod tests {
                 ));
             }
         }
-        let r = simulate_required_dps(&traces, CapacityModel::gt3(), SimDuration::MINUTE);
+        let r = replay(&traces, 1, CapacityModel::gt3());
         assert!(r.added_dps >= 2, "shed demand ignored: {r:?}");
     }
 
     #[test]
     fn row_renders() {
-        let r = simulate_required_dps(&steady_trace(1, 60, 1), CapacityModel::gt3(), SimDuration::MINUTE);
+        let r = replay(&steady_trace(1, 60, 1), 1, CapacityModel::gt3());
         assert!(r.row().contains("required"));
     }
 }

@@ -106,7 +106,7 @@ echo "==> one trace clock: health is scored on the timeline's bins, nodes never 
   && ! grep -rn 'sync_every: Some' --include=*.rs crates src tests examples perf; } \
   || { echo "ci.sh: a second trace clock, consumer fan-out or node timer is back (lines above)"; exit 1; }
 
-echo "==> every capability earns its keep: sites are FIFO, loss is a fault-plan clause, one join/leave path"
+echo "==> every capability earns its keep: sites are FIFO, loss is a fault-plan clause, one join/leave path, one site selector, one GRUB-SIM path"
 # Site disciplines and the base WAN loss rate had no paper claim, study
 # cell, test or workload behind them and were deleted; a second site
 # scheduler or a second loss path is the unused option growing back.
@@ -121,6 +121,12 @@ echo "==> every capability earns its keep: sites are FIFO, loss is a fault-plan 
 { ! grep -rnE '\b(join_dp|leave_dp)\b|Msg::(StateTransfer|Leave)\b|Answer::Records|client_timeout:|"--timeout-secs"|"bind"' \
       --include=*.rs crates src tests examples; } \
   || { echo "ci.sh: a deleted capability is back (lines above)"; exit 1; }
+# One site selector and one GRUB-SIM path: least-used is the policy every
+# experiment runs (the `SiteSelector` trait stays as the extension point),
+# and table3 replays a run's traces in process, with no file in between.
+{ ! grep -rnE 'SelectorKind|RandomSelector|RoundRobinSelector|LeastRecentlyUsedSelector|UslaAwareSelector|"--selector"|simulate_rebalancing|grubsim_cli|save-traces|from_lines|dyn SiteSelector' \
+      --include=*.rs --include=Cargo.toml crates src tests examples; } \
+  || { echo "ci.sh: a deleted selector or GRUB-SIM path is back (lines above)"; exit 1; }
 
 echo "==> one handshake, one frame reader: the socket runtime's connection edge is clusterd::conn"
 # The hello exchange, its deadlines and frame reassembly live in one module

@@ -1,11 +1,11 @@
 //! The experiment → trace → GRUB-SIM pipeline, end to end (Table 3's
-//! data path), including the on-disk trace format.
+//! data path): a run's traces go straight into the replay, in process.
 
 use digruber::config::DigruberConfig;
 use digruber::{run_experiment, ServiceKind};
-use diperf::trace::{from_lines, to_lines};
 use gruber_types::SimDuration;
-use grubsim::{simulate_required_dps, CapacityModel};
+use grubsim::{simulate_required_dps, CapacityModel, GrubSimReport};
+use obs::Recorder;
 use workload::WorkloadSpec;
 
 fn scaled_run(n_dps: usize) -> digruber::ExperimentOutput {
@@ -23,19 +23,15 @@ fn scaled_run(n_dps: usize) -> digruber::ExperimentOutput {
     .unwrap()
 }
 
-#[test]
-fn traces_roundtrip_through_the_line_format() {
-    let out = scaled_run(2);
-    assert!(!out.traces.is_empty());
-    let lines = to_lines(&out.traces);
-    let parsed = from_lines(&lines).expect("parse our own traces");
-    assert_eq!(parsed, out.traces);
+/// Replays a run's traces on the deployment they were recorded on.
+fn replay(out: &digruber::ExperimentOutput, n_dps: usize) -> GrubSimReport {
+    simulate_required_dps(&out.traces, n_dps, CapacityModel::gt3(), SimDuration::MINUTE, &Recorder::OFF)
 }
 
 #[test]
 fn grubsim_consumes_experiment_traces() {
     let out = scaled_run(1);
-    let report = simulate_required_dps(&out.traces, CapacityModel::gt3(), SimDuration::MINUTE);
+    let report = replay(&out, 1);
     assert_eq!(report.initial_dps, 1);
     assert!(report.intervals > 0);
     assert!(report.peak_offered_qps > 0.0);
@@ -48,10 +44,8 @@ fn grubsim_consumes_experiment_traces() {
 
 #[test]
 fn grubsim_requirement_shrinks_when_experiment_has_enough_dps() {
-    let under = scaled_run(1);
-    let okay = scaled_run(4);
-    let r_under = simulate_required_dps(&under.traces, CapacityModel::gt3(), SimDuration::MINUTE);
-    let r_okay = simulate_required_dps(&okay.traces, CapacityModel::gt3(), SimDuration::MINUTE);
+    let r_under = replay(&scaled_run(1), 1);
+    let r_okay = replay(&scaled_run(4), 4);
     // The well-provisioned run needs no (or almost no) additions.
     assert!(
         r_okay.added_dps <= r_under.added_dps + 1,
@@ -62,7 +56,5 @@ fn grubsim_requirement_shrinks_when_experiment_has_enough_dps() {
 #[test]
 fn grubsim_replay_is_deterministic() {
     let out = scaled_run(2);
-    let a = simulate_required_dps(&out.traces, CapacityModel::gt3(), SimDuration::MINUTE);
-    let b = simulate_required_dps(&out.traces, CapacityModel::gt3(), SimDuration::MINUTE);
-    assert_eq!(a, b);
+    assert_eq!(replay(&out, 2), replay(&out, 2));
 }
