@@ -7,6 +7,10 @@
 //! correlated by the echoed query token so a reply that arrives after
 //! its timeout is discarded instead of answering the wrong query. The
 //! handshake, the deadlines and the frame reader are [`crate::conn`]'s.
+//!
+//! The clock is read for a deadline and, only when a recorder is
+//! installed, for a trace event; what a wall-clock timeout measures is
+//! [`dpstore::mailbox`]'s **Time**.
 
 use crate::conn::{self, Conn};
 use crate::proto::{self, ClusterDpStats};
@@ -56,8 +60,13 @@ impl ClusterClient {
         self.dp
     }
 
-    fn now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed().as_millis() as u64)
+    /// Emits a client-side event at the current time, reading the clock
+    /// only when a recorder is installed.
+    fn trace(&self, event: impl FnOnce() -> TraceEvent) {
+        if self.recorder.is_enabled() {
+            let at = SimTime(self.epoch.elapsed().as_millis() as u64);
+            self.recorder.emit(at, event);
+        }
     }
 
     fn send_frame(&mut self, kind: u8, payload: &[u8]) -> std::io::Result<()> {
@@ -93,15 +102,13 @@ impl ClusterClient {
             cpus: 1,
         });
         let (dp, client) = (self.dp, self.client);
-        self.recorder
-            .emit(self.now(), || TraceEvent::QueryIssued { client, dp });
+        self.trace(|| TraceEvent::QueryIssued { client, dp });
         let sent = Instant::now();
         self.send_frame(proto::FRAME_QUERY, req.as_ref())?;
         let deadline = sent.checked_add(timeout);
         loop {
             let Some(payload) = self.read_frame(proto::FRAME_QUERY_REPLY, deadline)? else {
-                self.recorder
-                    .emit(self.now(), || TraceEvent::ClientTimeout { client, dp });
+                self.trace(|| TraceEvent::ClientTimeout { client, dp });
                 return Ok(None);
             };
             let (got, free) = proto::decode_free(payload)
@@ -109,7 +116,7 @@ impl ClusterClient {
             if got != token {
                 continue; // a stale reply from a timed-out query
             }
-            self.recorder.emit(self.now(), || TraceEvent::ResponseAnswered {
+            self.trace(|| TraceEvent::ResponseAnswered {
                 dp,
                 client,
                 response_ms: sent.elapsed().as_millis() as u64,

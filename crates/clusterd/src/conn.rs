@@ -158,8 +158,8 @@ pub fn request<T: Transport<Peers = Vec<(DpId, String)>>>(
 pub(crate) struct Conn {
     stream: TcpStream,
     fb: FrameBuf,
-    /// The read timeout armed on the socket, so a reader that never
-    /// changes it pays no system call to set it again.
+    /// The read timeout armed on the socket, so [`Conn::next`] can tell
+    /// whether it must be set again.
     armed: Option<Duration>,
 }
 
@@ -208,6 +208,12 @@ impl Conn {
 
     /// The next whole frame, reading as needed until `deadline` (`None`:
     /// none). `Ok(None)` means the deadline passed first.
+    ///
+    /// The socket's read timeout is re-armed only when the armed one could
+    /// overshoot the deadline: when it is longer than what is left, or when
+    /// exactly one of the two is unbounded. A client whose queries share
+    /// one timeout so pays no system call for it per query; a read that
+    /// times out short of the deadline reads again.
     pub(crate) fn next(
         &mut self,
         deadline: Option<Instant>,
@@ -221,16 +227,19 @@ impl Conn {
             if left.is_some_and(|left| left.is_zero()) {
                 return Ok(None);
             }
-            if left != self.armed {
+            let overshoots = match (self.armed, left) {
+                (Some(armed), Some(left)) => armed > left,
+                (armed, left) => armed.is_some() != left.is_some(),
+            };
+            if overshoots {
                 self.stream.set_read_timeout(left)?;
                 self.armed = left;
             }
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Err(CloseReason::Eof),
                 Ok(n) => self.fb.extend(&chunk[..n]),
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    return Ok(None)
-                }
+                // Short of the deadline: the loop's head decides.
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
                 Err(e) => return Err(e.into()),
             }
         }

@@ -73,15 +73,13 @@ fn merge_inbox(point: &mut Point<SimStore, Channels>) {
     }
 }
 
-/// Steps `msg` into `point` after its inbox; the answer, `None` if there
-/// is none or the point has ended.
-fn call(point: &Live, msg: Msg) -> Option<Answer> {
-    point
-        .with(|point| {
-            merge_inbox(point);
-            point.step(msg)
-        })
-        .flatten()
+/// Steps `msg` into `point` after its inbox; the step's answer, if any,
+/// and its [stamp](Point::stamp). `None` once the point has ended.
+fn call(point: &Live, msg: Msg) -> Option<(Option<Answer>, Instant)> {
+    point.with(|point| {
+        merge_inbox(point);
+        (point.step(msg), point.stamp())
+    })
 }
 
 /// One sync round: each point in turn floods, and its peers merge the
@@ -219,11 +217,25 @@ impl LiveCluster {
         self.points.len()
     }
 
+    /// Emits a client-side event at the current time, reading the clock
+    /// only on a traced cluster.
+    fn trace(&self, event: impl FnOnce() -> TraceEvent) {
+        if self.recorder.is_enabled() {
+            let at = self.now();
+            self.recorder.emit(at, event);
+        }
+    }
+
     /// Availability query with a client-side timeout, answered on the
     /// caller's thread. `None` means no answer in time — the point is
     /// crashed or stopped (known at once), or the answer took longer than
     /// `timeout` — and the caller should fall back to a random site, like
     /// the paper's clients. `Duration::MAX` has no deadline.
+    ///
+    /// The wait is measured from the call to the query step's stamp (see
+    /// [`dpstore::mailbox`]'s **Time**): it covers the wait for the
+    /// point's lock and its inbox merge, not the node's own sub-µs work
+    /// after the stamp. An untraced query reads the clock twice.
     ///
     /// Traced clusters emit the client-side protocol events here —
     /// `query_issued` before the step and `response_answered` /
@@ -231,31 +243,33 @@ impl LiveCluster {
     /// this handle is the client, and callers multiplex it freely across
     /// threads.
     pub fn query(&self, dp: DpId, timeout: Duration) -> Option<Vec<u32>> {
-        self.recorder.emit(self.now(), || TraceEvent::QueryIssued {
-            client: ClientId(0),
-            dp,
-        });
+        let client = ClientId(0);
+        self.trace(|| TraceEvent::QueryIssued { client, dp });
         let sent = Instant::now();
-        let reply = match call(&self.points[dp.index()], Msg::Query) {
-            Some(Answer::Free(free)) if sent.elapsed() <= timeout => Some(free),
+        let answered = match call(&self.points[dp.index()], Msg::Query) {
+            Some((Some(Answer::Free(free)), stamp)) => Some((free, stamp - sent)),
             _ => None,
         };
-        match &reply {
-            Some(_) => self.recorder.emit(self.now(), || TraceEvent::ResponseAnswered {
-                dp,
-                client: ClientId(0),
-                response_ms: sent.elapsed().as_millis() as u64,
-            }),
-            None => self.recorder.emit(self.now(), || TraceEvent::ClientTimeout {
-                client: ClientId(0),
-                dp,
-            }),
+        match answered.filter(|(_, waited)| *waited <= timeout) {
+            Some((free, waited)) => {
+                let response_ms = waited.as_millis() as u64;
+                self.trace(|| TraceEvent::ResponseAnswered {
+                    dp,
+                    client,
+                    response_ms,
+                });
+                Some(free)
+            }
+            None => {
+                self.trace(|| TraceEvent::ClientTimeout { client, dp });
+                None
+            }
         }
-        reply
     }
 
     /// Informs a decision point of a dispatch decision. The record is
-    /// stepped in its wire form ([`simnet::codec::encode_inform`]).
+    /// stepped in its wire form ([`simnet::codec::encode_inform`]); the
+    /// step's stamp is the one clock read.
     pub fn inform(&self, dp: DpId, record: DispatchRecord) {
         let bytes = encode_inform(&record);
         call(&self.points[dp.index()], Msg::Wire(WireInput::Inform(bytes)));
@@ -387,6 +401,40 @@ mod tests {
                 .collect();
             assert_eq!(merged, [1, 2]);
         }
+    }
+
+    /// A query waits 30 ms for a point another thread holds: with a 5 ms
+    /// timeout it times out (and a traced cluster says so), and with no
+    /// deadline it is answered. The wait for the lock is part of what the
+    /// timeout measures.
+    #[test]
+    fn a_query_held_up_by_the_lock_is_timed_to_the_step() {
+        let rec = Recorder::new(obs::TraceConfig::default());
+        let uslas = equal_shares(2, 2).unwrap();
+        let hour = Duration::from_secs(3600);
+        let cluster = LiveCluster::start_traced(1, sites(), &uslas, hour, rec.clone());
+        let held_query = |timeout| {
+            let held = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    cluster.points[0].with(|_| {
+                        held.wait();
+                        std::thread::sleep(Duration::from_millis(30));
+                    })
+                });
+                held.wait();
+                cluster.query(DpId(0), timeout)
+            })
+        };
+        assert_eq!(held_query(Duration::from_millis(5)), None);
+        assert_eq!(held_query(Duration::MAX), Some(vec![16; 4]));
+        let end = cluster.now();
+        cluster.shutdown();
+        let timeline = rec.finish(end).expect("traced");
+        let timeouts = (timeline.recent.iter())
+            .filter(|(_, ev)| matches!(ev, TraceEvent::ClientTimeout { dp: DpId(0), .. }))
+            .count();
+        assert_eq!(timeouts, 1);
     }
 
     #[test]

@@ -28,6 +28,15 @@
 //! threads feeding the point see [`SharedPoint::stop`], and
 //! [`SharedPoint::join`] wakes.
 //!
+//! **Time.** A step reads the wall clock once (a restore also times its
+//! replay), under the lock, so the [`SimTime`] the node sees never goes
+//! backwards in lock order. The step derives its `SimTime` from that
+//! reading, and [`Point::stamp`] hands the reading back to the thread that
+//! stepped it. A caller's timeout is measured from its send to that
+//! stamp: it covers the wait for the lock and whatever is stepped first
+//! (in `digruber::live`, the inbox merge), but not the node's own sub-µs
+//! work after the stamp.
+//!
 //! **What a transport provides** is the outbound half only: hand one flood
 //! to one peer, replace the peer table, and say how wide the mesh is.
 //! Delivery is its business — the socket transport splits a flood into
@@ -183,6 +192,7 @@ pub struct Point<S: Store, T: Transport> {
     flood_requeues: u64,
     recorder: Recorder,
     epoch: Instant,
+    stamp: Instant,
 }
 
 impl<S: Store, T: Transport> Point<S, T> {
@@ -195,7 +205,14 @@ impl<S: Store, T: Transport> Point<S, T> {
             flood_requeues: 0,
             recorder,
             epoch,
+            stamp: epoch,
         }
+    }
+
+    /// The wall-clock reading the last step was stamped with (the epoch
+    /// before the first step).
+    pub fn stamp(&self) -> Instant {
+        self.stamp
     }
 
     /// Turns one message into a [`NodeHost`] input, routes the floods the
@@ -205,7 +222,9 @@ impl<S: Store, T: Transport> Point<S, T> {
     /// host — is picked up here, and so by both runtimes, with no code
     /// change.
     pub fn step(&mut self, msg: NodeMsg<T>) -> Option<Answer> {
-        let (at, id) = (since(self.epoch), self.host.node().id());
+        self.stamp = Instant::now();
+        let at = SimTime(self.stamp.duration_since(self.epoch).as_millis() as u64);
+        let id = self.host.node().id();
         let input = match msg {
             NodeMsg::Query => Input::QueryArrived { admission: None },
             // `None`: a malformed inform, dropped whole.

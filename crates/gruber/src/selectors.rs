@@ -50,16 +50,10 @@ impl SiteSelector for LeastUsedSelector {
     fn select(&mut self, free_per_site: &[u32], _job: &JobSpec, _now: SimTime) -> Option<SiteId> {
         let max_free = free_per_site.iter().copied().max()?;
         let threshold = (f64::from(max_free) * Self::SLACK).ceil() as u32;
-        let near_best: Vec<usize> = free_per_site
-            .iter()
-            .enumerate()
-            .filter(|&(_, &f)| f >= threshold)
-            .map(|(i, _)| i)
-            .collect();
-        debug_assert!(!near_best.is_empty());
-        Some(SiteId::from_index(
-            near_best[self.rng.index(near_best.len())],
-        ))
+        let near_best = || (free_per_site.iter().enumerate()).filter(|&(_, &f)| f >= threshold);
+        // The maximum itself qualifies, so the count is at least one.
+        let pick = self.rng.index(near_best().count());
+        near_best().nth(pick).map(|(i, _)| SiteId::from_index(i))
     }
 }
 
@@ -101,5 +95,47 @@ mod tests {
             .collect();
         assert!(picks.len() >= 3, "no spreading: {picks:?}");
         assert!(!picks.contains(&SiteId(3)), "picked a clearly-worse site");
+    }
+
+    /// The selector as it was: collect the near-best sites, draw one.
+    fn collecting_select(s: &mut LeastUsedSelector, free_per_site: &[u32]) -> Option<SiteId> {
+        let max_free = free_per_site.iter().copied().max()?;
+        let threshold = (f64::from(max_free) * LeastUsedSelector::SLACK).ceil() as u32;
+        let near_best: Vec<usize> = free_per_site
+            .iter()
+            .enumerate()
+            .filter(|&(_, &f)| f >= threshold)
+            .map(|(i, _)| i)
+            .collect();
+        Some(SiteId::from_index(near_best[s.rng.index(near_best.len())]))
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Counting and taking the `nth` near-best site picks what
+            /// collecting them did, from the same random stream: every
+            /// fingerprint downstream of a pick stays put.
+            #[test]
+            fn prop_counting_picks_what_collecting_did(
+                seed in 0u64..1_000_000,
+                stream in 0u64..64,
+                snapshots in vec(vec(0u32..40, 0..12), 1..20),
+            ) {
+                let (mut fast, mut oracle) = (
+                    LeastUsedSelector::new(seed, stream),
+                    LeastUsedSelector::new(seed, stream),
+                );
+                for free in &snapshots {
+                    prop_assert_eq!(
+                        fast.select(free, &job(1), SimTime::ZERO),
+                        collecting_select(&mut oracle, free)
+                    );
+                }
+            }
+        }
     }
 }

@@ -105,6 +105,12 @@ echo "==> one trace clock: health is scored on the timeline's bins, nodes never 
       --include=*.rs crates src tests examples \
   && ! grep -rn 'sync_every: Some' --include=*.rs crates src tests examples perf; } \
   || { echo "ci.sh: a second trace clock, consumer fan-out or node timer is back (lines above)"; exit 1; }
+# A wall-clock step reads the clock once (dpstore::mailbox's **Time**); a
+# client reads it for a trace event only when a recorder is on. A clock read
+# as `emit`'s eager time argument runs on every call, traced or not.
+{ ! grep -nE 'emit\((self\.now\(\)|since\(|mailbox::since\()' \
+      crates/core/src/live.rs crates/clusterd/src/client.rs; } \
+  || { echo "ci.sh: an untraced call reads the clock for a trace event (lines above)"; exit 1; }
 
 echo "==> every capability earns its keep: sites are FIFO, loss is a fault-plan clause, one join/leave path, one site selector, one GRUB-SIM path"
 # Site disciplines and the base WAN loss rate had no paper claim, study

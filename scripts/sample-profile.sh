@@ -11,6 +11,14 @@ workload="${1:?usage: scripts/sample-profile.sh <workload> [seed] [seconds]}"
 seed="${2:-1}"
 seconds="${3:-8}"
 
+# On sock-* the benchmark runs `cargo build -p clusterd` under the preload.
+# rustup's cargo proxy execs the toolchain's cargo with the profiling timer
+# still armed and no handler yet, and a SIGPROF then kills it: call the
+# toolchain's cargo directly.
+if command -v rustup > /dev/null; then
+  PATH="$(dirname "$(rustup which cargo)"):$PATH"
+fi
+
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 gcc -O2 -shared -fPIC -o "$out/sigprof.so" scripts/sigprof.c
@@ -25,3 +33,13 @@ pid=$!
 wait "$pid" || { cat "$out/stdout"; echo "sample-profile.sh: the benchmark failed"; exit 1; }
 grep '^# ' "$out/stdout" | grep 'model_fingerprint' || true
 python3 scripts/profile.py "$out/prof.$pid" --top "${TOP:-25}"
+
+# The `sock-*` workloads' clusterd servers (built by the benchmark into
+# target/release) do most of the work there: one table per server. The
+# other children (the benchmark's cargo build of clusterd) are skipped.
+for prof in "$out"/prof.*; do
+  [ "$prof" != "$out/prof.$pid" ] && grep -q '/clusterd$' "$prof" || continue
+  echo
+  python3 scripts/profile.py "$prof" --binary target/release/clusterd --top "${TOP:-25}" \
+    || echo "sample-profile.sh: no table for $prof"
+done
