@@ -309,15 +309,30 @@ fn fault_plans_stay_deterministic_across_jobs() {
 /// `(time, seq)` order, so any queue backend that pops the same order
 /// produces the same bytes — and any divergence here means the wheel
 /// reordered, dropped, or duplicated an event.
-const PINNED_FINGERPRINTS: [(&str, &str); 7] = [
-    ("reduced fig5: Gt3 x1 DPs", "a089d390012a6a23"),
-    ("reduced fig5: Gt3 x3 DPs", "a4ff125b991cf099"),
-    ("reduced fig5: Gt3 x10 DPs", "cb7e053fb315d981"),
-    ("reduced fig5: Gt4Prerelease x3 DPs", "b0d7da9329815d5f"),
-    ("faults: partition", "42558ec8dd23509b"),
-    ("faults: loss+expjitter", "5be5bae80e734443"),
-    ("faults: kitchen-sink+fixed", "af70df36a21018d7"),
+///
+/// The third column pins the run's trace export: FNV-1a over
+/// `timeline.to_jsonl(label)`. The `Debug` fingerprint hashes the structs,
+/// not the JSONL writer, so this is what holds the exported bytes still.
+const PINNED_FINGERPRINTS: [(&str, &str, &str); 7] = [
+    ("reduced fig5: Gt3 x1 DPs", "a089d390012a6a23", "9955142cac4cea94"),
+    ("reduced fig5: Gt3 x3 DPs", "a4ff125b991cf099", "7751b0db35e8fcda"),
+    ("reduced fig5: Gt3 x10 DPs", "cb7e053fb315d981", "d14ba6f44ac0c360"),
+    ("reduced fig5: Gt4Prerelease x3 DPs", "b0d7da9329815d5f", "1ab4023c90c710e9"),
+    ("faults: partition", "42558ec8dd23509b", "08085cd0d1683b36"),
+    ("faults: loss+expjitter", "5be5bae80e734443", "ac26005345704611"),
+    ("faults: kitchen-sink+fixed", "af70df36a21018d7", "c2d20a6541038f0d"),
 ];
+
+/// 64-bit FNV-1a of `bytes`, as 16 hex digits (the `output_fingerprint`
+/// hash, over the bytes given).
+fn fnv1a_hex(bytes: &[u8]) -> String {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        hash ^= u64::from(*b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{hash:016x}")
+}
 
 #[test]
 fn wheel_reproduces_pinned_heap_fingerprints() {
@@ -326,7 +341,7 @@ fn wheel_reproduces_pinned_heap_fingerprints() {
     let mut specs = traced_sweep_specs();
     specs.extend(fault_plan_specs());
     assert_eq!(specs.len(), PINNED_FINGERPRINTS.len());
-    for (spec, (label, pin)) in specs.iter().zip(PINNED_FINGERPRINTS) {
+    for (spec, (label, pin, jsonl_pin)) in specs.iter().zip(PINNED_FINGERPRINTS) {
         assert_eq!(spec.label, label, "pin table out of sync with specs");
         let out = spec.run().expect("run failed");
         let tl = out.timeline.as_ref().expect("traced run has a timeline");
@@ -336,6 +351,8 @@ fn wheel_reproduces_pinned_heap_fingerprints() {
         assert_eq!(out.sched_cancellations, tl.totals.cancellations, "{label}");
         let fp = output_fingerprint(&out);
         assert_eq!(fp, pin, "{label}: fingerprint {fp} != pinned {pin}");
+        let jsonl = fnv1a_hex(tl.to_jsonl(label).as_bytes());
+        assert_eq!(jsonl, jsonl_pin, "{label}: JSONL hash {jsonl} != pinned {jsonl_pin}");
     }
 }
 
