@@ -102,6 +102,16 @@ impl Args {
             None => default,
         }
     }
+
+    /// `flag`'s whole-unit count as a span of `unit_ms` each. A count
+    /// whose milliseconds do not fit in a `u64` is a bad value, not a
+    /// wrapped time.
+    fn span(&self, flag: &str, default: u64, unit_ms: u64) -> SimDuration {
+        let n: u64 = self.parsed(flag, default);
+        n.checked_mul(unit_ms)
+            .map(SimDuration::from_millis)
+            .unwrap_or_else(|| die(&format!("{flag} out of range: {n}")))
+    }
 }
 
 fn die(msg: &str) -> ! {
@@ -158,7 +168,7 @@ fn main() {
     let seed: u64 = args.parsed("--seed", 2005);
     let workload = WorkloadSpec {
         n_clients: args.parsed("--clients", 120u32),
-        duration: SimDuration::from_mins(args.parsed("--duration-mins", 60u64)),
+        duration: args.span("--duration-mins", 60, 60_000),
         departure_fraction: args.parsed("--departure", 0.0f64),
         ..WorkloadSpec::paper_default()
     };
@@ -172,7 +182,7 @@ fn main() {
     let mut specs = Vec::with_capacity(dps.len());
     for &n in &dps {
         let mut cfg = DigruberConfig::paper(n, service, seed);
-        cfg.sync_interval = SimDuration::from_mins(args.parsed("--sync-mins", 3u64));
+        cfg.sync_interval = args.span("--sync-mins", 3, 60_000);
         cfg.grid_factor = args.parsed("--grid-factor", 10usize);
         cfg.topology = topology;
         if let Some(spec) = args.value_of("--faults") {
@@ -203,10 +213,8 @@ fn main() {
             cfg.max_jobs_in_flight =
                 Some(v.parse().unwrap_or_else(|_| die("bad --max-in-flight")));
         }
-        if let Some(v) = args.value_of("--monitor-secs") {
-            cfg.monitor_refresh = Some(SimDuration::from_secs(
-                v.parse().unwrap_or_else(|_| die("bad --monitor-secs")),
-            ));
+        if args.has("--monitor-secs") {
+            cfg.monitor_refresh = Some(args.span("--monitor-secs", 0, 1000));
         }
         if trace_out.is_some() {
             cfg.trace = Some(obs::TraceConfig::default());

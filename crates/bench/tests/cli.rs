@@ -89,6 +89,28 @@ fn sweep_refuses_a_value_flag_without_its_value_or_given_twice() {
 }
 
 #[test]
+fn sweep_refuses_times_whose_milliseconds_overflow() {
+    // u64::MAX / 1000 + 1 seconds (or its minutes): `s * 1000` used to
+    // wrap, and a crash planned past the end of time hit dp 0 at 0.384 s.
+    for (tail, why) in [
+        ("--duration-mins 1 --faults crash@18446744073709552=0+5", "out of range"),
+        ("--duration-mins 307445734561826", "--duration-mins out of range"),
+        ("--duration-mins 1 --sync-mins 307445734561826", "--sync-mins out of range"),
+        ("--duration-mins 1 --monitor-secs 18446744073709552", "--monitor-secs out of range"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(["--dps", "1", "--clients", "2"])
+            .args(tail.split(' '))
+            .output()
+            .expect("spawn sweep");
+        assert_eq!(out.status.code(), Some(2), "{tail}");
+        assert!(out.stdout.is_empty(), "ran something: {}", String::from_utf8_lossy(&out.stdout));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(why), "{tail}: {stderr}");
+    }
+}
+
+#[test]
 fn scale_artifacts_are_byte_identical_across_jobs() {
     // Both artifacts depend on nothing but the cells: no worker count,
     // clock or memory reading reaches them.

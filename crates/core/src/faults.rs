@@ -270,6 +270,9 @@ impl FaultPlan {
             if c.down_for == SimDuration::ZERO {
                 return bad(format!("crash event {i}: zero outage duration"));
             }
+            if c.at.0.checked_add(c.down_for.0).is_none() {
+                return bad(format!("crash event {i}: restart time out of range"));
+            }
         }
         Ok(())
     }
@@ -401,18 +404,14 @@ impl FaultPlan {
                 });
             }
             "crash" => {
-                let at = SimTime::from_secs(parse_num(timespec.trim(), clause, "time")?);
+                let at = SimTime(parse_ms(timespec.trim(), clause, "time")?);
                 let (dp, down) = args
                     .split_once('+')
                     .ok_or_else(|| bad(format!("clause {clause:?}: expected DP+SECS")))?;
                 self.crashes.push(CrashEvent {
                     at,
                     dp: parse_num(dp.trim(), clause, "dp index")?,
-                    down_for: SimDuration::from_secs(parse_num(
-                        down.trim(),
-                        clause,
-                        "outage seconds",
-                    )?),
+                    down_for: SimDuration(parse_ms(down.trim(), clause, "outage seconds")?),
                 });
             }
             other => {
@@ -438,6 +437,14 @@ fn parse_num<T: std::str::FromStr>(s: &str, clause: &str, what: &str) -> Result<
         .map_err(|_| GridError::InvalidConfig(format!("clause {clause:?}: bad {what} {s:?}")))
 }
 
+/// Parses whole seconds into milliseconds. Seconds whose milliseconds do
+/// not fit in a `u64` are an error, not a wrapped time.
+fn parse_ms(s: &str, clause: &str, what: &str) -> Result<u64, GridError> {
+    parse_num::<u64>(s, clause, what)?
+        .checked_mul(1000)
+        .ok_or_else(|| GridError::InvalidConfig(format!("clause {clause:?}: {what} {s:?} out of range")))
+}
+
 fn parse_prob(s: &str, clause: &str) -> Result<f64, GridError> {
     let p: f64 = s.parse().map_err(|_| {
         GridError::InvalidConfig(format!("clause {clause:?}: bad probability {s:?}"))
@@ -455,8 +462,8 @@ fn parse_range(s: &str, clause: &str) -> Result<(SimTime, SimTime), GridError> {
         GridError::InvalidConfig(format!("clause {clause:?}: expected START..END seconds"))
     })?;
     Ok((
-        SimTime::from_secs(parse_num(a.trim(), clause, "start time")?),
-        SimTime::from_secs(parse_num(b.trim(), clause, "end time")?),
+        SimTime(parse_ms(a.trim(), clause, "start time")?),
+        SimTime(parse_ms(b.trim(), clause, "end time")?),
     ))
 }
 
@@ -981,6 +988,24 @@ mod tests {
         // Range inversion is a validate()-time error, not parse-time.
         let plan = FaultPlan::parse("partition@5..2=0|1").unwrap();
         assert!(plan.validate(2).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_seconds_whose_milliseconds_overflow() {
+        // u64::MAX / 1000 + 1 seconds: `s * 1000` used to wrap to 384 ms.
+        for spec in [
+            "crash@18446744073709552=0+5",
+            "crash@10=0+18446744073709552",
+            "loss@0..18446744073709552=0.5",
+        ] {
+            let err = FaultPlan::parse(spec).expect_err(spec);
+            assert!(err.to_string().contains("out of range"), "{spec}: {err}");
+        }
+        // The largest whole-second time still parses; the restart it
+        // would need does not fit, which validate() refuses.
+        let plan = FaultPlan::parse("crash@18446744073709551=0+5").unwrap();
+        assert_eq!(plan.crashes[0].at, SimTime(18_446_744_073_709_551_000));
+        assert!(plan.validate(1).is_err());
     }
 
     #[test]

@@ -6,36 +6,11 @@
 //! byte-stable — the trace-determinism test compares the full JSONL output
 //! of `--jobs 1` and `--jobs 8` runs byte for byte.
 //!
-//! ## JSONL schema (`digruber-trace/5`)
-//!
-//! (v2 added the fault-injection counters: per-bin and per-DP `lost` /
-//! `retries`, per-DP `retries_exhausted` / `duplicated` /
-//! `partition_drops`, and the run-total loss/retry/partition/slowdown
-//! fields. v3 added the durability counters: per-DP `wal_appends` /
-//! `snapshots` / `wal_replayed` / `recovery_ms`, and the run-total
-//! `wal_appends` / `snapshots` / `wal_replayed` / `max_recovery_ms`.
-//! v4 added online health scoring: the `health` and `health_flag` line
-//! types, plus `health_degrades` / `health_recovers` on `dp_total` and
-//! `run_total`. v5 added elastic membership: `dp_joins` / `dp_leaves` /
-//! `clients_rehomed` on `run_total`.)
-//!
-//! One JSON object per line, discriminated by `"type"`:
-//!
-//! | `type`        | one per…             | payload                                      |
-//! |---------------|----------------------|----------------------------------------------|
-//! | `meta`        | run                  | schema, run label, cadence, end, dp count    |
-//! | `sim`         | cadence bin          | scheduler events executed / cancelled        |
-//! | `dp`          | cadence bin × DP     | per-bin counters, queue depth, staleness     |
-//! | `dp_total`    | DP                   | whole-run counters + response histogram      |
-//! | `health`      | scoring window × DP  | score 0–100 + penalty breakdown + liveness   |
-//! | `health_flag` | flag transition      | Degrading/Recovered flip + tripping score    |
-//! | `run_total`   | run                  | whole-run aggregate counters                 |
-//!
-//! Lines are ordered: `meta`, then per-bin `sim` followed by that bin's
-//! `dp` lines (time-ascending), then `dp_total` lines (dp-ascending),
-//! then `health` / `health_flag` lines (one `health` line per scored
-//! point per closed full bin), then `run_total`. Every line carries the `run` label so
-//! multiple runs can share one file.
+//! The JSONL schema (`digruber-trace/5`) — its line types, their order,
+//! every field and the version history — is documented once, in
+//! `OBSERVABILITY.md`. The `dp_total` and `run_total` counters are written
+//! from [`DpTotals::fields`] and [`crate::RunTotals::fields`], which name
+//! each counter once.
 
 use crate::timeline::{DpSample, DpTotals, ResponseHistogram, RunTimeline};
 use std::fmt::Write as _;
@@ -107,57 +82,21 @@ fn dp_sample_line(run: &str, s: &DpSample, out: &mut String) {
     );
 }
 
+/// Appends `,"name":value` for each counter.
+fn counters_json(fields: &[(&str, u64)], out: &mut String) {
+    for (name, value) in fields {
+        let _ = write!(out, ",\"{name}\":{value}");
+    }
+}
+
 fn dp_total_line(run: &str, t: &DpTotals, out: &mut String) {
-    let _ = writeln!(
+    let _ = write!(
         out,
-        "{{\"type\":\"dp_total\",\"run\":\"{run}\",\"dp\":{},\"issued\":{},\
-         \"started\":{},\"queued\":{},\"rejected\":{},\"completed\":{},\
-         \"answered\":{},\"late\":{},\"timeouts\":{},\"denied\":{},\
-         \"accepted\":{},\"duplicates\":{},\"exchanges_in\":{},\
-         \"exchange_records_in\":{},\"exchanges_out\":{},\
-         \"exchange_records_out\":{},\"failures\":{},\"recoveries\":{},\
-         \"dropped_requests\":{},\"rebinds_gained\":{},\"rebinds_lost\":{},\
-         \"lost\":{},\"retries\":{},\"retries_exhausted\":{},\
-         \"duplicated\":{},\"partition_drops\":{},\
-         \"wal_appends\":{},\"snapshots\":{},\"wal_replayed\":{},\
-         \"recovery_ms\":{},\"health_degrades\":{},\"health_recovers\":{},\
-         \"sum_response_ms\":{},\"max_response_ms\":{},\"hist_log2_ms\":{}}}",
-        t.dp.index(),
-        t.issued,
-        t.started,
-        t.queued,
-        t.rejected,
-        t.completed,
-        t.answered,
-        t.late,
-        t.timeouts,
-        t.denied,
-        t.accepted,
-        t.duplicates,
-        t.exchanges_in,
-        t.exchange_records_in,
-        t.exchanges_out,
-        t.exchange_records_out,
-        t.failures,
-        t.recoveries,
-        t.dropped_requests,
-        t.rebinds_gained,
-        t.rebinds_lost,
-        t.lost,
-        t.retries,
-        t.retries_exhausted,
-        t.duplicated,
-        t.partition_drops,
-        t.wal_appends,
-        t.snapshots,
-        t.wal_replayed,
-        t.recovery_ms,
-        t.health_degrades,
-        t.health_recovers,
-        t.sum_response_ms,
-        t.max_response_ms,
-        hist_json(&t.hist),
+        "{{\"type\":\"dp_total\",\"run\":\"{run}\",\"dp\":{}",
+        t.dp.index()
     );
+    counters_json(&t.fields(), out);
+    let _ = writeln!(out, ",\"hist_log2_ms\":{}}}", hist_json(&t.hist));
 }
 
 impl RunTimeline {
@@ -225,56 +164,9 @@ impl RunTimeline {
                 );
             }
         }
-        let r = &self.totals;
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"run_total\",\"run\":\"{run}\",\"issued\":{},\
-             \"answered\":{},\"late\":{},\"timed_out\":{},\"denied\":{},\
-             \"accepted\":{},\"duplicates\":{},\"events_executed\":{},\
-             \"cancellations\":{},\"failures\":{},\"recoveries\":{},\
-             \"dropped_requests\":{},\"rebinds\":{},\"replay_overloads\":{},\
-             \"replay_dps_added\":{},\"msgs_lost\":{},\"retries\":{},\
-             \"retries_exhausted\":{},\"msgs_duplicated\":{},\
-             \"partition_drops\":{},\"partitions_started\":{},\
-             \"partitions_healed\":{},\"link_windows\":{},\"slowdowns\":{},\
-             \"wal_appends\":{},\"snapshots\":{},\"wal_replayed\":{},\
-             \"max_recovery_ms\":{},\"health_degrades\":{},\
-             \"health_recovers\":{},\"dp_joins\":{},\"dp_leaves\":{},\
-             \"clients_rehomed\":{}}}",
-            r.issued,
-            r.answered,
-            r.late,
-            r.timed_out,
-            r.denied,
-            r.accepted,
-            r.duplicates,
-            r.events_executed,
-            r.cancellations,
-            r.failures,
-            r.recoveries,
-            r.dropped_requests,
-            r.rebinds,
-            r.replay_overloads,
-            r.replay_dps_added,
-            r.msgs_lost,
-            r.retries,
-            r.retries_exhausted,
-            r.msgs_duplicated,
-            r.partition_drops,
-            r.partitions_started,
-            r.partitions_healed,
-            r.link_windows,
-            r.slowdowns,
-            r.wal_appends,
-            r.snapshots,
-            r.wal_replayed,
-            r.max_recovery_ms,
-            r.health_degrades,
-            r.health_recovers,
-            r.dp_joins,
-            r.dp_leaves,
-            r.clients_rehomed,
-        );
+        let _ = write!(out, "{{\"type\":\"run_total\",\"run\":\"{run}\"");
+        counters_json(&self.totals.fields(), &mut out);
+        out.push_str("}\n");
         out
     }
 

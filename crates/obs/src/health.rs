@@ -56,6 +56,7 @@
 use gruber_types::DpId;
 
 use crate::event::TraceEvent;
+use crate::timeline::DpSample;
 
 /// Staleness that earns the full 40-point penalty, ms: two of the paper's
 /// 180 s sync intervals. Healthy points peak at half this budget, i.e. a
@@ -153,50 +154,35 @@ impl HealthReport {
     }
 }
 
-/// One point's feature vector for one window: the bin's counters and the
-/// gauges at its close.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Features {
-    pub answered: u64,
-    pub late: u64,
-    pub timeouts: u64,
-    pub retries: u64,
-    pub exhausted: u64,
-    pub recovery_ms: u64,
-    pub queue_depth: u32,
-    pub last_exchange_ms: Option<u64>,
-    pub down: bool,
-}
-
-impl Features {
-    /// Scores `dp` against the window closing at `end_ms`.
-    pub(crate) fn score(&self, dp: DpId, end_ms: u64) -> HealthSample {
-        let demand = self.answered + self.late + self.timeouts;
-        let p_timeout = (200 * self.timeouts)
-            .checked_div(demand)
-            .map_or(0, |p| p.min(60) as u32);
-        // A point that never merged has been stale since the run began.
-        let staleness = end_ms.saturating_sub(self.last_exchange_ms.unwrap_or(0));
-        let p_stale = ((40 * staleness.min(STALENESS_BUDGET_MS)) / STALENESS_BUDGET_MS) as u32;
-        let p_retry = (self.retries + 5 * self.exhausted).min(20) as u32;
-        let p_queue = self.queue_depth.min(10);
-        let p_recover = (self.recovery_ms / 30).min(15) as u32;
-        let score = if self.down {
-            0
-        } else {
-            100u32.saturating_sub(p_timeout + p_stale + p_retry + p_queue + p_recover)
-        };
-        HealthSample {
-            t_ms: end_ms,
-            dp,
-            score,
-            p_timeout,
-            p_stale,
-            p_retry,
-            p_queue,
-            p_recover,
-            down: self.down,
-        }
+/// Scores one point's closed bin: the sample's counters and gauges, plus
+/// the two inputs the sample does not export — the bin's retry
+/// exhaustions and its largest recovery latency — and liveness.
+pub(crate) fn score(s: &DpSample, exhausted: u64, recovery_ms: u64, down: bool) -> HealthSample {
+    let demand = s.answered + s.late + s.timeouts;
+    let p_timeout = (200 * s.timeouts)
+        .checked_div(demand)
+        .map_or(0, |p| p.min(60) as u32);
+    // A point that never merged has been stale since the run began.
+    let staleness = s.staleness_ms.unwrap_or(s.t_ms);
+    let p_stale = ((40 * staleness.min(STALENESS_BUDGET_MS)) / STALENESS_BUDGET_MS) as u32;
+    let p_retry = (s.retries + 5 * exhausted).min(20) as u32;
+    let p_queue = s.queue_depth.min(10);
+    let p_recover = (recovery_ms / 30).min(15) as u32;
+    let score = if down {
+        0
+    } else {
+        100u32.saturating_sub(p_timeout + p_stale + p_retry + p_queue + p_recover)
+    };
+    HealthSample {
+        t_ms: s.t_ms,
+        dp: s.dp,
+        score,
+        p_timeout,
+        p_stale,
+        p_retry,
+        p_queue,
+        p_recover,
+        down,
     }
 }
 

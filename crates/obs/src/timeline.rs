@@ -4,10 +4,13 @@
 //! The sink feeds every emission through [`TimelineBuilder::observe`];
 //! because the simulation emits in nondecreasing sim-time order, the
 //! builder can close fixed-cadence bins deterministically as the stream
-//! advances and never needs to buffer raw events. Counters are kept twice:
-//! a per-bin set that resets at each cadence boundary (the samples) and a
-//! cumulative set (the totals), so the exported aggregates stay exact even
-//! when the debugging ring has rotated old events away.
+//! advances and never needs to buffer raw events. Each point keeps two
+//! sets of counters: its open bin, which is the [`DpSample`] exported when
+//! the bin closes, and its cumulative [`DpTotals`], so the exported
+//! aggregates stay exact even when the debugging ring has rotated old
+//! events away. The [`RunTotals`] that sum or maximise a per-point counter
+//! are folded from the [`DpTotals`] at [`TimelineBuilder::finish`]; the
+//! stream counts only the run totals no point owns.
 //!
 //! Each closing bin is also a health scoring window: every point the
 //! stream has marked as scored gets a [`crate::HealthSample`] from
@@ -16,7 +19,7 @@
 //! [`HealthReport`] the sink reads back.
 
 use crate::event::{TraceEvent, TraceVerdict};
-use crate::health::{Features, HealthFlagRow, HealthReport, Hysteresis};
+use crate::health::{self, HealthFlagRow, HealthReport, Hysteresis};
 use gruber_types::DpId;
 
 /// Log₂-bucketed response-time histogram over milliseconds.
@@ -25,7 +28,7 @@ use gruber_types::DpId;
 /// `[2^i - 1, 2^(i+1) - 1)` ms; the last bucket absorbs everything above
 /// ~9 minutes. 20 buckets cover the full range between a LAN round trip
 /// and a run-length stall.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResponseHistogram {
     /// Bucket counts.
     pub buckets: [u64; Self::BUCKETS],
@@ -64,37 +67,9 @@ impl ResponseHistogram {
     }
 }
 
-impl Default for ResponseHistogram {
-    fn default() -> Self {
-        ResponseHistogram {
-            buckets: [0; Self::BUCKETS],
-        }
-    }
-}
-
-/// Per-bin counters of one decision point (reset at each cadence flush).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct BinCounters {
-    issued: u64,
-    started: u64,
-    queued: u64,
-    rejected: u64,
-    completed: u64,
-    answered: u64,
-    late: u64,
-    timeouts: u64,
-    denied: u64,
-    lost: u64,
-    retries: u64,
-    sum_response_ms: u64,
-    max_response_ms: u64,
-    // Scoring inputs only, not part of the sample.
-    exhausted: u64,
-    recovery_ms: u64,
-}
-
-/// One decision point's sample for one cadence bin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One decision point's sample for one cadence bin: its counters while
+/// the bin is open, its gauges filled in when it closes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DpSample {
     /// Bin end, milliseconds of sim-time.
     pub t_ms: u64,
@@ -136,7 +111,7 @@ pub struct DpSample {
 }
 
 /// Whole-simulation sample for one cadence bin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimSample {
     /// Bin end, milliseconds of sim-time.
     pub t_ms: u64,
@@ -147,7 +122,9 @@ pub struct SimSample {
 }
 
 /// One decision point's whole-run totals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// `Debug` stays derived: traced run fingerprints hash this field order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DpTotals {
     /// The decision point.
     pub dp: DpId,
@@ -221,51 +198,52 @@ pub struct DpTotals {
     pub hist: ResponseHistogram,
 }
 
-impl Default for DpTotals {
-    fn default() -> Self {
-        DpTotals {
-            dp: DpId(0),
-            issued: 0,
-            started: 0,
-            queued: 0,
-            rejected: 0,
-            completed: 0,
-            answered: 0,
-            late: 0,
-            timeouts: 0,
-            denied: 0,
-            accepted: 0,
-            duplicates: 0,
-            exchanges_in: 0,
-            exchange_records_in: 0,
-            exchanges_out: 0,
-            exchange_records_out: 0,
-            failures: 0,
-            recoveries: 0,
-            dropped_requests: 0,
-            rebinds_gained: 0,
-            rebinds_lost: 0,
-            lost: 0,
-            retries: 0,
-            retries_exhausted: 0,
-            duplicated: 0,
-            partition_drops: 0,
-            sum_response_ms: 0,
-            max_response_ms: 0,
-            wal_appends: 0,
-            snapshots: 0,
-            wal_replayed: 0,
-            recovery_ms: 0,
-            health_degrades: 0,
-            health_recovers: 0,
-            hist: ResponseHistogram {
-                buckets: [0; ResponseHistogram::BUCKETS],
-            },
-        }
+impl DpTotals {
+    /// The exported counters, named and in `dp_total` JSONL order.
+    pub fn fields(&self) -> [(&'static str, u64); 33] {
+        [
+            ("issued", self.issued),
+            ("started", self.started),
+            ("queued", self.queued),
+            ("rejected", self.rejected),
+            ("completed", self.completed),
+            ("answered", self.answered),
+            ("late", self.late),
+            ("timeouts", self.timeouts),
+            ("denied", self.denied),
+            ("accepted", self.accepted),
+            ("duplicates", self.duplicates),
+            ("exchanges_in", self.exchanges_in),
+            ("exchange_records_in", self.exchange_records_in),
+            ("exchanges_out", self.exchanges_out),
+            ("exchange_records_out", self.exchange_records_out),
+            ("failures", self.failures),
+            ("recoveries", self.recoveries),
+            ("dropped_requests", self.dropped_requests),
+            ("rebinds_gained", self.rebinds_gained),
+            ("rebinds_lost", self.rebinds_lost),
+            ("lost", self.lost),
+            ("retries", self.retries),
+            ("retries_exhausted", self.retries_exhausted),
+            ("duplicated", self.duplicated),
+            ("partition_drops", self.partition_drops),
+            ("wal_appends", self.wal_appends),
+            ("snapshots", self.snapshots),
+            ("wal_replayed", self.wal_replayed),
+            ("recovery_ms", self.recovery_ms),
+            ("health_degrades", self.health_degrades),
+            ("health_recovers", self.health_recovers),
+            ("sum_response_ms", self.sum_response_ms),
+            ("max_response_ms", self.max_response_ms),
+        ]
     }
 }
 
 /// Whole-run totals across all decision points.
+///
+/// A field with a per-point counter is that counter summed over
+/// [`DpTotals`] (`max_recovery_ms` is a maximum); the rest — scheduler,
+/// fault-plan, replay and membership events — belong to no point.
 #[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunTotals {
     /// Queries issued.
@@ -336,48 +314,64 @@ pub struct RunTotals {
     pub clients_rehomed: u64,
 }
 
-// Manual `Debug` mirroring the old derive field-for-field, with the
-// elastic-membership counters appended only when one is nonzero. Traced
-// run fingerprints hash this rendering (via `RunTimeline`), so runs with
+impl RunTotals {
+    /// The counters, named and in `run_total` JSONL order (which is the
+    /// declaration order).
+    pub fn fields(&self) -> [(&'static str, u64); 33] {
+        [
+            ("issued", self.issued),
+            ("answered", self.answered),
+            ("late", self.late),
+            ("timed_out", self.timed_out),
+            ("denied", self.denied),
+            ("accepted", self.accepted),
+            ("duplicates", self.duplicates),
+            ("events_executed", self.events_executed),
+            ("cancellations", self.cancellations),
+            ("failures", self.failures),
+            ("recoveries", self.recoveries),
+            ("dropped_requests", self.dropped_requests),
+            ("rebinds", self.rebinds),
+            ("replay_overloads", self.replay_overloads),
+            ("replay_dps_added", self.replay_dps_added),
+            ("msgs_lost", self.msgs_lost),
+            ("retries", self.retries),
+            ("retries_exhausted", self.retries_exhausted),
+            ("msgs_duplicated", self.msgs_duplicated),
+            ("partition_drops", self.partition_drops),
+            ("partitions_started", self.partitions_started),
+            ("partitions_healed", self.partitions_healed),
+            ("link_windows", self.link_windows),
+            ("slowdowns", self.slowdowns),
+            ("wal_appends", self.wal_appends),
+            ("snapshots", self.snapshots),
+            ("wal_replayed", self.wal_replayed),
+            ("max_recovery_ms", self.max_recovery_ms),
+            ("health_degrades", self.health_degrades),
+            ("health_recovers", self.health_recovers),
+            ("dp_joins", self.dp_joins),
+            ("dp_leaves", self.dp_leaves),
+            ("clients_rehomed", self.clients_rehomed),
+        ]
+    }
+}
+
+// A derive's rendering, with the three elastic-membership counters (the
+// last three fields) printed only when one is nonzero. Traced run
+// fingerprints hash this rendering (via `RunTimeline`), so runs with
 // membership off — every pinned configuration — keep byte-identical
 // fingerprints.
 impl std::fmt::Debug for RunTotals {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let fields = self.fields();
+        let shown = if self.dp_joins + self.dp_leaves + self.clients_rehomed > 0 {
+            &fields[..]
+        } else {
+            &fields[..30]
+        };
         let mut d = f.debug_struct("RunTotals");
-        d.field("issued", &self.issued)
-            .field("answered", &self.answered)
-            .field("late", &self.late)
-            .field("timed_out", &self.timed_out)
-            .field("denied", &self.denied)
-            .field("accepted", &self.accepted)
-            .field("duplicates", &self.duplicates)
-            .field("events_executed", &self.events_executed)
-            .field("cancellations", &self.cancellations)
-            .field("failures", &self.failures)
-            .field("recoveries", &self.recoveries)
-            .field("dropped_requests", &self.dropped_requests)
-            .field("rebinds", &self.rebinds)
-            .field("replay_overloads", &self.replay_overloads)
-            .field("replay_dps_added", &self.replay_dps_added)
-            .field("msgs_lost", &self.msgs_lost)
-            .field("retries", &self.retries)
-            .field("retries_exhausted", &self.retries_exhausted)
-            .field("msgs_duplicated", &self.msgs_duplicated)
-            .field("partition_drops", &self.partition_drops)
-            .field("partitions_started", &self.partitions_started)
-            .field("partitions_healed", &self.partitions_healed)
-            .field("link_windows", &self.link_windows)
-            .field("slowdowns", &self.slowdowns)
-            .field("wal_appends", &self.wal_appends)
-            .field("snapshots", &self.snapshots)
-            .field("wal_replayed", &self.wal_replayed)
-            .field("max_recovery_ms", &self.max_recovery_ms)
-            .field("health_degrades", &self.health_degrades)
-            .field("health_recovers", &self.health_recovers);
-        if self.dp_joins + self.dp_leaves + self.clients_rehomed > 0 {
-            d.field("dp_joins", &self.dp_joins)
-                .field("dp_leaves", &self.dp_leaves)
-                .field("clients_rehomed", &self.clients_rehomed);
+        for (name, value) in shown {
+            d.field(name, value);
         }
         d.finish()
     }
@@ -386,7 +380,12 @@ impl std::fmt::Debug for RunTotals {
 /// Per-point rolling state inside the builder.
 #[derive(Debug, Clone, Default)]
 struct DpState {
-    bin: BinCounters,
+    /// The open bin: its counters; the gauges are filled in at close.
+    bin: DpSample,
+    /// The open bin's retry exhaustions, a scoring input the sample omits.
+    exhausted: u64,
+    /// The open bin's largest recovery latency, ms (scoring input).
+    recovery_ms: u64,
     tot: DpTotals,
     up: bool,
     queue_depth: u32,
@@ -406,6 +405,15 @@ struct DpState {
 }
 
 impl DpState {
+    /// Records one response (answered or late) in the bin and the totals.
+    fn response(&mut self, ms: u64) {
+        self.bin.sum_response_ms += ms;
+        self.bin.max_response_ms = self.bin.max_response_ms.max(ms);
+        self.tot.sum_response_ms += ms;
+        self.tot.max_response_ms = self.tot.max_response_ms.max(ms);
+        self.tot.hist.record(ms);
+    }
+
     /// Leaves (`true`) or joins the pool: either way the point is scored
     /// afresh, if at all, with no flag streaks carried over.
     fn set_left(&mut self, left: bool) {
@@ -436,6 +444,7 @@ pub struct TimelineBuilder {
     sim_bin: SimSample,
     dp_samples: Vec<DpSample>,
     sim_samples: Vec<SimSample>,
+    /// Only the run totals no point owns; `finish` folds in the rest.
     totals: RunTotals,
     health: HealthReport,
 }
@@ -449,11 +458,7 @@ impl TimelineBuilder {
             cadence_ms,
             bin_start_ms: 0,
             dps: Vec::new(),
-            sim_bin: SimSample {
-                t_ms: 0,
-                executed: 0,
-                cancelled: 0,
-            },
+            sim_bin: SimSample::default(),
             dp_samples: Vec::new(),
             sim_samples: Vec::new(),
             totals: RunTotals::default(),
@@ -509,26 +514,17 @@ impl TimelineBuilder {
     fn close_bin(&mut self, bin_end: u64, close: Close) {
         self.sim_samples.push(SimSample {
             t_ms: bin_end,
-            executed: self.sim_bin.executed,
-            cancelled: self.sim_bin.cancelled,
+            ..std::mem::take(&mut self.sim_bin)
         });
-        self.sim_bin.executed = 0;
-        self.sim_bin.cancelled = 0;
         for st in self.dps.iter_mut().filter(|s| s.seen) {
-            let b = st.bin;
+            let bin = &mut st.bin;
+            bin.t_ms = bin_end;
+            bin.dp = st.tot.dp;
+            bin.up = st.up;
+            bin.queue_depth = st.queue_depth;
+            bin.staleness_ms = st.last_exchange_ms.map(|t| bin_end.saturating_sub(t));
             if st.scored && close != Close::Partial {
-                let sample = Features {
-                    answered: b.answered,
-                    late: b.late,
-                    timeouts: b.timeouts,
-                    retries: b.retries,
-                    exhausted: b.exhausted,
-                    recovery_ms: b.recovery_ms,
-                    queue_depth: st.queue_depth,
-                    last_exchange_ms: st.last_exchange_ms,
-                    down: st.down,
-                }
-                .score(st.tot.dp, bin_end);
+                let sample = health::score(bin, st.exhausted, st.recovery_ms, st.down);
                 self.health.samples.push(sample);
                 if let Some(degrading) = st.hysteresis.step(sample.score, close == Close::Live) {
                     self.health.flags.push(HealthFlagRow {
@@ -539,34 +535,13 @@ impl TimelineBuilder {
                     });
                     if degrading {
                         st.tot.health_degrades += 1;
-                        self.totals.health_degrades += 1;
                     } else {
                         st.tot.health_recovers += 1;
-                        self.totals.health_recovers += 1;
                     }
                 }
             }
-            self.dp_samples.push(DpSample {
-                t_ms: bin_end,
-                dp: st.tot.dp,
-                up: st.up,
-                issued: b.issued,
-                started: b.started,
-                queued: b.queued,
-                rejected: b.rejected,
-                completed: b.completed,
-                answered: b.answered,
-                late: b.late,
-                timeouts: b.timeouts,
-                denied: b.denied,
-                lost: b.lost,
-                retries: b.retries,
-                queue_depth: st.queue_depth,
-                staleness_ms: st.last_exchange_ms.map(|t| bin_end.saturating_sub(t)),
-                sum_response_ms: b.sum_response_ms,
-                max_response_ms: b.max_response_ms,
-            });
-            st.bin = BinCounters::default();
+            self.dp_samples.push(std::mem::take(&mut st.bin));
+            (st.exhausted, st.recovery_ms) = (0, 0);
         }
     }
 
@@ -610,11 +585,9 @@ impl TimelineBuilder {
                 in_service,
                 queued,
             } => {
-                let dropped = u64::from(in_service) + u64::from(queued);
                 let st = self.scored(dp);
-                st.tot.dropped_requests += dropped;
+                st.tot.dropped_requests += u64::from(in_service) + u64::from(queued);
                 st.queue_depth = 0;
-                self.totals.dropped_requests += dropped;
             }
             TraceEvent::QueryIssued { dp, .. } => {
                 // A query marks a point as under observation even before
@@ -623,22 +596,14 @@ impl TimelineBuilder {
                 let st = self.scored(dp);
                 st.bin.issued += 1;
                 st.tot.issued += 1;
-                self.totals.issued += 1;
             }
-            TraceEvent::QueryAccepted { dp, .. } => {
-                self.dp(dp).tot.accepted += 1;
-                self.totals.accepted += 1;
-            }
-            TraceEvent::QueryDuplicate { dp, .. } => {
-                self.dp(dp).tot.duplicates += 1;
-                self.totals.duplicates += 1;
-            }
+            TraceEvent::QueryAccepted { dp, .. } => self.dp(dp).tot.accepted += 1,
+            TraceEvent::QueryDuplicate { dp, .. } => self.dp(dp).tot.duplicates += 1,
             TraceEvent::Decision { dp, verdict, .. } => {
                 if verdict == TraceVerdict::Denied {
                     let st = self.dp(dp);
                     st.bin.denied += 1;
                     st.tot.denied += 1;
-                    self.totals.denied += 1;
                 }
             }
             TraceEvent::ExchangeSent { from, records, .. } => {
@@ -661,114 +626,70 @@ impl TimelineBuilder {
             } => {
                 let st = self.scored(dp);
                 st.bin.answered += 1;
-                st.bin.sum_response_ms += response_ms;
-                st.bin.max_response_ms = st.bin.max_response_ms.max(response_ms);
                 st.tot.answered += 1;
-                st.tot.sum_response_ms += response_ms;
-                st.tot.max_response_ms = st.tot.max_response_ms.max(response_ms);
-                st.tot.hist.record(response_ms);
-                self.totals.answered += 1;
+                st.response(response_ms);
             }
             TraceEvent::ResponseLate {
                 dp, response_ms, ..
             } => {
                 let st = self.scored(dp);
                 st.bin.late += 1;
-                st.bin.sum_response_ms += response_ms;
-                st.bin.max_response_ms = st.bin.max_response_ms.max(response_ms);
                 st.tot.late += 1;
-                st.tot.sum_response_ms += response_ms;
-                st.tot.max_response_ms = st.tot.max_response_ms.max(response_ms);
-                st.tot.hist.record(response_ms);
-                self.totals.late += 1;
+                st.response(response_ms);
             }
             TraceEvent::ClientTimeout { dp, .. } => {
                 let st = self.scored(dp);
                 st.bin.timeouts += 1;
                 st.tot.timeouts += 1;
-                self.totals.timed_out += 1;
             }
             TraceEvent::DpFailed { dp } => {
                 let st = self.scored(dp);
                 st.up = false;
                 st.down = true;
                 st.tot.failures += 1;
-                self.totals.failures += 1;
             }
             TraceEvent::DpRecovered { dp } => {
                 let st = self.scored(dp);
                 st.up = true;
                 st.down = false;
                 st.tot.recoveries += 1;
-                self.totals.recoveries += 1;
             }
             TraceEvent::ClientRebound { from, to, .. } => {
                 self.dp(from).tot.rebinds_lost += 1;
                 self.dp(to).tot.rebinds_gained += 1;
-                self.totals.rebinds += 1;
             }
             TraceEvent::MsgLost { dp, .. } => {
                 let st = self.dp(dp);
                 st.bin.lost += 1;
                 st.tot.lost += 1;
-                self.totals.msgs_lost += 1;
             }
-            TraceEvent::MsgDuplicated { dp, .. } => {
-                self.dp(dp).tot.duplicated += 1;
-                self.totals.msgs_duplicated += 1;
-            }
+            TraceEvent::MsgDuplicated { dp, .. } => self.dp(dp).tot.duplicated += 1,
             TraceEvent::RetryScheduled { dp, .. } => {
                 let st = self.scored(dp);
                 st.bin.retries += 1;
                 st.tot.retries += 1;
-                self.totals.retries += 1;
             }
             TraceEvent::RetryExhausted { dp, .. } => {
                 let st = self.scored(dp);
-                st.bin.exhausted += 1;
+                st.exhausted += 1;
                 st.tot.retries_exhausted += 1;
-                self.totals.retries_exhausted += 1;
             }
-            TraceEvent::PartitionStarted { .. } => {
-                self.totals.partitions_started += 1;
-            }
-            TraceEvent::PartitionHealed { .. } => {
-                self.totals.partitions_healed += 1;
-            }
-            TraceEvent::ExchangeBlocked { to, .. } => {
-                self.dp(to).tot.partition_drops += 1;
-                self.totals.partition_drops += 1;
-            }
-            TraceEvent::LinkFaultStarted { .. } => {
-                self.totals.link_windows += 1;
-            }
+            TraceEvent::PartitionStarted { .. } => self.totals.partitions_started += 1,
+            TraceEvent::PartitionHealed { .. } => self.totals.partitions_healed += 1,
+            TraceEvent::ExchangeBlocked { to, .. } => self.dp(to).tot.partition_drops += 1,
+            TraceEvent::LinkFaultStarted { .. } => self.totals.link_windows += 1,
             TraceEvent::LinkFaultEnded { .. } => {}
-            TraceEvent::DpSlowdown { .. } => {
-                self.totals.slowdowns += 1;
-            }
+            TraceEvent::DpSlowdown { .. } => self.totals.slowdowns += 1,
             TraceEvent::DpSlowdownEnded { .. } => {}
-            TraceEvent::ReplayOverload { .. } => {
-                self.totals.replay_overloads += 1;
-            }
-            TraceEvent::ReplayDpAdded { .. } => {
-                self.totals.replay_dps_added += 1;
-            }
-            TraceEvent::WalAppended { dp } => {
-                self.dp(dp).tot.wal_appends += 1;
-                self.totals.wal_appends += 1;
-            }
-            TraceEvent::SnapshotWritten { dp, .. } => {
-                self.dp(dp).tot.snapshots += 1;
-                self.totals.snapshots += 1;
-            }
+            TraceEvent::ReplayOverload { .. } => self.totals.replay_overloads += 1,
+            TraceEvent::ReplayDpAdded { .. } => self.totals.replay_dps_added += 1,
+            TraceEvent::WalAppended { dp } => self.dp(dp).tot.wal_appends += 1,
+            TraceEvent::SnapshotWritten { dp, .. } => self.dp(dp).tot.snapshots += 1,
             TraceEvent::RecoveryReplayed { dp, records, dur_ms } => {
                 let st = self.scored(dp);
-                st.bin.recovery_ms = st.bin.recovery_ms.max(u64::from(dur_ms));
+                st.recovery_ms = st.recovery_ms.max(u64::from(dur_ms));
                 st.tot.wal_replayed += u64::from(records);
                 st.tot.recovery_ms = st.tot.recovery_ms.max(u64::from(dur_ms));
-                self.totals.wal_replayed += u64::from(records);
-                self.totals.max_recovery_ms =
-                    self.totals.max_recovery_ms.max(u64::from(dur_ms));
             }
             // A point that left the pool is not a degrading point: it is
             // not scored until it joins again, and then from scratch.
@@ -781,9 +702,7 @@ impl TimelineBuilder {
                 self.dp(dp).set_left(true);
                 self.totals.dp_leaves += 1;
             }
-            TraceEvent::ClientRehomed { .. } => {
-                self.totals.clients_rehomed += 1;
-            }
+            TraceEvent::ClientRehomed { .. } => self.totals.clients_rehomed += 1,
             // Raised and counted by `close_bin` alone, so the counters
             // reconcile ±0 with the report's flag list.
             TraceEvent::HealthFlag { .. } => {}
@@ -800,13 +719,40 @@ impl TimelineBuilder {
         if b.bin_start_ms < end_ms {
             b.close_bin(end_ms, Close::Partial);
         }
+        let dp_totals: Vec<DpTotals> = b.dps.iter().filter(|s| s.seen).map(|s| s.tot).collect();
+        let sum = |f: fn(&DpTotals) -> u64| dp_totals.iter().map(f).sum();
+        let totals = RunTotals {
+            issued: sum(|t| t.issued),
+            answered: sum(|t| t.answered),
+            late: sum(|t| t.late),
+            timed_out: sum(|t| t.timeouts),
+            denied: sum(|t| t.denied),
+            accepted: sum(|t| t.accepted),
+            duplicates: sum(|t| t.duplicates),
+            failures: sum(|t| t.failures),
+            recoveries: sum(|t| t.recoveries),
+            dropped_requests: sum(|t| t.dropped_requests),
+            rebinds: sum(|t| t.rebinds_gained),
+            msgs_lost: sum(|t| t.lost),
+            retries: sum(|t| t.retries),
+            retries_exhausted: sum(|t| t.retries_exhausted),
+            msgs_duplicated: sum(|t| t.duplicated),
+            partition_drops: sum(|t| t.partition_drops),
+            wal_appends: sum(|t| t.wal_appends),
+            snapshots: sum(|t| t.snapshots),
+            wal_replayed: sum(|t| t.wal_replayed),
+            max_recovery_ms: dp_totals.iter().map(|t| t.recovery_ms).max().unwrap_or(0),
+            health_degrades: sum(|t| t.health_degrades),
+            health_recovers: sum(|t| t.health_recovers),
+            ..b.totals
+        };
         RunTimeline {
             cadence_ms: b.cadence_ms,
             end_ms,
             dp_samples: b.dp_samples,
             sim_samples: b.sim_samples,
-            dp_totals: b.dps.iter().filter(|s| s.seen).map(|s| s.tot).collect(),
-            totals: b.totals,
+            dp_totals,
+            totals,
             recent: Vec::new(),
             dropped_raw: 0,
             health: Some(b.health),

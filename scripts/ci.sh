@@ -112,6 +112,18 @@ echo "==> one trace clock: health is scored on the timeline's bins, nodes never 
       crates/core/src/live.rs crates/clusterd/src/client.rs; } \
   || { echo "ci.sh: an untraced call reads the clock for a trace event (lines above)"; exit 1; }
 
+echo "==> one count per trace event: a bin is its DpSample, run totals are folded from the per-point totals"
+# obs::timeline counts a per-point event into the point's open bin (the
+# DpSample it exports) and its DpTotals; the 22 RunTotals fields with a
+# per-point counter are folded from DpTotals in `finish`, and the health
+# scorer reads the closed DpSample. A bin struct beside the sample, a scorer
+# feature struct, or a folded run total counted a second time on the stream
+# is the duplicate growing back.
+{ ! grep -rnwE 'BinCounters|Features' crates/obs/src \
+  && ! sed '/^#\[cfg(test)\]/,$d' crates/obs/src/timeline.rs \
+      | grep -nE 'self\.totals\.(issued|answered|late|timed_out|denied|accepted|duplicates|failures|recoveries|dropped_requests|rebinds|msgs_lost|retries|retries_exhausted|msgs_duplicated|partition_drops|wal_appends|snapshots|wal_replayed|max_recovery_ms|health_degrades|health_recovers)\b'; } \
+  || { echo "ci.sh: obs counts a trace event twice or keeps a second bin/feature struct (lines above)"; exit 1; }
+
 echo "==> every capability earns its keep: sites are FIFO, loss is a fault-plan clause, one join/leave path, one site selector, one GRUB-SIM path"
 # Site disciplines and the base WAN loss rate had no paper claim, study
 # cell, test or workload behind them and were deleted; a second site
