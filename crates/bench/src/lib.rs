@@ -11,9 +11,7 @@
 //! module reads a clock or the process's memory. Timing and memory are
 //! measured by the `perf/` harness (`perf/README.md`: `sim-paper`,
 //! `sim-clients`, and the per-layer kernels), with repetitions and a
-//! bound; the two Criterion benches left here (`wheel`, `view`) are the
-//! head-to-heads against the reference backends only `desim` and
-//! `gruber::view` own.
+//! bound.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -190,7 +190,8 @@ fn serve(args: &Args) {
     let id = DpId(num("id", 0));
     let n_dps = num("n_dps", 1).max(1) as usize;
     let sites = config::uniform_sites(num("sites", 4), num("cpus", 16));
-    let uslas = equal_shares(num("vos", 2), num("groups", 2)).expect("equal_shares");
+    let uslas =
+        equal_shares(num("vos", 2), num("groups", 2)).unwrap_or_else(|e| die(&e.to_string()));
     let mut cfg = ServerConfig::new(id, n_dps, sites, uslas);
     if let Some(listen) = args.str("listen") {
         cfg.listen = listen.to_string();

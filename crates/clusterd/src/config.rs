@@ -95,14 +95,16 @@ pub enum TomlValue {
 pub fn parse_toml(text: &str) -> Result<Vec<(String, TomlValue)>, String> {
     let mut out = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
-        let line = match raw.find('#') {
-            // A '#' inside a quoted value is part of the value.
-            Some(i) if !raw[..i].contains('"') || raw[..i].matches('"').count() % 2 == 0 => {
-                &raw[..i]
-            }
-            _ => raw,
-        };
-        let line = line.trim();
+        // A comment starts at the first '#' outside a quoted value; a '#'
+        // inside one is part of the value.
+        let mut quoted = false;
+        let end = raw
+            .find(|c| {
+                quoted ^= c == '"';
+                c == '#' && !quoted
+            })
+            .unwrap_or(raw.len());
+        let line = raw[..end].trim();
         if line.is_empty() {
             continue;
         }
@@ -151,6 +153,7 @@ mod tests {
             id = 2
             listen = "127.0.0.1:4002"  # trailing comment
             allow_crash_exit = true
+            data_dir = "/tmp/run#1" # scratch
         "#;
         let kv = parse_toml(text).unwrap();
         assert_eq!(
@@ -162,6 +165,10 @@ mod tests {
                     TomlValue::Str("127.0.0.1:4002".to_string())
                 ),
                 ("allow_crash_exit".to_string(), TomlValue::Bool(true)),
+                (
+                    "data_dir".to_string(),
+                    TomlValue::Str("/tmp/run#1".to_string())
+                ),
             ]
         );
     }

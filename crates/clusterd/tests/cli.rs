@@ -89,10 +89,12 @@ fn config_file_keys_set_the_mesh_and_the_sync_clock() {
 fn unknown_or_mistyped_settings_exit_2() {
     let unknown = config_file("unknown", "bogus = 1\n");
     let mistyped = config_file("mistyped", "n_dps = \"2\"\n");
-    let runs: [&[&str]; 5] = [
+    let runs: [&[&str]; 7] = [
         &["--bogus", "1"],
         &["--data-dri", "x"],
         &["--id", "x"],
+        &["--vos", "0"],
+        &["--groups", "0"],
         &["--config", unknown.to_str().expect("utf-8 temp path")],
         &["--config", mistyped.to_str().expect("utf-8 temp path")],
     ];

@@ -160,12 +160,12 @@ pub enum Ev {
     MembershipTick,
 }
 
-/// The scheduler every handler is handed: desim's default queue, storing
-/// [`Ev`] values (it has no closure-taking methods).
-pub type Sched = desim::Scheduler<World, desim::TimerWheel, Ev>;
+/// The scheduler every handler is handed, storing [`Ev`] values (it has
+/// no closure-taking methods).
+pub type Sched = desim::Scheduler<World, Ev>;
 
 /// A [`World`] and its [`Sched`].
-pub type Sim = desim::Simulation<World, desim::TimerWheel, Ev>;
+pub type Sim = desim::Simulation<World, Ev>;
 
 impl desim::Event<World> for Ev {
     fn fire(self, w: &mut World, s: &mut Sched) {

@@ -1,24 +1,23 @@
 //! The event loop.
 //!
 //! Events live in a slab: a reusable arena of slots indexed by the `u32`
-//! the queue backend carries around, so the queue itself never touches a
-//! payload. What a slot stores is the scheduler's third type parameter —
-//! any [`Event`]: a world's own `enum` of typed events, or the default
-//! [`Closure`], a boxed `FnOnce`. The queue backend is pluggable via
-//! [`EventQueue`] — the default is the [`TimerWheel`] calendar queue,
-//! with [`HeapQueue`](crate::wheel::HeapQueue) kept as the
-//! differential-test reference.
+//! the queue carries around, so the queue itself never touches a payload.
+//! What a slot stores is the scheduler's second type parameter — any
+//! [`Event`]: a world's own `enum` of typed events, or the default
+//! [`Closure`], a boxed `FnOnce`. The queue is the crate's hierarchical
+//! timing wheel (a calendar queue, `desim`'s private `wheel` module),
+//! checked in that module's tests against the binary heap it replaced.
 
-use crate::wheel::{EventQueue, TimerWheel};
+use crate::wheel::TimerWheel;
 use gruber_types::{SimDuration, SimTime};
 use obs::{Recorder, TraceEvent};
 use std::marker::PhantomData;
 
 /// A pending event's payload: what the scheduler stores until the event's
 /// time comes, consumed by firing it on the world.
-pub trait Event<W, Q: EventQueue = TimerWheel>: Sized {
+pub trait Event<W>: Sized {
     /// Runs the event. `sched.now()` is the event's time.
-    fn fire(self, world: &mut W, sched: &mut Scheduler<W, Q, Self>);
+    fn fire(self, world: &mut W, sched: &mut Scheduler<W, Self>);
 }
 
 /// The default payload: a boxed one-shot handler. Built by
@@ -26,10 +25,10 @@ pub trait Event<W, Q: EventQueue = TimerWheel>: Sized {
 // The one boxed-closure type in the workspace, spelled out where
 // `scripts/ci.sh` greps for it rather than behind an alias.
 #[allow(clippy::type_complexity)]
-pub struct Closure<W, Q: EventQueue = TimerWheel>(Box<dyn FnOnce(&mut W, &mut Scheduler<W, Q>)>);
+pub struct Closure<W>(Box<dyn FnOnce(&mut W, &mut Scheduler<W>)>);
 
-impl<W, Q: EventQueue> Event<W, Q> for Closure<W, Q> {
-    fn fire(self, world: &mut W, sched: &mut Scheduler<W, Q>) {
+impl<W> Event<W> for Closure<W> {
+    fn fire(self, world: &mut W, sched: &mut Scheduler<W>) {
         (self.0)(world, sched)
     }
 }
@@ -67,10 +66,10 @@ struct Slot<E> {
 }
 
 /// The event queue and clock, handed to every event handler.
-pub struct Scheduler<W, Q: EventQueue = TimerWheel, E = Closure<W, Q>> {
+pub struct Scheduler<W, E = Closure<W>> {
     now: SimTime,
     seq: u64,
-    queue: Q,
+    queue: TimerWheel,
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
     executed: u64,
@@ -81,12 +80,12 @@ pub struct Scheduler<W, Q: EventQueue = TimerWheel, E = Closure<W, Q>> {
     world: PhantomData<fn(&mut W)>,
 }
 
-impl<W, Q: EventQueue, E> Default for Scheduler<W, Q, E> {
+impl<W, E> Default for Scheduler<W, E> {
     fn default() -> Self {
         Scheduler {
             now: SimTime::ZERO,
             seq: 0,
-            queue: Q::default(),
+            queue: TimerWheel::default(),
             slots: Vec::new(),
             free: Vec::new(),
             executed: 0,
@@ -98,7 +97,7 @@ impl<W, Q: EventQueue, E> Default for Scheduler<W, Q, E> {
     }
 }
 
-impl<W, Q: EventQueue, E> Scheduler<W, Q, E> {
+impl<W, E> Scheduler<W, E> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -204,13 +203,13 @@ impl<W, Q: EventQueue, E> Scheduler<W, Q, E> {
     }
 }
 
-impl<W, Q: EventQueue> Scheduler<W, Q> {
+impl<W> Scheduler<W> {
     /// Schedules `f` to run at absolute time `at`: [`Scheduler::post_at`]
     /// of a [`Closure`].
     pub fn schedule_at(
         &mut self,
         at: SimTime,
-        f: impl FnOnce(&mut W, &mut Scheduler<W, Q>) + 'static,
+        f: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
     ) -> EventToken {
         self.post_at(at, Closure(Box::new(f)))
     }
@@ -219,39 +218,30 @@ impl<W, Q: EventQueue> Scheduler<W, Q> {
     pub fn schedule_in(
         &mut self,
         delay: SimDuration,
-        f: impl FnOnce(&mut W, &mut Scheduler<W, Q>) + 'static,
+        f: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
     ) -> EventToken {
         self.post_in(delay, Closure(Box::new(f)))
     }
 }
 
 /// A world plus its scheduler: the unit you actually run.
-pub struct Simulation<W, Q: EventQueue = TimerWheel, E = Closure<W, Q>> {
+pub struct Simulation<W, E = Closure<W>> {
     world: W,
-    sched: Scheduler<W, Q, E>,
+    sched: Scheduler<W, E>,
 }
 
 impl<W> Simulation<W> {
-    /// Wraps a world with an empty event queue at time zero, on the
-    /// default [`TimerWheel`] backend, with [`Closure`] events.
+    /// Wraps a world with an empty event queue at time zero, with
+    /// [`Closure`] events.
     pub fn new(world: W) -> Self {
-        Simulation::with_queue(world)
+        Simulation::with_events(world)
     }
 }
 
-impl<W, E: Event<W>> Simulation<W, TimerWheel, E> {
+impl<W, E: Event<W>> Simulation<W, E> {
     /// Like [`Simulation::new`], for a world that posts events of its own
     /// type `E` instead of closures.
     pub fn with_events(world: W) -> Self {
-        Simulation::with_queue(world)
-    }
-}
-
-impl<W, Q: EventQueue, E: Event<W, Q>> Simulation<W, Q, E> {
-    /// Like [`Simulation::new`], but lets the caller pick the queue
-    /// backend: `Simulation::<_, HeapQueue>::with_queue(world)` runs the
-    /// same simulation on the reference heap.
-    pub fn with_queue(world: W) -> Self {
         Simulation {
             world,
             sched: Scheduler::default(),
@@ -269,13 +259,13 @@ impl<W, Q: EventQueue, E: Event<W, Q>> Simulation<W, Q, E> {
     }
 
     /// The scheduler (for seeding initial events).
-    pub fn scheduler(&mut self) -> &mut Scheduler<W, Q, E> {
+    pub fn scheduler(&mut self) -> &mut Scheduler<W, E> {
         &mut self.sched
     }
 
     /// World and scheduler together, as an event sees them: for calling a
     /// handler by hand between two runs.
-    pub fn parts(&mut self) -> (&mut W, &mut Scheduler<W, Q, E>) {
+    pub fn parts(&mut self) -> (&mut W, &mut Scheduler<W, E>) {
         (&mut self.world, &mut self.sched)
     }
 
@@ -563,20 +553,19 @@ mod tests {
 #[cfg(test)]
 mod properties {
     use super::*;
-    use crate::wheel::HeapQueue;
     use proptest::prelude::*;
     use proptest::TestCaseError;
-    use std::collections::HashSet;
+    use std::collections::{BTreeMap, HashSet};
 
     /// A plain data payload: firing pushes the value itself.
-    impl<Q: EventQueue> Event<Vec<u64>, Q> for u64 {
-        fn fire(self, fired: &mut Vec<u64>, _: &mut Scheduler<Vec<u64>, Q, u64>) {
+    impl Event<Vec<u64>> for u64 {
+        fn fire(self, fired: &mut Vec<u64>, _: &mut Scheduler<Vec<u64>, u64>) {
             fired.push(self);
         }
     }
 
     /// The closure payload doing the same.
-    fn push_closure<Q: EventQueue>(id: u64) -> Closure<Vec<u64>, Q> {
+    fn push_closure(id: u64) -> Closure<Vec<u64>> {
         Closure(Box::new(move |w, _| w.push(id)))
     }
 
@@ -585,7 +574,7 @@ mod properties {
     /// Body of `cancel_ledger_balances`, for any payload `mk(id)` that
     /// logs `id` when fired.
     fn cancel_ledger<E: Event<Vec<u64>>>(ops: &[(u64, bool, u64)], mk: fn(u64) -> E) -> Case {
-        let mut sim: Simulation<Vec<u64>, TimerWheel, E> = Simulation::with_events(Vec::new());
+        let mut sim: Simulation<Vec<u64>, E> = Simulation::with_events(Vec::new());
         let mut tokens: Vec<(u64, EventToken)> = Vec::new();
         let mut cancelled: HashSet<u64> = HashSet::new();
         for (i, &(at, do_cancel, pick)) in ops.iter().enumerate() {
@@ -621,22 +610,40 @@ mod properties {
         Ok(())
     }
 
-    /// Body of `wheel_scheduler_matches_heap_scheduler`, likewise.
-    fn wheel_matches_heap<EW, EH>(
+    /// Body of `scheduler_matches_ordered_model`, likewise. The model is
+    /// every queued event keyed by `(at, id)` — ids are handed out in
+    /// scheduling order, so key order is the `(time, sequence)` order
+    /// events must fire in — with `true` while the event is live and
+    /// `false` once cancelled (a tombstone: still pending until popped).
+    fn matches_model<E: Event<Vec<u64>>>(
         batches: &[Vec<(u64, u64, bool, u64)>],
-        mk_wheel: fn(u64) -> EW,
-        mk_heap: fn(u64) -> EH,
-    ) -> Case
-    where
-        EW: Event<Vec<u64>, TimerWheel>,
-        EH: Event<Vec<u64>, HeapQueue>,
-    {
-        let mut wheel = Simulation::<Vec<u64>, TimerWheel, EW>::with_queue(Vec::new());
-        let mut heap = Simulation::<Vec<u64>, HeapQueue, EH>::with_queue(Vec::new());
-        let mut wheel_tokens: Vec<EventToken> = Vec::new();
-        let mut heap_tokens: Vec<EventToken> = Vec::new();
-        let mut next_id = 0u64;
+        mk: fn(u64) -> E,
+    ) -> Case {
+        let mut sim: Simulation<Vec<u64>, E> = Simulation::with_events(Vec::new());
+        let mut model: BTreeMap<(u64, u64), bool> = BTreeMap::new();
+        let mut tokens: Vec<(u64, EventToken)> = Vec::new();
+        let (mut peak, mut cancels) = (0usize, 0u64);
         let mut limit = 0u64;
+        // Fires every live model entry at or before `limit`, in key order,
+        // and checks the log's new suffix against them.
+        let run = |sim: &mut Simulation<Vec<u64>, E>,
+                   model: &mut BTreeMap<(u64, u64), bool>,
+                   limit: u64|
+         -> Case {
+            let seen = sim.world().len();
+            sim.run_until(SimTime(limit));
+            let mut fired = Vec::new();
+            while let Some(entry) = model.first_entry().filter(|e| e.key().0 <= limit) {
+                let ((_, id), live) = entry.remove_entry();
+                if live {
+                    fired.push(id);
+                }
+            }
+            prop_assert_eq!(&sim.world()[seen..], fired.as_slice());
+            prop_assert_eq!(sim.now(), SimTime(limit));
+            prop_assert_eq!(sim.scheduler().pending(), model.len());
+            Ok(())
+        };
         for batch in batches {
             for &(band, offset, do_cancel, pick) in batch {
                 // Bands: same-ms burst at the current limit, near
@@ -648,36 +655,32 @@ mod properties {
                     2 => limit + offset % (1 << 20),
                     _ => limit + (1 << 20) + offset,
                 };
-                let id = next_id;
-                next_id += 1;
-                wheel_tokens.push(wheel.scheduler().post_at(SimTime(at), mk_wheel(id)));
-                heap_tokens.push(heap.scheduler().post_at(SimTime(at), mk_heap(id)));
+                let id = tokens.len() as u64;
+                tokens.push((at, sim.scheduler().post_at(SimTime(at), mk(id))));
+                model.insert((at, id), true);
+                peak = peak.max(model.len());
                 if do_cancel {
-                    let v = pick as usize % wheel_tokens.len();
-                    prop_assert_eq!(
-                        wheel.scheduler().cancel(wheel_tokens[v]),
-                        heap.scheduler().cancel(heap_tokens[v])
-                    );
+                    let v = pick as usize % tokens.len();
+                    let (vat, vtok) = tokens[v];
+                    // Live iff queued and not yet cancelled.
+                    let live = model
+                        .get_mut(&(vat, v as u64))
+                        .is_some_and(|l| std::mem::replace(l, false));
+                    cancels += u64::from(live);
+                    prop_assert_eq!(sim.scheduler().cancel(vtok), live);
                 }
-                prop_assert_eq!(wheel.scheduler().pending(), heap.scheduler().pending());
+                prop_assert_eq!(sim.scheduler().pending(), model.len());
             }
             limit += 700_000; // sweeps across several L0 windows
-            wheel.run_until(SimTime(limit));
-            heap.run_until(SimTime(limit));
-            prop_assert_eq!(wheel.now(), heap.now());
-            prop_assert_eq!(wheel.world(), heap.world());
-            prop_assert_eq!(wheel.events_executed(), heap.events_executed());
+            run(&mut sim, &mut model, limit)?;
+            prop_assert_eq!(sim.events_executed(), sim.world().len() as u64);
         }
-        wheel.run_until(SimTime(u64::MAX));
-        heap.run_until(SimTime(u64::MAX));
-        prop_assert_eq!(wheel.world(), heap.world());
-        prop_assert_eq!(wheel.peak_pending(), heap.peak_pending());
-        prop_assert_eq!(
-            wheel.scheduler().cancellations(),
-            heap.scheduler().cancellations()
-        );
-        prop_assert_eq!(wheel.scheduler().pending(), 0);
-        prop_assert_eq!(heap.scheduler().pending(), 0);
+        run(&mut sim, &mut model, u64::MAX)?;
+        prop_assert_eq!(sim.scheduler().pending(), 0);
+        prop_assert_eq!(sim.events_executed(), sim.world().len() as u64);
+        prop_assert_eq!(sim.world().len() as u64 + cancels, tokens.len() as u64);
+        prop_assert_eq!(sim.scheduler().cancellations(), cancels);
+        prop_assert_eq!(sim.peak_pending(), peak);
         Ok(())
     }
 
@@ -778,13 +781,13 @@ mod properties {
             );
         }
 
-        /// Differential: the wheel-backed and heap-backed schedulers must
-        /// agree on fired order, clock progression, cancel return values
-        /// and every counter for the same schedule/cancel/run script —
-        /// including same-timestamp bursts and far-future spills past the
-        /// 2^20 ms wheel horizon — whatever the payload.
+        /// The scheduler against an ordered model: fired order, clock
+        /// progression, cancel return values, pending counts (tombstones
+        /// included) and every counter for the same schedule/cancel/run
+        /// script — including same-timestamp bursts and far-future spills
+        /// past the 2^20 ms wheel horizon — whatever the payload.
         #[test]
-        fn wheel_scheduler_matches_heap_scheduler(
+        fn scheduler_matches_ordered_model(
             batches in proptest::collection::vec(
                 proptest::collection::vec(
                     // (time band, offset, cancel?, victim pick)
@@ -794,8 +797,8 @@ mod properties {
                 1..6,
             ),
         ) {
-            wheel_matches_heap(&batches, push_closure, push_closure)?;
-            wheel_matches_heap(&batches, |id| id, |id| id)?;
+            matches_model(&batches, push_closure)?;
+            matches_model(&batches, |id| id)?;
         }
     }
 }

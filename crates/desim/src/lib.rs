@@ -1,7 +1,10 @@
 //! Deterministic discrete-event simulation engine.
 //!
 //! All DI-GRUBER experiments run on this engine: a priority queue of timed
-//! events over a generic *world* type `W`. Event handlers receive `&mut W`
+//! events over a generic *world* type `W`. The queue is a hierarchical
+//! timing wheel, private to the crate: the scheduler is its one user, and
+//! the binary heap it replaced lives on only in its tests, as the
+//! reference it is checked against. Event handlers receive `&mut W`
 //! plus a [`Scheduler`] through which they enqueue further events. What
 //! an event is — its *payload* — is the caller's choice: any type that
 //! implements [`Event`] (a world's own `enum`, posted with
@@ -46,8 +49,7 @@
 pub mod dist;
 pub mod engine;
 pub mod rng;
-pub mod wheel;
+mod wheel;
 
 pub use engine::{Closure, Event, EventToken, Scheduler, Simulation};
 pub use rng::DetRng;
-pub use wheel::{EventQueue, HeapQueue, TimerWheel};

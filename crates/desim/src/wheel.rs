@@ -19,7 +19,7 @@
 //! * **Spill** is a `BTreeMap` keyed on `(at, seq)` for everything past
 //!   the L1 horizon; it refills both wheel levels when the wheels drain.
 //!
-//! Windows only advance inside [`EventQueue::pop_due`], and only once the
+//! Windows only advance inside [`TimerWheel::pop_due`], and only once the
 //! queue is committed to returning an entry (`min ≤ limit`). A failed
 //! probe (`min > limit`) is non-destructive, so handlers that later
 //! schedule for earlier times (clamped to *now* by the scheduler) can
@@ -31,37 +31,11 @@
 //! everything already there (the scheduler's counter is global and
 //! monotone). Appending to a `Vec` per bucket therefore keeps every
 //! bucket sorted by `seq`, and L0 pops replay exactly the heap's
-//! `(at, seq)` order — byte-identical fingerprints.
+//! `(at, seq)` order — byte-identical fingerprints. The tests below keep
+//! that heap as the reference and check the wheel against it pop for pop.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::mem;
-
-/// Priority queue of `(at, seq, idx)` entries, popped in `(at, seq)`
-/// order. `idx` is an opaque payload handle (the scheduler's slab slot).
-///
-/// Contract required by implementations:
-///
-/// * `seq` values are unique and assigned in insertion order (the
-///   scheduler's global counter guarantees both);
-/// * no insert is earlier than the `at` of the last popped entry (the
-///   scheduler clamps schedule times to *now*).
-pub trait EventQueue: Default + 'static {
-    /// Enqueues an entry at absolute time `at`.
-    fn insert(&mut self, at: u64, seq: u64, idx: u32);
-
-    /// Removes and returns the earliest entry, provided its `at` does not
-    /// exceed `limit`. Returning `None` leaves the queue untouched.
-    fn pop_due(&mut self, limit: u64) -> Option<(u64, u64, u32)>;
-
-    /// Number of queued entries.
-    fn len(&self) -> usize;
-
-    /// Whether the queue holds no entries.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// One queued event: absolute time, global sequence number, slab slot.
 #[derive(Clone, Copy, Debug)]
@@ -115,9 +89,18 @@ fn below_end(at: u64, epoch: u64, span: u64) -> bool {
     }
 }
 
-/// The hierarchical timing wheel. See the [module docs](self) for the
-/// level layout and ordering argument.
-pub struct TimerWheel {
+/// The hierarchical timing wheel: a priority queue of `(at, seq, idx)`
+/// entries, popped in `(at, seq)` order. `idx` is an opaque payload
+/// handle (the scheduler's slab slot). See the [module docs](self) for
+/// the level layout and ordering argument.
+///
+/// Contract required of the caller:
+///
+/// * `seq` values are unique and assigned in insertion order (the
+///   scheduler's global counter guarantees both);
+/// * no insert is earlier than the `at` of the last popped entry (the
+///   scheduler clamps schedule times to *now*).
+pub(crate) struct TimerWheel {
     /// Millisecond buckets covering `[l0_epoch, l0_epoch + 1024)`.
     l0: Vec<Bucket>,
     l0_map: [u64; WORDS],
@@ -167,10 +150,9 @@ impl TimerWheel {
         self.l1[b].push(e);
         set_bit(&mut self.l1_map, b);
     }
-}
 
-impl EventQueue for TimerWheel {
-    fn insert(&mut self, at: u64, seq: u64, idx: u32) {
+    /// Enqueues an entry at absolute time `at`.
+    pub(crate) fn insert(&mut self, at: u64, seq: u64, idx: u32) {
         debug_assert!(
             at >= self.floor,
             "insert at {at} behind the queue floor {}",
@@ -187,9 +169,11 @@ impl EventQueue for TimerWheel {
         }
     }
 
-    fn pop_due(&mut self, limit: u64) -> Option<(u64, u64, u32)> {
+    /// Removes and returns the earliest entry, provided its `at` does not
+    /// exceed `limit`. Returning `None` leaves the queue untouched.
+    pub(crate) fn pop_due(&mut self, limit: u64) -> Option<(u64, u64, u32)> {
         loop {
-            if self.len == 0 {
+            if self.is_empty() {
                 return None;
             }
             // L0 always holds the globally earliest entries when occupied:
@@ -267,37 +251,14 @@ impl EventQueue for TimerWheel {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Number of queued entries.
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
-}
 
-/// The reference implementation: the binary heap the wheel replaced,
-/// kept for differential testing and as a drop-in
-/// [`Scheduler`](crate::Scheduler) backend
-/// (`Scheduler<W, HeapQueue>`).
-#[derive(Default)]
-pub struct HeapQueue {
-    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
-}
-
-impl EventQueue for HeapQueue {
-    fn insert(&mut self, at: u64, seq: u64, idx: u32) {
-        self.heap.push(Reverse((at, seq, idx)));
-    }
-
-    fn pop_due(&mut self, limit: u64) -> Option<(u64, u64, u32)> {
-        match self.heap.peek() {
-            Some(&Reverse((at, _, _))) if at <= limit => {
-                let Reverse(e) = self.heap.pop().expect("peeked");
-                Some(e)
-            }
-            _ => None,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
+    /// Whether the queue holds no entries.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
 
@@ -305,7 +266,7 @@ impl EventQueue for HeapQueue {
 mod tests {
     use super::*;
 
-    fn drain_all<Q: EventQueue>(q: &mut Q) -> Vec<(u64, u64, u32)> {
+    fn drain_all(q: &mut TimerWheel) -> Vec<(u64, u64, u32)> {
         let mut out = Vec::new();
         while let Some(e) = q.pop_due(u64::MAX) {
             out.push(e);
@@ -408,6 +369,39 @@ mod tests {
 mod properties {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The reference queue: the binary heap the wheel replaced, with the
+    /// wheel's method names and contract.
+    #[derive(Default)]
+    struct HeapQueue {
+        heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    }
+
+    impl HeapQueue {
+        fn insert(&mut self, at: u64, seq: u64, idx: u32) {
+            self.heap.push(Reverse((at, seq, idx)));
+        }
+
+        fn pop_due(&mut self, limit: u64) -> Option<(u64, u64, u32)> {
+            match self.heap.peek() {
+                Some(&Reverse((at, _, _))) if at <= limit => {
+                    let Reverse(e) = self.heap.pop().expect("peeked");
+                    Some(e)
+                }
+                _ => None,
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.heap.is_empty()
+        }
+    }
 
     /// Expands a compact op description into a time respecting `floor`.
     /// `band` selects: same-ms burst, L0-near, L1-range, spill-far.

@@ -60,4 +60,4 @@ pub mod view;
 pub use engine::GruberEngine;
 pub use selectors::{LeastUsedSelector, SiteSelector};
 pub use gruber_types::DispatchRecord;
-pub use view::{GridView, RefView, ViewStore};
+pub use view::GridView;

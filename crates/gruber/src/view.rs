@@ -14,32 +14,26 @@
 //! precisely what degrades the paper's Accuracy metric at long exchange
 //! intervals.
 //!
-//! # Backends
+//! # Layout
 //!
-//! Two implementations share the [`ViewStore`] trait, mirroring the
-//! calendar-queue-vs-reference-heap pattern in `desim`:
+//! [`GridView`] is a struct-of-arrays: three flat `SiteId`-indexed columns
+//! (`totals`, `demand`, `free`), dense `(VoId, GroupId)`-indexed principal
+//! tables, a paged-bitset job-dedup set and one merged expiry queue (see
+//! *Expiry* below). Built for 3000-site grids and million-job runs.
+//! `free[s]` is `totals[s] - demand[s]` floored at zero, stored again at
+//! the only two places `demand[s]` changes (a record observed, a record
+//! expired), so the availability reply is a copy of the `free` column.
+//! Nothing invalidates it: it is the same arithmetic moved from the read
+//! of every site to the write of one.
 //!
-//! * [`GridView`] — the default: a struct-of-arrays layout with three flat
-//!   `SiteId`-indexed columns (`totals`, `demand`, `free`), dense
-//!   `(VoId, GroupId)`-indexed principal tables, a paged-bitset job-dedup
-//!   set and one merged expiry queue (see *Expiry* below). Built for
-//!   3000-site grids and million-job runs. `free[s]` is
-//!   `totals[s] - demand[s]` floored at zero, stored again at the only two
-//!   places `demand[s]` changes (a record observed, a record expired), so
-//!   the availability reply is a copy of the `free` column. Nothing
-//!   invalidates it: it is the same arithmetic moved from the read of
-//!   every site to the write of one.
-//! * [`RefView`] — the original `HashMap`/`HashSet`/per-site-`BinaryHeap`
-//!   model, kept as the executable specification. The differential tests
-//!   (unit + proptest below) drive both backends op-for-op and require
-//!   identical answers.
-//!
-//! Both backends assume query timestamps are **monotone nondecreasing**
-//! across calls — true of every runtime (the desim event loop, the live
-//! and socket clocks, trace replay). Under monotone time the single
-//! merged expiry queue and `RefView`'s lazy per-site heaps observe exactly
-//! the same record sets, which is what keeps run fingerprints
-//! byte-identical across backends.
+//! The tests below keep the original `HashMap`/`HashSet`/per-site-
+//! `BinaryHeap` view as the executable specification. The differential
+//! tests (unit + proptest) drive it and [`GridView`] op-for-op and
+//! require identical answers. Both assume query timestamps are
+//! **monotone nondecreasing** across calls — true of every runtime (the
+//! desim event loop, the live and socket clocks, trace replay). Under
+//! monotone time the single merged expiry queue and the reference's lazy
+//! per-site heaps observe exactly the same record sets.
 //!
 //! # Expiry
 //!
@@ -72,7 +66,8 @@
 //! group) and stores the site's `free` entry from the new demand;
 //! subtractions commute, the last store per site sees the final demand,
 //! and nothing reads either until the call returns, so no answer,
-//! fingerprint or flood hash can depend on the order. `RefView` and the differential tests below are the judge.
+//! fingerprint or flood hash can depend on the order. The reference view
+//! and the differential tests below are the judge.
 //!
 //! **The clock is the view's own.** `last` is a high-water mark, not the
 //! caller's word: `expire(now)` with `now < last` does nothing, and
@@ -80,7 +75,7 @@
 //! already expired. A wall clock that steps back therefore reads the view
 //! as of the latest instant it has seen and cannot file a key at or below
 //! `last`, which is the one thing the bucket arithmetic relies on.
-//! (`RefView` makes no such promise off the monotone path.)
+//! (The reference view makes no such promise off the monotone path.)
 //!
 //! Buckets store fixed-size chunks recycled through a per-view free list:
 //! splitting bucket `top` hands each source chunk back before the next is
@@ -91,90 +86,6 @@
 //! queue replaced, where chunks measure 20 % less.
 
 use gruber_types::{DispatchRecord, GroupId, JobId, SimTime, SiteId, SiteSpec, VoId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::collections::HashMap;
-
-/// The contract a grid-view backend fulfils: fold dispatch records in,
-/// expire them at their estimated finish, answer demand/availability
-/// queries. All query methods take `&mut self` because expiry is lazy —
-/// answering advances bookkeeping to `now`.
-///
-/// Timestamps passed to a store must be monotone nondecreasing across
-/// calls (see the module docs); a store may expire globally on any call.
-pub trait ViewStore: std::fmt::Debug {
-    /// Builds a view with full static knowledge of the given sites.
-    fn new(sites: &[SiteSpec]) -> Self
-    where
-        Self: Sized;
-
-    /// Number of sites the view covers.
-    fn n_sites(&self) -> usize;
-
-    /// Total CPUs of one site (static knowledge, always exact).
-    fn total_cpus(&self, site: SiteId) -> u32;
-
-    /// Grid-wide CPU total.
-    fn grid_cpus(&self) -> u64;
-
-    /// Folds one dispatch record into the view (idempotent per job id).
-    /// Returns `true` if the record was new.
-    fn observe(&mut self, rec: &DispatchRecord, now: SimTime) -> bool;
-
-    /// Folds a batch of peer records; returns how many were new.
-    fn merge(&mut self, records: &[DispatchRecord], now: SimTime) -> usize {
-        records.iter().filter(|r| self.observe(r, now)).count()
-    }
-
-    /// Advances expiry bookkeeping to `now`.
-    fn expire(&mut self, now: SimTime);
-
-    /// Believed CPU demand at a site (may exceed capacity).
-    fn demand(&mut self, site: SiteId, now: SimTime) -> u64;
-
-    /// Believed free CPUs at a site.
-    fn free_cpus(&mut self, site: SiteId, now: SimTime) -> u32 {
-        let total = u64::from(self.total_cpus(site));
-        total.saturating_sub(self.demand(site, now)) as u32
-    }
-
-    /// Believed queued jobs at a site (demand beyond capacity, in CPUs;
-    /// single-CPU jobs make this a job count).
-    fn queued(&mut self, site: SiteId, now: SimTime) -> u32 {
-        let total = u64::from(self.total_cpus(site));
-        self.demand(site, now).saturating_sub(total) as u32
-    }
-
-    /// Believed grid-wide CPUs held by a VO.
-    fn vo_demand(&mut self, vo: VoId, now: SimTime) -> u64;
-
-    /// Believed grid-wide CPUs held by a VO group.
-    fn group_demand(&mut self, vo: VoId, group: GroupId, now: SimTime) -> u64;
-
-    /// Believed grid-wide idle CPUs.
-    fn idle_cpus(&mut self, now: SimTime) -> u64 {
-        (0..self.n_sites())
-            .map(|i| u64::from(self.free_cpus(SiteId::from_index(i), now)))
-            .sum()
-    }
-
-    /// Writes the believed per-site free-CPU vector into `out` (cleared
-    /// first). The allocation-free form of [`ViewStore::free_per_site`]:
-    /// callers that answer many availability queries reuse one buffer.
-    fn free_per_site_into(&mut self, now: SimTime, out: &mut Vec<u32>) {
-        out.clear();
-        for i in 0..self.n_sites() {
-            out.push(self.free_cpus(SiteId::from_index(i), now));
-        }
-    }
-
-    /// Full believed per-site free-CPU vector (the availability response).
-    fn free_per_site(&mut self, now: SimTime) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.n_sites());
-        self.free_per_site_into(now, &mut out);
-        out
-    }
-}
 
 /// Merged expiry entry. One entry per record serves both the per-site
 /// and the per-principal counters — half the queue traffic of the
@@ -367,15 +278,16 @@ impl std::fmt::Debug for JobSet {
     }
 }
 
-/// A (possibly stale) model of grid utilization — the struct-of-arrays
-/// default backend.
+/// A (possibly stale) model of grid utilization, laid out as a
+/// struct of arrays.
 ///
 /// Layout: per-site `totals`/`demand`/`free` as flat `SiteId`-indexed
 /// columns (availability is a copy of `free`, which every change to
 /// `demand` keeps current), per-principal demand as dense
 /// `VoId`/`GroupId`-indexed tables, job dedup as a paged bitset, and a
-/// single merged expiry queue whose entries decrement all three at once — a monotone radix queue, exact but unordered within one
-/// call, keyed against the view's own high-water clock. The module docs
+/// single merged expiry queue whose entries decrement all three at
+/// once — a monotone radix queue, exact but unordered within one call,
+/// keyed against the view's own high-water clock. The module docs
 /// (*Expiry*) give the bucket argument, why the order cannot be observed,
 /// and what a caller whose clock steps back sees.
 #[derive(Debug)]
@@ -600,199 +512,159 @@ impl GridView {
     }
 }
 
-impl ViewStore for GridView {
-    fn new(sites: &[SiteSpec]) -> Self {
-        GridView::new(sites)
-    }
-    fn n_sites(&self) -> usize {
-        GridView::n_sites(self)
-    }
-    fn total_cpus(&self, site: SiteId) -> u32 {
-        GridView::total_cpus(self, site)
-    }
-    fn grid_cpus(&self) -> u64 {
-        GridView::grid_cpus(self)
-    }
-    fn observe(&mut self, rec: &DispatchRecord, now: SimTime) -> bool {
-        GridView::observe(self, rec, now)
-    }
-    fn merge(&mut self, records: &[DispatchRecord], now: SimTime) -> usize {
-        GridView::merge(self, records, now)
-    }
-    fn expire(&mut self, now: SimTime) {
-        GridView::expire(self, now)
-    }
-    fn demand(&mut self, site: SiteId, now: SimTime) -> u64 {
-        GridView::demand(self, site, now)
-    }
-    fn free_cpus(&mut self, site: SiteId, now: SimTime) -> u32 {
-        GridView::free_cpus(self, site, now)
-    }
-    fn queued(&mut self, site: SiteId, now: SimTime) -> u32 {
-        GridView::queued(self, site, now)
-    }
-    fn vo_demand(&mut self, vo: VoId, now: SimTime) -> u64 {
-        GridView::vo_demand(self, vo, now)
-    }
-    fn group_demand(&mut self, vo: VoId, group: GroupId, now: SimTime) -> u64 {
-        GridView::group_demand(self, vo, group, now)
-    }
-    fn idle_cpus(&mut self, now: SimTime) -> u64 {
-        GridView::idle_cpus(self, now)
-    }
-    fn free_per_site_into(&mut self, now: SimTime, out: &mut Vec<u32>) {
-        GridView::free_per_site_into(self, now, out)
-    }
-    fn free_per_site(&mut self, now: SimTime) -> Vec<u32> {
-        GridView::free_per_site(self, now)
-    }
-}
-
-#[derive(Debug, Default)]
-struct SiteDemand {
-    /// CPUs demanded by un-expired records (may exceed capacity — the
-    /// excess is the view's estimate of the site queue).
-    demand: u64,
-    /// Expiry heap: (est_finish, cpus).
-    expiries: BinaryHeap<Reverse<(SimTime, u32)>>,
-}
-
-impl SiteDemand {
-    fn expire(&mut self, now: SimTime) {
-        while let Some(&Reverse((t, cpus))) = self.expiries.peek() {
-            if t > now {
-                break;
-            }
-            self.expiries.pop();
-            self.demand -= u64::from(cpus);
-        }
-    }
-}
-
-/// The original `HashMap`/`HashSet`/per-site-`BinaryHeap` view, kept as
-/// the reference backend the struct-of-arrays [`GridView`] is
-/// differentially tested against. Not used by any runtime; its answers
-/// define correctness.
-#[derive(Debug)]
-pub struct RefView {
-    totals: Vec<u32>,
-    sites: Vec<SiteDemand>,
-    vo_demand: HashMap<VoId, i64>,
-    group_demand: HashMap<(VoId, GroupId), i64>,
-    /// Jobs already folded in (idempotent merging across floods).
-    seen: std::collections::HashSet<JobId>,
-    /// Expiry heap for the per-VO/group counters.
-    principal_expiries: BinaryHeap<Reverse<(SimTime, VoId, GroupId, u32)>>,
-}
-
-impl RefView {
-    /// Builds a view with full static knowledge of the given sites.
-    pub fn new(sites: &[SiteSpec]) -> Self {
-        RefView {
-            totals: sites.iter().map(|s| s.total_cpus()).collect(),
-            sites: sites.iter().map(|_| SiteDemand::default()).collect(),
-            vo_demand: HashMap::new(),
-            group_demand: HashMap::new(),
-            seen: std::collections::HashSet::new(),
-            principal_expiries: BinaryHeap::new(),
-        }
-    }
-
-    /// Folds one dispatch record into the view (idempotent per job id).
-    /// Returns `true` if the record was new.
-    pub fn observe(&mut self, rec: &DispatchRecord, now: SimTime) -> bool {
-        self.expire(now);
-        if rec.site.index() >= self.sites.len()
-            || rec.vo.index() >= GridView::DEFAULT_PRINCIPALS
-            || rec.group.index() >= GridView::DEFAULT_PRINCIPALS
-            || rec.est_finish <= now
-            || !self.seen.insert(rec.job)
-        {
-            return false; // no such site or principal, already expired or already known
-        }
-        let site = &mut self.sites[rec.site.index()];
-        site.demand += u64::from(rec.cpus);
-        site.expiries.push(Reverse((rec.est_finish, rec.cpus)));
-        *self.vo_demand.entry(rec.vo).or_insert(0) += i64::from(rec.cpus);
-        *self
-            .group_demand
-            .entry((rec.vo, rec.group))
-            .or_insert(0) += i64::from(rec.cpus);
-        self.principal_expiries
-            .push(Reverse((rec.est_finish, rec.vo, rec.group, rec.cpus)));
-        true
-    }
-
-    /// Advances expiry bookkeeping to `now`.
-    pub fn expire(&mut self, now: SimTime) {
-        for s in &mut self.sites {
-            s.expire(now);
-        }
-        while let Some(&Reverse((t, vo, group, cpus))) = self.principal_expiries.peek() {
-            if t > now {
-                break;
-            }
-            self.principal_expiries.pop();
-            *self.vo_demand.entry(vo).or_insert(0) -= i64::from(cpus);
-            *self.group_demand.entry((vo, group)).or_insert(0) -= i64::from(cpus);
-        }
-    }
-
-    /// Believed CPU demand at a site (may exceed capacity).
-    pub fn demand(&mut self, site: SiteId, now: SimTime) -> u64 {
-        self.sites[site.index()].expire(now);
-        self.sites[site.index()].demand
-    }
-}
-
-impl ViewStore for RefView {
-    fn new(sites: &[SiteSpec]) -> Self {
-        RefView::new(sites)
-    }
-
-    fn n_sites(&self) -> usize {
-        self.totals.len()
-    }
-
-    fn total_cpus(&self, site: SiteId) -> u32 {
-        self.totals[site.index()]
-    }
-
-    fn grid_cpus(&self) -> u64 {
-        self.totals.iter().map(|&c| u64::from(c)).sum()
-    }
-
-    fn observe(&mut self, rec: &DispatchRecord, now: SimTime) -> bool {
-        RefView::observe(self, rec, now)
-    }
-
-    fn expire(&mut self, now: SimTime) {
-        RefView::expire(self, now)
-    }
-
-    fn demand(&mut self, site: SiteId, now: SimTime) -> u64 {
-        RefView::demand(self, site, now)
-    }
-
-    fn vo_demand(&mut self, vo: VoId, now: SimTime) -> u64 {
-        self.expire(now);
-        self.vo_demand.get(&vo).copied().unwrap_or(0).max(0) as u64
-    }
-
-    fn group_demand(&mut self, vo: VoId, group: GroupId, now: SimTime) -> u64 {
-        self.expire(now);
-        self.group_demand
-            .get(&(vo, group))
-            .copied()
-            .unwrap_or(0)
-            .max(0) as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gruber_types::SiteSpec;
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, HashMap, HashSet};
+
+    /// CPUs one site owes to un-expired records, for [`RefView`].
+    #[derive(Default)]
+    struct SiteDemand {
+        /// CPUs demanded by un-expired records (may exceed capacity — the
+        /// excess is the view's estimate of the site queue).
+        demand: u64,
+        /// Expiry heap: (est_finish, cpus).
+        expiries: BinaryHeap<Reverse<(SimTime, u32)>>,
+    }
+
+    impl SiteDemand {
+        fn expire(&mut self, now: SimTime) {
+            while let Some(&Reverse((t, cpus))) = self.expiries.peek() {
+                if t > now {
+                    break;
+                }
+                self.expiries.pop();
+                self.demand -= u64::from(cpus);
+            }
+        }
+    }
+
+    /// The original `HashMap`/`HashSet`/per-site-`BinaryHeap` view, the
+    /// reference the struct-of-arrays [`GridView`] is differentially
+    /// tested against: its answers define correctness. Same method names
+    /// and signatures as [`GridView`]'s.
+    struct RefView {
+        totals: Vec<u32>,
+        sites: Vec<SiteDemand>,
+        vo_demand: HashMap<VoId, i64>,
+        group_demand: HashMap<(VoId, GroupId), i64>,
+        /// Jobs already folded in (idempotent merging across floods).
+        seen: HashSet<JobId>,
+        /// Expiry heap for the per-VO/group counters.
+        principal_expiries: BinaryHeap<Reverse<(SimTime, VoId, GroupId, u32)>>,
+    }
+
+    impl RefView {
+        fn new(sites: &[SiteSpec]) -> Self {
+            RefView {
+                totals: sites.iter().map(|s| s.total_cpus()).collect(),
+                sites: sites.iter().map(|_| SiteDemand::default()).collect(),
+                vo_demand: HashMap::new(),
+                group_demand: HashMap::new(),
+                seen: HashSet::new(),
+                principal_expiries: BinaryHeap::new(),
+            }
+        }
+
+        fn n_sites(&self) -> usize {
+            self.totals.len()
+        }
+
+        fn total_cpus(&self, site: SiteId) -> u32 {
+            self.totals[site.index()]
+        }
+
+        fn grid_cpus(&self) -> u64 {
+            self.totals.iter().map(|&c| u64::from(c)).sum()
+        }
+
+        fn observe(&mut self, rec: &DispatchRecord, now: SimTime) -> bool {
+            self.expire(now);
+            if rec.site.index() >= self.sites.len()
+                || rec.vo.index() >= GridView::DEFAULT_PRINCIPALS
+                || rec.group.index() >= GridView::DEFAULT_PRINCIPALS
+                || rec.est_finish <= now
+                || !self.seen.insert(rec.job)
+            {
+                return false; // no such site or principal, already expired or already known
+            }
+            let site = &mut self.sites[rec.site.index()];
+            site.demand += u64::from(rec.cpus);
+            site.expiries.push(Reverse((rec.est_finish, rec.cpus)));
+            *self.vo_demand.entry(rec.vo).or_insert(0) += i64::from(rec.cpus);
+            *self.group_demand.entry((rec.vo, rec.group)).or_insert(0) += i64::from(rec.cpus);
+            self.principal_expiries
+                .push(Reverse((rec.est_finish, rec.vo, rec.group, rec.cpus)));
+            true
+        }
+
+        fn merge(&mut self, records: &[DispatchRecord], now: SimTime) -> usize {
+            records.iter().filter(|r| self.observe(r, now)).count()
+        }
+
+        fn expire(&mut self, now: SimTime) {
+            for s in &mut self.sites {
+                s.expire(now);
+            }
+            while let Some(&Reverse((t, vo, group, cpus))) = self.principal_expiries.peek() {
+                if t > now {
+                    break;
+                }
+                self.principal_expiries.pop();
+                *self.vo_demand.entry(vo).or_insert(0) -= i64::from(cpus);
+                *self.group_demand.entry((vo, group)).or_insert(0) -= i64::from(cpus);
+            }
+        }
+
+        fn demand(&mut self, site: SiteId, now: SimTime) -> u64 {
+            self.sites[site.index()].expire(now);
+            self.sites[site.index()].demand
+        }
+
+        fn free_cpus(&mut self, site: SiteId, now: SimTime) -> u32 {
+            let total = u64::from(self.total_cpus(site));
+            total.saturating_sub(self.demand(site, now)) as u32
+        }
+
+        fn queued(&mut self, site: SiteId, now: SimTime) -> u32 {
+            let total = u64::from(self.total_cpus(site));
+            self.demand(site, now).saturating_sub(total) as u32
+        }
+
+        fn vo_demand(&mut self, vo: VoId, now: SimTime) -> u64 {
+            self.expire(now);
+            self.vo_demand.get(&vo).copied().unwrap_or(0).max(0) as u64
+        }
+
+        fn group_demand(&mut self, vo: VoId, group: GroupId, now: SimTime) -> u64 {
+            self.expire(now);
+            self.group_demand
+                .get(&(vo, group))
+                .copied()
+                .unwrap_or(0)
+                .max(0) as u64
+        }
+
+        fn idle_cpus(&mut self, now: SimTime) -> u64 {
+            (0..self.n_sites())
+                .map(|i| u64::from(self.free_cpus(SiteId::from_index(i), now)))
+                .sum()
+        }
+
+        fn free_per_site_into(&mut self, now: SimTime, out: &mut Vec<u32>) {
+            out.clear();
+            for i in 0..self.n_sites() {
+                out.push(self.free_cpus(SiteId::from_index(i), now));
+            }
+        }
+
+        fn free_per_site(&mut self, now: SimTime) -> Vec<u32> {
+            let mut out = Vec::with_capacity(self.n_sites());
+            self.free_per_site_into(now, &mut out);
+            out
+        }
+    }
 
     fn sites() -> Vec<SiteSpec> {
         vec![
@@ -813,176 +685,179 @@ mod tests {
         }
     }
 
-    fn static_knowledge_is_exact<V: ViewStore>() {
-        let v = V::new(&sites());
-        assert_eq!(v.n_sites(), 2);
-        assert_eq!(v.total_cpus(SiteId(1)), 20);
-        assert_eq!(v.grid_cpus(), 30);
+    /// Instantiates each test body once per view: `V` is [`GridView`] in
+    /// one generated module and [`RefView`] in the other.
+    macro_rules! on_both_views {
+        ($($body:item)*) => {
+            mod grid_view {
+                use super::*;
+                type V = GridView;
+                $($body)*
+            }
+            mod ref_view {
+                use super::*;
+                type V = RefView;
+                $($body)*
+            }
+        };
     }
 
-    fn observe_updates_free_cpus_until_expiry<V: ViewStore>() {
-        let mut v = V::new(&sites());
-        let now = SimTime::from_secs(10);
-        assert!(v.observe(&rec(1, 0, 4, 10, 100), now));
-        assert_eq!(v.free_cpus(SiteId(0), now), 6);
-        assert_eq!(v.free_cpus(SiteId(1), now), 20);
-        // After the estimated finish the record expires.
-        let later = SimTime::from_secs(101);
-        assert_eq!(v.free_cpus(SiteId(0), later), 10);
-        assert_eq!(v.vo_demand(VoId(1), later), 0);
-    }
-
-    fn observe_is_idempotent_per_job<V: ViewStore>() {
-        let mut v = V::new(&sites());
-        let now = SimTime::from_secs(0);
-        let r = rec(1, 0, 4, 0, 100);
-        assert!(v.observe(&r, now));
-        assert!(!v.observe(&r, now));
-        assert_eq!(v.free_cpus(SiteId(0), now), 6);
-        assert_eq!(v.merge(&[r, rec(2, 0, 2, 0, 100)], now), 1);
-        assert_eq!(v.free_cpus(SiteId(0), now), 4);
-    }
-
-    fn already_expired_records_are_ignored<V: ViewStore>() {
-        let mut v = V::new(&sites());
-        assert!(!v.observe(&rec(1, 0, 4, 0, 5), SimTime::from_secs(10)));
-        assert_eq!(v.free_cpus(SiteId(0), SimTime::from_secs(10)), 10);
-    }
-
-    fn demand_beyond_capacity_shows_as_queue<V: ViewStore>() {
-        let mut v = V::new(&sites());
-        let now = SimTime::ZERO;
-        for j in 0..13u32 {
-            v.observe(&rec(j, 0, 1, 0, 1000), now);
+    on_both_views! {
+        #[test]
+        fn static_knowledge_is_exact() {
+            let v = V::new(&sites());
+            assert_eq!(v.n_sites(), 2);
+            assert_eq!(v.total_cpus(SiteId(1)), 20);
+            assert_eq!(v.grid_cpus(), 30);
         }
-        assert_eq!(v.free_cpus(SiteId(0), now), 0);
-        assert_eq!(v.queued(SiteId(0), now), 3);
-        assert_eq!(v.demand(SiteId(0), now), 13);
-    }
 
-    fn a_site_driven_past_capacity_expires_back_to_free<V: ViewStore>() {
-        let mut v = V::new(&sites());
-        // 14 CPUs asked of a 10-CPU site, finishing one a second from 100 s.
-        for j in 0..14u32 {
-            assert!(v.observe(&rec(j, 0, 1, 0, 100 + u64::from(j)), SimTime::ZERO));
+        #[test]
+        fn observe_updates_free_cpus_until_expiry() {
+            let mut v = V::new(&sites());
+            let now = SimTime::from_secs(10);
+            assert!(v.observe(&rec(1, 0, 4, 10, 100), now));
+            assert_eq!(v.free_cpus(SiteId(0), now), 6);
+            assert_eq!(v.free_cpus(SiteId(1), now), 20);
+            // After the estimated finish the record expires.
+            let later = SimTime::from_secs(101);
+            assert_eq!(v.free_cpus(SiteId(0), later), 10);
+            assert_eq!(v.vo_demand(VoId(1), later), 0);
         }
-        let now = SimTime::from_secs(50);
-        assert_eq!(
-            (v.demand(SiteId(0), now), v.queued(SiteId(0), now)),
-            (14, 4)
-        );
-        assert_eq!(v.free_per_site(now), vec![0, 20]);
-        assert_eq!(v.idle_cpus(now), 20);
-        // Four expire: demand meets capacity, still nothing free.
-        let now = SimTime::from_secs(103);
-        assert_eq!(
-            (v.free_cpus(SiteId(0), now), v.queued(SiteId(0), now)),
-            (0, 0)
-        );
-        // One more and the first CPU frees; then all of them.
-        assert_eq!(v.free_cpus(SiteId(0), SimTime::from_secs(104)), 1);
-        let end = SimTime::from_secs(200);
-        assert_eq!(v.free_per_site(end), vec![10, 20]);
-        assert_eq!((v.demand(SiteId(0), end), v.idle_cpus(end)), (0, 30));
-    }
 
-    fn a_record_for_an_unknown_site_is_refused<V: ViewStore>() {
-        let mut v = V::new(&sites());
-        let now = SimTime::ZERO;
-        // Site 2 on a 2-site view: what one malformed frame can carry.
-        assert!(!v.observe(&rec(7, 2, 4, 0, 100), now));
-        assert!(!v.observe(&rec(8, u32::MAX, 4, 0, 100), now));
-        assert_eq!(
-            v.merge(&[rec(9, 2, 1, 0, 100), rec(10, 1, 1, 0, 100)], now),
-            1
-        );
-        assert_eq!(v.free_per_site(now), vec![10, 19]);
-        assert_eq!(
-            v.vo_demand(VoId(1), now),
-            0,
-            "nothing of job 7 or 9 was counted"
-        );
-        // The refusal did not poison the job id: the same job at a real
-        // site is new.
-        assert!(v.observe(&rec(7, 0, 4, 0, 100), now));
-        assert_eq!(v.free_per_site(now), vec![6, 19]);
-        assert_eq!(v.free_per_site(SimTime::from_secs(101)), vec![10, 20]);
-    }
+        #[test]
+        fn observe_is_idempotent_per_job() {
+            let mut v = V::new(&sites());
+            let now = SimTime::from_secs(0);
+            let r = rec(1, 0, 4, 0, 100);
+            assert!(v.observe(&r, now));
+            assert!(!v.observe(&r, now));
+            assert_eq!(v.free_cpus(SiteId(0), now), 6);
+            assert_eq!(v.merge(&[r, rec(2, 0, 2, 0, 100)], now), 1);
+            assert_eq!(v.free_cpus(SiteId(0), now), 4);
+        }
 
-    fn a_record_for_an_unknown_principal_is_refused<V: ViewStore>() {
-        let mut v = V::new(&sites());
-        let now = SimTime::ZERO;
-        let edge = GridView::DEFAULT_PRINCIPALS as u32;
-        // One INFORM naming `VoId(u32::MAX)` used to ask for a 32 GB table.
-        for (vo, group) in [(u32::MAX, 0), (edge, 0), (0, u32::MAX), (0, edge)] {
-            let hostile = DispatchRecord {
-                vo: VoId(vo),
-                group: GroupId(group),
+        #[test]
+        fn already_expired_records_are_ignored() {
+            let mut v = V::new(&sites());
+            assert!(!v.observe(&rec(1, 0, 4, 0, 5), SimTime::from_secs(10)));
+            assert_eq!(v.free_cpus(SiteId(0), SimTime::from_secs(10)), 10);
+        }
+
+        #[test]
+        fn demand_beyond_capacity_shows_as_queue() {
+            let mut v = V::new(&sites());
+            let now = SimTime::ZERO;
+            for j in 0..13u32 {
+                v.observe(&rec(j, 0, 1, 0, 1000), now);
+            }
+            assert_eq!(v.free_cpus(SiteId(0), now), 0);
+            assert_eq!(v.queued(SiteId(0), now), 3);
+            assert_eq!(v.demand(SiteId(0), now), 13);
+        }
+
+        #[test]
+        fn a_site_driven_past_capacity_expires_back_to_free() {
+            let mut v = V::new(&sites());
+            // 14 CPUs asked of a 10-CPU site, finishing one a second from 100 s.
+            for j in 0..14u32 {
+                assert!(v.observe(&rec(j, 0, 1, 0, 100 + u64::from(j)), SimTime::ZERO));
+            }
+            let now = SimTime::from_secs(50);
+            assert_eq!(
+                (v.demand(SiteId(0), now), v.queued(SiteId(0), now)),
+                (14, 4)
+            );
+            assert_eq!(v.free_per_site(now), vec![0, 20]);
+            assert_eq!(v.idle_cpus(now), 20);
+            // Four expire: demand meets capacity, still nothing free.
+            let now = SimTime::from_secs(103);
+            assert_eq!(
+                (v.free_cpus(SiteId(0), now), v.queued(SiteId(0), now)),
+                (0, 0)
+            );
+            // One more and the first CPU frees; then all of them.
+            assert_eq!(v.free_cpus(SiteId(0), SimTime::from_secs(104)), 1);
+            let end = SimTime::from_secs(200);
+            assert_eq!(v.free_per_site(end), vec![10, 20]);
+            assert_eq!((v.demand(SiteId(0), end), v.idle_cpus(end)), (0, 30));
+        }
+
+        #[test]
+        fn a_record_for_an_unknown_site_is_refused() {
+            let mut v = V::new(&sites());
+            let now = SimTime::ZERO;
+            // Site 2 on a 2-site view: what one malformed frame can carry.
+            assert!(!v.observe(&rec(7, 2, 4, 0, 100), now));
+            assert!(!v.observe(&rec(8, u32::MAX, 4, 0, 100), now));
+            assert_eq!(
+                v.merge(&[rec(9, 2, 1, 0, 100), rec(10, 1, 1, 0, 100)], now),
+                1
+            );
+            assert_eq!(v.free_per_site(now), vec![10, 19]);
+            assert_eq!(
+                v.vo_demand(VoId(1), now),
+                0,
+                "nothing of job 7 or 9 was counted"
+            );
+            // The refusal did not poison the job id: the same job at a real
+            // site is new.
+            assert!(v.observe(&rec(7, 0, 4, 0, 100), now));
+            assert_eq!(v.free_per_site(now), vec![6, 19]);
+            assert_eq!(v.free_per_site(SimTime::from_secs(101)), vec![10, 20]);
+        }
+
+        #[test]
+        fn a_record_for_an_unknown_principal_is_refused() {
+            let mut v = V::new(&sites());
+            let now = SimTime::ZERO;
+            let edge = GridView::DEFAULT_PRINCIPALS as u32;
+            // One INFORM naming `VoId(u32::MAX)` used to ask for a 32 GB table.
+            for (vo, group) in [(u32::MAX, 0), (edge, 0), (0, u32::MAX), (0, edge)] {
+                let hostile = DispatchRecord {
+                    vo: VoId(vo),
+                    group: GroupId(group),
+                    ..rec(7, 0, 4, 0, 100)
+                };
+                assert!(!v.observe(&hostile, now), "vo {vo} group {group}");
+            }
+            assert_eq!(v.free_per_site(now), vec![10, 20]);
+            // The refusal did not poison the job id, and the last id inside
+            // the bounds is an ordinary principal.
+            let inside = DispatchRecord {
+                vo: VoId(edge - 1),
+                group: GroupId(edge - 1),
                 ..rec(7, 0, 4, 0, 100)
             };
-            assert!(!v.observe(&hostile, now), "vo {vo} group {group}");
+            assert!(v.observe(&inside, now));
+            assert_eq!(v.free_per_site(now), vec![6, 20]);
+            assert_eq!(v.group_demand(VoId(edge - 1), GroupId(edge - 1), now), 4);
         }
-        assert_eq!(v.free_per_site(now), vec![10, 20]);
-        // The refusal did not poison the job id, and the last id inside
-        // the bounds is an ordinary principal.
-        let inside = DispatchRecord {
-            vo: VoId(edge - 1),
-            group: GroupId(edge - 1),
-            ..rec(7, 0, 4, 0, 100)
-        };
-        assert!(v.observe(&inside, now));
-        assert_eq!(v.free_per_site(now), vec![6, 20]);
-        assert_eq!(v.group_demand(VoId(edge - 1), GroupId(edge - 1), now), 4);
-    }
 
-    fn principal_demand_tracks_vo_and_group<V: ViewStore>() {
-        let mut v = V::new(&sites());
-        let now = SimTime::ZERO;
-        v.observe(&rec(2, 0, 3, 0, 50), now); // vo 0
-        v.observe(&rec(3, 1, 5, 0, 80), now); // vo 1
-        assert_eq!(v.vo_demand(VoId(0), now), 3);
-        assert_eq!(v.vo_demand(VoId(1), now), 5);
-        assert_eq!(v.group_demand(VoId(0), GroupId(0), now), 3);
-        let later = SimTime::from_secs(60);
-        assert_eq!(v.vo_demand(VoId(0), later), 0);
-        assert_eq!(v.vo_demand(VoId(1), later), 5);
-    }
+        #[test]
+        fn principal_demand_tracks_vo_and_group() {
+            let mut v = V::new(&sites());
+            let now = SimTime::ZERO;
+            v.observe(&rec(2, 0, 3, 0, 50), now); // vo 0
+            v.observe(&rec(3, 1, 5, 0, 80), now); // vo 1
+            assert_eq!(v.vo_demand(VoId(0), now), 3);
+            assert_eq!(v.vo_demand(VoId(1), now), 5);
+            assert_eq!(v.group_demand(VoId(0), GroupId(0), now), 3);
+            let later = SimTime::from_secs(60);
+            assert_eq!(v.vo_demand(VoId(0), later), 0);
+            assert_eq!(v.vo_demand(VoId(1), later), 5);
+        }
 
-    fn idle_and_free_vectors<V: ViewStore>() {
-        let mut v = V::new(&sites());
-        let now = SimTime::ZERO;
-        v.observe(&rec(1, 1, 8, 0, 100), now);
-        assert_eq!(v.free_per_site(now), vec![10, 12]);
-        assert_eq!(v.idle_cpus(now), 22);
-        let mut buf = vec![99u32; 7];
-        v.free_per_site_into(now, &mut buf);
-        assert_eq!(buf, vec![10, 12]);
-    }
-
-    macro_rules! both_backends {
-        ($($name:ident),* $(,)?) => {$(
-            #[test]
-            fn $name() {
-                super::$name::<GridView>();
-                super::$name::<RefView>();
-            }
-        )*};
-    }
-
-    mod on_both {
-        use super::super::{GridView, RefView};
-        both_backends!(
-            static_knowledge_is_exact,
-            observe_updates_free_cpus_until_expiry,
-            observe_is_idempotent_per_job,
-            already_expired_records_are_ignored,
-            demand_beyond_capacity_shows_as_queue,
-            a_site_driven_past_capacity_expires_back_to_free,
-            a_record_for_an_unknown_site_is_refused,
-            a_record_for_an_unknown_principal_is_refused,
-            principal_demand_tracks_vo_and_group,
-            idle_and_free_vectors,
-        );
+        #[test]
+        fn idle_and_free_vectors() {
+            let mut v = V::new(&sites());
+            let now = SimTime::ZERO;
+            v.observe(&rec(1, 1, 8, 0, 100), now);
+            assert_eq!(v.free_per_site(now), vec![10, 12]);
+            assert_eq!(v.idle_cpus(now), 22);
+            let mut buf = vec![99u32; 7];
+            v.free_per_site_into(now, &mut buf);
+            assert_eq!(buf, vec![10, 12]);
+        }
     }
 
     #[test]
@@ -1069,7 +944,7 @@ mod tests {
                 "view diverged at step {step}"
             );
             assert_eq!(
-                ViewStore::demand(&mut refv, probe, now),
+                refv.demand(probe, now),
                 reference,
                 "refview diverged at step {step}"
             );
@@ -1102,7 +977,7 @@ mod tests {
     }
 
     /// Drives both backends through an identical randomized interleaving
-    /// of every `ViewStore` operation and requires identical answers.
+    /// of every view operation and requires identical answers.
     fn differential_interleaving(seed: u64, steps: u64, n_sites: usize, deltas: Deltas) {
         use desim::DetRng;
         let mut rng = DetRng::new(seed, 0xD1FF);
@@ -1143,33 +1018,27 @@ mod tests {
                     }
                 }
                 3 => {
-                    ViewStore::expire(&mut soa, now);
-                    ViewStore::expire(&mut refv, now);
+                    soa.expire(now);
+                    refv.expire(now);
                 }
                 4 => {
                     let s = SiteId(rng.index(n_sites) as u32);
-                    assert_eq!(soa.demand(s, now), ViewStore::demand(&mut refv, s, now));
-                    assert_eq!(soa.queued(s, now), ViewStore::queued(&mut refv, s, now));
+                    assert_eq!(soa.demand(s, now), refv.demand(s, now));
+                    assert_eq!(soa.queued(s, now), refv.queued(s, now));
                 }
                 _ => {
                     let vo = VoId(rng.index(5) as u32);
                     let g = GroupId(rng.index(4) as u32);
-                    assert_eq!(
-                        soa.vo_demand(vo, now),
-                        ViewStore::vo_demand(&mut refv, vo, now)
-                    );
-                    assert_eq!(
-                        soa.group_demand(vo, g, now),
-                        ViewStore::group_demand(&mut refv, vo, g, now)
-                    );
-                    assert_eq!(soa.idle_cpus(now), ViewStore::idle_cpus(&mut refv, now));
+                    assert_eq!(soa.vo_demand(vo, now), refv.vo_demand(vo, now));
+                    assert_eq!(soa.group_demand(vo, g, now), refv.group_demand(vo, g, now));
+                    assert_eq!(soa.idle_cpus(now), refv.idle_cpus(now));
                 }
             }
             soa.check_columns();
             if step % 16 == 0 {
                 assert_eq!(
                     soa.free_per_site(now),
-                    ViewStore::free_per_site(&mut refv, now),
+                    refv.free_per_site(now),
                     "availability split at step {step}"
                 );
             }
@@ -1259,7 +1128,7 @@ mod tests {
     }
 
     mod proptests {
-        use super::super::*;
+        use super::*;
         use proptest::prelude::*;
 
         proptest! {
@@ -1347,9 +1216,9 @@ mod tests {
                     );
                 }
                 let end = SimTime::from_secs(1_000_000);
-                prop_assert_eq!(soa.free_per_site(end), ViewStore::free_per_site(&mut refv, end));
+                prop_assert_eq!(soa.free_per_site(end), refv.free_per_site(end));
                 prop_assert_eq!(soa.idle_cpus(end), 4 * 32);
-                prop_assert_eq!(ViewStore::idle_cpus(&mut refv, end), 4 * 32);
+                prop_assert_eq!(refv.idle_cpus(end), 4 * 32);
             }
         }
     }

@@ -21,20 +21,38 @@ echo "==> cargo test --release (gruber, dpnode, grubsim, digruber: the expiry qu
 # proptests and grubsim's reference replay order judge both builds.
 cargo test --release --offline -q -p gruber -p dpnode -p grubsim -p digruber
 
-echo "==> the two oracle head-to-head benches (wheel, view) compile (harness = false: cargo test never builds them)"
-cargo build --release --offline --benches -p bench
-
-echo "==> reference backends stay inside the crate that owns the oracle"
-# HeapQueue / RefView are differential oracles for desim's and
-# gruber::view's own tests (and the two head-to-head benches); a type
-# parameter or a twin entry point that threads them further fails here.
-{ ! grep -rn 'EventQueue\|HeapQueue\|with_queue' --include=*.rs crates tests examples src \
-      | grep -v '^crates/desim/\|^crates/bench/benches/wheel.rs:' \
-  && ! grep -rn 'ViewStore\|RefView\|with_backend' --include=*.rs crates tests examples src \
-      | grep -v '^crates/gruber/src/view.rs:\|^crates/gruber/src/lib.rs:\|^crates/bench/benches/view.rs:' \
+echo "==> reference backends are test code: one event queue, one grid view"
+# The heap behind desim's timing wheel and the map-of-heaps behind
+# gruber's GridView are differential oracles: each lives in the
+# #[cfg(test)] tail of the file it judges, as concrete types. A queue or
+# view trait, a backend type parameter or a twin entry point that brings
+# one back into the build fails here, as does the wheel named outside
+# desim's own sources.
+refs='EventQueue|HeapQueue|with_queue|ViewStore|RefView|with_backend'
+for f in $(grep -rlE "$refs" --include=*.rs crates tests examples src); do
+  { ! sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE "$refs"; } \
+    || { echo "ci.sh: a reference backend outside the #[cfg(test)] tail of $f (lines above)"; exit 1; }
+done
+{ ! grep -rn 'TimerWheel' --include=*.rs crates tests examples src | grep -v '^crates/desim/src/' \
   && ! grep -n 'availability_into\|pub fn merge_peer_records_' crates/gruber/src/engine.rs \
   && ! grep -n 'fn run_' crates/core/src/run.rs | grep -v 'fn run_experiment(\|fn run_to_end('; } \
-  || { echo "ci.sh: a reference backend or a twin entry point escaped its crate (lines above)"; exit 1; }
+  || { echo "ci.sh: the wheel named outside desim, or a twin entry point (lines above)"; exit 1; }
+
+echo "==> every dependency edge is used: each workspace dependency a crate declares is named in its sources"
+# A crate's [dependencies] and [dev-dependencies] entries are edges in the
+# build graph: an edge no source names (`name::`, `use name` or `name!`)
+# only makes the crate wait for another to compile.
+unused=0
+for manifest in crates/*/Cargo.toml; do
+  dir="${manifest%/Cargo.toml}"
+  for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]" || $0 == "[dev-dependencies]") }
+                    on && /^[A-Za-z0-9_-]+\.workspace = true$/ { sub(/\.workspace.*/, ""); print }' "$manifest"); do
+    id="${dep//-/_}"
+    grep -rqE "\\b$id::|\\buse $id\\b|\\b$id!" --include=*.rs "$dir" \
+      || { echo "ci.sh: $manifest declares $dep, which nothing under $dir names"; unused=1; }
+  done
+done
+[ "$unused" -eq 0 ] || exit 1
 
 echo "==> events are data: the boxed closure is desim's default payload and nobody else's"
 # core schedules `digruber::events::Ev` values through a scheduler type that
