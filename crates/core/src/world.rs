@@ -7,9 +7,7 @@ use dpnode::NodeConfig;
 use dpstore::{Blueprint, LatencyModel, NodeHost, SimStore};
 use gridemu::{grid3_times, Grid, SitePolicy};
 use gruber::LeastUsedSelector;
-use gruber_types::{
-    ClientId, DpId, GridResult, JobId, JobSpec, SimTime, SiteSpec,
-};
+use gruber_types::{ClientId, DpId, GridResult, JobId, SimTime, SiteSpec};
 use simnet::latency::NetNode;
 use simnet::{ServiceStation, WanTopology};
 use std::sync::Arc;
@@ -112,8 +110,9 @@ pub struct RequestState {
     pub client: ClientId,
     /// Bound decision point.
     pub dp: DpId,
-    /// The job awaiting placement.
-    pub job: JobSpec,
+    /// The job awaiting placement. Its spec lives in the grid ledger,
+    /// which holds it from issue (state 1, at the submission host) on.
+    pub job: JobId,
     /// Send time.
     pub sent_at: SimTime,
     /// The client's timeout fired before a response arrived.
@@ -193,6 +192,12 @@ impl RequestTable {
     fn slot_of(&self, tag: u64) -> Option<usize> {
         let slot = *self.index.get(usize::try_from(tag).ok()?)?;
         (slot != RETIRED).then_some(slot as usize)
+    }
+
+    /// Whether `tag` names an in-flight request: a read of the index
+    /// alone, for the caller that needs nothing from the state itself.
+    pub fn is_live(&self, tag: u64) -> bool {
+        self.slot_of(tag).is_some()
     }
 
     /// The state of an in-flight request.
@@ -518,7 +523,7 @@ mod tests {
         RequestState {
             client: ClientId(n),
             dp: DpId(0),
-            job: JobFactory::new(WorkloadSpec::small(), 7).make_job(ClientId(0), SimTime::ZERO),
+            job: JobId(n),
             sent_at: SimTime::ZERO,
             timed_out: false,
             timeout_token,
@@ -533,6 +538,7 @@ mod tests {
         let new = t.insert(state(11));
         assert_ne!(old, new, "tags are never reused");
         assert_eq!(t.slab.len(), 1, "the freed slot was reused");
+        assert!(!t.is_live(old));
         assert!(t.get(old).is_none());
         assert!(t.get_mut(old).is_none());
         assert!(t.remove(old).is_none(), "a second remove is a miss");
@@ -547,6 +553,7 @@ mod tests {
         assert!(t.get(0).is_none());
         let tag = t.insert(state(1));
         for unissued in [tag + 1, t.next_tag(), u64::from(RETIRED), u64::MAX] {
+            assert!(!t.is_live(unissued));
             assert!(t.get(unissued).is_none());
             assert!(t.get_mut(unissued).is_none());
             assert!(t.remove(unissued).is_none());
@@ -579,6 +586,17 @@ mod tests {
         let slots = w.requests.slab.len();
         assert!(slots <= n_clients, "{slots} slab slots");
         assert!(w.requests.iter().count() <= n_clients);
+    }
+
+    #[test]
+    fn request_slots_and_events_are_small() {
+        // Pinned sizes of the two per-client allocations on the
+        // `sim-clients` workload (half a million requests in flight, a
+        // million pending events). The job's spec is in the grid ledger,
+        // not here; the availability vector, the dispatch record and the
+        // flood are boxed inside their event variants.
+        assert_eq!(std::mem::size_of::<Option<RequestState>>(), 32);
+        assert!(std::mem::size_of::<crate::events::Ev>() <= 32);
     }
 
     #[test]
@@ -618,7 +636,10 @@ mod tests {
                         model.insert(next, (ClientId(n as u32), false));
                         next += 1;
                     }
-                    2 => prop_assert_eq!(table.get(tag).map(view), model.get(&tag).copied()),
+                    2 => {
+                        prop_assert_eq!(table.get(tag).map(view), model.get(&tag).copied());
+                        prop_assert_eq!(table.is_live(tag), model.contains_key(&tag));
+                    }
                     3 => {
                         let (got, want) = (table.get_mut(tag), model.get_mut(&tag));
                         prop_assert_eq!(got.is_some(), want.is_some());

@@ -60,7 +60,15 @@ impl JobAggregate {
     }
 }
 
-/// Streaming accumulator over job observations.
+/// Collects job observations and reduces them into the table rows.
+///
+/// It does not stream: it keeps every [`JobObservation`] (48 bytes each,
+/// ~24 MB for a run that dispatches half a million jobs) and reduces them
+/// only in [`table_rows`](Self::table_rows), summing each class's f64s in
+/// record order. The means are order-stable: their bits depend only on
+/// the order the observations were recorded in (job-id order, as the
+/// simulator walks its grid ledger), which the pinned table fingerprints
+/// rely on.
 #[derive(Debug, Clone, Default)]
 pub struct JobMetricsAccumulator {
     observations: Vec<JobObservation>,

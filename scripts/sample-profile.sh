@@ -24,6 +24,12 @@ trap 'rm -rf "$out"' EXIT
 gcc -O2 -shared -fPIC -o "$out/sigprof.so" scripts/sigprof.c
 cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
 git checkout -- perf/Cargo.lock # an offline build rewrites it; perf/** is not ours to change
+# The sock-* benchmark builds clusterd itself, under the preload: a linker
+# run there dies of the profiling timer ("ld terminated with signal 27").
+# Built here first, that build has nothing left to link.
+case "$workload" in
+  sock-*) cargo build --release --offline --quiet -p clusterd ;;
+esac
 
 # The binary itself, not `cargo run`: cargo would be profiled too. Children
 # the workload spawns inherit the preload and write their own files.
