@@ -204,7 +204,7 @@ fn main() {
             cfg.wan = WanKind::Lan;
         }
         if args.has("--dynamic") {
-            cfg.membership = Some(membership::MembershipConfig::default());
+            cfg.membership = Some(digruber::elastic::MembershipConfig::default());
         }
         if args.has("--failures") {
             cfg.failures = Some(FailureConfig::default());

@@ -1,7 +1,7 @@
 //! Plain-text rendering of figures and tables.
 
 use digruber::ExperimentOutput;
-use gruber_metrics::jobs::TableRows;
+use digruber::metrics::TableRows;
 
 /// Renders a unicode sparkline of a series (empty input → empty string).
 pub fn sparkline(values: &[f64]) -> String {

@@ -27,10 +27,10 @@
 
 use crate::study::{fault_deployment, output_fingerprint, table, Cell, Fields, Study, RUN_SECS};
 use digruber::config::SyncTopology;
+use digruber::elastic::{MembershipConfig, ScalerConfig};
 use digruber::faults::FaultPlan;
 use digruber::ExperimentOutput;
 use gruber_types::{SimDuration, SimTime};
-use membership::{MembershipConfig, ScalerConfig};
 use workload::WorkloadSpec;
 
 /// The study's entry in [`crate::study::STUDIES`].

@@ -175,10 +175,19 @@ fn load_file(path: &str) -> Vec<(&'static str, Value)> {
         .collect()
 }
 
+/// A size setting, `default` when unset. Zero exits 2: a mesh of no
+/// points, or a grid with no sites or no CPUs, has nothing to broker.
+fn size(args: &Args, name: &str, default: u32) -> u32 {
+    match args.num(name).unwrap_or(default) {
+        0 => die(&format!("--{} wants n >= 1", name.replace('_', "-"))),
+        n => n,
+    }
+}
+
 fn main() {
     let args = Args::parse();
-    if let Some(n) = args.num("spawn_local") {
-        spawn_local(&args, n as usize);
+    if args.get("spawn_local").is_some() {
+        spawn_local(&args);
         return;
     }
     serve(&args);
@@ -188,10 +197,10 @@ fn main() {
 fn serve(args: &Args) {
     let num = |name: &str, default: u32| args.num(name).unwrap_or(default);
     let id = DpId(num("id", 0));
-    let n_dps = num("n_dps", 1).max(1) as usize;
-    let sites = config::uniform_sites(num("sites", 4), num("cpus", 16));
-    let uslas =
-        equal_shares(num("vos", 2), num("groups", 2)).unwrap_or_else(|e| die(&e.to_string()));
+    let n_dps = size(args, "n_dps", 1) as usize;
+    let sites = config::uniform_sites(size(args, "sites", 4), size(args, "cpus", 16));
+    let uslas = equal_shares(size(args, "vos", 2), size(args, "groups", 2))
+        .unwrap_or_else(|e| die(&e.to_string()));
     let mut cfg = ServerConfig::new(id, n_dps, sites, uslas);
     if let Some(listen) = args.str("listen") {
         cfg.listen = listen.to_string();
@@ -245,15 +254,15 @@ fn serve(args: &Args) {
 }
 
 /// Fork an n-process loopback cluster, drive a workload, report.
-fn spawn_local(args: &Args, n_dps: usize) {
-    assert!(n_dps > 0, "--spawn-local wants n >= 1");
+fn spawn_local(args: &Args) {
+    let n_dps = size(args, "spawn_local", 1) as usize;
     let bin = std::env::current_exe().expect("current_exe");
     let opts = SpawnOpts {
         n_dps,
-        sites: args.num("sites").unwrap_or(4),
-        cpus: args.num("cpus").unwrap_or(16),
-        vos: args.num("vos").unwrap_or(2),
-        groups: args.num("groups").unwrap_or(2),
+        sites: size(args, "sites", 4),
+        cpus: size(args, "cpus", 16),
+        vos: size(args, "vos", 2),
+        groups: size(args, "groups", 2),
         data_root: args.str("data_root").map(PathBuf::from).or_else(|| {
             // A crash cycle needs durable state; default under the temp dir.
             args.flag("crash").then(|| {

@@ -83,18 +83,23 @@ fn config_file_keys_set_the_mesh_and_the_sync_clock() {
     let _ = std::fs::remove_file(path);
 }
 
-/// An unknown flag (a misspelt one included) or file key, or a value of
-/// the wrong type, exits 2 before anything binds.
+/// An unknown flag (a misspelt one included) or file key, a value of the
+/// wrong type, or a zero size, exits 2 before anything binds.
 #[test]
 fn unknown_or_mistyped_settings_exit_2() {
     let unknown = config_file("unknown", "bogus = 1\n");
     let mistyped = config_file("mistyped", "n_dps = \"2\"\n");
-    let runs: [&[&str]; 7] = [
+    let runs: [&[&str]; 12] = [
         &["--bogus", "1"],
         &["--data-dri", "x"],
         &["--id", "x"],
         &["--vos", "0"],
         &["--groups", "0"],
+        &["--sites", "0"],
+        &["--cpus", "0"],
+        &["--n-dps", "0"],
+        &["--spawn-local", "0"],
+        &["--spawn-local", "1", "--sites", "0"],
         &["--config", unknown.to_str().expect("utf-8 temp path")],
         &["--config", mistyped.to_str().expect("utf-8 temp path")],
     ];

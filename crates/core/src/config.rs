@@ -181,11 +181,11 @@ pub struct DigruberConfig {
     /// default) costs one untaken branch per instrumented call.
     pub trace: Option<obs::TraceConfig>,
     /// Optional elastic membership: consistent-hash client homing plus
-    /// the `membership` autoscaler control loop driving dynamic decision
-    /// point join/leave. `None` (the default) keeps the paper's static
-    /// random binding and a fixed pool — runs are byte-identical to
-    /// builds without the subsystem.
-    pub membership: Option<membership::MembershipConfig>,
+    /// the [`crate::elastic`] autoscaler control loop driving dynamic
+    /// decision point join/leave. `None` (the default) keeps the paper's
+    /// static random binding and a fixed pool — runs are byte-identical
+    /// to builds without the subsystem.
+    pub membership: Option<crate::elastic::MembershipConfig>,
 }
 
 impl DigruberConfig {

@@ -1,22 +1,43 @@
-//! Elastic membership: the desim driver for the [`membership`] crate.
+//! Elastic membership: the paper's Section 5 observer, and its desim
+//! driver.
 //!
 //! The paper's deployment is static: a fixed pool of decision points and
 //! clients "selected randomly in the beginning". Its Section 5 proposes —
 //! "we do not have a DI-GRUBER implementation for such an approach" — a
 //! third-party observer that adds decision points or rebalances load as
-//! the points saturate. The sans-IO `membership` crate is that observer
-//! (the only pool-sizing mechanism in the workspace); this module executes
-//! its decisions on the simulated deployment:
+//! the points saturate. This module is that observer, the only
+//! pool-sizing mechanism in the workspace, in two layers.
 //!
-//! * **Epoch-stamped membership** — every join/leave bumps
-//!   [`membership::MembershipTable`]'s epoch; the traced
+//! Its state is kept **sans-IO** in the `dpnode` style, in three
+//! submodules that import only `gruber_types` and `std`: pure state
+//! machines that are driven with observations and whose decisions the
+//! driver executes. Nothing in them schedules events, touches sockets or
+//! reads clocks.
+//!
+//! * [`MembershipTable`] — the epoch-stamped member list. Joins and
+//!   leaves are first-class protocol inputs: each bumps the epoch, so two
+//!   runs can compare tables by `(epoch, members)` alone.
+//! * [`HashRing`] — consistent hashing with virtual nodes, replacing the
+//!   paper's static client→DP binding. Vnode positions are deterministic
+//!   in `(seed, dp, replica)` and independent of insertion order, so a
+//!   join re-homes only the ~`1/n` clients whose arc the newcomer claims
+//!   and a leave re-homes only the leaver's own clients.
+//! * [`Autoscaler`] — the observer's control loop: it consumes pool
+//!   samples (backlog per decision point, degraded-point counts from the
+//!   `obs` health scorer) and answers grow / shrink / hold with
+//!   hysteresis and a post-action cooldown, so a noisy minute never flaps
+//!   the pool.
+//!
+//! The rest of this module executes those decisions on the simulated
+//! deployment:
+//!
+//! * **Epoch-stamped membership** — every join/leave bumps the table's
+//!   epoch; the traced
 //!   [`obs::TraceEvent::DpJoined`]/[`obs::TraceEvent::DpLeft`] events carry
 //!   it, so a timeline can be replayed into the exact pool history.
 //! * **Consistent-hash client homing** — clients bind to
-//!   [`membership::HashRing::home_of`] instead of the paper's static random
-//!   draw. A join re-homes only the ~`1/n` clients whose arc the newcomer
-//!   claims; a leave re-homes only the leaver's own clients. Every move is
-//!   traced as [`obs::TraceEvent::ClientRehomed`].
+//!   [`HashRing::home_of`] instead of the paper's static random draw.
+//!   Every move is traced as [`obs::TraceEvent::ClientRehomed`].
 //! * **Join bootstrap** — a newcomer receives a sponsor's live dispatch
 //!   records as an ordinary [`dpnode::Input::PeerRecords`] flood
 //!   ([`dpnode::DpNode::state_transfer`]), over the simulated WAN like any
@@ -28,19 +49,72 @@
 //!   are not lost with it.
 //! * **Autoscaler** — [`membership_tick`] samples the pool (service
 //!   backlogs plus the `obs` health flags, read in place through
-//!   [`obs::Recorder::degraded`]) and executes [`membership::Autoscaler`]
-//!   decisions.
+//!   [`obs::Recorder::degraded`]) and executes [`Autoscaler`] decisions.
 //!
 //! Everything here is gated on [`crate::config::DigruberConfig::membership`]
 //! — `None` (the default) runs the paper's static binding with a byte-
-//! identical event stream to pre-membership builds.
+//! identical event stream to pre-membership builds. `BENCH_topology.json`
+//! pins the measured behaviour by exchange topology × DP count.
+
+mod ring;
+mod scaler;
+mod table;
+
+pub use ring::HashRing;
+pub use scaler::{Autoscaler, PoolSample, ScaleDecision, ScalerConfig};
+pub use table::{MemberState, MembershipTable};
 
 use crate::events::{send_exchange, sync_dp, Ev, Sched};
 use crate::world::{DecisionPoint, World};
-use gruber_types::{ClientId, DpId};
-use membership::{
-    Autoscaler, HashRing, MembershipConfig, MembershipTable, PoolSample, ScaleDecision,
-};
+use gruber_types::{ClientId, DpId, GridError, SimDuration};
+
+/// Configuration for the elastic-membership subsystem. `None` at the
+/// deployment level (the default everywhere) reproduces the paper: static
+/// binding, fixed pool, byte-identical fingerprints with pre-membership
+/// builds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MembershipConfig {
+    /// Virtual nodes per decision point on the consistent-hash ring.
+    /// More vnodes smooth the load split at the cost of ring size; 64
+    /// keeps the max/mean client imbalance under ~30 % at 100 DPs.
+    pub vnodes: u32,
+    /// How often the runtime samples the pool and consults the
+    /// autoscaler. Ignored when `scaler` is `None`.
+    pub check_interval: SimDuration,
+    /// The autoscaler policy; `None` keeps the pool fixed (ring homing
+    /// and explicit join/leave still work).
+    pub scaler: Option<ScalerConfig>,
+}
+
+impl Default for MembershipConfig {
+    fn default() -> Self {
+        MembershipConfig {
+            vnodes: 64,
+            check_interval: SimDuration::from_secs(30),
+            scaler: Some(ScalerConfig::default()),
+        }
+    }
+}
+
+impl MembershipConfig {
+    /// Sanity-checks the configuration.
+    pub fn validate(&self) -> Result<(), GridError> {
+        if self.vnodes == 0 {
+            return Err(GridError::InvalidConfig(
+                "membership with zero vnodes".into(),
+            ));
+        }
+        if self.scaler.is_some() && self.check_interval.is_zero() {
+            return Err(GridError::InvalidConfig(
+                "autoscaler with zero check interval".into(),
+            ));
+        }
+        if let Some(s) = &self.scaler {
+            s.validate()?;
+        }
+        Ok(())
+    }
+}
 
 /// The elastic-membership state a [`World`] carries when
 /// [`crate::config::DigruberConfig::membership`] is set.
@@ -78,7 +152,7 @@ impl MembershipRuntime {
 
     /// The ring's home for a client (initial binding and re-homing use
     /// the same lookup). Panics only on an empty ring, which
-    /// [`membership::MembershipConfig::validate`] plus a non-empty
+    /// [`MembershipConfig::validate`] plus a non-empty
     /// deployment rule out.
     pub fn home_of(&self, c: ClientId) -> DpId {
         self.ring.home_of(c).expect("non-empty ring")
@@ -244,7 +318,6 @@ mod tests {
     use crate::config::DigruberConfig;
     use crate::events::Sim;
     use gruber_types::SimTime;
-    use membership::ScalerConfig;
     use workload::WorkloadSpec;
 
     fn elastic_cfg(n_dps: usize, scaler: Option<ScalerConfig>) -> DigruberConfig {

@@ -115,11 +115,6 @@ impl Autoscaler {
         }
     }
 
-    /// The policy this loop runs.
-    pub fn config(&self) -> &ScalerConfig {
-        &self.cfg
-    }
-
     /// Feeds one sample; returns the decision. Pure and deterministic:
     /// the same sample sequence always yields the same decisions.
     pub fn observe(&mut self, s: PoolSample) -> ScaleDecision {

@@ -102,17 +102,6 @@ impl MembershipTable {
             .filter(|s| **s == Some(MemberState::Up))
             .count()
     }
-
-    /// Total slots ever allocated (live + departed).
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the table has never seen a member.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
 }
 
 #[cfg(test)]

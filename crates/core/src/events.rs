@@ -33,13 +33,13 @@
 
 use crate::config::CLIENT_TIMEOUT;
 use crate::faults::{self, LinkDisturbance, LinkScope};
+use crate::metrics::accuracy_vs_best;
 use crate::world::{client_node, dp_node, RequestState, World};
 use diperf::RequestTrace;
 use dpnode::{FloodPayload, Input};
 use dpstore::Routed;
 use gridemu::Grid;
 use gruber::{DispatchRecord, SiteSelector};
-use gruber_metrics::accuracy_vs_best;
 use gruber_types::{ClientId, DpId, JobId, JobSpec, SimDuration, SiteId};
 use obs::{FaultMsgClass, TraceEvent};
 use simnet::latency::NetNode;

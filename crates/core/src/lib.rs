@@ -18,9 +18,11 @@
 //!   USLA-blind selection;
 //! * [`run`] — one-call experiment execution producing the paper's
 //!   figures/tables inputs ([`run::ExperimentOutput`]);
-//! * [`elastic`] — the paper's Section 5 third-party observer: the desim
-//!   driver of the `membership` crate (pool join/leave, ring re-homing,
-//!   the autoscaler tick);
+//! * [`metrics`] — the paper's job-level metrics (QTime, Util, Accuracy)
+//!   and the Table 1–2 rows [`run`] reduces them into;
+//! * [`elastic`] — the paper's Section 5 third-party observer: the
+//!   sans-IO member table, hash ring and autoscaler, and their desim
+//!   driver (pool join/leave, ring re-homing, the autoscaler tick);
 //! * [`live`] — the same decision-point protocol under real OS-thread
 //!   concurrency, each call a locked step on the caller's thread
 //!   (transport-agnosticism proof; used by integration tests and one
@@ -52,6 +54,7 @@ pub mod elastic;
 pub mod events;
 pub mod faults;
 pub mod live;
+pub mod metrics;
 pub mod run;
 pub mod world;
 

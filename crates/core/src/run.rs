@@ -2,10 +2,9 @@
 
 use crate::config::DigruberConfig;
 use crate::events::{Ev, Sched, Sim};
+use crate::metrics::{AvailableCapacity, JobMetricsAccumulator, JobObservation, TableRows};
 use crate::world::World;
 use diperf::{DiPerfReport, RequestTrace};
-use gruber_metrics::jobs::{AvailableCapacity, JobObservation, TableRows};
-use gruber_metrics::JobMetricsAccumulator;
 use gruber_types::{DpId, GridResult, JobRecord, JobState, SimDuration, SimTime};
 use workload::WorkloadSpec;
 
@@ -312,15 +311,7 @@ fn finalize(
     }
     let capacity = AvailableCapacity::until(w.grid.total_cpus(), end);
     let table = acc.table_rows(capacity);
-    let mut timeouts_by_dp = gruber_metrics::timeouts_by_dp(
-        w.collector
-            .traces()
-            .iter()
-            .map(|t| (t.dp.index(), t.timed_out)),
-    );
-    if timeouts_by_dp.len() < w.dps.len() {
-        timeouts_by_dp.resize(w.dps.len(), 0);
-    }
+    let timeouts_by_dp = diperf::trace::timeouts_by_dp(w.collector.traces(), w.dps.len());
     let exchanges = w.exchanges_state() && w.dps.len() > 1;
     let max_view_staleness_ms: Vec<u64> = w
         .dps

@@ -111,47 +111,6 @@ fn standard_normal(rng: &mut DetRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Zipf sampler over ranks `0..n` (rank 0 most popular), used for skewed
-/// site/file popularity. Precomputes the CDF; sampling is a binary search.
-#[derive(Debug, Clone)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Builds a Zipf distribution over `n` ranks with exponent `s`.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf over empty support");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for v in &mut cdf {
-            *v /= total;
-        }
-        Zipf { cdf }
-    }
-
-    /// Draws a rank in `0..n`.
-    pub fn sample(&self, rng: &mut DetRng) -> usize {
-        let u = rng.uniform();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
-    }
-
-    /// Support size.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Always false (support is non-empty by construction).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,19 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn zipf_rank_zero_most_popular() {
-        let z = Zipf::new(50, 1.1);
-        let mut rng = DetRng::new(5, 0);
-        let mut counts = [0u32; 50];
-        for _ in 0..20_000 {
-            counts[z.sample(&mut rng)] += 1;
-        }
-        assert!(counts[0] > counts[10]);
-        assert!(counts[0] > counts[49]);
-        assert_eq!(z.len(), 50);
-    }
-
-    #[test]
     fn sample_secs_converts() {
         let mut rng = DetRng::new(6, 0);
         assert_eq!(
@@ -236,15 +182,6 @@ mod tests {
             let d = Dist::Exponential { mean };
             for _ in 0..50 {
                 prop_assert!(d.sample(&mut rng) >= 0.0);
-            }
-        }
-
-        #[test]
-        fn zipf_samples_in_support(n in 1usize..200, seed in 0u64..500) {
-            let z = Zipf::new(n, 0.9);
-            let mut rng = DetRng::new(seed, 11);
-            for _ in 0..50 {
-                prop_assert!(z.sample(&mut rng) < n);
             }
         }
     }

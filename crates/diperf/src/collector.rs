@@ -5,9 +5,9 @@
 //! (concurrent clients), per-request response time, and throughput — and
 //! renders the summary block printed under each figure.
 
+use crate::series::{bins, TimeSeries};
+use crate::summary::SummaryStats;
 use crate::trace::RequestTrace;
-use gruber_metrics::series::bins;
-use gruber_metrics::{SummaryStats, TimeSeries};
 use gruber_types::{SimDuration, SimTime};
 
 /// Aggregated results of one DiPerF run.

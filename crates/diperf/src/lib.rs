@@ -15,9 +15,10 @@
 //! * [`trace::RequestTrace`] — one tester request's outcome (also the input
 //!   format of GRUB-SIM);
 //! * [`collector::Collector`] — the controller/collector: gathers request
-//!   traces and co-sampled load/response/throughput series, and renders the
-//!   paper's figure summaries (min/median/avg/max/stddev, peak response,
-//!   peak throughput).
+//!   traces and co-sampled load/response/throughput series, bins them into
+//!   fixed windows, and renders the paper's figure summaries
+//!   ([`summary::SummaryStats`]: min/median/avg/max/stddev; peak response,
+//!   peak throughput) — the paper's Response and Throughput metrics.
 
 //! # Example
 //!
@@ -41,8 +42,11 @@
 
 pub mod collector;
 pub mod schedule;
+mod series;
+pub mod summary;
 pub mod trace;
 
 pub use collector::{Collector, DiPerfReport};
 pub use schedule::RampSchedule;
+pub use summary::SummaryStats;
 pub use trace::RequestTrace;

@@ -24,16 +24,9 @@ pub struct Bin {
     pub count: usize,
     /// Mean of point values in the window (0 if empty).
     pub mean: f64,
-    /// Sum of point values in the window.
-    pub sum: f64,
 }
 
 impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        TimeSeries::default()
-    }
-
     /// Appends a point. Points may arrive out of order.
     pub fn push(&mut self, at: SimTime, value: f64) {
         self.points.push((at, value));
@@ -75,7 +68,6 @@ pub fn bins(
             } else {
                 sums[i] / counts[i] as f64
             },
-            sum: sums[i],
         })
         .collect()
 }
@@ -90,7 +82,7 @@ mod tests {
 
     #[test]
     fn empty_series_bins_are_empty() {
-        let s = TimeSeries::new();
+        let s = TimeSeries::default();
         let bins = s.bins(SimDuration::from_secs(10), t(30));
         assert_eq!(bins.len(), 3);
         assert!(bins.iter().all(|b| b.count == 0 && b.mean == 0.0));
@@ -98,7 +90,7 @@ mod tests {
 
     #[test]
     fn binning_assigns_points_correctly() {
-        let mut s = TimeSeries::new();
+        let mut s = TimeSeries::default();
         s.push(t(1), 10.0);
         s.push(t(9), 20.0);
         s.push(t(10), 30.0); // falls in second bin
@@ -113,7 +105,7 @@ mod tests {
 
     #[test]
     fn points_past_horizon_are_dropped() {
-        let mut s = TimeSeries::new();
+        let mut s = TimeSeries::default();
         s.push(t(100), 1.0);
         let bins = s.bins(SimDuration::from_secs(10), t(30));
         assert_eq!(bins.iter().map(|b| b.count).sum::<usize>(), 0);
@@ -121,14 +113,14 @@ mod tests {
 
     #[test]
     fn horizon_not_multiple_of_width_rounds_up() {
-        let s = TimeSeries::new();
+        let s = TimeSeries::default();
         let bins = s.bins(SimDuration::from_secs(10), t(25));
         assert_eq!(bins.len(), 3);
     }
 
     #[test]
     fn out_of_order_points_are_fine() {
-        let mut s = TimeSeries::new();
+        let mut s = TimeSeries::default();
         s.push(t(15), 1.0);
         s.push(t(5), 3.0);
         let bins = s.bins(SimDuration::from_secs(10), t(20));

@@ -1,7 +1,6 @@
 //! Summary statistics (the min/median/average/maximum/std-dev rows shown
 //! under every DiPerF figure in the paper).
 
-
 /// Order statistics and moments of a sample set.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SummaryStats {
@@ -73,28 +72,6 @@ impl SummaryStats {
     }
 }
 
-/// Counts client-visible timeouts per decision point from `(dp index,
-/// timed out)` pairs (one per request trace — the caller supplies the
-/// pairs so this crate stays independent of the trace type). The result
-/// is indexed by decision point and sized to the largest index seen;
-/// callers with a known deployment size should resize it up.
-///
-/// This is the run-summary surface of the fault layer: injected message
-/// loss must show up here (the core crate asserts it does), otherwise a
-/// degraded run is indistinguishable from a healthy one at a glance.
-pub fn timeouts_by_dp(pairs: impl IntoIterator<Item = (usize, bool)>) -> Vec<u64> {
-    let mut counts: Vec<u64> = Vec::new();
-    for (dp, timed_out) in pairs {
-        if dp >= counts.len() {
-            counts.resize(dp + 1, 0);
-        }
-        if timed_out {
-            counts[dp] += 1;
-        }
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,21 +122,6 @@ mod tests {
         for key in ["min", "median", "avg", "p90", "p99", "max", "stddev", "n=2"] {
             assert!(row.contains(key), "missing {key} in {row}");
         }
-    }
-
-    #[test]
-    fn timeouts_by_dp_counts_only_timeouts() {
-        let counts = timeouts_by_dp([
-            (0, true),
-            (2, true),
-            (2, false),
-            (2, true),
-            (1, false),
-        ]);
-        assert_eq!(counts, vec![1, 0, 2]);
-        // Traces touching a dp without timeouts still size the vector.
-        assert_eq!(timeouts_by_dp([(3, false)]), vec![0, 0, 0, 0]);
-        assert!(timeouts_by_dp([]).is_empty());
     }
 
     #[test]

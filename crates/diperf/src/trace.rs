@@ -65,6 +65,22 @@ impl RequestTrace {
     }
 }
 
+/// Counts client-visible timeouts per decision point over `traces`: one
+/// entry for each of the deployment's `n_dps` points, so a point no trace
+/// names still gets its 0. Every trace's point must be below `n_dps`.
+///
+/// This is the run-summary surface of the fault layer: injected message
+/// loss must show up here (`digruber::run`'s tests assert it does),
+/// otherwise a degraded run is indistinguishable from a healthy one at a
+/// glance.
+pub fn timeouts_by_dp(traces: &[RequestTrace], n_dps: usize) -> Vec<u64> {
+    let mut counts = vec![0; n_dps];
+    for t in traces.iter().filter(|t| t.timed_out) {
+        counts[t.dp.index()] += 1;
+    }
+    counts
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,5 +106,26 @@ mod tests {
         );
         assert!(!l.handled(), "late responses are not 'handled'");
         assert_eq!(l.completed_at(), Some(SimTime::from_secs(55)));
+    }
+
+    #[test]
+    fn timeouts_by_dp_counts_only_timeouts() {
+        let sent = SimTime::from_secs(10);
+        let resp = SimDuration::from_secs(3);
+        let timed_out = |dp| RequestTrace::timed_out(ClientId(0), DpId(dp), sent);
+        let answered = |dp| RequestTrace::answered(ClientId(0), DpId(dp), sent, resp);
+        let traces = [
+            timed_out(0),
+            timed_out(2),
+            answered(2),
+            // A late answer is still a client-visible timeout.
+            RequestTrace::late(ClientId(0), DpId(2), sent, resp),
+            answered(1),
+        ];
+        // Point 3 of the four-point deployment has no traces: it still
+        // gets its 0, as does point 1, whose only request was answered.
+        assert_eq!(timeouts_by_dp(&traces, 4), vec![1, 0, 2, 0]);
+        assert_eq!(timeouts_by_dp(&[], 2), vec![0, 0]);
+        assert!(timeouts_by_dp(&[], 0).is_empty());
     }
 }

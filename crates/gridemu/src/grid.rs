@@ -11,7 +11,7 @@
 use crate::site::{SiteStarted, SiteState};
 use crate::spep::SitePolicy;
 use gruber_types::{
-    GridError, GridResult, JobId, JobRecord, JobSpec, JobState, SimTime, SiteId, SiteSpec, VoId,
+    GridError, GridResult, JobId, JobRecord, JobSpec, JobState, SimTime, SiteId, SiteSpec,
 };
 
 /// A job that began executing; the caller schedules its completion event.
@@ -267,16 +267,6 @@ impl Grid {
         self.jobs.len
     }
 
-    /// CPUs currently held (running) by a VO across the grid — the usage
-    /// figure USLA admission checks need.
-    pub fn vo_running_cpus(&self, vo: VoId) -> u64 {
-        self.jobs
-            .values()
-            .filter(|r| r.state == JobState::Running && r.spec.vo == vo)
-            .map(|r| u64::from(r.spec.cpus))
-            .sum()
-    }
-
     /// Checks cross-site invariants (CPU conservation everywhere).
     pub fn check_invariants(&self) {
         for s in &self.sites {
@@ -296,7 +286,7 @@ impl Grid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gruber_types::{ClientId, GroupId, SimDuration, UserId};
+    use gruber_types::{ClientId, GroupId, SimDuration, UserId, VoId};
 
     fn grid(cpus_per_site: &[u32]) -> Grid {
         let specs = cpus_per_site
@@ -408,9 +398,6 @@ mod tests {
             g.dispatch(JobId(id), SiteId(id % 2), SimTime::ZERO, true)
                 .unwrap();
         }
-        // Jobs 2 and 4 belong to VO 0; 1 and 3 to VO 1.
-        assert_eq!(g.vo_running_cpus(VoId(0)), 2);
-        assert_eq!(g.vo_running_cpus(VoId(1)), 2);
         assert_eq!(g.idle_cpus(), 4);
     }
 

@@ -14,9 +14,7 @@
 //!   and keep it off by default, matching the paper's "decision points have
 //!   total control" assumption);
 //! * [`grid`] — ground truth: all sites plus the job ledger, driving the
-//!   four-state job lifecycle;
-//! * [`monitor`] — the GRUBER site monitor: load snapshots (the MonALISA /
-//!   Grid Catalog stand-in).
+//!   four-state job lifecycle.
 
 //! # Example
 //!
@@ -45,12 +43,10 @@
 
 pub mod config;
 pub mod grid;
-pub mod monitor;
 pub mod site;
 pub mod spep;
 
 pub use config::grid3_times;
 pub use grid::{Grid, Started};
-pub use monitor::{SiteLoad, SiteMonitor};
 pub use site::SiteState;
 pub use spep::SitePolicy;

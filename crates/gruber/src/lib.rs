@@ -5,8 +5,10 @@
 //! * the **engine** ([`engine::GruberEngine`]) — "implements various
 //!   algorithms for detecting available resources and maintains a generic
 //!   view of resource utilization in the grid";
-//! * the **site monitor** — a data provider (implemented in
-//!   `gridemu::monitor`; the engine can ingest its snapshots);
+//! * the **site monitor** — a data provider. Not in this crate: in
+//!   monitor-mode runs `digruber::events::monitor_refresh` hands each
+//!   decision point the grid's ground-truth free CPUs per site
+//!   (`gridemu::Grid::free_cpus_per_site`);
 //! * **clients** — standard GT clients talking to the engine (the
 //!   client-side selector logic lives in [`selectors`]; transport is the
 //!   caller's concern — `digruber` drives it over the simulated WAN);

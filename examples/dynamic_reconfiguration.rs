@@ -12,8 +12,8 @@
 //! ```
 
 use digruber::config::DigruberConfig;
+use digruber::elastic::MembershipConfig;
 use digruber::{run_experiment, ServiceKind};
-use membership::MembershipConfig;
 use workload::WorkloadSpec;
 
 fn main() {

@@ -11,8 +11,8 @@
 //! ```
 
 use desim::DetRng;
-use euryale::planner::{EuryalePlanner, PostAction, SubmitFile};
-use euryale::JobDag;
+use di_gruber_repro::euryale::planner::{EuryalePlanner, PostAction, SubmitFile};
+use di_gruber_repro::euryale::JobDag;
 use gridemu::{grid3_times, Grid, SitePolicy};
 use gruber::{GruberEngine, LeastUsedSelector, SiteSelector};
 use gruber_types::{

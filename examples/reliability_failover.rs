@@ -20,9 +20,9 @@
 //! ```
 
 use digruber::config::{DigruberConfig, FailureConfig};
+use digruber::elastic::MembershipConfig;
 use digruber::{run_experiment, ExperimentOutput, ServiceKind};
 use gruber_types::SimDuration;
-use membership::MembershipConfig;
 use workload::WorkloadSpec;
 
 fn run(

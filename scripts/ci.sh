@@ -142,7 +142,7 @@ echo "==> one count per trace event: a bin is its DpSample, run totals are folde
       | grep -nE 'self\.totals\.(issued|answered|late|timed_out|denied|accepted|duplicates|failures|recoveries|dropped_requests|rebinds|msgs_lost|retries|retries_exhausted|msgs_duplicated|partition_drops|wal_appends|snapshots|wal_replayed|max_recovery_ms|health_degrades|health_recovers)\b'; } \
   || { echo "ci.sh: obs counts a trace event twice or keeps a second bin/feature struct (lines above)"; exit 1; }
 
-echo "==> every capability earns its keep: sites are FIFO, loss is a fault-plan clause, one join/leave path, one site selector, one GRUB-SIM path"
+echo "==> every capability earns its keep: sites are FIFO, loss is a fault-plan clause, one join/leave path, one site selector, one GRUB-SIM path, no one-consumer crate"
 # Site disciplines and the base WAN loss rate had no paper claim, study
 # cell, test or workload behind them and were deleted; a second site
 # scheduler or a second loss path is the unused option growing back.
@@ -164,6 +164,33 @@ echo "==> every capability earns its keep: sites are FIFO, loss is a fault-plan 
       --include=*.rs --include=Cargo.toml crates src tests examples; } \
   || { echo "ci.sh: a deleted selector or GRUB-SIM path is back (lines above)"; exit 1; }
 
+# A crate with one consumer is folded into it: `membership` is
+# `digruber::elastic`, `gruber-metrics` is `diperf`'s summary and series
+# plus `digruber::metrics`, and `euryale` is the umbrella package's module.
+# Neither the crates nor their crate paths may come back, nor the dead
+# code that had no caller anywhere (a second site monitor, a per-VO usage
+# sum, a Zipf sampler).
+{ [ -z "$(ls -d crates/membership crates/metrics crates/euryale 2>/dev/null)" ] \
+  && ! grep -nE '^(membership|gruber-metrics|euryale)\b|package\.(membership|gruber-metrics|euryale)\]' \
+      Cargo.toml crates/*/Cargo.toml \
+  && ! grep -rnE '(^|[^:[:alnum:]_])(membership|gruber_metrics|euryale)::|use (membership|gruber_metrics|euryale)\b' \
+      --include=*.rs crates src tests examples \
+  && ! grep -rnwE 'SiteMonitor|SiteLoad|vo_running_cpus|Zipf' --include=*.rs crates src tests examples; } \
+  || { echo "ci.sh: a folded crate or deleted dead code is back (lines above)"; exit 1; }
+
+echo "==> the elastic state machines stay sans-IO: ring, scaler and table reach only gruber_types and std"
+# The member table, hash ring and autoscaler are pure state machines that
+# any runtime can drive. Nothing stops a submodule of digruber from
+# reaching for the World, a clock or a trace sink, so this check does:
+# outside comments and the #[cfg(test)] tail, every lower-case path root
+# is gruber_types, std or a primitive type (no crate::, super::, obs::).
+for f in crates/core/src/elastic/ring.rs crates/core/src/elastic/scaler.rs crates/core/src/elastic/table.rs; do
+  { ! sed '/^#\[cfg(test)\]/,$d' "$f" | grep -v '^[[:space:]]*//' \
+      | grep -noE '\b[a-z_][a-z0-9_]*::' \
+      | grep -vE ':(gruber_types|std|u8|u16|u32|u64|usize|i32|i64|f32|f64)::$'; } \
+    || { echo "ci.sh: $f reaches past gruber_types and std (paths above)"; exit 1; }
+done
+
 echo "==> one handshake, one frame reader: the socket runtime's connection edge is clusterd::conn"
 # The hello exchange, its deadlines and frame reassembly live in one module
 # that the acceptor, the peer sender and the client all call; a hello coded
@@ -179,8 +206,8 @@ git checkout -- perf/Cargo.lock
 
 echo "==> cargo doc --no-deps (warnings are errors; umbrella package + the crates whose docs are guides)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q \
-  -p di-gruber-repro -p dpnode -p dpstore -p desim -p obs -p clusterd -p membership \
-  -p digruber -p simnet -p gruber-types -p grubsim -p diperf -p gruber-metrics
+  -p di-gruber-repro -p dpnode -p dpstore -p desim -p obs -p clusterd \
+  -p digruber -p simnet -p gruber-types -p grubsim -p diperf
 
 echo "==> experiments recovery health degradation topology scale (60 fingerprints + the five tables, byte-identical)"
 ./target/release/experiments recovery health degradation topology scale > results/experiments_studies.txt

@@ -23,7 +23,7 @@
 //! # Example
 //!
 //! ```
-//! use euryale::{planner::SubmitFile, EuryalePlanner, JobDag};
+//! use di_gruber_repro::euryale::{planner::SubmitFile, EuryalePlanner, JobDag};
 //! use gruber_types::{JobId, SiteId};
 //!
 //! let dag = JobDag::chain(&[JobId(1), JobId(2)])?;
@@ -38,9 +38,6 @@
 //! assert_eq!(planner.ready(), vec![JobId(2)]);
 //! # Ok::<(), gruber_types::GridError>(())
 //! ```
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod dag;
 pub mod planner;

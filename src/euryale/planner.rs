@@ -12,8 +12,8 @@
 //! selector (a GRUBER client, a `digruber` query, or a stub) and runs the
 //! job however it likes, then reports the outcome to the postscript.
 
-use crate::dag::JobDag;
-use crate::replica::{Lfn, ReplicaCatalog};
+use super::dag::JobDag;
+use super::replica::{Lfn, ReplicaCatalog};
 use gruber_types::{GridError, GridResult, JobId, SiteId};
 use std::collections::HashMap;
 

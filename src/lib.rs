@@ -1,18 +1,10 @@
-//! Umbrella crate for the DI-GRUBER reproduction.
-//!
-//! Re-exports the workspace crates so the examples and integration tests can
-//! use a single dependency. See the individual crates for the real APIs:
-//! [`digruber`] is the paper's primary contribution.
+//! Umbrella package for the DI-GRUBER reproduction: the examples, the
+//! cross-crate integration tests, and [`euryale`], the paper's client-side
+//! tool chain, which only they drive. The examples and tests name each
+//! workspace crate directly; `digruber` is the paper's primary
+//! contribution.
 
-pub use desim;
-pub use digruber;
-pub use diperf;
-pub use euryale;
-pub use gridemu;
-pub use gruber;
-pub use gruber_metrics as metrics;
-pub use gruber_types as types;
-pub use grubsim;
-pub use simnet;
-pub use usla;
-pub use workload;
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
+pub mod euryale;

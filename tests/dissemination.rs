@@ -88,11 +88,11 @@ fn whole_experiment_is_bit_deterministic() {
 mod pool_sizing {
     use super::*;
     use desim::DetRng;
+    use digruber::elastic::{MembershipConfig, ScalerConfig};
     use digruber::events::{Ev, Sim};
     use digruber::run::run_to_end;
     use digruber::World;
     use gruber_types::SimTime;
-    use membership::{MembershipConfig, ScalerConfig};
 
     fn autoscaled(scaler: ScalerConfig) -> Option<MembershipConfig> {
         Some(MembershipConfig {
