@@ -19,8 +19,7 @@
 //! `results/timeline_<id>.txt`. Tracing never changes the figures — the
 //! timeline rides along as an extra output of the same deterministic run.
 
-use bench::render::{render_accuracy, render_figure, render_table_block};
-use bench::study::Fields;
+use bench::{render_accuracy, render_figure, render_table_block, Fields};
 use bench::{
     accuracy_rows, accuracy_specs, capacity_model, crossover_rows, default_jobs, dp_scaling_spec,
     fig1_spec, run_specs, Study, SEED, STUDIES,

@@ -44,8 +44,7 @@
 
 use bench::{default_jobs, run_specs};
 use digruber::config::{DigruberConfig, FailureConfig};
-use digruber::faults::FaultPlan;
-use digruber::{RunSpec, ServiceKind, SyncTopology, WanKind};
+use digruber::{FaultPlan, RunSpec, ServiceKind, SyncTopology, WanKind};
 use gruber_types::SimDuration;
 use simnet::{RetryConfig, RetryPolicy};
 use workload::WorkloadSpec;
@@ -204,7 +203,7 @@ fn main() {
             cfg.wan = WanKind::Lan;
         }
         if args.has("--dynamic") {
-            cfg.membership = Some(digruber::elastic::MembershipConfig::default());
+            cfg.membership = Some(digruber::MembershipConfig::default());
         }
         if args.has("--failures") {
             cfg.failures = Some(FailureConfig::default());

@@ -18,13 +18,12 @@
 //! `BENCH_degradation.json`.
 
 use crate::study::{fault_deployment, fault_workload, output_fingerprint, table, Cell, Fields, Study, RUN_SECS};
-use digruber::faults::FaultPlan;
-use digruber::ExperimentOutput;
+use digruber::{ExperimentOutput, FaultPlan};
 use gruber_types::SimDuration;
 use simnet::{RetryConfig, RetryPolicy};
 
 /// The study's entry in [`crate::study::STUDIES`].
-pub const STUDY: Study = Study {
+pub(crate) const STUDY: Study = Study {
     id: "degradation",
     schema: "digruber-bench-degradation/2",
     header: |fast| Fields::new().with("fast", fast),

@@ -16,13 +16,12 @@
 //! OBSERVABILITY.md and EXPERIMENTS.md.
 
 use crate::study::{fault_deployment, fault_workload, output_fingerprint, table, Cell, Fields, Study, RUN_SECS};
-use digruber::faults::FaultPlan;
-use digruber::ExperimentOutput;
+use digruber::{ExperimentOutput, FaultPlan};
 use gruber_types::DpId;
 use simnet::RetryConfig;
 
 /// The study's entry in [`crate::study::STUDIES`].
-pub const STUDY: Study = Study {
+pub(crate) const STUDY: Study = Study {
     id: "health",
     schema: "digruber-bench-health/2",
     header: |fast| Fields::new().with("fast", fast).with("run_secs", RUN_SECS),

@@ -1,8 +1,8 @@
 //! Experiment drivers for the paper's tables and figures, and the
 //! post-paper studies.
 //!
-//! [`drivers`] holds the specs and row extractors of the paper's
-//! artifacts; [`study`] is the one framework the five studies
+//! `drivers` holds the specs and row extractors of the paper's
+//! artifacts; `study` is the one framework the five studies
 //! ([`STUDIES`]) are entries of. The `experiments` binary exposes both
 //! behind a small CLI
 //! (`cargo run --release -p bench --bin experiments -- <id>`).
@@ -16,16 +16,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod degradation;
-pub mod drivers;
-pub mod health;
-pub mod parallel;
-pub mod recovery;
-pub mod render;
-pub mod scale;
-pub mod study;
-pub mod topology;
+mod degradation;
+mod drivers;
+mod health;
+mod parallel;
+mod recovery;
+mod render;
+mod scale;
+mod study;
+mod topology;
 
-pub use drivers::*;
+pub use drivers::{
+    accuracy_rows, accuracy_specs, capacity_model, crossover_rows, dp_scaling_spec, fig1_spec,
+    SEED,
+};
 pub use parallel::{default_jobs, run_specs};
-pub use study::{output_fingerprint, Study, STUDIES};
+pub use render::{render_accuracy, render_figure, render_table_block};
+pub use study::{output_fingerprint, Fields, Study, STUDIES};

@@ -14,13 +14,12 @@
 
 use crate::study::{fault_deployment, fault_workload, output_fingerprint, table, Cell, Fields, Study, RUN_SECS};
 use digruber::config::{PersistenceConfig, RecoveryMode};
-use digruber::faults::FaultPlan;
-use digruber::ExperimentOutput;
+use digruber::{ExperimentOutput, FaultPlan};
 use dpstore::SnapshotPolicy;
 use gruber_types::SimDuration;
 
 /// The study's entry in [`crate::study::STUDIES`].
-pub const STUDY: Study = Study {
+pub(crate) const STUDY: Study = Study {
     id: "recovery",
     schema: "digruber-bench-recovery/2",
     header: |fast| Fields::new().with("fast", fast).with("run_secs", RUN_SECS),

@@ -1,10 +1,9 @@
 //! Plain-text rendering of figures and tables.
 
-use digruber::ExperimentOutput;
-use digruber::metrics::TableRows;
+use digruber::{ExperimentOutput, TableRows};
 
 /// Renders a unicode sparkline of a series (empty input → empty string).
-pub fn sparkline(values: &[f64]) -> String {
+pub(crate) fn sparkline(values: &[f64]) -> String {
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let max = values.iter().copied().fold(0.0f64, f64::max);
     if values.is_empty() || max <= 0.0 {

@@ -35,7 +35,7 @@ use workload::WorkloadSpec;
 /// The study's entry in [`crate::study::STUDIES`]. Schema `/2` added the
 /// client-scale cells; `/3` dropped every wall-clock and memory column
 /// (and `jobs`), so the document is byte-reproducible.
-pub const STUDY: Study = Study {
+pub(crate) const STUDY: Study = Study {
     id: "scale",
     schema: "digruber-bench-scale/3",
     header: |fast| Fields::new().with("fast", fast).with("arrival_batch", ARRIVAL_BATCH),

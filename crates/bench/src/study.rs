@@ -47,7 +47,7 @@ impl Value {
             Value::I64(v) => v.to_string(),
             Value::F64(v) if v.is_finite() => v.to_string(),
             Value::F64(_) | Value::Null => "null".to_string(),
-            Value::Str(s) => format!("\"{}\"", obs::export::json_escape(s)),
+            Value::Str(s) => format!("\"{}\"", obs::json_escape(s)),
             Value::Bool(b) => b.to_string(),
         }
     }
@@ -120,7 +120,7 @@ impl Fields {
     }
 
     /// An unsigned column that may be `null`.
-    pub fn opt_u64(&self, name: &str) -> Option<u64> {
+    pub(crate) fn opt_u64(&self, name: &str) -> Option<u64> {
         match self.get(name) {
             Value::U64(v) => Some(*v),
             Value::Null => None,
@@ -129,7 +129,7 @@ impl Fields {
     }
 
     /// A float column that may be `null`.
-    pub fn opt_f64(&self, name: &str) -> Option<f64> {
+    pub(crate) fn opt_f64(&self, name: &str) -> Option<f64> {
         match self.get(name) {
             Value::F64(v) => Some(*v),
             Value::Null => None,
@@ -138,7 +138,7 @@ impl Fields {
     }
 
     /// A string column that may be `null`.
-    pub fn opt_str(&self, name: &str) -> Option<&str> {
+    pub(crate) fn opt_str(&self, name: &str) -> Option<&str> {
         match self.get(name) {
             Value::Str(v) => Some(v),
             Value::Null => None,
@@ -147,22 +147,22 @@ impl Fields {
     }
 
     /// An unsigned column.
-    pub fn u64(&self, name: &str) -> u64 {
+    pub(crate) fn u64(&self, name: &str) -> u64 {
         self.opt_u64(name).unwrap_or_else(|| panic!("column {name:?} is null"))
     }
 
     /// A float column.
-    pub fn f64(&self, name: &str) -> f64 {
+    pub(crate) fn f64(&self, name: &str) -> f64 {
         self.opt_f64(name).unwrap_or_else(|| panic!("column {name:?} is null"))
     }
 
     /// A string column.
-    pub fn str(&self, name: &str) -> &str {
+    pub(crate) fn str(&self, name: &str) -> &str {
         self.opt_str(name).unwrap_or_else(|| panic!("column {name:?} is null"))
     }
 
     /// A signed column.
-    pub fn i64(&self, name: &str) -> i64 {
+    pub(crate) fn i64(&self, name: &str) -> i64 {
         match self.get(name) {
             Value::I64(v) => *v,
             v => panic!("column {name:?} is {v:?}, not a signed integer"),
@@ -181,7 +181,7 @@ impl Fields {
 /// Serializes one bench document (pretty-printed, trailing newline): the
 /// `head` columns at top level, then `rows` as an array of objects under
 /// `list`.
-pub fn document(head: &Fields, list: &str, rows: &[Fields]) -> String {
+pub(crate) fn document(head: &Fields, list: &str, rows: &[Fields]) -> String {
     let mut s = String::from("{\n");
     for (k, v) in &head.0 {
         let _ = writeln!(s, "  \"{k}\": {},", v.json());
@@ -202,7 +202,7 @@ pub fn document(head: &Fields, list: &str, rows: &[Fields]) -> String {
 /// Formats a right-aligned text table: a header line from the `(title,
 /// width)` columns, then one line per row, every line starting with
 /// `indent` and columns separated by two spaces.
-pub fn table<S: AsRef<str>>(indent: &str, cols: &[(S, usize)], rows: &[Vec<String>]) -> String {
+pub(crate) fn table<S: AsRef<str>>(indent: &str, cols: &[(S, usize)], rows: &[Vec<String>]) -> String {
     let mut s = String::new();
     let header: Vec<String> = cols.iter().map(|(t, _)| t.as_ref().to_string()).collect();
     for line in std::iter::once(&header).chain(rows) {
@@ -236,7 +236,7 @@ pub fn output_fingerprint(out: &ExperimentOutput) -> String {
 pub struct Cell {
     /// The cell's axes — the leading columns of its row, `label` among
     /// them.
-    pub axes: Fields,
+    pub(crate) axes: Fields,
     /// The run to execute for this cell.
     pub spec: RunSpec,
 }
@@ -255,14 +255,14 @@ pub struct Study {
     pub id: &'static str,
     /// Schema identifier embedded in the document, bumped on breaking
     /// layout changes.
-    pub schema: &'static str,
+    pub(crate) schema: &'static str,
     /// The document's own header columns, between `schema` and `n_cells`.
-    pub header: fn(fast: bool) -> Fields,
+    pub(crate) header: fn(fast: bool) -> Fields,
     /// Builds the cells; `fast` trims the study for CI smoke runs.
     pub cells: fn(fast: bool, seed: u64) -> Vec<Cell>,
     /// Extracts the measured columns of a finished cell (and asserts the
     /// study's reconciliations).
-    pub measure: fn(&Fields, &ExperimentOutput) -> Fields,
+    pub(crate) measure: fn(&Fields, &ExperimentOutput) -> Fields,
     /// Renders the study's headline tables from the finished rows.
     pub render: fn(&[Fields]) -> String,
 }
@@ -294,13 +294,13 @@ pub const STUDIES: &[Study] = &[
 
 /// Duration of every scaled-down fault-study run, in whole seconds
 /// (12 simulated minutes).
-pub const RUN_SECS: u64 = 720;
+pub(crate) const RUN_SECS: u64 = 720;
 
 /// The scaled-down deployment the fault and topology studies share: the
 /// paper's configuration on Grid3×1, with structured tracing forced on —
 /// timelines (and the health scores riding on them) are an output of these
 /// studies, not an option.
-pub fn fault_deployment(n_dps: usize, seed: u64) -> DigruberConfig {
+pub(crate) fn fault_deployment(n_dps: usize, seed: u64) -> DigruberConfig {
     let mut cfg = DigruberConfig::paper(n_dps, ServiceKind::Gt3, seed);
     cfg.grid_factor = 1;
     cfg.trace = Some(obs::TraceConfig::default());
@@ -311,7 +311,7 @@ pub fn fault_deployment(n_dps: usize, seed: u64) -> DigruberConfig {
 /// sweeps) so the long-running jobs actually fill the Grid3×1 CPUs within
 /// the 12 minutes — placement quality only shows up in queue time once the
 /// grid is contended.
-pub fn fault_workload() -> WorkloadSpec {
+pub(crate) fn fault_workload() -> WorkloadSpec {
     WorkloadSpec {
         n_clients: 90,
         duration: SimDuration::from_secs(RUN_SECS),

@@ -27,14 +27,12 @@
 
 use crate::study::{fault_deployment, output_fingerprint, table, Cell, Fields, Study, RUN_SECS};
 use digruber::config::SyncTopology;
-use digruber::elastic::{MembershipConfig, ScalerConfig};
-use digruber::faults::FaultPlan;
-use digruber::ExperimentOutput;
-use gruber_types::{SimDuration, SimTime};
+use digruber::{ExperimentOutput, FaultPlan, MembershipConfig, ScalerConfig};
+use gruber_types::SimDuration;
 use workload::WorkloadSpec;
 
 /// The study's entry in [`crate::study::STUDIES`].
-pub const STUDY: Study = Study {
+pub(crate) const STUDY: Study = Study {
     id: "topology",
     schema: "digruber-bench-topology/1",
     header: |fast| {
@@ -53,7 +51,7 @@ const SYNC_SECS: u64 = 60;
 /// The topology axis: label + protocol-level topology. Parameters are
 /// fixed (ternary tree, fanout-2 hybrid) so a cell is identified by its
 /// label alone.
-pub const TOPOLOGIES: [(&str, SyncTopology); 4] = [
+pub(crate) const TOPOLOGIES: [(&str, SyncTopology); 4] = [
     ("full-mesh", SyncTopology::FullMesh),
     ("ring", SyncTopology::Ring),
     ("hierarchical", SyncTopology::Hierarchical { branching: 3 }),
@@ -306,20 +304,21 @@ fn render(rows: &[Fields]) -> String {
     table("", &cols, &lines)
 }
 
-/// The first membership event of a traced scenario run, for eyeballing
-/// reaction time: `(at, kind)` of the earliest join or leave, if any.
-pub fn first_pool_change(out: &ExperimentOutput) -> Option<(SimTime, &'static str)> {
-    let join = out.reconfig_log.first().map(|&(at, _)| (at, "join"));
-    let leave = out.retire_log.first().map(|&(at, _)| (at, "leave"));
-    match (join, leave) {
-        (Some(j), Some(l)) => Some(if j.0 <= l.0 { j } else { l }),
-        (j, l) => j.or(l),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gruber_types::SimTime;
+
+    /// The first membership event of a traced scenario run, for eyeballing
+    /// reaction time: `(at, kind)` of the earliest join or leave, if any.
+    fn first_pool_change(out: &ExperimentOutput) -> Option<(SimTime, &'static str)> {
+        let join = out.reconfig_log.first().map(|&(at, _)| (at, "join"));
+        let leave = out.retire_log.first().map(|&(at, _)| (at, "leave"));
+        match (join, leave) {
+            (Some(j), Some(l)) => Some(if j.0 <= l.0 { j } else { l }),
+            (j, l) => j.or(l),
+        }
+    }
 
     #[test]
     fn sweep_cell_measures_staleness_against_the_bound() {

@@ -9,7 +9,7 @@
 //! crashing and respawning a point mid-run), and reports. See
 //! DEPLOYMENT.md for the operator walkthrough.
 
-use clusterd::{config, harness, Server, ServerConfig, SpawnOpts};
+use clusterd::{drive_workload, parse_toml, uniform_sites, LocalCluster, Server, ServerConfig, SpawnOpts, TomlValue};
 use gruber_types::{DpId, SimTime};
 use obs::{Recorder, TraceConfig};
 use std::path::PathBuf;
@@ -155,19 +155,19 @@ impl Args {
 fn load_file(path: &str) -> Vec<(&'static str, Value)> {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-    let kv = config::parse_toml(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+    let kv = parse_toml(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
     kv.into_iter()
         .map(|(key, value)| {
             let Some(&(name, kind)) = SETTINGS.iter().find(|(n, _)| *n == key) else {
                 die(&format!("{path}: unknown key {key:?}"))
             };
             let value = match (kind, value) {
-                (Kind::Num, config::TomlValue::Int(n)) => match u32::try_from(n) {
+                (Kind::Num, TomlValue::Int(n)) => match u32::try_from(n) {
                     Ok(n) => Value::Num(n),
                     Err(_) => die(&format!("{path}: {key} = {n} is out of range")),
                 },
-                (Kind::Str, config::TomlValue::Str(s)) => Value::Str(s),
-                (Kind::Switch, config::TomlValue::Bool(b)) => Value::Switch(b),
+                (Kind::Str, TomlValue::Str(s)) => Value::Str(s),
+                (Kind::Switch, TomlValue::Bool(b)) => Value::Switch(b),
                 (_, v) => die(&format!("{path}: {key} has the wrong type ({v:?})")),
             };
             (name, value)
@@ -198,7 +198,7 @@ fn serve(args: &Args) {
     let num = |name: &str, default: u32| args.num(name).unwrap_or(default);
     let id = DpId(num("id", 0));
     let n_dps = size(args, "n_dps", 1) as usize;
-    let sites = config::uniform_sites(size(args, "sites", 4), size(args, "cpus", 16));
+    let sites = uniform_sites(size(args, "sites", 4), size(args, "cpus", 16));
     let uslas = equal_shares(size(args, "vos", 2), size(args, "groups", 2))
         .unwrap_or_else(|e| die(&e.to_string()));
     let mut cfg = ServerConfig::new(id, n_dps, sites, uslas);
@@ -278,19 +278,19 @@ fn spawn_local(args: &Args) {
     let jobs = args.num("jobs").unwrap_or(8);
     let timeout = Duration::from_secs(5);
 
-    let mut cluster = harness::LocalCluster::spawn(&bin, opts.clone()).unwrap_or_else(|e| {
+    let mut cluster = LocalCluster::spawn(&bin, opts.clone()).unwrap_or_else(|e| {
         eprintln!("clusterd: spawn-local failed: {e}");
         std::process::exit(1)
     });
     let grid = Mutex::new(
         gridemu::Grid::new(
-            config::uniform_sites(opts.sites, opts.cpus),
+            uniform_sites(opts.sites, opts.cpus),
             gridemu::SitePolicy::permissive(),
         )
         .expect("valid grid"),
     );
 
-    let first = harness::drive_workload(&cluster, &grid, jobs, 0, timeout, 42);
+    let first = drive_workload(&cluster, &grid, jobs, 0, timeout, 42);
     if args.flag("crash") && n_dps > 1 {
         let victim = DpId(1);
         cluster.crash(victim).expect("crash dp1");
@@ -303,7 +303,7 @@ fn spawn_local(args: &Args) {
         assert_eq!(free.len(), opts.sites as usize);
     }
     let second =
-        harness::drive_workload(&cluster, &grid, jobs, jobs * n_dps as u32, timeout, 43);
+        drive_workload(&cluster, &grid, jobs, jobs * n_dps as u32, timeout, 43);
     cluster.force_sync().expect("force sync");
 
     // Let the flood fan-out land, then collect stats.

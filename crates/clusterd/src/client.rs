@@ -8,16 +8,14 @@
 //! its timeout is discarded instead of answering the wrong query. The
 //! handshake, the deadlines and the frame reader are [`crate::conn`]'s.
 //!
-//! The clock is read for a deadline and, only when a recorder is
-//! installed, for a trace event; what a wall-clock timeout measures is
-//! [`dpstore::mailbox`]'s **Time**.
+//! The clock is read only for a deadline; what a wall-clock timeout
+//! measures is `dpstore::mailbox`'s **Time**.
 
 use crate::conn::{self, Conn};
 use crate::proto::{self, ClusterDpStats};
 use bytes::Bytes;
 use gruber::DispatchRecord;
-use gruber_types::{ClientId, DpId, JobId, SimTime};
-use obs::{Recorder, TraceEvent};
+use gruber_types::{ClientId, DpId, JobId};
 use simnet::codec::{encode_frame, encode_inform, encode_query, PeerKind, QueryRequest};
 use std::io::{ErrorKind, Write};
 use std::time::{Duration, Instant};
@@ -28,8 +26,6 @@ pub struct ClusterClient {
     dp: DpId,
     client: ClientId,
     next_token: u32,
-    recorder: Recorder,
-    epoch: Instant,
 }
 
 impl ClusterClient {
@@ -43,30 +39,12 @@ impl ClusterClient {
             dp: theirs.dp,
             client,
             next_token: 0,
-            recorder: Recorder::OFF,
-            epoch: Instant::now(),
         })
-    }
-
-    /// Installs a recorder for the client-side protocol events
-    /// (`query_issued`, `response_answered`, `client_timeout`).
-    pub fn set_recorder(&mut self, recorder: Recorder, epoch: Instant) {
-        self.recorder = recorder;
-        self.epoch = epoch;
     }
 
     /// The decision point id the server announced in its handshake.
     pub fn dp(&self) -> DpId {
         self.dp
-    }
-
-    /// Emits a client-side event at the current time, reading the clock
-    /// only when a recorder is installed.
-    fn trace(&self, event: impl FnOnce() -> TraceEvent) {
-        if self.recorder.is_enabled() {
-            let at = SimTime(self.epoch.elapsed().as_millis() as u64);
-            self.recorder.emit(at, event);
-        }
     }
 
     fn send_frame(&mut self, kind: u8, payload: &[u8]) -> std::io::Result<()> {
@@ -101,14 +79,10 @@ impl ClusterClient {
             job: JobId(token),
             cpus: 1,
         });
-        let (dp, client) = (self.dp, self.client);
-        self.trace(|| TraceEvent::QueryIssued { client, dp });
-        let sent = Instant::now();
+        let deadline = Instant::now().checked_add(timeout);
         self.send_frame(proto::FRAME_QUERY, req.as_ref())?;
-        let deadline = sent.checked_add(timeout);
         loop {
             let Some(payload) = self.read_frame(proto::FRAME_QUERY_REPLY, deadline)? else {
-                self.trace(|| TraceEvent::ClientTimeout { client, dp });
                 return Ok(None);
             };
             let (got, free) = proto::decode_free(payload)
@@ -116,11 +90,6 @@ impl ClusterClient {
             if got != token {
                 continue; // a stale reply from a timed-out query
             }
-            self.trace(|| TraceEvent::ResponseAnswered {
-                dp,
-                client,
-                response_ms: sent.elapsed().as_millis() as u64,
-            });
             return Ok(Some(free));
         }
     }

@@ -17,9 +17,9 @@ use usla::UslaSet;
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// This decision point's id (also its index in the peer mesh).
-    pub id: DpId,
+    pub(crate) id: DpId,
     /// Total decision points in the cluster (sizes `SyncTick`'s mesh).
-    pub n_dps: usize,
+    pub(crate) n_dps: usize,
     /// Listen address (`host:port`; port 0 picks an ephemeral port).
     pub listen: String,
     /// Initial peer address table. Usually empty — the driver broadcasts
@@ -27,9 +27,9 @@ pub struct ServerConfig {
     /// bound and reported its actual address.
     pub peers: Vec<(DpId, String)>,
     /// The grid the point brokers over (must be identical cluster-wide).
-    pub sites: Vec<SiteSpec>,
+    pub(crate) sites: Vec<SiteSpec>,
     /// The USLA allocations (must be identical cluster-wide).
-    pub uslas: UslaSet,
+    pub(crate) uslas: UslaSet,
     /// Durable WAL/snapshot directory. `None` disables persistence (the
     /// point rejoins empty after a crash, the paper's seed behaviour).
     pub data_dir: Option<PathBuf>,
@@ -70,7 +70,7 @@ impl ServerConfig {
 /// The default peer reconnect policy: exponential backoff with jitter,
 /// 100 ms base, 1 s cap, 4 retransmissions — a dead peer costs a flood
 /// under two seconds of retrying before it requeues.
-pub fn default_retry() -> RetryPolicy {
+pub(crate) fn default_retry() -> RetryPolicy {
     RetryPolicy::ExpJitter {
         base: gruber_types::SimDuration::from_millis(100),
         cap: gruber_types::SimDuration::from_secs(1),

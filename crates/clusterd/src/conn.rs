@@ -20,7 +20,7 @@
 //! module's public face.
 
 use bytes::Bytes;
-use dpstore::{mailbox::Transport, NodeMsg, WireInput};
+use dpstore::{NodeMsg, Transport, WireInput};
 use gruber_types::DpId;
 use simnet::codec::{
     decode_hello, decode_query, encode_hello, FrameBuf, Hello, PeerKind, WIRE_MAGIC, WIRE_VERSION,
@@ -30,7 +30,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 /// How long a dial and a hello exchange may take, each.
-pub const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(2);
+pub(crate) const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(2);
 
 /// How long one write may block on a far end that does not read. A
 /// missed deadline leaves a half-written frame: the stream is unusable.

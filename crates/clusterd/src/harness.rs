@@ -17,7 +17,7 @@
 
 use crate::client::ClusterClient;
 use crate::proto::ClusterDpStats;
-use dpstore::{mailbox, RunStats};
+use dpstore::RunStats;
 use gruber::DispatchRecord;
 use gruber_types::{ClientId, DpId};
 use std::io::{BufRead, BufReader, Read};
@@ -113,7 +113,7 @@ impl LocalCluster {
     }
 
     /// Number of decision points.
-    pub fn n_dps(&self) -> usize {
+    pub(crate) fn n_dps(&self) -> usize {
         self.clients.len()
     }
 
@@ -127,7 +127,7 @@ impl LocalCluster {
     }
 
     /// (Re)installs the current peer table on every point.
-    pub fn broadcast_peers(&self) -> std::io::Result<()> {
+    pub(crate) fn broadcast_peers(&self) -> std::io::Result<()> {
         let table = self.peer_table();
         for c in &self.clients {
             locked(c).set_peers(&table)?;
@@ -273,7 +273,7 @@ fn locked(client: &Mutex<ClusterClient>) -> MutexGuard<'_, ClusterClient> {
     client.lock().expect("client lock")
 }
 
-/// Drives [`mailbox::drive_workload`]'s closed-loop clients against the
+/// Drives [`dpstore::drive_workload`]'s closed-loop clients against the
 /// cluster from one client thread per decision point, dispatching every
 /// job into the shared ground-truth grid — the paper's client behaviour,
 /// end to end over TCP. Job ids start at `job_offset`; a query that
@@ -289,7 +289,7 @@ pub fn drive_workload(
     let query = |dp| cluster.query(dp, timeout).ok().flatten();
     let inform = |dp, record: DispatchRecord| drop(cluster.inform(dp, &record));
     let n = cluster.n_dps() as u32;
-    mailbox::drive_workload(grid, n, n, jobs_per_dp, job_offset, seed, query, inform)
+    dpstore::drive_workload(grid, n, n, jobs_per_dp, job_offset, seed, query, inform)
 }
 
 /// The `clusterd` binary a development checkout runs — resolved from the

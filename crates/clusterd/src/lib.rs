@@ -11,25 +11,25 @@
 //!
 //! ## Shape
 //!
-//! * [`server`] — one decision point as a TCP server: an accept loop and
-//!   thread-per-connection readers that step a [`dpstore::mailbox::Point`]
+//! * `server` — one decision point as a TCP server: an accept loop and
+//!   thread-per-connection readers that step a [`dpstore::Point`]
 //!   — the step `digruber::live` runs too, which owns the
 //!   [`dpnode::DpNode`] and its `dpstore::FileStore` WAL — behind one
 //!   lock, over the TCP transport.
-//! * [`conn`] — the connection edge the server, `peer` and [`client`]
+//! * `conn` — the connection edge the server, `peer` and `client`
 //!   share: the hello exchange for both roles, the handshake and write
 //!   deadlines, the one frame reader, the frame → `NodeMsg` mapping, and
 //!   the [`conn::CloseReason`] every connection ends with.
 //! * `peer` (internal) — per-peer flood senders with lazy connect and
 //!   reconnect-with-backoff (`simnet::retry` policies on real sleeps);
 //!   a send that exhausts its budget requeues into the next sync round.
-//! * [`client`] — the synchronous client: queries with real timeouts,
+//! * `client` — the synchronous client: queries with real timeouts,
 //!   informs, and the operator control frames (sync, peers, stats,
 //!   crash, shutdown).
-//! * [`harness`] — the `--spawn-local n` driver: forks an n-process
+//! * `harness` — the `--spawn-local n` driver: forks an n-process
 //!   loopback cluster, broadcasts the peer table, drives a ground-truth
 //!   workload, injects crashes, respawns, and collects stats.
-//! * [`proto`] — frame kinds and the socket-only payloads; the hello and
+//! * `proto` — frame kinds and the socket-only payloads; the hello and
 //!   frame envelope encodings live in [`simnet::codec`], and every
 //!   shared payload (informs, floods, queries) reuses the existing
 //!   codec byte-for-byte.
@@ -50,17 +50,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
-pub mod config;
-pub mod conn;
-pub mod harness;
+mod client;
+mod config;
+mod conn;
+mod harness;
 mod peer;
-pub mod proto;
-pub mod server;
+mod proto;
+mod server;
 
 pub use client::ClusterClient;
-pub use config::{default_retry, parse_toml, uniform_sites, ServerConfig, TomlValue};
-pub use dpstore::RunStats;
-pub use harness::{drive_workload, LocalCluster, SpawnOpts};
-pub use proto::ClusterDpStats;
+pub use config::{parse_toml, uniform_sites, ServerConfig, TomlValue};
+pub use conn::{check_hello, hello, pop, request, CloseReason, Role, WRITE_DEADLINE};
+pub use harness::{dev_binary, drive_workload, LocalCluster, SpawnOpts};
+pub use proto::{
+    decode_free, decode_peers, decode_stats, encode_free, encode_peers, encode_stats,
+    ClusterDpStats, FRAME_INFORM, FRAME_PEERS, FRAME_QUERY, FRAME_RECORDS,
+};
 pub use server::Server;

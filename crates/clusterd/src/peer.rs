@@ -66,7 +66,7 @@ pub(crate) fn spawn(
             let mut rng = retry_rng(me, to);
             let mut addr: Option<String> = None;
             let mut link: Option<Conn> = None;
-            let now = || dpstore::mailbox::since(epoch);
+            let now = || dpstore::since(epoch);
             for msg in rx.iter() {
                 match msg {
                     PeerMsg::SetAddr(a) => {

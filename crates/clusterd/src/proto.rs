@@ -17,7 +17,7 @@ use simnet::codec::Reader;
 /// payload; the job id doubles as the reply correlation token).
 pub const FRAME_QUERY: u8 = 0;
 /// DP → client: availability reply ([`encode_free`] payload).
-pub const FRAME_QUERY_REPLY: u8 = 1;
+pub(crate) const FRAME_QUERY_REPLY: u8 = 1;
 /// Client → DP: dispatch inform ([`simnet::codec::encode_inform`]).
 pub const FRAME_INFORM: u8 = 2;
 /// DP → DP: flooded dispatch records ([`simnet::codec::encode_deltas`],
@@ -26,20 +26,20 @@ pub const FRAME_RECORDS: u8 = 3;
 /// Client → DP control: force a sync round now (empty payload). Deployed
 /// clusters mostly rely on the in-process ticker; tests and the
 /// spawn-local driver clock rounds explicitly for determinism.
-pub const FRAME_SYNC: u8 = 4;
+pub(crate) const FRAME_SYNC: u8 = 4;
 /// Client → DP control: install/replace the peer address table
 /// ([`encode_peers`]).
 pub const FRAME_PEERS: u8 = 5;
 /// Client → DP control: request a stats snapshot (empty payload).
-pub const FRAME_STATS: u8 = 6;
+pub(crate) const FRAME_STATS: u8 = 6;
 /// DP → client: stats snapshot reply ([`encode_stats`]).
-pub const FRAME_STATS_REPLY: u8 = 7;
+pub(crate) const FRAME_STATS_REPLY: u8 = 7;
 /// Client → DP control: crash the process (`exit(9)`, no cleanup) — the
 /// fault-injection hook the recovery walkthrough in DEPLOYMENT.md uses.
 /// In-process servers (tests) only mark the node down instead.
-pub const FRAME_CRASH: u8 = 8;
+pub(crate) const FRAME_CRASH: u8 = 8;
 /// Client → DP control: clean shutdown (flush trace, report stats).
-pub const FRAME_SHUTDOWN: u8 = 9;
+pub(crate) const FRAME_SHUTDOWN: u8 = 9;
 
 /// Encodes a query reply: the echoed request job id (correlation token)
 /// followed by the believed-free CPU count per site.
@@ -100,7 +100,7 @@ pub fn decode_peers(buf: Bytes) -> Result<Vec<(DpId, String)>, GridError> {
 pub use dpstore::DpStats as ClusterDpStats;
 
 /// Wire size of an encoded [`ClusterDpStats`] (14 × u64).
-pub const STATS_WIRE_LEN: usize = 14 * 8;
+pub(crate) const STATS_WIRE_LEN: usize = 14 * 8;
 
 /// Encodes a stats snapshot (14 little-endian u64s; the dp id first).
 pub fn encode_stats(s: &ClusterDpStats) -> Bytes {

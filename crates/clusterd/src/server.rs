@@ -2,7 +2,7 @@
 //! readers, and the TCP [`Transport`] of a [`SharedPoint`].
 //!
 //! There is no node thread and no mailbox. The point is a
-//! [`dpstore::mailbox::SharedPoint`] — the host `digruber::live` uses
+//! [`dpstore::SharedPoint`] — the host `digruber::live` uses
 //! too (that module is the home of how a wall-clock runtime hosts a
 //! node) — and every source of input steps it on its own thread:
 //!
@@ -39,8 +39,9 @@ use crate::conn::{self, CloseReason, Role};
 use crate::peer::{self, PeerMsg};
 use crate::proto::{self, ClusterDpStats};
 use bytes::{BufMut, Bytes, BytesMut};
-use dpstore::mailbox::{self, Answer, NodeMsg, Point, SharedPoint, Transport};
-use dpstore::{Blueprint, FileStore, NodeHost, SnapshotPolicy};
+use dpstore::{
+    Answer, Blueprint, FileStore, NodeHost, NodeMsg, Point, SharedPoint, SnapshotPolicy, Transport,
+};
 use gruber_types::{DispatchRecord, DpId};
 use obs::Recorder;
 use simnet::codec::{encode_frame, PeerKind, MAX_FRAME_BODY};
@@ -121,11 +122,11 @@ impl Server {
         let (sites, uslas) = (cfg.sites.clone().into(), Arc::new(cfg.uslas.clone()));
         let blueprint = Blueprint::paper_mesh(cfg.id, sites, uslas, store.is_some());
         let policy = SnapshotPolicy::records(cfg.snapshot_records);
-        let started = mailbox::since(epoch);
+        let started = dpstore::since(epoch);
         let mut host = NodeHost::new(blueprint, store, policy, recorder.clone(), started);
         // A store that holds anything means the previous incarnation of
         // this process died: rebuild from it (a first boot restores nothing).
-        mailbox::recover(&mut host, epoch, &recorder)
+        dpstore::recover(&mut host, epoch, &recorder)
             .map_err(|e| std::io::Error::other(format!("recover: {e}")))?;
 
         let listener = TcpListener::bind(&cfg.listen)?;
@@ -158,7 +159,7 @@ impl Server {
 
         threads.extend(cfg.sync_interval.and_then(|interval| {
             let node = Arc::clone(&node);
-            mailbox::ticker(interval, Arc::clone(&node.stop), move || {
+            dpstore::ticker(interval, Arc::clone(&node.stop), move || {
                 node.step(NodeMsg::SyncTick);
             })
         }));

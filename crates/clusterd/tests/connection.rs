@@ -114,7 +114,7 @@ fn frames_reassemble_across_one_byte_writes() {
     // An inform frame dribbled one byte per write: TCP segment boundaries
     // land in the worst possible places and the frame must still apply.
     let inform = encode_frame(
-        clusterd::proto::FRAME_INFORM,
+        clusterd::FRAME_INFORM,
         encode_inform(&record(1, 0, 4)).as_ref(),
     );
     for byte in inform.as_ref() {
@@ -163,7 +163,7 @@ fn peers_frame_with_an_inflated_count_drops_the_connection_not_the_process() {
 
     // [05 00 00 00][05][FF FF FF FF]: a PEERS table claiming u32::MAX
     // entries in four bytes of payload.
-    let hostile = encode_frame(clusterd::proto::FRAME_PEERS, &[0xFF; 4]);
+    let hostile = encode_frame(clusterd::FRAME_PEERS, &[0xFF; 4]);
     stream.write_all(hostile.as_ref()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -296,7 +296,7 @@ fn peer_death_mid_flood_backs_off_requeues_and_redelivers() {
             assert!(n > 0, "sender closed before the flood arrived");
             fb.extend(&chunk[..n]);
             if let Some((kind, payload)) = fb.next_frame().expect("well-formed frame") {
-                assert_eq!(kind, clusterd::proto::FRAME_RECORDS);
+                assert_eq!(kind, clusterd::FRAME_RECORDS);
                 let deltas = decode_deltas(payload).expect("deltas decode");
                 return deltas.iter().map(|d| d.job.0).collect();
             }

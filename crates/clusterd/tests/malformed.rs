@@ -10,14 +10,13 @@
 #![allow(clippy::single_range_in_vec_init)]
 
 use bytes::Bytes;
-use clusterd::conn::{self, check_hello, pop, request, CloseReason, Role};
-use clusterd::proto::{
+use clusterd::{check_hello, pop, request, CloseReason, Role};
+use clusterd::{
     decode_free, decode_peers, decode_stats, encode_free, encode_peers, encode_stats,
     ClusterDpStats,
 };
 use dpnode::{Dissemination, DpNode, FloodPayload, Input, NodeConfig, Topology, WalOp};
-use dpstore::mailbox::{NodeMsg, Transport};
-use dpstore::{FileStore, Store, WireInput};
+use dpstore::{FileStore, NodeMsg, Store, Transport, WireInput};
 use gruber_types::{
     ClientId, DispatchRecord, DpId, GridError, GroupId, JobId, SimTime, SiteId, SiteSpec, VoId,
 };
@@ -385,8 +384,8 @@ proptest! {
         ),
     ) {
         let mut bytes = match who {
-            0 => encode_hello(&conn::hello(PeerKind::Client, DpId(1))).to_vec(),
-            1 => encode_hello(&conn::hello(PeerKind::Dp, DpId(1))).to_vec(),
+            0 => encode_hello(&clusterd::hello(PeerKind::Client, DpId(1))).to_vec(),
+            1 => encode_hello(&clusterd::hello(PeerKind::Dp, DpId(1))).to_vec(),
             _ => garbage,
         };
         for (kind, payload) in &frames {

@@ -4,8 +4,7 @@
 //! reply is written outside the point's lock. Without those, the tests
 //! here wedge or stall the point.
 
-use clusterd::conn::WRITE_DEADLINE;
-use clusterd::{uniform_sites, ClusterClient, Server, ServerConfig};
+use clusterd::{uniform_sites, ClusterClient, Server, ServerConfig, WRITE_DEADLINE};
 use gruber::DispatchRecord;
 use gruber_types::{ClientId, DpId, GroupId, JobId, SimDuration, SimTime, SiteId, VoId};
 use obs::Recorder;
@@ -54,7 +53,7 @@ fn a_client_that_never_reads_its_replies_does_not_wedge_the_point() {
                 job: JobId(job),
                 cpus: 1,
             });
-            encode_frame(clusterd::proto::FRAME_QUERY, query.as_ref()).to_vec()
+            encode_frame(clusterd::FRAME_QUERY, query.as_ref()).to_vec()
         })
         .collect();
     let connect = TcpStream::connect(addr).expect("connect");
@@ -156,7 +155,7 @@ fn a_client_that_never_reads_holds_up_no_other_client() {
                 job: JobId(job),
                 cpus: 1,
             });
-            encode_frame(clusterd::proto::FRAME_QUERY, query.as_ref()).to_vec()
+            encode_frame(clusterd::FRAME_QUERY, query.as_ref()).to_vec()
         })
         .collect();
     let connect = TcpStream::connect(addr).expect("connect");

@@ -16,7 +16,7 @@ pub enum ServiceKind {
 
 impl ServiceKind {
     /// The calibrated cost profile.
-    pub fn profile(self) -> ServiceProfile {
+    pub(crate) fn profile(self) -> ServiceProfile {
         match self {
             ServiceKind::Gt3 => ServiceProfile::gt3(),
             ServiceKind::Gt4Prerelease => ServiceProfile::gt4_prerelease(),
@@ -37,7 +37,7 @@ pub enum WanKind {
 
 impl WanKind {
     /// Builds the topology for this network kind.
-    pub fn topology(self, seed: u64) -> WanTopology {
+    pub(crate) fn topology(self, seed: u64) -> WanTopology {
         match self {
             WanKind::PlanetLab => WanTopology::planetlab(seed),
             WanKind::Lan => WanTopology::lan(seed),
@@ -47,7 +47,7 @@ impl WanKind {
 
 /// Client-side query timeout (the paper's 30 s): on expiry the client
 /// selects a site at random without considering USLAs.
-pub const CLIENT_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+pub(crate) const CLIENT_TIMEOUT: SimDuration = SimDuration::from_secs(30);
 
 // The dissemination strategy and exchange topology are protocol-level
 // concepts and live in the sans-IO protocol core, shared by every runtime;
@@ -131,7 +131,7 @@ pub struct DigruberConfig {
     /// Peer state-exchange interval (the paper's default is 3 minutes).
     pub sync_interval: SimDuration,
     /// Service stack of the decision points.
-    pub service: ServiceKind,
+    pub(crate) service: ServiceKind,
     /// Network the deployment runs over.
     pub wan: WanKind,
     /// Dissemination strategy.
@@ -174,14 +174,14 @@ pub struct DigruberConfig {
     /// Grid scale factor (10 = the paper's "ten times larger than Grid3").
     pub grid_factor: usize,
     /// Experiment RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Optional structured tracing: when set, the run installs an
     /// `obs::Recorder` into every scheduler, engine and service station
     /// and the output carries a per-decision-point timeline. `None` (the
     /// default) costs one untaken branch per instrumented call.
     pub trace: Option<obs::TraceConfig>,
     /// Optional elastic membership: consistent-hash client homing plus
-    /// the [`crate::elastic`] autoscaler control loop driving dynamic
+    /// the `crate::elastic` autoscaler control loop driving dynamic
     /// decision point join/leave. `None` (the default) keeps the paper's
     /// static random binding and a fixed pool — runs are byte-identical
     /// to builds without the subsystem.
@@ -192,7 +192,7 @@ impl DigruberConfig {
     /// The paper's Section 4 setup with `n_dps` decision points on the
     /// given service stack: 3-minute exchanges, PlanetLab WAN, least-used
     /// selection, usage-only dissemination, Grid3×10 (the 30 s client
-    /// timeout is [`CLIENT_TIMEOUT`]).
+    /// timeout is `CLIENT_TIMEOUT`).
     pub fn paper(n_dps: usize, service: ServiceKind, seed: u64) -> Self {
         DigruberConfig {
             n_dps,

@@ -60,9 +60,10 @@ mod ring;
 mod scaler;
 mod table;
 
-pub use ring::HashRing;
-pub use scaler::{Autoscaler, PoolSample, ScaleDecision, ScalerConfig};
-pub use table::{MemberState, MembershipTable};
+pub(crate) use ring::HashRing;
+pub(crate) use scaler::{Autoscaler, PoolSample, ScaleDecision};
+pub use scaler::ScalerConfig;
+pub(crate) use table::MembershipTable;
 
 use crate::events::{send_exchange, sync_dp, Ev, Sched};
 use crate::world::{DecisionPoint, World};
@@ -120,20 +121,20 @@ impl MembershipConfig {
 /// [`crate::config::DigruberConfig::membership`] is set.
 pub struct MembershipRuntime {
     /// The subsystem configuration.
-    pub cfg: MembershipConfig,
+    pub(crate) cfg: MembershipConfig,
     /// Epoch-stamped member list.
     pub table: MembershipTable,
     /// Consistent-hash client homing.
-    pub ring: HashRing,
+    pub(crate) ring: HashRing,
     /// The control loop (`None` keeps the pool fixed; explicit
     /// [`join_decision_point`]/[`leave_decision_point`] still work).
-    pub scaler: Option<Autoscaler>,
+    pub(crate) scaler: Option<Autoscaler>,
     /// Joins executed.
-    pub dp_joins: u64,
+    pub(crate) dp_joins: u64,
     /// Leaves executed.
     pub dp_leaves: u64,
     /// Client re-homings executed (join and leave combined).
-    pub clients_rehomed: u64,
+    pub(crate) clients_rehomed: u64,
 }
 
 impl MembershipRuntime {
@@ -154,7 +155,7 @@ impl MembershipRuntime {
     /// the same lookup). Panics only on an empty ring, which
     /// [`MembershipConfig::validate`] plus a non-empty
     /// deployment rule out.
-    pub fn home_of(&self, c: ClientId) -> DpId {
+    pub(crate) fn home_of(&self, c: ClientId) -> DpId {
         self.ring.home_of(c).expect("non-empty ring")
     }
 }
@@ -163,7 +164,7 @@ impl MembershipRuntime {
 /// backlogs over live-and-up points, and how many of those points the
 /// trace's health scoring currently flags (none when tracing is off, so
 /// the scaler then runs on backlog alone).
-pub fn pool_sample(w: &World) -> PoolSample {
+pub(crate) fn pool_sample(w: &World) -> PoolSample {
     let Some(m) = &w.membership else {
         return PoolSample::default();
     };
@@ -196,7 +197,7 @@ pub fn pool_sample(w: &World) -> PoolSample {
 /// arcs on the ring and re-homes exactly the clients whose home the ring
 /// now maps to the newcomer. Returns the new id, or `None` when
 /// membership is off.
-pub fn join_decision_point(w: &mut World, s: &mut Sched) -> Option<DpId> {
+pub(crate) fn join_decision_point(w: &mut World, s: &mut Sched) -> Option<DpId> {
     w.membership.as_ref()?;
     let now = s.now();
     let new_id = DpId(w.dps.len() as u32);
@@ -250,7 +251,7 @@ fn rehome(w: &mut World, now: gruber_types::SimTime, moves: impl Fn(DpId, DpId) 
 /// arcs leave the ring and its clients re-home to their new ring homes.
 /// Returns the leaver, or `None` when membership is off or the pool is a
 /// single point.
-pub fn leave_decision_point(w: &mut World, s: &mut Sched) -> Option<DpId> {
+pub(crate) fn leave_decision_point(w: &mut World, s: &mut Sched) -> Option<DpId> {
     let m = w.membership.as_ref()?;
     if m.table.live_count() <= 1 {
         return None;
@@ -281,7 +282,7 @@ pub fn leave_decision_point(w: &mut World, s: &mut Sched) -> Option<DpId> {
 /// The autoscaler's periodic tick: sample the pool, consult the policy,
 /// execute the decision, reschedule. Seeded by the runner iff
 /// [`crate::config::DigruberConfig::membership`] carries a scaler.
-pub fn membership_tick(w: &mut World, s: &mut Sched) {
+pub(crate) fn membership_tick(w: &mut World, s: &mut Sched) {
     let Some(m) = &w.membership else {
         return;
     };

@@ -29,7 +29,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// The consistent-hash ring. Cheap to clone; ordered `Vec` storage so
 /// lookups are a binary search and iteration order is canonical.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HashRing {
+pub(crate) struct HashRing {
     seed: u64,
     vnodes: u32,
     /// Sorted by position. Positions collide with probability ~2⁻⁶⁴; ties
@@ -39,7 +39,7 @@ pub struct HashRing {
 
 impl HashRing {
     /// An empty ring. `vnodes` is clamped to at least 1.
-    pub fn new(seed: u64, vnodes: u32) -> Self {
+    pub(crate) fn new(seed: u64, vnodes: u32) -> Self {
         HashRing {
             seed,
             vnodes: vnodes.max(1),
@@ -48,7 +48,7 @@ impl HashRing {
     }
 
     /// A ring with decision points `0..n` already inserted.
-    pub fn with_members(seed: u64, vnodes: u32, n: usize) -> Self {
+    pub(crate) fn with_members(seed: u64, vnodes: u32, n: usize) -> Self {
         let mut r = HashRing::new(seed, vnodes);
         for i in 0..n {
             r.insert(DpId(i as u32));
@@ -71,7 +71,7 @@ impl HashRing {
     }
 
     /// Adds `dp`'s vnodes. Panics if it is already a member.
-    pub fn insert(&mut self, dp: DpId) {
+    pub(crate) fn insert(&mut self, dp: DpId) {
         assert!(!self.contains(dp), "dp-{} inserted twice", dp.index());
         for r in 0..self.vnodes {
             let pos = self.vnode_position(dp, r);
@@ -81,24 +81,19 @@ impl HashRing {
     }
 
     /// Removes `dp`'s vnodes. Panics if it is not a member.
-    pub fn remove(&mut self, dp: DpId) {
+    pub(crate) fn remove(&mut self, dp: DpId) {
         assert!(self.contains(dp), "dp-{} removed twice", dp.index());
         self.points.retain(|&(_, d)| d != dp);
     }
 
     /// Whether `dp` currently owns vnodes.
-    pub fn contains(&self, dp: DpId) -> bool {
+    pub(crate) fn contains(&self, dp: DpId) -> bool {
         self.points.iter().any(|&(_, d)| d == dp)
-    }
-
-    /// Number of member decision points.
-    pub fn member_count(&self) -> usize {
-        (self.points.len() / self.vnodes as usize).max(usize::from(!self.points.is_empty()))
     }
 
     /// The decision point homing `client`: the first vnode at or after
     /// the client's ring position, wrapping. `None` on an empty ring.
-    pub fn home_of(&self, client: ClientId) -> Option<DpId> {
+    pub(crate) fn home_of(&self, client: ClientId) -> Option<DpId> {
         if self.points.is_empty() {
             return None;
         }
@@ -204,14 +199,14 @@ mod tests {
     }
 
     #[test]
-    fn member_count_tracks_inserts_and_removes() {
+    fn membership_tracks_inserts_and_removes() {
         let mut ring = HashRing::new(0, 16);
-        assert_eq!(ring.member_count(), 0);
+        assert!(ring.points.is_empty());
         ring.insert(DpId(0));
         ring.insert(DpId(1));
-        assert_eq!(ring.member_count(), 2);
+        assert_eq!(ring.points.len(), 2 * 16);
         ring.remove(DpId(0));
-        assert_eq!(ring.member_count(), 1);
+        assert_eq!(ring.points.len(), 16);
         assert!(!ring.contains(DpId(0)));
         assert!(ring.contains(DpId(1)));
     }

@@ -72,21 +72,21 @@ impl ScalerConfig {
 
 /// One periodic observation of the pool, assembled by the runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolSample {
+pub(crate) struct PoolSample {
     /// Live decision points.
-    pub live: u32,
+    pub(crate) live: u32,
     /// Deepest single service backlog across live points.
-    pub max_backlog: u32,
+    pub(crate) max_backlog: u32,
     /// Sum of service backlogs across live points.
-    pub total_backlog: u32,
+    pub(crate) total_backlog: u32,
     /// Points currently health-flagged `Degrading` (0 when tracing is
     /// off — the scaler then runs on backlog alone).
-    pub degraded: u32,
+    pub(crate) degraded: u32,
 }
 
 /// What the pool should do right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScaleDecision {
+pub(crate) enum ScaleDecision {
     /// No change.
     Hold,
     /// Join one decision point.
@@ -97,7 +97,7 @@ pub enum ScaleDecision {
 
 /// The control loop's memory: streaks and cooldown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Autoscaler {
+pub(crate) struct Autoscaler {
     cfg: ScalerConfig,
     hot_streak: u32,
     idle_streak: u32,
@@ -106,7 +106,7 @@ pub struct Autoscaler {
 
 impl Autoscaler {
     /// A fresh loop with no accumulated evidence.
-    pub fn new(cfg: ScalerConfig) -> Self {
+    pub(crate) fn new(cfg: ScalerConfig) -> Self {
         Autoscaler {
             cfg,
             hot_streak: 0,
@@ -117,7 +117,7 @@ impl Autoscaler {
 
     /// Feeds one sample; returns the decision. Pure and deterministic:
     /// the same sample sequence always yields the same decisions.
-    pub fn observe(&mut self, s: PoolSample) -> ScaleDecision {
+    pub(crate) fn observe(&mut self, s: PoolSample) -> ScaleDecision {
         if self.cooldown > 0 {
             self.cooldown -= 1;
             return ScaleDecision::Hold;

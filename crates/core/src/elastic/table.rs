@@ -13,7 +13,7 @@ use gruber_types::DpId;
 /// stays `Left` forever (its WAL, trace lines and log entries keep
 /// referring to the index), and a replacement joins under a fresh index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemberState {
+pub(crate) enum MemberState {
     /// Serving queries; a hash-ring member.
     Up,
     /// Drained and departed (graceful leave or crash-retire); not a ring
@@ -33,7 +33,7 @@ impl MembershipTable {
     /// A table with decision points `0..n` live at epoch `n` (each seed
     /// member counts as one join, so epochs stay comparable between a
     /// runtime that seeds `n` points and one that joins them one by one).
-    pub fn with_initial(n: usize) -> Self {
+    pub(crate) fn with_initial(n: usize) -> Self {
         let mut t = MembershipTable::default();
         for i in 0..n {
             t.join(DpId(i as u32));
@@ -64,7 +64,7 @@ impl MembershipTable {
     }
 
     /// Marks `dp` departed and bumps the epoch. Returns the new epoch.
-    pub fn leave(&mut self, dp: DpId) -> u64 {
+    pub(crate) fn leave(&mut self, dp: DpId) -> u64 {
         let i = dp.index();
         assert!(
             self.state(dp) == Some(MemberState::Up),
@@ -76,7 +76,7 @@ impl MembershipTable {
     }
 
     /// The state of `dp`, or `None` for a never-seen index.
-    pub fn state(&self, dp: DpId) -> Option<MemberState> {
+    pub(crate) fn state(&self, dp: DpId) -> Option<MemberState> {
         self.members.get(dp.index()).copied().flatten()
     }
 
@@ -86,7 +86,7 @@ impl MembershipTable {
     }
 
     /// Live members in index order.
-    pub fn live(&self) -> Vec<DpId> {
+    pub(crate) fn live(&self) -> Vec<DpId> {
         self.members
             .iter()
             .enumerate()

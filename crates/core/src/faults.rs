@@ -24,7 +24,7 @@
 
 use crate::events::{Ev, Sched};
 use crate::world::World;
-use desim::dist::Dist;
+use desim::Dist;
 use gruber_types::{ClientId, DpId, GridError, SimDuration, SimTime};
 use obs::TraceEvent;
 
@@ -34,7 +34,7 @@ use obs::TraceEvent;
 
 /// Which message legs a [`LinkFaultWindow`] disturbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkScope {
+pub(crate) enum LinkScope {
     /// Every leg: client→DP queries, DP→client responses and informs, and
     /// DP↔DP exchange floods.
     All,
@@ -55,34 +55,30 @@ impl LinkScope {
 /// Produced by [`FaultPlan::disturbance`] and read through
 /// `World::leg_disturbance`. All three fields are probabilities.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkDisturbance {
+pub(crate) struct LinkDisturbance {
     /// Per-message loss probability.
-    pub loss: f64,
+    pub(crate) loss: f64,
     /// Probability that a delivered message arrives twice.
-    pub duplicate: f64,
+    pub(crate) duplicate: f64,
     /// Probability that a delivered message is held back and re-jittered
     /// (arrives after messages sent later — reordering).
-    pub reorder: f64,
+    pub(crate) reorder: f64,
 }
 
 impl LinkDisturbance {
-    /// A clean link: no loss, no duplication, no reordering.
-    pub const NONE: LinkDisturbance = LinkDisturbance {
+    /// A clean link: no loss, no duplication, no reordering. A clean leg
+    /// makes *no* RNG draw, preserving seed-for-seed draw order with
+    /// fault-free configurations: each of `core::events`' draws is guarded
+    /// by its own probability's `== 0.0` / `> 0.0` test.
+    pub(crate) const NONE: LinkDisturbance = LinkDisturbance {
         loss: 0.0,
         duplicate: 0.0,
         reorder: 0.0,
     };
 
-    /// True when every probability is zero. This is the hot-path guard:
-    /// a clean link makes *no* RNG draw, preserving seed-for-seed draw
-    /// order with fault-free configurations.
-    pub fn is_clean(&self) -> bool {
-        self.loss == 0.0 && self.duplicate == 0.0 && self.reorder == 0.0
-    }
-
     /// Stacks another disturbance onto this one. Probabilities compose as
     /// independent events: `p = 1 − (1−p₁)(1−p₂)`.
-    pub fn combine(&mut self, other: &LinkDisturbance) {
+    pub(crate) fn combine(&mut self, other: &LinkDisturbance) {
         self.loss = 1.0 - (1.0 - self.loss) * (1.0 - other.loss);
         self.duplicate = 1.0 - (1.0 - self.duplicate) * (1.0 - other.duplicate);
         self.reorder = 1.0 - (1.0 - self.reorder) * (1.0 - other.reorder);
@@ -98,60 +94,60 @@ impl LinkDisturbance {
 /// Decision points not listed in any island form one implicit residual
 /// island of their own.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PartitionWindow {
+pub(crate) struct PartitionWindow {
     /// When the partition takes effect.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// When the partition heals (exclusive).
-    pub end: SimTime,
+    pub(crate) end: SimTime,
     /// Explicit islands; each inner vec lists decision-point indices.
-    pub islands: Vec<Vec<u32>>,
+    pub(crate) islands: Vec<Vec<u32>>,
 }
 
 /// A timed window of link disturbance (loss, duplication, reorder) on a
 /// subset of message legs. Windows overlap freely; overlapping
 /// probabilities compose as independent events.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LinkFaultWindow {
+pub(crate) struct LinkFaultWindow {
     /// When the window opens.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// When the window closes (exclusive).
-    pub end: SimTime,
+    pub(crate) end: SimTime,
     /// Which legs it disturbs.
-    pub scope: LinkScope,
+    pub(crate) scope: LinkScope,
     /// Per-message loss probability added during the window.
-    pub loss: f64,
+    pub(crate) loss: f64,
     /// Per-message duplication probability added during the window.
-    pub duplicate: f64,
+    pub(crate) duplicate: f64,
     /// Per-message reorder probability added during the window.
-    pub reorder: f64,
+    pub(crate) reorder: f64,
 }
 
 /// A timed service slowdown: one decision point's container serves every
 /// request `factor`× slower (degraded `ServiceProfile`), modelling an
 /// overloaded or resource-starved host.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SlowdownWindow {
+pub(crate) struct SlowdownWindow {
     /// When the slowdown starts.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// When the point returns to full speed.
-    pub end: SimTime,
+    pub(crate) end: SimTime,
     /// The degraded decision point.
-    pub dp: u32,
+    pub(crate) dp: u32,
     /// Service-time multiplier (≥ 1).
-    pub factor: f64,
+    pub(crate) factor: f64,
 }
 
 /// A planned crash-restart: the decision point crashes at `at` (dropping
 /// its in-flight container state, exactly like a stochastic failure) and
 /// restarts `down_for` later.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CrashEvent {
+pub(crate) struct CrashEvent {
     /// Crash instant.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// The decision point to crash.
-    pub dp: u32,
+    pub(crate) dp: u32,
     /// Outage duration before the planned restart.
-    pub down_for: SimDuration,
+    pub(crate) down_for: SimDuration,
 }
 
 /// A deterministic, declarative schedule of faults to inject into one run.
@@ -164,14 +160,13 @@ pub struct CrashEvent {
 /// # Example
 ///
 /// ```
-/// use digruber::faults::FaultPlan;
+/// use digruber::FaultPlan;
 ///
 /// let plan = FaultPlan::parse(
 ///     "partition@120..300=0,1|2; loss.client@60..240=0.3; \
 ///      slow@100..200=1x2.5; crash@150=2+60",
 /// )?;
 /// plan.validate(3)?;
-/// assert_eq!(plan.partitions.len(), 1);
 /// assert!(plan.partitioned(0, 2, gruber_types::SimTime::from_secs(150)));
 /// assert!(!plan.partitioned(0, 1, gruber_types::SimTime::from_secs(150)));
 /// # Ok::<(), gruber_types::GridError>(())
@@ -179,23 +174,23 @@ pub struct CrashEvent {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Timed partitions of the decision-point mesh.
-    pub partitions: Vec<PartitionWindow>,
+    pub(crate) partitions: Vec<PartitionWindow>,
     /// Timed loss / duplication / reorder windows.
-    pub link_faults: Vec<LinkFaultWindow>,
+    pub(crate) link_faults: Vec<LinkFaultWindow>,
     /// Timed per-point service slowdowns.
-    pub slowdowns: Vec<SlowdownWindow>,
+    pub(crate) slowdowns: Vec<SlowdownWindow>,
     /// Planned crash-restarts.
-    pub crashes: Vec<CrashEvent>,
+    pub(crate) crashes: Vec<CrashEvent>,
 }
 
 impl FaultPlan {
     /// An empty plan (injects nothing).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         FaultPlan::default()
     }
 
     /// True when the plan injects nothing at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.partitions.is_empty()
             && self.link_faults.is_empty()
             && self.slowdowns.is_empty()
@@ -291,7 +286,7 @@ impl FaultPlan {
     /// The combined disturbance active on one leg class at `now`. Clean
     /// (all-zero) when no window covers the leg — callers must then make
     /// no RNG draw.
-    pub fn disturbance(&self, leg: LinkScope, now: SimTime) -> LinkDisturbance {
+    pub(crate) fn disturbance(&self, leg: LinkScope, now: SimTime) -> LinkDisturbance {
         let mut d = LinkDisturbance::NONE;
         for w in &self.link_faults {
             if now >= w.start && now < w.end && w.scope.covers(leg) {
@@ -471,7 +466,7 @@ fn parse_range(s: &str, clause: &str) -> Result<(SimTime, SimTime), GridError> {
 /// link-window marker events (the timeline flips state on these),
 /// slowdown application/reset, and planned crash-restarts. No-op when no
 /// plan is configured.
-pub fn seed_plan(w: &mut World, s: &mut Sched) {
+pub(crate) fn seed_plan(w: &mut World, s: &mut Sched) {
     let Some(plan) = w.cfg.fault_plan.clone() else {
         return;
     };
@@ -499,7 +494,7 @@ pub fn seed_plan(w: &mut World, s: &mut Sched) {
 
 /// A `slow@` window opens (the point's container serves `factor`× slower)
 /// or, on `None`, closes (back to full speed).
-pub fn set_slowdown(w: &mut World, s: &mut Sched, dp: usize, factor: Option<f64>) {
+pub(crate) fn set_slowdown(w: &mut World, s: &mut Sched, dp: usize, factor: Option<f64>) {
     if dp >= w.dps.len() {
         return;
     }
@@ -514,7 +509,7 @@ pub fn set_slowdown(w: &mut World, s: &mut Sched, dp: usize, factor: Option<f64>
 /// A `crash@` clause fires. Planned restart: unlike the exponential
 /// repair clock this neither rebalances clients nor schedules a next
 /// failure.
-pub fn planned_crash(w: &mut World, s: &mut Sched, dp: usize, down_for: SimDuration) {
+pub(crate) fn planned_crash(w: &mut World, s: &mut Sched, dp: usize, down_for: SimDuration) {
     if crash_dp_now(w, s.now(), dp) {
         s.post_in(down_for, Ev::BeginRestore(dp));
     }
@@ -530,7 +525,7 @@ pub fn planned_crash(w: &mut World, s: &mut Sched, dp: usize, down_for: SimDurat
 /// the point's up/down state). Shared by the exponential failure clock
 /// and planned [`CrashEvent`]s. Returns whether the point actually
 /// crashed (it may already be down, or the run may be over).
-pub fn crash_dp_now(w: &mut World, now: SimTime, dp_idx: usize) -> bool {
+pub(crate) fn crash_dp_now(w: &mut World, now: SimTime, dp_idx: usize) -> bool {
     if now >= w.end || dp_idx >= w.dps.len() || !w.dps[dp_idx].up() {
         return false;
     }
@@ -548,7 +543,7 @@ pub fn crash_dp_now(w: &mut World, now: SimTime, dp_idx: usize) -> bool {
 /// what the node knows at this moment was decided by
 /// [`begin_restore_dp`]. A point that is already up (or not there) is
 /// left alone.
-pub fn restore_dp_now(w: &mut World, now: SimTime, dp_idx: usize) {
+pub(crate) fn restore_dp_now(w: &mut World, now: SimTime, dp_idx: usize) {
     if dp_idx < w.dps.len() && w.dps[dp_idx].host.rejoin() {
         w.trace.emit(now, || TraceEvent::DpRecovered {
             dp: DpId(dp_idx as u32),
@@ -567,7 +562,7 @@ pub fn restore_dp_now(w: &mut World, now: SimTime, dp_idx: usize) {
 /// Returns whether a restart actually began (the point may already be
 /// up, or — in an elastic pool — may have left while it was down: a
 /// departed point's pending restart must not bring a non-member back).
-pub fn begin_restore_dp(w: &mut World, s: &mut Sched, dp_idx: usize) -> bool {
+pub(crate) fn begin_restore_dp(w: &mut World, s: &mut Sched, dp_idx: usize) -> bool {
     if dp_idx >= w.dps.len() || w.dps[dp_idx].up() {
         return false;
     }
@@ -608,7 +603,7 @@ fn exp_delay(mean: SimDuration, w: &mut World) -> SimDuration {
 }
 
 /// Schedules the first failure of every initial decision point.
-pub fn seed_failures(w: &mut World, s: &mut Sched) {
+pub(crate) fn seed_failures(w: &mut World, s: &mut Sched) {
     let Some(fc) = w.cfg.failures else {
         return;
     };
@@ -620,7 +615,7 @@ pub fn seed_failures(w: &mut World, s: &mut Sched) {
 
 /// A decision point crashes on its exponential clock and schedules its
 /// own repair.
-pub fn dp_fail(w: &mut World, s: &mut Sched, dp_idx: usize) {
+pub(crate) fn dp_fail(w: &mut World, s: &mut Sched, dp_idx: usize) {
     let now = s.now();
     if !crash_dp_now(w, now, dp_idx) {
         return;
@@ -637,7 +632,7 @@ pub fn dp_fail(w: &mut World, s: &mut Sched, dp_idx: usize) {
 /// undoing the pile-up failover caused on the survivors (without this,
 /// a repaired point sits idle while the rest stay saturated). `n` counts
 /// live members: points that left an elastic pool stay in `w.dps`.
-pub fn dp_repair(w: &mut World, s: &mut Sched, dp_idx: usize) {
+pub(crate) fn dp_repair(w: &mut World, s: &mut Sched, dp_idx: usize) {
     let now = s.now();
     if !begin_restore_dp(w, s, dp_idx) {
         return;
@@ -662,7 +657,7 @@ pub fn dp_repair(w: &mut World, s: &mut Sched, dp_idx: usize) {
 /// Called on every client timeout: counts consecutive timeouts and
 /// re-binds the client to a random *other* decision point once the
 /// failover threshold is reached.
-pub fn note_client_timeout(w: &mut World, client: ClientId, now: SimTime) {
+pub(crate) fn note_client_timeout(w: &mut World, client: ClientId, now: SimTime) {
     let c = &mut w.clients[client.index()];
     c.consecutive_timeouts += 1;
     let Some(fc) = w.cfg.failures else {
@@ -1047,17 +1042,17 @@ mod tests {
         assert!((client.loss - 0.75).abs() < 1e-12, "{}", client.loss);
         let dpdp = plan.disturbance(LinkScope::DpDp, now);
         assert_eq!(dpdp.loss, 0.5);
-        assert!(plan
-            .disturbance(LinkScope::DpDp, SimTime::from_secs(100))
-            .is_clean());
+        assert_eq!(
+            plan.disturbance(LinkScope::DpDp, SimTime::from_secs(100)),
+            LinkDisturbance::NONE
+        );
         let mut d = LinkDisturbance::NONE;
-        assert!(d.is_clean());
         d.combine(&LinkDisturbance {
             loss: 0.0,
             duplicate: 0.2,
             reorder: 0.0,
         });
-        assert!(!d.is_clean());
+        assert_ne!(d, LinkDisturbance::NONE);
         assert!((d.duplicate - 0.2).abs() < 1e-12, "{}", d.duplicate);
     }
 }

@@ -9,18 +9,18 @@
 //! * [`config`] — experiment/deployment configuration (number of decision
 //!   points, exchange interval, client timeout, GT3 vs GT4 service
 //!   profile, WAN vs LAN, dissemination strategy, elastic membership);
-//! * [`world`] — the discrete-event world wiring clients, decision points,
+//! * `world` — the discrete-event world wiring clients, decision points,
 //!   the simulated WAN and the emulated grid together;
-//! * [`events`] — [`events::Ev`], the catalogue of every event a run
+//! * `events` — [`events::Ev`], the catalogue of every event a run
 //!   schedules, and the handlers implementing the protocol: query →
 //!   service queue → availability response → client-side site selection →
 //!   dispatch + inform, with client-side timeouts falling back to random
 //!   USLA-blind selection;
-//! * [`run`] — one-call experiment execution producing the paper's
+//! * `run` — one-call experiment execution producing the paper's
 //!   figures/tables inputs ([`run::ExperimentOutput`]);
-//! * [`metrics`] — the paper's job-level metrics (QTime, Util, Accuracy)
-//!   and the Table 1–2 rows [`run`] reduces them into;
-//! * [`elastic`] — the paper's Section 5 third-party observer: the
+//! * `metrics` — the paper's job-level metrics (QTime, Util, Accuracy)
+//!   and the Table 1–2 rows `run` reduces them into;
+//! * `elastic` — the paper's Section 5 third-party observer: the
 //!   sans-IO member table, hash ring and autoscaler, and their desim
 //!   driver (pool join/leave, ring re-homing, the autoscaler tick);
 //! * [`live`] — the same decision-point protocol under real OS-thread
@@ -50,14 +50,18 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod elastic;
-pub mod events;
-pub mod faults;
+mod elastic;
+mod events;
+mod faults;
 pub mod live;
-pub mod metrics;
-pub mod run;
-pub mod world;
+mod metrics;
+mod run;
+mod world;
 
 pub use config::{DigruberConfig, Dissemination, ServiceKind, SyncTopology, WanKind};
-pub use run::{run_experiment, ExperimentOutput, RunSpec};
+pub use elastic::{MembershipConfig, ScalerConfig};
+pub use events::{Ev, Sim};
+pub use faults::FaultPlan;
+pub use metrics::TableRows;
+pub use run::{run_experiment, run_to_end, ExperimentOutput, RunSpec};
 pub use world::World;

@@ -6,7 +6,7 @@
 //! concurrency, exchanging the exact wire payloads (`simnet::codec`).
 //!
 //! A point is a [`SharedPoint`] — the host the socket runtime
-//! (`clusterd`) uses too, and [`dpstore::mailbox`] is the home of how a
+//! (`clusterd`) uses too, and `dpstore::mailbox` is the home of how a
 //! wall-clock runtime hosts a node — so there is no point thread: a
 //! query, an inform, a crash or a restore is a locked call on the
 //! caller's thread, and the ticker steps each sync round on its own. What
@@ -25,8 +25,10 @@
 //! So one peer's floods merge in the order they were sent.
 
 use bytes::Bytes;
-use dpstore::mailbox::{self, Answer, Point, SharedPoint, Transport};
-use dpstore::{Blueprint, NodeHost, SimStore, SnapshotPolicy, WireInput};
+use dpstore::{
+    Answer, Blueprint, NodeHost, Point, RunStats, SharedPoint, SimStore, SnapshotPolicy, Transport,
+    WireInput,
+};
 use gruber::DispatchRecord;
 use gruber_types::{ClientId, DpId, SimTime, SiteSpec};
 use obs::{Recorder, TraceEvent};
@@ -38,7 +40,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use usla::UslaSet;
 
-pub use dpstore::{DpStats as LiveDpStats, RunStats};
+pub use dpstore::DpStats as LiveDpStats;
 
 /// The channel transport: a flood goes on the peer's inbox (indexed by
 /// decision-point id, the index a flood names its peers by); this point's
@@ -194,7 +196,7 @@ impl LiveCluster {
 
         // The sync ticker stands in for each container's periodic task.
         let ticking = Arc::clone(&points);
-        let ticker = mailbox::ticker(sync_interval, Arc::clone(&stop), move || {
+        let ticker = dpstore::ticker(sync_interval, Arc::clone(&stop), move || {
             sync_all(&ticking)
         });
 
@@ -209,11 +211,11 @@ impl LiveCluster {
 
     /// Milliseconds since cluster start, as the shared simulated clock.
     pub fn now(&self) -> SimTime {
-        mailbox::since(self.epoch)
+        dpstore::since(self.epoch)
     }
 
     /// Number of decision points.
-    pub fn n_dps(&self) -> usize {
+    pub(crate) fn n_dps(&self) -> usize {
         self.points.len()
     }
 
@@ -233,7 +235,7 @@ impl LiveCluster {
     /// the paper's clients. `Duration::MAX` has no deadline.
     ///
     /// The wait is measured from the call to the query step's stamp (see
-    /// [`dpstore::mailbox`]'s **Time**): it covers the wait for the
+    /// `dpstore::mailbox`'s **Time**): it covers the wait for the
     /// point's lock and its inbox merge, not the node's own sub-µs work
     /// after the stamp. An untraced query reads the clock twice.
     ///
@@ -309,7 +311,7 @@ impl LiveCluster {
     }
 }
 
-/// Drives [`mailbox::drive_workload`]'s closed-loop clients against a
+/// Drives [`dpstore::drive_workload`]'s closed-loop clients against a
 /// live cluster from `n_threads` concurrent client threads (thread `t`
 /// bound to point `t % n_dps`), dispatching every job into the shared
 /// ground-truth grid.
@@ -324,7 +326,7 @@ pub fn drive_workload(
     let query = |dp| cluster.query(dp, timeout);
     let inform = |dp, record| cluster.inform(dp, record);
     let n_dps = cluster.n_dps() as u32;
-    mailbox::drive_workload(
+    dpstore::drive_workload(
         grid,
         n_threads,
         n_dps,

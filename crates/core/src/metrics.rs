@@ -15,25 +15,12 @@
 //! * **Accuracy** — mean per-job scheduling accuracy, where a job's accuracy
 //!   `SAᵢ` compares free resources at the selected site against the best
 //!   available choice over the whole grid at decision time (see
-//!   [`schedule_accuracy`] for the normalization).
+//!   [`accuracy_vs_best`] for the normalization).
 //!
 //! The paper's overall-performance tables split every metric three ways:
 //! requests *handled by GRUBER* (a decision point answered in time),
 //! requests *NOT handled* (client timeout → random site), and *all
 //! requests* — the three [`JobAggregate`] rows of [`TableRows`].
-
-//! # Example
-//!
-//! ```
-//! use digruber::metrics::schedule_accuracy;
-//! use diperf::SummaryStats;
-//!
-//! // Picking a site with 8 free CPUs when the best had 10: accuracy 0.8.
-//! assert_eq!(schedule_accuracy(8, &[3, 10, 8]), 0.8);
-//!
-//! let stats = SummaryStats::from_samples(&[1.0, 2.0, 3.0]);
-//! assert_eq!(stats.median, 2.0);
-//! ```
 
 use gruber_types::{SimDuration, SimTime};
 
@@ -41,13 +28,13 @@ use gruber_types::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct JobObservation {
     /// Whether a decision point served the site selection.
-    pub handled_by_gruber: bool,
+    pub(crate) handled_by_gruber: bool,
     /// Queue time at the site (dispatch → start), if the job started.
-    pub queue_time: Option<SimDuration>,
+    pub(crate) queue_time: Option<SimDuration>,
     /// CPU time consumed inside the measurement window.
-    pub consumed_cpu_time: SimDuration,
+    pub(crate) consumed_cpu_time: SimDuration,
     /// Scheduling accuracy of the placement decision, if evaluable.
-    pub accuracy: Option<f64>,
+    pub(crate) accuracy: Option<f64>,
 }
 
 /// Aggregated metrics for one row of Table 1/2.
@@ -56,12 +43,12 @@ pub struct JobAggregate {
     /// Number of requests in this class.
     pub requests: usize,
     /// Share of all requests this class represents, in `[0, 1]`.
-    pub request_share: f64,
+    pub(crate) request_share: f64,
     /// Mean queue time in seconds.
     pub qtime_secs: f64,
     /// Normalized QTime: mean queue time ÷ number of requests, in seconds.
     /// Corrects the deceptively low 1-DP QTime the paper discusses.
-    pub norm_qtime_secs: f64,
+    pub(crate) norm_qtime_secs: f64,
     /// Utilization contribution: CPU time consumed by this class ÷ total
     /// available CPU time, in `[0, 1]`.
     pub util: f64,
@@ -171,9 +158,9 @@ impl JobMetricsAccumulator {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct AvailableCapacity {
     /// Total CPUs in the grid.
-    pub cpus: u64,
+    pub(crate) cpus: u64,
     /// Measurement window length.
-    pub window: SimDuration,
+    pub(crate) window: SimDuration,
 }
 
 impl AvailableCapacity {
@@ -218,18 +205,11 @@ pub struct TableRows {
 ///
 /// * `free_at_selected` — free CPUs at the chosen site, ground truth at
 ///   decision time.
-/// * `free_per_site` — ground-truth free CPUs of every site in the grid.
+/// * `best` — the largest ground-truth free-CPU count over all sites.
 ///
 /// Returns a value in `[0, 1]`. When the whole grid is saturated (no free
 /// CPUs anywhere) every choice is equally good and the accuracy is defined
 /// as 1.0.
-pub fn schedule_accuracy(free_at_selected: u32, free_per_site: &[u32]) -> f64 {
-    let best = free_per_site.iter().copied().max().unwrap_or(0);
-    accuracy_vs_best(free_at_selected, best)
-}
-
-/// [`schedule_accuracy`] for a caller that already holds `best`, the
-/// largest free-CPU count over all sites, and so need not build the list.
 pub(crate) fn accuracy_vs_best(free_at_selected: u32, best: u32) -> f64 {
     if best == 0 {
         return 1.0;
@@ -332,55 +312,55 @@ mod tests {
 
     #[test]
     fn best_choice_scores_one() {
-        assert_eq!(schedule_accuracy(10, &[3, 10, 7]), 1.0);
+        assert_eq!(accuracy_vs_best(10, 10), 1.0);
     }
 
     #[test]
     fn worst_choice_scores_fraction() {
-        assert_eq!(schedule_accuracy(5, &[5, 10, 20]), 0.25);
+        assert_eq!(accuracy_vs_best(5, 20), 0.25);
+        assert_eq!(accuracy_vs_best(8, 10), 0.8);
     }
 
     #[test]
     fn zero_free_at_selected_scores_zero() {
-        assert_eq!(schedule_accuracy(0, &[5, 10]), 0.0);
+        assert_eq!(accuracy_vs_best(0, 10), 0.0);
     }
 
     #[test]
     fn saturated_grid_scores_one() {
-        assert_eq!(schedule_accuracy(0, &[0, 0, 0]), 1.0);
-        assert_eq!(schedule_accuracy(0, &[]), 1.0);
+        assert_eq!(accuracy_vs_best(0, 0), 1.0);
         // The convention extends to a nonsensical selection on an empty
         // grid: nothing to compare against, so no penalty.
-        assert_eq!(schedule_accuracy(7, &[]), 1.0);
+        assert_eq!(accuracy_vs_best(7, 0), 1.0);
     }
 
     #[test]
     fn single_site_grid_is_always_perfect_or_zero() {
         // One site means no real choice: picking it with its true free
         // count is perfect, whatever that count is.
-        assert_eq!(schedule_accuracy(1, &[1]), 1.0);
-        assert_eq!(schedule_accuracy(500, &[500]), 1.0);
+        assert_eq!(accuracy_vs_best(1, 1), 1.0);
+        assert_eq!(accuracy_vs_best(500, 500), 1.0);
         // Unless the site is actually full and the caller reports 0 free
         // at the selection while the list claims capacity — a stale-view
         // artifact that should score 0, not panic.
-        assert_eq!(schedule_accuracy(0, &[8]), 0.0);
+        assert_eq!(accuracy_vs_best(0, 8), 0.0);
         // And a saturated single site falls back to the 1.0 convention.
-        assert_eq!(schedule_accuracy(0, &[0]), 1.0);
+        assert_eq!(accuracy_vs_best(0, 0), 1.0);
     }
 
     #[test]
     fn selected_above_best_clamps_to_one() {
-        // `free_at_selected` can exceed every entry of `free_per_site`
-        // when the two observations were taken at different instants
-        // (jobs finished in between). Accuracy must clamp, not exceed 1.
-        assert_eq!(schedule_accuracy(50, &[10, 20]), 1.0);
-        assert_eq!(schedule_accuracy(u32::MAX, &[1]), 1.0);
+        // `free_at_selected` can exceed `best` when the two observations
+        // were taken at different instants (jobs finished in between).
+        // Accuracy must clamp, not exceed 1.
+        assert_eq!(accuracy_vs_best(50, 20), 1.0);
+        assert_eq!(accuracy_vs_best(u32::MAX, 1), 1.0);
     }
 
     #[test]
     fn selected_not_maximal_scores_strict_fraction() {
         // A suboptimal-but-nonempty choice lands strictly inside (0, 1).
-        let a = schedule_accuracy(3, &[3, 4]);
+        let a = accuracy_vs_best(3, 4);
         assert!(a > 0.0 && a < 1.0, "accuracy {a}");
         assert_eq!(a, 0.75);
     }
@@ -391,7 +371,8 @@ mod tests {
             sel in 0u32..1000,
             sites in proptest::collection::vec(0u32..1000, 0..50),
         ) {
-            let a = schedule_accuracy(sel, &sites);
+            let best = sites.iter().copied().max().unwrap_or(0);
+            let a = accuracy_vs_best(sel, best);
             prop_assert!((0.0..=1.0).contains(&a));
         }
 
@@ -401,10 +382,9 @@ mod tests {
             a in 0u32..500,
             b in 0u32..500,
         ) {
+            let best = *sites.iter().max().expect("non-empty");
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            prop_assert!(
-                schedule_accuracy(lo, &sites) <= schedule_accuracy(hi, &sites) + 1e-12
-            );
+            prop_assert!(accuracy_vs_best(lo, best) <= accuracy_vs_best(hi, best) + 1e-12);
         }
 
         #[test]
@@ -413,7 +393,7 @@ mod tests {
             sites in proptest::collection::vec(1u32..1000, 1..50),
         ) {
             let best = *sites.iter().max().expect("non-empty");
-            let a = schedule_accuracy(sel, &sites);
+            let a = accuracy_vs_best(sel, best);
             if sel >= best {
                 prop_assert_eq!(a, 1.0);
             } else {

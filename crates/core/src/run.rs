@@ -265,7 +265,7 @@ pub fn run_to_end(
 /// One chunk of batched tester seeding: posts each client's start at its
 /// exact ramp time, so arrival times match unbatched seeding millisecond
 /// for millisecond.
-pub fn seed_clients(w: &mut World, s: &mut Sched, lo: u32, hi: u32) {
+pub(crate) fn seed_clients(w: &mut World, s: &mut Sched, lo: u32, hi: u32) {
     for c in lo..hi {
         let client = gruber_types::ClientId(c);
         s.post_at(w.schedule.start_of(client), Ev::ClientStart(client));
@@ -311,7 +311,7 @@ fn finalize(
     }
     let capacity = AvailableCapacity::until(w.grid.total_cpus(), end);
     let table = acc.table_rows(capacity);
-    let timeouts_by_dp = diperf::trace::timeouts_by_dp(w.collector.traces(), w.dps.len());
+    let timeouts_by_dp = diperf::timeouts_by_dp(w.collector.traces(), w.dps.len());
     let exchanges = w.exchanges_state() && w.dps.len() > 1;
     let max_view_staleness_ms: Vec<u64> = w
         .dps

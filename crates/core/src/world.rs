@@ -8,8 +8,7 @@ use dpstore::{Blueprint, LatencyModel, NodeHost, SimStore};
 use gridemu::{grid3_times, Grid, SitePolicy};
 use gruber::LeastUsedSelector;
 use gruber_types::{ClientId, DpId, GridResult, JobId, SimTime, SiteSpec};
-use simnet::latency::NetNode;
-use simnet::{ServiceStation, WanTopology};
+use simnet::{NetNode, ServiceStation, WanTopology};
 use std::sync::Arc;
 use usla::UslaSet;
 use workload::{uslas::equal_shares, JobFactory, WorkloadSpec};
@@ -24,7 +23,7 @@ pub struct DecisionPoint {
     /// The sans-IO protocol core (engine + topology + flood log +
     /// liveness) and its durable store, which outlives crashed node
     /// instances.
-    pub host: NodeHost<SimStore>,
+    pub(crate) host: NodeHost<SimStore>,
     /// The GT service container in front of it.
     pub station: ServiceStation,
 }
@@ -88,37 +87,37 @@ pub struct ClientState {
     /// The decision point this client is statically bound to.
     pub dp: DpId,
     /// Client-side site selector (runs over availability responses).
-    pub selector: LeastUsedSelector,
+    pub(crate) selector: LeastUsedSelector,
     /// Random stream for the timeout fallback ("selects a site at random,
     /// without considering USLAs").
-    pub fallback_rng: DetRng,
+    pub(crate) fallback_rng: DetRng,
     /// Whether the client has joined the experiment.
-    pub active: bool,
+    pub(crate) active: bool,
     /// Consecutive timeouts against the bound decision point (failover
     /// trigger).
-    pub consecutive_timeouts: u32,
+    pub(crate) consecutive_timeouts: u32,
     /// Jobs this host has dispatched that have not finished (queue-manager
     /// accounting).
-    pub jobs_in_flight: u32,
+    pub(crate) jobs_in_flight: u32,
     /// The host is waiting for a job slot before issuing its next query.
-    pub blocked_on_queue: bool,
+    pub(crate) blocked_on_queue: bool,
 }
 
 /// In-flight query bookkeeping.
-pub struct RequestState {
+pub(crate) struct RequestState {
     /// Issuing client.
-    pub client: ClientId,
+    pub(crate) client: ClientId,
     /// Bound decision point.
-    pub dp: DpId,
+    pub(crate) dp: DpId,
     /// The job awaiting placement. Its spec lives in the grid ledger,
     /// which holds it from issue (state 1, at the submission host) on.
-    pub job: JobId,
+    pub(crate) job: JobId,
     /// Send time.
-    pub sent_at: SimTime,
+    pub(crate) sent_at: SimTime,
     /// The client's timeout fired before a response arrived.
-    pub timed_out: bool,
+    pub(crate) timed_out: bool,
     /// Token of the scheduled timeout event (cancelled on response).
-    pub timeout_token: desim::EventToken,
+    pub(crate) timeout_token: desim::EventToken,
 }
 
 /// Index entry of a tag whose request has retired.
@@ -151,7 +150,7 @@ const RETIRED: u32 = u32::MAX;
 /// [`insert`]: RequestTable::insert
 /// [`remove`]: RequestTable::remove
 #[derive(Default)]
-pub struct RequestTable {
+pub(crate) struct RequestTable {
     /// Per issued tag: the slab slot of its live state, or `RETIRED`.
     index: Vec<u32>,
     /// Request states; `None` slots are on the free list.
@@ -164,12 +163,12 @@ impl RequestTable {
     /// The tag the next [`insert`](RequestTable::insert) will return (the
     /// number of tags issued so far) — for the caller that must name the
     /// tag in the state it is about to insert.
-    pub fn next_tag(&self) -> u64 {
+    pub(crate) fn next_tag(&self) -> u64 {
         self.index.len() as u64
     }
 
     /// Files a new request and returns its tag.
-    pub fn insert(&mut self, state: RequestState) -> u64 {
+    pub(crate) fn insert(&mut self, state: RequestState) -> u64 {
         let tag = self.next_tag();
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -196,24 +195,24 @@ impl RequestTable {
 
     /// Whether `tag` names an in-flight request: a read of the index
     /// alone, for the caller that needs nothing from the state itself.
-    pub fn is_live(&self, tag: u64) -> bool {
+    pub(crate) fn is_live(&self, tag: u64) -> bool {
         self.slot_of(tag).is_some()
     }
 
     /// The state of an in-flight request.
-    pub fn get(&self, tag: u64) -> Option<&RequestState> {
+    pub(crate) fn get(&self, tag: u64) -> Option<&RequestState> {
         self.slab[self.slot_of(tag)?].as_ref()
     }
 
     /// The state of an in-flight request, mutably.
-    pub fn get_mut(&mut self, tag: u64) -> Option<&mut RequestState> {
+    pub(crate) fn get_mut(&mut self, tag: u64) -> Option<&mut RequestState> {
         let slot = self.slot_of(tag)?;
         self.slab[slot].as_mut()
     }
 
     /// Retires a tag for good and returns its request's state; `None` if
     /// it had retired already or was never issued.
-    pub fn remove(&mut self, tag: u64) -> Option<RequestState> {
+    pub(crate) fn remove(&mut self, tag: u64) -> Option<RequestState> {
         let slot = self.slot_of(tag)?;
         self.index[tag as usize] = RETIRED;
         self.free.push(slot as u32);
@@ -221,7 +220,7 @@ impl RequestTable {
     }
 
     /// The in-flight requests, in tag (= issue) order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &RequestState)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &RequestState)> {
         self.index
             .iter()
             .enumerate()
@@ -237,7 +236,7 @@ impl RequestTable {
 /// sequential ids (the argument `gridemu`'s job ledger makes), with NaN
 /// for "not recorded" — timed-out placements never are.
 #[derive(Default)]
-pub struct AccuracyLedger {
+pub(crate) struct AccuracyLedger {
     by_job: Vec<f64>,
 }
 
@@ -246,7 +245,7 @@ impl AccuracyLedger {
     ///
     /// # Panics
     /// If `accuracy` is NaN, which would read back as "not recorded".
-    pub fn record(&mut self, job: JobId, accuracy: f64) {
+    pub(crate) fn record(&mut self, job: JobId, accuracy: f64) {
         assert!(!accuracy.is_nan(), "NaN accuracy for {job}");
         let idx = job.index();
         if idx >= self.by_job.len() {
@@ -256,81 +255,70 @@ impl AccuracyLedger {
     }
 
     /// The accuracy recorded for `job`, if any.
-    pub fn get(&self, job: JobId) -> Option<f64> {
+    pub(crate) fn get(&self, job: JobId) -> Option<f64> {
         self.by_job
             .get(job.index())
             .copied()
             .filter(|a| !a.is_nan())
-    }
-
-    /// Number of jobs with a recorded accuracy (a scan: for inspection,
-    /// not for the per-dispatch path).
-    pub fn len(&self) -> usize {
-        self.by_job.iter().filter(|a| !a.is_nan()).count()
-    }
-
-    /// Whether no accuracy has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
 /// The full simulation state.
 pub struct World {
     /// Experiment configuration.
-    pub cfg: DigruberConfig,
+    pub(crate) cfg: DigruberConfig,
     /// Workload configuration.
-    pub workload: WorkloadSpec,
+    pub(crate) workload: WorkloadSpec,
     /// Ground truth.
     pub grid: Grid,
     /// Static site specs (needed to spin up new decision points).
-    pub site_specs: Arc<[SiteSpec]>,
+    pub(crate) site_specs: Arc<[SiteSpec]>,
     /// The USLA set all decision points start from.
-    pub uslas: Arc<UslaSet>,
+    pub(crate) uslas: Arc<UslaSet>,
     /// Job generator.
-    pub factory: JobFactory,
+    pub(crate) factory: JobFactory,
     /// Decision points, indexed by `DpId`.
     pub dps: Vec<DecisionPoint>,
     /// Clients, indexed by `ClientId`.
     pub clients: Vec<ClientState>,
     /// The WAN.
-    pub wan: WanTopology,
+    pub(crate) wan: WanTopology,
     /// DiPerF collector.
-    pub collector: Collector,
+    pub(crate) collector: Collector,
     /// Tester ramp schedule.
-    pub schedule: RampSchedule,
+    pub(crate) schedule: RampSchedule,
     /// Scheduling accuracy recorded at each handled dispatch.
-    pub accuracy_by_job: AccuracyLedger,
+    pub(crate) accuracy_by_job: AccuracyLedger,
     /// In-flight requests by tag; the table issues the tags.
-    pub requests: RequestTable,
+    pub(crate) requests: RequestTable,
     /// Network jitter stream.
-    pub net_rng: DetRng,
+    pub(crate) net_rng: DetRng,
     /// Service-time stream.
     pub svc_rng: DetRng,
     /// Miscellaneous stream (client→DP binding, failure clocks).
-    pub misc_rng: DetRng,
+    pub(crate) misc_rng: DetRng,
     /// Experiment end.
-    pub end: SimTime,
+    pub(crate) end: SimTime,
     /// Currently joined clients.
-    pub active_clients: u32,
+    pub(crate) active_clients: u32,
     /// Pool joins: `(when, new decision point)`.
-    pub reconfig_log: Vec<(SimTime, DpId)>,
+    pub(crate) reconfig_log: Vec<(SimTime, DpId)>,
     /// Pool leaves: `(when, departed decision point)`.
-    pub retire_log: Vec<(SimTime, DpId)>,
+    pub(crate) retire_log: Vec<(SimTime, DpId)>,
     /// Requests denied by USLA enforcement.
-    pub denied_requests: u64,
+    pub(crate) denied_requests: u64,
     /// Placements rejected by sites (S-PEP or oversized).
-    pub rejected_dispatches: u64,
+    pub(crate) rejected_dispatches: u64,
     /// Decision-point crashes injected.
     pub dp_failures: u64,
     /// Client failover re-bindings performed.
-    pub failovers: u64,
+    pub(crate) failovers: u64,
     /// Slowest single recovery (modeled IO cost), in milliseconds.
-    pub max_recovery_ms: u64,
+    pub(crate) max_recovery_ms: u64,
     /// Structured trace recorder ([`obs::Recorder::OFF`] unless
     /// `cfg.trace` is set); clones of it live in every scheduler, engine
     /// and service station of this run.
-    pub trace: obs::Recorder,
+    pub(crate) trace: obs::Recorder,
     /// Elastic-membership state (`None` unless `cfg.membership` is set):
     /// the epoch-stamped table, the consistent-hash ring the clients are
     /// homed on, the autoscaler, and the join/leave/re-home counters.
@@ -338,12 +326,12 @@ pub struct World {
 }
 
 /// WAN address of a client.
-pub fn client_node(c: ClientId) -> NetNode {
+pub(crate) fn client_node(c: ClientId) -> NetNode {
     NetNode(c.0)
 }
 
 /// WAN address of a decision point.
-pub fn dp_node(dp: DpId) -> NetNode {
+pub(crate) fn dp_node(dp: DpId) -> NetNode {
     NetNode(1_000_000 + dp.0)
 }
 
@@ -426,19 +414,20 @@ impl World {
     }
 
     /// Whether decision points exchange anything at all.
-    pub fn exchanges_state(&self) -> bool {
+    pub(crate) fn exchanges_state(&self) -> bool {
         self.cfg.dissemination != Dissemination::NoExchange
     }
 
     /// The combined disturbance on one message-leg class right now: every
     /// active fault-plan window covering the leg, stacked. Clean
-    /// (zero-probability) legs must make no RNG draw —
-    /// [`crate::faults::LinkDisturbance::is_clean`] is the guard — so a
-    /// run without faults consumes exactly the RNG stream it always did.
+    /// (zero-probability) legs must make no RNG draw — each draw in
+    /// `core::events` is guarded by its own probability's `== 0.0` /
+    /// `> 0.0` test — so a run without faults consumes exactly the RNG
+    /// stream it always did.
     /// The plan's disturbance is folded into `NONE` rather than returned
     /// as is: `combine` computes `1 - (1 - 0)(1 - p)`, which is not `p`
     /// to the last bit, and the traced fingerprints run through it.
-    pub fn leg_disturbance(
+    pub(crate) fn leg_disturbance(
         &self,
         leg: crate::faults::LinkScope,
         now: SimTime,
@@ -452,7 +441,7 @@ impl World {
 
     /// True when an active fault-plan partition separates decision points
     /// `a` and `b` at `now`.
-    pub fn partitioned(&self, a: usize, b: usize, now: SimTime) -> bool {
+    pub(crate) fn partitioned(&self, a: usize, b: usize, now: SimTime) -> bool {
         self.cfg
             .fault_plan
             .as_ref()
@@ -602,10 +591,10 @@ mod tests {
     #[test]
     fn accuracy_ledger_counts_what_it_holds() {
         let mut a = AccuracyLedger::default();
-        assert!(a.is_empty());
+        assert!(a.by_job.is_empty());
         a.record(JobId(5), 0.25);
         a.record(JobId(2), 0.0);
-        assert_eq!(a.len(), 2);
+        assert_eq!(a.by_job.iter().filter(|x| !x.is_nan()).count(), 2);
         assert_eq!(a.get(JobId(5)), Some(0.25));
         assert_eq!(a.get(JobId(2)), Some(0.0));
         // Holes below the highest id, and ids beyond it, are unrecorded.

@@ -205,7 +205,7 @@ impl<W, E> Scheduler<W, E> {
 
 impl<W> Scheduler<W> {
     /// Schedules `f` to run at absolute time `at`: [`Scheduler::post_at`]
-    /// of a [`Closure`].
+    /// of a `Closure`.
     pub fn schedule_at(
         &mut self,
         at: SimTime,
@@ -232,7 +232,7 @@ pub struct Simulation<W, E = Closure<W>> {
 
 impl<W> Simulation<W> {
     /// Wraps a world with an empty event queue at time zero, with
-    /// [`Closure`] events.
+    /// `Closure` events.
     pub fn new(world: W) -> Self {
         Simulation::with_events(world)
     }

@@ -8,7 +8,7 @@
 //! plus a [`Scheduler`] through which they enqueue further events. What
 //! an event is — its *payload* — is the caller's choice: any type that
 //! implements [`Event`] (a world's own `enum`, posted with
-//! [`Scheduler::post_at`]), or the default [`Closure`], a boxed `FnOnce`
+//! [`Scheduler::post_at`]), or the default `Closure`, a boxed `FnOnce`
 //! that [`Scheduler::schedule_at`] builds, as in the example below. Two
 //! properties matter for reproducibility:
 //!
@@ -46,10 +46,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dist;
-pub mod engine;
-pub mod rng;
+mod dist;
+mod engine;
+mod rng;
 mod wheel;
 
-pub use engine::{Closure, Event, EventToken, Scheduler, Simulation};
+pub use dist::Dist;
+pub use engine::{Event, EventToken, Scheduler, Simulation};
 pub use rng::DetRng;

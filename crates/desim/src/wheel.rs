@@ -428,12 +428,10 @@ mod properties {
             let mut wheel = TimerWheel::default();
             let mut heap = HeapQueue::default();
             let mut floor = 0u64;
-            let mut seq = 0u64;
-            for &(band, delta, pops) in &ops {
+            for (seq, &(band, delta, pops)) in (0u64..).zip(&ops) {
                 let at = op_time(floor, band, delta);
                 wheel.insert(at, seq, seq as u32);
                 heap.insert(at, seq, seq as u32);
-                seq += 1;
                 for p in 0..pops {
                     // Mix limited probes with unlimited pops.
                     let limit = if p % 2 == 0 {

@@ -14,15 +14,15 @@ use gruber_types::{SimDuration, SimTime};
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiPerfReport {
     /// Label (e.g. "GT3 DI-GRUBER, 3 DPs").
-    pub label: String,
+    pub(crate) label: String,
     /// Response-time summary over answered requests, in seconds.
     pub response: SummaryStats,
     /// Peak of the per-minute mean response time, seconds.
-    pub peak_response_secs: f64,
+    pub(crate) peak_response_secs: f64,
     /// Peak of the per-minute throughput, queries/second.
     pub peak_throughput_qps: f64,
     /// Mean throughput over the run, queries/second.
-    pub mean_throughput_qps: f64,
+    pub(crate) mean_throughput_qps: f64,
     /// Requests issued.
     pub issued: usize,
     /// Requests answered in time.

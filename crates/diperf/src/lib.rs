@@ -17,7 +17,7 @@
 //! * [`collector::Collector`] — the controller/collector: gathers request
 //!   traces and co-sampled load/response/throughput series, bins them into
 //!   fixed windows, and renders the paper's figure summaries
-//!   ([`summary::SummaryStats`]: min/median/avg/max/stddev; peak response,
+//!   (`SummaryStats`: min/median/avg/max/stddev; peak response,
 //!   peak throughput) — the paper's Response and Throughput metrics.
 
 //! # Example
@@ -40,13 +40,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod collector;
-pub mod schedule;
+mod collector;
+mod schedule;
 mod series;
-pub mod summary;
-pub mod trace;
+mod summary;
+mod trace;
 
 pub use collector::{Collector, DiPerfReport};
 pub use schedule::RampSchedule;
-pub use summary::SummaryStats;
-pub use trace::RequestTrace;
+pub use trace::{timeouts_by_dp, RequestTrace};

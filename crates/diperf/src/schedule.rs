@@ -12,12 +12,12 @@ pub struct RampSchedule {
     /// Number of tester clients.
     pub n_clients: u32,
     /// Window over which clients join.
-    pub ramp_span: SimDuration,
+    pub(crate) ramp_span: SimDuration,
     /// Total experiment duration (clients run from join time to here).
-    pub duration: SimDuration,
+    pub(crate) duration: SimDuration,
     /// Window at the end of the run over which clients leave again
     /// (zero = everyone stays until the end, the paper's shape).
-    pub departure_span: SimDuration,
+    pub(crate) departure_span: SimDuration,
 }
 
 impl RampSchedule {
@@ -69,19 +69,6 @@ impl RampSchedule {
         SimTime(u64::from(client.0) * step)
     }
 
-    /// Number of clients active at `t` (joined and not yet departed).
-    pub fn active_at(&self, t: SimTime) -> u32 {
-        if t >= SimTime(self.duration.as_millis()) {
-            return 0;
-        }
-        (0..self.n_clients)
-            .filter(|&c| {
-                let c = ClientId(c);
-                self.start_of(c) <= t && self.leave_of(c).is_none_or(|l| t < l)
-            })
-            .count() as u32
-    }
-
     /// End of the experiment.
     pub fn end(&self) -> SimTime {
         SimTime(self.duration.as_millis())
@@ -91,6 +78,19 @@ impl RampSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of clients active at `t` (joined and not yet departed).
+    fn active_at(r: &RampSchedule, t: SimTime) -> u32 {
+        if t >= r.end() {
+            return 0;
+        }
+        (0..r.n_clients)
+            .filter(|&c| {
+                let c = ClientId(c);
+                r.start_of(c) <= t && r.leave_of(c).is_none_or(|l| t < l)
+            })
+            .count() as u32
+    }
 
     #[test]
     fn clients_join_in_order() {
@@ -107,12 +107,12 @@ mod tests {
         let r = RampSchedule::paper_default(50, SimDuration::from_mins(10));
         let mut prev = 0;
         for s in (0..600).step_by(30) {
-            let a = r.active_at(SimTime::from_secs(s));
+            let a = active_at(&r, SimTime::from_secs(s));
             assert!(a >= prev);
             prev = a;
         }
         assert_eq!(prev, 50);
-        assert_eq!(r.active_at(r.end()), 0, "everyone leaves at the end");
+        assert_eq!(active_at(&r, r.end()), 0, "everyone leaves at the end");
     }
 
     #[test]
@@ -121,7 +121,7 @@ mod tests {
         for c in 0..10 {
             assert_eq!(r.start_of(ClientId(c)), SimTime::ZERO);
         }
-        assert_eq!(r.active_at(SimTime::ZERO), 10);
+        assert_eq!(active_at(&r, SimTime::ZERO), 10);
     }
 
     #[test]
@@ -140,8 +140,8 @@ mod tests {
         assert!(last > first);
         assert!(last < r.end());
         // Active count falls during the departure window.
-        let mid_run = r.active_at(SimTime::from_secs(420));
-        let during = r.active_at(SimTime::from_secs(530));
+        let mid_run = active_at(&r, SimTime::from_secs(420));
+        let during = active_at(&r, SimTime::from_secs(530));
         assert_eq!(mid_run, 10);
         assert!(during < 10 && during > 0, "active during departure: {during}");
     }

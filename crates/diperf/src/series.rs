@@ -11,29 +11,29 @@ use gruber_types::{SimDuration, SimTime};
 
 /// A stored `(time, value)` point stream with fixed-window aggregation.
 #[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
+pub(crate) struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }
 
 /// One aggregated bin.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bin {
+pub(crate) struct Bin {
     /// Start of the window.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// Number of points in the window.
-    pub count: usize,
+    pub(crate) count: usize,
     /// Mean of point values in the window (0 if empty).
-    pub mean: f64,
+    pub(crate) mean: f64,
 }
 
 impl TimeSeries {
     /// Appends a point. Points may arrive out of order.
-    pub fn push(&mut self, at: SimTime, value: f64) {
+    pub(crate) fn push(&mut self, at: SimTime, value: f64) {
         self.points.push((at, value));
     }
 
     /// The stored points through [`bins`].
-    pub fn bins(&self, width: SimDuration, horizon: SimTime) -> Vec<Bin> {
+    pub(crate) fn bins(&self, width: SimDuration, horizon: SimTime) -> Vec<Bin> {
         bins(self.points.iter().copied(), width, horizon)
     }
 }
@@ -42,7 +42,7 @@ impl TimeSeries {
 /// `[0, horizon)`, summing each window's values in the order given. Empty
 /// bins are included (count 0, mean 0) so plots have a continuous x-axis;
 /// points at or past `horizon` are dropped.
-pub fn bins(
+pub(crate) fn bins(
     points: impl IntoIterator<Item = (SimTime, f64)>,
     width: SimDuration,
     horizon: SimTime,

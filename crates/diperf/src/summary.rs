@@ -5,21 +5,21 @@
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SummaryStats {
     /// Number of samples.
-    pub count: usize,
+    pub(crate) count: usize,
     /// Smallest sample (0 if empty).
-    pub min: f64,
+    pub(crate) min: f64,
     /// Median (0 if empty).
-    pub median: f64,
+    pub(crate) median: f64,
     /// Arithmetic mean (0 if empty).
     pub mean: f64,
     /// Largest sample (0 if empty).
-    pub max: f64,
+    pub(crate) max: f64,
     /// Population standard deviation (0 if empty).
-    pub stddev: f64,
+    pub(crate) stddev: f64,
     /// 90th percentile (nearest-rank; 0 if empty).
-    pub p90: f64,
+    pub(crate) p90: f64,
     /// 99th percentile (nearest-rank; 0 if empty).
-    pub p99: f64,
+    pub(crate) p99: f64,
 }
 
 impl SummaryStats {
@@ -27,7 +27,7 @@ impl SummaryStats {
     ///
     /// Non-finite samples are rejected with a panic — they always indicate a
     /// harness bug, and silently dropping them would skew the stats.
-    pub fn from_samples(samples: &[f64]) -> Self {
+    pub(crate) fn from_samples(samples: &[f64]) -> Self {
         assert!(
             samples.iter().all(|x| x.is_finite()),
             "non-finite sample in summary input"

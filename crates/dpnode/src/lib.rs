@@ -27,7 +27,7 @@
 //!
 //! * **Time** — every [`DpNode::handle`] call takes `now: SimTime`.
 //! * **Delivery** — [`Effect::FloodTo`] names peer indices; the driver
-//!   decides latency, loss, retry/backoff, partitions ([`simnet::retry`]
+//!   decides latency, loss, retry/backoff, partitions (`simnet::retry`
 //!   and `digruber::faults` live at the driver layer).
 //! * **Timers** — the node never clocks itself: every driver runs its own
 //!   cadence (the sim's `sync_round` event, the wall-clock runtimes' ticker,

@@ -9,8 +9,7 @@ use gruber_types::{
 };
 use simnet::codec::{encode_deltas, iter_deltas, Reader};
 use std::collections::BTreeMap;
-use usla::store::VersionedEntry;
-use usla::UslaSet;
+use usla::{UslaSet, VersionedEntry};
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -108,7 +107,7 @@ pub enum Effect {
 /// One durable write-ahead-log operation, surfaced via
 /// [`Effect::Persist`] when [`NodeConfig::persist`] is set. Replaying a
 /// WAL (after restoring the latest snapshot) through
-/// [`DpNode::replay_wal`] reconstructs the node's view, outgoing flood
+/// `DpNode::replay_wal` reconstructs the node's view, outgoing flood
 /// log and protocol counters — except `floods_merged` and
 /// `decode_failures`, which count per-payload events the per-record log
 /// does not retain.
@@ -558,7 +557,7 @@ impl DpNode {
     /// original timestamps). Emits no effects and draws no randomness:
     /// replay is pure state reconstruction. Returns the number of
     /// operations replayed.
-    pub fn replay_wal(&mut self, wal: &[(SimTime, WalOp)]) -> u32 {
+    pub(crate) fn replay_wal(&mut self, wal: &[(SimTime, WalOp)]) -> u32 {
         for &(at, op) in wal {
             match op {
                 WalOp::Own(rec) => {

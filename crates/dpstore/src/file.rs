@@ -221,6 +221,7 @@ mod tests {
     use super::*;
     use gruber_types::{GroupId, JobId, SiteId, VoId};
     use proptest::prelude::*;
+    use std::ops::Range;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -359,15 +360,10 @@ mod tests {
     /// the vendored proptest stub has no `prop_oneof`/`prop_map`, so op
     /// construction happens in [`build_ops`].
     type RawOp = (u8, u32, u32, u32, u64, u64);
+    /// The strategy for one [`RawOp`]: a range per field.
+    type RawOpStrategy = (Range<u8>, Range<u32>, Range<u32>, Range<u32>, Range<u64>, Range<u64>);
 
-    fn raw_op() -> (
-        std::ops::Range<u8>,
-        std::ops::Range<u32>,
-        std::ops::Range<u32>,
-        std::ops::Range<u32>,
-        std::ops::Range<u64>,
-        std::ops::Range<u64>,
-    ) {
+    fn raw_op() -> RawOpStrategy {
         (0u8..3, 0u32..10_000, 0u32..100, 1u32..64, 0u64..10_000_000, 0u64..u64::MAX)
     }
 

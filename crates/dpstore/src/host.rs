@@ -179,7 +179,7 @@ impl<S: Store> NodeHost<S> {
 
     /// Feeds one input to the node at `now` and appends what is left for
     /// the runtime to `out`. Every [`Effect::Persist`] is appended to the
-    /// store; if that leaves a snapshot due ([`SnapshotPolicy::due`]) the
+    /// store; if that leaves a snapshot due (`SnapshotPolicy::due`) the
     /// node's state replaces the log. The snapshot is cut before the
     /// runtime routes this step's floods, so a flood it later has to
     /// [`DpNode::requeue`] is not in it (requeues are not journaled).

@@ -1,5 +1,5 @@
 //! How a runtime hosts a decision point: durable storage for its state
-//! (write-ahead log + snapshots) behind [`NodeHost`], and the [`mailbox`]
+//! (write-ahead log + snapshots) behind [`NodeHost`], and the `mailbox`
 //! step the two wall-clock runtimes run around that host.
 //!
 //! DI-GRUBER's decision points originally tolerated crashes only by
@@ -28,12 +28,15 @@
 
 mod file;
 mod host;
-pub mod mailbox;
+mod mailbox;
 mod sim;
 
 pub use file::FileStore;
 pub use host::{Blueprint, NodeHost, Restored, Routed, WireInput};
-pub use mailbox::{DpStats, NodeMsg, RunStats};
+pub use mailbox::{
+    drive_workload, recover, since, ticker, Answer, DpStats, NodeMsg, Point, RunStats, SharedPoint,
+    Transport,
+};
 pub use sim::{LatencyModel, SimStore};
 
 use dpnode::WalOp;
@@ -53,7 +56,7 @@ pub struct Recovery {
     pub wal: Vec<(SimTime, WalOp)>,
     /// Modeled load + replay latency the driver should charge to its
     /// clock before the recovered point rejoins.
-    pub cost: SimDuration,
+    pub(crate) cost: SimDuration,
 }
 
 /// A durable store for one decision point's WAL and snapshots.
@@ -112,7 +115,7 @@ impl SnapshotPolicy {
     /// the sim time elapsed since the last snapshot? Time alone never
     /// triggers a snapshot of an empty WAL (there is nothing new to
     /// subsume).
-    pub fn due(&self, wal_len: usize, since_last: SimDuration) -> bool {
+    pub(crate) fn due(&self, wal_len: usize, since_last: SimDuration) -> bool {
         (self.every_records > 0 && wal_len >= self.every_records as usize)
             || (self.every > SimDuration::ZERO && since_last >= self.every && wal_len > 0)
     }

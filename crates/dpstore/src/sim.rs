@@ -12,13 +12,13 @@ use gruber_types::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyModel {
     /// Cost of one WAL append incl. its fsync.
-    pub append: SimDuration,
+    pub(crate) append: SimDuration,
     /// Cost of writing one snapshot (and truncating the WAL).
-    pub snapshot: SimDuration,
+    pub(crate) snapshot: SimDuration,
     /// Per-record replay cost during recovery.
-    pub replay_per_record: SimDuration,
+    pub(crate) replay_per_record: SimDuration,
     /// Base cost of opening the store on recovery.
-    pub load: SimDuration,
+    pub(crate) load: SimDuration,
 }
 
 impl LatencyModel {

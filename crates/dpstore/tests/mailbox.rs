@@ -1,12 +1,14 @@
-//! The one wall-clock host ([`dpstore::mailbox::SharedPoint`]), driven
+//! The one wall-clock host ([`dpstore::SharedPoint`]), driven
 //! deterministically: a script stepped on the current thread, a
 //! recording transport, a `SimStore`. No sleeps and no sockets — what the
 //! thread and socket runtimes share is tested without either.
 
 use bytes::Bytes;
 use dpnode::{Dissemination, DpNodeStats, NodeConfig, Topology};
-use dpstore::mailbox::{Answer, DpStats, NodeMsg, Point, SharedPoint, Transport};
-use dpstore::{Blueprint, NodeHost, SimStore, SnapshotPolicy, Store, WireInput};
+use dpstore::{
+    Answer, Blueprint, DpStats, NodeHost, NodeMsg, Point, SharedPoint, SimStore, SnapshotPolicy,
+    Store, Transport, WireInput,
+};
 use gruber::DispatchRecord;
 use gruber_types::{DpId, GroupId, JobId, SimTime, SiteId, SiteSpec, VoId};
 use obs::Recorder;

@@ -6,12 +6,11 @@
 //! university clusters. `grid3_times(10, ..)` reproduces the paper's
 //! emulated environment: ~300 sites and tens of thousands of CPUs.
 
-use desim::dist::Dist;
-use desim::DetRng;
+use desim::{DetRng, Dist};
 use gruber_types::{SiteId, SiteSpec};
 
 /// The base Grid3 site count.
-pub const GRID3_SITES: usize = 30;
+pub(crate) const GRID3_SITES: usize = 30;
 
 /// Generates a Grid3-like configuration scaled by `factor`.
 ///
@@ -36,7 +35,7 @@ pub fn grid3_times(factor: usize, seed: u64) -> Vec<SiteSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gruber_types::site::total_grid_cpus;
+    use gruber_types::total_grid_cpus;
 
     #[test]
     fn base_grid_resembles_grid3() {

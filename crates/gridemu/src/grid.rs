@@ -20,7 +20,7 @@ pub struct Started {
     /// The job.
     pub job: JobId,
     /// The site it runs at.
-    pub site: SiteId,
+    pub(crate) site: SiteId,
     /// When it will finish.
     pub finish_at: SimTime,
 }
@@ -88,7 +88,7 @@ impl Grid {
                 )));
             }
         }
-        let total_cpus = gruber_types::site::total_grid_cpus(&specs);
+        let total_cpus = gruber_types::total_grid_cpus(&specs);
         Ok(Grid {
             sites: specs
                 .into_iter()

@@ -6,14 +6,14 @@
 //! settings in terms of CPU counts, network connectivity, etc.". This crate
 //! is that emulation:
 //!
-//! * [`config`] — Grid3-shaped site configuration generator (`grid3_times`);
-//! * [`site`] — one site's runtime state: a FIFO batch scheduler over the
+//! * `config` — Grid3-shaped site configuration generator (`grid3_times`);
+//! * `site` — one site's runtime state: a FIFO batch scheduler over the
 //!   site's CPUs with an optional S-PEP admission hook;
-//! * [`spep`] — site policy enforcement points (the paper declares them out
+//! * `spep` — site policy enforcement points (the paper declares them out
 //!   of scope for its experiments; we implement a simple per-VO cap policy
 //!   and keep it off by default, matching the paper's "decision points have
 //!   total control" assumption);
-//! * [`grid`] — ground truth: all sites plus the job ledger, driving the
+//! * `grid` — ground truth: all sites plus the job ledger, driving the
 //!   four-state job lifecycle.
 
 //! # Example
@@ -41,12 +41,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
-pub mod grid;
-pub mod site;
-pub mod spep;
+mod config;
+mod grid;
+mod site;
+mod spep;
 
 pub use config::grid3_times;
-pub use grid::{Grid, Started};
-pub use site::SiteState;
+pub use grid::Grid;
 pub use spep::SitePolicy;

@@ -30,11 +30,11 @@ struct QueuedJob {
 
 /// A job the site just started; the caller schedules its completion event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SiteStarted {
+pub(crate) struct SiteStarted {
     /// The job.
-    pub job: JobId,
+    pub(crate) job: JobId,
     /// When it will finish.
-    pub finish_at: SimTime,
+    pub(crate) finish_at: SimTime,
 }
 
 /// Runtime state of one site.
@@ -79,24 +79,14 @@ impl SiteState {
         self.free_cpus
     }
 
-    /// Storage not currently reserved, in MB.
-    pub fn free_storage_mb(&self) -> u64 {
-        self.free_storage_mb
-    }
-
     /// CPUs currently busy.
-    pub fn busy_cpus(&self) -> u32 {
+    pub(crate) fn busy_cpus(&self) -> u32 {
         self.spec.total_cpus() - self.free_cpus
-    }
-
-    /// Jobs waiting in the queue.
-    pub fn queued_jobs(&self) -> usize {
-        self.queue.len()
     }
 
     /// Accepts a dispatch (S-PEP checked), queues it, and starts whatever
     /// now fits. Returns the jobs that started immediately.
-    pub fn enqueue(&mut self, job: &JobSpec, now: SimTime) -> GridResult<Vec<SiteStarted>> {
+    pub(crate) fn enqueue(&mut self, job: &JobSpec, now: SimTime) -> GridResult<Vec<SiteStarted>> {
         if job.cpus == 0 || job.cpus > self.spec.total_cpus() {
             return Err(GridError::Rejected {
                 site: self.spec.id,
@@ -167,7 +157,7 @@ impl SiteState {
     }
 
     /// Completes a running job, freeing its CPUs and starting queued work.
-    pub fn complete(&mut self, job: JobId, now: SimTime) -> GridResult<Vec<SiteStarted>> {
+    pub(crate) fn complete(&mut self, job: JobId, now: SimTime) -> GridResult<Vec<SiteStarted>> {
         let idx = self
             .running
             .iter()
@@ -184,7 +174,7 @@ impl SiteState {
 
     /// Kills a job (running or queued) — used for failure injection.
     /// Returns jobs that started as a result of freed CPUs.
-    pub fn kill(&mut self, job: JobId, now: SimTime) -> GridResult<Vec<SiteStarted>> {
+    pub(crate) fn kill(&mut self, job: JobId, now: SimTime) -> GridResult<Vec<SiteStarted>> {
         if self.running.iter().any(|r| r.job == job) {
             return self.complete(job, now);
         }
@@ -201,13 +191,8 @@ impl SiteState {
         Ok(self.start_ready(now))
     }
 
-    /// CPUs in use (running + queued reservation) by a VO at this site.
-    pub fn vo_cpus_in_use(&self, vo: VoId) -> u32 {
-        self.vo_cpus.get(&vo).copied().unwrap_or(0)
-    }
-
     /// Internal consistency check, used by property tests.
-    pub fn check_invariants(&self) {
+    pub(crate) fn check_invariants(&self) {
         let running_cpus: u32 = self.running.iter().map(|r| r.cpus).sum();
         assert_eq!(
             running_cpus + self.free_cpus,
@@ -286,13 +271,13 @@ mod tests {
         s.enqueue(&job(1, 2, 100), SimTime::ZERO).unwrap();
         let started = s.enqueue(&job(2, 1, 50), SimTime::from_secs(1)).unwrap();
         assert!(started.is_empty());
-        assert_eq!(s.queued_jobs(), 1);
+        assert_eq!(s.queue.len(), 1);
 
         let started = s.complete(JobId(1), SimTime::from_secs(100)).unwrap();
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job, JobId(2));
         assert_eq!(started[0].finish_at, SimTime::from_secs(150));
-        assert_eq!(s.queued_jobs(), 0);
+        assert_eq!(s.queue.len(), 0);
         s.check_invariants();
     }
 
@@ -302,12 +287,12 @@ mod tests {
         s.enqueue(&job(1, 4, 100), SimTime::ZERO).unwrap();
         s.enqueue(&job(2, 4, 10), SimTime::ZERO).unwrap(); // head, doesn't fit
         s.enqueue(&job(3, 1, 10), SimTime::ZERO).unwrap(); // would fit, but FIFO
-        assert_eq!(s.queued_jobs(), 2);
+        assert_eq!(s.queue.len(), 2);
         let started = s.complete(JobId(1), SimTime::from_secs(100)).unwrap();
         // Head (job 2) starts; job 3 still behind it? Job 2 takes all 4 CPUs.
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job, JobId(2));
-        assert_eq!(s.queued_jobs(), 1);
+        assert_eq!(s.queue.len(), 1);
     }
 
     #[test]
@@ -324,7 +309,10 @@ mod tests {
     fn spep_cap_enforced() {
         let mut s = SiteState::new(
             SiteSpec::single_cluster(SiteId(0), 10),
-            SitePolicy::vo_fraction(0.3),
+            SitePolicy {
+                vo_cap_fraction: Some(0.3),
+                ..SitePolicy::permissive()
+            },
         );
         let j = |id| JobSpec {
             vo: VoId(0),
@@ -335,7 +323,7 @@ mod tests {
         s.enqueue(&j(3), SimTime::ZERO).unwrap();
         // Fourth CPU for VO 0 exceeds 30% of 10 CPUs.
         assert!(s.enqueue(&j(4), SimTime::ZERO).is_err());
-        assert_eq!(s.vo_cpus_in_use(VoId(0)), 3);
+        assert_eq!(s.vo_cpus[&VoId(0)], 3);
     }
 
     #[test]
@@ -346,7 +334,7 @@ mod tests {
         // Kill the queued job: nothing can start (site still full).
         let started = s.kill(JobId(2), SimTime::from_secs(1)).unwrap();
         assert!(started.is_empty());
-        assert_eq!(s.queued_jobs(), 0);
+        assert_eq!(s.queue.len(), 0);
         // Kill the running job.
         let started = s.kill(JobId(1), SimTime::from_secs(2)).unwrap();
         assert!(started.is_empty());
@@ -368,14 +356,14 @@ mod tests {
     fn storage_is_reserved_and_released() {
         // 4 CPUs -> 40 GB = 40960 MB storage.
         let mut s = site(4);
-        assert_eq!(s.free_storage_mb(), 40 * 1024);
+        assert_eq!(s.free_storage_mb, 40 * 1024);
         let mut j = job(1, 1, 100);
         j.storage_mb = 10_000;
         s.enqueue(&j, SimTime::ZERO).unwrap();
-        assert_eq!(s.free_storage_mb(), 40 * 1024 - 10_000);
+        assert_eq!(s.free_storage_mb, 40 * 1024 - 10_000);
         s.check_invariants();
         s.complete(JobId(1), SimTime::from_secs(100)).unwrap();
-        assert_eq!(s.free_storage_mb(), 40 * 1024);
+        assert_eq!(s.free_storage_mb, 40 * 1024);
     }
 
     #[test]
@@ -405,7 +393,7 @@ mod tests {
         j2.storage_mb = 4_000;
         s.enqueue(&j1, SimTime::ZERO).unwrap(); // running
         s.enqueue(&j2, SimTime::ZERO).unwrap(); // queued, storage staged
-        assert_eq!(s.free_storage_mb(), 10 * 1024 - 8_000);
+        assert_eq!(s.free_storage_mb, 10 * 1024 - 8_000);
         s.check_invariants();
     }
 

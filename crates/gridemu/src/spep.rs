@@ -15,10 +15,10 @@ use std::collections::HashMap;
 pub struct SitePolicy {
     /// Max fraction of the site's CPUs any single VO may hold at once
     /// (`None` = unlimited — the paper's configuration).
-    pub vo_cap_fraction: Option<f64>,
+    pub(crate) vo_cap_fraction: Option<f64>,
     /// Per-VO overrides in absolute CPUs (take precedence over the
     /// fraction).
-    pub vo_cap_cpus: HashMap<VoId, u32>,
+    pub(crate) vo_cap_cpus: HashMap<VoId, u32>,
 }
 
 impl SitePolicy {
@@ -27,18 +27,9 @@ impl SitePolicy {
         SitePolicy::default()
     }
 
-    /// Caps every VO at `fraction` of the site.
-    pub fn vo_fraction(fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fraction));
-        SitePolicy {
-            vo_cap_fraction: Some(fraction),
-            vo_cap_cpus: HashMap::new(),
-        }
-    }
-
     /// The CPU cap for `vo` at a site with `site_cpus` CPUs
     /// (`u32::MAX` when unlimited).
-    pub fn cap_for(&self, vo: VoId, site_cpus: u32) -> u32 {
+    pub(crate) fn cap_for(&self, vo: VoId, site_cpus: u32) -> u32 {
         if let Some(&abs) = self.vo_cap_cpus.get(&vo) {
             return abs;
         }
@@ -50,7 +41,7 @@ impl SitePolicy {
 
     /// Admission check: may `job` be accepted given the VO's current CPUs
     /// in use (running + queued) at this site?
-    pub fn admits(&self, job: &JobSpec, vo_cpus_in_use: u32, site_cpus: u32) -> bool {
+    pub(crate) fn admits(&self, job: &JobSpec, vo_cpus_in_use: u32, site_cpus: u32) -> bool {
         let cap = self.cap_for(job.vo, site_cpus);
         vo_cpus_in_use.saturating_add(job.cpus) <= cap
     }
@@ -60,6 +51,13 @@ impl SitePolicy {
 mod tests {
     use super::*;
     use gruber_types::{ClientId, GroupId, JobId, SimDuration, SimTime, UserId};
+
+    fn fraction(f: f64) -> SitePolicy {
+        SitePolicy {
+            vo_cap_fraction: Some(f),
+            ..SitePolicy::permissive()
+        }
+    }
 
     fn job(vo: u32, cpus: u32) -> JobSpec {
         JobSpec {
@@ -84,7 +82,7 @@ mod tests {
 
     #[test]
     fn fraction_cap() {
-        let p = SitePolicy::vo_fraction(0.25);
+        let p = fraction(0.25);
         assert_eq!(p.cap_for(VoId(0), 100), 25);
         assert!(p.admits(&job(0, 1), 24, 100));
         assert!(!p.admits(&job(0, 1), 25, 100));
@@ -93,16 +91,10 @@ mod tests {
 
     #[test]
     fn absolute_override_beats_fraction() {
-        let mut p = SitePolicy::vo_fraction(0.5);
+        let mut p = fraction(0.5);
         p.vo_cap_cpus.insert(VoId(1), 2);
         assert_eq!(p.cap_for(VoId(1), 100), 2);
         assert_eq!(p.cap_for(VoId(0), 100), 50);
         assert!(!p.admits(&job(1, 3), 0, 100));
-    }
-
-    #[test]
-    #[should_panic]
-    fn bad_fraction_panics() {
-        SitePolicy::vo_fraction(1.5);
     }
 }

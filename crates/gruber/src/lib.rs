@@ -10,9 +10,9 @@
 //!   decision point the grid's ground-truth free CPUs per site
 //!   (`gridemu::Grid::free_cpus_per_site`);
 //! * **clients** — standard GT clients talking to the engine (the
-//!   client-side selector logic lives in [`selectors`]; transport is the
+//!   client-side selector logic lives in `selectors`; transport is the
 //!   caller's concern — `digruber` drives it over the simulated WAN);
-//! * **site selectors** ([`selectors`]) — answer "which is the best site at
+//! * **site selectors** (`selectors`) — answer "which is the best site at
 //!   which I can run this job?": the [`SiteSelector`] trait is the
 //!   extension point, and least-used is the policy every experiment runs;
 //! * the **queue manager** — sits on a submission host, "monitors VO
@@ -55,11 +55,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod selectors;
-pub mod view;
+mod engine;
+mod selectors;
+mod view;
 
 pub use engine::GruberEngine;
-pub use selectors::{LeastUsedSelector, SiteSelector};
 pub use gruber_types::DispatchRecord;
+pub use selectors::{LeastUsedSelector, SiteSelector};
 pub use view::GridView;

@@ -22,7 +22,7 @@ pub trait SiteSelector {
 }
 
 /// Picks uniformly among the sites whose believed free CPUs are within
-/// [`LeastUsedSelector::SLACK`] of the best.
+/// `LeastUsedSelector::SLACK` of the best.
 ///
 /// Pure arg-max herds every selector (and, in DI-GRUBER, every decision
 /// point's clients) onto the single believed-freest site between state
@@ -36,7 +36,7 @@ pub struct LeastUsedSelector {
 
 impl LeastUsedSelector {
     /// Sites with `free >= SLACK * max_free` count as near-best.
-    pub const SLACK: f64 = 0.9;
+    pub(crate) const SLACK: f64 = 0.9;
 
     /// A least-used selector with its own tie-breaking stream.
     pub fn new(seed: u64, stream: u64) -> Self {

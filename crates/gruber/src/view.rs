@@ -991,7 +991,7 @@ mod tests {
         for step in 0..steps {
             // Monotone nondecreasing time, sometimes repeating.
             if rng.chance(0.8) {
-                now = now + deltas.draw(&mut rng, 300);
+                now += deltas.draw(&mut rng, 300);
             }
             let r = DispatchRecord {
                 job: JobId((rng.next_u64() % (steps / 2 + 1)) as u32),

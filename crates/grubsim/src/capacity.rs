@@ -10,10 +10,10 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapacityModel {
     /// Sustainable throughput, queries/second (the DiPerF plateau).
-    pub qps: f64,
+    pub(crate) qps: f64,
     /// Short bursts above `qps` are absorbed by the container queue up to
     /// this backlog before responses degrade past the acceptable bound.
-    pub burst_backlog: u32,
+    pub(crate) burst_backlog: u32,
 }
 
 impl CapacityModel {
@@ -34,7 +34,7 @@ impl CapacityModel {
     }
 
     /// Requests one point absorbs in an interval of `secs` seconds.
-    pub fn per_interval(&self, secs: f64) -> f64 {
+    pub(crate) fn per_interval(&self, secs: f64) -> f64 {
         self.qps * secs
     }
 }

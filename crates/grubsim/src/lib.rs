@@ -38,10 +38,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod capacity;
+mod capacity;
 pub mod protocol;
-pub mod replay;
+mod replay;
 
 pub use capacity::CapacityModel;
-pub use protocol::{replay_protocol, ProtocolReplayConfig, ProtocolReplayReport};
 pub use replay::{simulate_required_dps, GrubSimReport};

@@ -1,6 +1,6 @@
 //! Protocol replay: the third runtime over the shared decision-point core.
 //!
-//! [`super::replay`] answers the capacity question ("how many decision
+//! `super::replay` answers the capacity question ("how many decision
 //! points?") with a fluid model. This module answers the *state* question:
 //! replay a DiPerF request trace through real [`dpnode::DpNode`] state
 //! machines — the exact code the discrete-event simulator and the live
@@ -41,11 +41,11 @@ use usla::UslaSet;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPlan {
     /// When the point crashes.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Which point crashes (wrapped modulo `n_dps`).
-    pub dp: u32,
+    pub(crate) dp: u32,
     /// How long it stays down before restoring.
-    pub down_for: SimDuration,
+    pub(crate) down_for: SimDuration,
 }
 
 /// How to replay a trace through the protocol core.
@@ -79,7 +79,7 @@ pub struct ProtocolReplayReport {
     /// Per-point protocol counters, indexed by decision point.
     pub per_dp: Vec<DpNodeStats>,
     /// Each point's final believed free CPUs per site.
-    pub final_views: Vec<Vec<u32>>,
+    pub(crate) final_views: Vec<Vec<u32>>,
     /// Whether every point ended with the identical view.
     pub converged: bool,
     /// Queries replayed (every trace entry).
@@ -287,7 +287,7 @@ pub fn replay_protocol_traced(
     // so n_dps extra rounds flush anything still in flight.
     let mut t = horizon;
     for _ in 0..n_dps {
-        t = t + cfg.sync_interval;
+        t += cfg.sync_interval;
         for dp in 0..n_dps {
             tick(&mut hosts, dp, t, Input::SyncTick { n_dps }, tracer);
         }

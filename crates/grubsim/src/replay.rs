@@ -13,13 +13,13 @@ pub struct GrubSimReport {
     /// Decision points GRUB-SIM added during the replay.
     pub added_dps: usize,
     /// Saturation (overload) events observed.
-    pub overload_events: usize,
+    pub(crate) overload_events: usize,
     /// Replay intervals processed.
     pub intervals: usize,
     /// Peak offered load observed, queries/second.
     pub peak_offered_qps: f64,
     /// Sustainable per-point throughput of the capacity model used.
-    pub model_qps: f64,
+    pub(crate) model_qps: f64,
 }
 
 impl GrubSimReport {
@@ -31,7 +31,7 @@ impl GrubSimReport {
     /// Decision points needed to sustain the *peak offered demand* of the
     /// trace — the capacity-planning answer ("how many points would this
     /// grid need?"), independent of how many the traced run started with.
-    pub fn required_for_peak(&self) -> usize {
+    pub(crate) fn required_for_peak(&self) -> usize {
         (self.peak_offered_qps / self.model_qps).ceil().max(1.0) as usize
     }
 

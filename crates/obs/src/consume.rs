@@ -25,7 +25,7 @@ use crate::event::TraceEvent;
 /// overflow and counting what it dropped. [`crate::RunTimeline::recent`]
 /// and the render's raw-event tail read from here.
 #[derive(Debug, Clone, Default)]
-pub struct RawRing {
+pub(crate) struct RawRing {
     ring: VecDeque<(u64, TraceEvent)>,
     capacity: usize,
     dropped: u64,
@@ -33,7 +33,7 @@ pub struct RawRing {
 
 impl RawRing {
     /// A ring keeping the last `capacity` events (0 keeps none).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         RawRing {
             ring: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
@@ -42,17 +42,17 @@ impl RawRing {
     }
 
     /// Events evicted to make room (total over the run).
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Snapshot of the retained events, oldest first.
-    pub fn snapshot(&self) -> Vec<(u64, TraceEvent)> {
+    pub(crate) fn snapshot(&self) -> Vec<(u64, TraceEvent)> {
         self.ring.iter().copied().collect()
     }
 
     /// Keeps one emission, evicting the oldest when full.
-    pub fn observe(&mut self, at_ms: u64, ev: &TraceEvent) {
+    pub(crate) fn observe(&mut self, at_ms: u64, ev: &TraceEvent) {
         if self.capacity == 0 {
             self.dropped += 1;
             return;

@@ -21,7 +21,7 @@ pub enum TraceVerdict {
 }
 
 /// Message class of a fault-injected or retried transmission — a
-/// dependency-free mirror of `simnet::retry::MessageClass` (obs sits below
+/// dependency-free mirror of `simnet::MessageClass` (obs sits below
 /// the network stack).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultMsgClass {
@@ -329,7 +329,7 @@ pub enum TraceEvent {
     /// `obs::health`: the online scoring flipped a decision point's flag.
     ///
     /// A *derived* event: the timeline raises it when a cadence bin (the
-    /// scoring window, see [`crate::health`]) closes, stamped at the bin
+    /// scoring window, see `crate::health`) closes, stamped at the bin
     /// boundary, and the sink writes it into the ring ahead of the event
     /// that closed the bin, so the ring, the timeline counters and the
     /// JSONL see flag transitions like any other event.

@@ -269,11 +269,7 @@ impl RunTimeline {
         );
         for t in &self.dp_totals {
             let served = t.answered + t.late;
-            let mean = if served > 0 {
-                t.sum_response_ms / served
-            } else {
-                0
-            };
+            let mean = t.sum_response_ms.checked_div(served).unwrap_or(0);
             let _ = writeln!(
                 out,
                 "  {:<6} {:>8} {:>8} {:>9} {:>8} {:>8} {:>10} {:>9} {:>6}/{}",

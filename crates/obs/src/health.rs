@@ -61,21 +61,21 @@ use crate::timeline::DpSample;
 /// Staleness that earns the full 40-point penalty, ms: two of the paper's
 /// 180 s sync intervals. Healthy points peak at half this budget, i.e. a
 /// 20-point penalty — never enough to flag on its own.
-pub const STALENESS_BUDGET_MS: u64 = 360_000;
+pub(crate) const STALENESS_BUDGET_MS: u64 = 360_000;
 /// Scores strictly below this are "bad" windows.
-pub const DEGRADE_BELOW: u32 = 65;
+pub(crate) const DEGRADE_BELOW: u32 = 65;
 /// Scores at or above this are "good" windows.
-pub const RECOVER_AT: u32 = 80;
+pub(crate) const RECOVER_AT: u32 = 80;
 /// Consecutive bad windows before `Degrading` is raised.
-pub const DEGRADE_WINDOWS: u32 = 2;
+pub(crate) const DEGRADE_WINDOWS: u32 = 2;
 /// Consecutive good windows before `Recovered` clears the flag.
-pub const RECOVER_WINDOWS: u32 = 2;
+pub(crate) const RECOVER_WINDOWS: u32 = 2;
 
 /// One point's score for one closed window, with the penalty breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthSample {
     /// Window close time (the boundary), milliseconds.
-    pub t_ms: u64,
+    pub(crate) t_ms: u64,
     /// The scored decision point.
     pub dp: DpId,
     /// The score, 0–100.
@@ -104,7 +104,7 @@ pub struct HealthFlagRow {
     /// `true` = `Degrading` raised; `false` = `Recovered`.
     pub degrading: bool,
     /// The score that tripped the transition.
-    pub score: u32,
+    pub(crate) score: u32,
 }
 
 impl HealthFlagRow {
@@ -122,7 +122,7 @@ impl HealthFlagRow {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HealthReport {
     /// Scoring window length, milliseconds (the timeline's cadence).
-    pub window_ms: u64,
+    pub(crate) window_ms: u64,
     /// Every windowed score, ordered by `(t_ms, dp)`.
     pub samples: Vec<HealthSample>,
     /// Every flag transition, in emission order. Exactly the
@@ -191,7 +191,7 @@ pub(crate) fn score(s: &DpSample, exhausted: u64, recovery_ms: u64, down: bool) 
 pub(crate) struct Hysteresis {
     bad_streak: u32,
     good_streak: u32,
-    pub degraded: bool,
+    pub(crate) degraded: bool,
 }
 
 impl Hysteresis {
@@ -310,11 +310,8 @@ mod tests {
 
         fn score(&self, d: &DpHealth, end_ms: u64) -> HealthSample {
             let demand = u64::from(d.answered) + u64::from(d.late) + u64::from(d.timeouts);
-            let p_timeout = if demand > 0 {
-                ((200 * u64::from(d.timeouts)) / demand).min(60) as u32
-            } else {
-                0
-            };
+            let p_timeout =
+                (200 * u64::from(d.timeouts)).checked_div(demand).unwrap_or(0).min(60) as u32;
             let staleness = end_ms.saturating_sub(d.last_exchange_ms.unwrap_or(0));
             let p_stale =
                 ((40 * staleness.min(self.staleness_budget_ms)) / self.staleness_budget_ms) as u32;

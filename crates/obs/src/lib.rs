@@ -23,13 +23,13 @@
 //!   event is never even constructed. The `perf/` harness measures
 //!   what that costs (`obs.emit_off_ns`, `obs.trace_overhead_share`).
 //! * The sink has **one clock**: the online
-//!   [`TimelineBuilder`](timeline::TimelineBuilder) closes fixed-cadence
+//!   `TimelineBuilder` closes fixed-cadence
 //!   bins as the stream advances, and each closing bin yields both the
 //!   timeline samples and the health scores; next to it sits the bounded
-//!   [`RawRing`] of recent raw events (see [`consume`]). Aggregates are
+//!   `RawRing` of recent raw events (see `consume`). Aggregates are
 //!   exact even when the ring has rotated, and nothing assumes a single
 //!   end-of-run exporter.
-//! * [`health`] holds the scoring formula: per-bin feature vectors
+//! * `health` holds the scoring formula: per-bin feature vectors
 //!   (timeout share, view staleness, retries, queue depth, recovery time)
 //!   folded into 0–100 scores with hysteresis-gated `Degrading` /
 //!   `Recovered` flags, written into the ring as `health_flag` events and
@@ -53,15 +53,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod consume;
-pub mod event;
-pub mod export;
-pub mod health;
-pub mod sink;
-pub mod timeline;
+mod consume;
+mod event;
+mod export;
+mod health;
+mod sink;
+mod timeline;
 
-pub use consume::RawRing;
 pub use event::{FaultMsgClass, TraceEvent, TraceVerdict};
-pub use health::{HealthFlagRow, HealthReport, HealthSample};
+pub use export::json_escape;
+pub use health::HealthReport;
 pub use sink::{Recorder, TraceConfig};
-pub use timeline::{DpSample, DpTotals, ResponseHistogram, RunTimeline, RunTotals, SimSample};
+pub use timeline::{DpSample, RunTimeline};

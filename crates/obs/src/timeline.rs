@@ -31,15 +31,15 @@ use gruber_types::DpId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResponseHistogram {
     /// Bucket counts.
-    pub buckets: [u64; Self::BUCKETS],
+    pub(crate) buckets: [u64; Self::BUCKETS],
 }
 
 impl ResponseHistogram {
     /// Number of buckets.
-    pub const BUCKETS: usize = 20;
+    pub(crate) const BUCKETS: usize = 20;
 
     /// The bucket index for a response time in milliseconds.
-    pub fn bucket(ms: u64) -> usize {
+    pub(crate) fn bucket(ms: u64) -> usize {
         let bits = 64 - (ms + 1).leading_zeros() as usize - 1;
         bits.min(Self::BUCKETS - 1)
     }
@@ -55,12 +55,12 @@ impl ResponseHistogram {
     }
 
     /// Inclusive lower edge of bucket `i`, milliseconds.
-    pub fn lower_edge_ms(i: usize) -> u64 {
+    pub(crate) fn lower_edge_ms(i: usize) -> u64 {
         (1u64 << i) - 1
     }
 
     /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &ResponseHistogram) {
+    pub(crate) fn merge(&mut self, other: &ResponseHistogram) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
@@ -72,53 +72,53 @@ impl ResponseHistogram {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DpSample {
     /// Bin end, milliseconds of sim-time.
-    pub t_ms: u64,
+    pub(crate) t_ms: u64,
     /// The decision point.
     pub dp: DpId,
     /// Whether the point was up at the bin boundary.
-    pub up: bool,
+    pub(crate) up: bool,
     /// Queries issued *to* this point in the bin.
     pub issued: u64,
     /// Requests that started service immediately.
-    pub started: u64,
+    pub(crate) started: u64,
     /// Requests that queued in the container.
-    pub queued: u64,
+    pub(crate) queued: u64,
     /// Requests refused at the accept queue.
-    pub rejected: u64,
+    pub(crate) rejected: u64,
     /// Requests whose service completed.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Queries answered within the client timeout.
     pub answered: u64,
     /// Late completions (client had already timed out).
-    pub late: u64,
+    pub(crate) late: u64,
     /// Client timeouts charged to this point.
     pub timeouts: u64,
     /// USLA-denied placements.
-    pub denied: u64,
+    pub(crate) denied: u64,
     /// Transmissions to this point dropped by message loss in the bin.
-    pub lost: u64,
+    pub(crate) lost: u64,
     /// Retransmissions scheduled toward this point in the bin.
-    pub retries: u64,
+    pub(crate) retries: u64,
     /// Container backlog depth at the bin boundary (gauge).
-    pub queue_depth: u32,
+    pub(crate) queue_depth: u32,
     /// Time since the last merged peer exchange at the bin boundary;
     /// `None` until the first exchange arrives.
-    pub staleness_ms: Option<u64>,
+    pub(crate) staleness_ms: Option<u64>,
     /// Sum of response times recorded in the bin, ms (mean = sum/answered+late).
     pub sum_response_ms: u64,
     /// Largest response time recorded in the bin, ms.
-    pub max_response_ms: u64,
+    pub(crate) max_response_ms: u64,
 }
 
 /// Whole-simulation sample for one cadence bin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimSample {
     /// Bin end, milliseconds of sim-time.
-    pub t_ms: u64,
+    pub(crate) t_ms: u64,
     /// Scheduler events executed in the bin.
-    pub executed: u64,
+    pub(crate) executed: u64,
     /// Event cancellations in the bin.
-    pub cancelled: u64,
+    pub(crate) cancelled: u64,
 }
 
 /// One decision point's whole-run totals.
@@ -135,21 +135,21 @@ pub struct DpTotals {
     /// Requests that queued.
     pub queued: u64,
     /// Requests refused at the accept queue.
-    pub rejected: u64,
+    pub(crate) rejected: u64,
     /// Requests whose service completed.
     pub completed: u64,
     /// Queries answered in time.
     pub answered: u64,
     /// Late completions.
-    pub late: u64,
+    pub(crate) late: u64,
     /// Client timeouts.
     pub timeouts: u64,
     /// USLA-denied placements.
     pub denied: u64,
     /// New dispatch records accepted into the view.
-    pub accepted: u64,
+    pub(crate) accepted: u64,
     /// Duplicate dispatch records ignored.
-    pub duplicates: u64,
+    pub(crate) duplicates: u64,
     /// Peer floods merged.
     pub exchanges_in: u64,
     /// Records received across merged floods.
@@ -165,23 +165,23 @@ pub struct DpTotals {
     /// In-flight requests dropped by crashes.
     pub dropped_requests: u64,
     /// Clients that re-bound *to* this point.
-    pub rebinds_gained: u64,
+    pub(crate) rebinds_gained: u64,
     /// Clients that re-bound *away from* this point.
-    pub rebinds_lost: u64,
+    pub(crate) rebinds_lost: u64,
     /// Transmissions to this point dropped by message loss.
-    pub lost: u64,
+    pub(crate) lost: u64,
     /// Retransmissions scheduled toward this point.
-    pub retries: u64,
+    pub(crate) retries: u64,
     /// Messages to this point whose retry budget ran out.
-    pub retries_exhausted: u64,
+    pub(crate) retries_exhausted: u64,
     /// Injected duplicate deliveries to this point.
-    pub duplicated: u64,
+    pub(crate) duplicated: u64,
     /// Exchange floods to this point dropped at a partition boundary.
-    pub partition_drops: u64,
+    pub(crate) partition_drops: u64,
     /// Sum of all response times, ms.
     pub sum_response_ms: u64,
     /// Largest response time, ms.
-    pub max_response_ms: u64,
+    pub(crate) max_response_ms: u64,
     /// WAL operations appended by this point's store.
     pub wal_appends: u64,
     /// Snapshots written by this point's store.
@@ -189,18 +189,18 @@ pub struct DpTotals {
     /// WAL operations replayed into this point across its recoveries.
     pub wal_replayed: u64,
     /// Largest modeled recovery-replay latency, ms (a maximum, not a sum).
-    pub recovery_ms: u64,
+    pub(crate) recovery_ms: u64,
     /// `Degrading` flags the health scorer raised on this point.
     pub health_degrades: u64,
     /// `Recovered` flags the health scorer raised on this point.
     pub health_recovers: u64,
     /// Response-time histogram (answered + late).
-    pub hist: ResponseHistogram,
+    pub(crate) hist: ResponseHistogram,
 }
 
 impl DpTotals {
     /// The exported counters, named and in `dp_total` JSONL order.
-    pub fn fields(&self) -> [(&'static str, u64); 33] {
+    pub(crate) fn fields(&self) -> [(&'static str, u64); 33] {
         [
             ("issued", self.issued),
             ("started", self.started),
@@ -273,9 +273,9 @@ pub struct RunTotals {
     /// Client re-bindings (failover + rebalance).
     pub rebinds: u64,
     /// GRUB-SIM replay overload events.
-    pub replay_overloads: u64,
+    pub(crate) replay_overloads: u64,
     /// GRUB-SIM replay decision points added.
-    pub replay_dps_added: u64,
+    pub(crate) replay_dps_added: u64,
     /// Transmissions dropped by message loss (any class).
     pub msgs_lost: u64,
     /// Retransmissions scheduled by retry policies.
@@ -291,7 +291,7 @@ pub struct RunTotals {
     /// Partition windows that healed.
     pub partitions_healed: u64,
     /// Link-fault windows that opened.
-    pub link_windows: u64,
+    pub(crate) link_windows: u64,
     /// Decision-point slowdown windows that started.
     pub slowdowns: u64,
     /// WAL operations appended across all stores.
@@ -317,7 +317,7 @@ pub struct RunTotals {
 impl RunTotals {
     /// The counters, named and in `run_total` JSONL order (which is the
     /// declaration order).
-    pub fn fields(&self) -> [(&'static str, u64); 33] {
+    pub(crate) fn fields(&self) -> [(&'static str, u64); 33] {
         [
             ("issued", self.issued),
             ("answered", self.answered),
@@ -437,7 +437,7 @@ enum Close {
 
 /// The online aggregator the sink drives.
 #[derive(Debug, Clone)]
-pub struct TimelineBuilder {
+pub(crate) struct TimelineBuilder {
     cadence_ms: u64,
     bin_start_ms: u64,
     dps: Vec<DpState>,
@@ -452,7 +452,7 @@ pub struct TimelineBuilder {
 impl TimelineBuilder {
     /// A builder flushing samples (and scoring) every `cadence_ms` of
     /// sim-time.
-    pub fn new(cadence_ms: u64) -> Self {
+    pub(crate) fn new(cadence_ms: u64) -> Self {
         let cadence_ms = cadence_ms.max(1);
         TimelineBuilder {
             cadence_ms,
@@ -547,7 +547,7 @@ impl TimelineBuilder {
 
     /// Feeds one event, closing (and scoring) any bins the stream has
     /// moved past.
-    pub fn observe(&mut self, at_ms: u64, ev: &TraceEvent) {
+    pub(crate) fn observe(&mut self, at_ms: u64, ev: &TraceEvent) {
         self.flush_until(at_ms, Close::Live);
         match *ev {
             TraceEvent::EventExecuted { .. } => {
@@ -711,7 +711,7 @@ impl TimelineBuilder {
 
     /// Closes the final (possibly partial) bin and snapshots the run. The
     /// raw-event ring is the sink's: `recent` comes back empty.
-    pub fn finish(&self, end_ms: u64) -> RunTimeline {
+    pub(crate) fn finish(&self, end_ms: u64) -> RunTimeline {
         // Work on a clone: `finish` must not disturb the live builder (the
         // recorder may be asked to finish more than once).
         let mut b = self.clone();
@@ -768,9 +768,9 @@ impl TimelineBuilder {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunTimeline {
     /// Sampling cadence, ms of sim-time.
-    pub cadence_ms: u64,
+    pub(crate) cadence_ms: u64,
     /// End of the run, ms of sim-time.
-    pub end_ms: u64,
+    pub(crate) end_ms: u64,
     /// Per-decision-point bin samples, ordered by (bin, dp).
     pub dp_samples: Vec<DpSample>,
     /// Whole-simulation bin samples, ordered by bin.

@@ -11,7 +11,7 @@
 //! The discrete-event simulator only needs the *sizes* (they feed the SOAP
 //! marshalling cost); the thread and socket runtimes ship the actual
 //! bytes. A compact little-endian framing stands in for the paper's SOAP
-//! envelope; we keep a constant [`SOAP_OVERHEAD_FACTOR`] to account for XML
+//! envelope; we keep a constant `SOAP_OVERHEAD_FACTOR` to account for XML
 //! bloat when converting to marshalling cost.
 //!
 //! Every decoder of socket or disk bytes — here, in `clusterd::proto`, in
@@ -23,7 +23,7 @@ use gruber_types::{ClientId, DispatchRecord, DpId, GridError, JobId};
 
 /// XML/SOAP inflates payloads ~8× over our binary framing; marshalling cost
 /// is charged on the inflated size.
-pub const SOAP_OVERHEAD_FACTOR: f64 = 8.0;
+pub(crate) const SOAP_OVERHEAD_FACTOR: f64 = 8.0;
 
 /// `perf/src/kernels.rs` (frozen) still names the record by this alias; ROADMAP item 4(a) drops it.
 pub type DispatchDelta = DispatchRecord;

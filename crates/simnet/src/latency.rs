@@ -10,41 +10,6 @@
 use desim::DetRng;
 use gruber_types::SimDuration;
 
-/// A one-way latency distribution for a link.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LatencyModel {
-    /// Fixed latency.
-    Constant(SimDuration),
-    /// Uniform between two bounds.
-    Uniform {
-        /// Minimum one-way latency.
-        lo: SimDuration,
-        /// Maximum one-way latency.
-        hi: SimDuration,
-    },
-}
-
-impl LatencyModel {
-    /// Draws one message latency.
-    pub fn sample(&self, rng: &mut DetRng) -> SimDuration {
-        match *self {
-            LatencyModel::Constant(d) => d,
-            LatencyModel::Uniform { lo, hi } => {
-                let ms = rng.uniform_range(lo.as_millis() as f64, hi.as_millis() as f64 + 1.0);
-                SimDuration::from_millis(ms as u64)
-            }
-        }
-    }
-
-    /// Mean latency of the model.
-    pub fn mean(&self) -> SimDuration {
-        match *self {
-            LatencyModel::Constant(d) => d,
-            LatencyModel::Uniform { lo, hi } => (lo + hi) / 2,
-        }
-    }
-}
-
 /// A node in the network (client hosts and decision points share one
 /// namespace here; crates map their own ids onto it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -110,7 +75,7 @@ impl WanTopology {
 
     /// The deterministic base one-way latency of a directed pair
     /// (symmetric: `(a,b)` and `(b,a)` agree).
-    pub fn base_latency(&self, a: NetNode, b: NetNode) -> SimDuration {
+    pub(crate) fn base_latency(&self, a: NetNode, b: NetNode) -> SimDuration {
         if a == b {
             return SimDuration::ZERO;
         }
@@ -132,24 +97,6 @@ impl WanTopology {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn model_sampling_bounds() {
-        let mut rng = DetRng::new(0, 0);
-        let m = LatencyModel::Uniform {
-            lo: SimDuration::from_millis(10),
-            hi: SimDuration::from_millis(20),
-        };
-        for _ in 0..200 {
-            let d = m.sample(&mut rng);
-            assert!((10..=20).contains(&d.as_millis()), "{d:?}");
-        }
-        assert_eq!(m.mean().as_millis(), 15);
-        assert_eq!(
-            LatencyModel::Constant(SimDuration::from_millis(5)).sample(&mut rng),
-            SimDuration::from_millis(5)
-        );
-    }
 
     #[test]
     fn base_latency_is_symmetric_and_stable() {

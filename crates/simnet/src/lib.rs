@@ -7,9 +7,9 @@
 //! milliseconds, a single query can easily take multiple seconds to serve".
 //! This crate models exactly those two effects:
 //!
-//! * [`latency`] — per-link WAN latency distributions (each directed pair of
+//! * `latency` — per-link WAN latency distributions (each directed pair of
 //!   nodes gets a deterministic base latency plus jitter);
-//! * [`service`] — a bounded-thread-pool web-service station whose
+//! * `service` — a bounded-thread-pool web-service station whose
 //!   per-request cost is authentication + per-KB marshalling (SOAP) + the
 //!   brokering work itself, with two calibrated profiles:
 //!   [`service::ServiceProfile::gt3`] and
@@ -23,8 +23,7 @@
 //!
 //! ```
 //! use desim::DetRng;
-//! use simnet::{ServiceProfile, ServiceStation};
-//! use simnet::service::Admission;
+//! use simnet::{Admission, ServiceProfile, ServiceStation};
 //!
 //! let mut station = ServiceStation::new(ServiceProfile::gt3());
 //! let mut rng = DetRng::new(1, 0);
@@ -39,10 +38,10 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod latency;
-pub mod retry;
-pub mod service;
+mod latency;
+mod retry;
+mod service;
 
-pub use latency::{LatencyModel, WanTopology};
+pub use latency::{NetNode, WanTopology};
 pub use retry::{MessageClass, RetryConfig, RetryPolicy};
-pub use service::{ServiceProfile, ServiceStation};
+pub use service::{Admission, ServiceProfile, ServiceStation};

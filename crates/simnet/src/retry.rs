@@ -15,7 +15,7 @@
 //! ```
 //! use desim::DetRng;
 //! use gruber_types::SimDuration;
-//! use simnet::retry::RetryPolicy;
+//! use simnet::RetryPolicy;
 //!
 //! let policy = RetryPolicy::ExpJitter {
 //!     base: SimDuration::from_millis(250),
@@ -104,7 +104,7 @@ impl RetryPolicy {
     }
 
     /// The retransmission budget (0 for fire-and-forget).
-    pub fn max_retries(&self) -> u32 {
+    pub(crate) fn max_retries(&self) -> u32 {
         match *self {
             RetryPolicy::None => 0,
             RetryPolicy::Fixed { max_retries, .. }
@@ -137,7 +137,7 @@ impl RetryPolicy {
 
     /// A sensible jittered-exponential policy: 5 retries, 250 ms base,
     /// 4 s cap.
-    pub fn exp_jitter_default() -> Self {
+    pub(crate) fn exp_jitter_default() -> Self {
         RetryPolicy::ExpJitter {
             base: SimDuration::from_millis(250),
             cap: SimDuration::from_secs(4),

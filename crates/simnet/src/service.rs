@@ -18,8 +18,7 @@
 //! (Figure 1) is several times cheaper than a full GRUBER query, which
 //! involves "several round trips and the transport of significant state".
 
-use desim::dist::Dist;
-use desim::DetRng;
+use desim::{DetRng, Dist};
 use gruber_types::{DpId, SimDuration, SimTime};
 use obs::{Recorder, TraceEvent};
 use std::collections::VecDeque;
@@ -32,11 +31,11 @@ pub struct ServiceProfile {
     /// Parallel worker slots in the container.
     pub workers: usize,
     /// Per-request authentication cost (GSI handshake, seconds).
-    pub auth: Dist,
+    pub(crate) auth: Dist,
     /// SOAP marshalling cost per KB of payload (seconds/KB).
-    pub marshal_per_kb: f64,
+    pub(crate) marshal_per_kb: f64,
     /// The brokering work itself (engine lookup + state update, seconds).
-    pub processing: Dist,
+    pub(crate) processing: Dist,
     /// Container accept-queue bound: requests arriving when `backlog ==
     /// queue_limit` are refused outright (the client sees a timeout).
     pub queue_limit: usize,
@@ -83,7 +82,7 @@ impl ServiceProfile {
 
     /// Draws the in-service time for a request carrying `payload_kb` of
     /// state.
-    pub fn service_time(&self, payload_kb: f64, rng: &mut DetRng) -> SimDuration {
+    pub(crate) fn service_time(&self, payload_kb: f64, rng: &mut DetRng) -> SimDuration {
         let secs =
             self.auth.sample(rng) + self.marshal_per_kb * payload_kb + self.processing.sample(rng);
         SimDuration::from_secs_f64(secs)
@@ -98,7 +97,7 @@ impl ServiceProfile {
 }
 
 /// Identifier the caller uses to correlate completions.
-pub type RequestTag = u64;
+pub(crate) type RequestTag = u64;
 
 /// A request admitted to the station and now in service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -51,28 +51,6 @@ pub enum JobState {
     Failed,
 }
 
-impl JobState {
-    /// True for the two terminal states.
-    pub fn is_terminal(self) -> bool {
-        matches!(self, JobState::Completed | JobState::Failed)
-    }
-
-    /// Validates the lifecycle transition described in the paper.
-    pub fn can_transition_to(self, next: JobState) -> bool {
-        use JobState::*;
-        matches!(
-            (self, next),
-            (AtSubmissionHost, QueuedAtSite)
-                | (QueuedAtSite, Running)
-                | (QueuedAtSite, Failed)
-                | (Running, Completed)
-                | (Running, Failed)
-                // Replanning: a failed attempt returns to the submission host.
-                | (Failed, AtSubmissionHost)
-        )
-    }
-}
-
 /// Mutable bookkeeping for a job as it progresses through the grid.
 ///
 /// The timestamps feed the paper's metrics: `dispatched_at → started_at` is
@@ -122,11 +100,6 @@ impl JobRecord {
     pub fn consumed_cpu_time(&self) -> Option<SimDuration> {
         let run = self.completed_at?.since(self.started_at?);
         Some(run * u64::from(self.spec.cpus))
-    }
-
-    /// End-to-end makespan from user submission to completion.
-    pub fn makespan(&self) -> Option<SimDuration> {
-        Some(self.completed_at?.since(self.spec.submitted_at))
     }
 }
 
@@ -211,26 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_transitions() {
-        use JobState::*;
-        assert!(AtSubmissionHost.can_transition_to(QueuedAtSite));
-        assert!(QueuedAtSite.can_transition_to(Running));
-        assert!(Running.can_transition_to(Completed));
-        assert!(Running.can_transition_to(Failed));
-        assert!(Failed.can_transition_to(AtSubmissionHost));
-        assert!(!AtSubmissionHost.can_transition_to(Running));
-        assert!(!Completed.can_transition_to(Running));
-        assert!(!Running.can_transition_to(QueuedAtSite));
-    }
-
-    #[test]
-    fn terminal_states() {
-        assert!(JobState::Completed.is_terminal());
-        assert!(JobState::Failed.is_terminal());
-        assert!(!JobState::Running.is_terminal());
-    }
-
-    #[test]
     fn record_timings() {
         let mut r = JobRecord::new(spec());
         assert_eq!(r.queue_time(), None);
@@ -240,7 +193,6 @@ mod tests {
         assert_eq!(r.queue_time(), Some(SimDuration::from_secs(15)));
         // 100 s of wall time on 2 CPUs.
         assert_eq!(r.consumed_cpu_time(), Some(SimDuration::from_secs(200)));
-        assert_eq!(r.makespan(), Some(SimDuration::from_secs(120)));
     }
 
     /// The layout every socket payload, WAL frame and snapshot block

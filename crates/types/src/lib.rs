@@ -22,14 +22,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod error;
-pub mod id;
-pub mod job;
-pub mod site;
-pub mod time;
+mod error;
+mod id;
+mod job;
+mod site;
+mod time;
 
 pub use error::{GridError, GridResult};
-pub use id::{ClientId, ClusterId, DpId, GroupId, JobId, SiteId, UserId, VoId};
+pub use id::{ClientId, DpId, GroupId, JobId, SiteId, UserId, VoId};
 pub use job::{DispatchRecord, JobRecord, JobSpec, JobState};
-pub use site::{ClusterSpec, SiteSpec};
+pub use site::{total_grid_cpus, SiteSpec};
 pub use time::{SimDuration, SimTime};

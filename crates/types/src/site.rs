@@ -13,9 +13,9 @@ pub struct ClusterSpec {
     /// Id, unique within the owning site.
     pub id: ClusterId,
     /// Number of (single-core, in the 2005 model) CPUs.
-    pub cpus: u32,
+    pub(crate) cpus: u32,
     /// Permanent storage the cluster contributes, in GB.
-    pub storage_gb: u32,
+    pub(crate) storage_gb: u32,
 }
 
 /// A grid site: a named collection of clusters.
@@ -24,7 +24,7 @@ pub struct SiteSpec {
     /// Unique id.
     pub id: SiteId,
     /// Human-readable name (e.g. `"site-17"`).
-    pub name: String,
+    pub(crate) name: String,
     /// Clusters this site contributes.
     pub clusters: Vec<ClusterSpec>,
 }

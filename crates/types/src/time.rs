@@ -51,8 +51,6 @@ impl SimTime {
 impl SimDuration {
     /// The empty span.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// One millisecond.
-    pub const MILLISECOND: SimDuration = SimDuration(1);
     /// One second.
     pub const SECOND: SimDuration = SimDuration(1000);
     /// One minute.

@@ -104,23 +104,8 @@ impl UslaSet {
         Ok(())
     }
 
-    /// Replaces or inserts an entry (USLA modification).
-    pub fn upsert(&mut self, entry: UslaEntry) -> Result<(), GridError> {
-        entry.validate()?;
-        if let Some(slot) = self.entries.iter_mut().find(|e| {
-            e.provider == entry.provider
-                && e.consumer == entry.consumer
-                && e.resource == entry.resource
-        }) {
-            *slot = entry;
-        } else {
-            self.entries.push(entry);
-        }
-        Ok(())
-    }
-
     /// Finds the entry for a `(provider, consumer, resource)` key.
-    pub fn lookup(
+    pub(crate) fn lookup(
         &self,
         provider: Principal,
         consumer: Principal,
@@ -183,18 +168,17 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_rejected_upsert_replaces() {
+    fn duplicates_rejected() {
         let mut set = UslaSet::new();
         set.insert(vo_entry(0, 10.0)).unwrap();
         assert!(set.insert(vo_entry(0, 20.0)).is_err());
-        set.upsert(vo_entry(0, 20.0)).unwrap();
         assert_eq!(set.len(), 1);
         assert_eq!(
             set.lookup(Principal::Grid, Principal::Vo(VoId(0)), ResourceKind::Cpu)
                 .unwrap()
                 .share
                 .percent,
-            20.0
+            10.0
         );
     }
 

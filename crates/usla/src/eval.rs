@@ -32,7 +32,7 @@ use crate::share::{FairShare, ShareKind};
 /// `total` (up to floating-point error) unless every child is capped below
 /// its proportional slice, in which case the sum may be less (the remainder
 /// is genuinely unallocated — available opportunistically to anyone).
-pub fn distribute(total: f64, rules: &[FairShare]) -> Vec<f64> {
+pub(crate) fn distribute(total: f64, rules: &[FairShare]) -> Vec<f64> {
     assert!(total >= 0.0 && total.is_finite());
     let n = rules.len();
     if n == 0 {
@@ -289,7 +289,6 @@ fn weakest(a: AdmissionVerdict, b: AdmissionVerdict) -> AdmissionVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agreement::UslaEntry;
     use crate::text::parse;
     use gruber_types::{GroupId, VoId};
     use proptest::prelude::*;
@@ -377,13 +376,13 @@ mod tests {
 
     #[test]
     fn admission_levels() {
-        let mut set = hierarchy();
-        set.upsert(UslaEntry {
-            provider: Principal::Grid,
-            consumer: Principal::Vo(VoId(0)),
-            resource: ResourceKind::Cpu,
-            share: FairShare::lower(40.0), // 400 guaranteed
-        })
+        // `hierarchy()` with VO 0's target a floor: 400 guaranteed.
+        let set = parse(
+            "usla cpu grid -> vo:0 = 40-\n\
+             usla cpu grid -> vo:1 = 60\n\
+             usla cpu vo:0 -> group:0.0 = 50\n\
+             usla cpu vo:0 -> group:0.1 = 50+\n",
+        )
         .unwrap();
         let eng = EntitlementEngine::new(&set, ResourceKind::Cpu, 1000.0);
         let vo = Principal::Vo(VoId(0));

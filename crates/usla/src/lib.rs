@@ -12,23 +12,23 @@
 //! * [`share::FairShare`] — Maui-style percentage rules;
 //! * [`principal::Principal`] — the recursive provider/consumer hierarchy
 //!   (grid → VO → group → user);
-//! * [`agreement`] — validated USLA entries and sets;
-//! * [`text`] — a compact one-line-per-goal text format standing in for the
-//!   paper's WS-Agreement XML subset (parser and printer round-trip);
-//! * [`eval`] — the entitlement engine: turns a USLA set plus a resource
+//! * `agreement` — validated USLA entries and sets;
+//! * `text` — a compact one-line-per-goal text format standing in for the
+//!   paper's WS-Agreement XML subset ([`parse()`] and [`print()`] round-trip);
+//! * `eval` — the entitlement engine: turns a USLA set plus a resource
 //!   pool into concrete per-consumer entitlements, applying targets, caps
 //!   and floors with proportional redistribution, and answers the admission
 //!   question GRUBER asks per job;
-//! * [`store`] — a versioned USLA store supporting the publication /
-//!   discovery operations decision points perform.
+//! * `store` — a versioned USLA store: publication, and the epoch deltas
+//!   decision points disseminate to each other.
 
 //! # Example
 //!
 //! ```
-//! use usla::{text, EntitlementEngine, Principal, ResourceKind};
+//! use usla::{EntitlementEngine, Principal, ResourceKind};
 //! use gruber_types::VoId;
 //!
-//! let set = text::parse(
+//! let set = usla::parse(
 //!     "usla cpu grid -> vo:0 = 40\n\
 //!      usla cpu grid -> vo:1 = 60+\n",
 //! )?;
@@ -42,15 +42,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod agreement;
-pub mod eval;
-pub mod principal;
-pub mod share;
-pub mod store;
-pub mod text;
+mod agreement;
+mod eval;
+mod principal;
+mod share;
+mod store;
+mod text;
 
 pub use agreement::{ResourceKind, UslaEntry, UslaSet};
-pub use eval::{distribute, AdmissionVerdict, EntitlementEngine};
+pub use eval::{AdmissionVerdict, EntitlementEngine};
 pub use principal::Principal;
 pub use share::{FairShare, ShareKind};
-pub use store::UslaStore;
+pub use store::{UslaStore, VersionedEntry};
+pub use text::{parse, print};

@@ -33,7 +33,7 @@ impl Principal {
     }
 
     /// The immediate parent, or `None` for the grid root.
-    pub fn parent(&self) -> Option<Principal> {
+    pub(crate) fn parent(&self) -> Option<Principal> {
         match *self {
             Principal::Grid => None,
             Principal::Vo(_) => Some(Principal::Grid),
@@ -43,7 +43,7 @@ impl Principal {
     }
 
     /// True if `self` is the immediate parent of `child`.
-    pub fn is_parent_of(&self, child: &Principal) -> bool {
+    pub(crate) fn is_parent_of(&self, child: &Principal) -> bool {
         child.parent() == Some(*self)
     }
 

@@ -54,7 +54,7 @@ impl FairShare {
     }
 
     /// The share as a fraction in `[0, 1]`.
-    pub fn fraction(&self) -> f64 {
+    pub(crate) fn fraction(&self) -> f64 {
         self.percent / 100.0
     }
 

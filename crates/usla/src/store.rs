@@ -7,17 +7,16 @@
 //! first dissemination strategy of Section 3.5 — exchanging USLAs as well
 //! as utilization — is built on `delta_since`).
 
-use crate::agreement::{ResourceKind, UslaEntry, UslaSet};
-use crate::principal::Principal;
+use crate::agreement::{UslaEntry, UslaSet};
 use gruber_types::GridError;
 
 /// A USLA entry tagged with the epoch it was last modified in.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VersionedEntry {
     /// The agreement goal.
-    pub entry: UslaEntry,
+    pub(crate) entry: UslaEntry,
     /// Store epoch at which this goal was published/updated.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
 }
 
 /// A store of USLA goals with monotonically increasing epochs.
@@ -65,23 +64,6 @@ impl UslaStore {
             });
         }
         Ok(self.epoch)
-    }
-
-    /// Retrieves the current goal for a key (the *discovery* operation).
-    pub fn discover(
-        &self,
-        provider: Principal,
-        consumer: Principal,
-        resource: ResourceKind,
-    ) -> Option<&UslaEntry> {
-        self.entries
-            .iter()
-            .find(|v| {
-                v.entry.provider == provider
-                    && v.entry.consumer == consumer
-                    && v.entry.resource == resource
-            })
-            .map(|v| &v.entry)
     }
 
     /// All entries changed after `epoch` (dissemination delta).
@@ -139,6 +121,8 @@ impl UslaStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agreement::ResourceKind;
+    use crate::principal::Principal;
     use crate::share::FairShare;
     use gruber_types::VoId;
 
@@ -151,16 +135,23 @@ mod tests {
         }
     }
 
+    /// VO `v`'s published CPU share, read through the snapshot a point
+    /// evaluates.
+    fn share_of(s: &UslaStore, v: u32) -> f64 {
+        s.snapshot()
+            .lookup(Principal::Grid, Principal::Vo(VoId(v)), ResourceKind::Cpu)
+            .expect("published")
+            .share
+            .percent
+    }
+
     #[test]
-    fn publish_bumps_epoch_and_discover_finds() {
+    fn publish_bumps_epoch_and_snapshot_finds() {
         let mut s = UslaStore::new();
         assert_eq!(s.publish(goal(0, 40.0)).unwrap(), 1);
         assert_eq!(s.publish(goal(1, 60.0)).unwrap(), 2);
         assert_eq!(s.epoch(), 2);
-        let e = s
-            .discover(Principal::Grid, Principal::Vo(VoId(0)), ResourceKind::Cpu)
-            .unwrap();
-        assert_eq!(e.share.percent, 40.0);
+        assert_eq!(share_of(&s, 0), 40.0);
     }
 
     #[test]
@@ -169,13 +160,7 @@ mod tests {
         s.publish(goal(0, 40.0)).unwrap();
         s.publish(goal(0, 55.0)).unwrap();
         assert_eq!(s.len(), 1);
-        assert_eq!(
-            s.discover(Principal::Grid, Principal::Vo(VoId(0)), ResourceKind::Cpu)
-                .unwrap()
-                .share
-                .percent,
-            55.0
-        );
+        assert_eq!(share_of(&s, 0), 55.0);
     }
 
     #[test]
@@ -198,13 +183,7 @@ mod tests {
         a.publish(goal(0, 70.0)).unwrap();
         let applied = b.merge_delta(&a.delta_since(b.epoch()));
         assert_eq!(applied, 1);
-        assert_eq!(
-            b.discover(Principal::Grid, Principal::Vo(VoId(0)), ResourceKind::Cpu)
-                .unwrap()
-                .share
-                .percent,
-            70.0
-        );
+        assert_eq!(share_of(&b, 0), 70.0);
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl JobFactory {
     }
 
     /// The VO a client's jobs belong to (static round-robin assignment).
-    pub fn vo_of_client(&self, client: ClientId) -> VoId {
+    pub(crate) fn vo_of_client(&self, client: ClientId) -> VoId {
         VoId(client.0 % self.spec.n_vos)
     }
 

@@ -1,7 +1,7 @@
 //! Workload and USLA generation.
 //!
-//! The paper "used composite workloads that overlay work for [10] VOs and
-//! [10] groups per VO"; each of ~120 submission hosts maintained a
+//! The paper "used composite workloads that overlay work for \[10\] VOs and
+//! \[10\] groups per VO"; each of ~120 submission hosts maintained a
 //! connection to one decision point, and the experiment ran for one hour.
 //! This crate generates those workloads deterministically:
 //!
@@ -30,8 +30,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gen;
-pub mod spec;
+mod gen;
+mod spec;
 pub mod uslas;
 
 pub use gen::JobFactory;

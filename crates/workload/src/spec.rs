@@ -1,6 +1,6 @@
 //! Workload specification.
 
-use desim::dist::Dist;
+use desim::Dist;
 use gruber_types::SimDuration;
 
 /// The knobs describing one experiment's workload.

@@ -12,8 +12,7 @@
 //! ```
 
 use digruber::config::DigruberConfig;
-use digruber::elastic::MembershipConfig;
-use digruber::{run_experiment, ServiceKind};
+use digruber::{run_experiment, MembershipConfig, ServiceKind};
 use workload::WorkloadSpec;
 
 fn main() {

@@ -11,8 +11,7 @@
 //! ```
 
 use desim::DetRng;
-use di_gruber_repro::euryale::planner::{EuryalePlanner, PostAction, SubmitFile};
-use di_gruber_repro::euryale::JobDag;
+use di_gruber_repro::{EuryalePlanner, JobDag, PostAction, SubmitFile};
 use gridemu::{grid3_times, Grid, SitePolicy};
 use gruber::{GruberEngine, LeastUsedSelector, SiteSelector};
 use gruber_types::{

@@ -10,13 +10,13 @@
 //! ```
 
 use gruber_types::VoId;
-use usla::{text, EntitlementEngine, Principal, ResourceKind};
+use usla::{EntitlementEngine, Principal, ResourceKind};
 use workload::uslas::weighted_shares;
 
 fn main() {
     // Three VOs: VO 0 capped (+), VO 1 a plain target, VO 2 guaranteed (-).
     let uslas = weighted_shares(&[1.0, 2.0, 1.0]).expect("valid weights");
-    println!("USLA set (WS-Agreement-subset text format):\n{}", text::print(&uslas));
+    println!("USLA set (WS-Agreement-subset text format):\n{}", usla::print(&uslas));
 
     let total_cpus = 10_000.0;
     let engine = EntitlementEngine::new(&uslas, ResourceKind::Cpu, total_cpus);

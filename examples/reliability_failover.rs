@@ -20,8 +20,7 @@
 //! ```
 
 use digruber::config::{DigruberConfig, FailureConfig};
-use digruber::elastic::MembershipConfig;
-use digruber::{run_experiment, ExperimentOutput, ServiceKind};
+use digruber::{run_experiment, ExperimentOutput, MembershipConfig, ServiceKind};
 use gruber_types::SimDuration;
 use workload::WorkloadSpec;
 

@@ -23,7 +23,7 @@
 //! # Example
 //!
 //! ```
-//! use di_gruber_repro::euryale::{planner::SubmitFile, EuryalePlanner, JobDag};
+//! use di_gruber_repro::{EuryalePlanner, JobDag, SubmitFile};
 //! use gruber_types::{JobId, SiteId};
 //!
 //! let dag = JobDag::chain(&[JobId(1), JobId(2)])?;
@@ -39,10 +39,9 @@
 //! # Ok::<(), gruber_types::GridError>(())
 //! ```
 
-pub mod dag;
-pub mod planner;
-pub mod replica;
+mod dag;
+mod planner;
+mod replica;
 
 pub use dag::JobDag;
-pub use planner::{EuryalePlanner, PlannerStats};
-pub use replica::ReplicaCatalog;
+pub use planner::{EuryalePlanner, PostAction, SubmitFile};

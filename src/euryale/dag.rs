@@ -33,7 +33,7 @@ impl JobDag {
     /// Adds a job with the given parents. Parents must already be in the
     /// DAG; cycles are impossible by construction (edges only point from
     /// existing nodes to new ones).
-    pub fn add_job(&mut self, job: JobId, parents: &[JobId]) -> GridResult<()> {
+    pub(crate) fn add_job(&mut self, job: JobId, parents: &[JobId]) -> GridResult<()> {
         if self.state.contains_key(&job) {
             return Err(GridError::InvalidConfig(format!("duplicate DAG node {job}")));
         }
@@ -75,7 +75,7 @@ impl JobDag {
     }
 
     /// Claims a ready job for execution.
-    pub fn claim(&mut self, job: JobId) -> GridResult<()> {
+    pub(crate) fn claim(&mut self, job: JobId) -> GridResult<()> {
         match self.state.get_mut(&job) {
             Some(s @ NodeState::Ready) => {
                 *s = NodeState::InFlight;
@@ -116,7 +116,7 @@ impl JobDag {
     }
 
     /// Returns an in-flight job to ready (re-planning after failure).
-    pub fn requeue(&mut self, job: JobId) -> GridResult<()> {
+    pub(crate) fn requeue(&mut self, job: JobId) -> GridResult<()> {
         match self.state.get_mut(&job) {
             Some(s @ NodeState::InFlight) => {
                 *s = NodeState::Ready;
@@ -133,7 +133,7 @@ impl JobDag {
     /// Abandons a job permanently (retry budget exhausted): it counts as
     /// done for dependency purposes so the DAG can drain, but is reported
     /// in `abandoned`.
-    pub fn abandon(&mut self, job: JobId) -> GridResult<Vec<JobId>> {
+    pub(crate) fn abandon(&mut self, job: JobId) -> GridResult<Vec<JobId>> {
         self.complete(job)
     }
 

@@ -21,15 +21,15 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubmitFile {
     /// The job this file submits.
-    pub job: JobId,
+    pub(crate) job: JobId,
     /// The execution site — `None` until the prescript binds it
     /// (late binding: "site placement decisions are made immediately prior
     /// to running the job").
     pub site: Option<SiteId>,
     /// Input files to stage in.
-    pub inputs: Vec<Lfn>,
+    pub(crate) inputs: Vec<Lfn>,
     /// Output files the job produces.
-    pub outputs: Vec<Lfn>,
+    pub(crate) outputs: Vec<Lfn>,
 }
 
 impl SubmitFile {

@@ -10,7 +10,7 @@ use gruber_types::SiteId;
 use std::collections::{HashMap, HashSet};
 
 /// Logical file name.
-pub type Lfn = String;
+pub(crate) type Lfn = String;
 
 /// Logical-file → replica-locations catalog with popularity tracking.
 #[derive(Debug, Default)]
@@ -27,46 +27,21 @@ impl ReplicaCatalog {
 
     /// Registers a replica of `lfn` at `site`. Returns `true` if it was
     /// new.
-    pub fn register(&mut self, lfn: &str, site: SiteId) -> bool {
+    pub(crate) fn register(&mut self, lfn: &str, site: SiteId) -> bool {
         self.replicas
             .entry(lfn.to_string())
             .or_default()
             .insert(site)
     }
 
-    /// Removes a replica (e.g. site cleanup). Returns `true` if present.
-    pub fn unregister(&mut self, lfn: &str, site: SiteId) -> bool {
-        match self.replicas.get_mut(lfn) {
-            Some(sites) => {
-                let removed = sites.remove(&site);
-                if sites.is_empty() {
-                    self.replicas.remove(lfn);
-                }
-                removed
-            }
-            None => false,
-        }
-    }
-
-    /// Sites holding `lfn`, sorted for determinism.
-    pub fn locate(&self, lfn: &str) -> Vec<SiteId> {
-        let mut v: Vec<SiteId> = self
-            .replicas
-            .get(lfn)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        v.sort_unstable();
-        v
-    }
-
     /// Whether `site` already holds `lfn` (the prescript skips the
     /// transfer then).
-    pub fn has_replica(&self, lfn: &str, site: SiteId) -> bool {
+    pub(crate) fn has_replica(&self, lfn: &str, site: SiteId) -> bool {
         self.replicas.get(lfn).is_some_and(|s| s.contains(&site))
     }
 
     /// Records one access (the postscript's popularity update).
-    pub fn touch(&mut self, lfn: &str) {
+    pub(crate) fn touch(&mut self, lfn: &str) {
         *self.popularity.entry(lfn.to_string()).or_insert(0) += 1;
     }
 
@@ -108,16 +83,11 @@ mod tests {
         assert!(c.register("input.dat", SiteId(3)));
         assert!(!c.register("input.dat", SiteId(3)), "duplicate replica");
         c.register("input.dat", SiteId(1));
-        assert_eq!(c.locate("input.dat"), vec![SiteId(1), SiteId(3)]);
+        assert_eq!(c.replicas["input.dat"], HashSet::from([SiteId(1), SiteId(3)]));
         assert!(c.has_replica("input.dat", SiteId(1)));
         assert!(!c.has_replica("input.dat", SiteId(2)));
-
-        assert!(c.unregister("input.dat", SiteId(1)));
-        assert!(!c.unregister("input.dat", SiteId(1)));
-        assert_eq!(c.locate("input.dat"), vec![SiteId(3)]);
-        c.unregister("input.dat", SiteId(3));
-        assert!(c.is_empty());
-        assert!(c.locate("input.dat").is_empty());
+        assert!(!c.has_replica("output.dat", SiteId(1)));
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

@@ -222,7 +222,7 @@ fn snapshot_fingerprints_discriminate_specs() {
 /// policies in play, tracing on (the fault layer only narrates through
 /// the trace), three decision points.
 fn fault_plan_specs() -> Vec<RunSpec> {
-    use digruber::faults::FaultPlan;
+    use digruber::FaultPlan;
     use simnet::{RetryConfig, RetryPolicy};
     let fixed = RetryConfig {
         query: RetryPolicy::fixed_default(),
@@ -286,7 +286,7 @@ fn fault_plans_stay_deterministic_across_jobs() {
     // trace totals (a plan that never fires pins nothing).
     let totals: Vec<_> = serial
         .iter()
-        .map(|m| m.as_ref().unwrap().timeline.as_ref().unwrap().totals.clone())
+        .map(|m| m.as_ref().unwrap().timeline.as_ref().unwrap().totals)
         .collect();
     assert_eq!(totals[0].partitions_started, 1);
     assert_eq!(totals[0].partitions_healed, 1);
@@ -360,7 +360,7 @@ fn wheel_reproduces_pinned_heap_fingerprints() {
 /// recovery mid-run.
 fn persist_crash_spec() -> RunSpec {
     use digruber::config::{PersistenceConfig, RecoveryMode};
-    use digruber::faults::FaultPlan;
+    use digruber::FaultPlan;
     let mut spec = reduced_paper_spec(ServiceKind::Gt3, 3, 2005);
     spec.label = "faults: crash + persist recovery".into();
     spec.cfg.trace = Some(obs::TraceConfig::default());

@@ -88,10 +88,7 @@ fn whole_experiment_is_bit_deterministic() {
 mod pool_sizing {
     use super::*;
     use desim::DetRng;
-    use digruber::elastic::{MembershipConfig, ScalerConfig};
-    use digruber::events::{Ev, Sim};
-    use digruber::run::run_to_end;
-    use digruber::World;
+    use digruber::{run_to_end, Ev, MembershipConfig, ScalerConfig, Sim, World};
     use gruber_types::SimTime;
 
     fn autoscaled(scaler: ScalerConfig) -> Option<MembershipConfig> {
@@ -380,7 +377,7 @@ mod reliability {
 
 mod extensions {
     use super::*;
-    use digruber::faults::FaultPlan;
+    use digruber::FaultPlan;
 
     #[test]
     fn message_loss_degrades_but_does_not_wedge() {
@@ -440,7 +437,7 @@ mod extensions {
 
 mod storage {
     use super::*;
-    use desim::dist::Dist;
+    use desim::Dist;
 
     #[test]
     fn data_intensive_workload_runs_and_may_shed_placements() {

@@ -85,7 +85,7 @@ fn sim_sync_round(nodes: &mut [DpNode], now: SimTime) {
     let mut fx = Vec::new();
     for i in 0..n_dps {
         nodes[i].handle(now, Input::SyncTick { n_dps }, &mut fx);
-        let effects: Vec<Effect> = fx.drain(..).collect();
+        let effects: Vec<Effect> = std::mem::take(&mut fx);
         for effect in effects {
             if let Effect::FloodTo { peers, payload } = effect {
                 let mut fx2 = Vec::new();
@@ -232,7 +232,7 @@ fn run_live_side() -> Vec<Observed> {
 /// connection's byte stream; cross-point convergence is awaited by
 /// polling real queries, exactly like the live side.
 fn run_socket_side(opts: clusterd::SpawnOpts, crash_between_rounds: bool) -> Vec<Observed> {
-    use clusterd::harness::{dev_binary, LocalCluster};
+    use clusterd::{dev_binary, LocalCluster};
 
     let mut cluster = LocalCluster::spawn(&dev_binary(), opts).expect("spawn socket cluster");
 
@@ -406,7 +406,7 @@ fn persist_sync_round(w: &mut PersistWorld, now: SimTime) {
     let mut fx = Vec::new();
     for i in 0..n_dps {
         w.nodes[i].handle(now, Input::SyncTick { n_dps }, &mut fx);
-        let effects: Vec<Effect> = fx.drain(..).collect();
+        let effects: Vec<Effect> = std::mem::take(&mut fx);
         let mut fx2 = Vec::new();
         for effect in effects {
             match effect {

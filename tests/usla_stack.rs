@@ -4,14 +4,14 @@
 use gridemu::grid3_times;
 use gruber::{DispatchRecord, GruberEngine};
 use gruber_types::{ClientId, GroupId, JobId, JobSpec, SimDuration, SimTime, SiteId, UserId, VoId};
-use usla::{text, AdmissionVerdict, EntitlementEngine, Principal, ResourceKind, UslaStore};
+use usla::{AdmissionVerdict, EntitlementEngine, Principal, ResourceKind, UslaStore};
 use workload::uslas::{equal_shares, weighted_shares};
 
 #[test]
 fn generated_sets_print_parse_and_evaluate() {
     for set in [equal_shares(5, 4).unwrap(), weighted_shares(&[1.0, 3.0]).unwrap()] {
-        let printed = text::print(&set);
-        let reparsed = text::parse(&printed).unwrap();
+        let printed = usla::print(&set);
+        let reparsed = usla::parse(&printed).unwrap();
         assert_eq!(set, reparsed);
         let engine = EntitlementEngine::new(&reparsed, ResourceKind::Cpu, 1000.0);
         let total: f64 = reparsed
