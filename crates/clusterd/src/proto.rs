@@ -42,26 +42,29 @@ pub(crate) const FRAME_CRASH: u8 = 8;
 pub(crate) const FRAME_SHUTDOWN: u8 = 9;
 
 /// Encodes a query reply: the echoed request job id (correlation token)
-/// followed by the believed-free CPU count per site.
+/// followed by the believed-free CPU count per site, each a little-endian
+/// `u32`. The counts are written in one pass over a presized buffer.
 pub fn encode_free(token: u32, free: &[u32]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + free.len() * 4);
-    buf.put_u32_le(token);
-    buf.put_u32_le(free.len() as u32);
-    for &f in free {
-        buf.put_u32_le(f);
+    let mut buf = vec![0u8; 8 + free.len() * 4];
+    buf[..4].copy_from_slice(&token.to_le_bytes());
+    buf[4..8].copy_from_slice(&(free.len() as u32).to_le_bytes());
+    for (word, f) in buf[8..].chunks_exact_mut(4).zip(free) {
+        word.copy_from_slice(&f.to_le_bytes());
     }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
-/// Decodes a query reply into `(token, free)`.
+/// Decodes a query reply into `(token, free)`: the counts are taken as one
+/// slice, once the claimed count is held against the bytes behind it.
 pub fn decode_free(buf: Bytes) -> Result<(u32, Vec<u32>), GridError> {
     let mut r = Reader::new("free", buf.as_ref());
     let token = r.u32()?;
     let n = r.count(4)?;
-    let mut free = Vec::with_capacity(n);
-    for _ in 0..n {
-        free.push(r.u32()?);
-    }
+    let free = r
+        .take(4 * n)?
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+        .collect();
     Ok((token, free))
 }
 
@@ -155,6 +158,22 @@ mod tests {
         assert_eq!(token, 77);
         assert_eq!(free, vec![16, 0, 3]);
         assert!(decode_free(Bytes::copy_from_slice(&[1, 2, 3])).is_err());
+        // A Grid3×10 reply: 300 counts, one of them u32::MAX, written as
+        // the token, the count and then each count, little-endian.
+        let mut sites: Vec<u32> = (0..300).map(|i| i * 7).collect();
+        sites[150] = u32::MAX;
+        let wire = encode_free(u32::MAX, &sites);
+        let mut want = Vec::new();
+        for w in [u32::MAX, 300].iter().chain(&sites) {
+            want.extend_from_slice(&w.to_le_bytes());
+        }
+        assert_eq!(wire.to_vec(), want);
+        assert_eq!(decode_free(wire.clone()).unwrap(), (u32::MAX, sites));
+        // Every strict prefix is refused.
+        for len in 0..wire.len() {
+            let prefix = Bytes::copy_from_slice(&want[..len]);
+            assert!(decode_free(prefix).is_err(), "{len} bytes");
+        }
     }
 
     #[test]

@@ -416,7 +416,7 @@ pub(crate) fn service_done(w: &mut World, s: &mut Sched, dp_idx: usize, tag: u64
     let client = req.client;
     let dp = req.dp;
     let admission = if w.cfg.enforce_uslas {
-        Some(job_spec(&w.grid, req.job).clone())
+        Some(job_spec(&w.grid, req.job))
     } else {
         None
     };
@@ -499,9 +499,7 @@ pub(crate) fn response_arrives(
     }
 
     let spec = job_spec(&w.grid, job);
-    let site = w.clients[client.index()]
-        .selector
-        .select(&free, spec, now);
+    let site = w.selector(client).select(&free, &spec, now);
     let Some(site) = site else {
         // Empty grid view — configuration error territory; retry later.
         let think = w.factory.think_time(client);
@@ -584,8 +582,8 @@ pub(crate) fn request_timeout(w: &mut World, s: &mut Sched, tag: u64) {
 }
 
 /// The spec of a job issued by [`client_issue`], from the grid ledger.
-fn job_spec(grid: &Grid, job: JobId) -> &JobSpec {
-    &grid.record(job).expect("issued jobs are in the ledger").spec
+fn job_spec(grid: &Grid, job: JobId) -> JobSpec {
+    grid.job_spec(job).expect("issued jobs are in the ledger")
 }
 
 /// Sends `client`'s submitted job to a site in ground truth, recording
@@ -622,7 +620,7 @@ pub(crate) fn dispatch_job(
 /// queue-manager-blocked host gets its slot back.
 pub(crate) fn job_complete(w: &mut World, s: &mut Sched, job: JobId) {
     let now = s.now();
-    let client = w.grid.record(job).expect("scheduled completion").spec.client;
+    let client = w.grid.job_client(job).expect("scheduled completion");
     match w.grid.complete(job, now) {
         Ok(started) => {
             for st in started {

@@ -296,12 +296,12 @@ fn finalize(
             continue;
         }
         jobs_dispatched += 1;
-        vo_consumed[rec.spec.vo.index()] += consumed_within(rec, end).as_secs_f64();
+        vo_consumed[rec.spec.vo.index()] += consumed_within(&rec, end).as_secs_f64();
         debug_assert_ne!(rec.state, JobState::AtSubmissionHost);
         acc.record(JobObservation {
             handled_by_gruber: rec.handled_by_gruber,
             queue_time: rec.queue_time(),
-            consumed_cpu_time: consumed_within(rec, end),
+            consumed_cpu_time: consumed_within(&rec, end),
             accuracy: if rec.handled_by_gruber {
                 w.accuracy_by_job.get(rec.spec.id)
             } else {

@@ -86,8 +86,9 @@ pub struct ClientState {
     pub id: ClientId,
     /// The decision point this client is statically bound to.
     pub dp: DpId,
-    /// Client-side site selector (runs over availability responses).
-    pub(crate) selector: LeastUsedSelector,
+    /// Index of the client's site selector in [`World::selectors`], or
+    /// [`NO_SELECTOR`] until its first answered response builds it.
+    pub(crate) selector: u32,
     /// Random stream for the timeout fallback ("selects a site at random,
     /// without considering USLAs").
     pub(crate) fallback_rng: DetRng,
@@ -102,6 +103,9 @@ pub struct ClientState {
     /// The host is waiting for a job slot before issuing its next query.
     pub(crate) blocked_on_queue: bool,
 }
+
+/// [`ClientState::selector`] of a client that has not selected a site yet.
+const NO_SELECTOR: u32 = u32::MAX;
 
 /// In-flight query bookkeeping.
 pub(crate) struct RequestState {
@@ -281,6 +285,11 @@ pub struct World {
     pub dps: Vec<DecisionPoint>,
     /// Clients, indexed by `ClientId`.
     pub clients: Vec<ClientState>,
+    /// Client-side site selectors (run over availability responses), in
+    /// the order clients first selected a site. A selector is built at its
+    /// client's first answered response: most clients of a large ramp are
+    /// never answered, and each selector holds a 32-byte random stream.
+    pub(crate) selectors: Vec<LeastUsedSelector>,
     /// The WAN.
     pub(crate) wan: WanTopology,
     /// DiPerF collector.
@@ -368,7 +377,7 @@ impl World {
                     Some(m) => m.home_of(ClientId(c)),
                     None => DpId(misc_rng.index(cfg.n_dps) as u32),
                 },
-                selector: LeastUsedSelector::new(cfg.seed, u64::from(c)),
+                selector: NO_SELECTOR,
                 fallback_rng: DetRng::new(cfg.seed, 0xFA11 ^ (u64::from(c) << 16)),
                 active: false,
                 consecutive_timeouts: 0,
@@ -395,6 +404,7 @@ impl World {
             uslas,
             dps,
             clients,
+            selectors: Vec::new(),
             collector: Collector::new(),
             schedule,
             accuracy_by_job: AccuracyLedger::default(),
@@ -411,6 +421,20 @@ impl World {
             trace,
             membership,
         })
+    }
+
+    /// `client`'s site selector, built on first use with the client's own
+    /// tie-breaking stream: the same stream, and so the same picks, as a
+    /// selector built with the world.
+    pub(crate) fn selector(&mut self, client: ClientId) -> &mut LeastUsedSelector {
+        let c = &mut self.clients[client.index()];
+        if c.selector == NO_SELECTOR {
+            let idx = u32::try_from(self.selectors.len()).expect("fewer than u32::MAX clients");
+            c.selector = idx;
+            let selector = LeastUsedSelector::new(self.cfg.seed, u64::from(client.0));
+            self.selectors.push(selector);
+        }
+        &mut self.selectors[c.selector as usize]
     }
 
     /// Whether decision points exchange anything at all.
@@ -579,13 +603,15 @@ mod tests {
 
     #[test]
     fn request_slots_and_events_are_small() {
-        // Pinned sizes of the two per-client allocations on the
-        // `sim-clients` workload (half a million requests in flight, a
+        // Pinned sizes of the per-client allocations on the `sim-clients`
+        // workload (half a million clients and requests in flight, a
         // million pending events). The job's spec is in the grid ledger,
         // not here; the availability vector, the dispatch record and the
-        // flood are boxed inside their event variants.
+        // flood are boxed inside their event variants; a client's site
+        // selector is built at its first answer, outside its state.
         assert_eq!(std::mem::size_of::<Option<RequestState>>(), 32);
         assert!(std::mem::size_of::<crate::events::Ev>() <= 32);
+        assert!(std::mem::size_of::<ClientState>() <= 56);
     }
 
     #[test]

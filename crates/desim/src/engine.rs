@@ -103,20 +103,9 @@ impl<W, E> Scheduler<W, E> {
         self.now
     }
 
-    /// Number of events executed so far.
-    pub fn events_executed(&self) -> u64 {
-        self.executed
-    }
-
     /// Number of events currently pending (including cancelled-but-unpopped).
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// High-water mark of the pending queue over the whole run — a cheap
-    /// proxy for peak simulation memory, reported by the bench snapshots.
-    pub fn peak_pending(&self) -> usize {
-        self.peak_pending
     }
 
     /// Number of successful [`Scheduler::cancel`] calls so far.
@@ -188,15 +177,17 @@ impl<W, E> Scheduler<W, E> {
         true
     }
 
+    /// Pops the earliest due entry with its `seq`, read from the slot: a
+    /// slot is freed only here, by its own entry's pop, so the slot an
+    /// entry names still holds that entry's event (or its tombstone).
     fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, u64, E)> {
-        while let Some((at, seq, idx)) = self.queue.pop_due(limit.0) {
+        while let Some((at, idx)) = self.queue.pop_due(limit.0) {
             let slot = &mut self.slots[idx as usize];
-            debug_assert_eq!(slot.seq, seq, "queue entry out of sync with its slot");
             let event = slot.event.take();
             slot.gen = slot.gen.wrapping_add(1);
             self.free.push(idx);
             if let Some(event) = event {
-                return Some((SimTime(at), seq, event));
+                return Some((SimTime(at), slot.seq, event));
             }
         }
         None
@@ -280,8 +271,8 @@ impl<W, E: Event<W>> Simulation<W, E> {
         self.sched.executed
     }
 
-    /// Pending-queue high-water mark so far (see
-    /// [`Scheduler::peak_pending`]).
+    /// High-water mark of the pending queue so far — a cheap proxy for
+    /// peak simulation memory, reported by the bench snapshots.
     pub fn peak_pending(&self) -> usize {
         self.sched.peak_pending
     }
@@ -463,7 +454,7 @@ mod tests {
                 .schedule_at(SimTime::from_secs(i), |_, _| {});
         }
         sim.run_until(SimTime::from_secs(100));
-        assert_eq!(sim.scheduler().events_executed(), 7);
+        assert_eq!(sim.events_executed(), 7);
         assert_eq!(sim.scheduler().pending(), 0);
     }
 

@@ -67,11 +67,6 @@ impl DetRng {
         self.uniform() < p
     }
 
-    /// Picks a uniformly random element of a non-empty slice.
-    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.index(items.len())]
-    }
-
     /// Fisher-Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {

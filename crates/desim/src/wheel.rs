@@ -33,15 +33,20 @@
 //! bucket sorted by `seq`, and L0 pops replay exactly the heap's
 //! `(at, seq)` order — byte-identical fingerprints. The tests below keep
 //! that heap as the reference and check the wheel against it pop for pop.
+//!
+//! Because a bucket's position *is* its `seq` order, a wheel entry is
+//! only a time and a slab slot (16 bytes): `seq` is kept where order
+//! cannot come from position — the spill map's key — and the scheduler
+//! reads an event's `seq` from its slab slot.
 
 use std::collections::BTreeMap;
 use std::mem;
 
-/// One queued event: absolute time, global sequence number, slab slot.
+/// One queued event: absolute time and slab slot. Its `seq` is implied by
+/// its place in its bucket (see the [module docs](self)).
 #[derive(Clone, Copy, Debug)]
 struct Entry {
     at: u64,
-    seq: u64,
     idx: u32,
 }
 
@@ -90,9 +95,10 @@ fn below_end(at: u64, epoch: u64, span: u64) -> bool {
 }
 
 /// The hierarchical timing wheel: a priority queue of `(at, seq, idx)`
-/// entries, popped in `(at, seq)` order. `idx` is an opaque payload
-/// handle (the scheduler's slab slot). See the [module docs](self) for
-/// the level layout and ordering argument.
+/// insertions, popped in `(at, seq)` order as `(at, idx)`. `idx` is an
+/// opaque payload handle (the scheduler's slab slot, which also holds the
+/// `seq`). See the [module docs](self) for the level layout and ordering
+/// argument.
 ///
 /// Contract required of the caller:
 ///
@@ -159,7 +165,7 @@ impl TimerWheel {
             self.floor
         );
         self.len += 1;
-        let e = Entry { at, seq, idx };
+        let e = Entry { at, idx };
         if below_end(at, self.l0_epoch, L0_SPAN) {
             self.push_l0(e);
         } else if below_end(at, self.l1_epoch, L1_SPAN) {
@@ -169,9 +175,10 @@ impl TimerWheel {
         }
     }
 
-    /// Removes and returns the earliest entry, provided its `at` does not
-    /// exceed `limit`. Returning `None` leaves the queue untouched.
-    pub(crate) fn pop_due(&mut self, limit: u64) -> Option<(u64, u64, u32)> {
+    /// Removes the earliest entry and returns its `(at, idx)`, provided
+    /// its `at` does not exceed `limit`. Returning `None` leaves the queue
+    /// untouched.
+    pub(crate) fn pop_due(&mut self, limit: u64) -> Option<(u64, u32)> {
         loop {
             if self.is_empty() {
                 return None;
@@ -196,7 +203,7 @@ impl TimerWheel {
                 }
                 self.len -= 1;
                 self.floor = at;
-                return Some((e.at, e.seq, e.idx));
+                return Some((e.at, e.idx));
             }
             // L0 drained: rotate. The first occupied L1 bucket holds the
             // earliest remaining wheel entries (bucket index is monotone
@@ -240,8 +247,8 @@ impl TimerWheel {
                 }
                 None => mem::take(&mut self.spill),
             };
-            for ((at, seq), idx) in refill {
-                let e = Entry { at, seq, idx };
+            for ((at, _), idx) in refill {
+                let e = Entry { at, idx };
                 if below_end(at, self.l0_epoch, L0_SPAN) {
                     self.push_l0(e);
                 } else {
@@ -266,7 +273,7 @@ impl TimerWheel {
 mod tests {
     use super::*;
 
-    fn drain_all(q: &mut TimerWheel) -> Vec<(u64, u64, u32)> {
+    fn drain_all(q: &mut TimerWheel) -> Vec<(u64, u32)> {
         let mut out = Vec::new();
         while let Some(e) = q.pop_due(u64::MAX) {
             out.push(e);
@@ -284,10 +291,12 @@ mod tests {
         }
         assert_eq!(w.len(), times.len());
         let popped = drain_all(&mut w);
-        let mut expect: Vec<(u64, u64, u32)> = times
+        // `idx` is the insertion's `seq` here, so `(at, idx)` order is
+        // `(at, seq)` order.
+        let mut expect: Vec<(u64, u32)> = times
             .iter()
             .enumerate()
-            .map(|(s, &at)| (at, s as u64, s as u32))
+            .map(|(s, &at)| (at, s as u32))
             .collect();
         expect.sort_unstable();
         assert_eq!(popped, expect);
@@ -323,8 +332,8 @@ mod tests {
         assert_eq!(w.len(), 1);
         // An earlier insert after the failed probe must still pop first.
         w.insert(100, 1, 1);
-        assert_eq!(w.pop_due(u64::MAX), Some((100, 1, 1)));
-        assert_eq!(w.pop_due(u64::MAX), Some((2_000, 0, 0)));
+        assert_eq!(w.pop_due(u64::MAX), Some((100, 1)));
+        assert_eq!(w.pop_due(u64::MAX), Some((2_000, 0)));
     }
 
     #[test]
@@ -332,7 +341,7 @@ mod tests {
         let mut w = TimerWheel::default();
         w.insert(500, 0, 0);
         assert_eq!(w.pop_due(499), None);
-        assert_eq!(w.pop_due(500), Some((500, 0, 0)));
+        assert_eq!(w.pop_due(500), Some((500, 0)));
     }
 
     #[test]
@@ -344,8 +353,8 @@ mod tests {
         for seq in 0..64u64 {
             w.insert(far, seq, seq as u32);
         }
-        let seqs: Vec<u64> = drain_all(&mut w).iter().map(|e| e.1).collect();
-        assert_eq!(seqs, (0..64).collect::<Vec<_>>());
+        let idxs: Vec<u32> = drain_all(&mut w).iter().map(|e| e.1).collect();
+        assert_eq!(idxs, (0..64).collect::<Vec<_>>());
     }
 
     #[test]
@@ -359,6 +368,12 @@ mod tests {
         }
         let ats: Vec<u64> = drain_all(&mut w).iter().map(|e| e.0).collect();
         assert_eq!(ats, vec![u64::MAX - L1_SPAN, u64::MAX - 1, u64::MAX]);
+    }
+    #[test]
+    fn entries_are_a_time_and_a_slot() {
+        // The wheel buckets are the largest allocation of a half-million
+        // client run (a million pending events); `seq` lives in the slab.
+        assert_eq!(std::mem::size_of::<Entry>(), 16);
     }
 }
 
@@ -384,11 +399,11 @@ mod properties {
             self.heap.push(Reverse((at, seq, idx)));
         }
 
-        fn pop_due(&mut self, limit: u64) -> Option<(u64, u64, u32)> {
+        fn pop_due(&mut self, limit: u64) -> Option<(u64, u32)> {
             match self.heap.peek() {
                 Some(&Reverse((at, _, _))) if at <= limit => {
-                    let Reverse(e) = self.heap.pop().expect("peeked");
-                    Some(e)
+                    let Reverse((at, _, idx)) = self.heap.pop().expect("peeked");
+                    Some((at, idx))
                 }
                 _ => None,
             }
@@ -442,7 +457,7 @@ mod properties {
                     let a = wheel.pop_due(limit);
                     let b = heap.pop_due(limit);
                     prop_assert_eq!(a, b);
-                    if let Some((at, _, _)) = a {
+                    if let Some((at, _)) = a {
                         floor = at;
                     }
                 }

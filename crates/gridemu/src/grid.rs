@@ -11,7 +11,8 @@
 use crate::site::{SiteStarted, SiteState};
 use crate::spep::SitePolicy;
 use gruber_types::{
-    GridError, GridResult, JobId, JobRecord, JobSpec, JobState, SimTime, SiteId, SiteSpec,
+    ClientId, GridError, GridResult, GroupId, JobId, JobRecord, JobSpec, JobState, SimDuration,
+    SimTime, SiteId, SiteSpec, UserId, VoId,
 };
 
 /// A job that began executing; the caller schedules its completion event.
@@ -25,15 +26,113 @@ pub struct Started {
     pub finish_at: SimTime,
 }
 
-/// Dense job ledger: records live in a `Vec` slot indexed by job id.
-/// Job ids are sequential (the workload factory hands them out in order),
-/// so this is an exact-fit slab — no hashing on the per-dispatch hot path
-/// and ~half the bytes per job of a `HashMap` entry, which is what keeps
-/// million-job runs resident. Iteration is id-ordered (deterministic),
-/// where the old map's order was unspecified.
+/// [`Slot::flags`] bits: which of the record's optional fields are set,
+/// and `handled_by_gruber`. A flag, not a sentinel value, says "unset",
+/// so every site id and every time (`SimTime(0)`, `SimTime(u64::MAX)`)
+/// stays a real value.
+const SITE: u8 = 1;
+const DISPATCHED: u8 = 1 << 1;
+const STARTED: u8 = 1 << 2;
+const COMPLETED: u8 = 1 << 3;
+const HANDLED: u8 = 1 << 4;
+
+/// One job's [`JobRecord`] as the ledger stores it: the spec's fields
+/// without its id (the slot's index is the id), the optional fields
+/// without their `Option` wrappers, and one flags byte — 72 bytes where
+/// the record is 112. Unset fields hold whatever they last held; only
+/// the flags are read.
+#[derive(Debug, Clone)]
+struct Slot {
+    vo: VoId,
+    group: GroupId,
+    user: UserId,
+    client: ClientId,
+    cpus: u32,
+    storage_mb: u32,
+    runtime: SimDuration,
+    submitted_at: SimTime,
+    site: SiteId,
+    dispatched_at: SimTime,
+    started_at: SimTime,
+    completed_at: SimTime,
+    state: JobState,
+    flags: u8,
+}
+
+impl Slot {
+    fn pack(r: &JobRecord) -> Self {
+        let s = &r.spec;
+        let flag = |bit, set: bool| if set { bit } else { 0 };
+        Slot {
+            vo: s.vo,
+            group: s.group,
+            user: s.user,
+            client: s.client,
+            cpus: s.cpus,
+            storage_mb: s.storage_mb,
+            runtime: s.runtime,
+            submitted_at: s.submitted_at,
+            site: r.site.unwrap_or_default(),
+            dispatched_at: r.dispatched_at.unwrap_or_default(),
+            started_at: r.started_at.unwrap_or_default(),
+            completed_at: r.completed_at.unwrap_or_default(),
+            state: r.state,
+            flags: flag(SITE, r.site.is_some())
+                | flag(DISPATCHED, r.dispatched_at.is_some())
+                | flag(STARTED, r.started_at.is_some())
+                | flag(COMPLETED, r.completed_at.is_some())
+                | flag(HANDLED, r.handled_by_gruber),
+        }
+    }
+
+    /// The record of job `id`, which this slot holds.
+    fn unpack(&self, id: JobId) -> JobRecord {
+        JobRecord {
+            spec: self.spec(id),
+            state: self.state,
+            site: self.get(SITE, self.site),
+            dispatched_at: self.get(DISPATCHED, self.dispatched_at),
+            started_at: self.get(STARTED, self.started_at),
+            completed_at: self.get(COMPLETED, self.completed_at),
+            handled_by_gruber: self.flags & HANDLED != 0,
+        }
+    }
+
+    fn spec(&self, id: JobId) -> JobSpec {
+        JobSpec {
+            id,
+            vo: self.vo,
+            group: self.group,
+            user: self.user,
+            client: self.client,
+            cpus: self.cpus,
+            storage_mb: self.storage_mb,
+            runtime: self.runtime,
+            submitted_at: self.submitted_at,
+        }
+    }
+
+    fn get<T>(&self, bit: u8, value: T) -> Option<T> {
+        (self.flags & bit != 0).then_some(value)
+    }
+
+    fn set(&mut self, bits: u8, on: bool) {
+        if on {
+            self.flags |= bits;
+        } else {
+            self.flags &= !bits;
+        }
+    }
+}
+
+/// Dense job ledger: packed records live in a `Vec` slot indexed by job
+/// id. Job ids are sequential (the workload factory hands them out in
+/// order), so this is an exact-fit slab with no hashing on the
+/// per-dispatch hot path, at 72 bytes per job, which is what keeps
+/// million-job runs resident. Iteration is id-ordered (deterministic).
 #[derive(Debug, Default)]
 struct JobLedger {
-    slots: Vec<Option<JobRecord>>,
+    slots: Vec<Option<Slot>>,
     len: usize,
 }
 
@@ -43,26 +142,28 @@ impl JobLedger {
     }
 
     /// Inserts a fresh record; the caller has checked for duplicates.
-    fn insert(&mut self, job: JobId, record: JobRecord) {
-        let idx = job.index();
+    fn insert(&mut self, record: &JobRecord) {
+        let idx = record.spec.id.index();
         if idx >= self.slots.len() {
             self.slots.resize_with(idx + 1, || None);
         }
         debug_assert!(self.slots[idx].is_none());
-        self.slots[idx] = Some(record);
+        self.slots[idx] = Some(Slot::pack(record));
         self.len += 1;
     }
 
-    fn get(&self, job: JobId) -> Option<&JobRecord> {
+    fn get(&self, job: JobId) -> Option<&Slot> {
         self.slots.get(job.index()).and_then(|s| s.as_ref())
     }
 
-    fn get_mut(&mut self, job: JobId) -> Option<&mut JobRecord> {
+    fn get_mut(&mut self, job: JobId) -> Option<&mut Slot> {
         self.slots.get_mut(job.index()).and_then(|s| s.as_mut())
     }
 
-    fn values(&self) -> impl Iterator<Item = &JobRecord> {
-        self.slots.iter().flatten()
+    /// Occupied slots with their job ids, in id order.
+    fn iter(&self) -> impl Iterator<Item = (JobId, &Slot)> {
+        let slots = self.slots.iter().enumerate();
+        slots.filter_map(|(i, s)| Some((JobId::from_index(i), s.as_ref()?)))
     }
 }
 
@@ -125,11 +226,6 @@ impl Grid {
         self.sites.iter().map(|s| s.free_cpus()).max().unwrap_or(0)
     }
 
-    /// Access to one site's state.
-    pub fn site(&self, id: SiteId) -> GridResult<&SiteState> {
-        self.sites.get(id.index()).ok_or(GridError::UnknownSite(id))
-    }
-
     /// All site states.
     pub fn sites(&self) -> &[SiteState] {
         &self.sites
@@ -143,8 +239,7 @@ impl Grid {
                 spec.id
             )));
         }
-        let id = spec.id;
-        self.jobs.insert(id, JobRecord::new(spec));
+        self.jobs.insert(&JobRecord::new(spec));
         Ok(())
     }
 
@@ -159,25 +254,26 @@ impl Grid {
         now: SimTime,
         handled_by_gruber: bool,
     ) -> GridResult<Vec<Started>> {
-        let record = self.jobs.get(job).ok_or(GridError::UnknownJob(job))?;
-        if record.state != JobState::AtSubmissionHost {
+        let slot = self.jobs.get(job).ok_or(GridError::UnknownJob(job))?;
+        if slot.state != JobState::AtSubmissionHost {
             return Err(GridError::InvalidTransition {
                 job,
-                detail: format!("dispatch from {:?}", record.state),
+                detail: format!("dispatch from {:?}", slot.state),
             });
         }
-        let spec = record.spec.clone();
+        let spec = slot.spec(job);
         let site_state = self
             .sites
             .get_mut(site.index())
             .ok_or(GridError::UnknownSite(site))?;
         let started = site_state.enqueue(&spec, now)?;
 
-        let record = self.jobs.get_mut(job).expect("checked");
-        record.state = JobState::QueuedAtSite;
-        record.site = Some(site);
-        record.dispatched_at = Some(now);
-        record.handled_by_gruber = handled_by_gruber;
+        let slot = self.jobs.get_mut(job).expect("checked");
+        slot.state = JobState::QueuedAtSite;
+        slot.site = site;
+        slot.dispatched_at = now;
+        slot.set(SITE | DISPATCHED, true);
+        slot.set(HANDLED, handled_by_gruber);
 
         Ok(self.apply_started(site, started, now))
     }
@@ -185,53 +281,53 @@ impl Grid {
     /// Marks a running job finished (state 3 → 4) and returns newly started
     /// queued jobs.
     pub fn complete(&mut self, job: JobId, now: SimTime) -> GridResult<Vec<Started>> {
-        let record = self.jobs.get(job).ok_or(GridError::UnknownJob(job))?;
-        if record.state != JobState::Running {
+        let slot = self.jobs.get(job).ok_or(GridError::UnknownJob(job))?;
+        if slot.state != JobState::Running {
             return Err(GridError::InvalidTransition {
                 job,
-                detail: format!("complete from {:?}", record.state),
+                detail: format!("complete from {:?}", slot.state),
             });
         }
-        let site = record.site.expect("running job has a site");
+        let site = slot.get(SITE, slot.site).expect("running job has a site");
         let started = self.sites[site.index()].complete(job, now)?;
-        let record = self.jobs.get_mut(job).expect("checked");
-        record.state = JobState::Completed;
-        record.completed_at = Some(now);
+        let slot = self.jobs.get_mut(job).expect("checked");
+        slot.state = JobState::Completed;
+        slot.completed_at = now;
+        slot.set(COMPLETED, true);
         Ok(self.apply_started(site, started, now))
     }
 
     /// Fails a dispatched job (queued or running), freeing its resources.
     /// Euryale replans failed jobs via [`Grid::resubmit`].
     pub fn fail(&mut self, job: JobId, now: SimTime) -> GridResult<Vec<Started>> {
-        let record = self.jobs.get(job).ok_or(GridError::UnknownJob(job))?;
-        if !matches!(record.state, JobState::QueuedAtSite | JobState::Running) {
+        let slot = self.jobs.get(job).ok_or(GridError::UnknownJob(job))?;
+        if !matches!(slot.state, JobState::QueuedAtSite | JobState::Running) {
             return Err(GridError::InvalidTransition {
                 job,
-                detail: format!("fail from {:?}", record.state),
+                detail: format!("fail from {:?}", slot.state),
             });
         }
-        let site = record.site.expect("dispatched job has a site");
+        let site = slot
+            .get(SITE, slot.site)
+            .expect("dispatched job has a site");
         let started = self.sites[site.index()].kill(job, now)?;
-        let record = self.jobs.get_mut(job).expect("checked");
-        record.state = JobState::Failed;
+        self.jobs.get_mut(job).expect("checked").state = JobState::Failed;
         Ok(self.apply_started(site, started, now))
     }
 
     /// Returns a failed job to its submission host for replanning
     /// (state Failed → 1), clearing placement bookkeeping.
     pub fn resubmit(&mut self, job: JobId, now: SimTime) -> GridResult<()> {
-        let record = self.jobs.get_mut(job).ok_or(GridError::UnknownJob(job))?;
-        if record.state != JobState::Failed {
+        let slot = self.jobs.get_mut(job).ok_or(GridError::UnknownJob(job))?;
+        if slot.state != JobState::Failed {
             return Err(GridError::InvalidTransition {
                 job,
-                detail: format!("resubmit from {:?}", record.state),
+                detail: format!("resubmit from {:?}", slot.state),
             });
         }
-        record.state = JobState::AtSubmissionHost;
-        record.site = None;
-        record.dispatched_at = None;
-        record.started_at = None;
-        record.spec.submitted_at = now;
+        slot.state = JobState::AtSubmissionHost;
+        slot.set(SITE | DISPATCHED | STARTED, false);
+        slot.submitted_at = now;
         Ok(())
     }
 
@@ -239,10 +335,11 @@ impl Grid {
         started
             .into_iter()
             .map(|s| {
-                let record = self.jobs.get_mut(s.job).expect("site knows this job");
-                debug_assert_eq!(record.state, JobState::QueuedAtSite);
-                record.state = JobState::Running;
-                record.started_at = Some(now);
+                let slot = self.jobs.get_mut(s.job).expect("site knows this job");
+                debug_assert_eq!(slot.state, JobState::QueuedAtSite);
+                slot.state = JobState::Running;
+                slot.started_at = now;
+                slot.set(STARTED, true);
                 Started {
                     job: s.job,
                     site,
@@ -253,13 +350,26 @@ impl Grid {
     }
 
     /// One job's record.
-    pub fn record(&self, job: JobId) -> GridResult<&JobRecord> {
-        self.jobs.get(job).ok_or(GridError::UnknownJob(job))
+    pub fn record(&self, job: JobId) -> GridResult<JobRecord> {
+        let slot = self.jobs.get(job).ok_or(GridError::UnknownJob(job))?;
+        Ok(slot.unpack(job))
+    }
+
+    /// One job's spec, without the rest of its record.
+    pub fn job_spec(&self, job: JobId) -> GridResult<JobSpec> {
+        let slot = self.jobs.get(job).ok_or(GridError::UnknownJob(job))?;
+        Ok(slot.spec(job))
+    }
+
+    /// The submission host of one job, without the rest of its record.
+    pub fn job_client(&self, job: JobId) -> GridResult<ClientId> {
+        let slot = self.jobs.get(job).ok_or(GridError::UnknownJob(job))?;
+        Ok(slot.client)
     }
 
     /// All records, in job-id order.
-    pub fn records(&self) -> impl Iterator<Item = &JobRecord> {
-        self.jobs.values()
+    pub fn records(&self) -> impl Iterator<Item = JobRecord> + '_ {
+        self.jobs.iter().map(|(id, slot)| slot.unpack(id))
     }
 
     /// Number of registered jobs.
@@ -275,9 +385,9 @@ impl Grid {
         let busy: u64 = self.sites.iter().map(|s| u64::from(s.busy_cpus())).sum();
         let running: u64 = self
             .jobs
-            .values()
-            .filter(|r| r.state == JobState::Running)
-            .map(|r| u64::from(r.spec.cpus))
+            .iter()
+            .filter(|(_, s)| s.state == JobState::Running)
+            .map(|(_, s)| u64::from(s.cpus))
             .sum();
         assert_eq!(busy, running, "busy CPUs diverge from running jobs");
     }
@@ -416,5 +526,79 @@ mod tests {
         assert!(Grid::new(vec![], SitePolicy::permissive()).is_err());
         let bad = vec![SiteSpec::single_cluster(SiteId(5), 4)];
         assert!(Grid::new(bad, SitePolicy::permissive()).is_err());
+    }
+    #[test]
+    fn ledger_slot_is_packed() {
+        // 524 288 of these at the peak of a half-million client run.
+        assert!(std::mem::size_of::<Option<Slot>>() <= 72);
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::option;
+        use proptest::prelude::*;
+        use std::ops::{Range, RangeInclusive};
+
+        /// A `u32` that is 0, `u32::MAX` or anything, a third each.
+        fn word() -> (Range<u8>, RangeInclusive<u32>) {
+            (0..3, 0..=u32::MAX)
+        }
+
+        fn w((edge, any): (u8, u32)) -> u32 {
+            [0, u32::MAX, any][usize::from(edge)]
+        }
+
+        /// A time that is 0, `u64::MAX` or anything, a third each.
+        fn time() -> (Range<u8>, RangeInclusive<u64>) {
+            (0..3, 0..=u64::MAX)
+        }
+
+        fn t((edge, any): (u8, u64)) -> SimTime {
+            SimTime([0, u64::MAX, any][usize::from(edge)])
+        }
+
+        proptest! {
+            /// Packing a record into a ledger slot and unpacking it under
+            /// its id gives the record back: every state, every optional
+            /// field set or not, times and ids at both ends of their range.
+            #[test]
+            fn slot_roundtrips_any_record(
+                ids in (word(), word(), word(), word(), word(), word(), word()),
+                (runtime, submitted_at) in (time(), time()),
+                state in 0usize..5,
+                site in option::of(word()),
+                (dispatched_at, started_at, completed_at)
+                    in (option::of(time()), option::of(time()), option::of(time())),
+                handled_by_gruber in proptest::bool::ANY,
+            ) {
+                let (id, vo, group, user, client, cpus, storage_mb) = ids;
+                let r = JobRecord {
+                    spec: JobSpec {
+                        id: JobId(w(id)),
+                        vo: VoId(w(vo)),
+                        group: GroupId(w(group)),
+                        user: UserId(w(user)),
+                        client: ClientId(w(client)),
+                        cpus: w(cpus),
+                        storage_mb: w(storage_mb),
+                        runtime: SimDuration(t(runtime).0),
+                        submitted_at: t(submitted_at),
+                    },
+                    state: [
+                        JobState::AtSubmissionHost,
+                        JobState::QueuedAtSite,
+                        JobState::Running,
+                        JobState::Completed,
+                        JobState::Failed,
+                    ][state],
+                    site: site.map(|s| SiteId(w(s))),
+                    dispatched_at: dispatched_at.map(t),
+                    started_at: started_at.map(t),
+                    completed_at: completed_at.map(t),
+                    handled_by_gruber,
+                };
+                prop_assert_eq!(Slot::pack(&r).unpack(r.spec.id), r);
+            }
+        }
     }
 }

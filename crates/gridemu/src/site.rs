@@ -69,11 +69,6 @@ impl SiteState {
         }
     }
 
-    /// The static spec.
-    pub fn spec(&self) -> &SiteSpec {
-        &self.spec
-    }
-
     /// CPUs currently idle.
     pub fn free_cpus(&self) -> u32 {
         self.free_cpus

@@ -20,12 +20,15 @@ echo "==> cargo clippy -D warnings (every warning blocks: unreachable_pub and de
 # nothing calls fails here.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> cargo test --release (gruber, dpnode, grubsim, digruber: the expiry queue, the replay order, the request table and the locked calls as the benchmark runs them)"
+echo "==> cargo test --release (desim, gridemu, gruber, dpnode, grubsim, digruber: the wheel entry, the ledger slot, the expiry queue, the replay order, the request table and the locked calls as the benchmark runs them)"
 # Debug builds trap integer overflow and keep debug_assert!; release
 # wraps and drops them, which is exactly where a hand-rolled bucket
-# queue or an index-addressed ledger would differ. The differential
-# proptests and grubsim's reference replay order judge both builds.
-cargo test --release --offline -q -p gruber -p dpnode -p grubsim -p digruber
+# queue or an index-addressed ledger would differ: desim's 16-byte wheel
+# entry (its seq implied by its place in the bucket) and gridemu's packed
+# ledger slot (a flags byte for the record's optional fields) among them.
+# The differential proptests and grubsim's reference replay order judge
+# both builds.
+cargo test --release --offline -q -p desim -p gridemu -p gruber -p dpnode -p grubsim -p digruber
 
 echo "==> reference backends are test code: one event queue, one grid view"
 # The heap behind desim's timing wheel and the map-of-heaps behind
