@@ -9,8 +9,11 @@
 //! two: the paper artifacts (`PAPER_IDS`: `fig1 fig5 fig6 fig7 table1
 //! fig8 fig9 fig10 fig11 table2 fig12 table3 fairness crossover`, or `all`
 //! for every one of them) and the studies (`bench::STUDIES`:
-//! `degradation recovery health scale topology`). Every id is checked
-//! before anything runs.
+//! `degradation recovery health scale topology`).
+//!
+//! The command-line rules (what is refused, with exit code 2 before
+//! anything runs) are [`gruber_types::CommandLine`]'s; ids are its
+//! operands.
 //!
 //! `--trace PATH` switches structured tracing on for every run: the
 //! per-decision-point JSONL stream (schema `digruber-trace/5`, see the
@@ -25,11 +28,15 @@ use bench::{
     fig1_spec, run_specs, Study, SEED, STUDIES,
 };
 use digruber::{ExperimentOutput, RunSpec, ServiceKind};
-use gruber_types::{SimDuration, SimTime};
+use gruber_types::GridError::InvalidConfig;
+use gruber_types::{refuse, CommandLine, GridResult, SimDuration, SimTime};
 use std::sync::{Mutex, OnceLock};
 
 const INTERVALS_MIN: [u64; 4] = [1, 3, 10, 30];
 const DP_COUNTS: [usize; 3] = [1, 3, 10];
+
+/// The flags, each with whether it takes a value.
+const FLAGS: &[(&str, bool)] = &[("--jobs", true), ("--trace", true), ("--fast", false)];
 
 /// The paper's artifacts, in the order `all` runs them.
 const PAPER_IDS: [&str; 14] = [
@@ -104,56 +111,9 @@ fn export_timelines(id: &str, outs: &[ExperimentOutput]) {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut drain_value = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).map(|i| {
-            let v = args.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            });
-            args.drain(i..=i + 1);
-            v
-        })
-    };
-    TRACE_OUT.set(drain_value("--trace")).expect("set once");
-    let n_jobs = drain_value("--jobs")
-        .map(|v| {
-            v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-                eprintln!("--jobs needs a positive integer");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or_else(default_jobs);
-    JOBS.set(n_jobs).expect("set once");
-    let fast = match args.iter().position(|a| a == "--fast") {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    };
-    FAST.set(fast).expect("set once");
-    if args.is_empty() {
-        let ids: Vec<&str> = PAPER_IDS.iter().copied().chain(STUDIES.iter().map(|s| s.id)).collect();
-        eprintln!(
-            "usage: experiments <{}|all>... [--jobs N] [--trace PATH] [--fast]",
-            ids.join("|")
-        );
-        std::process::exit(2);
-    }
-    let study = |id: &str| STUDIES.iter().find(|s| s.id == id);
-    let known = |id: &str| id == "all" || PAPER_IDS.contains(&id) || study(id).is_some();
-    if let Some(other) = args.iter().find(|a| !known(a)) {
-        eprintln!("unknown experiment id {other:?}");
-        std::process::exit(2);
-    }
-    let ids: Vec<&str> = if args.iter().any(|a| a == "all") {
-        PAPER_IDS.to_vec()
-    } else {
-        args.iter().map(String::as_str).collect()
-    };
-    for id in ids {
-        match study(id) {
+    let ids = read_command_line().unwrap_or_else(|e| refuse("experiments", &e));
+    for id in &ids {
+        match STUDIES.iter().find(|s| s.id == id) {
             Some(s) => run_study(s),
             None => run(id),
         }
@@ -163,6 +123,34 @@ fn main() {
         std::fs::write(path, jsonl.as_str()).expect("write trace JSONL");
         eprintln!("trace JSONL -> {path}");
     }
+}
+
+/// Reads the flags into the statics above and returns the ids to run,
+/// every one of them checked.
+fn read_command_line() -> GridResult<Vec<String>> {
+    let args = CommandLine::parse(std::env::args().skip(1), FLAGS)?;
+    TRACE_OUT.set(args.str("--trace").map(str::to_string)).expect("set once");
+    JOBS.set(args.size("--jobs")?.unwrap_or_else(default_jobs)).expect("set once");
+    FAST.set(args.switch("--fast")).expect("set once");
+    let ids = args.operands();
+    if ids.is_empty() {
+        let ids: Vec<&str> =
+            PAPER_IDS.iter().copied().chain(STUDIES.iter().map(|s| s.id)).collect();
+        return Err(InvalidConfig(format!(
+            "usage: experiments <{}|all>... [--jobs N] [--trace PATH] [--fast]",
+            ids.join("|")
+        )));
+    }
+    let study = |id: &str| STUDIES.iter().any(|s| s.id == id);
+    let known = |id: &str| id == "all" || PAPER_IDS.contains(&id) || study(id);
+    if let Some(other) = ids.iter().find(|a| !known(a)) {
+        return Err(InvalidConfig(format!("unknown experiment id {other:?}")));
+    }
+    Ok(if ids.iter().any(|a| a == "all") {
+        PAPER_IDS.map(String::from).to_vec()
+    } else {
+        ids.to_vec()
+    })
 }
 
 fn scaling_figure(id: &str, service: ServiceKind, n_dps: usize) {
@@ -312,5 +300,19 @@ fn run(id: &str) {
             }
         }
         other => unreachable!("{other:?} passed the id check in main"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_flag_is_never_taken_as_a_value() {
+        // `--trace --fast scale` used to run the full study and trace into
+        // `./--fast`.
+        let argv = ["--trace", "--fast", "scale"].map(String::from);
+        let refused = CommandLine::parse(argv, FLAGS).unwrap_err();
+        assert_eq!(refused, InvalidConfig("--trace needs a value".into()));
     }
 }

@@ -6,9 +6,10 @@
 //!     --sync-mins 10 --clients 120 --duration-mins 60 --topology ring
 //! ```
 //!
-//! Flags (all optional; defaults reproduce the paper's setup; any other
-//! flag, a value flag without its value and a value flag given twice are
-//! refused with exit code 2 before anything runs):
+//! Flags (all optional; defaults reproduce the paper's setup). What the
+//! command line refuses, with exit code 2 before anything runs, is
+//! [`gruber_types::CommandLine`]'s to say; a value outside the lists below
+//! is refused the same way.
 //!
 //! ```text
 //! --dps N[,N..]         decision-point counts to sweep     (default 1,3,10)
@@ -45,180 +46,110 @@
 use bench::{default_jobs, run_specs};
 use digruber::config::{DigruberConfig, FailureConfig};
 use digruber::{FaultPlan, RunSpec, ServiceKind, SyncTopology, WanKind};
-use gruber_types::SimDuration;
+use gruber_types::GridError::InvalidConfig;
+use gruber_types::{refuse, CommandLine, GridResult, SimDuration};
 use simnet::{RetryConfig, RetryPolicy};
 use workload::WorkloadSpec;
 
-/// Flags that take a value, as documented above.
-const VALUE_FLAGS: &[&str] = &[
-    "--dps", "--service", "--sync-mins", "--clients", "--duration-mins", "--grid-factor",
-    "--seed", "--topology", "--faults", "--retry", "--departure", "--max-in-flight",
-    "--monitor-secs", "--jobs", "--trace",
+/// The flags documented above, each with whether it takes a value.
+const FLAGS: &[(&str, bool)] = &[
+    ("--dps", true), ("--service", true), ("--sync-mins", true), ("--clients", true),
+    ("--duration-mins", true), ("--grid-factor", true), ("--seed", true), ("--topology", true),
+    ("--faults", true), ("--retry", true), ("--departure", true), ("--max-in-flight", true),
+    ("--monitor-secs", true), ("--jobs", true), ("--trace", true), ("--lan", false),
+    ("--enforce", false), ("--dynamic", false), ("--failures", false), ("--help", false),
+    ("-h", false),
 ];
-/// Switches, as documented above.
-const SWITCHES: &[&str] = &["--lan", "--enforce", "--dynamic", "--failures", "--help", "-h"];
 
-struct Args(Vec<String>);
-
-impl Args {
-    /// Refuses the first argument that is not a documented flag (or the
-    /// value after one), a value flag with no value after it and a value
-    /// flag given twice, so a misspelt, retired or half-typed flag never
-    /// runs the default configuration in silence.
-    fn check_known(&self) {
-        let mut seen: Vec<&str> = Vec::new();
-        let mut it = self.0.iter();
-        while let Some(a) = it.next() {
-            if VALUE_FLAGS.contains(&a.as_str()) {
-                if seen.contains(&a.as_str()) {
-                    die(&format!("{a} given twice"));
-                }
-                seen.push(a);
-                if it.next().is_none() {
-                    die(&format!("{a} needs a value"));
-                }
-            } else if !SWITCHES.contains(&a.as_str()) {
-                die(&format!("unknown flag {a:?} (see the module docs for the list)"));
-            }
-        }
-    }
-
-    fn value_of(&self, flag: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.0.get(i + 1))
-            .map(String::as_str)
-    }
-
-    fn has(&self, flag: &str) -> bool {
-        self.0.iter().any(|a| a == flag)
-    }
-
-    fn parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
-        match self.value_of(flag) {
-            Some(v) => v.parse().unwrap_or_else(|_| die(&format!("bad value for {flag}: {v:?}"))),
-            None => default,
-        }
-    }
-
-    /// `flag`'s whole-unit count as a span of `unit_ms` each. A count
-    /// whose milliseconds do not fit in a `u64` is a bad value, not a
-    /// wrapped time.
-    fn span(&self, flag: &str, default: u64, unit_ms: u64) -> SimDuration {
-        let n: u64 = self.parsed(flag, default);
-        n.checked_mul(unit_ms)
-            .map(SimDuration::from_millis)
-            .unwrap_or_else(|| die(&format!("{flag} out of range: {n}")))
-    }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("sweep: {msg}");
-    std::process::exit(2);
-}
-
-fn main() {
-    let args = Args(std::env::args().skip(1).collect());
-    args.check_known();
-    if args.has("--help") || args.has("-h") {
-        eprintln!("see the module docs: cargo doc -p bench --bin sweep");
-        return;
-    }
-
-    let dps: Vec<usize> = args
-        .value_of("--dps")
-        .unwrap_or("1,3,10")
-        .split(',')
-        .map(|p| p.trim().parse().unwrap_or_else(|_| die("bad --dps list")))
-        .collect();
-    let service = match args.value_of("--service").unwrap_or("gt3") {
-        "gt3" => ServiceKind::Gt3,
-        "gt4" => ServiceKind::Gt4Prerelease,
-        other => die(&format!("unknown service {other:?}")),
-    };
-    let topology = match args.value_of("--topology").unwrap_or("mesh") {
+/// A `--topology` value, or `None` for one that names none.
+fn topology(s: &str) -> Option<SyncTopology> {
+    let arg = |prefix: &str| s.strip_prefix(prefix).and_then(|n| n.parse().ok());
+    Some(match s {
         "mesh" => SyncTopology::FullMesh,
         "ring" => SyncTopology::Ring,
         "star" => SyncTopology::Star { hub: 0 },
-        s if s.starts_with("star:") => SyncTopology::Star {
-            hub: s["star:".len()..]
-                .parse()
-                .unwrap_or_else(|_| die("bad star hub")),
-        },
-        g if g.starts_with("gossip:") => SyncTopology::Gossip {
-            fanout: g["gossip:".len()..]
-                .parse()
-                .unwrap_or_else(|_| die("bad gossip fanout")),
-        },
-        t if t.starts_with("tree:") => SyncTopology::Hierarchical {
-            branching: t["tree:".len()..]
-                .parse()
-                .unwrap_or_else(|_| die("bad tree branching")),
-        },
-        h if h.starts_with("hybrid:") => SyncTopology::HybridEpidemic {
-            fanout: h["hybrid:".len()..]
-                .parse()
-                .unwrap_or_else(|_| die("bad hybrid fanout")),
-        },
-        other => die(&format!("unknown topology {other:?}")),
-    };
+        _ if s.starts_with("star:") => SyncTopology::Star { hub: arg("star:")? },
+        _ if s.starts_with("gossip:") => SyncTopology::Gossip { fanout: arg("gossip:")? },
+        _ if s.starts_with("tree:") => SyncTopology::Hierarchical { branching: arg("tree:")? },
+        _ if s.starts_with("hybrid:") => SyncTopology::HybridEpidemic { fanout: arg("hybrid:")? },
+        _ => return None,
+    })
+}
 
-    let seed: u64 = args.parsed("--seed", 2005);
+fn main() {
+    if let Err(e) = sweep() {
+        refuse("sweep", &e);
+    }
+}
+
+fn sweep() -> GridResult<()> {
+    let args = CommandLine::parse(std::env::args().skip(1), FLAGS)?.no_operands()?;
+    if args.switch("--help") || args.switch("-h") {
+        eprintln!("see the module docs: cargo doc -p bench --bin sweep");
+        return Ok(());
+    }
+
+    let dps: Vec<usize> = args
+        .str("--dps")
+        .unwrap_or("1,3,10")
+        .split(',')
+        .map(|p| p.trim().parse().map_err(|_| InvalidConfig("bad --dps list".into())))
+        .collect::<GridResult<_>>()?;
+    let service = match args.str("--service").unwrap_or("gt3") {
+        "gt3" => ServiceKind::Gt3,
+        "gt4" => ServiceKind::Gt4Prerelease,
+        other => return Err(InvalidConfig(format!("unknown service {other:?}"))),
+    };
+    let topo = args.str("--topology").unwrap_or("mesh");
+    let topology =
+        topology(topo).ok_or_else(|| InvalidConfig(format!("unknown topology {topo:?}")))?;
+
+    let seed = args.num("--seed")?.unwrap_or(2005);
     let workload = WorkloadSpec {
-        n_clients: args.parsed("--clients", 120u32),
-        duration: args.span("--duration-mins", 60, 60_000),
-        departure_fraction: args.parsed("--departure", 0.0f64),
+        n_clients: args.num("--clients")?.unwrap_or(120),
+        duration: args.span("--duration-mins", 60_000)?.unwrap_or(SimDuration::from_mins(60)),
+        departure_fraction: args.num("--departure")?.unwrap_or(0.0),
         ..WorkloadSpec::paper_default()
     };
-
-    let jobs: usize = args.parsed("--jobs", default_jobs());
-    if jobs == 0 {
-        die("--jobs must be at least 1");
-    }
-    let trace_out = args.value_of("--trace").map(str::to_string);
+    let jobs = args.size("--jobs")?.unwrap_or_else(default_jobs);
+    let trace_out = args.str("--trace");
 
     let mut specs = Vec::with_capacity(dps.len());
     for &n in &dps {
         let mut cfg = DigruberConfig::paper(n, service, seed);
-        cfg.sync_interval = args.span("--sync-mins", 3, 60_000);
-        cfg.grid_factor = args.parsed("--grid-factor", 10usize);
+        cfg.sync_interval = args.span("--sync-mins", 60_000)?.unwrap_or(SimDuration::from_mins(3));
+        cfg.grid_factor = args.num("--grid-factor")?.unwrap_or(10);
         cfg.topology = topology;
-        if let Some(spec) = args.value_of("--faults") {
-            cfg.fault_plan = Some(
-                FaultPlan::parse(spec).unwrap_or_else(|e| die(&format!("bad --faults: {e}"))),
-            );
+        if let Some(spec) = args.str("--faults") {
+            let plan = FaultPlan::parse(spec);
+            cfg.fault_plan = Some(plan.map_err(|e| InvalidConfig(format!("bad --faults: {e}")))?);
         }
-        cfg.retry = match args.value_of("--retry").unwrap_or("none") {
+        cfg.retry = match args.str("--retry").unwrap_or("none") {
             "none" => RetryConfig::NONE,
             "fixed" => RetryConfig {
                 query: RetryPolicy::fixed_default(),
                 exchange: RetryPolicy::fixed_default(),
             },
             "expjitter" => RetryConfig::resilient(),
-            other => die(&format!("unknown retry policy {other:?}")),
+            other => return Err(InvalidConfig(format!("unknown retry policy {other:?}"))),
         };
-        cfg.enforce_uslas = args.has("--enforce");
-        if args.has("--lan") {
+        cfg.enforce_uslas = args.switch("--enforce");
+        if args.switch("--lan") {
             cfg.wan = WanKind::Lan;
         }
-        if args.has("--dynamic") {
+        if args.switch("--dynamic") {
             cfg.membership = Some(digruber::MembershipConfig::default());
         }
-        if args.has("--failures") {
+        if args.switch("--failures") {
             cfg.failures = Some(FailureConfig::default());
         }
-        if let Some(v) = args.value_of("--max-in-flight") {
-            cfg.max_jobs_in_flight =
-                Some(v.parse().unwrap_or_else(|_| die("bad --max-in-flight")));
-        }
-        if args.has("--monitor-secs") {
-            cfg.monitor_refresh = Some(args.span("--monitor-secs", 0, 1000));
-        }
+        cfg.max_jobs_in_flight = args.num("--max-in-flight")?;
+        cfg.monitor_refresh = args.span("--monitor-secs", 1000)?;
         if trace_out.is_some() {
             cfg.trace = Some(obs::TraceConfig::default());
         }
-
+        // Refuse a bad cell before any cell runs.
+        cfg.validate()?;
         specs.push(RunSpec::new(format!("{n} DPs"), cfg, workload.clone()));
     }
 
@@ -226,9 +157,9 @@ fn main() {
         .iter()
         .zip(run_specs(&specs, jobs))
         .map(|(spec, out)| {
-            out.unwrap_or_else(|e| die(&format!("experiment {:?} failed: {e}", spec.label)))
+            out.map_err(|e| InvalidConfig(format!("experiment {:?} failed: {e}", spec.label)))
         })
-        .collect();
+        .collect::<GridResult<_>>()?;
 
     println!(
         "  DPs  peak thr(q/s)  mean resp(s)  handled   accuracy    util   jobs  failovers"
@@ -249,14 +180,27 @@ fn main() {
         );
     }
 
-    if let Some(path) = &trace_out {
+    if let Some(path) = trace_out {
         let mut jsonl = String::new();
         for out in &outs {
             let tl = out.timeline.as_ref().expect("traced spec has a timeline");
             jsonl.push_str(&tl.to_jsonl(&out.label));
         }
-        std::fs::write(path, &jsonl)
-            .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
+        std::fs::write(path, &jsonl).map_err(|e| InvalidConfig(format!("writing {path}: {e}")))?;
         eprintln!("sweep: trace JSONL for {} run(s) -> {path}", outs.len());
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_flag_is_never_taken_as_a_value() {
+        // `--trace --lan` used to run on the LAN and trace into `./--lan`.
+        let argv = ["--trace", "--lan"].map(String::from);
+        let refused = CommandLine::parse(argv, FLAGS).unwrap_err();
+        assert_eq!(refused, InvalidConfig("--trace needs a value".into()));
     }
 }

@@ -169,8 +169,9 @@ impl Fields {
         }
     }
 
-    /// A boolean column.
-    pub fn bool(&self, name: &str) -> bool {
+    /// A boolean column (only the health study's acceptance test reads one).
+    #[cfg(test)]
+    pub(crate) fn bool(&self, name: &str) -> bool {
         match self.get(name) {
             Value::Bool(v) => *v,
             v => panic!("column {name:?} is {v:?}, not a bool"),

@@ -10,207 +10,126 @@
 //! DEPLOYMENT.md for the operator walkthrough.
 
 use clusterd::{drive_workload, parse_toml, uniform_sites, LocalCluster, Server, ServerConfig, SpawnOpts, TomlValue};
-use gruber_types::{DpId, SimTime};
+use gruber_types::GridError::InvalidConfig;
+use gruber_types::{refuse, CommandLine, DpId, GridResult, SimTime};
 use obs::{Recorder, TraceConfig};
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use workload::uslas::equal_shares;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:
+const USAGE: &str = "usage:
   clusterd [--config FILE] [--id N] [--n-dps N] [--listen ADDR]
            [--sites N] [--cpus N] [--vos N] [--groups N]
            [--data-dir DIR] [--snapshot-records N] [--sync-ms N]
            [--trace FILE] [--allow-crash-exit]
   clusterd --spawn-local N [--jobs N] [--crash] [--data-root DIR]
-           [--trace-dir DIR] [--sites N] [--cpus N] [--vos N] [--groups N]"
-    );
-    std::process::exit(2)
-}
+           [--trace-dir DIR] [--sites N] [--cpus N] [--vos N] [--groups N]";
 
-fn die(msg: &str) -> ! {
-    eprintln!("clusterd: {msg}");
-    std::process::exit(2)
-}
-
-/// What a setting holds.
-#[derive(Clone, Copy)]
-enum Kind {
-    Num,
-    Str,
-    Switch,
-}
+const NUM: TomlValue = TomlValue::Int(0);
+const STR: TomlValue = TomlValue::Str(String::new());
+const SWITCH: TomlValue = TomlValue::Bool(true);
 
 /// Every setting, by its one name: the flag is `--` plus the name with
 /// `_` turned into `-`, and a `--config` file sets it under the name
-/// itself. Numbers are `u32`.
-const SETTINGS: &[(&str, Kind)] = &[
-    ("id", Kind::Num),
-    ("n_dps", Kind::Num),
-    ("listen", Kind::Str),
-    ("sites", Kind::Num),
-    ("cpus", Kind::Num),
-    ("vos", Kind::Num),
-    ("groups", Kind::Num),
-    ("data_dir", Kind::Str),
-    ("snapshot_records", Kind::Num),
-    ("sync_ms", Kind::Num),
-    ("trace", Kind::Str),
-    ("allow_crash_exit", Kind::Switch),
+/// itself, as a value of the TOML type shown (a boolean is a switch).
+/// Numbers are `u32`.
+const SETTINGS: &[(&str, TomlValue)] = &[
+    ("id", NUM),
+    ("n_dps", NUM),
+    ("listen", STR),
+    ("sites", NUM),
+    ("cpus", NUM),
+    ("vos", NUM),
+    ("groups", NUM),
+    ("data_dir", STR),
+    ("snapshot_records", NUM),
+    ("sync_ms", NUM),
+    ("trace", STR),
+    ("allow_crash_exit", SWITCH),
 ];
 
-/// Settings only the command line carries: the file itself, and the
-/// spawn-local driver's.
-const FLAG_ONLY: &[(&str, Kind)] = &[
-    ("config", Kind::Str),
-    ("help", Kind::Switch),
-    ("spawn_local", Kind::Num),
-    ("jobs", Kind::Num),
-    ("crash", Kind::Switch),
-    ("data_root", Kind::Str),
-    ("trace_dir", Kind::Str),
-];
-
-/// A checked setting value.
-enum Value {
-    Num(u32),
-    Str(String),
-    Switch(bool),
+fn flag(name: &str) -> String {
+    format!("--{}", name.replace('_', "-"))
 }
 
-/// The flags over the `--config` file, each value checked against its
-/// setting's [`Kind`]. An unknown flag or file key, or a value of the
-/// wrong type, exits 2 naming it.
-struct Args {
-    kv: Vec<(&'static str, Value)>,
-}
-
-impl Args {
-    fn parse() -> Args {
-        let mut flags = Vec::new();
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            let setting = flag.strip_prefix("--").and_then(|f| {
-                let mut all = SETTINGS.iter().chain(FLAG_ONLY);
-                all.find(|(n, _)| n.replace('_', "-") == f)
-            });
-            let Some(&(name, kind)) = setting else {
-                die(&format!("unknown flag {flag:?} (--help lists them)"))
-            };
-            let mut next = || {
-                it.next()
-                    .unwrap_or_else(|| die(&format!("{flag} wants a value")))
-            };
-            let value = match kind {
-                Kind::Switch => Value::Switch(true),
-                Kind::Str => Value::Str(next()),
-                Kind::Num => {
-                    let v = next();
-                    let bad = |_| die(&format!("{flag} wants a number, got {v:?}"));
-                    Value::Num(v.parse().unwrap_or_else(bad))
-                }
-            };
-            flags.push((name, value));
-        }
-        let mut args = Args { kv: flags };
-        if args.flag("help") {
-            usage();
-        }
-        if let Some(path) = args.str("config") {
-            let mut kv = load_file(path);
-            kv.append(&mut args.kv);
-            args.kv = kv;
-        }
-        args
+/// The command line over the `--config` file. Besides [`SETTINGS`], the
+/// command line alone carries the file itself and the spawn-local
+/// driver's flags.
+fn read_command_line(argv: impl IntoIterator<Item = String>) -> GridResult<CommandLine> {
+    let takes_value = |kind: &TomlValue| !matches!(kind, TomlValue::Bool(_));
+    let settings = SETTINGS.iter().map(|(name, kind)| (flag(name), takes_value(kind)));
+    let command_line_only = [
+        ("--config", true),
+        ("--help", false),
+        ("--spawn-local", true),
+        ("--jobs", true),
+        ("--crash", false),
+        ("--data-root", true),
+        ("--trace-dir", true),
+    ];
+    let only = command_line_only.into_iter().map(|(f, v)| (f.to_string(), v));
+    let flags: Vec<(String, bool)> = settings.chain(only).collect();
+    let mut args = CommandLine::parse(argv, &flags)?.no_operands()?;
+    if args.switch("--help") {
+        return Err(InvalidConfig(USAGE.to_string()));
     }
-
-    fn get(&self, name: &str) -> Option<&Value> {
-        let mut latest = self.kv.iter().rev();
-        latest.find(|(n, _)| *n == name).map(|(_, v)| v)
+    let Some(path) = args.str("--config").map(str::to_string) else {
+        return Ok(args);
+    };
+    let text = std::fs::read_to_string(&path);
+    let text = text.map_err(|e| InvalidConfig(format!("cannot read {path}: {e}")))?;
+    for (key, value) in parse_toml(&text).map_err(|e| InvalidConfig(format!("{path}: {e}")))? {
+        let Some((name, kind)) = SETTINGS.iter().find(|(n, _)| *n == key) else {
+            return Err(InvalidConfig(format!("{path}: unknown key {key:?}")));
+        };
+        let value = match (kind, value) {
+            (TomlValue::Int(_), TomlValue::Int(n)) => Some(n.to_string()),
+            (TomlValue::Str(_), TomlValue::Str(s)) => Some(s),
+            (TomlValue::Bool(_), TomlValue::Bool(true)) => None,
+            (TomlValue::Bool(_), TomlValue::Bool(false)) => continue,
+            (_, v) => {
+                return Err(InvalidConfig(format!("{path}: {key} has the wrong type ({v:?})")))
+            }
+        };
+        args.fill(flag(name), value);
     }
-
-    fn flag(&self, name: &str) -> bool {
-        matches!(self.get(name), Some(Value::Switch(true)))
-    }
-
-    fn num(&self, name: &str) -> Option<u32> {
-        match self.get(name) {
-            Some(Value::Num(n)) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn str(&self, name: &str) -> Option<&str> {
-        match self.get(name) {
-            Some(Value::Str(s)) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Reads a `--config` file: every key must name a [`SETTINGS`] entry and
-/// hold a value of its kind.
-fn load_file(path: &str) -> Vec<(&'static str, Value)> {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-    let kv = parse_toml(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-    kv.into_iter()
-        .map(|(key, value)| {
-            let Some(&(name, kind)) = SETTINGS.iter().find(|(n, _)| *n == key) else {
-                die(&format!("{path}: unknown key {key:?}"))
-            };
-            let value = match (kind, value) {
-                (Kind::Num, TomlValue::Int(n)) => match u32::try_from(n) {
-                    Ok(n) => Value::Num(n),
-                    Err(_) => die(&format!("{path}: {key} = {n} is out of range")),
-                },
-                (Kind::Str, TomlValue::Str(s)) => Value::Str(s),
-                (Kind::Switch, TomlValue::Bool(b)) => Value::Switch(b),
-                (_, v) => die(&format!("{path}: {key} has the wrong type ({v:?})")),
-            };
-            (name, value)
-        })
-        .collect()
-}
-
-/// A size setting, `default` when unset. Zero exits 2: a mesh of no
-/// points, or a grid with no sites or no CPUs, has nothing to broker.
-fn size(args: &Args, name: &str, default: u32) -> u32 {
-    match args.num(name).unwrap_or(default) {
-        0 => die(&format!("--{} wants n >= 1", name.replace('_', "-"))),
-        n => n,
-    }
+    Ok(args)
 }
 
 fn main() {
-    let args = Args::parse();
-    if args.get("spawn_local").is_some() {
-        spawn_local(&args);
-        return;
+    let args = read_command_line(std::env::args().skip(1));
+    let ran = args.and_then(|args| match args.size::<u32>("--spawn-local")? {
+        Some(n_dps) => spawn_local(&args, n_dps as usize),
+        None => serve(&args),
+    });
+    if let Err(e) = ran {
+        refuse("clusterd", &e);
     }
-    serve(&args);
 }
 
-/// Serve one decision point until shutdown.
-fn serve(args: &Args) {
-    let num = |name: &str, default: u32| args.num(name).unwrap_or(default);
-    let id = DpId(num("id", 0));
-    let n_dps = size(args, "n_dps", 1) as usize;
-    let sites = uniform_sites(size(args, "sites", 4), size(args, "cpus", 16));
-    let uslas = equal_shares(size(args, "vos", 2), size(args, "groups", 2))
-        .unwrap_or_else(|e| die(&e.to_string()));
-    let mut cfg = ServerConfig::new(id, n_dps, sites, uslas);
-    if let Some(listen) = args.str("listen") {
+/// Serve one decision point until shutdown. Every setting is checked
+/// before the point binds; an error after that exits 1.
+fn serve(args: &CommandLine) -> GridResult<()> {
+    let id = args.num("--id")?.unwrap_or(0);
+    let n_dps = args.size("--n-dps")?.unwrap_or(1);
+    if id >= n_dps {
+        return Err(InvalidConfig(format!("--id {id} is not below --n-dps {n_dps}")));
+    }
+    let (vos, groups) = (args.size("--vos")?.unwrap_or(2), args.size("--groups")?.unwrap_or(2));
+    let (sites, cpus) = (args.size("--sites")?.unwrap_or(4), args.size("--cpus")?.unwrap_or(16));
+    let sites = uniform_sites(sites, cpus);
+    let uslas = equal_shares(vos, groups)?;
+    let mut cfg = ServerConfig::new(DpId(id), n_dps as usize, sites, uslas);
+    if let Some(listen) = args.str("--listen") {
         cfg.listen = listen.to_string();
     }
-    cfg.data_dir = args.str("data_dir").map(PathBuf::from);
-    cfg.snapshot_records = num("snapshot_records", 0);
-    let sync_ms = num("sync_ms", 0);
+    cfg.data_dir = args.str("--data-dir").map(PathBuf::from);
+    cfg.snapshot_records = args.num("--snapshot-records")?.unwrap_or(0);
+    let sync_ms: u32 = args.num("--sync-ms")?.unwrap_or(0);
     cfg.sync_interval = (sync_ms > 0).then(|| Duration::from_millis(u64::from(sync_ms)));
-    cfg.allow_process_exit = args.flag("allow_crash_exit");
-    let trace_path = args.str("trace").map(PathBuf::from);
+    cfg.allow_process_exit = args.switch("--allow-crash-exit");
+    let trace_path = args.str("--trace").map(PathBuf::from);
     let recorder = match &trace_path {
         Some(_) => Recorder::new(TraceConfig::default()),
         None => Recorder::OFF,
@@ -251,31 +170,30 @@ fn serve(args: &Args) {
         stats.wal_records_replayed,
         stats.flood_requeues,
     );
+    Ok(())
 }
 
 /// Fork an n-process loopback cluster, drive a workload, report.
-fn spawn_local(args: &Args) {
-    let n_dps = size(args, "spawn_local", 1) as usize;
+fn spawn_local(args: &CommandLine, n_dps: usize) -> GridResult<()> {
     let bin = std::env::current_exe().expect("current_exe");
+    let crash = args.switch("--crash");
     let opts = SpawnOpts {
         n_dps,
-        sites: size(args, "sites", 4),
-        cpus: size(args, "cpus", 16),
-        vos: size(args, "vos", 2),
-        groups: size(args, "groups", 2),
-        data_root: args.str("data_root").map(PathBuf::from).or_else(|| {
+        sites: args.size("--sites")?.unwrap_or(4),
+        cpus: args.size("--cpus")?.unwrap_or(16),
+        vos: args.size("--vos")?.unwrap_or(2),
+        groups: args.size("--groups")?.unwrap_or(2),
+        data_root: args.str("--data-root").map(PathBuf::from).or_else(|| {
             // A crash cycle needs durable state; default under the temp dir.
-            args.flag("crash").then(|| {
-                std::env::temp_dir().join(format!("clusterd-{}", std::process::id()))
-            })
+            crash.then(|| std::env::temp_dir().join(format!("clusterd-{}", std::process::id())))
         }),
-        snapshot_records: args.num("snapshot_records").unwrap_or(0),
-        trace_dir: args.str("trace_dir").map(PathBuf::from),
+        snapshot_records: args.num("--snapshot-records")?.unwrap_or(0),
+        trace_dir: args.str("--trace-dir").map(PathBuf::from),
     };
+    let jobs = args.num("--jobs")?.unwrap_or(8);
     if let Some(dir) = &opts.trace_dir {
         std::fs::create_dir_all(dir).expect("create trace dir");
     }
-    let jobs = args.num("jobs").unwrap_or(8);
     let timeout = Duration::from_secs(5);
 
     let mut cluster = LocalCluster::spawn(&bin, opts.clone()).unwrap_or_else(|e| {
@@ -291,7 +209,7 @@ fn spawn_local(args: &Args) {
     );
 
     let first = drive_workload(&cluster, &grid, jobs, 0, timeout, 42);
-    if args.flag("crash") && n_dps > 1 {
+    if crash && n_dps > 1 {
         let victim = DpId(1);
         cluster.crash(victim).expect("crash dp1");
         cluster.respawn(victim).expect("respawn dp1");
@@ -347,7 +265,21 @@ fn spawn_local(args: &Args) {
     if n_dps > 1 {
         assert!(exchanges > 0, "a multi-point run must exchange state");
     }
-    if args.flag("crash") && n_dps > 1 {
+    if crash && n_dps > 1 {
         assert!(recoveries > 0, "the respawned point must have recovered");
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_flag_is_never_taken_as_a_value() {
+        // This used to store the WAL in `./--allow-crash-exit`.
+        let argv = ["--data-dir", "--allow-crash-exit"].map(String::from);
+        let refused = read_command_line(argv).unwrap_err();
+        assert_eq!(refused, InvalidConfig("--data-dir needs a value".into()));
     }
 }

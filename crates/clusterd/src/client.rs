@@ -23,7 +23,6 @@ use std::time::{Duration, Instant};
 /// A handshaken client connection to one decision point.
 pub struct ClusterClient {
     conn: Conn,
-    dp: DpId,
     client: ClientId,
     next_token: u32,
 }
@@ -33,18 +32,12 @@ impl ClusterClient {
     /// a protocol-speaking decision point of the same wire version (a
     /// mismatched server drops us without a hello, seen here as EOF).
     pub fn connect(addr: &str, client: ClientId) -> std::io::Result<ClusterClient> {
-        let (theirs, conn) = conn::dial(addr, conn::hello(PeerKind::Client, DpId(client.0)))?;
+        let (_, conn) = conn::dial(addr, conn::hello(PeerKind::Client, DpId(client.0)))?;
         Ok(ClusterClient {
             conn,
-            dp: theirs.dp,
             client,
             next_token: 0,
         })
-    }
-
-    /// The decision point id the server announced in its handshake.
-    pub fn dp(&self) -> DpId {
-        self.dp
     }
 
     fn send_frame(&mut self, kind: u8, payload: &[u8]) -> std::io::Result<()> {

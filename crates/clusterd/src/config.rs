@@ -7,7 +7,7 @@
 //! integers, booleans and quoted strings — parsed by hand so the runtime
 //! stays registry-free (see `vendor/README.md`).
 
-use gruber_types::{DpId, SiteId, SiteSpec};
+use gruber_types::{DpId, GridError, SiteId, SiteSpec};
 use simnet::RetryPolicy;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -90,11 +90,15 @@ pub enum TomlValue {
 }
 
 /// Parses the flat TOML subset: one `key = value` per line, `#` comments,
-/// blank lines ignored. Section headers, arrays, escapes and floats are
-/// rejected — the config format is intentionally boring.
-pub fn parse_toml(text: &str) -> Result<Vec<(String, TomlValue)>, String> {
-    let mut out = Vec::new();
+/// blank lines ignored. Section headers, arrays, escapes, floats and a key
+/// given twice are rejected — the config format is intentionally boring.
+pub fn parse_toml(text: &str) -> Result<Vec<(String, TomlValue)>, GridError> {
+    let mut out: Vec<(String, TomlValue)> = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
+        let malformed = |why: String| GridError::Malformed {
+            what: "config file",
+            why: format!("line {}: {why}", lineno + 1),
+        };
         // A comment starts at the first '#' outside a quoted value; a '#'
         // inside one is part of the value.
         let mut quoted = false;
@@ -110,13 +114,16 @@ pub fn parse_toml(text: &str) -> Result<Vec<(String, TomlValue)>, String> {
         }
         let (key, value) = line
             .split_once('=')
-            .ok_or_else(|| format!("line {}: expected key = value", lineno + 1))?;
+            .ok_or_else(|| malformed("expected key = value".into()))?;
         let key = key.trim().to_string();
+        if out.iter().any(|(k, _)| *k == key) {
+            return Err(malformed(format!("{key} given twice")));
+        }
         let value = value.trim();
         let parsed = if let Some(stripped) = value.strip_prefix('"') {
             let inner = stripped
                 .strip_suffix('"')
-                .ok_or_else(|| format!("line {}: unterminated string", lineno + 1))?;
+                .ok_or_else(|| malformed("unterminated string".into()))?;
             TomlValue::Str(inner.to_string())
         } else if value == "true" {
             TomlValue::Bool(true)
@@ -126,7 +133,7 @@ pub fn parse_toml(text: &str) -> Result<Vec<(String, TomlValue)>, String> {
             TomlValue::Int(
                 value
                     .parse::<u64>()
-                    .map_err(|_| format!("line {}: bad value {value:?}", lineno + 1))?,
+                    .map_err(|_| malformed(format!("bad value {value:?}")))?,
             )
         };
         out.push((key, parsed));
@@ -178,5 +185,6 @@ mod tests {
         assert!(parse_toml("id 2").is_err());
         assert!(parse_toml("id = 2.5").is_err());
         assert!(parse_toml("listen = \"unterminated").is_err());
+        assert!(parse_toml("id = 1\nid = 2").is_err());
     }
 }

@@ -4,13 +4,15 @@
 //! over a damaged directory. The shape is [`refuses_hostile_input`]; each
 //! `proptest!` below is one decoder, its valid sample and where that
 //! sample keeps its length and count fields. A second property holds the
-//! connection edge (`clusterd::conn`) to the same bytes, whatever cut.
+//! connection edge (`clusterd::conn`) to the same bytes, whatever cut. A
+//! third, [`refuses_hostile_text`], holds the text parsers (`parse_toml`
+//! and `usla::parse` here; `FaultPlan::parse` in `digruber::faults`).
 
 // `&[0..4]` here is a list of one byte range, not a typo for `0..4`.
 #![allow(clippy::single_range_in_vec_init)]
 
 use bytes::Bytes;
-use clusterd::{check_hello, pop, request, CloseReason, Role};
+use clusterd::{check_hello, parse_toml, pop, request, CloseReason, Role};
 use clusterd::{
     decode_free, decode_peers, decode_stats, encode_free, encode_peers, encode_stats,
     ClusterDpStats,
@@ -396,5 +398,66 @@ proptest! {
         prop_assert_eq!(accept(&bytes, &cuts), whole.clone());
         let bytewise: Vec<usize> = (0..bytes.len()).collect();
         prop_assert_eq!(accept(&bytes, &bytewise), whole);
+    }
+}
+
+/// The parsers' own tokens, from which arbitrary text is drawn.
+const TOKENS: [&str; 24] = [
+    "=", " ", "\"", "#", "\n", ".", "..", "-", ">", "@", ";", "|", ",", "+", ":", "0", "7",
+    "18446744073709551616", "true", "usla", "cpu", "vo", "group", "\u{e9}",
+];
+
+/// Arbitrary text (as picks from [`TOKENS`]), and where and with which
+/// byte to mutate the valid sample.
+fn hostile_text() -> impl Strategy<Value = (Vec<usize>, usize, u8)> {
+    (proptest::collection::vec(0..TOKENS.len(), 0..40), 0..usize::MAX, 0u8..=255)
+}
+
+/// The text parsers' property: `valid` parses, and arbitrary text or
+/// `valid` with one byte replaced, removed or inserted never panics and
+/// fails only with the parser's own `GridError`.
+fn refuses_hostile_text<T>(
+    valid: &str,
+    (picks, at, byte): (Vec<usize>, usize, u8),
+    parse: impl Fn(&str) -> Result<T, GridError>,
+    typed: impl Fn(&GridError) -> bool,
+) -> Result<(), TestCaseError> {
+    prop_assert!(parse(valid).is_ok(), "the sample itself must parse");
+    let garbage: String = picks.into_iter().map(|i| TOKENS[i]).collect();
+    let at = at % valid.len();
+    let mut replaced = valid.as_bytes().to_vec();
+    replaced[at] = byte;
+    let mut removed = valid.as_bytes().to_vec();
+    removed.remove(at);
+    let mut inserted = valid.as_bytes().to_vec();
+    inserted.insert(at, byte);
+    for (case, bytes) in [
+        ("arbitrary text", garbage.as_bytes()),
+        ("replaced byte", &replaced),
+        ("removed byte", &removed),
+        ("inserted byte", &inserted),
+    ] {
+        if let Err(e) = parse(&String::from_utf8_lossy(bytes)) {
+            prop_assert!(typed(&e), "{case}: {e:?}");
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn config_file_text(hostile in hostile_text()) {
+        let valid = "id = 2\nlisten = \"127.0.0.1:4002\" # c\nallow_crash_exit = true\n";
+        refuses_hostile_text(valid, hostile, parse_toml, |e| {
+            matches!(e, GridError::Malformed { what: "config file", .. })
+        })?;
+    }
+
+    #[test]
+    fn usla_text(hostile in hostile_text()) {
+        let valid = "usla cpu grid -> vo:0 = 40\nusla cpu vo:0 -> group:0.1 = 50+\n";
+        refuses_hostile_text(valid, hostile, usla::parse, |e| {
+            matches!(e, GridError::UslaParse(_))
+        })?;
     }
 }

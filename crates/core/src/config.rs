@@ -261,6 +261,19 @@ impl DigruberConfig {
             // (see `dpnode::Topology::Star`), so any hub index is valid.
             _ => {}
         }
+        // A cap of 0 blocks every host before its first job, and nothing
+        // unblocks it; a zero refresh would re-post itself at the same
+        // instant.
+        if self.max_jobs_in_flight == Some(0) {
+            return Err(gruber_types::GridError::InvalidConfig(
+                "zero jobs in flight per host".into(),
+            ));
+        }
+        if self.monitor_refresh == Some(SimDuration::ZERO) {
+            return Err(gruber_types::GridError::InvalidConfig(
+                "zero monitor refresh".into(),
+            ));
+        }
         if let Some(m) = &self.membership {
             m.validate()?;
         }
@@ -292,6 +305,24 @@ mod tests {
         c.n_dps = 1;
         c.grid_factor = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn zero_in_flight_cap_is_refused() {
+        let mut c = DigruberConfig::paper(1, ServiceKind::Gt3, 1);
+        c.max_jobs_in_flight = Some(0);
+        assert!(c.validate().is_err());
+        c.max_jobs_in_flight = Some(1);
+        c.validate().unwrap();
+    }
+
+    #[test]
+    fn zero_monitor_refresh_is_refused() {
+        let mut c = DigruberConfig::paper(1, ServiceKind::Gt3, 1);
+        c.monitor_refresh = Some(SimDuration::ZERO);
+        assert!(c.validate().is_err());
+        c.monitor_refresh = Some(SimDuration::from_millis(1));
+        c.validate().unwrap();
     }
 
     #[test]

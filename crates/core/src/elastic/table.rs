@@ -41,11 +41,6 @@ impl MembershipTable {
         t
     }
 
-    /// Current epoch: the number of mutations applied so far.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Marks `dp` live and bumps the epoch. Returns the new epoch.
     /// Idempotent joins are rejected: joining a live member is a protocol
     /// error the caller must not make.
@@ -111,7 +106,7 @@ mod tests {
     #[test]
     fn seeding_counts_one_epoch_per_member() {
         let t = MembershipTable::with_initial(4);
-        assert_eq!(t.epoch(), 4);
+        assert_eq!(t.epoch, 4);
         assert_eq!(t.live_count(), 4);
         assert_eq!(t.live(), vec![DpId(0), DpId(1), DpId(2), DpId(3)]);
     }
@@ -139,7 +134,7 @@ mod tests {
             t.leave(DpId(1));
         }
         assert_eq!(a, b);
-        assert_eq!(a.epoch(), b.epoch());
+        assert_eq!(a.epoch, b.epoch);
     }
 
     #[test]

@@ -1055,4 +1055,41 @@ mod tests {
         assert_ne!(d, LinkDisturbance::NONE);
         assert!((d.duplicate - 0.2).abs() < 1e-12, "{}", d.duplicate);
     }
+
+    /// The clause DSL's tokens, from which arbitrary text is drawn.
+    const TOKENS: [&str; 22] = [
+        "partition", "loss", ".client", "crash", "slow", "@", "..", "=", ";", "|", ",", "+",
+        "x", " ", "0", "1", "0.5", "2.5", "18446744073709552", "-", "\u{e9}", "\n",
+    ];
+
+    proptest::proptest! {
+        /// clusterd's `malformed.rs` text property: arbitrary text, or a
+        /// valid plan with one byte replaced, removed or inserted, never
+        /// panics and fails only as `InvalidConfig`.
+        #[test]
+        fn hostile_text_is_refused((picks, at, byte) in (
+            proptest::collection::vec(0..TOKENS.len(), 0..40),
+            0..usize::MAX,
+            0u8..=255,
+        )) {
+            let valid =
+                "partition@120..300=0|1,2; loss.client@0..600=0.2; slow@1..2=1x2.5; crash@10=1+5";
+            proptest::prop_assert!(FaultPlan::parse(valid).is_ok(), "the sample itself must parse");
+            let garbage: String = picks.into_iter().map(|i| TOKENS[i]).collect();
+            let at = at % valid.len();
+            let mut replaced = valid.as_bytes().to_vec();
+            replaced[at] = byte;
+            let mut removed = valid.as_bytes().to_vec();
+            removed.remove(at);
+            let mut inserted = valid.as_bytes().to_vec();
+            inserted.insert(at, byte);
+            for bytes in [garbage.as_bytes(), &replaced, &removed, &inserted] {
+                let text = String::from_utf8_lossy(bytes);
+                if let Err(e) = FaultPlan::parse(&text) {
+                    let typed = matches!(e, GridError::InvalidConfig(_));
+                    proptest::prop_assert!(typed, "{text:?}: {e:?}");
+                }
+            }
+        }
+    }
 }

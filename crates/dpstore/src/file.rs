@@ -155,11 +155,6 @@ impl FileStore {
             snapshot,
         })
     }
-
-    /// The directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
 }
 
 /// Reads and validates `snapshot.bin` (`[u32 len][u32 crc][bytes]`).

@@ -377,11 +377,6 @@ impl FrameBuf {
         self.buf.extend_from_slice(chunk);
     }
 
-    /// Bytes currently buffered and not yet consumed as frames.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.start
-    }
-
     /// Pops the next complete frame as `(kind, payload)`, `Ok(None)` when
     /// more bytes are needed. `Err` means the stream is not speaking the
     /// protocol (zero or oversized length header) and must be dropped.
@@ -634,7 +629,7 @@ mod tests {
         assert_eq!(fb.next_frame().unwrap().unwrap().0, 7);
         assert_eq!(fb.next_frame().unwrap().unwrap().1.as_ref(), b"hello");
         assert!(fb.next_frame().unwrap().is_none());
-        assert_eq!(fb.pending(), 0);
+        assert_eq!(fb.start, fb.buf.len(), "every byte consumed");
     }
 
     proptest! {
@@ -660,7 +655,7 @@ mod tests {
                 }
             }
             prop_assert_eq!(got, frames);
-            prop_assert_eq!(fb.pending(), 0);
+            prop_assert_eq!(fb.start, fb.buf.len());
         }
 
         #[test]

@@ -117,16 +117,6 @@ impl RetryPolicy {
         self.max_retries() > 0
     }
 
-    /// Short operator-facing name (`none` / `fixed` / `expjitter`), used in
-    /// bench labels and snapshots.
-    pub fn name(&self) -> &'static str {
-        match self {
-            RetryPolicy::None => "none",
-            RetryPolicy::Fixed { .. } => "fixed",
-            RetryPolicy::ExpJitter { .. } => "expjitter",
-        }
-    }
-
     /// A sensible fixed-interval policy: 3 retries, 500 ms apart.
     pub fn fixed_default() -> Self {
         RetryPolicy::Fixed {
@@ -225,13 +215,6 @@ mod tests {
             assert!(d >= e.div_ceil(2) && d <= e, "attempt {attempt}: {d} ms");
         }
         assert_eq!(p.backoff(10, &mut rng), None);
-    }
-
-    #[test]
-    fn policy_names_are_stable() {
-        assert_eq!(RetryPolicy::None.name(), "none");
-        assert_eq!(RetryPolicy::fixed_default().name(), "fixed");
-        assert_eq!(RetryPolicy::exp_jitter_default().name(), "expjitter");
     }
 
     #[test]

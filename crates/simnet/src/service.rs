@@ -178,11 +178,6 @@ impl ServiceStation {
         &self.profile
     }
 
-    /// Requests currently occupying workers.
-    pub fn in_service(&self) -> usize {
-        self.in_service
-    }
-
     /// Requests waiting for a worker.
     pub fn backlog_len(&self) -> usize {
         self.backlog.len()
@@ -207,11 +202,6 @@ impl ServiceStation {
     /// Crash generation (see [`ServiceStation::crash`]).
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Current service-time multiplier (1.0 = nominal).
-    pub fn slowdown(&self) -> f64 {
-        self.slowdown
     }
 
     /// Degrades (factor > 1) or restores (factor = 1) the station: every
@@ -362,7 +352,7 @@ mod tests {
             assert!(matches!(s.arrive(i, 1.0, &mut r), Admission::Started(_)));
         }
         assert_eq!(s.arrive(99, 1.0, &mut r), Admission::Queued);
-        assert_eq!(s.in_service(), w);
+        assert_eq!(s.in_service, w);
         assert_eq!(s.backlog_len(), 1);
         assert_eq!(s.load(), w + 1);
     }
@@ -448,7 +438,7 @@ mod tests {
         // from both stations' rngs agrees.
         assert_eq!(ra.next_u64(), rb.next_u64());
         b.set_slowdown(1.0);
-        assert_eq!(b.slowdown(), 1.0);
+        assert_eq!(b.slowdown, 1.0);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! This crate defines the types every other crate in the workspace speaks:
 //! strongly-typed identifiers ([`SiteId`], [`VoId`], [`JobId`], ...), the
 //! simulated clock ([`SimTime`], [`SimDuration`]), job and site descriptions,
-//! the four-state job lifecycle from the paper, and the shared error type.
+//! the four-state job lifecycle from the paper, the shared error type, and
+//! the one command-line reader the binaries share ([`CommandLine`]).
 //!
 //! Nothing here contains behaviour beyond simple arithmetic and validation;
 //! the point is that `gridemu`, `gruber`, `digruber`, `euryale`, `diperf` and
@@ -22,12 +23,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cli;
 mod error;
 mod id;
 mod job;
 mod site;
 mod time;
 
+pub use cli::{refuse, CommandLine};
 pub use error::{GridError, GridResult};
 pub use id::{ClientId, DpId, GroupId, JobId, SiteId, UserId, VoId};
 pub use job::{DispatchRecord, JobRecord, JobSpec, JobState};

@@ -129,16 +129,6 @@ impl UslaSet {
     pub fn entries(&self) -> &[UslaEntry] {
         &self.entries
     }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +162,7 @@ mod tests {
         let mut set = UslaSet::new();
         set.insert(vo_entry(0, 10.0)).unwrap();
         assert!(set.insert(vo_entry(0, 20.0)).is_err());
-        assert_eq!(set.len(), 1);
+        assert_eq!(set.entries().len(), 1);
         assert_eq!(
             set.lookup(Principal::Grid, Principal::Vo(VoId(0)), ResourceKind::Cpu)
                 .unwrap()

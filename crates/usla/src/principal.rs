@@ -22,16 +22,6 @@ pub enum Principal {
 }
 
 impl Principal {
-    /// Depth in the hierarchy: grid 0, VO 1, group 2, user 3.
-    pub fn level(&self) -> u8 {
-        match self {
-            Principal::Grid => 0,
-            Principal::Vo(_) => 1,
-            Principal::Group(..) => 2,
-            Principal::User(..) => 3,
-        }
-    }
-
     /// The immediate parent, or `None` for the grid root.
     pub(crate) fn parent(&self) -> Option<Principal> {
         match *self {
@@ -45,26 +35,6 @@ impl Principal {
     /// True if `self` is the immediate parent of `child`.
     pub(crate) fn is_parent_of(&self, child: &Principal) -> bool {
         child.parent() == Some(*self)
-    }
-
-    /// True if `self` is `other` or an ancestor of it.
-    pub fn contains(&self, other: &Principal) -> bool {
-        let mut cur = Some(*other);
-        while let Some(p) = cur {
-            if p == *self {
-                return true;
-            }
-            cur = p.parent();
-        }
-        false
-    }
-
-    /// The VO this principal belongs to, if any.
-    pub fn vo(&self) -> Option<VoId> {
-        match *self {
-            Principal::Grid => None,
-            Principal::Vo(v) | Principal::Group(v, _) | Principal::User(v, _, _) => Some(v),
-        }
     }
 }
 
@@ -116,19 +86,12 @@ mod tests {
         assert_eq!(u.parent(), Some(Principal::Group(VoId(1), GroupId(2))));
         assert_eq!(u.parent().unwrap().parent(), Some(Principal::Vo(VoId(1))));
         assert_eq!(Principal::Grid.parent(), None);
-        assert_eq!(u.level(), 3);
     }
 
     #[test]
-    fn containment() {
+    fn parenthood() {
         let vo = Principal::Vo(VoId(1));
         let grp = Principal::Group(VoId(1), GroupId(0));
-        let other = Principal::Group(VoId(2), GroupId(0));
-        assert!(Principal::Grid.contains(&grp));
-        assert!(vo.contains(&grp));
-        assert!(vo.contains(&vo));
-        assert!(!vo.contains(&other));
-        assert!(!grp.contains(&vo));
         assert!(vo.is_parent_of(&grp));
         assert!(!Principal::Grid.is_parent_of(&grp));
     }
@@ -146,14 +109,5 @@ mod tests {
         for bad in ["", "vo", "vo:", "vo:x", "group:1", "user:1.2", "planet:1"] {
             assert!(bad.parse::<Principal>().is_err(), "accepted {bad:?}");
         }
-    }
-
-    #[test]
-    fn vo_extraction() {
-        assert_eq!(Principal::Grid.vo(), None);
-        assert_eq!(
-            Principal::User(VoId(4), GroupId(0), UserId(0)).vo(),
-            Some(VoId(4))
-        );
     }
 }

@@ -106,16 +106,6 @@ impl UslaStore {
         UslaSet::from_entries(self.entries.iter().map(|v| v.entry).collect())
             .expect("store entries are validated on publish")
     }
-
-    /// Number of goals held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the store holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -159,7 +149,7 @@ mod tests {
         let mut s = UslaStore::new();
         s.publish(goal(0, 40.0)).unwrap();
         s.publish(goal(0, 55.0)).unwrap();
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.snapshot().entries().len(), 1);
         assert_eq!(share_of(&s, 0), 55.0);
     }
 
@@ -172,7 +162,7 @@ mod tests {
         let mut b = UslaStore::new();
         let applied = b.merge_delta(&a.delta_since(0));
         assert_eq!(applied, 2);
-        assert_eq!(b.len(), 2);
+        assert_eq!(b.snapshot().entries().len(), 2);
         assert_eq!(b.epoch(), a.epoch());
 
         // Nothing new: empty delta, nothing applied.
@@ -194,7 +184,7 @@ mod tests {
         let mut b = UslaStore::new();
         b.merge_delta(&delta);
         assert_eq!(b.merge_delta(&delta), 0);
-        assert_eq!(b.len(), 1);
+        assert_eq!(b.snapshot().entries().len(), 1);
     }
 
     #[test]
@@ -203,8 +193,7 @@ mod tests {
         s.publish(goal(0, 40.0)).unwrap();
         s.publish(goal(1, 60.0)).unwrap();
         let snap = s.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert!(!s.is_empty());
+        assert_eq!(snap.entries().len(), 2);
     }
 
     #[test]

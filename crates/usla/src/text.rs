@@ -97,7 +97,7 @@ usla storage grid -> vo:0 = 12.5-
     #[test]
     fn parses_document() {
         let set = parse(DOC).unwrap();
-        assert_eq!(set.len(), 4);
+        assert_eq!(set.entries().len(), 4);
         let e = set
             .lookup(Principal::Grid, Principal::Vo(VoId(1)), ResourceKind::Cpu)
             .unwrap();
@@ -150,6 +150,6 @@ usla storage grid -> vo:0 = 12.5-
 
     #[test]
     fn empty_document_is_empty_set() {
-        assert!(parse("\n# nothing here\n").unwrap().is_empty());
+        assert!(parse("\n# nothing here\n").unwrap().entries().is_empty());
     }
 }

@@ -15,8 +15,7 @@ use gruber_types::{ClientId, GroupId, JobId, JobSpec, SimTime, UserId, VoId};
 pub struct JobFactory {
     spec: WorkloadSpec,
     next_id: u32,
-    /// One random stream per client, lazily created from the seed.
-    seed: u64,
+    /// One random stream per client, derived from the seed.
     client_rngs: Vec<DetRng>,
 }
 
@@ -31,14 +30,8 @@ impl JobFactory {
         JobFactory {
             spec,
             next_id: 0,
-            seed,
             client_rngs,
         }
-    }
-
-    /// The workload spec.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
     }
 
     /// The VO a client's jobs belong to (static round-robin assignment).
@@ -76,11 +69,6 @@ impl JobFactory {
     pub fn think_time(&mut self, client: ClientId) -> gruber_types::SimDuration {
         let rng = &mut self.client_rngs[client.index()];
         self.spec.think_time.sample_secs(rng)
-    }
-
-    /// Seed the factory was built with (for provenance in traces).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 }
 

@@ -72,7 +72,7 @@ mod tests {
     #[test]
     fn equal_shares_cover_hierarchy() {
         let set = equal_shares(10, 10).unwrap();
-        assert_eq!(set.len(), 10 + 100);
+        assert_eq!(set.entries().len(), 10 + 100);
         let eng = EntitlementEngine::new(&set, ResourceKind::Cpu, 45_000.0);
         let vo = eng.entitlement(Principal::Vo(VoId(3)));
         assert!((vo - 4500.0).abs() < 1e-6);

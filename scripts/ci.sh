@@ -234,6 +234,16 @@ echo "==> one handshake, one frame reader: the socket runtime's connection edge 
       | grep -v '^crates/clusterd/src/conn.rs:'; } \
   || { echo "ci.sh: a second handshake or frame reader in clusterd (lines above)"; exit 1; }
 
+echo "==> one command-line reader: gruber_types::CommandLine reads every binary's flags, and refuse is the one exit 2"
+# sweep, experiments and clusterd parse their arguments with the reader in
+# crates/types/src/cli.rs, whose refusals are unit-tested once. A per-binary
+# flag table or checker, or a binary's own exit-2 path, is a hand-rolled
+# reader growing back.
+{ ! grep -rnE 'VALUE_FLAGS|SWITCHES|FLAG_ONLY|check_known|drain_value' --include=*.rs crates/*/src src \
+      | grep -v '^crates/types/src/cli.rs:' \
+  && ! grep -rnE 'fn die\b|process::exit\(2\)' --include=*.rs crates/*/src/bin; } \
+  || { echo "ci.sh: a second command-line reader or exit-2 path (lines above)"; exit 1; }
+
 echo "==> perf/ builds against the workspace crates (the benchmark is its own workspace)"
 cargo build --release --offline --manifest-path perf/Cargo.toml
 # An offline build rewrites perf's lock file; perf/** is not this tree's to change.

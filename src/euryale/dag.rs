@@ -5,7 +5,7 @@
 //! *ready* (all parents completed) and reports completions/failures back.
 
 use gruber_types::{GridError, GridResult, JobId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Per-node state in the DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,16 +142,6 @@ impl JobDag {
         self.state.values().all(|&s| s == NodeState::Done)
     }
 
-    /// Total nodes.
-    pub fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    /// True when the DAG has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.state.is_empty()
-    }
-
     /// Builds a linear chain (common pipeline shape).
     pub fn chain(ids: &[JobId]) -> GridResult<Self> {
         let mut dag = JobDag::new();
@@ -177,34 +167,35 @@ impl JobDag {
         dag.add_job(sink, workers)?;
         Ok(dag)
     }
-
-    /// Internal consistency check for property tests: no node is Ready
-    /// while it still has unfinished parents.
-    pub fn check_invariants(&self) {
-        for (job, parents) in &self.parents {
-            if !parents.is_empty() {
-                assert_ne!(
-                    self.state[job],
-                    NodeState::Ready,
-                    "{job} ready with unfinished parents"
-                );
-            }
-        }
-        let all: HashSet<_> = self.state.keys().collect();
-        for ps in self.parents.values() {
-            for p in ps {
-                assert!(all.contains(p), "dangling parent {p}");
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn j(i: u32) -> JobId {
         JobId(i)
+    }
+
+    /// No node is Ready while it still has unfinished parents, and every
+    /// parent is a node.
+    fn check_invariants(dag: &JobDag) {
+        for (job, parents) in &dag.parents {
+            if !parents.is_empty() {
+                assert_ne!(
+                    dag.state[job],
+                    NodeState::Ready,
+                    "{job} ready with unfinished parents"
+                );
+            }
+        }
+        let all: HashSet<_> = dag.state.keys().collect();
+        for ps in dag.parents.values() {
+            for p in ps {
+                assert!(all.contains(p), "dangling parent {p}");
+            }
+        }
     }
 
     #[test]
@@ -236,7 +227,7 @@ mod tests {
             assert!(dag.complete(w).unwrap().is_empty());
         }
         assert_eq!(dag.complete(workers[3]).unwrap(), vec![j(99)]);
-        dag.check_invariants();
+        check_invariants(&dag);
     }
 
     #[test]

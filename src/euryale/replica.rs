@@ -61,16 +61,6 @@ impl ReplicaCatalog {
         v.truncate(n);
         v
     }
-
-    /// Number of logical files known.
-    pub fn len(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// True when no file is registered.
-    pub fn is_empty(&self) -> bool {
-        self.replicas.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -87,7 +77,7 @@ mod tests {
         assert!(c.has_replica("input.dat", SiteId(1)));
         assert!(!c.has_replica("input.dat", SiteId(2)));
         assert!(!c.has_replica("output.dat", SiteId(1)));
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.replicas.len(), 1);
     }
 
     #[test]
