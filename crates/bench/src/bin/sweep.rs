@@ -22,7 +22,11 @@
 //! --topology mesh|ring|star[:H]|gossip:K|tree:B|hybrid:K   (default mesh)
 //! --faults SPEC         timed fault-injection plan (see FAULTS.md), e.g.
 //!                       "partition@120..300=0|1,2; loss@0..600=0.2";
-//!                       message loss is a `loss@` clause here
+//!                       message loss is a `loss@` clause and
+//!                       decision-point churn a `churn@T=MTBF+REPAIR` one
+//! --failover N          clients re-bind after N consecutive timeouts,
+//!                       and a restarted point pulls its share back
+//!                       (default 0: the paper's static binding)
 //! --retry none|fixed|expjitter
 //!                       retransmission policy for lost queries and
 //!                       exchange floods (default none; see FAULTS.md)
@@ -34,7 +38,6 @@
 //! --enforce             enforce USLA admission verdicts
 //! --dynamic             elastic pool: ring homing + the `membership`
 //!                       autoscaler at its defaults (paper §5)
-//! --failures            inject decision-point failures (with failover)
 //! --jobs N              worker threads for the sweep       (default: all cores;
 //!                       1 = serial; results identical either way)
 //! --trace PATH          structured tracing: per-decision-point JSONL
@@ -44,7 +47,7 @@
 //! ```
 
 use bench::{default_jobs, run_specs};
-use digruber::config::{DigruberConfig, FailureConfig};
+use digruber::config::DigruberConfig;
 use digruber::{FaultPlan, RunSpec, ServiceKind, SyncTopology, WanKind};
 use gruber_types::GridError::InvalidConfig;
 use gruber_types::{refuse, CommandLine, GridResult, SimDuration};
@@ -55,10 +58,9 @@ use workload::WorkloadSpec;
 const FLAGS: &[(&str, bool)] = &[
     ("--dps", true), ("--service", true), ("--sync-mins", true), ("--clients", true),
     ("--duration-mins", true), ("--grid-factor", true), ("--seed", true), ("--topology", true),
-    ("--faults", true), ("--retry", true), ("--departure", true), ("--max-in-flight", true),
-    ("--monitor-secs", true), ("--jobs", true), ("--trace", true), ("--lan", false),
-    ("--enforce", false), ("--dynamic", false), ("--failures", false), ("--help", false),
-    ("-h", false),
+    ("--faults", true), ("--failover", true), ("--retry", true), ("--departure", true),
+    ("--max-in-flight", true), ("--monitor-secs", true), ("--jobs", true), ("--trace", true),
+    ("--lan", false), ("--enforce", false), ("--dynamic", false), ("--help", false), ("-h", false),
 ];
 
 /// A `--topology` value, or `None` for one that names none.
@@ -140,9 +142,7 @@ fn sweep() -> GridResult<()> {
         if args.switch("--dynamic") {
             cfg.membership = Some(digruber::MembershipConfig::default());
         }
-        if args.switch("--failures") {
-            cfg.failures = Some(FailureConfig::default());
-        }
+        cfg.failover_after = args.num("--failover")?.unwrap_or(0);
         cfg.max_jobs_in_flight = args.num("--max-in-flight")?;
         cfg.monitor_refresh = args.span("--monitor-secs", 1000)?;
         if trace_out.is_some() {

@@ -190,7 +190,7 @@ fn spawn_local(args: &CommandLine, n_dps: usize) -> GridResult<()> {
         snapshot_records: args.num("--snapshot-records")?.unwrap_or(0),
         trace_dir: args.str("--trace-dir").map(PathBuf::from),
     };
-    let jobs = args.num("--jobs")?.unwrap_or(8);
+    let jobs = args.size("--jobs")?.unwrap_or(8);
     if let Some(dir) = &opts.trace_dir {
         std::fs::create_dir_all(dir).expect("create trace dir");
     }

@@ -89,7 +89,7 @@ fn config_file_keys_set_the_mesh_and_the_sync_clock() {
 fn unknown_or_mistyped_settings_exit_2() {
     let unknown = config_file("unknown", "bogus = 1\n");
     let mistyped = config_file("mistyped", "n_dps = \"2\"\n");
-    let runs: [&[&str]; 13] = [
+    let runs: [&[&str]; 14] = [
         &["--bogus", "1"],
         &["--data-dri", "x"],
         &["--id", "x"],
@@ -100,6 +100,7 @@ fn unknown_or_mistyped_settings_exit_2() {
         &["--n-dps", "0"],
         &["--spawn-local", "0"],
         &["--spawn-local", "1", "--sites", "0"],
+        &["--spawn-local", "2", "--jobs", "0"],
         &["--id", "2", "--n-dps", "2"],
         &["--config", unknown.to_str().expect("utf-8 temp path")],
         &["--config", mistyped.to_str().expect("utf-8 temp path")],

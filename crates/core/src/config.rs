@@ -56,32 +56,6 @@ pub(crate) const CLIENT_TIMEOUT: SimDuration = SimDuration::from_secs(30);
 pub use dpnode::Dissemination;
 pub use dpnode::Topology as SyncTopology;
 
-/// Decision-point failure injection (paper Section 2.2: "another problem
-/// often encountered in large distributed environments concerns service
-/// reliability and availability [...] We cannot afford for this
-/// infrastructure to fail").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailureConfig {
-    /// Mean time between failures per decision point (exponential).
-    pub dp_mtbf: SimDuration,
-    /// Mean repair time (exponential).
-    pub dp_repair: SimDuration,
-    /// Consecutive client timeouts before the client re-binds to another
-    /// decision point (`0` disables failover: clients stay with their dead
-    /// point, as a strictly static binding would).
-    pub failover_after: u32,
-}
-
-impl Default for FailureConfig {
-    fn default() -> Self {
-        FailureConfig {
-            dp_mtbf: SimDuration::from_mins(20),
-            dp_repair: SimDuration::from_mins(10),
-            failover_after: 2,
-        }
-    }
-}
-
 /// What a crashed decision point does with its state when it restarts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryMode {
@@ -142,14 +116,17 @@ pub struct DigruberConfig {
     /// paper's experiments use GRUBER "only as a site recommender" —
     /// `false`).
     pub enforce_uslas: bool,
-    /// Optional decision-point failure injection (reliability study).
-    pub failures: Option<FailureConfig>,
+    /// Consecutive client timeouts before a client re-binds to another
+    /// decision point; above zero a restarted point also pulls back its
+    /// share of clients. `0` (the default) is the paper's static binding:
+    /// clients stay with a dead point.
+    pub failover_after: u32,
     /// Crash-recovery mode and snapshot policy (default
     /// [`RecoveryMode::Retain`], the pre-durability behaviour).
     pub persistence: PersistenceConfig,
     /// Optional deterministic fault schedule: timed partitions, loss /
-    /// duplication / reorder windows, slowdowns and planned crash-restarts
-    /// (see `FAULTS.md` and [`crate::faults::FaultPlan::parse`]).
+    /// duplication / reorder windows, slowdowns, planned crash-restarts
+    /// and churn (see `FAULTS.md` and [`crate::faults::FaultPlan::parse`]).
     pub fault_plan: Option<crate::faults::FaultPlan>,
     /// Retry/timeout/backoff policies per message class, applied to
     /// client→DP queries and DP↔DP exchange legs. The default
@@ -202,7 +179,7 @@ impl DigruberConfig {
             dissemination: Dissemination::UsageOnly,
             topology: SyncTopology::FullMesh,
             enforce_uslas: false,
-            failures: None,
+            failover_after: 0,
             persistence: PersistenceConfig::default(),
             fault_plan: None,
             retry: simnet::RetryConfig::NONE,

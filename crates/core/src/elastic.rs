@@ -455,7 +455,7 @@ mod tests {
     #[test]
     fn repair_rebalances_over_live_members_only() {
         let mut world = elastic_world(4, 64);
-        world.cfg.failures = Some(crate::config::FailureConfig::default());
+        world.cfg.failover_after = 2;
         let mut sim = Sim::with_events(world);
         sim.run_until(SimTime::from_secs(5));
         let (w, s) = sim.parts();
@@ -466,7 +466,7 @@ mod tests {
             c.dp = DpId(0);
         }
         assert!(crate::faults::crash_dp_now(w, s.now(), 1));
-        crate::faults::dp_repair(w, s, 1);
+        crate::faults::restart(w, s, 1, false);
         sim.run_until(SimTime::from_secs(6));
         let w = sim.world();
         assert!(w.dps[1].up());

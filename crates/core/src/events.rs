@@ -134,8 +134,6 @@ pub enum Ev {
         /// One past its last.
         hi: u32,
     },
-    /// Start the exponential failure clocks: `faults::seed_failures`.
-    SeedFailures,
     /// Schedule the fault plan's clauses: `faults::seed_plan`.
     SeedPlan,
     /// A `slow@` window opens or closes: `faults::set_slowdown`.
@@ -146,19 +144,22 @@ pub enum Ev {
         /// closes it.
         factor: Option<f64>,
     },
-    /// A `crash@` clause: `faults::planned_crash`.
-    PlannedCrash {
+    /// A decision point crashes: `faults::crash`.
+    Crash {
         /// The decision point to crash.
         dp: usize,
-        /// Outage before the planned restart.
-        down_for: SimDuration,
+        /// A `crash@` clause's outage; `None` for a churn failure, whose
+        /// outage is drawn from the `churn@` REPAIR when the crash takes.
+        down_for: Option<SimDuration>,
     },
-    /// A decision point's MTBF clock fires: `faults::dp_fail`.
-    DpFail(usize),
-    /// A decision point's repair clock fires: `faults::dp_repair`.
-    DpRepair(usize),
-    /// A planned restart begins: `faults::begin_restore_dp`.
-    BeginRestore(usize),
+    /// A crashed decision point restarts: `faults::restart`.
+    Restart {
+        /// The restarting decision point.
+        dp: usize,
+        /// Whether a churn failure took it down, so the restart posts
+        /// its next failure.
+        churn: bool,
+    },
     /// A restart's modeled replay cost has elapsed:
     /// `faults::restore_dp_now`.
     FinishRestore(usize),
@@ -203,15 +204,10 @@ impl World {
             Ev::LoadSample => load_sample(self, s),
             Ev::Emit(event) => self.trace.emit(s.now(), || event),
             Ev::SeedClients { lo, hi } => crate::run::seed_clients(self, s, lo, hi),
-            Ev::SeedFailures => faults::seed_failures(self, s),
             Ev::SeedPlan => faults::seed_plan(self, s),
             Ev::Slowdown { dp, factor } => faults::set_slowdown(self, s, dp, factor),
-            Ev::PlannedCrash { dp, down_for } => faults::planned_crash(self, s, dp, down_for),
-            Ev::DpFail(dp) => faults::dp_fail(self, s, dp),
-            Ev::DpRepair(dp) => faults::dp_repair(self, s, dp),
-            Ev::BeginRestore(dp) => {
-                faults::begin_restore_dp(self, s, dp);
-            }
+            Ev::Crash { dp, down_for } => faults::crash(self, s, dp, down_for),
+            Ev::Restart { dp, churn } => faults::restart(self, s, dp, churn),
             Ev::FinishRestore(dp) => faults::restore_dp_now(self, s.now(), dp),
             Ev::MembershipTick => crate::elastic::membership_tick(self, s),
         }
@@ -610,7 +606,7 @@ pub(crate) fn dispatch_job(
             }
         }
         Err(_) => {
-            // Site rejected the placement (S-PEP denial or oversized job).
+            // Site rejected the placement (oversized job or no storage left).
             w.rejected_dispatches += 1;
         }
     }

@@ -1,23 +1,25 @@
-//! Fault injection: decision-point failures, client failover, and the
-//! deterministic [`FaultPlan`] schedule.
+//! Fault injection: the deterministic [`FaultPlan`] schedule and client
+//! failover.
 //!
 //! The paper's problem statement (Section 2.2) singles out reliability:
 //! "USLA service providers are subject to high load [...] We cannot afford
 //! for this infrastructure to fail." DI-GRUBER's answer is redundancy —
 //! multiple decision points — but the paper never *measures* what happens
-//! when a point dies or the mesh partitions. This module does, two ways:
+//! when a point dies or the mesh partitions. This module does, through one
+//! fault vocabulary ([`FaultPlan`] / [`seed_plan`]): network partitions
+//! between groups of decision points, per-leg message loss / duplication /
+//! reorder windows, per-point service slowdowns, planned crash-restarts,
+//! and churn — every initial point failing and restarting on exponential
+//! MTBF / repair clocks. Both kinds of crash take the same path: one
+//! crash event and one restart event. Every injected fault emits an
+//! [`obs::TraceEvent`] so the timeline can bin it; the graceful-degradation
+//! bench (`experiments degradation`) and the operator guide (`FAULTS.md`)
+//! are built on this.
 //!
-//! * **Stochastic failures** ([`seed_failures`]): decision points crash and
-//!   recover on exponential clocks (losing their in-flight container
-//!   state), and clients optionally re-bind to another point after a
-//!   configurable number of consecutive timeouts.
-//! * **Scheduled faults** ([`FaultPlan`] / [`seed_plan`]): a declarative,
-//!   fully deterministic schedule of network partitions between groups of
-//!   decision points, per-leg message loss / duplication / reorder
-//!   windows, per-point service slowdowns, and planned crash-restarts.
-//!   Every injected fault emits an [`obs::TraceEvent`] so the timeline can
-//!   bin it; the graceful-degradation bench (`experiments degradation`)
-//!   and the operator guide (`FAULTS.md`) are built on this.
+//! Client failover is a client policy, not a fault: with
+//! `DigruberConfig::failover_after` above zero a client re-binds to another
+//! point after that many consecutive timeouts, and a restarted point pulls
+//! back its share of clients.
 //!
 //! Fault plans can be constructed programmatically or parsed from the
 //! compact clause DSL accepted by the `--faults` flag ([`FaultPlan::parse`]).
@@ -138,7 +140,7 @@ pub(crate) struct SlowdownWindow {
 }
 
 /// A planned crash-restart: the decision point crashes at `at` (dropping
-/// its in-flight container state, exactly like a stochastic failure) and
+/// its in-flight container state, exactly like a churn failure) and
 /// restarts `down_for` later.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CrashEvent {
@@ -150,12 +152,26 @@ pub(crate) struct CrashEvent {
     pub(crate) down_for: SimDuration,
 }
 
+/// A `churn@` clause: from `start` on, every initial decision point fails
+/// after an exponential `mtbf` and restarts after an exponential `repair`,
+/// for the rest of the run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Churn {
+    /// When the clocks start.
+    pub(crate) start: SimTime,
+    /// Mean time between failures per decision point.
+    pub(crate) mtbf: SimDuration,
+    /// Mean outage before the restart.
+    pub(crate) repair: SimDuration,
+}
+
 /// A deterministic, declarative schedule of faults to inject into one run.
 ///
 /// Same plan + same seed + same `--jobs` ⇒ byte-identical traces: the plan
 /// holds no randomness of its own; windows merely change which
 /// probabilities the (deterministic, per-component) RNG streams are asked
-/// about, and a clean leg makes no draw at all.
+/// about, and a clean leg makes no draw at all. Churn draws its clocks
+/// from the world's seeded `misc_rng`.
 ///
 /// # Example
 ///
@@ -181,6 +197,8 @@ pub struct FaultPlan {
     pub(crate) slowdowns: Vec<SlowdownWindow>,
     /// Planned crash-restarts.
     pub(crate) crashes: Vec<CrashEvent>,
+    /// Exponential failure and repair clocks on every initial point.
+    pub(crate) churn: Option<Churn>,
 }
 
 impl FaultPlan {
@@ -195,6 +213,7 @@ impl FaultPlan {
             && self.link_faults.is_empty()
             && self.slowdowns.is_empty()
             && self.crashes.is_empty()
+            && self.churn.is_none()
     }
 
     /// Checks internal consistency against the deployment size.
@@ -314,6 +333,10 @@ impl FaultPlan {
     /// | `reorder@60..240=0.2` | 20 % of delivered messages are held back and re-jittered. |
     /// | `slow@100..200=1x2.5` | DP 1 serves 2.5× slower from t=100 s to t=200 s. |
     /// | `crash@150=2+60` | DP 2 crashes at t=150 s and restarts 60 s later. |
+    /// | `churn@0=1200+600` | From t=0 s on, every initial DP fails after an exponential 1200 s and restarts after an exponential 600 s (one clause per plan). |
+    ///
+    /// A scope suffix belongs to the clauses with message legs (`loss`,
+    /// `dup`, `reorder`); any other clause with one is refused.
     pub fn parse(spec: &str) -> Result<FaultPlan, GridError> {
         let mut plan = FaultPlan::empty();
         for raw in spec.split(';') {
@@ -343,6 +366,9 @@ impl FaultPlan {
             Some((k, s)) => (k, Some(s)),
             None => (head, None),
         };
+        if scope.is_some() && !matches!(kind, "loss" | "dup" | "reorder") {
+            return Err(bad(format!("clause {clause:?}: {kind:?} takes no scope suffix")));
+        }
         let scope = match scope {
             None | Some("all") => LinkScope::All,
             Some("client") => LinkScope::ClientDp,
@@ -409,10 +435,27 @@ impl FaultPlan {
                     down_for: SimDuration(parse_ms(down.trim(), clause, "outage seconds")?),
                 });
             }
+            "churn" => {
+                if self.churn.is_some() {
+                    return Err(bad(format!("clause {clause:?}: a plan has one churn clause")));
+                }
+                let (mtbf, repair) = args
+                    .split_once('+')
+                    .ok_or_else(|| bad(format!("clause {clause:?}: expected MTBF+REPAIR")))?;
+                let mean = |s: &str, what: &str| match parse_ms(s.trim(), clause, what)? {
+                    0 => Err(bad(format!("clause {clause:?}: zero {what}"))),
+                    ms => Ok(SimDuration(ms)),
+                };
+                self.churn = Some(Churn {
+                    start: SimTime(parse_ms(timespec.trim(), clause, "time")?),
+                    mtbf: mean(mtbf, "MTBF seconds")?,
+                    repair: mean(repair, "repair seconds")?,
+                });
+            }
             other => {
                 return Err(bad(format!(
                     "clause {clause:?}: unknown kind {other:?} \
-                     (use partition/loss/dup/reorder/slow/crash)"
+                     (use partition/loss/dup/reorder/slow/crash/churn)"
                 )))
             }
         }
@@ -462,14 +505,21 @@ fn parse_range(s: &str, clause: &str) -> Result<(SimTime, SimTime), GridError> {
     ))
 }
 
-/// Schedules everything in the world's [`FaultPlan`]: partition and
-/// link-window marker events (the timeline flips state on these),
-/// slowdown application/reset, and planned crash-restarts. No-op when no
-/// plan is configured.
+/// Schedules everything in the world's [`FaultPlan`]: the churn clocks
+/// first (each initial point's first failure, drawn in point order),
+/// then partition and link-window marker events (the timeline flips state
+/// on these), slowdown application/reset, and planned crash-restarts.
+/// No-op when no plan is configured.
 pub(crate) fn seed_plan(w: &mut World, s: &mut Sched) {
     let Some(plan) = w.cfg.fault_plan.clone() else {
         return;
     };
+    if let Some(churn) = plan.churn {
+        for dp in 0..w.dps.len() {
+            let first = exp_delay(churn.mtbf, w);
+            s.post_at(after(churn.start, first), Ev::Crash { dp, down_for: None });
+        }
+    }
     for (idx, p) in plan.partitions.iter().enumerate() {
         let window = idx as u32;
         let islands = p.islands.len() as u32;
@@ -487,8 +537,8 @@ pub(crate) fn seed_plan(w: &mut World, s: &mut Sched) {
         s.post_at(sl.end, Ev::Slowdown { dp, factor: None });
     }
     for c in &plan.crashes {
-        let (dp, down_for) = (c.dp as usize, c.down_for);
-        s.post_at(c.at, Ev::PlannedCrash { dp, down_for });
+        let (dp, down_for) = (c.dp as usize, Some(c.down_for));
+        s.post_at(c.at, Ev::Crash { dp, down_for });
     }
 }
 
@@ -506,24 +556,62 @@ pub(crate) fn set_slowdown(w: &mut World, s: &mut Sched, dp: usize, factor: Opti
     });
 }
 
-/// A `crash@` clause fires. Planned restart: unlike the exponential
-/// repair clock this neither rebalances clients nor schedules a next
-/// failure.
-pub(crate) fn planned_crash(w: &mut World, s: &mut Sched, dp: usize, down_for: SimDuration) {
-    if crash_dp_now(w, s.now(), dp) {
-        s.post_in(down_for, Ev::BeginRestore(dp));
+// ---------------------------------------------------------------------------
+// The crash path: one crash event, one restart event
+// ---------------------------------------------------------------------------
+
+/// A decision point crashes and schedules its restart. A `crash@` clause
+/// carries its outage; a churn failure (`down_for == None`) draws one from
+/// the `churn@` REPAIR when the crash takes. A churn failure that finds
+/// its point already down (a `crash@` outage or a modeled restore) keeps
+/// the point's clock running; one that finds it gone from an elastic pool,
+/// or the run over, ends it.
+pub(crate) fn crash(w: &mut World, s: &mut Sched, dp: usize, down_for: Option<SimDuration>) {
+    let now = s.now();
+    let churn = down_for.is_none();
+    if crash_dp_now(w, now, dp) {
+        let down_for = down_for.unwrap_or_else(|| {
+            let repair = churn_clause(w).repair;
+            exp_delay(repair, w)
+        });
+        s.post_at(after(now, down_for), Ev::Restart { dp, churn });
+    } else if churn && now < w.end && !departed(w, dp) {
+        next_failure(w, s, dp);
     }
 }
 
-// ---------------------------------------------------------------------------
-// Crash / restore primitives (shared by both fault paths)
-// ---------------------------------------------------------------------------
+/// A crashed decision point restarts through [`begin_restore_dp`].
+///
+/// When failover is on, the third-party observer also *rebalances on
+/// restart*: roughly `1/n` of all clients re-bind to the restarted point,
+/// undoing the pile-up failover caused on the survivors (without this,
+/// a restarted point sits idle while the rest stay saturated). `n` counts
+/// live members: points that left an elastic pool stay in `w.dps`. A
+/// churn point's restart then posts its next failure.
+pub(crate) fn restart(w: &mut World, s: &mut Sched, dp: usize, churn: bool) {
+    let now = s.now();
+    if !begin_restore_dp(w, s, dp) {
+        return;
+    }
+    if w.cfg.failover_after > 0 {
+        let n = w.membership.as_ref().map_or(w.dps.len(), |m| m.table.live_count());
+        let share = 1.0 / n as f64;
+        for ci in 0..w.clients.len() {
+            let c = &mut w.clients[ci];
+            if c.dp.index() != dp && c.fallback_rng.chance(share) {
+                rebind(w, now, ClientId(ci as u32), DpId(dp as u32));
+            }
+        }
+    }
+    if churn && now < w.end {
+        next_failure(w, s, dp);
+    }
+}
 
 /// Takes a decision point down right now: its container loses all
 /// in-flight requests (the station's crash emits `SvcCrashDropped` with
 /// the exact counts; `DpFailed` is the marker the timeline uses to flip
-/// the point's up/down state). Shared by the exponential failure clock
-/// and planned [`CrashEvent`]s. Returns whether the point actually
+/// the point's up/down state). Returns whether the point actually
 /// crashed (it may already be down, or the run may be over).
 pub(crate) fn crash_dp_now(w: &mut World, now: SimTime, dp_idx: usize) -> bool {
     if now >= w.end || dp_idx >= w.dps.len() || !w.dps[dp_idx].up() {
@@ -563,10 +651,7 @@ pub(crate) fn restore_dp_now(w: &mut World, now: SimTime, dp_idx: usize) {
 /// up, or — in an elastic pool — may have left while it was down: a
 /// departed point's pending restart must not bring a non-member back).
 pub(crate) fn begin_restore_dp(w: &mut World, s: &mut Sched, dp_idx: usize) -> bool {
-    if dp_idx >= w.dps.len() || w.dps[dp_idx].up() {
-        return false;
-    }
-    if w.membership.as_ref().is_some_and(|m| !m.table.is_live(DpId(dp_idx as u32))) {
+    if dp_idx >= w.dps.len() || w.dps[dp_idx].up() || departed(w, dp_idx) {
         return false;
     }
     let now = s.now();
@@ -590,9 +675,24 @@ pub(crate) fn begin_restore_dp(w: &mut World, s: &mut Sched, dp_idx: usize) -> b
     true
 }
 
+/// Whether the point has left an elastic pool (it stays in `w.dps`, down
+/// for good).
+fn departed(w: &World, dp_idx: usize) -> bool {
+    w.membership.as_ref().is_some_and(|m| !m.table.is_live(DpId(dp_idx as u32)))
+}
+
 // ---------------------------------------------------------------------------
-// Stochastic failures (exponential clocks)
+// Churn clocks
 // ---------------------------------------------------------------------------
+
+/// The plan's `churn@` clause.
+fn churn_clause(w: &World) -> Churn {
+    w.cfg
+        .fault_plan
+        .as_ref()
+        .and_then(|p| p.churn)
+        .expect("a churn failure implies a churn@ clause")
+}
 
 fn exp_delay(mean: SimDuration, w: &mut World) -> SimDuration {
     let d = Dist::Exponential {
@@ -602,56 +702,17 @@ fn exp_delay(mean: SimDuration, w: &mut World) -> SimDuration {
     SimDuration::from_secs_f64(d.sample(&mut w.misc_rng).max(1.0))
 }
 
-/// Schedules the first failure of every initial decision point.
-pub(crate) fn seed_failures(w: &mut World, s: &mut Sched) {
-    let Some(fc) = w.cfg.failures else {
-        return;
-    };
-    for i in 0..w.dps.len() {
-        let delay = exp_delay(fc.dp_mtbf, w);
-        s.post_in(delay, Ev::DpFail(i));
-    }
+/// `at + delay`, pinned at the end of time: a draw from a huge churn mean
+/// lands past any run's end instead of wrapping.
+fn after(at: SimTime, delay: SimDuration) -> SimTime {
+    SimTime(at.0.saturating_add(delay.0))
 }
 
-/// A decision point crashes on its exponential clock and schedules its
-/// own repair.
-pub(crate) fn dp_fail(w: &mut World, s: &mut Sched, dp_idx: usize) {
-    let now = s.now();
-    if !crash_dp_now(w, now, dp_idx) {
-        return;
-    }
-    let fc = w.cfg.failures.expect("failures configured");
-    let repair = exp_delay(fc.dp_repair, w);
-    s.post_in(repair, Ev::DpRepair(dp_idx));
-}
-
-/// A decision point comes back on its repair clock.
-///
-/// When failover is enabled, the third-party observer also *rebalances on
-/// repair*: roughly `1/n` of all clients re-bind to the recovered point,
-/// undoing the pile-up failover caused on the survivors (without this,
-/// a repaired point sits idle while the rest stay saturated). `n` counts
-/// live members: points that left an elastic pool stay in `w.dps`.
-pub(crate) fn dp_repair(w: &mut World, s: &mut Sched, dp_idx: usize) {
-    let now = s.now();
-    if !begin_restore_dp(w, s, dp_idx) {
-        return;
-    }
-    let fc = w.cfg.failures.expect("failures configured");
-    if fc.failover_after > 0 {
-        let n = w.membership.as_ref().map_or(w.dps.len(), |m| m.table.live_count());
-        let share = 1.0 / n as f64;
-        for ci in 0..w.clients.len() {
-            let c = &mut w.clients[ci];
-            if c.dp.index() != dp_idx && c.fallback_rng.chance(share) {
-                rebind(w, now, ClientId(ci as u32), DpId(dp_idx as u32));
-            }
-        }
-    }
-    if now < w.end {
-        let next = exp_delay(fc.dp_mtbf, w);
-        s.post_in(next, Ev::DpFail(dp_idx));
-    }
+/// Posts a churn point's next failure, an exponential MTBF from now.
+fn next_failure(w: &mut World, s: &mut Sched, dp: usize) {
+    let mtbf = churn_clause(w).mtbf;
+    let next = exp_delay(mtbf, w);
+    s.post_at(after(s.now(), next), Ev::Crash { dp, down_for: None });
 }
 
 /// Called on every client timeout: counts consecutive timeouts and
@@ -660,13 +721,8 @@ pub(crate) fn dp_repair(w: &mut World, s: &mut Sched, dp_idx: usize) {
 pub(crate) fn note_client_timeout(w: &mut World, client: ClientId, now: SimTime) {
     let c = &mut w.clients[client.index()];
     c.consecutive_timeouts += 1;
-    let Some(fc) = w.cfg.failures else {
-        return;
-    };
-    if fc.failover_after == 0
-        || c.consecutive_timeouts < fc.failover_after
-        || w.dps.len() < 2
-    {
+    let threshold = w.cfg.failover_after;
+    if threshold == 0 || c.consecutive_timeouts < threshold || w.dps.len() < 2 {
         return;
     }
     let old = c.dp;
@@ -705,7 +761,7 @@ fn rebind(w: &mut World, now: SimTime, client: ClientId, to: DpId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DigruberConfig, FailureConfig};
+    use crate::config::DigruberConfig;
     use crate::events::Sim;
     use crate::{run_experiment, ServiceKind};
     use gruber::DispatchRecord;
@@ -734,11 +790,8 @@ mod tests {
     fn faulty_cfg(failover_after: u32, seed: u64) -> DigruberConfig {
         let mut cfg = DigruberConfig::paper(3, ServiceKind::Gt3, seed);
         cfg.grid_factor = 1;
-        cfg.failures = Some(FailureConfig {
-            dp_mtbf: SimDuration::from_mins(8),
-            dp_repair: SimDuration::from_mins(6),
-            failover_after,
-        });
+        cfg.fault_plan = Some(FaultPlan::parse("churn@0=480+360").unwrap());
+        cfg.failover_after = failover_after;
         cfg
     }
 
@@ -795,7 +848,7 @@ mod tests {
         }
         assert_eq!(w.dps[0].station.load(), 7);
         let mut sim = Sim::with_events(w);
-        sim.scheduler().post_at(SimTime::from_secs(1), Ev::DpFail(0));
+        sim.scheduler().post_at(SimTime::from_secs(1), Ev::Crash { dp: 0, down_for: None });
         sim.run_until(SimTime::from_secs(2));
         let w = sim.world();
         assert_eq!(w.dps[0].station.load(), 0);
@@ -825,9 +878,9 @@ mod tests {
         // crashes at the same instant (FIFO: the crash fires before the
         // flood's WAN delivery), so the in-flight exchange is lost.
         sim.scheduler().post_at(SimTime::from_secs(10), Ev::SyncRound);
-        sim.scheduler().post_at(SimTime::from_secs(10), Ev::DpFail(1));
+        sim.scheduler().post_at(SimTime::from_secs(10), Ev::Crash { dp: 1, down_for: None });
         // Repair well before the next (auto-rescheduled) round at t=190 s.
-        sim.scheduler().post_at(SimTime::from_secs(60), Ev::DpRepair(1));
+        sim.scheduler().post_at(SimTime::from_secs(60), Ev::Restart { dp: 1, churn: true });
         broker_at(&mut sim, 5, 1);
         broker_at(&mut sim, 100, 2);
         sim.run_until(SimTime::from_secs(200));
@@ -906,6 +959,48 @@ mod tests {
     }
 
     #[test]
+    fn planned_restart_rebalances_clients_only_with_failover() {
+        for failover_after in [0, 2] {
+            let mut cfg = DigruberConfig::paper(2, ServiceKind::Gt3, 5);
+            cfg.grid_factor = 1;
+            cfg.failover_after = failover_after;
+            cfg.fault_plan = Some(FaultPlan::parse("crash@10=1+20").unwrap());
+            let mut sim = Sim::with_events(crate::world::World::new(cfg, wl()).unwrap());
+            sim.scheduler().post_at(SimTime::ZERO, Ev::SeedPlan);
+            sim.run_until(SimTime::from_secs(5));
+            for c in &mut sim.world_mut().clients {
+                c.dp = DpId(0);
+            }
+            sim.run_until(SimTime::from_secs(40));
+            let w = sim.world();
+            assert!(w.dps[1].up());
+            let back = w.clients.iter().filter(|c| c.dp == DpId(1)).count();
+            if failover_after == 0 {
+                assert_eq!(back, 0, "static binding moved clients");
+            } else {
+                // Half of 30 clients, give or take the coin flips.
+                assert!(back >= 8, "restart pulled back only {back} of 30");
+                assert_eq!(w.failovers, back as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn churn_clock_outlives_a_planned_outage() {
+        // dp0's first churn failure lands inside the planned 600 s outage;
+        // its clock must keep running after the planned restart.
+        let mut cfg = DigruberConfig::paper(1, ServiceKind::Gt3, 5);
+        cfg.grid_factor = 1;
+        cfg.fault_plan = Some(FaultPlan::parse("crash@1=0+600; churn@0=60+10").unwrap());
+        let mut sim = Sim::with_events(crate::world::World::new(cfg, wl()).unwrap());
+        sim.scheduler().post_at(SimTime::ZERO, Ev::SeedPlan);
+        let end = sim.world().end;
+        sim.run_until(end);
+        let failures = sim.world().dp_failures;
+        assert!(failures >= 5, "churn stopped after the planned crash: {failures} failures");
+    }
+
+    #[test]
     fn partition_blocks_exchange_then_reconverges_after_heal() {
         let mut cfg = DigruberConfig::paper(2, ServiceKind::Gt3, 11);
         cfg.grid_factor = 1;
@@ -945,7 +1040,8 @@ mod tests {
     fn parse_round_trips_every_clause_kind() {
         let plan = FaultPlan::parse(
             "partition@120..300=0,1|2; loss@60..240=0.3; dup.dpdp@10..20=0.1; \
-             reorder.client@30..40=0.2; slow@100..200=1x2.5; crash@150=2+60",
+             reorder.client@30..40=0.2; slow@100..200=1x2.5; crash@150=2+60; \
+             churn@30=1200+600",
         )
         .unwrap();
         assert_eq!(plan.partitions.len(), 1);
@@ -963,6 +1059,12 @@ mod tests {
         assert_eq!(plan.crashes.len(), 1);
         assert_eq!(plan.crashes[0].at, SimTime::from_secs(150));
         assert_eq!(plan.crashes[0].down_for, SimDuration::from_secs(60));
+        let churn = Churn {
+            start: SimTime::from_secs(30),
+            mtbf: SimDuration::from_secs(1200),
+            repair: SimDuration::from_secs(600),
+        };
+        assert_eq!(plan.churn, Some(churn));
         plan.validate(3).unwrap();
     }
 
@@ -977,6 +1079,14 @@ mod tests {
             "slow@1..2=x2.5",    // bad dp
             "crash@10=1",        // missing '+'
             "partition@1..2",    // missing '='
+            "crash.client@150=2+60",     // scope on a clause with no legs
+            "slow.dpdp@1..2=1x2.5",      // likewise
+            "partition.all@1..2=0|1",    // likewise
+            "churn.client@0=1200+600",   // likewise
+            "churn@0=1200",              // missing '+'
+            "churn@0=0+600",             // zero MTBF
+            "churn@0=1200+0",            // zero REPAIR
+            "churn@0=60+10; churn@5=1+1", // a second churn clause
         ] {
             assert!(FaultPlan::parse(spec).is_err(), "{spec} should fail");
         }
@@ -1057,9 +1167,9 @@ mod tests {
     }
 
     /// The clause DSL's tokens, from which arbitrary text is drawn.
-    const TOKENS: [&str; 22] = [
-        "partition", "loss", ".client", "crash", "slow", "@", "..", "=", ";", "|", ",", "+",
-        "x", " ", "0", "1", "0.5", "2.5", "18446744073709552", "-", "\u{e9}", "\n",
+    const TOKENS: [&str; 23] = [
+        "partition", "loss", ".client", "crash", "slow", "churn", "@", "..", "=", ";", "|", ",",
+        "+", "x", " ", "0", "1", "0.5", "2.5", "18446744073709552", "-", "\u{e9}", "\n",
     ];
 
     proptest::proptest! {
@@ -1073,7 +1183,8 @@ mod tests {
             0u8..=255,
         )) {
             let valid =
-                "partition@120..300=0|1,2; loss.client@0..600=0.2; slow@1..2=1x2.5; crash@10=1+5";
+                "partition@120..300=0|1,2; loss.client@0..600=0.2; slow@1..2=1x2.5; crash@10=1+5; \
+                 churn@0=60+30";
             proptest::prop_assert!(FaultPlan::parse(valid).is_ok(), "the sample itself must parse");
             let garbage: String = picks.into_iter().map(|i| TOKENS[i]).collect();
             let at = at % valid.len();

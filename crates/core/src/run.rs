@@ -212,7 +212,7 @@ pub fn run_to_end(
     sim.scheduler().set_tracer(tracer);
 
     // Seed the initial events: tester ramp, sync rounds, load sampling,
-    // and (when configured) the fault clocks and the autoscaler tick.
+    // and (when configured) the fault plan and the autoscaler tick.
     let schedule = sim.world().schedule;
     match arrival_batch {
         None => {
@@ -241,9 +241,6 @@ pub fn run_to_end(
             .post_at(SimTime(sync_interval.as_millis()), Ev::SyncRound);
     }
     sim.scheduler().post_at(SimTime::ZERO, Ev::LoadSample);
-    if sim.world().cfg.failures.is_some() {
-        sim.scheduler().post_at(SimTime::ZERO, Ev::SeedFailures);
-    }
     if sim.world().cfg.fault_plan.is_some() {
         sim.scheduler().post_at(SimTime::ZERO, Ev::SeedPlan);
     }

@@ -9,7 +9,6 @@
 //! the paper's Accuracy metric measures.
 
 use crate::site::{SiteStarted, SiteState};
-use crate::spep::SitePolicy;
 use gruber_types::{
     ClientId, GridError, GridResult, GroupId, JobId, JobRecord, JobSpec, JobState, SimDuration,
     SimTime, SiteId, SiteSpec, UserId, VoId,
@@ -167,6 +166,19 @@ impl JobLedger {
     }
 }
 
+/// Sites admit every job a decision point sends them: the paper "did not
+/// take S-PEPs into consideration". `perf/src/kernels.rs` (frozen) still
+/// passes this to [`Grid::new`]; ROADMAP item 4(a) drops it.
+#[derive(Debug, Clone, Copy)]
+pub struct SitePolicy;
+
+impl SitePolicy {
+    /// The one policy: no site-level enforcement.
+    pub fn permissive() -> Self {
+        SitePolicy
+    }
+}
+
 /// The emulated grid: sites + job ledger.
 #[derive(Debug)]
 pub struct Grid {
@@ -176,8 +188,8 @@ pub struct Grid {
 }
 
 impl Grid {
-    /// Builds a grid with one shared site policy and FIFO local scheduling.
-    pub fn new(specs: Vec<SiteSpec>, policy: SitePolicy) -> GridResult<Self> {
+    /// Builds a grid of FIFO sites that admit every job.
+    pub fn new(specs: Vec<SiteSpec>, _policy: SitePolicy) -> GridResult<Self> {
         if specs.is_empty() {
             return Err(GridError::InvalidConfig("grid with no sites".into()));
         }
@@ -191,10 +203,7 @@ impl Grid {
         }
         let total_cpus = gruber_types::total_grid_cpus(&specs);
         Ok(Grid {
-            sites: specs
-                .into_iter()
-                .map(|s| SiteState::new(s, policy.clone()))
-                .collect(),
+            sites: specs.into_iter().map(SiteState::new).collect(),
             jobs: JobLedger::default(),
             total_cpus,
         })

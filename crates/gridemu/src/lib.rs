@@ -8,11 +8,9 @@
 //!
 //! * `config` — Grid3-shaped site configuration generator (`grid3_times`);
 //! * `site` — one site's runtime state: a FIFO batch scheduler over the
-//!   site's CPUs with an optional S-PEP admission hook;
-//! * `spep` — site policy enforcement points (the paper declares them out
-//!   of scope for its experiments; we implement a simple per-VO cap policy
-//!   and keep it off by default, matching the paper's "decision points have
-//!   total control" assumption);
+//!   site's CPUs. Sites admit every job: the paper leaves site policy
+//!   enforcement points (S-PEPs) out and "assumed the decision points have
+//!   total control over scheduling decisions";
 //! * `grid` — ground truth: all sites plus the job ledger, driving the
 //!   four-state job lifecycle.
 
@@ -44,8 +42,6 @@
 mod config;
 mod grid;
 mod site;
-mod spep;
 
 pub use config::grid3_times;
-pub use grid::Grid;
-pub use spep::SitePolicy;
+pub use grid::{Grid, SitePolicy};

@@ -5,15 +5,13 @@
 //! per-site FIFO scheduler `PAPER.md` maps the paper's Grid3 sites onto,
 //! and the one space-shared queue GridSim puts under a broker.
 
-use crate::spep::SitePolicy;
-use gruber_types::{GridError, GridResult, JobId, JobSpec, SimTime, SiteSpec, VoId};
-use std::collections::{HashMap, VecDeque};
+use gruber_types::{GridError, GridResult, JobId, JobSpec, SimTime, SiteSpec};
+use std::collections::VecDeque;
 
 /// A job occupying CPUs at the site.
 #[derive(Debug, Clone)]
 struct RunningJob {
     job: JobId,
-    vo: VoId,
     cpus: u32,
     storage_mb: u32,
 }
@@ -22,7 +20,6 @@ struct RunningJob {
 #[derive(Debug, Clone)]
 struct QueuedJob {
     job: JobId,
-    vo: VoId,
     cpus: u32,
     storage_mb: u32,
     runtime_ms: u64,
@@ -41,7 +38,6 @@ pub(crate) struct SiteStarted {
 #[derive(Debug)]
 pub struct SiteState {
     spec: SiteSpec,
-    policy: SitePolicy,
     free_cpus: u32,
     /// Storage not currently reserved, in MB. Storage is reserved from
     /// dispatch (the prescript stages inputs before the job runs) until
@@ -49,23 +45,19 @@ pub struct SiteState {
     free_storage_mb: u64,
     running: Vec<RunningJob>,
     queue: VecDeque<QueuedJob>,
-    /// CPUs in use or reserved per VO (running + queued), for the S-PEP.
-    vo_cpus: HashMap<VoId, u32>,
 }
 
 impl SiteState {
     /// Builds an idle FIFO site.
-    pub fn new(spec: SiteSpec, policy: SitePolicy) -> Self {
+    pub fn new(spec: SiteSpec) -> Self {
         let free = spec.total_cpus();
         let free_storage = spec.total_storage_mb();
         SiteState {
             spec,
-            policy,
             free_cpus: free,
             free_storage_mb: free_storage,
             running: Vec::new(),
             queue: VecDeque::new(),
-            vo_cpus: HashMap::new(),
         }
     }
 
@@ -79,7 +71,7 @@ impl SiteState {
         self.spec.total_cpus() - self.free_cpus
     }
 
-    /// Accepts a dispatch (S-PEP checked), queues it, and starts whatever
+    /// Accepts a dispatch, queues it, and starts whatever
     /// now fits. Returns the jobs that started immediately.
     pub(crate) fn enqueue(&mut self, job: &JobSpec, now: SimTime) -> GridResult<Vec<SiteStarted>> {
         if job.cpus == 0 || job.cpus > self.spec.total_cpus() {
@@ -102,20 +94,11 @@ impl SiteState {
                 ),
             });
         }
-        let in_use = self.vo_cpus.get(&job.vo).copied().unwrap_or(0);
-        if !self.policy.admits(job, in_use, self.spec.total_cpus()) {
-            return Err(GridError::Rejected {
-                site: self.spec.id,
-                reason: format!("S-PEP denies {} for {}", job.id, job.vo),
-            });
-        }
-        *self.vo_cpus.entry(job.vo).or_insert(0) += job.cpus;
         // Storage is staged at dispatch time (the Euryale prescript moves
         // inputs before the job runs), so it is reserved immediately.
         self.free_storage_mb -= u64::from(job.storage_mb);
         self.queue.push_back(QueuedJob {
             job: job.id,
-            vo: job.vo,
             cpus: job.cpus,
             storage_mb: job.storage_mb,
             runtime_ms: job.runtime.as_millis(),
@@ -128,7 +111,6 @@ impl SiteState {
         self.free_cpus -= q.cpus;
         self.running.push(RunningJob {
             job: q.job,
-            vo: q.vo,
             cpus: q.cpus,
             storage_mb: q.storage_mb,
         });
@@ -161,9 +143,6 @@ impl SiteState {
         let done = self.running.swap_remove(idx);
         self.free_cpus += done.cpus;
         self.free_storage_mb += u64::from(done.storage_mb);
-        if let Some(v) = self.vo_cpus.get_mut(&done.vo) {
-            *v = v.saturating_sub(done.cpus);
-        }
         Ok(self.start_ready(now))
     }
 
@@ -180,9 +159,6 @@ impl SiteState {
             .ok_or(GridError::UnknownJob(job))?;
         let q = self.queue.remove(idx).expect("indexed");
         self.free_storage_mb += u64::from(q.storage_mb);
-        if let Some(v) = self.vo_cpus.get_mut(&q.vo) {
-            *v = v.saturating_sub(q.cpus);
-        }
         Ok(self.start_ready(now))
     }
 
@@ -205,34 +181,17 @@ impl SiteState {
             self.spec.total_storage_mb(),
             "storage conservation violated"
         );
-        let mut per_vo: HashMap<VoId, u32> = HashMap::new();
-        for r in &self.running {
-            *per_vo.entry(r.vo).or_insert(0) += r.cpus;
-        }
-        for q in &self.queue {
-            *per_vo.entry(q.vo).or_insert(0) += q.cpus;
-        }
-        for (vo, &cpus) in &per_vo {
-            assert_eq!(
-                cpus,
-                self.vo_cpus.get(vo).copied().unwrap_or(0),
-                "per-VO accounting diverged for {vo}"
-            );
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gruber_types::{ClientId, GroupId, SimDuration, SiteId, UserId};
+    use gruber_types::{ClientId, GroupId, SimDuration, SiteId, UserId, VoId};
     use proptest::prelude::*;
 
     fn site(cpus: u32) -> SiteState {
-        SiteState::new(
-            SiteSpec::single_cluster(SiteId(0), cpus),
-            SitePolicy::permissive(),
-        )
+        SiteState::new(SiteSpec::single_cluster(SiteId(0), cpus))
     }
 
     fn job(id: u32, cpus: u32, runtime_s: u64) -> JobSpec {
@@ -298,27 +257,6 @@ mod tests {
             Err(GridError::Rejected { .. })
         ));
         assert!(s.enqueue(&job(2, 0, 10), SimTime::ZERO).is_err());
-    }
-
-    #[test]
-    fn spep_cap_enforced() {
-        let mut s = SiteState::new(
-            SiteSpec::single_cluster(SiteId(0), 10),
-            SitePolicy {
-                vo_cap_fraction: Some(0.3),
-                ..SitePolicy::permissive()
-            },
-        );
-        let j = |id| JobSpec {
-            vo: VoId(0),
-            ..job(id, 1, 10)
-        };
-        s.enqueue(&j(1), SimTime::ZERO).unwrap();
-        s.enqueue(&j(2), SimTime::ZERO).unwrap();
-        s.enqueue(&j(3), SimTime::ZERO).unwrap();
-        // Fourth CPU for VO 0 exceeds 30% of 10 CPUs.
-        assert!(s.enqueue(&j(4), SimTime::ZERO).is_err());
-        assert_eq!(s.vo_cpus[&VoId(0)], 3);
     }
 
     #[test]

@@ -24,7 +24,8 @@ pub enum GridError {
         /// Decision point that failed to answer in time.
         dp: DpId,
     },
-    /// A site rejected a dispatch (e.g. S-PEP policy denial).
+    /// A site rejected a dispatch (a job larger than the site, or no
+    /// storage left).
     Rejected {
         /// Site that rejected.
         site: SiteId,

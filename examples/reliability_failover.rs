@@ -1,8 +1,9 @@
 //! Service reliability under decision-point failures.
 //!
 //! "We cannot afford for this infrastructure to fail" (paper §2.2). This
-//! example injects decision-point crashes (exponential MTBF/repair clocks)
-//! into the paper-scale deployment and compares three postures:
+//! example injects decision-point crashes (a `churn@0=900+600` fault-plan
+//! clause: exponential MTBF/repair clocks) into the paper-scale deployment
+//! and compares four postures:
 //!
 //! 1. no failures (the paper's experiments);
 //! 2. failures with strictly static client binding (clients keep querying
@@ -19,36 +20,31 @@
 //! cargo run --release --example reliability_failover
 //! ```
 
-use digruber::config::{DigruberConfig, FailureConfig};
-use digruber::{run_experiment, ExperimentOutput, MembershipConfig, ServiceKind};
-use gruber_types::SimDuration;
+use digruber::config::DigruberConfig;
+use digruber::{run_experiment, ExperimentOutput, FaultPlan, MembershipConfig, ServiceKind};
 use workload::WorkloadSpec;
 
+/// One posture: `failover_after` of `None` runs without failures.
 fn run(
-    failures: Option<FailureConfig>,
+    failover_after: Option<u32>,
     membership: Option<MembershipConfig>,
     label: &str,
 ) -> ExperimentOutput {
     let mut cfg = DigruberConfig::paper(3, ServiceKind::Gt3, 2005);
-    cfg.failures = failures;
+    if let Some(after) = failover_after {
+        cfg.fault_plan = Some(FaultPlan::parse("churn@0=900+600").expect("valid plan"));
+        cfg.failover_after = after;
+    }
     cfg.membership = membership;
     run_experiment(cfg, WorkloadSpec::paper_default(), label).expect("experiment failed")
 }
 
 fn main() {
-    let mtbf = SimDuration::from_mins(15);
-    let repair = SimDuration::from_mins(10);
-
-    let faults = |failover_after| FailureConfig {
-        dp_mtbf: mtbf,
-        dp_repair: repair,
-        failover_after,
-    };
     let clean = run(None, None, "no failures");
-    let static_binding = run(Some(faults(0)), None, "failures, static binding");
-    let failover = run(Some(faults(2)), None, "failures, failover only");
+    let static_binding = run(Some(0), None, "failures, static binding");
+    let failover = run(Some(2), None, "failures, failover only");
     let provisioned = run(
-        Some(faults(2)),
+        Some(2),
         Some(MembershipConfig::default()),
         "failures, failover + dynamic provisioning",
     );

@@ -177,7 +177,7 @@ echo "==> one count per trace event: a bin is its DpSample, run totals are folde
       | grep -nE 'self\.totals\.(issued|answered|late|timed_out|denied|accepted|duplicates|failures|recoveries|dropped_requests|rebinds|msgs_lost|retries|retries_exhausted|msgs_duplicated|partition_drops|wal_appends|snapshots|wal_replayed|max_recovery_ms|health_degrades|health_recovers)\b'; } \
   || { echo "ci.sh: obs counts a trace event twice or keeps a second bin/feature struct (lines above)"; exit 1; }
 
-echo "==> every capability earns its keep: sites are FIFO, loss is a fault-plan clause, one join/leave path, one site selector, one GRUB-SIM path, no one-consumer crate"
+echo "==> every capability earns its keep: sites are FIFO and uncapped, loss and churn are fault-plan clauses, one join/leave path, one site selector, one GRUB-SIM path, no one-consumer crate"
 # Site disciplines and the base WAN loss rate had no paper claim, study
 # cell, test or workload behind them and were deleted; a second site
 # scheduler or a second loss path is the unused option growing back.
@@ -186,6 +186,13 @@ echo "==> every capability earns its keep: sites are FIFO, loss is a fault-plan 
 { ! grep -rnE 'SiteDiscipline|with_discipline|EasyBackfill|\bmessage_loss\b|with_loss|"--discipline"|"--loss"' \
       --include=*.rs crates src tests examples; } \
   || { echo "ci.sh: a deleted capability is back (lines above)"; exit 1; }
+# One crash path: the exponential failure clock is a `churn@` clause that
+# shares `crash@`'s crash and restart events, and failover is the
+# `DigruberConfig::failover_after` client policy. No site caps a VO: the
+# paper leaves S-PEPs out and no policy in the tree ever set a cap.
+{ ! grep -rnE 'FailureConfig|SeedFailures|\bDpFail\b|DpRepair|PlannedCrash|BeginRestore|seed_failures|"--failures"|vo_cap_fraction|vo_cpus' \
+      --include=*.rs crates src tests examples; } \
+  || { echo "ci.sh: a second crash path or a site cap is back (lines above)"; exit 1; }
 # desim's `core::elastic` is the one join/leave path (the thread runtime's
 # pool is fixed); the client timeout is a constant; the serve address is
 # `--listen`, one name per clusterd setting.

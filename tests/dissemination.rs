@@ -264,17 +264,13 @@ mod pool_sizing {
     /// it is down must stay gone when its repair clock fires.
     #[test]
     fn failures_plus_membership_never_resurrect_a_departed_point() {
-        use digruber::config::FailureConfig;
         // Seed 1: a point leaves while crashed and its repair fires later.
         // Seed 7: the last member crashes while its clients fail over.
         for seed in [1, 7] {
             let mut cfg = DigruberConfig::paper(3, ServiceKind::Gt3, seed);
             cfg.grid_factor = 1;
-            cfg.failures = Some(FailureConfig {
-                dp_mtbf: SimDuration::from_mins(6),
-                dp_repair: SimDuration::from_mins(5),
-                failover_after: 2,
-            });
+            cfg.fault_plan = Some(digruber::FaultPlan::parse("churn@0=360+300").unwrap());
+            cfg.failover_after = 2;
             cfg.membership = Some(MembershipConfig::default());
             let wl = WorkloadSpec {
                 n_clients: 40,
@@ -356,17 +352,14 @@ mod topology {
 
 mod reliability {
     use super::*;
-    use digruber::config::FailureConfig;
+    use digruber::FaultPlan;
 
     #[test]
     fn failures_dent_but_do_not_break_the_service() {
         let clean = run(|_| {});
         let faulty = run(|c| {
-            c.failures = Some(FailureConfig {
-                dp_mtbf: SimDuration::from_mins(6),
-                dp_repair: SimDuration::from_mins(5),
-                failover_after: 2,
-            });
+            c.fault_plan = Some(FaultPlan::parse("churn@0=360+300").unwrap());
+            c.failover_after = 2;
         });
         assert!(faulty.dp_failures > 0);
         // Failures cost throughput but the mesh keeps the service alive.
