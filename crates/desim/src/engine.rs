@@ -6,9 +6,10 @@
 //! [`Event`]: a world's own `enum` of typed events, or the default
 //! [`Closure`], a boxed `FnOnce`. The queue is the crate's hierarchical
 //! timing wheel (a calendar queue, `desim`'s private `wheel` module),
-//! checked in that module's tests against the binary heap it replaced.
+//! threaded through the slab by slot index and checked in that module's
+//! tests against the binary heap it replaced.
 
-use crate::wheel::TimerWheel;
+use crate::wheel::{TimerWheel, NIL};
 use gruber_types::{SimDuration, SimTime};
 use obs::{Recorder, TraceEvent};
 use std::marker::PhantomData;
@@ -35,29 +36,31 @@ impl<W> Event<W> for Closure<W> {
 
 /// Token identifying a scheduled event, usable to cancel it before it fires.
 ///
-/// Encodes a slab slot and that slot's generation at scheduling time, so
-/// a token kept across its event's firing (or cancellation) goes stale
-/// instead of aliasing whatever reused the slot.
+/// Encodes a slab slot and the low 32 bits of its event's sequence
+/// number. A token kept across its event's firing (or cancellation) goes
+/// stale: the slot's payload is gone, and once the slot is reused it
+/// holds another event's `seq`, so the token never aliases the new one
+/// (short of 2³² events scheduled in between).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventToken(u64);
 
 impl EventToken {
-    fn new(gen: u32, idx: u32) -> Self {
-        EventToken((u64::from(gen) << 32) | u64::from(idx))
+    fn new(seq: u64, idx: u32) -> Self {
+        EventToken((seq << 32) | u64::from(idx))
     }
 
+    /// `(low 32 bits of seq, slot)`.
     fn split(self) -> (u32, u32) {
         ((self.0 >> 32) as u32, self.0 as u32)
     }
 }
 
 /// One slab slot: the payload plus the bookkeeping `cancel` needs.
-/// The event's time lives only in the queue entry.
+/// The event's time and queue position live in the wheel's link for the
+/// same slot index.
 struct Slot<E> {
-    /// Bumped every time the slot is freed; tokens carry the generation
-    /// they were issued under.
-    gen: u32,
-    /// Global sequence number of the event currently occupying the slot.
+    /// Global sequence number of the event currently occupying the slot;
+    /// its low 32 bits tell a live token from a stale one.
     seq: u64,
     /// `None` while the slot is queued means lazily cancelled: the queue
     /// entry stays queued (so `pending()` still counts it) and pops as a
@@ -137,9 +140,10 @@ impl<W, E> Scheduler<W, E> {
             }
             None => {
                 let idx = u32::try_from(self.slots.len())
-                    .expect("more than u32::MAX simultaneously pending events");
+                    .ok()
+                    .filter(|&idx| idx != NIL)
+                    .expect("u32::MAX pending events: slot u32::MAX is the wheel's list terminator");
                 self.slots.push(Slot {
-                    gen: 0,
                     seq,
                     event: Some(event),
                 });
@@ -148,7 +152,7 @@ impl<W, E> Scheduler<W, E> {
         };
         self.queue.insert(at.0, seq, idx);
         self.peak_pending = self.peak_pending.max(self.queue.len());
-        EventToken::new(self.slots[idx as usize].gen, idx)
+        EventToken::new(seq, idx)
     }
 
     /// Posts `event` to fire `delay` after the current time.
@@ -161,13 +165,13 @@ impl<W, E> Scheduler<W, E> {
     /// not yet fired (or been cancelled); cancelling an already-fired or
     /// already-cancelled event returns `false` and changes nothing.
     pub fn cancel(&mut self, token: EventToken) -> bool {
-        let (gen, idx) = token.split();
+        let (seq, idx) = token.split();
         let slot = match self.slots.get_mut(idx as usize) {
             Some(slot) => slot,
             None => return false,
         };
         // Drop the payload now; the queue entry pops as a tombstone.
-        if slot.gen != gen || slot.event.take().is_none() {
+        if slot.seq as u32 != seq || slot.event.take().is_none() {
             return false;
         }
         self.cancellations += 1;
@@ -184,7 +188,6 @@ impl<W, E> Scheduler<W, E> {
         while let Some((at, idx)) = self.queue.pop_due(limit.0) {
             let slot = &mut self.slots[idx as usize];
             let event = slot.event.take();
-            slot.gen = slot.gen.wrapping_add(1);
             self.free.push(idx);
             if let Some(event) = event {
                 return Some((SimTime(at), slot.seq, event));
@@ -464,7 +467,7 @@ mod tests {
     fn events_at_wheel_rotation_epochs_fire_in_order() {
         // Times straddling every wheel boundary: the last/first
         // millisecond of an L0 window (1024 ms), of the L1 horizon
-        // (2^20 ms), and deep spill territory.
+        // (2^20 ms), of the L2 horizon (2^30 ms), and the spill past it.
         let edge_ms = [
             0u64,
             1023,
@@ -474,6 +477,10 @@ mod tests {
             1 << 20,
             (1 << 20) + 1,
             (3 << 20) + 777,
+            (1 << 30) - 1,
+            1 << 30,
+            (1 << 30) + 1,
+            (3 << 30) + 777,
         ];
         let mut sim = Simulation::new(Vec::<u64>::new());
         // Schedule in reverse so queue order is earned, not insertion luck.
@@ -535,6 +542,15 @@ mod tests {
         assert_eq!(sim.world().as_slice(), &["fired"]);
         assert!(!sim.scheduler().cancel(fired));
         assert_eq!(sim.scheduler().cancellations(), 2);
+    }
+
+    #[test]
+    fn a_slot_is_its_seq_and_payload() {
+        // A 32-byte payload with a niche, as `digruber`'s `Ev` is: the
+        // slab's per-event cost beside the wheel's 16-byte link.
+        type Payload = (std::num::NonZeroU64, [u64; 3]);
+        assert_eq!(std::mem::size_of::<Payload>(), 32);
+        assert_eq!(std::mem::size_of::<Slot<Payload>>(), 40);
     }
 }
 

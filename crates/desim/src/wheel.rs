@@ -1,23 +1,37 @@
-//! A hierarchical timing wheel (calendar queue): the event queue behind
+//! A hierarchical timing wheel (calendar queue) threaded through the
+//! scheduler's slab: the event queue behind
 //! [`Scheduler`](crate::Scheduler).
 //!
 //! The binary heap this replaces pays `O(log n)` comparisons and a cache
 //! miss per sift on every operation. At paper scale (Grid3×10, 120
 //! clients, one simulated hour) the queue holds tens of thousands of
 //! pending events and the heap dominates the profile. A timing wheel
-//! makes the common case — events within the next second — `O(1)`:
+//! makes the common case `O(1)`:
 //!
 //! * **Level 0** is 1024 buckets of one millisecond each. A bucket spans
 //!   exactly one tick of [`SimTime`](gruber_types::SimTime), so FIFO
 //!   order within a bucket *is* `(at, seq)` order: sequence numbers are
 //!   assigned monotonically at insertion, and every entry in the bucket
 //!   shares the same `at`.
-//! * **Level 1** is 1024 buckets of 1024 ms each, covering the next
-//!   2²⁰ ms (~17.5 simulated minutes). One L1 bucket spans exactly the
-//!   whole L0 window, so rotation drains a single L1 bucket into L0 with
-//!   every entry guaranteed to land.
+//! * **Level 1** is 1024 buckets of 1024 ms each, covering 2²⁰ ms
+//!   (~17.5 simulated minutes). One L1 bucket spans exactly the whole L0
+//!   window, so rotation moves a single L1 bucket into L0 with every
+//!   entry guaranteed to land.
+//! * **Level 2** is 1024 buckets of 2²⁰ ms each, covering 2³⁰ ms
+//!   (~12.4 simulated days); one L2 bucket spans exactly the L1 window.
+//!   A job completion (lognormal runtimes, 40-minute mean) lands here.
 //! * **Spill** is a `BTreeMap` keyed on `(at, seq)` for everything past
-//!   the L1 horizon; it refills both wheel levels when the wheels drain.
+//!   the L2 horizon, which no paper run reaches; it refills L2 when all
+//!   three levels drain.
+//!
+//! The wheel stores no entries of its own. A queued event *is* its slab
+//! slot `idx`, and the wheel keeps one [`Link`] per slot — the event's
+//! time and the next slot in its bucket — in a column parallel to the
+//! scheduler's slab. A bucket is a `(head, tail)` pair of slot indices,
+//! ended by [`NIL`]; an insert appends at the tail, and a rotation
+//! relinks a bucket's list into the level below one `next` field at a
+//! time, moving no entry. Nothing is allocated per bucket, so no bucket
+//! capacity outlives its entries.
 //!
 //! Windows only advance inside [`TimerWheel::pop_due`], and only once the
 //! queue is committed to returning an entry (`min ≤ limit`). A failed
@@ -26,29 +40,50 @@
 //! never land behind an advanced epoch.
 //!
 //! The tiebreak argument for determinism: entries only ever *descend*
-//! levels (spill → L1 → L0) in `(at, seq)` order, and any entry inserted
-//! directly into a bucket afterwards carries a larger `seq` than
-//! everything already there (the scheduler's counter is global and
-//! monotone). Appending to a `Vec` per bucket therefore keeps every
-//! bucket sorted by `seq`, and L0 pops replay exactly the heap's
+//! levels (spill → L2 → L1 → L0), and a descent walks a list in order,
+//! so it keeps the relative order of any two entries; the spill hands
+//! them over in `(at, seq)` order. An entry inserted directly into a
+//! bucket carries a larger `seq` than everything already queued (the
+//! scheduler's counter is global and monotone), so appending it keeps,
+//! in every list, the entries of any one `at` in `seq` order. An L0
+//! bucket holds a single `at`, so L0 pops replay exactly the heap's
 //! `(at, seq)` order — byte-identical fingerprints. The tests below keep
 //! that heap as the reference and check the wheel against it pop for pop.
 //!
-//! Because a bucket's position *is* its `seq` order, a wheel entry is
-//! only a time and a slab slot (16 bytes): `seq` is kept where order
-//! cannot come from position — the spill map's key — and the scheduler
-//! reads an event's `seq` from its slab slot.
+//! Because a list's order *is* its `seq` order, a link is only a time
+//! and a slot (16 bytes): `seq` is kept where order cannot come from
+//! position — the spill map's key — and the scheduler reads an event's
+//! `seq` from its slab slot.
 
 use std::collections::BTreeMap;
 use std::mem;
 
-/// One queued event: absolute time and slab slot. Its `seq` is implied by
-/// its place in its bucket (see the [module docs](self)).
+/// The list terminator: "no slot". The scheduler never creates slot
+/// `u32::MAX`, so no queued event is ever mistaken for the end of a list.
+pub(crate) const NIL: u32 = u32::MAX;
+
+/// A slab slot's place in the queue: its event's absolute time and the
+/// next slot in the same bucket. Its `seq` is implied by its place in
+/// its list (see the [module docs](self)).
 #[derive(Clone, Copy, Debug)]
-struct Entry {
+struct Link {
     at: u64,
-    idx: u32,
+    /// The next slot in the bucket, [`NIL`] at the tail; a slot that is
+    /// not queued links to itself.
+    next: u32,
 }
+
+/// A bucket: the first and last slot of its list, [`NIL`] when empty.
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: List = List {
+    head: NIL,
+    tail: NIL,
+};
 
 /// log2 of the bucket count per level.
 const SLOT_BITS: u32 = 10;
@@ -56,33 +91,22 @@ const SLOT_BITS: u32 = 10;
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Words in a level's occupancy bitmap.
 const WORDS: usize = SLOTS / 64;
-/// Width of the L0 window: 1024 buckets × 1 ms.
-const L0_SPAN: u64 = SLOTS as u64;
-/// Width of the L1 window: 1024 buckets × 1024 ms = 2²⁰ ms.
-const L1_SPAN: u64 = (SLOTS as u64) << SLOT_BITS;
+/// Wheel levels; anything past the top level's window spills.
+const LEVELS: usize = 3;
 
-/// An L0 bucket: entries for a single millisecond, in `seq` order.
-/// `head` avoids shifting on pop; the vec keeps its capacity across
-/// drain cycles.
-#[derive(Default)]
-struct Bucket {
-    items: Vec<Entry>,
-    head: usize,
+/// Width of one bucket of level `k`: 1 ms, 2¹⁰ ms, 2²⁰ ms.
+const fn width(k: usize) -> u64 {
+    1 << (SLOT_BITS as usize * k)
 }
 
-fn set_bit(map: &mut [u64; WORDS], bucket: usize) {
-    map[bucket / 64] |= 1 << (bucket % 64);
+/// Width of level `k`'s window: 2¹⁰ ms, 2²⁰ ms, 2³⁰ ms.
+const fn span(k: usize) -> u64 {
+    width(k) << SLOT_BITS
 }
 
-fn clear_bit(map: &mut [u64; WORDS], bucket: usize) {
-    map[bucket / 64] &= !(1 << (bucket % 64));
-}
-
-/// Lowest set bucket index at or after `from_word * 64`, if any.
-fn first_occupied(map: &[u64; WORDS], from_word: usize) -> Option<usize> {
-    map.iter().enumerate().skip(from_word).find_map(|(w, &bits)| {
-        (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
-    })
+/// The bucket of level `k` that time `at` falls in.
+fn bucket(at: u64, k: usize) -> usize {
+    (at >> (SLOT_BITS as usize * k)) as usize & (SLOTS - 1)
 }
 
 /// `at < epoch + span`, treating an unrepresentable end as +∞. Windows
@@ -94,32 +118,78 @@ fn below_end(at: u64, epoch: u64, span: u64) -> bool {
     }
 }
 
+/// One wheel level: 1024 bucket lists over a span-aligned window.
+struct Level {
+    lists: Box<[List]>,
+    /// Occupancy bitmap: bit `b` is set iff bucket `b` is nonempty.
+    map: [u64; WORDS],
+    /// Start of the window; always a multiple of the level's span.
+    epoch: u64,
+}
+
+impl Level {
+    fn new() -> Self {
+        Level {
+            lists: vec![EMPTY; SLOTS].into_boxed_slice(),
+            map: [0; WORDS],
+            epoch: 0,
+        }
+    }
+
+    /// Appends slot `idx` to the tail of bucket `b`.
+    fn append(&mut self, links: &mut [Link], b: usize, idx: u32) {
+        links[idx as usize].next = NIL;
+        let list = &mut self.lists[b];
+        if list.tail == NIL {
+            list.head = idx;
+            self.map[b / 64] |= 1 << (b % 64);
+        } else {
+            links[list.tail as usize].next = idx;
+        }
+        list.tail = idx;
+    }
+
+    /// Unlinks and returns the head of nonempty bucket `b`.
+    fn pop_front(&mut self, links: &mut [Link], b: usize) -> u32 {
+        let list = &mut self.lists[b];
+        let idx = list.head;
+        let link = &mut links[idx as usize];
+        list.head = mem::replace(&mut link.next, idx);
+        if list.head == NIL {
+            list.tail = NIL;
+            self.map[b / 64] &= !(1 << (b % 64));
+        }
+        idx
+    }
+
+    /// Empties bucket `b`, returning the head of its list.
+    fn take(&mut self, b: usize) -> u32 {
+        self.map[b / 64] &= !(1 << (b % 64));
+        mem::replace(&mut self.lists[b], EMPTY).head
+    }
+
+    /// Lowest occupied bucket at or after `from_word * 64`, if any.
+    fn first_occupied(&self, from_word: usize) -> Option<usize> {
+        self.map
+            .iter()
+            .enumerate()
+            .skip(from_word)
+            .find_map(|(w, &bits)| (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize))
+    }
+}
+
 /// The hierarchical timing wheel: a priority queue of `(at, seq, idx)`
-/// insertions, popped in `(at, seq)` order as `(at, idx)`. `idx` is an
-/// opaque payload handle (the scheduler's slab slot, which also holds the
-/// `seq`). See the [module docs](self) for the level layout and ordering
-/// argument.
-///
-/// Contract required of the caller:
-///
-/// * `seq` values are unique and assigned in insertion order (the
-///   scheduler's global counter guarantees both);
-/// * no insert is earlier than the `at` of the last popped entry (the
-///   scheduler clamps schedule times to *now*).
+/// insertions, popped in `(at, seq)` order as `(at, idx)`. `idx` is the
+/// scheduler's slab slot, which also holds the `seq`. See the
+/// [module docs](self) for the level layout and ordering argument.
 pub(crate) struct TimerWheel {
-    /// Millisecond buckets covering `[l0_epoch, l0_epoch + 1024)`.
-    l0: Vec<Bucket>,
-    l0_map: [u64; WORDS],
-    /// Start of the L0 window; always a multiple of [`L0_SPAN`].
-    l0_epoch: u64,
+    /// One link per slab slot, indexed like the scheduler's slab.
+    links: Vec<Link>,
+    /// L0, L1 and L2; each window is one bucket of the level above.
+    levels: [Level; LEVELS],
     /// First bitmap word that may hold an occupied L0 bucket.
     l0_hint: usize,
-    /// 1024 ms buckets covering `[l1_epoch, l1_epoch + 2²⁰)`.
-    l1: Vec<Vec<Entry>>,
-    l1_map: [u64; WORDS],
-    /// Start of the L1 window; always a multiple of [`L1_SPAN`].
-    l1_epoch: u64,
-    /// Events past the L1 horizon, sorted by `(at, seq)`.
+    /// Events past the L2 horizon, sorted by `(at, seq)`.
     spill: BTreeMap<(u64, u64), u32>,
     len: usize,
     /// `at` of the last popped entry — the earliest legal insert.
@@ -129,13 +199,9 @@ pub(crate) struct TimerWheel {
 impl Default for TimerWheel {
     fn default() -> Self {
         TimerWheel {
-            l0: (0..SLOTS).map(|_| Bucket::default()).collect(),
-            l0_map: [0; WORDS],
-            l0_epoch: 0,
+            links: Vec::new(),
+            levels: [Level::new(), Level::new(), Level::new()],
             l0_hint: 0,
-            l1: (0..SLOTS).map(|_| Vec::new()).collect(),
-            l1_map: [0; WORDS],
-            l1_epoch: 0,
             spill: BTreeMap::new(),
             len: 0,
             floor: 0,
@@ -144,34 +210,49 @@ impl Default for TimerWheel {
 }
 
 impl TimerWheel {
-    fn push_l0(&mut self, e: Entry) {
-        let b = (e.at & (L0_SPAN - 1)) as usize;
-        self.l0[b].items.push(e);
-        set_bit(&mut self.l0_map, b);
-        self.l0_hint = self.l0_hint.min(b / 64);
-    }
-
-    fn push_l1(&mut self, e: Entry) {
-        let b = ((e.at >> SLOT_BITS) & (SLOTS as u64 - 1)) as usize;
-        self.l1[b].push(e);
-        set_bit(&mut self.l1_map, b);
-    }
-
-    /// Enqueues an entry at absolute time `at`.
+    /// Queues slot `idx` to pop at absolute time `at`.
+    ///
+    /// Contract required of the caller (the scheduler keeps all four):
+    ///
+    /// * `seq` values are unique and assigned in insertion order;
+    /// * `at` is no earlier than the `at` of the last popped entry (the
+    ///   scheduler clamps schedule times to *now*);
+    /// * a slot is queued at most once: `idx` is inserted again only
+    ///   after [`TimerWheel::pop_due`] returned it, since its link is
+    ///   the one place its queue position lives;
+    /// * `idx` is not [`NIL`] (`u32::MAX`), the list terminator.
+    ///
+    /// Debug builds check the last three.
     pub(crate) fn insert(&mut self, at: u64, seq: u64, idx: u32) {
         debug_assert!(
             at >= self.floor,
             "insert at {at} behind the queue floor {}",
             self.floor
         );
+        debug_assert_ne!(idx, NIL, "slot u32::MAX is the list terminator");
+        let i = idx as usize;
+        if i >= self.links.len() {
+            let n = self.links.len();
+            self.links.extend((n..=i).map(|j| Link {
+                at: 0,
+                next: j as u32,
+            }));
+        }
+        debug_assert_eq!(self.links[i].next, idx, "slot {idx} is already queued");
+        self.links[i].at = at;
         self.len += 1;
-        let e = Entry { at, idx };
-        if below_end(at, self.l0_epoch, L0_SPAN) {
-            self.push_l0(e);
-        } else if below_end(at, self.l1_epoch, L1_SPAN) {
-            self.push_l1(e);
-        } else {
-            self.spill.insert((at, seq), idx);
+        match (0..LEVELS).find(|&k| below_end(at, self.levels[k].epoch, span(k))) {
+            Some(k) => {
+                let b = bucket(at, k);
+                self.levels[k].append(&mut self.links, b, idx);
+                if k == 0 {
+                    self.l0_hint = self.l0_hint.min(b / 64);
+                }
+            }
+            None => {
+                self.links[i].next = NIL;
+                self.spill.insert((at, seq), idx);
+            }
         }
     }
 
@@ -179,83 +260,94 @@ impl TimerWheel {
     /// its `at` does not exceed `limit`. Returning `None` leaves the queue
     /// untouched.
     pub(crate) fn pop_due(&mut self, limit: u64) -> Option<(u64, u32)> {
-        loop {
-            if self.is_empty() {
-                return None;
-            }
+        while !self.is_empty() {
             // L0 always holds the globally earliest entries when occupied:
             // inserts route anything below the L0 horizon here, and
-            // rotations never leave an earlier entry on a higher level.
-            if let Some(b) = first_occupied(&self.l0_map, self.l0_hint) {
+            // descents never leave an earlier entry on a higher level.
+            if let Some(b) = self.levels[0].first_occupied(self.l0_hint) {
                 self.l0_hint = b / 64;
-                let at = self.l0_epoch + b as u64;
+                let at = self.levels[0].epoch + b as u64;
                 if at > limit {
                     return None;
                 }
-                let bucket = &mut self.l0[b];
-                let e = bucket.items[bucket.head];
-                debug_assert_eq!(e.at, at, "entry in the wrong L0 bucket");
-                bucket.head += 1;
-                if bucket.head == bucket.items.len() {
-                    bucket.items.clear();
-                    bucket.head = 0;
-                    clear_bit(&mut self.l0_map, b);
-                }
+                let idx = self.levels[0].pop_front(&mut self.links, b);
+                debug_assert_eq!(
+                    self.links[idx as usize].at, at,
+                    "entry in the wrong L0 bucket"
+                );
                 self.len -= 1;
                 self.floor = at;
-                return Some((e.at, e.idx));
+                return Some((at, idx));
             }
-            // L0 drained: rotate. The first occupied L1 bucket holds the
-            // earliest remaining wheel entries (bucket index is monotone
-            // in time within the L1 window).
-            if let Some(b) = first_occupied(&self.l1_map, 0) {
-                let min_at = self.l1[b]
-                    .iter()
-                    .map(|e| e.at)
-                    .min()
-                    .expect("occupied L1 bucket is nonempty");
-                if min_at > limit {
-                    return None;
-                }
-                // Committed to firing inside this bucket: advance the L0
-                // window onto it. The bucket spans exactly one L0 window,
-                // so every drained entry lands in the new window.
-                self.l0_epoch = min_at & !(L0_SPAN - 1);
-                self.l0_hint = 0;
-                clear_bit(&mut self.l1_map, b);
-                let mut drained = mem::take(&mut self.l1[b]);
-                for e in drained.drain(..) {
-                    self.push_l0(e);
-                }
-                self.l1[b] = drained; // hand the capacity back
-                continue;
-            }
-            // Both wheels drained: jump the windows to the spill minimum
-            // and refill. BTreeMap iteration is (at, seq) order, so
-            // bucket FIFO order is preserved.
-            let (&(at, _), _) = self.spill.first_key_value().expect("len > 0");
-            if at > limit {
+            if !self.descend(limit) {
                 return None;
             }
-            self.l1_epoch = at & !(L1_SPAN - 1);
-            self.l0_epoch = at & !(L0_SPAN - 1);
-            self.l0_hint = 0;
-            let refill = match self.l1_epoch.checked_add(L1_SPAN) {
-                Some(end) => {
-                    let rest = self.spill.split_off(&(end, 0));
-                    mem::replace(&mut self.spill, rest)
-                }
-                None => mem::take(&mut self.spill),
-            };
-            for ((at, _), idx) in refill {
-                let e = Entry { at, idx };
-                if below_end(at, self.l0_epoch, L0_SPAN) {
-                    self.push_l0(e);
-                } else {
-                    self.push_l1(e);
-                }
-            }
         }
+        None
+    }
+
+    /// With L0 drained: moves the earliest bucket of the lowest occupied
+    /// level down one level, or refills L2 from the spill once every
+    /// level is empty. Returns `false`, changing nothing, if the earliest
+    /// remaining entry is past `limit`.
+    fn descend(&mut self, limit: u64) -> bool {
+        for k in 1..LEVELS {
+            // The first occupied bucket holds the level's earliest
+            // entries (bucket index is monotone in time in the window).
+            let Some(b) = self.levels[k].first_occupied(0) else {
+                continue;
+            };
+            let start = self.levels[k].epoch + b as u64 * width(k);
+            let last = start + (width(k) - 1);
+            let head = self.levels[k].lists[b].head;
+            if start > limit || (last > limit && self.min_at(head) > limit) {
+                return false;
+            }
+            // Committed to firing inside this bucket: it spans exactly
+            // the window below, so every relinked entry lands there.
+            let mut idx = self.levels[k].take(b);
+            let below = &mut self.levels[k - 1];
+            below.epoch = start;
+            while idx != NIL {
+                let Link { at, next } = self.links[idx as usize];
+                below.append(&mut self.links, bucket(at, k - 1), idx);
+                idx = next;
+            }
+            if k == 1 {
+                self.l0_hint = 0;
+            }
+            return true;
+        }
+        // Every level drained: jump L2's window to the spill minimum and
+        // refill it. BTreeMap iteration is (at, seq) order.
+        let (&(at, _), _) = self.spill.first_key_value().expect("len > 0");
+        if at > limit {
+            return false;
+        }
+        let top = &mut self.levels[LEVELS - 1];
+        top.epoch = at & !(span(LEVELS - 1) - 1);
+        let refill = match top.epoch.checked_add(span(LEVELS - 1)) {
+            Some(end) => {
+                let rest = self.spill.split_off(&(end, 0));
+                mem::replace(&mut self.spill, rest)
+            }
+            None => mem::take(&mut self.spill),
+        };
+        for ((at, _), idx) in refill {
+            top.append(&mut self.links, bucket(at, LEVELS - 1), idx);
+        }
+        true
+    }
+
+    /// The earliest `at` in the list starting at `idx`.
+    fn min_at(&self, mut idx: u32) -> u64 {
+        let mut min = u64::MAX;
+        while idx != NIL {
+            let link = self.links[idx as usize];
+            min = min.min(link.at);
+            idx = link.next;
+        }
+        min
     }
 
     /// Number of queued entries.
@@ -273,6 +365,10 @@ impl TimerWheel {
 mod tests {
     use super::*;
 
+    const L0_SPAN: u64 = span(0);
+    const L1_SPAN: u64 = span(1);
+    const L2_SPAN: u64 = span(2);
+
     fn drain_all(q: &mut TimerWheel) -> Vec<(u64, u32)> {
         let mut out = Vec::new();
         while let Some(e) = q.pop_due(u64::MAX) {
@@ -284,8 +380,9 @@ mod tests {
     #[test]
     fn pops_in_at_seq_order_across_all_levels() {
         let mut w = TimerWheel::default();
-        // L0 (7), L1 (5_000), spill (3 << 20), plus a same-ms burst.
-        let times = [7u64, 5_000, 3 << 20, 7, 900, 1 << 20, 7];
+        // L0 (7), L1 (5_000), L2 (3 << 20), spill (3 << 30), plus a
+        // same-ms burst.
+        let times = [7u64, 5_000, 3 << 20, 7, 900, 1 << 20, 3 << 30, 7];
         for (seq, &at) in times.iter().enumerate() {
             w.insert(at, seq as u64, seq as u32);
         }
@@ -318,7 +415,7 @@ mod tests {
             2 * L1_SPAN,
         ];
         for (seq, &at) in edges.iter().enumerate() {
-            w.insert(at, seq as u64, 0);
+            w.insert(at, seq as u64, seq as u32);
         }
         let ats: Vec<u64> = drain_all(&mut w).iter().map(|e| e.0).collect();
         assert_eq!(ats, edges);
@@ -345,16 +442,17 @@ mod tests {
     }
 
     #[test]
-    fn spill_refill_preserves_burst_order() {
-        let mut w = TimerWheel::default();
-        // A same-millisecond burst beyond the L1 horizon: the refill path
-        // must keep seq order within the bucket.
-        let far = 5 * L1_SPAN + 123;
-        for seq in 0..64u64 {
-            w.insert(far, seq, seq as u32);
+    fn descents_preserve_burst_order() {
+        // A same-millisecond burst on L2 and one past the L2 horizon: the
+        // relink and refill paths must keep seq order within the bucket.
+        for far in [5 * L1_SPAN + 123, 5 * L2_SPAN + 123] {
+            let mut w = TimerWheel::default();
+            for seq in 0..64u64 {
+                w.insert(far, seq, seq as u32);
+            }
+            let idxs: Vec<u32> = drain_all(&mut w).iter().map(|e| e.1).collect();
+            assert_eq!(idxs, (0..64).collect::<Vec<_>>());
         }
-        let idxs: Vec<u32> = drain_all(&mut w).iter().map(|e| e.1).collect();
-        assert_eq!(idxs, (0..64).collect::<Vec<_>>());
     }
 
     #[test]
@@ -364,16 +462,17 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            w.insert(at, seq as u64, 0);
+            w.insert(at, seq as u64, seq as u32);
         }
         let ats: Vec<u64> = drain_all(&mut w).iter().map(|e| e.0).collect();
         assert_eq!(ats, vec![u64::MAX - L1_SPAN, u64::MAX - 1, u64::MAX]);
     }
+
     #[test]
-    fn entries_are_a_time_and_a_slot() {
-        // The wheel buckets are the largest allocation of a half-million
-        // client run (a million pending events); `seq` lives in the slab.
-        assert_eq!(std::mem::size_of::<Entry>(), 16);
+    fn links_are_a_time_and_a_slot() {
+        // One per slab slot: a million of them in a half-million client
+        // run; `seq` lives in the slab.
+        assert_eq!(std::mem::size_of::<Link>(), 16);
     }
 }
 
@@ -384,6 +483,7 @@ mod tests {
 mod properties {
     use super::*;
     use proptest::prelude::*;
+    use proptest::TestCaseError;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -418,16 +518,81 @@ mod properties {
         }
     }
 
+    const L0_SPAN: u64 = span(0);
+    const L1_SPAN: u64 = span(1);
+    const L2_SPAN: u64 = span(2);
+
     /// Expands a compact op description into a time respecting `floor`.
-    /// `band` selects: same-ms burst, L0-near, L1-range, spill-far.
+    /// `band` selects: same-ms burst, L0-near, L1-range, L2-far.
     fn op_time(floor: u64, band: u64, delta: u64) -> u64 {
         let base = match band {
             0 => 0,                  // burst: reuse the floor millisecond
             1 => delta % L0_SPAN,    // near: inside the L0 window
             2 => delta % L1_SPAN,    // mid: inside the L1 window
-            _ => L1_SPAN + delta,    // far: beyond the horizon (spill)
+            _ => L1_SPAN + delta,    // far: past the L1 window (L2)
         };
         floor.saturating_add(base)
+    }
+
+    /// [`op_time`] a level up: same-ms burst, L1-range, L2-range,
+    /// spill-far.
+    fn op_time_upper(floor: u64, band: u64, delta: u64) -> u64 {
+        let base = match band {
+            0 => 0,
+            1 => delta % L1_SPAN,
+            2 => (delta << SLOT_BITS) % L2_SPAN,
+            _ => L2_SPAN + (delta << SLOT_BITS),
+        };
+        floor.saturating_add(base)
+    }
+
+    /// Runs one insert/pop script on the wheel and the heap, checking
+    /// every pop and length. Slots are fresh per insert, or, with
+    /// `reuse`, taken from a free list of popped slots as the scheduler
+    /// takes them.
+    fn differential(
+        ops: &[(u64, u64, u64)],
+        time: fn(u64, u64, u64) -> u64,
+        reuse: bool,
+    ) -> Result<(), TestCaseError> {
+        let mut wheel = TimerWheel::default();
+        let mut heap = HeapQueue::default();
+        let mut floor = 0u64;
+        let mut free = Vec::new();
+        for (seq, &(band, delta, pops)) in (0u64..).zip(ops) {
+            let at = time(floor, band, delta);
+            let idx = free.pop().unwrap_or(seq as u32);
+            wheel.insert(at, seq, idx);
+            heap.insert(at, seq, idx);
+            for p in 0..pops {
+                // Mix limited probes with unlimited pops.
+                let limit = if p % 2 == 0 {
+                    floor.saturating_add(delta % L0_SPAN)
+                } else {
+                    u64::MAX
+                };
+                let a = wheel.pop_due(limit);
+                let b = heap.pop_due(limit);
+                prop_assert_eq!(a, b);
+                if let Some((at, idx)) = a {
+                    floor = at;
+                    if reuse {
+                        free.push(idx);
+                    }
+                }
+            }
+            prop_assert_eq!(wheel.len(), heap.len());
+        }
+        loop {
+            let a = wheel.pop_due(u64::MAX);
+            let b = heap.pop_due(u64::MAX);
+            prop_assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+        prop_assert!(wheel.is_empty() && heap.is_empty());
+        Ok(())
     }
 
     proptest! {
@@ -440,38 +605,19 @@ mod properties {
                 1..120,
             ),
         ) {
-            let mut wheel = TimerWheel::default();
-            let mut heap = HeapQueue::default();
-            let mut floor = 0u64;
-            for (seq, &(band, delta, pops)) in (0u64..).zip(&ops) {
-                let at = op_time(floor, band, delta);
-                wheel.insert(at, seq, seq as u32);
-                heap.insert(at, seq, seq as u32);
-                for p in 0..pops {
-                    // Mix limited probes with unlimited pops.
-                    let limit = if p % 2 == 0 {
-                        floor.saturating_add(delta % L0_SPAN)
-                    } else {
-                        u64::MAX
-                    };
-                    let a = wheel.pop_due(limit);
-                    let b = heap.pop_due(limit);
-                    prop_assert_eq!(a, b);
-                    if let Some((at, _)) = a {
-                        floor = at;
-                    }
-                }
-                prop_assert_eq!(wheel.len(), heap.len());
-            }
-            loop {
-                let a = wheel.pop_due(u64::MAX);
-                let b = heap.pop_due(u64::MAX);
-                prop_assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
-            prop_assert!(wheel.is_empty() && heap.is_empty());
+            differential(&ops, op_time, false)?;
+        }
+
+        /// The same a level up — L2 and the spill — with popped slots
+        /// queued again, as the scheduler's free list hands them out.
+        #[test]
+        fn wheel_matches_heap_on_upper_levels_with_slot_reuse(
+            ops in proptest::collection::vec(
+                (0u64..4, 0u64..3_000_000, 0u64..4),
+                1..120,
+            ),
+        ) {
+            differential(&ops, op_time_upper, true)?;
         }
     }
 }

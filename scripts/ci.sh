@@ -20,11 +20,12 @@ echo "==> cargo clippy -D warnings (every warning blocks: unreachable_pub and de
 # nothing calls fails here.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> cargo test --release (desim, gridemu, gruber, dpnode, grubsim, digruber: the wheel entry, the ledger slot, the expiry queue, the replay order, the request table and the locked calls as the benchmark runs them)"
+echo "==> cargo test --release (desim, gridemu, gruber, dpnode, grubsim, digruber: the wheel link, the ledger slot, the expiry queue, the replay order, the request table and the locked calls as the benchmark runs them)"
 # Debug builds trap integer overflow and keep debug_assert!; release
 # wraps and drops them, which is exactly where a hand-rolled bucket
-# queue or an index-addressed ledger would differ: desim's 16-byte wheel
-# entry (its seq implied by its place in the bucket) and gridemu's packed
+# queue or an index-addressed ledger would differ: desim's wheel threaded
+# through its slab (a 16-byte link per slot, its seq implied by its place
+# in the bucket list, u32::MAX the list terminator) and gridemu's packed
 # ledger slot (a flags byte for the record's optional fields) among them.
 # The differential proptests and grubsim's reference replay order judge
 # both builds.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Resolves a scripts/sigprof.c sample file into a per-function table.
 
-    python3 scripts/profile.py PROF_OUT.<pid> [--binary PATH] [--top N]
+    python3 scripts/profile.py PROF_OUT.<pid> [--binary PATH] [--top N] [--under FUNC]
 
 The file holds the process's /proc/self/maps and one line of program
 counters per sample, innermost frame first (after the profiler's own two:
@@ -12,9 +12,17 @@ are named after the mapped file.
 
 Two shares per function, both of all samples:
   self       the sampled counter was inside the function as emitted, i.e.
-             with everything the compiler inlined into it
+             with everything the compiler inlined into it; a sample inside
+             a shared library (memcpy in libc, a libm call, the vDSO clock)
+             counts for its innermost caller in the binary, as
+             "caller [libc.so.6]", so each caller gets its own row
   inclusive  the function was anywhere on the stack, inlined frames
              included (so a function that only exists inlined still shows)
+
+--under FUNC prints one more table: FUNC's inclusive share split by the
+direct callee each sample passed through below FUNC's outermost frame
+("(self)" when FUNC itself was running). FUNC is a full name as the
+tables print it, or its last path segments (`TimerWheel::insert`).
 """
 import argparse
 import collections
@@ -68,6 +76,7 @@ def main():
     ap.add_argument("profile")
     ap.add_argument("--binary", default="perf/target/release/perf")
     ap.add_argument("--top", type=int, default=25)
+    ap.add_argument("--under", metavar="FUNC", help="split FUNC's inclusive share by direct callee")
     args = ap.parse_args()
 
     maps, samples = parse(args.profile)
@@ -91,10 +100,26 @@ def main():
     chains = resolve(args.binary, sorted({f for s in located for f in s if isinstance(f, int)}))
     chain = lambda f: chains.get(f) or ["??"] if isinstance(f, int) else [f]
 
-    self_n, incl_n = collections.Counter(), collections.Counter()
+    def self_name(s):
+        """The emitted function the sample is in; a library sample's row
+        is its innermost in-binary caller, tagged with the library."""
+        if isinstance(s[0], int):
+            return chain(s[0])[-1]
+        caller = next((f for f in s if isinstance(f, int)), None)
+        return s[0] if caller is None else f"{chain(caller)[-1]} {s[0]}"
+
+    def matches(name):
+        return name == args.under or name.endswith("::" + args.under)
+
+    self_n, incl_n, under_n = collections.Counter(), collections.Counter(), collections.Counter()
     for s in located:
-        self_n[chain(s[0])[-1]] += 1
-        incl_n.update({name for f in s for name in chain(f)})
+        self_n[self_name(s)] += 1
+        names = [name for f in s for name in chain(f)]  # innermost first
+        incl_n.update(set(names))
+        if args.under:
+            at = next((i for i in reversed(range(len(names))) if matches(names[i])), None)
+            if at is not None:
+                under_n[names[at - 1] if at > 0 else "(self)"] += 1
 
     n = len(samples)
     print(f"# {n} samples, {args.profile}")
@@ -102,6 +127,11 @@ def main():
         print(f"\n{title:>9}  function")
         rows = [(name, c) for name, c in counts.most_common() if c < n or title == "self"]
         for name, c in rows[:args.top]:  # on every stack = the runtime's entry frames
+            print(f"{100 * c / n:8.1f}%  {name}")
+    if args.under:
+        total = sum(under_n.values())
+        print(f"\n{100 * total / n:8.1f}%  under {args.under}, by direct callee")
+        for name, c in under_n.most_common(args.top):
             print(f"{100 * c / n:8.1f}%  {name}")
 
 

@@ -5,6 +5,9 @@
 #
 #   scripts/sample-profile.sh <workload> [seed] [seconds]
 #   TOP=60 scripts/sample-profile.sh replay-mesh 1 8
+#   UNDER=TimerWheel::insert scripts/sample-profile.sh sim-paper 1 10
+#
+# UNDER=FUNC adds profile.py's --under table: FUNC's share by direct callee.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 workload="${1:?usage: scripts/sample-profile.sh <workload> [seed] [seconds]}"
@@ -38,7 +41,7 @@ LD_PRELOAD="$out/sigprof.so" PROF_OUT="$out/prof" ./perf/target/release/perf \
 pid=$!
 wait "$pid" || { cat "$out/stdout"; echo "sample-profile.sh: the benchmark failed"; exit 1; }
 grep '^# ' "$out/stdout" | grep 'model_fingerprint' || true
-python3 scripts/profile.py "$out/prof.$pid" --top "${TOP:-25}"
+python3 scripts/profile.py "$out/prof.$pid" --top "${TOP:-25}" ${UNDER:+--under "$UNDER"}
 
 # The `sock-*` workloads' clusterd servers (built by the benchmark into
 # target/release) do most of the work there: one table per server. The
