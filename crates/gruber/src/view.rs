@@ -26,6 +26,19 @@
 //! Nothing invalidates it: it is the same arithmetic moved from the read
 //! of every site to the write of one.
 //!
+//! A queued record is a 12-byte, 4-byte-aligned entry: the low 32 bits of
+//! its key and one 64-bit word packing `(site, vo, group, cpus)`. Each
+//! index takes the bits its bound needs and `cpus` the rest, widths fixed
+//! by [`GridView::with_principals`]; 3000 sites × 1024 VOs × 1024 groups
+//! is 12 + 10 + 10 bits, so `cpus` keeps 32. A record whose `cpus` do not
+//! fit is refused like an out-of-range site. The key's high half is not
+//! stored: a key in bucket `b <= 31` (*Expiry*) differs from the clock
+//! only in bits `0..=b`, so it is the clock's high half with the stored
+//! low half. A key that differs from the clock at bit 32 or above — ~50
+//! days out, or just across a 2³²-ms boundary, which no paper run reaches
+//! — waits whole in a `far` list that is re-filed only when the clock
+//! crosses into another 2³²-ms block.
+//!
 //! The tests below keep the original `HashMap`/`HashSet`/per-site-
 //! `BinaryHeap` view as the executable specification. The differential
 //! tests (unit + proptest) drive it and [`GridView`] op-for-op and
@@ -44,9 +57,10 @@
 //! instead keeps a **monotone radix queue**. A record's key is its
 //! `est_finish`; `last` is the latest instant the view has expired to, and
 //! every stored key is `> last`. A key lives in the bucket numbered by the
-//! highest bit in which it differs from `last` — 64 buckets and a 64-bit
-//! occupancy mask. Advancing to `now > last`, with `top` the highest bit
-//! in which `now` differs from `last`:
+//! highest bit in which it differs from `last` — 32 buckets and a 32-bit
+//! occupancy mask, with `far` standing for buckets 32–63. Advancing to
+//! `now > last`, with `top` the highest bit in which `now` differs from
+//! `last`:
 //!
 //! * a bucket below `top` holds keys that agree with `last` on bit `top`
 //!   and above, where `now` has a one and `last` a zero — all `< now`, so
@@ -58,7 +72,9 @@
 //!
 //! A push is O(1), a key moves down at most once per bit level over its
 //! life, every move is a sequential copy, and a call that finds no
-//! occupied bucket at or below `top` costs one mask test.
+//! occupied bucket at or below `top` costs one mask test. `far` is bucket
+//! `top` for every `top >= 32`: its keys are due or re-filed, into a
+//! bucket or back into `far`.
 //!
 //! **Order does not matter.** One call expires exactly the set of keys
 //! `<= now` — the same set a min-heap pops — but not in key order.
@@ -77,21 +93,21 @@
 //! `last`, which is the one thing the bucket arithmetic relies on.
 //! (The reference view makes no such promise off the monotone path.)
 //!
-//! Buckets store fixed-size chunks recycled through a per-view free list:
-//! splitting bucket `top` hands each source chunk back before the next is
-//! read and the destinations draw from the same list, so a split needs no
-//! second copy of the bucket. One `Vec` per bucket holds source and
-//! destination at once and doubles as it grows: on the ten-point trace
-//! replay it measured 45–53 % more peak RSS than the binary heap this
-//! queue replaced, where chunks measure 20 % less.
+//! Buckets store fixed-size chunks (512 entries, 6 KiB) recycled through
+//! a per-view free list: splitting bucket `top` hands each source chunk
+//! back before the next is read and the destinations draw from the same
+//! list, so a split needs no second copy of the bucket. The queue is
+//! bound by the bytes it moves, not by how many moves it makes: on the
+//! ten-point trace replay (`replay-mesh`, ~333 k live entries per point)
+//! the 12-byte entry took peak RSS from 119.8 to 80.8 MB against the
+//! 24-byte one (12 of 12 concurrent pairs), and a byte radix (fewer,
+//! wider moves) was slower and larger.
 
 use gruber_types::{DispatchRecord, GroupId, JobId, SimTime, SiteId, SiteSpec, VoId};
 
-/// Merged expiry entry. One entry per record serves both the per-site
-/// and the per-principal counters — half the queue traffic of the
-/// two-heap reference layout.
-#[derive(Clone, Copy)]
-struct Expiry {
+/// One pending record as [`ExpiryQueue`] takes it in and hands it out;
+/// the queue stores it as a 12-byte [`Expiry`].
+struct Pending {
     /// `est_finish` in milliseconds: the queue key.
     at: u64,
     site: u32,
@@ -100,41 +116,140 @@ struct Expiry {
     cpus: u32,
 }
 
+/// Merged expiry entry, as queued. One entry per record serves both the
+/// per-site and the per-principal counters — half the queue traffic of
+/// the two-heap reference layout. The key's high half is not stored: the
+/// bucket rebuilds it from the clock (module docs, *Layout*).
+#[derive(Clone, Copy)]
+#[repr(C, packed(4))]
+struct Expiry {
+    /// The key's low 32 bits.
+    at_lo: u32,
+    /// `site`, `vo`, `group` and `cpus`, as [`Packing`] lays them out.
+    fields: u64,
+}
+
+/// Where [`Expiry::fields`] keeps a record: `site` in the low bits, then
+/// `vo`, then `group`, each as wide as its bound needs, and `cpus` in the
+/// rest of the word.
+#[derive(Clone, Copy)]
+struct Packing {
+    vo_shift: u32,
+    group_shift: u32,
+    cpus_shift: u32,
+    /// The largest `cpus` the bits from `cpus_shift` up hold.
+    max_cpus: u32,
+}
+
+impl Packing {
+    /// Bits that index `0..n`; ids are `u32`s, so at most 32.
+    fn width(n: usize) -> u32 {
+        (usize::BITS - n.saturating_sub(1).leading_zeros()).min(32)
+    }
+
+    /// The packing for `n_sites` sites, `n_vos` VOs and `n_groups` groups,
+    /// and the VO and group bounds it holds. Index widths are trimmed, the
+    /// group's first, to leave `cpus` at least one bit: only bounds whose
+    /// product passes about 2⁶³, ids near `u32::MAX` in a USLA set, reach that.
+    fn new(n_sites: usize, n_vos: usize, n_groups: usize) -> (Self, usize, usize) {
+        let site_w = Self::width(n_sites);
+        let vo_w = Self::width(n_vos).min(63 - site_w);
+        let group_w = Self::width(n_groups).min(63 - site_w - vo_w);
+        let cpus_shift = site_w + vo_w + group_w;
+        let packing = Packing {
+            vo_shift: site_w,
+            group_shift: site_w + vo_w,
+            cpus_shift,
+            max_cpus: ((1u64 << (64 - cpus_shift).min(32)) - 1) as u32,
+        };
+        let bound = |n: usize, w: u32| 1usize.checked_shl(w).map_or(n, |cap| n.min(cap));
+        (packing, bound(n_vos, vo_w), bound(n_groups, group_w))
+    }
+
+    fn pack(self, p: Pending) -> Expiry {
+        debug_assert!(p.cpus <= self.max_cpus, "{} CPUs do not fit", p.cpus);
+        Expiry {
+            at_lo: p.at as u32,
+            fields: u64::from(p.site)
+                | u64::from(p.vo) << self.vo_shift
+                | u64::from(p.group) << self.group_shift
+                | u64::from(p.cpus) << self.cpus_shift,
+        }
+    }
+
+    /// The record `e` holds, with its whole key `at`.
+    fn unpack(self, at: u64, e: Expiry) -> Pending {
+        let fields = e.fields;
+        let bits = |lo: u32, hi: u32| ((fields >> lo) & ((1 << (hi - lo)) - 1)) as u32;
+        Pending {
+            at,
+            site: bits(0, self.vo_shift),
+            vo: bits(self.vo_shift, self.group_shift),
+            group: bits(self.group_shift, self.cpus_shift),
+            cpus: (fields >> self.cpus_shift) as u32,
+        }
+    }
+}
+
 /// The monotone radix queue behind [`GridView`] (module docs, *Expiry*).
 ///
-/// Invariants: every stored key is `> last`; a key `k` is in bucket
-/// `ilog2(k ^ last)`; a bucket's chunk list holds no empty chunk; bit `b`
-/// of `occupied` is set iff bucket `b` holds a chunk.
+/// Invariants: every stored key is `> last`; a key `k` with
+/// `ilog2(k ^ last) < 32` is in bucket `ilog2(k ^ last)`, where its high
+/// half is `last`'s, and every other key is whole in `far`; a bucket's
+/// chunk list holds no empty chunk; bit `b` of `occupied` is set iff
+/// bucket `b` holds a chunk.
 struct ExpiryQueue {
     /// High-water mark of [`ExpiryQueue::drain_due`]'s `now`.
     last: u64,
-    occupied: u64,
-    buckets: [Vec<Vec<Expiry>>; 64],
+    occupied: u32,
+    buckets: [Vec<Vec<Expiry>>; 32],
+    /// Keys that differ from `last` at bit 32 or above (~50 days out, or
+    /// across a 2³²-ms boundary), stored whole.
+    far: Vec<(u64, Expiry)>,
     /// Emptied chunks, capacity kept, ready for reuse.
     free: Vec<Vec<Expiry>>,
+    packing: Packing,
 }
 
 impl ExpiryQueue {
-    /// Entries per chunk. 6 KiB chunks: a view parks at most one partly
-    /// filled chunk per bucket, and a 333 k-entry replay point is ~1300
-    /// chunks. Chosen by measurement on `replay-mesh` and `sim-paper`.
-    const CHUNK_LEN: usize = 256;
+    /// Entries per chunk: 6 KiB, the chunk size chosen by measurement on
+    /// `replay-mesh` and `sim-paper`. A view parks at most one partly
+    /// filled chunk per bucket, and a 333 k-entry replay point is ~650
+    /// chunks.
+    const CHUNK_LEN: usize = 512;
 
-    fn new() -> Self {
+    /// The key bits above the buckets' reach: `last`'s, for every
+    /// bucketed key.
+    const HIGH: u64 = u64::MAX << 32;
+
+    fn new(packing: Packing) -> Self {
         ExpiryQueue {
             last: 0,
             occupied: 0,
             buckets: std::array::from_fn(|_| Vec::new()),
+            far: Vec::new(),
             free: Vec::new(),
+            packing,
         }
     }
 
-    /// Queues `e`. Its key must be `> last`; this is the check the bucket
+    /// Queues `p`. Its key must be `> last`; this is the check the bucket
     /// arithmetic depends on, so it holds in release builds too.
-    fn push(&mut self, e: Expiry) {
-        assert!(e.at > self.last, "expiry key at or below the clock");
-        let b = (e.at ^ self.last).ilog2() as usize;
-        let chunks = &mut self.buckets[b];
+    fn push(&mut self, p: Pending) {
+        assert!(p.at > self.last, "expiry key at or below the clock");
+        self.file(p.at, self.packing.pack(p));
+    }
+
+    /// Files `e`, whose key `at` is `> last`, in its bucket or in `far`.
+    /// Forced inline: left to the compiler (`#[inline]` too) it stays out
+    /// of line, and `replay-mesh` runs ~19 % fewer ops/s.
+    #[inline(always)]
+    fn file(&mut self, at: u64, e: Expiry) {
+        let b = (at ^ self.last).ilog2() as usize;
+        let Some(chunks) = self.buckets.get_mut(b) else {
+            self.far.push((at, e));
+            return;
+        };
         match chunks.last_mut() {
             Some(chunk) if chunk.len() < Self::CHUNK_LEN => chunk.push(e),
             _ => {
@@ -152,13 +267,15 @@ impl ExpiryQueue {
     /// Hands every entry with key `<= now` to `due`, in no particular
     /// order, and advances `last` to `now`. A `now` at or below `last`
     /// does nothing.
-    fn drain_due(&mut self, now: u64, mut due: impl FnMut(Expiry)) {
+    fn drain_due(&mut self, now: u64, mut due: impl FnMut(Pending)) {
         if now <= self.last {
             return;
         }
         let top = (now ^ self.last).ilog2() as usize;
+        let high = self.last & Self::HIGH;
+        let packing = self.packing;
         self.last = now;
-        let reach = u64::MAX >> (63 - top); // buckets 0..=top
+        let reach = u32::MAX >> 31usize.saturating_sub(top); // buckets 0..=top
         let mut hit = self.occupied & reach;
         self.occupied &= !reach;
         // Lowest bucket first, so bucket `top` re-files into buckets that
@@ -169,19 +286,33 @@ impl ExpiryQueue {
             let mut chunks = std::mem::take(&mut self.buckets[b]);
             for mut chunk in chunks.drain(..) {
                 if b < top {
-                    chunk.drain(..).for_each(&mut due);
+                    for e in chunk.drain(..) {
+                        due(packing.unpack(high | u64::from(e.at_lo), e));
+                    }
                 } else {
                     for e in chunk.drain(..) {
-                        if e.at <= now {
-                            due(e);
+                        let at = high | u64::from(e.at_lo);
+                        if at <= now {
+                            due(packing.unpack(at, e));
                         } else {
-                            self.push(e);
+                            self.file(at, e);
                         }
                     }
                 }
                 self.free.push(chunk);
             }
             self.buckets[b] = chunks; // keeps the list's own capacity
+        }
+        // `now` left `last`'s 2³²-ms block: a far key is due, near or
+        // still far.
+        if top >= self.buckets.len() {
+            for (at, e) in std::mem::take(&mut self.far) {
+                if at <= now {
+                    due(packing.unpack(at, e));
+                } else {
+                    self.file(at, e);
+                }
+            }
         }
     }
 
@@ -195,12 +326,12 @@ impl ExpiryQueue {
     /// Every queued `(key, site)`, sorted.
     #[cfg(test)]
     fn entries(&self) -> Vec<(u64, u32)> {
-        let mut all: Vec<(u64, u32)> = self
-            .buckets
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|e| (e.at, e.site))
+        let high = self.last & Self::HIGH;
+        let bucketed = self.buckets.iter().flatten().flatten();
+        let mut all: Vec<(u64, u32)> = bucketed
+            .map(|&e| (high | u64::from(e.at_lo), e))
+            .chain(self.far.iter().copied())
+            .map(|(at, e)| (at, self.packing.unpack(at, e).site))
             .collect();
         all.sort_unstable();
         all
@@ -346,6 +477,7 @@ impl GridView {
     pub fn with_principals(sites: &[SiteSpec], n_vos: usize, n_groups: usize) -> Self {
         let totals: Vec<u32> = sites.iter().map(|s| s.total_cpus()).collect();
         let grid_total = totals.iter().map(|&c| u64::from(c)).sum();
+        let (packing, n_vos, n_groups) = Packing::new(totals.len(), n_vos, n_groups);
         GridView {
             demand: vec![0; totals.len()],
             free: totals.clone(),
@@ -356,7 +488,7 @@ impl GridView {
             n_vos,
             n_groups,
             seen: JobSet::default(),
-            expiries: ExpiryQueue::new(),
+            expiries: ExpiryQueue::new(packing),
         }
     }
 
@@ -379,7 +511,9 @@ impl GridView {
     /// Returns `true` if the record was new. A record finishing at or
     /// before the latest instant the view has seen — `now` or an earlier
     /// call's later `now` — is already expired. A record naming a site, VO
-    /// or group the view does not cover is refused before its job id is
+    /// or group the view does not cover, or more CPUs than its expiry
+    /// entry holds (any `u32` while the site, VO and group bounds take 32
+    /// bits or fewer between them), is refused before its job id is
     /// remembered: records arrive as socket bytes, every index `expire`
     /// later uses was range-checked here, and no table grows past its
     /// bound.
@@ -389,10 +523,11 @@ impl GridView {
         if s >= self.totals.len()
             || vo >= self.n_vos
             || group >= self.n_groups
+            || rec.cpus > self.expiries.packing.max_cpus
             || rec.est_finish.0 <= self.expiries.last
             || !self.seen.insert(rec.job)
         {
-            return false; // no such site or principal, already expired or already known
+            return false; // no such site or principal, too wide, already expired or already known
         }
         self.demand[s] += u64::from(rec.cpus);
         self.free[s] = free_of(self.totals[s], self.demand[s]);
@@ -401,7 +536,7 @@ impl GridView {
             self.group_demand.resize_with(vo + 1, Vec::new);
         }
         *dense_slot(&mut self.group_demand[vo], group) += i64::from(rec.cpus);
-        self.expiries.push(Expiry {
+        self.expiries.push(Pending {
             at: rec.est_finish.0,
             site: rec.site.0,
             vo: rec.vo.0,
@@ -483,19 +618,11 @@ impl GridView {
         self.free.iter().map(|&f| u64::from(f)).sum()
     }
 
-    /// Writes the believed per-site free-CPU vector into `out` (cleared
-    /// first): one expiry advance, then a copy of the `free` column.
-    pub fn free_per_site_into(&mut self, now: SimTime, out: &mut Vec<u32>) {
-        self.expire(now);
-        out.clear();
-        out.extend_from_slice(&self.free);
-    }
-
-    /// Full believed per-site free-CPU vector (the availability response).
+    /// Full believed per-site free-CPU vector (the availability
+    /// response): one expiry advance, then a copy of the `free` column.
     pub fn free_per_site(&mut self, now: SimTime) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.totals.len());
-        self.free_per_site_into(now, &mut out);
-        out
+        self.expire(now);
+        self.free.clone()
     }
 
     /// The `free` column is what a scan of the other two would compute.
@@ -652,17 +779,10 @@ mod tests {
                 .sum()
         }
 
-        fn free_per_site_into(&mut self, now: SimTime, out: &mut Vec<u32>) {
-            out.clear();
-            for i in 0..self.n_sites() {
-                out.push(self.free_cpus(SiteId::from_index(i), now));
-            }
-        }
-
         fn free_per_site(&mut self, now: SimTime) -> Vec<u32> {
-            let mut out = Vec::with_capacity(self.n_sites());
-            self.free_per_site_into(now, &mut out);
-            out
+            (0..self.n_sites())
+                .map(|i| self.free_cpus(SiteId::from_index(i), now))
+                .collect()
         }
     }
 
@@ -854,9 +974,6 @@ mod tests {
             v.observe(&rec(1, 1, 8, 0, 100), now);
             assert_eq!(v.free_per_site(now), vec![10, 12]);
             assert_eq!(v.idle_cpus(now), 22);
-            let mut buf = vec![99u32; 7];
-            v.free_per_site_into(now, &mut buf);
-            assert_eq!(buf, vec![10, 12]);
         }
     }
 
@@ -1076,22 +1193,37 @@ mod tests {
 
     /// Checks every `ExpiryQueue` invariant its doc comment lists.
     fn assert_queue_invariants(q: &ExpiryQueue) {
+        let high = q.last & ExpiryQueue::HIGH;
         for (b, chunks) in q.buckets.iter().enumerate() {
             assert_eq!(q.occupied >> b & 1 == 1, !chunks.is_empty(), "mask bit {b}");
             for chunk in chunks {
                 assert!(!chunk.is_empty(), "bucket {b} holds an empty chunk");
                 assert!(chunk.len() <= ExpiryQueue::CHUNK_LEN);
                 for e in chunk {
-                    assert!(e.at > q.last, "key {} at or below last {}", e.at, q.last);
-                    assert_eq!((e.at ^ q.last).ilog2() as usize, b, "key {} misfiled", e.at);
+                    let at = high | u64::from(e.at_lo);
+                    assert!(at > q.last, "key {at} at or below last {}", q.last);
+                    assert_eq!((at ^ q.last).ilog2() as usize, b, "key {at} misfiled");
                 }
             }
+        }
+        for &(at, e) in &q.far {
+            assert!(at > q.last, "far key {at} at or below last {}", q.last);
+            assert!(
+                (at ^ q.last).ilog2() >= 32,
+                "far key {at} in the buckets' reach"
+            );
+            assert_eq!({ e.at_lo }, at as u32, "far key {at} split from its entry");
         }
         assert!(q.free.iter().all(Vec::is_empty));
     }
 
-    fn expiry(at: u64, id: u32) -> Expiry {
-        Expiry {
+    /// A queue whose entries carry any `u32` site.
+    fn queue() -> ExpiryQueue {
+        ExpiryQueue::new(Packing::new(1 << 32, 1, 1).0)
+    }
+
+    fn expiry(at: u64, id: u32) -> Pending {
+        Pending {
             at,
             site: id,
             vo: 0,
@@ -1101,10 +1233,106 @@ mod tests {
     }
 
     #[test]
+    fn an_expiry_is_twelve_bytes() {
+        // One per record a view has seen and not yet expired: 333 k of
+        // them per point on a 40-minute trace replay.
+        assert_eq!(std::mem::size_of::<Expiry>(), 12);
+    }
+
+    #[test]
+    fn keys_cross_the_buckets_reach_through_far() {
+        // The clock 5 ms short of 2^32; keys just past 2^32 and 2^33 differ
+        // from it at bits 32 and 33, past the buckets.
+        let mut q = queue();
+        let mut model: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+        let start = (1u64 << 32) - 5;
+        q.drain_due(start, |_| panic!("an empty queue drained"));
+        let keys = (1..5).map(|k| start + k);
+        let keys = keys.chain((0..6).flat_map(|k| [(1u64 << 32) + k, (1u64 << 33) + k]));
+        for (id, at) in keys.enumerate() {
+            q.push(expiry(at, id as u32));
+            model.push(Reverse((at, id as u32)));
+        }
+        assert_eq!(q.far.len(), 12);
+        assert_queue_invariants(&q);
+        let ends = [0, 2, 1 << 32, (1 << 32) + 3, 3 << 32].map(|d| (1u64 << 32) + d);
+        for now in (start + 2..start + 4).chain(ends) {
+            let mut got = Vec::new();
+            q.drain_due(now, |e| got.push((e.at, e.site)));
+            got.sort_unstable();
+            let mut want = Vec::new();
+            while let Some(&Reverse(e)) = model.peek().filter(|e| e.0 .0 <= now) {
+                model.pop();
+                want.push(e);
+            }
+            assert_eq!(got, want, "drain at {now}");
+            assert_queue_invariants(&q);
+            let far = q.far.len();
+            if now == 1 << 32 {
+                assert_eq!(far, 6, "keys past 2^32 came in; those past 2^33 stayed");
+            }
+        }
+        assert!(q.entries().is_empty());
+    }
+
+    #[test]
+    fn a_record_too_wide_for_its_entry_is_refused() {
+        // 2^20 VOs and groups on 2 sites: 1 + 20 + 20 index bits leave 23
+        // for the CPUs.
+        let mut v = GridView::with_principals(&sites(), 1 << 20, 1 << 20);
+        let now = SimTime::ZERO;
+        let wide = |job, cpus| DispatchRecord {
+            vo: VoId((1 << 20) - 1),
+            ..rec(job, 1, cpus, 0, 100)
+        };
+        assert!(!v.observe(&wide(7, 1 << 23), now));
+        assert!(!v.observe(&wide(8, u32::MAX), now));
+        assert!(!v.seen.contains(JobId(7)) && !v.seen.contains(JobId(8)));
+        assert_eq!(v.free_per_site(now), vec![10, 20]);
+        assert_eq!(v.vo_demand(VoId((1 << 20) - 1), now), 0);
+        assert!(v.expiries.entries().is_empty(), "nothing was queued");
+        assert!(v.observe(&wide(7, (1 << 23) - 1), now));
+        assert_eq!(v.free_per_site(now), vec![10, 0]);
+        assert_eq!(v.free_per_site(SimTime::from_secs(101)), vec![10, 20]);
+
+        // The widest view the tree builds: 3000 sites, default principals.
+        let specs: Vec<SiteSpec> = (0..3000)
+            .map(|i| SiteSpec::single_cluster(SiteId(i), 8))
+            .collect();
+        let mut v = GridView::new(&specs);
+        let edge = (GridView::DEFAULT_PRINCIPALS - 1) as u32;
+        let widest = DispatchRecord {
+            site: SiteId(2999),
+            vo: VoId(edge),
+            group: GroupId(edge),
+            ..rec(1, 0, u32::MAX, 0, 100)
+        };
+        assert!(v.observe(&widest, now));
+        assert_eq!(v.demand(SiteId(2999), now), u64::from(u32::MAX));
+        let group = v.group_demand(VoId(edge), GroupId(edge), now);
+        assert_eq!(group, u64::from(u32::MAX));
+        let later = SimTime::from_secs(100);
+        assert_eq!(v.demand(SiteId(2999), later), 0);
+        assert_eq!(v.idle_cpus(later), 3000 * 8);
+
+        // Bounds past 63 bits are trimmed, not refused at build time.
+        let mut v = GridView::with_principals(&sites(), usize::MAX, usize::MAX);
+        let named = |job, group, cpus| DispatchRecord {
+            group: GroupId(group),
+            ..rec(job, 0, cpus, 0, 100)
+        };
+        assert!(!v.observe(&named(1, 1 << 30, 1), now));
+        assert!(!v.observe(&named(2, 1, 2), now));
+        assert!(v.observe(&named(3, 1, 1), now));
+        assert_eq!(v.free_per_site(now), vec![9, 20]);
+    }
+
+    #[test]
     fn queue_recycles_its_chunks() {
         const N: u32 = 10 * ExpiryQueue::CHUNK_LEN as u32 + 17;
         // Round two repeats round one shifted by 2^40, a bit no offset
-        // reaches, so keys file and split exactly as they did before.
+        // reaches: its keys wait in `far` until the first drain files them
+        // where round one's first drain left its own.
         let round = |q: &mut ExpiryQueue, base: u64| {
             for i in 0..N {
                 q.push(expiry(base + 1 + u64::from(i) * 37, i));
@@ -1118,7 +1346,7 @@ mod tests {
             assert_eq!(drained, N);
             assert!(q.entries().is_empty());
         };
-        let mut q = ExpiryQueue::new();
+        let mut q = queue();
         round(&mut q, 0);
         let owned = q.chunks_owned();
         assert!(owned >= N as usize / ExpiryQueue::CHUNK_LEN);
@@ -1153,7 +1381,7 @@ mod tests {
             fn prop_queue_matches_heap_model(
                 ops in proptest::collection::vec((0u8..5, 0u32..64, 0u64..u64::MAX), 0..400),
             ) {
-                let mut q = ExpiryQueue::new();
+                let mut q = super::queue();
                 let mut model: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
                 let mut now = 0u64;
                 for (id, &(kind, level, raw)) in ops.iter().enumerate() {

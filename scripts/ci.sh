@@ -25,8 +25,10 @@ echo "==> cargo test --release (desim, gridemu, gruber, dpnode, grubsim, digrube
 # wraps and drops them, which is exactly where a hand-rolled bucket
 # queue or an index-addressed ledger would differ: desim's wheel threaded
 # through its slab (a 16-byte link per slot, its seq implied by its place
-# in the bucket list, u32::MAX the list terminator) and gridemu's packed
-# ledger slot (a flags byte for the record's optional fields) among them.
+# in the bucket list, u32::MAX the list terminator), gridemu's packed
+# ledger slot (a flags byte for the record's optional fields) and
+# gruber's 12-byte expiry entry (a key rebuilt from its low half, a word
+# of shifted fields, the far list past 2^32 ms) among them.
 # The differential proptests and grubsim's reference replay order judge
 # both builds.
 cargo test --release --offline -q -p desim -p gridemu -p gruber -p dpnode -p grubsim -p digruber
@@ -264,6 +266,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q \
 
 echo "==> experiments recovery health degradation topology scale (60 fingerprints + the five tables, byte-identical)"
 ./target/release/experiments recovery health degradation topology scale > results/experiments_studies.txt
+
+echo "==> experiments all (the paper's figures and tables, byte-identical)"
+./target/release/experiments all > results/experiments_all.txt
 
 # The build and smoke outputs below go into a scratch directory, not the tree.
 smoke_dir="$(mktemp -d)"
