@@ -20,6 +20,7 @@
 //! module's public face.
 
 use bytes::Bytes;
+use dpnode::Input;
 use dpstore::{NodeMsg, Transport, WireInput};
 use gruber_types::DpId;
 use simnet::codec::{
@@ -137,7 +138,10 @@ pub fn request<T: Transport<Peers = Vec<(DpId, String)>>>(
         (PeerKind::Dp, FRAME_RECORDS) => (NodeMsg::Wire(WireInput::PeerRecords(payload)), 0),
         (PeerKind::Client, FRAME_QUERY) => {
             let req = decode_query(payload).map_err(|_| CloseReason::MalformedQuery)?;
-            (NodeMsg::Query, req.job.0)
+            (
+                NodeMsg::Input(Input::QueryArrived { admission: None }),
+                req.job.0,
+            )
         }
         (PeerKind::Client, FRAME_INFORM) => (NodeMsg::Wire(WireInput::Inform(payload)), 0),
         (PeerKind::Client, FRAME_SYNC) => (NodeMsg::SyncTick, 0),
@@ -415,7 +419,7 @@ mod tests {
         let ok = |peer, kind, payload: &[u8]| to_step(peer, kind, payload).expect("a request");
         assert!(matches!(
             ok(Client, FRAME_QUERY, &query_payload(5)),
-            (NodeMsg::Query, 5)
+            (NodeMsg::Input(Input::QueryArrived { admission: None }), 5)
         ));
         assert!(matches!(ok(Client, FRAME_STATS, &[]), (NodeMsg::Stats, 0)));
         assert!(matches!(ok(Client, FRAME_SYNC, &[]), (NodeMsg::SyncTick, 0)));

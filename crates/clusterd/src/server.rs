@@ -126,7 +126,7 @@ impl Server {
         let mut host = NodeHost::new(blueprint, store, policy, recorder.clone(), started);
         // A store that holds anything means the previous incarnation of
         // this process died: rebuild from it (a first boot restores nothing).
-        dpstore::recover(&mut host, epoch, &recorder)
+        dpstore::recover(&mut host, started, || dpstore::since(epoch), &recorder)
             .map_err(|e| std::io::Error::other(format!("recover: {e}")))?;
 
         let listener = TcpListener::bind(&cfg.listen)?;
@@ -139,7 +139,7 @@ impl Server {
             peers: peers.collect(),
         };
         tcp.set_peers(cfg.peers.clone());
-        let node = Arc::new(Node::new(Point::new(host, tcp, recorder.clone(), epoch)));
+        let node = Arc::new(Node::new(Point::new(host, tcp, recorder.clone()), epoch));
 
         let mut threads: Vec<_> = (queues.into_iter().enumerate())
             .filter_map(|(j, queue)| {

@@ -326,14 +326,14 @@ impl Transport for Tokens {
 
 fn describe((msg, token): (NodeMsg<Tokens>, u32)) -> String {
     match msg {
-        NodeMsg::Query => format!("query {token}"),
+        NodeMsg::Input(Input::QueryArrived { admission: None }) => format!("query {token}"),
         NodeMsg::Stats => format!("stats {token}"),
         NodeMsg::Wire(WireInput::Inform(bytes)) => format!("inform {bytes:?}"),
         NodeMsg::Wire(WireInput::PeerRecords(bytes)) => format!("records {bytes:?}"),
         NodeMsg::Peers(peers) => format!("peers {peers:?}"),
         NodeMsg::SyncTick => "sync".into(),
         NodeMsg::Crash => "crash".into(),
-        NodeMsg::FloodFailed(_) | NodeMsg::Restore => {
+        NodeMsg::Input(_) | NodeMsg::FloodFailed(_) | NodeMsg::Restore => {
             unreachable!("no frame asks for this")
         }
     }

@@ -25,6 +25,7 @@
 //! So one peer's floods merge in the order they were sent.
 
 use bytes::Bytes;
+use dpnode::Input;
 use dpstore::{
     Answer, Blueprint, NodeHost, Point, RunStats, SharedPoint, SimStore, SnapshotPolicy, Transport,
     WireInput,
@@ -69,28 +70,38 @@ impl Transport for Channels {
 }
 
 /// Merges every flood on `point`'s inbox, in the order they were sent.
-fn merge_inbox(point: &mut Point<SimStore, Channels>) {
+fn merge_inbox(point: &mut Point<SimStore, Channels>, epoch: Instant) {
     while let Ok(records) = point.transport.inbox.try_recv() {
-        point.step(Msg::Wire(WireInput::PeerRecords(records)));
+        point.step(
+            || dpstore::since(epoch),
+            Msg::Wire(WireInput::PeerRecords(records)),
+        );
     }
 }
 
 /// Steps `msg` into `point` after its inbox; the step's answer, if any,
-/// and its [stamp](Point::stamp). `None` once the point has ended.
-fn call(point: &Live, msg: Msg) -> Option<(Option<Answer>, Instant)> {
+/// and the wall-clock reading it was stepped at. `None` once the point
+/// has ended.
+fn call(point: &Live, epoch: Instant, msg: Msg) -> Option<(Option<Answer>, Instant)> {
     point.with(|point| {
-        merge_inbox(point);
-        (point.step(msg), point.stamp())
+        merge_inbox(point, epoch);
+        let mut stamp = epoch;
+        let clock = || {
+            stamp = Instant::now();
+            SimTime(stamp.duration_since(epoch).as_millis() as u64)
+        };
+        let answer = point.step(clock, msg);
+        (answer, stamp)
     })
 }
 
 /// One sync round: each point in turn floods, and its peers merge the
 /// flood at once, so one flood's bytes are alive at a time.
-fn sync_all(points: &[Live]) {
+fn sync_all(points: &[Live], epoch: Instant) {
     for point in points {
-        call(point, Msg::SyncTick);
+        call(point, epoch, Msg::SyncTick);
         for peer in points {
-            peer.with(merge_inbox);
+            peer.with(|peer| merge_inbox(peer, epoch));
         }
     }
 }
@@ -190,14 +201,14 @@ impl LiveCluster {
                 );
                 let peers = senders.clone();
                 let channels = Channels { peers, inbox };
-                SharedPoint::new(Point::new(host, channels, recorder.clone(), epoch))
+                SharedPoint::new(Point::new(host, channels, recorder.clone()), epoch)
             })
             .collect();
 
         // The sync ticker stands in for each container's periodic task.
         let ticking = Arc::clone(&points);
         let ticker = dpstore::ticker(sync_interval, Arc::clone(&stop), move || {
-            sync_all(&ticking)
+            sync_all(&ticking, epoch)
         });
 
         LiveCluster {
@@ -234,10 +245,11 @@ impl LiveCluster {
     /// `timeout` — and the caller should fall back to a random site, like
     /// the paper's clients. `Duration::MAX` has no deadline.
     ///
-    /// The wait is measured from the call to the query step's stamp (see
-    /// `dpstore::mailbox`'s **Time**): it covers the wait for the
-    /// point's lock and its inbox merge, not the node's own sub-µs work
-    /// after the stamp. An untraced query reads the clock twice.
+    /// The wait is measured from the call to the clock reading the query
+    /// is stepped at, which `call` keeps (see `dpstore::mailbox`'s
+    /// **Time**): it covers the wait for the point's lock and its inbox
+    /// merge, not the node's own sub-µs work after the reading. An
+    /// untraced query reads the clock twice.
     ///
     /// Traced clusters emit the client-side protocol events here —
     /// `query_issued` before the step and `response_answered` /
@@ -248,7 +260,8 @@ impl LiveCluster {
         let client = ClientId(0);
         self.trace(|| TraceEvent::QueryIssued { client, dp });
         let sent = Instant::now();
-        let answered = match call(&self.points[dp.index()], Msg::Query) {
+        let query = Msg::Input(Input::QueryArrived { admission: None });
+        let answered = match call(&self.points[dp.index()], self.epoch, query) {
             Some((Some(Answer::Free(free)), stamp)) => Some((free, stamp - sent)),
             _ => None,
         };
@@ -271,28 +284,32 @@ impl LiveCluster {
 
     /// Informs a decision point of a dispatch decision. The record is
     /// stepped in its wire form ([`simnet::codec::encode_inform`]); the
-    /// step's stamp is the one clock read.
+    /// step's reading is the one clock read.
     pub fn inform(&self, dp: DpId, record: DispatchRecord) {
         let bytes = encode_inform(&record);
-        call(&self.points[dp.index()], Msg::Wire(WireInput::Inform(bytes)));
+        call(
+            &self.points[dp.index()],
+            self.epoch,
+            Msg::Wire(WireInput::Inform(bytes)),
+        );
     }
 
     /// Runs a sync round now (useful in tests instead of waiting for the
     /// ticker): when it returns, every flood it sent has been merged.
     pub fn force_sync(&self) {
-        sync_all(&self.points);
+        sync_all(&self.points, self.epoch);
     }
 
     /// Crashes a decision point: it drops every input until
     /// [`LiveCluster::restore`].
     pub fn crash(&self, dp: DpId) {
-        call(&self.points[dp.index()], Msg::Crash);
+        call(&self.points[dp.index()], self.epoch, Msg::Crash);
     }
 
     /// Restarts a crashed decision point (recovering from its store in a
     /// persistent cluster).
     pub fn restore(&self, dp: DpId) {
-        call(&self.points[dp.index()], Msg::Restore);
+        call(&self.points[dp.index()], self.epoch, Msg::Restore);
     }
 
     /// Stops the ticker, merges what is still in flight and ends every
@@ -304,7 +321,7 @@ impl LiveCluster {
         }
         (self.points.iter())
             .filter_map(|point| {
-                point.with(merge_inbox);
+                point.with(|point| merge_inbox(point, self.epoch));
                 point.shutdown()
             })
             .collect()

@@ -12,13 +12,6 @@ use gruber_types::SimDuration;
 pub enum Dist {
     /// Always the same value.
     Constant(f64),
-    /// Uniform over `[lo, hi)`.
-    Uniform {
-        /// Lower bound (inclusive).
-        lo: f64,
-        /// Upper bound (exclusive).
-        hi: f64,
-    },
     /// Exponential with the given mean (`1/λ`).
     Exponential {
         /// Mean of the distribution.
@@ -31,15 +24,6 @@ pub enum Dist {
         mu: f64,
         /// Standard deviation of `ln X`.
         sigma: f64,
-    },
-    /// Bounded Pareto (heavy tail) with shape `alpha` over `[lo, hi]`.
-    BoundedPareto {
-        /// Shape parameter (smaller = heavier tail).
-        alpha: f64,
-        /// Lower bound.
-        lo: f64,
-        /// Upper bound.
-        hi: f64,
     },
 }
 
@@ -59,20 +43,12 @@ impl Dist {
     pub fn sample(&self, rng: &mut DetRng) -> f64 {
         match *self {
             Dist::Constant(v) => v,
-            Dist::Uniform { lo, hi } => rng.uniform_range(lo, hi),
             Dist::Exponential { mean } => {
                 // Inverse transform; guard u=0.
                 let u = (1.0 - rng.uniform()).max(f64::MIN_POSITIVE);
                 -mean * u.ln()
             }
             Dist::LogNormal { mu, sigma } => (mu + sigma * standard_normal(rng)).exp(),
-            Dist::BoundedPareto { alpha, lo, hi } => {
-                // Inverse CDF of the bounded Pareto.
-                let u = rng.uniform();
-                let la = lo.powf(alpha);
-                let ha = hi.powf(alpha);
-                (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
-            }
         }
     }
 
@@ -85,21 +61,8 @@ impl Dist {
     pub fn mean(&self) -> f64 {
         match *self {
             Dist::Constant(v) => v,
-            Dist::Uniform { lo, hi } => (lo + hi) / 2.0,
             Dist::Exponential { mean } => mean,
             Dist::LogNormal { mu, sigma } => (mu + sigma * sigma / 2.0).exp(),
-            Dist::BoundedPareto { alpha, lo, hi } => {
-                if (alpha - 1.0).abs() < 1e-12 {
-                    let la = lo.powf(alpha);
-                    let ha = hi.powf(alpha);
-                    (ha * la / (ha - la)) * (hi / lo).ln() * alpha
-                } else {
-                    let la = lo.powf(alpha);
-                    let ha = hi.powf(alpha);
-                    (la / (1.0 - la / ha)) * (alpha / (alpha - 1.0))
-                        * (1.0 / lo.powf(alpha - 1.0) - 1.0 / hi.powf(alpha - 1.0))
-                }
-            }
         }
     }
 }
@@ -139,31 +102,6 @@ mod tests {
         assert!((d.mean() - 120.0).abs() < 1e-9);
         let m = mean_of(d, 60_000, 2);
         assert!((m - 120.0).abs() < 120.0 * 0.05, "sample mean {m}");
-    }
-
-    #[test]
-    fn uniform_within_bounds_and_mean() {
-        let d = Dist::Uniform { lo: 2.0, hi: 4.0 };
-        let mut rng = DetRng::new(3, 0);
-        for _ in 0..1000 {
-            let x = d.sample(&mut rng);
-            assert!((2.0..4.0).contains(&x));
-        }
-        assert!((mean_of(d, 20_000, 3) - 3.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn bounded_pareto_within_bounds() {
-        let d = Dist::BoundedPareto {
-            alpha: 1.5,
-            lo: 1.0,
-            hi: 100.0,
-        };
-        let mut rng = DetRng::new(4, 0);
-        for _ in 0..2000 {
-            let x = d.sample(&mut rng);
-            assert!((1.0..=100.0 + 1e-9).contains(&x), "sample {x}");
-        }
     }
 
     #[test]

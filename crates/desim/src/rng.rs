@@ -43,12 +43,6 @@ impl DetRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform float in `[lo, hi)`.
-    pub(crate) fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(hi >= lo);
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform integer in `[0, n)`, unbiased by Lemire's widening-multiply
     /// rejection. Panics if `n == 0`.
     pub fn index(&mut self, n: usize) -> usize {
@@ -190,14 +184,5 @@ mod tests {
         );
         let picks: Vec<usize> = (0..8).map(|_| r.index(300)).collect();
         assert_eq!(picks, [278, 241, 45, 105, 225, 84, 76, 146]);
-    }
-
-    #[test]
-    fn uniform_range_respects_bounds() {
-        let mut r = DetRng::new(3, 3);
-        for _ in 0..100 {
-            let x = r.uniform_range(5.0, 6.5);
-            assert!((5.0..6.5).contains(&x));
-        }
     }
 }

@@ -72,7 +72,7 @@ impl Blueprint {
 /// What [`NodeHost::handle`] leaves for the runtime: [`Effect`] minus the
 /// durability effects the host consumed (fields as in [`Effect`]). A new
 /// [`Effect`] variant fails to compile in the host, and one added here in
-/// every runtime's `match`.
+/// both interpreters' `match`: [`crate::Point::step`] and desim's.
 #[derive(Debug, Clone)]
 #[allow(missing_docs)]
 pub enum Routed {
@@ -185,7 +185,7 @@ impl<S: Store> NodeHost<S> {
     /// [`DpNode::requeue`] is not in it (requeues are not journaled).
     ///
     /// `emit` receives each store operation's modelled cost and its trace
-    /// event: desim emits at `now + cost`, a wall-clock runtime at once.
+    /// event: desim emits at `now + cost`, a [`crate::Point`] at once.
     pub fn handle(
         &mut self,
         now: SimTime,

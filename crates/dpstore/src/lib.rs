@@ -1,6 +1,8 @@
 //! How a runtime hosts a decision point: durable storage for its state
 //! (write-ahead log + snapshots) behind [`NodeHost`], and the `mailbox`
-//! step the two wall-clock runtimes run around that host.
+//! step ([`Point::step`]) that trace replay and the two wall-clock
+//! runtimes run around that host. desim is the only runtime that calls
+//! [`NodeHost::handle`] itself: its transport is the WAN model.
 //!
 //! DI-GRUBER's decision points originally tolerated crashes only by
 //! rejoining the exchange mesh empty and waiting for the next sync round

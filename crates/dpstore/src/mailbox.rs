@@ -1,16 +1,21 @@
-//! How a wall-clock runtime hosts a node: a [`Point`] behind one lock
-//! ([`SharedPoint`]), stepped on whatever thread holds an input, and a
-//! [`Transport`] for what leaves.
+//! How every runtime without a WAN model hosts a node: a [`Point`]
+//! stepped with [`NodeMsg`]s and a [`Transport`] for what leaves; on a
+//! wall clock, that point behind one lock ([`SharedPoint`]), stepped on
+//! whatever thread holds an input.
 //!
-//! desim and trace replay call [`NodeHost::handle`] from their own event
-//! loops because they own the clock. The thread runtime
-//! (`digruber::live`) and the socket runtime (`clusterd`) do not: they
-//! stamp every message with the wall clock and step it through
+//! desim is the one runtime that calls [`NodeHost::handle`] from its own
+//! event loop: its transport is the WAN model (latency, loss, partitions,
+//! retries) and its restart a modeled delay, both inside its event
+//! queue. The other three step a [`Point`]. GRUB-SIM's trace replay
+//! (`grubsim::protocol`) steps one per decision point at each event's
+//! time and hands the floods on itself. The thread runtime
+//! (`digruber::live`) and the socket runtime (`clusterd`) step it through
 //! [`SharedPoint::step`] — the same host, lock and [`Point::step`] in
 //! both. There is no point thread and no mailbox: a thread-runtime client
 //! steps the point on its own thread, as does a socket connection's
 //! reader, and so do the ticker and (on sockets) the peer senders. The
-//! runtimes differ only in the [`Transport`] the step writes floods to.
+//! runtimes differ only in their clock and the [`Transport`] the step
+//! writes floods to.
 //!
 //! **Ordering.** Stepping is the only code touching the [`NodeHost`], so
 //! the lock's order is the order of every state change. It is FIFO per
@@ -28,14 +33,14 @@
 //! threads feeding the point see [`SharedPoint::stop`], and
 //! [`SharedPoint::join`] wakes.
 //!
-//! **Time.** A step reads the wall clock once (a restore also times its
-//! replay), under the lock, so the [`SimTime`] the node sees never goes
-//! backwards in lock order. The step derives its `SimTime` from that
-//! reading, and [`Point::stamp`] hands the reading back to the thread that
-//! stepped it. A caller's timeout is measured from its send to that
-//! stamp: it covers the wait for the lock and whatever is stepped first
-//! (in `digruber::live`, the inbox merge), but not the node's own sub-µs
-//! work after the stamp.
+//! **Time.** A [`Point`] owns no clock: its caller hands each step one,
+//! which the step reads once (a restore once more, after its replay).
+//! A [`SharedPoint`] reads the wall clock since its epoch, under the lock,
+//! so the [`SimTime`] the node sees never goes backwards in lock order. A
+//! caller that needs the reading itself — `digruber::live`'s query timeout,
+//! measured from its send to the step — passes a clock that keeps it: the
+//! timeout covers the wait for the lock and whatever is stepped first (the
+//! inbox merge), but not the node's own sub-µs work after the reading.
 //!
 //! **What a transport provides** is the outbound half only: hand one flood
 //! to one peer, replace the peer table, and say how wide the mesh is.
@@ -63,7 +68,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The outbound half of a wall-clock runtime.
+/// The outbound half of a runtime that steps a [`Point`].
 pub trait Transport {
     /// The peer table [`NodeMsg::Peers`] installs.
     type Peers;
@@ -84,18 +89,20 @@ pub trait Transport {
 /// What a step answers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Answer {
-    /// Believed-free CPUs per site, to [`NodeMsg::Query`].
+    /// Believed-free CPUs per site, to an [`Input::QueryArrived`].
     Free(Vec<u32>),
     /// To [`NodeMsg::Stats`].
     Stats(DpStats),
 }
 
-/// Every input a wall-clock point is stepped with. These are envelopes
+/// Every input a [`Point`] is stepped with. These are envelopes
 /// only — protocol handling lives in [`dpnode::DpNode`].
 pub enum NodeMsg<T: Transport> {
-    /// Availability query, answered with [`Answer::Free`] (nothing while
-    /// the point is crashed).
-    Query,
+    /// A typed protocol input. An [`Input::QueryArrived`] is answered
+    /// with [`Answer::Free`] (nothing while the point is crashed); a
+    /// driver that holds its records typed (trace replay) steps its
+    /// informs this way, and never encodes them.
+    Input(Input),
     /// A client's inform or a peer's flood, as the exact `simnet::codec`
     /// wire bytes.
     Wire(WireInput),
@@ -158,31 +165,32 @@ pub fn since(epoch: Instant) -> SimTime {
     SimTime(epoch.elapsed().as_millis() as u64)
 }
 
-/// Restores `host` from its store and brings it back up, tracing the
-/// recovery with its actual replay time. A first boot (up, empty store)
-/// restores and traces nothing.
+/// Restores `host` from its store at `at` and brings it back up, tracing
+/// the recovery at `now()` read after the replay, with the replay's time
+/// (`now() - at`). A first boot (up, empty store) restores and traces
+/// nothing.
 pub fn recover<S: Store>(
     host: &mut NodeHost<S>,
-    epoch: Instant,
+    at: SimTime,
+    now: impl FnOnce() -> SimTime,
     recorder: &Recorder,
 ) -> Result<(), GridError> {
-    let start = Instant::now();
-    let restored = host.restore(since(epoch))?;
+    let restored = host.restore(at)?;
     if host.rejoin() {
-        let (dp, at) = (host.node().id(), since(epoch));
-        recorder.emit(at, || TraceEvent::DpRecovered { dp });
-        recorder.emit(at, || TraceEvent::RecoveryReplayed {
+        let (dp, done) = (host.node().id(), now());
+        recorder.emit(done, || TraceEvent::DpRecovered { dp });
+        recorder.emit(done, || TraceEvent::RecoveryReplayed {
             dp,
             records: restored.records,
-            dur_ms: start.elapsed().as_millis() as u32,
+            dur_ms: done.since(at).as_millis() as u32,
         });
     }
     Ok(())
 }
 
-/// One decision point as a wall-clock runtime steps it: the host, the
-/// transport its floods leave by, and what stepping keeps between
-/// messages.
+/// One decision point as a runtime without a WAN model steps it: the
+/// host, the transport its floods leave by, and what stepping keeps
+/// between messages. It owns no clock: each step is handed one.
 pub struct Point<S: Store, T: Transport> {
     /// The node and its durability.
     pub host: NodeHost<S>,
@@ -191,42 +199,37 @@ pub struct Point<S: Store, T: Transport> {
     fx: Vec<Routed>,
     flood_requeues: u64,
     recorder: Recorder,
-    epoch: Instant,
-    stamp: Instant,
 }
 
 impl<S: Store, T: Transport> Point<S, T> {
-    /// A point stamping its inputs with wall-clock time since `epoch`.
-    pub fn new(host: NodeHost<S>, transport: T, recorder: Recorder, epoch: Instant) -> Self {
+    /// A point whose steps trace into `recorder`.
+    pub fn new(host: NodeHost<S>, transport: T, recorder: Recorder) -> Self {
         Point {
             host,
             transport,
             fx: Vec::new(),
             flood_requeues: 0,
             recorder,
-            epoch,
-            stamp: epoch,
         }
-    }
-
-    /// The wall-clock reading the last step was stamped with (the epoch
-    /// before the first step).
-    pub fn stamp(&self) -> Instant {
-        self.stamp
     }
 
     /// Turns one message into a [`NodeHost`] input, routes the floods the
     /// step leaves to the transport and returns its answer, if any. The
-    /// one interpreter of [`NodeMsg`] and [`Routed`]: any protocol change
-    /// made in [`dpnode::DpNode`] — and any durability change made in the
-    /// host — is picked up here, and so by both runtimes, with no code
-    /// change.
-    pub fn step(&mut self, msg: NodeMsg<T>) -> Option<Answer> {
-        self.stamp = Instant::now();
-        let at = SimTime(self.stamp.duration_since(self.epoch).as_millis() as u64);
+    /// one interpreter of [`NodeMsg`], and of [`Routed`] for every runtime
+    /// without a WAN model: any protocol change made in
+    /// [`dpnode::DpNode`] — and any durability change made in the host —
+    /// is picked up here, and so by threads, sockets and trace replay,
+    /// with no code change.
+    ///
+    /// The step reads `now` once, before anything else, and a restore
+    /// reads it once more after its replay: a trace replay passes its
+    /// event time (`|| at`, a replay in zero time), a wall-clock runtime
+    /// the clock since its epoch.
+    pub fn step(&mut self, mut now: impl FnMut() -> SimTime, msg: NodeMsg<T>) -> Option<Answer> {
+        let at = now();
         let id = self.host.node().id();
         let input = match msg {
-            NodeMsg::Query => Input::QueryArrived { admission: None },
+            NodeMsg::Input(input) => input,
             // `None`: a malformed inform, dropped whole.
             NodeMsg::Wire(wire) => wire.decode()?,
             NodeMsg::SyncTick => Input::SyncTick {
@@ -248,7 +251,7 @@ impl<S: Store, T: Transport> Point<S, T> {
                 return None;
             }
             NodeMsg::Restore => {
-                recover(&mut self.host, self.epoch, &self.recorder)
+                recover(&mut self.host, at, now, &self.recorder)
                     .expect("a store's own snapshot must decode");
                 return None;
             }
@@ -308,15 +311,19 @@ pub struct SharedPoint<S: Store, T: Transport> {
     ended: Condvar,
     /// Set when the point ends: the threads feeding it stop.
     pub stop: Arc<AtomicBool>,
+    /// What [`SharedPoint::step`]'s clock counts from.
+    epoch: Instant,
 }
 
 impl<S: Store, T: Transport> SharedPoint<S, T> {
-    /// Puts `point` behind its lock.
-    pub fn new(point: Point<S, T>) -> Self {
+    /// Puts `point` behind its lock, stepped with wall-clock time since
+    /// `epoch`.
+    pub fn new(point: Point<S, T>, epoch: Instant) -> Self {
         SharedPoint {
             point: Mutex::new(Ok(point)),
             ended: Condvar::new(),
             stop: Arc::new(AtomicBool::new(false)),
+            epoch,
         }
     }
 
@@ -334,10 +341,12 @@ impl<S: Store, T: Transport> SharedPoint<S, T> {
         done.ok()
     }
 
-    /// Steps `msg`; its answer, `None` if it has none or the point has
-    /// ended.
+    /// Steps `msg` at the wall-clock time since the epoch, read under the
+    /// lock; its answer, `None` if it has none or the point has ended.
     pub fn step(&self, msg: NodeMsg<T>) -> Option<Answer> {
-        self.with(|point| point.step(msg)).flatten()
+        let epoch = self.epoch;
+        self.with(|point| point.step(|| since(epoch), msg))
+            .flatten()
     }
 
     /// Ends the point if it has not ended; its final statistics, `None` if

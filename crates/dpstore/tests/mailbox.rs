@@ -4,7 +4,7 @@
 //! thread and socket runtimes share is tested without either.
 
 use bytes::Bytes;
-use dpnode::{Dissemination, DpNodeStats, NodeConfig, Topology};
+use dpnode::{Dissemination, DpNodeStats, Input, NodeConfig, Topology};
 use dpstore::{
     Answer, Blueprint, DpStats, NodeHost, NodeMsg, Point, SharedPoint, SimStore, SnapshotPolicy,
     Store, Transport, WireInput,
@@ -85,13 +85,17 @@ fn record(job: u32, site: u32, cpus: u32) -> DispatchRecord {
     }
 }
 
+fn query() -> Msg {
+    Msg::Input(Input::QueryArrived { admission: None })
+}
+
 fn inform(job: u32, site: u32, cpus: u32) -> Msg {
     Msg::Wire(WireInput::Inform(encode_inform(&record(job, site, cpus))))
 }
 
 fn shared(host: NodeHost<SimStore>) -> SharedPoint<SimStore, Recording> {
     let transport = Recording::default();
-    SharedPoint::new(Point::new(host, transport, Recorder::OFF, Instant::now()))
+    SharedPoint::new(Point::new(host, transport, Recorder::OFF), Instant::now())
 }
 
 /// What stepping a script left behind.
@@ -125,7 +129,7 @@ fn run(host: NodeHost<SimStore>, script: Vec<Msg>) -> Run {
 
 #[test]
 fn query_gets_exactly_one_answer_with_static_capacities() {
-    let ran = run(host(false), vec![Msg::Query]);
+    let ran = run(host(false), vec![query()]);
     assert_eq!(ran.answers, vec![(0, Answer::Free(vec![16; 4]))]);
     assert!(ran.floods.is_empty());
     assert_eq!(ran.stats.queries, 1);
@@ -199,12 +203,12 @@ fn crash_drops_inputs_and_restore_replays_the_wal() {
     let script = vec![
         inform(1, 0, 8),
         inform(2, 1, 4),
-        Msg::Query,
+        query(),
         Msg::Crash,
         inform(3, 2, 2),
-        Msg::Query,
+        query(),
         Msg::Restore,
-        Msg::Query,
+        query(),
     ];
     let ran = run(host(true), script);
     let view = Answer::Free(vec![8, 12, 16, 16]);
@@ -224,7 +228,7 @@ fn crash_drops_inputs_and_restore_replays_the_wal() {
 #[test]
 fn malformed_inform_is_dropped_whole_and_the_point_continues() {
     let garbage = Msg::Wire(WireInput::Inform(Bytes::copy_from_slice(&[1, 2, 3])));
-    let script = vec![garbage, inform(1, 0, 8), Msg::Query];
+    let script = vec![garbage, inform(1, 0, 8), query()];
     let ran = run(host(false), script);
     assert_eq!(ran.stats.informs, 1);
     assert_eq!(ran.answers, vec![(2, Answer::Free(vec![8, 16, 16, 16]))]);
@@ -241,7 +245,7 @@ fn a_malformed_flood_merges_nothing_and_counts_one_failure() {
     // One claimed, none there.
     let empty = Bytes::copy_from_slice(&1u32.to_le_bytes());
     for bad in [torn, empty] {
-        let script = vec![Msg::Wire(WireInput::PeerRecords(bad)), Msg::Query];
+        let script = vec![Msg::Wire(WireInput::PeerRecords(bad)), query()];
         let ran = run(host(false), script);
         assert_eq!(ran.answers, vec![(1, Answer::Free(vec![16; 4]))]);
         let s = ran.stats;
@@ -259,7 +263,7 @@ fn records_for_an_unknown_site_leave_the_views_unchanged() {
         inform(1, 0, 8),
         inform(2, 4, 8),
         Msg::Wire(WireInput::PeerRecords(flood)),
-        Msg::Query,
+        query(),
         Msg::SyncTick,
     ];
     let ran = run(host(false), script);
@@ -276,7 +280,7 @@ fn nothing_is_stepped_after_shutdown() {
     point.step(inform(1, 0, 8));
     let stats = point.shutdown().expect("no step panicked");
     assert!(point.stop.load(Ordering::Relaxed));
-    assert_eq!(point.step(Msg::Query), None);
+    assert_eq!(point.step(query()), None);
     assert_eq!(point.step(inform(2, 0, 8)), None);
     assert_eq!((point.shutdown(), point.join()), (Some(stats), Some(stats)));
     assert_eq!(stats.informs, 1);

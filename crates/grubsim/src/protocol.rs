@@ -1,4 +1,4 @@
-//! Protocol replay: the third runtime over the shared decision-point core.
+//! Protocol replay: GRUB-SIM's runtime over the shared decision-point core.
 //!
 //! `super::replay` answers the capacity question ("how many decision
 //! points?") with a fluid model. This module answers the *state* question:
@@ -6,7 +6,7 @@
 //! machines — the exact code the discrete-event simulator and the live
 //! thread cluster drive — and report what each point believed at the end.
 //!
-//! The driver here is the simplest of the three: one pass over the trace
+//! The driver here is the simplest of the runtimes: one pass over the trace
 //! in time order, zero-latency flood delivery, no loss/partitions/retries.
 //! Every answered request becomes a query to its bound decision point plus
 //! a synthetic dispatch inform (the client told the point where the job
@@ -14,6 +14,21 @@
 //! the trace horizon the driver runs `n_dps` barrier sync rounds so sparse
 //! topologies (ring, star) finish propagating transitively-forwarded
 //! records, then compares the final availability views for convergence.
+//!
+//! # One step
+//!
+//! Each decision point is a [`dpstore::Point`], the host the thread and
+//! socket runtimes step too, over a transport that only collects floods.
+//! Every query, inform, sync round, crash and restore is one
+//! [`Point::step`] at the event's time; after a sync step the driver hands
+//! each collected flood to its peer, or, if the peer is down, back to the
+//! sender as [`NodeMsg::FloodFailed`] for its next round. So the flood
+//! fan-out, the requeue and the exchange, crash and recovery trace events
+//! are the point's, as on threads and sockets; the driver adds only the
+//! client side the trace records. Its clock is the event time, so a
+//! restore replays in zero time (`recovery_replayed` has `dur_ms: 0`).
+//! Records stay typed: an inform or a query is stepped as a
+//! [`dpnode::Input`], and only a flood crosses as wire bytes.
 //!
 //! # Order
 //!
@@ -29,11 +44,12 @@
 
 use std::sync::Arc;
 
+use bytes::Bytes;
 use diperf::RequestTrace;
-use dpnode::{Dissemination, DpNodeStats, FloodPayload, Input, NodeConfig, Topology};
-use dpstore::{Blueprint, NodeHost, Routed, SimStore, SnapshotPolicy};
+use dpnode::{Dissemination, DpNodeStats, Input, NodeConfig, Topology};
+use dpstore::{Blueprint, NodeHost, NodeMsg, Point, SimStore, SnapshotPolicy, Transport, WireInput};
 use gruber::DispatchRecord;
-use gruber_types::{ClientId, DpId, GroupId, JobId, SimDuration, SimTime, SiteId, SiteSpec, VoId};
+use gruber_types::{DpId, GroupId, JobId, SimDuration, SimTime, SiteId, SiteSpec, VoId};
 use obs::{Recorder, TraceEvent};
 use usla::UslaSet;
 
@@ -92,14 +108,29 @@ pub struct ProtocolReplayReport {
     pub wal_records_replayed: u64,
 }
 
-/// One driver event, built from its trace entry (or the crash plan) at
-/// the moment it is replayed.
-enum Ev {
-    Query { dp: usize, client: ClientId, timed_out: bool },
-    Inform { dp: usize, record: DispatchRecord, client: ClientId, response_ms: u64 },
-    Crash { dp: usize },
-    Restore { dp: usize },
+/// The replay's [`Transport`]: delivery takes no time, so a sync step's
+/// floods wait here, `(peer, wire bytes)`, until the driver hands them on.
+struct Outbox {
+    n_dps: usize,
+    sent: Vec<(usize, Bytes)>,
 }
+
+impl Transport for Outbox {
+    /// The mesh is fixed for the whole replay.
+    type Peers = ();
+
+    fn flood(&mut self, peer: usize, records: &Bytes) {
+        self.sent.push((peer, records.clone()));
+    }
+
+    fn set_peers(&mut self, (): ()) {}
+
+    fn n_dps(&self) -> usize {
+        self.n_dps
+    }
+}
+
+type SimPoint = Point<SimStore, Outbox>;
 
 /// The replay order (module docs, *Order*): one `(at, seq)` key per driver
 /// event, sorted. `seq` names the event — `2·i` entry `i`'s query, `2·i + 1`
@@ -135,10 +166,10 @@ pub fn replay_protocol(
 }
 
 /// [`replay_protocol`] with an [`obs::Recorder`] over the replay: the
-/// driver emits the protocol-level stream (`query_issued`,
-/// `response_answered` / `client_timeout` from the trace outcomes,
-/// `exchange_sent`, crash/recovery and persistence events) and each
-/// node's engine tracer adds `query_accepted` / `exchange_merged` — so a
+/// driver emits the client side from the trace outcomes (`query_issued`,
+/// `response_answered` / `client_timeout`), each point's step adds
+/// `exchange_sent`, crash/recovery and persistence events, and each
+/// node's engine tracer `query_accepted` / `exchange_merged` — so a
 /// replayed trace gets the same timeline and online health scoring as a
 /// simulated or live run.
 ///
@@ -159,7 +190,7 @@ pub fn replay_protocol_traced(
 
     let sites: Arc<[SiteSpec]> = sites.into();
     let uslas = Arc::new(uslas.clone());
-    let mut hosts: Vec<NodeHost<SimStore>> = (0..n_dps)
+    let mut points: Vec<SimPoint> = (0..n_dps)
         .map(|i| {
             let blueprint = Blueprint {
                 cfg: NodeConfig {
@@ -174,13 +205,15 @@ pub fn replay_protocol_traced(
                 uslas: Arc::clone(&uslas),
                 track_live: false,
             };
-            NodeHost::new(
+            let host = NodeHost::new(
                 blueprint,
                 cfg.persist.then(SimStore::new),
                 SnapshotPolicy::records(cfg.snapshot_records),
                 tracer.clone(),
                 SimTime::ZERO,
-            )
+            );
+            let outbox = Outbox { n_dps, sent: Vec::new() };
+            Point::new(host, outbox, tracer.clone())
         })
         .collect();
 
@@ -188,33 +221,6 @@ pub fn replay_protocol_traced(
     let last_event = order.last().map_or(SimTime(0), |&(at, _)| at);
     let n = traces.len() as u64;
     let crash_dp = cfg.crash.map_or(0, |plan| plan.dp as usize % n_dps);
-    // Entry `seq / 2`'s query or synthetic inform (job id = entry index,
-    // round-robin site), or the crash plan's crash / restore.
-    let event = |at: SimTime, seq: u64| -> Ev {
-        if seq >= 2 * n {
-            return if seq == 2 * n { Ev::Crash { dp: crash_dp } } else { Ev::Restore { dp: crash_dp } };
-        }
-        let i = (seq / 2) as usize;
-        let t = &traces[i];
-        let dp = t.dp.index() % n_dps;
-        if seq.is_multiple_of(2) {
-            return Ev::Query { dp, client: t.client, timed_out: t.timed_out };
-        }
-        Ev::Inform {
-            dp,
-            record: DispatchRecord {
-                job: JobId(i as u32),
-                site: SiteId((i % n_sites) as u32),
-                vo: VoId((i % 2) as u32),
-                group: GroupId(0),
-                cpus: 1,
-                dispatched_at: at,
-                est_finish: at + cfg.job_runtime,
-            },
-            client: t.client,
-            response_ms: t.response.map_or(0, |r| r.as_millis()),
-        }
-    };
     let mut queries = 0u64;
     let mut informs = 0u64;
 
@@ -223,63 +229,57 @@ pub fn replay_protocol_traced(
     // event runs after it.
     let horizon = last_event + cfg.sync_interval + cfg.sync_interval;
     let mut next_tick = SimTime(0) + cfg.sync_interval;
-    let timer_round = |hosts: &mut [NodeHost<SimStore>], at: SimTime| {
+    let timer_round = |points: &mut [SimPoint], at: SimTime| {
         for dp in 0..n_dps {
-            tick(hosts, dp, at, Input::SyncTick { n_dps }, tracer);
+            sync(points, dp, at);
         }
     };
 
-    let mut fx: Vec<Routed> = Vec::new();
     for (at, seq) in order {
         while next_tick < at {
-            timer_round(&mut hosts, next_tick);
+            timer_round(&mut points, next_tick);
             next_tick += cfg.sync_interval;
         }
-        match event(at, seq) {
-            Ev::Query { dp, client, timed_out } => {
-                queries += 1;
-                let dp_id = DpId(dp as u32);
-                tracer.emit(at, || TraceEvent::QueryIssued { client, dp: dp_id });
-                if timed_out {
-                    // Emitted at `sent_at`: the trace does not record the
-                    // expiry instant (see `replay_protocol_traced` docs).
-                    tracer.emit(at, || TraceEvent::ClientTimeout { client, dp: dp_id });
-                }
-                hosts[dp].handle(at, Input::QueryArrived { admission: None }, &mut fx, emit_at(tracer, at));
-                fx.clear(); // the reply has no consumer in a trace replay
-            }
-            Ev::Inform { dp, record, client, response_ms } => {
-                informs += 1;
-                let dp_id = DpId(dp as u32);
-                tracer.emit(at, || TraceEvent::ResponseAnswered {
-                    dp: dp_id,
-                    client,
-                    response_ms,
-                });
-                hosts[dp].handle(at, Input::Inform(record), &mut fx, emit_at(tracer, at));
-            }
-            Ev::Crash { dp } => {
-                hosts[dp].crash();
-                tracer.emit(at, || TraceEvent::DpFailed { dp: DpId(dp as u32) });
-            }
-            Ev::Restore { dp } => {
-                let restored = hosts[dp]
-                    .restore(at)
-                    .expect("a store's own snapshot must decode");
-                hosts[dp].rejoin();
-                let dp_id = DpId(dp as u32);
-                tracer.emit(at, || TraceEvent::DpRecovered { dp: dp_id });
-                // Replay happens in driver time: no modeled latency.
-                tracer.emit(at, || TraceEvent::RecoveryReplayed {
-                    dp: dp_id,
-                    records: restored.records,
-                    dur_ms: 0,
-                });
-            }
+        if seq >= 2 * n {
+            // The crash plan. Its restore replays in driver time: the
+            // recovery takes none.
+            let msg = if seq == 2 * n { NodeMsg::Crash } else { NodeMsg::Restore };
+            points[crash_dp].step(|| at, msg);
+            continue;
         }
+        // Entry `seq / 2`'s query or synthetic inform (job id = entry
+        // index, round-robin site).
+        let i = (seq / 2) as usize;
+        let t = &traces[i];
+        let (dp, client) = (DpId((t.dp.index() % n_dps) as u32), t.client);
+        let input = if seq.is_multiple_of(2) {
+            queries += 1;
+            tracer.emit(at, || TraceEvent::QueryIssued { client, dp });
+            if t.timed_out {
+                // Emitted at `sent_at`: the trace does not record the
+                // expiry instant (see `replay_protocol_traced` docs).
+                tracer.emit(at, || TraceEvent::ClientTimeout { client, dp });
+            }
+            // The answer has no consumer in a trace replay.
+            Input::QueryArrived { admission: None }
+        } else {
+            informs += 1;
+            let response_ms = t.response.map_or(0, |r| r.as_millis());
+            tracer.emit(at, || TraceEvent::ResponseAnswered { dp, client, response_ms });
+            Input::Inform(DispatchRecord {
+                job: JobId(i as u32),
+                site: SiteId((i % n_sites) as u32),
+                vo: VoId((i % 2) as u32),
+                group: GroupId(0),
+                cpus: 1,
+                dispatched_at: at,
+                est_finish: at + cfg.job_runtime,
+            })
+        };
+        points[dp.index()].step(|| at, NodeMsg::Input(input));
     }
     while next_tick <= horizon {
-        timer_round(&mut hosts, next_tick);
+        timer_round(&mut points, next_tick);
         next_tick += cfg.sync_interval;
     }
 
@@ -289,77 +289,45 @@ pub fn replay_protocol_traced(
     for _ in 0..n_dps {
         t += cfg.sync_interval;
         for dp in 0..n_dps {
-            tick(&mut hosts, dp, t, Input::SyncTick { n_dps }, tracer);
+            sync(&mut points, dp, t);
         }
     }
 
-    let final_views: Vec<Vec<u32>> = hosts
+    let final_views: Vec<Vec<u32>> = points
         .iter_mut()
-        .map(|h| h.node_mut().engine_mut().availability(t))
+        .map(|p| p.host.node_mut().engine_mut().availability(t))
         .collect();
     let converged = final_views.windows(2).all(|w| w[0] == w[1]);
+    let hosts = || points.iter().map(|p| &p.host);
     ProtocolReplayReport {
-        per_dp: hosts.iter().map(|h| h.node().stats()).collect(),
+        per_dp: hosts().map(|h| h.node().stats()).collect(),
         final_views,
         converged,
         queries_replayed: queries,
         informs_replayed: informs,
-        recoveries: hosts.iter().map(|h| h.recoveries()).sum(),
-        wal_records_replayed: hosts.iter().map(|h| h.wal_records_replayed()).sum(),
+        recoveries: hosts().map(|h| h.recoveries()).sum(),
+        wal_records_replayed: hosts().map(|h| h.wal_records_replayed()).sum(),
     }
 }
 
-/// A trace replay has no store latency to model: the host's store events
-/// are traced at once.
-fn emit_at(tracer: &Recorder, at: SimTime) -> impl FnMut(SimDuration, TraceEvent) + '_ {
-    move |_cost, event| tracer.emit(at, || event)
-}
-
-/// One exchange round of point `dp` (a timed round or a barrier round):
-/// every flood is delivered in place.
-fn tick(hosts: &mut [NodeHost<SimStore>], dp: usize, at: SimTime, input: Input, tracer: &Recorder) {
-    let mut fx = Vec::new();
-    hosts[dp].handle(at, input, &mut fx, emit_at(tracer, at));
-    for effect in fx {
-        match effect {
-            Routed::FloodTo { peers, payload } => deliver(hosts, dp, at, &peers, &payload, tracer),
-            Routed::Reply { .. } => {} // a tick answers no query
-        }
+/// One exchange round of point `dp` (a timed round or a barrier round),
+/// every flood delivered at once. A flood merged never floods in turn
+/// (forwarded records wait for the peer's own next round), so one pass
+/// over the outbox delivers the round. A down peer cannot receive: the
+/// sender takes the flood back as [`NodeMsg::FloodFailed`], and its next
+/// round retransmits it — a crash delays state, it must not destroy it.
+fn sync(points: &mut [SimPoint], dp: usize, at: SimTime) {
+    points[dp].step(|| at, NodeMsg::SyncTick);
+    let mut sent = std::mem::take(&mut points[dp].transport.sent);
+    for (peer, records) in sent.drain(..) {
+        let (to, msg) = if points[peer].host.node().up() {
+            (peer, NodeMsg::Wire(WireInput::PeerRecords(records)))
+        } else {
+            (dp, NodeMsg::FloodFailed(records))
+        };
+        points[to].step(|| at, msg);
     }
-}
-
-/// Zero-latency flood delivery: hand the payload to each peer in place.
-/// `PeerRecords` never emits floods itself (forwarded records wait for the
-/// peer's own next sync round), so no recursion is needed. A down peer
-/// cannot receive: the payload goes back on the sender's outgoing log so
-/// the next round retransmits it — a crash delays state, it must not
-/// destroy it (same contract as the discrete-event driver's retry
-/// exhaustion path).
-fn deliver(
-    hosts: &mut [NodeHost<SimStore>],
-    from: usize,
-    at: SimTime,
-    peers: &[usize],
-    payload: &FloodPayload,
-    tracer: &Recorder,
-) {
-    let mut requeued = false;
-    for &j in peers {
-        tracer.emit(at, || TraceEvent::ExchangeSent {
-            from: DpId(from as u32),
-            to: DpId(j as u32),
-            records: payload.n_records,
-        });
-        if !hosts[j].node().up() {
-            if !requeued {
-                hosts[from].node_mut().requeue(payload);
-                requeued = true;
-            }
-            continue;
-        }
-        let input = Input::PeerRecords(payload.clone());
-        hosts[j].handle(at, input, &mut Vec::new(), emit_at(tracer, at));
-    }
+    points[dp].transport.sent = sent;
 }
 
 #[cfg(test)]
@@ -562,6 +530,30 @@ mod tests {
         assert!(!health.samples.is_empty(), "scored windows must exist");
         let degrades = health.flags.iter().filter(|f| f.degrading).count() as u64;
         assert_eq!(tl.totals.health_degrades, degrades);
+    }
+
+    /// A traced replay's timeline reconciles with the counters its points
+    /// report: on a ring with no crash, every `exchange_sent` a point's
+    /// step traced is a flood its node counted, and a restore replays in
+    /// driver time, so no recovery takes a millisecond.
+    #[test]
+    fn traced_replay_reconciles_with_its_points() {
+        let uslas = equal_shares(2, 2).unwrap();
+        let rec = Recorder::new(obs::TraceConfig::default());
+        let ring = cfg(4, Topology::Ring);
+        let r = replay_protocol_traced(&answered_trace(40, 4), &sites(4, 64), &uslas, ring, &rec);
+        let tl = rec.finish(SimTime::from_secs(200)).unwrap();
+        let traced: Vec<(DpId, u64)> = tl.dp_totals.iter().map(|d| (d.dp, d.exchanges_out)).collect();
+        let counted: Vec<(DpId, u64)> =
+            r.per_dp.iter().enumerate().map(|(i, s)| (DpId(i as u32), s.floods_sent)).collect();
+        assert_eq!(traced, counted);
+        assert!(counted.iter().all(|&(_, floods)| floods > 0), "{counted:?}");
+
+        let rec = Recorder::new(obs::TraceConfig::default());
+        let r = replay_protocol_traced(&answered_trace(30, 3), &sites(4, 64), &uslas, crashy_cfg(3, 0), &rec);
+        let tl = rec.finish(SimTime::from_secs(120)).unwrap();
+        assert_eq!((r.recoveries, tl.totals.recoveries), (1, 1));
+        assert_eq!(tl.totals.max_recovery_ms, 0);
     }
 
     /// The untraced entry point is byte-identical to a traced replay's

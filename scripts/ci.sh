@@ -109,21 +109,27 @@ for f in crates/core/src/world.rs crates/core/src/events.rs crates/core/src/run.
     || { echo "ci.sh: a HashMap grew back in $f (lines above)"; exit 1; }
 done
 
-echo "==> one host: both wall-clock runtimes step a SharedPoint on the caller's thread; no point thread, no mailbox"
-# dpstore::mailbox::SharedPoint is the one way a wall-clock point is hosted,
-# and Point::step the one interpreter of `NodeMsg` and `Routed`: a thread
-# runtime call, a socket reader, the ticker and a peer sender each step the
-# point under its lock. A second loop, a second per-point stats struct, a
-# `match` on `Routed::` in either runtime or a channel of NodeMsg is the
-# mailbox hop growing back; the channel and lock stand-ins it needed are
-# gone with it (std::sync has both). The one exception is a line of the
-# equivalence suite's module doc, which is kept byte-for-byte as it was.
-{ ! grep -rn 'Routed::' crates/core/src/live.rs crates/clusterd/src \
+echo "==> one host: every runtime without a WAN model steps a Point; the wall-clock ones a SharedPoint, with no point thread and no mailbox"
+# dpstore::mailbox::Point::step is the one interpreter of `NodeMsg`, and of
+# `Routed` for every runtime but desim, whose WAN model (core::events) is
+# the other: trace replay steps a Point per decision point, and
+# dpstore::mailbox::SharedPoint is the one way a wall-clock point is
+# hosted — a thread runtime call, a socket reader, the ticker and a peer
+# sender each step the point under its lock. A `Routed::` match anywhere
+# else (dpstore's own tests of the host aside), a `NodeHost::handle` call
+# or a flood/crash/recovery trace emission in GRUB-SIM, a second loop, a
+# second per-point stats struct or a channel of NodeMsg is a runtime
+# interpreting the node again; the channel and lock stand-ins the mailbox
+# hop needed are gone with it (std::sync has both). The one exception is a
+# line of the equivalence suite's module doc, kept byte-for-byte as it was.
+{ ! grep -rn 'Routed::' --include=*.rs crates tests examples src \
+      | grep -v '^crates/dpstore/src/\|^crates/dpstore/tests/\|^crates/core/src/events.rs:' \
+  && ! grep -rnE 'Routed|\.handle\(|ExchangeSent|DpFailed|DpRecovered|RecoveryReplayed' crates/grubsim/src \
   && ! grep -rnE 'crossbeam|parking_lot|node_loop|fn dp_main' crates tests examples src Cargo.toml \
       | grep -v '^tests/sim_live_equivalence.rs:7:' \
   && ! grep -rnE 'Sender<(Msg|NodeMsg)|channel::<NodeMsg' --include=*.rs crates \
   && [ "$(grep -rn 'pub struct .*DpStats' --include=*.rs crates src | grep -vc '^crates/dpnode/')" -eq 1 ]; } \
-  || { echo "ci.sh: a node loop, a mailbox, a channel or lock stand-in, a Routed interpreter or a second DpStats struct (lines above)"; exit 1; }
+  || { echo "ci.sh: a node loop, a mailbox, a channel or lock stand-in, a Routed interpreter, a replay that handles its own floods or crashes, or a second DpStats struct (lines above)"; exit 1; }
 
 echo "==> one stopwatch: crates/bench reads no clock and no /proc (timing and memory are perf/'s)"
 # Every BENCH_*.json is diffed byte-for-byte below; a wall-clock or RSS
@@ -320,5 +326,8 @@ done
 echo "==> committed artifacts (BENCH_*.json, results/) are what this tree regenerates"
 git diff --exit-code -- 'BENCH_*.json' results/ \
   || { echo "ci.sh: a committed BENCH_* / results/ artifact moved"; exit 1; }
+
+echo "==> non-test lines per crate (information, not a gate; ROADMAP's size rule)"
+scripts/loc.sh
 
 echo "ci.sh: all green"
