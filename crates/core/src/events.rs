@@ -606,7 +606,7 @@ pub(crate) fn dispatch_job(
             }
         }
         Err(_) => {
-            // Site rejected the placement (oversized job or no storage left).
+            // Site rejected the placement (an oversized job).
             w.rejected_dispatches += 1;
         }
     }

@@ -316,7 +316,7 @@ pub struct World {
     pub(crate) retire_log: Vec<(SimTime, DpId)>,
     /// Requests denied by USLA enforcement.
     pub(crate) denied_requests: u64,
-    /// Placements rejected by sites (oversized, or no storage left).
+    /// Placements rejected by sites (oversized jobs).
     pub(crate) rejected_dispatches: u64,
     /// Decision-point crashes injected.
     pub dp_failures: u64,

@@ -47,7 +47,6 @@ struct Slot {
     user: UserId,
     client: ClientId,
     cpus: u32,
-    storage_mb: u32,
     runtime: SimDuration,
     submitted_at: SimTime,
     site: SiteId,
@@ -68,7 +67,6 @@ impl Slot {
             user: s.user,
             client: s.client,
             cpus: s.cpus,
-            storage_mb: s.storage_mb,
             runtime: s.runtime,
             submitted_at: s.submitted_at,
             site: r.site.unwrap_or_default(),
@@ -105,7 +103,7 @@ impl Slot {
             user: self.user,
             client: self.client,
             cpus: self.cpus,
-            storage_mb: self.storage_mb,
+            storage_mb: 0,
             runtime: self.runtime,
             submitted_at: self.submitted_at,
         }
@@ -311,42 +309,8 @@ impl Grid {
         Ok(self.apply_started(site, started, now))
     }
 
-    /// Fails a dispatched job (queued or running), freeing its resources.
-    /// Euryale replans failed jobs via [`Grid::resubmit`].
-    pub fn fail(&mut self, job: JobId, now: SimTime) -> GridResult<Vec<Started>> {
-        let slot = self.jobs.get(job).ok_or(GridError::UnknownJob(job))?;
-        if !matches!(slot.state, JobState::QueuedAtSite | JobState::Running) {
-            return Err(GridError::InvalidTransition {
-                job,
-                detail: format!("fail from {:?}", slot.state),
-            });
-        }
-        let site = slot
-            .get(SITE, slot.site)
-            .expect("dispatched job has a site");
-        let started = self.sites[site.index()].kill(job, now)?;
-        self.jobs.get_mut(job).expect("checked").state = JobState::Failed;
-        Ok(self.apply_started(site, started, now))
-    }
-
-    /// Returns a failed job to its submission host for replanning
-    /// (state Failed → 1), clearing placement bookkeeping.
-    pub fn resubmit(&mut self, job: JobId, now: SimTime) -> GridResult<()> {
-        let slot = self.jobs.get_mut(job).ok_or(GridError::UnknownJob(job))?;
-        if slot.state != JobState::Failed {
-            return Err(GridError::InvalidTransition {
-                job,
-                detail: format!("resubmit from {:?}", slot.state),
-            });
-        }
-        slot.state = JobState::AtSubmissionHost;
-        slot.set(SITE | DISPATCHED | STARTED, false);
-        slot.submitted_at = now;
-        Ok(())
-    }
-
-    /// Ends every change to `site` — a dispatch, a completion or a
-    /// failure: refreshes its free-CPU column entry and marks the jobs it
+    /// Ends every change to `site` — a dispatch or a completion:
+    /// refreshes its free-CPU column entry and marks the jobs it
     /// started running.
     fn apply_started(&mut self, site: SiteId, started: Vec<SiteStarted>, now: SimTime) -> Vec<Started> {
         self.free[site.index()] = self.sites[site.index()].free_cpus();
@@ -499,26 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn failure_and_replanning() {
-        let mut g = grid(&[1]);
-        g.submit(job(1, 1, 100)).unwrap();
-        g.dispatch(JobId(1), SiteId(0), SimTime::ZERO, true).unwrap();
-        g.fail(JobId(1), SimTime::from_secs(10)).unwrap();
-        assert_eq!(g.record(JobId(1)).unwrap().state, JobState::Failed);
-        assert_eq!(g.idle_cpus(), 1);
-
-        g.resubmit(JobId(1), SimTime::from_secs(11)).unwrap();
-        let r = g.record(JobId(1)).unwrap();
-        assert_eq!(r.state, JobState::AtSubmissionHost);
-        assert_eq!(r.site, None);
-        // And it can be dispatched again.
-        g.dispatch(JobId(1), SiteId(0), SimTime::from_secs(12), false)
-            .unwrap();
-        assert!(!g.record(JobId(1)).unwrap().handled_by_gruber);
-        g.check_invariants();
-    }
-
-    #[test]
     fn vo_usage_aggregation() {
         let mut g = grid(&[4, 4]);
         for id in 1..=4 {
@@ -581,15 +525,15 @@ mod tests {
             /// field set or not, times and ids at both ends of their range.
             #[test]
             fn slot_roundtrips_any_record(
-                ids in (word(), word(), word(), word(), word(), word(), word()),
+                ids in (word(), word(), word(), word(), word(), word()),
                 (runtime, submitted_at) in (time(), time()),
-                state in 0usize..5,
+                state in 0usize..4,
                 site in option::of(word()),
                 (dispatched_at, started_at, completed_at)
                     in (option::of(time()), option::of(time()), option::of(time())),
                 handled_by_gruber in proptest::bool::ANY,
             ) {
-                let (id, vo, group, user, client, cpus, storage_mb) = ids;
+                let (id, vo, group, user, client, cpus) = ids;
                 let r = JobRecord {
                     spec: JobSpec {
                         id: JobId(w(id)),
@@ -598,7 +542,7 @@ mod tests {
                         user: UserId(w(user)),
                         client: ClientId(w(client)),
                         cpus: w(cpus),
-                        storage_mb: w(storage_mb),
+                        storage_mb: 0,
                         runtime: SimDuration(t(runtime).0),
                         submitted_at: t(submitted_at),
                     },
@@ -607,7 +551,6 @@ mod tests {
                         JobState::QueuedAtSite,
                         JobState::Running,
                         JobState::Completed,
-                        JobState::Failed,
                     ][state],
                     site: site.map(|s| SiteId(w(s))),
                     dispatched_at: dispatched_at.map(t),
@@ -619,12 +562,11 @@ mod tests {
             }
 
             /// The dense free-CPU column is each site's own count after
-            /// any dispatch/complete/fail/resubmit script, refused
-            /// transitions and an unknown site included, and the three
-            /// readers agree with it.
+            /// any dispatch/complete script, refused transitions and an
+            /// unknown site included, and the three readers agree with it.
             #[test]
             fn free_column_tracks_the_sites(
-                ops in proptest::collection::vec((0u8..4, 0u32..12, 0u32..4), 1..80),
+                ops in proptest::collection::vec((0u8..2, 0u32..12, 0u32..4), 1..80),
             ) {
                 let mut g = grid(&[4, 2, 7]);
                 for id in 0..12 {
@@ -634,10 +576,8 @@ mod tests {
                     let (job, now) = (JobId(id), SimTime::from_secs(step));
                     // A refused transition is part of the script too.
                     let _ = match kind {
-                        0 => g.dispatch(job, SiteId(site), now, true).map(drop),
-                        1 => g.complete(job, now).map(drop),
-                        2 => g.fail(job, now).map(drop),
-                        _ => g.resubmit(job, now),
+                        0 => g.dispatch(job, SiteId(site), now, true),
+                        _ => g.complete(job, now),
                     };
                     let truth: Vec<u32> = g.sites().iter().map(SiteState::free_cpus).collect();
                     prop_assert_eq!(&g.free, &truth);

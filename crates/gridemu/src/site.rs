@@ -13,7 +13,6 @@ use std::collections::VecDeque;
 struct RunningJob {
     job: JobId,
     cpus: u32,
-    storage_mb: u32,
 }
 
 /// A queued dispatch.
@@ -21,7 +20,6 @@ struct RunningJob {
 struct QueuedJob {
     job: JobId,
     cpus: u32,
-    storage_mb: u32,
     runtime_ms: u64,
 }
 
@@ -39,10 +37,6 @@ pub(crate) struct SiteStarted {
 pub struct SiteState {
     spec: SiteSpec,
     free_cpus: u32,
-    /// Storage not currently reserved, in MB. Storage is reserved from
-    /// dispatch (the prescript stages inputs before the job runs) until
-    /// completion.
-    free_storage_mb: u64,
     running: Vec<RunningJob>,
     queue: VecDeque<QueuedJob>,
 }
@@ -51,11 +45,9 @@ impl SiteState {
     /// Builds an idle FIFO site.
     pub fn new(spec: SiteSpec) -> Self {
         let free = spec.total_cpus();
-        let free_storage = spec.total_storage_mb();
         SiteState {
             spec,
             free_cpus: free,
-            free_storage_mb: free_storage,
             running: Vec::new(),
             queue: VecDeque::new(),
         }
@@ -85,22 +77,9 @@ impl SiteState {
                 ),
             });
         }
-        if u64::from(job.storage_mb) > self.free_storage_mb {
-            return Err(GridError::Rejected {
-                site: self.spec.id,
-                reason: format!(
-                    "job {} needs {} MB storage, site has {} MB free",
-                    job.id, job.storage_mb, self.free_storage_mb
-                ),
-            });
-        }
-        // Storage is staged at dispatch time (the Euryale prescript moves
-        // inputs before the job runs), so it is reserved immediately.
-        self.free_storage_mb -= u64::from(job.storage_mb);
         self.queue.push_back(QueuedJob {
             job: job.id,
             cpus: job.cpus,
-            storage_mb: job.storage_mb,
             runtime_ms: job.runtime.as_millis(),
         });
         Ok(self.start_ready(now))
@@ -112,7 +91,6 @@ impl SiteState {
         self.running.push(RunningJob {
             job: q.job,
             cpus: q.cpus,
-            storage_mb: q.storage_mb,
         });
         SiteStarted {
             job: q.job,
@@ -142,23 +120,6 @@ impl SiteState {
             .ok_or(GridError::UnknownJob(job))?;
         let done = self.running.swap_remove(idx);
         self.free_cpus += done.cpus;
-        self.free_storage_mb += u64::from(done.storage_mb);
-        Ok(self.start_ready(now))
-    }
-
-    /// Kills a job (running or queued) — used for failure injection.
-    /// Returns jobs that started as a result of freed CPUs.
-    pub(crate) fn kill(&mut self, job: JobId, now: SimTime) -> GridResult<Vec<SiteStarted>> {
-        if self.running.iter().any(|r| r.job == job) {
-            return self.complete(job, now);
-        }
-        let idx = self
-            .queue
-            .iter()
-            .position(|q| q.job == job)
-            .ok_or(GridError::UnknownJob(job))?;
-        let q = self.queue.remove(idx).expect("indexed");
-        self.free_storage_mb += u64::from(q.storage_mb);
         Ok(self.start_ready(now))
     }
 
@@ -169,17 +130,6 @@ impl SiteState {
             running_cpus + self.free_cpus,
             self.spec.total_cpus(),
             "CPU conservation violated"
-        );
-        let reserved_storage: u64 = self
-            .running
-            .iter()
-            .map(|r| u64::from(r.storage_mb))
-            .chain(self.queue.iter().map(|q| u64::from(q.storage_mb)))
-            .sum();
-        assert_eq!(
-            reserved_storage + self.free_storage_mb,
-            self.spec.total_storage_mb(),
-            "storage conservation violated"
         );
     }
 }
@@ -260,74 +210,12 @@ mod tests {
     }
 
     #[test]
-    fn kill_running_and_queued() {
-        let mut s = site(2);
-        s.enqueue(&job(1, 2, 100), SimTime::ZERO).unwrap();
-        s.enqueue(&job(2, 2, 100), SimTime::ZERO).unwrap();
-        // Kill the queued job: nothing can start (site still full).
-        let started = s.kill(JobId(2), SimTime::from_secs(1)).unwrap();
-        assert!(started.is_empty());
-        assert_eq!(s.queue.len(), 0);
-        // Kill the running job.
-        let started = s.kill(JobId(1), SimTime::from_secs(2)).unwrap();
-        assert!(started.is_empty());
-        assert_eq!(s.free_cpus(), 2);
-        assert!(s.kill(JobId(99), SimTime::ZERO).is_err());
-        s.check_invariants();
-    }
-
-    #[test]
     fn unknown_completion_errors() {
         let mut s = site(2);
         assert!(matches!(
             s.complete(JobId(9), SimTime::ZERO),
             Err(GridError::UnknownJob(_))
         ));
-    }
-
-    #[test]
-    fn storage_is_reserved_and_released() {
-        // 4 CPUs -> 40 GB = 40960 MB storage.
-        let mut s = site(4);
-        assert_eq!(s.free_storage_mb, 40 * 1024);
-        let mut j = job(1, 1, 100);
-        j.storage_mb = 10_000;
-        s.enqueue(&j, SimTime::ZERO).unwrap();
-        assert_eq!(s.free_storage_mb, 40 * 1024 - 10_000);
-        s.check_invariants();
-        s.complete(JobId(1), SimTime::from_secs(100)).unwrap();
-        assert_eq!(s.free_storage_mb, 40 * 1024);
-    }
-
-    #[test]
-    fn storage_exhaustion_rejects_dispatch() {
-        let mut s = site(4);
-        let mut j = job(1, 1, 100);
-        j.storage_mb = 39_000;
-        s.enqueue(&j, SimTime::ZERO).unwrap();
-        let mut j2 = job(2, 1, 100);
-        j2.storage_mb = 5_000;
-        assert!(matches!(
-            s.enqueue(&j2, SimTime::ZERO),
-            Err(GridError::Rejected { .. })
-        ));
-        // Killing the hog releases its reservation.
-        s.kill(JobId(1), SimTime::from_secs(1)).unwrap();
-        assert!(s.enqueue(&j2, SimTime::from_secs(2)).is_ok());
-        s.check_invariants();
-    }
-
-    #[test]
-    fn queued_jobs_hold_storage_reservations() {
-        let mut s = site(1);
-        let mut j1 = job(1, 1, 100);
-        j1.storage_mb = 4_000;
-        let mut j2 = job(2, 1, 100);
-        j2.storage_mb = 4_000;
-        s.enqueue(&j1, SimTime::ZERO).unwrap(); // running
-        s.enqueue(&j2, SimTime::ZERO).unwrap(); // queued, storage staged
-        assert_eq!(s.free_storage_mb, 10 * 1024 - 8_000);
-        s.check_invariants();
     }
 
     #[test]
@@ -346,22 +234,18 @@ mod tests {
         ) {
             let mut s = site(8);
             let mut next_id = 0u32;
-            let mut live: Vec<JobId> = Vec::new();
             let mut now = SimTime::ZERO;
             for (op, cpus, rt) in ops {
                 now += SimDuration::from_secs(1);
                 match op {
                     0 => {
                         next_id += 1;
-                        let j = job(next_id, cpus.min(8), rt);
-                        if s.enqueue(&j, now).is_ok() {
-                            live.push(j.id);
-                        }
+                        s.enqueue(&job(next_id, cpus.min(8), rt), now).unwrap();
                     }
                     _ => {
-                        if let Some(id) = live.pop() {
-                            // May be running or queued; kill handles both.
-                            let _ = s.kill(id, now);
+                        // Complete a running job, releasing its CPUs.
+                        if let Some(id) = s.running.first().map(|r| r.job) {
+                            s.complete(id, now).unwrap();
                         }
                     }
                 }

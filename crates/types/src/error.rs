@@ -24,8 +24,7 @@ pub enum GridError {
         /// Decision point that failed to answer in time.
         dp: DpId,
     },
-    /// A site rejected a dispatch (a job larger than the site, or no
-    /// storage left).
+    /// A site rejected a dispatch (a job larger than the site).
     Rejected {
         /// Site that rejected.
         site: SiteId,

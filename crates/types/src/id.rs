@@ -48,11 +48,6 @@ define_id!(
     "site-"
 );
 define_id!(
-    /// A cluster inside a site.
-    ClusterId,
-    "cluster-"
-);
-define_id!(
     /// A virtual organization.
     VoId,
     "vo-"

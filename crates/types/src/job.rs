@@ -3,8 +3,7 @@
 //! The paper models workload executions with jobs passing through four
 //! states: (1) submitted by a user to a submission host, (2) submitted by a
 //! submission host to a site but queued or held, (3) running at a site, and
-//! (4) completed. [`JobState`] captures exactly that progression (plus a
-//! terminal `Failed` state used by the Euryale planner's replanning logic).
+//! (4) completed. [`JobState`] captures exactly that progression.
 //! [`DispatchRecord`] is what the brokers tell each other about a job once
 //! it has been dispatched, and the one place its wire layout is written.
 
@@ -26,9 +25,7 @@ pub struct JobSpec {
     pub client: ClientId,
     /// CPUs required (the paper's workloads are single-CPU jobs).
     pub cpus: u32,
-    /// Permanent storage the job stages at its site for its lifetime, in
-    /// MB (0 = CPU-only job; the paper's USLAs cover storage as a second
-    /// resource dimension).
+    /// Read by nothing; `perf/src/kernels.rs` (frozen) still writes it; ROADMAP item 4(a) drops it.
     pub storage_mb: u32,
     /// Wall-clock execution time once the job starts running.
     pub runtime: SimDuration,
@@ -36,7 +33,7 @@ pub struct JobSpec {
     pub submitted_at: SimTime,
 }
 
-/// The paper's four-state job lifecycle (plus `Failed`).
+/// The paper's four-state job lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobState {
     /// (1) Submitted by a user to a submission host; awaiting site selection.
@@ -47,8 +44,6 @@ pub enum JobState {
     Running,
     /// (4) Completed successfully.
     Completed,
-    /// Terminal failure (site fault); Euryale may replan a fresh attempt.
-    Failed,
 }
 
 /// Mutable bookkeeping for a job as it progresses through the grid.

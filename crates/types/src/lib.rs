@@ -7,8 +7,8 @@
 //! the one command-line reader the binaries share ([`CommandLine`]).
 //!
 //! Nothing here contains behaviour beyond simple arithmetic and validation;
-//! the point is that `gridemu`, `gruber`, `digruber`, `euryale`, `diperf` and
-//! `grubsim` all agree on what a job, a site and a timestamp are.
+//! the point is that `gridemu`, `gruber`, `digruber`, `diperf` and `grubsim`
+//! all agree on what a job, a site and a timestamp are.
 
 //! # Example
 //!

@@ -49,7 +49,6 @@ impl JobFactory {
         let rng = &mut self.client_rngs[client.index()];
         let group = GroupId(rng.index(self.spec.groups_per_vo as usize) as u32);
         let runtime = self.spec.job_runtime.sample_secs(rng);
-        let storage_mb = self.spec.job_storage_mb.sample(rng).round().max(0.0) as u32;
         let id = JobId(self.next_id);
         self.next_id += 1;
         JobSpec {
@@ -58,8 +57,9 @@ impl JobFactory {
             group,
             user: UserId(client.0 / self.spec.n_vos),
             client,
-            cpus: self.spec.job_cpus,
-            storage_mb,
+            // The paper's jobs each take one CPU.
+            cpus: 1,
+            storage_mb: 0,
             runtime,
             submitted_at: now,
         }

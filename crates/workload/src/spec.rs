@@ -17,12 +17,6 @@ pub struct WorkloadSpec {
     pub think_time: Dist,
     /// Job wall-clock runtime, in seconds.
     pub job_runtime: Dist,
-    /// CPUs per job (the paper's workloads are single-CPU).
-    pub job_cpus: u32,
-    /// Permanent storage each job stages at its site, in MB (the paper's
-    /// USLAs cover storage; the Section 4 workloads are CPU-bound, so the
-    /// default is 0).
-    pub job_storage_mb: Dist,
     /// Experiment duration.
     pub duration: SimDuration,
     /// Fraction of the run over which clients leave again at the end
@@ -56,8 +50,6 @@ impl WorkloadSpec {
             n_clients: 120,
             think_time: Dist::lognormal_mean_cv(9.0, 0.5),
             job_runtime: Dist::lognormal_mean_cv(2400.0, 1.0),
-            job_cpus: 1,
-            job_storage_mb: Dist::Constant(0.0),
             duration: SimDuration::HOUR,
             departure_fraction: 0.0,
             arrival_batch: None,
@@ -74,8 +66,6 @@ impl WorkloadSpec {
             n_clients: 8,
             think_time: Dist::lognormal_mean_cv(5.0, 0.5),
             job_runtime: Dist::lognormal_mean_cv(120.0, 0.8),
-            job_cpus: 1,
-            job_storage_mb: Dist::Constant(0.0),
             duration: SimDuration::from_mins(10),
             departure_fraction: 0.0,
             arrival_batch: None,
@@ -102,8 +92,6 @@ impl WorkloadSpec {
             n_clients,
             think_time: Dist::lognormal_mean_cv(300.0, 0.5),
             job_runtime: Dist::lognormal_mean_cv(2400.0, 1.0),
-            job_cpus: 1,
-            job_storage_mb: Dist::Constant(0.0),
             duration: SimDuration::from_mins(2),
             departure_fraction: 0.0,
             arrival_batch: Some(256),
@@ -140,7 +128,6 @@ impl WorkloadSpec {
         if self.n_vos == 0
             || self.groups_per_vo == 0
             || self.n_clients == 0
-            || self.job_cpus == 0
             || self.duration.is_zero()
             || !(0.0..=1.0).contains(&self.departure_fraction)
             || self.arrival_batch == Some(0)

@@ -147,6 +147,10 @@ echo "==> one dispatch record, one wire reader"
       | grep -v '^crates/dpnode/src/node.rs:[0-9]*:pub fn record_to_delta(r: &DispatchRecord) -> DispatchRecord ' \
       | grep -v '^crates/dpnode/src/lib.rs:[0-9]*: *record_to_delta, '; } \
   || { echo "ci.sh: the second dispatch record or its converters are back (lines above)"; exit 1; }
+# `JobSpec::storage_mb` is the same kind of shim: kernels.rs writes it and
+# nothing reads it (sites account CPUs only).
+{ ! grep -rnE '\.storage_mb\b' --include=*.rs crates src tests examples; } \
+  || { echo "ci.sh: something reads JobSpec::storage_mb again (lines above)"; exit 1; }
 # Socket and disk bytes are read through simnet::codec::Reader and fail as
 # GridError::Malformed; InvalidConfig is for configuration. Test modules may
 # build hostile bytes however they like.
@@ -186,7 +190,7 @@ echo "==> one count per trace event: a bin is its DpSample, run totals are folde
       | grep -nE 'self\.totals\.(issued|answered|late|timed_out|denied|accepted|duplicates|failures|recoveries|dropped_requests|rebinds|msgs_lost|retries|retries_exhausted|msgs_duplicated|partition_drops|wal_appends|snapshots|wal_replayed|max_recovery_ms|health_degrades|health_recovers)\b'; } \
   || { echo "ci.sh: obs counts a trace event twice or keeps a second bin/feature struct (lines above)"; exit 1; }
 
-echo "==> every capability earns its keep: sites are FIFO and uncapped, loss and churn are fault-plan clauses, one join/leave path, one site selector, one GRUB-SIM path, no one-consumer crate"
+echo "==> every capability earns its keep: sites are FIFO, CPU-only and uncapped, loss and churn are fault-plan clauses, one join/leave path, one site selector, one GRUB-SIM path, no one-consumer crate"
 # Site disciplines and the base WAN loss rate had no paper claim, study
 # cell, test or workload behind them and were deleted; a second site
 # scheduler or a second loss path is the unused option growing back.
@@ -217,16 +221,20 @@ echo "==> every capability earns its keep: sites are FIFO and uncapped, loss and
 
 # A crate with one consumer is folded into it: `membership` is
 # `digruber::elastic`, `gruber-metrics` is `diperf`'s summary and series
-# plus `digruber::metrics`, and `euryale` is the umbrella package's module.
-# Neither the crates nor their crate paths may come back, nor the dead
-# code that had no caller anywhere (a second site monitor, a per-VO usage
-# sum, a Zipf sampler).
+# plus `digruber::metrics`. Neither the crates nor their crate paths may
+# come back, nor code that no figure, table or study reaches: a second
+# site monitor, a per-VO usage sum, a Zipf sampler, the Euryale planner
+# and the job failure and resubmission only it drove (no runtime models a
+# site failure), storage accounting (every workload is CPU-only) and
+# multi-cluster sites.
 { [ -z "$(ls -d crates/membership crates/metrics crates/euryale 2>/dev/null)" ] \
   && ! grep -nE '^(membership|gruber-metrics|euryale)\b|package\.(membership|gruber-metrics|euryale)\]' \
       Cargo.toml crates/*/Cargo.toml \
   && ! grep -rnE '(^|[^:[:alnum:]_])(membership|gruber_metrics|euryale)::|use (membership|gruber_metrics|euryale)\b' \
       --include=*.rs crates src tests examples \
-  && ! grep -rnwE 'SiteMonitor|SiteLoad|vo_running_cpus|Zipf' --include=*.rs crates src tests examples; } \
+  && ! grep -rnwE 'SiteMonitor|SiteLoad|vo_running_cpus|Zipf' --include=*.rs crates src tests examples \
+  && ! grep -rnE 'EuryalePlanner|JobDag|SubmitFile|job_storage_mb|total_storage_mb|free_storage_mb|JobState::Failed|fn resubmit|ClusterSpec' \
+      --include=*.rs crates src tests examples; } \
   || { echo "ci.sh: a folded crate or deleted dead code is back (lines above)"; exit 1; }
 
 echo "==> the elastic state machines stay sans-IO: ring, scaler and table reach only gruber_types and std"

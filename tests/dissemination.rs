@@ -428,29 +428,6 @@ mod extensions {
     }
 }
 
-mod storage {
-    use super::*;
-    use desim::Dist;
-
-    #[test]
-    fn data_intensive_workload_runs_and_may_shed_placements() {
-        let mut cfg = DigruberConfig::paper(3, ServiceKind::Gt3, 7);
-        cfg.grid_factor = 1;
-        let wl = WorkloadSpec {
-            n_clients: 40,
-            duration: SimDuration::from_mins(20),
-            // Each job stages ~2 GB; sites hold 10 GB per CPU.
-            job_storage_mb: Dist::lognormal_mean_cv(2_000.0, 0.8),
-            ..WorkloadSpec::paper_default()
-        };
-        let out = run_experiment(cfg, wl, "data-intensive").unwrap();
-        assert!(out.jobs_dispatched > 0);
-        // Storage pressure may reject some random placements on small
-        // sites, but the broker-guided ones land.
-        assert!(out.report.handled_fraction() > 0.9);
-    }
-}
-
 mod fairness {
     use super::*;
     use usla::{FairShare, Principal, ResourceKind, UslaEntry, UslaSet};
