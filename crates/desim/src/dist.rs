@@ -10,8 +10,6 @@ use gruber_types::SimDuration;
 /// A sampleable distribution over non-negative floats.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Dist {
-    /// Always the same value.
-    Constant(f64),
     /// Exponential with the given mean (`1/λ`).
     Exponential {
         /// Mean of the distribution.
@@ -42,7 +40,6 @@ impl Dist {
     /// Draws one sample.
     pub fn sample(&self, rng: &mut DetRng) -> f64 {
         match *self {
-            Dist::Constant(v) => v,
             Dist::Exponential { mean } => {
                 // Inverse transform; guard u=0.
                 let u = (1.0 - rng.uniform()).max(f64::MIN_POSITIVE);
@@ -60,7 +57,6 @@ impl Dist {
     /// Analytic mean of the distribution.
     pub fn mean(&self) -> f64 {
         match *self {
-            Dist::Constant(v) => v,
             Dist::Exponential { mean } => mean,
             Dist::LogNormal { mu, sigma } => (mu + sigma * sigma / 2.0).exp(),
         }
@@ -85,12 +81,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_is_constant() {
-        let mut rng = DetRng::new(0, 0);
-        assert_eq!(Dist::Constant(4.2).sample(&mut rng), 4.2);
-    }
-
-    #[test]
     fn exponential_mean_converges() {
         let m = mean_of(Dist::Exponential { mean: 10.0 }, 40_000, 1);
         assert!((m - 10.0).abs() < 0.3, "sample mean {m}");
@@ -106,10 +96,11 @@ mod tests {
 
     #[test]
     fn sample_secs_converts() {
-        let mut rng = DetRng::new(6, 0);
+        let d = Dist::lognormal_mean_cv(1.5, 0.5);
+        let (mut a, mut b) = (DetRng::new(6, 0), DetRng::new(6, 0));
         assert_eq!(
-            Dist::Constant(1.5).sample_secs(&mut rng),
-            SimDuration::from_millis(1500)
+            d.sample_secs(&mut a),
+            SimDuration::from_secs_f64(d.sample(&mut b))
         );
     }
 

@@ -26,18 +26,25 @@
 //! Nothing invalidates it: it is the same arithmetic moved from the read
 //! of every site to the write of one.
 //!
-//! A queued record is a 12-byte, 4-byte-aligned entry: the low 32 bits of
-//! its key and one 64-bit word packing `(site, vo, group, cpus)`. Each
-//! index takes the bits its bound needs and `cpus` the rest, widths fixed
-//! by [`GridView::with_principals`]; 3000 sites × 1024 VOs × 1024 groups
-//! is 12 + 10 + 10 bits, so `cpus` keeps 32. A record whose `cpus` do not
-//! fit is refused like an out-of-range site. The key's high half is not
-//! stored: a key in bucket `b <= 31` (*Expiry*) differs from the clock
-//! only in bits `0..=b`, so it is the clock's high half with the stored
-//! low half. A key that differs from the clock at bit 32 or above — ~50
-//! days out, or just across a 2³²-ms boundary, which no paper run reaches
-//! — waits whole in a `far` list that is re-filed only when the clock
-//! crosses into another 2³²-ms block.
+//! A record's `(site, vo, group, cpus)` pack into one 64-bit *fields*
+//! word: each index takes the bits its bound needs and `cpus` the rest,
+//! widths fixed by [`GridView::with_principals`]; 3000 sites × 1024 VOs ×
+//! 1024 groups is 12 + 10 + 10 bits, so `cpus` keeps 32. A record whose
+//! `cpus` do not fit the word is refused like an out-of-range site.
+//!
+//! A queued record is one 8-byte entry: the key's low 28 bits, then the
+//! fields word shifted up by 28, which holds any record whose fields take
+//! 36 bits or fewer. The key's high bits are not stored: a key in bucket
+//! `b <= 27` (*Expiry*) differs from the clock only in bits `0..=b`, so
+//! it is the clock's high bits with the stored low ones. Two kinds of
+//! record wait whole, `(key, fields)`, in a `far` min-heap instead: a key
+//! that differs from the clock at bit 28 or above (~74.6 h out, or just
+//! across a 2²⁸-ms boundary: ~1 % of records at a 40-minute mean
+//! runtime), and a record too wide for the entry (the 3000-site view
+//! above leaves 4 bits for `cpus`, so 16 CPUs or more; every paper job
+//! asks for one). Its heads are checked on every call, since a wide
+//! record can fall due anywhere, and a record that fits is re-filed into
+//! the buckets when the clock enters its 2²⁸-ms block.
 //!
 //! The tests below keep the original `HashMap`/`HashSet`/per-site-
 //! `BinaryHeap` view as the executable specification. The differential
@@ -57,8 +64,8 @@
 //! instead keeps a **monotone radix queue**. A record's key is its
 //! `est_finish`; `last` is the latest instant the view has expired to, and
 //! every stored key is `> last`. A key lives in the bucket numbered by the
-//! highest bit in which it differs from `last` — 32 buckets and a 32-bit
-//! occupancy mask, with `far` standing for buckets 32–63. Advancing to
+//! highest bit in which it differs from `last` — 28 buckets and an
+//! occupancy mask, with `far` standing for buckets 28–63. Advancing to
 //! `now > last`, with `top` the highest bit in which `now` differs from
 //! `last`:
 //!
@@ -72,9 +79,10 @@
 //!
 //! A push is O(1), a key moves down at most once per bit level over its
 //! life, every move is a sequential copy, and a call that finds no
-//! occupied bucket at or below `top` costs one mask test. `far` is bucket
-//! `top` for every `top >= 32`: its keys are due or re-filed, into a
-//! bucket or back into `far`.
+//! occupied bucket at or below `top` costs one mask test and one look at
+//! `far`'s head. `far` is bucket `top` for every `top >= 28`: its keys up to
+//! the end of `now`'s block are due or re-filed, into a bucket or, too
+//! wide, back into `far`.
 //!
 //! **Order does not matter.** One call expires exactly the set of keys
 //! `<= now` — the same set a min-heap pops — but not in key order.
@@ -93,20 +101,24 @@
 //! `last`, which is the one thing the bucket arithmetic relies on.
 //! (The reference view makes no such promise off the monotone path.)
 //!
-//! Buckets store fixed-size chunks (512 entries, 6 KiB) recycled through
+//! Buckets store fixed-size chunks (768 entries, 6 KiB) recycled through
 //! a per-view free list: splitting bucket `top` hands each source chunk
 //! back before the next is read and the destinations draw from the same
 //! list, so a split needs no second copy of the bucket. The queue is
 //! bound by the bytes it moves, not by how many moves it makes: on the
 //! ten-point trace replay (`replay-mesh`, ~333 k live entries per point)
-//! the 12-byte entry took peak RSS from 119.8 to 80.8 MB against the
-//! 24-byte one (12 of 12 concurrent pairs), and a byte radix (fewer,
-//! wider moves) was slower and larger.
+//! a 12-byte entry took peak RSS from 119.8 to 80.8 MB against a 24-byte
+//! one (12 of 12 concurrent pairs), the 8-byte entry, with GRUB-SIM's
+//! streamed replay order, took it on to 52.4 MB (10 of 10), and a byte
+//! radix (fewer, wider moves) was slower and larger.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use gruber_types::{DispatchRecord, GroupId, JobId, SimTime, SiteId, SiteSpec, VoId};
 
 /// One pending record as [`ExpiryQueue`] takes it in and hands it out;
-/// the queue stores it as a 12-byte [`Expiry`].
+/// the queue stores it as an 8-byte [`Expiry`] or, whole, in `far`.
 struct Pending {
     /// `est_finish` in milliseconds: the queue key.
     at: u64,
@@ -116,20 +128,18 @@ struct Pending {
     cpus: u32,
 }
 
-/// Merged expiry entry, as queued. One entry per record serves both the
-/// per-site and the per-principal counters — half the queue traffic of
-/// the two-heap reference layout. The key's high half is not stored: the
-/// bucket rebuilds it from the clock (module docs, *Layout*).
-#[derive(Clone, Copy)]
-#[repr(C, packed(4))]
-struct Expiry {
-    /// The key's low 32 bits.
-    at_lo: u32,
-    /// `site`, `vo`, `group` and `cpus`, as [`Packing`] lays them out.
-    fields: u64,
-}
+/// Merged expiry entry, as queued: the key's low [`KEY_BITS`] bits, then
+/// the record's [`Packing`] fields word. One entry per record serves both
+/// the per-site and the per-principal counters — half the queue traffic
+/// of the two-heap reference layout. The key's high bits are not stored:
+/// the bucket rebuilds them from the clock (module docs, *Layout*).
+type Expiry = u64;
 
-/// Where [`Expiry::fields`] keeps a record: `site` in the low bits, then
+/// Key bits an [`Expiry`] stores, and so the number of buckets: a bucket
+/// reaches 2²⁸ ms, ~74.6 h.
+const KEY_BITS: u32 = 28;
+
+/// Where a record's fields word keeps it: `site` in the low bits, then
 /// `vo`, then `group`, each as wide as its bound needs, and `cpus` in the
 /// rest of the word.
 #[derive(Clone, Copy)]
@@ -166,20 +176,17 @@ impl Packing {
         (packing, bound(n_vos, vo_w), bound(n_groups, group_w))
     }
 
-    fn pack(self, p: Pending) -> Expiry {
+    /// `p`'s fields word.
+    fn pack(self, p: &Pending) -> u64 {
         debug_assert!(p.cpus <= self.max_cpus, "{} CPUs do not fit", p.cpus);
-        Expiry {
-            at_lo: p.at as u32,
-            fields: u64::from(p.site)
-                | u64::from(p.vo) << self.vo_shift
-                | u64::from(p.group) << self.group_shift
-                | u64::from(p.cpus) << self.cpus_shift,
-        }
+        u64::from(p.site)
+            | u64::from(p.vo) << self.vo_shift
+            | u64::from(p.group) << self.group_shift
+            | u64::from(p.cpus) << self.cpus_shift
     }
 
-    /// The record `e` holds, with its whole key `at`.
-    fn unpack(self, at: u64, e: Expiry) -> Pending {
-        let fields = e.fields;
+    /// The record the fields word `fields` holds, with its whole key `at`.
+    fn unpack(self, at: u64, fields: u64) -> Pending {
         let bits = |lo: u32, hi: u32| ((fields >> lo) & ((1 << (hi - lo)) - 1)) as u32;
         Pending {
             at,
@@ -193,19 +200,19 @@ impl Packing {
 
 /// The monotone radix queue behind [`GridView`] (module docs, *Expiry*).
 ///
-/// Invariants: every stored key is `> last`; a key `k` with
-/// `ilog2(k ^ last) < 32` is in bucket `ilog2(k ^ last)`, where its high
-/// half is `last`'s, and every other key is whole in `far`; a bucket's
-/// chunk list holds no empty chunk; bit `b` of `occupied` is set iff
-/// bucket `b` holds a chunk.
+/// Invariants: every stored key is `> last`; a record whose key `k` has
+/// `ilog2(k ^ last) < KEY_BITS` and whose fields fit an [`Expiry`] is in
+/// bucket `ilog2(k ^ last)`, where its high bits are `last`'s, and every
+/// other record is whole in `far`; a bucket's chunk list holds no empty
+/// chunk; bit `b` of `occupied` is set iff bucket `b` holds a chunk.
 struct ExpiryQueue {
     /// High-water mark of [`ExpiryQueue::drain_due`]'s `now`.
     last: u64,
     occupied: u32,
-    buckets: [Vec<Vec<Expiry>>; 32],
-    /// Keys that differ from `last` at bit 32 or above (~50 days out, or
-    /// across a 2³²-ms boundary), stored whole.
-    far: Vec<(u64, Expiry)>,
+    buckets: [Vec<Vec<Expiry>>; KEY_BITS as usize],
+    /// `(key, fields)` of every record out of the buckets' reach or too
+    /// wide for an [`Expiry`], earliest key on top.
+    far: BinaryHeap<Reverse<(u64, u64)>>,
     /// Emptied chunks, capacity kept, ready for reuse.
     free: Vec<Vec<Expiry>>,
     packing: Packing,
@@ -214,20 +221,20 @@ struct ExpiryQueue {
 impl ExpiryQueue {
     /// Entries per chunk: 6 KiB, the chunk size chosen by measurement on
     /// `replay-mesh` and `sim-paper`. A view parks at most one partly
-    /// filled chunk per bucket, and a 333 k-entry replay point is ~650
+    /// filled chunk per bucket, and a 333 k-entry replay point is ~430
     /// chunks.
-    const CHUNK_LEN: usize = 512;
+    const CHUNK_LEN: usize = 768;
 
     /// The key bits above the buckets' reach: `last`'s, for every
     /// bucketed key.
-    const HIGH: u64 = u64::MAX << 32;
+    const HIGH: u64 = u64::MAX << KEY_BITS;
 
     fn new(packing: Packing) -> Self {
         ExpiryQueue {
             last: 0,
             occupied: 0,
             buckets: std::array::from_fn(|_| Vec::new()),
-            far: Vec::new(),
+            far: BinaryHeap::new(),
             free: Vec::new(),
             packing,
         }
@@ -237,19 +244,27 @@ impl ExpiryQueue {
     /// arithmetic depends on, so it holds in release builds too.
     fn push(&mut self, p: Pending) {
         assert!(p.at > self.last, "expiry key at or below the clock");
-        self.file(p.at, self.packing.pack(p));
+        self.file(p.at, self.packing.pack(&p));
     }
 
-    /// Files `e`, whose key `at` is `> last`, in its bucket or in `far`.
-    /// Forced inline: left to the compiler (`#[inline]` too) it stays out
-    /// of line, and `replay-mesh` runs ~19 % fewer ops/s.
+    /// Files the record `(at, fields)`, `at > last`, in its bucket or in
+    /// `far`. Forced inline, as is [`ExpiryQueue::bucket_push`]: left to
+    /// the compiler (`#[inline]` too) the filing step stays out of line,
+    /// and `replay-mesh` runs ~19 % fewer ops/s.
     #[inline(always)]
-    fn file(&mut self, at: u64, e: Expiry) {
-        let b = (at ^ self.last).ilog2() as usize;
-        let Some(chunks) = self.buckets.get_mut(b) else {
-            self.far.push((at, e));
-            return;
-        };
+    fn file(&mut self, at: u64, fields: u64) {
+        let b = (at ^ self.last).ilog2();
+        if b < KEY_BITS && fields >> (64 - KEY_BITS) == 0 {
+            self.bucket_push(b as usize, at & !Self::HIGH | fields << KEY_BITS);
+        } else {
+            self.far.push(Reverse((at, fields)));
+        }
+    }
+
+    /// Appends `e` to bucket `b`.
+    #[inline(always)]
+    fn bucket_push(&mut self, b: usize, e: Expiry) {
+        let chunks = &mut self.buckets[b];
         match chunks.last_mut() {
             Some(chunk) if chunk.len() < Self::CHUNK_LEN => chunk.push(e),
             _ => {
@@ -271,49 +286,57 @@ impl ExpiryQueue {
         if now <= self.last {
             return;
         }
-        let top = (now ^ self.last).ilog2() as usize;
+        let top = (now ^ self.last).ilog2();
         let high = self.last & Self::HIGH;
         let packing = self.packing;
         self.last = now;
-        let reach = u32::MAX >> 31usize.saturating_sub(top); // buckets 0..=top
+        let reach = u32::MAX >> 31u32.saturating_sub(top); // buckets 0..=top
         let mut hit = self.occupied & reach;
         self.occupied &= !reach;
         // Lowest bucket first, so bucket `top` re-files into buckets that
         // are already empty.
         while hit != 0 {
-            let b = hit.trailing_zeros() as usize;
+            let b = hit.trailing_zeros();
             hit &= hit - 1;
-            let mut chunks = std::mem::take(&mut self.buckets[b]);
+            let mut chunks = std::mem::take(&mut self.buckets[b as usize]);
             for mut chunk in chunks.drain(..) {
                 if b < top {
                     for e in chunk.drain(..) {
-                        due(packing.unpack(high | u64::from(e.at_lo), e));
+                        due(packing.unpack(high | e & !Self::HIGH, e >> KEY_BITS));
                     }
                 } else {
                     for e in chunk.drain(..) {
-                        let at = high | u64::from(e.at_lo);
+                        let at = high | e & !Self::HIGH;
                         if at <= now {
-                            due(packing.unpack(at, e));
+                            due(packing.unpack(at, e >> KEY_BITS));
                         } else {
-                            self.file(at, e);
+                            self.bucket_push((at ^ now).ilog2() as usize, e);
                         }
                     }
                 }
                 self.free.push(chunk);
             }
-            self.buckets[b] = chunks; // keeps the list's own capacity
+            self.buckets[b as usize] = chunks; // keeps the list's own capacity
         }
-        // `now` left `last`'s 2³²-ms block: a far key is due, near or
-        // still far.
-        if top >= self.buckets.len() {
-            for (at, e) in std::mem::take(&mut self.far) {
-                if at <= now {
-                    due(packing.unpack(at, e));
-                } else {
-                    self.file(at, e);
-                }
+        // A wide record falls due at any `now`; a record that fits waits
+        // only for `now` to enter its 2²⁸-ms block.
+        let filed_to = if top >= KEY_BITS {
+            now | !Self::HIGH
+        } else {
+            now
+        };
+        let mut wide = Vec::new();
+        while let Some(&Reverse((at, fields))) = self.far.peek().filter(|r| r.0 .0 <= filed_to) {
+            self.far.pop();
+            if at <= now {
+                due(packing.unpack(at, fields));
+            } else if fields >> (64 - KEY_BITS) == 0 {
+                self.file(at, fields);
+            } else {
+                wide.push(Reverse((at, fields)));
             }
         }
+        self.far.extend(wide);
     }
 
     /// Chunks this queue owns, in buckets or on the free list. Chunks are
@@ -329,9 +352,9 @@ impl ExpiryQueue {
         let high = self.last & Self::HIGH;
         let bucketed = self.buckets.iter().flatten().flatten();
         let mut all: Vec<(u64, u32)> = bucketed
-            .map(|&e| (high | u64::from(e.at_lo), e))
-            .chain(self.far.iter().copied())
-            .map(|(at, e)| (at, self.packing.unpack(at, e).site))
+            .map(|&e| (high | e & !Self::HIGH, e >> KEY_BITS))
+            .chain(self.far.iter().map(|r| r.0))
+            .map(|(at, fields)| (at, self.packing.unpack(at, fields).site))
             .collect();
         all.sort_unstable();
         all
@@ -642,8 +665,7 @@ impl GridView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Reverse;
-    use std::collections::{BinaryHeap, HashMap, HashSet};
+    use std::collections::{HashMap, HashSet};
 
     /// CPUs one site owes to un-expired records, for [`RefView`].
     #[derive(Default)]
@@ -1200,24 +1222,25 @@ mod tests {
                 assert!(!chunk.is_empty(), "bucket {b} holds an empty chunk");
                 assert!(chunk.len() <= ExpiryQueue::CHUNK_LEN);
                 for e in chunk {
-                    let at = high | u64::from(e.at_lo);
+                    let at = high | e & !ExpiryQueue::HIGH;
                     assert!(at > q.last, "key {at} at or below last {}", q.last);
                     assert_eq!((at ^ q.last).ilog2() as usize, b, "key {at} misfiled");
                 }
             }
         }
-        for &(at, e) in &q.far {
+        assert_eq!(q.occupied >> KEY_BITS, 0, "mask bits past the buckets");
+        for &Reverse((at, fields)) in &q.far {
             assert!(at > q.last, "far key {at} at or below last {}", q.last);
             assert!(
-                (at ^ q.last).ilog2() >= 32,
-                "far key {at} in the buckets' reach"
+                (at ^ q.last).ilog2() >= KEY_BITS || fields >> (64 - KEY_BITS) != 0,
+                "far key {at} in the buckets' reach and narrow enough for them"
             );
-            assert_eq!({ e.at_lo }, at as u32, "far key {at} split from its entry");
         }
         assert!(q.free.iter().all(Vec::is_empty));
     }
 
-    /// A queue whose entries carry any `u32` site.
+    /// A queue whose entries carry any `u32` site: a record asking for 16
+    /// CPUs or more is too wide for an 8-byte entry.
     fn queue() -> ExpiryQueue {
         ExpiryQueue::new(Packing::new(1 << 32, 1, 1).0)
     }
@@ -1233,10 +1256,34 @@ mod tests {
     }
 
     #[test]
-    fn an_expiry_is_twelve_bytes() {
+    fn an_expiry_is_eight_bytes() {
         // One per record a view has seen and not yet expired: 333 k of
         // them per point on a 40-minute trace replay.
-        assert_eq!(std::mem::size_of::<Expiry>(), 12);
+        assert_eq!(std::mem::size_of::<Expiry>(), 8);
+    }
+
+    #[test]
+    fn a_wide_record_falls_due_inside_the_block() {
+        // 16 CPUs on a 32-bit site index: 37 bits of fields, stored whole
+        // in `far` though its key is a few ms out.
+        let mut q = queue();
+        q.drain_due(1_000, |_| panic!("an empty queue drained"));
+        q.push(Pending {
+            cpus: 16,
+            ..expiry(1_010, 7)
+        });
+        q.push(Pending {
+            cpus: 15,
+            ..expiry(1_020, 8)
+        });
+        assert_eq!((q.far.len(), q.entries().len()), (1, 2));
+        assert_queue_invariants(&q);
+        let mut got = Vec::new();
+        q.drain_due(1_010, |e| got.push((e.at, e.site, e.cpus)));
+        assert_eq!(got, [(1_010, 7, 16)]);
+        q.drain_due(1_020, |e| got.push((e.at, e.site, e.cpus)));
+        assert_eq!(got, [(1_010, 7, 16), (1_020, 8, 15)]);
+        assert!(q.entries().is_empty());
     }
 
     #[test]
@@ -1375,16 +1422,20 @@ mod tests {
             /// The radix queue against a binary-heap model: arbitrary
             /// pushes above the clock and drains under a nondecreasing
             /// `now`, deltas at every one of the 64 bit levels (saturating
-            /// into `u64::MAX`). Every drain hands out the same multiset
-            /// and the same entries are left at the end.
+            /// into `u64::MAX`), CPU counts on both sides of the 8-byte
+            /// entry's 36 field bits. Every drain hands out the same
+            /// multiset and the same entries are left at the end.
             #[test]
             fn prop_queue_matches_heap_model(
-                ops in proptest::collection::vec((0u8..5, 0u32..64, 0u64..u64::MAX), 0..400),
+                ops in proptest::collection::vec(
+                    (0u8..5, 0u32..64, 0u64..u64::MAX, 1u32..32),
+                    0..400,
+                ),
             ) {
                 let mut q = super::queue();
-                let mut model: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+                let mut model: BinaryHeap<Reverse<(u64, u32, u32)>> = BinaryHeap::new();
                 let mut now = 0u64;
-                for (id, &(kind, level, raw)) in ops.iter().enumerate() {
+                for (id, &(kind, level, raw, cpus)) in ops.iter().enumerate() {
                     let floor = 1u64 << level;
                     let delta = floor | (raw & (floor - 1));
                     if kind < 3 {
@@ -1392,15 +1443,15 @@ mod tests {
                         // Nothing is above a saturated clock.
                         if now < u64::MAX {
                             let at = now.saturating_add(delta);
-                            q.push(super::expiry(at, id as u32));
-                            model.push(Reverse((at, id as u32)));
+                            q.push(Pending { cpus, ..super::expiry(at, id as u32) });
+                            model.push(Reverse((at, id as u32, cpus)));
                         }
                     } else {
                         if kind == 3 {
                             now = now.saturating_add(delta);
                         } // else drain again at `now == last`
                         let mut got = Vec::new();
-                        q.drain_due(now, |e| got.push((e.at, e.site)));
+                        q.drain_due(now, |e| got.push((e.at, e.site, e.cpus)));
                         got.sort_unstable();
                         let mut want = Vec::new();
                         while let Some(&Reverse(e)) = model.peek().filter(|e| e.0 .0 <= now) {
@@ -1412,7 +1463,7 @@ mod tests {
                     super::assert_queue_invariants(&q);
                 }
                 let mut residue: Vec<(u64, u32)> =
-                    model.into_iter().map(|Reverse(e)| e).collect();
+                    model.into_iter().map(|Reverse((at, id, _))| (at, id)).collect();
                 residue.sort_unstable();
                 prop_assert_eq!(q.entries(), residue);
             }

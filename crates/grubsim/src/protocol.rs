@@ -32,16 +32,23 @@
 //!
 //! # Order
 //!
-//! The trace need not be sorted. The driver never materialises its events:
-//! it sorts one 16-byte `(at, seq)` key per event, where `seq` both names
-//! the event — `2·i` is entry `i`'s query, `2·i + 1` its inform, `2·n` and
-//! `2·n + 1` the [`CrashPlan`]'s crash and restore — and breaks ties, so
-//! events at one instant replay in trace order, an entry's query before
-//! its inform, the crash plan last. Each query, and each inform with its
-//! synthetic dispatch record, is built from `traces[seq / 2]` at the
-//! moment it is replayed. Two keys per entry is all the driver allocates:
-//! a replay's peak memory is the views, not the driver.
+//! The trace need not be sorted. The driver replays its events in
+//! ascending `(at, seq)` key order, where `seq` both names the event —
+//! `2·i` is entry `i`'s query, `2·i + 1` its inform, `2·n` and `2·n + 1`
+//! the [`CrashPlan`]'s crash and restore — and breaks ties, so events at
+//! one instant replay in trace order, an entry's query before its inform,
+//! the crash plan last. Each query, and each inform with its synthetic
+//! dispatch record, is built from `traces[seq / 2]` at the moment it is
+//! replayed. The keys are streamed, not stored: queries come off the
+//! trace in `(sent_at, i)` order (through a `u32` index sorted by
+//! `sent_at` only if the trace is not already sorted), and an entry's
+//! inform joins a min-heap when its query is handed out, which is never
+//! too late, since the inform's key is the larger. The heap holds only
+//! the informs in flight, so a replay's peak memory is the trace and the
+//! views, not the driver.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -132,26 +139,70 @@ impl Transport for Outbox {
 
 type SimPoint = Point<SimStore, Outbox>;
 
-/// The replay order (module docs, *Order*): one `(at, seq)` key per driver
-/// event, sorted. `seq` names the event — `2·i` entry `i`'s query, `2·i + 1`
-/// its inform, `2·n` / `2·n + 1` the crash plan's crash / restore — and
-/// breaks ties at one instant in that order.
-fn replay_order(traces: &[RequestTrace], crash: Option<CrashPlan>) -> Vec<(SimTime, u64)> {
-    let mut order = Vec::with_capacity(2 * traces.len() + 2);
-    for (i, t) in traces.iter().enumerate() {
-        order.push((t.sent_at, 2 * i as u64));
-        // Answered in time: the client dispatched, so an inform follows.
-        if let Some(at) = t.completed_at().filter(|_| t.handled()) {
-            order.push((at, 2 * i as u64 + 1));
+/// A driver event's `(at, seq)` key (module docs, *Order*).
+type Key = (SimTime, u64);
+
+/// Above every key a replay can hold: what an exhausted source offers.
+const END: Key = (SimTime(u64::MAX), u64::MAX);
+
+/// The replay order (module docs, *Order*): every driver event's
+/// `(at, seq)` key, ascending, merged from three sources — the trace's
+/// queries, the informs in flight and the crash plan — each offering its
+/// least key, or [`END`] once it is exhausted.
+struct ReplayOrder<'a> {
+    traces: &'a [RequestTrace],
+    /// Entry indices in `(sent_at, i)` order; `None` when the trace is
+    /// already sorted by `sent_at`.
+    by_sent: Option<Vec<u32>>,
+    /// Queries handed out so far.
+    queried: usize,
+    /// Informs of the entries already queried, not yet handed out.
+    informs: BinaryHeap<Reverse<Key>>,
+    /// The crash plan's keys not yet handed out, the earliest last.
+    plan: Vec<Key>,
+}
+
+impl Iterator for ReplayOrder<'_> {
+    type Item = Key;
+
+    fn next(&mut self) -> Option<Key> {
+        let entry = match &self.by_sent {
+            Some(order) => order.get(self.queried).map(|&i| i as usize),
+            None => Some(self.queried).filter(|&i| i < self.traces.len()),
+        };
+        let query = entry.map_or(END, |i| (self.traces[i].sent_at, 2 * i as u64));
+        let inform = self.informs.peek().map_or(END, |r| r.0);
+        let plan = self.plan.last().copied().unwrap_or(END);
+        if query < inform && query < plan {
+            // An inform comes after its query: a response is never
+            // negative, and at a tie `2·i + 1 > 2·i`.
+            let i = entry.expect("a query key names an entry");
+            let t = &self.traces[i];
+            if let Some(at) = t.completed_at().filter(|_| t.handled()) {
+                self.informs.push(Reverse((at, 2 * i as u64 + 1)));
+            }
+            self.queried += 1;
+            Some(query)
+        } else if inform < plan {
+            self.informs.pop();
+            Some(inform)
+        } else {
+            self.plan.pop()
         }
     }
-    if let Some(plan) = crash {
-        let n = traces.len() as u64;
-        order.push((plan.at, 2 * n));
-        order.push((plan.at + plan.down_for, 2 * n + 1));
-    }
-    order.sort_unstable();
-    order
+}
+
+/// The order in which `traces` and the `crash` plan replay.
+fn replay_order(traces: &[RequestTrace], crash: Option<CrashPlan>) -> ReplayOrder<'_> {
+    let by_sent = (!traces.is_sorted_by_key(|t| t.sent_at)).then(|| {
+        let n = u32::try_from(traces.len()).expect("a trace of at most 2^32 entries");
+        let mut order: Vec<u32> = (0..n).collect();
+        order.sort_by_key(|&i| traces[i as usize].sent_at);
+        order
+    });
+    let n = traces.len() as u64;
+    let plan = crash.map_or(Vec::new(), |p| vec![(p.at + p.down_for, 2 * n + 1), (p.at, 2 * n)]);
+    ReplayOrder { traces, by_sent, queried: 0, informs: BinaryHeap::new(), plan }
 }
 
 /// Replays a DiPerF trace through `n_dps` real decision-point state
@@ -217,8 +268,6 @@ pub fn replay_protocol_traced(
         })
         .collect();
 
-    let order = replay_order(traces, cfg.crash);
-    let last_event = order.last().map_or(SimTime(0), |&(at, _)| at);
     let n = traces.len() as u64;
     let crash_dp = cfg.crash.map_or(0, |plan| plan.dp as usize % n_dps);
     let mut queries = 0u64;
@@ -227,7 +276,6 @@ pub fn replay_protocol_traced(
     // Every point ticks each `sync_interval` (a down point's tick floods
     // nothing) until the horizon. A round due at the instant of a trace
     // event runs after it.
-    let horizon = last_event + cfg.sync_interval + cfg.sync_interval;
     let mut next_tick = SimTime(0) + cfg.sync_interval;
     let timer_round = |points: &mut [SimPoint], at: SimTime| {
         for dp in 0..n_dps {
@@ -235,7 +283,9 @@ pub fn replay_protocol_traced(
         }
     };
 
-    for (at, seq) in order {
+    let mut last_event = SimTime(0);
+    for (at, seq) in replay_order(traces, cfg.crash) {
+        last_event = at;
         while next_tick < at {
             timer_round(&mut points, next_tick);
             next_tick += cfg.sync_interval;
@@ -278,6 +328,7 @@ pub fn replay_protocol_traced(
         };
         points[dp.index()].step(|| at, NodeMsg::Input(input));
     }
+    let horizon = last_event + cfg.sync_interval + cfg.sync_interval;
     while next_tick <= horizon {
         timer_round(&mut points, next_tick);
         next_tick += cfg.sync_interval;
@@ -637,7 +688,6 @@ mod tests {
     fn key_order(traces: &[RequestTrace], crash: Option<CrashPlan>) -> Vec<(SimTime, Step)> {
         let n = traces.len() as u64;
         replay_order(traces, crash)
-            .into_iter()
             .map(|(at, seq)| {
                 let step = match seq {
                     s if s == 2 * n => Step::Crash,
@@ -704,6 +754,40 @@ mod tests {
         // A restore at the crash instant (down for zero) still follows it.
         let blip = CrashPlan { down_for: SimDuration(0), ..plan };
         assert_eq!(key_order(&unsorted, Some(blip)), reference_order(&unsorted, Some(blip)));
+    }
+
+    /// One trace entry from `(sent_at, outcome, response)`, in ms:
+    /// outcome 0 answered, 1 timed out, 2 late.
+    fn entry((sent, outcome, response): (u64, u8, u64)) -> RequestTrace {
+        let (sent, response) = (SimTime(sent), SimDuration(response));
+        match outcome {
+            0 => RequestTrace::answered(ClientId(0), DpId(0), sent, response),
+            1 => RequestTrace::timed_out(ClientId(0), DpId(0), sent),
+            _ => RequestTrace::late(ClientId(0), DpId(0), sent, response),
+        }
+    }
+
+    proptest::proptest! {
+        /// The streamed order is the materialised one: sorted or unsorted
+        /// traces, ties at every instant, zero responses, and a crash plan
+        /// that may be down for zero and tie with entries.
+        #[test]
+        fn prop_streamed_order_is_the_reference_order(
+            raw in proptest::collection::vec((0u64..50, 0u8..3, 0u64..20), 0..60),
+            sorted in proptest::bool::ANY,
+            crash in proptest::option::of((0u64..70, 0u64..20)),
+        ) {
+            let mut traces: Vec<RequestTrace> = raw.into_iter().map(entry).collect();
+            if sorted {
+                traces.sort_by_key(|t| t.sent_at);
+            }
+            let plan = crash.map(|(at, down)| CrashPlan {
+                at: SimTime(at),
+                dp: 0,
+                down_for: SimDuration(down),
+            });
+            proptest::prop_assert_eq!(key_order(&traces, plan), reference_order(&traces, plan));
+        }
     }
 
     /// The tie of `tied_trace`, as the recorder saw it: issue and answer

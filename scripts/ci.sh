@@ -27,11 +27,15 @@ echo "==> cargo test --release (desim, gridemu, gruber, dpnode, grubsim, digrube
 # through its slab (a 16-byte link per slot, its seq implied by its place
 # in the bucket list, u32::MAX the list terminator), gridemu's packed
 # ledger slot (a flags byte for the record's optional fields) and
-# gruber's 12-byte expiry entry (a key rebuilt from its low half, a word
-# of shifted fields, the far list past 2^32 ms) among them.
+# gruber's 8-byte expiry entry (a key rebuilt from its low 28 bits, a
+# shifted fields word above them, a far heap for keys past a 2^28-ms
+# block and for records too wide for the entry) among them.
 # The differential proptests and grubsim's reference replay order judge
-# both builds.
+# both builds; the queue's heap model and the streamed replay order's
+# proptest run again at 20,000 cases each.
 cargo test --release --offline -q -p desim -p gridemu -p gruber -p dpnode -p grubsim -p digruber
+PROPTEST_CASES=20000 cargo test --release --offline -q -p gruber -- prop_queue_matches_heap_model
+PROPTEST_CASES=20000 cargo test --release --offline -q -p grubsim -- prop_streamed_order_is_the_reference_order
 
 echo "==> reference backends are test code: one event queue, one grid view"
 # The heap behind desim's timing wheel and the map-of-heaps behind
