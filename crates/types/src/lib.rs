@@ -3,8 +3,9 @@
 //! This crate defines the types every other crate in the workspace speaks:
 //! strongly-typed identifiers ([`SiteId`], [`VoId`], [`JobId`], ...), the
 //! simulated clock ([`SimTime`], [`SimDuration`]), job and site descriptions,
-//! the four-state job lifecycle from the paper, the shared error type, and
-//! the one command-line reader the binaries share ([`CommandLine`]).
+//! the four-state job lifecycle from the paper, the shared error type, the
+//! one command-line reader the binaries share ([`CommandLine`]) and the one
+//! hash every pin is taken with ([`Fnv1a`]).
 //!
 //! Nothing here contains behaviour beyond simple arithmetic and validation;
 //! the point is that `gridemu`, `gruber`, `digruber`, `diperf` and `grubsim`
@@ -25,6 +26,7 @@
 
 mod cli;
 mod error;
+mod hash;
 mod id;
 mod job;
 mod site;
@@ -32,6 +34,7 @@ mod time;
 
 pub use cli::{refuse, CommandLine};
 pub use error::{GridError, GridResult};
+pub use hash::Fnv1a;
 pub use id::{ClientId, DpId, GroupId, JobId, SiteId, UserId, VoId};
 pub use job::{DispatchRecord, JobRecord, JobSpec, JobState};
 pub use site::{total_grid_cpus, SiteSpec};
