@@ -581,7 +581,7 @@ mod tests {
         let end = cluster.now();
         cluster.shutdown();
         let tl = rec.finish(end).unwrap();
-        let health = tl.health.as_ref().expect("health scorer was on");
+        let health = &tl.health;
         assert!(
             health
                 .flags

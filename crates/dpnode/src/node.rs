@@ -5,24 +5,12 @@ use bytes::Bytes;
 use desim::DetRng;
 use gruber::GruberEngine;
 use gruber_types::{
-    DispatchRecord, DpId, GridError, JobId, JobSpec, SimDuration, SimTime, SiteSpec,
+    DispatchRecord, DpId, Fnv1a, GridError, JobId, JobSpec, SimDuration, SimTime, SiteSpec,
 };
 use simnet::codec::{encode_deltas, iter_deltas, Reader};
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 use usla::{UslaSet, VersionedEntry};
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Identity: `perf/src/kernels.rs` (frozen) still calls it; ROADMAP item 4(a) drops it.
 pub fn record_to_delta(r: &DispatchRecord) -> DispatchRecord { *r }
@@ -177,7 +165,7 @@ impl Default for DpNodeStats {
             records_merged: 0,
             decode_failures: 0,
             crashes: 0,
-            flood_hash: FNV_OFFSET,
+            flood_hash: Fnv1a::default().finish(),
         }
     }
 }
@@ -425,7 +413,9 @@ impl DpNode {
         let records = self.engine.drain_log();
         self.stats.sync_rounds += 1;
         self.stats.records_flooded += u64::from(n_records);
-        self.stats.flood_hash = fnv1a(self.stats.flood_hash, records.as_ref());
+        let mut hash = Fnv1a::resume(self.stats.flood_hash);
+        hash.write(records.as_ref());
+        self.stats.flood_hash = hash.finish();
         let peers = sync_peers_of(self.topology, self.id.index(), n_dps, &mut self.gossip_rng);
         if self.persist {
             // Logged even into-the-void: the drain itself must replay so

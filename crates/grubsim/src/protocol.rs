@@ -577,7 +577,7 @@ mod tests {
         let merged: u64 = tl.dp_totals.iter().map(|d| d.exchange_records_in).sum();
         assert!(out > 0, "floods must be traced");
         assert!(merged > 0, "merges must be traced");
-        let health = tl.health.as_ref().expect("health on by default");
+        let health = &tl.health;
         assert!(!health.samples.is_empty(), "scored windows must exist");
         let degrades = health.flags.iter().filter(|f| f.degrading).count() as u64;
         assert_eq!(tl.totals.health_degrades, degrades);

@@ -449,7 +449,7 @@ mod tests {
     }
 
     fn report(s: &TimelineBuilder, end_ms: u64) -> HealthReport {
-        s.finish(end_ms).health.expect("scoring is always on")
+        s.finish(end_ms).health
     }
 
     fn merged(dp: u32) -> TraceEvent {
@@ -667,11 +667,11 @@ mod tests {
             }
             let end_ms = at_ms + tail_ms;
             let tl = rec.finish(SimTime(end_ms)).unwrap();
-            prop_assert_eq!(tl.health.as_ref(), Some(&reference.finish(end_ms)));
+            prop_assert_eq!(&tl.health, &reference.finish(end_ms));
             let kept = ring.len().min(512);
             prop_assert_eq!(&tl.recent[..], &ring[ring.len() - kept..]);
             prop_assert_eq!(tl.dropped_raw, (ring.len() - kept) as u64);
-            let flags = &tl.health.as_ref().unwrap().flags;
+            let flags = &tl.health.flags;
             let degrades = flags.iter().filter(|f| f.degrading).count() as u64;
             prop_assert_eq!(tl.totals.health_degrades, degrades);
             prop_assert_eq!(tl.totals.health_recovers, flags.len() as u64 - degrades);

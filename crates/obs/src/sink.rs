@@ -245,7 +245,7 @@ mod tests {
         ));
         assert!(matches!(tl.recent[2].1, TraceEvent::QueryIssued { .. }));
         assert_eq!(tl.totals.health_degrades, 1);
-        assert_eq!(tl.health.as_ref().unwrap().flags.len(), 1);
+        assert_eq!(tl.health.flags.len(), 1);
     }
 
     /// The flag the autoscaler reads: off is never degraded; a point is
@@ -277,7 +277,7 @@ mod tests {
         assert!(rec.degraded(DpId(0)), "one good window is not a recovery");
         answered(240_000);
         assert!(!rec.degraded(DpId(0)));
-        let flags = rec.finish(SimTime(240_000)).unwrap().health.unwrap().flags;
+        let flags = rec.finish(SimTime(240_000)).unwrap().health.flags;
         assert_eq!(
             flags
                 .iter()

@@ -250,7 +250,7 @@ mod pool_sizing {
         // A leave is traced as a leave, not as a crash.
         assert_eq!(tl.totals.failures, 0);
         assert_eq!(tl.totals.dp_leaves, out.retire_log.len() as u64);
-        let health = tl.health.as_ref().unwrap();
+        let health = &tl.health;
         for f in &health.flags {
             let left = out.retire_log.iter().find(|&&(_, dp)| dp == f.dp);
             assert!(
