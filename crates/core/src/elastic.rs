@@ -162,8 +162,8 @@ impl MembershipRuntime {
 
 /// Reads one [`PoolSample`] off the world: live membership count, service
 /// backlogs over live-and-up points, and how many of those points the
-/// trace's health scoring currently flags (none when tracing is off, so
-/// the scaler then runs on backlog alone).
+/// recorder's health scoring currently flags (a scaled pool always has a
+/// recorder, traced or not).
 pub(crate) fn pool_sample(w: &World) -> PoolSample {
     let Some(m) = &w.membership else {
         return PoolSample::default();

@@ -325,8 +325,9 @@ pub struct World {
     /// Slowest single recovery (modeled IO cost), in milliseconds.
     pub(crate) max_recovery_ms: u64,
     /// Structured trace recorder ([`obs::Recorder::OFF`] unless
-    /// `cfg.trace` is set); clones of it live in every scheduler, engine
-    /// and service station of this run.
+    /// `cfg.trace` is set or an autoscaler reads its health flags); clones
+    /// of it live in every scheduler, engine and service station of this
+    /// run.
     pub(crate) trace: obs::Recorder,
     /// Elastic-membership state (`None` unless `cfg.membership` is set):
     /// the epoch-stamped table, the consistent-hash ring the clients are
@@ -355,7 +356,10 @@ impl World {
             Some(set) => set.clone(),
             None => equal_shares(workload.n_vos, workload.groups_per_vo)?,
         });
-        let trace = obs::Recorder::from_config(cfg.trace);
+        // The autoscaler reads the recorder's degraded flags, so a scaled
+        // pool records whether or not the run exports a timeline.
+        let scaled = cfg.membership.is_some_and(|m| m.scaler.is_some());
+        let trace = obs::Recorder::from_config(cfg.trace.or(scaled.then(obs::TraceConfig::default)));
         let dps: Vec<DecisionPoint> = (0..cfg.n_dps)
             .map(|i| {
                 let id = DpId(i as u32);
