@@ -194,6 +194,25 @@ echo "==> one count per trace event: a bin is its DpSample, run totals are folde
       | grep -nE 'self\.totals\.(issued|answered|late|timed_out|denied|accepted|duplicates|failures|recoveries|dropped_requests|rebinds|msgs_lost|retries|retries_exhausted|msgs_duplicated|partition_drops|wal_appends|snapshots|wal_replayed|max_recovery_ms|health_degrades|health_recovers)\b'; } \
   || { echo "ci.sh: obs counts a trace event twice or keeps a second bin/feature struct (lines above)"; exit 1; }
 
+echo "==> one pin: a run is pinned by its declared model and engine halves, hashed by the one FNV-1a"
+# bench::output_pins and obs::RunTimeline::pin hash declared fields into a
+# model half and an engine half with gruber_types::Fnv1a (ARCHITECTURE.md,
+# *Pins*). A hand-written Debug kept to hold an old pin, a fingerprint
+# taken by formatting a whole output, or a second copy of the FNV
+# constants is the old pin growing back. perf/src keeps its own copy: the
+# benchmark is its own workspace.
+{ ! grep -rnE 'impl (std::fmt::|fmt::)?Debug for (ExperimentOutput|RunTotals)\b' \
+      --include=*.rs crates src tests examples \
+  && ! grep -rniE '0x[0_]*100_?0000_?01b3|1099511628211|0xcbf2_?9ce4_?8422_?2325|14695981039346656037' \
+      --include=*.rs --include=*.sh --include=*.py crates src tests examples scripts \
+      | grep -v '^crates/types/src/hash.rs:\|^scripts/ci.sh:'; } \
+  || { echo "ci.sh: a hand-written Debug of a pinned struct or a second FNV-1a (lines above)"; exit 1; }
+for f in $(grep -rlE --include=*.rs 'ExperimentOutput' crates/*/src src examples); do
+  { ! sed '/^#\[cfg(test)\]/,$d' "$f" \
+      | grep -nE '\{([a-z]+_)?out(put)?:\?\}|"\{:\?\}", *&?([a-z]+_)?out(put)?\b'; } \
+    || { echo "ci.sh: $f formats a whole ExperimentOutput outside its tests (lines above)"; exit 1; }
+done
+
 echo "==> every capability earns its keep: sites are FIFO, CPU-only and uncapped, loss and churn are fault-plan clauses, one join/leave path, one site selector, one GRUB-SIM path, no one-consumer crate"
 # Site disciplines and the base WAN loss rate had no paper claim, study
 # cell, test or workload behind them and were deleted; a second site
