@@ -306,6 +306,8 @@ fn render(rows: &[Fields]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{default_jobs, run_specs};
+    use digruber::RunSpec;
     use gruber_types::SimTime;
 
     /// The first membership event of a traced scenario run, for eyeballing
@@ -401,21 +403,37 @@ mod tests {
 
     #[test]
     fn the_autoscaler_does_not_depend_on_tracing() {
-        // Degraded flags are the outage cell's only grow signal. An
-        // untraced run must see them too, so it grows the pool the same
-        // way and differs from the traced run only in carrying no timeline.
-        let cell = outage_cell(7, 12, 2);
-        let traced = cell.spec.run().expect("outage cell runs");
-        let mut untraced = cell.spec.clone();
-        untraced.cfg.trace = None;
-        let untraced = untraced.run().expect("untraced outage cell runs");
-        assert!(traced.dp_joins >= 1, "outage never grew the pool");
-        assert_eq!(untraced.dp_joins, traced.dp_joins);
-        assert!(untraced.timeline.is_none(), "an untraced run exports no timeline");
-        let set_aside = ExperimentOutput {
-            timeline: None,
-            ..traced
-        };
-        assert!(untraced == set_aside, "tracing changed the model output");
+        // Degraded flags are the outage cells' only grow signal. An
+        // untraced run must see them too, so every elastic cell of the
+        // study, fast and full, sizes its pool the same way untraced and
+        // differs from the traced run only in carrying no timeline.
+        let mut elastic: Vec<Cell> = [true, false]
+            .into_iter()
+            .flat_map(|fast| cells(fast, 2005))
+            .filter(|c| c.spec.cfg.membership.is_some())
+            .collect();
+        elastic.sort_by(|a, b| a.spec.label.cmp(&b.spec.label));
+        elastic.dedup_by(|a, b| a.spec.label == b.spec.label);
+        assert_eq!(elastic.len(), 4, "flash crowd, diurnal and two outages");
+        let traced: Vec<RunSpec> = elastic.into_iter().map(|c| c.spec).collect();
+        let mut specs = traced.clone();
+        specs.extend(traced.into_iter().map(|mut s| {
+            s.cfg.trace = None;
+            s
+        }));
+        let outs = run_specs(&specs, default_jobs());
+        let (traced, untraced) = outs.split_at(specs.len() / 2);
+        for (traced, untraced) in traced.iter().zip(untraced) {
+            let traced = traced.as_ref().expect("traced cell runs");
+            let untraced = untraced.as_ref().expect("untraced cell runs");
+            let label = &traced.label;
+            assert!(traced.dp_joins >= 1, "{label}: the pool never grew");
+            assert!(untraced.timeline.is_none(), "an untraced run exports no timeline");
+            let set_aside = ExperimentOutput {
+                timeline: None,
+                ..traced.clone()
+            };
+            assert!(*untraced == set_aside, "{label}: tracing changed the model output");
+        }
     }
 }

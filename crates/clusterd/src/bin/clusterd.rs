@@ -9,7 +9,7 @@
 //! crashing and respawning a point mid-run), and reports. See
 //! DEPLOYMENT.md for the operator walkthrough.
 
-use clusterd::{drive_workload, parse_toml, uniform_sites, LocalCluster, Server, ServerConfig, SpawnOpts, TomlValue};
+use clusterd::{drive_workload, uniform_sites, LocalCluster, Server, ServerConfig, SpawnOpts};
 use gruber_types::GridError::InvalidConfig;
 use gruber_types::{refuse, CommandLine, DpId, GridResult, SimTime};
 use obs::{Recorder, TraceConfig};
@@ -19,89 +19,33 @@ use std::time::{Duration, Instant};
 use workload::uslas::equal_shares;
 
 const USAGE: &str = "usage:
-  clusterd [--config FILE] [--id N] [--n-dps N] [--listen ADDR]
+  clusterd [--id N] [--n-dps N] [--listen ADDR]
            [--sites N] [--cpus N] [--vos N] [--groups N]
            [--data-dir DIR] [--snapshot-records N] [--sync-ms N]
            [--trace FILE] [--allow-crash-exit]
   clusterd --spawn-local N [--jobs N] [--crash] [--data-root DIR]
            [--trace-dir DIR] [--sites N] [--cpus N] [--vos N] [--groups N]";
 
-const NUM: TomlValue = TomlValue::Int(0);
-const STR: TomlValue = TomlValue::Str(String::new());
-const SWITCH: TomlValue = TomlValue::Bool(true);
-
-/// Every setting, by its one name: the flag is `--` plus the name with
-/// `_` turned into `-`, and a `--config` file sets it under the name
-/// itself, as a value of the TOML type shown (a boolean is a switch).
-/// Numbers are `u32`.
-const SETTINGS: &[(&str, TomlValue)] = &[
-    ("id", NUM),
-    ("n_dps", NUM),
-    ("listen", STR),
-    ("sites", NUM),
-    ("cpus", NUM),
-    ("vos", NUM),
-    ("groups", NUM),
-    ("data_dir", STR),
-    ("snapshot_records", NUM),
-    ("sync_ms", NUM),
-    ("trace", STR),
-    ("allow_crash_exit", SWITCH),
+/// The flags in [`USAGE`], each with whether it takes a value.
+const FLAGS: &[(&str, bool)] = &[
+    ("--id", true), ("--n-dps", true), ("--listen", true), ("--sites", true), ("--cpus", true),
+    ("--vos", true), ("--groups", true), ("--data-dir", true), ("--snapshot-records", true),
+    ("--sync-ms", true), ("--trace", true), ("--allow-crash-exit", false), ("--spawn-local", true),
+    ("--jobs", true), ("--crash", false), ("--data-root", true), ("--trace-dir", true),
+    ("--help", false),
 ];
 
-fn flag(name: &str) -> String {
-    format!("--{}", name.replace('_', "-"))
-}
-
-/// The command line over the `--config` file. Besides [`SETTINGS`], the
-/// command line alone carries the file itself and the spawn-local
-/// driver's flags.
-fn read_command_line(argv: impl IntoIterator<Item = String>) -> GridResult<CommandLine> {
-    let takes_value = |kind: &TomlValue| !matches!(kind, TomlValue::Bool(_));
-    let settings = SETTINGS.iter().map(|(name, kind)| (flag(name), takes_value(kind)));
-    let command_line_only = [
-        ("--config", true),
-        ("--help", false),
-        ("--spawn-local", true),
-        ("--jobs", true),
-        ("--crash", false),
-        ("--data-root", true),
-        ("--trace-dir", true),
-    ];
-    let only = command_line_only.into_iter().map(|(f, v)| (f.to_string(), v));
-    let flags: Vec<(String, bool)> = settings.chain(only).collect();
-    let mut args = CommandLine::parse(argv, &flags)?.no_operands()?;
-    if args.switch("--help") {
-        return Err(InvalidConfig(USAGE.to_string()));
-    }
-    let Some(path) = args.str("--config").map(str::to_string) else {
-        return Ok(args);
-    };
-    let text = std::fs::read_to_string(&path);
-    let text = text.map_err(|e| InvalidConfig(format!("cannot read {path}: {e}")))?;
-    for (key, value) in parse_toml(&text).map_err(|e| InvalidConfig(format!("{path}: {e}")))? {
-        let Some((name, kind)) = SETTINGS.iter().find(|(n, _)| *n == key) else {
-            return Err(InvalidConfig(format!("{path}: unknown key {key:?}")));
-        };
-        let value = match (kind, value) {
-            (TomlValue::Int(_), TomlValue::Int(n)) => Some(n.to_string()),
-            (TomlValue::Str(_), TomlValue::Str(s)) => Some(s),
-            (TomlValue::Bool(_), TomlValue::Bool(true)) => None,
-            (TomlValue::Bool(_), TomlValue::Bool(false)) => continue,
-            (_, v) => {
-                return Err(InvalidConfig(format!("{path}: {key} has the wrong type ({v:?})")))
-            }
-        };
-        args.fill(flag(name), value);
-    }
-    Ok(args)
-}
-
 fn main() {
-    let args = read_command_line(std::env::args().skip(1));
-    let ran = args.and_then(|args| match args.size::<u32>("--spawn-local")? {
-        Some(n_dps) => spawn_local(&args, n_dps as usize),
-        None => serve(&args),
+    let args = CommandLine::parse(std::env::args().skip(1), FLAGS).and_then(|a| a.no_operands());
+    let ran = args.and_then(|args| {
+        if args.switch("--help") {
+            println!("{USAGE}");
+            return Ok(());
+        }
+        match args.size::<u32>("--spawn-local")? {
+            Some(n_dps) => spawn_local(&args, n_dps as usize),
+            None => serve(&args),
+        }
     });
     if let Err(e) = ran {
         refuse("clusterd", &e);
@@ -177,16 +121,17 @@ fn serve(args: &CommandLine) -> GridResult<()> {
 fn spawn_local(args: &CommandLine, n_dps: usize) -> GridResult<()> {
     let bin = std::env::current_exe().expect("current_exe");
     let crash = args.switch("--crash");
+    // A crash cycle needs durable state. Without `--data-root` it goes in
+    // a directory of this run's own under the temp dir, removed at the end.
+    let own_root = (crash && !args.switch("--data-root"))
+        .then(|| std::env::temp_dir().join(format!("clusterd-{}", std::process::id())));
     let opts = SpawnOpts {
         n_dps,
         sites: args.size("--sites")?.unwrap_or(4),
         cpus: args.size("--cpus")?.unwrap_or(16),
         vos: args.size("--vos")?.unwrap_or(2),
         groups: args.size("--groups")?.unwrap_or(2),
-        data_root: args.str("--data-root").map(PathBuf::from).or_else(|| {
-            // A crash cycle needs durable state; default under the temp dir.
-            crash.then(|| std::env::temp_dir().join(format!("clusterd-{}", std::process::id())))
-        }),
+        data_root: args.str("--data-root").map(PathBuf::from).or_else(|| own_root.clone()),
         snapshot_records: args.num("--snapshot-records")?.unwrap_or(0),
         trace_dir: args.str("--trace-dir").map(PathBuf::from),
     };
@@ -246,6 +191,11 @@ fn spawn_local(args: &CommandLine, n_dps: usize) -> GridResult<()> {
         eprintln!("clusterd: shutdown failed: {e}");
         std::process::exit(1)
     });
+    if let Some(dir) = &own_root {
+        if let Err(e) = std::fs::remove_dir_all(dir) {
+            eprintln!("clusterd: removing {}: {e}", dir.display());
+        }
+    }
 
     let placed = first.placed_via_broker + second.placed_via_broker;
     let random = first.placed_randomly + second.placed_randomly;
@@ -279,7 +229,7 @@ mod tests {
     fn a_flag_is_never_taken_as_a_value() {
         // This used to store the WAL in `./--allow-crash-exit`.
         let argv = ["--data-dir", "--allow-crash-exit"].map(String::from);
-        let refused = read_command_line(argv).unwrap_err();
+        let refused = CommandLine::parse(argv, FLAGS).unwrap_err();
         assert_eq!(refused, InvalidConfig("--data-dir needs a value".into()));
     }
 }

@@ -1,13 +1,10 @@
 //! Configuration of one socket decision point.
 //!
-//! The `clusterd` binary reads a flat TOML file (`--config`), then lets
-//! command-line flags override individual keys; in-process servers
-//! (tests, the spawn-local harness) build [`ServerConfig`] directly. The
-//! TOML support is a deliberate subset — `key = value` lines with
-//! integers, booleans and quoted strings — parsed by hand so the runtime
-//! stays registry-free (see `vendor/README.md`).
+//! The `clusterd` binary builds a [`ServerConfig`] from its flags, read
+//! by `gruber_types::CommandLine`; in-process servers (tests, the
+//! spawn-local harness) build it directly.
 
-use gruber_types::{DpId, GridError, SiteId, SiteSpec};
+use gruber_types::{DpId, SiteId, SiteSpec};
 use simnet::RetryPolicy;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -78,113 +75,10 @@ pub(crate) fn default_retry() -> RetryPolicy {
     }
 }
 
-/// One parsed `key = value` from the TOML subset.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TomlValue {
-    /// An unquoted integer.
-    Int(u64),
-    /// A `true`/`false` literal.
-    Bool(bool),
-    /// A double-quoted string (no escapes).
-    Str(String),
-}
-
-/// Parses the flat TOML subset: one `key = value` per line, `#` comments,
-/// blank lines ignored. Section headers, arrays, escapes, floats and a key
-/// given twice are rejected — the config format is intentionally boring.
-pub fn parse_toml(text: &str) -> Result<Vec<(String, TomlValue)>, GridError> {
-    let mut out: Vec<(String, TomlValue)> = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let malformed = |why: String| GridError::Malformed {
-            what: "config file",
-            why: format!("line {}: {why}", lineno + 1),
-        };
-        // A comment starts at the first '#' outside a quoted value; a '#'
-        // inside one is part of the value.
-        let mut quoted = false;
-        let end = raw
-            .find(|c| {
-                quoted ^= c == '"';
-                c == '#' && !quoted
-            })
-            .unwrap_or(raw.len());
-        let line = raw[..end].trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| malformed("expected key = value".into()))?;
-        let key = key.trim().to_string();
-        if out.iter().any(|(k, _)| *k == key) {
-            return Err(malformed(format!("{key} given twice")));
-        }
-        let value = value.trim();
-        let parsed = if let Some(stripped) = value.strip_prefix('"') {
-            let inner = stripped
-                .strip_suffix('"')
-                .ok_or_else(|| malformed("unterminated string".into()))?;
-            TomlValue::Str(inner.to_string())
-        } else if value == "true" {
-            TomlValue::Bool(true)
-        } else if value == "false" {
-            TomlValue::Bool(false)
-        } else {
-            TomlValue::Int(
-                value
-                    .parse::<u64>()
-                    .map_err(|_| malformed(format!("bad value {value:?}")))?,
-            )
-        };
-        out.push((key, parsed));
-    }
-    Ok(out)
-}
-
 /// Builds a homogeneous site list: `n_sites` single-cluster sites of
 /// `cpus` CPUs each — the shape every experiment in this repo uses.
 pub fn uniform_sites(n_sites: u32, cpus: u32) -> Vec<SiteSpec> {
     (0..n_sites)
         .map(|i| SiteSpec::single_cluster(SiteId(i), cpus))
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn toml_subset_parses_ints_bools_strings_and_comments() {
-        let text = r#"
-            # a comment
-            id = 2
-            listen = "127.0.0.1:4002"  # trailing comment
-            allow_crash_exit = true
-            data_dir = "/tmp/run#1" # scratch
-        "#;
-        let kv = parse_toml(text).unwrap();
-        assert_eq!(
-            kv,
-            vec![
-                ("id".to_string(), TomlValue::Int(2)),
-                (
-                    "listen".to_string(),
-                    TomlValue::Str("127.0.0.1:4002".to_string())
-                ),
-                ("allow_crash_exit".to_string(), TomlValue::Bool(true)),
-                (
-                    "data_dir".to_string(),
-                    TomlValue::Str("/tmp/run#1".to_string())
-                ),
-            ]
-        );
-    }
-
-    #[test]
-    fn toml_subset_rejects_garbage() {
-        assert!(parse_toml("id 2").is_err());
-        assert!(parse_toml("id = 2.5").is_err());
-        assert!(parse_toml("listen = \"unterminated").is_err());
-        assert!(parse_toml("id = 1\nid = 2").is_err());
-    }
 }

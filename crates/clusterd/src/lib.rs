@@ -59,7 +59,7 @@ mod proto;
 mod server;
 
 pub use client::ClusterClient;
-pub use config::{parse_toml, uniform_sites, ServerConfig, TomlValue};
+pub use config::{uniform_sites, ServerConfig};
 pub use conn::{check_hello, hello, pop, request, CloseReason, Role, WRITE_DEADLINE};
 pub use harness::{dev_binary, drive_workload, LocalCluster, SpawnOpts};
 pub use proto::{

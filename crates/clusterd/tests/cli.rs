@@ -1,24 +1,15 @@
-//! The `clusterd` command line: every setting has one name, a flag
-//! (`--n-dps`) or a `--config` key (`n_dps`), and anything else is refused.
+//! The `clusterd` command line: every setting has one name, its flag
+//! (`--n-dps`), and anything else is refused.
 
 use clusterd::ClusterClient;
 use gruber::DispatchRecord;
 use gruber_types::{ClientId, GroupId, JobId, SimTime, SiteId, VoId};
 use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn clusterd() -> Command {
     Command::new(env!("CARGO_BIN_EXE_clusterd"))
-}
-
-/// Writes `text` as a config file private to this test.
-fn config_file(name: &str, text: &str) -> PathBuf {
-    let path =
-        std::env::temp_dir().join(format!("clusterd-cli-{}-{name}.toml", std::process::id()));
-    std::fs::write(&path, text).expect("write config");
-    path
 }
 
 /// Kills the child however the test ends.
@@ -31,19 +22,12 @@ impl Drop for Reaped {
     }
 }
 
-/// The guide's file keys take effect: `n_dps` makes a 2-point mesh and
-/// `sync_ms` self-clocks its floods, so one inform is flooded with no
-/// `sync` frame. (Read under the flag's spelling, both keys were ignored
-/// and the point never flooded.)
+/// `--n-dps` makes a 2-point mesh and `--sync-ms` self-clocks its floods,
+/// so one inform is flooded with no `sync` frame.
 #[test]
-fn config_file_keys_set_the_mesh_and_the_sync_clock() {
-    let path = config_file(
-        "mesh",
-        "n_dps = 2\nsync_ms = 100\nlisten = \"127.0.0.1:0\"\n",
-    );
+fn flags_set_the_mesh_and_the_sync_clock() {
     let mut child = clusterd()
-        .arg("--config")
-        .arg(&path)
+        .args(["--n-dps", "2", "--sync-ms", "100", "--listen", "127.0.0.1:0"])
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn clusterd");
@@ -80,18 +64,16 @@ fn config_file_keys_set_the_mesh_and_the_sync_clock() {
         std::thread::sleep(Duration::from_millis(20));
     }
     drop(child);
-    let _ = std::fs::remove_file(path);
 }
 
-/// An unknown flag (a misspelt one included) or file key, a value of the
-/// wrong type, or a zero size, exits 2 before anything binds.
+/// An unknown flag (a misspelt one or `--config` included), a value of
+/// the wrong type, or a zero size, exits 2 before anything binds.
 #[test]
 fn unknown_or_mistyped_settings_exit_2() {
-    let unknown = config_file("unknown", "bogus = 1\n");
-    let mistyped = config_file("mistyped", "n_dps = \"2\"\n");
-    let runs: [&[&str]; 14] = [
+    let runs: [&[&str]; 13] = [
         &["--bogus", "1"],
         &["--data-dri", "x"],
+        &["--config", "x.toml"],
         &["--id", "x"],
         &["--vos", "0"],
         &["--groups", "0"],
@@ -102,14 +84,42 @@ fn unknown_or_mistyped_settings_exit_2() {
         &["--spawn-local", "1", "--sites", "0"],
         &["--spawn-local", "2", "--jobs", "0"],
         &["--id", "2", "--n-dps", "2"],
-        &["--config", unknown.to_str().expect("utf-8 temp path")],
-        &["--config", mistyped.to_str().expect("utf-8 temp path")],
     ];
     for args in runs {
         let out = clusterd().args(args).output().expect("run clusterd");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?} must not serve");
     }
-    let _ = std::fs::remove_file(unknown);
-    let _ = std::fs::remove_file(mistyped);
+    let out = clusterd().args(["--config", "x.toml"]).output().expect("run clusterd");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.trim(), "clusterd: unknown flag \"--config\"");
+}
+
+/// Asking for help is not a failure: the usage goes to stdout, exit 0.
+#[test]
+fn help_prints_the_usage_and_exits_0() {
+    let out = clusterd().arg("--help").output().expect("run clusterd");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("usage:\n  clusterd"), "{stdout}");
+    assert!(stdout.contains("--spawn-local N") && !stdout.contains("--config"), "{stdout}");
+    assert!(out.stderr.is_empty());
+}
+
+/// A crash cycle without `--data-root` keeps its WAL in a directory of
+/// its own under the temp dir, and removes it once the cluster is down.
+#[test]
+fn spawn_local_crash_leaves_no_wal_behind() {
+    let tmp = std::env::temp_dir().join(format!("clusterd-cli-{}-tmpdir", std::process::id()));
+    std::fs::create_dir_all(&tmp).expect("create private temp dir");
+    let out = clusterd()
+        .args(["--spawn-local", "2", "--jobs", "2", "--crash"])
+        .env("TMPDIR", &tmp)
+        .output()
+        .expect("run clusterd");
+    let left: Vec<_> = std::fs::read_dir(&tmp).expect("read temp dir").collect();
+    let _ = std::fs::remove_dir_all(&tmp);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("SPAWN_LOCAL_OK n=2"));
+    assert!(left.is_empty(), "left behind in the temp dir: {left:?}");
 }

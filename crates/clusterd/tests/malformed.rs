@@ -5,14 +5,14 @@
 //! `proptest!` below is one decoder, its valid sample and where that
 //! sample keeps its length and count fields. A second property holds the
 //! connection edge (`clusterd::conn`) to the same bytes, whatever cut. A
-//! third, [`refuses_hostile_text`], holds the text parsers (`parse_toml`
-//! and `usla::parse` here; `FaultPlan::parse` in `digruber::faults`).
+//! third, [`refuses_hostile_text`], holds the two text parsers
+//! (`usla::parse` here; `FaultPlan::parse` in `digruber::faults`).
 
 // `&[0..4]` here is a list of one byte range, not a typo for `0..4`.
 #![allow(clippy::single_range_in_vec_init)]
 
 use bytes::Bytes;
-use clusterd::{check_hello, parse_toml, pop, request, CloseReason, Role};
+use clusterd::{check_hello, pop, request, CloseReason, Role};
 use clusterd::{
     decode_free, decode_peers, decode_stats, encode_free, encode_peers, encode_stats,
     ClusterDpStats,
@@ -445,14 +445,6 @@ fn refuses_hostile_text<T>(
 }
 
 proptest! {
-    #[test]
-    fn config_file_text(hostile in hostile_text()) {
-        let valid = "id = 2\nlisten = \"127.0.0.1:4002\" # c\nallow_crash_exit = true\n";
-        refuses_hostile_text(valid, hostile, parse_toml, |e| {
-            matches!(e, GridError::Malformed { what: "config file", .. })
-        })?;
-    }
-
     #[test]
     fn usla_text(hostile in hostile_text()) {
         let valid = "usla cpu grid -> vo:0 = 40\nusla cpu vo:0 -> group:0.1 = 50+\n";

@@ -15,16 +15,7 @@
 //! clients and a leave re-homes only the leaver's share — pinned by the
 //! tests below and traced in production via `client_rehomed` events.
 
-use gruber_types::{ClientId, DpId};
-
-/// SplitMix64: the same finalizer the vendored proptest stub and desim
-/// use for cheap, well-mixed 64-bit hashing. Bit-stable everywhere.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use gruber_types::{splitmix64, ClientId, DpId};
 
 /// The consistent-hash ring. Cheap to clone; ordered `Vec` storage so
 /// lookups are a binary search and iteration order is canonical.

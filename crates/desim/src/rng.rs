@@ -9,16 +9,10 @@
 //!
 //! The generator is xoshiro256++, held here rather than taken from a
 //! crate: the streams are part of the determinism contract (every pinned
-//! fingerprint rests on them), so their definition stays in this file.
+//! fingerprint rests on them), so their definition stays in this file;
+//! only the seed mixer, [`gruber_types::splitmix64`], is shared.
 
-/// SplitMix64 step — the standard seed-spreading finalizer.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use gruber_types::{splitmix64, SPLITMIX_GAMMA};
 
 /// A deterministic per-component random stream: xoshiro256++ state.
 #[derive(Debug, Clone)]
@@ -29,12 +23,14 @@ pub struct DetRng {
 impl DetRng {
     /// Derives a stream from an experiment seed and a component stream id.
     pub fn new(seed: u64, stream: u64) -> Self {
-        let mut s = seed ^ stream.wrapping_mul(0xA076_1D64_78BD_642F);
-        // SplitMix64's finalizer is a bijection and the four counter values
-        // are distinct, so at most one word is zero: never the all-zero
-        // state, xoshiro's one fixed point.
+        let s = seed ^ stream.wrapping_mul(0xA076_1D64_78BD_642F);
+        // The first four outputs of the SplitMix64 stream seeded `s`.
+        // SplitMix64 is a bijection and the four counter values are
+        // distinct, so at most one word is zero: never the all-zero state,
+        // xoshiro's one fixed point.
+        let word = |k: u64| splitmix64(s.wrapping_add(SPLITMIX_GAMMA.wrapping_mul(k)));
         DetRng {
-            s: std::array::from_fn(|_| splitmix64(&mut s)),
+            s: std::array::from_fn(|k| word(k as u64)),
         }
     }
 

@@ -20,10 +20,8 @@
 //! A flag is `--name value`, or `--name` alone for a switch. Every
 //! refusal is a [`GridError::InvalidConfig`]; [`refuse`] prints it as
 //! `<binary>: <why>` and exits with status 2, the one way any of the
-//! three binaries turns down its command line or its config file.
-//! `clusterd`'s `--config` file keys enter through
-//! [`CommandLine::fill`], so a flag overrides its key and both pass the
-//! same getters.
+//! three binaries turns down its command line. The command line is each
+//! binary's only source of settings: there is no config file.
 
 use crate::GridError::{self, InvalidConfig};
 use crate::{GridResult, SimDuration};
@@ -91,15 +89,6 @@ impl CommandLine {
         &self.operands
     }
 
-    /// Sets `flag` (to `value`, or as a switch when `None`) unless the
-    /// command line gave it: how a config file's key enters, below the
-    /// flag that overrides it.
-    pub fn fill(&mut self, flag: String, value: Option<String>) {
-        if !self.switch(&flag) {
-            self.given.push((flag, value));
-        }
-    }
-
     /// Whether `flag` was given (a switch set, or a value flag present).
     pub fn switch(&self, flag: &str) -> bool {
         self.given.iter().any(|(f, _)| f == flag)
@@ -141,7 +130,7 @@ impl CommandLine {
 }
 
 /// Prints `<binary>: <why>` to stderr and exits with status 2: the one
-/// way a binary refuses its command line or its config file.
+/// way a binary refuses its command line.
 pub fn refuse(binary: &str, e: &GridError) -> ! {
     match e {
         InvalidConfig(why) => eprintln!("{binary}: {why}"),
@@ -223,16 +212,5 @@ mod tests {
         let why = "--jobs out of range: \"307445734561826\"";
         assert_eq!(line.span("--jobs", 60_000), Err(InvalidConfig(why.into())));
         assert!(line.span("--jobs", 1000).is_ok());
-    }
-
-    #[test]
-    fn a_filled_key_never_overrides_a_flag() {
-        let mut line = parse("--jobs 4").unwrap();
-        line.fill("--jobs".into(), Some("8".into()));
-        line.fill("--trace".into(), Some("t.jsonl".into()));
-        line.fill("--lan".into(), None);
-        assert_eq!(line.str("--jobs"), Some("4"));
-        assert_eq!(line.str("--trace"), Some("t.jsonl"));
-        assert!(line.switch("--lan"));
     }
 }

@@ -1,5 +1,7 @@
-//! 64-bit FNV-1a, the one hash behind every pin in the tree: a run's
-//! model and engine halves, its trace JSONL and a node's flood hash.
+//! The tree's two hashes: 64-bit FNV-1a, the one behind every pin (a
+//! run's model and engine halves, its trace JSONL and a node's flood
+//! hash), and SplitMix64, which seeds desim's random streams and places
+//! the elastic pool's ring points.
 
 use std::fmt;
 use std::hash::Hasher;
@@ -56,4 +58,26 @@ impl fmt::Write for Fnv1a {
         self.write(s.as_bytes());
         Ok(())
     }
+}
+
+/// SplitMix64's increment, the odd integer nearest 2⁶⁴ / φ: the `k`th
+/// output (from 0) of the SplitMix64 stream seeded `s` is
+/// `splitmix64(s + k * SPLITMIX_GAMMA)`.
+pub const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64 (Steele, Lea and Flood 2014) as a pure function: the first
+/// output of the stream seeded `x`. A bijection, and bit-stable
+/// everywhere.
+///
+/// ```
+/// use gruber_types::{splitmix64, SPLITMIX_GAMMA};
+///
+/// assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+/// assert_eq!(splitmix64(SPLITMIX_GAMMA), 0x6e78_9e6a_a1b9_65f4);
+/// ```
+pub const fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(SPLITMIX_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }

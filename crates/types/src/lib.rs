@@ -4,8 +4,9 @@
 //! strongly-typed identifiers ([`SiteId`], [`VoId`], [`JobId`], ...), the
 //! simulated clock ([`SimTime`], [`SimDuration`]), job and site descriptions,
 //! the four-state job lifecycle from the paper, the shared error type, the
-//! one command-line reader the binaries share ([`CommandLine`]) and the one
-//! hash every pin is taken with ([`Fnv1a`]).
+//! one command-line reader the binaries share ([`CommandLine`]), the one
+//! hash every pin is taken with ([`Fnv1a`]) and the one seed mixer
+//! ([`splitmix64`]).
 //!
 //! Nothing here contains behaviour beyond simple arithmetic and validation;
 //! the point is that `gridemu`, `gruber`, `digruber`, `diperf` and `grubsim`
@@ -34,7 +35,7 @@ mod time;
 
 pub use cli::{refuse, CommandLine};
 pub use error::{GridError, GridResult};
-pub use hash::Fnv1a;
+pub use hash::{splitmix64, Fnv1a, SPLITMIX_GAMMA};
 pub use id::{ClientId, DpId, GroupId, JobId, SiteId, UserId, VoId};
 pub use job::{DispatchRecord, JobRecord, JobSpec, JobState};
 pub use site::{total_grid_cpus, SiteSpec};

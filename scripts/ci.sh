@@ -199,14 +199,19 @@ echo "==> one pin: a run is pinned by its declared model and engine halves, hash
 # model half and an engine half with gruber_types::Fnv1a (ARCHITECTURE.md,
 # *Pins*). A hand-written Debug kept to hold an old pin, a fingerprint
 # taken by formatting a whole output, or a second copy of the FNV
-# constants is the old pin growing back. perf/src keeps its own copy: the
-# benchmark is its own workspace.
+# constants is the old pin growing back. So is a second SplitMix64 (its
+# increment): desim's streams and the ring's points both rest on
+# gruber_types::splitmix64. perf/src and vendor/proptest keep their own
+# copies: each stands alone.
 { ! grep -rnE 'impl (std::fmt::|fmt::)?Debug for (ExperimentOutput|RunTotals)\b' \
       --include=*.rs crates src tests examples \
   && ! grep -rniE '0x[0_]*100_?0000_?01b3|1099511628211|0xcbf2_?9ce4_?8422_?2325|14695981039346656037' \
       --include=*.rs --include=*.sh --include=*.py crates src tests examples scripts \
+      | grep -v '^crates/types/src/hash.rs:\|^scripts/ci.sh:' \
+  && ! grep -rniE '0x9e_?37_?79_?b9_?7f_?4a_?7c_?15|11400714819323198485' \
+      --include=*.rs --include=*.sh --include=*.py crates src tests examples scripts \
       | grep -v '^crates/types/src/hash.rs:\|^scripts/ci.sh:'; } \
-  || { echo "ci.sh: a hand-written Debug of a pinned struct or a second FNV-1a (lines above)"; exit 1; }
+  || { echo "ci.sh: a hand-written Debug of a pinned struct, a second FNV-1a or a second SplitMix64 (lines above)"; exit 1; }
 for f in $(grep -rlE --include=*.rs 'ExperimentOutput' crates/*/src src examples); do
   { ! sed '/^#\[cfg(test)\]/,$d' "$f" \
       | grep -nE '\{([a-z]+_)?out(put)?:\?\}|"\{:\?\}", *&?([a-z]+_)?out(put)?\b'; } \
@@ -285,11 +290,13 @@ echo "==> one command-line reader: gruber_types::CommandLine reads every binary'
 # sweep, experiments and clusterd parse their arguments with the reader in
 # crates/types/src/cli.rs, whose refusals are unit-tested once. A per-binary
 # flag table or checker, or a binary's own exit-2 path, is a hand-rolled
-# reader growing back.
+# reader growing back. So is a config file: a second route to a setting is
+# a second reader, and the command line is every binary's only one.
 { ! grep -rnE 'VALUE_FLAGS|SWITCHES|FLAG_ONLY|check_known|drain_value' --include=*.rs crates/*/src src \
       | grep -v '^crates/types/src/cli.rs:' \
-  && ! grep -rnE 'fn die\b|process::exit\(2\)' --include=*.rs crates/*/src/bin; } \
-  || { echo "ci.sh: a second command-line reader or exit-2 path (lines above)"; exit 1; }
+  && ! grep -rnE 'fn die\b|process::exit\(2\)' --include=*.rs crates/*/src/bin \
+  && ! grep -rnE 'parse_toml|TomlValue|fn fill\b|"--config"' --include=*.rs crates/*/src; } \
+  || { echo "ci.sh: a second command-line reader, exit-2 path or config file (lines above)"; exit 1; }
 
 echo "==> perf/ builds against the workspace crates (the benchmark is its own workspace)"
 cargo build --release --offline --manifest-path perf/Cargo.toml

@@ -343,6 +343,36 @@ fn wheel_reproduces_pinned_heap_fingerprints() {
     }
 }
 
+#[test]
+fn tracing_never_changes_the_model() {
+    // Each pinned run, untraced, says what its traced run says: every
+    // output field but the timeline is equal. The observer never feeds
+    // back into what it observes.
+    let mut specs = traced_sweep_specs();
+    specs.extend(fault_plan_specs());
+    assert_eq!(specs.len(), PINNED_FINGERPRINTS.len());
+    let untraced: Vec<RunSpec> = specs
+        .iter()
+        .cloned()
+        .map(|mut s| {
+            s.cfg.trace = None;
+            s
+        })
+        .collect();
+    let traced = run_specs(&specs, 4);
+    for ((traced, untraced), spec) in traced.iter().zip(run_specs(&untraced, 4)).zip(&specs) {
+        let label = &spec.label;
+        let traced = traced.as_ref().expect("traced run failed");
+        let untraced = untraced.expect("untraced run failed");
+        assert!(traced.timeline.is_some() && untraced.timeline.is_none(), "{label}");
+        let set_aside = ExperimentOutput {
+            timeline: None,
+            ..traced.clone()
+        };
+        assert!(untraced == set_aside, "{label}: tracing changed the model output");
+    }
+}
+
 /// A named edit of one field of a run's output.
 type Change = (&'static str, fn(&mut ExperimentOutput));
 
