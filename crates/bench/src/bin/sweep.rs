@@ -150,6 +150,7 @@ fn sweep() -> GridResult<()> {
         }
         // Refuse a bad cell before any cell runs.
         cfg.validate()?;
+        workload.validate()?;
         specs.push(RunSpec::new(format!("{n} DPs"), cfg, workload.clone()));
     }
 

@@ -15,7 +15,10 @@
 //! `BENCH_health.json` and the detection table is quoted by
 //! OBSERVABILITY.md and EXPERIMENTS.md.
 
-use crate::study::{fault_deployment, fault_workload, table, Cell, Fields, Study, RUN_SECS};
+use crate::study::{
+    fault_deployment, fault_workload, table, Cell, Fields, Study, PLAN_CRASH_DOUBLE,
+    PLAN_CRASH_SINGLE, RUN_SECS,
+};
 use digruber::{ExperimentOutput, FaultPlan};
 use gruber_types::DpId;
 use simnet::RetryConfig;
@@ -37,10 +40,6 @@ const PLAN_PARTITION: &str = "partition@240..720=0,1|2";
 const PLAN_LOSS: &str = "loss@0..720=0.3";
 /// PR 3's service-slowdown plan: point 1 runs 4× slower for eight minutes.
 const PLAN_SLOW: &str = "slow@120..600=1x4";
-/// PR 5's single-crash plan: point 1 down from t=240 s for two minutes.
-const PLAN_CRASH_SINGLE: &str = "crash@240=1+120";
-/// PR 5's staggered double-crash plan.
-const PLAN_CRASH_DOUBLE: &str = "crash@240=1+120; crash@420=2+90";
 
 /// One cell: `plan_spec` is empty for `clean`; `affected_dp` is the point
 /// the fault targets, when it targets one (`None` for the clean baseline

@@ -12,7 +12,10 @@
 //! ([`fault_deployment`] + [`fault_workload`]); the whole sweep is
 //! snapshotted into `BENCH_recovery.json`.
 
-use crate::study::{fault_deployment, fault_workload, table, Cell, Fields, Study, RUN_SECS};
+use crate::study::{
+    fault_deployment, fault_workload, table, Cell, Fields, Study, PLAN_CRASH_DOUBLE,
+    PLAN_CRASH_SINGLE, RUN_SECS,
+};
 use digruber::config::{PersistenceConfig, RecoveryMode};
 use digruber::{ExperimentOutput, FaultPlan};
 use dpstore::SnapshotPolicy;
@@ -27,12 +30,6 @@ pub(crate) const STUDY: Study = Study {
     measure,
     render,
 };
-
-/// One decision point crashes mid-run, after the ramp has populated the
-/// views, and stays down for two minutes.
-const PLAN_SINGLE: &str = "crash@240=1+120";
-/// Two staggered crashes on different points.
-const PLAN_DOUBLE: &str = "crash@240=1+120; crash@420=2+90";
 
 /// One cell: crash plan `plan` (its spec `plan_spec`), restored `empty` or
 /// from `persist`ence snapshotting every `snapshot_records` WAL records
@@ -76,9 +73,9 @@ fn mode_name(mode: &str, snapshot_records: impl std::fmt::Display) -> String {
 /// interval (2 cells instead of 8) for CI smoke runs.
 fn cells(fast: bool, seed: u64) -> Vec<Cell> {
     let plans: &[(&str, &str)] = if fast {
-        &[("single", PLAN_SINGLE)]
+        &[("single", PLAN_CRASH_SINGLE)]
     } else {
-        &[("single", PLAN_SINGLE), ("double", PLAN_DOUBLE)]
+        &[("single", PLAN_CRASH_SINGLE), ("double", PLAN_CRASH_DOUBLE)]
     };
     let intervals: &[u32] = if fast { &[64] } else { &[1, 64, 512] };
     let mut cells = Vec::new();

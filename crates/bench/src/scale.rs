@@ -1,9 +1,9 @@
 //! The paper-scale study (`experiments scale`).
 //!
-//! The calendar-queue scheduler exists so the *full-fidelity* paper
-//! deployment — Grid3×10 (~300 sites, tens of thousands of CPUs), 120
-//! submission hosts, one simulated hour — is a routine run rather than a
-//! budget item. This study runs exactly that, headlined by the Grid3×10
+//! desim's timer wheel makes the *full-fidelity* paper deployment —
+//! Grid3×10 (~300 sites, tens of thousands of CPUs), 120 submission
+//! hosts, one simulated hour — a routine run rather than a budget item.
+//! This study runs exactly that, headlined by the Grid3×10
 //! decision-point sweep plus a Grid3×100 smoke (ten times the paper's
 //! grid again), and snapshots event counts, queue high-water marks and
 //! fingerprints into `BENCH_scale.json`. What it proves is that those
@@ -16,10 +16,9 @@
 //! successful cancellations must reconcile ±0, which is the whole-run
 //! evidence that the wheel dropped or duplicated nothing.
 //!
-//! Cells seed client arrivals in batches ([`WorkloadSpec::arrival_batch`])
-//! — the scale knob the calibrated sweeps deliberately do not use, since
-//! batching reorders same-millisecond seeding sequence numbers and would
-//! therefore move their pinned fingerprints.
+//! The Grid3×10 cells are the paper's own runs, traced: every run posts
+//! each client's start on the one DiPerF ramp before its first event, so
+//! their peak q/s are the crossover table's 1-, 3- and 10-DP rows.
 //!
 //! Alongside the paper-shaped grid sweep, a **client-scale ramp** runs
 //! 10k/100k (and, in full mode, 1M) submission hosts over Grid3×10 using
@@ -34,23 +33,20 @@ use workload::WorkloadSpec;
 
 /// The study's entry in [`crate::study::STUDIES`]. Schema `/2` added the
 /// client-scale cells; `/3` dropped every wall-clock and memory column
-/// (and `jobs`), so the document is byte-reproducible.
+/// (and `jobs`), so the document is byte-reproducible; `/4` dropped the
+/// batch-size column with batched client seeding.
 pub(crate) const STUDY: Study = Study {
     id: "scale",
-    schema: "digruber-bench-scale/3",
-    header: |fast| Fields::new().with("fast", fast).with("arrival_batch", ARRIVAL_BATCH),
+    schema: "digruber-bench-scale/4",
+    header: |fast| Fields::new().with("fast", fast),
     cells,
     measure,
     render,
 };
 
-/// Clients seeded per arrival batch (paper-shaped grid cells; the
-/// client-scale cells use [`WorkloadSpec::scaled`]'s own batch size).
-const ARRIVAL_BATCH: u32 = 16;
-
 /// A Grid3×`grid_factor` cell. `ramp_clients` makes it a client-scale
 /// cell with that many submission hosts; otherwise it runs the paper's
-/// 120-host workload with batched arrivals.
+/// 120-host workload.
 fn cell(seed: u64, grid_factor: usize, n_dps: usize, ramp_clients: Option<u32>) -> Cell {
     let mut cfg = DigruberConfig::paper(n_dps, ServiceKind::Gt3, seed);
     cfg.grid_factor = grid_factor;
@@ -62,10 +58,7 @@ fn cell(seed: u64, grid_factor: usize, n_dps: usize, ramp_clients: Option<u32>) 
             label += &format!(" {n} clients");
             WorkloadSpec::scaled(n)
         }
-        None => WorkloadSpec {
-            arrival_batch: Some(ARRIVAL_BATCH),
-            ..WorkloadSpec::paper_default()
-        },
+        None => WorkloadSpec::paper_default(),
     };
     let axes = Fields::new()
         .with("grid_factor", grid_factor)
@@ -172,7 +165,6 @@ mod tests {
             assert!(cells.iter().any(|c| c.axes.u64("grid_factor") == 10));
             assert!(cells.iter().any(|c| c.axes.u64("grid_factor") == 100));
             for c in &cells {
-                assert_eq!(c.spec.workload.arrival_batch, Some(ARRIVAL_BATCH));
                 assert_eq!(c.axes.u64("n_clients"), u64::from(c.spec.workload.n_clients));
             }
         }
@@ -190,9 +182,6 @@ mod tests {
             assert!(counts.windows(2).all(|w| w[0] < w[1]));
             assert_eq!(counts[0], 10_000);
             assert_eq!(*counts.last().unwrap(), if fast { 100_000 } else { 1_000_000 });
-            for c in cells {
-                assert!(c.spec.workload.arrival_batch.is_some(), "wide ramps batch");
-            }
         }
     }
 
@@ -224,39 +213,21 @@ mod tests {
         assert!(row.u64("peak_pending") > 1_000);
         assert!(row.f64("handled_fraction") > 0.0);
         let json = STUDY.json(true, &[row]);
-        assert!(json.contains("\"schema\": \"digruber-bench-scale/3\""));
+        assert!(json.contains("\"schema\": \"digruber-bench-scale/4\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]
-    fn batched_arrivals_keep_client_start_times() {
-        // Batching may only amortize seeding; each client's *arrival time*
-        // must be unchanged (only same-millisecond interleaving may move,
-        // which is why the calibrated sweeps keep batching off). A client's
-        // first query is issued synchronously from its start event, so the
-        // per-client earliest `sent_at` pins the arrival time exactly.
-        let cfg = DigruberConfig::small(2, 42);
-        let unbatched =
-            digruber::run_experiment(cfg.clone(), WorkloadSpec::small(), "unbatched").unwrap();
-        let batched = digruber::run_experiment(
-            cfg,
-            WorkloadSpec {
-                arrival_batch: Some(3),
-                ..WorkloadSpec::small()
-            },
-            "batched",
-        )
-        .unwrap();
-        let first_sent = |o: &ExperimentOutput| {
-            let mut firsts = std::collections::BTreeMap::new();
-            for t in &o.traces {
-                let e = firsts.entry(t.client).or_insert(t.sent_at);
-                *e = (*e).min(t.sent_at);
-            }
-            firsts
-        };
-        let (u, b) = (first_sent(&unbatched), first_sent(&batched));
-        assert_eq!(u.len(), 8, "every small() client must have issued");
-        assert_eq!(u, b);
+    fn grid3x10_cells_are_the_papers_own_runs() {
+        // The scale study's Grid3×10 cells and the crossover's rows are
+        // one deployment, so a traced run of each has the same pins.
+        let cells = cells(true, crate::SEED);
+        let c = cells.iter().find(|c| c.axes.str("label") == "scale: Grid3x10 3 DPs");
+        let c = c.expect("the fast set has the 3-DP Grid3x10 cell");
+        let mut paper = crate::dp_scaling_spec(ServiceKind::Gt3, 3, crate::SEED);
+        paper.label = c.spec.label.clone();
+        paper.cfg.trace = Some(obs::TraceConfig::default());
+        let run = |spec: &digruber::RunSpec| crate::output_pins(&spec.run().expect("runs"));
+        assert_eq!(run(&c.spec), run(&paper));
     }
 }

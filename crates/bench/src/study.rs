@@ -344,6 +344,13 @@ pub(crate) fn fault_deployment(n_dps: usize, seed: u64) -> DigruberConfig {
     cfg
 }
 
+/// One decision point crashes mid-run, after the ramp has populated the
+/// views, and stays down for two minutes (the recovery and health
+/// studies' single-crash plan).
+pub(crate) const PLAN_CRASH_SINGLE: &str = "crash@240=1+120";
+/// Two staggered crashes on different points.
+pub(crate) const PLAN_CRASH_DOUBLE: &str = "crash@240=1+120; crash@420=2+90";
+
 /// The workload of the fault studies: 90 clients (vs. the 24 of the perf
 /// sweeps) so the long-running jobs actually fill the Grid3×1 CPUs within
 /// the 12 minutes — placement quality only shows up in queue time once the

@@ -70,11 +70,13 @@ fn sweep_refuses_a_flag_it_does_not_know() {
 #[test]
 fn sweep_refuses_a_value_flag_without_its_value_or_given_twice() {
     // Each of these used to run a default (all three DP counts, no faults)
-    // or the first of two values, and exit 0.
+    // or the first of two values, and exit 0; a departure fraction past 1
+    // used to be refused only once its cell had started.
     for (tail, why) in [
         ("--dps", "--dps needs a value"),
         ("--dps 1 --faults", "--faults needs a value"),
         ("--dps 1 --dps 3", "--dps given twice"),
+        ("--dps 1 --departure 1.5", "departure"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
             .args(["--clients", "2", "--duration-mins", "1"])
@@ -124,7 +126,7 @@ fn scale_artifacts_are_byte_identical_across_jobs() {
     assert_eq!(serial, artifacts("scale-j4", "4"));
     let [json, timelines] = serial;
     assert!(!timelines.is_empty());
-    assert!(json.contains("\"schema\": \"digruber-bench-scale/3\""), "{json}");
+    assert!(json.contains("\"schema\": \"digruber-bench-scale/4\""), "{json}");
     assert!(json.contains("\"n_clients\": 100000"), "{json}");
     let cells = json.matches("\"fingerprint\":").count();
     assert_eq!(cells, 4);

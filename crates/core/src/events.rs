@@ -127,13 +127,6 @@ pub enum Ev {
     /// A trace marker due at a set time: a store operation's modeled cost
     /// has elapsed, or a fault-plan window opens or closes.
     Emit(TraceEvent),
-    /// One chunk of batched tester seeding: `crate::run::seed_clients`.
-    SeedClients {
-        /// First client of the chunk.
-        lo: u32,
-        /// One past its last.
-        hi: u32,
-    },
     /// Schedule the fault plan's clauses: `faults::seed_plan`.
     SeedPlan,
     /// A `slow@` window opens or closes: `faults::set_slowdown`.
@@ -203,7 +196,6 @@ impl World {
             Ev::MonitorRefresh => monitor_refresh(self, s),
             Ev::LoadSample => load_sample(self, s),
             Ev::Emit(event) => self.trace.emit(s.now(), || event),
-            Ev::SeedClients { lo, hi } => crate::run::seed_clients(self, s, lo, hi),
             Ev::SeedPlan => faults::seed_plan(self, s),
             Ev::Slowdown { dp, factor } => faults::set_slowdown(self, s, dp, factor),
             Ev::Crash { dp, down_for } => faults::crash(self, s, dp, down_for),
@@ -606,8 +598,7 @@ pub(crate) fn dispatch_job(
             }
         }
         Err(_) => {
-            // Site rejected the placement (an oversized job).
-            w.rejected_dispatches += 1;
+            // Unreachable: every job takes 1 CPU and every site has at least 8.
         }
     }
 }

@@ -1,7 +1,7 @@
 //! One-call experiment execution.
 
 use crate::config::DigruberConfig;
-use crate::events::{Ev, Sched, Sim};
+use crate::events::{Ev, Sim};
 use crate::metrics::{AvailableCapacity, JobMetricsAccumulator, JobObservation, TableRows};
 use crate::world::World;
 use diperf::{DiPerfReport, RequestTrace};
@@ -156,7 +156,6 @@ pub fn run_to_end(
     cfg: DigruberConfig,
     workload: WorkloadSpec,
 ) -> GridResult<Sim> {
-    let arrival_batch = workload.arrival_batch;
     let world = World::new(cfg, workload)?;
     let mut sim = Sim::with_events(world);
     let tracer = sim.world().trace.clone();
@@ -165,26 +164,10 @@ pub fn run_to_end(
     // Seed the initial events: tester ramp, sync rounds, load sampling,
     // and (when configured) the fault plan and the autoscaler tick.
     let schedule = sim.world().schedule;
-    match arrival_batch {
-        None => {
-            for c in 0..schedule.n_clients {
-                let client = gruber_types::ClientId(c);
-                let at = schedule.start_of(client);
-                sim.scheduler().post_at(at, Ev::ClientStart(client));
-            }
-        }
-        Some(batch) => {
-            // One seeder event per chunk of clients, fired at the chunk's
-            // earliest ramp start (start_of is monotone in client id), so
-            // the up-front queue stays O(n/batch).
-            let mut c = 0u32;
-            while c < schedule.n_clients {
-                let hi = (c + batch).min(schedule.n_clients);
-                let at = schedule.start_of(gruber_types::ClientId(c));
-                sim.scheduler().post_at(at, Ev::SeedClients { lo: c, hi });
-                c = hi;
-            }
-        }
+    for c in 0..schedule.n_clients {
+        let client = gruber_types::ClientId(c);
+        let at = schedule.start_of(client);
+        sim.scheduler().post_at(at, Ev::ClientStart(client));
     }
     let sync_interval = sim.world().cfg.sync_interval;
     if sim.world().exchanges_state() {
@@ -208,16 +191,6 @@ pub fn run_to_end(
     let end = sim.world().end;
     sim.run_until(end);
     Ok(sim)
-}
-
-/// One chunk of batched tester seeding: posts each client's start at its
-/// exact ramp time, so arrival times match unbatched seeding millisecond
-/// for millisecond.
-pub(crate) fn seed_clients(w: &mut World, s: &mut Sched, lo: u32, hi: u32) {
-    for c in lo..hi {
-        let client = gruber_types::ClientId(c);
-        s.post_at(w.schedule.start_of(client), Ev::ClientStart(client));
-    }
 }
 
 fn finalize(

@@ -316,8 +316,6 @@ pub struct World {
     pub(crate) retire_log: Vec<(SimTime, DpId)>,
     /// Requests denied by USLA enforcement.
     pub(crate) denied_requests: u64,
-    /// Placements rejected by sites (oversized jobs).
-    pub(crate) rejected_dispatches: u64,
     /// Decision-point crashes injected.
     pub dp_failures: u64,
     /// Client failover re-bindings performed.
@@ -389,10 +387,11 @@ impl World {
                 blocked_on_queue: false,
             })
             .collect();
-        let schedule = match workload.ramp_fraction {
-            Some(f) => RampSchedule::new(workload.n_clients, workload.duration, f),
-            None => RampSchedule::paper_default(workload.n_clients, workload.duration),
-        }
+        let schedule = RampSchedule::new(
+            workload.n_clients,
+            workload.duration,
+            workload.ramp_fraction,
+        )
         .with_departure(workload.departure_fraction);
         let end = schedule.end();
         Ok(World {
@@ -418,7 +417,6 @@ impl World {
             reconfig_log: Vec::new(),
             retire_log: Vec::new(),
             denied_requests: 0,
-            rejected_dispatches: 0,
             dp_failures: 0,
             failovers: 0,
             max_recovery_ms: 0,

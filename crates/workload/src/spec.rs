@@ -22,21 +22,12 @@ pub struct WorkloadSpec {
     /// Fraction of the run over which clients leave again at the end
     /// (0.0 = everyone stays, the paper's figures).
     pub departure_fraction: f64,
-    /// Seed client arrivals in chunks of this many clients: one seeder
-    /// event per chunk schedules its clients' exact ramp start times,
-    /// amortizing scheduler insertion cost for very wide client counts.
-    /// `None` (the default everywhere) seeds every client up front, which
-    /// keeps the event sequence — and hence run fingerprints — identical
-    /// to pre-batching builds. Arrival *times* are the same either way;
-    /// only the interleaving of same-millisecond events may differ, so
-    /// the scale driver opts in and the calibrated sweeps do not.
-    pub arrival_batch: Option<u32>,
-    /// Fraction of the run over which clients join. `None` (the default
-    /// everywhere) keeps DiPerF's paper shape — a ramp over the first
-    /// 60 % of the experiment — and with it every pre-existing run
-    /// fingerprint; the elastic-membership scenarios override it
+    /// Fraction of the run over which clients join, one DiPerF ramp that
+    /// every client's start is posted on before the first event. The
+    /// paper's shape is 0.6, a ramp over the first 60 % of the
+    /// experiment; the elastic-membership scenarios override it
     /// ([`WorkloadSpec::diurnal`], [`WorkloadSpec::flash_crowd`]).
-    pub ramp_fraction: Option<f64>,
+    pub ramp_fraction: f64,
 }
 
 impl WorkloadSpec {
@@ -52,8 +43,7 @@ impl WorkloadSpec {
             job_runtime: Dist::lognormal_mean_cv(2400.0, 1.0),
             duration: SimDuration::HOUR,
             departure_fraction: 0.0,
-            arrival_batch: None,
-            ramp_fraction: None,
+            ramp_fraction: 0.6,
         }
     }
 
@@ -68,8 +58,7 @@ impl WorkloadSpec {
             job_runtime: Dist::lognormal_mean_cv(120.0, 0.8),
             duration: SimDuration::from_mins(10),
             departure_fraction: 0.0,
-            arrival_batch: None,
-            ramp_fraction: None,
+            ramp_fraction: 0.6,
         }
     }
 
@@ -82,9 +71,7 @@ impl WorkloadSpec {
     /// initial synchronous query on arrival — and the in-flight work per
     /// client stays O(1). That keeps 10k/100k/1M-client ramps bounded by
     /// per-client bookkeeping (client state, one job record, one dispatch
-    /// observation) rather than by an ever-deepening closed loop. Arrivals
-    /// are seeded in batches to amortize scheduler insertion cost at very
-    /// wide client counts.
+    /// observation) rather than by an ever-deepening closed loop.
     pub fn scaled(n_clients: u32) -> Self {
         WorkloadSpec {
             n_vos: 10,
@@ -94,8 +81,7 @@ impl WorkloadSpec {
             job_runtime: Dist::lognormal_mean_cv(2400.0, 1.0),
             duration: SimDuration::from_mins(2),
             departure_fraction: 0.0,
-            arrival_batch: Some(256),
-            ramp_fraction: None,
+            ramp_fraction: 0.6,
         }
     }
 
@@ -106,7 +92,7 @@ impl WorkloadSpec {
     pub fn diurnal(n_clients: u32) -> Self {
         WorkloadSpec {
             n_clients,
-            ramp_fraction: Some(0.45),
+            ramp_fraction: 0.45,
             departure_fraction: 0.45,
             ..WorkloadSpec::paper_default()
         }
@@ -118,29 +104,28 @@ impl WorkloadSpec {
     pub fn flash_crowd(n_clients: u32) -> Self {
         WorkloadSpec {
             n_clients,
-            ramp_fraction: Some(0.05),
+            ramp_fraction: 0.05,
             ..WorkloadSpec::paper_default()
         }
     }
 
     /// Sanity-checks the spec.
     pub fn validate(&self) -> Result<(), gruber_types::GridError> {
+        let invalid = |why: String| Err(gruber_types::GridError::InvalidConfig(why));
         if self.n_vos == 0
             || self.groups_per_vo == 0
             || self.n_clients == 0
             || self.duration.is_zero()
-            || !(0.0..=1.0).contains(&self.departure_fraction)
-            || self.arrival_batch == Some(0)
         {
-            return Err(gruber_types::GridError::InvalidConfig(
-                "workload spec has a zero field".into(),
-            ));
+            return invalid("workload spec has a zero field".into());
         }
-        if let Some(f) = self.ramp_fraction {
+        let fractions = [
+            ("departure", self.departure_fraction),
+            ("ramp", self.ramp_fraction),
+        ];
+        for (name, f) in fractions {
             if !(0.0..=1.0).contains(&f) {
-                return Err(gruber_types::GridError::InvalidConfig(
-                    "ramp fraction outside [0, 1]".into(),
-                ));
+                return invalid(format!("{name} fraction {f} outside [0, 1]"));
             }
         }
         Ok(())
@@ -174,24 +159,29 @@ mod tests {
         // query and the run's footprint scales with population, not with
         // closed-loop depth.
         assert!(w.think_time.mean() > w.duration.as_secs_f64());
-        // Wide ramps must seed in batches, or event-queue insertion at 1M
-        // clients dominates the run.
-        assert!(w.arrival_batch.is_some());
     }
 
     #[test]
     fn scenario_shapes() {
         let d = WorkloadSpec::diurnal(100);
         d.validate().unwrap();
-        assert_eq!(d.ramp_fraction, Some(0.45));
+        assert_eq!(d.ramp_fraction, 0.45);
         assert_eq!(d.departure_fraction, 0.45);
         let f = WorkloadSpec::flash_crowd(100);
         f.validate().unwrap();
-        assert_eq!(f.ramp_fraction, Some(0.05));
+        assert_eq!(f.ramp_fraction, 0.05);
         assert_eq!(f.departure_fraction, 0.0);
-        let mut bad = WorkloadSpec::small();
-        bad.ramp_fraction = Some(1.5);
-        assert!(bad.validate().is_err());
+        let why = |w: WorkloadSpec| w.validate().unwrap_err().to_string();
+        let ramp = why(WorkloadSpec {
+            ramp_fraction: 1.5,
+            ..WorkloadSpec::small()
+        });
+        assert!(ramp.contains("ramp fraction"), "{ramp}");
+        let departure = why(WorkloadSpec {
+            departure_fraction: 1.5,
+            ..WorkloadSpec::small()
+        });
+        assert!(departure.contains("departure fraction"), "{departure}");
     }
 
     #[test]

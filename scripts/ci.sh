@@ -218,7 +218,7 @@ for f in $(grep -rlE --include=*.rs 'ExperimentOutput' crates/*/src src examples
     || { echo "ci.sh: $f formats a whole ExperimentOutput outside its tests (lines above)"; exit 1; }
 done
 
-echo "==> every capability earns its keep: sites are FIFO, CPU-only and uncapped, loss and churn are fault-plan clauses, one join/leave path, one site selector, one GRUB-SIM path, no one-consumer crate"
+echo "==> every capability earns its keep: sites are FIFO, CPU-only and uncapped, loss and churn are fault-plan clauses, one join/leave path, one site selector, one GRUB-SIM path, one way a client arrives, no one-consumer crate"
 # Site disciplines and the base WAN loss rate had no paper claim, study
 # cell, test or workload behind them and were deleted; a second site
 # scheduler or a second loss path is the unused option growing back.
@@ -246,6 +246,11 @@ echo "==> every capability earns its keep: sites are FIFO, CPU-only and uncapped
 { ! grep -rnE 'SelectorKind|RandomSelector|RoundRobinSelector|LeastRecentlyUsedSelector|UslaAwareSelector|"--selector"|simulate_rebalancing|grubsim_cli|save-traces|from_lines|dyn SiteSelector' \
       --include=*.rs --include=Cargo.toml crates src tests examples; } \
   || { echo "ci.sh: a deleted selector or GRUB-SIM path is back (lines above)"; exit 1; }
+# One way a client arrives: every run posts each client's start on the
+# one DiPerF ramp before its first event. A chunked seeder event was a
+# second path whose only reason, an insertion cost, the wheel no longer has.
+{ ! grep -rnE 'arrival_batch|SeedClients|seed_clients' --include=*.rs crates src tests examples; } \
+  || { echo "ci.sh: a second client-seeding path is back (lines above)"; exit 1; }
 
 # A crate with one consumer is folded into it: `membership` is
 # `digruber::elastic`, `gruber-metrics` is `diperf`'s summary and series
