@@ -36,7 +36,7 @@
 //!                       refreshed every N seconds          (default off)
 //! --lan                 LAN instead of PlanetLab WAN
 //! --enforce             enforce USLA admission verdicts
-//! --dynamic             elastic pool: ring homing + the `membership`
+//! --dynamic             elastic pool: ring homing + the `digruber::elastic`
 //!                       autoscaler at its defaults (paper §5)
 //! --jobs N              worker threads for the sweep       (default: all cores;
 //!                       1 = serial; results identical either way)
@@ -140,7 +140,7 @@ fn sweep() -> GridResult<()> {
             cfg.wan = WanKind::Lan;
         }
         if args.switch("--dynamic") {
-            cfg.membership = Some(digruber::MembershipConfig::default());
+            cfg.membership = Some(digruber::ScalerConfig::default());
         }
         cfg.failover_after = args.num("--failover")?.unwrap_or(0);
         cfg.max_jobs_in_flight = args.num("--max-in-flight")?;

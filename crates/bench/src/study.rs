@@ -244,7 +244,7 @@ pub fn output_pins(out: &ExperimentOutput) -> Pins {
         label, report, figure_rows, table, mean_handled_accuracy, traces, final_dps,
         reconfig_log, retire_log, jobs_dispatched, denied_requests, dp_failures, failovers,
         timeouts_by_dp, max_view_staleness_ms, vo_cpu_share, recoveries, wal_records_replayed,
-        max_recovery_ms, dp_joins, dp_leaves, clients_rehomed,
+        max_recovery_ms, clients_rehomed,
         // The engine half.
         events_executed, peak_pending, sched_cancellations,
         // Both: `RunTimeline::pin` splits it.
@@ -256,7 +256,10 @@ pub fn output_pins(out: &ExperimentOutput) -> Pins {
         "{label:?} {report:?} {figure_rows:?} {table:?} {mean_handled_accuracy:?} {traces:?} \
          {final_dps} {reconfig_log:?} {retire_log:?} {jobs_dispatched} {denied_requests} \
          {dp_failures} {failovers} {timeouts_by_dp:?} {max_view_staleness_ms:?} {vo_cpu_share:?} \
-         {recoveries} {wal_records_replayed} {max_recovery_ms} {dp_joins} {dp_leaves} {clients_rehomed}"
+         {recoveries} {wal_records_replayed} {max_recovery_ms} {} {} {clients_rehomed}",
+        // The join and leave counts, in the slots that keep every pin.
+        reconfig_log.len(),
+        retire_log.len(),
     );
     let _ = write!(engine, "{events_executed} {peak_pending} {sched_cancellations}");
     if let Some(tl) = timeline {

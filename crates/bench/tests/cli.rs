@@ -113,6 +113,21 @@ fn sweep_refuses_times_whose_milliseconds_overflow() {
 }
 
 #[test]
+fn sweep_runs_an_elastic_pool() {
+    // `--dynamic` is the command line's one route into `digruber::elastic`.
+    let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args(["--dps", "1", "--clients", "4", "--duration-mins", "2", "--dynamic"])
+        .output()
+        .expect("spawn sweep");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "a header and one row: {stdout}");
+    assert!(lines[0].trim_start().starts_with("DPs"), "{stdout}");
+    assert_eq!(lines[1].split_whitespace().count(), 8, "{stdout}");
+}
+
+#[test]
 fn scale_artifacts_are_byte_identical_across_jobs() {
     // Both artifacts depend on nothing but the cells: no worker count,
     // clock or memory reading reaches them.

@@ -157,12 +157,12 @@ pub struct DigruberConfig {
     /// and the output carries a per-decision-point timeline. `None` (the
     /// default) costs one untaken branch per instrumented call.
     pub trace: Option<obs::TraceConfig>,
-    /// Optional elastic membership: consistent-hash client homing plus
-    /// the `crate::elastic` autoscaler control loop driving dynamic
-    /// decision point join/leave. `None` (the default) keeps the paper's
-    /// static random binding and a fixed pool — runs are byte-identical
-    /// to builds without the subsystem.
-    pub membership: Option<crate::elastic::MembershipConfig>,
+    /// Optional elastic membership, given as its autoscaler policy:
+    /// consistent-hash client homing plus the `crate::elastic` control
+    /// loop driving dynamic decision point join/leave. `None` (the
+    /// default) keeps the paper's static random binding and a fixed pool
+    /// — runs are byte-identical to builds without the subsystem.
+    pub membership: Option<crate::elastic::ScalerConfig>,
 }
 
 impl DigruberConfig {
@@ -251,8 +251,8 @@ impl DigruberConfig {
                 "zero monitor refresh".into(),
             ));
         }
-        if let Some(m) = &self.membership {
-            m.validate()?;
+        if let Some(scaler) = &self.membership {
+            scaler.validate()?;
         }
         if let Some(plan) = &self.fault_plan {
             plan.validate(self.n_dps)?;

@@ -17,7 +17,8 @@
 //! * [`MembershipTable`] — the epoch-stamped member list. Joins and
 //!   leaves are first-class protocol inputs: each bumps the epoch, so two
 //!   runs can compare tables by `(epoch, members)` alone.
-//! * [`HashRing`] — consistent hashing with virtual nodes, replacing the
+//! * [`HashRing`] — consistent hashing with 64 virtual nodes per point
+//!   (`VNODES`), replacing the
 //!   paper's static client→DP binding. Vnode positions are deterministic
 //!   in `(seed, dp, replica)` and independent of insertion order, so a
 //!   join re-homes only the ~`1/n` clients whose arc the newcomer claims
@@ -47,14 +48,17 @@
 //!   final sync tick (routed through the normal exchange path, so latency,
 //!   loss and partitions all apply) before going dark; records it learned
 //!   are not lost with it.
-//! * **Autoscaler** — [`membership_tick`] samples the pool (service
-//!   backlogs plus the `obs` health flags, read in place through
-//!   [`obs::Recorder::degraded`]) and executes [`Autoscaler`] decisions.
+//! * **Autoscaler** — every [`CHECK_INTERVAL`] (30 s of simulated time)
+//!   [`membership_tick`] samples the pool (service backlogs plus the `obs`
+//!   health flags, read in place through [`obs::Recorder::degraded`]) and
+//!   executes [`Autoscaler`] decisions.
 //!
-//! Everything here is gated on [`crate::config::DigruberConfig::membership`]
-//! — `None` (the default) runs the paper's static binding with a byte-
-//! identical event stream to pre-membership builds. `BENCH_topology.json`
-//! pins the measured behaviour by exchange topology × DP count.
+//! Everything here is gated on [`crate::config::DigruberConfig::membership`],
+//! which is the autoscaler's [`ScalerConfig`]: an elastic pool is its
+//! policy. `None` (the default) runs the paper's static binding with a
+//! byte-identical event stream to pre-membership builds.
+//! `BENCH_topology.json` pins the measured behaviour by exchange topology
+//! × DP count.
 
 mod ring;
 mod scaler;
@@ -67,94 +71,42 @@ pub(crate) use table::MembershipTable;
 
 use crate::events::{send_exchange, sync_dp, Ev, Sched};
 use crate::world::{DecisionPoint, World};
-use gruber_types::{ClientId, DpId, GridError, SimDuration};
+use gruber_types::{ClientId, DpId, SimDuration};
 
-/// Configuration for the elastic-membership subsystem. `None` at the
-/// deployment level (the default everywhere) reproduces the paper: static
-/// binding, fixed pool, byte-identical fingerprints with pre-membership
-/// builds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MembershipConfig {
-    /// Virtual nodes per decision point on the consistent-hash ring.
-    /// More vnodes smooth the load split at the cost of ring size; 64
-    /// keeps the max/mean client imbalance under ~30 % at 100 DPs.
-    pub vnodes: u32,
-    /// How often the runtime samples the pool and consults the
-    /// autoscaler. Ignored when `scaler` is `None`.
-    pub check_interval: SimDuration,
-    /// The autoscaler policy; `None` keeps the pool fixed (ring homing
-    /// and explicit join/leave still work).
-    pub scaler: Option<ScalerConfig>,
-}
+/// Virtual nodes per decision point on the consistent-hash ring: 64
+/// keeps the max/mean client imbalance under ~30 % at 100 DPs.
+const VNODES: u32 = 64;
 
-impl Default for MembershipConfig {
-    fn default() -> Self {
-        MembershipConfig {
-            vnodes: 64,
-            check_interval: SimDuration::from_secs(30),
-            scaler: Some(ScalerConfig::default()),
-        }
-    }
-}
-
-impl MembershipConfig {
-    /// Sanity-checks the configuration.
-    pub fn validate(&self) -> Result<(), GridError> {
-        if self.vnodes == 0 {
-            return Err(GridError::InvalidConfig(
-                "membership with zero vnodes".into(),
-            ));
-        }
-        if self.scaler.is_some() && self.check_interval.is_zero() {
-            return Err(GridError::InvalidConfig(
-                "autoscaler with zero check interval".into(),
-            ));
-        }
-        if let Some(s) = &self.scaler {
-            s.validate()?;
-        }
-        Ok(())
-    }
-}
+/// How often the runtime samples the pool and consults the autoscaler.
+pub(crate) const CHECK_INTERVAL: SimDuration = SimDuration::from_secs(30);
 
 /// The elastic-membership state a [`World`] carries when
 /// [`crate::config::DigruberConfig::membership`] is set.
 pub struct MembershipRuntime {
-    /// The subsystem configuration.
-    pub(crate) cfg: MembershipConfig,
     /// Epoch-stamped member list.
     pub table: MembershipTable,
     /// Consistent-hash client homing.
     pub(crate) ring: HashRing,
-    /// The control loop (`None` keeps the pool fixed; explicit
-    /// [`join_decision_point`]/[`leave_decision_point`] still work).
-    pub(crate) scaler: Option<Autoscaler>,
-    /// Joins executed.
-    pub(crate) dp_joins: u64,
-    /// Leaves executed.
-    pub dp_leaves: u64,
+    /// The control loop.
+    pub(crate) scaler: Autoscaler,
     /// Client re-homings executed (join and leave combined).
     pub(crate) clients_rehomed: u64,
 }
 
 impl MembershipRuntime {
     /// Builds the runtime for an initial pool of `n_dps` points.
-    pub fn new(cfg: MembershipConfig, seed: u64, n_dps: usize) -> Self {
+    pub fn new(scaler: ScalerConfig, seed: u64, n_dps: usize) -> Self {
         MembershipRuntime {
             table: MembershipTable::with_initial(n_dps),
-            ring: HashRing::with_members(seed, cfg.vnodes, n_dps),
-            scaler: cfg.scaler.map(Autoscaler::new),
-            dp_joins: 0,
-            dp_leaves: 0,
+            ring: HashRing::with_members(seed, VNODES, n_dps),
+            scaler: Autoscaler::new(scaler),
             clients_rehomed: 0,
-            cfg,
         }
     }
 
     /// The ring's home for a client (initial binding and re-homing use
-    /// the same lookup). Panics only on an empty ring, which
-    /// [`MembershipConfig::validate`] plus a non-empty
-    /// deployment rule out.
+    /// the same lookup). Panics only on an empty ring, which a non-empty
+    /// deployment rules out.
     pub(crate) fn home_of(&self, c: ClientId) -> DpId {
         self.ring.home_of(c).expect("non-empty ring")
     }
@@ -208,7 +160,6 @@ pub(crate) fn join_decision_point(w: &mut World, s: &mut Sched) -> Option<DpId> 
     let m = w.membership.as_mut().expect("checked above");
     let epoch = m.table.join(new_id);
     m.ring.insert(new_id);
-    m.dp_joins += 1;
     w.trace.emit(now, || obs::TraceEvent::DpJoined {
         dp: new_id,
         epoch: epoch as u32,
@@ -268,7 +219,6 @@ pub(crate) fn leave_decision_point(w: &mut World, s: &mut Sched) -> Option<DpId>
     let m = w.membership.as_mut().expect("checked above");
     let epoch = m.table.leave(leaver);
     m.ring.remove(leaver);
-    m.dp_leaves += 1;
     w.trace.emit(now, || obs::TraceEvent::DpLeft {
         dp: leaver,
         epoch: epoch as u32,
@@ -280,26 +230,14 @@ pub(crate) fn leave_decision_point(w: &mut World, s: &mut Sched) -> Option<DpId>
 }
 
 /// The autoscaler's periodic tick: sample the pool, consult the policy,
-/// execute the decision, reschedule. Seeded by the runner iff
-/// [`crate::config::DigruberConfig::membership`] carries a scaler.
+/// execute the decision, reschedule every [`CHECK_INTERVAL`]. Seeded by
+/// the runner iff [`crate::config::DigruberConfig::membership`] is set.
 pub(crate) fn membership_tick(w: &mut World, s: &mut Sched) {
-    let Some(m) = &w.membership else {
+    let sample = pool_sample(w);
+    let Some(m) = w.membership.as_mut() else {
         return;
     };
-    if m.scaler.is_none() {
-        return;
-    }
-    let interval = m.cfg.check_interval;
-    let sample = pool_sample(w);
-    let decision = w
-        .membership
-        .as_mut()
-        .expect("checked above")
-        .scaler
-        .as_mut()
-        .expect("checked above")
-        .observe(sample);
-    match decision {
+    match m.scaler.observe(sample) {
         ScaleDecision::Hold => {}
         ScaleDecision::Grow => {
             join_decision_point(w, s);
@@ -309,7 +247,7 @@ pub(crate) fn membership_tick(w: &mut World, s: &mut Sched) {
         }
     }
     if s.now() < w.end {
-        s.post_in(interval, Ev::MembershipTick);
+        s.post_in(CHECK_INTERVAL, Ev::MembershipTick);
     }
 }
 
@@ -321,18 +259,15 @@ mod tests {
     use gruber_types::SimTime;
     use workload::WorkloadSpec;
 
-    fn elastic_cfg(n_dps: usize, scaler: Option<ScalerConfig>) -> DigruberConfig {
+    fn elastic_cfg(n_dps: usize, scaler: ScalerConfig) -> DigruberConfig {
         let mut cfg = DigruberConfig::small(n_dps, 11);
-        cfg.membership = Some(MembershipConfig {
-            scaler,
-            ..MembershipConfig::default()
-        });
+        cfg.membership = Some(scaler);
         cfg
     }
 
     fn elastic_world(n_dps: usize, n_clients: u32) -> World {
         World::new(
-            elastic_cfg(n_dps, None),
+            elastic_cfg(n_dps, ScalerConfig::default()),
             WorkloadSpec {
                 n_clients,
                 ..WorkloadSpec::small()
@@ -365,7 +300,7 @@ mod tests {
         let w = sim.world();
         assert_eq!(w.dps.len(), 5);
         let m = w.membership.as_ref().unwrap();
-        assert_eq!(m.dp_joins, 1);
+        assert_eq!(w.reconfig_log.len(), 1);
         assert_eq!(m.table.live_count(), 5);
         let moved = w.clients.iter().filter(|c| c.dp == DpId(4)).count() as u64;
         assert_eq!(m.clients_rehomed, moved);
@@ -420,7 +355,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(6));
         let w = sim.world();
         let m = w.membership.as_ref().unwrap();
-        assert_eq!(m.dp_leaves, 1);
+        assert_eq!(w.retire_log.len(), 1);
         assert_eq!(m.table.live_count(), 3);
         assert!(!w.dps[3].up(), "leaver still up");
         for (c, &was) in w.clients.iter().zip(&before) {
@@ -437,7 +372,7 @@ mod tests {
 
     #[test]
     fn departed_point_is_not_resurrected_by_its_pending_restart() {
-        let mut cfg = elastic_cfg(3, None);
+        let mut cfg = elastic_cfg(3, ScalerConfig::default());
         cfg.fault_plan = Some(crate::faults::FaultPlan::parse("crash@5=2+20").unwrap());
         let mut sim = Sim::with_events(World::new(cfg, WorkloadSpec::small()).unwrap());
         sim.scheduler().post_at(SimTime::ZERO, Ev::SeedPlan);
@@ -487,17 +422,15 @@ mod tests {
 
     #[test]
     fn saturation_grows_the_pool_through_the_tick() {
-        let mut cfg = elastic_cfg(
+        let cfg = elastic_cfg(
             1,
-            Some(ScalerConfig {
+            ScalerConfig {
                 grow_backlog: 2,
                 grow_windows: 2,
                 cooldown: 0,
                 ..ScalerConfig::default()
-            }),
+            },
         );
-        cfg.membership.as_mut().unwrap().check_interval =
-            gruber_types::SimDuration::from_secs(10);
         let mut sim = Sim::with_events(World::new(cfg, WorkloadSpec::small()).unwrap());
         {
             let w = sim.world_mut();
@@ -513,22 +446,20 @@ mod tests {
             "sustained backlog did not grow the pool ({} DPs)",
             w.dps.len()
         );
-        assert!(w.membership.as_ref().unwrap().dp_joins >= 1);
+        assert!(!w.reconfig_log.is_empty());
     }
 
     #[test]
     fn idleness_shrinks_back_to_min() {
-        let mut cfg = elastic_cfg(
+        let cfg = elastic_cfg(
             3,
-            Some(ScalerConfig {
+            ScalerConfig {
                 shrink_windows: 2,
                 cooldown: 0,
                 min_dps: 2,
                 ..ScalerConfig::default()
-            }),
+            },
         );
-        cfg.membership.as_mut().unwrap().check_interval =
-            gruber_types::SimDuration::from_secs(10);
         let mut sim = Sim::with_events(
             World::new(
                 cfg,
@@ -544,7 +475,7 @@ mod tests {
         let w = sim.world();
         let m = w.membership.as_ref().unwrap();
         assert_eq!(m.table.live_count(), 2, "idle pool should shrink to min_dps");
-        assert_eq!(m.dp_leaves, 1);
+        assert_eq!(w.retire_log.len(), 1);
         assert!(w.clients.iter().all(|c| w.dps[c.dp.index()].up()));
     }
 

@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn load_split_is_roughly_balanced_at_scale() {
         // 100 DPs × 64 vnodes, 100k clients: max/mean imbalance stays
-        // bounded (the vnodes=64 sizing claim of `MembershipConfig::vnodes`).
+        // bounded (the sizing claim of `elastic::VNODES`).
         let ring = HashRing::with_members(1234, 64, 100);
         let mut counts = vec![0u32; 100];
         for c in 0..100_000 {

@@ -79,8 +79,8 @@ pub(crate) struct PoolSample {
     pub(crate) max_backlog: u32,
     /// Sum of service backlogs across live points.
     pub(crate) total_backlog: u32,
-    /// Points currently health-flagged `Degrading` (0 when tracing is
-    /// off — the scaler then runs on backlog alone).
+    /// Points currently health-flagged `Degrading` (an elastic pool
+    /// always records, traced or not, so the flags are always scored).
     pub(crate) degraded: u32,
 }
 

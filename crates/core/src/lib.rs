@@ -59,7 +59,7 @@ mod run;
 mod world;
 
 pub use config::{DigruberConfig, Dissemination, ServiceKind, SyncTopology, WanKind};
-pub use elastic::{MembershipConfig, ScalerConfig};
+pub use elastic::ScalerConfig;
 pub use events::{Ev, Sim};
 pub use faults::FaultPlan;
 pub use metrics::TableRows;

@@ -115,11 +115,6 @@ pub struct ExperimentOutput {
     /// the pin); the determinism suite asserts it reconciles ±0 with the
     /// traced timeline's cancellation total.
     pub sched_cancellations: u64,
-    /// Elastic-membership joins executed (zero unless
-    /// [`crate::config::DigruberConfig::membership`] is set).
-    pub dp_joins: u64,
-    /// Elastic-membership drain-and-leaves executed.
-    pub dp_leaves: u64,
     /// Clients moved by consistent-hash re-homing across all pool
     /// changes.
     pub clients_rehomed: u64,
@@ -181,11 +176,9 @@ pub fn run_to_end(
     if sim.world().cfg.monitor_refresh.is_some() {
         sim.scheduler().post_at(SimTime::ZERO, Ev::MonitorRefresh);
     }
-    if let Some(m) = sim.world().cfg.membership {
-        if m.scaler.is_some() {
-            sim.scheduler()
-                .post_at(SimTime(m.check_interval.as_millis()), Ev::MembershipTick);
-        }
+    if sim.world().cfg.membership.is_some() {
+        let first = SimTime(crate::elastic::CHECK_INTERVAL.as_millis());
+        sim.scheduler().post_at(first, Ev::MembershipTick);
     }
 
     let end = sim.world().end;
@@ -282,8 +275,6 @@ fn finalize(
         wal_records_replayed: w.dps.iter().map(|dp| dp.host.wal_records_replayed()).sum(),
         max_recovery_ms: w.max_recovery_ms,
         sched_cancellations,
-        dp_joins: w.membership.as_ref().map_or(0, |m| m.dp_joins),
-        dp_leaves: w.membership.as_ref().map_or(0, |m| m.dp_leaves),
         clients_rehomed: w.membership.as_ref().map_or(0, |m| m.clients_rehomed),
         timeline: w.cfg.trace.and_then(|_| w.trace.finish(end)),
     }

@@ -329,7 +329,8 @@ pub struct World {
     pub(crate) trace: obs::Recorder,
     /// Elastic-membership state (`None` unless `cfg.membership` is set):
     /// the epoch-stamped table, the consistent-hash ring the clients are
-    /// homed on, the autoscaler, and the join/leave/re-home counters.
+    /// homed on, the autoscaler, and the re-home counter (joins and leaves
+    /// are counted by `reconfig_log` and `retire_log`).
     pub membership: Option<crate::elastic::MembershipRuntime>,
 }
 
@@ -354,10 +355,10 @@ impl World {
             Some(set) => set.clone(),
             None => equal_shares(workload.n_vos, workload.groups_per_vo)?,
         });
-        // The autoscaler reads the recorder's degraded flags, so a scaled
+        // The autoscaler reads the recorder's degraded flags, so an elastic
         // pool records whether or not the run exports a timeline.
-        let scaled = cfg.membership.is_some_and(|m| m.scaler.is_some());
-        let trace = obs::Recorder::from_config(cfg.trace.or(scaled.then(obs::TraceConfig::default)));
+        let elastic_trace = cfg.membership.map(|_| obs::TraceConfig::default());
+        let trace = obs::Recorder::from_config(cfg.trace.or(elastic_trace));
         let dps: Vec<DecisionPoint> = (0..cfg.n_dps)
             .map(|i| {
                 let id = DpId(i as u32);

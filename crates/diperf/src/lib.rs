@@ -26,7 +26,7 @@
 //! use diperf::{Collector, RampSchedule, RequestTrace};
 //! use gruber_types::*;
 //!
-//! let ramp = RampSchedule::paper_default(10, SimDuration::from_mins(10));
+//! let ramp = RampSchedule::new(10, SimDuration::from_mins(10), 0.6);
 //! assert_eq!(ramp.start_of(ClientId(0)), SimTime::ZERO);
 //!
 //! let mut collector = Collector::new();

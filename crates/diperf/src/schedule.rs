@@ -21,7 +21,8 @@ pub struct RampSchedule {
 }
 
 impl RampSchedule {
-    /// A ramp over the first `ramp_fraction` of the experiment.
+    /// A ramp over the first `ramp_fraction` of the experiment (the
+    /// paper's share, 0.6, is set by `workload::WorkloadSpec`).
     pub fn new(n_clients: u32, duration: SimDuration, ramp_fraction: f64) -> Self {
         assert!(n_clients > 0, "no clients");
         assert!((0.0..=1.0).contains(&ramp_fraction), "bad ramp fraction");
@@ -57,11 +58,6 @@ impl RampSchedule {
         Some(SimTime(start + u64::from(client.0) * step))
     }
 
-    /// The paper's shape: clients join over the first 60 % of the run.
-    pub fn paper_default(n_clients: u32, duration: SimDuration) -> Self {
-        RampSchedule::new(n_clients, duration, 0.6)
-    }
-
     /// When `client` joins.
     pub fn start_of(&self, client: ClientId) -> SimTime {
         assert!(client.0 < self.n_clients, "client out of schedule");
@@ -94,7 +90,7 @@ mod tests {
 
     #[test]
     fn clients_join_in_order() {
-        let r = RampSchedule::paper_default(120, SimDuration::HOUR);
+        let r = RampSchedule::new(120, SimDuration::HOUR, 0.6);
         assert_eq!(r.start_of(ClientId(0)), SimTime::ZERO);
         let mid = r.start_of(ClientId(60));
         let last = r.start_of(ClientId(119));
@@ -104,7 +100,7 @@ mod tests {
 
     #[test]
     fn active_count_monotone_during_run() {
-        let r = RampSchedule::paper_default(50, SimDuration::from_mins(10));
+        let r = RampSchedule::new(50, SimDuration::from_mins(10), 0.6);
         let mut prev = 0;
         for s in (0..600).step_by(30) {
             let a = active_at(&r, SimTime::from_secs(s));
@@ -127,12 +123,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of schedule")]
     fn unknown_client_panics() {
-        RampSchedule::paper_default(5, SimDuration::HOUR).start_of(ClientId(5));
+        RampSchedule::new(5, SimDuration::HOUR, 0.6).start_of(ClientId(5));
     }
 
     #[test]
     fn departure_ramp_staggers_leaves() {
-        let r = RampSchedule::paper_default(10, SimDuration::from_mins(10)).with_departure(0.2);
+        let r = RampSchedule::new(10, SimDuration::from_mins(10), 0.6).with_departure(0.2);
         // Departures start at minute 8.
         let first = r.leave_of(ClientId(0)).unwrap();
         let last = r.leave_of(ClientId(9)).unwrap();
@@ -148,7 +144,7 @@ mod tests {
 
     #[test]
     fn no_departure_means_none() {
-        let r = RampSchedule::paper_default(4, SimDuration::HOUR);
+        let r = RampSchedule::new(4, SimDuration::HOUR, 0.6);
         assert_eq!(r.leave_of(ClientId(2)), None);
     }
 }

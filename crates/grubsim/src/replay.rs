@@ -1,6 +1,6 @@
 //! Trace replay and decision-point provisioning.
 
-use crate::capacity::CapacityModel;
+use crate::capacity::{CapacityModel, BURST_BACKLOG};
 use diperf::RequestTrace;
 use gruber_types::{SimDuration, SimTime};
 use obs::{Recorder, TraceEvent};
@@ -98,7 +98,7 @@ pub fn simulate_required_dps(
         peak_offered = peak_offered.max(a as f64 / secs);
         let capacity = dps as f64 * model.per_interval(secs);
         backlog = (offered - capacity).max(0.0);
-        let burst_allowance = (dps as u32 * model.burst_backlog) as f64;
+        let burst_allowance = (dps as u32 * BURST_BACKLOG) as f64;
         if backlog > burst_allowance {
             overloads += 1;
             dps += 1;

@@ -1,6 +1,6 @@
 //! Dynamic decision-point provisioning (the paper's Section 5 proposal,
-//! implemented by the `membership` crate — see ARCHITECTURE.md "Elastic
-//! membership").
+//! implemented by `digruber`'s elastic module — see ARCHITECTURE.md
+//! "Elastic membership").
 //!
 //! Starts the paper-scale workload against a SINGLE decision point with
 //! the autoscaler enabled, and shows the infrastructure growing itself
@@ -12,7 +12,7 @@
 //! ```
 
 use digruber::config::DigruberConfig;
-use digruber::{run_experiment, MembershipConfig, ServiceKind};
+use digruber::{run_experiment, ScalerConfig, ServiceKind};
 use workload::WorkloadSpec;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
 
     // Elastic: same starting point, autoscaler on.
     let mut elastic_cfg = DigruberConfig::paper(1, ServiceKind::Gt3, 2005);
-    elastic_cfg.membership = Some(MembershipConfig::default());
+    elastic_cfg.membership = Some(ScalerConfig::default());
     let elastic_out = run_experiment(elastic_cfg, workload, "elastic, from 1 DP")
         .expect("experiment failed");
 
@@ -42,8 +42,8 @@ fn main() {
     println!(
         "\nfinal decision points: {} (started from 1; {} joins, {} leaves, {} clients re-homed)",
         elastic_out.final_dps,
-        elastic_out.dp_joins,
-        elastic_out.dp_leaves,
+        elastic_out.reconfig_log.len(),
+        elastic_out.retire_log.len(),
         elastic_out.clients_rehomed
     );
     println!(

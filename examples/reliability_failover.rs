@@ -12,22 +12,23 @@
 //!    timeouts) — at this load the deployment is capacity-bound, so
 //!    failover merely spreads the pain: moving 40 clients onto the
 //!    survivors saturates *them* too;
-//! 4. failover **plus dynamic provisioning** (paper §5, the `membership`
-//!    autoscaler): decision points join when the survivors overload — the
-//!    correct response when the problem is missing capacity.
+//! 4. failover **plus dynamic provisioning** (paper §5, `digruber`'s
+//!    elastic autoscaler): decision points join when the survivors
+//!    overload — the correct response when the problem is missing
+//!    capacity.
 //!
 //! ```text
 //! cargo run --release --example reliability_failover
 //! ```
 
 use digruber::config::DigruberConfig;
-use digruber::{run_experiment, ExperimentOutput, FaultPlan, MembershipConfig, ServiceKind};
+use digruber::{run_experiment, ExperimentOutput, FaultPlan, ScalerConfig, ServiceKind};
 use workload::WorkloadSpec;
 
 /// One posture: `failover_after` of `None` runs without failures.
 fn run(
     failover_after: Option<u32>,
-    membership: Option<MembershipConfig>,
+    membership: Option<ScalerConfig>,
     label: &str,
 ) -> ExperimentOutput {
     let mut cfg = DigruberConfig::paper(3, ServiceKind::Gt3, 2005);
@@ -45,7 +46,7 @@ fn main() {
     let failover = run(Some(2), None, "failures, failover only");
     let provisioned = run(
         Some(2),
-        Some(MembershipConfig::default()),
+        Some(ScalerConfig::default()),
         "failures, failover + dynamic provisioning",
     );
 

@@ -259,7 +259,10 @@ echo "==> every capability earns its keep: sites are FIFO, CPU-only and uncapped
 # site monitor, a per-VO usage sum, a Zipf sampler, the Euryale planner
 # and the job failure and resubmission only it drove (no runtime models a
 # site failure), storage accounting (every workload is CPU-only) and
-# multi-cluster sites.
+# multi-cluster sites. Nor may a setting with one value in use: an elastic
+# pool is its autoscaler policy (64 vnodes and a 30 s tick are constants
+# of `digruber::elastic`), the paper's 0.6 ramp share lives in
+# `WorkloadSpec` alone, and GRUB-SIM's burst allowance is a constant.
 { [ -z "$(ls -d crates/membership crates/metrics crates/euryale 2>/dev/null)" ] \
   && ! grep -nE '^(membership|gruber-metrics|euryale)\b|package\.(membership|gruber-metrics|euryale)\]' \
       Cargo.toml crates/*/Cargo.toml \
@@ -267,6 +270,8 @@ echo "==> every capability earns its keep: sites are FIFO, CPU-only and uncapped
       --include=*.rs crates src tests examples \
   && ! grep -rnwE 'SiteMonitor|SiteLoad|vo_running_cpus|Zipf' --include=*.rs crates src tests examples \
   && ! grep -rnE 'EuryalePlanner|JobDag|SubmitFile|job_storage_mb|total_storage_mb|free_storage_mb|JobState::Failed|fn resubmit|ClusterSpec' \
+      --include=*.rs crates src tests examples \
+  && ! grep -rnE 'MembershipConfig|RampSchedule::paper_default|burst_backlog' \
       --include=*.rs crates src tests examples; } \
   || { echo "ci.sh: a folded crate or deleted dead code is back (lines above)"; exit 1; }
 

@@ -83,24 +83,17 @@ fn whole_experiment_is_bit_deterministic() {
     assert_eq!(a.table, b.table);
 }
 
-/// Paper Section 5's third-party observer — the `membership` autoscaler
-/// driven by `digruber::elastic` — exercised through the public run API.
+/// Paper Section 5's third-party observer — the `digruber::elastic`
+/// autoscaler — exercised through the public run API.
 mod pool_sizing {
     use super::*;
     use desim::DetRng;
-    use digruber::{run_to_end, Ev, MembershipConfig, ScalerConfig, Sim, World};
+    use digruber::{run_to_end, Ev, ScalerConfig, Sim, World};
     use gruber_types::SimTime;
-
-    fn autoscaled(scaler: ScalerConfig) -> Option<MembershipConfig> {
-        Some(MembershipConfig {
-            scaler: Some(scaler),
-            ..MembershipConfig::default()
-        })
-    }
 
     fn elastic(n_dps: usize, scaler: ScalerConfig) -> DigruberConfig {
         let mut cfg = DigruberConfig::small(n_dps, 11);
-        cfg.membership = autoscaled(scaler);
+        cfg.membership = Some(scaler);
         cfg
     }
 
@@ -121,14 +114,13 @@ mod pool_sizing {
     fn overloaded_single_point_grows_the_pool() {
         let out = run(|c| {
             c.n_dps = 1;
-            c.membership = autoscaled(ScalerConfig {
+            c.membership = Some(ScalerConfig {
                 grow_backlog: 4,
                 ..ScalerConfig::default()
             });
         });
         assert!(out.final_dps > 1, "overloaded single DP never grew the pool");
         assert_eq!(out.reconfig_log.len(), out.final_dps - 1);
-        assert_eq!(out.dp_joins as usize, out.reconfig_log.len());
     }
 
     #[test]
@@ -227,18 +219,14 @@ mod pool_sizing {
     fn graceful_leavers_are_never_flagged() {
         let mut cfg = DigruberConfig::small(3, 2005);
         cfg.trace = Some(obs::TraceConfig::default());
-        cfg.membership = Some(MembershipConfig {
-            vnodes: 64,
-            check_interval: SimDuration::from_secs(30),
-            scaler: Some(ScalerConfig {
-                grow_backlog: 8,
-                shrink_backlog: 1,
-                grow_windows: 2,
-                shrink_windows: 3,
-                cooldown: 1,
-                min_dps: 3,
-                max_dps: 10,
-            }),
+        cfg.membership = Some(ScalerConfig {
+            grow_backlog: 8,
+            shrink_backlog: 1,
+            grow_windows: 2,
+            shrink_windows: 3,
+            cooldown: 1,
+            min_dps: 3,
+            max_dps: 10,
         });
         let wl = WorkloadSpec {
             duration: SimDuration::from_mins(30),
@@ -271,7 +259,7 @@ mod pool_sizing {
             cfg.grid_factor = 1;
             cfg.fault_plan = Some(digruber::FaultPlan::parse("churn@0=360+300").unwrap());
             cfg.failover_after = 2;
-            cfg.membership = Some(MembershipConfig::default());
+            cfg.membership = Some(ScalerConfig::default());
             let wl = WorkloadSpec {
                 n_clients: 40,
                 duration: SimDuration::from_mins(40),
@@ -281,7 +269,9 @@ mod pool_sizing {
             let sim = run_to_end(cfg, wl).unwrap();
             let w = sim.world();
             let m = w.membership.as_ref().unwrap();
-            assert!(w.dp_failures > 0 && m.dp_leaves > 0, "seed {seed}: no overlap");
+            // Every point ever created that is no longer a member left.
+            let left = w.dps.len() - m.table.live_count();
+            assert!(w.dp_failures > 0 && left > 0, "seed {seed}: no overlap");
             for dp in &w.dps {
                 assert!(
                     !dp.up() || m.table.is_live(dp.id),
