@@ -3,7 +3,9 @@
 //! The discrete-event simulator proves the *scaling* claims; this module
 //! proves the protocol logic is transport-agnostic by running **the same
 //! [`dpnode::DpNode`] state machine the simulator drives** under real
-//! concurrency, exchanging the exact wire payloads (`simnet::codec`).
+//! concurrency. Floods between points are the exact wire payloads
+//! (`simnet::codec`); a client's inform is stepped typed, as desim and
+//! trace replay step it, since it never leaves the address space.
 //!
 //! A point is a [`SharedPoint`] — the host the socket runtime
 //! (`clusterd`) uses too, and `dpstore::mailbox` is the home of how a
@@ -19,10 +21,11 @@
 //! **Floods.** A step floods under its point's lock, so a flood cannot
 //! enter the peer there: a thread never holds two points' locks, and two
 //! points flooding each other cannot deadlock. The transport queues the
-//! flood on the peer's inbox instead, and the peer merges its inbox in
-//! queue order under its own lock — before any other input it is
-//! stepped with, and right after a sync round by the thread that ran it.
-//! So one peer's floods merge in the order they were sent.
+//! flood on the peer's inbox instead. Only a sync round floods, and the
+//! thread that ran it merges each peer's inbox right after, in queue
+//! order under the peer's own lock, as shutdown does with whatever is
+//! left. So one peer's floods merge in the order they were sent, and a
+//! query or an inform steps nothing but itself.
 
 use bytes::Bytes;
 use dpnode::Input;
@@ -33,7 +36,6 @@ use dpstore::{
 use gruber::DispatchRecord;
 use gruber_types::{ClientId, DpId, SimTime, SiteSpec};
 use obs::{Recorder, TraceEvent};
-use simnet::codec::encode_inform;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -44,8 +46,8 @@ use usla::UslaSet;
 pub use dpstore::DpStats as LiveDpStats;
 
 /// The channel transport: a flood goes on the peer's inbox (indexed by
-/// decision-point id, the index a flood names its peers by); this point's
-/// own inbox is merged by whoever next holds its lock.
+/// decision-point id, the index a flood names its peers by); the sync
+/// round that sent it merges it.
 struct Channels {
     peers: Vec<Sender<Bytes>>,
     inbox: Receiver<Bytes>,
@@ -79,12 +81,12 @@ fn merge_inbox(point: &mut Point<SimStore, Channels>, epoch: Instant) {
     }
 }
 
-/// Steps `msg` into `point` after its inbox; the step's answer, if any,
-/// and the wall-clock reading it was stepped at. `None` once the point
-/// has ended.
-fn call(point: &Live, epoch: Instant, msg: Msg) -> Option<(Option<Answer>, Instant)> {
-    point.with(|point| {
-        merge_inbox(point, epoch);
+/// Steps `msg` into `point`; the step's answer, if any, and how long the
+/// call waited for the point: from the reading it began waiting at to
+/// the one the step was stamped at, zero when it found the point free.
+/// `None` once the point has ended.
+fn call(point: &Live, epoch: Instant, msg: Msg) -> Option<(Option<Answer>, Duration)> {
+    let ((answer, stamp), from) = point.with_waited(|point| {
         let mut stamp = epoch;
         let clock = || {
             stamp = Instant::now();
@@ -92,7 +94,9 @@ fn call(point: &Live, epoch: Instant, msg: Msg) -> Option<(Option<Answer>, Insta
         };
         let answer = point.step(clock, msg);
         (answer, stamp)
-    })
+    })?;
+    let waited = from.map_or(Duration::ZERO, |from| stamp.duration_since(from));
+    Some((answer, waited))
 }
 
 /// One sync round: each point in turn floods, and its peers merge the
@@ -245,11 +249,12 @@ impl LiveCluster {
     /// `timeout` — and the caller should fall back to a random site, like
     /// the paper's clients. `Duration::MAX` has no deadline.
     ///
-    /// The wait is measured from the call to the clock reading the query
-    /// is stepped at, which `call` keeps (see `dpstore::mailbox`'s
-    /// **Time**): it covers the wait for the point's lock and its inbox
-    /// merge, not the node's own sub-µs work after the reading. An
-    /// untraced query reads the clock twice.
+    /// The wait is the wait for the point's lock, measured to the clock
+    /// reading the query is stepped at (see `dpstore::mailbox`'s
+    /// **Time**), not the node's own sub-µs work after the reading. A
+    /// query that finds the point free waited for nothing and is answered
+    /// even at `Duration::ZERO`; untraced, it reads the clock once, for
+    /// its step.
     ///
     /// Traced clusters emit the client-side protocol events here —
     /// `query_issued` before the step and `response_answered` /
@@ -259,10 +264,9 @@ impl LiveCluster {
     pub fn query(&self, dp: DpId, timeout: Duration) -> Option<Vec<u32>> {
         let client = ClientId(0);
         self.trace(|| TraceEvent::QueryIssued { client, dp });
-        let sent = Instant::now();
         let query = Msg::Input(Input::QueryArrived { admission: None });
         let answered = match call(&self.points[dp.index()], self.epoch, query) {
-            Some((Some(Answer::Free(free)), stamp)) => Some((free, stamp - sent)),
+            Some((Some(Answer::Free(free)), waited)) => Some((free, waited)),
             _ => None,
         };
         match answered.filter(|(_, waited)| *waited <= timeout) {
@@ -283,15 +287,11 @@ impl LiveCluster {
     }
 
     /// Informs a decision point of a dispatch decision. The record is
-    /// stepped in its wire form ([`simnet::codec::encode_inform`]); the
-    /// step's reading is the one clock read.
+    /// stepped typed, with no wire round trip and no allocation of its
+    /// own; the step's reading is the one clock read.
     pub fn inform(&self, dp: DpId, record: DispatchRecord) {
-        let bytes = encode_inform(&record);
-        call(
-            &self.points[dp.index()],
-            self.epoch,
-            Msg::Wire(WireInput::Inform(bytes)),
-        );
+        let inform = Msg::Input(Input::Inform(record));
+        call(&self.points[dp.index()], self.epoch, inform);
     }
 
     /// Runs a sync round now (useful in tests instead of waiting for the
@@ -454,6 +454,18 @@ mod tests {
             .filter(|(_, ev)| matches!(ev, TraceEvent::ClientTimeout { dp: DpId(0), .. }))
             .count();
         assert_eq!(timeouts, 1);
+    }
+
+    /// A query that finds its point free waited for nothing, so even a
+    /// zero timeout is met.
+    #[test]
+    fn a_query_on_a_free_point_meets_a_zero_timeout() {
+        let uslas = equal_shares(2, 2).unwrap();
+        let cluster = LiveCluster::start(1, sites(), &uslas, Duration::from_secs(3600));
+        for _ in 0..100 {
+            assert_eq!(cluster.query(DpId(0), Duration::ZERO), Some(vec![16; 4]));
+        }
+        assert_eq!(cluster.shutdown()[0].queries, 100);
     }
 
     #[test]

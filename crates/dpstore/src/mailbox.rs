@@ -36,11 +36,14 @@
 //! **Time.** A [`Point`] owns no clock: its caller hands each step one,
 //! which the step reads once (a restore once more, after its replay).
 //! A [`SharedPoint`] reads the wall clock since its epoch, under the lock,
-//! so the [`SimTime`] the node sees never goes backwards in lock order. A
-//! caller that needs the reading itself — `digruber::live`'s query timeout,
-//! measured from its send to the step — passes a clock that keeps it: the
-//! timeout covers the wait for the lock and whatever is stepped first (the
-//! inbox merge), but not the node's own sub-µs work after the reading.
+//! so the [`SimTime`] the node sees never goes backwards in lock order.
+//! Taking the lock reads no clock: [`SharedPoint::with_waited`] tries it
+//! first and reads the wall clock only when it has to block, and returns
+//! that reading. A caller that times its own wait — `digruber::live`'s
+//! query timeout — passes a clock that keeps the step's reading and
+//! counts from the one to the other: the wait for the lock, but not the
+//! node's own sub-µs work after the reading. A call that found the lock
+//! free waited for nothing.
 //!
 //! **What a transport provides** is the outbound half only: hand one flood
 //! to one peer, replace the peer table, and say how wide the mesh is.
@@ -64,7 +67,7 @@ use gruber_types::{
 use obs::{Recorder, TraceEvent};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -330,15 +333,32 @@ impl<S: Store, T: Transport> SharedPoint<S, T> {
     /// Runs `f` on the point under its lock; `None` once the point has
     /// ended. A panic in `f` ends the point, and this call returns `None`.
     pub fn with<R>(&self, f: impl FnOnce(&mut Point<S, T>) -> R) -> Option<R> {
+        self.with_waited(f).map(|(done, _)| done)
+    }
+
+    /// [`SharedPoint::with`], and when the call had to wait for the lock,
+    /// the wall-clock reading it began waiting at. The lock is tried
+    /// first, so a call that finds it free reads no clock.
+    pub fn with_waited<R>(
+        &self,
+        f: impl FnOnce(&mut Point<S, T>) -> R,
+    ) -> Option<(R, Option<Instant>)> {
         // The lock poisons only if `stats` or a drop panicked while ending
         // the point: it has ended either way.
-        let mut slot = self.point.lock().ok()?;
+        let (mut slot, waited) = match self.point.try_lock() {
+            Ok(slot) => (slot, None),
+            Err(TryLockError::WouldBlock) => {
+                let from = Instant::now();
+                (self.point.lock().ok()?, Some(from))
+            }
+            Err(TryLockError::Poisoned(_)) => return None,
+        };
         let point = slot.as_mut().ok()?;
         let done = catch_unwind(AssertUnwindSafe(|| f(point)));
         if done.is_err() {
             self.end(&mut slot, None);
         }
-        done.ok()
+        Some((done.ok()?, waited))
     }
 
     /// Steps `msg` at the wall-clock time since the epoch, read under the
@@ -527,6 +547,58 @@ pub fn drive_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Blueprint, SimStore, SnapshotPolicy};
+    use gruber_types::SiteSpec;
+
+    /// A transport nothing floods through.
+    struct Nowhere;
+
+    impl Transport for Nowhere {
+        type Peers = ();
+
+        fn flood(&mut self, _peer: usize, _records: &Bytes) {}
+
+        fn set_peers(&mut self, (): ()) {}
+
+        fn n_dps(&self) -> usize {
+            1
+        }
+    }
+
+    /// A free point is taken without a clock reading; a point another
+    /// thread holds is waited for from the reading returned.
+    #[test]
+    fn with_waited_reads_the_clock_only_when_it_blocks() {
+        let sites = (0..4).map(|i| SiteSpec::single_cluster(SiteId(i), 16));
+        let uslas = workload::uslas::equal_shares(2, 2).unwrap();
+        let blueprint = Blueprint::paper_mesh(DpId(0), sites.collect(), uslas.into(), false);
+        let host = NodeHost::<SimStore>::new(
+            blueprint,
+            None,
+            SnapshotPolicy::DISABLED,
+            Recorder::OFF,
+            SimTime::ZERO,
+        );
+        let epoch = Instant::now();
+        let point = SharedPoint::new(Point::new(host, Nowhere, Recorder::OFF), epoch);
+        let (_, from) = point.with_waited(|_| ()).expect("the point is up");
+        assert_eq!(from, None);
+
+        let held = std::sync::Barrier::new(2);
+        let (stepped, from) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                point.with(|_| {
+                    held.wait();
+                    std::thread::sleep(Duration::from_millis(20));
+                })
+            });
+            held.wait();
+            point.with_waited(|_| Instant::now())
+        })
+        .expect("the point is up");
+        let waited = stepped - from.expect("the point was held");
+        assert!(waited >= Duration::from_millis(10), "waited {waited:?}");
+    }
 
     /// `Duration::ZERO` used to make the step zero too: a thread posting
     /// ticks back-to-back into an unbounded mailbox.

@@ -324,6 +324,13 @@ echo "==> experiments recovery health degradation topology scale (60 fingerprint
 echo "==> experiments all (the paper's figures and tables, byte-identical)"
 ./target/release/experiments all > results/experiments_all.txt
 
+echo "==> the examples EXPERIMENTS.md quotes results from (byte-identical)"
+# reliability_failover's table and dynamic_reconfiguration's pool log are
+# quoted in EXPERIMENTS.md; both are deterministic simulations, so their
+# stdout is a committed artifact like the figures above.
+{ cargo run --release --offline -q --example reliability_failover
+  cargo run --release --offline -q --example dynamic_reconfiguration; } > results/examples.txt
+
 # The build and smoke outputs below go into a scratch directory, not the tree.
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
