@@ -63,7 +63,7 @@ pub use config::{uniform_sites, ServerConfig};
 pub use conn::{check_hello, hello, pop, request, CloseReason, Role, WRITE_DEADLINE};
 pub use harness::{dev_binary, drive_workload, LocalCluster, SpawnOpts};
 pub use proto::{
-    decode_free, decode_peers, decode_stats, encode_free, encode_peers, encode_stats,
+    decode_free, decode_peers, decode_stats, encode_free_frame, encode_peers, encode_stats,
     ClusterDpStats, FRAME_INFORM, FRAME_PEERS, FRAME_QUERY, FRAME_RECORDS,
 };
 pub use server::Server;

@@ -16,7 +16,7 @@ use simnet::codec::Reader;
 /// Client → DP: availability query ([`simnet::codec::encode_query`]
 /// payload; the job id doubles as the reply correlation token).
 pub const FRAME_QUERY: u8 = 0;
-/// DP → client: availability reply ([`encode_free`] payload).
+/// DP → client: availability reply (written whole by [`encode_free_frame`]).
 pub(crate) const FRAME_QUERY_REPLY: u8 = 1;
 /// Client → DP: dispatch inform ([`simnet::codec::encode_inform`]).
 pub const FRAME_INFORM: u8 = 2;
@@ -41,14 +41,18 @@ pub(crate) const FRAME_CRASH: u8 = 8;
 /// Client → DP control: clean shutdown (flush trace, report stats).
 pub(crate) const FRAME_SHUTDOWN: u8 = 9;
 
-/// Encodes a query reply: the echoed request job id (correlation token)
-/// followed by the believed-free CPU count per site, each a little-endian
-/// `u32`. The counts are written in one pass over a presized buffer.
-pub fn encode_free(token: u32, free: &[u32]) -> Bytes {
-    let mut buf = vec![0u8; 8 + free.len() * 4];
-    buf[..4].copy_from_slice(&token.to_le_bytes());
-    buf[4..8].copy_from_slice(&(free.len() as u32).to_le_bytes());
-    for (word, f) in buf[8..].chunks_exact_mut(4).zip(free) {
+/// Encodes a whole query-reply frame, `[len][FRAME_QUERY_REPLY][token][n]
+/// [free…]`: the echoed request job id (correlation token), then the
+/// believed-free CPU count per site, each a little-endian `u32`, written
+/// in one pass over one presized buffer. [`decode_free`] reads its
+/// payload, the bytes after the 5-byte frame header.
+pub fn encode_free_frame(token: u32, free: &[u32]) -> Bytes {
+    let mut buf = vec![0u8; 13 + 4 * free.len()];
+    buf[..4].copy_from_slice(&(9 + 4 * free.len() as u32).to_le_bytes());
+    buf[4] = FRAME_QUERY_REPLY;
+    buf[5..9].copy_from_slice(&token.to_le_bytes());
+    buf[9..13].copy_from_slice(&(free.len() as u32).to_le_bytes());
+    for (word, f) in buf[13..].chunks_exact_mut(4).zip(free) {
         word.copy_from_slice(&f.to_le_bytes());
     }
     Bytes::from(buf)
@@ -154,24 +158,31 @@ mod tests {
 
     #[test]
     fn free_list_roundtrips() {
-        let (token, free) = decode_free(encode_free(77, &[16, 0, 3])).unwrap();
+        let frame = encode_free_frame(77, &[16, 0, 3]);
+        let (token, free) = decode_free(frame.slice(5..frame.len())).unwrap();
         assert_eq!(token, 77);
         assert_eq!(free, vec![16, 0, 3]);
         assert!(decode_free(Bytes::copy_from_slice(&[1, 2, 3])).is_err());
         // A Grid3×10 reply: 300 counts, one of them u32::MAX, written as
-        // the token, the count and then each count, little-endian.
+        // the frame length, the kind, the token, the count and then each
+        // count, little-endian.
         let mut sites: Vec<u32> = (0..300).map(|i| i * 7).collect();
         sites[150] = u32::MAX;
-        let wire = encode_free(u32::MAX, &sites);
-        let mut want = Vec::new();
+        let frame = encode_free_frame(u32::MAX, &sites);
+        let mut want = (1u32 + 8 + 4 * 300).to_le_bytes().to_vec();
+        want.push(FRAME_QUERY_REPLY);
         for w in [u32::MAX, 300].iter().chain(&sites) {
             want.extend_from_slice(&w.to_le_bytes());
         }
-        assert_eq!(wire.to_vec(), want);
-        assert_eq!(decode_free(wire.clone()).unwrap(), (u32::MAX, sites));
-        // Every strict prefix is refused.
-        for len in 0..wire.len() {
-            let prefix = Bytes::copy_from_slice(&want[..len]);
+        assert_eq!(frame.to_vec(), want);
+        let payload = &want[5..];
+        assert_eq!(
+            decode_free(Bytes::copy_from_slice(payload)).unwrap(),
+            (u32::MAX, sites)
+        );
+        // Every strict prefix of the payload is refused.
+        for len in 0..payload.len() {
+            let prefix = Bytes::copy_from_slice(&payload[..len]);
             assert!(decode_free(prefix).is_err(), "{len} bytes");
         }
     }

@@ -90,21 +90,9 @@ pub(crate) type Node = SharedPoint<FileStore, Tcp>;
 
 /// The frame that carries `answer` back to a client: a query's reply
 /// echoes the request's `token` (its job id); a stats reply carries none.
-/// A query's reply, `[len][kind][token][n][free…]`, is the frame of a
-/// [`proto::encode_free`] payload, written in one pass into one buffer.
 fn reply_frame(token: u32, answer: Answer) -> Bytes {
     match answer {
-        Answer::Free(free) => {
-            let mut buf = vec![0u8; 13 + 4 * free.len()];
-            buf[..4].copy_from_slice(&(9 + 4 * free.len() as u32).to_le_bytes());
-            buf[4] = proto::FRAME_QUERY_REPLY;
-            buf[5..9].copy_from_slice(&token.to_le_bytes());
-            buf[9..13].copy_from_slice(&(free.len() as u32).to_le_bytes());
-            for (word, f) in buf[13..].chunks_exact_mut(4).zip(&free) {
-                word.copy_from_slice(&f.to_le_bytes());
-            }
-            Bytes::from(buf)
-        }
+        Answer::Free(free) => proto::encode_free_frame(token, &free),
         Answer::Stats(stats) => encode_frame(
             proto::FRAME_STATS_REPLY,
             proto::encode_stats(&stats).as_ref(),
@@ -284,24 +272,4 @@ fn frame_sized(records: &Bytes) -> Vec<Bytes> {
             buf.freeze()
         })
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The one-pass reply is the frame of `encode_free`'s payload, byte
-    /// for byte: a 300-site answer, an empty one and the widest values.
-    #[test]
-    fn a_query_reply_is_the_frame_of_its_encode_free_payload() {
-        let answers = [(0..300).collect(), Vec::new(), vec![u32::MAX; 300]];
-        for free in answers {
-            for token in [0, 77, u32::MAX] {
-                let payload = proto::encode_free(token, &free);
-                let composed = encode_frame(proto::FRAME_QUERY_REPLY, payload.as_ref());
-                let frame = reply_frame(token, Answer::Free(free.clone()));
-                assert_eq!(frame.as_ref(), composed.as_ref());
-            }
-        }
-    }
 }

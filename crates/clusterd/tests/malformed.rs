@@ -4,9 +4,9 @@
 //! over a damaged directory. The shape is [`refuses_hostile_input`]; each
 //! `proptest!` below is one decoder, its valid sample and where that
 //! sample keeps its length and count fields. A second property holds the
-//! connection edge (`clusterd::conn`) to the same bytes, whatever cut. A
-//! third, [`refuses_hostile_text`], holds the two text parsers
-//! (`usla::parse` here; `FaultPlan::parse` in `digruber::faults`).
+//! connection edge (`clusterd::conn`) to the same bytes, whatever cut.
+//! The free-list sample is a real reply frame's payload, and one plain
+//! test holds that frame to a [`FrameBuf`] round trip.
 
 // `&[0..4]` here is a list of one byte range, not a typo for `0..4`.
 #![allow(clippy::single_range_in_vec_init)]
@@ -14,7 +14,7 @@
 use bytes::Bytes;
 use clusterd::{check_hello, pop, request, CloseReason, Role};
 use clusterd::{
-    decode_free, decode_peers, decode_stats, encode_free, encode_peers, encode_stats,
+    decode_free, decode_peers, decode_stats, encode_free_frame, encode_peers, encode_stats,
     ClusterDpStats,
 };
 use dpnode::{Dissemination, DpNode, FloodPayload, Input, NodeConfig, Topology, WalOp};
@@ -225,8 +225,9 @@ proptest! {
 
     #[test]
     fn free_list((garbage, flip) in hostile()) {
-        let valid = encode_free(77, &[16, 0, 3]);
-        refuses_hostile_input(valid.as_ref(), 3, &[4..8], 4, (&garbage, flip), |b| {
+        // The payload of a real reply frame, past its 5-byte header.
+        let frame = encode_free_frame(77, &[16, 0, 3]);
+        refuses_hostile_input(&frame.as_ref()[5..], 3, &[4..8], 4, (&garbage, flip), |b| {
             decode_free(Bytes::copy_from_slice(b)).map(|(_, free)| free.len())
         })?;
     }
@@ -401,55 +402,20 @@ proptest! {
     }
 }
 
-/// The parsers' own tokens, from which arbitrary text is drawn.
-const TOKENS: [&str; 24] = [
-    "=", " ", "\"", "#", "\n", ".", "..", "-", ">", "@", ";", "|", ",", "+", ":", "0", "7",
-    "18446744073709551616", "true", "usla", "cpu", "vo", "group", "\u{e9}",
-];
-
-/// Arbitrary text (as picks from [`TOKENS`]), and where and with which
-/// byte to mutate the valid sample.
-fn hostile_text() -> impl Strategy<Value = (Vec<usize>, usize, u8)> {
-    (proptest::collection::vec(0..TOKENS.len(), 0..40), 0..usize::MAX, 0u8..=255)
-}
-
-/// The text parsers' property: `valid` parses, and arbitrary text or
-/// `valid` with one byte replaced, removed or inserted never panics and
-/// fails only with the parser's own `GridError`.
-fn refuses_hostile_text<T>(
-    valid: &str,
-    (picks, at, byte): (Vec<usize>, usize, u8),
-    parse: impl Fn(&str) -> Result<T, GridError>,
-    typed: impl Fn(&GridError) -> bool,
-) -> Result<(), TestCaseError> {
-    prop_assert!(parse(valid).is_ok(), "the sample itself must parse");
-    let garbage: String = picks.into_iter().map(|i| TOKENS[i]).collect();
-    let at = at % valid.len();
-    let mut replaced = valid.as_bytes().to_vec();
-    replaced[at] = byte;
-    let mut removed = valid.as_bytes().to_vec();
-    removed.remove(at);
-    let mut inserted = valid.as_bytes().to_vec();
-    inserted.insert(at, byte);
-    for (case, bytes) in [
-        ("arbitrary text", garbage.as_bytes()),
-        ("replaced byte", &replaced),
-        ("removed byte", &removed),
-        ("inserted byte", &inserted),
-    ] {
-        if let Err(e) = parse(&String::from_utf8_lossy(bytes)) {
-            prop_assert!(typed(&e), "{case}: {e:?}");
+/// A query reply's frame, popped whole by [`FrameBuf`], decodes to the
+/// token and counts it was written from: a 300-site answer, an empty one
+/// and the widest values, each under three tokens.
+#[test]
+fn a_query_reply_frame_roundtrips_through_framebuf() {
+    let answers: [Vec<u32>; 3] = [(0..300).collect(), Vec::new(), vec![u32::MAX; 300]];
+    for free in answers {
+        for token in [0, 77, u32::MAX] {
+            let mut fb = FrameBuf::new();
+            fb.extend(encode_free_frame(token, &free).as_ref());
+            let (kind, payload) = fb.next_frame().unwrap().expect("one whole frame");
+            assert_eq!(kind, 1, "FRAME_QUERY_REPLY");
+            assert_eq!(decode_free(payload).unwrap(), (token, free.clone()));
+            assert!(fb.next_frame().unwrap().is_none(), "nothing left over");
         }
-    }
-    Ok(())
-}
-
-proptest! {
-    #[test]
-    fn usla_text(hostile in hostile_text()) {
-        let valid = "usla cpu grid -> vo:0 = 40\nusla cpu vo:0 -> group:0.1 = 50+\n";
-        refuses_hostile_text(valid, hostile, usla::parse, |e| {
-            matches!(e, GridError::UslaParse(_))
-        })?;
     }
 }

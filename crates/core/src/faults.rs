@@ -1168,9 +1168,9 @@ mod tests {
     ];
 
     proptest::proptest! {
-        /// clusterd's `malformed.rs` text property: arbitrary text, or a
-        /// valid plan with one byte replaced, removed or inserted, never
-        /// panics and fails only as `InvalidConfig`.
+        /// Hostile text: arbitrary text, or a valid plan with one byte
+        /// replaced, removed or inserted, never panics and fails only as
+        /// `InvalidConfig`.
         #[test]
         fn hostile_text_is_refused((picks, at, byte) in (
             proptest::collection::vec(0..TOKENS.len(), 0..40),

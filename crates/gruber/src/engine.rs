@@ -16,7 +16,7 @@ use bytes::Bytes;
 use gruber_types::{DispatchRecord, DpId, JobSpec, SimDuration, SimTime, SiteSpec};
 use obs::{Recorder, TraceEvent, TraceVerdict};
 use simnet::codec::DeltaLog;
-use usla::{AdmissionVerdict, EntitlementEngine, Principal, ResourceKind, UslaSet, UslaStore};
+use usla::{AdmissionVerdict, EntitlementEngine, Principal, UslaSet, UslaStore};
 
 /// A decision point's brokering core.
 #[derive(Debug)]
@@ -47,7 +47,7 @@ impl GruberEngine {
             let (vo, group) = match p {
                 Principal::Grid => continue,
                 Principal::Vo(v) => (v, None),
-                Principal::Group(v, g) | Principal::User(v, g, _) => (v, Some(g)),
+                Principal::Group(v, g) => (v, Some(g)),
             };
             n_vos = n_vos.max(Some(vo.index() + 1));
             n_groups = n_groups.max(group.map(|g| g.index() + 1));
@@ -176,8 +176,7 @@ impl GruberEngine {
         let group_usage = self.view.group_demand(job.vo, job.group, now) as f64;
         let idle = self.view.idle_cpus(now) as f64;
         let snapshot = self.uslas.snapshot();
-        let engine =
-            EntitlementEngine::new(&snapshot, ResourceKind::Cpu, self.view.grid_cpus() as f64);
+        let engine = EntitlementEngine::new(&snapshot, self.view.grid_cpus() as f64);
         let group = Principal::Group(job.vo, job.group);
         let verdict = engine.check_admission(group, f64::from(job.cpus), idle, |p| match p {
             Principal::Vo(_) => vo_usage,
@@ -448,7 +447,6 @@ mod tests {
         let vo_only = UslaSet::from_entries(vec![UslaEntry {
             provider: Principal::Grid,
             consumer: Principal::Vo(VoId(4)),
-            resource: ResourceKind::Cpu,
             share: FairShare::target(100.0),
         }])
         .unwrap();
@@ -469,7 +467,6 @@ mod tests {
             .publish(UslaEntry {
                 provider: Principal::Grid,
                 consumer: Principal::Vo(VoId(1)),
-                resource: ResourceKind::Cpu,
                 share: FairShare::upper(0.0),
             })
             .unwrap();

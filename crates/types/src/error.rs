@@ -33,8 +33,6 @@ pub enum GridError {
     },
     /// Configuration is inconsistent (empty grid, zero clients, ...).
     InvalidConfig(String),
-    /// USLA text could not be parsed.
-    UslaParse(String),
     /// Bytes from a socket or a disk do not decode: the peer, the file or
     /// the link is at fault, never this process's configuration.
     Malformed {
@@ -59,7 +57,6 @@ impl fmt::Display for GridError {
                 write!(f, "dispatch rejected by {site}: {reason}")
             }
             GridError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            GridError::UslaParse(msg) => write!(f, "USLA parse error: {msg}"),
             GridError::Malformed { what, why } => write!(f, "malformed {what}: {why}"),
         }
     }

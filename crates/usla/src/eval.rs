@@ -2,7 +2,7 @@
 //!
 //! Turns fair-share rules into concrete resource quantities and answers the
 //! per-job admission question a GRUBER decision point asks: *may this VO
-//! (group, user) start one more job right now?*
+//! (group) start one more job right now?*
 //!
 //! ## Distribution semantics
 //!
@@ -22,7 +22,7 @@
 //! This is a fixed-point water-filling computation; it terminates because
 //! each iteration permanently freezes at least one child.
 
-use crate::agreement::{ResourceKind, UslaSet};
+use crate::agreement::UslaSet;
 use crate::principal::Principal;
 use crate::share::{FairShare, ShareKind};
 
@@ -139,23 +139,18 @@ impl AdmissionVerdict {
     }
 }
 
-/// Evaluates entitlements over the principal hierarchy for one resource.
+/// Evaluates entitlements over the principal hierarchy.
 #[derive(Debug, Clone)]
 pub struct EntitlementEngine<'a> {
     uslas: &'a UslaSet,
-    resource: ResourceKind,
     total: f64,
 }
 
 impl<'a> EntitlementEngine<'a> {
-    /// Builds an engine over a USLA set for `resource`, with `total` units
-    /// in the grid-wide pool.
-    pub fn new(uslas: &'a UslaSet, resource: ResourceKind, total: f64) -> Self {
-        EntitlementEngine {
-            uslas,
-            resource,
-            total,
-        }
+    /// Builds an engine over a USLA set, with `total` units in the
+    /// grid-wide pool.
+    pub fn new(uslas: &'a UslaSet, total: f64) -> Self {
+        EntitlementEngine { uslas, total }
     }
 
     /// The concrete entitlement (in resource units) of a principal.
@@ -171,7 +166,7 @@ impl<'a> EntitlementEngine<'a> {
             None => self.total,
             Some(parent) => {
                 let parent_ent = self.entitlement(parent);
-                let children = self.uslas.children_of(parent, self.resource);
+                let children = self.uslas.children_of(parent);
                 if children.is_empty() {
                     return parent_ent; // open pool at this level
                 }
@@ -194,7 +189,7 @@ impl<'a> EntitlementEngine<'a> {
             Some(parent) => {
                 let entry = self
                     .uslas
-                    .children_of(parent, self.resource)
+                    .children_of(parent)
                     .into_iter()
                     .find(|e| e.consumer == p);
                 match entry {
@@ -215,7 +210,7 @@ impl<'a> EntitlementEngine<'a> {
             Some(parent) => {
                 let entry = self
                     .uslas
-                    .children_of(parent, self.resource)
+                    .children_of(parent)
                     .into_iter()
                     .find(|e| e.consumer == p);
                 match entry {
@@ -231,9 +226,9 @@ impl<'a> EntitlementEngine<'a> {
     /// Admission check for starting `want` more units, given the
     /// principal's `usage` and the grid's current `idle` capacity.
     ///
-    /// Checks the whole ancestor chain: a user may be blocked by its
-    /// group's cap, the group by its VO's, etc. Usage per ancestor is
-    /// supplied by the caller through `usage_of`.
+    /// Checks the whole ancestor chain: a group may be blocked by its
+    /// VO's cap. Usage per ancestor is supplied by the caller through
+    /// `usage_of`.
     pub fn check_admission(
         &self,
         p: Principal,
@@ -289,7 +284,7 @@ fn weakest(a: AdmissionVerdict, b: AdmissionVerdict) -> AdmissionVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::text::parse;
+    use crate::agreement::UslaEntry;
     use gruber_types::{GroupId, VoId};
     use proptest::prelude::*;
 
@@ -343,20 +338,36 @@ mod tests {
         assert!(distribute(10.0, &[]).is_empty());
     }
 
-    fn hierarchy() -> UslaSet {
-        parse(
-            "usla cpu grid -> vo:0 = 40\n\
-             usla cpu grid -> vo:1 = 60\n\
-             usla cpu vo:0 -> group:0.0 = 50\n\
-             usla cpu vo:0 -> group:0.1 = 50+\n",
+    /// VO 0 takes `vo0` of the grid and VO 1 a 60 % target; VO 0's two
+    /// groups take 50 % each, group 1 capped.
+    fn hierarchy_with(vo0: FairShare) -> UslaSet {
+        let (grid, vo) = (Principal::Grid, Principal::Vo(VoId(0)));
+        let group = |g| Principal::Group(VoId(0), GroupId(g));
+        UslaSet::from_entries(
+            [
+                (grid, vo, vo0),
+                (grid, Principal::Vo(VoId(1)), FairShare::target(60.0)),
+                (vo, group(0), FairShare::target(50.0)),
+                (vo, group(1), FairShare::upper(50.0)),
+            ]
+            .map(|(provider, consumer, share)| UslaEntry {
+                provider,
+                consumer,
+                share,
+            })
+            .to_vec(),
         )
         .unwrap()
+    }
+
+    fn hierarchy() -> UslaSet {
+        hierarchy_with(FairShare::target(40.0))
     }
 
     #[test]
     fn entitlement_is_recursive() {
         let set = hierarchy();
-        let eng = EntitlementEngine::new(&set, ResourceKind::Cpu, 1000.0);
+        let eng = EntitlementEngine::new(&set, 1000.0);
         assert!((eng.entitlement(Principal::Vo(VoId(0))) - 400.0).abs() < 1e-6);
         assert!(
             (eng.entitlement(Principal::Group(VoId(0), GroupId(0))) - 200.0).abs() < 1e-6
@@ -370,21 +381,15 @@ mod tests {
     #[test]
     fn unlisted_sibling_gets_zero_entitlement() {
         let set = hierarchy();
-        let eng = EntitlementEngine::new(&set, ResourceKind::Cpu, 1000.0);
+        let eng = EntitlementEngine::new(&set, 1000.0);
         assert_eq!(eng.entitlement(Principal::Group(VoId(0), GroupId(7))), 0.0);
     }
 
     #[test]
     fn admission_levels() {
         // `hierarchy()` with VO 0's target a floor: 400 guaranteed.
-        let set = parse(
-            "usla cpu grid -> vo:0 = 40-\n\
-             usla cpu grid -> vo:1 = 60\n\
-             usla cpu vo:0 -> group:0.0 = 50\n\
-             usla cpu vo:0 -> group:0.1 = 50+\n",
-        )
-        .unwrap();
-        let eng = EntitlementEngine::new(&set, ResourceKind::Cpu, 1000.0);
+        let set = hierarchy_with(FairShare::lower(40.0));
+        let eng = EntitlementEngine::new(&set, 1000.0);
         let vo = Principal::Vo(VoId(0));
 
         // Below the floor.
@@ -402,7 +407,7 @@ mod tests {
     #[test]
     fn hard_cap_denies_along_chain() {
         let set = hierarchy();
-        let eng = EntitlementEngine::new(&set, ResourceKind::Cpu, 1000.0);
+        let eng = EntitlementEngine::new(&set, 1000.0);
         let g1 = Principal::Group(VoId(0), GroupId(1)); // capped at 50% of 400 = 200
         // Group usage at its cap: denied even with idle capacity.
         let v = eng.check_admission(g1, 1.0, 500.0, |p| if p == g1 { 200.0 } else { 210.0 });

@@ -2,11 +2,12 @@
 //!
 //! "There are at least two levels of resource assignments: to a VO, by a
 //! resource owner, and to a VO user or group, by a VO. [...] extending the
-//! specification in a recursive way to VOs, groups, and users."
+//! specification in a recursive way to VOs, groups, and users." The
+//! hierarchy here stops at groups: a decision point accounts usage per VO
+//! and per group, never per user.
 
-use gruber_types::{GridError, GroupId, UserId, VoId};
+use gruber_types::{GroupId, VoId};
 use std::fmt;
-use std::str::FromStr;
 
 /// A party that can provide or consume resource shares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -17,8 +18,6 @@ pub enum Principal {
     Vo(VoId),
     /// A group within a VO.
     Group(VoId, GroupId),
-    /// A user within a VO group.
-    User(VoId, GroupId, UserId),
 }
 
 impl Principal {
@@ -28,7 +27,6 @@ impl Principal {
             Principal::Grid => None,
             Principal::Vo(_) => Some(Principal::Grid),
             Principal::Group(v, _) => Some(Principal::Vo(v)),
-            Principal::User(v, g, _) => Some(Principal::Group(v, g)),
         }
     }
 
@@ -44,34 +42,6 @@ impl fmt::Display for Principal {
             Principal::Grid => write!(f, "grid"),
             Principal::Vo(v) => write!(f, "vo:{}", v.0),
             Principal::Group(v, g) => write!(f, "group:{}.{}", v.0, g.0),
-            Principal::User(v, g, u) => write!(f, "user:{}.{}.{}", v.0, g.0, u.0),
-        }
-    }
-}
-
-impl FromStr for Principal {
-    type Err = GridError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        if s == "grid" {
-            return Ok(Principal::Grid);
-        }
-        let (tag, rest) = s
-            .split_once(':')
-            .ok_or_else(|| GridError::UslaParse(format!("bad principal {s:?}")))?;
-        let parts: Vec<u32> = rest
-            .split('.')
-            .map(|p| {
-                p.parse::<u32>()
-                    .map_err(|_| GridError::UslaParse(format!("bad principal index in {s:?}")))
-            })
-            .collect::<Result<_, _>>()?;
-        match (tag, parts.as_slice()) {
-            ("vo", [v]) => Ok(Principal::Vo(VoId(*v))),
-            ("group", [v, g]) => Ok(Principal::Group(VoId(*v), GroupId(*g))),
-            ("user", [v, g, u]) => Ok(Principal::User(VoId(*v), GroupId(*g), UserId(*u))),
-            _ => Err(GridError::UslaParse(format!("bad principal {s:?}"))),
         }
     }
 }
@@ -82,9 +52,9 @@ mod tests {
 
     #[test]
     fn parent_chain() {
-        let u = Principal::User(VoId(1), GroupId(2), UserId(3));
-        assert_eq!(u.parent(), Some(Principal::Group(VoId(1), GroupId(2))));
-        assert_eq!(u.parent().unwrap().parent(), Some(Principal::Vo(VoId(1))));
+        let g = Principal::Group(VoId(1), GroupId(2));
+        assert_eq!(g.parent(), Some(Principal::Vo(VoId(1))));
+        assert_eq!(g.parent().unwrap().parent(), Some(Principal::Grid));
         assert_eq!(Principal::Grid.parent(), None);
     }
 
@@ -94,20 +64,5 @@ mod tests {
         let grp = Principal::Group(VoId(1), GroupId(0));
         assert!(vo.is_parent_of(&grp));
         assert!(!Principal::Grid.is_parent_of(&grp));
-    }
-
-    #[test]
-    fn parse_and_display_roundtrip() {
-        for s in ["grid", "vo:3", "group:1.2", "user:0.4.7"] {
-            let p: Principal = s.parse().unwrap();
-            assert_eq!(p.to_string(), s);
-        }
-    }
-
-    #[test]
-    fn parse_rejects_malformed() {
-        for bad in ["", "vo", "vo:", "vo:x", "group:1", "user:1.2", "planet:1"] {
-            assert!(bad.parse::<Principal>().is_err(), "accepted {bad:?}");
-        }
     }
 }

@@ -50,11 +50,11 @@ impl UslaStore {
     pub fn publish(&mut self, entry: UslaEntry) -> Result<u64, GridError> {
         entry.validate()?;
         self.epoch += 1;
-        if let Some(slot) = self.entries.iter_mut().find(|v| {
-            v.entry.provider == entry.provider
-                && v.entry.consumer == entry.consumer
-                && v.entry.resource == entry.resource
-        }) {
+        if let Some(slot) = self
+            .entries
+            .iter_mut()
+            .find(|v| v.entry.provider == entry.provider && v.entry.consumer == entry.consumer)
+        {
             slot.entry = entry;
             slot.epoch = self.epoch;
         } else {
@@ -81,9 +81,7 @@ impl UslaStore {
         let mut applied = 0;
         for d in delta {
             match self.entries.iter_mut().find(|v| {
-                v.entry.provider == d.entry.provider
-                    && v.entry.consumer == d.entry.consumer
-                    && v.entry.resource == d.entry.resource
+                v.entry.provider == d.entry.provider && v.entry.consumer == d.entry.consumer
             }) {
                 Some(local) if local.epoch >= d.epoch => {}
                 Some(local) => {
@@ -111,7 +109,6 @@ impl UslaStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agreement::ResourceKind;
     use crate::principal::Principal;
     use crate::share::FairShare;
     use gruber_types::VoId;
@@ -120,7 +117,6 @@ mod tests {
         UslaEntry {
             provider: Principal::Grid,
             consumer: Principal::Vo(VoId(v)),
-            resource: ResourceKind::Cpu,
             share: FairShare::target(pct),
         }
     }
@@ -129,7 +125,7 @@ mod tests {
     /// evaluates.
     fn share_of(s: &UslaStore, v: u32) -> f64 {
         s.snapshot()
-            .lookup(Principal::Grid, Principal::Vo(VoId(v)), ResourceKind::Cpu)
+            .lookup(Principal::Grid, Principal::Vo(VoId(v)))
             .expect("published")
             .share
             .percent
@@ -203,7 +199,6 @@ mod tests {
         let bad = UslaEntry {
             provider: Principal::Grid,
             consumer: Principal::Group(VoId(0), GroupId(0)),
-            resource: ResourceKind::Cpu,
             share: FairShare::target(10.0),
         };
         assert!(s.publish(bad).is_err());

@@ -6,7 +6,7 @@
 //! caps/floors for the fair-share examples and tests.
 
 use gruber_types::{GridError, GroupId, VoId};
-use usla::{FairShare, Principal, ResourceKind, UslaEntry, UslaSet};
+use usla::{FairShare, Principal, UslaEntry, UslaSet};
 
 /// Equal CPU targets: every VO gets `100/n_vos` %, every group
 /// `100/groups_per_vo` % of its VO.
@@ -21,14 +21,12 @@ pub fn equal_shares(n_vos: u32, groups_per_vo: u32) -> Result<UslaSet, GridError
         entries.push(UslaEntry {
             provider: Principal::Grid,
             consumer: Principal::Vo(VoId(v)),
-            resource: ResourceKind::Cpu,
             share: FairShare::target(vo_pct),
         });
         for g in 0..groups_per_vo {
             entries.push(UslaEntry {
                 provider: Principal::Vo(VoId(v)),
                 consumer: Principal::Group(VoId(v), GroupId(g)),
-                resource: ResourceKind::Cpu,
                 share: FairShare::target(grp_pct),
             });
         }
@@ -57,7 +55,6 @@ pub fn weighted_shares(weights: &[f64]) -> Result<UslaSet, GridError> {
         entries.push(UslaEntry {
             provider: Principal::Grid,
             consumer: Principal::Vo(VoId(v as u32)),
-            resource: ResourceKind::Cpu,
             share,
         });
     }
@@ -73,7 +70,7 @@ mod tests {
     fn equal_shares_cover_hierarchy() {
         let set = equal_shares(10, 10).unwrap();
         assert_eq!(set.entries().len(), 10 + 100);
-        let eng = EntitlementEngine::new(&set, ResourceKind::Cpu, 45_000.0);
+        let eng = EntitlementEngine::new(&set, 45_000.0);
         let vo = eng.entitlement(Principal::Vo(VoId(3)));
         assert!((vo - 4500.0).abs() < 1e-6);
         let grp = eng.entitlement(Principal::Group(VoId(3), GroupId(7)));

@@ -10,16 +10,21 @@
 //! ```
 
 use gruber_types::VoId;
-use usla::{EntitlementEngine, Principal, ResourceKind};
+use usla::{EntitlementEngine, Principal};
 use workload::uslas::weighted_shares;
 
 fn main() {
     // Three VOs: VO 0 capped (+), VO 1 a plain target, VO 2 guaranteed (-).
     let uslas = weighted_shares(&[1.0, 2.0, 1.0]).expect("valid weights");
-    println!("USLA set (WS-Agreement-subset text format):\n{}", usla::print(&uslas));
+    println!("USLA set:");
+    for e in uslas.entries() {
+        let (pct, kind) = (e.share.percent, e.share.kind);
+        println!("  {} -> {}: {pct:.0} % ({kind:?})", e.provider, e.consumer);
+    }
+    println!();
 
     let total_cpus = 10_000.0;
-    let engine = EntitlementEngine::new(&uslas, ResourceKind::Cpu, total_cpus);
+    let engine = EntitlementEngine::new(&uslas, total_cpus);
     println!("entitlements over a {total_cpus}-CPU grid:");
     for v in 0..3u32 {
         let p = Principal::Vo(VoId(v));

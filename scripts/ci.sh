@@ -263,6 +263,9 @@ echo "==> every capability earns its keep: sites are FIFO, CPU-only and uncapped
 # pool is its autoscaler policy (64 vnodes and a 30 s tick are constants
 # of `digruber::elastic`), the paper's 0.6 ramp share lives in
 # `WorkloadSpec` alone, and GRUB-SIM's burst allowance is a constant.
+# Nor a USLA text format, resource dimension or user level: every USLA
+# set is built in code from VO and group CPU shares, and one that fails
+# validation is `InvalidConfig`.
 { [ -z "$(ls -d crates/membership crates/metrics crates/euryale 2>/dev/null)" ] \
   && ! grep -nE '^(membership|gruber-metrics|euryale)\b|package\.(membership|gruber-metrics|euryale)\]' \
       Cargo.toml crates/*/Cargo.toml \
@@ -272,6 +275,8 @@ echo "==> every capability earns its keep: sites are FIFO, CPU-only and uncapped
   && ! grep -rnE 'EuryalePlanner|JobDag|SubmitFile|job_storage_mb|total_storage_mb|free_storage_mb|JobState::Failed|fn resubmit|ClusterSpec' \
       --include=*.rs crates src tests examples \
   && ! grep -rnE 'MembershipConfig|RampSchedule::paper_default|burst_backlog' \
+      --include=*.rs crates src tests examples \
+  && ! grep -rnE 'usla::parse|usla::print|ResourceKind|Principal::User|UslaParse|refuses_hostile_text' \
       --include=*.rs crates src tests examples; } \
   || { echo "ci.sh: a folded crate or deleted dead code is back (lines above)"; exit 1; }
 

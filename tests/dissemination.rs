@@ -420,7 +420,7 @@ mod extensions {
 
 mod fairness {
     use super::*;
-    use usla::{FairShare, Principal, ResourceKind, UslaEntry, UslaSet};
+    use usla::{FairShare, Principal, UslaEntry, UslaSet};
 
     /// Paper §4.1: "we wanted to determine whether CPU resources could be
     /// allocated in a fair manner across multiple VOs". Symmetric demand +
@@ -452,7 +452,6 @@ mod fairness {
                 set.insert(UslaEntry {
                     provider: Principal::Grid,
                     consumer: Principal::Vo(gruber_types::VoId(v)),
-                    resource: ResourceKind::Cpu,
                     share: if v == 0 {
                         FairShare::upper(0.0)
                     } else {

@@ -1,6 +1,7 @@
 //! Live (threaded) deployment integration: the same brokering semantics as
-//! the simulator, as locked calls on the callers' threads over the real
-//! wire codec.
+//! the simulator. Queries and informs are typed locked calls on the
+//! callers' threads; only the floods between points cross the real wire
+//! codec.
 
 use digruber::live::LiveCluster;
 use gruber::DispatchRecord;

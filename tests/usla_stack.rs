@@ -1,21 +1,21 @@
-//! USLA stack integration: text format → store → entitlement engine →
+//! USLA stack integration: generated sets → store → entitlement engine →
 //! GRUBER admission, across the `usla`, `workload` and `gruber` crates.
 
 use gridemu::grid3_times;
 use gruber::{DispatchRecord, GruberEngine};
 use gruber_types::{ClientId, GroupId, JobId, JobSpec, SimDuration, SimTime, SiteId, UserId, VoId};
-use usla::{AdmissionVerdict, EntitlementEngine, Principal, ResourceKind, UslaStore};
+use usla::{AdmissionVerdict, EntitlementEngine, Principal, UslaStore};
 use workload::uslas::{equal_shares, weighted_shares};
 
 #[test]
-fn generated_sets_print_parse_and_evaluate() {
-    for set in [equal_shares(5, 4).unwrap(), weighted_shares(&[1.0, 3.0]).unwrap()] {
-        let printed = usla::print(&set);
-        let reparsed = usla::parse(&printed).unwrap();
-        assert_eq!(set, reparsed);
-        let engine = EntitlementEngine::new(&reparsed, ResourceKind::Cpu, 1000.0);
-        let total: f64 = reparsed
-            .children_of(Principal::Grid, ResourceKind::Cpu)
+fn generated_sets_evaluate_within_the_grid() {
+    for set in [
+        equal_shares(5, 4).unwrap(),
+        weighted_shares(&[1.0, 3.0]).unwrap(),
+    ] {
+        let engine = EntitlementEngine::new(&set, 1000.0);
+        let total: f64 = set
+            .children_of(Principal::Grid)
             .iter()
             .map(|e| engine.entitlement(e.consumer))
             .sum();
@@ -33,10 +33,7 @@ fn store_dissemination_preserves_admission_behaviour() {
     b.merge_delta(&a.delta_since(0));
 
     // Modify a goal on A, sync to B.
-    let mut entry = **set
-        .children_of(Principal::Grid, ResourceKind::Cpu)
-        .first()
-        .unwrap();
+    let mut entry = **set.children_of(Principal::Grid).first().unwrap();
     entry.share = usla::FairShare::upper(5.0);
     let epoch_before = b.epoch();
     a.publish(entry).unwrap();
@@ -46,8 +43,8 @@ fn store_dissemination_preserves_admission_behaviour() {
     let snap_b = b.snapshot();
     assert_eq!(snap_a, snap_b);
 
-    let ea = EntitlementEngine::new(&snap_a, ResourceKind::Cpu, 1000.0);
-    let eb = EntitlementEngine::new(&snap_b, ResourceKind::Cpu, 1000.0);
+    let ea = EntitlementEngine::new(&snap_a, 1000.0);
+    let eb = EntitlementEngine::new(&snap_b, 1000.0);
     let p = Principal::Vo(VoId(0));
     let va = ea.check_admission(p, 1.0, 500.0, |_| 60.0);
     let vb = eb.check_admission(p, 1.0, 500.0, |_| 60.0);
